@@ -87,6 +87,13 @@ func WithFlash(bytes int64) Option {
 // WithMemory sets M, the DRAM budget (total across shards), split per the
 // §6.4 tuning rules. Required unless WithBufferKB and
 // WithFilterBitsPerEntry are both given.
+//
+// The budget counts the paper's k·m Bloom bits per super table: what is
+// left after the buffers sets the filter bits per entry. The bit-sliced
+// bank that holds those filters takes L·m + m bits, where L ≥ k+8 is the
+// slice length rounded up to 32, 64 or 128 (sliding-window slack) and m
+// the staging filter, so MemoryFootprint().BloomBytes exceeds the budgeted
+// share — about 2x at k = 16.
 func WithMemory(bytes int64) Option {
 	return func(c *config) error {
 		c.memoryBytes = bytes

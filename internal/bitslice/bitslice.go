@@ -2,23 +2,58 @@
 // a sliding window described in §5.1.3 of the paper.
 //
 // A super table holds k incarnations plus the in-memory buffer, each with a
-// Bloom filter of m bits. Instead of storing k+1 separate filters, the bank
-// stores m *slices*: slice p concatenates bit p of every filter. A lookup
-// that probes h bit positions then retrieves h slices, ANDs them, and the
-// 1-bits of the result identify the incarnations that may contain the key —
-// h word operations instead of (k+1)·h bit probes.
+// Bloom filter of m bits. Instead of storing k separate incarnation
+// filters, the bank stores m *slices*: slice p concatenates bit p of every
+// incarnation filter. A lookup that probes h bit positions then retrieves h
+// slices, ANDs them, and the 1-bits of the result identify the
+// incarnations that may contain the key — h word operations instead of k·h
+// bit probes.
 //
-// Eviction uses the paper's sliding window: each slice carries w = 64 extra
-// bits; the live window of k+1 bits slides one position per incarnation
-// rotation, and stale bits are zeroed one whole machine word at a time when
-// the window crosses a word boundary, so eviction costs O(m/k) amortized
-// word writes instead of O(m) bit writes.
+// # Window layout
 //
-// Window layout (positions are modulo the slice length L):
+// Each slice is a ring of L bits, L the smallest of 32, 64 or 128 that
+// holds the k live bits plus one clearing chunk of 8 bits (L ≥ k+8): 4-byte
+// slices for k ≤ 24, 8-byte for k ≤ 56, 16-byte above. Positions are modulo
+// L and s is the window start:
 //
-//	[s, s+k)   bits of the k incarnations, oldest at s, newest at s+k-1
-//	s+k        bit of the current buffer (staging column)
-//	[s+k+1, L) free zone of ≥ 64 bits being recycled
+//	[s, s+k)         bits of the k incarnations, oldest at s, newest at s+k-1
+//	[s&^7, s)        stale bits of evicted incarnations, not yet cleared
+//	everything else  zero
+//
+// A query ANDs the h raw slices under a mask of the live window, so stale
+// bits never match, and maps the surviving physical positions to window
+// offsets once at the end: one load and one AND per probed slice.
+//
+// # Chunked clearing
+//
+// Eviction uses the paper's sliding window: rotating the bank moves s one
+// position and retires the oldest column without touching its bits. When
+// s crosses a chunk boundary the vacated 8-bit chunk of every slice is
+// zeroed with one masked store, so the next 8 columns the window grows into
+// are already clean. This is the paper's "w extra bits" at w = 8: clearing
+// costs one store per slice every 8 rotations instead of one per slice and
+// rotation, and the slack costs one byte per slice instead of a word.
+//
+// # Staging filter
+//
+// The buffer's filter is not a column of the slices but a flat m-bit
+// bitmap (16 KB at m = 2^17), so AddStaging and QueryStaging touch a small,
+// cache-resident array instead of h scattered slices. Rotate folds the
+// bitmap's set bits into the new newest column in one ascending pass over
+// the slices and then zeroes the bitmap. The bitmap holds exactly the bits a
+// staging column would, so every answer is still that of k+1 plain Bloom
+// filters.
+//
+// # Why not a blocked layout
+//
+// A blocked Bloom filter (Putze, Sanders & Singler, WEA 2007) keeps a key's
+// probes inside one cache line. Here every probe is its own slice, so a
+// line holds only a few slices; confining a key's h = 22 probes to one or
+// two lines would turn each filter into a ~32-position blocked filter,
+// raising the false-positive rate from about 1e-6 to about 1e-2 and paying
+// for it in spurious flash probes. Compact slices and the flat staging
+// filter keep the paper's false-positive rate and give bit-identical
+// answers.
 package bitslice
 
 import (
@@ -28,16 +63,22 @@ import (
 	"repro/internal/hashutil"
 )
 
+// chunkBits is the clearing granularity: the window's slack beyond the k
+// live bits, zeroed one chunk of every slice at a time.
+const chunkBits = 8
+
 // Bank is a bit-sliced bank of k incarnation Bloom filters plus one staging
 // (buffer) filter. Not safe for concurrent use.
 type Bank struct {
 	k        int    // incarnations per super table
 	h        int    // hash functions per filter
 	m        uint64 // bits per filter (number of slices)
-	sliceLen int    // L: bits per slice, multiple of 64, ≥ k+1+64
-	words    int    // words per slice
-	slices   []uint64
-	start    int // s: window start bit position
+	sliceLen int    // L: bits per slice, 32, 64 or 128
+	words    int    // uint32 words per slice
+	slices   []uint32
+	staging  []uint64  // flat m-bit staging filter
+	start    int       // s: window start bit position
+	live     [4]uint32 // slice positions of the live window [s, s+k)
 	scratch  []uint64
 }
 
@@ -50,18 +91,21 @@ func NewBank(m uint64, k, h int) *Bank {
 	if m == 0 || h < 1 {
 		panic("bitslice: non-positive filter parameters")
 	}
-	// L = k+1 live bits plus a free zone of at least one word, rounded up
-	// to whole words.
-	L := (k + 1 + 64 + 63) / 64 * 64
+	L := 32
+	for L < k+chunkBits {
+		L *= 2
+	}
 	b := &Bank{
 		k:        k,
 		h:        h,
 		m:        m,
 		sliceLen: L,
-		words:    L / 64,
-		slices:   make([]uint64, int(m)*(L/64)),
+		words:    L / 32,
+		slices:   make([]uint32, int(m)*(L/32)),
+		staging:  make([]uint64, (m+63)/64),
 		scratch:  make([]uint64, 0, h),
 	}
+	b.setLive()
 	return b
 }
 
@@ -74,59 +118,30 @@ func (b *Bank) Hashes() int { return b.h }
 // FilterBits returns m, the number of bits per filter.
 func (b *Bank) FilterBits() uint64 { return b.m }
 
-// MemoryBits returns the total memory consumed by the bank in bits
-// (including the sliding-window padding).
-func (b *Bank) MemoryBits() uint64 { return uint64(len(b.slices)) * 64 }
-
-// setBit sets bit `pos` of slice `row`.
-func (b *Bank) setBit(row uint64, pos int) {
-	idx := int(row)*b.words + pos/64
-	b.slices[idx] |= 1 << (pos % 64)
-}
-
-// getBit reads bit `pos` of slice `row`.
-func (b *Bank) getBit(row uint64, pos int) bool {
-	idx := int(row)*b.words + pos/64
-	return b.slices[idx]&(1<<(pos%64)) != 0
+// MemoryBits returns the total memory consumed by the bank in bits: the
+// L-bit slices, including the sliding window's slack, plus the m-bit
+// staging filter.
+func (b *Bank) MemoryBits() uint64 {
+	return uint64(len(b.slices))*32 + uint64(len(b.staging))*64
 }
 
 // AddStaging adds a pre-hashed key to the staging (buffer) filter.
 func (b *Bank) AddStaging(keyHash uint64) {
-	pos := (b.start + b.k) % b.sliceLen
 	b.scratch = hashutil.DoubleHash(keyHash, b.h, b.m, b.scratch[:0])
 	for _, row := range b.scratch {
-		b.setBit(row, pos)
+		b.staging[row/64] |= 1 << (row % 64)
 	}
 }
 
 // QueryStaging reports whether the staging filter may contain the key.
 func (b *Bank) QueryStaging(keyHash uint64) bool {
-	pos := (b.start + b.k) % b.sliceLen
 	b.scratch = hashutil.DoubleHash(keyHash, b.h, b.m, b.scratch[:0])
 	for _, row := range b.scratch {
-		if !b.getBit(row, pos) {
+		if b.staging[row/64]&(1<<(row%64)) == 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// window extracts the k incarnation bits [start, start+k) of slice row as a
-// uint64 with bit j = window offset j (j=0 oldest ... k-1 newest).
-func (b *Bank) window(row uint64) uint64 {
-	base := int(row) * b.words
-	s := b.start
-	w0 := b.slices[base+s/64]
-	v := w0 >> (s % 64)
-	if rem := 64 - s%64; rem < 64 && b.k > rem {
-		// The window continues into the next word (possibly wrapping).
-		next := (s/64 + 1) % b.words
-		v |= b.slices[base+next] << rem
-	}
-	if b.k == 64 {
-		return v
-	}
-	return v & (1<<b.k - 1)
 }
 
 // Query returns a bitmask over the k incarnation columns: bit j set means
@@ -145,36 +160,72 @@ func (b *Bank) Query(keyHash uint64) uint64 {
 func (b *Bank) QueryWith(keyHash uint64, scratch *[]uint64) uint64 {
 	rows := hashutil.DoubleHash(keyHash, b.h, b.m, (*scratch)[:0])
 	*scratch = rows
-	mask := ^uint64(0)
-	if b.k < 64 {
-		mask = 1<<b.k - 1
-	}
+	acc := b.live
+	w := b.words
 	for _, row := range rows {
-		mask &= b.window(row)
-		if mask == 0 {
+		slice := b.slices[int(row)*w : int(row)*w+w]
+		var alive uint32
+		for i, v := range slice {
+			acc[i] &= v
+			alive |= acc[i]
+		}
+		if alive == 0 {
 			return 0
+		}
+	}
+	// Map the surviving slice positions to window offsets.
+	var mask uint64
+	for i, v := range acc[:w] {
+		for v != 0 {
+			p := i*32 + bits.TrailingZeros32(v)
+			mask |= 1 << ((p - b.start) & (b.sliceLen - 1))
+			v &= v - 1
 		}
 	}
 	return mask
 }
 
-// Rotate slides the window one position: the staging column becomes the
+// Rotate slides the window one position: the staging filter becomes the
 // newest incarnation, the oldest incarnation column falls out of the
-// window, and a fresh zeroed staging column takes its place.
+// window, and the staging filter starts empty.
 //
-// Per §5.1.3, stale bits are not cleared individually: when the window
-// start crosses a 64-bit word boundary, the vacated word of every slice is
-// reset with a single store.
+// When the window start crosses a chunk boundary, one masked store per
+// slice zeroes the chunk it vacated (§5.1.3's batched clearing of stale
+// bits). Then one ascending pass over the staging bitmap's set bits ORs
+// them into the column just past the old window, which the invariant keeps
+// zero, and clears the bitmap.
 func (b *Bank) Rotate() {
-	b.start = (b.start + 1) % b.sliceLen
-	if b.start%64 != 0 {
-		return
+	L := b.sliceLen
+	col := (b.start + b.k) % L
+	b.start = (b.start + 1) % L
+	w := b.words
+	if b.start%chunkBits == 0 {
+		// The window will not reach the vacated chunk again until it has
+		// wrapped past the other L-k-8 ≥ 0 free positions.
+		vacated := (b.start - chunkBits + L) % L
+		stale := uint32(1<<chunkBits-1) << (vacated % 32)
+		for i := vacated / 32; i < len(b.slices); i += w {
+			b.slices[i] &^= stale
+		}
 	}
-	// Clear the word the window just vacated; the window will not reach
-	// it again until it has wrapped past the ≥64-bit free zone.
-	vacated := (b.start/64 - 1 + b.words) % b.words
-	for row := 0; row < int(b.m); row++ {
-		b.slices[row*b.words+vacated] = 0
+	colWord, bit := col/32, uint32(1)<<(col%32)
+	for wi, bm := range b.staging {
+		base := wi*64*w + colWord
+		for bm != 0 {
+			b.slices[base+bits.TrailingZeros64(bm)*w] |= bit
+			bm &= bm - 1
+		}
+		b.staging[wi] = 0
+	}
+	b.setLive()
+}
+
+// setLive recomputes the slice positions of the live window [s, s+k).
+func (b *Bank) setLive() {
+	b.live = [4]uint32{}
+	for j := 0; j < b.k; j++ {
+		p := (b.start + j) % b.sliceLen
+		b.live[p/32] |= 1 << (p % 32)
 	}
 }
 

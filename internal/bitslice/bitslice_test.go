@@ -1,10 +1,12 @@
 package bitslice
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bloom"
+	"repro/internal/hashutil"
 )
 
 // naiveBank is the straightforward implementation the bit-sliced bank must
@@ -84,7 +86,7 @@ func TestEquivalenceWithNaiveBank(t *testing.T) {
 
 func TestLongRotationWrapsWindow(t *testing.T) {
 	// Rotate far more times than the slice length to exercise wrap-around
-	// and the word-batched clearing, verifying equivalence throughout.
+	// and the chunk-batched clearing, verifying equivalence throughout.
 	const (
 		m = 256
 		k = 16
@@ -218,6 +220,139 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
+func TestMemoryBits(t *testing.T) {
+	// The benchmark's shape: 4-byte slices plus the m-bit staging filter.
+	const m = 131072
+	if got, want := NewBank(m, 16, 22).MemoryBits(), uint64(m*32+m); got != want {
+		t.Fatalf("MemoryBits = %d, want %d", got, want)
+	}
+	// A filter size that is not a multiple of 64 rounds the staging filter
+	// up to whole words.
+	if got, want := NewBank(1000, 16, 3).MemoryBits(), uint64(1000*32+16*64); got != want {
+		t.Fatalf("MemoryBits(m=1000) = %d, want %d", got, want)
+	}
+}
+
+// sliceLenFor is the slice size the package documents: the smallest of
+// 32, 64 and 128 bits holding k live bits plus one 8-bit clearing chunk.
+func sliceLenFor(k int) int {
+	switch {
+	case k <= 24:
+		return 32
+	case k <= 56:
+		return 64
+	}
+	return 128
+}
+
+// boundaryKs are the incarnation counts at and around every slice-size
+// boundary, plus both ends of the valid range.
+var boundaryKs = []int{1, 15, 16, 23, 24, 25, 31, 32, 55, 56, 57, 63, 64}
+
+func TestEquivalenceAcrossSliceSizes(t *testing.T) {
+	// For every slice size, rotate at least 3·L times — so the window wraps
+	// the ring repeatedly and every clearing chunk is vacated and reused —
+	// with staging adds, staging queries and window queries interleaved
+	// between rotations, and compare every answer with k+1 plain filters.
+	for _, k := range boundaryKs {
+		// A power of two takes DoubleHash's mask reduction, 960 its
+		// fastrange reduction (the naive filters round m up to whole
+		// words, so m stays a multiple of 64).
+		for _, m := range []uint64{512, 960} {
+			t.Run(fmt.Sprintf("k=%d/m=%d", k, m), func(t *testing.T) {
+				bank := NewBank(m, k, 3)
+				if got, want := bank.sliceLen, sliceLenFor(k); got != want {
+					t.Fatalf("slice length %d bits, want %d", got, want)
+				}
+				ref := newNaive(m, k, 3)
+				rng := rand.New(rand.NewSource(int64(k)))
+				var keys []uint64
+				check := func(rot int, p uint64) {
+					t.Helper()
+					if got, want := bank.Query(p), ref.Query(p); got != want {
+						t.Fatalf("rotation %d: Query(%#x) = %#x, want %#x", rot, p, got, want)
+					}
+					if got, want := bank.QueryStaging(p), ref.QueryStaging(p); got != want {
+						t.Fatalf("rotation %d: QueryStaging(%#x) = %v, want %v", rot, p, got, want)
+					}
+				}
+				for rot := 0; rot < 3*bank.sliceLen+chunkBits; rot++ {
+					for i := rng.Intn(12); i > 0; i-- {
+						kh := rng.Uint64()
+						keys = append(keys, kh)
+						bank.AddStaging(kh)
+						ref.AddStaging(kh)
+						check(rot, keys[rng.Intn(len(keys))])
+					}
+					check(rot, rng.Uint64())
+					bank.Rotate()
+					ref.Rotate()
+					for i := 0; i < 4 && len(keys) > 0; i++ {
+						check(rot, keys[len(keys)-1-rng.Intn(min(len(keys), 40*k))])
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzBankEquivalence drives the bank and the naive reference through one
+// op sequence and requires identical answers at every step. k, m (in
+// 64-bit words) and h come from the first three inputs. Each op byte
+// selects, by its low two bits, a rotation, a run of staging adds, a
+// window query or a staging query; the remaining six bits size the run or
+// pick the probed key.
+func FuzzBankEquivalence(f *testing.F) {
+	// A quarter of the ops rotate, so 1024 ops wrap even a 128-bit slice
+	// twice, with about four adds between rotations.
+	ops := make([]byte, 1024)
+	rng := rand.New(rand.NewSource(1))
+	rng.Read(ops)
+	for _, k := range boundaryKs {
+		f.Add(uint8(k), uint16(0), uint8(3), ops) // m = 64: dense filters
+		f.Add(uint8(k), uint16(14), uint8(3), ops)
+	}
+	f.Add(uint8(16), uint16(1), uint8(22), ops)
+	f.Fuzz(func(t *testing.T, kb uint8, mb uint16, hb uint8, ops []byte) {
+		k := 1 + int(kb-1)%64
+		m := 64 * (1 + uint64(mb)%64) // whole words, as the naive filters round
+		h := 1 + int(hb)%24
+		bank := NewBank(m, k, h)
+		ref := newNaive(m, k, h)
+		var added uint64
+		for step, op := range ops {
+			arg := uint64(op >> 2)
+			switch op & 3 {
+			case 0:
+				bank.Rotate()
+				ref.Rotate()
+				continue
+			case 1:
+				for i := arg % 8; i < 8; i++ {
+					added++
+					kh := hashutil.Mix64(added)
+					bank.AddStaging(kh)
+					ref.AddStaging(kh)
+				}
+				continue
+			}
+			// Half the probes name one of the last 32 keys added, half a
+			// key never added.
+			p := hashutil.Mix64(added - arg/2%(added+1))
+			if arg&1 == 1 {
+				p = hashutil.Mix64(uint64(step) | 1<<62)
+			}
+			if op&3 == 2 {
+				if got, want := bank.Query(p), ref.Query(p); got != want {
+					t.Fatalf("k=%d m=%d h=%d step %d: Query(%#x) = %#x, want %#x", k, m, h, step, p, got, want)
+				}
+			} else if got, want := bank.QueryStaging(p), ref.QueryStaging(p); got != want {
+				t.Fatalf("k=%d m=%d h=%d step %d: QueryStaging(%#x) = %v, want %v", k, m, h, step, p, got, want)
+			}
+		}
+	})
+}
+
 func TestPanicsOnBadParams(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewBank(0, 16, 4) },
@@ -281,5 +416,84 @@ func BenchmarkBankQueryFastrange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bank.Query(uint64(i) * 0x9e3779b97f4a7c15)
+	}
+}
+
+// The store benchmark's shape: 32 super tables, each a bank of k = 16
+// incarnations of m = 2^17 bits with h = 22 hashes, about m/32 keys per
+// incarnation.
+const (
+	shapeBanks = 32
+	shapeM     = 1 << 17
+	shapeK     = 16
+	shapeH     = 22
+	shapeKeys  = shapeM / 32
+)
+
+// shapeKey is the i-th key the shape benchmarks insert.
+func shapeKey(i int) uint64 { return hashutil.Mix64(uint64(i) + 1) }
+
+// fullShape returns the 32 banks with every incarnation column filled.
+func fullShape() []*Bank {
+	banks := make([]*Bank, shapeBanks)
+	i := 0
+	for bi := range banks {
+		banks[bi] = NewBank(shapeM, shapeK, shapeH)
+		for inc := 0; inc < shapeK; inc++ {
+			for j := 0; j < shapeKeys; j++ {
+				banks[bi].AddStaging(shapeKey(i))
+				i++
+			}
+			banks[bi].Rotate()
+		}
+	}
+	return banks
+}
+
+func BenchmarkAddStaging(b *testing.B) {
+	banks := make([]*Bank, shapeBanks)
+	for i := range banks {
+		banks[i] = NewBank(shapeM, shapeK, shapeH)
+	}
+	for i := 0; b.Loop(); i++ {
+		banks[i%shapeBanks].AddStaging(shapeKey(i))
+	}
+}
+
+func BenchmarkQuery(b *testing.B) {
+	banks := fullShape()
+	b.Run("hit", func(b *testing.B) {
+		// Key i of fullShape went into bank i/(k·keys).
+		n := shapeBanks * shapeK * shapeKeys
+		for i := 0; b.Loop(); i++ {
+			j := int(hashutil.Mix64(uint64(i)) % uint64(n))
+			if banks[j/(shapeK*shapeKeys)].Query(shapeKey(j)) == 0 {
+				b.Fatal("inserted key missing")
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		for i := 0; b.Loop(); i++ {
+			banks[i%shapeBanks].Query(shapeKey(-1 - i))
+		}
+	})
+}
+
+// BenchmarkRotate folds a staging filter holding one incarnation's keys
+// into the slices; each iteration first restores that filter (a 16 KB
+// copy).
+func BenchmarkRotate(b *testing.B) {
+	banks := make([]*Bank, shapeBanks)
+	for i := range banks {
+		banks[i] = NewBank(shapeM, shapeK, shapeH)
+	}
+	for j := 0; j < shapeKeys; j++ {
+		banks[0].AddStaging(shapeKey(j))
+	}
+	filled := append([]uint64(nil), banks[0].staging...)
+	for i := 0; b.Loop(); i++ {
+		bank := banks[i%shapeBanks]
+		copy(bank.staging, filled)
+		bank.Rotate()
 	}
 }

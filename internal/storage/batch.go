@@ -1,7 +1,8 @@
 package storage
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -66,7 +67,7 @@ func sortByOff[T any](reqs []T, off func(T) int64) {
 	if sorted {
 		return
 	}
-	sort.SliceStable(reqs, func(i, j int) bool { return off(reqs[i]) < off(reqs[j]) })
+	slices.SortStableFunc(reqs, func(a, b T) int { return cmp.Compare(off(a), off(b)) })
 }
 
 // OverlapLanes implements step 3 of the overlap model: distribute the
