@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// Benchmarks for the batched lookup pipeline against the PR-1 baseline
-// (whole shard groups dispatched to the pool, one blocking Lookup per key).
-// The workload is flash-heavy: the store is warmed past eviction onset so
+// Benchmarks for the batched lookup pipeline against the plain serial loop
+// (one blocking GetU64 per key, the paper's design point). The workload is
+// flash-heavy: the store is warmed past eviction onset so
 // most hits require at least one incarnation page probe, which is where
 // batching (lock amortization, page dedupe, overlapped virtual I/O) pays.
 
@@ -56,129 +56,57 @@ func measureLookups(b *testing.B, fn func()) time.Duration {
 	return best
 }
 
-// benchPipelineVsPerKeyDispatch reports the wall-clock speedup of the
-// chunked batched pipeline over the PR-1 per-key group dispatch on the
-// given probe stream. Lookups under FIFO don't mutate state, so both paths
-// run against the same warmed instance. The parallel component of the
-// speedup is bounded by GOMAXPROCS (reported alongside, as in
-// BenchmarkShardedSpeedup); the batching component — lock/clock/histogram
-// amortization, phase-A memoization, page dedupe — survives even on one
-// core, which is what the Zipf variant demonstrates.
-func benchPipelineVsPerKeyDispatch(b *testing.B, s *Sharded, probes []uint64) {
-	b.ResetTimer()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		perKey := measureLookups(b, func() {
-			if _, _, err := s.getBatchU64PerKey(probes); err != nil {
-				b.Fatal(err)
-			}
-		})
-		pipeline := measureLookups(b, func() {
-			if _, _, err := s.GetBatchU64(context.Background(), probes); err != nil {
-				b.Fatal(err)
-			}
-		})
-		speedup = perKey.Seconds() / pipeline.Seconds()
-		b.ReportMetric(float64(len(probes))/pipeline.Seconds(), "pipeline_ops/s(wall)")
-		b.ReportMetric(float64(len(probes))/perKey.Seconds(), "perkey_ops/s(wall)")
-	}
-	b.ReportMetric(speedup, "speedup_x")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
 // BenchmarkLookupBatchVsSerialLoop compares the pipeline against the plain
-// single-caller per-key Lookup loop — the paper's blocking design point —
-// on the flash-heavy uniform workload. On a multi-core host the router adds
-// up-to-min(shards, cores) parallel scaling on top of the batching gain
-// this benchmark shows at any core count.
+// single-caller per-key GetU64 loop — the paper's blocking design point —
+// on two probe streams over the same warmed instance (lookups under FIFO
+// don't mutate state, so both sides see an identical structure):
+//
+//   - uniform: uniformly drawn warm keys, the flash-heavy baseline;
+//   - zipf: Zipf(1.2)-ranked warm keys, so one shard's group dwarfs the
+//     others — the skew the stealing router was built for — and phase A's
+//     duplicate memo replays the hot keys.
+//
+// The parallel component of the speedup is bounded by GOMAXPROCS (reported
+// alongside, as in BenchmarkShardedSpeedup); the batching component —
+// lock/clock/histogram amortization, phase-A memoization, page dedupe —
+// survives even on one core.
 func BenchmarkLookupBatchVsSerialLoop(b *testing.B) {
 	s, universe := openBatchBench(b)
 	rng := rand.New(rand.NewSource(61))
-	probes := make([]uint64, 65536)
-	for i := range probes {
-		probes[i] = universe[rng.Intn(len(universe))]
+	uniform := make([]uint64, 65536)
+	for i := range uniform {
+		uniform[i] = universe[rng.Intn(len(universe))]
 	}
-	b.ResetTimer()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		loop := measureLookups(b, func() {
-			for _, k := range probes {
-				if _, _, err := s.GetU64(k); err != nil {
-					b.Fatal(err)
-				}
+	zipfRank := rand.NewZipf(rand.New(rand.NewSource(62)), 1.2, 1, uint64(len(universe)-1))
+	zipf := make([]uint64, 65536)
+	for i := range zipf {
+		zipf[i] = universe[zipfRank.Uint64()]
+	}
+	for _, tc := range []struct {
+		name   string
+		probes []uint64
+	}{{"uniform", uniform}, {"zipf", zipf}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var speedup float64
+			for i := 0; i < b.N; i++ {
+				loop := measureLookups(b, func() {
+					for _, k := range tc.probes {
+						if _, _, err := s.GetU64(k); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				pipeline := measureLookups(b, func() {
+					if _, _, err := s.GetBatchU64(context.Background(), tc.probes); err != nil {
+						b.Fatal(err)
+					}
+				})
+				speedup = loop.Seconds() / pipeline.Seconds()
+				b.ReportMetric(float64(len(tc.probes))/pipeline.Seconds(), "pipeline_ops/s(wall)")
+				b.ReportMetric(float64(len(tc.probes))/loop.Seconds(), "loop_ops/s(wall)")
 			}
+			b.ReportMetric(speedup, "speedup_x")
+			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 		})
-		pipeline := measureLookups(b, func() {
-			if _, _, err := s.GetBatchU64(context.Background(), probes); err != nil {
-				b.Fatal(err)
-			}
-		})
-		speedup = loop.Seconds() / pipeline.Seconds()
-		b.ReportMetric(float64(len(probes))/pipeline.Seconds(), "pipeline_ops/s(wall)")
-		b.ReportMetric(float64(len(probes))/loop.Seconds(), "loop_ops/s(wall)")
 	}
-	b.ReportMetric(speedup, "speedup_x")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
-// BenchmarkLookupBatchUniformVsPerKeyDispatch: uniformly drawn warm keys —
-// the flash-heavy baseline comparison.
-func BenchmarkLookupBatchUniformVsPerKeyDispatch(b *testing.B) {
-	s, universe := openBatchBench(b)
-	rng := rand.New(rand.NewSource(61))
-	probes := make([]uint64, 65536)
-	for i := range probes {
-		probes[i] = universe[rng.Intn(len(universe))]
-	}
-	benchPipelineVsPerKeyDispatch(b, s, probes)
-}
-
-// BenchmarkLookupBatchZipfVsPerKeyDispatch: Zipf(1.2)-ranked warm keys, so
-// one shard's group dwarfs the others — the skew the chunked router was
-// built for. Acceptance target: ≥ 1.3× the PR-1 dispatch.
-func BenchmarkLookupBatchZipfVsPerKeyDispatch(b *testing.B) {
-	s, universe := openBatchBench(b)
-	zr := rand.New(rand.NewSource(62))
-	zipfRank := rand.NewZipf(zr, 1.2, 1, uint64(len(universe)-1))
-	probes := make([]uint64, 65536)
-	for i := range probes {
-		probes[i] = universe[zipfRank.Uint64()]
-	}
-	benchPipelineVsPerKeyDispatch(b, s, probes)
-}
-
-// BenchmarkSingleShardFastPath: the all-keys-one-shard extreme. The fast
-// path skips grouping and the gather/scatter copies; the routed baseline
-// is the same batch forced through the general router path. The gap is the
-// single-core win of the PR-5 contiguity fast path (reported as
-// fastpath_speedup_x), independent of phase-A parallelism.
-func BenchmarkSingleShardFastPath(b *testing.B) {
-	s, universe := openBatchBench(b)
-	rng := rand.New(rand.NewSource(63))
-	probes := make([]uint64, 65536)
-	for i := range probes {
-		probes[i] = universe[rng.Intn(len(universe))] &^ (uint64(7) << 61) // shard 0 of 8
-	}
-	values := make([]uint64, len(probes))
-	found := make([]bool, len(probes))
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		routed := measureLookups(b, func() {
-			if err := s.getBatchU64Routed(ctx, probes, values, found); err != nil {
-				b.Fatal(err)
-			}
-		})
-		fast := measureLookups(b, func() {
-			if err := s.getBatchU64Single(ctx, 0, probes, values, found); err != nil {
-				b.Fatal(err)
-			}
-		})
-		speedup = routed.Seconds() / fast.Seconds()
-		b.ReportMetric(float64(len(probes))/fast.Seconds(), "fastpath_ops/s(wall)")
-		b.ReportMetric(float64(len(probes))/routed.Seconds(), "routed_ops/s(wall)")
-	}
-	b.ReportMetric(speedup, "fastpath_speedup_x")
 }

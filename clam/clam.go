@@ -48,31 +48,20 @@
 // the same way lookup probes do while counters and state stay exactly
 // serial (Stats.WriteLatency shows the flattened write tail).
 //
-// # Worker model: one worker per shard, cooperative phases on hot shards
+// # Worker model: one worker per shard, affinity and stealing
 //
 // A shard serializes behind one mutex, so the batch router assigns each
-// pending shard to exactly one worker at a time: within-shard input order
-// is preserved, and a worker keeps its shard between chunks (cache
-// affinity) until it is drained, then steals the next pending shard. Under
-// uniform traffic that keeps every worker busy; under heavy skew the
-// drained-out workers used to idle while one worker ground through the
-// hot shard's chunks.
-//
-// WithShardParallelism(n) closes that gap without giving up the one-mutex
-// shard: the core batch pipelines split their phase A — the read-mostly
-// memory-resolution phase (route hashing, buffer probes, Bloom queries) —
-// into contiguous key lanes, and a worker that finds no shard left to own
-// attaches to the deepest pending shard as a co-worker, executing phase-A
-// lanes its owner hands over (up to n-1 co-workers per shard). All
-// mutation — buffer application, flush staging, probe resolution, the
-// clock advance — stays in a single sequenced drain on the owning worker,
-// so results, per-key probe sequences and every core counter are exactly
-// the serial pipeline's (the cooperative differential oracles pin this);
-// only wall-clock time changes, bounded by physical cores.
-// Stats.Router reports per-shard co-worker occupancy. Batches whose keys
-// all route to one shard — the extreme of the skew — additionally skip
-// the grouping sort and its gather/scatter copies entirely and run
-// phase-A lanes on spawned goroutines within the worker budget.
+// pending shard to exactly one worker at a time, which preserves
+// within-shard input order. A worker keeps its shard between chunks
+// (cache affinity: the shard's Bloom banks and buffers stay hot in that
+// worker's cache) until the shard is drained, then steals the next pending
+// shard from the shared queue. At most min(WithWorkers, shards with work)
+// workers run per batch; under heavy skew the hot shard's chunks run on
+// one worker while the others drain the cold shards and exit. Every chunk
+// is one call into the core batched pipeline, so results, per-key probe
+// sequences and every core counter match a serial per-key loop (the
+// differential oracles pin this; see core.BufferHash.LookupBatch for the
+// LRU carve-out); only wall-clock and virtual time change.
 //
 // A CLAM is opened over simulated storage devices (Intel-class SSD,
 // Transcend-class SSD, raw NAND chip, or magnetic disk — see DESIGN.md §3
@@ -92,7 +81,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"time"
 
@@ -156,8 +144,7 @@ type CLAM struct {
 	vlog   *storage.ValueLog // nil iff no value-log device was configured
 	clock  *vclock.Clock
 	fpSeed uint64
-	chunk  int         // batch chunk size: ctx-check interval and core-call bound
-	runner batchRunner // phase-A lanes for this CLAM's own batch loops (zero = serial)
+	chunk  int // batch chunk size: ctx-check interval and core-call bound
 	insert metrics.Histogram
 	lookup metrics.Histogram
 	del    metrics.Histogram
@@ -186,14 +173,6 @@ func openCLAM(cfg config) (*CLAM, error) {
 	c := &CLAM{
 		clock: clock,
 		chunk: cfg.batchChunk,
-	}
-	if w := min(cfg.shardPar, runtime.GOMAXPROCS(0)); w > 1 {
-		// A standalone CLAM has no worker pool to borrow from, so its
-		// batch chunks spread phase A over spawned lanes instead, clamped
-		// to the schedulable cores (beyond them, spawns are pure
-		// overhead). Shard CLAMs inside a Sharded never take this path —
-		// the router binds its cooperative runner per chunk.
-		c.runner = batchRunner{width: w, run: core.GoRunner}
 	}
 	dev := cfg.customDevice
 	vdev := cfg.customVLogDev
@@ -377,23 +356,21 @@ func (c *CLAM) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 			return err
 		}
 		hi := min(lo+c.chunk, len(keys))
-		if err := c.putBatchU64Chunk(keys[lo:hi], values[lo:hi], c.runner); err != nil {
+		if err := c.putBatchU64Chunk(keys[lo:hi], values[lo:hi]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// putBatchU64Chunk is one locked batched-insert call running phase A on
-// br's lanes. The sharded batch router calls this chunk-by-chunk with
-// per-worker gather buffers and its cooperative runner.
-func (c *CLAM) putBatchU64Chunk(keys, values []uint64, br batchRunner) error {
+// putBatchU64Chunk is one locked batched-insert call. The sharded batch
+// router calls this chunk-by-chunk with slices of its per-shard runs.
+func (c *CLAM) putBatchU64Chunk(keys, values []uint64) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if err := c.bh.InsertBatch(keys, values); err != nil {
 		return err
@@ -421,7 +398,7 @@ func (c *CLAM) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64,
 			return nil, nil, err
 		}
 		hi := min(lo+c.chunk, len(keys))
-		if err := c.getBatchU64Into(keys[lo:hi], results[lo:hi], c.runner); err != nil {
+		if err := c.getBatchU64Into(keys[lo:hi], results[lo:hi]); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -432,16 +409,14 @@ func (c *CLAM) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64,
 }
 
 // getBatchU64Into is one locked batched-lookup call without the output
-// allocation: results must have len(keys), and phase A runs on br's lanes.
-// The sharded batch router calls this chunk-by-chunk with per-worker
-// scratch buffers and its cooperative runner.
-func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult, br batchRunner) error {
+// allocation: results must have len(keys). The sharded batch router calls
+// this chunk-by-chunk with per-worker scratch buffers.
+func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if err := c.bh.LookupBatch(keys, results); err != nil {
 		return err
@@ -459,7 +434,7 @@ func (c *CLAM) DeleteBatchU64(ctx context.Context, keys []uint64) error {
 			return err
 		}
 		hi := min(lo+c.chunk, len(keys))
-		if err := c.deleteBatchU64Chunk(keys[lo:hi], c.runner); err != nil {
+		if err := c.deleteBatchU64Chunk(keys[lo:hi]); err != nil {
 			return err
 		}
 	}
@@ -467,13 +442,12 @@ func (c *CLAM) DeleteBatchU64(ctx context.Context, keys []uint64) error {
 }
 
 // deleteBatchU64Chunk is one locked batched-delete call.
-func (c *CLAM) deleteBatchU64Chunk(keys []uint64, br batchRunner) error {
+func (c *CLAM) deleteBatchU64Chunk(keys []uint64) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if err := c.bh.DeleteBatch(keys); err != nil {
 		return err
@@ -615,7 +589,7 @@ func (c *CLAM) PutBatch(ctx context.Context, keys, values [][]byte) error {
 			return err
 		}
 		hi := min(lo+c.chunk, len(keys))
-		if err := c.putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], c.runner); err != nil {
+		if err := c.putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi]); err != nil {
 			return err
 		}
 	}
@@ -623,9 +597,9 @@ func (c *CLAM) PutBatch(ctx context.Context, keys, values [][]byte) error {
 }
 
 // putBatchRecords applies one chunk under the lock: one multi-record
-// value-log append, dead-record accounting, then one core insert batch on
-// br's phase-A lanes. The sharded router calls this with per-shard chunks.
-func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte, br batchRunner) error {
+// value-log append, dead-record accounting, then one core insert batch.
+// The sharded router calls this with per-shard chunks.
+func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	if len(fps) == 0 {
 		return nil
 	}
@@ -634,7 +608,6 @@ func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte, br batchRunn
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if cap(c.putOffs) < len(fps) {
 		c.putOffs = make([]int64, len(fps))
@@ -697,18 +670,18 @@ func (c *CLAM) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, fo
 			return nil, nil, err
 		}
 		hi := min(lo+c.chunk, len(keys))
-		if err := c.getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi], c.runner); err != nil {
+		if err := c.getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi]); err != nil {
 			return nil, nil, err
 		}
 	}
 	return values, found, nil
 }
 
-// getBatchRecords resolves one chunk under the lock: batched index lookup
-// on br's phase-A lanes, then one batched value-log read for every key
-// that resolved to a record pointer, then per-key verification. The
-// sharded router calls this with gathered per-shard chunks.
-func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool, br batchRunner) error {
+// getBatchRecords resolves one chunk under the lock: batched index lookup,
+// then one batched value-log read for every key that resolved to a record
+// pointer, then per-key verification. The sharded router calls this with
+// gathered per-shard chunks.
+func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	if len(fps) == 0 {
 		return nil
 	}
@@ -717,7 +690,6 @@ func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fou
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if cap(c.batchRes) < len(fps) {
 		c.batchRes = make([]core.LookupResult, len(fps))
@@ -767,7 +739,7 @@ func (c *CLAM) DeleteBatch(ctx context.Context, keys [][]byte) error {
 			return err
 		}
 		hi := min(lo+c.chunk, len(keys))
-		if err := c.deleteBatchFPs(fps[lo:hi], c.runner); err != nil {
+		if err := c.deleteBatchFPs(fps[lo:hi]); err != nil {
 			return err
 		}
 	}
@@ -776,13 +748,12 @@ func (c *CLAM) DeleteBatch(ctx context.Context, keys [][]byte) error {
 
 // deleteBatchFPs applies one chunk of byte-key deletes under the lock,
 // accounting each fingerprint's buffered record dead once.
-func (c *CLAM) deleteBatchFPs(fps []uint64, br batchRunner) error {
+func (c *CLAM) deleteBatchFPs(fps []uint64) error {
 	if len(fps) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if c.deadSeen == nil {
 		c.deadSeen = make(map[uint64]uint64, len(fps))
@@ -859,7 +830,7 @@ func (c *CLAM) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error)
 			return nil, err
 		}
 		hi := min(lo+c.chunk, len(keys))
-		if err := c.containsBatchFPs(fps[lo:hi], found[lo:hi], c.runner); err != nil {
+		if err := c.containsBatchFPs(fps[lo:hi], found[lo:hi]); err != nil {
 			return nil, err
 		}
 	}
@@ -868,13 +839,12 @@ func (c *CLAM) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error)
 
 // containsBatchFPs resolves one chunk of existence probes under the lock.
 // The sharded router calls this with gathered per-shard chunks.
-func (c *CLAM) containsBatchFPs(fps []uint64, found []bool, br batchRunner) error {
+func (c *CLAM) containsBatchFPs(fps []uint64, found []bool) error {
 	if len(fps) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bh.SetParallel(br.width, br.run)
 	w := c.clock.StartWatch()
 	if cap(c.batchRes) < len(fps) {
 		c.batchRes = make([]core.LookupResult, len(fps))
@@ -942,20 +912,6 @@ type Stats struct {
 	WriteLatency metrics.Summary
 
 	Memory core.MemoryFootprint
-
-	// Router describes the sharded batch router's cooperative scheduling
-	// activity. Zero on single CLAMs and when WithShardParallelism is off.
-	Router RouterStats
-}
-
-// RouterStats is the per-shard co-worker occupancy of the batch router
-// (see WithShardParallelism): CoopJoins[sh] counts idle workers that
-// attached to shard sh as phase-A co-workers, CoopLanes[sh] the phase-A
-// lanes they executed on its behalf. Heavily skewed batch streams show the
-// hot shards' entries dominating both.
-type RouterStats struct {
-	CoopJoins []uint64
-	CoopLanes []uint64
 }
 
 // Stats snapshots the operation counters and latency summaries.

@@ -261,8 +261,8 @@ func applyBatchedDifferential(t *testing.T, name string, serial, batched batchSt
 }
 
 // applyBatchedDifferentialWindow is applyBatchedDifferential with an
-// explicit lookup-window size (the cooperative-regime tests use windows
-// spanning several router chunks so idle workers co-schedule).
+// explicit lookup-window size (the hot-shard tests use windows spanning
+// several router chunks, so one batch holds a queue of hot-shard chunks).
 func applyBatchedDifferentialWindow(t *testing.T, name string, serial, batched batchStore, ops []op, strict bool, window int) map[uint64]uint64 {
 	t.Helper()
 	oracle := make(map[uint64]uint64)

@@ -41,7 +41,6 @@ type config struct {
 	shards     int
 	workers    int
 	batchChunk int
-	shardPar   int
 }
 
 // WithDevice selects the storage model for the index and the value log
@@ -214,27 +213,6 @@ func WithShards(n int) Option {
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		c.workers = n
-		return nil
-	}
-}
-
-// WithShardParallelism lets up to n workers cooperate on a single shard's
-// batch (default 1: one worker per shard, the pre-cooperative model). With
-// n > 1, a batch's chunk calls split their phase A — the read-mostly
-// memory-resolution phase of the core pipelines — into parallel lanes: on
-// a Sharded store, router workers that run out of shards to own attach to
-// the deepest pending shard and serve its lanes instead of idling (capped
-// at n-1 co-workers per shard, within the WithWorkers budget); on a single
-// CLAM, lanes run on up to n-1 spawned goroutines. Results, per-key probe
-// sequences and all core counters are exactly those of the serial pipeline
-// — parallelism only changes wall-clock time, never state or virtual time
-// (the differential oracles pin this).
-func WithShardParallelism(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("clam: WithShardParallelism(%d): parallelism must be positive", n)
-		}
-		c.shardPar = n
 		return nil
 	}
 }

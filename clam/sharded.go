@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -37,17 +36,10 @@ type Sharded struct {
 	shift   uint // 64 - log2(len(shards)); shift ≥ 64 routes everything to shard 0
 	workers int
 	chunk   int    // batch router task granularity (keys per chunk)
-	par     int    // co-workers per shard (WithShardParallelism; 1 = off)
 	fpSeed  uint64 // deployment-level byte-key fingerprint seed
 	groups  sync.Pool
 	gather  sync.Pool // *gatherScratch, per-worker batch buffers
 	fps     sync.Pool // *[]uint64, per-batch byte-key fingerprint buffers
-
-	// Cooperative-router occupancy counters, cumulative per shard:
-	// coopJoins counts idle workers attaching as co-workers, coopLanes the
-	// phase-A lanes they executed (Stats.Router).
-	coopJoins []atomic.Uint64
-	coopLanes []atomic.Uint64
 }
 
 // gatherScratch is one worker's chunk-sized gather/scatter buffers for the
@@ -99,25 +91,15 @@ func openSharded(cfg config) (*Sharded, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	par := cfg.shardPar
-	if par < 1 {
-		par = 1
-	}
 	s := &Sharded{
-		shards:    make([]*CLAM, n),
-		shift:     64 - uint(bits.Len(uint(n))-1),
-		workers:   workers,
-		chunk:     cfg.batchChunk,
-		par:       par,
-		fpSeed:    seed,
-		coopJoins: make([]atomic.Uint64, n),
-		coopLanes: make([]atomic.Uint64, n),
+		shards:  make([]*CLAM, n),
+		shift:   64 - uint(bits.Len(uint(n))-1),
+		workers: workers,
+		chunk:   cfg.batchChunk,
+		fpSeed:  seed,
 	}
 	for i := range s.shards {
 		po := cfg
-		// Shard CLAMs must not self-spawn phase-A lanes: cooperative
-		// parallelism is the router's to schedule, chunk by chunk.
-		po.shardPar = 0
 		po.flashBytes = cfg.flashBytes / int64(n)
 		po.memoryBytes = cfg.memoryBytes / int64(n)
 		po.valueLogBytes = cfg.valueLogBytes / int64(n)
@@ -152,10 +134,6 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 
 // Workers returns the batch worker-pool bound.
 func (s *Sharded) Workers() int { return s.workers }
-
-// ShardParallelism returns the per-shard co-worker bound set by
-// WithShardParallelism (1 = one worker per shard, co-working off).
-func (s *Sharded) ShardParallelism() int { return s.par }
 
 // Shard exposes shard i for inspection (per-shard stats, clock, device).
 // The returned CLAM is live; its methods take the shard lock as usual.
@@ -211,11 +189,7 @@ func (s *Sharded) Delete(key []byte) error {
 // Flush forces all shards' buffered entries to flash, flushing shards in
 // parallel across the worker pool.
 func (s *Sharded) Flush() error {
-	all := make([]int, len(s.shards))
-	for i := range all {
-		all[i] = i
-	}
-	return s.runShards(all, func(shard int) error {
+	return s.runShards(func(shard int) error {
 		return s.shards[shard].Flush()
 	})
 }
@@ -242,15 +216,11 @@ func (s *Sharded) Now() time.Duration {
 }
 
 // ResetMetrics clears every shard's latency histograms and core counters,
-// and the router's cooperative-occupancy counters, so every field of the
-// next Stats snapshot covers the same since-reset window.
+// so every field of the next Stats snapshot covers the same since-reset
+// window.
 func (s *Sharded) ResetMetrics() {
 	for _, c := range s.shards {
 		c.ResetMetrics()
-	}
-	for i := range s.coopJoins {
-		s.coopJoins[i].Store(0)
-		s.coopLanes[i].Store(0)
 	}
 }
 
@@ -280,14 +250,6 @@ func (s *Sharded) Stats() Stats {
 	agg.LookupLatency = metrics.Merged(lk...).Summarize()
 	agg.DeleteLatency = metrics.Merged(del...).Summarize()
 	agg.WriteLatency = metrics.Merged(wr...).Summarize()
-	if s.par > 1 {
-		agg.Router.CoopJoins = make([]uint64, len(s.shards))
-		agg.Router.CoopLanes = make([]uint64, len(s.shards))
-		for i := range s.shards {
-			agg.Router.CoopJoins[i] = s.coopJoins[i].Load()
-			agg.Router.CoopLanes[i] = s.coopLanes[i].Load()
-		}
-	}
 	return agg
 }
 
@@ -457,21 +419,9 @@ func (s *Sharded) groupPairsByShard(keys, values []uint64, bk, bv [][]byte) *sha
 	return g
 }
 
-// active returns the shards that received work (bench/legacy path only;
-// the router walks start directly).
-func (g *shardGroups) active() []int {
-	var shards []int
-	for sh := 0; sh+1 < len(g.start); sh++ {
-		if g.start[sh+1] > g.start[sh] {
-			shards = append(shards, sh)
-		}
-	}
-	return shards
-}
-
 // runChunked is the batch router: shard groups become chunk-sized tasks
 // consumed from a shared queue, so skewed key distributions no longer leave
-// workers idle while unclaimed work exists. Three rules shape the schedule:
+// workers idle while unclaimed work exists. Two rules shape the schedule:
 //
 //   - Single ownership: a shard is claimed by at most one worker at a time.
 //     Its CLAM serializes behind one mutex anyway, and single ownership
@@ -481,26 +431,21 @@ func (g *shardGroups) active() []int {
 //     migrating per chunk measurably thrashes them) and returns to the
 //     shared queue only when the shard is drained, stealing the next
 //     pending shard the moment one exists.
-//   - Co-working (WithShardParallelism > 1): a worker that finds no shard
-//     left to own attaches to the deepest still-pending owned shard — the
-//     hot shard of a skewed batch — and serves that shard's phase-A lanes
-//     through its coopShard instead of exiting, capped at parallelism-1
-//     co-workers per shard (see coop.go).
 //
-// Chunks are the unit of work between scheduler decisions: each chunk is
-// one core batched-pipeline call (bounding gather scratch and page-dedupe
-// scope) and the router's cancellation point — ctx is checked before every
-// chunk, and a canceled batch stops claiming chunks and returns ctx.Err()
-// joined with any chunk errors. Work already applied stays applied.
+// At most min(Workers(), shards with work) workers run a batch. Chunks are
+// the unit of work between scheduler decisions: each chunk is one core
+// batched-pipeline call (bounding gather scratch and page-dedupe scope)
+// and the router's cancellation point — ctx is checked before every chunk,
+// and a canceled batch stops claiming chunks and returns ctx.Err() joined
+// with any chunk errors. Work already applied stays applied.
 //
 // run is called with the claiming worker's id (0 ≤ worker < Workers(), for
-// per-worker scratch), the shard, the chunk's key indices, and the phase-A
-// runner to bind into the chunk call. A chunk error stops that shard's
-// remaining chunks; other shards keep going, and all errors are joined —
-// matching the old dispatch's "every shard is attempted" contract.
-func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(worker, shard int, idxs []int, br batchRunner) error) error {
-	return s.runChunkedRanges(ctx, g, func(w, shard, lo, hi int, br batchRunner) error {
-		return run(w, shard, g.idx[lo:hi], br)
+// per-worker scratch), the shard, and the chunk's key indices. A chunk
+// error stops that shard's remaining chunks; other shards keep going, and
+// all errors are joined, so every shard is attempted.
+func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(worker, shard int, idxs []int) error) error {
+	return s.runChunkedRanges(ctx, g, func(w, shard, lo, hi int) error {
+		return run(w, shard, g.idx[lo:hi])
 	})
 }
 
@@ -508,24 +453,17 @@ func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(worke
 // chunk as a [lo, hi) range of the shard's group, which bucketed mutation
 // batches slice directly out of the grouped key/value runs (no index
 // layer) and index-based callers resolve through g.idx.
-func (s *Sharded) runChunkedRanges(ctx context.Context, g *shardGroups, run func(worker, shard, lo, hi int, br batchRunner) error) error {
+func (s *Sharded) runChunkedRanges(ctx context.Context, g *shardGroups, run func(worker, shard, lo, hi int) error) error {
 	var ready []int
-	remaining := 0
 	for sh := 0; sh+1 < len(g.start); sh++ {
 		if g.start[sh+1] > g.start[sh] {
 			ready = append(ready, sh)
-			remaining++
 		}
 	}
-	if remaining == 0 {
+	if len(ready) == 0 {
 		return nil
 	}
-	// With co-working, workers beyond one-per-shard are useful as phase-A
-	// co-workers, up to parallelism per shard; without it they would idle.
-	workers := s.workers
-	if limit := remaining * max(s.par, 1); workers > limit {
-		workers = limit
-	}
+	workers := min(s.workers, len(ready))
 	if workers == 1 {
 		var errs []error
 		for _, sh := range ready {
@@ -535,7 +473,7 @@ func (s *Sharded) runChunkedRanges(ctx context.Context, g *shardGroups, run func
 				}
 				lo, hi := g.cur[sh], min(g.cur[sh]+s.chunk, g.start[sh+1])
 				g.cur[sh] = hi
-				if err := run(0, sh, lo, hi, batchRunner{}); err != nil {
+				if err := run(0, sh, lo, hi); err != nil {
 					errs = append(errs, err)
 					break // abandon this shard's remaining chunks
 				}
@@ -545,97 +483,37 @@ func (s *Sharded) runChunkedRanges(ctx context.Context, g *shardGroups, run func
 	}
 
 	var (
-		mu       sync.Mutex // guards ready, g.cur, coops, errs, canceled
+		mu       sync.Mutex // guards ready, g.cur, errs, canceled
 		errs     []error
 		canceled error
-		coops    []*coopShard // owned shards' coop gates, indexed by shard
 		wg       sync.WaitGroup
 	)
-	if s.par > 1 {
-		coops = make([]*coopShard, len(g.cur))
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			mu.Lock()
 			defer mu.Unlock()
-			for {
-				if len(ready) > 0 {
-					sh := ready[0]
-					ready = ready[1:]
-					var co *coopShard
-					var br batchRunner
-					if coops != nil {
-						co = newCoopShard()
-						coops[sh] = co
-						br = batchRunner{width: s.par, run: co.runPhase}
+			for len(ready) > 0 && canceled == nil {
+				sh := ready[0]
+				ready = ready[1:]
+				// Own sh until drained, failed or canceled; between chunks
+				// only the cursor advance needs the queue lock.
+				for g.cur[sh] < g.start[sh+1] {
+					if err := ctx.Err(); err != nil {
+						canceled = err
+						break
 					}
-					// Own sh until drained, failed or canceled; between
-					// chunks only the cursor advance needs the queue lock.
-					for g.cur[sh] < g.start[sh+1] {
-						if err := ctx.Err(); err != nil {
-							if canceled == nil {
-								canceled = err
-							}
-							break
-						}
-						lo, hi := g.cur[sh], min(g.cur[sh]+s.chunk, g.start[sh+1])
-						g.cur[sh] = hi
-						mu.Unlock()
-						// Bind lanes per chunk: with no co-worker attached
-						// right now, the serial phase A (shared duplicate
-						// memo, no lane split) is strictly cheaper; helpers
-						// that attach mid-chunk catch the next chunk.
-						cbr := br
-						if co != nil && co.helpers.Load() == 0 {
-							cbr = batchRunner{}
-						}
-						err := run(w, sh, lo, hi, cbr)
-						mu.Lock()
-						if err != nil {
-							errs = append(errs, err)
-							break
-						}
-					}
-					if co != nil {
-						coops[sh] = nil
-						close(co.done) // release attached co-workers
-					}
-					if canceled != nil {
-						return
-					}
-					continue
-				}
-				if coops == nil {
-					return
-				}
-				// Co-working: no unowned shard remains. Attach to the
-				// deepest pending owned shard — depth in keys is the
-				// hot-shard signal — if it still has a co-worker slot and
-				// at least two chunks left (below that the handoff cannot
-				// pay for itself), then serve its phase-A lanes until its
-				// owner drains it.
-				best, bestDepth := -1, 2*s.chunk-1
-				for sh, co := range coops {
-					if co == nil || int(co.helpers.Load()) >= s.par-1 {
-						continue
-					}
-					if depth := g.start[sh+1] - g.cur[sh]; depth > bestDepth {
-						best, bestDepth = sh, depth
+					lo, hi := g.cur[sh], min(g.cur[sh]+s.chunk, g.start[sh+1])
+					g.cur[sh] = hi
+					mu.Unlock()
+					err := run(w, sh, lo, hi)
+					mu.Lock()
+					if err != nil {
+						errs = append(errs, err)
+						break
 					}
 				}
-				if best < 0 {
-					return
-				}
-				co := coops[best]
-				co.helpers.Add(1)
-				s.coopJoins[best].Add(1)
-				mu.Unlock()
-				served := co.serve()
-				mu.Lock()
-				co.helpers.Add(-1)
-				s.coopLanes[best].Add(served)
 			}
 		}(w)
 	}
@@ -644,58 +522,6 @@ func (s *Sharded) runChunkedRanges(ctx context.Context, g *shardGroups, run func
 		errs = append(errs, canceled)
 	}
 	return errors.Join(errs...)
-}
-
-// runSingleShard is the contiguous-batch fast path: when every key of a
-// batch routes to one shard (the extreme of the hot-shard skew the router
-// exists for), grouping would only copy the batch into a single run, so
-// the router collapses to a chunk loop over direct sub-slices of the
-// caller's input. Phase-A lanes still engage: with WithShardParallelism,
-// chunks run on a spawned-lane runner sized within the worker budget
-// (there is no contending shard to borrow workers from).
-func (s *Sharded) runSingleShard(ctx context.Context, n int, run func(lo, hi int, br batchRunner) error) error {
-	br := s.fastRunner()
-	var errs []error
-	for lo := 0; lo < n; lo += s.chunk {
-		if err := ctx.Err(); err != nil {
-			return errors.Join(append(errs, err)...)
-		}
-		hi := min(lo+s.chunk, n)
-		if err := run(lo, hi, br); err != nil {
-			errs = append(errs, err)
-			break
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// fastRunner returns the phase-A runner for batches that bypass the
-// router: lanes spawned within the worker budget, or serial when
-// co-working is off. Spawned lanes are clamped to GOMAXPROCS — beyond the
-// schedulable cores they are pure overhead (unlike router co-workers,
-// which exist anyway and claim lanes opportunistically).
-func (s *Sharded) fastRunner() batchRunner {
-	if w := min(s.par, s.workers, runtime.GOMAXPROCS(0)); w > 1 {
-		return batchRunner{width: w, run: core.GoRunner}
-	}
-	return batchRunner{}
-}
-
-// singleShardOf returns the shard every key routes to, or -1 when the
-// batch spans shards. The scan stops at the first mismatch, so mixed
-// batches pay a handful of comparisons while contiguous single-shard
-// batches skip the counting sort and its gather/scatter copies entirely.
-func (s *Sharded) singleShardOf(keys []uint64) int {
-	if len(keys) == 0 {
-		return -1
-	}
-	sh := s.shardIndex(keys[0])
-	for _, k := range keys[1:] {
-		if s.shardIndex(k) != sh {
-			return -1
-		}
-	}
-	return sh
 }
 
 // --- U64 batches ---
@@ -711,15 +537,10 @@ func (s *Sharded) PutBatchU64(ctx context.Context, keys, values []uint64) error 
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	if sh := s.singleShardOf(keys); sh >= 0 {
-		return s.runSingleShard(ctx, len(keys), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].putBatchU64Chunk(keys[lo:hi], values[lo:hi], br)
-		})
-	}
 	g := s.groupPairsByShard(keys, values, nil, nil)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int, br batchRunner) error {
-		return s.shards[shard].putBatchU64Chunk(g.kbuf[lo:hi], g.vbuf[lo:hi], br)
+	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int) error {
+		return s.shards[shard].putBatchU64Chunk(g.kbuf[lo:hi], g.vbuf[lo:hi])
 	})
 }
 
@@ -728,35 +549,18 @@ func (s *Sharded) PutBatchU64(ctx context.Context, keys, values []uint64) error 
 // lookup pipeline: the in-memory phase answers buffer/Bloom hits with zero
 // I/O, and the flash phase dedupes keys on the same page, sorts probes by
 // device address, and overlaps them across the device's queue lanes.
-// Chunks are dispatched by the stealing router, so a Zipf-skewed batch
-// keeps every worker busy; ctx cancels between chunks.
+// Chunks are dispatched by the stealing router, so under a Zipf-skewed
+// batch no worker idles while an unclaimed shard remains; ctx cancels
+// between chunks.
 func (s *Sharded) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
 	values = make([]uint64, len(keys))
 	found = make([]bool, len(keys))
 	if len(keys) == 0 {
 		return values, found, nil
 	}
-	if sh := s.singleShardOf(keys); sh >= 0 {
-		if err := s.getBatchU64Single(ctx, sh, keys, values, found); err != nil {
-			return nil, nil, err
-		}
-		return values, found, nil
-	}
-	if err := s.getBatchU64Routed(ctx, keys, values, found); err != nil {
-		return nil, nil, err
-	}
-	return values, found, nil
-}
-
-// getBatchU64Routed is the general multi-shard lookup path: group by
-// shard, dispatch through the cooperative chunk router, gather per chunk
-// and scatter results back to input positions. (Also the fast path's bench
-// baseline: a single-shard batch routed here pays the grouping and copies
-// the fast path exists to skip.)
-func (s *Sharded) getBatchU64Routed(ctx context.Context, keys []uint64, values []uint64, found []bool) error {
 	g := s.groupByShard(keys)
 	defer s.putGroups(g)
-	return s.runChunked(ctx, g, func(w, shard int, idxs []int, br batchRunner) error {
+	err = s.runChunked(ctx, g, func(w, shard int, idxs []int) error {
 		gs := s.workerScratch(g.ws, w)
 		kb := gs.keys[:0]
 		for _, i := range idxs {
@@ -767,7 +571,7 @@ func (s *Sharded) getBatchU64Routed(ctx context.Context, keys []uint64, values [
 			gs.res = make([]core.LookupResult, max(len(idxs), s.chunk))
 		}
 		rb := gs.res[:len(idxs)]
-		if err := s.shards[shard].getBatchU64Into(kb, rb, br); err != nil {
+		if err := s.shards[shard].getBatchU64Into(kb, rb); err != nil {
 			return err
 		}
 		for j, i := range idxs {
@@ -775,44 +579,19 @@ func (s *Sharded) getBatchU64Routed(ctx context.Context, keys []uint64, values [
 		}
 		return nil
 	})
-}
-
-// getBatchU64Single drives a single-shard lookup batch without grouping:
-// chunk-sized core pipeline calls on direct sub-slices of keys, results
-// scattered straight into the output arrays.
-func (s *Sharded) getBatchU64Single(ctx context.Context, sh int, keys []uint64, values []uint64, found []bool) error {
-	gs, _ := s.gather.Get().(*gatherScratch)
-	if gs == nil {
-		gs = &gatherScratch{}
+	if err != nil {
+		return nil, nil, err
 	}
-	defer s.gather.Put(gs)
-	if cap(gs.res) < s.chunk {
-		gs.res = make([]core.LookupResult, s.chunk)
-	}
-	return s.runSingleShard(ctx, len(keys), func(lo, hi int, br batchRunner) error {
-		rb := gs.res[:hi-lo]
-		if err := s.shards[sh].getBatchU64Into(keys[lo:hi], rb, br); err != nil {
-			return err
-		}
-		for j := range rb {
-			values[lo+j], found[lo+j] = rb[j].Value, rb[j].Found
-		}
-		return nil
-	})
+	return values, found, nil
 }
 
 // DeleteBatchU64 lazily removes len(keys) keys, grouped and dispatched like
 // PutBatchU64, with each chunk applied as one batched core delete.
 func (s *Sharded) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	if sh := s.singleShardOf(keys); sh >= 0 {
-		return s.runSingleShard(ctx, len(keys), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].deleteBatchU64Chunk(keys[lo:hi], br)
-		})
-	}
 	g := s.groupPairsByShard(keys, nil, nil, nil)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int, br batchRunner) error {
-		return s.shards[shard].deleteBatchU64Chunk(g.kbuf[lo:hi], br)
+	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int) error {
+		return s.shards[shard].deleteBatchU64Chunk(g.kbuf[lo:hi])
 	})
 }
 
@@ -869,15 +648,10 @@ func (s *Sharded) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	fpp := s.fingerprints(keys)
 	defer s.putFingerprints(fpp)
 	fps := *fpp
-	if sh := s.singleShardOf(fps); sh >= 0 {
-		return s.runSingleShard(ctx, len(fps), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], br)
-		})
-	}
 	g := s.groupPairsByShard(fps, nil, keys, values)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int, br batchRunner) error {
-		return s.shards[shard].putBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], g.bvbuf[lo:hi], br)
+	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int) error {
+		return s.shards[shard].putBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], g.bvbuf[lo:hi])
 	})
 }
 
@@ -894,18 +668,9 @@ func (s *Sharded) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte,
 	fpp := s.fingerprints(keys)
 	defer s.putFingerprints(fpp)
 	fps := *fpp
-	if sh := s.singleShardOf(fps); sh >= 0 {
-		err = s.runSingleShard(ctx, len(fps), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi], br)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return values, found, nil
-	}
 	g := s.groupByShard(fps)
 	defer s.putGroups(g)
-	err = s.runChunked(ctx, g, func(w, shard int, idxs []int, br batchRunner) error {
+	err = s.runChunked(ctx, g, func(w, shard int, idxs []int) error {
 		gs := s.workerScratch(g.ws, w)
 		fb := gs.keys[:0]
 		kb := gs.bkeys[:0]
@@ -922,7 +687,7 @@ func (s *Sharded) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte,
 		for j := range vb {
 			vb[j], ob[j] = nil, false
 		}
-		if err := s.shards[shard].getBatchRecords(fb, kb, vb, ob, br); err != nil {
+		if err := s.shards[shard].getBatchRecords(fb, kb, vb, ob); err != nil {
 			return err
 		}
 		for j, i := range idxs {
@@ -942,15 +707,10 @@ func (s *Sharded) DeleteBatch(ctx context.Context, keys [][]byte) error {
 	fpp := s.fingerprints(keys)
 	defer s.putFingerprints(fpp)
 	fps := *fpp
-	if sh := s.singleShardOf(fps); sh >= 0 {
-		return s.runSingleShard(ctx, len(fps), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].deleteBatchFPs(fps[lo:hi], br)
-		})
-	}
 	g := s.groupPairsByShard(fps, nil, nil, nil)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int, br batchRunner) error {
-		return s.shards[shard].deleteBatchFPs(g.kbuf[lo:hi], br)
+	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int) error {
+		return s.shards[shard].deleteBatchFPs(g.kbuf[lo:hi])
 	})
 }
 
@@ -980,17 +740,9 @@ func (s *Sharded) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, err
 	fpp := s.fingerprints(keys)
 	defer s.putFingerprints(fpp)
 	fps := *fpp
-	if sh := s.singleShardOf(fps); sh >= 0 {
-		if err := s.runSingleShard(ctx, len(fps), func(lo, hi int, br batchRunner) error {
-			return s.shards[sh].containsBatchFPs(fps[lo:hi], found[lo:hi], br)
-		}); err != nil {
-			return nil, err
-		}
-		return found, nil
-	}
 	g := s.groupByShard(fps)
 	defer s.putGroups(g)
-	err := s.runChunked(ctx, g, func(w, shard int, idxs []int, br batchRunner) error {
+	err := s.runChunked(ctx, g, func(w, shard int, idxs []int) error {
 		gs := s.workerScratch(g.ws, w)
 		fb := gs.keys[:0]
 		for _, i := range idxs {
@@ -1001,7 +753,7 @@ func (s *Sharded) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, err
 			gs.bfound = make([]bool, max(len(idxs), s.chunk))
 		}
 		ob := gs.bfound[:len(idxs)]
-		if err := s.shards[shard].containsBatchFPs(fb, ob, br); err != nil {
+		if err := s.shards[shard].containsBatchFPs(fb, ob); err != nil {
 			return err
 		}
 		for j, i := range idxs {
@@ -1015,46 +767,15 @@ func (s *Sharded) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, err
 	return found, nil
 }
 
-// getBatchU64PerKey is the PR-1 batch path — whole shard groups dispatched
-// across the worker pool, one blocking GetU64 per key — kept unexported as
-// the baseline the batched-pipeline benchmarks compare against.
-func (s *Sharded) getBatchU64PerKey(keys []uint64) (values []uint64, found []bool, err error) {
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	g := s.groupByShard(keys)
-	defer s.putGroups(g)
-	err = s.runShards(g.active(), func(shard int) error {
-		c := s.shards[shard]
-		for _, i := range g.idx[g.start[shard]:g.start[shard+1]] {
-			v, ok, err := c.GetU64(keys[i])
-			if err != nil {
-				return err
-			}
-			values[i], found[i] = v, ok
-		}
-		return nil
-	})
-	return values, found, err
-}
-
-// runShards executes run(shard) for every listed shard, spread over at
-// most s.workers goroutines. Each shard runs on exactly one worker, so
-// per-shard operation order is preserved and workers never contend on the
-// same shard lock.
-func (s *Sharded) runShards(shardIDs []int, run func(shard int) error) error {
-	if len(shardIDs) == 0 {
-		return nil
-	}
-	workers := s.workers
-	if workers > len(shardIDs) {
-		workers = len(shardIDs)
-	}
-	// Every shard is attempted regardless of other shards' failures, so a
-	// batch applies the same set of operations whatever the Workers
-	// setting; all shard errors are joined.
-	if workers == 1 {
+// runShards executes run(shard) for every shard, spread over at most
+// s.workers goroutines (Flush's dispatcher). Each shard runs on exactly one
+// worker, so workers never contend on the same shard lock; every shard is
+// attempted regardless of other shards' failures, and all errors are
+// joined.
+func (s *Sharded) runShards(run func(shard int) error) error {
+	if s.workers == 1 {
 		var errs []error
-		for _, sh := range shardIDs {
+		for sh := range s.shards {
 			if err := run(sh); err != nil {
 				errs = append(errs, err)
 			}
@@ -1062,9 +783,9 @@ func (s *Sharded) runShards(shardIDs []int, run func(shard int) error) error {
 		return errors.Join(errs...)
 	}
 	work := make(chan int)
-	errs := make([][]error, workers)
+	errs := make([][]error, s.workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range errs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -1075,14 +796,10 @@ func (s *Sharded) runShards(shardIDs []int, run func(shard int) error) error {
 			}
 		}(w)
 	}
-	for _, sh := range shardIDs {
+	for sh := range s.shards {
 		work <- sh
 	}
 	close(work)
 	wg.Wait()
-	var all []error
-	for _, we := range errs {
-		all = append(all, we...)
-	}
-	return errors.Join(all...)
+	return errors.Join(slices.Concat(errs...)...)
 }

@@ -450,8 +450,8 @@ func TestRouterSkewedBatch(t *testing.T) {
 }
 
 // TestLookupBatchMatchesPerKeyPath cross-checks the pipeline path against
-// the retained PR-1 per-key dispatch on the same instance (FIFO policy:
-// lookups don't mutate state, so both paths may run back to back).
+// a plain GetU64 loop on the same instance (FIFO policy: lookups don't
+// mutate state, so both paths may run back to back).
 func TestLookupBatchMatchesPerKeyPath(t *testing.T) {
 	s := openShardedSmall(t, 8, 4)
 	rng := rand.New(rand.NewSource(46))
@@ -471,17 +471,17 @@ func TestLookupBatchMatchesPerKeyPath(t *testing.T) {
 			probe[i] = keys[rng.Intn(len(keys))]
 		}
 	}
-	lv, lok, err := s.getBatchU64PerKey(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bv, bok, err := s.GetBatchU64(context.Background(), probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range probe {
-		if lv[i] != bv[i] || lok[i] != bok[i] {
-			t.Fatalf("probe %d: per-key (%d,%v) vs pipeline (%d,%v)", i, lv[i], lok[i], bv[i], bok[i])
+	for i, k := range probe {
+		lv, lok, err := s.GetU64(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lv != bv[i] || lok != bok[i] {
+			t.Fatalf("probe %d: per-key (%d,%v) vs pipeline (%d,%v)", i, lv, lok, bv[i], bok[i])
 		}
 	}
 }
@@ -494,5 +494,155 @@ func TestOpenShardedBatchChunkValidation(t *testing.T) {
 	s := openShardedT(t, WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20), WithShards(4))
 	if s.chunk != defaultBatchChunk {
 		t.Fatalf("default chunk = %d, want %d", s.chunk, defaultBatchChunk)
+	}
+}
+
+// --- hot-shard regimes ---
+
+// The hot-shard differential regime: the lookup and insert oracles of
+// differential_test.go / differential_insert_test.go re-run over Zipf
+// streams whose hot mass lands on one shard. A small router chunk makes
+// the hot shard hold many pending chunks, so one worker owns it across
+// chunks while the others drain the cold shards. Key-for-key results and
+// every core counter, per shard, must equal the serial per-key instance.
+
+// genHotShardOps builds a deterministic op stream whose key popularity is
+// Zipf and whose hot mass lands on shard 0 of a 4-shard deployment: the
+// first hotFrac of the key universe — the heavy ranks — has its top two
+// key bits cleared. hotFrac 1.0 makes every batch single-shard.
+func genHotShardOps(seed int64, nOps, nKeys int, hotFrac, pLookup, pDelete, pFlush float64) []op {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([]uint64, nKeys)
+	hot := int(float64(nKeys) * hotFrac)
+	for i := range keys {
+		k := rng.Uint64()
+		if i < hot {
+			k &= 1<<62 - 1 // clear the top 2 bits: shard 0 of 4
+		}
+		keys[i] = k
+	}
+	z := rand.NewZipf(rng, 1.2, 1, uint64(nKeys-1))
+	ops := make([]op, 0, nOps)
+	for i := 0; i < nOps; i++ {
+		k := keys[z.Uint64()]
+		switch r := rng.Float64(); {
+		case r < pFlush:
+			ops = append(ops, op{kind: opFlush})
+		case r < pFlush+pDelete:
+			ops = append(ops, op{kind: opDelete, key: k})
+		case r < pFlush+pDelete+pLookup:
+			ops = append(ops, op{kind: opLookup, key: k})
+		default:
+			ops = append(ops, op{kind: opInsert, key: k, val: rng.Uint64()})
+		}
+	}
+	return ops
+}
+
+// hotShardStores opens a serial per-key Sharded and a batched twin of the
+// same shape whose router cuts a hot shard's group into 256-key chunks.
+func hotShardStores(t *testing.T, base []Option) (serial, batched *Sharded) {
+	t.Helper()
+	base = base[:len(base):len(base)]
+	serial = openShardedT(t, append(base, WithShards(4), WithWorkers(4))...)
+	batched = openShardedT(t, append(base, WithShards(4), WithWorkers(4), WithBatchChunk(256))...)
+	return serial, batched
+}
+
+// checkShardCountersEqual asserts per-shard core-counter equality — a
+// stronger pin than the aggregate: no shard may have done different
+// structural work, whichever worker executed its chunks.
+func checkShardCountersEqual(t *testing.T, name string, serial, batched *Sharded) {
+	t.Helper()
+	for i := 0; i < serial.NumShards(); i++ {
+		sc, bc := serial.Shard(i).Stats().Core, batched.Shard(i).Stats().Core
+		if sc != bc {
+			t.Fatalf("%s: shard %d core counters diverge:\nserial  %+v\nbatched %+v", name, i, sc, bc)
+		}
+	}
+}
+
+func TestDifferentialHotShardLookups(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		hotFrac float64
+	}{
+		{"hot85", 0.85},      // skewed across shards
+		{"singleShard", 1.0}, // every batch routes to one shard
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ops := genHotShardOps(9001, 40000, 20000, tc.hotFrac, 0.30, 0.08, 0.0002)
+			base := []Option{WithDevice(IntelSSD), WithFlash(16 << 20), WithMemory(4 << 20),
+				WithPolicy(FIFO), WithSeed(11)}
+			serial, batched := hotShardStores(t, base)
+			// Lookup windows span several router chunks of the hot shard.
+			applyBatchedDifferentialWindow(t, tc.name, serial, batched, ops, true, 1536)
+			checkLookupCountersEqual(t, tc.name, serial, batched)
+			checkShardCountersEqual(t, tc.name, serial, batched)
+		})
+	}
+}
+
+func TestDifferentialHotShardInserts(t *testing.T) {
+	t.Run("strict", func(t *testing.T) {
+		ops := genHotShardOps(9102, 40000, 20000, 0.85, 0.15, 0.06, 0.0002)
+		base := []Option{WithDevice(IntelSSD), WithFlash(16 << 20), WithMemory(4 << 20),
+			WithPolicy(FIFO), WithSeed(11)}
+		serial, batched := hotShardStores(t, base)
+		oracle := applyInsertDifferentialWindow(t, "hot-strict", serial, batched, ops, true, 1536)
+		verifyInsertFinal(t, "hot-strict", serial, batched, oracle, 9102)
+		checkInsertCountersEqual(t, "hot-strict", serial, batched)
+		checkShardCountersEqual(t, "hot-strict", serial, batched)
+	})
+	t.Run("eviction", func(t *testing.T) {
+		// Tiny instances: the hot shard's incarnation ring wraps many
+		// times, so its batches drive flush cascades and evictions.
+		ops := genHotShardOps(9203, 60000, 8000, 0.85, 0.12, 0.10, 0.001)
+		base := []Option{WithDevice(IntelSSD), WithFlash(1 << 20), WithMemory(256 << 10),
+			WithBufferKB(8), WithPolicy(FIFO), WithSeed(23)}
+		serial, batched := hotShardStores(t, base)
+		oracle := applyInsertDifferentialWindow(t, "hot-evict", serial, batched, ops, false, 1536)
+		verifyInsertFinal(t, "hot-evict", serial, batched, oracle, 9203)
+		checkInsertCountersEqual(t, "hot-evict", serial, batched)
+		checkShardCountersEqual(t, "hot-evict", serial, batched)
+		if batched.Stats().Core.Evictions == 0 {
+			t.Fatal("eviction regime never evicted; retune the test sizes")
+		}
+	})
+}
+
+// TestBatchGroupingAllocs is the allocation guard for the batch grouping
+// and routing scratch: once the pools are warm, grouping a large batch —
+// the counting sort, the per-shard runs, the fingerprint buffer and the
+// per-worker scratch table — must not allocate per call.
+func TestBatchGroupingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
+	}
+	s := openShardedT(t, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
+		WithShards(8), WithWorkers(4), WithSeed(5))
+	rng := rand.New(rand.NewSource(13))
+	keys := make([]uint64, 4096)
+	vals := make([]uint64, len(keys))
+	bkeys := make([][]byte, 512)
+	for i := range keys {
+		keys[i], vals[i] = rng.Uint64(), uint64(i)
+	}
+	for i := range bkeys {
+		bkeys[i] = make([]byte, 16)
+		rng.Read(bkeys[i])
+	}
+	warm := func() {
+		g := s.groupPairsByShard(keys, vals, nil, nil)
+		s.putGroups(g)
+		g = s.groupByShard(keys)
+		s.putGroups(g)
+		s.putFingerprints(s.fingerprints(bkeys))
+	}
+	warm()
+	// sync.Pool may shed entries on a GC, so allow a stray allocation or
+	// two; a per-key or per-call regression measures in the hundreds.
+	if allocs := testing.AllocsPerRun(20, warm); allocs > 4 {
+		t.Fatalf("grouping allocates %.1f allocs per batch; want ~0", allocs)
 	}
 }

@@ -23,15 +23,6 @@
 // (the perf-trajectory artifact; CI emits BENCH_pr2.json from the u64
 // workload and BENCH_pr3.json from the -valsize value-log workload).
 //
-// With -skew -json FILE the tool runs the hot-shard Zipf batch scenario
-// instead, at WithShardParallelism 1, 2 and 4 on identically warmed
-// stores: a pure 1-shard-hot stream (single-shard fast path, spawned
-// phase-A lanes) and a mixed stream with a 1/8 uniform spread (grouped
-// router path with co-scheduled workers). The wall speedups isolate the
-// phase-A lane parallelism (bounded by physical cores — the JSON records
-// gomaxprocs and num_cpu); the run aborts unless every stream's core
-// counters are byte-identical across parallelism settings.
-//
 // Examples:
 //
 //	clam-bench -device ssd-transcend -flash 64 -mem 12 -ops 200000 \
@@ -41,8 +32,6 @@
 //	           -ops 100000 -json BENCH_pr2.json
 //	clam-bench -shards 8 -workers 8 -batch 4096 -valsize 256 \
 //	           -ops 60000 -json BENCH_pr3.json
-//	clam-bench -skew -shards 8 -workers 4 -batch 4096 -zipf 1.1 \
-//	           -ops 60000 -json BENCH_pr5.json
 package main
 
 import (
@@ -51,7 +40,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"os"
 	"runtime"
@@ -117,54 +105,6 @@ type insertReport struct {
 	Zipf       insertComparison `json:"zipf"`
 }
 
-// skewStream is one measured key stream of a -skew phase.
-type skewStream struct {
-	Ops         int     `json:"ops"`
-	WallSeconds float64 `json:"wall_seconds"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	HitRate     float64 `json:"hit_rate"`
-	VirtualP50  float64 `json:"virtual_p50_ms"`
-	VirtualP99  float64 `json:"virtual_p99_ms"`
-}
-
-// skewPhase is one parallelism setting's measurement in the -skew
-// hot-shard scenario: the pure 1-shard-hot stream (single-shard fast
-// path, spawned phase-A lanes) and the mixed stream with a stray spread
-// (grouped router path — idle workers co-schedule onto the hot shard, the
-// coop counters record their occupancy).
-type skewPhase struct {
-	Parallelism int        `json:"parallelism"`
-	Hot         skewStream `json:"hot"`
-	Mixed       skewStream `json:"mixed"`
-	CoopJoins   uint64     `json:"coop_joins"`
-	CoopLanes   uint64     `json:"coop_lanes"`
-}
-
-// skewReport is the -skew -json artifact (BENCH_pr5.json in CI): the
-// hot-shard Zipf batch lookup scenario at shard parallelism 1, 2 and 4.
-// The phase-A lanes are the parallel component, so the wall speedups are
-// bounded by physical cores (gomaxprocs/num_cpu record the budget); the
-// core counters must be identical across parallelism settings —
-// cooperation changes wall-clock time only.
-type skewReport struct {
-	Device           string      `json:"device"`
-	FlashMB          int64       `json:"flash_mb"`
-	MemMB            int64       `json:"mem_mb"`
-	Shards           int         `json:"shards"`
-	Workers          int         `json:"workers"`
-	Batch            int         `json:"batch"`
-	ZipfS            float64     `json:"zipf_s"`
-	Warm             int         `json:"warm_inserts"`
-	GOMAXPROCS       int         `json:"gomaxprocs"`
-	NumCPU           int         `json:"num_cpu"`
-	Phases           []skewPhase `json:"phases"`
-	SpeedupPar2      float64     `json:"hot_speedup_par2_vs_par1"`
-	SpeedupPar4      float64     `json:"hot_speedup_par4_vs_par1"`
-	MixedSpeedupPar2 float64     `json:"mixed_speedup_par2_vs_par1"`
-	MixedSpeedupPar4 float64     `json:"mixed_speedup_par4_vs_par1"`
-	CountersEqual    bool        `json:"counters_equal_across_parallelism"`
-}
-
 // benchReport is the -json artifact (BENCH_pr2.json / BENCH_pr3.json in CI).
 type benchReport struct {
 	Device      string      `json:"device"`
@@ -218,7 +158,6 @@ func main() {
 	fbe := flag.Int("fbe", 0, "override the Bloom filter bits per entry (0 = derived from the memory budget; 16 = the paper's candidate configuration)")
 	jsonPath := flag.String("json", "", "run a serial-vs-batched lookup comparison and write JSON here")
 	putbatch := flag.Bool("putbatch", false, "with -json: compare serial vs batched INSERTS (uniform + Zipf) instead of lookups")
-	skew := flag.Bool("skew", false, "with -json: run the 1-shard-hot Zipf batch scenario at shard parallelism 1/2/4 instead")
 	flag.Parse()
 
 	var kind clam.DeviceKind
@@ -281,25 +220,6 @@ func main() {
 	ctx := context.Background()
 	flashEntries := uint64(*flashMB) << 20 / 32
 	keyRange := workload.RangeForLSR(flashEntries, *lsr)
-	if *skew && *jsonPath == "" {
-		fmt.Fprintln(os.Stderr, "-skew requires -json FILE (it is a comparison artifact)")
-		os.Exit(2)
-	}
-	if *jsonPath != "" && *skew {
-		if *shards < 2 {
-			fmt.Fprintln(os.Stderr, "-skew needs -shards > 1 (the scenario is one hot shard of many)")
-			os.Exit(2)
-		}
-		zs := *zipfS
-		if zs <= 1 {
-			zs = 1.1
-		}
-		runSkewComparison(opts, *jsonPath, skewReport{
-			Device: kind.String(), FlashMB: *flashMB, MemMB: *memMB,
-			Shards: *shards, Workers: nWorkers, Batch: *batch, ZipfS: zs,
-		}, *ops, *seed, flashEntries, *lsr)
-		return
-	}
 	if *jsonPath != "" && *putbatch {
 		// Insert comparison: opens its own fresh store per phase, since
 		// inserts mutate state and both sides must start identical. The
@@ -647,168 +567,6 @@ func runComparison(st clam.Store, path string, rep benchReport, ops, nWorkers in
 		rep.Batched.OpsPerSec, rep.Batched.VirtualP50, rep.Batched.VirtualP99)
 	fmt.Printf("wall speedup: %.2fx (gomaxprocs %d, valsize %d) -> %s\n",
 		rep.SpeedupWall, rep.GOMAXPROCS, rep.ValSize, path)
-}
-
-// runSkewComparison is the -skew -json mode (BENCH_pr5.json in CI): the
-// skew regimes the cooperative batch machinery exists for, driven through
-// the batched lookup pipeline at WithShardParallelism 1, 2 and 4 against
-// freshly opened, identically warmed stores. Two streams per setting:
-//
-//   - hot: every key routes to shard 0 with Zipf popularity — the
-//     single-shard fast path (no grouping) with spawned phase-A lanes;
-//   - mixed: 7/8 of keys hot, 1/8 spread uniformly — the grouped router
-//     path, where workers that drain the cold shards co-schedule onto the
-//     hot shard's phase-A lanes (coop_joins/coop_lanes record occupancy,
-//     though on few cores helpers rarely win a lane).
-//
-// The parallel component is phase A of the core pipeline (memory
-// resolution on lanes), so the wall speedups are bounded by physical
-// cores; the core counters of every stream must be byte-identical across
-// parallelism settings — cooperation is a wall-clock optimization only,
-// and the run aborts if they diverge.
-func runSkewComparison(opts []clam.Option, path string, rep skewReport, ops int, seed int64, flashEntries uint64, lsr float64) {
-	if rep.Batch <= 0 {
-		rep.Batch = 4096
-	}
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	rep.NumCPU = runtime.NumCPU()
-	ctx := context.Background()
-
-	// Hot-shard keys: clear the top shard-index bits so every key routes
-	// to shard 0 while ranks keep their Zipf popularity.
-	shardBits := bits.Len(uint(rep.Shards)) - 1
-	mask := ^uint64(0) >> shardBits
-	hotRange := workload.RangeForLSR(flashEntries/uint64(rep.Shards), lsr)
-	hotKey := func(rank uint64) uint64 { return hashutil.Mix64(rank+1) & mask }
-
-	// The hot shard warms past eviction onset; the other shards stay cold
-	// (the scenario is pathological skew, not a balanced fleet).
-	warm := int(flashEntries / uint64(rep.Shards) * 5 / 4)
-	rep.Warm = warm
-
-	hotDraws := make([]uint64, ops)
-	z := rand.NewZipf(rand.New(rand.NewSource(seed+5)), rep.ZipfS, 1, hotRange-1)
-	for i := range hotDraws {
-		hotDraws[i] = hotKey(z.Uint64())
-	}
-	mixedDraws := make([]uint64, ops)
-	mrng := rand.New(rand.NewSource(seed + 6))
-	mz := rand.NewZipf(rand.New(rand.NewSource(seed+7)), rep.ZipfS, 1, hotRange-1)
-	for i := range mixedDraws {
-		if i%8 == 7 {
-			mixedDraws[i] = mrng.Uint64() // stray: uniform across all shards
-		} else {
-			mixedDraws[i] = hotKey(mz.Uint64())
-		}
-	}
-
-	// Chunk at a quarter batch: big enough that phase-A lanes amortize
-	// their handoff (hundreds of keys per lane), small enough that the
-	// mixed stream's hot shard holds several pending chunks — the depth
-	// signal idle workers need before they attach as co-workers.
-	opts = append(opts[:len(opts):len(opts)], clam.WithBatchChunk(max(256, rep.Batch/8)))
-
-	// measure runs one stream best-of-three: FIFO lookups don't mutate
-	// state, and the counters of every (deterministic) pass are identical,
-	// so the repeats only de-noise the wall clock.
-	measure := func(st clam.Store, draws []uint64) (skewStream, clam.Stats) {
-		var wall time.Duration
-		for pass := 0; pass < 3; pass++ {
-			st.ResetMetrics()
-			start := time.Now()
-			for at := 0; at < len(draws); at += rep.Batch {
-				hi := min(at+rep.Batch, len(draws))
-				if _, _, err := st.GetBatchU64(ctx, draws[at:hi]); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-			}
-			if d := time.Since(start); pass == 0 || d < wall {
-				wall = d
-			}
-		}
-		s := st.Stats()
-		return skewStream{
-			Ops:         len(draws),
-			WallSeconds: wall.Seconds(),
-			OpsPerSec:   float64(len(draws)) / wall.Seconds(),
-			HitRate:     s.Core.HitRate(),
-			VirtualP50:  metrics.Ms(s.LookupLatency.P50),
-			VirtualP99:  metrics.Ms(s.LookupLatency.P99),
-		}, s
-	}
-
-	var hotCores, mixedCores []clam.Stats
-	for _, par := range []int{1, 2, 4} {
-		po := append(opts[:len(opts):len(opts)], clam.WithShardParallelism(par))
-		st, err := clam.Open(po...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Identical deterministic warm-up per phase.
-		rng := rand.New(rand.NewSource(seed))
-		const chunk = 8192
-		keys := make([]uint64, 0, chunk)
-		vals := make([]uint64, 0, chunk)
-		for i := 0; i < warm; i++ {
-			keys = append(keys, hotKey(uint64(rng.Int63n(int64(hotRange)))))
-			vals = append(vals, uint64(i))
-			if len(keys) == chunk || i == warm-1 {
-				if err := st.PutBatchU64(ctx, keys, vals); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				keys, vals = keys[:0], vals[:0]
-			}
-		}
-		hot, hs := measure(st, hotDraws)
-		mixed, ms := measure(st, mixedDraws)
-		hotCores, mixedCores = append(hotCores, hs), append(mixedCores, ms)
-		var joins, lanes uint64
-		for i := range ms.Router.CoopJoins {
-			joins += ms.Router.CoopJoins[i]
-			lanes += ms.Router.CoopLanes[i]
-		}
-		rep.Phases = append(rep.Phases, skewPhase{
-			Parallelism: par,
-			Hot:         hot,
-			Mixed:       mixed,
-			CoopJoins:   joins,
-			CoopLanes:   lanes,
-		})
-		fmt.Printf("par=%d: hot %8.0f ops/s  mixed %8.0f ops/s (wall)  hot p99 %.4f ms (virtual)  coop joins=%d lanes=%d\n",
-			par, hot.OpsPerSec, mixed.OpsPerSec, hot.VirtualP99, joins, lanes)
-	}
-	rep.SpeedupPar2 = rep.Phases[1].Hot.OpsPerSec / rep.Phases[0].Hot.OpsPerSec
-	rep.SpeedupPar4 = rep.Phases[2].Hot.OpsPerSec / rep.Phases[0].Hot.OpsPerSec
-	rep.MixedSpeedupPar2 = rep.Phases[1].Mixed.OpsPerSec / rep.Phases[0].Mixed.OpsPerSec
-	rep.MixedSpeedupPar4 = rep.Phases[2].Mixed.OpsPerSec / rep.Phases[0].Mixed.OpsPerSec
-	rep.CountersEqual = true
-	for _, cs := range [][]clam.Stats{hotCores, mixedCores} {
-		if cs[0].Core != cs[1].Core || cs[1].Core != cs[2].Core {
-			rep.CountersEqual = false
-			fmt.Fprintf(os.Stderr, "core counters diverge across parallelism settings:\npar1 %+v\npar2 %+v\npar4 %+v\n",
-				cs[0].Core, cs[1].Core, cs[2].Core)
-		}
-	}
-	if !rep.CountersEqual {
-		os.Exit(1)
-	}
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("hot-shard speedup: hot par2 %.2fx par4 %.2fx, mixed par2 %.2fx par4 %.2fx (gomaxprocs %d, %d cpus, counters equal) -> %s\n",
-		rep.SpeedupPar2, rep.SpeedupPar4, rep.MixedSpeedupPar2, rep.MixedSpeedupPar4,
-		rep.GOMAXPROCS, rep.NumCPU, path)
 }
 
 // runInsertComparison is the -putbatch -json mode: the same insert stream

@@ -149,20 +149,10 @@ func (b *Bank) QueryStaging(keyHash uint64) bool {
 // may contain the key. Columns that currently hold no incarnation are
 // all-zero and thus never match.
 func (b *Bank) Query(keyHash uint64) uint64 {
-	return b.QueryWith(keyHash, &b.scratch)
-}
-
-// QueryWith is Query against caller-owned hash scratch (grown in place and
-// reused across calls). The bank's slices are only read, so concurrent
-// QueryWith calls with distinct scratch are safe while no writer runs —
-// the property the parallel phase-A lanes of a batched lookup rely on;
-// Query itself uses the bank's own scratch and stays single-caller.
-func (b *Bank) QueryWith(keyHash uint64, scratch *[]uint64) uint64 {
-	rows := hashutil.DoubleHash(keyHash, b.h, b.m, (*scratch)[:0])
-	*scratch = rows
+	b.scratch = hashutil.DoubleHash(keyHash, b.h, b.m, b.scratch[:0])
 	acc := b.live
 	w := b.words
-	for _, row := range rows {
+	for _, row := range b.scratch {
 		slice := b.slices[int(row)*w : int(row)*w+w]
 		var alive uint32
 		for i, v := range slice {

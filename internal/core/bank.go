@@ -17,11 +17,6 @@ type filterBank interface {
 	AddStaging(keyHash uint64)
 	QueryStaging(keyHash uint64) bool
 	Query(keyHash uint64) uint64
-	// QueryWith is Query against caller-owned hash scratch: with distinct
-	// scratch per caller it is safe to run concurrently while no writer
-	// mutates the bank, which is how parallel phase-A lanes query one hot
-	// super table's filters without striped locks.
-	QueryWith(keyHash uint64, scratch *[]uint64) uint64
 	Rotate()
 	MemoryBits() uint64
 }
@@ -64,10 +59,6 @@ func (n *naiveBank) Query(kh uint64) uint64 {
 	}
 	return mask
 }
-
-// QueryWith ignores the scratch: plain Bloom probes keep no per-query
-// state, so Query is already safe for concurrent readers.
-func (n *naiveBank) QueryWith(kh uint64, _ *[]uint64) uint64 { return n.Query(kh) }
 
 func (n *naiveBank) Rotate() {
 	evicted := n.filters[0]

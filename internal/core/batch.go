@@ -107,21 +107,53 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult) error {
 func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) error {
 	bs := &b.batch
 	bs.pending = bs.pending[:0]
+	if bs.memo == nil {
+		bs.memo = make([]memoEntry, memoSlots)
+	}
+	bs.epoch++
+	if bs.epoch == 0 { // wrapped: stale entries could look current
+		clear(bs.memo)
+		bs.epoch = 1
+	}
+	cfg := &b.cfg
 
 	// Phase A: resolve everything the DRAM side can answer. CPU costs are
 	// accrued into one deferred charge and applied to the clock in a single
 	// advance — the virtual total is identical to the serial path's
 	// per-key charges, without several clock advances per key. Phase A
 	// performs no mutation, so a distinct key's outcome is computed once
-	// and replayed for duplicates (hot keys of a skewed batch) — and, when
-	// a phase runner is configured, contiguous sub-ranges of the segment
-	// resolve on parallel lanes whose work lists the drain below merges
-	// back in input order (see phasea.go for why this stays exact).
+	// and replayed for duplicates (hot keys of a skewed batch).
 	b.deferCPU = true
-	if lanes := b.phaseLanes(len(keys)); lanes > 1 {
-		b.lookupPhaseALanes(keys, results, lanes)
-	} else {
-		b.lookupPhaseASerial(keys, results)
+	for i, key := range keys {
+		slot := &bs.memo[key&(memoSlots-1)]
+		if slot.epoch == bs.epoch && slot.key == key {
+			// Duplicate: replay the outcome, charge what lookupMem would.
+			b.chargeCPU(cfg.CPU.BufferLookup)
+			if !slot.done && !cfg.DisableBloom {
+				if cfg.DisableBitslice {
+					b.chargeCPU(cfg.CPU.BloomQueryNaive)
+				} else {
+					b.chargeCPU(cfg.CPU.BloomQuery)
+				}
+			}
+			results[i] = slot.res
+			if !slot.done && slot.mask != 0 {
+				st, kh := b.route(key)
+				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: slot.mask})
+				continue
+			}
+			b.stats.recordLookup(results[i])
+			continue
+		}
+		st, kh := b.route(key)
+		res, mask, done := st.lookupMem(kh)
+		*slot = memoEntry{key: key, epoch: bs.epoch, done: done, mask: mask, res: res}
+		results[i] = res
+		if !done && mask != 0 {
+			bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
+			continue
+		}
+		b.stats.recordLookup(res)
 	}
 	b.deferCPU = false
 	b.settleCPUDebt()
@@ -130,13 +162,9 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 	}
 
 	// All partitions share one probe length (pages are sized by the device
-	// geometry), so a probe is fully described by its page number.
+	// geometry), so a probe is fully described by its page number; New
+	// rejects devices whose page numbers would not fit a packed probe word.
 	_, probeN := b.params[0].PageByteRange(0)
-	if b.cfg.Device.Geometry().Capacity/int64(probeN) >= 1<<(64-pendBits) {
-		// Absurdly large device: packed probe words would overflow. Keep
-		// correctness with the serial path (unreachable in any real config).
-		return b.lookupPendingSerial(results)
-	}
 
 	// Phases B+C: probing rounds. Every round reads at most one page per
 	// pending key (its newest remaining candidate), so the per-key probe
@@ -208,119 +236,5 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 		}
 		bs.pending = live
 	}
-	return nil
-}
-
-// lookupPhaseASerial is the single-lane memory-resolution phase, using the
-// segment-shared duplicate memo.
-func (b *BufferHash) lookupPhaseASerial(keys []uint64, results []LookupResult) {
-	bs := &b.batch
-	if bs.memo == nil {
-		bs.memo = make([]memoEntry, memoSlots)
-	}
-	bs.epoch++
-	if bs.epoch == 0 { // wrapped: stale entries could look current
-		clear(bs.memo)
-		bs.epoch = 1
-	}
-	b.lookupMemRange(keys, results, 0, len(keys), bs.memo, bs.epoch, &bs.pending, &b.stats, nil)
-}
-
-// lookupPhaseALanes is the parallel memory-resolution phase: contiguous
-// sub-ranges resolve on lanes run by the configured PhaseRunner, each
-// against private scratch. Keys duplicated across lanes recompute instead
-// of sharing the memo; recomputation is byte-identical in results and CPU
-// charges because phase A performs no mutation (the invariant the serial
-// memo replay itself relies on). The drain that follows merges the lanes'
-// pending lists in lane order — exactly the input order a serial pass
-// would have produced — and their counters, which are pure sums.
-func (b *BufferHash) lookupPhaseALanes(keys []uint64, results []LookupResult, lanes int) {
-	bs := &b.batch
-	for i := 0; i < lanes; i++ {
-		b.lane(i) // grow before the runner: lanes are owner-allocated
-	}
-	b.parRun(lanes, func(li int) {
-		ln := b.lanes[li]
-		ln.pending = ln.pending[:0]
-		ln.epoch++
-		if ln.epoch == 0 { // wrapped: stale entries could look current
-			clear(ln.memo)
-			ln.epoch = 1
-		}
-		lo, hi := laneRange(len(keys), lanes, li)
-		b.lookupMemRange(keys, results, lo, hi, ln.memo, ln.epoch, &ln.pending, &ln.stats, &ln.qs)
-	})
-	// Sequenced drain: lane order = input order (contiguous sub-ranges).
-	for i := 0; i < lanes; i++ {
-		ln := b.lanes[i]
-		bs.pending = append(bs.pending, ln.pending...)
-		b.stats.Merge(ln.stats)
-		ln.stats = Stats{}
-	}
-}
-
-// lookupMemRange resolves keys[lo:hi] against DRAM state: duplicates replay
-// from the direct-mapped memo, fresh keys run lookupMem, keys resolved
-// without I/O are recorded into stats, unresolved ones appended to pending
-// with their candidate masks. It mutates only the caller-owned
-// memo/pending/stats/qs — plus the atomic CPU accumulator — so disjoint
-// ranges with disjoint scratch may run concurrently (qs is the lane's
-// Bloom-query scratch; nil selects the banks' internal scratch, legal only
-// single-caller).
-func (b *BufferHash) lookupMemRange(keys []uint64, results []LookupResult, lo, hi int, memo []memoEntry, epoch uint32, pending *[]batchKey, stats *Stats, qs *[]uint64) {
-	cfg := &b.cfg
-	for i := lo; i < hi; i++ {
-		key := keys[i]
-		slot := &memo[key&(memoSlots-1)]
-		if slot.epoch == epoch && slot.key == key {
-			// Duplicate: replay the outcome, charge what lookupMem would.
-			b.chargeCPU(cfg.CPU.BufferLookup)
-			if !slot.done && !cfg.DisableBloom {
-				if cfg.DisableBitslice {
-					b.chargeCPU(cfg.CPU.BloomQueryNaive)
-				} else {
-					b.chargeCPU(cfg.CPU.BloomQuery)
-				}
-			}
-			results[i] = slot.res
-			if !slot.done && slot.mask != 0 {
-				st, kh := b.route(key)
-				*pending = append(*pending, batchKey{idx: i, st: st, kh: kh, mask: slot.mask})
-				continue
-			}
-			stats.recordLookup(results[i])
-			continue
-		}
-		st, kh := b.route(key)
-		res, mask, done := st.lookupMemWith(kh, qs)
-		*slot = memoEntry{key: key, epoch: epoch, done: done, mask: mask, res: res}
-		results[i] = res
-		if !done && mask != 0 {
-			*pending = append(*pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
-			continue
-		}
-		stats.recordLookup(res)
-	}
-}
-
-// lookupPendingSerial drains the pending set with serial page reads — the
-// degenerate fallback for devices too large for packed probe words.
-func (b *BufferHash) lookupPendingSerial(results []LookupResult) error {
-	for _, p := range b.batch.pending {
-		res := &results[p.idx]
-		for mask := p.mask; mask != 0; {
-			j := bits.Len64(mask) - 1
-			mask &^= 1 << j
-			page, err := b.readProbe(p.st, p.st.incs[j], p.kh)
-			if err != nil {
-				return err
-			}
-			if p.st.resolveProbe(res, page, p.kh) {
-				break
-			}
-		}
-		b.stats.recordLookup(*res)
-	}
-	b.batch.pending = b.batch.pending[:0]
 	return nil
 }

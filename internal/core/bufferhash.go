@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitslice"
@@ -56,18 +55,8 @@ type BufferHash struct {
 	staged      []stagedWrite
 
 	// deferCPU batches chargeCPU calls into cpuDebt (see LookupBatch).
-	// cpuDebt is atomic — the "deferred-clock accumulator" — because a
-	// parallel phase A charges it from several lanes at once; the serial
-	// paths pay an uncontended atomic add for the same code.
 	deferCPU bool
-	cpuDebt  atomic.Int64
-
-	// Phase-A partitioner state (see phasea.go): an optional runner that
-	// spreads a batch's memory-resolution phase over cooperating workers,
-	// and the per-lane private scratch.
-	parWidth int
-	parRun   PhaseRunner
-	lanes    []*phaseLane
+	cpuDebt  time.Duration
 }
 
 // stagedWrite is one deferred incarnation write.
@@ -99,6 +88,12 @@ func New(cfg Config) (*BufferHash, error) {
 		if err := b.params[i].Validate(); err != nil {
 			return nil, err
 		}
+	}
+	// LookupBatch packs a probe's page number and its pending index into
+	// one sorted word, so every page number must fit in 64-pendBits bits.
+	_, probeN := b.params[0].PageByteRange(0)
+	if capacity := cfg.Device.Geometry().Capacity; capacity/int64(probeN) >= 1<<(64-pendBits) {
+		return nil, fmt.Errorf("core: device capacity %d holds too many %d-byte probe pages", capacity, probeN)
 	}
 	b.parts = make([]*superTable, nt)
 	for i := range b.parts {
@@ -197,15 +192,13 @@ func (b *BufferHash) flushStaged() error {
 
 // chargeCPU advances the virtual clock by a CPU cost. During a batched
 // pipeline's memory phase the charges accrue into one deferred advance
-// (same virtual total, far fewer clock advances). The accumulator is
-// atomic so a parallel phase A's lanes can charge concurrently; addition
-// commutes, so the settled total is byte-identical to the serial order.
+// (same virtual total, far fewer clock advances).
 func (b *BufferHash) chargeCPU(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	if b.deferCPU {
-		b.cpuDebt.Add(int64(d))
+		b.cpuDebt += d
 		return
 	}
 	b.cfg.Clock.Advance(d)
@@ -214,29 +207,22 @@ func (b *BufferHash) chargeCPU(d time.Duration) {
 // settleCPUDebt lands the accumulated deferred CPU charges on the clock in
 // one advance (the batched pipelines' phase-C closing step).
 func (b *BufferHash) settleCPUDebt() {
-	if d := b.cpuDebt.Swap(0); d > 0 {
-		b.cfg.Clock.Advance(time.Duration(d))
+	if d := b.cpuDebt; d > 0 {
+		b.cpuDebt = 0
+		b.cfg.Clock.Advance(d)
 	}
 }
 
-// routeHash is the pure half of route: it hashes a user key to (partition
-// index, in-partition key) without touching the structure. The first k1
-// bits of the hash select the partition; the rest form the in-partition key
-// (§5.2), normalized to be non-zero for the cuckoo tables. Being a pure
-// bijection, it is safe to precompute from parallel phase-A lanes.
-func (b *BufferHash) routeHash(key uint64) (part int, kh uint64) {
+// route hashes a user key to (super table, in-partition key). The first
+// k1 bits of the hash select the partition; the rest form the in-partition
+// key (§5.2), normalized to be non-zero for the cuckoo tables.
+func (b *BufferHash) route(key uint64) (*superTable, uint64) {
 	h := hashutil.Mix64(key ^ hashutil.Mix64(b.cfg.Seed))
 	p, rest := hashutil.Split(h, b.cfg.PartitionBits)
 	if rest == 0 {
 		rest = 1
 	}
-	return int(p), rest
-}
-
-// route hashes a user key to (super table, in-partition key).
-func (b *BufferHash) route(key uint64) (*superTable, uint64) {
-	p, kh := b.routeHash(key)
-	return b.parts[p], kh
+	return b.parts[p], rest
 }
 
 // Insert adds or updates a (key, value) mapping.

@@ -55,6 +55,7 @@ func TestConfigValidation(t *testing.T) {
 		{"capacity too small", func(c *Config) { c.NumIncarnations = 64 }},
 		{"priority without retain", func(c *Config) { c.Policy = PriorityBased }},
 		{"huge partitions", func(c *Config) { c.PartitionBits = 30 }},
+		{"unpackable probe pages", func(c *Config) { c.Device = hugeDevice{c.Device} }},
 	}
 	for _, tc := range cases {
 		cfg := good
@@ -911,6 +912,16 @@ func TestLookupBatchFlashChipFallbackEquivalence(t *testing.T) {
 	serial, batched := mk(false), mk(true)
 	universe := populateTwin(t, serial, batched, 307, 9000, 3000)
 	checkBatchAgainstSerial(t, serial, batched, universe, 308)
+}
+
+// hugeDevice reports a capacity of 2^62 bytes: more 4 KB probe pages than
+// a batched lookup's packed probe word can number.
+type hugeDevice struct{ storage.Device }
+
+func (h hugeDevice) Geometry() storage.Geometry {
+	g := h.Device.Geometry()
+	g.Capacity = 1 << 62
+	return g
 }
 
 // plainDevice hides every optional interface except Eraser (which the

@@ -62,46 +62,12 @@ type insertMemo struct {
 	flushGen uint64
 }
 
-// routedKey is one key's precomputed route: its super-table index and
-// in-partition key. Routing is a pure bijection (BufferHash.routeHash), so
-// a parallel phase A can fill a batch's route table from sub-range lanes
-// while the mutating apply stays strictly sequenced.
-type routedKey struct {
-	table int32
-	kh    uint64
-}
-
 // insertScratch is reusable InsertBatch state, grown on demand and reused
 // across calls (BufferHash is single-caller by contract).
 type insertScratch struct {
-	memo   []insertMemo // direct-mapped, memoSlots entries
-	epoch  uint32
-	reqs   []storage.WriteReq // flushStaged submission scratch
-	routes []routedKey        // parallel phase-A route precompute
-}
-
-// precomputeRoutes fills is.routes for keys on parallel phase-A lanes and
-// reports whether it did; with no runner (or a batch too small to split)
-// the apply loop hashes inline as before. Mutation order is untouched —
-// only the per-key route hashing moves off the sequenced drain.
-func (b *BufferHash) precomputeRoutes(keys []uint64) bool {
-	lanes := b.phaseLanes(len(keys))
-	if lanes <= 1 {
-		return false
-	}
-	is := &b.insert
-	if cap(is.routes) < len(keys) {
-		is.routes = make([]routedKey, len(keys))
-	}
-	routes := is.routes[:len(keys)]
-	b.parRun(lanes, func(li int) {
-		lo, hi := laneRange(len(keys), lanes, li)
-		for i := lo; i < hi; i++ {
-			p, kh := b.routeHash(keys[i])
-			routes[i] = routedKey{table: int32(p), kh: kh}
-		}
-	})
-	return true
+	memo  []insertMemo // direct-mapped, memoSlots entries
+	epoch uint32
+	reqs  []storage.WriteReq // flushStaged submission scratch
 }
 
 // InsertBatch applies len(keys) inserts through the batched pipeline.
@@ -127,23 +93,12 @@ func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 	}
 	cfg := &b.cfg
 
-	// Phase A: apply every key in input order with writes deferred. When a
-	// phase runner is configured, the read-mostly half — route hashing —
-	// is precomputed on parallel lanes first; the mutating apply below is
-	// the sequenced drain and consumes the routes in input order.
+	// Phase A: apply every key in input order with writes deferred.
 	b.deferCPU = true
 	b.deferWrites = true
-	routed := b.precomputeRoutes(keys)
 	var applyErr error
 	for i, key := range keys {
-		var st *superTable
-		var kh uint64
-		if routed {
-			r := b.insert.routes[i]
-			st, kh = b.parts[r.table], r.kh
-		} else {
-			st, kh = b.route(key)
-		}
+		st, kh := b.route(key)
 		b.stats.Inserts++
 		slot := &is.memo[key&(memoSlots-1)]
 		if slot.epoch == is.epoch && slot.key == key &&
@@ -189,16 +144,8 @@ func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 // counters and state match a serial Delete loop exactly.
 func (b *BufferHash) DeleteBatch(keys []uint64) error {
 	b.deferCPU = true
-	routed := b.precomputeRoutes(keys)
-	for i := range keys {
-		var st *superTable
-		var kh uint64
-		if routed {
-			r := b.insert.routes[i]
-			st, kh = b.parts[r.table], r.kh
-		} else {
-			st, kh = b.route(keys[i])
-		}
+	for _, key := range keys {
+		st, kh := b.route(key)
 		b.stats.Deletes++
 		st.del(kh)
 	}

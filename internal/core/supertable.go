@@ -106,15 +106,6 @@ func (st *superTable) evictOldestExternal(seq uint64) {
 // incarnation). Serial lookups and LookupBatch share this path exactly, so
 // CPU charges and Bloom behaviour cannot drift apart.
 func (st *superTable) lookupMem(kh uint64) (res LookupResult, mask uint64, done bool) {
-	return st.lookupMemWith(kh, nil)
-}
-
-// lookupMemWith is lookupMem with caller-owned Bloom-query scratch: every
-// step is a pure read of the super table (delete list, buffer, filter
-// bank), so parallel phase-A lanes may run it concurrently on one table as
-// long as each lane passes its own scratch. qs == nil uses the bank's
-// internal scratch (the single-caller serial path).
-func (st *superTable) lookupMemWith(kh uint64, qs *[]uint64) (res LookupResult, mask uint64, done bool) {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.BufferLookup)
 
@@ -135,9 +126,6 @@ func (st *superTable) lookupMemWith(kh uint64, qs *[]uint64) (res LookupResult, 
 		st.owner.chargeCPU(cfg.CPU.BloomQueryNaive)
 	} else {
 		st.owner.chargeCPU(cfg.CPU.BloomQuery)
-	}
-	if qs != nil {
-		return res, st.bank.QueryWith(kh, qs) & valid, false
 	}
 	return res, st.bank.Query(kh) & valid, false
 }
