@@ -50,18 +50,26 @@
 //
 // # Worker model: one worker per shard, affinity and stealing
 //
+// Every Sharded batch op has one shape: fingerprint the keys (byte ops
+// only), group the batch into contiguous per-shard runs with one counting
+// sort, route chunks of those runs to workers, make one CLAM chunk call
+// per chunk on a zero-copy sub-slice, and — for reads — scatter the
+// grouped answers back to input order. A single CLAM runs the same chunk
+// calls in one loop.
+//
 // A shard serializes behind one mutex, so the batch router assigns each
 // pending shard to exactly one worker at a time, which preserves
 // within-shard input order. A worker keeps its shard between chunks
 // (cache affinity: the shard's Bloom banks and buffers stay hot in that
 // worker's cache) until the shard is drained, then steals the next pending
 // shard from the shared queue. At most min(WithWorkers, shards with work)
-// workers run per batch; under heavy skew the hot shard's chunks run on
-// one worker while the others drain the cold shards and exit. Every chunk
-// is one call into the core batched pipeline, so results, per-key probe
-// sequences and every core counter match a serial per-key loop (the
-// differential oracles pin this; see core.BufferHash.LookupBatch for the
-// LRU carve-out); only wall-clock and virtual time change.
+// worker goroutines run per batch while the caller waits; under heavy skew
+// the hot shard's chunks run on one worker while the others drain the cold
+// shards and exit. Every chunk is one call into the core batched pipeline,
+// so results, per-key probe sequences and every core counter match a
+// serial per-key loop (the differential oracles pin this; see
+// core.BufferHash.LookupBatch for the LRU carve-out); only wall-clock and
+// virtual time change.
 //
 // A CLAM is opened over simulated storage devices (Intel-class SSD,
 // Transcend-class SSD, raw NAND chip, or magnetic disk — see DESIGN.md §3
@@ -351,16 +359,33 @@ func (c *CLAM) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
+	return forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
+		return c.putBatchU64Chunk(keys[lo:hi], values[lo:hi])
+	})
+}
+
+// forChunks runs run over [0, n) in consecutive chunk-sized ranges,
+// checking ctx before each one: the single CLAM's batch loop. It stops at
+// the first cancellation or chunk error; chunks already run stay applied.
+func forChunks(ctx context.Context, n, chunk int, run func(lo, hi int) error) error {
+	for lo := 0; lo < n; lo += chunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.putBatchU64Chunk(keys[lo:hi], values[lo:hi]); err != nil {
+		if err := run(lo, min(lo+chunk, n)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// resize returns s with length n, reallocating only when it is too small:
+// the batch paths' reusable scratch.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // putBatchU64Chunk is one locked batched-insert call. The sharded batch
@@ -393,14 +418,10 @@ func (c *CLAM) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64,
 	values = make([]uint64, len(keys))
 	found = make([]bool, len(keys))
 	results := make([]core.LookupResult, len(keys))
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.getBatchU64Into(keys[lo:hi], results[lo:hi]); err != nil {
-			return nil, nil, err
-		}
+	if err := forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
+		return c.getBatchU64Into(keys[lo:hi], results[lo:hi])
+	}); err != nil {
+		return nil, nil, err
 	}
 	for i, r := range results {
 		values[i], found[i] = r.Value, r.Found
@@ -410,7 +431,7 @@ func (c *CLAM) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64,
 
 // getBatchU64Into is one locked batched-lookup call without the output
 // allocation: results must have len(keys). The sharded batch router calls
-// this chunk-by-chunk with per-worker scratch buffers.
+// this chunk-by-chunk with grouped result slots.
 func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
 	if len(keys) == 0 {
 		return nil
@@ -429,16 +450,9 @@ func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult) error
 // chunks. Deletes perform no I/O; batching amortizes lock and clock
 // traffic, with counters identical to a DeleteU64 loop.
 func (c *CLAM) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.deleteBatchU64Chunk(keys[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
+		return c.deleteBatchU64Chunk(keys[lo:hi])
+	})
 }
 
 // deleteBatchU64Chunk is one locked batched-delete call.
@@ -580,20 +594,10 @@ func (c *CLAM) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	if c.vlog == nil {
 		return ErrNoValueLog
 	}
-	fps := make([]uint64, len(keys))
-	for i, k := range keys {
-		fps[i] = fingerprint(k, c.fpSeed)
-	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
+	fps := fingerprints(nil, keys, c.fpSeed)
+	return forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
+		return c.putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi])
+	})
 }
 
 // putBatchRecords applies one chunk under the lock: one multi-record
@@ -609,12 +613,10 @@ func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.clock.StartWatch()
-	if cap(c.putOffs) < len(fps) {
-		c.putOffs = make([]int64, len(fps))
-		c.putNs = make([]int, len(fps))
-		c.putPtrs = make([]uint64, len(fps))
-	}
-	offs, ns, ptrs := c.putOffs[:len(fps)], c.putNs[:len(fps)], c.putPtrs[:len(fps)]
+	c.putOffs = resize(c.putOffs, len(fps))
+	c.putNs = resize(c.putNs, len(fps))
+	c.putPtrs = resize(c.putPtrs, len(fps))
+	offs, ns, ptrs := c.putOffs, c.putNs, c.putPtrs
 	if err := c.vlog.AppendBatch(keys, values, offs, ns); err != nil {
 		return err
 	}
@@ -661,26 +663,19 @@ func (c *CLAM) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, fo
 	if c.vlog == nil {
 		return nil, nil, ErrNoValueLog
 	}
-	fps := make([]uint64, len(keys))
-	for i, k := range keys {
-		fps[i] = fingerprint(k, c.fpSeed)
-	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi]); err != nil {
-			return nil, nil, err
-		}
+	fps := fingerprints(nil, keys, c.fpSeed)
+	if err := forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
+		return c.getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi])
+	}); err != nil {
+		return nil, nil, err
 	}
 	return values, found, nil
 }
 
 // getBatchRecords resolves one chunk under the lock: batched index lookup,
 // then one batched value-log read for every key that resolved to a record
-// pointer, then per-key verification. The sharded router calls this with
-// gathered per-shard chunks.
+// pointer, then per-key verification. It fills only the hits of values
+// and found. The sharded router calls this with grouped per-shard chunks.
 func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	if len(fps) == 0 {
 		return nil
@@ -691,10 +686,8 @@ func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fou
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.clock.StartWatch()
-	if cap(c.batchRes) < len(fps) {
-		c.batchRes = make([]core.LookupResult, len(fps))
-	}
-	results := c.batchRes[:len(fps)]
+	c.batchRes = resize(c.batchRes, len(fps))
+	results := c.batchRes
 	if err := c.bh.LookupBatch(fps, results); err != nil {
 		return err
 	}
@@ -730,20 +723,10 @@ func (c *CLAM) DeleteBatch(ctx context.Context, keys [][]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	fps := make([]uint64, len(keys))
-	for i, k := range keys {
-		fps[i] = fingerprint(k, c.fpSeed)
-	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.deleteBatchFPs(fps[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
+	fps := fingerprints(nil, keys, c.fpSeed)
+	return forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
+		return c.deleteBatchFPs(fps[lo:hi])
+	})
 }
 
 // deleteBatchFPs applies one chunk of byte-key deletes under the lock,
@@ -821,24 +804,17 @@ func (c *CLAM) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error)
 	if len(keys) == 0 {
 		return found, nil
 	}
-	fps := make([]uint64, len(keys))
-	for i, k := range keys {
-		fps[i] = fingerprint(k, c.fpSeed)
-	}
-	for lo := 0; lo < len(keys); lo += c.chunk {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := min(lo+c.chunk, len(keys))
-		if err := c.containsBatchFPs(fps[lo:hi], found[lo:hi]); err != nil {
-			return nil, err
-		}
+	fps := fingerprints(nil, keys, c.fpSeed)
+	if err := forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
+		return c.containsBatchFPs(fps[lo:hi], found[lo:hi])
+	}); err != nil {
+		return nil, err
 	}
 	return found, nil
 }
 
 // containsBatchFPs resolves one chunk of existence probes under the lock.
-// The sharded router calls this with gathered per-shard chunks.
+// The sharded router calls this with grouped per-shard chunks.
 func (c *CLAM) containsBatchFPs(fps []uint64, found []bool) error {
 	if len(fps) == 0 {
 		return nil
@@ -846,10 +822,8 @@ func (c *CLAM) containsBatchFPs(fps []uint64, found []bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.clock.StartWatch()
-	if cap(c.batchRes) < len(fps) {
-		c.batchRes = make([]core.LookupResult, len(fps))
-	}
-	results := c.batchRes[:len(fps)]
+	c.batchRes = resize(c.batchRes, len(fps))
+	results := c.batchRes
 	if err := c.bh.LookupBatch(fps, results); err != nil {
 		return err
 	}

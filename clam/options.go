@@ -95,6 +95,9 @@ func WithFlash(bytes int64) Option {
 // share — about 2x at k = 16.
 func WithMemory(bytes int64) Option {
 	return func(c *config) error {
+		if bytes < 0 {
+			return fmt.Errorf("clam: WithMemory(%d): budget must not be negative", bytes)
+		}
 		c.memoryBytes = bytes
 		return nil
 	}
@@ -115,27 +118,36 @@ func WithValueLog(bytes int64) Option {
 }
 
 // WithBufferKB overrides B′, the per-super-table buffer size (default:
-// 128 KB, or the device erase block on raw flash).
+// 128 KB, or the device erase block on raw flash; 0 keeps the default).
 func WithBufferKB(kb int) Option {
 	return func(c *config) error {
+		if kb < 0 {
+			return fmt.Errorf("clam: WithBufferKB(%d): buffer size must not be negative", kb)
+		}
 		c.bufferKB = kb
 		return nil
 	}
 }
 
-// WithFilterBitsPerEntry overrides the Bloom budget (default: derived from
-// the memory budget).
+// WithFilterBitsPerEntry overrides the Bloom budget (default, or 0: derived
+// from the memory budget).
 func WithFilterBitsPerEntry(bits int) Option {
 	return func(c *config) error {
+		if bits < 0 {
+			return fmt.Errorf("clam: WithFilterBitsPerEntry(%d): bits must not be negative", bits)
+		}
 		c.filterBitsPerEntry = bits
 		return nil
 	}
 }
 
-// WithMaxIncarnations caps k per super table (default 16, the paper's
-// configuration; hard limit 64).
+// WithMaxIncarnations caps k per super table (default, or 0: 16, the
+// paper's configuration; hard limit 64).
 func WithMaxIncarnations(k int) Option {
 	return func(c *config) error {
+		if k < 0 {
+			return fmt.Errorf("clam: WithMaxIncarnations(%d): cap must not be negative", k)
+		}
 		c.maxIncarnations = k
 		return nil
 	}
@@ -209,9 +221,12 @@ func WithShards(n int) Option {
 }
 
 // WithWorkers bounds the goroutine pool used by the sharded batch
-// operations (default: one worker per shard).
+// operations (default, or 0: one worker per shard).
 func WithWorkers(n int) Option {
 	return func(c *config) error {
+		if n < 0 {
+			return fmt.Errorf("clam: WithWorkers(%d): worker count must not be negative", n)
+		}
 		c.workers = n
 		return nil
 	}
@@ -219,10 +234,10 @@ func WithWorkers(n int) Option {
 
 // WithBatchChunk sets the batch pipeline's task granularity: batches are
 // consumed in chunks of at most this many keys (default 512). A chunk is
-// one core batched-pipeline call, so the setting bounds gather scratch and
-// the scope of same-page read dedupe; it is also the interval at which
-// cancellation is checked and — on a Sharded store — at which the owning
-// worker re-visits the shared router queue.
+// one core batched-pipeline call, so the setting bounds the size of that
+// call and the scope of its same-page read dedupe; it is also the interval
+// at which cancellation is checked and — on a Sharded store — at which the
+// owning worker re-visits the shared router queue.
 func WithBatchChunk(n int) Option {
 	return func(c *config) error {
 		if n < 1 {

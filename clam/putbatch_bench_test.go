@@ -9,9 +9,9 @@ import (
 )
 
 // The insert-batch benchmarks compare the write-side pipeline against a
-// per-key PutU64 loop on identically configured sharded stores — the
-// wall-clock half of what cmd/clam-bench -putbatch measures in virtual
-// time as well.
+// per-key PutU64 loop on identically configured sharded stores, in wall
+// time; the clambench dedup-ingest workload measures batched puts end to
+// end in wall and virtual time.
 
 func putBenchStore(b *testing.B) Store {
 	b.Helper()

@@ -35,23 +35,10 @@ type Sharded struct {
 	shards  []*CLAM
 	shift   uint // 64 - log2(len(shards)); shift ≥ 64 routes everything to shard 0
 	workers int
-	chunk   int    // batch router task granularity (keys per chunk)
-	fpSeed  uint64 // deployment-level byte-key fingerprint seed
-	groups  sync.Pool
-	gather  sync.Pool // *gatherScratch, per-worker batch buffers
+	chunk   int       // batch router task granularity (keys per chunk)
+	fpSeed  uint64    // deployment-level byte-key fingerprint seed
+	groups  sync.Pool // *shardGroups, per-batch grouping and result slots
 	fps     sync.Pool // *[]uint64, per-batch byte-key fingerprint buffers
-}
-
-// gatherScratch is one worker's chunk-sized gather/scatter buffers for the
-// batched lookups, pooled so steady batch streams allocate nothing per
-// call.
-type gatherScratch struct {
-	keys []uint64
-	res  []core.LookupResult
-
-	bkeys  [][]byte // byte-path gathered keys
-	bvals  [][]byte
-	bfound []bool
 }
 
 // openSharded builds a Sharded CLAM from a resolved config, opening one
@@ -65,9 +52,6 @@ func openSharded(cfg config) (*Sharded, error) {
 	}
 	if n&(n-1) != 0 {
 		return nil, fmt.Errorf("clam: WithShards(%d): shard count must be a power of two", n)
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("clam: WithWorkers(%d): worker count must be positive", workers)
 	}
 	if workers > n {
 		workers = n
@@ -272,15 +256,19 @@ func (c *CLAM) snapshot() (Stats, *metrics.Histogram, *metrics.Histogram, *metri
 
 // --- batch grouping and the chunked batch router ---
 
-// shardGroups is the reusable result of grouping a batch's key indices by
-// shard with a counting sort: shard sh owns idx[start[sh]:start[sh+1]], in
-// input order. cur is the router's per-shard consumption cursor. Instances
-// are pooled on the Sharded because batches run concurrently.
+// shardGroups is the reusable result of grouping a batch by shard with a
+// counting sort: shard sh owns the grouped slots [start[sh], start[sh+1]),
+// in input order. kbuf holds the grouped keys (fingerprints, for byte
+// batches), vbuf/bkbuf/bvbuf the grouped values and byte keys/values a
+// batch carries, and idx[j] the input position of slot j. Every router
+// chunk is a contiguous slot range, so a chunk's core call takes
+// zero-copy sub-slices of these runs.
 //
-// Mutation batches don't need to scatter results back to input positions,
-// so groupPairsByShard skips the index layer entirely: keys (and values)
-// are bucketed directly into contiguous per-shard runs held in kbuf/vbuf,
-// and each router chunk is a zero-copy slice of those runs.
+// Reads also leave their answers in grouped slots — res (U64 lookups),
+// bvbuf and found (byte lookups and existence probes) — and scatter them
+// back to input order through idx. cur is the router's per-shard
+// consumption cursor. Instances are pooled on the Sharded because batches
+// run concurrently.
 type shardGroups struct {
 	idx   []int
 	start []int
@@ -289,106 +277,34 @@ type shardGroups struct {
 	vbuf  []uint64
 	bkbuf [][]byte
 	bvbuf [][]byte
-	ws    []*gatherScratch // per-worker gather buffers, bound lazily
+	res   []core.LookupResult
+	found []bool
 }
 
-// groupByShard buckets key indices by owning shard via a two-pass counting
-// sort into a pooled shardGroups. For byte batches the caller passes the
-// precomputed fingerprints. Callers return the groups with putGroups.
-func (s *Sharded) groupByShard(keys []uint64) *shardGroups {
+// group buckets a batch into per-shard runs of a pooled shardGroups with
+// one two-pass counting sort over keys: it moves the keys — and, when
+// non-nil, the parallel values, byte keys and byte values — into their
+// shard's run, and records each slot's input position in idx. Byte
+// batches pass their fingerprints as keys. Callers return the groups with
+// putGroups.
+func (s *Sharded) group(keys, values []uint64, bk, bv [][]byte) *shardGroups {
 	n := len(s.shards)
 	g, _ := s.groups.Get().(*shardGroups)
 	if g == nil {
 		g = &shardGroups{start: make([]int, n+1), cur: make([]int, n)}
 	}
-	if cap(g.idx) < len(keys) {
-		g.idx = make([]int, len(keys))
-	}
-	g.idx = g.idx[:len(keys)]
-	for i := range g.cur {
-		g.cur[i] = 0
-	}
-	for _, k := range keys {
-		g.cur[s.shardIndex(k)]++
-	}
-	g.start[0] = 0
-	for i := 0; i < n; i++ {
-		g.start[i+1] = g.start[i] + g.cur[i]
-		g.cur[i] = g.start[i]
-	}
-	for i, k := range keys {
-		sh := s.shardIndex(k)
-		g.idx[g.cur[sh]] = i
-		g.cur[sh]++
-	}
-	for i := 0; i < n; i++ {
-		g.cur[i] = g.start[i] // rewind: cur becomes the router's cursor
-	}
-	s.bindWorkers(g)
-	return g
-}
-
-func (s *Sharded) putGroups(g *shardGroups) {
-	// Drop the byte-slice references before pooling: a retained shardGroups
-	// must not pin the previous batch's keys and values in memory.
-	clear(g.bkbuf)
-	clear(g.bvbuf)
-	for i, gs := range g.ws {
-		if gs != nil {
-			s.gather.Put(gs)
-			g.ws[i] = nil
-		}
-	}
-	s.groups.Put(g)
-}
-
-// bindWorkers sizes g's per-worker scratch table for this batch (the
-// gatherScratch instances themselves attach lazily in workerScratch).
-func (s *Sharded) bindWorkers(g *shardGroups) {
-	if cap(g.ws) < s.workers {
-		g.ws = make([]*gatherScratch, s.workers)
-	}
-	g.ws = g.ws[:s.workers]
-}
-
-// groupPairsByShard buckets a mutation batch's keys — and, when values is
-// non-nil, the parallel values — directly into per-shard contiguous runs
-// (shard sh owns kbuf[start[sh]:start[sh+1]], in input order). Byte
-// batches pass their fingerprints as keys and bucket the byte slices
-// through bk/bv. One scatter pass replaces the index sort plus the
-// per-chunk gather copy of the lookup path, which must keep indices to
-// scatter results back.
-func (s *Sharded) groupPairsByShard(keys, values []uint64, bk, bv [][]byte) *shardGroups {
-	n := len(s.shards)
-	g, _ := s.groups.Get().(*shardGroups)
-	if g == nil {
-		g = &shardGroups{start: make([]int, n+1), cur: make([]int, n)}
-	}
-	if cap(g.kbuf) < len(keys) {
-		g.kbuf = make([]uint64, len(keys))
-	}
-	g.kbuf = g.kbuf[:len(keys)]
+	g.idx = resize(g.idx, len(keys))
+	g.kbuf = resize(g.kbuf, len(keys))
 	if values != nil {
-		if cap(g.vbuf) < len(values) {
-			g.vbuf = make([]uint64, len(values))
-		}
-		g.vbuf = g.vbuf[:len(values)]
+		g.vbuf = resize(g.vbuf, len(keys))
 	}
 	if bk != nil {
-		if cap(g.bkbuf) < len(bk) {
-			g.bkbuf = make([][]byte, len(bk))
-		}
-		g.bkbuf = g.bkbuf[:len(bk)]
+		g.bkbuf = resize(g.bkbuf, len(keys))
 	}
 	if bv != nil {
-		if cap(g.bvbuf) < len(bv) {
-			g.bvbuf = make([][]byte, len(bv))
-		}
-		g.bvbuf = g.bvbuf[:len(bv)]
+		g.bvbuf = resize(g.bvbuf, len(keys))
 	}
-	for i := range g.cur {
-		g.cur[i] = 0
-	}
+	clear(g.cur)
 	for _, k := range keys {
 		g.cur[s.shardIndex(k)]++
 	}
@@ -401,6 +317,7 @@ func (s *Sharded) groupPairsByShard(keys, values []uint64, bk, bv [][]byte) *sha
 		sh := s.shardIndex(k)
 		at := g.cur[sh]
 		g.cur[sh]++
+		g.idx[at] = i
 		g.kbuf[at] = k
 		if values != nil {
 			g.vbuf[at] = values[i]
@@ -412,11 +329,16 @@ func (s *Sharded) groupPairsByShard(keys, values []uint64, bk, bv [][]byte) *sha
 			g.bvbuf[at] = bv[i]
 		}
 	}
-	for i := 0; i < n; i++ {
-		g.cur[i] = g.start[i] // rewind: cur becomes the router's cursor
-	}
-	s.bindWorkers(g)
+	copy(g.cur, g.start) // rewind: cur becomes the router's cursor
 	return g
+}
+
+func (s *Sharded) putGroups(g *shardGroups) {
+	// Drop the byte-slice references before pooling: a retained shardGroups
+	// must not pin the previous batch's keys and values in memory.
+	clear(g.bkbuf)
+	clear(g.bvbuf)
+	s.groups.Put(g)
 }
 
 // runChunked is the batch router: shard groups become chunk-sized tasks
@@ -432,65 +354,34 @@ func (s *Sharded) groupPairsByShard(keys, values []uint64, bk, bv [][]byte) *sha
 //     shared queue only when the shard is drained, stealing the next
 //     pending shard the moment one exists.
 //
-// At most min(Workers(), shards with work) workers run a batch. Chunks are
-// the unit of work between scheduler decisions: each chunk is one core
-// batched-pipeline call (bounding gather scratch and page-dedupe scope)
-// and the router's cancellation point — ctx is checked before every chunk,
-// and a canceled batch stops claiming chunks and returns ctx.Err() joined
-// with any chunk errors. Work already applied stays applied.
+// At most min(Workers(), shards with work) worker goroutines run a batch
+// while the caller waits. Chunks are the unit of work between scheduler
+// decisions: each chunk is one core batched-pipeline call (bounding the
+// core call and its page-dedupe scope) and the router's cancellation
+// point — ctx is checked under the queue lock before every chunk, and a
+// canceled batch stops claiming chunks and returns ctx.Err() joined with
+// any chunk errors. Work already applied stays applied.
 //
-// run is called with the claiming worker's id (0 ≤ worker < Workers(), for
-// per-worker scratch), the shard, and the chunk's key indices. A chunk
-// error stops that shard's remaining chunks; other shards keep going, and
-// all errors are joined, so every shard is attempted.
-func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(worker, shard int, idxs []int) error) error {
-	return s.runChunkedRanges(ctx, g, func(w, shard, lo, hi int) error {
-		return run(w, shard, g.idx[lo:hi])
-	})
-}
-
-// runChunkedRanges is the range form of the router: callbacks receive the
-// chunk as a [lo, hi) range of the shard's group, which bucketed mutation
-// batches slice directly out of the grouped key/value runs (no index
-// layer) and index-based callers resolve through g.idx.
-func (s *Sharded) runChunkedRanges(ctx context.Context, g *shardGroups, run func(worker, shard, lo, hi int) error) error {
-	var ready []int
-	for sh := 0; sh+1 < len(g.start); sh++ {
+// run receives the shard and the chunk as a [lo, hi) range of grouped
+// slots. A chunk error stops that shard's remaining chunks; other shards
+// keep going, and all errors are joined, so every shard is attempted.
+func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(shard, lo, hi int) error) error {
+	ready := make([]int, 0, len(g.cur))
+	for sh := range g.cur {
 		if g.start[sh+1] > g.start[sh] {
 			ready = append(ready, sh)
 		}
 	}
-	if len(ready) == 0 {
-		return nil
-	}
-	workers := min(s.workers, len(ready))
-	if workers == 1 {
-		var errs []error
-		for _, sh := range ready {
-			for g.cur[sh] < g.start[sh+1] {
-				if err := ctx.Err(); err != nil {
-					return errors.Join(append(errs, err)...)
-				}
-				lo, hi := g.cur[sh], min(g.cur[sh]+s.chunk, g.start[sh+1])
-				g.cur[sh] = hi
-				if err := run(0, sh, lo, hi); err != nil {
-					errs = append(errs, err)
-					break // abandon this shard's remaining chunks
-				}
-			}
-		}
-		return errors.Join(errs...)
-	}
-
 	var (
+		workers  = min(s.workers, len(ready))
 		mu       sync.Mutex // guards ready, g.cur, errs, canceled
 		errs     []error
 		canceled error
 		wg       sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			mu.Lock()
 			defer mu.Unlock()
@@ -507,7 +398,7 @@ func (s *Sharded) runChunkedRanges(ctx context.Context, g *shardGroups, run func
 					lo, hi := g.cur[sh], min(g.cur[sh]+s.chunk, g.start[sh+1])
 					g.cur[sh] = hi
 					mu.Unlock()
-					err := run(w, sh, lo, hi)
+					err := run(sh, lo, hi)
 					mu.Lock()
 					if err != nil {
 						errs = append(errs, err)
@@ -515,7 +406,7 @@ func (s *Sharded) runChunkedRanges(ctx context.Context, g *shardGroups, run func
 					}
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if canceled != nil {
@@ -537,9 +428,9 @@ func (s *Sharded) PutBatchU64(ctx context.Context, keys, values []uint64) error 
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	g := s.groupPairsByShard(keys, values, nil, nil)
+	g := s.group(keys, values, nil, nil)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int) error {
+	return s.runChunked(ctx, g, func(shard, lo, hi int) error {
 		return s.shards[shard].putBatchU64Chunk(g.kbuf[lo:hi], g.vbuf[lo:hi])
 	})
 }
@@ -555,27 +446,16 @@ func (s *Sharded) PutBatchU64(ctx context.Context, keys, values []uint64) error 
 func (s *Sharded) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
 	values = make([]uint64, len(keys))
 	found = make([]bool, len(keys))
-	if len(keys) == 0 {
-		return values, found, nil
-	}
-	g := s.groupByShard(keys)
+	g := s.group(keys, nil, nil, nil)
 	defer s.putGroups(g)
-	err = s.runChunked(ctx, g, func(w, shard int, idxs []int) error {
-		gs := s.workerScratch(g.ws, w)
-		kb := gs.keys[:0]
-		for _, i := range idxs {
-			kb = append(kb, keys[i])
-		}
-		gs.keys = kb
-		if cap(gs.res) < len(idxs) {
-			gs.res = make([]core.LookupResult, max(len(idxs), s.chunk))
-		}
-		rb := gs.res[:len(idxs)]
-		if err := s.shards[shard].getBatchU64Into(kb, rb); err != nil {
+	g.res = resize(g.res, len(keys))
+	err = s.runChunked(ctx, g, func(shard, lo, hi int) error {
+		res := g.res[lo:hi]
+		if err := s.shards[shard].getBatchU64Into(g.kbuf[lo:hi], res); err != nil {
 			return err
 		}
-		for j, i := range idxs {
-			values[i], found[i] = rb[j].Value, rb[j].Found
+		for j, i := range g.idx[lo:hi] {
+			values[i], found[i] = res[j].Value, res[j].Found
 		}
 		return nil
 	})
@@ -588,28 +468,11 @@ func (s *Sharded) GetBatchU64(ctx context.Context, keys []uint64) (values []uint
 // DeleteBatchU64 lazily removes len(keys) keys, grouped and dispatched like
 // PutBatchU64, with each chunk applied as one batched core delete.
 func (s *Sharded) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	g := s.groupPairsByShard(keys, nil, nil, nil)
+	g := s.group(keys, nil, nil, nil)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int) error {
+	return s.runChunked(ctx, g, func(shard, lo, hi int) error {
 		return s.shards[shard].deleteBatchU64Chunk(g.kbuf[lo:hi])
 	})
-}
-
-// workerScratch lazily binds a pooled gatherScratch to worker w (the
-// scratch table lives in the batch's pooled shardGroups; putGroups returns
-// the bound instances to the pool). Only the key gather buffer is sized
-// eagerly; the other buffers grow on the paths that use them, so
-// put/delete batches never allocate lookup scratch.
-func (s *Sharded) workerScratch(scratch []*gatherScratch, w int) *gatherScratch {
-	gs := scratch[w]
-	if gs == nil {
-		gs, _ = s.gather.Get().(*gatherScratch)
-		if gs == nil || cap(gs.keys) < s.chunk {
-			gs = &gatherScratch{keys: make([]uint64, 0, s.chunk)}
-		}
-		scratch[w] = gs
-	}
-	return gs
 }
 
 // --- byte batches ---
@@ -622,13 +485,7 @@ func (s *Sharded) fingerprints(keys [][]byte) *[]uint64 {
 	if p == nil {
 		p = new([]uint64)
 	}
-	if cap(*p) < len(keys) {
-		*p = make([]uint64, len(keys))
-	}
-	*p = (*p)[:len(keys)]
-	for i, k := range keys {
-		(*p)[i] = fingerprint(k, s.fpSeed)
-	}
+	*p = fingerprints(*p, keys, s.fpSeed)
 	return p
 }
 
@@ -645,12 +502,11 @@ func (s *Sharded) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatch length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	fpp := s.fingerprints(keys)
-	defer s.putFingerprints(fpp)
-	fps := *fpp
-	g := s.groupPairsByShard(fps, nil, keys, values)
+	fps := s.fingerprints(keys)
+	defer s.putFingerprints(fps)
+	g := s.group(*fps, nil, keys, values)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int) error {
+	return s.runChunked(ctx, g, func(shard, lo, hi int) error {
 		return s.shards[shard].putBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], g.bvbuf[lo:hi])
 	})
 }
@@ -662,36 +518,22 @@ func (s *Sharded) PutBatch(ctx context.Context, keys, values [][]byte) error {
 func (s *Sharded) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
 	values = make([][]byte, len(keys))
 	found = make([]bool, len(keys))
-	if len(keys) == 0 {
-		return values, found, nil
-	}
-	fpp := s.fingerprints(keys)
-	defer s.putFingerprints(fpp)
-	fps := *fpp
-	g := s.groupByShard(fps)
+	fps := s.fingerprints(keys)
+	defer s.putFingerprints(fps)
+	g := s.group(*fps, nil, keys, nil)
 	defer s.putGroups(g)
-	err = s.runChunked(ctx, g, func(w, shard int, idxs []int) error {
-		gs := s.workerScratch(g.ws, w)
-		fb := gs.keys[:0]
-		kb := gs.bkeys[:0]
-		for _, i := range idxs {
-			fb = append(fb, fps[i])
-			kb = append(kb, keys[i])
-		}
-		gs.bkeys = kb
-		if cap(gs.bvals) < len(idxs) {
-			gs.bvals = make([][]byte, s.chunk)
-			gs.bfound = make([]bool, s.chunk)
-		}
-		vb, ob := gs.bvals[:len(idxs)], gs.bfound[:len(idxs)]
-		for j := range vb {
-			vb[j], ob[j] = nil, false
-		}
-		if err := s.shards[shard].getBatchRecords(fb, kb, vb, ob); err != nil {
+	// getBatchRecords fills only the hits, so the result slots start empty.
+	g.bvbuf = resize(g.bvbuf, len(keys))
+	g.found = resize(g.found, len(keys))
+	clear(g.bvbuf)
+	clear(g.found)
+	err = s.runChunked(ctx, g, func(shard, lo, hi int) error {
+		vals, ok := g.bvbuf[lo:hi], g.found[lo:hi]
+		if err := s.shards[shard].getBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], vals, ok); err != nil {
 			return err
 		}
-		for j, i := range idxs {
-			values[i], found[i] = vb[j], ob[j]
+		for j, i := range g.idx[lo:hi] {
+			values[i], found[i] = vals[j], ok[j]
 		}
 		return nil
 	})
@@ -704,12 +546,11 @@ func (s *Sharded) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte,
 // DeleteBatch lazily removes len(keys) byte keys through the chunked
 // router, applying each chunk as one batched core delete.
 func (s *Sharded) DeleteBatch(ctx context.Context, keys [][]byte) error {
-	fpp := s.fingerprints(keys)
-	defer s.putFingerprints(fpp)
-	fps := *fpp
-	g := s.groupPairsByShard(fps, nil, nil, nil)
+	fps := s.fingerprints(keys)
+	defer s.putFingerprints(fps)
+	g := s.group(*fps, nil, nil, nil)
 	defer s.putGroups(g)
-	return s.runChunkedRanges(ctx, g, func(_, shard, lo, hi int) error {
+	return s.runChunked(ctx, g, func(shard, lo, hi int) error {
 		return s.shards[shard].deleteBatchFPs(g.kbuf[lo:hi])
 	})
 }
@@ -734,30 +575,18 @@ func (s *Sharded) Contains(key []byte) (bool, error) {
 // exactly its overlapped index probes.
 func (s *Sharded) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
 	found := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return found, nil
-	}
-	fpp := s.fingerprints(keys)
-	defer s.putFingerprints(fpp)
-	fps := *fpp
-	g := s.groupByShard(fps)
+	fps := s.fingerprints(keys)
+	defer s.putFingerprints(fps)
+	g := s.group(*fps, nil, nil, nil)
 	defer s.putGroups(g)
-	err := s.runChunked(ctx, g, func(w, shard int, idxs []int) error {
-		gs := s.workerScratch(g.ws, w)
-		fb := gs.keys[:0]
-		for _, i := range idxs {
-			fb = append(fb, fps[i])
-		}
-		gs.keys = fb
-		if cap(gs.bfound) < len(idxs) {
-			gs.bfound = make([]bool, max(len(idxs), s.chunk))
-		}
-		ob := gs.bfound[:len(idxs)]
-		if err := s.shards[shard].containsBatchFPs(fb, ob); err != nil {
+	g.found = resize(g.found, len(keys))
+	err := s.runChunked(ctx, g, func(shard, lo, hi int) error {
+		ok := g.found[lo:hi]
+		if err := s.shards[shard].containsBatchFPs(g.kbuf[lo:hi], ok); err != nil {
 			return err
 		}
-		for j, i := range idxs {
-			found[i] = ob[j]
+		for j, i := range g.idx[lo:hi] {
+			found[i] = ok[j]
 		}
 		return nil
 	})
@@ -773,15 +602,6 @@ func (s *Sharded) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, err
 // attempted regardless of other shards' failures, and all errors are
 // joined.
 func (s *Sharded) runShards(run func(shard int) error) error {
-	if s.workers == 1 {
-		var errs []error
-		for sh := range s.shards {
-			if err := run(sh); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
-	}
 	work := make(chan int)
 	errs := make([][]error, s.workers)
 	var wg sync.WaitGroup

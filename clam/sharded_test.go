@@ -30,6 +30,17 @@ func TestOpenShardedValidation(t *testing.T) {
 		{"indivisible flash", []Option{WithDevice(IntelSSD), WithFlash(32<<20 + 1), WithMemory(8 << 20), WithShards(4)}},
 		{"zero flash", []Option{WithShards(4)}},
 		{"zero chunk", append(base[:3:3], WithShards(4), WithBatchChunk(0))},
+		// Out-of-range tuning options, on one CLAM and on a Sharded store:
+		// negative values are rejected (0 means "default"), as is a policy
+		// outside the four eviction policies.
+		{"negative max incarnations", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithMaxIncarnations(-1)}},
+		{"negative buffer KB", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithBufferKB(-1)}},
+		{"negative filter bits", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithFilterBitsPerEntry(-1)}},
+		{"negative memory", []Option{WithFlash(16 << 20), WithMemory(-1), WithBufferKB(128), WithFilterBitsPerEntry(16)}},
+		{"negative workers on one CLAM", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithWorkers(-1)}},
+		{"unknown policy", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithPolicy(Policy(99))}},
+		{"negative policy", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithPolicy(Policy(-1))}},
+		{"unknown policy, sharded", append(base[:3:3], WithShards(4), WithPolicy(Policy(99)))},
 	}
 	for _, c := range cases {
 		if _, err := Open(c.opts...); err == nil {
@@ -611,10 +622,11 @@ func TestDifferentialHotShardInserts(t *testing.T) {
 	})
 }
 
-// TestBatchGroupingAllocs is the allocation guard for the batch grouping
-// and routing scratch: once the pools are warm, grouping a large batch —
-// the counting sort, the per-shard runs, the fingerprint buffer and the
-// per-worker scratch table — must not allocate per call.
+// TestBatchGroupingAllocs is the allocation guard for the batch surface:
+// once the pools are warm, grouping a large batch — the counting sort, the
+// per-shard runs, the result slots and the fingerprint buffer — must not
+// allocate per call, and a full batch call must allocate only its outputs,
+// the router's goroutines and the core pipeline's own per-chunk state.
 func TestBatchGroupingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
@@ -625,24 +637,61 @@ func TestBatchGroupingAllocs(t *testing.T) {
 	keys := make([]uint64, 4096)
 	vals := make([]uint64, len(keys))
 	bkeys := make([][]byte, 512)
+	bvals := make([][]byte, len(bkeys))
 	for i := range keys {
 		keys[i], vals[i] = rng.Uint64(), uint64(i)
 	}
 	for i := range bkeys {
 		bkeys[i] = make([]byte, 16)
 		rng.Read(bkeys[i])
+		bvals[i] = bkeys[i][:8]
 	}
-	warm := func() {
-		g := s.groupPairsByShard(keys, vals, nil, nil)
-		s.putGroups(g)
-		g = s.groupByShard(keys)
-		s.putGroups(g)
-		s.putFingerprints(s.fingerprints(bkeys))
+	group := func() {
+		s.putGroups(s.group(keys, vals, nil, nil))
+		fps := s.fingerprints(bkeys)
+		s.putGroups(s.group(*fps, nil, bkeys, bvals))
+		s.putFingerprints(fps)
 	}
-	warm()
+	group()
 	// sync.Pool may shed entries on a GC, so allow a stray allocation or
 	// two; a per-key or per-call regression measures in the hundreds.
-	if allocs := testing.AllocsPerRun(20, warm); allocs > 4 {
+	if allocs := testing.AllocsPerRun(20, group); allocs > 4 {
 		t.Fatalf("grouping allocates %.1f allocs per batch; want ~0", allocs)
+	}
+
+	// Whole batch calls at 8 shards and 4 workers, bounded at their
+	// measured counts: the outputs, the router's ready queue, goroutines
+	// and closures, and the core pipelines' per-chunk state. GetBatch adds
+	// one value copy per hit (512 here). AllocsPerRun truncates the mean,
+	// so a rare pool refill does not show.
+	ctx := context.Background()
+	if err := s.PutBatch(ctx, bkeys, bvals); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		bound float64
+		call  func() error
+	}{
+		{"PutBatchU64", 11, func() error { return s.PutBatchU64(ctx, keys, vals) }},
+		{"GetBatchU64", 15, func() error { _, _, err := s.GetBatchU64(ctx, keys); return err }},
+		{"GetBatch", 527, func() error { _, _, err := s.GetBatch(ctx, bkeys); return err }},
+		{"ContainsBatch", 12, func() error { _, err := s.ContainsBatch(ctx, bkeys); return err }},
+		{"DeleteBatch", 11, func() error { return s.DeleteBatch(ctx, bkeys) }},
+	} {
+		for i := 0; i < 3; i++ { // warm the pools and the shards' scratch
+			if err := c.call(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := c.call(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		t.Logf("%s: %.1f allocs per call", c.name, allocs)
+		if allocs > c.bound {
+			t.Errorf("%s allocates %.1f per warmed call; want at most %.0f", c.name, allocs, c.bound)
+		}
 	}
 }

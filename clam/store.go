@@ -136,6 +136,16 @@ func fingerprint(key []byte, seed uint64) uint64 {
 	return hashutil.HashBytes(key, seed^fingerprintSalt)
 }
 
+// fingerprints fingerprints a batch of byte keys into dst, reusing its
+// capacity, and returns it with len(keys) entries.
+func fingerprints(dst []uint64, keys [][]byte, seed uint64) []uint64 {
+	dst = resize(dst, len(keys))
+	for i, k := range keys {
+		dst[i] = fingerprint(k, seed)
+	}
+	return dst
+}
+
 // Compile-time interface checks.
 var (
 	_ Store = (*CLAM)(nil)

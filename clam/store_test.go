@@ -119,18 +119,22 @@ func TestBatchCancellation(t *testing.T) {
 		}
 	}
 
-	// Mid-batch cancellation at a chunk boundary: with chunk size 64 and a
-	// single worker, the batch must stop after exactly `after` chunks.
-	s2 := openShardedT(t, WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20),
-		WithShards(4), WithWorkers(1), WithBatchChunk(64))
-	cctx := &countingCtx{Context: context.Background(), after: 3}
-	err := s2.PutBatchU64(cctx, keys, vals)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-batch cancellation returned %v", err)
-	}
-	applied := s2.Stats().Core.Inserts
-	if applied != 3*64 {
-		t.Fatalf("canceled batch applied %d inserts, want exactly %d (3 chunks of 64)", applied, 3*64)
+	// Mid-batch cancellation at a chunk boundary: with chunk size 64 the
+	// batch must stop after exactly `after` chunks, whatever the worker
+	// count — the router checks ctx under its queue lock before every
+	// chunk, so each passed check runs exactly one chunk.
+	for _, workers := range []int{1, 4} {
+		s2 := openShardedT(t, WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20),
+			WithShards(4), WithWorkers(workers), WithBatchChunk(64))
+		cctx := &countingCtx{Context: context.Background(), after: 3}
+		err := s2.PutBatchU64(cctx, keys, vals)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: mid-batch cancellation returned %v", workers, err)
+		}
+		applied := s2.Stats().Core.Inserts
+		if applied != 3*64 {
+			t.Fatalf("workers=%d: canceled batch applied %d inserts, want exactly %d (3 chunks of 64)", workers, applied, 3*64)
+		}
 	}
 }
 

@@ -17,109 +17,32 @@
 // page-aligned value log, so lookups pay an index probe plus a (batched:
 // overlapped) value-log record read.
 //
-// With -json FILE the tool instead runs a head-to-head lookup comparison —
-// per-key loop vs batched pipeline over the identical key stream — and
-// writes the throughput and virtual p50/p99 latency of both sides as JSON
-// (the perf-trajectory artifact; CI emits BENCH_pr2.json from the u64
-// workload and BENCH_pr3.json from the -valsize value-log workload).
+// The repo's benchmark, with repeated runs and per-layer metrics, is
+// clambench (see clambench/README.md); this tool is for exploration.
 //
 // Examples:
 //
 //	clam-bench -device ssd-transcend -flash 64 -mem 12 -ops 200000 \
 //	           -lsr 0.4 -lookups 0.5 -policy lru
 //	clam-bench -shards 8 -workers 8 -flash 64 -mem 12 -ops 400000
-//	clam-bench -shards 8 -workers 8 -batch 4096 -zipf 1.2 \
-//	           -ops 100000 -json BENCH_pr2.json
-//	clam-bench -shards 8 -workers 8 -batch 4096 -valsize 256 \
-//	           -ops 60000 -json BENCH_pr3.json
+//	clam-bench -shards 8 -workers 8 -batch 4096 -zipf 1.2 -ops 100000
+//	clam-bench -shards 8 -workers 8 -batch 4096 -valsize 256 -ops 60000
 package main
 
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/clam"
 	"repro/internal/hashutil"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
-
-// phaseResult is one side of the -json serial-vs-batched comparison.
-type phaseResult struct {
-	Mode        string  `json:"mode"`
-	Ops         int     `json:"ops"`
-	WallSeconds float64 `json:"wall_seconds"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	HitRate     float64 `json:"hit_rate"`
-	VirtualP50  float64 `json:"virtual_p50_ms"`
-	VirtualP99  float64 `json:"virtual_p99_ms"`
-}
-
-// insertPhase is one side of the -putbatch serial-vs-batched comparison.
-// The write percentiles come from Stats.WriteLatency: per-request device
-// write service, with batched submissions amortized over their requests —
-// the tail the insert pipeline exists to flatten.
-type insertPhase struct {
-	Mode            string  `json:"mode"`
-	Ops             int     `json:"ops"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	OpsPerSec       float64 `json:"ops_per_sec"`
-	VirtualP50      float64 `json:"virtual_insert_p50_ms"`
-	VirtualP99      float64 `json:"virtual_insert_p99_ms"`
-	VirtualWriteP50 float64 `json:"virtual_write_p50_ms"`
-	VirtualWriteP99 float64 `json:"virtual_write_p99_ms"`
-	Flushes         uint64  `json:"flushes"`
-}
-
-// insertComparison is one workload's serial-vs-batched insert pair.
-type insertComparison struct {
-	Serial      insertPhase `json:"serial"`
-	Batched     insertPhase `json:"batched"`
-	SpeedupWall float64     `json:"speedup_wall"`
-}
-
-// insertReport is the -putbatch -json artifact (BENCH_pr4.json in CI):
-// the same insert stream driven per-key and through the batched insert
-// pipeline, on a uniform and a Zipf-skewed key draw.
-type insertReport struct {
-	Device     string           `json:"device"`
-	FlashMB    int64            `json:"flash_mb"`
-	MemMB      int64            `json:"mem_mb"`
-	Shards     int              `json:"shards"`
-	Workers    int              `json:"workers"`
-	Batch      int              `json:"batch"`
-	BufferKB   int              `json:"buffer_kb"`
-	ZipfS      float64          `json:"zipf_s"`
-	ValSize    int              `json:"valsize"`
-	Warm       int              `json:"warm_inserts"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Uniform    insertComparison `json:"uniform"`
-	Zipf       insertComparison `json:"zipf"`
-}
-
-// benchReport is the -json artifact (BENCH_pr2.json / BENCH_pr3.json in CI).
-type benchReport struct {
-	Device      string      `json:"device"`
-	FlashMB     int64       `json:"flash_mb"`
-	MemMB       int64       `json:"mem_mb"`
-	Shards      int         `json:"shards"`
-	Workers     int         `json:"workers"`
-	Batch       int         `json:"batch"`
-	Zipf        float64     `json:"zipf"`
-	ValSize     int         `json:"valsize"`
-	GOMAXPROCS  int         `json:"gomaxprocs"`
-	Serial      phaseResult `json:"serial"`
-	Batched     phaseResult `json:"batched"`
-	SpeedupWall float64     `json:"speedup_wall"`
-}
 
 // byteKey expands a 64-bit draw into the 20-byte fingerprint the byte
 // workload keys on (deterministic, collision-free per draw).
@@ -156,8 +79,6 @@ func main() {
 	valsize := flag.Int("valsize", 0, "byte-API value size (0 = uint64 fast path)")
 	bufferKB := flag.Int("bufferkb", 0, "override the per-super-table buffer size in KB (0 = derived default)")
 	fbe := flag.Int("fbe", 0, "override the Bloom filter bits per entry (0 = derived from the memory budget; 16 = the paper's candidate configuration)")
-	jsonPath := flag.String("json", "", "run a serial-vs-batched lookup comparison and write JSON here")
-	putbatch := flag.Bool("putbatch", false, "with -json: compare serial vs batched INSERTS (uniform + Zipf) instead of lookups")
 	flag.Parse()
 
 	var kind clam.DeviceKind
@@ -220,23 +141,6 @@ func main() {
 	ctx := context.Background()
 	flashEntries := uint64(*flashMB) << 20 / 32
 	keyRange := workload.RangeForLSR(flashEntries, *lsr)
-	if *jsonPath != "" && *putbatch {
-		// Insert comparison: opens its own fresh store per phase, since
-		// inserts mutate state and both sides must start identical. The
-		// byte workload (-valsize) warms less: its records are much larger
-		// and the index only needs full buffers to reach the flushing
-		// regime.
-		warm := int(flashEntries)
-		if *valsize > 0 {
-			warm = int(flashEntries / 4)
-		}
-		runInsertComparison(opts, *jsonPath, insertReport{
-			Device: kind.String(), FlashMB: *flashMB, MemMB: *memMB,
-			Shards: max(*shards, 1), Workers: nWorkers, Batch: *batch, BufferKB: *bufferKB,
-			ZipfS: *zipfS, ValSize: *valsize, Warm: warm,
-		}, *ops, *seed, keyRange)
-		return
-	}
 	// The workload draws small integers; hashutil.Mix64 (a 64-bit
 	// bijection) turns them into uniform fingerprints, as sharding (and
 	// the paper's workloads) assume. The mapping preserves the LSR
@@ -307,22 +211,6 @@ func main() {
 		return func() uint64 {
 			return hashutil.Mix64(uint64(rng.Int63n(int64(keyRange))) + 1)
 		}
-	}
-
-	if *jsonPath != "" {
-		if policy == clam.LRU {
-			// LRU lookups re-insert flash hits into the buffer, so the
-			// first measured phase would warm the store for the second and
-			// bias the comparison.
-			fmt.Fprintln(os.Stderr, "-json requires a policy whose lookups don't mutate state (fifo or update)")
-			os.Exit(2)
-		}
-		runComparison(st, *jsonPath, benchReport{
-			Device: kind.String(), FlashMB: *flashMB, MemMB: *memMB,
-			Shards: max(*shards, 1), Workers: nWorkers, Batch: *batch, Zipf: *zipfS,
-			ValSize: *valsize,
-		}, *ops, nWorkers, newDraw)
-		return
 	}
 
 	// Measured phase: nWorkers goroutines, each with an independent
@@ -454,312 +342,4 @@ func main() {
 		fmt.Printf("\nvirtual makespan: %v (max shard clock advance, measured phase only)\n",
 			makespan.Round(time.Microsecond))
 	}
-	_ = metrics.Ms
-}
-
-// runComparison is the -json mode: the same lookup stream driven twice —
-// per-key calls across the worker goroutines, then the batched pipeline —
-// reporting wall throughput and virtual latency percentiles of both, plus
-// the wall speedup. Lookups don't mutate FIFO/update stores, so both
-// phases see an identical structure. With a -valsize workload the batched
-// side additionally overlaps the value-log record reads (the second I/O
-// stream); the per-key side pays them serially.
-func runComparison(st clam.Store, path string, rep benchReport, ops, nWorkers int, newDraw func(int64) func() uint64) {
-	draws := make([]uint64, ops)
-	draw := newDraw(0)
-	for i := range draws {
-		draws[i] = draw()
-	}
-	var bprobes [][]byte
-	if rep.ValSize > 0 {
-		bprobes = make([][]byte, ops)
-		for i, k := range draws {
-			bprobes[i] = byteKey(k)
-		}
-	}
-	if rep.Batch <= 0 {
-		rep.Batch = 4096
-	}
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	ctx := context.Background()
-
-	measure := func(mode string, run func() error) phaseResult {
-		st.ResetMetrics()
-		start := time.Now()
-		if err := run(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		wall := time.Since(start)
-		s := st.Stats()
-		return phaseResult{
-			Mode:        mode,
-			Ops:         ops,
-			WallSeconds: wall.Seconds(),
-			OpsPerSec:   float64(ops) / wall.Seconds(),
-			HitRate:     s.Core.HitRate(),
-			VirtualP50:  metrics.Ms(s.LookupLatency.P50),
-			VirtualP99:  metrics.Ms(s.LookupLatency.P99),
-		}
-	}
-
-	rep.Serial = measure("per-key", func() error {
-		var wg sync.WaitGroup
-		errCh := make(chan error, nWorkers)
-		per := (ops + nWorkers - 1) / nWorkers
-		for w := 0; w < nWorkers; w++ {
-			lo := w * per
-			hi := min(lo+per, ops)
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					var err error
-					if rep.ValSize > 0 {
-						_, _, err = st.Get(bprobes[i])
-					} else {
-						_, _, err = st.GetU64(draws[i])
-					}
-					if err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		close(errCh)
-		return <-errCh
-	})
-	rep.Batched = measure("batched", func() error {
-		for at := 0; at < ops; at += rep.Batch {
-			hi := min(at+rep.Batch, ops)
-			var err error
-			if rep.ValSize > 0 {
-				_, _, err = st.GetBatch(ctx, bprobes[at:hi])
-			} else {
-				_, _, err = st.GetBatchU64(ctx, draws[at:hi])
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	rep.SpeedupWall = rep.Serial.WallSeconds / rep.Batched.WallSeconds
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("serial:  %8.0f ops/s  p50 %.4f ms  p99 %.4f ms (virtual)\n",
-		rep.Serial.OpsPerSec, rep.Serial.VirtualP50, rep.Serial.VirtualP99)
-	fmt.Printf("batched: %8.0f ops/s  p50 %.4f ms  p99 %.4f ms (virtual)\n",
-		rep.Batched.OpsPerSec, rep.Batched.VirtualP50, rep.Batched.VirtualP99)
-	fmt.Printf("wall speedup: %.2fx (gomaxprocs %d, valsize %d) -> %s\n",
-		rep.SpeedupWall, rep.GOMAXPROCS, rep.ValSize, path)
-}
-
-// runInsertComparison is the -putbatch -json mode: the same insert stream
-// driven twice against freshly opened, identically warmed stores — per-key
-// PutU64 across the worker goroutines, then the batched insert pipeline —
-// on a uniform and a Zipf-skewed key draw. The pipeline's promise is that
-// only time changes, so the comparison reports wall throughput, virtual
-// insert p50/p99 (batched chunks amortize flush writes over their keys and
-// overlap them in the device's queue lanes) and the flush counts, which
-// must match between the two sides of each workload.
-func runInsertComparison(opts []clam.Option, path string, rep insertReport, ops int, seed int64, keyRange uint64) {
-	if rep.Batch <= 0 {
-		rep.Batch = 4096
-	}
-	if rep.ZipfS <= 0 {
-		rep.ZipfS = 1.2
-	}
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	ctx := context.Background()
-	// One core insert-batch call per shard per batch: the router chunk is
-	// what bounds how many flush writes share one overlapped submission, so
-	// splitting a batch into small chunks would hide the write overlap the
-	// comparison is measuring.
-	opts = append(opts[:len(opts):len(opts)], clam.WithBatchChunk(rep.Batch))
-
-	openWarm := func() (clam.Store, int) {
-		st, err := clam.Open(opts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		nWorkers := 1
-		if sh, ok := st.(*clam.Sharded); ok {
-			nWorkers = sh.Workers()
-		}
-		// Identical deterministic warm-up per phase: fill the buffers and a
-		// few incarnations so measured inserts run in the steady flushing
-		// regime (and, on the byte workload, a value log past its first
-		// page flushes).
-		rng := rand.New(rand.NewSource(seed))
-		const chunk = 8192
-		if rep.ValSize > 0 {
-			keys := make([][]byte, 0, chunk)
-			vals := make([][]byte, 0, chunk)
-			for i := 0; i < rep.Warm; i++ {
-				k := hashutil.Mix64(uint64(rng.Int63n(int64(keyRange))) + 1)
-				keys = append(keys, byteKey(k))
-				vals = append(vals, byteVal(k, rep.ValSize))
-				if len(keys) == chunk || i == rep.Warm-1 {
-					if err := st.PutBatch(ctx, keys, vals); err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-					keys, vals = keys[:0], vals[:0]
-				}
-			}
-		} else {
-			keys := make([]uint64, 0, chunk)
-			vals := make([]uint64, 0, chunk)
-			for i := 0; i < rep.Warm; i++ {
-				keys = append(keys, hashutil.Mix64(uint64(rng.Int63n(int64(keyRange)))+1))
-				vals = append(vals, uint64(i))
-				if len(keys) == chunk || i == rep.Warm-1 {
-					if err := st.PutBatchU64(ctx, keys, vals); err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-					keys, vals = keys[:0], vals[:0]
-				}
-			}
-		}
-		st.ResetMetrics()
-		return st, nWorkers
-	}
-
-	vals := make([]uint64, ops)
-	for i := range vals {
-		vals[i] = uint64(i)
-	}
-	measure := func(mode string, draws []uint64, batched bool) insertPhase {
-		// The byte workload expands the same draws to 20-byte fingerprints
-		// and valsize-byte values; each serial Put pays the value-log append
-		// (including its page flushes) plus the index insert, while the
-		// batched side groups the chunk's records into one multi-record
-		// append and one core insert batch.
-		var bkeys, bvals [][]byte
-		if rep.ValSize > 0 {
-			bkeys = make([][]byte, len(draws))
-			bvals = make([][]byte, len(draws))
-			for i, k := range draws {
-				bkeys[i] = byteKey(k)
-				bvals[i] = byteVal(k, rep.ValSize)
-			}
-		}
-		st, nWorkers := openWarm()
-		start := time.Now()
-		if batched {
-			for at := 0; at < len(draws); at += rep.Batch {
-				hi := min(at+rep.Batch, len(draws))
-				var err error
-				if rep.ValSize > 0 {
-					err = st.PutBatch(ctx, bkeys[at:hi], bvals[at:hi])
-				} else {
-					err = st.PutBatchU64(ctx, draws[at:hi], vals[at:hi])
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-			}
-		} else {
-			var wg sync.WaitGroup
-			errCh := make(chan error, nWorkers)
-			per := (len(draws) + nWorkers - 1) / nWorkers
-			for w := 0; w < nWorkers; w++ {
-				lo := w * per
-				hi := min(lo+per, len(draws))
-				if lo >= hi {
-					break
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						var err error
-						if rep.ValSize > 0 {
-							err = st.Put(bkeys[i], bvals[i])
-						} else {
-							err = st.PutU64(draws[i], vals[i])
-						}
-						if err != nil {
-							errCh <- err
-							return
-						}
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-			close(errCh)
-			if err := <-errCh; err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		wall := time.Since(start)
-		s := st.Stats()
-		return insertPhase{
-			Mode:            mode,
-			Ops:             len(draws),
-			WallSeconds:     wall.Seconds(),
-			OpsPerSec:       float64(len(draws)) / wall.Seconds(),
-			VirtualP50:      metrics.Ms(s.InsertLatency.P50),
-			VirtualP99:      metrics.Ms(s.InsertLatency.P99),
-			VirtualWriteP50: metrics.Ms(s.WriteLatency.P50),
-			VirtualWriteP99: metrics.Ms(s.WriteLatency.P99),
-			Flushes:         s.Core.Flushes,
-		}
-	}
-	runWorkload := func(name string, draws []uint64) insertComparison {
-		c := insertComparison{
-			Serial:  measure("per-key", draws, false),
-			Batched: measure("batched", draws, true),
-		}
-		c.SpeedupWall = c.Serial.WallSeconds / c.Batched.WallSeconds
-		fmt.Printf("%-7s serial:  %8.0f inserts/s  insert p99 %.4f ms  write p99 %.4f ms (virtual, %d flushes)\n",
-			name, c.Serial.OpsPerSec, c.Serial.VirtualP99, c.Serial.VirtualWriteP99, c.Serial.Flushes)
-		fmt.Printf("%-7s batched: %8.0f inserts/s  insert p99 %.4f ms  write p99 %.4f ms (virtual, %d flushes)  %.2fx wall\n",
-			name, c.Batched.OpsPerSec, c.Batched.VirtualP99, c.Batched.VirtualWriteP99, c.Batched.Flushes, c.SpeedupWall)
-		return c
-	}
-
-	uniform := make([]uint64, ops)
-	rng := rand.New(rand.NewSource(seed + 101))
-	for i := range uniform {
-		uniform[i] = hashutil.Mix64(uint64(rng.Int63n(int64(keyRange))) + 1)
-	}
-	rep.Uniform = runWorkload("uniform", uniform)
-	zipf := make([]uint64, ops)
-	z := workload.NewZipfStream(seed+202, rep.ZipfS, keyRange)
-	for i := range zipf {
-		zipf[i] = z.Next()
-	}
-	rep.Zipf = runWorkload("zipf", zipf)
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("insert comparison (gomaxprocs %d) -> %s\n", rep.GOMAXPROCS, path)
 }

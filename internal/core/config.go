@@ -214,6 +214,9 @@ func (c *Config) validate() error {
 	if !c.DisableBloom && c.FilterBitsPerEntry <= 0 {
 		return fmt.Errorf("core: FilterBitsPerEntry must be positive (got %d)", c.FilterBitsPerEntry)
 	}
+	if c.Policy < FIFO || c.Policy > PriorityBased {
+		return fmt.Errorf("core: unknown eviction policy %d", int(c.Policy))
+	}
 	if c.Policy == PriorityBased && c.Retain == nil {
 		return fmt.Errorf("core: PriorityBased eviction requires a Retain callback")
 	}
