@@ -404,7 +404,7 @@ func BenchmarkCLAMLookup(b *testing.B) {
 //
 // These benchmarks compare Sharded.GetBatchU64 — the PR 2 batched pipeline:
 // phase-A memory resolution, page-deduped address-sorted flash probes
-// overlapped through storage.BatchReader, chunked shard-affine dispatch —
+// overlapped through the device's ReadBatch, chunked shard-affine dispatch —
 // against the plain per-key Lookup loop, across shard counts and key
 // distributions. As with BenchmarkShardedSpeedup, the parallel component
 // of the win is bounded by GOMAXPROCS; the batching component (lock, clock

@@ -44,7 +44,7 @@
 // device's internal queue lanes. PutBatch/PutBatchU64 are the write-side
 // mirror: each chunk's records land in the value log as one multi-record
 // append, and every buffer flush the chunk triggers is issued as one
-// address-sorted storage.BatchWriter submission, so flush writes overlap
+// address-sorted device WriteBatch submission, so flush writes overlap
 // the same way lookup probes do while counters and state stay exactly
 // serial (Stats.WriteLatency shows the flattened write tail).
 //
@@ -489,11 +489,13 @@ func (c *CLAM) putRecord(fp uint64, key, value []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.clock.StartWatch()
-	c.markDeadIfBuffered(fp)
 	off, n, err := c.vlog.Append(key, value)
 	if err != nil {
 		return err
 	}
+	// Only an appended record replaces the old one: a failed Put leaves the
+	// previous record live.
+	c.markDeadIfBuffered(fp)
 	ptr, ok := core.EncodeValuePtr(off, n)
 	if !ok {
 		return fmt.Errorf("clam: value-log pointer (%d, %d) not encodable", off, n)

@@ -361,6 +361,42 @@ func TestContainsStalePointerTradeoff(t *testing.T) {
 	}
 }
 
+// TestFailedPutKeepsRecordLive pins the space accounting of a Put that
+// fails before any I/O (a record larger than the log): the key still reads
+// its previous value, so that record must stay on the live side, on the
+// serial and the batched path alike.
+func TestFailedPutKeepsRecordLive(t *testing.T) {
+	key, big := []byte("k"), make([]byte, 2<<20)
+	for _, tc := range []struct {
+		name string
+		put  func(Store) error
+	}{
+		{"serial", func(st Store) error { return st.Put(key, big) }},
+		{"batched", func(st Store) error {
+			return st.PutBatch(context.Background(), [][]byte{key}, [][]byte{big})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := openCLAMT(t, WithFlash(4<<20), WithMemory(1<<20), WithValueLog(1<<20))
+			if err := st.Put(key, []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			before := st.Stats().ValueLog
+			if err := tc.put(st); err == nil {
+				t.Fatal("Put of a record larger than the log succeeded")
+			}
+			if v, ok, err := st.Get(key); err != nil || !ok || string(v) != "v1" {
+				t.Fatalf("Get after failed Put = %q, %v, %v; want v1", v, ok, err)
+			}
+			after := st.Stats().ValueLog
+			if after.LiveBytes != before.LiveBytes || after.DeadBytes != before.DeadBytes {
+				t.Fatalf("failed Put moved space: live %d -> %d, dead %d -> %d",
+					before.LiveBytes, after.LiveBytes, before.DeadBytes, after.DeadBytes)
+			}
+		})
+	}
+}
+
 // TestValueLogOccupancyStats exercises the live/dead accounting through the
 // Store surface: overwrites and deletes of buffered keys move bytes to the
 // dead side, and occupancy stays within [0, 1].

@@ -16,39 +16,26 @@ import (
 // incarnation image; a batch's images share command setup and overlap
 // across queue lanes).
 //
-// Reads and erases pass through untimed. Every kind-built device model
-// implements BatchReader and BatchWriter, so the wrapper forwards both;
-// the Eraser and Trimmer optional interfaces are preserved by the variant
-// types below, because layout selection and NAND erase-before-write probe
-// for them through the device value. Caller-supplied custom devices are
-// never wrapped — their dynamic type is part of the caller's contract.
+// Reads pass through the embedded device untimed. The Eraser and Trimmer
+// optional interfaces are preserved by the variant types below, because
+// layout selection and NAND erase-before-write probe for them through the
+// device value. Caller-supplied custom devices are never wrapped — their
+// dynamic type is part of the caller's contract.
 type timedQueued struct {
-	dev storage.Device
-	br  storage.BatchReader
-	bw  storage.BatchWriter
-	h   *metrics.Histogram // guarded by the owning CLAM's mutex
-}
-
-func (d *timedQueued) ReadAt(p []byte, off int64) (time.Duration, error) {
-	return d.dev.ReadAt(p, off)
+	storage.Device
+	h *metrics.Histogram // guarded by the owning CLAM's mutex
 }
 
 func (d *timedQueued) WriteAt(p []byte, off int64) (time.Duration, error) {
-	lat, err := d.dev.WriteAt(p, off)
+	lat, err := d.Device.WriteAt(p, off)
 	if err == nil {
 		d.h.Observe(lat)
 	}
 	return lat, err
 }
 
-func (d *timedQueued) Geometry() storage.Geometry { return d.dev.Geometry() }
-func (d *timedQueued) Counters() storage.Counters { return d.dev.Counters() }
-func (d *timedQueued) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
-	return d.br.ReadBatch(reqs)
-}
-
 func (d *timedQueued) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
-	lat, err := d.bw.WriteBatch(reqs)
+	lat, err := d.Device.WriteBatch(reqs)
 	if err == nil && len(reqs) > 0 {
 		d.h.ObserveN(lat/time.Duration(len(reqs)), len(reqs))
 	}
@@ -73,16 +60,9 @@ type timedQueuedTrimmer struct {
 func (d *timedQueuedTrimmer) Trim(off, n int64) error { return d.tr.Trim(off, n) }
 
 // timeWrites wraps a kind-built device with write-latency instrumentation,
-// preserving its optional interfaces. Devices without the queued batch
-// interfaces are returned unwrapped (never the case for kind-built
-// models).
+// preserving its optional interfaces.
 func timeWrites(dev storage.Device, h *metrics.Histogram) storage.Device {
-	br, brOK := dev.(storage.BatchReader)
-	bw, bwOK := dev.(storage.BatchWriter)
-	if !brOK || !bwOK {
-		return dev
-	}
-	base := timedQueued{dev: dev, br: br, bw: bw, h: h}
+	base := timedQueued{Device: dev, h: h}
 	if er, ok := dev.(storage.Eraser); ok {
 		return &timedQueuedEraser{base, er}
 	}

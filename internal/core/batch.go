@@ -22,7 +22,7 @@ import (
 //	B (gather):  each probing round collects every unresolved key's single
 //	             newest-candidate page probe, dedupes keys that land on the
 //	             same flash page, sorts the probes by device address, and
-//	             issues them as one storage.BatchReader submission whose
+//	             issues them as one device ReadBatch submission whose
 //	             virtual latency overlaps across the device's queue lanes.
 //	C (resolve): each key searches its page image with the same
 //	             resolveProbe helper the serial path uses — newest-first,
@@ -76,9 +76,9 @@ type batchScratch struct {
 // per-key outcomes into results (which must have the same length). Results
 // and the structural counters match a serial Lookup loop over the same keys
 // key-for-key; virtual time is lower because each probing round's flash
-// reads are deduped, sorted and overlapped through storage.BatchReader
-// (devices without BatchReader fall back to serial reads and still benefit
-// from dedupe and address ordering).
+// reads are deduped, sorted and overlapped through the device's ReadBatch
+// (on a one-lane device the overlap degenerates to the serial sum, and the
+// batch still benefits from dedupe and address ordering).
 //
 // One semantic carve-out, documented rather than hidden: under the LRU
 // policy, re-insertions triggered by flash hits land in the buffer only as
@@ -169,7 +169,6 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 	// Phases B+C: probing rounds. Every round reads at most one page per
 	// pending key (its newest remaining candidate), so the per-key probe
 	// order is the serial newest-first order.
-	br, overlapped := b.cfg.Device.(storage.BatchReader)
 	for len(bs.pending) > 0 {
 		// Phase B: gather, sort, dedupe, issue.
 		bs.packed = bs.packed[:0]
@@ -201,12 +200,8 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 			})
 			used += probeN
 		}
-		if overlapped {
-			if _, err := br.ReadBatch(bs.reqs); err != nil {
-				return fmt.Errorf("core: batched incarnation read: %w", err)
-			}
-		} else if _, err := storage.ReadBatchFallback(b.cfg.Device, bs.reqs); err != nil {
-			return fmt.Errorf("core: incarnation read: %w", err)
+		if _, err := b.cfg.Device.ReadBatch(bs.reqs); err != nil {
+			return fmt.Errorf("core: batched incarnation read: %w", err)
 		}
 
 		// Phase C: resolve each probe against its (deduped) page image.

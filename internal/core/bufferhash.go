@@ -46,8 +46,8 @@ type BufferHash struct {
 	insert    insertScratch
 
 	// deferWrites redirects incarnation writes into `staged` instead of the
-	// device (InsertBatch phase B); staged images are address-sorted and
-	// issued as one overlapped BatchWriter submission at the end of the
+	// device (InsertBatch phase B); staged images are issued as one
+	// address-sorted, overlapped WriteBatch submission at the end of the
 	// batch. While a write is staged, readImage serves its address from the
 	// staged buffer, so partial-discard scans inside the same batch see the
 	// bytes the device will eventually hold.
@@ -162,9 +162,9 @@ func (b *BufferHash) stageWrite(img []byte, addr int64) {
 	b.staged = append(b.staged, stagedWrite{buf: img, addr: addr})
 }
 
-// flushStaged issues every staged incarnation write as one address-sorted
-// overlapped submission through the device's BatchWriter (plain devices
-// fall back to a sorted serial loop) and recycles the image buffers.
+// flushStaged issues every staged incarnation write as one device
+// WriteBatch submission (address-sorted, overlapped across queue lanes) and
+// recycles the image buffers.
 func (b *BufferHash) flushStaged() error {
 	if len(b.staged) == 0 {
 		return nil
@@ -174,12 +174,7 @@ func (b *BufferHash) flushStaged() error {
 	for _, s := range b.staged {
 		is.reqs = append(is.reqs, storage.WriteReq{P: s.buf, Off: s.addr})
 	}
-	var err error
-	if bw, ok := b.cfg.Device.(storage.BatchWriter); ok {
-		_, err = bw.WriteBatch(is.reqs)
-	} else {
-		_, err = storage.WriteBatchFallback(b.cfg.Device, is.reqs)
-	}
+	_, err := b.cfg.Device.WriteBatch(is.reqs)
 	for _, s := range b.staged {
 		b.releaseImage(s.buf)
 	}
@@ -284,8 +279,8 @@ func (b *BufferHash) probeAddr(st *superTable, inc incarnation, kh uint64) (addr
 }
 
 // readProbe reads kh's page of one incarnation image into the shared page
-// buffer (serial lookup path; the batched path reads through a
-// storage.BatchReader instead).
+// buffer (serial lookup path: a one-request ReadAt; the batched path
+// submits a whole probing round through ReadBatch instead).
 func (b *BufferHash) readProbe(st *superTable, inc incarnation, kh uint64) ([]byte, error) {
 	addr, n := b.probeAddr(st, inc, kh)
 	buf := b.pageBuf[:n]

@@ -17,9 +17,9 @@
 // read per candidate incarnation, newest first. LookupBatch runs the same
 // logic as a three-phase pipeline — phase A answers every key's in-memory
 // portion with zero I/O, phase B gathers each probing round's page reads,
-// dedupes same-page keys, sorts by device address and submits them through
-// storage.BatchReader so their virtual latency overlaps across the
-// device's queue lanes, and phase C resolves pages with exactly the serial
+// dedupes same-page keys, sorts by device address and submits them as one
+// device ReadBatch so their virtual latency overlaps across the device's
+// queue lanes, and phase C resolves pages with exactly the serial
 // path's newest-first, stop-on-hit semantics. Counters are identical
 // between the two paths; only time (and physical read count, via dedupe)
 // differs. See batch.go.
@@ -27,7 +27,7 @@
 // Inserts mirror that shape. Insert is the serial path: buffer update,
 // with a full buffer flushed to flash as a blocking incarnation write.
 // InsertBatch applies a whole batch with flush writes deferred into pooled
-// image buffers, then issues them as one address-sorted storage.BatchWriter
+// image buffers, then issues them as one address-sorted device WriteBatch
 // submission whose service overlaps across the device's queue lanes —
 // state and structural counters stay byte-identical to the serial loop.
 // See insertbatch.go.

@@ -889,10 +889,10 @@ func TestLookupBatchMatchesSerialUpdatePolicy(t *testing.T) {
 	checkBatchAgainstSerial(t, serial, batched, universe, 306)
 }
 
-func TestLookupBatchFlashChipFallbackEquivalence(t *testing.T) {
-	// The raw chip path exercises PartitionedRegions placement; wrapping it
-	// in a plain-Device shim also exercises the non-BatchReader fallback.
-	mk := func(wrap bool) *BufferHash {
+func TestLookupBatchFlashChipEquivalence(t *testing.T) {
+	// The raw chip path exercises PartitionedRegions placement and the
+	// chip's multi-plane read overlap.
+	mk := func() *BufferHash {
 		clock := vclock.New()
 		cfg := Config{
 			Clock:              clock,
@@ -902,14 +902,10 @@ func TestLookupBatchFlashChipFallbackEquivalence(t *testing.T) {
 			FilterBitsPerEntry: 16,
 			Seed:               42,
 		}
-		var dev storage.Device = flashchip.New(flashchip.DefaultConfig(1<<20), clock)
-		if wrap {
-			dev = plainDevice{dev}
-		}
-		cfg.Device = dev
+		cfg.Device = flashchip.New(flashchip.DefaultConfig(1<<20), clock)
 		return mustNew(t, cfg)
 	}
-	serial, batched := mk(false), mk(true)
+	serial, batched := mk(), mk()
 	universe := populateTwin(t, serial, batched, 307, 9000, 3000)
 	checkBatchAgainstSerial(t, serial, batched, universe, 308)
 }
@@ -922,18 +918,6 @@ func (h hugeDevice) Geometry() storage.Geometry {
 	g := h.Device.Geometry()
 	g.Capacity = 1 << 62
 	return g
-}
-
-// plainDevice hides every optional interface except Eraser (which the
-// PartitionedRegions layout requires), forcing the ReadAt fallback.
-type plainDevice struct{ d storage.Device }
-
-func (p plainDevice) ReadAt(b []byte, off int64) (time.Duration, error)  { return p.d.ReadAt(b, off) }
-func (p plainDevice) WriteAt(b []byte, off int64) (time.Duration, error) { return p.d.WriteAt(b, off) }
-func (p plainDevice) Geometry() storage.Geometry                         { return p.d.Geometry() }
-func (p plainDevice) Counters() storage.Counters                         { return p.d.Counters() }
-func (p plainDevice) Erase(off, n int64) (time.Duration, error) {
-	return p.d.(storage.Eraser).Erase(off, n)
 }
 
 func TestLookupBatchVirtualTimeOverlap(t *testing.T) {
@@ -1135,30 +1119,6 @@ func TestInsertBatchFlashChipEquivalence(t *testing.T) {
 	if batched.Stats().Evictions == 0 {
 		t.Fatal("chip ring never wrapped; retune the test")
 	}
-}
-
-func TestInsertBatchPlainDeviceFallback(t *testing.T) {
-	// Hiding BatchWriter forces the sorted WriteAt fallback; results and
-	// counters must not change.
-	mk := func(wrap bool) *BufferHash {
-		clock := vclock.New()
-		var dev storage.Device = flashchip.New(flashchip.DefaultConfig(1<<20), clock)
-		if wrap {
-			dev = plainDevice{dev}
-		}
-		return mustNew(t, Config{
-			Device:             dev,
-			Clock:              clock,
-			PartitionBits:      1,
-			BufferBytes:        128 << 10,
-			NumIncarnations:    2,
-			FilterBitsPerEntry: 16,
-			Seed:               42,
-		})
-	}
-	serial, batched := mk(false), mk(true)
-	universe := driveInsertTwin(t, serial, batched, 407, 30000, 10000, 0.05)
-	checkInsertTwin(t, serial, batched, universe, 408)
 }
 
 func TestInsertBatchDuplicateKeysMemoized(t *testing.T) {

@@ -24,12 +24,12 @@ import (
 //	             probe and the (idempotent) Bloom staging add while still
 //	             charging the serial path's CPU costs and counters.
 //	B (write):   the staged images — every flush the batch triggered — are
-//	             address-sorted and issued as one storage.BatchWriter
+//	             address-sorted and issued as one device WriteBatch
 //	             submission, overlapping their service across the device's
-//	             queue lanes (SSD NCQ channels, NAND planes, disk elevator;
-//	             plain devices fall back to a sorted serial loop). Shared-log
-//	             layouts allocate consecutive slots, so a batch's flushes
-//	             form sequential runs that pay the fixed write cost once.
+//	             queue lanes (SSD NCQ channels, NAND planes, disk
+//	             elevator). Shared-log layouts allocate consecutive slots,
+//	             so a batch's flushes form sequential runs that pay the
+//	             fixed write cost once.
 //	C (finalize): the deferred CPU debt lands on the clock in one advance
 //	             and the image buffers return to the pool.
 //

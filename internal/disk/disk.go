@@ -118,47 +118,21 @@ func (d *Disk) service(off, n int64) time.Duration {
 	return lat
 }
 
-func (d *Disk) access(op storage.Op, p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckRange(d.Geometry(), off, int64(len(p)), 1); err != nil {
-		return 0, err
-	}
-	if d.fault != nil {
-		if err := d.fault(op, off, len(p)); err != nil {
-			return 0, err
-		}
-	}
-	lat := d.service(off, int64(len(p)))
-	d.lastEnd = off + int64(len(p))
-	d.counters.BusyTime += lat
-	d.clock.Advance(lat)
-	return lat, nil
-}
-
-// ReadAt implements storage.Device. Reads may start at any byte offset.
+// ReadAt implements storage.Device as a one-request ReadBatch. Reads may
+// start at any byte offset.
 func (d *Disk) ReadAt(p []byte, off int64) (time.Duration, error) {
-	lat, err := d.access(storage.OpRead, p, off)
-	if err != nil {
-		return 0, err
-	}
-	d.store.ReadAt(p, off)
-	d.counters.Reads++
-	d.counters.BytesRead += uint64(len(p))
-	return lat, nil
+	one := [1]storage.ReadReq{{P: p, Off: off}}
+	return d.ReadBatch(one[:])
 }
 
-// WriteAt implements storage.Device. Writes may start at any byte offset.
+// WriteAt implements storage.Device as a one-request WriteBatch. Writes may
+// start at any byte offset.
 func (d *Disk) WriteAt(p []byte, off int64) (time.Duration, error) {
-	lat, err := d.access(storage.OpWrite, p, off)
-	if err != nil {
-		return 0, err
-	}
-	d.store.WriteAt(p, off)
-	d.counters.Writes++
-	d.counters.BytesWritten += uint64(len(p))
-	return lat, nil
+	one := [1]storage.WriteReq{{P: p, Off: off}}
+	return d.WriteBatch(one[:])
 }
 
-// ReadBatch implements storage.BatchReader. A disk has one actuator — one
+// ReadBatch implements storage.Device. A disk has one actuator — one
 // queue lane — so batched reads cannot overlap; the whole win is command
 // queuing: the batch is served in ascending address order (an elevator
 // pass), so the expensive random component (seek + rotational delay) is
@@ -196,11 +170,11 @@ func (d *Disk) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	return total, nil
 }
 
-// WriteBatch implements storage.BatchWriter the same way ReadBatch
-// implements BatchReader: one actuator means no overlap, so the whole win
-// is the elevator pass — ascending address order pays the random component
-// (seek + rotational delay) once per discontiguous run, and contiguous
-// requests stream at media rate. The clock advances once by the pass total.
+// WriteBatch implements storage.Device the way ReadBatch serves reads:
+// one actuator means no overlap, so the whole win is the elevator pass —
+// ascending address order pays the random component (seek + rotational
+// delay) once per discontiguous run, and contiguous requests stream at
+// media rate. The clock advances once by the pass total.
 func (d *Disk) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	if len(reqs) == 0 {
 		return 0, nil
@@ -230,8 +204,4 @@ func (d *Disk) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	return total, nil
 }
 
-var (
-	_ storage.Device      = (*Disk)(nil)
-	_ storage.BatchReader = (*Disk)(nil)
-	_ storage.BatchWriter = (*Disk)(nil)
-)
+var _ storage.Device = (*Disk)(nil)

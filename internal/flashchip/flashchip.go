@@ -69,9 +69,8 @@ type Config struct {
 	Costs     CostModel
 
 	// Planes is the number of planes a batched read can sense in parallel
-	// (multi-plane page reads). Individual ReadAt calls remain blocking
-	// single-plane operations; only ReadBatch overlaps. 0 or 1 disables
-	// overlap.
+	// (multi-plane page reads). A lone request — every ReadAt — is a
+	// blocking single-plane operation. 0 or 1 disables overlap.
 	Planes int
 }
 
@@ -98,7 +97,7 @@ type Chip struct {
 	eraseCnt []uint32
 	counters storage.Counters
 	fault    storage.FaultFunc
-	batchSvc []time.Duration // ReadBatch per-request service-time scratch
+	batchSvc []time.Duration // per-request service-time scratch of a submission
 }
 
 // New builds a chip. It panics on invalid geometry, since configurations are
@@ -137,35 +136,15 @@ func (c *Chip) EraseCount(off int64) uint32 {
 	return c.eraseCnt[off/int64(c.cfg.BlockSize)]
 }
 
-// ReadAt reads len(p) bytes at off. Reads may start at any byte offset, but
-// latency is charged for every page touched (P2: a sub-page I/O costs at
-// least a full-page I/O).
+// ReadAt reads len(p) bytes at off as a one-request ReadBatch. Reads may
+// start at any byte offset, but latency is charged for every page touched
+// (P2: a sub-page I/O costs at least a full-page I/O).
 func (c *Chip) ReadAt(p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckRange(c.Geometry(), off, int64(len(p)), 1); err != nil {
-		return 0, err
-	}
-	if c.fault != nil {
-		if err := c.fault(storage.OpRead, off, len(p)); err != nil {
-			return 0, err
-		}
-	}
-	ps := int64(c.cfg.PageSize)
-	firstPage := off / ps
-	lastPage := (off + int64(len(p)) - 1) / ps
-	if len(p) == 0 {
-		lastPage = firstPage
-	}
-	chargedBytes := (lastPage - firstPage + 1) * ps
-	lat := c.cfg.Costs.Read(chargedBytes)
-	c.store.ReadAt(p, off)
-	c.counters.Reads++
-	c.counters.BytesRead += uint64(len(p))
-	c.counters.BusyTime += lat
-	c.clock.Advance(lat)
-	return lat, nil
+	one := [1]storage.ReadReq{{P: p, Off: off}}
+	return c.ReadBatch(one[:])
 }
 
-// ReadBatch implements storage.BatchReader with the shared overlap model:
+// ReadBatch implements storage.Device with the shared overlap model:
 // address-sorted service, sequential runs paying the fixed array-access
 // setup once, and per-request sense+transfer times overlapped across the
 // chip's planes (max lane total, not sum).
@@ -213,72 +192,43 @@ func (c *Chip) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	return total, nil
 }
 
-// WriteAt programs len(p) bytes at off. The range must be page-aligned,
-// every target page must be erased, and pages within each block must be
-// programmed in ascending order.
+// WriteAt programs len(p) bytes at off as a one-request WriteBatch. The
+// range must be page-aligned, every target page must be erased, and pages
+// within each block must be programmed in ascending order.
 func (c *Chip) WriteAt(p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckRange(c.Geometry(), off, int64(len(p)), c.cfg.PageSize); err != nil {
-		return 0, err
-	}
-	if c.fault != nil {
-		if err := c.fault(storage.OpWrite, off, len(p)); err != nil {
-			return 0, err
-		}
-	}
-	if err := c.program(off, int64(len(p))); err != nil {
-		return 0, err
-	}
-	lat := c.cfg.Costs.Write(int64(len(p)))
-	c.store.WriteAt(p, off)
-	c.counters.Writes++
-	c.counters.BytesWritten += uint64(len(p))
-	c.counters.BusyTime += lat
-	c.clock.Advance(lat)
-	return lat, nil
+	one := [1]storage.WriteReq{{P: p, Off: off}}
+	return c.WriteBatch(one[:])
 }
 
 // program validates and advances the program-order frontiers of the blocks
-// covered by a page-aligned write of n bytes at off. The frontiers are only
-// mutated once the whole range validates, so a failed write leaves the chip
-// unchanged. Shared by WriteAt and WriteBatch.
+// covered by a page-aligned write of n bytes at off. Every block is
+// validated before any frontier moves, so a failed write leaves the chip
+// unchanged.
 func (c *Chip) program(off, n int64) error {
 	ps := int64(c.cfg.PageSize)
-	pagesPerBlock := int32(c.cfg.BlockSize / c.cfg.PageSize)
-	type blkRange struct {
-		blk        int64
-		start, end int32 // page indexes within block
-	}
-	var ranges []blkRange
-	for pg := off / ps; pg < (off+n)/ps; {
-		blk := pg / int64(pagesPerBlock)
-		inBlk := int32(pg % int64(pagesPerBlock))
-		endPg := (blk + 1) * int64(pagesPerBlock)
-		if lim := (off + n) / ps; endPg > lim {
-			endPg = lim
-		}
-		count := int32(endPg - pg)
-		if inBlk != c.frontier[blk] {
+	ppb := int64(c.cfg.BlockSize / c.cfg.PageSize)
+	first, end := off/ps, (off+n)/ps
+	// Each step covers one block: the write's first page in it, up to the
+	// block end or the write end.
+	for pg := first; pg < end; pg = (pg/ppb + 1) * ppb {
+		if blk, inBlk := pg/ppb, int32(pg%ppb); inBlk != c.frontier[blk] {
 			return fmt.Errorf("%w: block %d frontier %d, write starts at page %d",
 				storage.ErrProgramOrder, blk, c.frontier[blk], inBlk)
 		}
-		if inBlk+count > pagesPerBlock {
-			count = pagesPerBlock - inBlk
-		}
-		ranges = append(ranges, blkRange{blk, inBlk, inBlk + count})
-		pg += int64(count)
 	}
-	for _, r := range ranges {
-		c.frontier[r.blk] = r.end
+	for pg := first; pg < end; pg = (pg/ppb + 1) * ppb {
+		blk := pg / ppb
+		c.frontier[blk] = int32(min((blk+1)*ppb, end) - blk*ppb)
 	}
 	return nil
 }
 
-// WriteBatch implements storage.BatchWriter: address-sorted service,
-// sequential runs paying the fixed program setup once, and per-request
-// program times overlapped across the chip's planes (multi-plane page
-// program). Program-order constraints are enforced per request in sorted
-// order, so earlier requests of a failing batch remain programmed — the
-// same partial-application contract as a failing multi-block WriteAt.
+// WriteBatch implements storage.Device: address-sorted service, sequential
+// runs paying the fixed program setup once, and per-request program times
+// overlapped across the chip's planes (multi-plane page program).
+// Program-order constraints are enforced per request in sorted order, so
+// earlier requests of a failing batch remain programmed, while the failing
+// request itself leaves its blocks unchanged.
 func (c *Chip) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	if len(reqs) == 0 {
 		return 0, nil
@@ -355,8 +305,6 @@ func (c *Chip) Erase(off, n int64) (time.Duration, error) {
 }
 
 var (
-	_ storage.Device      = (*Chip)(nil)
-	_ storage.Eraser      = (*Chip)(nil)
-	_ storage.BatchReader = (*Chip)(nil)
-	_ storage.BatchWriter = (*Chip)(nil)
+	_ storage.Device = (*Chip)(nil)
+	_ storage.Eraser = (*Chip)(nil)
 )

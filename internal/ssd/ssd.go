@@ -180,7 +180,7 @@ type SSD struct {
 	everWritten []bool  // per logical block: needs erase before reuse
 	logWrites   int64   // out-of-order writes staged in log blocks
 
-	batchSvc []time.Duration // ReadBatch per-request service-time scratch
+	batchSvc []time.Duration // per-request service-time scratch of a submission
 }
 
 // New builds an SSD with the given usable capacity. Capacity is rounded up
@@ -288,46 +288,21 @@ func (s *SSD) creditIdle() {
 	}
 }
 
-// ReadAt implements storage.Device. Reads are sector-aligned. A read that
-// arrives while the erased-block pool is depleted pays for the pending
-// reclamation first (I/Os block during GC, §7.2.2).
+// ReadAt implements storage.Device as a one-request ReadBatch. Reads are
+// byte-granular but charged in whole sectors (P2).
 func (s *SSD) ReadAt(p []byte, off int64) (time.Duration, error) {
-	g := s.Geometry()
-	if err := storage.CheckRange(g, off, int64(len(p)), 1); err != nil {
-		return 0, err
-	}
-	if s.fault != nil {
-		if err := s.fault(storage.OpRead, off, len(p)); err != nil {
-			return 0, err
-		}
-	}
-	s.creditIdle()
-	var lat time.Duration
-	if s.prof.Mapping == PageMapped {
-		lat += s.gcIfNeeded()
-	}
-	// Charge whole sectors (P2).
-	ss := int64(s.prof.SectorSize)
-	first := off / ss
-	last := (off + int64(len(p)) - 1) / ss
-	if len(p) == 0 {
-		last = first
-	}
-	lat += s.prof.ReadFixed + time.Duration((last-first+1)*ss)*s.prof.ReadPerByte
-	s.store.ReadAt(p, off)
-	s.counters.Reads++
-	s.counters.BytesRead += uint64(len(p))
-	return s.finish(lat), nil
+	one := [1]storage.ReadReq{{P: p, Off: off}}
+	return s.ReadBatch(one[:])
 }
 
-// ReadBatch implements storage.BatchReader with the shared overlap model:
+// ReadBatch implements storage.Device with the shared overlap model:
 // requests are served in ascending address order, address-contiguous
 // requests form sequential runs that skip the fixed command cost, and the
 // per-request service times are overlapped across QueueDepth channel lanes
-// (the batch costs the maximum lane total, not the sum). Any pending
-// synchronous GC debt is paid once, up front, by the whole batch — exactly
-// as a single arriving ReadAt would pay it (§7.2.2) — rather than once per
-// request.
+// (the batch costs the maximum lane total, not the sum). Whole sectors are
+// charged (P2). A submission arriving while the erased-block pool is
+// depleted pays the pending reclamation first, once for the whole batch
+// (I/Os block during GC, §7.2.2).
 func (s *SSD) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	if len(reqs) == 0 {
 		return 0, nil
@@ -375,40 +350,21 @@ func (s *SSD) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	return s.finish(total), nil
 }
 
-// WriteAt implements storage.Device. Writes must be sector-aligned.
+// WriteAt implements storage.Device as a one-request WriteBatch. Writes
+// must be sector-aligned.
 func (s *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
-	g := s.Geometry()
-	if err := storage.CheckRange(g, off, int64(len(p)), s.prof.SectorSize); err != nil {
-		return 0, err
-	}
-	if s.fault != nil {
-		if err := s.fault(storage.OpWrite, off, len(p)); err != nil {
-			return 0, err
-		}
-	}
-	s.creditIdle()
-	var lat time.Duration
-	switch s.prof.Mapping {
-	case PageMapped:
-		lat = s.writePageMapped(off, int64(len(p)))
-	case BlockMapped:
-		lat = s.writeBlockMapped(off, int64(len(p)))
-	}
-	s.store.WriteAt(p, off)
-	s.counters.Writes++
-	s.counters.BytesWritten += uint64(len(p))
-	return s.finish(lat), nil
+	one := [1]storage.WriteReq{{P: p, Off: off}}
+	return s.WriteBatch(one[:])
 }
 
-// WriteBatch implements storage.BatchWriter with the shared overlap model:
+// WriteBatch implements storage.Device with the shared overlap model:
 // requests are served in ascending address order, address-contiguous
 // requests form sequential runs that skip the fixed command cost, and the
 // per-request transfer times are overlapped across QueueDepth channel
-// lanes. FTL bookkeeping runs per request exactly as WriteAt would run it;
-// synchronous GC debt — pending reclamation plus any emergency reclaims the
-// batch's own allocations force — is charged once to the whole batch and
-// serializes ahead of the overlapped transfers, the same "GC blocks the
-// device" behaviour a single arriving write exhibits (§7.2.2).
+// lanes. FTL bookkeeping runs per request in address order; synchronous GC
+// debt — pending reclamation plus any emergency reclaims the batch's own
+// allocations force — is charged once to the whole batch and serializes
+// ahead of the overlapped transfers: GC blocks the device (§7.2.2).
 func (s *SSD) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	if len(reqs) == 0 {
 		return 0, nil
@@ -590,19 +546,8 @@ func (s *SSD) gcIfNeeded() time.Duration {
 	return cost
 }
 
-func (s *SSD) writePageMapped(off, n int64) time.Duration {
-	lat := s.gcIfNeeded()
-	if n == 0 {
-		return lat + s.prof.WriteFixed
-	}
-	s.allocRange(off, n, &lat)
-	lat += s.prof.WriteFixed + time.Duration(n)*s.prof.WritePerByte
-	return lat
-}
-
 // allocRange invalidates and reallocates the logical pages of [off, off+n)
-// at the write frontier, charging emergency reclamation to *cost. Shared by
-// the single-write and batched-write paths so FTL state evolves identically.
+// at the write frontier, charging emergency reclamation to *cost.
 func (s *SSD) allocRange(off, n int64, cost *time.Duration) {
 	ps := int64(s.prof.PageSize)
 	first := off / ps
@@ -625,13 +570,9 @@ func (s *SSD) allocRange(off, n int64, cost *time.Duration) {
 
 // --- block-mapped FTL ---
 
-func (s *SSD) writeBlockMapped(off, n int64) time.Duration {
-	return s.blockMappedBody(off, n) + s.prof.WriteFixed
-}
-
 // blockMappedBody is the block-mapped write cost and FTL bookkeeping
-// without the per-command fixed overhead (which batched sequential runs
-// pay only once).
+// without the per-command fixed overhead (which sequential runs pay only
+// once).
 func (s *SSD) blockMappedBody(off, n int64) time.Duration {
 	if n == 0 {
 		return 0
@@ -699,8 +640,6 @@ func (s *SSD) blockMappedBody(off, n int64) time.Duration {
 }
 
 var (
-	_ storage.Device      = (*SSD)(nil)
-	_ storage.Trimmer     = (*SSD)(nil)
-	_ storage.BatchReader = (*SSD)(nil)
-	_ storage.BatchWriter = (*SSD)(nil)
+	_ storage.Device  = (*SSD)(nil)
+	_ storage.Trimmer = (*SSD)(nil)
 )

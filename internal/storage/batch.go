@@ -6,25 +6,17 @@ import (
 	"time"
 )
 
-// ReadReq is one read of a batched I/O: fill P from device offset Off.
-type ReadReq struct {
-	P   []byte
-	Off int64
-}
-
-// BatchReader is implemented by devices that can service a set of reads as
-// one queued submission, overlapping their service across the device's
-// internal parallelism (SSD channels, NAND planes) and eliminating seeks
-// between address-sorted requests. It is the device half of the batched
-// lookup pipeline: BufferHash gathers every flash probe a lookup batch
-// needs, dedupes and sorts them, and submits them here in one call.
+// ReadReq is one read of a Device.ReadBatch submission: fill P from device
+// offset Off. ReadAt is the one-request case.
 //
 // ReadBatch fills every request's buffer and returns the overlapped service
 // time of the whole batch, advancing the device clock by that amount once —
 // not by the sum of per-request latencies, which is what a loop over ReadAt
 // would charge. Counters still account every request individually (Reads
-// and BytesRead grow by the batch size), so I/O counts stay comparable with
-// the serial path; only the time model changes.
+// and BytesRead grow by the batch size), so I/O counts do not depend on how
+// requests are grouped; only the time model does. It is the device half of
+// the batched lookup pipeline: BufferHash gathers every flash probe a
+// lookup batch needs, dedupes and sorts them, and submits them in one call.
 //
 // The overlap model is deliberately explicit and shared by all devices:
 //
@@ -37,11 +29,37 @@ type ReadReq struct {
 //     least-loaded lane, and the batch's service time is the maximum lane
 //     total — lanes overlap, they do not add.
 //
-// Devices that cannot reorder or overlap simply have one lane, where the
-// model degenerates to the sorted serial sum (still a win on seek-bound
-// media). Callers must treat request buffers as invalid on error.
-type BatchReader interface {
-	ReadBatch(reqs []ReadReq) (time.Duration, error)
+// A lone request starts a new run and occupies one lane, so it pays the
+// fixed cost plus its transfer: the paper's linear I/O cost (§6.1). Devices
+// that cannot reorder or overlap simply have one lane, where the model
+// degenerates to the sorted serial sum (still a win on seek-bound media).
+// Callers must treat request buffers as invalid on error.
+type ReadReq struct {
+	P   []byte
+	Off int64
+}
+
+// WriteReq is one write of a Device.WriteBatch submission: store P at
+// device offset Off. WriteAt is the one-request case.
+//
+// WriteBatch stores every request's bytes and returns the overlapped
+// service time of the whole batch under ReadReq's three-step overlap
+// model, advancing the device clock by that amount once. Counters account
+// every request individually (Writes and BytesWritten grow by the batch
+// size). FTL bookkeeping (page mapping, garbage collection,
+// erase-before-write) runs per request in address order, with any
+// synchronous GC debt paid once up front by the whole submission. It is
+// the device half of the batched insert pipeline: BufferHash collects
+// every incarnation image a batch's flushes produce and submits them in
+// one call.
+//
+// Requests must respect the same alignment rules as WriteAt and must not
+// overlap one another; on media with program-order constraints (raw NAND)
+// the address-sorted requests must respect them, as full-block incarnation
+// images do by construction.
+type WriteReq struct {
+	P   []byte
+	Off int64
 }
 
 // SortReadReqs orders reqs by ascending device address (step 1 of the
@@ -49,42 +67,41 @@ type BatchReader interface {
 // stay adjacent for callers that dedupe. Already-sorted batches — the
 // common case, since the core pipeline submits sorted requests — are
 // detected with one linear scan and left untouched.
+//
+// The sort is written per request type rather than as one generic helper:
+// a generic call goes through a shape dictionary, which hides the slice
+// from escape analysis and would move every device's one-request ReadAt
+// array to the heap.
 func SortReadReqs(reqs []ReadReq) {
-	sortByOff(reqs, func(r ReadReq) int64 { return r.Off })
+	cmpOff := func(a, b ReadReq) int { return cmp.Compare(a.Off, b.Off) }
+	if !slices.IsSortedFunc(reqs, cmpOff) {
+		slices.SortStableFunc(reqs, cmpOff)
+	}
 }
 
-// sortByOff is the shared elevator ordering of SortReadReqs and
-// SortWriteReqs: stable ascending sort by device address, with a linear
-// scan skipping batches that are already in order.
-func sortByOff[T any](reqs []T, off func(T) int64) {
-	sorted := true
-	for i := 1; i < len(reqs); i++ {
-		if off(reqs[i]) < off(reqs[i-1]) {
-			sorted = false
-			break
-		}
+// SortWriteReqs orders reqs by ascending device address (the elevator/NCQ
+// step of the overlap model), leaving already-sorted batches untouched.
+func SortWriteReqs(reqs []WriteReq) {
+	cmpOff := func(a, b WriteReq) int { return cmp.Compare(a.Off, b.Off) }
+	if !slices.IsSortedFunc(reqs, cmpOff) {
+		slices.SortStableFunc(reqs, cmpOff)
 	}
-	if sorted {
-		return
-	}
-	slices.SortStableFunc(reqs, func(a, b T) int { return cmp.Compare(off(a), off(b)) })
 }
 
 // OverlapLanes implements step 3 of the overlap model: distribute the
 // per-request service times over `lanes` queue lanes, each request on the
 // currently least-loaded lane, and return the maximum lane total. With one
-// lane this is the plain sum. svc is consumed in order, so callers pass the
-// address-sorted (and sequential-run-discounted) service times.
+// lane (or one request) this is the plain sum. svc is consumed in order,
+// so callers pass the address-sorted (and sequential-run-discounted)
+// service times.
 func OverlapLanes(svc []time.Duration, lanes int) time.Duration {
+	lanes = min(lanes, len(svc))
 	if lanes <= 1 {
 		var sum time.Duration
 		for _, s := range svc {
 			sum += s
 		}
 		return sum
-	}
-	if lanes > len(svc) {
-		lanes = len(svc)
 	}
 	var laneBuf [32]time.Duration // avoids a heap lane slice for real queue depths
 	var lane []time.Duration
@@ -94,13 +111,13 @@ func OverlapLanes(svc []time.Duration, lanes int) time.Duration {
 		lane = make([]time.Duration, lanes)
 	}
 	for _, s := range svc {
-		min := 0
+		least := 0
 		for i := 1; i < lanes; i++ {
-			if lane[i] < lane[min] {
-				min = i
+			if lane[i] < lane[least] {
+				least = i
 			}
 		}
-		lane[min] += s
+		lane[least] += s
 	}
 	var max time.Duration
 	for _, t := range lane {
@@ -109,76 +126,4 @@ func OverlapLanes(svc []time.Duration, lanes int) time.Duration {
 		}
 	}
 	return max
-}
-
-// ReadBatchFallback services a batch against a plain Device by looping
-// ReadAt in address-sorted order. Latency is the serial sum (each ReadAt
-// advances the clock as usual); sorting still helps seek-bound devices
-// whose cost model tracks head position. It is the correct fallback for
-// devices that do not implement BatchReader.
-func ReadBatchFallback(d Device, reqs []ReadReq) (time.Duration, error) {
-	SortReadReqs(reqs)
-	var total time.Duration
-	for _, r := range reqs {
-		lat, err := d.ReadAt(r.P, r.Off)
-		if err != nil {
-			return total, err
-		}
-		total += lat
-	}
-	return total, nil
-}
-
-// WriteReq is one write of a batched I/O: store P at device offset Off.
-type WriteReq struct {
-	P   []byte
-	Off int64
-}
-
-// BatchWriter is the write-side twin of BatchReader: a set of writes
-// submitted as one queued batch, served in ascending address order with
-// sequential runs paying the fixed command cost once and per-request
-// service times overlapped across the device's queue lanes. It is the
-// device half of the batched insert pipeline: BufferHash collects every
-// incarnation image a batch's flushes produce, sorts them by address, and
-// submits them here in one call.
-//
-// WriteBatch stores every request's bytes and returns the overlapped
-// service time of the whole batch, advancing the device clock by that
-// amount once. Counters still account every request individually (Writes
-// and BytesWritten grow by the batch size), so I/O counts stay comparable
-// with a loop over WriteAt; only the time model changes. FTL bookkeeping
-// (page mapping, garbage collection, erase-before-write) runs per request
-// exactly as WriteAt would run it, with any synchronous GC debt paid once
-// up front by the whole batch.
-//
-// Requests must respect the same alignment rules as WriteAt and must not
-// overlap one another; on media with program-order constraints (raw NAND)
-// the address-sorted requests must respect them, as full-block incarnation
-// images do by construction.
-type BatchWriter interface {
-	WriteBatch(reqs []WriteReq) (time.Duration, error)
-}
-
-// SortWriteReqs orders reqs by ascending device address (the elevator/NCQ
-// step of the overlap model). Already-sorted batches are detected with one
-// linear scan and left untouched.
-func SortWriteReqs(reqs []WriteReq) {
-	sortByOff(reqs, func(r WriteReq) int64 { return r.Off })
-}
-
-// WriteBatchFallback services a write batch against a plain Device by
-// looping WriteAt in address-sorted order — the serial sum, the correct
-// fallback for devices without BatchWriter.
-func WriteBatchFallback(d Device, reqs []WriteReq) (time.Duration, error) {
-	SortWriteReqs(reqs)
-	var total time.Duration
-	for _, r := range reqs {
-		lat, err := d.WriteAt(r.P, r.Off)
-		if err != nil {
-			return total, err
-		}
-		total += lat
-	}
-	return total, nil
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // These tests pin the storage-layer contracts the value log and the
-// incarnation layouts rely on: SparseStore.Drop's page-boundary behaviour
-// and the Trimmer/Eraser optional interfaces as seen through a plain
-// storage.Device.
+// incarnation layouts rely on: SparseStore.Drop's page-boundary behaviour,
+// the Trimmer/Eraser optional interfaces as seen through a plain
+// storage.Device, and the batch service every device model implements.
 
 func TestSparseStoreDropBoundaryCases(t *testing.T) {
 	const page = 16
@@ -203,6 +203,62 @@ func TestEraserInterface(t *testing.T) {
 	}
 }
 
+// TestSerialIOAllocs pins that ReadAt and WriteAt, the one-request form of
+// every device model's batch service, keep their request on the stack. A
+// heap-allocated request would add one allocation per serial I/O, which is
+// every probe and flush of the serial store path. The only allowed
+// allocation is the raw chip's: a program lands on a freshly erased page,
+// which the sparse store materialises.
+func TestSerialIOAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		dev         storage.Device
+		writeAllocs float64
+	}{
+		{"ssd-intel", ssd.New(ssd.IntelX18M(), 4<<20, vclock.New()), 0},
+		{"ssd-transcend", ssd.New(ssd.TranscendTS32(), 4<<20, vclock.New()), 0},
+		{"chip", flashchip.New(flashchip.DefaultConfig(4<<20), vclock.New()), 1},
+		{"disk", disk.New(disk.Hitachi7K80(), 4<<20, vclock.New()), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.dev.Geometry()
+			p := make([]byte, g.PageSize)
+			// Raw NAND programs block 0's pages in order and erases the block
+			// when it is full; the other media rewrite page 0.
+			er, _ := tc.dev.(storage.Eraser)
+			var next int64
+			write := func() {
+				if er != nil && next == int64(g.BlockSize) {
+					if _, err := er.Erase(0, int64(g.BlockSize)); err != nil {
+						t.Fatal(err)
+					}
+					next = 0
+				}
+				if _, err := tc.dev.WriteAt(p, next); err != nil {
+					t.Fatal(err)
+				}
+				if er != nil {
+					next += int64(g.PageSize)
+				}
+			}
+			for i := 0; i < g.BlockSize/g.PageSize; i++ { // warm the store and the FTL
+				write()
+			}
+			read := func() {
+				if _, err := tc.dev.ReadAt(p, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a := testing.AllocsPerRun(200, read); a != 0 {
+				t.Errorf("ReadAt allocates %v per call, want 0", a)
+			}
+			if a := testing.AllocsPerRun(200, write); a != tc.writeAllocs {
+				t.Errorf("WriteAt allocates %v per call, want %v", a, tc.writeAllocs)
+			}
+		})
+	}
+}
+
 // TestBatchWriterContract exercises WriteBatch on every device model
 // against a twin device driven by serial WriteAt: identical stored bytes
 // and write counters, and batch service time never above the serial sum
@@ -220,10 +276,6 @@ func TestBatchWriterContract(t *testing.T) {
 	for name := range serialDevs {
 		t.Run(name, func(t *testing.T) {
 			sd, bd := serialDevs[name], batchDevs[name]
-			bw, ok := bd.(storage.BatchWriter)
-			if !ok {
-				t.Fatalf("%s does not expose storage.BatchWriter", name)
-			}
 			// 128 KB chunks (whole erase blocks on NAND) at scattered,
 			// non-contiguous addresses, submitted in descending order so the
 			// batch path must sort.
@@ -241,7 +293,7 @@ func TestBatchWriterContract(t *testing.T) {
 				}
 				serialSum += lat
 			}
-			batchLat, err := bw.WriteBatch(reqs)
+			batchLat, err := bd.WriteBatch(reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +325,7 @@ func TestBatchWriterContract(t *testing.T) {
 // address-contiguous writes must cost less than the same pages written as
 // discontiguous requests (which pay the fixed cost every time).
 func TestBatchWriterSequentialRunDiscount(t *testing.T) {
-	mk := func() storage.BatchWriter {
+	mk := func() storage.Device {
 		return ssd.New(ssd.IntelX18M(), 4<<20, vclock.New())
 	}
 	const page = 4096

@@ -7,15 +7,16 @@
 // bytes, so data integrity is verified end to end by the tests — the latency
 // model and the data path are exercised together.
 //
-// Besides the one-at-a-time Device interface, devices may implement
-// BatchReader and BatchWriter: queued submissions of many reads or writes
-// whose service times overlap across the device's internal parallelism
-// (SSD channels, NAND planes) after an address sort, with sequential runs
-// paying the fixed command cost once. The batched lookup pipeline in
-// internal/core feeds coalesced flash probes through BatchReader, and the
-// batched insert pipeline feeds the incarnation images its flushes
-// produce through BatchWriter; see those interfaces for the precise
-// three-step overlap model.
+// Every device services reads and writes as queued submissions: ReadBatch
+// and WriteBatch serve many requests in ascending address order, with
+// sequential runs paying the fixed command cost once and service times
+// overlapped across the device's internal parallelism (SSD channels, NAND
+// planes). ReadAt and WriteAt are the one-request case, which pays the
+// fixed cost plus the transfer (§6.1). The batched lookup pipeline in
+// internal/core feeds coalesced flash probes through ReadBatch, and the
+// batched insert pipeline feeds the incarnation images its flushes produce
+// through WriteBatch; see ReadReq and WriteReq for the precise three-step
+// overlap model.
 package storage
 
 import (
@@ -116,6 +117,12 @@ type Device interface {
 	ReadAt(p []byte, off int64) (time.Duration, error)
 	// WriteAt writes len(p) bytes at off and returns the simulated latency.
 	WriteAt(p []byte, off int64) (time.Duration, error)
+	// ReadBatch serves reqs as one queued submission and returns its
+	// overlapped service time (see ReadReq). It may reorder reqs.
+	ReadBatch(reqs []ReadReq) (time.Duration, error)
+	// WriteBatch serves reqs as one queued submission and returns its
+	// overlapped service time (see WriteReq). It may reorder reqs.
+	WriteBatch(reqs []WriteReq) (time.Duration, error)
 	// Geometry returns the device's addressing structure.
 	Geometry() Geometry
 	// Counters returns a snapshot of the device's I/O accounting.

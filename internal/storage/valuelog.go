@@ -21,10 +21,11 @@ import (
 // (raw NAND) the log erases each block just before the append head re-enters
 // it after a wrap, preserving program order within blocks.
 //
-// Batched reads go through the device's BatchReader when it implements one,
+// Record reads go to the device as one ReadBatch submission per call,
 // overlapping the records' service times across the device's queue lanes —
 // the "second I/O stream" of a batched Get: first the incarnation page
-// probes overlap, then the value-log record reads overlap.
+// probes overlap, then the value-log record reads overlap. A single-record
+// read is the one-request case.
 //
 // A ValueLog is not safe for concurrent use; the clam facade serializes
 // access under the same lock as the hash table.
@@ -283,21 +284,18 @@ func (l *ValueLog) MarkDead(off int64, n int) {
 // total length). The returned offset becomes invalid — and reads of it
 // self-invalidate via key verification — once the head wraps past it.
 func (l *ValueLog) Append(key, value []byte) (off int64, n int, err error) {
-	off, n, err = l.appendRecord(key, value)
-	if err != nil {
+	keys, values := [1][]byte{key}, [1][]byte{value}
+	var offs [1]int64
+	var ns [1]int
+	if err := l.AppendBatch(keys[:], values[:], offs[:], ns[:]); err != nil {
 		return 0, 0, err
 	}
-	if len(l.buf) >= l.flushAt {
-		if err := l.flushFullPages(); err != nil {
-			return 0, 0, err
-		}
-	}
-	return off, n, nil
+	return offs[0], ns[0], nil
 }
 
 // appendRecord stages one record in the tail buffer without triggering the
-// full-page flush, so batched appends can accumulate a whole chunk and
-// write its pages in one sequential submission.
+// full-page flush, so AppendBatch can accumulate a whole chunk and write
+// its pages in one sequential submission.
 func (l *ValueLog) appendRecord(key, value []byte) (off int64, n int, err error) {
 	n = RecordSize(len(key), len(value))
 	if int64(n) > l.capacity {
@@ -451,45 +449,24 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 	}
 }
 
-// readSplit fills p with the log bytes at off, serving buffered bytes from
-// the tail buffer and the rest with direct device reads.
-func (l *ValueLog) readSplit(p []byte, off int64) error {
-	var err error
-	l.readSegments(p, off, func(seg []byte, segOff int64) {
-		if err != nil {
-			return
-		}
-		if _, rerr := l.dev.ReadAt(seg, segOff); rerr != nil {
-			err = fmt.Errorf("storage: value log read: %w", rerr)
-		}
-	})
-	return err
-}
-
-// ReadRecord fetches one record's bytes. ok=false means the pointer does
-// not address a live record region (stale after a wrap on an unwrapped
-// region, or out of range); the returned slice aliases log-owned scratch
-// valid until the next log call.
+// ReadRecord fetches one record's bytes: the one-request form of
+// ReadRecordsBatch. ok=false means the pointer does not address a live
+// record region (stale after a wrap on an unwrapped region, or out of
+// range); the returned slice aliases log-owned scratch valid until the
+// next log call.
 func (l *ValueLog) ReadRecord(off int64, n int) (rec []byte, ok bool, err error) {
-	if !l.inRange(off, n) {
-		return nil, false, nil
-	}
-	if cap(l.scratch) < n {
-		l.scratch = make([]byte, n)
-	}
-	rec = l.scratch[:n]
-	if err := l.readSplit(rec, off); err != nil {
+	reqs := [1]ValueReadReq{{Off: off, N: n}}
+	if err := l.ReadRecordsBatch(reqs[:]); err != nil {
 		return nil, false, err
 	}
-	return rec, true, nil
+	return reqs[0].Rec, reqs[0].Rec != nil, nil
 }
 
 // ReadRecordsBatch resolves every request's record bytes. Requests whose
-// device portions survive are gathered, address-sorted and issued as one
-// BatchReader submission when the device supports it (falling back to a
-// sorted serial loop), so a batch of record fetches pays the overlapped
-// service time, not the serial sum. Buffered bytes are copied from the
-// tail buffer. Rec slices alias log-owned scratch valid until the next
+// device portions survive are gathered and issued as one ReadBatch
+// submission, so a batch of record fetches pays the overlapped service
+// time, not the serial sum. Buffered bytes are copied from the tail
+// buffer. Rec slices alias log-owned scratch valid until the next
 // log call; out-of-range requests leave Rec nil.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 	total := 0
@@ -524,14 +501,8 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 	if len(l.reqs) == 0 {
 		return nil
 	}
-	var err error
-	if br, ok := l.dev.(BatchReader); ok {
-		_, err = br.ReadBatch(l.reqs)
-	} else {
-		_, err = ReadBatchFallback(l.dev, l.reqs)
-	}
-	if err != nil {
-		return fmt.Errorf("storage: value log batched read: %w", err)
+	if _, err := l.dev.ReadBatch(l.reqs); err != nil {
+		return fmt.Errorf("storage: value log read: %w", err)
 	}
 	return nil
 }
