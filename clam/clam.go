@@ -33,20 +33,26 @@
 // ContainsBatch, which stop at the index hit and skip the record read
 // (accepting the fingerprint-collision rate the paper accepts).
 //
+// Every operation has one path. The per-key calls (PutU64, GetU64,
+// DeleteU64, ContainsU64, Put, Get, Delete, Contains) are one-key calls of
+// the same chunk helpers the batch calls use, on stack arrays, so a key
+// sent alone or inside a batch runs the same core pipeline, the same
+// value-log calls and the same dead-record accounting.
+//
 // Adding WithShards(8) to the same option list opens a Sharded store: the
 // key space is partitioned by top fingerprint bits across independent
 // shards, each a complete CLAM with its own BufferHash, device models,
 // virtual clock and histograms. Batch operations route through a shared
 // chunk queue over a bounded worker pool with single-shard ownership,
 // cache affinity and shard stealing. GetBatch/GetBatchU64 run each chunk
-// through the core batched lookup pipeline, overlapping index page probes
+// through the core lookup pipeline, overlapping index page probes
 // — and then value-log record reads, a second I/O stream — across the
 // device's internal queue lanes. PutBatch/PutBatchU64 are the write-side
 // mirror: each chunk's records land in the value log as one multi-record
 // append, and every buffer flush the chunk triggers is issued as one
 // address-sorted device WriteBatch submission, so flush writes overlap
-// the same way lookup probes do while counters and state stay exactly
-// serial (Stats.WriteLatency shows the flattened write tail).
+// the same way lookup probes do while counters and state match per-key
+// calls exactly (Stats.WriteLatency shows the flattened write tail).
 //
 // # Worker model: one worker per shard, affinity and stealing
 //
@@ -65,9 +71,9 @@
 // shard from the shared queue. At most min(WithWorkers, shards with work)
 // worker goroutines run per batch while the caller waits; under heavy skew
 // the hot shard's chunks run on one worker while the others drain the cold
-// shards and exit. Every chunk is one call into the core batched pipeline,
-// so results, per-key probe sequences and every core counter match a
-// serial per-key loop (the differential oracles pin this; see
+// shards and exit. Every chunk is one call into the core pipeline, so
+// results, per-key probe sequences and every core counter match the same
+// keys sent one at a time (the differential oracles pin this; see
 // core.BufferHash.LookupBatch for the LRU carve-out); only wall-clock and
 // virtual time change.
 //
@@ -308,14 +314,11 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 
 // --- U64 fast path ---
 
-// PutU64 adds or updates a (key, value) mapping on the inline fast path.
+// PutU64 adds or updates a (key, value) mapping on the inline fast path:
+// a one-key PutBatchU64 chunk.
 func (c *CLAM) PutU64(key, value uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	err := c.bh.Insert(key, value)
-	c.insert.Observe(w.Elapsed())
-	return err
+	keys, values := [1]uint64{key}, [1]uint64{value}
+	return c.putBatchU64Chunk(keys[:], values[:])
 }
 
 // UpdateU64 is an alias of PutU64 with the paper's lazy-update semantics
@@ -323,33 +326,27 @@ func (c *CLAM) PutU64(key, value uint64) error {
 // newest-first; there is no existence check and no read-modify-write.
 func (c *CLAM) UpdateU64(key, value uint64) error { return c.PutU64(key, value) }
 
-// GetU64 returns the latest value stored under key.
+// GetU64 returns the latest value stored under key: a one-key GetBatchU64
+// chunk.
 func (c *CLAM) GetU64(key uint64) (value uint64, found bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	res, err := c.bh.Lookup(key)
-	c.lookup.Observe(w.Elapsed())
-	return res.Value, res.Found, err
+	keys, results := [1]uint64{key}, [1]core.LookupResult{}
+	err = c.getBatchU64Into(keys[:], results[:])
+	return results[0].Value, results[0].Found, err
 }
 
-// DeleteU64 lazily removes key (§5.1.1).
+// DeleteU64 lazily removes key (§5.1.1): a one-key DeleteBatchU64 chunk.
 func (c *CLAM) DeleteU64(key uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	err := c.bh.Delete(key)
-	c.del.Observe(w.Elapsed())
-	return err
+	keys := [1]uint64{key}
+	return c.deleteBatchU64Chunk(keys[:])
 }
 
 // PutBatchU64 applies len(keys) fast-path inserts through the core batched
 // insert pipeline (see internal/core: in-order buffer application with
 // deferred CPU charges, then every triggered flush issued as one
 // address-sorted overlapped write submission). State and structural
-// counters match a loop of PutU64 calls key-for-key; each chunk holds the
-// lock once and its flush writes overlap in virtual time. ctx is checked
-// between chunks.
+// counters match the same keys sent one at a time through PutU64; each
+// chunk holds the lock once and its flush writes overlap in virtual time.
+// ctx is checked between chunks.
 //
 // Latency accounting: a chunk's virtual elapsed time is spread evenly over
 // its keys, so the insert histogram records amortized per-key latency —
@@ -379,6 +376,16 @@ func forChunks(ctx context.Context, n, chunk int, run func(lo, hi int) error) er
 	return nil
 }
 
+// observeSpread records a chunk's virtual elapsed time as n samples of its
+// per-key share, so a histogram's count stays the number of keys served.
+// A one-key call's share is the whole, so it skips the division.
+func observeSpread(h *metrics.Histogram, elapsed time.Duration, n int) {
+	if n > 1 {
+		elapsed /= time.Duration(n)
+	}
+	h.ObserveN(elapsed, n)
+}
+
 // resize returns s with length n, reallocating only when it is too small:
 // the batch paths' reusable scratch.
 func resize[T any](s []T, n int) []T {
@@ -400,16 +407,16 @@ func (c *CLAM) putBatchU64Chunk(keys, values []uint64) error {
 	if err := c.bh.InsertBatch(keys, values); err != nil {
 		return err
 	}
-	c.insert.ObserveN(w.Elapsed()/time.Duration(len(keys)), len(keys))
+	observeSpread(&c.insert, w.Elapsed(), len(keys))
 	return nil
 }
 
-// GetBatchU64 looks up len(keys) keys through the core batched pipeline
+// GetBatchU64 looks up len(keys) keys through the core lookup pipeline
 // (see internal/core: in-memory phase, coalesced overlapped flash phase,
-// serial-identical resolution) and returns per-key results in input order.
-// The structural counters match a loop of GetU64 calls key-for-key; each
-// chunk holds the lock once and its flash reads overlap in virtual time.
-// ctx is checked between chunks.
+// newest-first resolution) and returns per-key results in input order.
+// The structural counters match the same keys sent one at a time through
+// GetU64; each chunk holds the lock once and its flash reads overlap in
+// virtual time. ctx is checked between chunks.
 //
 // Latency accounting: a chunk's virtual elapsed time is spread evenly over
 // its keys, so the lookup histogram records amortized per-key latency and
@@ -442,13 +449,13 @@ func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult) error
 	if err := c.bh.LookupBatch(keys, results); err != nil {
 		return err
 	}
-	c.lookup.ObserveN(w.Elapsed()/time.Duration(len(keys)), len(keys))
+	observeSpread(&c.lookup, w.Elapsed(), len(keys))
 	return nil
 }
 
 // DeleteBatchU64 applies len(keys) fast-path deletes, checking ctx between
 // chunks. Deletes perform no I/O; batching amortizes lock and clock
-// traffic, with counters identical to a DeleteU64 loop.
+// traffic, with counters identical to one DeleteU64 call per key.
 func (c *CLAM) DeleteBatchU64(ctx context.Context, keys []uint64) error {
 	return forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
 		return c.deleteBatchU64Chunk(keys[lo:hi])
@@ -466,14 +473,15 @@ func (c *CLAM) deleteBatchU64Chunk(keys []uint64) error {
 	if err := c.bh.DeleteBatch(keys); err != nil {
 		return err
 	}
-	c.del.ObserveN(w.Elapsed()/time.Duration(len(keys)), len(keys))
+	observeSpread(&c.del, w.Elapsed(), len(keys))
 	return nil
 }
 
 // --- byte-keyed operations ---
 
 // Put adds or updates a key → value mapping: the record is appended to the
-// value log and the key's fingerprint maps to its pointer.
+// value log and the key's fingerprint maps to its pointer. It is a one-key
+// PutBatch chunk.
 func (c *CLAM) Put(key, value []byte) error {
 	return c.putRecord(fingerprint(key, c.fpSeed), key, value)
 }
@@ -482,27 +490,10 @@ func (c *CLAM) Put(key, value []byte) error {
 // (§5.1.1); see Store.
 func (c *CLAM) Update(key, value []byte) error { return c.Put(key, value) }
 
+// putRecord is the one-key Put under a precomputed fingerprint.
 func (c *CLAM) putRecord(fp uint64, key, value []byte) error {
-	if c.vlog == nil {
-		return ErrNoValueLog
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	off, n, err := c.vlog.Append(key, value)
-	if err != nil {
-		return err
-	}
-	// Only an appended record replaces the old one: a failed Put leaves the
-	// previous record live.
-	c.markDeadIfBuffered(fp)
-	ptr, ok := core.EncodeValuePtr(off, n)
-	if !ok {
-		return fmt.Errorf("clam: value-log pointer (%d, %d) not encodable", off, n)
-	}
-	err = c.bh.Insert(fp, ptr)
-	c.insert.Observe(w.Elapsed())
-	return err
+	fps, keys, values := [1]uint64{fp}, [1][]byte{key}, [1][]byte{value}
+	return c.putBatchRecords(fps[:], keys[:], values[:])
 }
 
 // markDeadIfBuffered moves fp's value-log record to the dead side of the
@@ -527,65 +518,40 @@ func (c *CLAM) markDeadIfBuffered(fp uint64) {
 }
 
 // Get returns the latest value stored under key, verified against the full
-// key bytes in the value-log record.
+// key bytes in the value-log record. It is a one-key GetBatch chunk.
 func (c *CLAM) Get(key []byte) (value []byte, found bool, err error) {
 	return c.getRecord(fingerprint(key, c.fpSeed), key)
 }
 
+// getRecord is the one-key Get under a precomputed fingerprint.
 func (c *CLAM) getRecord(fp uint64, key []byte) (value []byte, found bool, err error) {
-	if c.vlog == nil {
-		return nil, false, ErrNoValueLog
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	defer func() { c.lookup.Observe(w.Elapsed()) }()
-	res, err := c.bh.Lookup(fp)
-	if err != nil || !res.Found {
-		return nil, false, err
-	}
-	off, n, ok := res.ValuePointer()
-	if !ok {
-		return nil, false, nil // inline (U64-keyed) entry under this fingerprint
-	}
-	rec, ok, err := c.vlog.ReadRecord(off, n)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, nil // stale pointer: record region wrapped over
-	}
-	v, ok := storage.VerifyRecord(rec, key)
-	if !ok {
-		return nil, false, nil // fingerprint collision or overwritten record
-	}
-	return bytes.Clone(v), true, nil
+	fps, keys := [1]uint64{fp}, [1][]byte{key}
+	var values [1][]byte
+	var founds [1]bool
+	err = c.getBatchRecords(fps[:], keys[:], values[:], founds[:])
+	return values[0], founds[0], err
 }
 
 // Delete lazily removes key (§5.1.1). The value-log record is reclaimed by
-// the log's circular overwrite.
+// the log's circular overwrite. It is a one-key DeleteBatch chunk.
 func (c *CLAM) Delete(key []byte) error {
 	return c.deleteFP(fingerprint(key, c.fpSeed))
 }
 
+// deleteFP is the one-key Delete under a precomputed fingerprint.
 func (c *CLAM) deleteFP(fp uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	c.markDeadIfBuffered(fp)
-	err := c.bh.Delete(fp)
-	c.del.Observe(w.Elapsed())
-	return err
+	fps := [1]uint64{fp}
+	return c.deleteBatchFPs(fps[:])
 }
 
 // PutBatch applies len(keys) Put operations, chunk by chunk: each chunk's
 // records are appended to the value log as one tail-buffered multi-record
 // append (its full pages reach the device as one sequential submission),
 // then the chunk's fingerprints and record pointers run through the core
-// batched insert pipeline, whose flush writes are issued as one overlapped
+// insert pipeline, whose flush writes are issued as one overlapped
 // submission — the write-side mirror of GetBatch's two read streams. Final
-// state matches a Put loop exactly (record offsets depend only on append
-// order). ctx is checked between chunks.
+// state matches one Put call per key exactly (record offsets depend only
+// on append order). ctx is checked between chunks.
 func (c *CLAM) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatch length mismatch: %d keys, %d values", len(keys), len(values))
@@ -627,6 +593,7 @@ func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	} else {
 		clear(c.deadSeen)
 	}
+	last := len(fps) - 1
 	for i, fp := range fps {
 		ptr, ok := core.EncodeValuePtr(offs[i], ns[i])
 		if !ok {
@@ -634,7 +601,9 @@ func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 		}
 		// Space accounting: the first occurrence of a fingerprint may kill a
 		// pre-chunk record still in the buffer; later occurrences kill the
-		// previous occurrence's record within this chunk.
+		// previous occurrence's record within this chunk. The last key has
+		// no later occurrence to serve, so it is not tracked: a one-key
+		// chunk leaves the tracker empty, and clearing an empty map is free.
 		if prev, dup := c.deadSeen[fp]; dup {
 			if off, n, ok := core.DecodeValuePtr(prev); ok {
 				c.vlog.MarkDead(off, n)
@@ -642,13 +611,15 @@ func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 		} else {
 			c.markDeadIfBuffered(fp)
 		}
-		c.deadSeen[fp] = ptr
+		if i < last {
+			c.deadSeen[fp] = ptr
+		}
 		ptrs[i] = ptr
 	}
 	if err := c.bh.InsertBatch(fps, ptrs); err != nil {
 		return err
 	}
-	c.insert.ObserveN(w.Elapsed()/time.Duration(len(fps)), len(fps))
+	observeSpread(&c.insert, w.Elapsed(), len(fps))
 	return nil
 }
 
@@ -715,7 +686,7 @@ func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fou
 			found[i] = true
 		}
 	}
-	c.lookup.ObserveN(w.Elapsed()/time.Duration(len(fps)), len(fps))
+	observeSpread(&c.lookup, w.Elapsed(), len(fps))
 	return nil
 }
 
@@ -745,17 +716,20 @@ func (c *CLAM) deleteBatchFPs(fps []uint64) error {
 	} else {
 		clear(c.deadSeen)
 	}
-	for _, fp := range fps {
+	last := len(fps) - 1 // untracked, as in putBatchRecords
+	for i, fp := range fps {
 		if _, dup := c.deadSeen[fp]; dup {
 			continue
 		}
-		c.deadSeen[fp] = 0
+		if i < last {
+			c.deadSeen[fp] = 0
+		}
 		c.markDeadIfBuffered(fp)
 	}
 	if err := c.bh.DeleteBatch(fps); err != nil {
 		return err
 	}
-	c.del.ObserveN(w.Elapsed()/time.Duration(len(fps)), len(fps))
+	observeSpread(&c.del, w.Elapsed(), len(fps))
 	return nil
 }
 
@@ -764,12 +738,8 @@ func (c *CLAM) deleteBatchFPs(fps []uint64) error {
 // ContainsU64 reports whether key is present on the fast path. It is
 // GetU64 without returning the value: same probes, same counters.
 func (c *CLAM) ContainsU64(key uint64) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	res, err := c.bh.Lookup(key)
-	c.lookup.Observe(w.Elapsed())
-	return res.Found, err
+	_, found, err := c.GetU64(key)
+	return found, err
 }
 
 // Contains reports whether a record is indexed under key's fingerprint,
@@ -783,17 +753,12 @@ func (c *CLAM) Contains(key []byte) (bool, error) {
 	return c.containsFP(fingerprint(key, c.fpSeed))
 }
 
+// containsFP is the one-key Contains under a precomputed fingerprint.
 func (c *CLAM) containsFP(fp uint64) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	res, err := c.bh.Lookup(fp)
-	c.lookup.Observe(w.Elapsed())
-	if err != nil || !res.Found {
-		return false, err
-	}
-	_, _, ok := res.ValuePointer()
-	return ok, nil // an inline (U64-keyed) entry is not a byte-keyed record
+	fps := [1]uint64{fp}
+	var found [1]bool
+	err := c.containsBatchFPs(fps[:], found[:])
+	return found[0], err
 }
 
 // ContainsBatch probes len(keys) keys through the batched index pipeline
@@ -833,7 +798,7 @@ func (c *CLAM) containsBatchFPs(fps []uint64, found []bool) error {
 		_, _, ok := results[i].ValuePointer()
 		found[i] = ok
 	}
-	c.lookup.ObserveN(w.Elapsed()/time.Duration(len(fps)), len(fps))
+	observeSpread(&c.lookup, w.Elapsed(), len(fps))
 	return nil
 }
 
@@ -881,10 +846,11 @@ type Stats struct {
 	DeleteLatency metrics.Summary
 	// WriteLatency distributes the per-request virtual service time of the
 	// slow-storage write stream (incarnation image flushes and value-log
-	// page appends, on kind-opened stores): a serial flush pays one full
-	// write per image, while a batched insert's images share command setup
-	// and overlap across the device's queue lanes, each request recording
-	// its share of the submission. Empty on WithCustomDevice stores.
+	// page appends, on kind-opened stores): a lone flush pays one full
+	// write, while the images of a batched insert or of an eviction
+	// cascade share command setup and overlap across the device's queue
+	// lanes, each request recording its share of the submission. Empty on
+	// WithCustomDevice stores.
 	WriteLatency metrics.Summary
 
 	Memory core.MemoryFootprint

@@ -105,9 +105,9 @@ type Store interface {
 
 	// PutBatchU64 applies len(keys) PutU64 operations, batched.
 	PutBatchU64(ctx context.Context, keys, values []uint64) error
-	// GetBatchU64 looks up len(keys) fast-path keys through the batched
+	// GetBatchU64 looks up len(keys) fast-path keys through the lookup
 	// pipeline, returning per-key results in input order with the same
-	// values and probe counters as a GetU64 loop.
+	// values and probe counters as one GetU64 call per key.
 	GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error)
 	// DeleteBatchU64 applies len(keys) DeleteU64 operations, batched.
 	DeleteBatchU64(ctx context.Context, keys []uint64) error

@@ -9,10 +9,10 @@ import (
 
 // timedQueued instruments a device's write stream: every WriteAt records
 // its virtual service time, and every WriteBatch records its overlapped
-// total spread evenly over the batch's requests — so serial and batched
-// write paths produce directly comparable per-request samples. The
+// total spread evenly over the batch's requests — so single-request and
+// batched writes produce directly comparable per-request samples. The
 // histogram feeds Stats.WriteLatency, the write-side tail the insert
-// pipeline is built to flatten (a serial flush pays one full write per
+// pipeline is built to flatten (a lone flush pays one full write for its
 // incarnation image; a batch's images share command setup and overlap
 // across queue lanes).
 //
@@ -37,7 +37,7 @@ func (d *timedQueued) WriteAt(p []byte, off int64) (time.Duration, error) {
 func (d *timedQueued) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	lat, err := d.Device.WriteBatch(reqs)
 	if err == nil && len(reqs) > 0 {
-		d.h.ObserveN(lat/time.Duration(len(reqs)), len(reqs))
+		observeSpread(d.h, lat, len(reqs))
 	}
 	return lat, err
 }

@@ -8,31 +8,32 @@ import (
 	"repro/internal/storage"
 )
 
-// The batched lookup pipeline (the flip side of §5.1.1's one-page-per-probe
-// property): instead of paying one blocking device round-trip per probed
-// incarnation per key, a batch runs in three phases —
+// The lookup pipeline — the only lookup path; Lookup is its one-key case.
+// §5.1.1 reads one flash page per probed incarnation; instead of paying a
+// blocking device round-trip per probe per key, a batch runs in three
+// phases —
 //
 //	A (memory):  every key's delete-list check, buffer probe and Bloom
 //	             query run back to back with zero I/O, producing a
 //	             candidate-incarnation mask per unresolved key. Duplicate
 //	             keys within the batch are memoized: the in-memory work
 //	             runs once per distinct key, while CPU charges and counters
-//	             are still accounted per occurrence, exactly as the serial
-//	             path would.
+//	             are still accounted per occurrence, exactly as separate
+//	             one-key lookups would.
 //	B (gather):  each probing round collects every unresolved key's single
 //	             newest-candidate page probe, dedupes keys that land on the
 //	             same flash page, sorts the probes by device address, and
 //	             issues them as one device ReadBatch submission whose
 //	             virtual latency overlaps across the device's queue lanes.
-//	C (resolve): each key searches its page image with the same
-//	             resolveProbe helper the serial path uses — newest-first,
-//	             stop on hit, identical probe and spurious accounting.
+//	C (resolve): each key searches its page image through resolveProbe —
+//	             newest-first, stop on hit, one probe counted per page read
+//	             on its behalf.
 //
-// Keys still probe incarnations newest-first and stop at the first hit, so
-// the per-key probe sequence — and therefore FlashProbes, SpuriousProbes,
-// Lookups, Hits and LookupIOHist — is exactly what the serial path would
-// produce; only the device time model (and the physical read count, via
-// page dedupe) improves.
+// Keys probe incarnations newest-first and stop at the first hit, so the
+// per-key probe sequence — and therefore FlashProbes, SpuriousProbes,
+// Lookups, Hits and LookupIOHist — does not depend on how keys are grouped
+// into batches; only the device time model (and the physical read count,
+// via page dedupe) does.
 
 // batchKey is the per-key state of an in-flight batched lookup.
 type batchKey struct {
@@ -72,21 +73,21 @@ type batchScratch struct {
 	arena   []byte
 }
 
-// LookupBatch looks up len(keys) keys through the batched pipeline, writing
+// LookupBatch looks up len(keys) keys through the lookup pipeline, writing
 // per-key outcomes into results (which must have the same length). Results
-// and the structural counters match a serial Lookup loop over the same keys
+// and the structural counters match one-key Lookup calls over the same keys
 // key-for-key; virtual time is lower because each probing round's flash
 // reads are deduped, sorted and overlapped through the device's ReadBatch
-// (on a one-lane device the overlap degenerates to the serial sum, and the
-// batch still benefits from dedupe and address ordering).
+// (on a one-lane device the overlap degenerates to the sum of the reads,
+// and the batch still benefits from dedupe and address ordering).
 //
 // One semantic carve-out, documented rather than hidden: under the LRU
 // policy, re-insertions triggered by flash hits land in the buffer only as
 // each round resolves, so a key appearing twice in one batch may probe
-// flash twice where a serial loop would hit the buffer on its second
+// flash twice where one-key calls would hit the buffer on its second
 // occurrence. The paper performs LRU re-insertion asynchronously (§5.1.2),
 // so both interleavings are legal; FIFO/UpdateBased/PriorityBased batches
-// are exactly serial-equivalent.
+// match one-key calls exactly.
 //
 // On error the contents of results are unspecified.
 func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult) error {
@@ -119,14 +120,16 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 
 	// Phase A: resolve everything the DRAM side can answer. CPU costs are
 	// accrued into one deferred charge and applied to the clock in a single
-	// advance — the virtual total is identical to the serial path's
-	// per-key charges, without several clock advances per key. Phase A
+	// advance — the same virtual total as one-key lookups, without several
+	// clock advances per key. Phase A
 	// performs no mutation, so a distinct key's outcome is computed once
-	// and replayed for duplicates (hot keys of a skewed batch).
-	b.deferCPU = true
+	// and replayed for duplicates (hot keys of a skewed batch). The first
+	// key has nothing to replay and the last nothing to record, so a
+	// one-key batch never touches the memo.
+	last := len(keys) - 1
 	for i, key := range keys {
 		slot := &bs.memo[key&(memoSlots-1)]
-		if slot.epoch == bs.epoch && slot.key == key {
+		if i > 0 && slot.epoch == bs.epoch && slot.key == key {
 			// Duplicate: replay the outcome, charge what lookupMem would.
 			b.chargeCPU(cfg.CPU.BufferLookup)
 			if !slot.done && !cfg.DisableBloom {
@@ -147,7 +150,9 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 		}
 		st, kh := b.route(key)
 		res, mask, done := st.lookupMem(kh)
-		*slot = memoEntry{key: key, epoch: bs.epoch, done: done, mask: mask, res: res}
+		if i < last {
+			*slot = memoEntry{key: key, epoch: bs.epoch, done: done, mask: mask, res: res}
+		}
 		results[i] = res
 		if !done && mask != 0 {
 			bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
@@ -155,7 +160,6 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 		}
 		b.stats.recordLookup(res)
 	}
-	b.deferCPU = false
 	b.settleCPUDebt()
 	if len(bs.pending) == 0 {
 		return nil
@@ -167,8 +171,8 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 	_, probeN := b.params[0].PageByteRange(0)
 
 	// Phases B+C: probing rounds. Every round reads at most one page per
-	// pending key (its newest remaining candidate), so the per-key probe
-	// order is the serial newest-first order.
+	// pending key (its newest remaining candidate), so each key probes
+	// newest-first.
 	for len(bs.pending) > 0 {
 		// Phase B: gather, sort, dedupe, issue.
 		bs.packed = bs.packed[:0]

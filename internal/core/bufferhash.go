@@ -41,28 +41,28 @@ type BufferHash struct {
 
 	imageSize int
 	imgPool   [][]byte // free image-sized buffers (flush serialization, eviction scans)
-	pageBuf   []byte
 	batch     batchScratch
 	insert    insertScratch
 
-	// deferWrites redirects incarnation writes into `staged` instead of the
-	// device (InsertBatch phase B); staged images are issued as one
-	// address-sorted, overlapped WriteBatch submission at the end of the
-	// batch. While a write is staged, readImage serves its address from the
-	// staged buffer, so partial-discard scans inside the same batch see the
-	// bytes the device will eventually hold.
-	deferWrites bool
-	staged      []stagedWrite
+	// staged holds the incarnation writes of the operation in progress;
+	// flushStaged issues them as one address-sorted, overlapped WriteBatch
+	// submission when the operation ends. While a write is staged,
+	// readImage serves its address from the staged buffer, so
+	// partial-discard scans see the bytes the device will eventually hold.
+	staged []stagedWrite
 
-	// deferCPU batches chargeCPU calls into cpuDebt (see LookupBatch).
-	deferCPU bool
-	cpuDebt  time.Duration
+	// cpuDebt accrues the operation's CPU charges; settleCPUDebt lands
+	// them on the clock in one advance.
+	cpuDebt time.Duration
 }
 
-// stagedWrite is one deferred incarnation write.
+// stagedWrite is one deferred incarnation write: the image, its address,
+// and the incarnation it becomes (owning table and sequence number).
 type stagedWrite struct {
 	buf  []byte
 	addr int64
+	st   *superTable
+	seq  uint64
 }
 
 // New builds a BufferHash over the configured device. The configuration is
@@ -107,7 +107,6 @@ func New(cfg Config) (*BufferHash, error) {
 			b.slotOwner[i] = -1
 		}
 	}
-	b.pageBuf = make([]byte, cfg.Device.Geometry().PageSize)
 	return b, nil
 }
 
@@ -146,25 +145,29 @@ func (b *BufferHash) releaseImage(img []byte) {
 	}
 }
 
-// stageWrite defers an incarnation write until the end of the insert
-// batch. A second image staged at the same address replaces the first: the
-// slot was recycled within the batch, so the earlier image is dead, nothing
+// stageWrite defers an incarnation write until the end of the operation.
+// A second image staged at the same address replaces the first: the slot
+// was recycled within the operation, so the earlier image is dead, nothing
 // can read it anymore, and on raw flash the slot's erase has already been
 // issued for the newer image.
-func (b *BufferHash) stageWrite(img []byte, addr int64) {
+func (b *BufferHash) stageWrite(w stagedWrite) {
 	for i := range b.staged {
-		if b.staged[i].addr == addr {
+		if b.staged[i].addr == w.addr {
 			b.releaseImage(b.staged[i].buf)
-			b.staged[i].buf = img
+			b.staged[i] = w
 			return
 		}
 	}
-	b.staged = append(b.staged, stagedWrite{buf: img, addr: addr})
+	b.staged = append(b.staged, w)
 }
 
 // flushStaged issues every staged incarnation write as one device
 // WriteBatch submission (address-sorted, overlapped across queue lanes) and
-// recycles the image buffers.
+// recycles the image buffers. A failed submission may have written any
+// subset of its images, so every staged image is dropped as lost (see
+// superTable.dropFailedImage): a lookup may then miss, but it never reads
+// a slot that still holds an older incarnation's bytes, and never falls
+// through to an older version of a key the lost image held.
 func (b *BufferHash) flushStaged() error {
 	if len(b.staged) == 0 {
 		return nil
@@ -176,6 +179,9 @@ func (b *BufferHash) flushStaged() error {
 	}
 	_, err := b.cfg.Device.WriteBatch(is.reqs)
 	for _, s := range b.staged {
+		if err != nil {
+			s.st.dropFailedImage(s.buf, s.seq)
+		}
 		b.releaseImage(s.buf)
 	}
 	b.staged = b.staged[:0]
@@ -185,22 +191,11 @@ func (b *BufferHash) flushStaged() error {
 	return nil
 }
 
-// chargeCPU advances the virtual clock by a CPU cost. During a batched
-// pipeline's memory phase the charges accrue into one deferred advance
-// (same virtual total, far fewer clock advances).
-func (b *BufferHash) chargeCPU(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if b.deferCPU {
-		b.cpuDebt += d
-		return
-	}
-	b.cfg.Clock.Advance(d)
-}
+// chargeCPU accrues a CPU cost into the operation's deferred charge.
+func (b *BufferHash) chargeCPU(d time.Duration) { b.cpuDebt += d }
 
-// settleCPUDebt lands the accumulated deferred CPU charges on the clock in
-// one advance (the batched pipelines' phase-C closing step).
+// settleCPUDebt lands the accumulated CPU charges on the clock in one
+// advance (every pipeline's closing step before its staged writes).
 func (b *BufferHash) settleCPUDebt() {
 	if d := b.cpuDebt; d > 0 {
 		b.cpuDebt = 0
@@ -220,11 +215,10 @@ func (b *BufferHash) route(key uint64) (*superTable, uint64) {
 	return b.parts[p], rest
 }
 
-// Insert adds or updates a (key, value) mapping.
+// Insert adds or updates a (key, value) mapping: a one-key InsertBatch.
 func (b *BufferHash) Insert(key, value uint64) error {
-	st, kh := b.route(key)
-	b.stats.Inserts++
-	return st.insert(kh, value)
+	keys, values := [1]uint64{key}, [1]uint64{value}
+	return b.InsertBatch(keys[:], values[:])
 }
 
 // Update is insertion with lazy-update semantics (§5.1.1): the new value
@@ -236,41 +230,44 @@ func (b *BufferHash) Update(key, value uint64) error {
 
 // Delete lazily removes a key (§5.1.1): it is dropped from the buffer if
 // still there and recorded in the in-memory delete list; flash space is
-// reclaimed at eviction time.
+// reclaimed at eviction time. It is a one-key DeleteBatch.
 func (b *BufferHash) Delete(key uint64) error {
-	st, kh := b.route(key)
-	b.stats.Deletes++
-	st.del(kh)
-	return nil
+	keys := [1]uint64{key}
+	return b.DeleteBatch(keys[:])
 }
 
-// Lookup returns the latest value for key.
+// Lookup returns the latest value for key: a one-key LookupBatch.
 func (b *BufferHash) Lookup(key uint64) (LookupResult, error) {
-	st, kh := b.route(key)
-	res, err := st.lookup(kh)
-	if err != nil {
-		return res, err
-	}
-	b.stats.recordLookup(res)
-	return res, nil
+	keys, results := [1]uint64{key}, [1]LookupResult{}
+	err := b.LookupBatch(keys[:], results[:])
+	return results[0], err
 }
 
 // Flush forces every super table with buffered entries to write its buffer
-// to flash. Mainly useful in tests and when quiescing.
+// to flash. Each table's flush is its own operation — flush, settle the CPU
+// charges, issue the staged writes — so tables are written one after
+// another, as a sequence of per-key inserts would. Mainly useful in tests
+// and when quiescing.
 func (b *BufferHash) Flush() error {
 	for _, st := range b.parts {
-		if st.buf.Len() > 0 {
-			if err := st.flush(); err != nil {
-				return err
-			}
+		if st.buf.Len() == 0 {
+			continue
+		}
+		err := st.flush()
+		b.settleCPUDebt()
+		if werr := b.flushStaged(); err == nil {
+			err = werr
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // probeAddr returns the device address and length of the single flash page
-// that can hold kh within an incarnation of st (§5.1.1). Both the serial
-// and batched lookup paths compute probe targets through here.
+// that can hold kh within an incarnation of st (§5.1.1): the page a lookup
+// probe reads.
 func (b *BufferHash) probeAddr(st *superTable, inc incarnation, kh uint64) (addr int64, n int) {
 	params := b.params[st.idx]
 	page := params.PageIndex(kh)
@@ -278,33 +275,19 @@ func (b *BufferHash) probeAddr(st *superTable, inc incarnation, kh uint64) (addr
 	return inc.addr + int64(off), n
 }
 
-// readProbe reads kh's page of one incarnation image into the shared page
-// buffer (serial lookup path: a one-request ReadAt; the batched path
-// submits a whole probing round through ReadBatch instead).
-func (b *BufferHash) readProbe(st *superTable, inc incarnation, kh uint64) ([]byte, error) {
-	addr, n := b.probeAddr(st, inc, kh)
-	buf := b.pageBuf[:n]
-	if _, err := b.cfg.Device.ReadAt(buf, addr); err != nil {
-		return nil, fmt.Errorf("core: incarnation read: %w", err)
-	}
-	return buf, nil
-}
-
 // readImage reads a whole incarnation image (partial-discard scan path)
 // into a pooled buffer owned by the caller, who returns it with
 // releaseImage when the scan is done. Each call gets a distinct buffer, so
-// an image stays valid across interleaved flushes and further reads.
-// During a batched insert, an address whose write is still staged is
-// served from the staged buffer — the bytes the device will hold once the
-// batch issues — without a device read.
+// an image stays valid across interleaved flushes and further reads. An
+// address whose write is still staged is served from the staged buffer —
+// the bytes the device will hold once the operation issues its writes —
+// without a device read.
 func (b *BufferHash) readImage(addr int64) ([]byte, error) {
 	img := b.acquireImage()
-	if b.deferWrites {
-		for i := range b.staged {
-			if b.staged[i].addr == addr {
-				copy(img, b.staged[i].buf)
-				return img, nil
-			}
+	for i := range b.staged {
+		if b.staged[i].addr == addr {
+			copy(img, b.staged[i].buf)
+			return img, nil
 		}
 	}
 	if _, err := b.cfg.Device.ReadAt(img, addr); err != nil {

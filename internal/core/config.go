@@ -12,25 +12,44 @@
 // access. This mirrors the paper's design point that flash I/Os are
 // blocking operations (§5.2).
 //
-// Lookups come in two shapes sharing one probe-resolution path. Lookup is
-// the paper's serial walk: buffer, Bloom filters, then one blocking page
-// read per candidate incarnation, newest first. LookupBatch runs the same
-// logic as a three-phase pipeline — phase A answers every key's in-memory
-// portion with zero I/O, phase B gathers each probing round's page reads,
-// dedupes same-page keys, sorts by device address and submits them as one
-// device ReadBatch so their virtual latency overlaps across the device's
-// queue lanes, and phase C resolves pages with exactly the serial
-// path's newest-first, stop-on-hit semantics. Counters are identical
-// between the two paths; only time (and physical read count, via dedupe)
-// differs. See batch.go.
+// Each operation kind has one pipeline, and the per-key calls are its
+// one-key case. A lookup (§5.1.1: buffer, Bloom filters, then newest-first
+// page probes) runs through LookupBatch: phase A answers every key's
+// in-memory portion with zero I/O, phase B gathers each probing round's
+// page reads, dedupes same-page keys, sorts them by device address and
+// submits them as one device ReadBatch so their virtual latency overlaps
+// across the device's queue lanes, and phase C resolves the pages
+// newest-first, stopping at the first hit. Lookup is a one-key
+// LookupBatch; see batch.go.
 //
-// Inserts mirror that shape. Insert is the serial path: buffer update,
-// with a full buffer flushed to flash as a blocking incarnation write.
-// InsertBatch applies a whole batch with flush writes deferred into pooled
-// image buffers, then issues them as one address-sorted device WriteBatch
-// submission whose service overlaps across the device's queue lanes —
-// state and structural counters stay byte-identical to the serial loop.
-// See insertbatch.go.
+// An insert (a buffer write that may flush the full buffer as a new
+// incarnation) runs through InsertBatch: keys apply in input order with
+// every flush's image staged in a pooled buffer, and the staged images are
+// then issued as one address-sorted device WriteBatch submission. Insert
+// is a one-key InsertBatch and Delete a one-key DeleteBatch; Flush stages
+// and writes one super table at a time. See insertbatch.go.
+//
+// Every operation accrues its CPU charges and lands them on the virtual
+// clock in one advance, before it issues its staged writes. A batch of n
+// keys leaves the same state, counters and results as n one-key calls
+// (LookupBatch documents one LRU carve-out); only virtual time, and the
+// physical I/O count (page dedupe, same-slot write collapse), differ.
+//
+// Two consequences of the single pipeline are part of the model:
+//
+//   - Eviction cascades overlap. When a partial-discard flush cascades
+//     (re-inserted survivors refill the fresh buffer and the next oldest
+//     incarnation is evicted, §7.4), every image of the cascade is staged
+//     and written as one overlapped submission, even under a one-key
+//     Insert, instead of paying each image's full write in turn. Counters
+//     and lookups are unchanged; the cascading insert finishes sooner in
+//     virtual time.
+//   - A failed write submission drops every image it carried (see
+//     flushStaged): their incarnations are never probed or scanned, and
+//     their keys read as misses until written again or until every older
+//     incarnation has been evicted. A lookup may miss after a device write
+//     fault, but never returns a value older than the latest acknowledged
+//     one.
 package core
 
 import (

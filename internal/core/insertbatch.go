@@ -6,32 +6,32 @@ import (
 	"repro/internal/storage"
 )
 
-// The batched insert pipeline — the write-side twin of the batched lookup
-// pipeline in batch.go. A serial insert loop pays one blocking incarnation
-// write per flush, serialized through a single scratch buffer; a batch runs
-// in three phases instead:
+// The insert pipeline — the write-side twin of the lookup pipeline in
+// batch.go, and the only insert path: Insert is its one-key case. Instead
+// of one blocking incarnation write per flush, an insert batch runs in
+// two phases:
 //
 //	A (apply):   every key's buffer update — delete-list revival, cuckoo
 //	             insert, Bloom staging — and every flush's *bookkeeping*
 //	             (eviction cascades, slot placement, filter-bank rotation,
-//	             buffer reset, counters) run exactly as the serial path
-//	             would, in input order, with CPU charges accrued into one
-//	             deferred clock advance. Only the flush's device write is
-//	             withheld: the image is serialized into a pooled buffer and
-//	             staged. Duplicate keys whose first occurrence is still in
-//	             the buffer are memoized: the occurrence collapses to a
-//	             last-write-wins value overwrite, skipping the delete-list
-//	             probe and the (idempotent) Bloom staging add while still
-//	             charging the serial path's CPU costs and counters.
-//	B (write):   the staged images — every flush the batch triggered — are
-//	             address-sorted and issued as one device WriteBatch
+//	             buffer reset, counters) run in input order, with CPU
+//	             charges accrued into one deferred clock advance. Only the
+//	             flush's device write is withheld: the image is serialized
+//	             into a pooled buffer and staged. Duplicate keys whose first
+//	             occurrence is still in the buffer are memoized: the
+//	             occurrence collapses to a last-write-wins value overwrite,
+//	             skipping the delete-list probe and the (idempotent) Bloom
+//	             staging add while still charging a full insert's CPU costs
+//	             and counters.
+//	B (write):   the deferred CPU debt lands on the clock in one advance;
+//	             then the staged images — every flush the batch triggered —
+//	             are address-sorted and issued as one device WriteBatch
 //	             submission, overlapping their service across the device's
 //	             queue lanes (SSD NCQ channels, NAND planes, disk
-//	             elevator). Shared-log layouts allocate consecutive slots,
-//	             so a batch's flushes form sequential runs that pay the
-//	             fixed write cost once.
-//	C (finalize): the deferred CPU debt lands on the clock in one advance
-//	             and the image buffers return to the pool.
+//	             elevator), and the image buffers return to the pool.
+//	             Shared-log layouts allocate consecutive slots, so a
+//	             batch's flushes form sequential runs that pay the fixed
+//	             write cost once.
 //
 // Phase A applies keys in *input order* rather than super-table order, and
 // that is a correctness requirement, not a convenience: the shared-log
@@ -39,17 +39,17 @@ import (
 // across all super tables, so the global interleaving of flushes decides
 // which incarnations survive. Reordering keys by super table would replay
 // the same per-table flush sequences against a different global slot
-// history and diverge from the serial loop in both eviction counters and
+// history and diverge from one-key inserts in both eviction counters and
 // post-state lookups. Applying in input order makes every structural
-// counter and every subsequent lookup byte-identical to a serial Insert
-// loop over the same keys (the differential oracle pins this); only the
-// device time model — and the physical write pattern, via sorting and
-// same-slot collapsing — improves.
+// counter and every subsequent lookup identical to one-key Insert calls
+// over the same keys (the differential oracles pin this); only the device
+// time model — and the physical write pattern, via sorting and same-slot
+// collapsing — improves.
 //
 // Partial-discard policies may need to scan an incarnation whose write is
-// still staged (the slot ring wrapped within one batch); readImage serves
-// those addresses from the staged buffers, so the scan sees exactly the
-// bytes the device will eventually hold.
+// still staged (a cascade, or a slot ring that wrapped within one batch);
+// readImage serves those addresses from the staged buffers, so the scan
+// sees exactly the bytes the device will eventually hold.
 
 // insertMemo caches one distinct key's buffer residency so duplicates
 // collapse to a value overwrite. An entry is valid only while its super
@@ -70,14 +70,14 @@ type insertScratch struct {
 	reqs  []storage.WriteReq // flushStaged submission scratch
 }
 
-// InsertBatch applies len(keys) inserts through the batched pipeline.
-// State, structural counters and all subsequent lookups match a serial
-// Insert loop over the same (key, value) sequence exactly; virtual time is
+// InsertBatch applies len(keys) inserts through the insert pipeline.
+// State, structural counters and all subsequent lookups match one-key
+// Insert calls over the same (key, value) sequence exactly; virtual time is
 // lower because the batch's flush writes are issued as one address-sorted
 // overlapped submission and its CPU charges land on the clock in one
-// advance. On error the batch may be partially applied (like a failed
-// serial loop); any writes already staged are still issued so the device
-// matches the structure's bookkeeping.
+// advance. On error the batch may be partially applied; any writes already
+// staged are still issued so the device matches the structure's
+// bookkeeping, and a failed submission drops its images (see flushStaged).
 func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("core: InsertBatch: %d keys, %d values", len(keys), len(values))
@@ -93,22 +93,23 @@ func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 	}
 	cfg := &b.cfg
 
-	// Phase A: apply every key in input order with writes deferred.
-	b.deferCPU = true
-	b.deferWrites = true
+	// Phase A: apply every key in input order with writes deferred. As in
+	// LookupBatch, the first key skips the memo probe and the last key the
+	// memo record.
 	var applyErr error
+	last := len(keys) - 1
 	for i, key := range keys {
 		st, kh := b.route(key)
 		b.stats.Inserts++
 		slot := &is.memo[key&(memoSlots-1)]
-		if slot.epoch == is.epoch && slot.key == key &&
+		if i > 0 && slot.epoch == is.epoch && slot.key == key &&
 			int(slot.table) == st.idx && slot.flushGen == st.flushGen {
 			// Duplicate within the current flush epoch: the key is still in
 			// the buffer, so this occurrence is a pure last-write-wins
 			// overwrite — it cannot fill the buffer, its delete-list entry
 			// was removed by the first occurrence, and re-adding it to the
-			// Bloom staging filter would set the same bits. Charge what the
-			// serial path would and overwrite the value.
+			// Bloom staging filter would set the same bits. Charge what a
+			// full insert would and overwrite the value.
 			b.chargeCPU(cfg.CPU.BufferInsert)
 			if err := st.buf.Insert(kh, values[i]); err != nil {
 				applyErr = fmt.Errorf("core: buffer insert: %w", err)
@@ -123,15 +124,14 @@ func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 			applyErr = err
 			break
 		}
-		*slot = insertMemo{key: key, epoch: is.epoch, table: int32(st.idx), flushGen: st.flushGen}
+		if i < last {
+			*slot = insertMemo{key: key, epoch: is.epoch, table: int32(st.idx), flushGen: st.flushGen}
+		}
 	}
-	b.deferWrites = false
 
-	// Phase C (CPU): one clock advance for the whole batch's memory work.
-	b.deferCPU = false
+	// Phase B: one clock advance for the whole batch's memory work, then
+	// every staged flush write, overlapped.
 	b.settleCPUDebt()
-
-	// Phase B: issue every staged flush write, overlapped.
 	writeErr := b.flushStaged()
 	if applyErr != nil {
 		return applyErr
@@ -141,15 +141,13 @@ func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 
 // DeleteBatch applies len(keys) lazy deletes (§5.1.1). Deletes perform no
 // I/O, so batching only amortizes the CPU clock charges into one advance;
-// counters and state match a serial Delete loop exactly.
+// counters and state match one-key Delete calls exactly.
 func (b *BufferHash) DeleteBatch(keys []uint64) error {
-	b.deferCPU = true
 	for _, key := range keys {
 		st, kh := b.route(key)
 		b.stats.Deletes++
 		st.del(kh)
 	}
-	b.deferCPU = false
 	b.settleCPUDebt()
 	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"repro/internal/cuckoo"
@@ -37,6 +36,10 @@ type superTable struct {
 	// oldest, j = k-1 the newest).
 	incs []incarnation
 	live int
+	// dead marks window offsets whose incarnation write failed (see
+	// dropFailedImage); they are never probed or scanned, and shift out
+	// with the window.
+	dead uint64
 
 	// deleteList implements lazy deletion (§5.1.1): key → flush
 	// generation at deletion time. Entries older than k flushes cannot
@@ -64,7 +67,8 @@ func newSuperTable(owner *BufferHash, idx int) *superTable {
 	return st
 }
 
-// validMask returns the bitmask of window offsets holding live incarnations.
+// validMask returns the bitmask of window offsets holding live, readable
+// incarnations.
 func (st *superTable) validMask() uint64 {
 	k := st.owner.cfg.NumIncarnations
 	if st.live == 0 {
@@ -76,7 +80,7 @@ func (st *superTable) validMask() uint64 {
 	} else {
 		all = 1<<k - 1
 	}
-	return all &^ (1<<(k-st.live) - 1)
+	return all &^ (1<<(k-st.live) - 1) &^ st.dead
 }
 
 // oldest returns the window offset of the oldest live incarnation.
@@ -103,8 +107,7 @@ func (st *superTable) evictOldestExternal(seq uint64) {
 // candidate-incarnation mask for the flash phase (bit j set = window offset
 // j may hold the key). done reports the lookup resolved without I/O; a zero
 // mask with done == false is a clean miss (Bloom filters excluded every
-// incarnation). Serial lookups and LookupBatch share this path exactly, so
-// CPU charges and Bloom behaviour cannot drift apart.
+// incarnation).
 func (st *superTable) lookupMem(kh uint64) (res LookupResult, mask uint64, done bool) {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.BufferLookup)
@@ -130,10 +133,10 @@ func (st *superTable) lookupMem(kh uint64) (res LookupResult, mask uint64, done 
 	return res, st.bank.Query(kh) & valid, false
 }
 
-// resolveProbe is the probe-resolution step shared by the serial and
-// batched lookup paths (phase C of the pipeline): account one incarnation
-// page probe, search the page image for kh, and on a hit apply the
-// LRU re-insertion semantics. It reports whether the key was found.
+// resolveProbe is the probe-resolution step of the lookup pipeline (phase
+// C): account one incarnation page probe, search the page image for kh,
+// and on a hit apply the LRU re-insertion semantics. It reports whether
+// the key was found.
 func (st *superTable) resolveProbe(res *LookupResult, pageImage []byte, kh uint64) bool {
 	st.owner.stats.FlashProbes++
 	res.FlashReads++
@@ -147,29 +150,6 @@ func (st *superTable) resolveProbe(res *LookupResult, pageImage []byte, kh uint6
 		st.reinsertLRU(kh, v)
 	}
 	return true
-}
-
-// lookup implements §5.1.1: buffer first, then incarnations newest-first,
-// reading one flash page per probed incarnation. It is lookupMem followed
-// by a serial walk over the candidate mask through resolveProbe — the same
-// two helpers the batched pipeline composes with overlapped I/O.
-func (st *superTable) lookup(kh uint64) (LookupResult, error) {
-	res, mask, done := st.lookupMem(kh)
-	if done {
-		return res, nil
-	}
-	for mask != 0 {
-		j := bits.Len64(mask) - 1 // newest remaining candidate
-		mask &^= 1 << j
-		page, err := st.owner.readProbe(st, st.incs[j], kh)
-		if err != nil {
-			return res, err
-		}
-		if st.resolveProbe(&res, page, kh) {
-			return res, nil
-		}
-	}
-	return res, nil
 }
 
 // reinsertLRU re-inserts an item used from flash so it survives the next
@@ -312,7 +292,9 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 	st.live--
 	st.owner.stats.Evictions++
 
-	full := forceFull || cfg.Policy == FIFO || cfg.Policy == LRU
+	// A dead incarnation's slot holds whatever an older write left there,
+	// so it is discarded without a scan.
+	full := forceFull || cfg.Policy == FIFO || cfg.Policy == LRU || st.dead&(1<<j0) != 0
 	if full {
 		return nil, nil
 	}
@@ -359,9 +341,8 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 }
 
 // writeBufferAsIncarnation serializes the buffer into a pooled image
-// buffer, writes it to the device at a layout-chosen address — or stages
-// the write for the batch-end overlapped submission when the owner is in a
-// batched insert — rotates the Bloom bank, and resets the buffer.
+// buffer, stages its write at a layout-chosen address for the operation's
+// closing WriteBatch, rotates the Bloom bank, and resets the buffer.
 func (st *superTable) writeBufferAsIncarnation() error {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.FlushSerialize)
@@ -371,20 +352,13 @@ func (st *superTable) writeBufferAsIncarnation() error {
 	}
 	img := st.owner.acquireImage()
 	st.buf.Serialize(img)
-	if st.owner.deferWrites {
-		st.owner.stageWrite(img, addr)
-	} else {
-		_, werr := cfg.Device.WriteAt(img, addr)
-		st.owner.releaseImage(img)
-		if werr != nil {
-			return fmt.Errorf("core: incarnation write: %w", werr)
-		}
-	}
+	st.owner.stageWrite(stagedWrite{buf: img, addr: addr, st: st, seq: seq})
 	if st.bank != nil {
 		st.bank.Rotate()
 	}
 	copy(st.incs, st.incs[1:])
 	st.incs[cfg.NumIncarnations-1] = incarnation{addr: addr, seq: seq}
+	st.dead >>= 1
 	if st.live < cfg.NumIncarnations {
 		st.live++
 	}
@@ -393,4 +367,29 @@ func (st *superTable) writeBufferAsIncarnation() error {
 	st.owner.stats.Flushes++
 	st.pruneDeletes()
 	return nil
+}
+
+// dropFailedImage undoes what a lost incarnation write would expose. The
+// incarnation, if still live, is marked dead: its slot holds an older
+// image's bytes, which must never be probed or scanned. Every key of the
+// lost image that has no newer version in the buffer is shadowed through
+// the delete list at the current flush generation, because an older
+// version may still sit in an older incarnation; pruneDeletes retires the
+// entry once k further flushes have evicted all of those. A shadowed key
+// reads as a miss until it is inserted again.
+func (st *superTable) dropFailedImage(img []byte, seq uint64) {
+	for j := st.oldest(); j < st.owner.cfg.NumIncarnations; j++ {
+		if st.incs[j].seq == seq {
+			st.dead |= 1 << j
+		}
+	}
+	if st.deleteList == nil {
+		st.deleteList = make(map[uint64]uint64)
+	}
+	st.owner.tableParams(st.idx).DecodeImage(img, func(kh, _ uint64) bool {
+		if _, ok := st.buf.Get(kh); !ok {
+			st.deleteList[kh] = st.flushGen
+		}
+		return true
+	})
 }
