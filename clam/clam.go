@@ -33,35 +33,36 @@
 // ContainsBatch, which stop at the index hit and skip the record read
 // (accepting the fingerprint-collision rate the paper accepts).
 //
-// Every operation has one path. The per-key calls (PutU64, GetU64,
-// DeleteU64, ContainsU64, Put, Get, Delete, Contains) are one-key calls of
-// the same chunk helpers the batch calls use, on stack arrays, so a key
-// sent alone or inside a batch runs the same core pipeline, the same
-// value-log calls and the same dead-record accounting.
+// # One store, one path per op
 //
-// Adding WithShards(8) to the same option list opens a Sharded store: the
-// key space is partitioned by top fingerprint bits across independent
-// shards, each a complete CLAM with its own BufferHash, device models,
-// virtual clock and histograms. Batch operations route through a shared
-// chunk queue over a bounded worker pool with single-shard ownership,
-// cache affinity and shard stealing. GetBatch/GetBatchU64 run each chunk
-// through the core lookup pipeline, overlapping index page probes
-// — and then value-log record reads, a second I/O stream — across the
-// device's internal queue lanes. PutBatch/PutBatchU64 are the write-side
-// mirror: each chunk's records land in the value log as one multi-record
-// append, and every buffer flush the chunk triggers is issued as one
-// address-sorted device WriteBatch submission, so flush writes overlap
-// the same way lookup probes do while counters and state match per-key
-// calls exactly (Stats.WriteLatency shows the flattened write tail).
+// Every store is one implementation: a router over 2^b shards, each a
+// BufferHash with its own devices, value log, virtual clock and latency
+// histograms behind one mutex. A CLAM — the paper's single blocking-I/O
+// instance — is the one-shard store. Adding WithShards(8) to the same
+// option list opens a Sharded store, the key space partitioned by its top
+// key bits (a byte key's fingerprint bits), the same split BufferHash
+// applies to its super tables one level down (§5.2). The two types differ only in the surface they
+// add: a CLAM exposes its clock, core and devices, a Sharded store its
+// per-shard views and virtual makespan.
+//
+// A per-key call (PutU64, GetU64, DeleteU64, ContainsU64, Put, Get,
+// Delete, Contains) routes its key to a shard and makes a one-key call of
+// the same chunk helper the batches use, on stack arrays, so a key sent
+// alone or inside a batch runs the same core pipeline, the same value-log
+// calls and the same dead-record accounting. A batch call fingerprints its
+// keys (byte ops only), groups them into contiguous per-shard runs with one
+// counting sort, routes chunks of those runs to workers, makes one chunk
+// call per chunk on a zero-copy sub-slice, and — for reads — scatters the
+// grouped answers back to input order. GetBatch/GetBatchU64 overlap a
+// chunk's index page probes — and then its value-log record reads, a
+// second I/O stream — across the device's internal queue lanes.
+// PutBatch/PutBatchU64 are the write-side mirror: a chunk's records land in
+// the value log as one multi-record append, and every buffer flush the
+// chunk triggers is issued as one address-sorted device WriteBatch
+// submission, while counters and state match per-key calls exactly
+// (Stats.WriteLatency shows the flattened write tail).
 //
 // # Worker model: one worker per shard, affinity and stealing
-//
-// Every Sharded batch op has one shape: fingerprint the keys (byte ops
-// only), group the batch into contiguous per-shard runs with one counting
-// sort, route chunks of those runs to workers, make one CLAM chunk call
-// per chunk on a zero-copy sub-slice, and — for reads — scatter the
-// grouped answers back to input order. A single CLAM runs the same chunk
-// calls in one loop.
 //
 // A shard serializes behind one mutex, so the batch router assigns each
 // pending shard to exactly one worker at a time, which preserves
@@ -77,22 +78,22 @@
 // core.BufferHash.LookupBatch for the LRU carve-out); only wall-clock and
 // virtual time change.
 //
-// A CLAM is opened over simulated storage devices (Intel-class SSD,
+// Each shard is opened over simulated storage devices (Intel-class SSD,
 // Transcend-class SSD, raw NAND chip, or magnetic disk — see DESIGN.md §3
 // for why simulation preserves the paper's behaviour) and operates in
-// virtual time: every operation advances a virtual clock by its modeled
-// latency, and per-operation latency distributions are recorded in
+// virtual time: every operation advances its shard's virtual clock by its
+// modeled latency, and per-operation latency distributions are recorded in
 // histograms that the experiment harness turns into the paper's tables
 // and figures.
 //
-// All Store methods are safe for concurrent use. A single CLAM serializes
-// operations behind one mutex, matching the paper's blocking-I/O design
-// point; a Sharded store serializes per shard and runs shards in parallel.
+// All Store methods are safe for concurrent use. Operations serialize per
+// shard, matching the paper's blocking-I/O design point: a CLAM serializes
+// everything behind its one shard's mutex, and a Sharded store runs its
+// shards in parallel.
 package clam
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -148,17 +149,45 @@ const (
 	PriorityBased = core.PriorityBased
 )
 
-// CLAM is a cheap and large CAM — one instance of the paper's design,
-// implementing Store. Safe for concurrent use; operations serialize behind
-// one mutex (the paper's blocking-I/O design point).
-type CLAM struct {
+// CLAM is a cheap and large CAM — one instance of the paper's design: the
+// one-shard store. It implements Store through the same routed code a
+// Sharded store runs, over a single shard that keeps the whole key space,
+// the configured seed and, when given, the caller's clock and devices.
+// Safe for concurrent use; operations serialize behind the shard's mutex
+// (the paper's blocking-I/O design point).
+type CLAM struct{ *router }
+
+// Clock returns the virtual clock (for building workloads that pace
+// arrivals in virtual time).
+func (c *CLAM) Clock() *vclock.Clock { return c.shards[0].clock }
+
+// Core exposes the underlying BufferHash for the experiment harness.
+// Callers must not use it concurrently with CLAM methods.
+func (c *CLAM) Core() *core.BufferHash { return c.shards[0].bh }
+
+// Device returns the underlying index storage device.
+func (c *CLAM) Device() storage.Device { return c.shards[0].dev }
+
+// ValueDevice returns the value-log device, or nil when the store has no
+// value log.
+func (c *CLAM) ValueDevice() storage.Device {
+	if vlog := c.shards[0].vlog; vlog != nil {
+		return vlog.Device()
+	}
+	return nil
+}
+
+// shard is one BufferHash with its own index device, value log, virtual
+// clock and latency histograms, serialized behind one mutex. The router
+// reaches it only through the locked methods below: the chunk helpers,
+// each one call into the core pipeline (a per-key op is a one-key chunk),
+// and the maintenance calls.
+type shard struct {
 	mu     sync.Mutex
 	bh     *core.BufferHash
 	dev    storage.Device
 	vlog   *storage.ValueLog // nil iff no value-log device was configured
 	clock  *vclock.Clock
-	fpSeed uint64
-	chunk  int // batch chunk size: ctx-check interval and core-call bound
 	insert metrics.Histogram
 	lookup metrics.Histogram
 	del    metrics.Histogram
@@ -178,16 +207,13 @@ type CLAM struct {
 // cuckoo utilization occupy 32 bytes of buffer/flash per stored entry.
 const effectiveEntryBytes = 32.0
 
-// openCLAM builds a single CLAM from a resolved config.
-func openCLAM(cfg config) (*CLAM, error) {
+// openShard builds one shard from its share of the resolved config.
+func openShard(cfg config) (*shard, error) {
 	clock := cfg.clock
 	if clock == nil {
 		clock = vclock.New()
 	}
-	c := &CLAM{
-		clock: clock,
-		chunk: cfg.batchChunk,
-	}
+	s := &shard{clock: clock}
 	dev := cfg.customDevice
 	vdev := cfg.customVLogDev
 	if dev == nil {
@@ -204,26 +230,23 @@ func openCLAM(cfg config) (*CLAM, error) {
 		}
 		// Both slow-storage write streams — incarnation images and value-log
 		// pages — feed one write-latency histogram (Stats.WriteLatency).
-		dev = timeWrites(dev, &c.write)
-		vdev = timeWrites(vdev, &c.write)
+		dev = timeWrites(dev, &s.write)
+		vdev = timeWrites(vdev, &s.write)
 	}
 	coreCfg, err := deriveConfig(cfg, dev, clock)
 	if err != nil {
 		return nil, err
 	}
-	bh, err := core.New(coreCfg)
-	if err != nil {
+	if s.bh, err = core.New(coreCfg); err != nil {
 		return nil, err
 	}
-	c.bh = bh
-	c.dev = dev
-	c.fpSeed = coreCfg.Seed
+	s.dev = dev
 	if vdev != nil {
-		if c.vlog, err = storage.NewValueLog(vdev); err != nil {
+		if s.vlog, err = storage.NewValueLog(vdev); err != nil {
 			return nil, err
 		}
 	}
-	return c, nil
+	return s, nil
 }
 
 // deriveConfig applies §6.4: choose B′ (≈ flash block), the number of super
@@ -307,73 +330,7 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 		Policy:             cfg.policy,
 		Retain:             cfg.retain,
 		Seed:               seed,
-		DisableBloom:       cfg.disableBloom,
-		DisableBitslice:    cfg.disableBitslice,
 	}, nil
-}
-
-// --- U64 fast path ---
-
-// PutU64 adds or updates a (key, value) mapping on the inline fast path:
-// a one-key PutBatchU64 chunk.
-func (c *CLAM) PutU64(key, value uint64) error {
-	keys, values := [1]uint64{key}, [1]uint64{value}
-	return c.putBatchU64Chunk(keys[:], values[:])
-}
-
-// UpdateU64 is an alias of PutU64 with the paper's lazy-update semantics
-// (§5.1.1): the new version shadows older ones because lookups probe
-// newest-first; there is no existence check and no read-modify-write.
-func (c *CLAM) UpdateU64(key, value uint64) error { return c.PutU64(key, value) }
-
-// GetU64 returns the latest value stored under key: a one-key GetBatchU64
-// chunk.
-func (c *CLAM) GetU64(key uint64) (value uint64, found bool, err error) {
-	keys, results := [1]uint64{key}, [1]core.LookupResult{}
-	err = c.getBatchU64Into(keys[:], results[:])
-	return results[0].Value, results[0].Found, err
-}
-
-// DeleteU64 lazily removes key (§5.1.1): a one-key DeleteBatchU64 chunk.
-func (c *CLAM) DeleteU64(key uint64) error {
-	keys := [1]uint64{key}
-	return c.deleteBatchU64Chunk(keys[:])
-}
-
-// PutBatchU64 applies len(keys) fast-path inserts through the core batched
-// insert pipeline (see internal/core: in-order buffer application with
-// deferred CPU charges, then every triggered flush issued as one
-// address-sorted overlapped write submission). State and structural
-// counters match the same keys sent one at a time through PutU64; each
-// chunk holds the lock once and its flush writes overlap in virtual time.
-// ctx is checked between chunks.
-//
-// Latency accounting: a chunk's virtual elapsed time is spread evenly over
-// its keys, so the insert histogram records amortized per-key latency —
-// flush costs no longer land on one unlucky insert — and its count stays
-// equal to the number of inserts performed.
-func (c *CLAM) PutBatchU64(ctx context.Context, keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
-	}
-	return forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
-		return c.putBatchU64Chunk(keys[lo:hi], values[lo:hi])
-	})
-}
-
-// forChunks runs run over [0, n) in consecutive chunk-sized ranges,
-// checking ctx before each one: the single CLAM's batch loop. It stops at
-// the first cancellation or chunk error; chunks already run stay applied.
-func forChunks(ctx context.Context, n, chunk int, run func(lo, hi int) error) error {
-	for lo := 0; lo < n; lo += chunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := run(lo, min(lo+chunk, n)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // observeSpread records a chunk's virtual elapsed time as n samples of its
@@ -395,105 +352,60 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// putBatchU64Chunk is one locked batched-insert call. The sharded batch
-// router calls this chunk-by-chunk with slices of its per-shard runs.
-func (c *CLAM) putBatchU64Chunk(keys, values []uint64) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	if err := c.bh.InsertBatch(keys, values); err != nil {
-		return err
-	}
-	observeSpread(&c.insert, w.Elapsed(), len(keys))
-	return nil
-}
-
-// GetBatchU64 looks up len(keys) keys through the core lookup pipeline
-// (see internal/core: in-memory phase, coalesced overlapped flash phase,
-// newest-first resolution) and returns per-key results in input order.
-// The structural counters match the same keys sent one at a time through
-// GetU64; each chunk holds the lock once and its flash reads overlap in
-// virtual time. ctx is checked between chunks.
+// --- chunk helpers: one locked core-pipeline call each ---
 //
 // Latency accounting: a chunk's virtual elapsed time is spread evenly over
-// its keys, so the lookup histogram records amortized per-key latency and
-// its count stays equal to the number of lookups performed.
-func (c *CLAM) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	results := make([]core.LookupResult, len(keys))
-	if err := forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
-		return c.getBatchU64Into(keys[lo:hi], results[lo:hi])
-	}); err != nil {
-		return nil, nil, err
-	}
-	for i, r := range results {
-		values[i], found[i] = r.Value, r.Found
-	}
-	return values, found, nil
-}
+// its keys, so each histogram records amortized per-key latency — a flush
+// no longer lands on one unlucky insert — and its count stays equal to the
+// number of keys served.
 
-// getBatchU64Into is one locked batched-lookup call without the output
-// allocation: results must have len(keys). The sharded batch router calls
-// this chunk-by-chunk with grouped result slots.
-func (c *CLAM) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
+// putBatchU64Chunk is one batched insert: in-order buffer application with
+// deferred CPU charges, then every triggered flush issued as one
+// address-sorted overlapped write submission.
+func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	if err := c.bh.LookupBatch(keys, results); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.clock.StartWatch()
+	if err := s.bh.InsertBatch(keys, values); err != nil {
 		return err
 	}
-	observeSpread(&c.lookup, w.Elapsed(), len(keys))
+	observeSpread(&s.insert, w.Elapsed(), len(keys))
 	return nil
 }
 
-// DeleteBatchU64 applies len(keys) fast-path deletes, checking ctx between
-// chunks. Deletes perform no I/O; batching amortizes lock and clock
-// traffic, with counters identical to one DeleteU64 call per key.
-func (c *CLAM) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	return forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
-		return c.deleteBatchU64Chunk(keys[lo:hi])
-	})
-}
-
-// deleteBatchU64Chunk is one locked batched-delete call.
-func (c *CLAM) deleteBatchU64Chunk(keys []uint64) error {
+// getBatchU64Into is one batched lookup (in-memory phase, coalesced
+// overlapped flash phase, newest-first resolution) into results, which
+// must have len(keys).
+func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	if err := c.bh.DeleteBatch(keys); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.clock.StartWatch()
+	if err := s.bh.LookupBatch(keys, results); err != nil {
 		return err
 	}
-	observeSpread(&c.del, w.Elapsed(), len(keys))
+	observeSpread(&s.lookup, w.Elapsed(), len(keys))
 	return nil
 }
 
-// --- byte-keyed operations ---
-
-// Put adds or updates a key → value mapping: the record is appended to the
-// value log and the key's fingerprint maps to its pointer. It is a one-key
-// PutBatch chunk.
-func (c *CLAM) Put(key, value []byte) error {
-	return c.putRecord(fingerprint(key, c.fpSeed), key, value)
-}
-
-// Update is an alias of Put with the paper's lazy-update semantics
-// (§5.1.1); see Store.
-func (c *CLAM) Update(key, value []byte) error { return c.Put(key, value) }
-
-// putRecord is the one-key Put under a precomputed fingerprint.
-func (c *CLAM) putRecord(fp uint64, key, value []byte) error {
-	fps, keys, values := [1]uint64{fp}, [1][]byte{key}, [1][]byte{value}
-	return c.putBatchRecords(fps[:], keys[:], values[:])
+// deleteBatchU64Chunk is one batched delete. Deletes perform no I/O.
+func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.clock.StartWatch()
+	if err := s.bh.DeleteBatch(keys); err != nil {
+		return err
+	}
+	observeSpread(&s.del, w.Elapsed(), len(keys))
+	return nil
 }
 
 // markDeadIfBuffered moves fp's value-log record to the dead side of the
@@ -506,92 +418,43 @@ func (c *CLAM) putRecord(fp uint64, key, value []byte) error {
 // mis-debit is bounded by MarkDead's range and region clamping, the same
 // approximation class as silent deaths. Accounting only: no counters, CPU
 // charges or I/O are touched.
-func (c *CLAM) markDeadIfBuffered(fp uint64) {
-	if c.vlog == nil {
+func (s *shard) markDeadIfBuffered(fp uint64) {
+	if s.vlog == nil {
 		return
 	}
-	if old, ok := c.bh.BufferedValue(fp); ok {
+	if old, ok := s.bh.BufferedValue(fp); ok {
 		if off, n, ok := core.DecodeValuePtr(old); ok {
-			c.vlog.MarkDead(off, n)
+			s.vlog.MarkDead(off, n)
 		}
 	}
 }
 
-// Get returns the latest value stored under key, verified against the full
-// key bytes in the value-log record. It is a one-key GetBatch chunk.
-func (c *CLAM) Get(key []byte) (value []byte, found bool, err error) {
-	return c.getRecord(fingerprint(key, c.fpSeed), key)
-}
-
-// getRecord is the one-key Get under a precomputed fingerprint.
-func (c *CLAM) getRecord(fp uint64, key []byte) (value []byte, found bool, err error) {
-	fps, keys := [1]uint64{fp}, [1][]byte{key}
-	var values [1][]byte
-	var founds [1]bool
-	err = c.getBatchRecords(fps[:], keys[:], values[:], founds[:])
-	return values[0], founds[0], err
-}
-
-// Delete lazily removes key (§5.1.1). The value-log record is reclaimed by
-// the log's circular overwrite. It is a one-key DeleteBatch chunk.
-func (c *CLAM) Delete(key []byte) error {
-	return c.deleteFP(fingerprint(key, c.fpSeed))
-}
-
-// deleteFP is the one-key Delete under a precomputed fingerprint.
-func (c *CLAM) deleteFP(fp uint64) error {
-	fps := [1]uint64{fp}
-	return c.deleteBatchFPs(fps[:])
-}
-
-// PutBatch applies len(keys) Put operations, chunk by chunk: each chunk's
-// records are appended to the value log as one tail-buffered multi-record
-// append (its full pages reach the device as one sequential submission),
-// then the chunk's fingerprints and record pointers run through the core
-// insert pipeline, whose flush writes are issued as one overlapped
-// submission — the write-side mirror of GetBatch's two read streams. Final
-// state matches one Put call per key exactly (record offsets depend only
-// on append order). ctx is checked between chunks.
-func (c *CLAM) PutBatch(ctx context.Context, keys, values [][]byte) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("clam: PutBatch length mismatch: %d keys, %d values", len(keys), len(values))
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	if c.vlog == nil {
-		return ErrNoValueLog
-	}
-	fps := fingerprints(nil, keys, c.fpSeed)
-	return forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
-		return c.putBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi])
-	})
-}
-
-// putBatchRecords applies one chunk under the lock: one multi-record
-// value-log append, dead-record accounting, then one core insert batch.
-// The sharded router calls this with per-shard chunks.
-func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
+// putBatchRecords applies one chunk of byte Puts: one multi-record
+// value-log append (its full pages reach the device as one sequential
+// submission), dead-record accounting, then one core insert batch of the
+// fingerprints and record pointers. Record offsets depend only on append
+// order, so the final state matches one Put per key exactly.
+func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	if len(fps) == 0 {
 		return nil
 	}
-	if c.vlog == nil {
+	if s.vlog == nil {
 		return ErrNoValueLog
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	c.putOffs = resize(c.putOffs, len(fps))
-	c.putNs = resize(c.putNs, len(fps))
-	c.putPtrs = resize(c.putPtrs, len(fps))
-	offs, ns, ptrs := c.putOffs, c.putNs, c.putPtrs
-	if err := c.vlog.AppendBatch(keys, values, offs, ns); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.clock.StartWatch()
+	s.putOffs = resize(s.putOffs, len(fps))
+	s.putNs = resize(s.putNs, len(fps))
+	s.putPtrs = resize(s.putPtrs, len(fps))
+	offs, ns, ptrs := s.putOffs, s.putNs, s.putPtrs
+	if err := s.vlog.AppendBatch(keys, values, offs, ns); err != nil {
 		return err
 	}
-	if c.deadSeen == nil {
-		c.deadSeen = make(map[uint64]uint64, len(fps))
+	if s.deadSeen == nil {
+		s.deadSeen = make(map[uint64]uint64, len(fps))
 	} else {
-		clear(c.deadSeen)
+		clear(s.deadSeen)
 	}
 	last := len(fps) - 1
 	for i, fp := range fps {
@@ -604,76 +467,54 @@ func (c *CLAM) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 		// previous occurrence's record within this chunk. The last key has
 		// no later occurrence to serve, so it is not tracked: a one-key
 		// chunk leaves the tracker empty, and clearing an empty map is free.
-		if prev, dup := c.deadSeen[fp]; dup {
+		if prev, dup := s.deadSeen[fp]; dup {
 			if off, n, ok := core.DecodeValuePtr(prev); ok {
-				c.vlog.MarkDead(off, n)
+				s.vlog.MarkDead(off, n)
 			}
 		} else {
-			c.markDeadIfBuffered(fp)
+			s.markDeadIfBuffered(fp)
 		}
 		if i < last {
-			c.deadSeen[fp] = ptr
+			s.deadSeen[fp] = ptr
 		}
 		ptrs[i] = ptr
 	}
-	if err := c.bh.InsertBatch(fps, ptrs); err != nil {
+	if err := s.bh.InsertBatch(fps, ptrs); err != nil {
 		return err
 	}
-	observeSpread(&c.insert, w.Elapsed(), len(fps))
+	observeSpread(&s.insert, w.Elapsed(), len(fps))
 	return nil
 }
 
-// GetBatch looks up len(keys) keys, chunk by chunk: each chunk runs the
-// core batched index pipeline (overlapped page probes) and then fetches
-// the surviving value-log records as one overlapped batched read — the
-// second I/O stream. ctx is checked between chunks.
-func (c *CLAM) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
-	values = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	if len(keys) == 0 {
-		return values, found, nil
-	}
-	if c.vlog == nil {
-		return nil, nil, ErrNoValueLog
-	}
-	fps := fingerprints(nil, keys, c.fpSeed)
-	if err := forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
-		return c.getBatchRecords(fps[lo:hi], keys[lo:hi], values[lo:hi], found[lo:hi])
-	}); err != nil {
-		return nil, nil, err
-	}
-	return values, found, nil
-}
-
-// getBatchRecords resolves one chunk under the lock: batched index lookup,
+// getBatchRecords resolves one chunk of byte Gets: batched index lookup,
 // then one batched value-log read for every key that resolved to a record
 // pointer, then per-key verification. It fills only the hits of values
-// and found. The sharded router calls this with grouped per-shard chunks.
-func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
+// and found.
+func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	if len(fps) == 0 {
 		return nil
 	}
-	if c.vlog == nil {
+	if s.vlog == nil {
 		return ErrNoValueLog
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	c.batchRes = resize(c.batchRes, len(fps))
-	results := c.batchRes
-	if err := c.bh.LookupBatch(fps, results); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.clock.StartWatch()
+	s.batchRes = resize(s.batchRes, len(fps))
+	results := s.batchRes
+	if err := s.bh.LookupBatch(fps, results); err != nil {
 		return err
 	}
-	reqs := c.batchReq[:0]
-	idxs := c.batchIdx[:0]
+	reqs := s.batchReq[:0]
+	idxs := s.batchIdx[:0]
 	for i := range results {
 		if off, n, ok := results[i].ValuePointer(); ok {
 			reqs = append(reqs, storage.ValueReadReq{Off: off, N: n})
 			idxs = append(idxs, i)
 		}
 	}
-	c.batchReq, c.batchIdx = reqs, idxs
-	if err := c.vlog.ReadRecordsBatch(reqs); err != nil {
+	s.batchReq, s.batchIdx = reqs, idxs
+	if err := s.vlog.ReadRecordsBatch(reqs); err != nil {
 		return err
 	}
 	for j, req := range reqs {
@@ -686,150 +527,103 @@ func (c *CLAM) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fou
 			found[i] = true
 		}
 	}
-	observeSpread(&c.lookup, w.Elapsed(), len(fps))
+	observeSpread(&s.lookup, w.Elapsed(), len(fps))
 	return nil
 }
 
-// DeleteBatch applies len(keys) Delete operations through the batched core
-// delete path, checking ctx between chunks.
-func (c *CLAM) DeleteBatch(ctx context.Context, keys [][]byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	fps := fingerprints(nil, keys, c.fpSeed)
-	return forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
-		return c.deleteBatchFPs(fps[lo:hi])
-	})
-}
-
-// deleteBatchFPs applies one chunk of byte-key deletes under the lock,
-// accounting each fingerprint's buffered record dead once.
-func (c *CLAM) deleteBatchFPs(fps []uint64) error {
+// deleteBatchFPs applies one chunk of byte-key deletes, accounting each
+// fingerprint's buffered record dead once.
+func (s *shard) deleteBatchFPs(fps []uint64) error {
 	if len(fps) == 0 {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	if c.deadSeen == nil {
-		c.deadSeen = make(map[uint64]uint64, len(fps))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.clock.StartWatch()
+	if s.deadSeen == nil {
+		s.deadSeen = make(map[uint64]uint64, len(fps))
 	} else {
-		clear(c.deadSeen)
+		clear(s.deadSeen)
 	}
 	last := len(fps) - 1 // untracked, as in putBatchRecords
 	for i, fp := range fps {
-		if _, dup := c.deadSeen[fp]; dup {
+		if _, dup := s.deadSeen[fp]; dup {
 			continue
 		}
 		if i < last {
-			c.deadSeen[fp] = 0
+			s.deadSeen[fp] = 0
 		}
-		c.markDeadIfBuffered(fp)
+		s.markDeadIfBuffered(fp)
 	}
-	if err := c.bh.DeleteBatch(fps); err != nil {
+	if err := s.bh.DeleteBatch(fps); err != nil {
 		return err
 	}
-	observeSpread(&c.del, w.Elapsed(), len(fps))
+	observeSpread(&s.del, w.Elapsed(), len(fps))
 	return nil
 }
 
-// --- existence probes ---
-
-// ContainsU64 reports whether key is present on the fast path. It is
-// GetU64 without returning the value: same probes, same counters.
-func (c *CLAM) ContainsU64(key uint64) (bool, error) {
-	_, found, err := c.GetU64(key)
-	return found, err
-}
-
-// Contains reports whether a record is indexed under key's fingerprint,
-// stopping at the index hit: unlike Get, it skips the value-log record
-// read that would verify the full key bytes, so a duplicate probe costs
-// only the index lookup. The price is the fingerprint-collision false
-// positive rate the paper itself accepts at 32–64-bit fingerprints — a
-// colliding key, or a key whose record the circular log has lapped, can
-// report true. Workloads that need exactness read through Get.
-func (c *CLAM) Contains(key []byte) (bool, error) {
-	return c.containsFP(fingerprint(key, c.fpSeed))
-}
-
-// containsFP is the one-key Contains under a precomputed fingerprint.
-func (c *CLAM) containsFP(fp uint64) (bool, error) {
-	fps := [1]uint64{fp}
-	var found [1]bool
-	err := c.containsBatchFPs(fps[:], found[:])
-	return found[0], err
-}
-
-// ContainsBatch probes len(keys) keys through the batched index pipeline
-// and returns per-key existence in input order, with Contains's
-// fingerprint-collision tradeoff: no value-log records are read, so a
-// chunk costs exactly its overlapped index probes. ctx is checked between
-// chunks.
-func (c *CLAM) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
-	found := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return found, nil
-	}
-	fps := fingerprints(nil, keys, c.fpSeed)
-	if err := forChunks(ctx, len(keys), c.chunk, func(lo, hi int) error {
-		return c.containsBatchFPs(fps[lo:hi], found[lo:hi])
-	}); err != nil {
-		return nil, err
-	}
-	return found, nil
-}
-
-// containsBatchFPs resolves one chunk of existence probes under the lock.
-// The sharded router calls this with grouped per-shard chunks.
-func (c *CLAM) containsBatchFPs(fps []uint64, found []bool) error {
+// containsBatchFPs resolves one chunk of existence probes: the batched
+// index lookup alone, with no value-log read.
+func (s *shard) containsBatchFPs(fps []uint64, found []bool) error {
 	if len(fps) == 0 {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.clock.StartWatch()
-	c.batchRes = resize(c.batchRes, len(fps))
-	results := c.batchRes
-	if err := c.bh.LookupBatch(fps, results); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.clock.StartWatch()
+	s.batchRes = resize(s.batchRes, len(fps))
+	results := s.batchRes
+	if err := s.bh.LookupBatch(fps, results); err != nil {
 		return err
 	}
 	for i := range results {
 		_, _, ok := results[i].ValuePointer()
 		found[i] = ok
 	}
-	observeSpread(&c.lookup, w.Elapsed(), len(fps))
+	observeSpread(&s.lookup, w.Elapsed(), len(fps))
 	return nil
 }
 
-// --- maintenance and introspection ---
+// --- maintenance ---
 
-// Flush forces all buffered entries to flash.
-func (c *CLAM) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bh.Flush()
+func (s *shard) flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bh.Flush()
 }
 
-// Clock returns the virtual clock (for building workloads that pace
-// arrivals in virtual time).
-func (c *CLAM) Clock() *vclock.Clock { return c.clock }
+func (s *shard) elapse(d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.clock.Advance(d)
+}
 
-// Device returns the underlying index storage device.
-func (c *CLAM) Device() storage.Device { return c.dev }
+func (s *shard) resetMetrics() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.insert.Reset()
+	s.lookup.Reset()
+	s.del.Reset()
+	s.write.Reset()
+	s.bh.ResetStats()
+}
 
-// ValueDevice returns the value-log device, or nil when the store has no
-// value log.
-func (c *CLAM) ValueDevice() storage.Device {
-	if c.vlog == nil {
-		return nil
+// addStats adds the shard's counters into agg and its latency histograms
+// into hs (insert, lookup, delete, write), under the shard's lock.
+func (s *shard) addStats(agg *Stats, hs *[4]metrics.Histogram) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	agg.Core.Merge(s.bh.Stats())
+	agg.Device.Add(s.dev.Counters())
+	agg.Memory.Add(s.bh.MemoryFootprint())
+	if s.vlog != nil {
+		agg.ValueDevice.Add(s.vlog.Device().Counters())
+		agg.ValueLog.Add(s.vlog.Stats())
 	}
-	return c.vlog.Device()
+	for i, h := range [...]*metrics.Histogram{&s.insert, &s.lookup, &s.del, &s.write} {
+		hs[i].Merge(h)
+	}
 }
-
-// Core exposes the underlying BufferHash for the experiment harness.
-// Callers must not use it concurrently with CLAM methods.
-func (c *CLAM) Core() *core.BufferHash { return c.bh }
 
 // Stats is a point-in-time summary of a Store's behaviour.
 type Stats struct {
@@ -854,51 +648,4 @@ type Stats struct {
 	WriteLatency metrics.Summary
 
 	Memory core.MemoryFootprint
-}
-
-// Stats snapshots the operation counters and latency summaries.
-func (c *CLAM) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := Stats{
-		Core:          c.bh.Stats(),
-		Device:        c.dev.Counters(),
-		InsertLatency: c.insert.Summarize(),
-		LookupLatency: c.lookup.Summarize(),
-		DeleteLatency: c.del.Summarize(),
-		WriteLatency:  c.write.Summarize(),
-		Memory:        c.bh.MemoryFootprint(),
-	}
-	if c.vlog != nil {
-		st.ValueDevice = c.vlog.Device().Counters()
-		st.ValueLog = c.vlog.Stats()
-	}
-	return st
-}
-
-// InsertHistogram returns the insert latency histogram (callers must not
-// race it against operations; quiesce first).
-func (c *CLAM) InsertHistogram() *metrics.Histogram { return &c.insert }
-
-// LookupHistogram returns the lookup latency histogram.
-func (c *CLAM) LookupHistogram() *metrics.Histogram { return &c.lookup }
-
-// ResetMetrics clears latency histograms and core counters, typically after
-// a warm-up phase.
-func (c *CLAM) ResetMetrics() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert.Reset()
-	c.lookup.Reset()
-	c.del.Reset()
-	c.write.Reset()
-	c.bh.ResetStats()
-}
-
-// Elapse advances the virtual clock by d, modeling host idle time (during
-// which SSDs perform background garbage collection).
-func (c *CLAM) Elapse(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock.Advance(d)
 }

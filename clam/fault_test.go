@@ -427,6 +427,10 @@ func TestFaultOracle(t *testing.T) {
 			return openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16),
 				WithPolicy(UpdateBased), WithSeed(4))
 		}, 0, false},
+		{"clam/priority", func(t *testing.T) *faultRig {
+			return openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16),
+				WithPolicy(PriorityBased), WithRetain(func(_, v uint64) bool { return v%2 == 0 }), WithSeed(7))
+		}, 0, false},
 		{"clam/vlog-wrap", func(t *testing.T) *faultRig {
 			return openFaultCLAM(t, 2<<20, 256<<10, WithMemory(512<<10), WithBufferKB(16), WithSeed(5))
 		}, 200, true},

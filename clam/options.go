@@ -35,9 +35,6 @@ type config struct {
 	seed  uint64
 	clock *vclock.Clock
 
-	disableBloom    bool
-	disableBitslice bool
-
 	shards     int
 	workers    int
 	batchChunk int
@@ -52,11 +49,12 @@ func WithDevice(kind DeviceKind) Option {
 	}
 }
 
-// WithCustomDevice overrides the index device with a caller-supplied model.
-// The caller must construct it against the clock passed via WithClock (or
-// let the device own its clock). Byte-valued operations additionally need
-// WithValueLogDevice; without one they fail with ErrNoValueLog.
-// Incompatible with WithShards > 1 — each shard owns a private device.
+// WithCustomDevice overrides the index device of a one-shard store (a
+// CLAM) with a caller-supplied model. The caller must construct it against
+// the clock passed via WithClock (or let the device own its clock).
+// Byte-valued operations additionally need WithValueLogDevice; without one
+// they fail with ErrNoValueLog. Rejected with WithShards > 1: each shard
+// of a Sharded store owns private devices.
 func WithCustomDevice(dev storage.Device) Option {
 	return func(c *config) error {
 		c.customDevice = dev
@@ -161,10 +159,10 @@ func WithPolicy(p Policy) Option {
 	}
 }
 
-// WithRetain configures PriorityBased eviction: entries for which retain
-// returns true survive partial discard. The callback sees the internal
-// 64-bit key and value words (byte-keyed entries pass their fingerprint
-// and value-log pointer).
+// WithRetain configures PriorityBased eviction: live entries (not deleted
+// and not superseded) for which retain returns true survive partial
+// discard. The callback sees the internal 64-bit key and value words
+// (byte-keyed entries pass their fingerprint and value-log pointer).
 func WithRetain(retain func(key, value uint64) bool) Option {
 	return func(c *config) error {
 		c.retain = retain
@@ -180,8 +178,9 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithClock supplies the virtual clock; one is created if absent.
-// Incompatible with WithShards > 1 — each shard owns a private clock.
+// WithClock supplies the virtual clock of a one-shard store (a CLAM); one
+// is created if absent. Rejected with WithShards > 1: each shard of a
+// Sharded store owns a private clock.
 func WithClock(clock *vclock.Clock) Option {
 	return func(c *config) error {
 		c.clock = clock
@@ -189,27 +188,12 @@ func WithClock(clock *vclock.Clock) Option {
 	}
 }
 
-// WithoutBloom disables Bloom filters (§7.3.1 ablation).
-func WithoutBloom() Option {
-	return func(c *config) error {
-		c.disableBloom = true
-		return nil
-	}
-}
-
-// WithoutBitslice replaces the bit-sliced Bloom bank with separate filters
-// (§7.3.1 ablation); answers are identical, CPU cost higher.
-func WithoutBitslice() Option {
-	return func(c *config) error {
-		c.disableBitslice = true
-		return nil
-	}
-}
-
 // WithShards partitions the key space across n independent shards (n must
-// be a power of two). n = 1 (the default) opens a single CLAM, the paper's
-// design point; n > 1 opens a Sharded deployment whose flash, memory and
-// value-log budgets are split evenly across shards.
+// be a power of two), whose flash, memory and value-log budgets are split
+// evenly. Every store is a router over its shards: n = 1 (the default)
+// opens a CLAM, the one-shard store and the paper's design point, which
+// keeps the configured seed; n > 1 opens a Sharded store, each of whose
+// shards derives its own hash seed from it.
 func WithShards(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -220,8 +204,9 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithWorkers bounds the goroutine pool used by the sharded batch
-// operations (default, or 0: one worker per shard).
+// WithWorkers bounds the goroutine pool used by the batch operations
+// (default, or 0: one worker per shard; more than one per shard is
+// capped).
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -236,8 +221,8 @@ func WithWorkers(n int) Option {
 // consumed in chunks of at most this many keys (default 512). A chunk is
 // one core batched-pipeline call, so the setting bounds the size of that
 // call and the scope of its same-page read dedupe; it is also the interval
-// at which cancellation is checked and — on a Sharded store — at which the
-// owning worker re-visits the shared router queue.
+// at which cancellation is checked and at which the owning worker
+// re-visits the shared router queue.
 func WithBatchChunk(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -248,11 +233,12 @@ func WithBatchChunk(n int) Option {
 	}
 }
 
-// Open builds a Store from the given options: a single CLAM by default,
-// or a Sharded deployment with WithShards(n > 1). Both implementations
-// satisfy Store; callers that need implementation-specific surface
-// (per-shard inspection, the core handle, latency histograms) type-assert
-// to *CLAM or *Sharded.
+// Open builds a Store from the given options. Every store is the same
+// router over 2^b shards: with one shard (the default) Open returns a
+// *CLAM, with WithShards(n > 1) a *Sharded. Both satisfy Store through
+// that one implementation; callers that need implementation-specific
+// surface (the clock, core handle and devices of a CLAM; per-shard views
+// and the makespan of a Sharded store) type-assert to *CLAM or *Sharded.
 func Open(opts ...Option) (Store, error) {
 	cfg := config{seed: 1, shards: 1, batchChunk: defaultBatchChunk}
 	for _, opt := range opts {
@@ -266,10 +252,18 @@ func Open(opts ...Option) (Store, error) {
 	if cfg.customVLogDev != nil && cfg.customDevice == nil {
 		return nil, fmt.Errorf("clam: WithValueLogDevice requires WithCustomDevice (kind-opened stores build their own value-log device)")
 	}
-	if cfg.shards > 1 {
-		return openSharded(cfg)
+	r, err := openRouter(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return openCLAM(cfg)
+	if len(r.shards) == 1 {
+		return &CLAM{r}, nil
+	}
+	s := &Sharded{router: r, views: make([]*CLAM, len(r.shards))}
+	for i, sh := range r.shards {
+		s.views[i] = &CLAM{newRouter([]*shard{sh}, 1, r.chunk, r.fpSeed)}
+	}
+	return s, nil
 }
 
 // defaultBatchChunk is the batch router's default task granularity.

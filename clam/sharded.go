@@ -32,7 +32,16 @@ import (
 // that shard performed, modeling one device set (and one I/O context) per
 // shard. Aggregate views (Stats, Now) merge the per-shard state on demand.
 type Sharded struct {
-	shards  []*CLAM
+	*router
+	views []*CLAM // Shard(i): one-shard stores over the same shards
+}
+
+// router is the one Store implementation: a CLAM is a router over one
+// shard, a Sharded store a router over 2^b. Every op routes its keys by
+// their top bits: a per-key op is a one-key chunk call on its shard, a
+// batch is grouped into per-shard runs and dispatched chunk by chunk.
+type router struct {
+	shards  []*shard
 	shift   uint // 64 - log2(len(shards)); shift ≥ 64 routes everything to shard 0
 	workers int
 	chunk   int       // batch router task granularity (keys per chunk)
@@ -41,25 +50,31 @@ type Sharded struct {
 	fps     sync.Pool // *[]uint64, per-batch byte-key fingerprint buffers
 }
 
-// openSharded builds a Sharded CLAM from a resolved config, opening one
-// CLAM per shard with an even split of the flash, memory and value-log
-// budgets and a per-shard derived hash seed.
-func openSharded(cfg config) (*Sharded, error) {
-	n := cfg.shards
-	workers := cfg.workers
-	if workers == 0 {
-		workers = n
+func newRouter(shards []*shard, workers, chunk int, fpSeed uint64) *router {
+	return &router{
+		shards:  shards,
+		shift:   64 - uint(bits.Len(uint(len(shards)))-1),
+		workers: workers,
+		chunk:   chunk,
+		fpSeed:  fpSeed,
 	}
+}
+
+// openRouter opens WithShards shards with an even split of the flash,
+// memory and value-log budgets. One shard keeps the configured seed,
+// clock and devices; with more, each shard derives its own hash seed and
+// owns its own clock and devices. Byte keys fingerprint with the
+// configured seed on every shard, so a one-shard view addresses the same
+// byte-key space its parent routes into it.
+func openRouter(cfg config) (*router, error) {
+	n := cfg.shards
 	if n&(n-1) != 0 {
 		return nil, fmt.Errorf("clam: WithShards(%d): shard count must be a power of two", n)
 	}
-	if workers > n {
-		workers = n
-	}
-	if cfg.clock != nil {
+	if n > 1 && cfg.clock != nil {
 		return nil, errors.New("clam: WithClock is incompatible with WithShards; each shard owns its own clock")
 	}
-	if cfg.customDevice != nil || cfg.customVLogDev != nil {
+	if n > 1 && (cfg.customDevice != nil || cfg.customVLogDev != nil) {
 		return nil, errors.New("clam: WithCustomDevice/WithValueLogDevice are incompatible with WithShards; each shard owns its own devices")
 	}
 	if cfg.flashBytes%int64(n) != 0 {
@@ -75,43 +90,42 @@ func openSharded(cfg config) (*Sharded, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	s := &Sharded{
-		shards:  make([]*CLAM, n),
-		shift:   64 - uint(bits.Len(uint(n))-1),
-		workers: workers,
-		chunk:   cfg.batchChunk,
-		fpSeed:  seed,
+	workers := cfg.workers
+	if workers == 0 || workers > n {
+		workers = n
 	}
-	for i := range s.shards {
+	shards := make([]*shard, n)
+	for i := range shards {
 		po := cfg
 		po.flashBytes = cfg.flashBytes / int64(n)
 		po.memoryBytes = cfg.memoryBytes / int64(n)
 		po.valueLogBytes = cfg.valueLogBytes / int64(n)
-		po.seed = hashutil.Hash64Seed(uint64(i), seed)
-		c, err := openCLAM(po)
-		if err != nil {
-			return nil, fmt.Errorf("clam: shard %d: %w", i, err)
+		if n > 1 {
+			po.seed = hashutil.Hash64Seed(uint64(i), seed)
 		}
-		// Shards fingerprint byte keys with the deployment seed, not their
-		// derived internal seed, so the live Shard(i) handle addresses the
-		// same byte-key space the parent routes into it.
-		c.fpSeed = seed
-		s.shards[i] = c
+		s, err := openShard(po)
+		if err != nil {
+			if n > 1 {
+				err = fmt.Errorf("clam: shard %d: %w", i, err)
+			}
+			return nil, err
+		}
+		shards[i] = s
 	}
-	return s, nil
+	return newRouter(shards, workers, cfg.batchChunk, seed), nil
 }
 
 // shardIndex routes a key to its owning shard by the top log2(NumShards)
 // bits. Every routing decision — single ops and batch grouping — goes
 // through here.
-func (s *Sharded) shardIndex(key uint64) int {
-	if s.shift >= 64 {
+func (r *router) shardIndex(key uint64) int {
+	if r.shift >= 64 {
 		return 0
 	}
-	return int(key >> s.shift)
+	return int(key >> r.shift)
 }
 
-func (s *Sharded) shard(key uint64) *CLAM { return s.shards[s.shardIndex(key)] }
+func (r *router) shard(key uint64) *shard { return r.shards[r.shardIndex(key)] }
 
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
@@ -119,139 +133,141 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // Workers returns the batch worker-pool bound.
 func (s *Sharded) Workers() int { return s.workers }
 
-// Shard exposes shard i for inspection (per-shard stats, clock, device).
-// The returned CLAM is live; its methods take the shard lock as usual.
-func (s *Sharded) Shard(i int) *CLAM { return s.shards[i] }
-
-// --- single-key operations ---
-
-// PutU64 adds or updates a (key, value) mapping on the key's shard.
-func (s *Sharded) PutU64(key, value uint64) error {
-	return s.shard(key).PutU64(key, value)
-}
-
-// UpdateU64 is an alias of PutU64 with the paper's lazy-update semantics
-// (§5.1.1); see Store.
-func (s *Sharded) UpdateU64(key, value uint64) error { return s.PutU64(key, value) }
-
-// GetU64 returns the latest value stored under key.
-func (s *Sharded) GetU64(key uint64) (value uint64, found bool, err error) {
-	return s.shard(key).GetU64(key)
-}
-
-// DeleteU64 lazily removes key (§5.1.1) on its shard.
-func (s *Sharded) DeleteU64(key uint64) error {
-	return s.shard(key).DeleteU64(key)
-}
-
-// Put adds or updates a byte key → value mapping: the key's fingerprint
-// picks the shard, and the record lands in that shard's value log.
-func (s *Sharded) Put(key, value []byte) error {
-	fp := fingerprint(key, s.fpSeed)
-	return s.shards[s.shardIndex(fp)].putRecord(fp, key, value)
-}
-
-// Update is an alias of Put with the paper's lazy-update semantics
-// (§5.1.1); see Store.
-func (s *Sharded) Update(key, value []byte) error { return s.Put(key, value) }
-
-// Get returns the latest value stored under key, verified against the full
-// key bytes.
-func (s *Sharded) Get(key []byte) (value []byte, found bool, err error) {
-	fp := fingerprint(key, s.fpSeed)
-	return s.shards[s.shardIndex(fp)].getRecord(fp, key)
-}
-
-// Delete lazily removes a byte key on its fingerprint's shard.
-func (s *Sharded) Delete(key []byte) error {
-	fp := fingerprint(key, s.fpSeed)
-	return s.shards[s.shardIndex(fp)].deleteFP(fp)
-}
-
-// --- maintenance ---
-
-// Flush forces all shards' buffered entries to flash, flushing shards in
-// parallel across the worker pool.
-func (s *Sharded) Flush() error {
-	return s.runShards(func(shard int) error {
-		return s.shards[shard].Flush()
-	})
-}
-
-// Elapse advances every shard's virtual clock by d, modeling fleet-wide
-// idle time (during which SSDs garbage-collect in the background).
-func (s *Sharded) Elapse(d time.Duration) {
-	for _, c := range s.shards {
-		c.Elapse(d)
-	}
-}
+// Shard exposes shard i as a one-shard CLAM for inspection (per-shard
+// stats, clock, device). The view is live: its methods take the shard lock
+// as usual, and byte keys fingerprint with the deployment seed.
+func (s *Sharded) Shard(i int) *CLAM { return s.views[i] }
 
 // Now returns the furthest-ahead shard clock: the virtual makespan of the
 // work performed so far, the number to report for end-to-end completion
 // time of a parallel workload.
 func (s *Sharded) Now() time.Duration {
 	var max time.Duration
-	for _, c := range s.shards {
-		if t := c.Clock().Now(); t > max {
+	for _, sh := range s.shards {
+		if t := sh.clock.Now(); t > max {
 			max = t
 		}
 	}
 	return max
 }
 
+// --- single-key operations: one-key chunk calls on stack arrays ---
+
+// PutU64 adds or updates a (key, value) mapping on the inline fast path.
+func (r *router) PutU64(key, value uint64) error {
+	keys, values := [1]uint64{key}, [1]uint64{value}
+	return r.shard(key).putBatchU64Chunk(keys[:], values[:])
+}
+
+// UpdateU64 is an alias of PutU64 with the paper's lazy-update semantics
+// (§5.1.1): the new version shadows older ones because lookups probe
+// newest-first; there is no existence check and no read-modify-write.
+func (r *router) UpdateU64(key, value uint64) error { return r.PutU64(key, value) }
+
+// GetU64 returns the latest value stored under key.
+func (r *router) GetU64(key uint64) (value uint64, found bool, err error) {
+	keys, results := [1]uint64{key}, [1]core.LookupResult{}
+	err = r.shard(key).getBatchU64Into(keys[:], results[:])
+	return results[0].Value, results[0].Found, err
+}
+
+// DeleteU64 lazily removes key (§5.1.1).
+func (r *router) DeleteU64(key uint64) error {
+	keys := [1]uint64{key}
+	return r.shard(key).deleteBatchU64Chunk(keys[:])
+}
+
+// ContainsU64 reports whether key is present on the fast path. It is
+// GetU64 without returning the value: same probes, same counters.
+func (r *router) ContainsU64(key uint64) (bool, error) {
+	_, found, err := r.GetU64(key)
+	return found, err
+}
+
+// Put adds or updates a key → value mapping: the key's fingerprint picks
+// the shard, the record is appended to that shard's value log, and the
+// fingerprint maps to the record's pointer.
+func (r *router) Put(key, value []byte) error {
+	fps, keys, values := [1]uint64{fingerprint(key, r.fpSeed)}, [1][]byte{key}, [1][]byte{value}
+	return r.shard(fps[0]).putBatchRecords(fps[:], keys[:], values[:])
+}
+
+// Update is an alias of Put with the paper's lazy-update semantics
+// (§5.1.1); see Store.
+func (r *router) Update(key, value []byte) error { return r.Put(key, value) }
+
+// Get returns the latest value stored under key, verified against the full
+// key bytes in the value-log record.
+func (r *router) Get(key []byte) (value []byte, found bool, err error) {
+	fps, keys := [1]uint64{fingerprint(key, r.fpSeed)}, [1][]byte{key}
+	var values [1][]byte
+	var founds [1]bool
+	err = r.shard(fps[0]).getBatchRecords(fps[:], keys[:], values[:], founds[:])
+	return values[0], founds[0], err
+}
+
+// Delete lazily removes key (§5.1.1). The value-log record is reclaimed by
+// the log's circular overwrite.
+func (r *router) Delete(key []byte) error {
+	fps := [1]uint64{fingerprint(key, r.fpSeed)}
+	return r.shard(fps[0]).deleteBatchFPs(fps[:])
+}
+
+// Contains reports whether a record is indexed under key's fingerprint,
+// stopping at the index hit: unlike Get, it skips the value-log record
+// read that would verify the full key bytes, so a duplicate probe costs
+// only the index lookup. The price is the fingerprint-collision false
+// positive rate the paper itself accepts at 32–64-bit fingerprints — a
+// colliding key, or a key whose record the circular log has lapped, can
+// report true. Workloads that need exactness read through Get.
+func (r *router) Contains(key []byte) (bool, error) {
+	fps := [1]uint64{fingerprint(key, r.fpSeed)}
+	var found [1]bool
+	err := r.shard(fps[0]).containsBatchFPs(fps[:], found[:])
+	return found[0], err
+}
+
+// --- maintenance ---
+
+// Flush forces every shard's buffered entries to flash, flushing shards in
+// parallel across the worker pool.
+func (r *router) Flush() error {
+	return r.runShards(func(s *shard) error { return s.flush() })
+}
+
+// Elapse advances every shard's virtual clock by d, modeling host idle
+// time (during which SSDs garbage-collect in the background).
+func (r *router) Elapse(d time.Duration) {
+	for _, s := range r.shards {
+		s.elapse(d)
+	}
+}
+
 // ResetMetrics clears every shard's latency histograms and core counters,
-// so every field of the next Stats snapshot covers the same since-reset
-// window.
-func (s *Sharded) ResetMetrics() {
-	for _, c := range s.shards {
-		c.ResetMetrics()
+// typically after a warm-up phase, so every field of the next Stats
+// snapshot covers the same since-reset window.
+func (r *router) ResetMetrics() {
+	for _, s := range r.shards {
+		s.resetMetrics()
 	}
 }
 
 // Stats merges the per-shard snapshots into one aggregate view: core,
 // device and value-log counters are summed, latency histograms are merged
 // before summarizing (so percentiles reflect the true global
-// distribution), and memory footprints are added.
-func (s *Sharded) Stats() Stats {
+// distribution), and memory footprints are added. For one shard the
+// merge is the identity.
+func (r *router) Stats() Stats {
 	var agg Stats
-	ins := make([]*metrics.Histogram, 0, len(s.shards))
-	lk := make([]*metrics.Histogram, 0, len(s.shards))
-	del := make([]*metrics.Histogram, 0, len(s.shards))
-	wr := make([]*metrics.Histogram, 0, len(s.shards))
-	for _, c := range s.shards {
-		cs, hi, hl, hd, hw := c.snapshot()
-		agg.Core.Merge(cs.Core)
-		agg.Device.Add(cs.Device)
-		agg.ValueDevice.Add(cs.ValueDevice)
-		agg.ValueLog.Add(cs.ValueLog)
-		agg.Memory.Add(cs.Memory)
-		ins = append(ins, hi)
-		lk = append(lk, hl)
-		del = append(del, hd)
-		wr = append(wr, hw)
+	var hs [4]metrics.Histogram
+	for _, s := range r.shards {
+		s.addStats(&agg, &hs)
 	}
-	agg.InsertLatency = metrics.Merged(ins...).Summarize()
-	agg.LookupLatency = metrics.Merged(lk...).Summarize()
-	agg.DeleteLatency = metrics.Merged(del...).Summarize()
-	agg.WriteLatency = metrics.Merged(wr...).Summarize()
+	agg.InsertLatency = hs[0].Summarize()
+	agg.LookupLatency = hs[1].Summarize()
+	agg.DeleteLatency = hs[2].Summarize()
+	agg.WriteLatency = hs[3].Summarize()
 	return agg
-}
-
-// snapshot copies one shard's metric state under its lock.
-func (c *CLAM) snapshot() (Stats, *metrics.Histogram, *metrics.Histogram, *metrics.Histogram, *metrics.Histogram) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := Stats{
-		Core:   c.bh.Stats(),
-		Device: c.dev.Counters(),
-		Memory: c.bh.MemoryFootprint(),
-	}
-	if c.vlog != nil {
-		st.ValueDevice = c.vlog.Device().Counters()
-		st.ValueLog = c.vlog.Stats()
-	}
-	hi, hl, hd, hw := c.insert, c.lookup, c.del, c.write
-	return st, &hi, &hl, &hd, &hw
 }
 
 // --- batch grouping and the chunked batch router ---
@@ -267,7 +283,7 @@ func (c *CLAM) snapshot() (Stats, *metrics.Histogram, *metrics.Histogram, *metri
 // Reads also leave their answers in grouped slots — res (U64 lookups),
 // bvbuf and found (byte lookups and existence probes) — and scatter them
 // back to input order through idx. cur is the router's per-shard
-// consumption cursor. Instances are pooled on the Sharded because batches
+// consumption cursor. Instances are pooled on the router because batches
 // run concurrently.
 type shardGroups struct {
 	idx   []int
@@ -287,9 +303,9 @@ type shardGroups struct {
 // shard's run, and records each slot's input position in idx. Byte
 // batches pass their fingerprints as keys. Callers return the groups with
 // putGroups.
-func (s *Sharded) group(keys, values []uint64, bk, bv [][]byte) *shardGroups {
-	n := len(s.shards)
-	g, _ := s.groups.Get().(*shardGroups)
+func (r *router) group(keys, values []uint64, bk, bv [][]byte) *shardGroups {
+	n := len(r.shards)
+	g, _ := r.groups.Get().(*shardGroups)
 	if g == nil {
 		g = &shardGroups{start: make([]int, n+1), cur: make([]int, n)}
 	}
@@ -306,7 +322,7 @@ func (s *Sharded) group(keys, values []uint64, bk, bv [][]byte) *shardGroups {
 	}
 	clear(g.cur)
 	for _, k := range keys {
-		g.cur[s.shardIndex(k)]++
+		g.cur[r.shardIndex(k)]++
 	}
 	g.start[0] = 0
 	for i := 0; i < n; i++ {
@@ -314,7 +330,7 @@ func (s *Sharded) group(keys, values []uint64, bk, bv [][]byte) *shardGroups {
 		g.cur[i] = g.start[i]
 	}
 	for i, k := range keys {
-		sh := s.shardIndex(k)
+		sh := r.shardIndex(k)
 		at := g.cur[sh]
 		g.cur[sh]++
 		g.idx[at] = i
@@ -333,12 +349,12 @@ func (s *Sharded) group(keys, values []uint64, bk, bv [][]byte) *shardGroups {
 	return g
 }
 
-func (s *Sharded) putGroups(g *shardGroups) {
+func (r *router) putGroups(g *shardGroups) {
 	// Drop the byte-slice references before pooling: a retained shardGroups
 	// must not pin the previous batch's keys and values in memory.
 	clear(g.bkbuf)
 	clear(g.bvbuf)
-	s.groups.Put(g)
+	r.groups.Put(g)
 }
 
 // runChunked is the batch router: shard groups become chunk-sized tasks
@@ -346,7 +362,7 @@ func (s *Sharded) putGroups(g *shardGroups) {
 // workers idle while unclaimed work exists. Two rules shape the schedule:
 //
 //   - Single ownership: a shard is claimed by at most one worker at a time.
-//     Its CLAM serializes behind one mutex anyway, and single ownership
+//     It serializes behind one mutex anyway, and single ownership
 //     preserves within-shard input order.
 //   - Affinity: the owning worker keeps its shard between chunks (the
 //     shard's Bloom banks and buffers are hot in that worker's cache;
@@ -354,7 +370,7 @@ func (s *Sharded) putGroups(g *shardGroups) {
 //     shared queue only when the shard is drained, stealing the next
 //     pending shard the moment one exists.
 //
-// At most min(Workers(), shards with work) worker goroutines run a batch
+// At most min(workers, shards with work) worker goroutines run a batch
 // while the caller waits. Chunks are the unit of work between scheduler
 // decisions: each chunk is one core batched-pipeline call (bounding the
 // core call and its page-dedupe scope) and the router's cancellation
@@ -365,7 +381,7 @@ func (s *Sharded) putGroups(g *shardGroups) {
 // run receives the shard and the chunk as a [lo, hi) range of grouped
 // slots. A chunk error stops that shard's remaining chunks; other shards
 // keep going, and all errors are joined, so every shard is attempted.
-func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(shard, lo, hi int) error) error {
+func (r *router) runChunked(ctx context.Context, g *shardGroups, run func(s *shard, lo, hi int) error) error {
 	ready := make([]int, 0, len(g.cur))
 	for sh := range g.cur {
 		if g.start[sh+1] > g.start[sh] {
@@ -373,7 +389,7 @@ func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(shard
 		}
 	}
 	var (
-		workers  = min(s.workers, len(ready))
+		workers  = min(r.workers, len(ready))
 		mu       sync.Mutex // guards ready, g.cur, errs, canceled
 		errs     []error
 		canceled error
@@ -395,10 +411,10 @@ func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(shard
 						canceled = err
 						break
 					}
-					lo, hi := g.cur[sh], min(g.cur[sh]+s.chunk, g.start[sh+1])
+					lo, hi := g.cur[sh], min(g.cur[sh]+r.chunk, g.start[sh+1])
 					g.cur[sh] = hi
 					mu.Unlock()
-					err := run(sh, lo, hi)
+					err := run(r.shards[sh], lo, hi)
 					mu.Lock()
 					if err != nil {
 						errs = append(errs, err)
@@ -415,43 +431,75 @@ func (s *Sharded) runChunked(ctx context.Context, g *shardGroups, run func(shard
 	return errors.Join(errs...)
 }
 
-// --- U64 batches ---
+// runShards executes run on every shard, spread over at most r.workers
+// goroutines (Flush's dispatcher). Each shard runs on exactly one worker,
+// so workers never contend on the same shard lock; every shard is
+// attempted regardless of other shards' failures, and all errors are
+// joined.
+func (r *router) runShards(run func(s *shard) error) error {
+	work := make(chan *shard)
+	errs := make([][]error, r.workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := range work {
+				if err := run(s); err != nil {
+					errs[w] = append(errs[w], err)
+				}
+			}
+		}(w)
+	}
+	for _, s := range r.shards {
+		work <- s
+	}
+	close(work)
+	wg.Wait()
+	return errors.Join(slices.Concat(errs...)...)
+}
 
-// PutBatchU64 inserts len(keys) mappings, grouped by shard and dispatched
-// through the chunked batch router. Each chunk runs the core batched
-// insert pipeline on its shard: buffer updates apply in order with one
-// deferred CPU advance, and every flush the chunk triggers is issued as
-// one address-sorted overlapped write submission. Within a shard the batch
-// preserves input order; across shards there is no ordering. On error (or
-// cancellation) the batch may be partially applied; all errors are joined.
-func (s *Sharded) PutBatchU64(ctx context.Context, keys, values []uint64) error {
+// --- U64 batches ---
+//
+// Every batch op has one shape: fingerprint the keys (byte ops only),
+// group the batch into per-shard runs, run each chunk of a run as one
+// chunk-helper call on its shard, and — for reads — scatter the grouped
+// answers back to input order. Within a shard a batch preserves input
+// order; across shards there is no ordering. On error or cancellation a
+// batch may be partially applied, and all errors are joined.
+
+// PutBatchU64 applies len(keys) PutU64 operations. Each chunk runs the
+// core batched insert pipeline on its shard: buffer updates apply in order
+// with one deferred CPU advance, and every flush the chunk triggers is
+// issued as one address-sorted overlapped write submission. State and
+// structural counters match the same keys sent one at a time.
+func (r *router) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	g := s.group(keys, values, nil, nil)
-	defer s.putGroups(g)
-	return s.runChunked(ctx, g, func(shard, lo, hi int) error {
-		return s.shards[shard].putBatchU64Chunk(g.kbuf[lo:hi], g.vbuf[lo:hi])
+	g := r.group(keys, values, nil, nil)
+	defer r.putGroups(g)
+	return r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
+		return s.putBatchU64Chunk(g.kbuf[lo:hi], g.vbuf[lo:hi])
 	})
 }
 
 // GetBatchU64 looks up len(keys) keys and returns per-key results in input
-// order. Each chunk of a shard's group runs through the core batched
-// lookup pipeline: the in-memory phase answers buffer/Bloom hits with zero
-// I/O, and the flash phase dedupes keys on the same page, sorts probes by
-// device address, and overlaps them across the device's queue lanes.
-// Chunks are dispatched by the stealing router, so under a Zipf-skewed
-// batch no worker idles while an unclaimed shard remains; ctx cancels
-// between chunks.
-func (s *Sharded) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
+// order. Each chunk runs through the core batched lookup pipeline: the
+// in-memory phase answers buffer/Bloom hits with zero I/O, and the flash
+// phase dedupes keys on the same page, sorts probes by device address, and
+// overlaps them across the device's queue lanes. Chunks are dispatched by
+// the stealing router, so under a Zipf-skewed batch no worker idles while
+// an unclaimed shard remains.
+func (r *router) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
 	values = make([]uint64, len(keys))
 	found = make([]bool, len(keys))
-	g := s.group(keys, nil, nil, nil)
-	defer s.putGroups(g)
+	g := r.group(keys, nil, nil, nil)
+	defer r.putGroups(g)
 	g.res = resize(g.res, len(keys))
-	err = s.runChunked(ctx, g, func(shard, lo, hi int) error {
+	err = r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
 		res := g.res[lo:hi]
-		if err := s.shards[shard].getBatchU64Into(g.kbuf[lo:hi], res); err != nil {
+		if err := s.getBatchU64Into(g.kbuf[lo:hi], res); err != nil {
 			return err
 		}
 		for j, i := range g.idx[lo:hi] {
@@ -465,13 +513,14 @@ func (s *Sharded) GetBatchU64(ctx context.Context, keys []uint64) (values []uint
 	return values, found, nil
 }
 
-// DeleteBatchU64 lazily removes len(keys) keys, grouped and dispatched like
-// PutBatchU64, with each chunk applied as one batched core delete.
-func (s *Sharded) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	g := s.group(keys, nil, nil, nil)
-	defer s.putGroups(g)
-	return s.runChunked(ctx, g, func(shard, lo, hi int) error {
-		return s.shards[shard].deleteBatchU64Chunk(g.kbuf[lo:hi])
+// DeleteBatchU64 lazily removes len(keys) keys, each chunk applied as one
+// batched core delete. Deletes perform no I/O; batching amortizes lock and
+// clock traffic, with counters identical to one DeleteU64 call per key.
+func (r *router) DeleteBatchU64(ctx context.Context, keys []uint64) error {
+	g := r.group(keys, nil, nil, nil)
+	defer r.putGroups(g)
+	return r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
+		return s.deleteBatchU64Chunk(g.kbuf[lo:hi])
 	})
 }
 
@@ -480,34 +529,33 @@ func (s *Sharded) DeleteBatchU64(ctx context.Context, keys []uint64) error {
 // fingerprints computes the batch's fingerprints once into a pooled
 // buffer; they both route the batch and serve as the shards' index keys.
 // Callers return the buffer with putFingerprints when the batch is done.
-func (s *Sharded) fingerprints(keys [][]byte) *[]uint64 {
-	p, _ := s.fps.Get().(*[]uint64)
+func (r *router) fingerprints(keys [][]byte) *[]uint64 {
+	p, _ := r.fps.Get().(*[]uint64)
 	if p == nil {
 		p = new([]uint64)
 	}
-	*p = fingerprints(*p, keys, s.fpSeed)
+	*p = fingerprints(*p, keys, r.fpSeed)
 	return p
 }
 
-func (s *Sharded) putFingerprints(p *[]uint64) { s.fps.Put(p) }
+func (r *router) putFingerprints(p *[]uint64) { r.fps.Put(p) }
 
-// PutBatch applies len(keys) byte Put operations through the chunked
-// router. Each chunk runs two overlapped write streams on its shard: the
-// chunk's records land in the value log as one tail-buffered multi-record
-// append (one sequential page submission), then its fingerprints and
-// record pointers run through the core batched insert pipeline with
-// overlapped flush writes — the write-side mirror of GetBatch's two read
-// streams. See PutBatchU64 for ordering and error semantics.
-func (s *Sharded) PutBatch(ctx context.Context, keys, values [][]byte) error {
+// PutBatch applies len(keys) Put operations. Each chunk runs two
+// overlapped write streams on its shard: the chunk's records land in the
+// value log as one tail-buffered multi-record append (one sequential page
+// submission), then its fingerprints and record pointers run through the
+// core batched insert pipeline with overlapped flush writes — the
+// write-side mirror of GetBatch's two read streams.
+func (r *router) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatch length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	fps := s.fingerprints(keys)
-	defer s.putFingerprints(fps)
-	g := s.group(*fps, nil, keys, values)
-	defer s.putGroups(g)
-	return s.runChunked(ctx, g, func(shard, lo, hi int) error {
-		return s.shards[shard].putBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], g.bvbuf[lo:hi])
+	fps := r.fingerprints(keys)
+	defer r.putFingerprints(fps)
+	g := r.group(*fps, nil, keys, values)
+	defer r.putGroups(g)
+	return r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
+		return s.putBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], g.bvbuf[lo:hi])
 	})
 }
 
@@ -515,21 +563,21 @@ func (s *Sharded) PutBatch(ctx context.Context, keys, values [][]byte) error {
 // two overlapped I/O streams on its shard: the core batched index pipeline
 // resolves fingerprints to record pointers, then the chunk's surviving
 // value-log records are fetched as one overlapped batched read.
-func (s *Sharded) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
+func (r *router) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
 	values = make([][]byte, len(keys))
 	found = make([]bool, len(keys))
-	fps := s.fingerprints(keys)
-	defer s.putFingerprints(fps)
-	g := s.group(*fps, nil, keys, nil)
-	defer s.putGroups(g)
+	fps := r.fingerprints(keys)
+	defer r.putFingerprints(fps)
+	g := r.group(*fps, nil, keys, nil)
+	defer r.putGroups(g)
 	// getBatchRecords fills only the hits, so the result slots start empty.
 	g.bvbuf = resize(g.bvbuf, len(keys))
 	g.found = resize(g.found, len(keys))
 	clear(g.bvbuf)
 	clear(g.found)
-	err = s.runChunked(ctx, g, func(shard, lo, hi int) error {
+	err = r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
 		vals, ok := g.bvbuf[lo:hi], g.found[lo:hi]
-		if err := s.shards[shard].getBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], vals, ok); err != nil {
+		if err := s.getBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], vals, ok); err != nil {
 			return err
 		}
 		for j, i := range g.idx[lo:hi] {
@@ -543,46 +591,32 @@ func (s *Sharded) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte,
 	return values, found, nil
 }
 
-// DeleteBatch lazily removes len(keys) byte keys through the chunked
-// router, applying each chunk as one batched core delete.
-func (s *Sharded) DeleteBatch(ctx context.Context, keys [][]byte) error {
-	fps := s.fingerprints(keys)
-	defer s.putFingerprints(fps)
-	g := s.group(*fps, nil, nil, nil)
-	defer s.putGroups(g)
-	return s.runChunked(ctx, g, func(shard, lo, hi int) error {
-		return s.shards[shard].deleteBatchFPs(g.kbuf[lo:hi])
+// DeleteBatch lazily removes len(keys) byte keys, applying each chunk as
+// one batched core delete.
+func (r *router) DeleteBatch(ctx context.Context, keys [][]byte) error {
+	fps := r.fingerprints(keys)
+	defer r.putFingerprints(fps)
+	g := r.group(*fps, nil, nil, nil)
+	defer r.putGroups(g)
+	return r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
+		return s.deleteBatchFPs(g.kbuf[lo:hi])
 	})
 }
 
-// --- existence probes ---
-
-// ContainsU64 reports whether a fast-path key is present on its shard.
-func (s *Sharded) ContainsU64(key uint64) (bool, error) {
-	return s.shard(key).ContainsU64(key)
-}
-
-// Contains reports whether a record is indexed under key on its
-// fingerprint's shard, with CLAM.Contains's no-record-read tradeoff.
-func (s *Sharded) Contains(key []byte) (bool, error) {
-	fp := fingerprint(key, s.fpSeed)
-	return s.shards[s.shardIndex(fp)].containsFP(fp)
-}
-
-// ContainsBatch probes len(keys) byte keys through the chunked router and
-// the batched index pipeline, returning per-key existence in input order.
-// No value-log records are read (Contains's tradeoff), so each chunk costs
-// exactly its overlapped index probes.
-func (s *Sharded) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
+// ContainsBatch probes len(keys) byte keys through the batched index
+// pipeline, returning per-key existence in input order. No value-log
+// records are read (Contains's tradeoff), so each chunk costs exactly its
+// overlapped index probes.
+func (r *router) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
 	found := make([]bool, len(keys))
-	fps := s.fingerprints(keys)
-	defer s.putFingerprints(fps)
-	g := s.group(*fps, nil, nil, nil)
-	defer s.putGroups(g)
+	fps := r.fingerprints(keys)
+	defer r.putFingerprints(fps)
+	g := r.group(*fps, nil, nil, nil)
+	defer r.putGroups(g)
 	g.found = resize(g.found, len(keys))
-	err := s.runChunked(ctx, g, func(shard, lo, hi int) error {
+	err := r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
 		ok := g.found[lo:hi]
-		if err := s.shards[shard].containsBatchFPs(g.kbuf[lo:hi], ok); err != nil {
+		if err := s.containsBatchFPs(g.kbuf[lo:hi], ok); err != nil {
 			return err
 		}
 		for j, i := range g.idx[lo:hi] {
@@ -594,32 +628,4 @@ func (s *Sharded) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, err
 		return nil, err
 	}
 	return found, nil
-}
-
-// runShards executes run(shard) for every shard, spread over at most
-// s.workers goroutines (Flush's dispatcher). Each shard runs on exactly one
-// worker, so workers never contend on the same shard lock; every shard is
-// attempted regardless of other shards' failures, and all errors are
-// joined.
-func (s *Sharded) runShards(run func(shard int) error) error {
-	work := make(chan int)
-	errs := make([][]error, s.workers)
-	var wg sync.WaitGroup
-	for w := range errs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for sh := range work {
-				if err := run(sh); err != nil {
-					errs[w] = append(errs[w], err)
-				}
-			}
-		}(w)
-	}
-	for sh := range s.shards {
-		work <- sh
-	}
-	close(work)
-	wg.Wait()
-	return errors.Join(slices.Concat(errs...)...)
 }

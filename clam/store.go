@@ -8,9 +8,10 @@ import (
 	"repro/internal/hashutil"
 )
 
-// Store is the one public API of the package, implemented by both CLAM
-// (the paper's single blocking-I/O instance) and Sharded (the horizontal
-// scaling path). A Store is a content-addressable map from byte-slice keys
+// Store is the one public API of the package, with one implementation:
+// the shard router that both CLAM (the one-shard store, the paper's single
+// blocking-I/O instance) and Sharded (the horizontal scaling path) embed.
+// A Store is a content-addressable map from byte-slice keys
 // — content fingerprints, names, anything — to variable-length byte
 // values, with a zero-overhead 64-bit fast path for the paper's
 // fingerprint → address workloads.
@@ -47,8 +48,8 @@ import (
 // inserted, and lookups return it because they probe newest-first; older
 // versions age out with their incarnations. There is no read-modify-write
 // and no "key must exist" check — updating an absent key is an insert.
-// Both CLAM and Sharded share this contract, and TestUpdateAliasSemantics
-// pins it.
+// CLAM and Sharded share this contract through the one implementation,
+// and TestUpdateAliasSemantics pins it.
 //
 // # Batches and cancellation
 //

@@ -23,7 +23,7 @@ import (
 // dynamic type is part of the caller's contract.
 type timedQueued struct {
 	storage.Device
-	h *metrics.Histogram // guarded by the owning CLAM's mutex
+	h *metrics.Histogram // guarded by the owning shard's mutex
 }
 
 func (d *timedQueued) WriteAt(p []byte, off int64) (time.Duration, error) {

@@ -11,7 +11,7 @@
 //  2. drives concurrent single-key lookups from 8 goroutines,
 //  3. prints the merged statistics and per-shard balance, and
 //  4. re-runs the same load on a 1-shard instance (the paper's design
-//     point, a plain CLAM behind the same Store interface) to show the
+//     point: a CLAM, which is the same store over one shard) to show the
 //     wall-clock difference; the gap tracks GOMAXPROCS.
 package main
 
@@ -121,7 +121,7 @@ func main() {
 			i, ss.Core.Inserts, ss.Core.Lookups, s.Shard(i).Clock().Now().Round(time.Millisecond))
 	}
 
-	base := open(1) // WithShards(1): a plain CLAM behind the same interface
+	base := open(1) // WithShards(1): a CLAM, the one-shard store
 	baseWall := load(base, keys)
 	fmt.Printf("\n1 shard (paper baseline): %v wall-clock — %.2fx vs sharded\n",
 		baseWall.Round(time.Millisecond), baseWall.Seconds()/shardedWall.Seconds())

@@ -78,8 +78,9 @@ const (
 	// not deleted and not superseded by a newer version (checked against
 	// the delete list and the in-memory Bloom filters).
 	UpdateBased
-	// PriorityBased is partial discard retaining entries the Retain
-	// callback approves (e.g. priority above a threshold).
+	// PriorityBased is partial discard retaining the live entries (as
+	// UpdateBased judges them) that the Retain callback approves (e.g.
+	// priority above a threshold).
 	PriorityBased
 )
 

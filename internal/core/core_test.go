@@ -497,6 +497,56 @@ func TestPriorityBasedEviction(t *testing.T) {
 	}
 }
 
+// TestPriorityBasedNeverResurrects pins that PriorityBased eviction
+// retains only live entries: an older version the Retain callback approves
+// must not shadow its newer version, and a deleted key must not come back,
+// once their incarnation is evicted.
+func TestPriorityBasedNeverResurrects(t *testing.T) {
+	cfg, _ := testConfig(t)
+	cfg.Policy = PriorityBased
+	cfg.Retain = func(_, v uint64) bool { return v == 1 }
+	b := mustNew(t, cfg)
+	const n = 1000
+	for i := uint64(1); i <= n; i++ {
+		b.Insert(i, 1)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= n; i++ {
+		if i%2 == 0 {
+			b.Delete(i)
+		} else {
+			b.Insert(i, 2)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 40000; i++ {
+		b.Insert(1<<40+i, 3) // churn that evicts both incarnations
+	}
+	if b.Stats().PartialScans == 0 {
+		t.Fatal("no partial-discard scan ran; retune the churn")
+	}
+	old, back := 0, 0
+	for i := uint64(1); i <= n; i++ {
+		res, err := b.Lookup(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i%2 == 0 && res.Found:
+			back++
+		case i%2 == 1 && res.Found && res.Value != 2:
+			old++
+		}
+	}
+	if old != 0 || back != 0 {
+		t.Fatalf("%d/%d updated keys read their older version, %d/%d deleted keys came back", old, n/2, back, n/2)
+	}
+}
+
 func TestCascadeHistogramPopulated(t *testing.T) {
 	// Figure 8(b): partial discard with mostly-live incarnations cascades.
 	cfg, _ := testConfig(t)

@@ -310,28 +310,27 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 	entries := 0
 	params.DecodeImage(image, func(k, v uint64) bool {
 		entries++
-		switch cfg.Policy {
-		case UpdateBased:
-			// Live = not deleted and not superseded by a newer version.
-			if _, deleted := st.deleteList[k]; deleted {
+		// Only a live entry may be retained: one not deleted and not
+		// superseded by a newer version. Re-inserting a dead one would
+		// shadow its newer version or resurrect its deleted key.
+		if _, deleted := st.deleteList[k]; deleted {
+			return true
+		}
+		if _, inBuf := st.buf.Get(k); inBuf {
+			return true
+		}
+		if st.bank != nil {
+			st.owner.chargeCPU(cfg.CPU.BloomQuery)
+			if st.bank.Query(k)&newerMask != 0 || st.bank.QueryStaging(k) {
+				// Possibly updated; discard. False positives evict a
+				// live item (paper footnote 2) — semantically FIFO-safe.
 				return true
 			}
-			if _, inBuf := st.buf.Get(k); inBuf {
-				return true
-			}
-			if st.bank != nil {
-				st.owner.chargeCPU(cfg.CPU.BloomQuery)
-				if st.bank.Query(k)&newerMask != 0 || st.bank.QueryStaging(k) {
-					// Possibly updated; discard. False positives evict a
-					// live item (paper footnote 2) — semantically FIFO-safe.
-					return true
-				}
-			}
+		}
+		// UpdateBased retains every live entry, PriorityBased the live
+		// entries Retain approves.
+		if cfg.Policy == UpdateBased || cfg.Retain(k, v) {
 			retained = append(retained, entry{k, v})
-		case PriorityBased:
-			if cfg.Retain(k, v) {
-				retained = append(retained, entry{k, v})
-			}
 		}
 		return true
 	})

@@ -72,3 +72,41 @@ func TestLookupResultValuePointer(t *testing.T) {
 		t.Fatal("inline value produced a pointer")
 	}
 }
+
+// FuzzValuePtr checks the value-pointer codec over arbitrary locations and
+// words: a location encodes iff it is in range, and then decodes back
+// exactly; a rejected location yields the zero word; and any word decodes
+// as a pointer iff its tag bit is set, re-encoding to the same word.
+func FuzzValuePtr(f *testing.F) {
+	f.Add(int64(0), 0, uint64(0))
+	f.Add(int64(4096), 4124, valuePtrTag|1)
+	f.Add(MaxValuePtrOff, MaxValuePtrLen, ^uint64(0))
+	f.Add(MaxValuePtrOff+1, -1, uint64(1)<<62)
+	f.Fuzz(func(t *testing.T, off int64, n int, word uint64) {
+		inRange := off >= 0 && off <= MaxValuePtrOff && n >= 0 && n <= MaxValuePtrLen
+		w, ok := EncodeValuePtr(off, n)
+		switch {
+		case ok != inRange:
+			t.Fatalf("EncodeValuePtr(%d, %d) ok=%v, in range %v", off, n, ok, inRange)
+		case !ok && w != 0:
+			t.Fatalf("EncodeValuePtr(%d, %d) rejected with word %#x", off, n, w)
+		case ok:
+			if doff, dn, dok := DecodeValuePtr(w); !dok || doff != off || dn != n {
+				t.Fatalf("(%d, %d) -> %#x -> (%d, %d, %v)", off, n, w, doff, dn, dok)
+			}
+		}
+		doff, dn, dok := DecodeValuePtr(word)
+		if dok != (word&valuePtrTag != 0) {
+			t.Fatalf("DecodeValuePtr(%#x) ok=%v", word, dok)
+		}
+		if !dok {
+			if doff != 0 || dn != 0 {
+				t.Fatalf("inline word %#x decoded as (%d, %d)", word, doff, dn)
+			}
+			return
+		}
+		if back, ok := EncodeValuePtr(doff, dn); !ok || back != word {
+			t.Fatalf("%#x -> (%d, %d) -> %#x, %v", word, doff, dn, back, ok)
+		}
+	})
+}
