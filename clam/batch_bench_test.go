@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // Benchmarks for the batched lookup pipeline against the plain serial loop
@@ -109,4 +111,47 @@ func BenchmarkLookupBatchVsSerialLoop(b *testing.B) {
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 		})
 	}
+}
+
+// BenchmarkGetBatchZipf1Worker is the get-batch-zipf benchmark workload's
+// measured step with one batch worker: the same store shape (8 shards,
+// 64 MB of IntelSSD flash, 12 MB of DRAM, FIFO), warmed with 1.25 times
+// its flash capacity of Zipf(1.1) keys, then GetBatchU64 calls of 4096
+// keys of the same distribution. One worker takes scheduling out of the wall time, so
+// ns/key is the lookup pipeline's host cost per key.
+func BenchmarkGetBatchZipf1Worker(b *testing.B) {
+	const (
+		flash   = 64 << 20
+		entries = flash / 32 // 16-byte entries at 50% cuckoo load
+		batch   = 4096
+		zipfS   = 1.1
+	)
+	s := openShardedT(b, WithDevice(IntelSSD), WithFlash(flash), WithMemory(12<<20),
+		WithShards(8), WithWorkers(1))
+	keyRange := workload.RangeForLSR(entries, 0.4)
+	warm := workload.NewZipfStream(2, zipfS, keyRange)
+	keys, vals := make([]uint64, 8192), make([]uint64, 8192)
+	for n := 0; n < entries*5/4; n += len(keys) {
+		for i := range keys {
+			keys[i], vals[i] = warm.Next(), uint64(n+i+1)
+		}
+		if err := s.PutBatchU64(context.Background(), keys, vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s.Stats().Core.Flushes == 0 {
+		b.Fatal("warm-up left every key in the buffers")
+	}
+	probe := workload.NewZipfStream(3, zipfS, keyRange)
+	probes := make([]uint64, 32*batch)
+	for i := range probes {
+		probes[i] = probe.Next()
+	}
+	for i := 0; b.Loop(); i++ {
+		at := i % (len(probes) / batch) * batch
+		if _, _, err := s.GetBatchU64(context.Background(), probes[at:at+batch]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 }

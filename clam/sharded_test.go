@@ -695,3 +695,58 @@ func TestBatchGroupingAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupBatchAllocs pins the allocations of a steady-state 4096-key
+// GetBatchU64 on the get-batch-zipf store shape (8 shards, 2 workers) at a
+// small scale, warmed so most lookups probe flash: the outputs, the
+// router's grouping and goroutines, and nothing per probe. The lookup
+// pipeline's probe reads and page views must not add to it.
+func TestLookupBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
+	}
+	s := openShardedT(t, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
+		WithShards(8), WithWorkers(2), WithSeed(9))
+	rng := rand.New(rand.NewSource(17))
+	ctx := context.Background()
+	keys, vals := make([]uint64, 8192), make([]uint64, 8192)
+	var stored []uint64
+	for round := 0; round < 80; round++ {
+		for i := range keys {
+			keys[i], vals[i] = rng.Uint64(), uint64(i+1)
+		}
+		if err := s.PutBatchU64(ctx, keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		stored = append(stored, keys[:64]...)
+	}
+	if s.Stats().Core.Evictions == 0 {
+		t.Fatal("warm-up did not reach the eviction regime")
+	}
+	probes := make([]uint64, 4096)
+	for i := range probes {
+		if i%2 == 0 {
+			probes[i] = stored[rng.Intn(len(stored))]
+		} else {
+			probes[i] = rng.Uint64()
+		}
+	}
+	get := func() {
+		if _, _, err := s.GetBatchU64(ctx, probes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm the pools and the shards' scratch
+		get()
+	}
+	before := s.Stats().Core.FlashProbes
+	allocs := testing.AllocsPerRun(20, get)
+	if s.Stats().Core.FlashProbes == before {
+		t.Fatal("no lookup probed flash")
+	}
+	t.Logf("GetBatchU64 of %d keys: %.1f allocs per call", len(probes), allocs)
+	const bound = 13 // the router's per-call allocations; none per key or probe
+	if allocs > bound {
+		t.Errorf("GetBatchU64 allocates %.1f per warmed call; want at most %d", allocs, bound)
+	}
+}

@@ -79,7 +79,6 @@ type Bank struct {
 	staging  []uint64  // flat m-bit staging filter
 	start    int       // s: window start bit position
 	live     [4]uint32 // slice positions of the live window [s, s+k)
-	scratch  []uint64
 }
 
 // NewBank creates a bank for k incarnations with m-bit filters and h hash
@@ -103,7 +102,6 @@ func NewBank(m uint64, k, h int) *Bank {
 		words:    L / 32,
 		slices:   make([]uint32, int(m)*(L/32)),
 		staging:  make([]uint64, (m+63)/64),
-		scratch:  make([]uint64, 0, h),
 	}
 	b.setLive()
 	return b
@@ -125,42 +123,75 @@ func (b *Bank) MemoryBits() uint64 {
 	return uint64(len(b.slices))*32 + uint64(len(b.staging))*64
 }
 
-// AddStaging adds a pre-hashed key to the staging (buffer) filter.
+// AddStaging adds a pre-hashed key to the staging (buffer) filter. Like
+// every bank operation it generates hashutil.DoubleHash's rows inline.
 func (b *Bank) AddStaging(keyHash uint64) {
-	b.scratch = hashutil.DoubleHash(keyHash, b.h, b.m, b.scratch[:0])
-	for _, row := range b.scratch {
+	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
+	for range b.h {
+		row := hashutil.Reduce(h1, b.m)
 		b.staging[row/64] |= 1 << (row % 64)
+		h1 += h2
 	}
 }
 
 // QueryStaging reports whether the staging filter may contain the key.
 func (b *Bank) QueryStaging(keyHash uint64) bool {
-	b.scratch = hashutil.DoubleHash(keyHash, b.h, b.m, b.scratch[:0])
-	for _, row := range b.scratch {
+	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
+	for range b.h {
+		row := hashutil.Reduce(h1, b.m)
 		if b.staging[row/64]&(1<<(row%64)) == 0 {
 			return false
 		}
+		h1 += h2
 	}
 	return true
 }
+
+// queryGroup is how many rows Query ANDs between two tests of the
+// accumulator: the group's slice loads issue back to back instead of each
+// waiting on the previous row's early-exit branch.
+const queryGroup = 4
 
 // Query returns a bitmask over the k incarnation columns: bit j set means
 // the incarnation at window offset j (0 = oldest position, k-1 = newest)
 // may contain the key. Columns that currently hold no incarnation are
 // all-zero and thus never match.
+//
+// The h rows are hashutil.DoubleHash's sequence, generated inline, and the
+// accumulator is tested for zero once per queryGroup rows.
 func (b *Bank) Query(keyHash uint64) uint64 {
-	b.scratch = hashutil.DoubleHash(keyHash, b.h, b.m, b.scratch[:0])
+	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
+	m, w := b.m, b.words
 	acc := b.live
-	w := b.words
-	for _, row := range b.scratch {
-		slice := b.slices[int(row)*w : int(row)*w+w]
-		var alive uint32
-		for i, v := range slice {
-			acc[i] &= v
-			alive |= acc[i]
+	if w == 1 {
+		// One word per slice (k ≤ 24, the paper's k = 16): a scalar
+		// accumulator and a row group per test.
+		s := b.slices[:m]
+		a := acc[0]
+		i := 0
+		for ; i+queryGroup <= b.h; i += queryGroup {
+			a &= s[hashutil.Reduce(h1, m)] & s[hashutil.Reduce(h1+h2, m)] &
+				s[hashutil.Reduce(h1+2*h2, m)] & s[hashutil.Reduce(h1+3*h2, m)]
+			h1 += queryGroup * h2
+			if a == 0 {
+				return 0
+			}
 		}
-		if alive == 0 {
-			return 0
+		for ; i < b.h; i++ {
+			a &= s[hashutil.Reduce(h1, m)]
+			h1 += h2
+		}
+		acc[0] = a
+	} else {
+		for i := 0; i < b.h; i++ {
+			row := int(hashutil.Reduce(h1, m)) * w
+			h1 += h2
+			for j, v := range b.slices[row : row+w] {
+				acc[j] &= v
+			}
+			if i%queryGroup == queryGroup-1 && acc == [4]uint32{} {
+				return 0
+			}
 		}
 	}
 	// Map the surviving slice positions to window offsets.

@@ -255,16 +255,25 @@ func TestEquivalenceAcrossSliceSizes(t *testing.T) {
 	// with staging adds, staging queries and window queries interleaved
 	// between rotations, and compare every answer with k+1 plain filters.
 	for _, k := range boundaryKs {
-		// A power of two takes DoubleHash's mask reduction, 960 its
-		// fastrange reduction (the naive filters round m up to whole
-		// words, so m stays a multiple of 64).
-		for _, m := range []uint64{512, 960} {
-			t.Run(fmt.Sprintf("k=%d/m=%d", k, m), func(t *testing.T) {
-				bank := NewBank(m, k, 3)
+		// A power of two takes Reduce's mask, 960 its fastrange reduction
+		// (the naive filters round m up to whole words, so m stays a
+		// multiple of 64). h = 3 is shorter than one of Query's row groups;
+		// h = 9 is two groups and a remainder row.
+		for _, c := range []struct {
+			m uint64
+			h int
+		}{{512, 3}, {960, 3}, {512, 9}, {960, 9}} {
+			m, h := c.m, c.h
+			name := fmt.Sprintf("k=%d/m=%d", k, m)
+			if h != 3 {
+				name += fmt.Sprintf("/h=%d", h)
+			}
+			t.Run(name, func(t *testing.T) {
+				bank := NewBank(m, k, h)
 				if got, want := bank.sliceLen, sliceLenFor(k); got != want {
 					t.Fatalf("slice length %d bits, want %d", got, want)
 				}
-				ref := newNaive(m, k, 3)
+				ref := newNaive(m, k, h)
 				rng := rand.New(rand.NewSource(int64(k)))
 				var keys []uint64
 				check := func(rot int, p uint64) {
@@ -313,6 +322,13 @@ func FuzzBankEquivalence(f *testing.F) {
 		f.Add(uint8(k), uint16(14), uint8(3), ops)
 	}
 	f.Add(uint8(16), uint16(1), uint8(22), ops)
+	// Filter sizes that are not a power of two (m = 192 and 960 bits, the
+	// fastrange reduction) with row counts that are not a multiple of
+	// Query's row group, on one-, two- and four-word slices.
+	for _, k := range []int{16, 25, 40, 57, 64} {
+		f.Add(uint8(k), uint16(2), uint8(22), ops)
+		f.Add(uint8(k), uint16(14), uint8(7), ops)
+	}
 	f.Fuzz(func(t *testing.T, kb uint8, mb uint16, hb uint8, ops []byte) {
 		k := 1 + int(kb-1)%64
 		m := 64 * (1 + uint64(mb)%64) // whole words, as the naive filters round
@@ -402,7 +418,7 @@ func BenchmarkNaiveQuery(b *testing.B) {
 }
 
 // BenchmarkBankQueryFastrange exercises the non-power-of-two filter size,
-// where DoubleHash reduces probes with Lemire fastrange instead of %; the
+// where Reduce maps probes with Lemire fastrange instead of %; the
 // power-of-two BenchmarkBitslicedQuery above takes the mask path.
 func BenchmarkBankQueryFastrange(b *testing.B) {
 	bank := NewBank(65521, 16, 8)
@@ -495,5 +511,40 @@ func BenchmarkRotate(b *testing.B) {
 		bank := banks[i%shapeBanks]
 		copy(bank.staging, filled)
 		bank.Rotate()
+	}
+}
+
+// BenchmarkBankQuery is the lookup pipeline's phase-A Bloom work in
+// isolation: a 4096-key query loop over the store shape's 32 warmed banks,
+// with the mix a warmed get-batch-zipf store sees — two keys in five were
+// inserted into some incarnation of their bank, the rest never were. It
+// reports ns/key.
+func BenchmarkBankQuery(b *testing.B) {
+	banks := fullShape()
+	type probe struct {
+		bank *Bank
+		key  uint64
+	}
+	probes := make([]probe, 4096)
+	n := shapeBanks * shapeK * shapeKeys
+	for i := range probes {
+		if i%5 < 2 {
+			j := int(hashutil.Mix64(uint64(i)) % uint64(n))
+			probes[i] = probe{banks[j/(shapeK*shapeKeys)], shapeKey(j)}
+		} else {
+			probes[i] = probe{banks[i%shapeBanks], shapeKey(-1 - i)}
+		}
+	}
+	var hits int
+	for b.Loop() {
+		for _, p := range probes {
+			if p.bank.Query(p.key) != 0 {
+				hits++
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(probes)), "ns/key")
+	if hits == 0 {
+		b.Fatal("no probe matched")
 	}
 }

@@ -25,9 +25,13 @@ import (
 //	             same flash page, sorts the probes by device address, and
 //	             issues them as one device ReadBatch submission whose
 //	             virtual latency overlaps across the device's queue lanes.
+//	             The probes are view requests (storage.ReadReq.View): a
+//	             simulated device hands back its stored page, so no page
+//	             is copied.
 //	C (resolve): each key searches its page image through resolveProbe —
 //	             newest-first, stop on hit, one probe counted per page read
-//	             on its behalf.
+//	             on its behalf. Nothing writes the device between B and C,
+//	             so the views stay valid while they are searched.
 //
 // Keys probe incarnations newest-first and stop at the first hit, so the
 // per-key probe sequence — and therefore FlashProbes, SpuriousProbes,
@@ -165,10 +169,10 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 		return nil
 	}
 
-	// All partitions share one probe length (pages are sized by the device
-	// geometry), so a probe is fully described by its page number; New
-	// rejects devices whose page numbers would not fit a packed probe word.
-	_, probeN := b.params[0].PageByteRange(0)
+	// All partitions share one probe length, so a probe is fully described
+	// by its page number; New rejects devices whose page numbers would not
+	// fit a packed probe word.
+	probeN := b.probeN
 
 	// Phases B+C: probing rounds. Every round reads at most one page per
 	// pending key (its newest remaining candidate), so each key probes
@@ -179,7 +183,7 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 		for pi := range bs.pending {
 			p := &bs.pending[pi]
 			j := bits.Len64(p.mask) - 1
-			addr, _ := b.probeAddr(p.st, p.st.incs[j], p.kh)
+			addr := b.probeAddr(p.st, p.st.incs[j], p.kh)
 			bs.packed = append(bs.packed, uint64(addr)/uint64(probeN)<<pendBits|uint64(pi))
 		}
 		slices.Sort(bs.packed)
@@ -199,8 +203,9 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 				used = 0
 			}
 			bs.reqs = append(bs.reqs, storage.ReadReq{
-				P:   bs.arena[used : used+probeN],
-				Off: int64(page) * int64(probeN),
+				P:    bs.arena[used : used+probeN],
+				Off:  int64(page) * int64(probeN),
+				View: true,
 			})
 			used += probeN
 		}
@@ -208,7 +213,8 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 			return fmt.Errorf("core: batched incarnation read: %w", err)
 		}
 
-		// Phase C: resolve each probe against its (deduped) page image.
+		// Phase C: resolve each probe against its (deduped) page image,
+		// the device's view of the page or the arena buffer it filled.
 		// bs.packed and bs.reqs share the address sort, so a linear merge
 		// pairs them without a map.
 		ri := 0

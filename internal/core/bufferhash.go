@@ -31,6 +31,12 @@ type BufferHash struct {
 	params []cuckoo.Params // per-partition cuckoo parameters
 	stats  Stats
 
+	// routeSeed is Mix64(Config.Seed), the seed route folds into every key.
+	routeSeed uint64
+	// probeN is the byte length of one incarnation page probe, the same
+	// for every partition (pages are sized by the device geometry).
+	probeN int
+
 	// Shared-log layout state (§5.2: "uses the entire SSD as a single
 	// circular list"): slot i holds the image written at seq slotSeq[i] by
 	// partition slotOwner[i].
@@ -75,6 +81,7 @@ func New(cfg Config) (*BufferHash, error) {
 		cfg:       cfg,
 		layout:    cfg.layout(),
 		imageSize: cfg.BufferBytes,
+		routeSeed: hashutil.Mix64(cfg.Seed),
 	}
 	nt := cfg.NumSuperTables()
 	b.params = make([]cuckoo.Params, nt)
@@ -91,9 +98,9 @@ func New(cfg Config) (*BufferHash, error) {
 	}
 	// LookupBatch packs a probe's page number and its pending index into
 	// one sorted word, so every page number must fit in 64-pendBits bits.
-	_, probeN := b.params[0].PageByteRange(0)
-	if capacity := cfg.Device.Geometry().Capacity; capacity/int64(probeN) >= 1<<(64-pendBits) {
-		return nil, fmt.Errorf("core: device capacity %d holds too many %d-byte probe pages", capacity, probeN)
+	_, b.probeN = b.params[0].PageByteRange(0)
+	if capacity := cfg.Device.Geometry().Capacity; capacity/int64(b.probeN) >= 1<<(64-pendBits) {
+		return nil, fmt.Errorf("core: device capacity %d holds too many %d-byte probe pages", capacity, b.probeN)
 	}
 	b.parts = make([]*superTable, nt)
 	for i := range b.parts {
@@ -207,7 +214,7 @@ func (b *BufferHash) settleCPUDebt() {
 // k1 bits of the hash select the partition; the rest form the in-partition
 // key (§5.2), normalized to be non-zero for the cuckoo tables.
 func (b *BufferHash) route(key uint64) (*superTable, uint64) {
-	h := hashutil.Mix64(key ^ hashutil.Mix64(b.cfg.Seed))
+	h := hashutil.Mix64(key ^ b.routeSeed)
 	p, rest := hashutil.Split(h, b.cfg.PartitionBits)
 	if rest == 0 {
 		rest = 1
@@ -265,14 +272,11 @@ func (b *BufferHash) Flush() error {
 	return nil
 }
 
-// probeAddr returns the device address and length of the single flash page
-// that can hold kh within an incarnation of st (§5.1.1): the page a lookup
+// probeAddr returns the device address of the single flash page that can
+// hold kh within an incarnation of st (§5.1.1): the probeN bytes a lookup
 // probe reads.
-func (b *BufferHash) probeAddr(st *superTable, inc incarnation, kh uint64) (addr int64, n int) {
-	params := b.params[st.idx]
-	page := params.PageIndex(kh)
-	off, n := params.PageByteRange(page)
-	return inc.addr + int64(off), n
+func (b *BufferHash) probeAddr(st *superTable, inc incarnation, kh uint64) int64 {
+	return inc.addr + int64(st.buf.Placement().Page(kh))*int64(b.probeN)
 }
 
 // readImage reads a whole incarnation image (partial-discard scan path)

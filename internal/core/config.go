@@ -187,7 +187,9 @@ type Config struct {
 	CPU CPUCosts
 
 	// DisableBloom turns off Bloom filters (§7.3.1 ablation): every live
-	// incarnation is probed until the key is found.
+	// incarnation is probed until the key is found. Partial discard then
+	// cannot tell a live entry from a superseded one and discards every
+	// scanned entry.
 	DisableBloom bool
 	// DisableBitslice replaces the bit-sliced bank with k+1 separate
 	// filters (§7.3.1 ablation); answers are identical, CPU cost higher.

@@ -547,6 +547,49 @@ func TestPriorityBasedNeverResurrects(t *testing.T) {
 	}
 }
 
+// TestNoBloomNeverResurrects: without Bloom filters, partial discard
+// cannot rule out a newer version of a scanned entry, so it must discard
+// the entry rather than re-insert it over that version.
+func TestNoBloomNeverResurrects(t *testing.T) {
+	for _, policy := range []EvictionPolicy{UpdateBased, PriorityBased} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cfg, _ := testConfig(t)
+			cfg.DisableBloom = true
+			cfg.Policy = policy
+			cfg.Retain = func(_, _ uint64) bool { return true }
+			b := mustNew(t, cfg)
+			const n = 1000
+			for v := uint64(1); v <= 2; v++ {
+				for i := uint64(1); i <= n; i++ {
+					b.Insert(i, v)
+				}
+				if err := b.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := uint64(0); i < 40000; i++ {
+				b.Insert(1<<40+i, 3) // churn that evicts both incarnations
+			}
+			if b.Stats().PartialScans == 0 {
+				t.Fatal("no partial-discard scan ran; retune the churn")
+			}
+			old := 0
+			for i := uint64(1); i <= n; i++ {
+				res, err := b.Lookup(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Found && res.Value != 2 {
+					old++
+				}
+			}
+			if old != 0 {
+				t.Fatalf("%d/%d keys read their older version", old, n)
+			}
+		})
+	}
+}
+
 func TestCascadeHistogramPopulated(t *testing.T) {
 	// Figure 8(b): partial discard with mostly-live incarnations cascades.
 	cfg, _ := testConfig(t)

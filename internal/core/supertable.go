@@ -140,7 +140,7 @@ func (st *superTable) lookupMem(kh uint64) (res LookupResult, mask uint64, done 
 func (st *superTable) resolveProbe(res *LookupResult, pageImage []byte, kh uint64) bool {
 	st.owner.stats.FlashProbes++
 	res.FlashReads++
-	v, ok := st.owner.tableParams(st.idx).LookupInPage(pageImage, kh)
+	v, ok := st.buf.Placement().LookupInPage(pageImage, kh)
 	if !ok {
 		res.Spurious++
 		return false
@@ -319,13 +319,16 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 		if _, inBuf := st.buf.Get(k); inBuf {
 			return true
 		}
-		if st.bank != nil {
-			st.owner.chargeCPU(cfg.CPU.BloomQuery)
-			if st.bank.Query(k)&newerMask != 0 || st.bank.QueryStaging(k) {
-				// Possibly updated; discard. False positives evict a
-				// live item (paper footnote 2) — semantically FIFO-safe.
-				return true
-			}
+		if st.bank == nil {
+			// Without filters a newer version cannot be ruled out, so
+			// every entry is discarded, as a false positive would be.
+			return true
+		}
+		st.owner.chargeCPU(cfg.CPU.BloomQuery)
+		if st.bank.Query(k)&newerMask != 0 || st.bank.QueryStaging(k) {
+			// Possibly updated; discard. False positives evict a live
+			// item (paper footnote 2) — semantically FIFO-safe.
+			return true
 		}
 		// UpdateBased retains every live entry, PriorityBased the live
 		// entries Retain approves.

@@ -88,26 +88,63 @@ func (p Params) MaxItems() int { return int(float64(p.NSlots) * MaxLoad) }
 // ImageSize returns the serialized size in bytes.
 func (p Params) ImageSize() int { return p.NSlots * hashutil.EntrySize }
 
-// PageIndex returns the locality page of a key.
-func (p Params) PageIndex(key uint64) int {
-	return int(hashutil.Hash64Seed(key, p.Seed) % uint64(p.NPages()))
+// Placement maps keys to slots under one Params: a key's page is
+// Hash64Seed(key, Seed) mod NPages, and its two candidate buckets within
+// the page are Hash64Seed(key, Seed+1) and Hash64Seed(key, Seed+2) mod the
+// page's bucket count, the second moved to the next bucket if they
+// coincide. The three mixed seeds are computed once, and a power-of-two
+// modulus becomes a mask. Every key-to-slot mapping goes through it — a
+// Table's Get, Insert and Delete, and LookupInPage on a flushed image — so
+// a table and its images always agree.
+type Placement struct {
+	seeds   [3]uint64 // SeedMix of Seed, Seed+1 and Seed+2
+	pages   modulus
+	buckets modulus
 }
 
-// bucketCandidates returns the two candidate buckets of key within its
-// page, as in-page bucket indexes. They are always distinct.
-func (p Params) bucketCandidates(key uint64) (int, int) {
-	nb := uint64(p.PageSlots / BucketSlots)
-	b1 := int(hashutil.Hash64Seed(key, p.Seed+1) % nb)
-	b2 := int(hashutil.Hash64Seed(key, p.Seed+2) % nb)
-	if b1 == b2 {
-		b2 = (b2 + 1) % int(nb)
+// modulus reduces a hash modulo n, by a mask when n is a power of two.
+type modulus struct {
+	n    uint64
+	pow2 bool
+}
+
+func (m modulus) reduce(x uint64) uint64 {
+	if m.pow2 {
+		return x & (m.n - 1)
 	}
-	return b1, b2
+	return x % m.n
+}
+
+// Placement returns p's key-to-slot mapping.
+func (p Params) Placement() Placement {
+	mod := func(n int) modulus { return modulus{n: uint64(n), pow2: n&(n-1) == 0} }
+	return Placement{
+		seeds:   [3]uint64{hashutil.SeedMix(p.Seed), hashutil.SeedMix(p.Seed + 1), hashutil.SeedMix(p.Seed + 2)},
+		pages:   mod(p.NPages()),
+		buckets: mod(p.PageSlots / BucketSlots),
+	}
+}
+
+// Page returns the locality page of a key.
+func (pl *Placement) Page(key uint64) int {
+	return int(pl.pages.reduce(hashutil.Mix64(key ^ pl.seeds[0])))
+}
+
+// bucketSlots returns the first in-page slot of each of key's two
+// candidate buckets. The buckets are always distinct.
+func (pl *Placement) bucketSlots(key uint64) (int, int) {
+	b1 := pl.buckets.reduce(hashutil.Mix64(key ^ pl.seeds[1]))
+	b2 := pl.buckets.reduce(hashutil.Mix64(key ^ pl.seeds[2]))
+	if b1 == b2 {
+		b2 = pl.buckets.reduce(b2 + 1)
+	}
+	return int(b1) * BucketSlots, int(b2) * BucketSlots
 }
 
 // Table is an in-memory cuckoo hash table. Not safe for concurrent use.
 type Table struct {
 	params Params
+	place  Placement
 	keys   []uint64
 	values []uint64
 	count  int
@@ -121,6 +158,7 @@ func New(params Params) *Table {
 	}
 	return &Table{
 		params: params,
+		place:  params.Placement(),
 		keys:   make([]uint64, params.NSlots),
 		values: make([]uint64, params.NSlots),
 	}
@@ -128,6 +166,10 @@ func New(params Params) *Table {
 
 // Params returns the table's structural parameters.
 func (t *Table) Params() Params { return t.params }
+
+// Placement returns the table's key-to-slot mapping, which is also that of
+// every image serialized from it.
+func (t *Table) Placement() *Placement { return &t.place }
 
 // Len returns the number of entries.
 func (t *Table) Len() int { return t.count }
@@ -140,12 +182,11 @@ func (t *Table) Full() bool { return t.count >= t.Cap() }
 
 // findSlot returns the slot index holding key, or -1.
 func (t *Table) findSlot(key uint64) int {
-	base := t.params.PageIndex(key) * t.params.PageSlots
-	b1, b2 := t.params.bucketCandidates(key)
-	for _, b := range [2]int{b1, b2} {
-		s := base + b*BucketSlots
-		for i := 0; i < BucketSlots; i++ {
-			if t.keys[s+i] == key {
+	base := t.place.Page(key) * t.params.PageSlots
+	s1, s2 := t.place.bucketSlots(key)
+	for _, s := range [2]int{base + s1, base + s2} {
+		for i, k := range t.keys[s : s+BucketSlots] {
+			if k == key {
 				return s + i
 			}
 		}
@@ -164,11 +205,10 @@ func (t *Table) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// emptyIn returns an empty slot in the in-page bucket b, or -1.
-func (t *Table) emptyIn(base, b int) int {
-	s := base + b*BucketSlots
-	for i := 0; i < BucketSlots; i++ {
-		if t.keys[s+i] == 0 {
+// emptyIn returns an empty slot in the bucket starting at slot s, or -1.
+func (t *Table) emptyIn(s int) int {
+	for i, k := range t.keys[s : s+BucketSlots] {
+		if k == 0 {
 			return s + i
 		}
 	}
@@ -187,11 +227,10 @@ func (t *Table) Insert(key, value uint64) error {
 	if key == 0 {
 		return ErrZeroKey
 	}
-	base := t.params.PageIndex(key) * t.params.PageSlots
-	b1, b2 := t.params.bucketCandidates(key)
+	base := t.place.Page(key) * t.params.PageSlots
+	s1, s2 := t.place.bucketSlots(key)
 	empty := -1
-	for _, b := range [2]int{b1, b2} {
-		s := base + b*BucketSlots
+	for _, s := range [2]int{base + s1, base + s2} {
 		for i := 0; i < BucketSlots; i++ {
 			switch t.keys[s+i] {
 			case key:
@@ -216,20 +255,20 @@ func (t *Table) Insert(key, value uint64) error {
 	// unwound exactly (the table must be unchanged on ErrFull).
 	var path [maxKicks]int
 	curKey, curVal := key, value
-	bucket := b1
+	bucket := s1 // in-page first slot of the bucket being kicked from
 	for kick := 0; kick < maxKicks; kick++ {
 		// Deterministic victim rotation within the bucket.
-		s := base + bucket*BucketSlots + kick%BucketSlots
+		s := base + bucket + kick%BucketSlots
 		curKey, t.keys[s] = t.keys[s], curKey
 		curVal, t.values[s] = t.values[s], curVal
 		path[kick] = s
 		// Move the displaced entry toward its alternate bucket.
-		a1, a2 := t.params.bucketCandidates(curKey)
+		a1, a2 := t.place.bucketSlots(curKey)
 		alt := a1
 		if alt == bucket {
 			alt = a2
 		}
-		if es := t.emptyIn(base, alt); es >= 0 {
+		if es := t.emptyIn(base + alt); es >= 0 {
 			t.keys[es], t.values[es] = curKey, curVal
 			t.count++
 			return nil
@@ -304,18 +343,17 @@ func (p Params) PageByteRange(page int) (off, n int) {
 
 // LookupInPage searches a serialized page image (PageSlots·16 bytes, as
 // produced by Serialize for one page) for key, using the candidate buckets
-// defined by Params. This is the incarnation lookup path: the caller reads
+// of the placement. This is the incarnation lookup path: the caller reads
 // just this page from flash.
-func (p Params) LookupInPage(pageImage []byte, key uint64) (uint64, bool) {
+func (pl *Placement) LookupInPage(pageImage []byte, key uint64) (uint64, bool) {
 	if key == 0 {
 		return 0, false
 	}
-	b1, b2 := p.bucketCandidates(key)
-	for _, b := range [2]int{b1, b2} {
-		s := b * BucketSlots
-		for i := 0; i < BucketSlots; i++ {
-			k, v := hashutil.GetEntry(pageImage[(s+i)*hashutil.EntrySize:])
-			if k == key {
+	s1, s2 := pl.bucketSlots(key)
+	for _, s := range [2]int{s1, s2} {
+		bucket := pageImage[s*hashutil.EntrySize : (s+BucketSlots)*hashutil.EntrySize]
+		for e := 0; e < len(bucket); e += hashutil.EntrySize {
+			if k, v := hashutil.GetEntry(bucket[e:]); k == key {
 				return v, true
 			}
 		}

@@ -148,10 +148,11 @@ func TestErrFullLeavesTableIntact(t *testing.T) {
 	// Force page-local failure: many keys directed into one page.
 	p := Params{NSlots: 256, PageSlots: 8, Seed: 7}
 	tb := New(p)
+	pl := p.Placement()
 	// Find keys all hashing to page 0.
 	var samePage []uint64
 	for k := uint64(1); len(samePage) < 9; k++ {
-		if p.PageIndex(k) == 0 {
+		if pl.Page(k) == 0 {
 			samePage = append(samePage, k)
 		}
 	}
@@ -304,10 +305,11 @@ func TestSerializeLookupInPage(t *testing.T) {
 	}
 	image := make([]byte, p.ImageSize())
 	tb.Serialize(image)
+	pl := p.Placement()
 	for k, v := range entries {
-		page := p.PageIndex(k)
+		page := pl.Page(k)
 		off, n := p.PageByteRange(page)
-		got, ok := p.LookupInPage(image[off:off+n], k)
+		got, ok := pl.LookupInPage(image[off:off+n], k)
 		if !ok || got != v {
 			t.Fatalf("LookupInPage(%#x) = (%d, %v), want %d", k, got, ok, v)
 		}
@@ -319,9 +321,9 @@ func TestSerializeLookupInPage(t *testing.T) {
 		if _, exists := entries[k]; exists {
 			continue
 		}
-		page := p.PageIndex(k)
+		page := pl.Page(k)
 		off, n := p.PageByteRange(page)
-		if _, ok := p.LookupInPage(image[off:off+n], k); ok {
+		if _, ok := pl.LookupInPage(image[off:off+n], k); ok {
 			misses++
 		}
 	}
@@ -367,7 +369,7 @@ func TestSerializeBufferTooSmallPanics(t *testing.T) {
 
 func TestPageLocality(t *testing.T) {
 	// Invariant behind the 1-flash-read lookup: after arbitrary inserts
-	// with displacement, every entry lives in the page PageIndex assigns
+	// with displacement, every entry lives in the page Placement assigns
 	// to its key.
 	p := Params{NSlots: 1024, PageSlots: 32, Seed: 9}
 	tb := New(p)
@@ -380,8 +382,8 @@ func TestPageLocality(t *testing.T) {
 		found := false
 		for s := 0; s < p.NSlots; s++ {
 			if tb.keys[s] == k {
-				if s/p.PageSlots != p.PageIndex(k) {
-					t.Errorf("key %#x stored in page %d, hashed page %d", k, s/p.PageSlots, p.PageIndex(k))
+				if pl := p.Placement(); s/p.PageSlots != pl.Page(k) {
+					t.Errorf("key %#x stored in page %d, hashed page %d", k, s/p.PageSlots, pl.Page(k))
 				}
 				found = true
 			}
@@ -423,4 +425,37 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb.Get(keys[i%len(keys)])
 	}
+}
+
+// FuzzPlacement checks the precomputed placement against its definition:
+// Hash64Seed under Seed, Seed+1 and Seed+2, reduced with %, for page and
+// bucket counts that are and are not powers of two.
+func FuzzPlacement(f *testing.F) {
+	f.Add(uint64(1), uint64(0), uint16(64), uint8(32))
+	f.Add(uint64(0xdeadbeef), uint64(0xC0FFEE), uint16(63), uint8(32))
+	f.Add(uint64(7), uint64(1<<63), uint16(1), uint8(3))
+	f.Add(^uint64(0), ^uint64(0), uint16(1000), uint8(254))
+	f.Fuzz(func(t *testing.T, key, seed uint64, pagesIn uint16, bucketsIn uint8) {
+		pages := 1 + int(pagesIn)%4096
+		buckets := 2 + int(bucketsIn)%255
+		p := Params{NSlots: pages * buckets * BucketSlots, PageSlots: buckets * BucketSlots, Seed: seed}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		wantPage := int(hashutil.Hash64Seed(key, seed) % uint64(pages))
+		b1 := int(hashutil.Hash64Seed(key, seed+1) % uint64(buckets))
+		b2 := int(hashutil.Hash64Seed(key, seed+2) % uint64(buckets))
+		if b1 == b2 {
+			b2 = (b2 + 1) % buckets
+		}
+		pl := p.Placement()
+		if got := pl.Page(key); got != wantPage {
+			t.Fatalf("Page(%#x) = %d, want %d (%d pages, seed %#x)", key, got, wantPage, pages, seed)
+		}
+		s1, s2 := pl.bucketSlots(key)
+		if s1 != b1*BucketSlots || s2 != b2*BucketSlots {
+			t.Fatalf("bucketSlots(%#x) = %d, %d, want %d, %d (%d buckets, seed %#x)",
+				key, s1, s2, b1*BucketSlots, b2*BucketSlots, buckets, seed)
+		}
+	})
 }

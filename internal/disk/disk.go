@@ -156,12 +156,12 @@ func (d *Disk) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	}
 	storage.SortReadReqs(reqs)
 	var total time.Duration
-	for _, r := range reqs {
+	for i, r := range reqs {
 		// service() already models sequential continuation via lastEnd:
 		// within the sorted pass, runs skip seek and rotation.
 		total += d.service(r.Off, int64(len(r.P)))
 		d.lastEnd = r.Off + int64(len(r.P))
-		d.store.ReadAt(r.P, r.Off)
+		d.store.Read(&reqs[i])
 		d.counters.Reads++
 		d.counters.BytesRead += uint64(len(r.P))
 	}

@@ -182,7 +182,7 @@ func (c *Chip) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 		}
 		prevEnd = r.Off + int64(len(r.P))
 		svc[i] = lat
-		c.store.ReadAt(r.P, r.Off)
+		c.store.Read(&reqs[i])
 		c.counters.Reads++
 		c.counters.BytesRead += uint64(len(r.P))
 	}

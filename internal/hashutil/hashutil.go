@@ -26,8 +26,13 @@ func Mix64(x uint64) uint64 {
 // (empirically) independent hash functions, which is how the cuckoo tables
 // and Bloom filters derive their function families.
 func Hash64Seed(x, seed uint64) uint64 {
-	return Mix64(x ^ Mix64(seed+0x9e3779b97f4a7c15))
+	return Mix64(x ^ SeedMix(seed))
 }
+
+// SeedMix returns the mixed seed Hash64Seed folds into its input, so a
+// caller hashing many keys under one seed can compute it once:
+// Hash64Seed(x, seed) == Mix64(x ^ SeedMix(seed)).
+func SeedMix(seed uint64) uint64 { return Mix64(seed + 0x9e3779b97f4a7c15) }
 
 // HashBytes hashes an arbitrary byte string with a seeded FNV-1a/mix hybrid:
 // FNV-1a accumulates the bytes, Mix64 finalizes to full avalanche.
@@ -70,7 +75,8 @@ func Reduce(x, m uint64) uint64 {
 //
 // Values are reduced into [0, m) with Reduce (mask or fastrange — never a
 // division). DoubleHash appends to dst and returns it, so callers can reuse
-// a scratch slice across calls.
+// a scratch slice across calls. It is the reference definition of the row
+// sequence that bloom.Filter and bitslice.Bank generate inline.
 func DoubleHash(h uint64, n int, m uint64, dst []uint64) []uint64 {
 	h1 := h
 	h2 := Mix64(h) | 1

@@ -342,7 +342,7 @@ func (s *SSD) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 		}
 		prevEnd = r.Off + int64(len(r.P))
 		svc[i] = lat
-		s.store.ReadAt(r.P, r.Off)
+		s.store.Read(&reqs[i])
 		s.counters.Reads++
 		s.counters.BytesRead += uint64(len(r.P))
 	}

@@ -34,9 +34,20 @@ import (
 // that cannot reorder or overlap simply have one lane, where the model
 // degenerates to the sorted serial sum (still a win on seek-bound media).
 // Callers must treat request buffers as invalid on error.
+//
+// A request with View set lets a simulated device skip the copy: instead of
+// filling P, the device may replace P with a read-only slice of its backing
+// SparseStore of the same length (see SparseStore.Read). The charged time,
+// the Counters and the bytes seen are those of a copying read. The view is
+// valid until the device's next write or trim, and the caller must not
+// write through it. Only the simulated devices honour View; a device
+// without a backing store just fills P, so callers keep P sized and
+// writable either way. Buffers a caller pools or keeps past the next write
+// must not opt in.
 type ReadReq struct {
-	P   []byte
-	Off int64
+	P    []byte
+	Off  int64
+	View bool
 }
 
 // WriteReq is one write of a Device.WriteBatch submission: store P at

@@ -362,3 +362,109 @@ func TestBatchWriterProgramOrder(t *testing.T) {
 		t.Fatalf("out-of-order batch write: %v, want ErrProgramOrder", err)
 	}
 }
+
+// TestReadViewContract pins ReadReq.View on every device model against a
+// twin device serving the same submission by copy: the same latency,
+// Counters and bytes; an unwritten page reads as the medium's fill byte; a
+// submission that fails replaces no buffer; and a request without View
+// keeps its own buffer, which a later write does not change.
+func TestReadViewContract(t *testing.T) {
+	devices := func() map[string]storage.Device {
+		return map[string]storage.Device{
+			"ssd-intel":     ssd.New(ssd.IntelX18M(), 4<<20, vclock.New()),
+			"ssd-transcend": ssd.New(ssd.TranscendTS32(), 4<<20, vclock.New()),
+			"chip":          flashchip.New(flashchip.DefaultConfig(4<<20), vclock.New()),
+			"disk":          disk.New(disk.Hitachi7K80(), 4<<20, vclock.New()),
+		}
+	}
+	fills := map[string]byte{"ssd-intel": 0x00, "ssd-transcend": 0x00, "chip": 0xFF, "disk": 0x00}
+	copyDevs, viewDevs := devices(), devices()
+	for name := range copyDevs {
+		t.Run(name, func(t *testing.T) {
+			cd, vd := copyDevs[name], viewDevs[name]
+			g := vd.Geometry()
+			ps := int64(g.PageSize)
+			for _, d := range []storage.Device{cd, vd} {
+				for i := int64(0); i < 4; i++ { // pages 0..3, in program order
+					if _, err := d.WriteAt(bytes.Repeat([]byte{byte(0x10 + i)}, int(ps)), i*ps); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Descending, so the device must sort: written pages, an
+			// unwritten page, a sub-page range and a two-page range (which
+			// no single page can back).
+			shape := []struct{ off, n int64 }{{9 * ps, ps}, {3 * ps, ps}, {2*ps + 16, 64}, {ps, 2 * ps}, {0, ps}}
+			submit := func(d storage.Device, view bool) ([]storage.ReadReq, map[int64][]byte, time.Duration) {
+				t.Helper()
+				reqs := make([]storage.ReadReq, len(shape))
+				own := map[int64][]byte{}
+				for i, s := range shape {
+					reqs[i] = storage.ReadReq{P: make([]byte, s.n), Off: s.off, View: view}
+					own[s.off] = reqs[i].P
+				}
+				lat, err := d.ReadBatch(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return reqs, own, lat
+			}
+			creqs, cown, clat := submit(cd, false)
+			vreqs, vown, vlat := submit(vd, true)
+			if clat != vlat || cd.Counters() != vd.Counters() {
+				t.Fatalf("view read charged %v and %+v, copying read %v and %+v", vlat, vd.Counters(), clat, cd.Counters())
+			}
+			for i, v := range vreqs {
+				c := creqs[i]
+				if c.Off != v.Off || !bytes.Equal(c.P, v.P) {
+					t.Fatalf("view read at %d returned different bytes than the copying read", v.Off)
+				}
+				if v.Off == 9*ps && !bytes.Equal(v.P, bytes.Repeat([]byte{fills[name]}, int(ps))) {
+					t.Fatalf("unwritten page read %#x..., want fill byte %#x", v.P[:4], fills[name])
+				}
+				if &c.P[0] != &cown[c.Off][0] {
+					t.Fatalf("request without View at %d lost its own buffer", c.Off)
+				}
+				spansPages := v.Off/ps != (v.Off+int64(len(v.P))-1)/ps
+				if copied := &v.P[0] == &vown[v.Off][0]; copied != spansPages {
+					t.Fatalf("view request at %d (spanning pages: %v) copied: %v", v.Off, spansPages, copied)
+				}
+			}
+			// A later write must not show through a copied buffer.
+			before := append([]byte(nil), creqs[0].P...)
+			if er, ok := cd.(storage.Eraser); ok {
+				if _, err := er.Erase(0, int64(g.BlockSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := cd.WriteAt(bytes.Repeat([]byte{0xC3}, int(ps)), 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(creqs[0].P, before) {
+				t.Fatal("a write changed the buffer of an earlier read without View")
+			}
+
+			// Failing submissions: a faulted request, then an out-of-range
+			// one, each last in address order; no buffer may be replaced.
+			boom := errors.New("injected read fault")
+			vd.(interface{ SetFault(storage.FaultFunc) }).SetFault(func(op storage.Op, off int64, _ int) error {
+				if op == storage.OpRead && off == 3*ps {
+					return boom
+				}
+				return nil
+			})
+			for _, last := range []int64{3 * ps, g.Capacity} {
+				reqs := []storage.ReadReq{{P: make([]byte, ps), Off: 0, View: true}, {P: make([]byte, ps), Off: last, View: true}}
+				own := []*byte{&reqs[0].P[0], &reqs[1].P[0]}
+				if _, err := vd.ReadBatch(reqs); err == nil {
+					t.Fatalf("submission ending at %d succeeded", last)
+				}
+				for i := range reqs {
+					if &reqs[i].P[0] != own[i] {
+						t.Fatalf("failed submission ending at %d replaced request %d's buffer", last, i)
+					}
+				}
+			}
+		})
+	}
+}

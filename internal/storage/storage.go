@@ -17,9 +17,17 @@
 // batched insert pipeline feeds the incarnation images its flushes produce
 // through WriteBatch; see ReadReq and WriteReq for the precise three-step
 // overlap model.
+//
+// The lookup pipeline's probe reads set ReadReq.View: a simulated device
+// then hands back a read-only slice of the SparseStore page instead of
+// copying the page into the request buffer. A view is valid until the
+// device's next write or trim and must never be written through; real
+// devices ignore the flag and fill the buffer. Time and Counters do not
+// depend on it.
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -169,6 +177,7 @@ type SparseStore struct {
 	pageSize int
 	fill     byte
 	pages    map[int64][]byte
+	fillPage []byte // shared read-only view of an unwritten page, made on first use
 }
 
 // NewSparseStore returns a store with the given page size and fill byte.
@@ -195,6 +204,31 @@ func (s *SparseStore) ReadAt(p []byte, off int64) {
 		p = p[n:]
 		off += int64(n)
 	}
+}
+
+// Read serves one device read request. A View request whose range lies
+// within one page gets P replaced by a read-only slice of that page, or of
+// a shared fill page when the page was never written; the slice's capacity
+// ends with the range, so appending to it cannot reach the page. Every
+// other request is copied into P.
+func (s *SparseStore) Read(r *ReadReq) {
+	if r.View {
+		ps := int64(s.pageSize)
+		idx := r.Off / ps
+		lo := int(r.Off - idx*ps)
+		if hi := lo + len(r.P); hi <= s.pageSize {
+			page, ok := s.pages[idx]
+			if !ok {
+				if s.fillPage == nil {
+					s.fillPage = bytes.Repeat([]byte{s.fill}, s.pageSize)
+				}
+				page = s.fillPage
+			}
+			r.P = page[lo:hi:hi]
+			return
+		}
+	}
+	s.ReadAt(r.P, r.Off)
 }
 
 // WriteAt stores p at off, allocating pages as needed.
