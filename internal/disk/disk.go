@@ -61,6 +61,7 @@ type Disk struct {
 	fault    storage.FaultFunc
 	lastEnd  int64 // byte position where the previous op finished (-1 initially)
 	rng      *rand.Rand
+	sortBuf  []storage.ReadReq // merge buffer of a read submission's address sort
 }
 
 // New builds a disk of the given capacity (rounded up to whole sectors).
@@ -154,7 +155,7 @@ func (d *Disk) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 			}
 		}
 	}
-	storage.SortReadReqs(reqs)
+	d.sortBuf = storage.SortReadReqs(reqs, d.sortBuf)
 	var total time.Duration
 	for i, r := range reqs {
 		// service() already models sequential continuation via lastEnd:

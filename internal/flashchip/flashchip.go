@@ -97,7 +97,8 @@ type Chip struct {
 	eraseCnt []uint32
 	counters storage.Counters
 	fault    storage.FaultFunc
-	batchSvc []time.Duration // per-request service-time scratch of a submission
+	batchSvc []time.Duration   // per-request service-time scratch of a submission
+	sortBuf  []storage.ReadReq // merge buffer of a read submission's address sort
 }
 
 // New builds a chip. It panics on invalid geometry, since configurations are
@@ -163,7 +164,7 @@ func (c *Chip) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 			}
 		}
 	}
-	storage.SortReadReqs(reqs)
+	c.sortBuf = storage.SortReadReqs(reqs, c.sortBuf)
 	ps := int64(c.cfg.PageSize)
 	if cap(c.batchSvc) < len(reqs) {
 		c.batchSvc = make([]time.Duration, len(reqs))

@@ -6,11 +6,16 @@
 // Buckets are log-spaced with ~5% relative width between 100 ns and 1000 s,
 // so percentile estimates carry at most a few percent of relative error —
 // far below the order-of-magnitude differences the paper's claims rest on.
+// The logarithmic formula (logIndex) defines the buckets, but recording a
+// sample does not evaluate it: tables built from it at package init map a
+// duration to its bucket with one load and one comparison, exactly as the
+// formula would.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -33,14 +38,67 @@ type Histogram struct {
 	max     time.Duration
 }
 
-// bucketIndex maps a duration to its bucket.
-func bucketIndex(d time.Duration) int {
+// logIndex is the definition of the buckets: bucket i ≥ 1 holds the
+// durations d with ⌊ln(d/bucketMin)/ln(growth)⌋ = i-1. It is evaluated only
+// to build the lookup tables below (and by tests as their reference).
+func logIndex(d time.Duration) int {
 	if d < bucketMin {
 		return 0
 	}
 	i := 1 + int(math.Log(float64(d)/float64(bucketMin))*invLnGrowth)
 	if i > numBuckets {
 		return numBuckets + 1
+	}
+	return i
+}
+
+// keyBits is how many bits below the leading one a bucket key keeps. A key
+// (bit length, next keyBits bits) covers durations within a ratio of at
+// most 1+2^-keyBits ≈ 1.031 of each other, narrower than one bucket
+// (growth = 1.05), so a key's durations span at most two adjacent buckets.
+const keyBits = 5
+
+var (
+	// bucketLo[i] is the least duration logIndex maps to bucket i or
+	// higher.
+	bucketLo [numBuckets + 2]time.Duration
+	// bucketStart[key] is the bucket of the least duration with that key.
+	bucketStart [64 << keyBits]uint16
+)
+
+func init() {
+	for i := 1; i < len(bucketLo); i++ {
+		lo, hi := bucketLo[i-1], time.Duration(math.MaxInt64)
+		for lo < hi { // least d with logIndex(d) ≥ i; logIndex(MaxInt64) is the overflow bucket
+			mid := lo + (hi-lo)/2
+			if logIndex(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		bucketLo[i] = lo
+	}
+	for l := keyBits + 1; l < 64; l++ {
+		for top := 0; top < 1<<keyBits; top++ {
+			least := time.Duration(1<<keyBits|top) << (l - keyBits - 1)
+			bucketStart[l<<keyBits|top] = uint16(logIndex(least))
+		}
+	}
+}
+
+// bucketIndex maps a duration to its bucket: the bucket of its key's least
+// duration, or the next one if d reaches that bucket's upper boundary. It
+// equals logIndex(d) for every d.
+func bucketIndex(d time.Duration) int {
+	if d < bucketMin {
+		return 0
+	}
+	l := bits.Len64(uint64(d))
+	top := int(uint64(d)>>(l-keyBits-1)) & (1<<keyBits - 1)
+	i := int(bucketStart[(l<<keyBits|top)&(len(bucketStart)-1)]) // the mask only drops the bounds check
+	if i <= numBuckets && d >= bucketLo[i+1] {
+		i++
 	}
 	return i
 }

@@ -222,6 +222,60 @@ func TestBucketIndexMonotonic(t *testing.T) {
 	}
 }
 
+// TestBucketIndexMatchesLog checks the table-driven bucketIndex against
+// its definition, logIndex: at every bucket boundary and one either side
+// (which, bucketIndex being a step function of the key, covers every key
+// whose range holds a boundary), on random durations of every bit length,
+// and at zero, negative and overflow values.
+func TestBucketIndexMatchesLog(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, want := bucketIndex(d), logIndex(d); got != want {
+			t.Fatalf("bucketIndex(%d) = %d, logIndex = %d", d, got, want)
+		}
+	}
+	for i := 1; i < len(bucketLo); i++ {
+		if logIndex(bucketLo[i]) < i || logIndex(bucketLo[i]-1) >= i {
+			t.Fatalf("bucketLo[%d] = %d is not the least duration of bucket %d or higher", i, bucketLo[i], i)
+		}
+		for d := bucketLo[i] - 1; d <= bucketLo[i]+1; d++ {
+			check(d)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for l := 1; l < 64; l++ {
+		for range 2000 {
+			check(time.Duration(1<<(l-1) | rng.Int63n(1<<(l-1))))
+		}
+	}
+	for _, d := range []time.Duration{
+		math.MinInt64, -time.Second, -1, 0, 1, bucketMin - 1, bucketMin,
+		bucketLo[numBuckets+1] - 1, bucketLo[numBuckets+1], 1000 * time.Hour, math.MaxInt64,
+	} {
+		check(d)
+	}
+	if got := bucketIndex(math.MaxInt64); got != numBuckets+1 {
+		t.Fatalf("bucketIndex(MaxInt64) = %d, want the overflow bucket %d", got, numBuckets+1)
+	}
+}
+
+// BenchmarkBucketIndex maps a spread of microsecond-to-millisecond
+// latencies, the range the stores' histograms record, to their buckets.
+func BenchmarkBucketIndex(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ds := make([]time.Duration, 1024)
+	for i := range ds {
+		ds[i] = time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
+	}
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		sum += bucketIndex(ds[i&(len(ds)-1)])
+	}
+	sink = sum
+}
+
+var sink int
+
 func TestMergedAggregatesShardHistograms(t *testing.T) {
 	// Three "shards" with disjoint latency ranges; the merged distribution
 	// must match a single histogram fed all samples.

@@ -175,12 +175,23 @@ type SSD struct {
 	activeNextPage int32
 	idleCredit     float64 // fractional blocks of background GC earned
 
+	// reclaimable counts the GC victims: sealed blocks with fewer than
+	// BlockPages valid pages. The active block is never sealed, so the
+	// count is exactly what reclaimOne's scan would find. invalidate and
+	// allocPage raise it as blocks gain their first invalid page or seal
+	// short, reclaimOne lowers it as it takes a victim; with none left,
+	// reclaimOne returns without scanning — the steady state of cyclic
+	// writes, where every sealed block is fully valid and idle GC credit
+	// would otherwise scan the whole device on every I/O.
+	reclaimable int64
+
 	// --- block-mapped state ---
 	frontier    []int32 // per logical block: programmed page count
 	everWritten []bool  // per logical block: needs erase before reuse
 	logWrites   int64   // out-of-order writes staged in log blocks
 
-	batchSvc []time.Duration // per-request service-time scratch of a submission
+	batchSvc []time.Duration   // per-request service-time scratch of a submission
+	sortBuf  []storage.ReadReq // merge buffer of a read submission's address sort
 }
 
 // New builds an SSD with the given usable capacity. Capacity is rounded up
@@ -323,7 +334,7 @@ func (s *SSD) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	if s.prof.Mapping == PageMapped {
 		base = s.gcIfNeeded()
 	}
-	storage.SortReadReqs(reqs)
+	s.sortBuf = storage.SortReadReqs(reqs, s.sortBuf)
 	ss := int64(s.prof.SectorSize)
 	if cap(s.batchSvc) < len(reqs) {
 		s.batchSvc = make([]time.Duration, len(reqs))
@@ -448,7 +459,11 @@ func (s *SSD) invalidate(lp int64) {
 	}
 	s.l2p[lp] = -1
 	s.p2l[pp] = -1
-	s.blockValid[pp/int64(s.prof.BlockPages)]--
+	b := pp / int64(s.prof.BlockPages)
+	if s.blockSealed[b] && s.blockValid[b] == int32(s.prof.BlockPages) {
+		s.reclaimable++ // a full sealed block gains its first invalid page
+	}
+	s.blockValid[b]--
 }
 
 // allocPage places a logical page at the write frontier, returning true if a
@@ -457,6 +472,9 @@ func (s *SSD) allocPage(lp int64) bool {
 	opened := false
 	if s.activeNextPage == int32(s.prof.BlockPages) {
 		s.blockSealed[s.activeBlock] = true
+		if s.blockValid[s.activeBlock] < int32(s.prof.BlockPages) {
+			s.reclaimable++ // sealed short: pages were invalidated while active
+		}
 		last := len(s.freeBlocks) - 1
 		s.activeBlock = s.freeBlocks[last]
 		s.freeBlocks = s.freeBlocks[:last]
@@ -472,10 +490,15 @@ func (s *SSD) allocPage(lp int64) bool {
 	return opened
 }
 
-// reclaimOne garbage-collects the best victim block. If cost is non-nil the
-// latency is added to it; with a nil cost the work is free (background GC).
-// Returns false if no victim is available.
+// reclaimOne garbage-collects the best victim block: the not fully valid
+// sealed block with the fewest valid pages, lowest index first. It returns
+// false, without scanning, when reclaimable says there is none. If cost is
+// non-nil the latency is added to it; with a nil cost the work is free
+// (background GC).
 func (s *SSD) reclaimOne(cost *time.Duration) bool {
+	if s.reclaimable == 0 {
+		return false
+	}
 	victim := int64(-1)
 	best := int32(math.MaxInt32)
 	for b := int64(0); b < s.nPhysBlocks; b++ {
@@ -489,9 +512,7 @@ func (s *SSD) reclaimOne(cost *time.Duration) bool {
 			victim = b
 		}
 	}
-	if victim < 0 {
-		return false
-	}
+	s.reclaimable--
 	// Relocate valid pages to the write frontier.
 	moved := 0
 	base := victim * int64(s.prof.BlockPages)

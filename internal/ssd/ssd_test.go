@@ -535,3 +535,159 @@ func TestReadBatchTranscendSingleLane(t *testing.T) {
 		t.Fatalf("transcend batch = %v, want %v", batch, want)
 	}
 }
+
+// recountReclaimable is the brute-force definition of SSD.reclaimable:
+// sealed blocks with at least one invalid page.
+func recountReclaimable(s *SSD) int64 {
+	var n int64
+	for b := int64(0); b < s.nPhysBlocks; b++ {
+		if s.blockSealed[b] && s.blockValid[b] < int32(s.prof.BlockPages) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPageMappedGCPinned drives a seeded stream of random 4 KB writes,
+// multi-block writes, trims, reads and idle gaps through a small Intel
+// device, so that synchronous GC (an I/O arriving at the low watermark),
+// emergency GC (a write draining the pool mid-request) and background GC
+// (idle credit) all run. The final clock, the GC counters and the pool
+// size are pinned, so any change in victim choice or GC charging shows,
+// and after every op the reclaimable counter must equal a brute-force
+// recount.
+func TestPageMappedGCPinned(t *testing.T) {
+	s, clock := newIntel(4 << 20)
+	fillSequential(t, s)
+	g := s.Geometry()
+	nSectors := g.Capacity / 4096
+	rng := rand.New(rand.NewSource(42))
+	small := make([]byte, 4096)
+	big := make([]byte, 384*kib)
+	var syncGC, emergencyGC, idleGC int
+	for i := 0; i < 20000; i++ {
+		before := s.Counters()
+		isRead, isWrite := false, false
+		switch op := rng.Intn(100); {
+		case op < 60:
+			isWrite = true
+			if _, err := s.WriteAt(small, rng.Int63n(nSectors)*4096); err != nil {
+				t.Fatal(err)
+			}
+		case op < 63:
+			isWrite = true
+			off := rng.Int63n(nSectors-int64(len(big))/4096) * 4096
+			if _, err := s.WriteAt(big, off); err != nil {
+				t.Fatal(err)
+			}
+		case op < 65:
+			n := 1 + rng.Int63n(4)
+			off := rng.Int63n(nSectors-n) * 4096
+			if err := s.Trim(off, n*4096); err != nil {
+				t.Fatal(err)
+			}
+		case op < 97:
+			isRead = true
+			if _, err := s.ReadAt(small, rng.Int63n(nSectors)*4096); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			clock.Advance(time.Duration(rng.Int63n(int64(time.Millisecond))))
+		}
+		after := s.Counters()
+		runs, erases := after.GCRuns-before.GCRuns, after.Erases-before.Erases
+		switch {
+		case isRead && runs > 0:
+			syncGC++
+		case isWrite && runs > 1:
+			emergencyGC++
+		}
+		if erases > runs {
+			idleGC++
+		}
+		if got, want := s.reclaimable, recountReclaimable(s); got != want {
+			t.Fatalf("op %d: reclaimable = %d, recount = %d", i, got, want)
+		}
+	}
+	t.Logf("sync GC on reads %d, emergency GC %d, idle GC %d", syncGC, emergencyGC, idleGC)
+	if syncGC == 0 || emergencyGC == 0 || idleGC == 0 {
+		t.Fatalf("stream missed a GC kind: sync %d, emergency %d, idle %d", syncGC, emergencyGC, idleGC)
+	}
+	// BufferHash's cyclic whole-block writes with reads and idle gaps in
+	// between: the sealed blocks end up fully valid, so banked idle credit
+	// meets no victim — the state every read of a long-running store sees.
+	blk := make([]byte, g.BlockSize)
+	noVictim := 0
+	for cycle := 0; cycle < 3; cycle++ {
+		for off := int64(0); off < g.Capacity; off += int64(len(blk)) {
+			if _, err := s.WriteAt(blk, off); err != nil {
+				t.Fatal(err)
+			}
+			clock.Advance(time.Duration(rng.Int63n(int64(4 * time.Millisecond))))
+			if _, err := s.ReadAt(small, rng.Int63n(nSectors)*4096); err != nil {
+				t.Fatal(err)
+			}
+			if s.reclaimable == 0 && s.idleCredit >= 1 {
+				noVictim++
+			}
+			if got, want := s.reclaimable, recountReclaimable(s); got != want {
+				t.Fatalf("cycle %d off %d: reclaimable = %d, recount = %d", cycle, off, got, want)
+			}
+		}
+	}
+	if noVictim == 0 {
+		t.Fatal("cyclic phase never left idle credit without a victim")
+	}
+	c := s.Counters()
+	t.Logf("clock %d, erases %d, pages moved %d, GC runs %d, free blocks %d",
+		clock.Now(), c.Erases, c.PagesMoved, c.GCRuns, s.FreeBlocks())
+	const (
+		wantClock      = time.Duration(25642819400)
+		wantErases     = 4255
+		wantPagesMoved = 64811
+		wantGCRuns     = 3265
+		wantFree       = 7
+	)
+	if clock.Now() != wantClock || c.Erases != wantErases || c.PagesMoved != wantPagesMoved ||
+		c.GCRuns != wantGCRuns || s.FreeBlocks() != wantFree {
+		t.Fatalf("got clock %d, erases %d, pages moved %d, GC runs %d, free %d; want %d, %d, %d, %d, %d",
+			clock.Now(), c.Erases, c.PagesMoved, c.GCRuns, s.FreeBlocks(),
+			wantClock, wantErases, wantPagesMoved, wantGCRuns, wantFree)
+	}
+}
+
+// BenchmarkDepletedPoolRead is one 4 KB ReadAt on a 64 MB Intel device in
+// the state a long-running BufferHash store leaves it: cyclic whole-block
+// writes have drained the erased-block pool below half, idle credit is
+// banked, and every sealed block is fully valid, so background GC has no
+// victim. Each read follows a 1 µs idle gap, as the store's charged CPU
+// time gives it, so every read runs the idle-credit step.
+func BenchmarkDepletedPoolRead(b *testing.B) {
+	s, clock := newIntel(64 << 20)
+	g := s.Geometry()
+	blk := make([]byte, g.BlockSize)
+	for cycle := 0; cycle < 2; cycle++ {
+		for off := int64(0); off < g.Capacity; off += int64(len(blk)) {
+			if _, err := s.WriteAt(blk, off); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	clock.Advance(time.Second) // bank idle credit
+	p := make([]byte, 4096)
+	if _, err := s.ReadAt(p, 0); err != nil {
+		b.Fatal(err)
+	}
+	if s.reclaimable != 0 || s.idleCredit < 1 || s.FreeBlocks() >= int(s.nPhysBlocks)/2 {
+		b.Fatalf("not depleted: reclaimable %d, idle credit %.1f, free %d of %d",
+			s.reclaimable, s.idleCredit, s.FreeBlocks(), s.nPhysBlocks)
+	}
+	nSectors := g.Capacity / 4096
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clock.Advance(time.Microsecond)
+		if _, err := s.ReadAt(p, int64(i)*7919%nSectors*4096); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -75,19 +75,86 @@ type WriteReq struct {
 
 // SortReadReqs orders reqs by ascending device address (step 1 of the
 // overlap model). Ties keep their relative order so duplicate-page reads
-// stay adjacent for callers that dedupe. Already-sorted batches — the
-// common case, since the core pipeline submits sorted requests — are
-// detected with one linear scan and left untouched.
+// stay adjacent for callers that dedupe; a stable order is unique, so run
+// detection and lane assignment do not depend on the algorithm.
+// Already-sorted batches — the common case, since the core pipeline
+// submits sorted requests — are detected with one linear scan and left
+// untouched.
 //
-// The sort is written per request type rather than as one generic helper:
-// a generic call goes through a shape dictionary, which hides the slice
-// from escape analysis and would move every device's one-request ReadAt
-// array to the heap.
-func SortReadReqs(reqs []ReadReq) {
-	cmpOff := func(a, b ReadReq) int { return cmp.Compare(a.Off, b.Off) }
-	if !slices.IsSortedFunc(reqs, cmpOff) {
-		slices.SortStableFunc(reqs, cmpOff)
+// Others are sorted in O(n log n): insertion-sorted runs of sortRun
+// requests, then bottom-up merge passes that alternate between reqs and
+// buf. buf is the caller's merge buffer; it is grown to len(reqs) when
+// short and returned for the caller to keep, so a device that stores it
+// sorts without allocating once warm. On return the buffer is cleared and
+// holds no request buffers. Batches of at most sortRun requests never
+// touch it.
+//
+// The sort is written for ReadReq rather than as one generic helper: a
+// generic call goes through a shape dictionary, which hides the slice from
+// escape analysis and would move every device's one-request ReadAt array
+// to the heap. For the same reason the buffer belongs to the caller: only
+// buf, never reqs, flows to the result, so reqs stays on the caller's
+// stack.
+func SortReadReqs(reqs, buf []ReadReq) []ReadReq {
+	n := len(reqs)
+	if slices.IsSortedFunc(reqs, func(a, b ReadReq) int { return cmp.Compare(a.Off, b.Off) }) {
+		return buf
 	}
+	for lo := 0; lo < n; lo += sortRun {
+		insertionSortReadReqs(reqs[lo:min(lo+sortRun, n)])
+	}
+	if n <= sortRun {
+		return buf
+	}
+	if cap(buf) < n {
+		buf = make([]ReadReq, n)
+	}
+	tmp := buf[:n]
+	src, dst := reqs, tmp
+	for width := sortRun; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			mergeReadReqs(dst[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &reqs[0] {
+		copy(reqs, src)
+	}
+	clear(tmp)
+	return buf
+}
+
+// sortRun is the length of SortReadReqs's insertion-sorted runs.
+const sortRun = 16
+
+// insertionSortReadReqs stably sorts a short run by Off.
+func insertionSortReadReqs(reqs []ReadReq) {
+	for i := 1; i < len(reqs); i++ {
+		r, j := reqs[i], i
+		for ; j > 0 && r.Off < reqs[j-1].Off; j-- {
+			reqs[j] = reqs[j-1]
+		}
+		reqs[j] = r
+	}
+}
+
+// mergeReadReqs merges the sorted runs a and b into dst (len(a)+len(b)),
+// taking from a on ties so the merge is stable.
+func mergeReadReqs(dst, a, b []ReadReq) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].Off < a[i].Off {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // SortWriteReqs orders reqs by ascending device address (the elevator/NCQ

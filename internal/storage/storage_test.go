@@ -210,7 +210,7 @@ func TestSortReadReqsStable(t *testing.T) {
 	a := make([]byte, 1)
 	b := make([]byte, 2)
 	reqs := []ReadReq{{P: a, Off: 8}, {P: b, Off: 8}, {P: a, Off: 0}}
-	SortReadReqs(reqs)
+	SortReadReqs(reqs, nil)
 	if reqs[0].Off != 0 || reqs[1].Off != 8 || reqs[2].Off != 8 {
 		t.Fatalf("not sorted: %+v", reqs)
 	}
