@@ -158,7 +158,7 @@ func openFaultSharded(t testing.TB, opts ...Option) *faultRig {
 	r := &faultRig{st: s}
 	for i := 0; i < s.NumShards(); i++ {
 		for _, d := range []storage.Device{s.Shard(i).Device(), s.Shard(i).ValueDevice()} {
-			r.devs = append(r.devs, d.(*timedQueuedTrimmer).Device.(*ssd.SSD))
+			r.devs = append(r.devs, d.(*timedQueued).Device.(*ssd.SSD))
 		}
 	}
 	return r

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"time"
 
@@ -229,10 +228,18 @@ func (r *router) Contains(key []byte) (bool, error) {
 
 // --- maintenance ---
 
-// Flush forces every shard's buffered entries to flash, flushing shards in
-// parallel across the worker pool.
+// Flush forces every shard's buffered entries to flash, one shard after
+// another. Every shard is attempted regardless of other shards' failures,
+// and all errors are joined; each shard charges its own clock, so virtual
+// time does not depend on the order.
 func (r *router) Flush() error {
-	return r.runShards(func(s *shard) error { return s.flush() })
+	var errs []error
+	for _, s := range r.shards {
+		if err := s.flush(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Elapse advances every shard's virtual clock by d, modeling host idle
@@ -429,34 +436,6 @@ func (r *router) runChunked(ctx context.Context, g *shardGroups, run func(s *sha
 		errs = append(errs, canceled)
 	}
 	return errors.Join(errs...)
-}
-
-// runShards executes run on every shard, spread over at most r.workers
-// goroutines (Flush's dispatcher). Each shard runs on exactly one worker,
-// so workers never contend on the same shard lock; every shard is
-// attempted regardless of other shards' failures, and all errors are
-// joined.
-func (r *router) runShards(run func(s *shard) error) error {
-	work := make(chan *shard)
-	errs := make([][]error, r.workers)
-	var wg sync.WaitGroup
-	for w := range errs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for s := range work {
-				if err := run(s); err != nil {
-					errs[w] = append(errs[w], err)
-				}
-			}
-		}(w)
-	}
-	for _, s := range r.shards {
-		work <- s
-	}
-	close(work)
-	wg.Wait()
-	return errors.Join(slices.Concat(errs...)...)
 }
 
 // --- U64 batches ---

@@ -16,11 +16,12 @@ import (
 // incarnation image; a batch's images share command setup and overlap
 // across queue lanes).
 //
-// Reads pass through the embedded device untimed. The Eraser and Trimmer
-// optional interfaces are preserved by the variant types below, because
-// layout selection and NAND erase-before-write probe for them through the
-// device value. Caller-supplied custom devices are never wrapped — their
-// dynamic type is part of the caller's contract.
+// Reads pass through the embedded device untimed. The Eraser optional
+// interface is preserved by the variant type below, because layout
+// selection and NAND erase-before-write probe for it through the device
+// value; nothing in the store trims, so Trimmer is not forwarded.
+// Caller-supplied custom devices are never wrapped — their dynamic type is
+// part of the caller's contract.
 type timedQueued struct {
 	storage.Device
 	h *metrics.Histogram // guarded by the owning shard's mutex
@@ -51,23 +52,12 @@ type timedQueuedEraser struct {
 
 func (d *timedQueuedEraser) Erase(off, n int64) (time.Duration, error) { return d.er.Erase(off, n) }
 
-// timedQueuedTrimmer additionally forwards Trimmer (SSDs).
-type timedQueuedTrimmer struct {
-	timedQueued
-	tr storage.Trimmer
-}
-
-func (d *timedQueuedTrimmer) Trim(off, n int64) error { return d.tr.Trim(off, n) }
-
 // timeWrites wraps a kind-built device with write-latency instrumentation,
-// preserving its optional interfaces.
+// preserving Eraser.
 func timeWrites(dev storage.Device, h *metrics.Histogram) storage.Device {
 	base := timedQueued{Device: dev, h: h}
 	if er, ok := dev.(storage.Eraser); ok {
 		return &timedQueuedEraser{base, er}
-	}
-	if tr, ok := dev.(storage.Trimmer); ok {
-		return &timedQueuedTrimmer{base, tr}
 	}
 	return &base
 }

@@ -55,13 +55,9 @@ func Hitachi7K80() Profile {
 type Disk struct {
 	prof     Profile
 	capacity int64
-	clock    *vclock.Clock
-	store    *storage.SparseStore
-	counters storage.Counters
-	fault    storage.FaultFunc
-	lastEnd  int64 // byte position where the previous op finished (-1 initially)
+	q        *storage.Queue // serves every read and write submission
+	lastEnd  int64          // byte position where the previous op finished (-1 initially)
 	rng      *rand.Rand
-	sortBuf  []storage.ReadReq // merge buffer of a read submission's address sort
 }
 
 // New builds a disk of the given capacity (rounded up to whole sectors).
@@ -75,18 +71,18 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *Disk {
 	if capacity%ss != 0 {
 		capacity += ss - capacity%ss
 	}
-	return &Disk{
+	d := &Disk{
 		prof:     prof,
 		capacity: capacity,
-		clock:    clock,
-		store:    storage.NewSparseStore(prof.SectorSize, 0),
 		lastEnd:  -1,
 		rng:      rand.New(rand.NewSource(0x715ac)),
 	}
+	d.q = storage.NewQueue(d.Geometry(), 1, 1, storage.NewSparseStore(prof.SectorSize, 0), clock)
+	return d
 }
 
 // SetFault installs a fault-injection hook (nil clears it).
-func (d *Disk) SetFault(f storage.FaultFunc) { d.fault = f }
+func (d *Disk) SetFault(f storage.FaultFunc) { d.q.Fault = f }
 
 // Geometry implements storage.Device. BlockSize is 0: disks have no erase
 // constraint.
@@ -95,10 +91,13 @@ func (d *Disk) Geometry() storage.Geometry {
 }
 
 // Counters implements storage.Device.
-func (d *Disk) Counters() storage.Counters { return d.counters }
+func (d *Disk) Counters() storage.Counters { return d.q.Counters }
 
-// service computes the mechanical latency for an access of n bytes at off.
-func (d *Disk) service(off, n int64) time.Duration {
+// cost is the mechanical latency of an access of n bytes at off, which
+// leaves the head at the access's end. The disk keeps its own run
+// detection: an access continuing where the previous one ended, in this
+// submission or an earlier one, skips seek and rotation.
+func (d *Disk) cost(off int64, n int, _ bool) (time.Duration, error) {
 	lat := d.prof.FixedOverhead
 	if off != d.lastEnd {
 		// Seek distance as a fraction of the full stroke.
@@ -116,7 +115,8 @@ func (d *Disk) service(off, n int64) time.Duration {
 		lat += time.Duration(d.rng.Int63n(int64(d.prof.RotationPeriod)))
 	}
 	lat += time.Duration(float64(n) / d.prof.TransferRate * float64(time.Second))
-	return lat
+	d.lastEnd = off + int64(n)
+	return lat, nil
 }
 
 // ReadAt implements storage.Device as a one-request ReadBatch. Reads may
@@ -133,76 +133,19 @@ func (d *Disk) WriteAt(p []byte, off int64) (time.Duration, error) {
 	return d.WriteBatch(one[:])
 }
 
-// ReadBatch implements storage.Device. A disk has one actuator — one
-// queue lane — so batched reads cannot overlap; the whole win is command
-// queuing: the batch is served in ascending address order (an elevator
-// pass), so the expensive random component (seek + rotational delay) is
-// paid once per discontiguous run instead of once per request, and
-// same-track neighbors stream from the track buffer. The clock advances
-// once by the pass total.
+// ReadBatch implements storage.Device through the disk's queue. A disk
+// has one actuator — one queue lane — so batched reads cannot overlap; the
+// whole win is command queuing: the batch is served in ascending address
+// order (an elevator pass), so the expensive random component (seek +
+// rotational delay) is paid once per discontiguous run instead of once per
+// request, and same-track neighbors stream from the track buffer.
 func (d *Disk) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	g := d.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), 1); err != nil {
-			return 0, err
-		}
-		if d.fault != nil {
-			if err := d.fault(storage.OpRead, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	d.sortBuf = storage.SortReadReqs(reqs, d.sortBuf)
-	var total time.Duration
-	for i, r := range reqs {
-		// service() already models sequential continuation via lastEnd:
-		// within the sorted pass, runs skip seek and rotation.
-		total += d.service(r.Off, int64(len(r.P)))
-		d.lastEnd = r.Off + int64(len(r.P))
-		d.store.Read(&reqs[i])
-		d.counters.Reads++
-		d.counters.BytesRead += uint64(len(r.P))
-	}
-	d.counters.BusyTime += total
-	d.clock.Advance(total)
-	return total, nil
+	return d.q.Read(reqs, nil, d.cost)
 }
 
-// WriteBatch implements storage.Device the way ReadBatch serves reads:
-// one actuator means no overlap, so the whole win is the elevator pass —
-// ascending address order pays the random component (seek + rotational
-// delay) once per discontiguous run, and contiguous requests stream at
-// media rate. The clock advances once by the pass total.
+// WriteBatch implements storage.Device the way ReadBatch serves reads.
 func (d *Disk) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	g := d.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), 1); err != nil {
-			return 0, err
-		}
-		if d.fault != nil {
-			if err := d.fault(storage.OpWrite, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	storage.SortWriteReqs(reqs)
-	var total time.Duration
-	for _, r := range reqs {
-		total += d.service(r.Off, int64(len(r.P)))
-		d.lastEnd = r.Off + int64(len(r.P))
-		d.store.WriteAt(r.P, r.Off)
-		d.counters.Writes++
-		d.counters.BytesWritten += uint64(len(r.P))
-	}
-	d.counters.BusyTime += total
-	d.clock.Advance(total)
-	return total, nil
+	return d.q.Write(reqs, nil, d.cost)
 }
 
 var _ storage.Device = (*Disk)(nil)

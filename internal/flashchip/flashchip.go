@@ -91,14 +91,10 @@ func DefaultConfig(capacity int64) Config {
 // (the paper notes flash I/Os are blocking operations, §5.2).
 type Chip struct {
 	cfg      Config
-	clock    *vclock.Clock
+	q        *storage.Queue // serves every read and write submission
 	store    *storage.SparseStore
 	frontier []int32 // per block: number of programmed pages (program order enforcement)
 	eraseCnt []uint32
-	counters storage.Counters
-	fault    storage.FaultFunc
-	batchSvc []time.Duration   // per-request service-time scratch of a submission
-	sortBuf  []storage.ReadReq // merge buffer of a read submission's address sort
 }
 
 // New builds a chip. It panics on invalid geometry, since configurations are
@@ -111,17 +107,18 @@ func New(cfg Config, clock *vclock.Clock) *Chip {
 		panic(fmt.Sprintf("flashchip: capacity %d not a multiple of block size %d", cfg.Capacity, cfg.BlockSize))
 	}
 	nBlocks := cfg.Capacity / int64(cfg.BlockSize)
-	return &Chip{
+	c := &Chip{
 		cfg:      cfg,
-		clock:    clock,
 		store:    storage.NewSparseStore(cfg.PageSize, 0xFF),
 		frontier: make([]int32, nBlocks),
 		eraseCnt: make([]uint32, nBlocks),
 	}
+	c.q = storage.NewQueue(c.Geometry(), cfg.PageSize, cfg.Planes, c.store, clock)
+	return c
 }
 
 // SetFault installs a fault-injection hook (nil clears it).
-func (c *Chip) SetFault(f storage.FaultFunc) { c.fault = f }
+func (c *Chip) SetFault(f storage.FaultFunc) { c.q.Fault = f }
 
 // Geometry implements storage.Device.
 func (c *Chip) Geometry() storage.Geometry {
@@ -129,7 +126,7 @@ func (c *Chip) Geometry() storage.Geometry {
 }
 
 // Counters implements storage.Device.
-func (c *Chip) Counters() storage.Counters { return c.counters }
+func (c *Chip) Counters() storage.Counters { return c.q.Counters }
 
 // EraseCount returns how many times the block containing off was erased
 // (wear accounting).
@@ -145,52 +142,20 @@ func (c *Chip) ReadAt(p []byte, off int64) (time.Duration, error) {
 	return c.ReadBatch(one[:])
 }
 
-// ReadBatch implements storage.Device with the shared overlap model:
-// address-sorted service, sequential runs paying the fixed array-access
-// setup once, and per-request sense+transfer times overlapped across the
-// chip's planes (max lane total, not sum).
+// ReadBatch implements storage.Device through the chip's queue: a request
+// costs the sense and transfer of every page it touches, plus the fixed
+// array-access setup when it starts a sequential run, and requests overlap
+// across the chip's planes.
 func (c *Chip) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
+	return c.q.Read(reqs, nil, c.readCost)
+}
+
+func (c *Chip) readCost(off int64, n int, newRun bool) (time.Duration, error) {
+	lat := time.Duration(storage.Span(off, n, c.cfg.PageSize)) * c.cfg.Costs.ReadPerByte
+	if newRun {
+		lat += c.cfg.Costs.ReadFixed
 	}
-	g := c.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), 1); err != nil {
-			return 0, err
-		}
-		if c.fault != nil {
-			if err := c.fault(storage.OpRead, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	c.sortBuf = storage.SortReadReqs(reqs, c.sortBuf)
-	ps := int64(c.cfg.PageSize)
-	if cap(c.batchSvc) < len(reqs) {
-		c.batchSvc = make([]time.Duration, len(reqs))
-	}
-	svc := c.batchSvc[:len(reqs)]
-	prevEnd := int64(-1)
-	for i, r := range reqs {
-		firstPage := r.Off / ps
-		lastPage := (r.Off + int64(len(r.P)) - 1) / ps
-		if len(r.P) == 0 {
-			lastPage = firstPage
-		}
-		lat := time.Duration((lastPage-firstPage+1)*ps) * c.cfg.Costs.ReadPerByte
-		if r.Off != prevEnd {
-			lat += c.cfg.Costs.ReadFixed
-		}
-		prevEnd = r.Off + int64(len(r.P))
-		svc[i] = lat
-		c.store.Read(&reqs[i])
-		c.counters.Reads++
-		c.counters.BytesRead += uint64(len(r.P))
-	}
-	total := storage.OverlapLanes(svc, c.cfg.Planes)
-	c.counters.BusyTime += total
-	c.clock.Advance(total)
-	return total, nil
+	return lat, nil
 }
 
 // WriteAt programs len(p) bytes at off as a one-request WriteBatch. The
@@ -224,85 +189,44 @@ func (c *Chip) program(off, n int64) error {
 	return nil
 }
 
-// WriteBatch implements storage.Device: address-sorted service, sequential
-// runs paying the fixed program setup once, and per-request program times
-// overlapped across the chip's planes (multi-plane page program).
-// Program-order constraints are enforced per request in sorted order, so
-// earlier requests of a failing batch remain programmed, while the failing
-// request itself leaves its blocks unchanged.
+// WriteBatch implements storage.Device through the chip's queue: a
+// request costs its program time, plus the fixed program setup when it
+// starts a sequential run, and requests overlap across the chip's planes
+// (multi-plane page program). Program order is enforced per request in
+// address order, so a failing batch leaves earlier requests programmed and
+// charged, while the failing request itself leaves its blocks unchanged.
 func (c *Chip) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
+	return c.q.Write(reqs, nil, c.writeCost)
+}
+
+func (c *Chip) writeCost(off int64, n int, newRun bool) (time.Duration, error) {
+	if err := c.program(off, int64(n)); err != nil {
+		return 0, err
 	}
-	g := c.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), c.cfg.PageSize); err != nil {
-			return 0, err
-		}
-		if c.fault != nil {
-			if err := c.fault(storage.OpWrite, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
+	lat := time.Duration(n) * c.cfg.Costs.WritePerByte
+	if newRun {
+		lat += c.cfg.Costs.WriteFixed
 	}
-	storage.SortWriteReqs(reqs)
-	if cap(c.batchSvc) < len(reqs) {
-		c.batchSvc = make([]time.Duration, len(reqs))
-	}
-	svc := c.batchSvc[:len(reqs)]
-	prevEnd := int64(-1)
-	var total time.Duration
-	for i, r := range reqs {
-		n := int64(len(r.P))
-		if err := c.program(r.Off, n); err != nil {
-			// Charge what was serviced so far; the clock must not move for
-			// work that never happened.
-			total = storage.OverlapLanes(svc[:i], c.cfg.Planes)
-			c.counters.BusyTime += total
-			c.clock.Advance(total)
-			return total, err
-		}
-		lat := time.Duration(n) * c.cfg.Costs.WritePerByte
-		if r.Off != prevEnd {
-			lat += c.cfg.Costs.WriteFixed
-		}
-		prevEnd = r.Off + n
-		svc[i] = lat
-		c.store.WriteAt(r.P, r.Off)
-		c.counters.Writes++
-		c.counters.BytesWritten += uint64(n)
-	}
-	total = storage.OverlapLanes(svc, c.cfg.Planes)
-	c.counters.BusyTime += total
-	c.clock.Advance(total)
-	return total, nil
+	return lat, nil
 }
 
 // Erase erases the blocks covering [off, off+n). The range must be
 // block-aligned. Erased pages read back as 0xFF.
 func (c *Chip) Erase(off, n int64) (time.Duration, error) {
-	if err := storage.CheckRange(c.Geometry(), off, n, c.cfg.BlockSize); err != nil {
+	if err := c.q.Check(storage.OpErase, off, n, c.cfg.BlockSize); err != nil {
 		return 0, err
-	}
-	if c.fault != nil {
-		if err := c.fault(storage.OpErase, off, int(n)); err != nil {
-			return 0, err
-		}
 	}
 	bs := int64(c.cfg.BlockSize)
 	nBlocks := n / bs
-	// Per §6.1 the erase cost of a single flush is a_e + b_e·(blocks·S_b):
-	// one fixed initialization plus per-byte cost.
-	lat := c.cfg.Costs.Erase(n)
 	for b := off / bs; b < off/bs+nBlocks; b++ {
 		c.frontier[b] = 0
 		c.eraseCnt[b]++
 	}
 	c.store.Drop(off, n)
-	c.counters.Erases += uint64(nBlocks)
-	c.counters.BusyTime += lat
-	c.clock.Advance(lat)
-	return lat, nil
+	c.q.Counters.Erases += uint64(nBlocks)
+	// Per §6.1 the erase cost of a single flush is a_e + b_e·(blocks·S_b):
+	// one fixed initialization plus per-byte cost.
+	return c.q.Charge(c.cfg.Costs.Erase(n)), nil
 }
 
 var (

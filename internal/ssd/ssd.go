@@ -153,15 +153,9 @@ func TranscendTS32() Profile {
 // SSD is a simulated solid-state disk. It implements storage.Device and
 // storage.Trimmer. Not safe for concurrent use.
 type SSD struct {
-	prof     Profile
-	clock    *vclock.Clock
-	store    *storage.SparseStore
-	counters storage.Counters
-	fault    storage.FaultFunc
-
-	// Virtual time at which the device last finished servicing an op;
-	// the gap to the next op is idle time available for background GC.
-	busyUntil time.Duration
+	prof  Profile
+	q     *storage.Queue // serves every read and write submission
+	store *storage.SparseStore
 
 	// --- page-mapped state ---
 	nLogicalPages  int64
@@ -189,9 +183,6 @@ type SSD struct {
 	frontier    []int32 // per logical block: programmed page count
 	everWritten []bool  // per logical block: needs erase before reuse
 	logWrites   int64   // out-of-order writes staged in log blocks
-
-	batchSvc []time.Duration   // per-request service-time scratch of a submission
-	sortBuf  []storage.ReadReq // merge buffer of a read submission's address sort
 }
 
 // New builds an SSD with the given usable capacity. Capacity is rounded up
@@ -207,11 +198,7 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *SSD {
 	if prof.EraseOverlap < 1 {
 		prof.EraseOverlap = 1
 	}
-	s := &SSD{
-		prof:  prof,
-		clock: clock,
-		store: storage.NewSparseStore(prof.SectorSize, 0),
-	}
+	s := &SSD{prof: prof, store: storage.NewSparseStore(prof.SectorSize, 0)}
 	nLogicalBlocks := capacity / bs
 	s.nLogicalPages = nLogicalBlocks * int64(prof.BlockPages)
 	switch prof.Mapping {
@@ -244,11 +231,12 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *SSD {
 	default:
 		panic(fmt.Sprintf("ssd: unknown mapping mode %d", prof.Mapping))
 	}
+	s.q = storage.NewQueue(s.Geometry(), prof.SectorSize, prof.QueueDepth, s.store, clock)
 	return s
 }
 
 // SetFault installs a fault-injection hook (nil clears it).
-func (s *SSD) SetFault(f storage.FaultFunc) { s.fault = f }
+func (s *SSD) SetFault(f storage.FaultFunc) { s.q.Fault = f }
 
 // Profile returns the device profile.
 func (s *SSD) Profile() Profile { return s.prof }
@@ -264,38 +252,39 @@ func (s *SSD) Geometry() storage.Geometry {
 }
 
 // Counters implements storage.Device.
-func (s *SSD) Counters() storage.Counters { return s.counters }
+func (s *SSD) Counters() storage.Counters { return s.q.Counters }
 
 // FreeBlocks returns the current erased-block pool size (page-mapped FTL).
 func (s *SSD) FreeBlocks() int { return len(s.freeBlocks) }
 
-// finish charges lat for an op, advances the clock and updates accounting.
-func (s *SSD) finish(lat time.Duration) time.Duration {
-	s.counters.BusyTime += lat
-	s.clock.Advance(lat)
-	s.busyUntil = s.clock.Now()
-	return lat
-}
-
 // creditIdle converts host idle time into background GC budget.
 func (s *SSD) creditIdle() {
-	now := s.clock.Now()
-	if now <= s.busyUntil {
+	idle := s.q.Idle()
+	if idle == 0 {
 		return
 	}
-	idle := now - s.busyUntil
-	s.busyUntil = now
 	s.idleCredit += idle.Seconds() * s.prof.IdleGCBlocksPerSec
 	// Background cleaning: reclaim for free while credit lasts and the
 	// pool is not full.
 	for s.idleCredit >= 1 && s.prof.Mapping == PageMapped {
-		if len(s.freeBlocks) >= int(s.nPhysBlocks)/2 || !s.reclaimOne(nil) {
+		if len(s.freeBlocks) >= int(s.nPhysBlocks)/2 || !s.reclaimOne(false) {
 			break
 		}
 		s.idleCredit--
 	}
 	if s.idleCredit > 1e6 {
 		s.idleCredit = 1e6
+	}
+}
+
+// begin runs once a submission has passed its checks: host idle time
+// since the last I/O becomes background GC, and a submission arriving at
+// a depleted erased-block pool stalls for the pending reclamation, once
+// for the whole batch (I/Os block during GC, §7.2.2).
+func (s *SSD) begin() {
+	s.creditIdle()
+	if s.prof.Mapping == PageMapped {
+		s.gcIfNeeded()
 	}
 }
 
@@ -306,59 +295,20 @@ func (s *SSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 	return s.ReadBatch(one[:])
 }
 
-// ReadBatch implements storage.Device with the shared overlap model:
-// requests are served in ascending address order, address-contiguous
-// requests form sequential runs that skip the fixed command cost, and the
-// per-request service times are overlapped across QueueDepth channel lanes
-// (the batch costs the maximum lane total, not the sum). Whole sectors are
-// charged (P2). A submission arriving while the erased-block pool is
-// depleted pays the pending reclamation first, once for the whole batch
-// (I/Os block during GC, §7.2.2).
+// ReadBatch implements storage.Device through the device's queue. A
+// request costs its whole sectors' transfer (P2), plus ReadFixed when it
+// starts a sequential run; requests overlap across QueueDepth channel
+// lanes, behind any GC the submission stalls for.
 func (s *SSD) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
+	return s.q.Read(reqs, s.begin, s.readCost)
+}
+
+func (s *SSD) readCost(off int64, n int, newRun bool) (time.Duration, error) {
+	lat := time.Duration(storage.Span(off, n, s.prof.SectorSize)) * s.prof.ReadPerByte
+	if newRun {
+		lat += s.prof.ReadFixed // command setup / channel switch
 	}
-	g := s.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), 1); err != nil {
-			return 0, err
-		}
-		if s.fault != nil {
-			if err := s.fault(storage.OpRead, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	s.creditIdle()
-	var base time.Duration
-	if s.prof.Mapping == PageMapped {
-		base = s.gcIfNeeded()
-	}
-	s.sortBuf = storage.SortReadReqs(reqs, s.sortBuf)
-	ss := int64(s.prof.SectorSize)
-	if cap(s.batchSvc) < len(reqs) {
-		s.batchSvc = make([]time.Duration, len(reqs))
-	}
-	svc := s.batchSvc[:len(reqs)]
-	prevEnd := int64(-1)
-	for i, r := range reqs {
-		first := r.Off / ss
-		last := (r.Off + int64(len(r.P)) - 1) / ss
-		if len(r.P) == 0 {
-			last = first
-		}
-		lat := time.Duration((last-first+1)*ss) * s.prof.ReadPerByte
-		if r.Off != prevEnd {
-			lat += s.prof.ReadFixed // new run: command setup / channel switch
-		}
-		prevEnd = r.Off + int64(len(r.P))
-		svc[i] = lat
-		s.store.Read(&reqs[i])
-		s.counters.Reads++
-		s.counters.BytesRead += uint64(len(r.P))
-	}
-	total := base + storage.OverlapLanes(svc, s.prof.QueueDepth)
-	return s.finish(total), nil
+	return lat, nil
 }
 
 // WriteAt implements storage.Device as a one-request WriteBatch. Writes
@@ -368,63 +318,33 @@ func (s *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 	return s.WriteBatch(one[:])
 }
 
-// WriteBatch implements storage.Device with the shared overlap model:
-// requests are served in ascending address order, address-contiguous
-// requests form sequential runs that skip the fixed command cost, and the
-// per-request transfer times are overlapped across QueueDepth channel
-// lanes. FTL bookkeeping runs per request in address order; synchronous GC
-// debt — pending reclamation plus any emergency reclaims the batch's own
-// allocations force — is charged once to the whole batch and serializes
-// ahead of the overlapped transfers: GC blocks the device (§7.2.2).
+// WriteBatch implements storage.Device through the device's queue. FTL
+// bookkeeping runs per request in address order. A request costs its
+// transfer (on the block-mapped FTL also any erase or merge it forces),
+// plus WriteFixed when it starts a sequential run, and requests overlap
+// across QueueDepth channel lanes. Synchronous GC — pending reclamation
+// plus any emergency reclaims the batch's own allocations force — stalls
+// the whole submission ahead of the overlapped transfers: GC blocks the
+// device (§7.2.2).
 func (s *SSD) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	g := s.Geometry()
-	for _, r := range reqs {
-		if err := storage.CheckRange(g, r.Off, int64(len(r.P)), s.prof.SectorSize); err != nil {
-			return 0, err
+	return s.q.Write(reqs, s.begin, s.writeCost)
+}
+
+func (s *SSD) writeCost(off int64, n int, newRun bool) (time.Duration, error) {
+	var lat time.Duration
+	switch s.prof.Mapping {
+	case PageMapped:
+		if n > 0 {
+			s.allocRange(off, int64(n))
 		}
-		if s.fault != nil {
-			if err := s.fault(storage.OpWrite, r.Off, len(r.P)); err != nil {
-				return 0, err
-			}
-		}
+		lat = time.Duration(n) * s.prof.WritePerByte
+	case BlockMapped:
+		lat = s.blockMappedBody(off, int64(n))
 	}
-	s.creditIdle()
-	storage.SortWriteReqs(reqs)
-	var base time.Duration
-	if s.prof.Mapping == PageMapped {
-		base = s.gcIfNeeded()
+	if newRun {
+		lat += s.prof.WriteFixed // command setup / channel switch
 	}
-	if cap(s.batchSvc) < len(reqs) {
-		s.batchSvc = make([]time.Duration, len(reqs))
-	}
-	svc := s.batchSvc[:len(reqs)]
-	prevEnd := int64(-1)
-	for i, r := range reqs {
-		n := int64(len(r.P))
-		var lat time.Duration
-		switch s.prof.Mapping {
-		case PageMapped:
-			if n > 0 {
-				s.allocRange(r.Off, n, &base)
-			}
-			lat = time.Duration(n) * s.prof.WritePerByte
-		case BlockMapped:
-			lat = s.blockMappedBody(r.Off, n)
-		}
-		if r.Off != prevEnd {
-			lat += s.prof.WriteFixed // new run: command setup / channel switch
-		}
-		prevEnd = r.Off + n
-		svc[i] = lat
-		s.store.WriteAt(r.P, r.Off)
-		s.counters.Writes++
-		s.counters.BytesWritten += uint64(n)
-	}
-	total := base + storage.OverlapLanes(svc, s.prof.QueueDepth)
-	return s.finish(total), nil
+	return lat, nil
 }
 
 // Trim implements storage.Trimmer: it invalidates the mapping for the given
@@ -492,10 +412,10 @@ func (s *SSD) allocPage(lp int64) bool {
 
 // reclaimOne garbage-collects the best victim block: the not fully valid
 // sealed block with the fewest valid pages, lowest index first. It returns
-// false, without scanning, when reclaimable says there is none. If cost is
-// non-nil the latency is added to it; with a nil cost the work is free
-// (background GC).
-func (s *SSD) reclaimOne(cost *time.Duration) bool {
+// false, without scanning, when reclaimable says there is none. Synchronous
+// GC stalls the submission being served by its latency; background GC
+// (sync false) is free.
+func (s *SSD) reclaimOne(sync bool) bool {
 	if s.reclaimable == 0 {
 		return false
 	}
@@ -526,50 +446,48 @@ func (s *SSD) reclaimOne(cost *time.Duration) bool {
 		s.allocPage(lp)
 		moved++
 	}
-	if cost != nil {
-		*cost += time.Duration(moved) * s.prof.PageMoveTime
+	if sync {
+		erase := s.prof.EraseTime
 		if moved == 0 {
 			// Fully-invalid victim: the erase overlaps host transfers on
 			// other channels.
-			*cost += s.prof.EraseTime / time.Duration(s.prof.EraseOverlap)
-		} else {
-			*cost += s.prof.EraseTime
+			erase /= time.Duration(s.prof.EraseOverlap)
 		}
+		s.q.Stall(time.Duration(moved)*s.prof.PageMoveTime + erase)
 	}
-	s.counters.PagesMoved += uint64(moved)
-	s.counters.Erases++
+	s.q.Counters.PagesMoved += uint64(moved)
+	s.q.Counters.Erases++
 	s.blockSealed[victim] = false
 	s.freeBlocks = append(s.freeBlocks, victim)
 	return true
 }
 
 // gcIfNeeded runs synchronous reclamation when the pool is at or below the
-// low watermark, returning the latency charged to the triggering op.
+// low watermark, stalling the triggering submission.
 //
 // Reclamation is incremental — one victim per triggering I/O — so while the
 // pool stays low under sustained random writes, every arriving operation,
 // read or write alike, pays a share of the cleaning. This is the mechanism
 // behind the paper's observation that Berkeley-DB's lookups AND inserts both
 // degrade to ~4.6–4.8 ms on the Intel SSD under high write load (§7.2.2).
-func (s *SSD) gcIfNeeded() time.Duration {
-	var cost time.Duration
+func (s *SSD) gcIfNeeded() {
 	if len(s.freeBlocks) > s.prof.GCLowBlocks {
-		return 0
+		return
 	}
-	s.counters.GCRuns++
-	s.reclaimOne(&cost)
+	s.q.Counters.GCRuns++
+	s.reclaimOne(true)
 	// Emergency: never leave the pool empty.
 	for iter := int64(0); len(s.freeBlocks) == 0 && iter < 2*s.nPhysBlocks; iter++ {
-		if !s.reclaimOne(&cost) {
+		if !s.reclaimOne(true) {
 			break
 		}
 	}
-	return cost
 }
 
 // allocRange invalidates and reallocates the logical pages of [off, off+n)
-// at the write frontier, charging emergency reclamation to *cost.
-func (s *SSD) allocRange(off, n int64, cost *time.Duration) {
+// at the write frontier, stalling the submission for emergency
+// reclamation.
+func (s *SSD) allocRange(off, n int64) {
 	ps := int64(s.prof.PageSize)
 	first := off / ps
 	last := (off + n - 1) / ps
@@ -581,8 +499,8 @@ func (s *SSD) allocRange(off, n int64, cost *time.Duration) {
 		// next (read or write), which is how sustained random writes end
 		// up slowing reads too (§7.2.2).
 		if len(s.freeBlocks) == 0 {
-			s.counters.GCRuns++
-			if !s.reclaimOne(cost) {
+			s.q.Counters.GCRuns++
+			if !s.reclaimOne(true) {
 				break
 			}
 		}
@@ -618,7 +536,7 @@ func (s *SSD) blockMappedBody(off, n int64) time.Duration {
 			// sequential program at host write speed.
 			if s.everWritten[blk] {
 				lat += s.prof.EraseTime
-				s.counters.Erases++
+				s.q.Counters.Erases++
 			}
 			lat += time.Duration(segEnd-off) * s.prof.WritePerByte
 			s.frontier[blk] = segPages
@@ -645,8 +563,8 @@ func (s *SSD) blockMappedBody(off, n int64) time.Duration {
 				lat += time.Duration(valid) * s.prof.InternalReadTime
 				lat += s.prof.EraseTime
 				lat += time.Duration(bp) * time.Duration(ps) * s.prof.WritePerByte
-				s.counters.Erases++
-				s.counters.PagesMoved += uint64(valid)
+				s.q.Counters.Erases++
+				s.q.Counters.PagesMoved += uint64(valid)
 			}
 			newF := startPage + segPages
 			if newF < f {

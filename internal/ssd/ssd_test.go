@@ -501,17 +501,6 @@ func TestReadBatchSequentialRunDiscount(t *testing.T) {
 	}
 }
 
-func TestReadBatchErrorsLeaveClockAlone(t *testing.T) {
-	s, clock := newIntel(1 << 20)
-	reqs := []storage.ReadReq{{P: make([]byte, 4096), Off: 1 << 30}}
-	if _, err := s.ReadBatch(reqs); !errors.Is(err, storage.ErrOutOfRange) {
-		t.Fatalf("err = %v, want ErrOutOfRange", err)
-	}
-	if clock.Now() != 0 {
-		t.Fatal("failed batch advanced the clock")
-	}
-}
-
 func TestReadBatchTranscendSingleLane(t *testing.T) {
 	// QueueDepth 1: the batch equals the sorted serial sum with sequential
 	// discounting — no overlap on the old device.

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"slices"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // ReadReq is one read of a Device.ReadBatch submission: fill P from device
@@ -18,7 +20,8 @@ import (
 // the batched lookup pipeline: BufferHash gathers every flash probe a
 // lookup batch needs, dedupes and sorts them, and submits them in one call.
 //
-// The overlap model is deliberately explicit and shared by all devices:
+// The overlap model is shared by all devices, and Queue is its one
+// implementation:
 //
 //  1. Requests are served in ascending address order (NCQ / elevator).
 //  2. A request starting exactly where the previous request ended joins a
@@ -55,14 +58,14 @@ type ReadReq struct {
 //
 // WriteBatch stores every request's bytes and returns the overlapped
 // service time of the whole batch under ReadReq's three-step overlap
-// model, advancing the device clock by that amount once. Counters account
-// every request individually (Writes and BytesWritten grow by the batch
-// size). FTL bookkeeping (page mapping, garbage collection,
-// erase-before-write) runs per request in address order, with any
-// synchronous GC debt paid once up front by the whole submission. It is
-// the device half of the batched insert pipeline: BufferHash collects
-// every incarnation image a batch's flushes produce and submits them in
-// one call.
+// model, advancing the device clock by that amount once; Queue is its one
+// implementation. Counters account every request individually (Writes and
+// BytesWritten grow by the batch size). FTL bookkeeping (page mapping,
+// garbage collection, erase-before-write) runs per request in address
+// order, with any synchronous GC debt paid once by the whole submission,
+// ahead of the overlapped transfers. It is the device half of the batched
+// insert pipeline: BufferHash collects every incarnation image a batch's
+// flushes produce and submits them in one call.
 //
 // Requests must respect the same alignment rules as WriteAt and must not
 // overlap one another; on media with program-order constraints (raw NAND)
@@ -72,6 +75,162 @@ type WriteReq struct {
 	P   []byte
 	Off int64
 }
+
+// Queue is the submission engine of the simulated devices, the one
+// implementation of the overlap model (see ReadReq). Every read and write
+// of the SSD, flash chip and disk models is a Queue submission: the queue
+// checks every request's range and alignment and consults the fault hook
+// before any state moves, sorts the requests by address, detects
+// sequential runs, serves each request against the device's SparseStore,
+// counts it, overlaps the per-request service times across the device's
+// lanes, and advances the clock once by the submission's total.
+//
+// A model supplies only what differs between media: a CostFunc pricing
+// one request, and optionally a begin hook that runs once a submission has
+// passed its checks, before any request is served (an SSD's idle credit
+// and garbage collection). Work that blocks the whole device rather than
+// one lane is charged with Stall. A submission failing its checks charges
+// nothing and moves no state. A Queue is not safe for concurrent use.
+type Queue struct {
+	// Counters is the device's I/O accounting. The queue counts every
+	// request it serves and all service time it charges; a model adds
+	// what only it sees (erases, GC relocations and episodes).
+	Counters Counters
+	// Fault, if non-nil, is consulted for every request (see FaultFunc).
+	Fault FaultFunc
+
+	geom       Geometry
+	writeAlign int
+	lanes      int
+	store      *SparseStore
+	clock      *vclock.Clock
+	busyUntil  time.Duration   // clock reading when the last charge ended
+	stall      time.Duration   // Stall total of the submission being served
+	svc        []time.Duration // per-request service times of a submission
+	sortBuf    []ReadReq       // merge buffer of a read submission's address sort
+}
+
+// CostFunc prices one request of a submission: the service time n bytes at
+// off take on one lane. newRun is false when the request starts exactly
+// where the previous one of the submission ended, so it continues a
+// sequential run and skips the fixed command cost. A non-nil error fails
+// the submission at this request: the requests before it stay served and
+// charged, and neither it nor any later request is served.
+type CostFunc func(off int64, n int, newRun bool) (time.Duration, error)
+
+// NewQueue returns the queue of a device with geometry g, backed by store
+// and charging clock. Reads are byte-granular; writes must be aligned to
+// writeAlign bytes. lanes is the number of queue lanes requests overlap
+// across (1 or less serializes them).
+func NewQueue(g Geometry, writeAlign, lanes int, store *SparseStore, clock *vclock.Clock) *Queue {
+	return &Queue{geom: g, writeAlign: writeAlign, lanes: lanes, store: store, clock: clock}
+}
+
+// Check validates one request of op: [off, off+n) must lie on the device
+// and respect align, and the fault hook must let it pass.
+func (q *Queue) Check(op Op, off, n int64, align int) error {
+	if err := CheckRange(q.geom, off, n, align); err != nil {
+		return err
+	}
+	if q.Fault != nil {
+		return q.Fault(op, off, int(n))
+	}
+	return nil
+}
+
+// Read serves reqs as one read submission and returns its service time.
+// begin, if non-nil, runs once every request has passed its checks. cost
+// prices each request; reqs are reordered by address.
+func (q *Queue) Read(reqs []ReadReq, begin func(), cost CostFunc) (time.Duration, error) {
+	if len(reqs) == 0 {
+		return 0, nil
+	}
+	for _, r := range reqs {
+		if err := q.Check(OpRead, r.Off, int64(len(r.P)), 1); err != nil {
+			return 0, err
+		}
+	}
+	q.start(len(reqs), begin)
+	q.sortBuf = SortReadReqs(reqs, q.sortBuf)
+	prevEnd := int64(-1)
+	for i, r := range reqs {
+		lat, err := cost(r.Off, len(r.P), r.Off != prevEnd)
+		if err != nil {
+			return q.finish(q.svc[:i]), err
+		}
+		q.svc[i] = lat
+		prevEnd = r.Off + int64(len(r.P))
+		q.store.Read(&reqs[i])
+		q.Counters.Reads++
+		q.Counters.BytesRead += uint64(len(r.P))
+	}
+	return q.finish(q.svc), nil
+}
+
+// Write serves reqs as one write submission and returns its service time,
+// as Read does.
+func (q *Queue) Write(reqs []WriteReq, begin func(), cost CostFunc) (time.Duration, error) {
+	if len(reqs) == 0 {
+		return 0, nil
+	}
+	for _, r := range reqs {
+		if err := q.Check(OpWrite, r.Off, int64(len(r.P)), q.writeAlign); err != nil {
+			return 0, err
+		}
+	}
+	q.start(len(reqs), begin)
+	sortWriteReqs(reqs)
+	prevEnd := int64(-1)
+	for i, r := range reqs {
+		lat, err := cost(r.Off, len(r.P), r.Off != prevEnd)
+		if err != nil {
+			return q.finish(q.svc[:i]), err
+		}
+		q.svc[i] = lat
+		prevEnd = r.Off + int64(len(r.P))
+		q.store.WriteAt(r.P, r.Off)
+		q.Counters.Writes++
+		q.Counters.BytesWritten += uint64(len(r.P))
+	}
+	return q.finish(q.svc), nil
+}
+
+// start readies a checked submission of n requests and runs begin.
+func (q *Queue) start(n int, begin func()) {
+	q.stall = 0
+	if cap(q.svc) < n {
+		q.svc = make([]time.Duration, n)
+	}
+	q.svc = q.svc[:n]
+	if begin != nil {
+		begin()
+	}
+}
+
+// finish charges a submission: its stall, then svc overlapped across the
+// lanes.
+func (q *Queue) finish(svc []time.Duration) time.Duration {
+	return q.Charge(q.stall + overlapLanes(svc, q.lanes))
+}
+
+// Stall charges d to the submission being served ahead of its overlapped
+// lanes: work that blocks the whole device, such as synchronous garbage
+// collection. Begin and cost hooks call it.
+func (q *Queue) Stall(d time.Duration) { q.stall += d }
+
+// Charge accounts lat as service time and advances the clock by it. Every
+// submission ends with one; a model charges its own operations (a chip
+// erase) with it too.
+func (q *Queue) Charge(lat time.Duration) time.Duration {
+	q.Counters.BusyTime += lat
+	q.clock.Advance(lat)
+	q.busyUntil = q.clock.Now()
+	return lat
+}
+
+// Idle returns how long the device has been idle: the virtual time since
+// its last charge ended, or 0 if the clock has not moved on since.
+func (q *Queue) Idle() time.Duration { return max(0, q.clock.Now()-q.busyUntil) }
 
 // SortReadReqs orders reqs by ascending device address (step 1 of the
 // overlap model). Ties keep their relative order so duplicate-page reads
@@ -157,22 +316,22 @@ func mergeReadReqs(dst, a, b []ReadReq) {
 	copy(dst[k:], b[j:])
 }
 
-// SortWriteReqs orders reqs by ascending device address (the elevator/NCQ
+// sortWriteReqs orders reqs by ascending device address (the elevator/NCQ
 // step of the overlap model), leaving already-sorted batches untouched.
-func SortWriteReqs(reqs []WriteReq) {
+func sortWriteReqs(reqs []WriteReq) {
 	cmpOff := func(a, b WriteReq) int { return cmp.Compare(a.Off, b.Off) }
 	if !slices.IsSortedFunc(reqs, cmpOff) {
 		slices.SortStableFunc(reqs, cmpOff)
 	}
 }
 
-// OverlapLanes implements step 3 of the overlap model: distribute the
+// overlapLanes implements step 3 of the overlap model: distribute the
 // per-request service times over `lanes` queue lanes, each request on the
 // currently least-loaded lane, and return the maximum lane total. With one
 // lane (or one request) this is the plain sum. svc is consumed in order,
-// so callers pass the address-sorted (and sequential-run-discounted)
+// so Queue passes the address-sorted (and sequential-run-discounted)
 // service times.
-func OverlapLanes(svc []time.Duration, lanes int) time.Duration {
+func overlapLanes(svc []time.Duration, lanes int) time.Duration {
 	lanes = min(lanes, len(svc))
 	if lanes <= 1 {
 		var sum time.Duration

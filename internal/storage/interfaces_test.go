@@ -208,7 +208,8 @@ func TestEraserInterface(t *testing.T) {
 // heap-allocated request would add one allocation per serial I/O, which is
 // every probe and flush of the serial store path. The only allowed
 // allocation is the raw chip's: a program lands on a freshly erased page,
-// which the sparse store materialises.
+// which the sparse store materialises. Warm batched submissions, the
+// lookup and insert pipelines' I/O, allocate nothing.
 func TestSerialIOAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -254,6 +255,44 @@ func TestSerialIOAllocs(t *testing.T) {
 			}
 			if a := testing.AllocsPerRun(200, write); a != tc.writeAllocs {
 				t.Errorf("WriteAt allocates %v per call, want %v", a, tc.writeAllocs)
+			}
+
+			// Warm submissions allocate nothing either: 64 unsorted reads,
+			// which take the merge path of the address sort, and (except on
+			// raw NAND, which would program fresh pages) 8 writes in
+			// descending order.
+			rreqs := make([]storage.ReadReq, 64)
+			bufs := make([][]byte, len(rreqs))
+			for i := range bufs {
+				bufs[i] = make([]byte, g.PageSize)
+			}
+			readBatch := func() {
+				for i := range rreqs {
+					rreqs[i] = storage.ReadReq{P: bufs[i], Off: int64(i*37%64) * int64(g.PageSize)}
+				}
+				if _, err := tc.dev.ReadBatch(rreqs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			readBatch()
+			if a := testing.AllocsPerRun(200, readBatch); a != 0 {
+				t.Errorf("64-request ReadBatch allocates %v per call, want 0", a)
+			}
+			if er != nil {
+				return
+			}
+			wreqs := make([]storage.WriteReq, 8)
+			writeBatch := func() {
+				for i := range wreqs {
+					wreqs[i] = storage.WriteReq{P: p, Off: int64(len(wreqs)-i) * 2 * int64(g.PageSize)}
+				}
+				if _, err := tc.dev.WriteBatch(wreqs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			writeBatch()
+			if a := testing.AllocsPerRun(200, writeBatch); a != 0 {
+				t.Errorf("8-request WriteBatch allocates %v per call, want 0", a)
 			}
 		})
 	}
@@ -466,5 +505,124 @@ func TestReadViewContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRejectedSubmissionsChargeNothing pins that a submission failing its
+// request checks or the fault hook is free on every model: the clock, the
+// Counters and the stored bytes stay as they were, and so does every state
+// a later I/O would see — a twin device that never saw the rejected
+// submission prices the next read identically. Each device is first driven
+// into a state where an SSD would run idle GC on its next I/O.
+func TestRejectedSubmissionsChargeNothing(t *testing.T) {
+	boom := errors.New("injected fault")
+	type submit func(d faultable, g storage.Geometry) error
+	valid := func(g storage.Geometry) storage.WriteReq { // the chip's next page in program order
+		return storage.WriteReq{P: make([]byte, g.PageSize), Off: 3 * int64(g.PageSize)}
+	}
+	faultOn := func(d faultable, op storage.Op, at int64) {
+		d.SetFault(func(o storage.Op, off int64, _ int) error {
+			if o == op && off == at {
+				return boom
+			}
+			return nil
+		})
+	}
+	cases := []struct {
+		name string
+		skip string // model the case does not apply to
+		only string // model the case is limited to
+		run  submit
+	}{
+		{name: "read-out-of-range", run: func(d faultable, g storage.Geometry) error {
+			_, err := d.ReadBatch([]storage.ReadReq{{P: make([]byte, g.PageSize)}, {P: make([]byte, g.PageSize), Off: g.Capacity}})
+			return err
+		}},
+		{name: "write-out-of-range", run: func(d faultable, g storage.Geometry) error {
+			_, err := d.WriteBatch([]storage.WriteReq{valid(g), {P: make([]byte, g.PageSize), Off: g.Capacity}})
+			return err
+		}},
+		// Disks accept byte-granular writes.
+		{name: "write-unaligned", skip: "disk", run: func(d faultable, g storage.Geometry) error {
+			_, err := d.WriteBatch([]storage.WriteReq{valid(g), {P: make([]byte, g.PageSize/2), Off: 8 * int64(g.PageSize)}})
+			return err
+		}},
+		{name: "read-fault", run: func(d faultable, g storage.Geometry) error {
+			faultOn(d, storage.OpRead, 5*int64(g.PageSize))
+			_, err := d.ReadBatch([]storage.ReadReq{{P: make([]byte, g.PageSize)}, {P: make([]byte, g.PageSize), Off: 5 * int64(g.PageSize)}})
+			return err
+		}},
+		{name: "write-fault", run: func(d faultable, g storage.Geometry) error {
+			faultOn(d, storage.OpWrite, 8*int64(g.PageSize))
+			_, err := d.WriteBatch([]storage.WriteReq{valid(g), {P: make([]byte, g.PageSize), Off: 8 * int64(g.PageSize)}})
+			return err
+		}},
+		{name: "erase-fault", only: "chip", run: func(d faultable, g storage.Geometry) error {
+			faultOn(d, storage.OpErase, 0)
+			_, err := d.(storage.Eraser).Erase(0, int64(g.BlockSize))
+			return err
+		}},
+	}
+	// prepare programs pages 0..2 (in program order on the chip), overwrites
+	// a few pages of an SSD so it has GC victims, and leaves an idle gap.
+	prepare := func(t *testing.T, m model) {
+		g := m.dev.Geometry()
+		ps := int64(g.PageSize)
+		if _, err := m.dev.WriteAt(bytes.Repeat([]byte{0x3C}, 3*g.PageSize), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.dev.(storage.Trimmer); ok {
+			for off := int64(0); off < g.Capacity; off += int64(g.BlockSize) {
+				if _, err := m.dev.WriteAt(make([]byte, g.BlockSize), off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := int64(0); i < 64; i++ {
+				if _, err := m.dev.WriteAt(bytes.Repeat([]byte{byte(i)}, g.PageSize), i*7%(g.Capacity/ps)*ps); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m.clock.Advance(10 * time.Millisecond)
+	}
+	for _, tc := range cases {
+		for i, m := range models(1 << 20) {
+			if m.name == tc.skip || tc.only != "" && m.name != tc.only {
+				continue
+			}
+			twin := models(1 << 20)[i]
+			t.Run(tc.name+"/"+m.name, func(t *testing.T) {
+				prepare(t, m)
+				prepare(t, twin)
+				g := m.dev.Geometry()
+				clock, counters := m.clock.Now(), m.dev.Counters()
+				if err := tc.run(m.dev, g); err == nil {
+					t.Fatal("submission succeeded")
+				}
+				m.dev.SetFault(nil)
+				if m.clock.Now() != clock || m.dev.Counters() != counters {
+					t.Fatalf("rejected submission charged: clock %v → %v, counters %+v → %+v",
+						clock, m.clock.Now(), counters, m.dev.Counters())
+				}
+				// The next read prices and returns the same on both twins.
+				n := int64(g.BlockSize)
+				if g.BlockSize == 0 {
+					n = 16 * int64(g.PageSize)
+				}
+				got, want := make([]byte, n), make([]byte, n)
+				lat, err := m.dev.ReadAt(got, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				twinLat, err := twin.dev.ReadAt(want, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lat != twinLat || !bytes.Equal(got, want) || m.dev.Counters() != twin.dev.Counters() {
+					t.Fatalf("after the rejected submission a read costs %v (twin %v), bytes equal %v, counters %+v (twin %+v)",
+						lat, twinLat, bytes.Equal(got, want), m.dev.Counters(), twin.dev.Counters())
+				}
+			})
+		}
 	}
 }

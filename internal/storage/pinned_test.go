@@ -1,0 +1,329 @@
+package storage_test
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/disk"
+	"repro/internal/flashchip"
+	"repro/internal/ssd"
+	"repro/internal/storage"
+	"repro/internal/vclock"
+)
+
+// faultable is a device model with a fault-injection hook.
+type faultable interface {
+	storage.Device
+	SetFault(storage.FaultFunc)
+}
+
+// model is one device model on its own clock.
+type model struct {
+	name  string
+	dev   faultable
+	clock *vclock.Clock
+}
+
+// models builds one fresh instance of every device model.
+func models(capacity int64) []model {
+	var ms []model
+	for _, name := range []string{"ssd-intel", "ssd-transcend", "chip", "disk"} {
+		clock := vclock.New()
+		var dev faultable
+		switch name {
+		case "ssd-intel":
+			dev = ssd.New(ssd.IntelX18M(), capacity, clock)
+		case "ssd-transcend":
+			dev = ssd.New(ssd.TranscendTS32(), capacity, clock)
+		case "chip":
+			dev = flashchip.New(flashchip.DefaultConfig(capacity), clock)
+		case "disk":
+			dev = disk.New(disk.Hitachi7K80(), capacity, clock)
+		}
+		ms = append(ms, model{name, dev, clock})
+	}
+	return ms
+}
+
+// streamResult is what TestDeviceStreamsPinned pins per model.
+type streamResult struct {
+	Clock    time.Duration
+	Counters storage.Counters
+	Reads    uint64 // FNV-1a over every request read: offset and bytes
+	Ops      uint64 // FNV-1a over every submission's latency and error
+}
+
+// deviceStream drives one seeded mixed stream through dev: one-request and
+// batched reads (sorted, reversed, more than one insertion run, contiguous
+// runs, views), one-request and batched writes, SSD trims, chip erases,
+// idle gaps, one injected read fault, one injected write fault and, on the
+// chip, one batch that fails mid-way on program order.
+func deviceStream(t *testing.T, dev faultable, clock *vclock.Clock) streamResult {
+	t.Helper()
+	rng := rand.New(rand.NewSource(0x5eed))
+	g := dev.Geometry()
+	ps := int64(g.PageSize)
+	pages := g.Capacity / ps
+	er, _ := dev.(storage.Eraser)
+	tr, _ := dev.(storage.Trimmer)
+	// On the chip, writes land at each block's program frontier.
+	var ppb int64
+	var frontier []int64
+	if er != nil {
+		ppb = int64(g.BlockSize) / ps
+		frontier = make([]int64, g.Capacity/int64(g.BlockSize))
+	}
+	reads, ops := fnv.New64a(), fnv.New64a()
+	word := func(h hash.Hash64, v int64) { h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v))) }
+	note := func(lat time.Duration, err error) {
+		word(ops, int64(lat))
+		if err != nil {
+			ops.Write([]byte(err.Error()))
+		}
+	}
+	data := func(n int64) []byte {
+		p := make([]byte, n)
+		rng.Read(p)
+		return p
+	}
+
+	readReq := func(view bool) storage.ReadReq {
+		pg := rng.Int63n(pages)
+		if rng.Intn(4) == 0 { // sub-page
+			lo := rng.Int63n(ps)
+			return storage.ReadReq{P: make([]byte, 1+rng.Int63n(ps-lo)), Off: pg*ps + lo, View: view}
+		}
+		n := 1 + rng.Int63n(min(3, pages-pg))
+		return storage.ReadReq{P: make([]byte, n*ps), Off: pg * ps, View: view}
+	}
+	readBatch := func() []storage.ReadReq {
+		view := rng.Intn(2) == 0
+		var reqs []storage.ReadReq
+		switch rng.Intn(5) {
+		case 0: // one request
+			reqs = append(reqs, readReq(view))
+		case 1, 2: // sorted, or reversed
+			for range 2 + rng.Intn(7) {
+				reqs = append(reqs, readReq(view))
+			}
+			for i := 1; i < len(reqs); i++ {
+				for j := i; j > 0 && reqs[j].Off < reqs[j-1].Off; j-- {
+					reqs[j], reqs[j-1] = reqs[j-1], reqs[j]
+				}
+			}
+			if rng.Intn(2) == 0 {
+				for i, j := 0, len(reqs)-1; i < j; i, j = i+1, j-1 {
+					reqs[i], reqs[j] = reqs[j], reqs[i]
+				}
+			}
+		case 3: // unsorted, past one insertion run
+			for range 17 + rng.Intn(48) {
+				reqs = append(reqs, readReq(view))
+			}
+		case 4: // a contiguous run, shuffled
+			k := 2 + rng.Int63n(5)
+			start := rng.Int63n(pages - k)
+			for i := range k {
+				reqs = append(reqs, storage.ReadReq{P: make([]byte, ps), Off: (start + i) * ps, View: view})
+			}
+			rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+		}
+		return reqs
+	}
+	doReads := func(reqs []storage.ReadReq) error {
+		var lat time.Duration
+		var err error
+		if len(reqs) == 1 && !reqs[0].View {
+			lat, err = dev.ReadAt(reqs[0].P, reqs[0].Off)
+		} else {
+			lat, err = dev.ReadBatch(reqs)
+		}
+		note(lat, err)
+		if err == nil {
+			for _, r := range reqs {
+				word(reads, r.Off)
+				reads.Write(r.P)
+			}
+		}
+		return err
+	}
+
+	// writeBatch builds a valid submission: at block frontiers on the chip
+	// (one or two contiguous requests per block), at distinct 8-page slots
+	// or as one contiguous run elsewhere.
+	writeBatch := func(k int) []storage.WriteReq {
+		var reqs []storage.WriteReq
+		if er != nil {
+			for _, b := range rng.Perm(len(frontier)) {
+				if len(reqs) >= k {
+					break
+				}
+				f := frontier[b]
+				if f == ppb {
+					continue
+				}
+				n := 1 + rng.Int63n(min(4, ppb-f))
+				off := (int64(b)*ppb + f) * ps
+				if n > 1 && rng.Intn(2) == 0 {
+					reqs = append(reqs, storage.WriteReq{P: data(ps), Off: off})
+					off, n = off+ps, n-1
+				}
+				reqs = append(reqs, storage.WriteReq{P: data(n * ps), Off: off})
+			}
+			return reqs
+		}
+		if k > 1 && rng.Intn(3) == 0 { // one contiguous run
+			pg := rng.Int63n(pages - 2*int64(k))
+			for range k {
+				n := 1 + rng.Int63n(2)
+				reqs = append(reqs, storage.WriteReq{P: data(n * ps), Off: pg * ps})
+				pg += n
+			}
+			rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+			return reqs
+		}
+		for _, slot := range rng.Perm(int(pages / 8))[:k] {
+			lo := rng.Int63n(8)
+			n := 1 + rng.Int63n(8-lo)
+			reqs = append(reqs, storage.WriteReq{P: data(n * ps), Off: (int64(slot)*8 + lo) * ps})
+		}
+		return reqs
+	}
+	doWrites := func(reqs []storage.WriteReq) error {
+		var lat time.Duration
+		var err error
+		if len(reqs) == 1 {
+			lat, err = dev.WriteAt(reqs[0].P, reqs[0].Off)
+		} else {
+			lat, err = dev.WriteBatch(reqs)
+		}
+		note(lat, err)
+		return err
+	}
+
+	for step := 0; step < 1500; step++ {
+		switch step {
+		case 500: // a read fault on the third request of a batch
+			reqs := []storage.ReadReq{readReq(false), readReq(true), readReq(false), readReq(false)}
+			bad := reqs[2].Off
+			dev.SetFault(func(op storage.Op, off int64, _ int) error {
+				if op == storage.OpRead && off == bad {
+					return errors.New("injected read fault")
+				}
+				return nil
+			})
+			if err := doReads(reqs); err == nil {
+				t.Fatal("faulted read submission succeeded")
+			}
+			dev.SetFault(nil)
+			continue
+		case 700: // a write fault on the last request of a batch
+			reqs := writeBatch(3)
+			bad := reqs[len(reqs)-1].Off
+			dev.SetFault(func(op storage.Op, off int64, _ int) error {
+				if op == storage.OpWrite && off == bad {
+					return errors.New("injected write fault")
+				}
+				return nil
+			})
+			if err := doWrites(reqs); err == nil {
+				t.Fatal("faulted write submission succeeded")
+			}
+			dev.SetFault(nil)
+			continue
+		case 900: // chip: a batch whose middle request breaks program order
+			if er == nil {
+				break
+			}
+			var blocks []int64
+			for b := range int64(len(frontier)) {
+				if frontier[b] < ppb-1 {
+					blocks = append(blocks, b)
+				}
+			}
+			if len(blocks) < 3 {
+				t.Fatalf("step %d: %d blocks with room for a program-order case", step, len(blocks))
+			}
+			at := func(b, pg int64) storage.WriteReq { return storage.WriteReq{P: data(ps), Off: (b*ppb + pg) * ps} }
+			a, b, c := blocks[0], blocks[1], blocks[2]
+			reqs := []storage.WriteReq{at(c, frontier[c]), at(b, frontier[b]+1), at(a, frontier[a])}
+			if err := doWrites(reqs); !errors.Is(err, storage.ErrProgramOrder) {
+				t.Fatalf("program-order batch: %v, want ErrProgramOrder", err)
+			}
+			frontier[a]++ // served before the failing request
+			continue
+		}
+		switch op := rng.Intn(100); {
+		case op < 40:
+			if err := doReads(readBatch()); err != nil {
+				t.Fatalf("step %d: read: %v", step, err)
+			}
+		case op < 80:
+			k := 1
+			if rng.Intn(2) == 0 {
+				k = 2 + rng.Intn(5)
+			}
+			reqs := writeBatch(k)
+			if len(reqs) == 0 {
+				continue
+			}
+			if err := doWrites(reqs); err != nil {
+				t.Fatalf("step %d: write: %v", step, err)
+			}
+			for _, r := range reqs {
+				if er != nil {
+					frontier[r.Off/int64(g.BlockSize)] += int64(len(r.P)) / ps
+				}
+			}
+		case op < 88 && er != nil:
+			b := rng.Int63n(int64(len(frontier)) - 1)
+			n := 1 + rng.Int63n(2)
+			lat, err := er.Erase(b*int64(g.BlockSize), n*int64(g.BlockSize))
+			note(lat, err)
+			if err != nil {
+				t.Fatalf("step %d: erase: %v", step, err)
+			}
+			clear(frontier[b : b+n])
+		case op < 88 && tr != nil:
+			n := 1 + rng.Int63n(16)
+			if err := tr.Trim(rng.Int63n(pages-n)*ps, n*ps); err != nil {
+				t.Fatalf("step %d: trim: %v", step, err)
+			}
+		default:
+			clock.Advance(time.Duration(rng.Int63n(int64(200 * time.Microsecond))))
+		}
+	}
+	return streamResult{Clock: clock.Now(), Counters: dev.Counters(), Reads: reads.Sum64(), Ops: ops.Sum64()}
+}
+
+// TestDeviceStreamsPinned runs one seeded stream of every submission shape
+// through every device model and pins the final clock, every Counters
+// field, and digests of the bytes read and of each submission's latency
+// and error: any change to a model's pricing, its overlap, its FTL or its
+// error handling shows here.
+func TestDeviceStreamsPinned(t *testing.T) {
+	type c = storage.Counters
+	want := map[string]streamResult{
+		"ssd-intel": {774149156, c{Reads: 6233, Writes: 1500, Erases: 119, BytesRead: 38599457, BytesWritten: 14221312,
+			PagesMoved: 982, GCRuns: 80, BusyTime: 754277728}, 0x582b81cc5153b15a, 0x3f6eb5856373fbf8},
+		"ssd-transcend": {17047964772, c{Reads: 6233, Writes: 1500, Erases: 355, BytesRead: 38599457, BytesWritten: 14221312,
+			PagesMoved: 7456, BusyTime: 17028093344}, 0x582b81cc5153b15a, 0xdf2ea5aef1f9f7d},
+		"chip": {1673430183, c{Reads: 6500, Writes: 1822, Erases: 179, BytesRead: 20199556, BytesWritten: 6694912,
+			BusyTime: 1657737200}, 0x1a49af6c863d5da0, 0x8a5ac283741348cd},
+		"disk": {47997014184, c{Reads: 6948, Writes: 1527, BytesRead: 42654686, BytesWritten: 15736832,
+			BusyTime: 47970182235}, 0x32386983a51ccf7a, 0x21a3a111e6f75fd1},
+	}
+	for _, m := range models(2 << 20) {
+		t.Run(m.name, func(t *testing.T) {
+			got := deviceStream(t, m.dev, m.clock)
+			if w := want[m.name]; got != w {
+				t.Fatalf("got %#v\nwant %#v", got, w)
+			}
+		})
+	}
+}

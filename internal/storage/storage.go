@@ -16,7 +16,11 @@
 // internal/core feeds coalesced flash probes through ReadBatch, and the
 // batched insert pipeline feeds the incarnation images its flushes produce
 // through WriteBatch; see ReadReq and WriteReq for the precise three-step
-// overlap model.
+// overlap model. Queue is its one implementation: every simulated device
+// serves its submissions through a Queue — request checks, the fault
+// hook, the address sort, run detection, lane overlap, the SparseStore
+// data movement, Counters and the clock charge — and supplies only the
+// pricing of one request and the state only its medium has.
 //
 // The lookup pipeline's probe reads set ReadReq.View: a simulated device
 // then hands back a read-only slice of the SparseStore page instead of
@@ -167,6 +171,18 @@ func CheckRange(g Geometry, off, n int64, align int) error {
 		return fmt.Errorf("%w: off=%d n=%d align=%d", ErrUnaligned, off, n, align)
 	}
 	return nil
+}
+
+// Span returns the bytes of the whole units of size unit that n bytes at
+// off touch; an empty range touches the unit at off. Reads are charged by
+// it (P2: a sub-page I/O costs at least a full-page I/O).
+func Span(off int64, n, unit int) int64 {
+	u := int64(unit)
+	first, last := off/u, (off+int64(n)-1)/u
+	if n == 0 {
+		last = first
+	}
+	return (last - first + 1) * u
 }
 
 // SparseStore is a page-granular sparse byte store. Unwritten regions read

@@ -190,18 +190,18 @@ func TestCountersAdd(t *testing.T) {
 func TestOverlapLanes(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	svc := []time.Duration{ms(4), ms(1), ms(1), ms(2)}
-	if got := OverlapLanes(svc, 1); got != ms(8) {
+	if got := overlapLanes(svc, 1); got != ms(8) {
 		t.Fatalf("1 lane = %v, want serial sum %v", got, ms(8))
 	}
 	// Least-loaded placement: 4 | 1+1+2 -> max 4.
-	if got := OverlapLanes(svc, 2); got != ms(4) {
+	if got := overlapLanes(svc, 2); got != ms(4) {
 		t.Fatalf("2 lanes = %v, want %v", got, ms(4))
 	}
 	// More lanes than requests: bounded by the largest request.
-	if got := OverlapLanes(svc, 16); got != ms(4) {
+	if got := overlapLanes(svc, 16); got != ms(4) {
 		t.Fatalf("16 lanes = %v, want %v", got, ms(4))
 	}
-	if got := OverlapLanes(nil, 4); got != 0 {
+	if got := overlapLanes(nil, 4); got != 0 {
 		t.Fatalf("empty batch = %v, want 0", got)
 	}
 }
