@@ -1,6 +1,6 @@
 // Package repro's root benchmark suite regenerates every table and figure
-// of the paper's evaluation (one benchmark per artifact; see DESIGN.md §4)
-// plus raw data-structure benchmarks for the hot paths.
+// of the paper's evaluation (one benchmark per artifact, named after its
+// figure or table) plus raw data-structure benchmarks for the hot paths.
 //
 // The experiment benchmarks measure the real CPU cost of running each
 // simulation and report the paper's quantities — simulated latencies in

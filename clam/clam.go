@@ -79,12 +79,14 @@
 // virtual time change.
 //
 // Each shard is opened over simulated storage devices (Intel-class SSD,
-// Transcend-class SSD, raw NAND chip, or magnetic disk — see DESIGN.md §3
-// for why simulation preserves the paper's behaviour) and operates in
-// virtual time: every operation advances its shard's virtual clock by its
-// modeled latency, and per-operation latency distributions are recorded in
-// histograms that the experiment harness turns into the paper's tables
-// and figures.
+// Transcend-class SSD, raw NAND chip, or magnetic disk). Simulation keeps
+// the paper's behaviour because each model prices I/O as the paper does:
+// flash as a fixed cost plus a per-byte transfer (§6.1) over whole pages
+// and erase blocks, the disk with seek and rotation delays. Each shard
+// operates in virtual time: every operation advances its shard's virtual
+// clock by its modeled latency, and per-operation latency distributions
+// are recorded in histograms that the experiment harness turns into the
+// paper's tables and figures.
 //
 // All Store methods are safe for concurrent use. Operations serialize per
 // shard, matching the paper's blocking-I/O design point: a CLAM serializes

@@ -436,7 +436,7 @@ func TestFaultOracle(t *testing.T) {
 		}, 200, true},
 		{"sharded", func(t *testing.T) *faultRig {
 			return openFaultSharded(t, WithFlash(4<<20), WithMemory(1<<20), WithValueLog(4<<20),
-				WithBufferKB(16), WithShards(4), WithWorkers(2), WithBatchChunk(64), WithSeed(6))
+				WithBufferKB(16), WithShards(4), WithWorkers(2), withBatchChunk(64), WithSeed(6))
 		}, 0, false},
 	}
 	for ri, row := range rows {

@@ -217,22 +217,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithBatchChunk sets the batch pipeline's task granularity: batches are
-// consumed in chunks of at most this many keys (default 512). A chunk is
-// one core batched-pipeline call, so the setting bounds the size of that
-// call and the scope of its same-page read dedupe; it is also the interval
-// at which cancellation is checked and at which the owning worker
-// re-visits the shared router queue.
-func WithBatchChunk(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("clam: WithBatchChunk(%d): chunk must be positive", n)
-		}
-		c.batchChunk = n
-		return nil
-	}
-}
-
 // Open builds a Store from the given options. Every store is the same
 // router over 2^b shards: with one shard (the default) Open returns a
 // *CLAM, with WithShards(n > 1) a *Sharded. Both satisfy Store through
@@ -266,7 +250,12 @@ func Open(opts ...Option) (Store, error) {
 	return s, nil
 }
 
-// defaultBatchChunk is the batch router's default task granularity.
+// defaultBatchChunk is the batch router's task granularity: batches are
+// consumed in chunks of at most this many keys. A chunk is one core
+// batched-pipeline call, so it bounds the size of that call and the scope
+// of its same-page read dedupe; it is also the interval at which
+// cancellation is checked and at which the owning worker re-visits the
+// shared router queue. Only tests set another value.
 const defaultBatchChunk = 512
 
 // newKindDevice builds a device model of the given kind.

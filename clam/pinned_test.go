@@ -141,7 +141,7 @@ func TestSingleStorePinned(t *testing.T) {
 			name := kind.String() + "/" + policy.String()
 			t.Run(name, func(t *testing.T) {
 				c := openCLAMT(t, WithDevice(kind), WithFlash(2<<20), WithMemory(512<<10),
-					WithBufferKB(16), WithValueLog(1<<20), WithBatchChunk(64), WithPolicy(policy), WithSeed(12))
+					WithBufferKB(16), WithValueLog(1<<20), withBatchChunk(64), WithPolicy(policy), WithSeed(12))
 				clock, sd, rd := singleStoreRun(t, c)
 				st := c.Stats()
 				t.Logf("%q: {%d, %#x, %#x}, // %d evictions, %d cascades, %d log wraps",

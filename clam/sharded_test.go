@@ -2,12 +2,26 @@ package clam
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/vclock"
 )
+
+// withBatchChunk overrides the batch router's task granularity, fixed at
+// defaultBatchChunk in Open: batches are consumed in chunks of at most n
+// keys. Tests use it to pin chunk-64 rows and to force re-queueing.
+func withBatchChunk(n int) Option {
+	return func(c *config) error {
+		if n < 1 {
+			return fmt.Errorf("clam: withBatchChunk(%d): chunk must be positive", n)
+		}
+		c.batchChunk = n
+		return nil
+	}
+}
 
 // openShardedSmall opens the standard test deployment: 32 MB flash, 8 MB
 // DRAM, seed 7.
@@ -29,7 +43,6 @@ func TestOpenShardedValidation(t *testing.T) {
 		{"shared clock", append(base[:3:3], WithShards(4), WithClock(vclock.New()))},
 		{"indivisible flash", []Option{WithDevice(IntelSSD), WithFlash(32<<20 + 1), WithMemory(8 << 20), WithShards(4)}},
 		{"zero flash", []Option{WithShards(4)}},
-		{"zero chunk", append(base[:3:3], WithShards(4), WithBatchChunk(0))},
 		// Out-of-range tuning options, on one CLAM and on a Sharded store:
 		// negative values are rejected (0 means "default"), as is a policy
 		// outside the four eviction policies.
@@ -391,12 +404,12 @@ func TestShardedPerShardVirtualClocks(t *testing.T) {
 
 // --- chunked batch router ---
 
-// TestRouterTinyChunksEquivalence forces maximal re-queueing (BatchChunk 1)
+// TestRouterTinyChunksEquivalence forces maximal re-queueing (chunk 1)
 // and checks batch results against per-key ops, so the router's
 // claim/re-enqueue cycle is exercised thousands of times under -race.
 func TestRouterTinyChunksEquivalence(t *testing.T) {
 	s := openShardedT(t, WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20),
-		WithSeed(7), WithShards(8), WithWorkers(4), WithBatchChunk(1))
+		WithSeed(7), WithShards(8), WithWorkers(4), withBatchChunk(1))
 	ref := openShardedSmall(t, 8, 1)
 	rng := rand.New(rand.NewSource(44))
 	keys := make([]uint64, 4000)
@@ -498,10 +511,7 @@ func TestLookupBatchMatchesPerKeyPath(t *testing.T) {
 }
 
 func TestOpenShardedBatchChunkValidation(t *testing.T) {
-	if _, err := Open(WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20),
-		WithShards(4), WithBatchChunk(-1)); err == nil {
-		t.Fatal("negative WithBatchChunk accepted")
-	}
+	// Open takes no chunk option: every store uses the fixed chunk.
 	s := openShardedT(t, WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20), WithShards(4))
 	if s.chunk != defaultBatchChunk {
 		t.Fatalf("default chunk = %d, want %d", s.chunk, defaultBatchChunk)
@@ -556,7 +566,7 @@ func hotShardStores(t *testing.T, base []Option) (serial, batched *Sharded) {
 	t.Helper()
 	base = base[:len(base):len(base)]
 	serial = openShardedT(t, append(base, WithShards(4), WithWorkers(4))...)
-	batched = openShardedT(t, append(base, WithShards(4), WithWorkers(4), WithBatchChunk(256))...)
+	batched = openShardedT(t, append(base, WithShards(4), WithWorkers(4), withBatchChunk(256))...)
 	return serial, batched
 }
 

@@ -54,9 +54,9 @@ import (
 // # Batches and cancellation
 //
 // The batch calls take a context checked at batch-router chunk boundaries
-// (see WithBatchChunk): a canceled batch stops between chunks and returns
-// ctx.Err() joined with any chunk errors. Operations already applied stay
-// applied — cancellation is early return, not rollback.
+// (chunks of at most 512 keys): a canceled batch stops between chunks and
+// returns ctx.Err() joined with any chunk errors. Operations already
+// applied stay applied — cancellation is early return, not rollback.
 type Store interface {
 	// Put adds or updates a key → value mapping.
 	Put(key, value []byte) error

@@ -125,7 +125,7 @@ func TestBatchCancellation(t *testing.T) {
 	// chunk, so each passed check runs exactly one chunk.
 	for _, workers := range []int{1, 4} {
 		s2 := openShardedT(t, WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20),
-			WithShards(4), WithWorkers(workers), WithBatchChunk(64))
+			WithShards(4), WithWorkers(workers), withBatchChunk(64))
 		cctx := &countingCtx{Context: context.Background(), after: 3}
 		err := s2.PutBatchU64(cctx, keys, vals)
 		if !errors.Is(err, context.Canceled) {

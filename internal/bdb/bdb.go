@@ -1,12 +1,10 @@
 // Package bdb implements the paper's principal baseline: a Berkeley-DB
-// style on-device index (§7.2.2). Two index types are provided, matching
-// the paper's evaluation:
-//
-//   - HashIndex — a bucket-directory hash table with overflow chains, the
-//     structure behind "the hash table structure in Berkeley-DB (BDB)";
-//   - BTree — a B+tree, which the paper also measured and found worse
-//     ("We also considered the B-Tree index of BDB, but the performance
-//     was worse than the hash table").
+// style on-device index (§7.2.2). HashIndex is a bucket-directory hash
+// table with overflow chains, the structure behind "the hash table
+// structure in Berkeley-DB (BDB)". It is the only BDB index reproduced:
+// the paper reports no figure for the B-tree, only that "We also
+// considered the B-Tree index of BDB, but the performance was worse than
+// the hash table".
 //
 // What matters for the comparison with BufferHash is the access pattern,
 // not BDB's exact code: every lookup is a random page read and every
@@ -31,7 +29,7 @@ import (
 // Common errors.
 var (
 	// ErrFull is returned when the index cannot allocate another overflow
-	// or node page.
+	// page.
 	ErrFull = errors.New("bdb: index out of space")
 	// ErrZeroKey is returned for the reserved key 0.
 	ErrZeroKey = errors.New("bdb: zero key is reserved")
@@ -118,7 +116,7 @@ func (d *device) writePage(id int64, p []byte) error {
 type Options struct {
 	// Device backs the index.
 	Device storage.Device
-	// CapacityEntries sizes the structure (bucket count / leaf space).
+	// CapacityEntries sizes the bucket directory.
 	CapacityEntries int64
 	// CachePages bounds the in-memory page cache (default 256 = 1 MB).
 	CachePages int

@@ -204,113 +204,6 @@ func TestHashLatencyOnDiskMatchesPaper(t *testing.T) {
 	}
 }
 
-// --- BTree ---
-
-func newBTree(t testing.TB) *BTree {
-	t.Helper()
-	clock := vclock.New()
-	dev := ssd.New(ssd.IntelX18M(), 64<<20, clock)
-	bt, err := NewBTree(Options{Device: dev, CapacityEntries: 100000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bt
-}
-
-func TestBTreeInsertLookup(t *testing.T) {
-	bt := newBTree(t)
-	if err := bt.Insert(5, 50); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := bt.Lookup(5)
-	if err != nil || !ok || v != 50 {
-		t.Fatalf("Lookup = %d %v %v", v, ok, err)
-	}
-	if _, ok, _ := bt.Lookup(6); ok {
-		t.Fatal("phantom key")
-	}
-}
-
-func TestBTreeSortedAndRandomBulk(t *testing.T) {
-	for name, gen := range map[string]func(i int) uint64{
-		"sorted":  func(i int) uint64 { return uint64(i) + 1 },
-		"reverse": func(i int) uint64 { return uint64(200000 - i) },
-		"random":  func(i int) uint64 { return (uint64(i)*2654435761 + 1) | 1 },
-	} {
-		t.Run(name, func(t *testing.T) {
-			bt := newBTree(t)
-			const n = 100000
-			for i := 0; i < n; i++ {
-				if err := bt.Insert(gen(i), uint64(i)); err != nil {
-					t.Fatalf("insert %d: %v", i, err)
-				}
-			}
-			if bt.Height() < 2 {
-				t.Fatalf("height = %d: splits never happened", bt.Height())
-			}
-			for i := 0; i < n; i += 37 {
-				v, ok, err := bt.Lookup(gen(i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok || v != uint64(i) {
-					t.Fatalf("key %d (%#x): got (%d, %v)", i, gen(i), v, ok)
-				}
-			}
-		})
-	}
-}
-
-func TestBTreeOverwrite(t *testing.T) {
-	bt := newBTree(t)
-	for i := uint64(1); i <= 1000; i++ {
-		bt.Insert(i, i)
-	}
-	for i := uint64(1); i <= 1000; i++ {
-		bt.Insert(i, i*2)
-	}
-	for i := uint64(1); i <= 1000; i++ {
-		if v, ok, _ := bt.Lookup(i); !ok || v != i*2 {
-			t.Fatalf("key %d: %d %v", i, v, ok)
-		}
-	}
-}
-
-func TestBTreeModelBasedQuick(t *testing.T) {
-	bt := newBTree(t)
-	ref := map[uint64]uint64{}
-	f := func(keys []uint16, vals []uint64) bool {
-		for i, k16 := range keys {
-			k := uint64(k16) + 1
-			v := uint64(i)
-			if i < len(vals) {
-				v = vals[i]
-			}
-			if err := bt.Insert(k, v); err != nil {
-				return false
-			}
-			ref[k] = v
-		}
-		for k, v := range ref {
-			got, ok, err := bt.Lookup(k)
-			if err != nil || !ok || got != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBTreeZeroKey(t *testing.T) {
-	bt := newBTree(t)
-	if err := bt.Insert(0, 1); !errors.Is(err, ErrZeroKey) {
-		t.Fatal("zero key accepted")
-	}
-}
-
 func TestOptionsValidation(t *testing.T) {
 	if _, err := NewHashIndex(Options{}); err == nil {
 		t.Fatal("nil device accepted")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hashutil"
-	"repro/internal/storage"
 )
 
 // HashIndex is a bucket-directory hash table on a block device: key → home
@@ -169,16 +168,3 @@ func (h *HashIndex) Delete(key uint64) (bool, error) {
 		pageID = next
 	}
 }
-
-var _ Index = (*HashIndex)(nil)
-
-// Index is the interface shared by HashIndex and BTree, and implemented by
-// the CLAM adapter in the wanopt package, so applications can switch the
-// fingerprint store between baselines.
-type Index interface {
-	Insert(key, value uint64) error
-	Lookup(key uint64) (uint64, bool, error)
-}
-
-// ensure device errors surface: compile-time hook for fault tests.
-var _ = storage.ErrOutOfRange

@@ -124,7 +124,9 @@ func (b *Bank) MemoryBits() uint64 {
 }
 
 // AddStaging adds a pre-hashed key to the staging (buffer) filter. Like
-// every bank operation it generates hashutil.DoubleHash's rows inline.
+// every bank operation it generates bloom.Filter's rows inline: the
+// Kirsch–Mitzenmacher sequence h1 + i·h2 with h2 = Mix64(h1)|1, each
+// reduced by hashutil.Reduce.
 func (b *Bank) AddStaging(keyHash uint64) {
 	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
 	for range b.h {
@@ -157,7 +159,7 @@ const queryGroup = 4
 // may contain the key. Columns that currently hold no incarnation are
 // all-zero and thus never match.
 //
-// The h rows are hashutil.DoubleHash's sequence, generated inline, and the
+// The h rows are bloom.Filter's sequence, generated inline, and the
 // accumulator is tested for zero once per queryGroup rows.
 func (b *Bank) Query(keyHash uint64) uint64 {
 	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
@@ -248,16 +250,4 @@ func (b *Bank) setLive() {
 		p := (b.start + j) % b.sliceLen
 		b.live[p/32] |= 1 << (p % 32)
 	}
-}
-
-// MatchOffsets appends the window offsets of the set bits in mask to dst
-// (ascending, i.e. oldest first), using the precomputed-table technique the
-// paper describes (here: hardware ctz).
-func MatchOffsets(mask uint64, dst []int) []int {
-	for mask != 0 {
-		j := bits.TrailingZeros64(mask)
-		dst = append(dst, j)
-		mask &= mask - 1
-	}
-	return dst
 }

@@ -194,22 +194,6 @@ func TestK1Boundary(t *testing.T) {
 	}
 }
 
-func TestMatchOffsets(t *testing.T) {
-	got := MatchOffsets(0b1010010, nil)
-	want := []int{1, 4, 6}
-	if len(got) != len(want) {
-		t.Fatalf("MatchOffsets = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MatchOffsets = %v, want %v", got, want)
-		}
-	}
-	if out := MatchOffsets(0, nil); len(out) != 0 {
-		t.Fatal("MatchOffsets(0) should be empty")
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	bank := NewBank(1000, 16, 5)
 	if bank.K() != 16 || bank.Hashes() != 5 || bank.FilterBits() != 1000 {

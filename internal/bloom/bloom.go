@@ -20,7 +20,6 @@ type Filter struct {
 	bits []uint64
 	m    uint64 // number of bits
 	h    int    // number of hash functions
-	n    int    // number of keys added
 }
 
 // New returns a filter with m bits and h hash functions. m is rounded up to
@@ -65,7 +64,6 @@ func (f *Filter) Add(keyHash uint64) {
 		f.bits[p/64] |= 1 << (p % 64)
 		h1 += h2
 	}
-	f.n++
 }
 
 // MayContain reports whether the key may have been added. False positives
@@ -88,20 +86,4 @@ func (f *Filter) Reset() {
 	for i := range f.bits {
 		f.bits[i] = 0
 	}
-	f.n = 0
-}
-
-// Count returns the number of keys added since the last Reset.
-func (f *Filter) Count() int { return f.n }
-
-// Bits returns the filter size in bits.
-func (f *Filter) Bits() uint64 { return f.m }
-
-// Hashes returns the number of hash functions.
-func (f *Filter) Hashes() int { return f.h }
-
-// EstimatedFPRate returns the expected false-positive rate at the current
-// fill.
-func (f *Filter) EstimatedFPRate() float64 {
-	return FalsePositiveRate(f.m, f.n, f.h)
 }

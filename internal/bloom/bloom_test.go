@@ -99,12 +99,11 @@ func TestFalsePositiveRateFormula(t *testing.T) {
 func TestReset(t *testing.T) {
 	f := New(1024, 3)
 	f.Add(42)
-	if f.Count() != 1 {
-		t.Fatalf("Count = %d", f.Count())
-	}
 	f.Reset()
-	if f.Count() != 0 {
-		t.Fatal("Count not reset")
+	for i, w := range f.bits {
+		if w != 0 {
+			t.Fatalf("word %d = %#x after Reset", i, w)
+		}
 	}
 	if f.MayContain(42) {
 		t.Fatal("filter not cleared")
@@ -113,11 +112,11 @@ func TestReset(t *testing.T) {
 
 func TestSizeRounding(t *testing.T) {
 	f := New(100, 2) // rounds to 128
-	if f.Bits() != 128 {
-		t.Fatalf("Bits = %d, want 128", f.Bits())
+	if f.m != 128 || len(f.bits) != 2 {
+		t.Fatalf("m = %d over %d words, want 128 over 2", f.m, len(f.bits))
 	}
-	if f.Hashes() != 2 {
-		t.Fatalf("Hashes = %d", f.Hashes())
+	if f.h != 2 {
+		t.Fatalf("h = %d", f.h)
 	}
 }
 
@@ -138,12 +137,11 @@ func TestPanicsOnBadParams(t *testing.T) {
 }
 
 func TestEstimatedFPRateGrowsWithFill(t *testing.T) {
-	f := New(1024, 4)
-	prev := f.EstimatedFPRate()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		f.Add(rng.Uint64())
-		cur := f.EstimatedFPRate()
+	// The expected rate at a 1024-bit, 4-hash filter's fill never falls as
+	// keys are added.
+	prev := FalsePositiveRate(1024, 0, 4)
+	for n := 1; n <= 100; n++ {
+		cur := FalsePositiveRate(1024, n, 4)
 		if cur < prev {
 			t.Fatal("estimated fp rate decreased with fill")
 		}

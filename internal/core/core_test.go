@@ -821,8 +821,8 @@ func TestStatsHitRate(t *testing.T) {
 		t.Fatalf("HitRate = %f", s.HitRate())
 	}
 	var zero Stats
-	if zero.HitRate() != 0 || zero.SpuriousRate() != 0 {
-		t.Fatal("zero stats rates should be 0")
+	if zero.HitRate() != 0 {
+		t.Fatal("zero stats hit rate should be 0")
 	}
 }
 

@@ -75,23 +75,6 @@ func (s *Stats) Merge(o Stats) {
 	}
 }
 
-// SpuriousRate returns the fraction of lookups that performed at least one
-// wasted flash read (the paper's "spurious lookup rate", Figure 5).
-func (s Stats) SpuriousRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	var spuriousLookups uint64
-	// A lookup is spurious if it read flash but every read missed, or it
-	// read more pages than needed. Approximate with lookups whose probes
-	// included at least one miss: hits with extra reads and misses with
-	// any reads. Tracked exactly via SpuriousProbes > 0 per lookup would
-	// need per-op state; we report the probe-weighted rate instead, which
-	// is what Figure 5 plots (wasted I/Os per lookup).
-	spuriousLookups = s.SpuriousProbes
-	return float64(spuriousLookups) / float64(s.Lookups)
-}
-
 // HitRate returns the lookup success rate.
 func (s Stats) HitRate() float64 {
 	if s.Lookups == 0 {

@@ -170,22 +170,6 @@ type Point struct {
 	Cost time.Duration
 }
 
-// Figure3Curve computes expected lookup I/O overhead versus total Bloom
-// filter size for a given flash size (Figure 3). Buffer memory is held at
-// B_opt, as in the paper's setup. Sizes are sampled log-uniformly between
-// 10 MB and 10 GB as in the figure's x-axis.
-func Figure3Curve(flashBytes int64, entryBytes float64, cr time.Duration, points int) []Point {
-	bOpt := OptimalBufferBytes(flashBytes, entryBytes)
-	out := make([]Point, 0, points)
-	lo, hi := math.Log10(10e6), math.Log10(10e9)
-	for i := 0; i < points; i++ {
-		bloom := math.Pow(10, lo+(hi-lo)*float64(i)/float64(points-1))
-		c := LookupCost(flashBytes, bOpt, int64(bloom), entryBytes, cr)
-		out = append(out, Point{X: bloom, Cost: c})
-	}
-	return out
-}
-
 // Figure4Curve computes amortized or worst-case insert cost versus
 // per-super-table buffer size B′ (Figure 4), sampled log-uniformly between
 // 1 KB and maxBuf.

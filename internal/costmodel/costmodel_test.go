@@ -196,23 +196,30 @@ func TestFigure4SSDTradeoff(t *testing.T) {
 }
 
 func TestFigure3CurveShape(t *testing.T) {
-	pts := Figure3Curve(32*gb, s, PageReadCost(IntelSSDCosts()), 50)
-	if len(pts) != 50 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Cost > pts[i-1].Cost {
-			t.Fatalf("overhead increased at point %d", i)
+	// Figure 3's x-axis: 50 filter sizes log-spaced from 10 MB to 10 GB,
+	// with the buffer held at B_opt.
+	cr := PageReadCost(IntelSSDCosts())
+	curve := func(flash int64) []time.Duration {
+		bOpt := OptimalBufferBytes(flash, s)
+		lo, hi := math.Log10(10e6), math.Log10(10e9)
+		out := make([]time.Duration, 50)
+		for i := range out {
+			bloom := math.Pow(10, lo+(hi-lo)*float64(i)/49)
+			out[i] = LookupCost(flash, bOpt, int64(bloom), s, cr)
 		}
-		if pts[i].X <= pts[i-1].X {
-			t.Fatalf("x not increasing at %d", i)
+		return out
+	}
+	c32 := curve(32 * gb)
+	for i := 1; i < len(c32); i++ {
+		if c32[i] > c32[i-1] {
+			t.Fatalf("overhead increased at point %d", i)
 		}
 	}
 	// Bigger flash needs more filter bits for the same overhead (the
 	// F=64GB curve lies above the F=32GB curve, as in Figure 3).
-	pts64 := Figure3Curve(64*gb, s, PageReadCost(IntelSSDCosts()), 50)
-	for i := range pts {
-		if pts64[i].Cost < pts[i].Cost {
+	c64 := curve(64 * gb)
+	for i := range c32 {
+		if c64[i] < c32[i] {
 			t.Fatalf("64GB curve below 32GB curve at %d", i)
 		}
 	}

@@ -310,18 +310,6 @@ func (t *Table) Reset() {
 	t.count = 0
 }
 
-// Iterate calls fn for every entry until fn returns false.
-func (t *Table) Iterate(fn func(key, value uint64) bool) {
-	for i, k := range t.keys {
-		if k == 0 {
-			continue
-		}
-		if !fn(k, t.values[i]) {
-			return
-		}
-	}
-}
-
 // Serialize writes the table as a flat slot image into dst, which must be
 // at least Params().ImageSize() bytes. Slot i occupies bytes
 // [i·16, i·16+16); empty slots are all-zero.

@@ -205,36 +205,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestIterate(t *testing.T) {
-	tb := New(params128KB())
-	want := map[uint64]uint64{1: 10, 2: 20, 3: 30}
-	for k, v := range want {
-		tb.Insert(k, v)
-	}
-	got := map[uint64]uint64{}
-	tb.Iterate(func(k, v uint64) bool {
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Iterate visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Iterate: %d = %d, want %d", k, got[k], v)
-		}
-	}
-	// Early stop.
-	n := 0
-	tb.Iterate(func(k, v uint64) bool {
-		n++
-		return false
-	})
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
-	}
-}
-
 func TestModelBasedQuick(t *testing.T) {
 	// Property: the table behaves like a map under random insert/delete/get
 	// as long as it does not overflow.
@@ -374,10 +344,14 @@ func TestPageLocality(t *testing.T) {
 	p := Params{NSlots: 1024, PageSlots: 32, Seed: 9}
 	tb := New(p)
 	rng := rand.New(rand.NewSource(5))
+	var inserted []uint64
 	for i := 0; i < p.MaxItems(); i++ {
-		tb.Insert(rng.Uint64()|1, uint64(i))
+		k := rng.Uint64() | 1
+		if tb.Insert(k, uint64(i)) == nil {
+			inserted = append(inserted, k)
+		}
 	}
-	tb.Iterate(func(k, v uint64) bool {
+	for _, k := range inserted {
 		// Find the slot holding k and check its page.
 		found := false
 		for s := 0; s < p.NSlots; s++ {
@@ -391,8 +365,7 @@ func TestPageLocality(t *testing.T) {
 		if !found {
 			t.Errorf("key %#x not found in slot scan", k)
 		}
-		return true
-	})
+	}
 }
 
 func TestEntrySizeMatchesPaper(t *testing.T) {

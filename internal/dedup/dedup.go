@@ -40,7 +40,7 @@ type Index interface {
 }
 
 // BatchIndex is implemented by indexes whose lookups and inserts can be
-// batched into overlapped submissions (clam.Store). Merge feeds such
+// batched into overlapped submissions (clam.Store). The merge feeds such
 // indexes window-at-a-time, so the index page probes — and the value-log
 // record fetches behind the duplicate hits — overlap across the device's
 // queue lanes instead of paying one blocking round trip per fingerprint.
@@ -69,8 +69,10 @@ type BatchProbeIndex interface {
 const mergeWindow = 1024
 
 // FingerprintSet is a deterministic synthetic set of chunk fingerprints,
-// standing in for a dataset's index (DESIGN.md §3: synthetic stand-ins for
-// proprietary dedup corpora).
+// standing in for a dataset's index. The paper's dedup corpora are not
+// public, and SHA-1 fingerprints are uniform whatever the data, so a
+// merge's cost depends only on how many fingerprints there are and how
+// many overlap, both of which the set controls.
 type FingerprintSet struct {
 	seed uint64
 	n    int64
@@ -216,11 +218,6 @@ func mergeBatched(dst BatchIndex, src source, res *Result) error {
 	return nil
 }
 
-// Merge folds the incoming fingerprint set into dst.
-func Merge(dst Index, incoming *FingerprintSet, clock *vclock.Clock) (Result, error) {
-	return merge(dst, incoming, clock)
-}
-
 // Populate bulk-inserts a fingerprint set into an index (building the
 // "large" destination index before a merge).
 func Populate(dst Index, set *FingerprintSet) error {
@@ -272,7 +269,7 @@ func (o *OverlappingSet) LocatorAt(i int64) []byte {
 	return o.fresh.LocatorAt(i)
 }
 
-// MergeOverlapping is Merge for an OverlappingSet.
+// MergeOverlapping folds the incoming fingerprint set into dst.
 func MergeOverlapping(dst Index, incoming *OverlappingSet, clock *vclock.Clock) (Result, error) {
 	return merge(dst, incoming, clock)
 }

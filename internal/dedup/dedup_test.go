@@ -136,7 +136,7 @@ func (a bdbAdapter) Get(fp []byte) ([]byte, bool, error) {
 func TestPlainMerge(t *testing.T) {
 	clock := vclock.New()
 	c := openIndex(t, 8<<20, 2<<20, clock)
-	res, err := Merge(c, NewFingerprintSet(3, 5000), clock)
+	res, err := merge(c, NewFingerprintSet(3, 5000), clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPlainMerge(t *testing.T) {
 		t.Fatalf("fresh merge: %+v", res)
 	}
 	// Merging the same set again: all duplicates.
-	res, err = Merge(c, NewFingerprintSet(3, 5000), clock)
+	res, err = merge(c, NewFingerprintSet(3, 5000), clock)
 	if err != nil {
 		t.Fatal(err)
 	}

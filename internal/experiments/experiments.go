@@ -20,8 +20,9 @@ import (
 
 // Scale sets experiment sizes. The paper's hardware-scale configuration
 // (32 GB flash, 4 GB DRAM) is reproduced at reduced scale with all ratios
-// preserved (DESIGN.md §3): k = 16 incarnations, 128 KB buffers, 16 B
-// entries, ~16 Bloom bits per entry. Warm-up is derived from the flash
+// preserved, since the cost model of §6 depends on them and not on the
+// absolute capacity: k = 16 incarnations, 128 KB buffers, 16 B entries,
+// ~16 Bloom bits per entry. Warm-up is derived from the flash
 // size: the structure is filled past one full eviction cycle so lookups
 // measure the flash-resident steady state, as in the paper's backlogged
 // workloads (§7.2).

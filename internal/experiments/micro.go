@@ -211,15 +211,6 @@ func Table2(sc Scale) (Report, error) {
 	return r, nil
 }
 
-// deviceRun is one Fig6/Fig7 curve.
-type deviceRun struct {
-	name   string
-	insert metrics.Summary
-	lookup metrics.Summary
-	insCDF []metrics.Point
-	lokCDF []metrics.Point
-}
-
 // Fig6 regenerates Figure 6: lookup and insert latency CDFs for BufferHash
 // on the Intel SSD, the Transcend SSD, and the magnetic disk, at 40% LSR.
 func Fig6(sc Scale) (Report, error) {

@@ -32,16 +32,6 @@ type CostModel struct {
 	ErasePerByte time.Duration // b_e
 }
 
-// Read returns the cost of reading n bytes in one operation.
-func (c CostModel) Read(n int64) time.Duration {
-	return c.ReadFixed + time.Duration(n)*c.ReadPerByte
-}
-
-// Write returns the cost of writing n bytes in one operation.
-func (c CostModel) Write(n int64) time.Duration {
-	return c.WriteFixed + time.Duration(n)*c.WritePerByte
-}
-
 // Erase returns the cost of erasing n bytes in one operation.
 func (c CostModel) Erase(n int64) time.Duration {
 	return c.EraseFixed + time.Duration(n)*c.ErasePerByte

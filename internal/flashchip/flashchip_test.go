@@ -22,9 +22,6 @@ func TestGeometry(t *testing.T) {
 	if g.PageSize != 2048 || g.BlockSize != 128<<10 || g.Capacity != 1<<20 {
 		t.Fatalf("geometry = %+v", g)
 	}
-	if g.Blocks() != 8 {
-		t.Fatalf("Blocks() = %d, want 8", g.Blocks())
-	}
 }
 
 func TestInvalidGeometryPanics(t *testing.T) {
@@ -159,7 +156,7 @@ func TestReadLatencyChargesWholePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := costs.Read(2048)
+	want := costs.ReadFixed + 2048*costs.ReadPerByte
 	if lat != want {
 		t.Fatalf("sub-page read latency = %v, want full-page %v", lat, want)
 	}
@@ -168,7 +165,7 @@ func TestReadLatencyChargesWholePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := costs.Read(4096); lat != want {
+	if want := costs.ReadFixed + 4096*costs.ReadPerByte; lat != want {
 		t.Fatalf("straddling read latency = %v, want %v", lat, want)
 	}
 }
@@ -181,11 +178,11 @@ func TestBatchWriteAmortizesFixedCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := costs.Write(2048)
+	single := costs.WriteFixed + 2048*costs.WritePerByte
 	if batch >= 64*single {
 		t.Fatalf("batched write %v not cheaper than 64 singles %v", batch, 64*single)
 	}
-	if want := costs.Write(128 << 10); batch != want {
+	if want := costs.WriteFixed + (128<<10)*costs.WritePerByte; batch != want {
 		t.Fatalf("batch latency = %v, want %v", batch, want)
 	}
 }
@@ -292,7 +289,7 @@ func TestReadBatchPlaneOverlap(t *testing.T) {
 	if clock.Now()-before != batch {
 		t.Fatal("clock advance != batch latency")
 	}
-	per := c.cfg.Costs.Read(ps)
+	per := c.cfg.Costs.ReadFixed + time.Duration(ps)*c.cfg.Costs.ReadPerByte
 	if want := 2 * per; batch != want {
 		t.Fatalf("2-plane batch of 4 page reads = %v, want %v", batch, want)
 	}

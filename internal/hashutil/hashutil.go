@@ -68,33 +68,6 @@ func Reduce(x, m uint64) uint64 {
 	return FastRange64(x, m)
 }
 
-// DoubleHash expands a single 64-bit hash into n hash values using the
-// Kirsch–Mitzenmacher construction g_i(x) = h1(x) + i*h2(x). The two base
-// functions are the two 32-bit halves, re-mixed so that h2 is odd (odd
-// strides visit all residues modulo a power of two).
-//
-// Values are reduced into [0, m) with Reduce (mask or fastrange — never a
-// division). DoubleHash appends to dst and returns it, so callers can reuse
-// a scratch slice across calls. It is the reference definition of the row
-// sequence that bloom.Filter and bitslice.Bank generate inline.
-func DoubleHash(h uint64, n int, m uint64, dst []uint64) []uint64 {
-	h1 := h
-	h2 := Mix64(h) | 1
-	if m&(m-1) == 0 {
-		mask := m - 1
-		for i := 0; i < n; i++ {
-			dst = append(dst, h1&mask)
-			h1 += h2
-		}
-		return dst
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, FastRange64(h1, m))
-		h1 += h2
-	}
-	return dst
-}
-
 // Split divides a hash key into a partition index (top partitionBits bits)
 // and the remaining in-partition key, implementing §5.2's k = k1 + k2 split.
 // partitionBits must be in [0, 63].
@@ -103,14 +76,6 @@ func Split(key uint64, partitionBits uint) (partition uint64, rest uint64) {
 		return 0, key
 	}
 	return key >> (64 - partitionBits), key & (^uint64(0) >> partitionBits)
-}
-
-// Join is the inverse of Split.
-func Join(partition, rest uint64, partitionBits uint) uint64 {
-	if partitionBits == 0 {
-		return rest
-	}
-	return partition<<(64-partitionBits) | rest
 }
 
 // PutEntry encodes a (key, value) pair into a 16-byte hash entry, the entry

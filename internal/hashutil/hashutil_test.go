@@ -76,48 +76,19 @@ func TestHashBytesMatchesLength(t *testing.T) {
 	}
 }
 
-func TestDoubleHashInRange(t *testing.T) {
-	f := func(h uint64, n8 uint8, m64 uint16) bool {
-		n := int(n8%16) + 1
-		m := uint64(m64%1000) + 1
-		out := DoubleHash(h, n, m, nil)
-		if len(out) != n {
-			return false
-		}
-		for _, v := range out {
-			if v >= m {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDoubleHashAppends(t *testing.T) {
-	scratch := make([]uint64, 0, 8)
-	a := DoubleHash(42, 3, 100, scratch)
-	b := DoubleHash(42, 3, 100, scratch)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("DoubleHash not deterministic with reused scratch")
-		}
-	}
-}
-
 func TestDoubleHashCoverage(t *testing.T) {
-	// With an odd stride and power-of-two m, the probes must be distinct
-	// until they wrap.
-	m := uint64(1 << 10)
-	out := DoubleHash(12345, 8, m, nil)
+	// Reduce keeps a power-of-two m a mask, so the double-hash rows
+	// h1 + i·h2 of an odd stride h2 are distinct until they wrap.
+	const m = 1 << 10
+	h1, h2 := uint64(12345), Mix64(12345)|1
 	seen := map[uint64]bool{}
-	for _, v := range out {
+	for i := 0; i < m; i++ {
+		v := Reduce(h1, m)
 		if seen[v] {
-			t.Fatalf("duplicate probe %d in %v", v, out)
+			t.Fatalf("row %d repeats %d", i, v)
 		}
 		seen[v] = true
+		h1 += h2
 	}
 }
 
@@ -128,7 +99,11 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 		if bits > 0 && p >= 1<<bits {
 			return false
 		}
-		return Join(p, r, bits) == key
+		// Rebuild the key from its two parts.
+		if bits > 0 {
+			r |= p << (64 - bits)
+		}
+		return r == key
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -203,30 +178,3 @@ func TestFastRange64Uniformity(t *testing.T) {
 		}
 	}
 }
-
-// doubleHashMod is the pre-fastrange reduction, kept in the tests as the
-// baseline for the reduction benchmarks and as a distribution cross-check.
-func doubleHashMod(h uint64, n int, m uint64, dst []uint64) []uint64 {
-	h1 := h
-	h2 := Mix64(h) | 1
-	for i := 0; i < n; i++ {
-		dst = append(dst, h1%m)
-		h1 += h2
-	}
-	return dst
-}
-
-func benchDoubleHash(b *testing.B, m uint64, fn func(h uint64, n int, m uint64, dst []uint64) []uint64) {
-	var scratch [8]uint64
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		out := fn(Mix64(uint64(i)), 8, m, scratch[:0])
-		sink += out[0]
-	}
-	_ = sink
-}
-
-func BenchmarkDoubleHashFastrange(b *testing.B) { benchDoubleHash(b, 65521, DoubleHash) }
-func BenchmarkDoubleHashMod(b *testing.B)       { benchDoubleHash(b, 65521, doubleHashMod) }
-func BenchmarkDoubleHashPow2Mask(b *testing.B)  { benchDoubleHash(b, 1<<16, DoubleHash) }
-func BenchmarkDoubleHashPow2Mod(b *testing.B)   { benchDoubleHash(b, 1<<16, doubleHashMod) }

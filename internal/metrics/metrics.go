@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -198,19 +196,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// FractionAtMost returns the fraction of samples ≤ d (bucket-resolution).
-func (h *Histogram) FractionAtMost(d time.Duration) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	idx := bucketIndex(d)
-	var cum uint64
-	for i := 0; i <= idx; i++ {
-		cum += h.buckets[i]
-	}
-	return float64(cum) / float64(h.count)
-}
-
 // Point is one (latency, fraction) point of a CDF or CCDF curve.
 type Point struct {
 	Latency  time.Duration
@@ -263,22 +248,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum += other.sum
 }
 
-// Merged returns a fresh histogram holding the union of all samples in hs.
-// It is the aggregation primitive for sharded deployments: each shard
-// records latencies into its own histogram (avoiding cross-core write
-// sharing on the hot path) and a global distribution is assembled on
-// demand. Nil histograms are skipped. The inputs are not modified, but the
-// caller must ensure they are quiescent (or pass snapshot copies).
-func Merged(hs ...*Histogram) *Histogram {
-	m := &Histogram{}
-	for _, h := range hs {
-		if h != nil {
-			m.Merge(h)
-		}
-	}
-	return m
-}
-
 // Reset clears the histogram.
 func (h *Histogram) Reset() {
 	*h = Histogram{}
@@ -316,39 +285,4 @@ func (s Summary) String() string {
 // paper's tables and figures).
 func Ms(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
-}
-
-// Counter is a monotonically increasing event counter grouped by label.
-type Counter struct {
-	counts map[string]uint64
-}
-
-// Inc adds n to the named counter.
-func (c *Counter) Inc(name string, n uint64) {
-	if c.counts == nil {
-		c.counts = make(map[string]uint64)
-	}
-	c.counts[name] += n
-}
-
-// Get returns the value of the named counter.
-func (c *Counter) Get(name string) uint64 {
-	return c.counts[name]
-}
-
-// String lists counters in sorted order.
-func (c *Counter) String() string {
-	names := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", n, c.counts[n])
-	}
-	return b.String()
 }

@@ -112,20 +112,6 @@ func TestCCDFComplement(t *testing.T) {
 	}
 }
 
-func TestFractionAtMost(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 10; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if got := h.FractionAtMost(20 * time.Millisecond); got != 1.0 {
-		t.Fatalf("FractionAtMost(20ms) = %f, want 1", got)
-	}
-	got := h.FractionAtMost(5 * time.Millisecond)
-	if got < 0.4 || got > 0.65 {
-		t.Fatalf("FractionAtMost(5ms) = %f, want ~0.5", got)
-	}
-}
-
 func TestMerge(t *testing.T) {
 	var a, b Histogram
 	a.Observe(time.Millisecond)
@@ -192,22 +178,6 @@ func TestSummaryString(t *testing.T) {
 func TestMs(t *testing.T) {
 	if Ms(1500*time.Microsecond) != 1.5 {
 		t.Fatalf("Ms(1.5ms) = %f", Ms(1500*time.Microsecond))
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc("reads", 3)
-	c.Inc("writes", 1)
-	c.Inc("reads", 2)
-	if c.Get("reads") != 5 || c.Get("writes") != 1 {
-		t.Fatalf("counter values wrong: %s", c.String())
-	}
-	if c.Get("absent") != 0 {
-		t.Fatal("absent counter non-zero")
-	}
-	if s := c.String(); s != "reads=5 writes=1" {
-		t.Fatalf("String() = %q", s)
 	}
 }
 
@@ -291,7 +261,10 @@ func TestMergedAggregatesShardHistograms(t *testing.T) {
 			want.Observe(d)
 		}
 	}
-	got := Merged(parts[0], nil, parts[1], parts[2]) // nils are skipped
+	got := &Histogram{}
+	for _, p := range parts {
+		got.Merge(p)
+	}
 	if got.Count() != want.Count() || got.Sum() != want.Sum() {
 		t.Fatalf("merged count/sum = %d/%v, want %d/%v", got.Count(), got.Sum(), want.Count(), want.Sum())
 	}
@@ -305,15 +278,14 @@ func TestMergedAggregatesShardHistograms(t *testing.T) {
 	}
 	// Inputs must be untouched.
 	if parts[0].Count() != 1000 {
-		t.Fatal("Merged modified an input histogram")
+		t.Fatal("Merge modified an input histogram")
 	}
 }
 
 func TestMergedEmpty(t *testing.T) {
-	if m := Merged(); m.Count() != 0 {
-		t.Fatal("Merged() of nothing should be empty")
-	}
-	if m := Merged(nil, &Histogram{}); m.Count() != 0 {
-		t.Fatal("Merged of empties should be empty")
+	var m Histogram
+	m.Merge(&Histogram{})
+	if m.Count() != 0 || m.Min() != 0 || m.Max() != 0 {
+		t.Fatal("merging empties should stay empty")
 	}
 }

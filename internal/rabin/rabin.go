@@ -65,9 +65,6 @@ func Default() *Chunker {
 	return NewChunker(13, 2<<10, 64<<10, 0xC0FFEE)
 }
 
-// AverageChunkSize returns the expected chunk size in bytes.
-func (c *Chunker) AverageChunkSize() int { return int(c.mask) + 1 }
-
 // Boundaries returns the chunk end offsets for data: each chunk is
 // data[prev:off]. The final offset is always len(data).
 func (c *Chunker) Boundaries(data []byte) []int {

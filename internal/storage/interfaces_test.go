@@ -14,83 +14,9 @@ import (
 )
 
 // These tests pin the storage-layer contracts the value log and the
-// incarnation layouts rely on: SparseStore.Drop's page-boundary behaviour,
-// the Trimmer/Eraser optional interfaces as seen through a plain
-// storage.Device, and the batch service every device model implements.
-
-func TestSparseStoreDropBoundaryCases(t *testing.T) {
-	const page = 16
-	fresh := func() *storage.SparseStore {
-		s := storage.NewSparseStore(page, 0xEE)
-		data := make([]byte, 5*page)
-		for i := range data {
-			data[i] = byte(i)
-		}
-		s.WriteAt(data, 0)
-		return s
-	}
-	check := func(t *testing.T, s *storage.SparseStore, dropOff, dropN int64) {
-		t.Helper()
-		got := make([]byte, 5*page)
-		s.ReadAt(got, 0)
-		for i := int64(0); i < int64(len(got)); i++ {
-			want := byte(i)
-			if i >= dropOff && i < dropOff+dropN {
-				want = 0xEE
-			}
-			if got[i] != want {
-				t.Fatalf("byte %d = %#x, want %#x (drop [%d, %d))", i, got[i], want, dropOff, dropOff+dropN)
-			}
-		}
-	}
-
-	t.Run("exactly-page-aligned", func(t *testing.T) {
-		s := fresh()
-		s.Drop(page, 2*page)
-		if s.PagesAllocated() != 3 {
-			t.Fatalf("PagesAllocated = %d, want 3 (two whole pages freed)", s.PagesAllocated())
-		}
-		check(t, s, page, 2*page)
-	})
-	t.Run("straddles-both-boundaries", func(t *testing.T) {
-		// Partial page 0 tail + whole pages 1,2 + partial page 3 head.
-		s := fresh()
-		s.Drop(page-4, 2*page+8)
-		if s.PagesAllocated() != 3 {
-			t.Fatalf("PagesAllocated = %d, want 3", s.PagesAllocated())
-		}
-		check(t, s, page-4, 2*page+8)
-	})
-	t.Run("within-one-page", func(t *testing.T) {
-		s := fresh()
-		s.Drop(page+3, 7)
-		if s.PagesAllocated() != 5 {
-			t.Fatalf("PagesAllocated = %d, want 5 (no page fully covered)", s.PagesAllocated())
-		}
-		check(t, s, page+3, 7)
-	})
-	t.Run("ends-exactly-on-boundary", func(t *testing.T) {
-		s := fresh()
-		s.Drop(page+4, page-4) // tail of page 1 only, up to page 2's start
-		if s.PagesAllocated() != 5 {
-			t.Fatalf("PagesAllocated = %d, want 5", s.PagesAllocated())
-		}
-		check(t, s, page+4, page-4)
-	})
-	t.Run("single-byte", func(t *testing.T) {
-		s := fresh()
-		s.Drop(2*page, 1)
-		check(t, s, 2*page, 1)
-	})
-	t.Run("unallocated-pages-are-noop", func(t *testing.T) {
-		s := storage.NewSparseStore(page, 0xEE)
-		s.WriteAt(make([]byte, page), 0)
-		s.Drop(3*page, 2*page) // never written
-		if s.PagesAllocated() != 1 {
-			t.Fatalf("PagesAllocated = %d, want 1", s.PagesAllocated())
-		}
-	})
-}
+// incarnation layouts rely on: the Trimmer/Eraser optional interfaces as
+// seen through a plain storage.Device, and the batch service every device
+// model implements.
 
 // TestTrimmerInterface exercises Trim through the optional interface from
 // a plain Device value, on both FTL flavours.
@@ -165,8 +91,8 @@ func TestEraserInterface(t *testing.T) {
 	if _, err := dev.WriteAt(page, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.WriteAt(page, 0); !errors.Is(err, storage.ErrNotErased) && !errors.Is(err, storage.ErrProgramOrder) {
-		t.Fatalf("rewrite without erase: %v, want ErrNotErased/ErrProgramOrder", err)
+	if _, err := dev.WriteAt(page, 0); !errors.Is(err, storage.ErrProgramOrder) {
+		t.Fatalf("rewrite without erase: %v, want ErrProgramOrder", err)
 	}
 	// Erase the block: contents read as 0xFF and the page can be
 	// programmed again.

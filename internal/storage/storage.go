@@ -78,17 +78,6 @@ type Geometry struct {
 	BlockSize int
 }
 
-// Pages returns the number of pages on the device.
-func (g Geometry) Pages() int64 { return g.Capacity / int64(g.PageSize) }
-
-// Blocks returns the number of erase blocks, or 0 if BlockSize is 0.
-func (g Geometry) Blocks() int64 {
-	if g.BlockSize == 0 {
-		return 0
-	}
-	return g.Capacity / int64(g.BlockSize)
-}
-
 // Counters accumulates I/O accounting for a device.
 type Counters struct {
 	Reads        uint64
@@ -157,7 +146,6 @@ type Trimmer interface {
 var (
 	ErrOutOfRange   = errors.New("storage: offset out of range")
 	ErrUnaligned    = errors.New("storage: unaligned access")
-	ErrNotErased    = errors.New("storage: write to non-erased flash page")
 	ErrProgramOrder = errors.New("storage: out-of-order page program within erase block")
 )
 
@@ -299,7 +287,3 @@ func (s *SparseStore) Drop(off, n int64) {
 		}
 	}
 }
-
-// PagesAllocated returns the number of live pages (for memory accounting in
-// tests).
-func (s *SparseStore) PagesAllocated() int { return len(s.pages) }

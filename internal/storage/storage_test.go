@@ -7,20 +7,6 @@ import (
 	"time"
 )
 
-func TestGeometry(t *testing.T) {
-	g := Geometry{Capacity: 1 << 20, PageSize: 2048, BlockSize: 128 << 10}
-	if g.Pages() != 512 {
-		t.Fatalf("Pages() = %d, want 512", g.Pages())
-	}
-	if g.Blocks() != 8 {
-		t.Fatalf("Blocks() = %d, want 8", g.Blocks())
-	}
-	g.BlockSize = 0
-	if g.Blocks() != 0 {
-		t.Fatalf("Blocks() = %d with zero BlockSize", g.Blocks())
-	}
-}
-
 func TestOpString(t *testing.T) {
 	if OpRead.String() != "read" || OpWrite.String() != "write" || OpErase.String() != "erase" {
 		t.Fatal("Op.String() wrong")
@@ -102,12 +88,12 @@ func TestSparseStoreCrossPageWrite(t *testing.T) {
 func TestSparseStoreDropWholePages(t *testing.T) {
 	s := NewSparseStore(16, 0xFF)
 	s.WriteAt(make([]byte, 64), 0) // 4 pages of zeros
-	if s.PagesAllocated() != 4 {
-		t.Fatalf("PagesAllocated = %d, want 4", s.PagesAllocated())
+	if len(s.pages) != 4 {
+		t.Fatalf("%d pages allocated, want 4", len(s.pages))
 	}
 	s.Drop(16, 32) // pages 1 and 2
-	if s.PagesAllocated() != 2 {
-		t.Fatalf("PagesAllocated = %d after drop, want 2", s.PagesAllocated())
+	if len(s.pages) != 2 {
+		t.Fatalf("%d pages allocated after drop, want 2", len(s.pages))
 	}
 	buf := make([]byte, 64)
 	s.ReadAt(buf, 0)
@@ -121,6 +107,80 @@ func TestSparseStoreDropWholePages(t *testing.T) {
 			t.Fatalf("dropped region not refilled at %d", i)
 		}
 	}
+}
+
+func TestSparseStoreDropBoundaryCases(t *testing.T) {
+	const page = 16
+	fresh := func() *SparseStore {
+		s := NewSparseStore(page, 0xEE)
+		data := make([]byte, 5*page)
+		for i := range data {
+			data[i] = byte(i)
+		}
+		s.WriteAt(data, 0)
+		return s
+	}
+	check := func(t *testing.T, s *SparseStore, dropOff, dropN int64) {
+		t.Helper()
+		got := make([]byte, 5*page)
+		s.ReadAt(got, 0)
+		for i := int64(0); i < int64(len(got)); i++ {
+			want := byte(i)
+			if i >= dropOff && i < dropOff+dropN {
+				want = 0xEE
+			}
+			if got[i] != want {
+				t.Fatalf("byte %d = %#x, want %#x (drop [%d, %d))", i, got[i], want, dropOff, dropOff+dropN)
+			}
+		}
+	}
+
+	t.Run("exactly-page-aligned", func(t *testing.T) {
+		s := fresh()
+		s.Drop(page, 2*page)
+		if len(s.pages) != 3 {
+			t.Fatalf("%d pages allocated, want 3 (two whole pages freed)", len(s.pages))
+		}
+		check(t, s, page, 2*page)
+	})
+	t.Run("straddles-both-boundaries", func(t *testing.T) {
+		// Partial page 0 tail + whole pages 1,2 + partial page 3 head.
+		s := fresh()
+		s.Drop(page-4, 2*page+8)
+		if len(s.pages) != 3 {
+			t.Fatalf("%d pages allocated, want 3", len(s.pages))
+		}
+		check(t, s, page-4, 2*page+8)
+	})
+	t.Run("within-one-page", func(t *testing.T) {
+		s := fresh()
+		s.Drop(page+3, 7)
+		if len(s.pages) != 5 {
+			t.Fatalf("%d pages allocated, want 5 (no page fully covered)", len(s.pages))
+		}
+		check(t, s, page+3, 7)
+	})
+	t.Run("ends-exactly-on-boundary", func(t *testing.T) {
+		s := fresh()
+		s.Drop(page+4, page-4) // tail of page 1 only, up to page 2's start
+		if len(s.pages) != 5 {
+			t.Fatalf("%d pages allocated, want 5", len(s.pages))
+		}
+		check(t, s, page+4, page-4)
+	})
+	t.Run("single-byte", func(t *testing.T) {
+		s := fresh()
+		s.Drop(2*page, 1)
+		check(t, s, 2*page, 1)
+	})
+	t.Run("unallocated-pages-are-noop", func(t *testing.T) {
+		s := NewSparseStore(page, 0xEE)
+		s.WriteAt(make([]byte, page), 0)
+		s.Drop(3*page, 2*page) // never written
+		if len(s.pages) != 1 {
+			t.Fatalf("%d pages allocated, want 1", len(s.pages))
+		}
+	})
 }
 
 func TestSparseStoreDropPartialPage(t *testing.T) {

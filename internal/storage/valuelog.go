@@ -280,19 +280,6 @@ func (l *ValueLog) MarkDead(off int64, n int) {
 	}
 }
 
-// Append writes a (key, value) record and returns its pointer (offset and
-// total length). The returned offset becomes invalid — and reads of it
-// self-invalidate via key verification — once the head wraps past it.
-func (l *ValueLog) Append(key, value []byte) (off int64, n int, err error) {
-	keys, values := [1][]byte{key}, [1][]byte{value}
-	var offs [1]int64
-	var ns [1]int
-	if err := l.AppendBatch(keys[:], values[:], offs[:], ns[:]); err != nil {
-		return 0, 0, err
-	}
-	return offs[0], ns[0], nil
-}
-
 // appendRecord stages one record in the tail buffer without triggering the
 // full-page flush, so AppendBatch can accumulate a whole chunk and write
 // its pages in one sequential submission.
@@ -324,10 +311,12 @@ func (l *ValueLog) appendRecord(key, value []byte) (off int64, n int, err error)
 }
 
 // AppendBatch appends len(keys) records as one tail-buffered multi-record
-// append, filling offs[i] and ns[i] with each record's pointer (both must
-// have len(keys)). Record offsets, wrap points and tail-served reads are
-// exactly what a loop over Append would produce; the difference is purely
-// the write stream — the batch's full pages reach the device as one
+// append, filling offs[i] and ns[i] with each record's pointer (offset and
+// total length; both slices must have len(keys)). A pointer becomes
+// invalid — and reads of it self-invalidate via key verification — once
+// the head wraps past it. Record offsets, wrap points and tail-served
+// reads are exactly what one-record calls would produce; the difference is
+// purely the write stream — the batch's full pages reach the device as one
 // sequential submission at the end instead of one write per flushAt of
 // accumulated records. On error the batch may be partially appended.
 func (l *ValueLog) AppendBatch(keys, values [][]byte, offs []int64, ns []int) error {
@@ -447,19 +436,6 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 		devOff := max(off, head)
 		emit(p[devOff-off:], devOff)
 	}
-}
-
-// ReadRecord fetches one record's bytes: the one-request form of
-// ReadRecordsBatch. ok=false means the pointer does not address a live
-// record region (stale after a wrap on an unwrapped region, or out of
-// range); the returned slice aliases log-owned scratch valid until the
-// next log call.
-func (l *ValueLog) ReadRecord(off int64, n int) (rec []byte, ok bool, err error) {
-	reqs := [1]ValueReadReq{{Off: off, N: n}}
-	if err := l.ReadRecordsBatch(reqs[:]); err != nil {
-		return nil, false, err
-	}
-	return reqs[0].Rec, reqs[0].Rec != nil, nil
 }
 
 // ReadRecordsBatch resolves every request's record bytes. Requests whose

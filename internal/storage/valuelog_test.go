@@ -24,6 +24,21 @@ func vlogDevices(t *testing.T, capacity int64) map[string]storage.Device {
 	}
 }
 
+// appendOne appends one record through a one-element AppendBatch.
+func appendOne(l *storage.ValueLog, key, val []byte) (off int64, n int, err error) {
+	offs, ns := []int64{0}, []int{0}
+	err = l.AppendBatch([][]byte{key}, [][]byte{val}, offs, ns)
+	return offs[0], ns[0], err
+}
+
+// readOne reads one record through a one-element ReadRecordsBatch. ok=false
+// means the pointer addresses no live record region.
+func readOne(l *storage.ValueLog, off int64, n int) (rec []byte, ok bool, err error) {
+	reqs := []storage.ValueReadReq{{Off: off, N: n}}
+	err = l.ReadRecordsBatch(reqs)
+	return reqs[0].Rec, reqs[0].Rec != nil, err
+}
+
 func TestValueLogRoundTrip(t *testing.T) {
 	for name, dev := range vlogDevices(t, 1<<20) {
 		t.Run(name, func(t *testing.T) {
@@ -43,14 +58,14 @@ func TestValueLogRoundTrip(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				key := []byte(fmt.Sprintf("key-%04d-%s", i, bytes.Repeat([]byte{'k'}, i%37)))
 				val := bytes.Repeat([]byte{byte(i)}, (i*131)%2500)
-				off, n, err := l.Append(key, val)
+				off, n, err := appendOne(l, key, val)
 				if err != nil {
 					t.Fatal(err)
 				}
 				refs = append(refs, ref{off, n, key, val})
 			}
 			for _, r := range refs {
-				rec, ok, err := l.ReadRecord(r.off, r.n)
+				rec, ok, err := readOne(l, r.off, r.n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +104,7 @@ func TestValueLogBatchedReads(t *testing.T) {
 			for i := range keys {
 				keys[i] = []byte(fmt.Sprintf("batch-key-%05d", i))
 				vals[i] = bytes.Repeat([]byte{byte(i), byte(i >> 3)}, 1+(i*97)%800)
-				off, n, err := l.Append(keys[i], vals[i])
+				off, n, err := appendOne(l, keys[i], vals[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +140,7 @@ func TestValueLogWrapInvalidatesOldRecords(t *testing.T) {
 			}
 			val := bytes.Repeat([]byte{0xAB}, 4000)
 			firstKey := []byte("first-record")
-			firstOff, firstN, err := l.Append(firstKey, val)
+			firstOff, firstN, err := appendOne(l, firstKey, val)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,17 +151,17 @@ func TestValueLogWrapInvalidatesOldRecords(t *testing.T) {
 			lastKey := []byte("last-record")
 			for i := 0; l.Stats().Wraps < 3; i++ {
 				key := []byte(fmt.Sprintf("filler-%06d", i))
-				if _, _, err := l.Append(key, val); err != nil {
+				if _, _, err := appendOne(l, key, val); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if lastOff, lastN, err = l.Append(lastKey, val); err != nil {
+			if lastOff, lastN, err = appendOne(l, lastKey, val); err != nil {
 				t.Fatal(err)
 			}
 
 			// The overwritten record must read as a verification miss, not
 			// as wrong bytes.
-			rec, ok, err := l.ReadRecord(firstOff, firstN)
+			rec, ok, err := readOne(l, firstOff, firstN)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +171,7 @@ func TestValueLogWrapInvalidatesOldRecords(t *testing.T) {
 				}
 			}
 			// The newest record is intact.
-			rec, ok, err = l.ReadRecord(lastOff, lastN)
+			rec, ok, err = readOne(l, lastOff, lastN)
 			if err != nil || !ok {
 				t.Fatalf("newest record unreadable: %v %v", ok, err)
 			}
@@ -169,7 +184,7 @@ func TestValueLogWrapInvalidatesOldRecords(t *testing.T) {
 
 // TestValueLogStraddlingFlushFrontier pins the three-way read split: a
 // record partly written to the device and partly still in the tail buffer
-// must read back whole, serially and batched.
+// must read back whole.
 func TestValueLogStraddlingFlushFrontier(t *testing.T) {
 	dev := ssd.New(ssd.IntelX18M(), 1<<20, vclock.New())
 	l, err := storage.NewValueLog(dev)
@@ -180,26 +195,19 @@ func TestValueLogStraddlingFlushFrontier(t *testing.T) {
 	// leading pages, leaving its tail buffered.
 	key := []byte("straddler")
 	val := bytes.Repeat([]byte{0x5C}, 70<<10)
-	off, n, err := l.Append(key, val)
+	off, n, err := appendOne(l, key, val)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.BufferedBytes == 0 || st.BufferedBytes >= int64(n) {
 		t.Fatalf("expected a partially flushed record, buffered=%d of %d", st.BufferedBytes, n)
 	}
-	rec, ok, err := l.ReadRecord(off, n)
+	rec, ok, err := readOne(l, off, n)
 	if err != nil || !ok {
 		t.Fatalf("straddling read: %v %v", ok, err)
 	}
 	if got, verified := storage.VerifyRecord(rec, key); !verified || !bytes.Equal(got, val) {
 		t.Fatal("straddling record corrupted")
-	}
-	reqs := []storage.ValueReadReq{{Off: off, N: n}}
-	if err := l.ReadRecordsBatch(reqs); err != nil {
-		t.Fatal(err)
-	}
-	if got, verified := storage.VerifyRecord(reqs[0].Rec, key); !verified || !bytes.Equal(got, val) {
-		t.Fatal("batched straddling record corrupted")
 	}
 }
 
@@ -211,7 +219,7 @@ func TestValueLogRejectsOversizeRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.Append([]byte("k"), make([]byte, l.Capacity())); err == nil {
+	if _, _, err := appendOne(l, []byte("k"), make([]byte, l.Capacity())); err == nil {
 		t.Fatal("accepted a record larger than the log")
 	}
 }
@@ -222,19 +230,19 @@ func TestValueLogUnwrittenRegionReadsAsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.Append([]byte("k"), []byte("v")); err != nil {
+	if _, _, err := appendOne(l, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	// Past the head on an unwrapped log: never written.
-	if _, ok, err := l.ReadRecord(512<<10, 64); err != nil || ok {
+	if _, ok, err := readOne(l, 512<<10, 64); err != nil || ok {
 		t.Fatalf("unwritten region readable: ok=%v err=%v", ok, err)
 	}
 }
 
 // TestValueLogAppendBatchEquivalence drives the same record stream through
-// Append and AppendBatch on twin logs: pointers, wrap points and every
-// readable record must be identical — only the write submission pattern
-// (and therefore latency) may differ.
+// one-record and 64-record AppendBatch calls on twin logs: pointers, wrap
+// points and every readable record must be identical — only the write
+// submission pattern (and therefore latency) may differ.
 func TestValueLogAppendBatchEquivalence(t *testing.T) {
 	for name := range vlogDevices(t, 1<<20) {
 		t.Run(name, func(t *testing.T) {
@@ -269,7 +277,7 @@ func TestValueLogAppendBatchEquivalence(t *testing.T) {
 					hi = nRecords
 				}
 				for i := at; i < hi; i++ {
-					off, n, err := ls.Append(keys[i], vals[i])
+					off, n, err := appendOne(ls, keys[i], vals[i])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -294,12 +302,12 @@ func TestValueLogAppendBatchEquivalence(t *testing.T) {
 				if sp[i] != bp[i] {
 					t.Fatalf("record %d pointer: serial %+v, batched %+v", i, sp[i], bp[i])
 				}
-				srec, sok, err := ls.ReadRecord(sp[i].off, sp[i].n)
+				srec, sok, err := readOne(ls, sp[i].off, sp[i].n)
 				if err != nil {
 					t.Fatal(err)
 				}
 				scp := append([]byte(nil), srec...)
-				brec, bok, err := lb.ReadRecord(bp[i].off, bp[i].n)
+				brec, bok, err := readOne(lb, bp[i].off, bp[i].n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -334,7 +342,7 @@ func TestValueLogSpaceAccounting(t *testing.T) {
 	val := bytes.Repeat([]byte{9}, 991)
 	recN := storage.RecordSize(len(key), len(val))
 
-	off1, n1, err := l.Append(key, val)
+	off1, n1, err := appendOne(l, key, val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +362,7 @@ func TestValueLogSpaceAccounting(t *testing.T) {
 	// Fill past several wraps; accounting must stay bounded by capacity and
 	// the lapped counters must grow.
 	for i := 0; i < 300; i++ {
-		if _, _, err := l.Append(key, val); err != nil {
+		if _, _, err := appendOne(l, key, val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -394,7 +402,7 @@ func TestValueLogReadAllocs(t *testing.T) {
 			}
 			reqs := make([]storage.ValueReadReq, 256)
 			for i := range reqs {
-				off, n, err := l.Append([]byte(fmt.Sprintf("alloc-key-%05d", i)), bytes.Repeat([]byte{byte(i)}, 100))
+				off, n, err := appendOne(l, []byte(fmt.Sprintf("alloc-key-%05d", i)), bytes.Repeat([]byte{byte(i)}, 100))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,7 @@
 // shared Clock by that amount instead of sleeping. Experiments then read
 // latency distributions that are independent of the host machine, which is
 // what makes the paper's latency figures reproducible without the authors'
-// hardware (see DESIGN.md §3).
+// hardware.
 //
 // A Clock is safe for concurrent use. Durations are measured from an
 // arbitrary epoch (zero at construction).

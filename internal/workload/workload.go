@@ -1,33 +1,15 @@
 // Package workload generates the synthetic workloads of the paper's
 // evaluation: key streams with controlled lookup success ratio (§7.2,
 // "keys are generated using random distribution with varying range; the
-// range effects the lookup success rate"), mixed insert/lookup/update
-// streams (Table 3, Figure 8), and object-level traces with controlled
-// redundancy standing in for the UW-Madison packet traces (§8; the paper
-// notes its synthetic-trace results are "qualitatively similar").
+// range effects the lookup success rate"), and object-level traces with
+// controlled redundancy standing in for the UW-Madison packet traces (§8;
+// the paper notes its synthetic-trace results are "qualitatively
+// similar").
 package workload
 
 import (
 	"math/rand"
 )
-
-// OpKind labels one operation of a key workload.
-type OpKind int
-
-// Operation kinds.
-const (
-	OpLookup OpKind = iota
-	OpInsert
-	OpUpdate
-	OpDelete
-)
-
-// Op is one operation of a generated stream.
-type Op struct {
-	Kind  OpKind
-	Key   uint64
-	Value uint64
-}
 
 // KeyStream produces the paper's core workload: "every key is first looked
 // up, and then inserted", with keys drawn uniformly from a range sized to
@@ -35,7 +17,6 @@ type Op struct {
 type KeyStream struct {
 	rng      *rand.Rand
 	keyRange uint64
-	seq      uint64
 }
 
 // NewKeyStream builds a stream over keyRange distinct keys. With a store
@@ -53,13 +34,6 @@ func (s *KeyStream) Next() uint64 {
 	return uint64(s.rng.Int63n(int64(s.keyRange))) + 1
 }
 
-// NextValue returns a unique value (sequence number), so staleness is
-// detectable in tests.
-func (s *KeyStream) NextValue() uint64 {
-	s.seq++
-	return s.seq
-}
-
 // ZipfStream draws keys from a Zipf popularity distribution over a fixed
 // rank range — the skewed counterpart of KeyStream, used to exercise the
 // sharded batch router under hot-key concentration. Rank r is mapped to a
@@ -67,8 +41,7 @@ func (s *KeyStream) NextValue() uint64 {
 // key (popularity skew is preserved) while distinct ranks spread uniformly
 // over the key space (shard routing by high bits stays meaningful).
 type ZipfStream struct {
-	z   *rand.Zipf
-	seq uint64
+	z *rand.Zipf
 }
 
 // NewZipfStream builds a stream over keyRange ranks with Zipf exponent
@@ -99,12 +72,6 @@ func (s *ZipfStream) Next() uint64 {
 	return x
 }
 
-// NextValue returns a unique value (sequence number).
-func (s *ZipfStream) NextValue() uint64 {
-	s.seq++
-	return s.seq
-}
-
 // RangeForLSR returns the key range that yields the target LSR for a store
 // whose steady-state population is storeEntries.
 func RangeForLSR(storeEntries uint64, lsr float64) uint64 {
@@ -119,39 +86,4 @@ func RangeForLSR(storeEntries uint64, lsr float64) uint64 {
 		r = 1
 	}
 	return r
-}
-
-// Mixed generates a stream with the given lookup fraction (Table 3) and
-// update rate (Figure 8): non-lookup operations are inserts, of which
-// updateRate draws keys from the already-inserted set.
-type Mixed struct {
-	rng        *rand.Rand
-	keyRange   uint64
-	lookupFrac float64
-	updateRate float64
-	seq        uint64
-}
-
-// NewMixed builds a mixed stream.
-func NewMixed(seed int64, keyRange uint64, lookupFrac, updateRate float64) *Mixed {
-	return &Mixed{
-		rng:        rand.New(rand.NewSource(seed)),
-		keyRange:   keyRange,
-		lookupFrac: lookupFrac,
-		updateRate: updateRate,
-	}
-}
-
-// Next returns the next operation.
-func (m *Mixed) Next() Op {
-	m.seq++
-	key := uint64(m.rng.Int63n(int64(m.keyRange))) + 1
-	if m.rng.Float64() < m.lookupFrac {
-		return Op{Kind: OpLookup, Key: key}
-	}
-	kind := OpInsert
-	if m.rng.Float64() < m.updateRate {
-		kind = OpUpdate // same key range: collisions are the updates
-	}
-	return Op{Kind: kind, Key: key, Value: m.seq}
 }

@@ -25,18 +25,6 @@ func TestKeyStreamRange(t *testing.T) {
 	}
 }
 
-func TestKeyStreamValuesUnique(t *testing.T) {
-	s := NewKeyStream(3, 10)
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		v := s.NextValue()
-		if seen[v] {
-			t.Fatal("duplicate value")
-		}
-		seen[v] = true
-	}
-}
-
 func TestRangeForLSR(t *testing.T) {
 	if r := RangeForLSR(1000, 0.4); r != 2500 {
 		t.Fatalf("RangeForLSR(1000, 0.4) = %d, want 2500", r)
@@ -49,34 +37,6 @@ func TestRangeForLSR(t *testing.T) {
 	}
 	if r := RangeForLSR(0, 0.5); r != 1 {
 		t.Fatalf("zero store: %d", r)
-	}
-}
-
-func TestMixedFractions(t *testing.T) {
-	m := NewMixed(4, 10000, 0.7, 0.0)
-	lookups := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		op := m.Next()
-		if op.Kind == OpLookup {
-			lookups++
-		}
-	}
-	frac := float64(lookups) / n
-	if math.Abs(frac-0.7) > 0.02 {
-		t.Fatalf("lookup fraction %.3f, want 0.7", frac)
-	}
-}
-
-func TestMixedValuesIncrease(t *testing.T) {
-	m := NewMixed(5, 100, 0, 0.5)
-	var prev uint64
-	for i := 0; i < 100; i++ {
-		op := m.Next()
-		if op.Value <= prev {
-			t.Fatal("values not strictly increasing")
-		}
-		prev = op.Value
 	}
 }
 
