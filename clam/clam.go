@@ -59,8 +59,7 @@
 // PutBatch/PutBatchU64 are the write-side mirror: a chunk's records land in
 // the value log as one multi-record append, and every buffer flush the
 // chunk triggers is issued as one address-sorted device WriteBatch
-// submission, while counters and state match per-key calls exactly
-// (Stats.WriteLatency shows the flattened write tail).
+// submission, while counters and state match per-key calls exactly.
 //
 // # Worker model: one worker per shard, affinity and stealing
 //
@@ -193,7 +192,6 @@ type shard struct {
 	insert metrics.Histogram
 	lookup metrics.Histogram
 	del    metrics.Histogram
-	write  metrics.Histogram // per-request device write service (see Stats.WriteLatency)
 
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
@@ -202,7 +200,7 @@ type shard struct {
 	putOffs  []int64           // PutBatch value-log pointer scratch, guarded by mu
 	putNs    []int             // PutBatch value-log pointer scratch, guarded by mu
 	putPtrs  []uint64          // PutBatch encoded-pointer scratch, guarded by mu
-	deadSeen map[uint64]uint64 // PutBatch/DeleteBatch per-chunk dup tracking, guarded by mu
+	deadSeen map[uint64]uint64 // retire's per-chunk dup tracking, guarded by mu
 }
 
 // effectiveEntryBytes is s in the §6 analysis: 16-byte entries at 50%
@@ -215,7 +213,7 @@ func openShard(cfg config) (*shard, error) {
 	if clock == nil {
 		clock = vclock.New()
 	}
-	s := &shard{clock: clock}
+	s := &shard{clock: clock, deadSeen: make(map[uint64]uint64)}
 	dev := cfg.customDevice
 	vdev := cfg.customVLogDev
 	if dev == nil {
@@ -230,10 +228,6 @@ func openShard(cfg config) (*shard, error) {
 		if vdev, err = newKindDevice(cfg.device, vbytes, clock); err != nil {
 			return nil, err
 		}
-		// Both slow-storage write streams — incarnation images and value-log
-		// pages — feed one write-latency histogram (Stats.WriteLatency).
-		dev = timeWrites(dev, &s.write)
-		vdev = timeWrites(vdev, &s.write)
 	}
 	coreCfg, err := deriveConfig(cfg, dev, clock)
 	if err != nil {
@@ -356,79 +350,54 @@ func resize[T any](s []T, n int) []T {
 
 // --- chunk helpers: one locked core-pipeline call each ---
 //
+// Every helper has one skeleton: begin takes the shard lock and starts the
+// virtual stopwatch, the helper makes its one core call (a byte helper
+// wraps its value-log stage around the same core call a U64 helper makes),
+// and end records the chunk and unlocks. Chunks are never empty: per-key
+// calls pass one key, and the router hands out only non-empty ranges.
+//
 // Latency accounting: a chunk's virtual elapsed time is spread evenly over
 // its keys, so each histogram records amortized per-key latency — a flush
 // no longer lands on one unlucky insert — and its count stays equal to the
 // number of keys served.
 
+// begin opens a chunk call: it takes the shard lock and returns a
+// stopwatch on the shard's virtual clock.
+func (s *shard) begin() vclock.Stopwatch {
+	s.mu.Lock()
+	return s.clock.StartWatch()
+}
+
+// end closes a chunk call of n keys opened by begin: on success it records
+// the chunk's virtual elapsed time into h, then it unlocks and returns err.
+func (s *shard) end(h *metrics.Histogram, w vclock.Stopwatch, n int, err error) error {
+	if err == nil {
+		observeSpread(h, w.Elapsed(), n)
+	}
+	s.mu.Unlock()
+	return err
+}
+
 // putBatchU64Chunk is one batched insert: in-order buffer application with
 // deferred CPU charges, then every triggered flush issued as one
 // address-sorted overlapped write submission.
 func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.clock.StartWatch()
-	if err := s.bh.InsertBatch(keys, values); err != nil {
-		return err
-	}
-	observeSpread(&s.insert, w.Elapsed(), len(keys))
-	return nil
+	w := s.begin()
+	return s.end(&s.insert, w, len(keys), s.bh.InsertBatch(keys, values))
 }
 
 // getBatchU64Into is one batched lookup (in-memory phase, coalesced
 // overlapped flash phase, newest-first resolution) into results, which
 // must have len(keys).
 func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.clock.StartWatch()
-	if err := s.bh.LookupBatch(keys, results); err != nil {
-		return err
-	}
-	observeSpread(&s.lookup, w.Elapsed(), len(keys))
-	return nil
+	w := s.begin()
+	return s.end(&s.lookup, w, len(keys), s.bh.LookupBatch(keys, results))
 }
 
 // deleteBatchU64Chunk is one batched delete. Deletes perform no I/O.
 func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.clock.StartWatch()
-	if err := s.bh.DeleteBatch(keys); err != nil {
-		return err
-	}
-	observeSpread(&s.del, w.Elapsed(), len(keys))
-	return nil
-}
-
-// markDeadIfBuffered moves fp's value-log record to the dead side of the
-// log's space accounting if its pointer is still in the DRAM buffer — the
-// only place an overwrite or delete is observable without extra probes.
-// Records whose pointer already flushed to an incarnation die silently and
-// are only accounted when the log laps them (ValueLogStats.LappedBytes).
-// On a store mixing the key families, an inline U64 value whose bit 63 is
-// set and whose key collides with fp decodes as a bogus pointer here; the
-// mis-debit is bounded by MarkDead's range and region clamping, the same
-// approximation class as silent deaths. Accounting only: no counters, CPU
-// charges or I/O are touched.
-func (s *shard) markDeadIfBuffered(fp uint64) {
-	if s.vlog == nil {
-		return
-	}
-	if old, ok := s.bh.BufferedValue(fp); ok {
-		if off, n, ok := core.DecodeValuePtr(old); ok {
-			s.vlog.MarkDead(off, n)
-		}
-	}
+	w := s.begin()
+	return s.end(&s.del, w, len(keys), s.bh.DeleteBatch(keys))
 }
 
 // putBatchRecords applies one chunk of byte Puts: one multi-record
@@ -437,55 +406,74 @@ func (s *shard) markDeadIfBuffered(fp uint64) {
 // fingerprints and record pointers. Record offsets depend only on append
 // order, so the final state matches one Put per key exactly.
 func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
-	if len(fps) == 0 {
-		return nil
-	}
 	if s.vlog == nil {
 		return ErrNoValueLog
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.clock.StartWatch()
-	s.putOffs = resize(s.putOffs, len(fps))
-	s.putNs = resize(s.putNs, len(fps))
-	s.putPtrs = resize(s.putPtrs, len(fps))
+	w := s.begin()
+	ptrs, err := s.appendRecords(keys, values)
+	if err == nil {
+		s.retire(fps, ptrs)
+		err = s.bh.InsertBatch(fps, ptrs)
+	}
+	return s.end(&s.insert, w, len(fps), err)
+}
+
+// appendRecords appends the chunk's records to the value log as one
+// multi-record append and returns their encoded pointers in shard scratch.
+func (s *shard) appendRecords(keys, values [][]byte) ([]uint64, error) {
+	s.putOffs = resize(s.putOffs, len(keys))
+	s.putNs = resize(s.putNs, len(keys))
+	s.putPtrs = resize(s.putPtrs, len(keys))
 	offs, ns, ptrs := s.putOffs, s.putNs, s.putPtrs
 	if err := s.vlog.AppendBatch(keys, values, offs, ns); err != nil {
-		return err
+		return nil, err
 	}
-	if s.deadSeen == nil {
-		s.deadSeen = make(map[uint64]uint64, len(fps))
-	} else {
-		clear(s.deadSeen)
-	}
-	last := len(fps) - 1
-	for i, fp := range fps {
-		ptr, ok := core.EncodeValuePtr(offs[i], ns[i])
+	for i := range ptrs {
+		ptr, ok := storage.EncodeValuePtr(offs[i], ns[i])
 		if !ok {
-			return fmt.Errorf("clam: value-log pointer (%d, %d) not encodable", offs[i], ns[i])
-		}
-		// Space accounting: the first occurrence of a fingerprint may kill a
-		// pre-chunk record still in the buffer; later occurrences kill the
-		// previous occurrence's record within this chunk. The last key has
-		// no later occurrence to serve, so it is not tracked: a one-key
-		// chunk leaves the tracker empty, and clearing an empty map is free.
-		if prev, dup := s.deadSeen[fp]; dup {
-			if off, n, ok := core.DecodeValuePtr(prev); ok {
-				s.vlog.MarkDead(off, n)
-			}
-		} else {
-			s.markDeadIfBuffered(fp)
-		}
-		if i < last {
-			s.deadSeen[fp] = ptr
+			return nil, fmt.Errorf("clam: value-log pointer (%d, %d) not encodable", offs[i], ns[i])
 		}
 		ptrs[i] = ptr
 	}
-	if err := s.bh.InsertBatch(fps, ptrs); err != nil {
-		return err
+	return ptrs, nil
+}
+
+// retire moves the value-log records that a chunk of puts (the new
+// records' ptrs) or deletes (ptrs nil) of fps kills to the dead side of
+// the log's space accounting, before the core call. A fingerprint's first
+// occurrence in the chunk kills its record still in the DRAM buffer — the
+// only place an overwrite or delete is observable without extra probes; a
+// later occurrence kills the previous occurrence's record (a delete's is
+// the zero word, which is no pointer). The last key has no later
+// occurrence to serve, so it stays untracked: a one-key chunk leaves the
+// tracker empty, and clearing an empty map is free.
+//
+// Records whose pointer already flushed to an incarnation die silently and
+// are only accounted when the log laps them (ValueLogStats.LappedBytes).
+// On a store mixing the key families, an inline U64 value whose bit 63 is
+// set and whose key collides with a fingerprint decodes as a bogus pointer
+// here; the mis-debit is bounded by MarkDead's range and region clamping,
+// the same approximation class as silent deaths. Accounting only: no
+// counters, CPU charges or I/O are touched.
+func (s *shard) retire(fps, ptrs []uint64) {
+	clear(s.deadSeen)
+	last := len(fps) - 1
+	for i, fp := range fps {
+		prev, dup := s.deadSeen[fp]
+		if !dup {
+			prev, _ = s.bh.BufferedValue(fp)
+		}
+		if off, n, ok := storage.DecodeValuePtr(prev); ok {
+			s.vlog.MarkDead(off, n)
+		}
+		if i < last {
+			var ptr uint64
+			if ptrs != nil {
+				ptr = ptrs[i]
+			}
+			s.deadSeen[fp] = ptr
+		}
 	}
-	observeSpread(&s.insert, w.Elapsed(), len(fps))
-	return nil
 }
 
 // getBatchRecords resolves one chunk of byte Gets: batched index lookup,
@@ -493,24 +481,26 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 // pointer, then per-key verification. It fills only the hits of values
 // and found.
 func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
-	if len(fps) == 0 {
-		return nil
-	}
 	if s.vlog == nil {
 		return ErrNoValueLog
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.clock.StartWatch()
+	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
-	results := s.batchRes
-	if err := s.bh.LookupBatch(fps, results); err != nil {
-		return err
+	err := s.bh.LookupBatch(fps, s.batchRes)
+	if err == nil {
+		err = s.readRecords(s.batchRes, keys, values, found)
 	}
+	return s.end(&s.lookup, w, len(fps), err)
+}
+
+// readRecords reads the records that results point at as one batched
+// value-log read and fills values and found for each record whose stored
+// key matches.
+func (s *shard) readRecords(results []core.LookupResult, keys, values [][]byte, found []bool) error {
 	reqs := s.batchReq[:0]
 	idxs := s.batchIdx[:0]
 	for i := range results {
-		if off, n, ok := results[i].ValuePointer(); ok {
+		if off, n, ok := storage.DecodeValuePtr(results[i].Value); ok && results[i].Found {
 			reqs = append(reqs, storage.ValueReadReq{Off: off, N: n})
 			idxs = append(idxs, i)
 		}
@@ -529,61 +519,32 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 			found[i] = true
 		}
 	}
-	observeSpread(&s.lookup, w.Elapsed(), len(fps))
 	return nil
 }
 
-// deleteBatchFPs applies one chunk of byte-key deletes, accounting each
-// fingerprint's buffered record dead once.
+// deleteBatchFPs applies one chunk of byte-key deletes, retiring each
+// fingerprint's buffered record first.
 func (s *shard) deleteBatchFPs(fps []uint64) error {
-	if len(fps) == 0 {
-		return nil
+	w := s.begin()
+	if s.vlog != nil {
+		s.retire(fps, nil)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.clock.StartWatch()
-	if s.deadSeen == nil {
-		s.deadSeen = make(map[uint64]uint64, len(fps))
-	} else {
-		clear(s.deadSeen)
-	}
-	last := len(fps) - 1 // untracked, as in putBatchRecords
-	for i, fp := range fps {
-		if _, dup := s.deadSeen[fp]; dup {
-			continue
-		}
-		if i < last {
-			s.deadSeen[fp] = 0
-		}
-		s.markDeadIfBuffered(fp)
-	}
-	if err := s.bh.DeleteBatch(fps); err != nil {
-		return err
-	}
-	observeSpread(&s.del, w.Elapsed(), len(fps))
-	return nil
+	return s.end(&s.del, w, len(fps), s.bh.DeleteBatch(fps))
 }
 
 // containsBatchFPs resolves one chunk of existence probes: the batched
 // index lookup alone, with no value-log read.
 func (s *shard) containsBatchFPs(fps []uint64, found []bool) error {
-	if len(fps) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.clock.StartWatch()
+	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
-	results := s.batchRes
-	if err := s.bh.LookupBatch(fps, results); err != nil {
-		return err
+	err := s.bh.LookupBatch(fps, s.batchRes)
+	if err == nil {
+		for i := range s.batchRes {
+			_, _, ptr := storage.DecodeValuePtr(s.batchRes[i].Value)
+			found[i] = s.batchRes[i].Found && ptr
+		}
 	}
-	for i := range results {
-		_, _, ok := results[i].ValuePointer()
-		found[i] = ok
-	}
-	observeSpread(&s.lookup, w.Elapsed(), len(fps))
-	return nil
+	return s.end(&s.lookup, w, len(fps), err)
 }
 
 // --- maintenance ---
@@ -606,13 +567,12 @@ func (s *shard) resetMetrics() {
 	s.insert.Reset()
 	s.lookup.Reset()
 	s.del.Reset()
-	s.write.Reset()
 	s.bh.ResetStats()
 }
 
 // addStats adds the shard's counters into agg and its latency histograms
-// into hs (insert, lookup, delete, write), under the shard's lock.
-func (s *shard) addStats(agg *Stats, hs *[4]metrics.Histogram) {
+// into hs (insert, lookup, delete), under the shard's lock.
+func (s *shard) addStats(agg *Stats, hs *[3]metrics.Histogram) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	agg.Core.Merge(s.bh.Stats())
@@ -622,7 +582,7 @@ func (s *shard) addStats(agg *Stats, hs *[4]metrics.Histogram) {
 		agg.ValueDevice.Add(s.vlog.Device().Counters())
 		agg.ValueLog.Add(s.vlog.Stats())
 	}
-	for i, h := range [...]*metrics.Histogram{&s.insert, &s.lookup, &s.del, &s.write} {
+	for i, h := range [...]*metrics.Histogram{&s.insert, &s.lookup, &s.del} {
 		hs[i].Merge(h)
 	}
 }
@@ -640,14 +600,6 @@ type Stats struct {
 	InsertLatency metrics.Summary
 	LookupLatency metrics.Summary
 	DeleteLatency metrics.Summary
-	// WriteLatency distributes the per-request virtual service time of the
-	// slow-storage write stream (incarnation image flushes and value-log
-	// page appends, on kind-opened stores): a lone flush pays one full
-	// write, while the images of a batched insert or of an eviction
-	// cascade share command setup and overlap across the device's queue
-	// lanes, each request recording its share of the submission. Empty on
-	// WithCustomDevice stores.
-	WriteLatency metrics.Summary
 
 	Memory core.MemoryFootprint
 }

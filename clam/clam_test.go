@@ -2,15 +2,12 @@ package clam
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/ssd"
-	"repro/internal/vclock"
 )
 
 // openCLAMT opens a single CLAM through the public constructor.
@@ -45,8 +42,14 @@ func TestOpenRequiresFlash(t *testing.T) {
 }
 
 func TestOpenAllDeviceKinds(t *testing.T) {
+	// A kind-opened store hands out the bare device models.
+	model := map[DeviceKind]string{IntelSSD: "*ssd.SSD", TranscendSSD: "*ssd.SSD",
+		FlashChip: "*flashchip.Chip", MagneticDisk: "*disk.Disk"}
 	for _, kind := range []DeviceKind{IntelSSD, TranscendSSD, FlashChip, MagneticDisk} {
 		c := openCLAMT(t, WithDevice(kind), WithFlash(16<<20), WithMemory(4<<20))
+		if got := fmt.Sprintf("%T %T", c.Device(), c.ValueDevice()); got != model[kind]+" "+model[kind] {
+			t.Fatalf("%v: index and value-log devices are %s, want %s", kind, got, model[kind])
+		}
 		if err := c.PutU64(1, 2); err != nil {
 			t.Fatalf("%v insert: %v", kind, err)
 		}
@@ -134,81 +137,6 @@ func TestLatencyHistogramsPopulated(t *testing.T) {
 	if st.Memory.Total() == 0 {
 		t.Error("no memory footprint")
 	}
-}
-
-// TestWriteLatencyCountsEveryWrite pins Stats.WriteLatency: on a
-// kind-opened store every device write — incarnation flushes and value-log
-// pages, serial and batched — lands in the histogram exactly once, so its
-// count equals the two devices' write counters. A WithCustomDevice store
-// is never instrumented.
-func TestWriteLatencyCountsEveryWrite(t *testing.T) {
-	ctx := context.Background()
-	// drive runs serial U64 puts, then a U64 batch, then a byte batch,
-	// checking that each phase reaches the device.
-	drive := func(t *testing.T, st Store) Stats {
-		t.Helper()
-		const n = 40000
-		for i := uint64(0); i < n; i++ {
-			if err := st.PutU64(i, i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		serial := st.Stats().Device.Writes
-		if serial == 0 {
-			t.Fatal("serial puts never flushed")
-		}
-		keys, vals := make([]uint64, n), make([]uint64, n)
-		for i := range keys {
-			keys[i], vals[i] = uint64(n+i), uint64(i)
-		}
-		if err := st.PutBatchU64(ctx, keys, vals); err != nil {
-			t.Fatal(err)
-		}
-		if st.Stats().Device.Writes == serial {
-			t.Fatal("batched puts never flushed")
-		}
-		bkeys, bvals := make([][]byte, 1000), make([][]byte, 1000)
-		for i := range bkeys {
-			bkeys[i] = []byte(fmt.Sprintf("key-%04d", i))
-			bvals[i] = bytes.Repeat([]byte{byte(i)}, 1000)
-		}
-		if err := st.PutBatch(ctx, bkeys, bvals); err != nil {
-			t.Fatal(err)
-		}
-		s := st.Stats()
-		if s.ValueDevice.Writes == 0 {
-			t.Fatal("byte puts never reached the value log device")
-		}
-		return s
-	}
-	for _, kind := range []DeviceKind{IntelSSD, TranscendSSD, FlashChip, MagneticDisk} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/shards=%d", kind, shards), func(t *testing.T) {
-				st, err := Open(WithDevice(kind), WithFlash(16<<20), WithMemory(4<<20),
-					WithSeed(3), WithShards(shards))
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := drive(t, st)
-				if want := s.Device.Writes + s.ValueDevice.Writes; s.WriteLatency.Count != want {
-					t.Fatalf("WriteLatency.Count = %d, want %d index + %d value-log writes",
-						s.WriteLatency.Count, s.Device.Writes, s.ValueDevice.Writes)
-				}
-			})
-		}
-	}
-	t.Run("custom", func(t *testing.T) {
-		clock := vclock.New()
-		st, err := Open(WithCustomDevice(ssd.New(ssd.IntelX18M(), 16<<20, clock)),
-			WithValueLogDevice(ssd.New(ssd.IntelX18M(), 16<<20, clock)),
-			WithClock(clock), WithFlash(16<<20), WithMemory(4<<20))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := drive(t, st); s.WriteLatency.Count != 0 {
-			t.Fatalf("custom device: WriteLatency.Count = %d, want 0", s.WriteLatency.Count)
-		}
-	})
 }
 
 func TestUpdateAndDelete(t *testing.T) {

@@ -310,14 +310,21 @@ func TestDifferentialBytesBatchedWindows(t *testing.T) {
 
 // TestByteBatchMutations covers PutBatch/DeleteBatch end to end on both
 // implementations, including duplicate keys within one batch (last write
-// wins within a shard's in-order chunk stream).
+// wins within a shard's in-order chunk stream). A twin of each store
+// replays the same mutations one key at a time, and the value log's space
+// accounting must match: the batch dead-record tracker kills exactly the
+// records the per-key calls kill. That holds while no buffer flush lands
+// inside a batch, so the batches are sized to stay in the buffers; across
+// such a flush the tracker also kills a duplicate's earlier record, where
+// a per-key call lets it die silently once its pointer has flushed.
 func TestByteBatchMutations(t *testing.T) {
 	c, s := strictStores(t, FIFO)
+	tc, ts := strictStores(t, FIFO)
 	ctx := context.Background()
 	for _, st := range []struct {
-		name string
-		s    Store
-	}{{"clam", c}, {"sharded", s}} {
+		name    string
+		s, twin Store
+	}{{"clam", c, tc}, {"sharded", s, ts}} {
 		const n = 5000
 		keys := make([][]byte, n)
 		vals := make([][]byte, n)
@@ -325,8 +332,17 @@ func TestByteBatchMutations(t *testing.T) {
 			keys[i] = fmt.Appendf(nil, "bulk-key-%06d", i%4000) // 1000 dups
 			vals[i] = fmt.Appendf(nil, "val-%06d", i)
 		}
+		// Scatter the dups so some share a chunk with their first
+		// occurrence and others do not.
+		rand.New(rand.NewSource(3)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		flushes := st.s.Stats().Core.Flushes
 		if err := st.s.PutBatch(ctx, keys, vals); err != nil {
 			t.Fatal(err)
+		}
+		for i := range keys {
+			if err := st.twin.Put(keys[i], vals[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		got, found, err := st.s.GetBatch(ctx, keys)
 		if err != nil {
@@ -344,6 +360,11 @@ func TestByteBatchMutations(t *testing.T) {
 		if err := st.s.DeleteBatch(ctx, keys[:1000]); err != nil {
 			t.Fatal(err)
 		}
+		for _, k := range keys[:1000] {
+			if err := st.twin.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
 		_, found, err = st.s.GetBatch(ctx, keys[:1000])
 		if err != nil {
 			t.Fatal(err)
@@ -352,6 +373,14 @@ func TestByteBatchMutations(t *testing.T) {
 			if ok {
 				t.Fatalf("%s: deleted key %q still found", st.name, keys[i])
 			}
+		}
+		if f := st.s.Stats().Core.Flushes; f != flushes {
+			t.Fatalf("%s: %d buffer flushes during the batches; shrink them", st.name, f-flushes)
+		}
+		b, k := st.s.Stats().ValueLog, st.twin.Stats().ValueLog
+		if b.DeadBytes == 0 || b.LiveBytes != k.LiveBytes || b.DeadBytes != k.DeadBytes ||
+			b.LappedBytes != k.LappedBytes || b.LappedLiveBytes != k.LappedLiveBytes {
+			t.Fatalf("%s: batch value-log accounting %+v, per-key %+v", st.name, b, k)
 		}
 		if err := st.s.PutBatch(ctx, keys[:2], keys[:1]); err == nil {
 			t.Fatalf("%s: PutBatch accepted mismatched lengths", st.name)

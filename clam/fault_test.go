@@ -151,14 +151,14 @@ func openFaultCLAM(t testing.TB, flash, vlog int64, opts ...Option) *faultRig {
 }
 
 // openFaultSharded opens a kind-built Sharded store and reaches each
-// shard's SSDs through the write-timing wrapper.
+// shard's SSDs, which a kind-opened store hands out bare.
 func openFaultSharded(t testing.TB, opts ...Option) *faultRig {
 	t.Helper()
 	s := openShardedT(t, append([]Option{WithDevice(IntelSSD)}, opts...)...)
 	r := &faultRig{st: s}
 	for i := 0; i < s.NumShards(); i++ {
 		for _, d := range []storage.Device{s.Shard(i).Device(), s.Shard(i).ValueDevice()} {
-			r.devs = append(r.devs, d.(*timedQueued).Device.(*ssd.SSD))
+			r.devs = append(r.devs, d.(*ssd.SSD))
 		}
 	}
 	return r

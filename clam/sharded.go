@@ -46,7 +46,6 @@ type router struct {
 	chunk   int       // batch router task granularity (keys per chunk)
 	fpSeed  uint64    // deployment-level byte-key fingerprint seed
 	groups  sync.Pool // *shardGroups, per-batch grouping and result slots
-	fps     sync.Pool // *[]uint64, per-batch byte-key fingerprint buffers
 }
 
 func newRouter(shards []*shard, workers, chunk int, fpSeed uint64) *router {
@@ -266,14 +265,13 @@ func (r *router) ResetMetrics() {
 // merge is the identity.
 func (r *router) Stats() Stats {
 	var agg Stats
-	var hs [4]metrics.Histogram
+	var hs [3]metrics.Histogram
 	for _, s := range r.shards {
 		s.addStats(&agg, &hs)
 	}
 	agg.InsertLatency = hs[0].Summarize()
 	agg.LookupLatency = hs[1].Summarize()
 	agg.DeleteLatency = hs[2].Summarize()
-	agg.WriteLatency = hs[3].Summarize()
 	return agg
 }
 
@@ -281,11 +279,11 @@ func (r *router) Stats() Stats {
 
 // shardGroups is the reusable result of grouping a batch by shard with a
 // counting sort: shard sh owns the grouped slots [start[sh], start[sh+1]),
-// in input order. kbuf holds the grouped keys (fingerprints, for byte
-// batches), vbuf/bkbuf/bvbuf the grouped values and byte keys/values a
-// batch carries, and idx[j] the input position of slot j. Every router
-// chunk is a contiguous slot range, so a chunk's core call takes
-// zero-copy sub-slices of these runs.
+// in input order. fps holds a byte batch's fingerprints in input order,
+// kbuf the grouped keys (fingerprints, for byte batches), vbuf/bkbuf/bvbuf
+// the grouped values and byte keys/values a batch carries, and idx[j] the
+// input position of slot j. Every router chunk is a contiguous slot range,
+// so a chunk's core call takes zero-copy sub-slices of these runs.
 //
 // Reads also leave their answers in grouped slots — res (U64 lookups),
 // bvbuf and found (byte lookups and existence probes) — and scatter them
@@ -293,6 +291,7 @@ func (r *router) Stats() Stats {
 // consumption cursor. Instances are pooled on the router because batches
 // run concurrently.
 type shardGroups struct {
+	fps   []uint64
 	idx   []int
 	start []int
 	cur   []int
@@ -304,18 +303,36 @@ type shardGroups struct {
 	found []bool
 }
 
-// group buckets a batch into per-shard runs of a pooled shardGroups with
-// one two-pass counting sort over keys: it moves the keys — and, when
-// non-nil, the parallel values, byte keys and byte values — into their
-// shard's run, and records each slot's input position in idx. Byte
-// batches pass their fingerprints as keys. Callers return the groups with
-// putGroups.
-func (r *router) group(keys, values []uint64, bk, bv [][]byte) *shardGroups {
-	n := len(r.shards)
-	g, _ := r.groups.Get().(*shardGroups)
-	if g == nil {
-		g = &shardGroups{start: make([]int, n+1), cur: make([]int, n)}
+// group groups a U64 batch into a pooled shardGroups (see groupInto).
+// Callers return the groups with putGroups.
+func (r *router) group(keys, values []uint64) *shardGroups {
+	return r.groupInto(r.getGroups(), keys, values, nil, nil)
+}
+
+// groupBytes fingerprints a byte batch once into the groups' fps scratch —
+// the fingerprints both route the batch and serve as the shards' index
+// keys — and groups them into a pooled shardGroups, carrying the byte keys
+// bk and values bv when non-nil. Callers return the groups with putGroups.
+func (r *router) groupBytes(keys, bk, bv [][]byte) *shardGroups {
+	g := r.getGroups()
+	g.fps = fingerprints(g.fps, keys, r.fpSeed)
+	return r.groupInto(g, g.fps, nil, bk, bv)
+}
+
+func (r *router) getGroups() *shardGroups {
+	if g, ok := r.groups.Get().(*shardGroups); ok {
+		return g
 	}
+	n := len(r.shards)
+	return &shardGroups{start: make([]int, n+1), cur: make([]int, n)}
+}
+
+// groupInto buckets a batch into g's per-shard runs with one two-pass
+// counting sort over keys: it moves the keys — and, when non-nil, the
+// parallel values, byte keys and byte values — into their shard's run, and
+// records each slot's input position in idx.
+func (r *router) groupInto(g *shardGroups, keys, values []uint64, bk, bv [][]byte) *shardGroups {
+	n := len(r.shards)
 	g.idx = resize(g.idx, len(keys))
 	g.kbuf = resize(g.kbuf, len(keys))
 	if values != nil {
@@ -456,7 +473,7 @@ func (r *router) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatchU64 length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	g := r.group(keys, values, nil, nil)
+	g := r.group(keys, values)
 	defer r.putGroups(g)
 	return r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
 		return s.putBatchU64Chunk(g.kbuf[lo:hi], g.vbuf[lo:hi])
@@ -473,7 +490,7 @@ func (r *router) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 func (r *router) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
 	values = make([]uint64, len(keys))
 	found = make([]bool, len(keys))
-	g := r.group(keys, nil, nil, nil)
+	g := r.group(keys, nil)
 	defer r.putGroups(g)
 	g.res = resize(g.res, len(keys))
 	err = r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
@@ -496,7 +513,7 @@ func (r *router) GetBatchU64(ctx context.Context, keys []uint64) (values []uint6
 // batched core delete. Deletes perform no I/O; batching amortizes lock and
 // clock traffic, with counters identical to one DeleteU64 call per key.
 func (r *router) DeleteBatchU64(ctx context.Context, keys []uint64) error {
-	g := r.group(keys, nil, nil, nil)
+	g := r.group(keys, nil)
 	defer r.putGroups(g)
 	return r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
 		return s.deleteBatchU64Chunk(g.kbuf[lo:hi])
@@ -504,20 +521,6 @@ func (r *router) DeleteBatchU64(ctx context.Context, keys []uint64) error {
 }
 
 // --- byte batches ---
-
-// fingerprints computes the batch's fingerprints once into a pooled
-// buffer; they both route the batch and serve as the shards' index keys.
-// Callers return the buffer with putFingerprints when the batch is done.
-func (r *router) fingerprints(keys [][]byte) *[]uint64 {
-	p, _ := r.fps.Get().(*[]uint64)
-	if p == nil {
-		p = new([]uint64)
-	}
-	*p = fingerprints(*p, keys, r.fpSeed)
-	return p
-}
-
-func (r *router) putFingerprints(p *[]uint64) { r.fps.Put(p) }
 
 // PutBatch applies len(keys) Put operations. Each chunk runs two
 // overlapped write streams on its shard: the chunk's records land in the
@@ -529,9 +532,7 @@ func (r *router) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("clam: PutBatch length mismatch: %d keys, %d values", len(keys), len(values))
 	}
-	fps := r.fingerprints(keys)
-	defer r.putFingerprints(fps)
-	g := r.group(*fps, nil, keys, values)
+	g := r.groupBytes(keys, keys, values)
 	defer r.putGroups(g)
 	return r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
 		return s.putBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], g.bvbuf[lo:hi])
@@ -545,9 +546,7 @@ func (r *router) PutBatch(ctx context.Context, keys, values [][]byte) error {
 func (r *router) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
 	values = make([][]byte, len(keys))
 	found = make([]bool, len(keys))
-	fps := r.fingerprints(keys)
-	defer r.putFingerprints(fps)
-	g := r.group(*fps, nil, keys, nil)
+	g := r.groupBytes(keys, keys, nil)
 	defer r.putGroups(g)
 	// getBatchRecords fills only the hits, so the result slots start empty.
 	g.bvbuf = resize(g.bvbuf, len(keys))
@@ -573,9 +572,7 @@ func (r *router) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, 
 // DeleteBatch lazily removes len(keys) byte keys, applying each chunk as
 // one batched core delete.
 func (r *router) DeleteBatch(ctx context.Context, keys [][]byte) error {
-	fps := r.fingerprints(keys)
-	defer r.putFingerprints(fps)
-	g := r.group(*fps, nil, nil, nil)
+	g := r.groupBytes(keys, nil, nil)
 	defer r.putGroups(g)
 	return r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
 		return s.deleteBatchFPs(g.kbuf[lo:hi])
@@ -588,9 +585,7 @@ func (r *router) DeleteBatch(ctx context.Context, keys [][]byte) error {
 // overlapped index probes.
 func (r *router) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
 	found := make([]bool, len(keys))
-	fps := r.fingerprints(keys)
-	defer r.putFingerprints(fps)
-	g := r.group(*fps, nil, nil, nil)
+	g := r.groupBytes(keys, nil, nil)
 	defer r.putGroups(g)
 	g.found = resize(g.found, len(keys))
 	err := r.runChunked(ctx, g, func(s *shard, lo, hi int) error {

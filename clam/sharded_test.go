@@ -633,7 +633,7 @@ func TestDifferentialHotShardInserts(t *testing.T) {
 }
 
 // TestBatchGroupingAllocs is the allocation guard for the batch surface:
-// once the pools are warm, grouping a large batch — the counting sort, the
+// once the pool is warm, grouping a large batch — the counting sort, the
 // per-shard runs, the result slots and the fingerprint buffer — must not
 // allocate per call, and a full batch call must allocate only its outputs,
 // the router's goroutines and the core pipeline's own per-chunk state.
@@ -657,10 +657,8 @@ func TestBatchGroupingAllocs(t *testing.T) {
 		bvals[i] = bkeys[i][:8]
 	}
 	group := func() {
-		s.putGroups(s.group(keys, vals, nil, nil))
-		fps := s.fingerprints(bkeys)
-		s.putGroups(s.group(*fps, nil, bkeys, bvals))
-		s.putFingerprints(fps)
+		s.putGroups(s.group(keys, vals))
+		s.putGroups(s.groupBytes(bkeys, bkeys, bvals))
 	}
 	group()
 	// sync.Pool may shed entries on a GC, so allow a stray allocation or
@@ -689,7 +687,7 @@ func TestBatchGroupingAllocs(t *testing.T) {
 		{"ContainsBatch", 12, func() error { _, err := s.ContainsBatch(ctx, bkeys); return err }},
 		{"DeleteBatch", 11, func() error { return s.DeleteBatch(ctx, bkeys) }},
 	} {
-		for i := 0; i < 3; i++ { // warm the pools and the shards' scratch
+		for i := 0; i < 3; i++ { // warm the pool and the shards' scratch
 			if err := c.call(); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -746,7 +744,7 @@ func TestLookupBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ { // warm the pools and the shards' scratch
+	for i := 0; i < 3; i++ { // warm the pool and the shards' scratch
 		get()
 	}
 	before := s.Stats().Core.FlashProbes

@@ -45,9 +45,6 @@ func NewHashIndex(opts Options) (*HashIndex, error) {
 // Stats returns operation counters.
 func (h *HashIndex) Stats() Stats { return h.stats }
 
-// Buckets returns the number of home bucket pages.
-func (h *HashIndex) Buckets() int64 { return h.nBuckets }
-
 func (h *HashIndex) bucketOf(key uint64) int64 {
 	return int64(hashutil.Hash64Seed(key, h.seed) % uint64(h.nBuckets))
 }

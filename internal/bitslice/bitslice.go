@@ -107,15 +107,6 @@ func NewBank(m uint64, k, h int) *Bank {
 	return b
 }
 
-// K returns the number of incarnation columns.
-func (b *Bank) K() int { return b.k }
-
-// Hashes returns the number of hash functions per filter.
-func (b *Bank) Hashes() int { return b.h }
-
-// FilterBits returns m, the number of bits per filter.
-func (b *Bank) FilterBits() uint64 { return b.m }
-
 // MemoryBits returns the total memory consumed by the bank in bits: the
 // L-bit slices, including the sliding window's slack, plus the m-bit
 // staging filter.

@@ -196,7 +196,7 @@ func TestK1Boundary(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	bank := NewBank(1000, 16, 5)
-	if bank.K() != 16 || bank.Hashes() != 5 || bank.FilterBits() != 1000 {
+	if bank.k != 16 || bank.h != 5 || bank.m != 1000 {
 		t.Fatal("accessors wrong")
 	}
 	if bank.MemoryBits() == 0 {

@@ -228,13 +228,6 @@ func (b *BufferHash) Insert(key, value uint64) error {
 	return b.InsertBatch(keys[:], values[:])
 }
 
-// Update is insertion with lazy-update semantics (§5.1.1): the new value
-// shadows older versions because lookups probe incarnations newest-first.
-// It is an alias of Insert; both are provided to mirror the paper's API.
-func (b *BufferHash) Update(key, value uint64) error {
-	return b.Insert(key, value)
-}
-
 // Delete lazily removes a key (§5.1.1): it is dropped from the buffer if
 // still there and recorded in the in-memory delete list; flash space is
 // reclaimed at eviction time. It is a one-key DeleteBatch.

@@ -124,7 +124,7 @@ func TestLatestValueWins(t *testing.T) {
 	for i := uint64(100); i < 12000; i++ {
 		b.Insert(i, i)
 	}
-	b.Update(7, 2)
+	b.Insert(7, 2)
 	// Push the second version to flash too.
 	for i := uint64(20000); i < 32000; i++ {
 		b.Insert(i, i)

@@ -177,10 +177,3 @@ func Fig10(sc Scale) (Report, error) {
 	}
 	return r, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

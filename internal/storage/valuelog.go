@@ -140,14 +140,50 @@ func (s *ValueLogStats) Add(o ValueLogStats) {
 // value length, little-endian.
 const recordHeaderSize = 8
 
-// MaxValueRecordBytes caps one record (header + key + value) so record
-// pointers stay encodable in a 64-bit value word alongside their offset
-// (see core.EncodeValuePtr: 25 bits of length).
-const MaxValueRecordBytes = 1<<25 - 1
+// Record pointers: the byte-keyed CAM maps a key's fingerprint to a 64-bit
+// value word holding a tagged pointer to the key's record in this log,
+//
+//	bit  63     tag: 1 = value-log pointer, 0 = inline value
+//	bits 62..38 record length in bytes (valuePtrLenBits)
+//	bits 37..0  record byte offset in the log (valuePtrOffBits)
+//
+// The hash table stores value words opaquely, so the U64 fast path's inline
+// values share the same slots; an inline value with bit 63 set decodes as
+// a pointer, which is safe because every record read is verified against
+// the full key bytes stored in the record.
+const (
+	valuePtrTag     = uint64(1) << 63
+	valuePtrLenBits = 25
+	valuePtrOffBits = 38
 
-// MaxValueLogBytes caps the log capacity so record offsets stay encodable
-// (38 bits of offset).
-const MaxValueLogBytes = int64(1) << 38
+	// MaxValueRecordBytes caps one record (header + key + value) so its
+	// length fits a pointer's length field.
+	MaxValueRecordBytes = 1<<valuePtrLenBits - 1
+	// MaxValueLogBytes caps the log capacity so every record offset fits a
+	// pointer's offset field.
+	MaxValueLogBytes = int64(1) << valuePtrOffBits
+)
+
+// EncodeValuePtr packs a record location into a tagged value word. It
+// reports ok=false when the location is out of range (a negative value, an
+// offset at or past MaxValueLogBytes, or a length over MaxValueRecordBytes).
+func EncodeValuePtr(off int64, n int) (word uint64, ok bool) {
+	if off < 0 || off >= MaxValueLogBytes || n < 0 || n > MaxValueRecordBytes {
+		return 0, false
+	}
+	return valuePtrTag | uint64(n)<<valuePtrOffBits | uint64(off), true
+}
+
+// DecodeValuePtr unpacks a value word as a record pointer. ok=false means
+// the word is an untagged inline value.
+func DecodeValuePtr(word uint64) (off int64, n int, ok bool) {
+	if word&valuePtrTag == 0 {
+		return 0, 0, false
+	}
+	off = int64(word & (1<<valuePtrOffBits - 1))
+	n = int(word >> valuePtrOffBits & (1<<valuePtrLenBits - 1))
+	return off, n, true
+}
 
 // RecordSize returns the on-log size of a (key, value) record.
 func RecordSize(keyLen, valLen int) int {

@@ -1,4 +1,4 @@
-package core
+package storage
 
 import "testing"
 
@@ -11,8 +11,8 @@ func TestValuePtrRoundTrip(t *testing.T) {
 		{0, 1},
 		{1, 16},
 		{4096, 8 + 20 + 4096},
-		{MaxValuePtrOff, MaxValuePtrLen},
-		{MaxValuePtrOff - 1, 1},
+		{MaxValueLogBytes - 1, MaxValueRecordBytes},
+		{MaxValueLogBytes - 2, 1},
 	}
 	for _, c := range cases {
 		word, ok := EncodeValuePtr(c.off, c.n)
@@ -33,8 +33,8 @@ func TestValuePtrRejectsOutOfRange(t *testing.T) {
 	}{
 		{-1, 0},
 		{0, -1},
-		{MaxValuePtrOff + 1, 0},
-		{0, MaxValuePtrLen + 1},
+		{MaxValueLogBytes, 0},
+		{0, MaxValueRecordBytes + 1},
 	} {
 		if _, ok := EncodeValuePtr(c.off, c.n); ok {
 			t.Errorf("EncodeValuePtr(%d, %d) accepted out-of-range location", c.off, c.n)
@@ -56,23 +56,6 @@ func TestValuePtrInlineValuesDecodeAsNotPointers(t *testing.T) {
 	}
 }
 
-func TestLookupResultValuePointer(t *testing.T) {
-	word, _ := EncodeValuePtr(512, 64)
-	r := LookupResult{Value: word, Found: true}
-	off, n, ok := r.ValuePointer()
-	if !ok || off != 512 || n != 64 {
-		t.Fatalf("ValuePointer = (%d, %d, %v)", off, n, ok)
-	}
-	r.Found = false
-	if _, _, ok := r.ValuePointer(); ok {
-		t.Fatal("missed lookup produced a pointer")
-	}
-	r = LookupResult{Value: 99, Found: true}
-	if _, _, ok := r.ValuePointer(); ok {
-		t.Fatal("inline value produced a pointer")
-	}
-}
-
 // FuzzValuePtr checks the value-pointer codec over arbitrary locations and
 // words: a location encodes iff it is in range, and then decodes back
 // exactly; a rejected location yields the zero word; and any word decodes
@@ -80,10 +63,10 @@ func TestLookupResultValuePointer(t *testing.T) {
 func FuzzValuePtr(f *testing.F) {
 	f.Add(int64(0), 0, uint64(0))
 	f.Add(int64(4096), 4124, valuePtrTag|1)
-	f.Add(MaxValuePtrOff, MaxValuePtrLen, ^uint64(0))
-	f.Add(MaxValuePtrOff+1, -1, uint64(1)<<62)
+	f.Add(MaxValueLogBytes-1, MaxValueRecordBytes, ^uint64(0))
+	f.Add(MaxValueLogBytes, -1, uint64(1)<<62)
 	f.Fuzz(func(t *testing.T, off int64, n int, word uint64) {
-		inRange := off >= 0 && off <= MaxValuePtrOff && n >= 0 && n <= MaxValuePtrLen
+		inRange := off >= 0 && off < MaxValueLogBytes && n >= 0 && n <= MaxValueRecordBytes
 		w, ok := EncodeValuePtr(off, n)
 		switch {
 		case ok != inRange:

@@ -117,14 +117,6 @@ type Stats struct {
 	TransmissionTime time.Duration
 }
 
-// CompressionRatio returns BytesIn/BytesOut.
-func (s Stats) CompressionRatio() float64 {
-	if s.BytesOut == 0 {
-		return 0
-	}
-	return float64(s.BytesIn) / float64(s.BytesOut)
-}
-
 // New builds an optimizer.
 func New(cfg Config) (*Optimizer, error) {
 	if cfg.Index == nil || cfg.Clock == nil {
