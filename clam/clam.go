@@ -196,6 +196,7 @@ type shard struct {
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
 	batchIdx []int                  // GetBatch scatter scratch, guarded by mu
+	batchHit [][]byte               // GetBatch verified-value scratch, guarded by mu
 
 	putOffs  []int64           // PutBatch value-log pointer scratch, guarded by mu
 	putNs    []int             // PutBatch value-log pointer scratch, guarded by mu
@@ -495,7 +496,11 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 
 // readRecords reads the records that results point at as one batched
 // value-log read and fills values and found for each record whose stored
-// key matches.
+// key matches. The records may be views of the value device's pages, so
+// the verified values are copied out, under the shard lock and before any
+// later device write, into one arena per chunk: each value is a
+// capacity-capped sub-slice of it, so appending to one cannot reach the
+// next.
 func (s *shard) readRecords(results []core.LookupResult, keys, values [][]byte, found []bool) error {
 	reqs := s.batchReq[:0]
 	idxs := s.batchIdx[:0]
@@ -509,14 +514,29 @@ func (s *shard) readRecords(results []core.LookupResult, keys, values [][]byte, 
 	if err := s.vlog.ReadRecordsBatch(reqs); err != nil {
 		return err
 	}
+	hits := s.batchHit[:0]
 	for j, req := range reqs {
 		i := idxs[j]
 		if req.Rec == nil {
 			continue
 		}
 		if v, ok := storage.VerifyRecord(req.Rec, keys[i]); ok {
-			values[i] = bytes.Clone(v)
+			hits = append(hits, v)
 			found[i] = true
+		}
+	}
+	s.batchHit = hits
+	// Join sizes the arena from the values and copies each in once,
+	// without zeroing it first. A lone empty value joins to nil; a hit
+	// stays non-nil.
+	arena := bytes.Join(hits, nil)
+	if arena == nil {
+		arena = []byte{}
+	}
+	for _, i := range idxs {
+		if found[i] {
+			n := len(hits[0])
+			values[i], arena, hits = arena[:n:n], arena[n:], hits[1:]
 		}
 	}
 	return nil

@@ -1,0 +1,178 @@
+package clam
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// dedupWindow is the dedup index-merge window at a small scale: 8 shards
+// and 2 workers over 16 MB of flash with 4 MB of value logs, a universe of
+// 20-byte fingerprints about twice the logs' record capacity, and 256-byte
+// values. Each window looks up windowKeys fingerprints with GetBatch and
+// inserts the window's distinct misses with PutBatch, so the logs keep
+// wrapping and the hit rate settles near one half.
+type dedupWindow struct {
+	s        *Sharded
+	universe [][]byte
+	slab     []byte // value of fingerprint i: slab[i%slabSpan:][:windowValue]
+	rng      *rand.Rand
+	idx      []int
+	keys     [][]byte
+	queued   []uint32 // last window that queued the fingerprint
+	window   uint32
+	putKeys  [][]byte
+	putVals  [][]byte
+}
+
+const (
+	windowKeys  = 4096
+	windowValue = 256
+	slabSpan    = 251
+)
+
+// newDedupWindow opens the store and merges windows until every shard's
+// value log has wrapped.
+func newDedupWindow(tb testing.TB) *dedupWindow {
+	tb.Helper()
+	const vlogBytes = 4 << 20
+	w := &dedupWindow{
+		s: openShardedT(tb, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
+			WithValueLog(vlogBytes), WithShards(8), WithWorkers(2), WithSeed(3)),
+		universe: make([][]byte, 2*vlogBytes/storage.RecordSize(20, windowValue)),
+		slab:     make([]byte, slabSpan+windowValue),
+		rng:      rand.New(rand.NewSource(37)),
+		idx:      make([]int, windowKeys),
+		keys:     make([][]byte, windowKeys),
+	}
+	w.queued = make([]uint32, len(w.universe))
+	w.rng.Read(w.slab)
+	for i := range w.universe {
+		w.universe[i] = make([]byte, 20)
+		w.rng.Read(w.universe[i])
+	}
+	for !w.wrapped() {
+		if w.window > 1000 {
+			tb.Fatal("value logs still unwrapped after 1000 windows")
+		}
+		w.step(tb)
+	}
+	return w
+}
+
+func (w *dedupWindow) wrapped() bool {
+	for _, sh := range w.s.shards {
+		if sh.vlog.Stats().Wraps == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (w *dedupWindow) value(i int) []byte { return w.slab[i%slabSpan:][:windowValue] }
+
+// draw fills w.keys with a window of fingerprints drawn from the universe.
+func (w *dedupWindow) draw() {
+	for j := range w.keys {
+		w.idx[j] = w.rng.Intn(len(w.universe))
+		w.keys[j] = w.universe[w.idx[j]]
+	}
+}
+
+// step merges one window and returns its hits. Every hit must carry its
+// fingerprint's value.
+func (w *dedupWindow) step(tb testing.TB) int {
+	ctx := context.Background()
+	w.window++
+	w.draw()
+	vals, found, err := w.s.GetBatch(ctx, w.keys)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.putKeys, w.putVals = w.putKeys[:0], w.putVals[:0]
+	hits := 0
+	for j, i := range w.idx {
+		switch {
+		case found[j]:
+			if !bytes.Equal(vals[j], w.value(i)) {
+				tb.Fatalf("fingerprint %d: hit returns the wrong value", i)
+			}
+			hits++
+		case w.queued[i] != w.window:
+			w.queued[i] = w.window
+			w.putKeys = append(w.putKeys, w.keys[j])
+			w.putVals = append(w.putVals, w.value(i))
+		}
+	}
+	if err := w.s.PutBatch(ctx, w.putKeys, w.putVals); err != nil {
+		tb.Fatal(err)
+	}
+	return hits
+}
+
+// TestDedupWindowAllocs is the allocation guard of byte lookups on the
+// dedup store shape: a warm 4096-key GetBatch at a hit rate near one half
+// on wrapped logs allocates one value arena per chunk plus the router's
+// constant, and nothing per hit.
+func TestDedupWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
+	}
+	w := newDedupWindow(t)
+	w.draw()
+	g := w.s.groupBytes(w.keys, nil, nil)
+	chunks := 0
+	for sh := range w.s.shards {
+		chunks += (g.start[sh+1] - g.start[sh] + w.s.chunk - 1) / w.s.chunk
+	}
+	w.s.putGroups(g)
+	ctx := context.Background()
+	hits := 0
+	get := func() {
+		_, found, err := w.s.GetBatch(ctx, w.keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits = 0
+		for _, ok := range found {
+			if ok {
+				hits++
+			}
+		}
+	}
+	for range 3 { // warm the pool and the shards' scratch
+		get()
+	}
+	allocs := testing.AllocsPerRun(20, get)
+	rate := float64(hits) / windowKeys
+	t.Logf("GetBatch of %d keys in %d chunks at hit rate %.3f: %.1f allocs per call", windowKeys, chunks, rate, allocs)
+	if rate < 0.35 || rate > 0.65 {
+		t.Fatalf("hit rate %.3f is not near one half; retune the store", rate)
+	}
+	// The two outputs, the chunk closure, and the goroutine closures of the
+	// two workers and the second fingerprint stripe. A chunk without hits
+	// allocates no arena.
+	const constant = 6
+	if bound := float64(chunks + constant); allocs > bound {
+		t.Errorf("GetBatch allocates %.1f per warmed call; want at most %.0f (one arena per chunk plus %d)",
+			allocs, bound, constant)
+	}
+}
+
+// BenchmarkDedupWindow times the dedup merge window on wrapped logs: a
+// 4096-key GetBatch at a hit rate near one half, then a PutBatch of the
+// misses. It reports host ns per looked-up key; allocs/op is per window.
+func BenchmarkDedupWindow(b *testing.B) {
+	w := newDedupWindow(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for range b.N {
+		hits += w.step(b)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windowKeys), "ns/key")
+	b.ReportMetric(float64(hits)/float64(b.N*windowKeys), "hit_rate")
+}

@@ -301,6 +301,17 @@ type shardGroups struct {
 	bvbuf [][]byte
 	res   []core.LookupResult
 	found []bool
+
+	// runChunked's schedule, pooled with the groups so a batch allocates
+	// none of it: the shards with work and the next one to claim, the
+	// chunk errors and the cancellation, guarded by mu. wg waits for the
+	// workers, and for the stripes of fingerprints before them.
+	mu       sync.Mutex
+	ready    []int
+	next     int
+	errs     []error
+	canceled error
+	wg       sync.WaitGroup
 }
 
 // group groups a U64 batch into a pooled shardGroups (see groupInto).
@@ -315,8 +326,33 @@ func (r *router) group(keys, values []uint64) *shardGroups {
 // bk and values bv when non-nil. Callers return the groups with putGroups.
 func (r *router) groupBytes(keys, bk, bv [][]byte) *shardGroups {
 	g := r.getGroups()
-	g.fps = fingerprints(g.fps, keys, r.fpSeed)
+	r.fingerprints(g, keys)
 	return r.groupInto(g, g.fps, nil, bk, bv)
+}
+
+// fingerprints fingerprints a byte batch into g.fps. A batch of at least
+// two chunks is hashed in stripes of at least r.chunk keys on up to
+// r.workers goroutines, the caller hashing the last stripe itself, so the
+// hashing ahead of the grouping is not one serial pass while the batch's
+// workers wait. The fingerprints are those of a serial loop.
+func (r *router) fingerprints(g *shardGroups, keys [][]byte) {
+	g.fps = resize(g.fps, len(keys))
+	stripes := min(r.workers, len(keys)/r.chunk)
+	if stripes < 2 {
+		fingerprintInto(g.fps, keys, r.fpSeed)
+		return
+	}
+	per := len(keys) / stripes
+	last := (stripes - 1) * per
+	g.wg.Add(stripes - 1)
+	for lo := 0; lo < last; lo += per {
+		go func() {
+			defer g.wg.Done()
+			fingerprintInto(g.fps[lo:lo+per], keys[lo:lo+per], r.fpSeed)
+		}()
+	}
+	fingerprintInto(g.fps[last:], keys[last:], r.fpSeed)
+	g.wg.Wait()
 }
 
 func (r *router) getGroups() *shardGroups {
@@ -406,53 +442,49 @@ func (r *router) putGroups(g *shardGroups) {
 // slots. A chunk error stops that shard's remaining chunks; other shards
 // keep going, and all errors are joined, so every shard is attempted.
 func (r *router) runChunked(ctx context.Context, g *shardGroups, run func(s *shard, lo, hi int) error) error {
-	ready := make([]int, 0, len(g.cur))
+	g.ready, g.next, g.errs, g.canceled = g.ready[:0], 0, g.errs[:0], nil
 	for sh := range g.cur {
 		if g.start[sh+1] > g.start[sh] {
-			ready = append(ready, sh)
+			g.ready = append(g.ready, sh)
 		}
 	}
-	var (
-		workers  = min(r.workers, len(ready))
-		mu       sync.Mutex // guards ready, g.cur, errs, canceled
-		errs     []error
-		canceled error
-		wg       sync.WaitGroup
-	)
+	workers := min(r.workers, len(g.ready))
+	g.wg.Add(workers)
 	for range workers {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			mu.Lock()
-			defer mu.Unlock()
-			for len(ready) > 0 && canceled == nil {
-				sh := ready[0]
-				ready = ready[1:]
+			defer g.wg.Done()
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			for g.next < len(g.ready) && g.canceled == nil {
+				sh := g.ready[g.next]
+				g.next++
 				// Own sh until drained, failed or canceled; between chunks
 				// only the cursor advance needs the queue lock.
 				for g.cur[sh] < g.start[sh+1] {
 					if err := ctx.Err(); err != nil {
-						canceled = err
+						g.canceled = err
 						break
 					}
 					lo, hi := g.cur[sh], min(g.cur[sh]+r.chunk, g.start[sh+1])
 					g.cur[sh] = hi
-					mu.Unlock()
+					g.mu.Unlock()
 					err := run(r.shards[sh], lo, hi)
-					mu.Lock()
+					g.mu.Lock()
 					if err != nil {
-						errs = append(errs, err)
+						g.errs = append(g.errs, err)
 						break
 					}
 				}
 			}
 		}()
 	}
-	wg.Wait()
-	if canceled != nil {
-		errs = append(errs, canceled)
+	g.wg.Wait()
+	if g.canceled != nil {
+		g.errs = append(g.errs, g.canceled)
 	}
-	return errors.Join(errs...)
+	err := errors.Join(g.errs...)
+	clear(g.errs)
+	return err
 }
 
 // --- U64 batches ---
@@ -487,13 +519,13 @@ func (r *router) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 // overlaps them across the device's queue lanes. Chunks are dispatched by
 // the stealing router, so under a Zipf-skewed batch no worker idles while
 // an unclaimed shard remains.
-func (r *router) GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error) {
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
+func (r *router) GetBatchU64(ctx context.Context, keys []uint64) ([]uint64, []bool, error) {
+	values := make([]uint64, len(keys))
+	found := make([]bool, len(keys))
 	g := r.group(keys, nil)
 	defer r.putGroups(g)
 	g.res = resize(g.res, len(keys))
-	err = r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
+	err := r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
 		res := g.res[lo:hi]
 		if err := s.getBatchU64Into(g.kbuf[lo:hi], res); err != nil {
 			return err
@@ -542,10 +574,11 @@ func (r *router) PutBatch(ctx context.Context, keys, values [][]byte) error {
 // GetBatch looks up len(keys) byte keys in input order. Each chunk runs
 // two overlapped I/O streams on its shard: the core batched index pipeline
 // resolves fingerprints to record pointers, then the chunk's surviving
-// value-log records are fetched as one overlapped batched read.
-func (r *router) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
-	values = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
+// value-log records are fetched as one overlapped batched read, and their
+// verified values are copied into one arena per chunk (see Store.GetBatch).
+func (r *router) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, error) {
+	values := make([][]byte, len(keys))
+	found := make([]bool, len(keys))
 	g := r.groupBytes(keys, keys, nil)
 	defer r.putGroups(g)
 	// getBatchRecords fills only the hits, so the result slots start empty.
@@ -553,7 +586,7 @@ func (r *router) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, 
 	g.found = resize(g.found, len(keys))
 	clear(g.bvbuf)
 	clear(g.found)
-	err = r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
+	err := r.runChunked(ctx, g, func(s *shard, lo, hi int) error {
 		vals, ok := g.bvbuf[lo:hi], g.found[lo:hi]
 		if err := s.getBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], vals, ok); err != nil {
 			return err

@@ -73,7 +73,11 @@ type Store interface {
 	PutBatch(ctx context.Context, keys, values [][]byte) error
 	// GetBatch looks up len(keys) keys through the batched lookup pipeline
 	// (overlapped index probes, then overlapped value-log reads) and
-	// returns per-key results in input order.
+	// returns per-key results in input order. The values are the caller's:
+	// none aliases store memory or another value, so appending to or
+	// writing one changes nothing else. The hits of one router chunk share
+	// one allocation, so holding any value keeps its chunk's arena (the
+	// values of at most 512 keys) alive.
 	GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error)
 	// DeleteBatch applies len(keys) Delete operations, batched.
 	DeleteBatch(ctx context.Context, keys [][]byte) error
@@ -137,14 +141,11 @@ func fingerprint(key []byte, seed uint64) uint64 {
 	return hashutil.HashBytes(key, seed^fingerprintSalt)
 }
 
-// fingerprints fingerprints a batch of byte keys into dst, reusing its
-// capacity, and returns it with len(keys) entries.
-func fingerprints(dst []uint64, keys [][]byte, seed uint64) []uint64 {
-	dst = resize(dst, len(keys))
+// fingerprintInto fingerprints keys into dst[:len(keys)].
+func fingerprintInto(dst []uint64, keys [][]byte, seed uint64) {
 	for i, k := range keys {
 		dst[i] = fingerprint(k, seed)
 	}
-	return dst
 }
 
 // Compile-time interface checks.

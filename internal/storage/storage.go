@@ -22,12 +22,12 @@
 // data movement, Counters and the clock charge — and supplies only the
 // pricing of one request and the state only its medium has.
 //
-// The lookup pipeline's probe reads set ReadReq.View: a simulated device
-// then hands back a read-only slice of the SparseStore page instead of
-// copying the page into the request buffer. A view is valid until the
-// device's next write or trim and must never be written through; real
-// devices ignore the flag and fill the buffer. Time and Counters do not
-// depend on it.
+// The lookup pipeline's probe reads and the value log's one-page record
+// reads set ReadReq.View: a simulated device then hands back a read-only
+// slice of the SparseStore page instead of copying the page into the
+// request buffer. A view is valid until the device's next write or trim
+// and must never be written through; real devices ignore the flag and
+// fill the buffer. Time and Counters do not depend on it.
 package storage
 
 import (

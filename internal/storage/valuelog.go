@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // ValueLog is a circular append-only log of variable-length (key, value)
@@ -60,7 +61,10 @@ type ValueLog struct {
 	deadTotal  int64
 
 	scratch []byte    // batched-read arena, reused across calls
-	reqs    []ReadReq // batched-read request scratch
+	segs    []ReadReq // batched-read device segments, in record order
+	owner   []int     // per segment: the record a view serves, or -1 for a copy
+	packed  []uint64  // segOff<<segIdxBits | segment index, address-sorted
+	reqs    []ReadReq // the address-sorted submission
 }
 
 // ValueLogStats counts log activity, including the live/dead space
@@ -428,14 +432,21 @@ func (l *ValueLog) writeBuf(p int) error {
 }
 
 // ValueReadReq is one record read of a batched value-log fetch. Off and N
-// come from the record's pointer; Rec receives the record bytes (aliasing
-// log-owned scratch, valid until the next log call) or stays nil when the
-// pointer no longer addresses a live record region.
+// come from the record's pointer; Rec receives the record bytes or stays
+// nil when the pointer no longer addresses a live record region. Rec may
+// be a read-only view of the device's page (see ReadReq.View) or alias
+// log-owned scratch: it is valid until the device's next write or the
+// next log call, whichever comes first, and must not be written through.
 type ValueReadReq struct {
 	Off int64
 	N   int
 	Rec []byte
 }
+
+// segIdxBits is the width of the segment index packed under a segment's
+// device offset in ReadRecordsBatch's sort keys; offsets stay below
+// MaxValueLogBytes, so the two fit one word.
+const segIdxBits = 64 - valuePtrOffBits
 
 // inRange reports whether [off, off+n) can hold a record this cycle.
 // Pointers past the current head on an unwrapped log were never written;
@@ -478,8 +489,16 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 // device portions survive are gathered and issued as one ReadBatch
 // submission, so a batch of record fetches pays the overlapped service
 // time, not the serial sum. Buffered bytes are copied from the tail
-// buffer. Rec slices alias log-owned scratch valid until the next
-// log call; out-of-range requests leave Rec nil.
+// buffer. Out-of-range requests leave Rec nil.
+//
+// A record that is one device segment inside one device page is read as
+// a view: Rec becomes the device's page slice, with no copy. Records that
+// cross a page, overlap the tail buffer or reach past the head are copied
+// into log-owned scratch. The submission is address-sorted here, with
+// each segment's index packed under its offset, so the device finds it
+// sorted and serves it in place, and every served request pairs back to
+// its record; ties keep record order, the order the device's stable sort
+// would give, so time and Counters match an all-copy read.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 	total := 0
 	for i := range reqs {
@@ -495,7 +514,7 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 		l.scratch = make([]byte, total)
 	}
 	arena := l.scratch[:0]
-	l.reqs = l.reqs[:0]
+	l.segs, l.owner = l.segs[:0], l.owner[:0]
 	for i := range reqs {
 		r := &reqs[i]
 		if !l.inRange(r.Off, r.N) {
@@ -507,14 +526,37 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 		// Device segments become batched read requests; the tail-buffer
 		// overlap is copied immediately.
 		l.readSegments(rec, r.Off, func(seg []byte, segOff int64) {
-			l.reqs = append(l.reqs, ReadReq{P: seg, Off: segOff})
+			owner := -1
+			ps := int64(l.pageSize)
+			if len(seg) == r.N && segOff/ps == (segOff+int64(r.N)-1)/ps {
+				owner = i
+			}
+			l.segs = append(l.segs, ReadReq{P: seg, Off: segOff, View: owner >= 0})
+			l.owner = append(l.owner, owner)
 		})
 	}
-	if len(l.reqs) == 0 {
+	if len(l.segs) == 0 {
 		return nil
+	}
+	if len(l.segs) > 1<<segIdxBits {
+		return fmt.Errorf("storage: value log read of %d segments exceeds the %d batch limit", len(l.segs), 1<<segIdxBits)
+	}
+	l.packed = l.packed[:0]
+	for k, seg := range l.segs {
+		l.packed = append(l.packed, uint64(seg.Off)<<segIdxBits|uint64(k))
+	}
+	slices.Sort(l.packed)
+	l.reqs = l.reqs[:0]
+	for _, w := range l.packed {
+		l.reqs = append(l.reqs, l.segs[w&(1<<segIdxBits-1)])
 	}
 	if _, err := l.dev.ReadBatch(l.reqs); err != nil {
 		return fmt.Errorf("storage: value log read: %w", err)
+	}
+	for j, w := range l.packed {
+		if o := l.owner[w&(1<<segIdxBits-1)]; o >= 0 {
+			reqs[o].Rec = l.reqs[j].P
+		}
 	}
 	return nil
 }
