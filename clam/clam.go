@@ -216,7 +216,7 @@ func openShard(cfg config) (*shard, error) {
 	}
 	s := &shard{clock: clock, deadSeen: make(map[uint64]uint64)}
 	dev := cfg.customDevice
-	vdev := cfg.customVLogDev
+	var vdev storage.Device
 	if dev == nil {
 		var err error
 		if dev, err = newKindDevice(cfg.device, cfg.flashBytes, clock); err != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/hashutil"
 	"repro/internal/ssd"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // The fault oracle drives both key families through per-key and batch
@@ -136,18 +135,12 @@ func (r *faultRig) arm(fail func(i int, op storage.Op) bool) {
 	}
 }
 
-// openFaultCLAM opens a single CLAM over caller-owned SSDs.
+// openFaultCLAM opens a kind-built single CLAM on Intel SSDs and reaches
+// its index and value-log SSDs, which a kind-opened store hands out bare.
 func openFaultCLAM(t testing.TB, flash, vlog int64, opts ...Option) *faultRig {
 	t.Helper()
-	clock := vclock.New()
-	idx := ssd.New(ssd.IntelX18M(), flash, clock)
-	vdev := ssd.New(ssd.IntelX18M(), vlog, clock)
-	st, err := Open(append([]Option{WithCustomDevice(idx), WithValueLogDevice(vdev),
-		WithClock(clock), WithFlash(flash)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &faultRig{st: st, devs: []*ssd.SSD{idx, vdev}}
+	c := openCLAMT(t, append([]Option{WithDevice(IntelSSD), WithValueLog(vlog), WithFlash(flash)}, opts...)...)
+	return &faultRig{st: c, devs: []*ssd.SSD{c.Device().(*ssd.SSD), c.ValueDevice().(*ssd.SSD)}}
 }
 
 // openFaultSharded opens a kind-built Sharded store and reaches each

@@ -17,9 +17,8 @@ type Option func(*config) error
 
 // config is the resolved option set.
 type config struct {
-	device        DeviceKind
-	customDevice  storage.Device
-	customVLogDev storage.Device
+	device       DeviceKind
+	customDevice storage.Device
 
 	flashBytes    int64
 	memoryBytes   int64
@@ -52,22 +51,12 @@ func WithDevice(kind DeviceKind) Option {
 // WithCustomDevice overrides the index device of a one-shard store (a
 // CLAM) with a caller-supplied model. The caller must construct it against
 // the clock passed via WithClock (or let the device own its clock).
-// Byte-valued operations additionally need WithValueLogDevice; without one
-// they fail with ErrNoValueLog. Rejected with WithShards > 1: each shard
-// of a Sharded store owns private devices.
+// Such a store has no value log, so its byte-valued operations fail with
+// ErrNoValueLog. Rejected with WithShards > 1: each shard of a Sharded
+// store owns private devices.
 func WithCustomDevice(dev storage.Device) Option {
 	return func(c *config) error {
 		c.customDevice = dev
-		return nil
-	}
-}
-
-// WithValueLogDevice overrides the value-log device. Only meaningful
-// together with WithCustomDevice; stores opened by device kind build their
-// own value-log device.
-func WithValueLogDevice(dev storage.Device) Option {
-	return func(c *config) error {
-		c.customVLogDev = dev
 		return nil
 	}
 }
@@ -232,9 +221,6 @@ func Open(opts ...Option) (Store, error) {
 	}
 	if cfg.flashBytes <= 0 {
 		return nil, fmt.Errorf("clam: WithFlash is required")
-	}
-	if cfg.customVLogDev != nil && cfg.customDevice == nil {
-		return nil, fmt.Errorf("clam: WithValueLogDevice requires WithCustomDevice (kind-opened stores build their own value-log device)")
 	}
 	r, err := openRouter(cfg)
 	if err != nil {

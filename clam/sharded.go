@@ -72,8 +72,8 @@ func openRouter(cfg config) (*router, error) {
 	if n > 1 && cfg.clock != nil {
 		return nil, errors.New("clam: WithClock is incompatible with WithShards; each shard owns its own clock")
 	}
-	if n > 1 && (cfg.customDevice != nil || cfg.customVLogDev != nil) {
-		return nil, errors.New("clam: WithCustomDevice/WithValueLogDevice are incompatible with WithShards; each shard owns its own devices")
+	if n > 1 && cfg.customDevice != nil {
+		return nil, errors.New("clam: WithCustomDevice is incompatible with WithShards; each shard owns its own devices")
 	}
 	if cfg.flashBytes%int64(n) != 0 {
 		return nil, fmt.Errorf("clam: flash capacity %d not divisible by %d shards", cfg.flashBytes, n)

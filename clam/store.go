@@ -129,8 +129,9 @@ type Store interface {
 }
 
 // ErrNoValueLog is returned by byte-valued operations on a store opened
-// with WithCustomDevice but no WithValueLogDevice.
-var ErrNoValueLog = errors.New("clam: no value-log device; byte-valued API needs WithValueLogDevice alongside WithCustomDevice")
+// with WithCustomDevice: such a store has no value log, so only the U64
+// API serves it.
+var ErrNoValueLog = errors.New("clam: no value log; a WithCustomDevice store serves only the U64 API")
 
 // fingerprintSalt decorrelates byte-key fingerprints from caller-chosen
 // U64 keys and from the table's internal hashing.

@@ -139,8 +139,8 @@ func TestBatchCancellation(t *testing.T) {
 }
 
 // TestCustomDeviceByteAPIRequiresValueLog pins ErrNoValueLog: a store over
-// a custom index device has no value log unless one is supplied, and the
-// U64 path keeps working either way.
+// a custom index device has no value log, so its byte API fails while the
+// U64 path keeps working.
 func TestCustomDeviceByteAPIRequiresValueLog(t *testing.T) {
 	clock := vclock.New()
 	dev := ssd.New(ssd.IntelX18M(), 16<<20, clock)
@@ -159,35 +159,6 @@ func TestCustomDeviceByteAPIRequiresValueLog(t *testing.T) {
 	}
 	if _, _, err := st.GetBatch(context.Background(), [][]byte{[]byte("k")}); !errors.Is(err, ErrNoValueLog) {
 		t.Fatalf("GetBatch without value log returned %v", err)
-	}
-
-	// Supplying a value-log device enables the byte API.
-	clock2 := vclock.New()
-	st2, err := Open(
-		WithCustomDevice(ssd.New(ssd.IntelX18M(), 16<<20, clock2)),
-		WithValueLogDevice(ssd.New(ssd.IntelX18M(), 16<<20, clock2)),
-		WithClock(clock2), WithFlash(16<<20), WithMemory(4<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := st2.Get([]byte("k")); err != nil || !ok || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("custom value log get: %q %v %v", v, ok, err)
-	}
-}
-
-// TestValueLogDeviceRequiresCustomDevice pins the Open validation: a
-// caller-supplied value-log device is meaningful only next to a custom
-// index device — silently building a kind device instead would discard
-// the caller's fault-injection or counting wrapper.
-func TestValueLogDeviceRequiresCustomDevice(t *testing.T) {
-	clock := vclock.New()
-	vdev := ssd.New(ssd.IntelX18M(), 16<<20, clock)
-	if _, err := Open(WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
-		WithClock(clock), WithValueLogDevice(vdev)); err == nil {
-		t.Fatal("Open accepted WithValueLogDevice without WithCustomDevice")
 	}
 }
 

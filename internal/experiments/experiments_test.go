@@ -171,6 +171,13 @@ func TestFig8PartialDiscard(t *testing.T) {
 			t.Errorf("%s = %.2f, paper says ~90%% of cascades try ≤3 incarnations", k, v)
 		}
 	}
+	// The run must pass the eviction onset: without partial scans the
+	// insert figures price no partial discard at all.
+	for _, k := range []string{"intel-x18m_partial_scans", "transcend-ts32_partial_scans"} {
+		if v := r.Metrics[k]; v <= 0 {
+			t.Errorf("%s = %.0f, want partial-discard evictions", k, v)
+		}
+	}
 }
 
 func TestAblationDirections(t *testing.T) {
@@ -224,7 +231,7 @@ func TestFig9Crossover(t *testing.T) {
 	// The paper reports ≈2x for BDB at 10 Mbps, which is in tension with
 	// its own Table 3 (18.4 ms backlogged inserts cannot sustain the ~100
 	// inserts/s a 10 Mbps link generates); our synchronous model lands
-	// just above break-even. See EXPERIMENTS.md.
+	// just above break-even.
 	if v := r.Metrics["bdb_red50_10mbps"]; v < 1.0 {
 		t.Errorf("BDB at 10Mbps: %.2f, want ≥1 (paper ≈2)", v)
 	}

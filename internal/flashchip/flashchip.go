@@ -132,10 +132,11 @@ func (c *Chip) ReadAt(p []byte, off int64) (time.Duration, error) {
 	return c.ReadBatch(one[:])
 }
 
-// ReadBatch implements storage.Device through the chip's queue: a request
-// costs the sense and transfer of every page it touches, plus the fixed
-// array-access setup when it starts a sequential run, and requests overlap
-// across the chip's planes.
+// ReadBatch implements storage.Device through the chip's queue, serving
+// reqs in the ascending address order given: a request costs the sense and
+// transfer of every page it touches, plus the fixed array-access setup when
+// it starts a sequential run, and requests overlap across the chip's
+// planes.
 func (c *Chip) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	return c.q.Read(reqs, nil, c.readCost)
 }
@@ -183,8 +184,9 @@ func (c *Chip) program(off, n int64) error {
 // request costs its program time, plus the fixed program setup when it
 // starts a sequential run, and requests overlap across the chip's planes
 // (multi-plane page program). Program order is enforced per request in
-// address order, so a failing batch leaves earlier requests programmed and
-// charged, while the failing request itself leaves its blocks unchanged.
+// the address order given, so a failing batch leaves earlier requests
+// programmed and charged, while the failing request itself leaves its
+// blocks unchanged.
 func (c *Chip) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	return c.q.Write(reqs, nil, c.writeCost)
 }

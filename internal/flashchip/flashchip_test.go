@@ -276,10 +276,10 @@ func TestReadBatchPlaneOverlap(t *testing.T) {
 	// Four discontiguous page reads over two planes: each pays the fixed
 	// sense cost (distinct runs); two lanes of two requests each.
 	reqs := []storage.ReadReq{
-		{P: make([]byte, ps), Off: 6 * ps},
 		{P: make([]byte, ps), Off: 0},
-		{P: make([]byte, ps), Off: 4 * ps},
 		{P: make([]byte, ps), Off: 2 * ps},
+		{P: make([]byte, ps), Off: 4 * ps},
+		{P: make([]byte, ps), Off: 6 * ps},
 	}
 	before := clock.Now()
 	batch, err := c.ReadBatch(reqs)

@@ -159,12 +159,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.count)
 }
 
-// Min returns the smallest sample, or 0 if empty.
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max returns the largest sample, or 0 if empty.
-func (h *Histogram) Max() time.Duration { return h.max }
-
 // Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1). The estimate
 // is the upper bound of the bucket containing the quantile, except that the
 // exact Min and Max are returned at the extremes.

@@ -29,16 +29,16 @@ func TestBasicStats(t *testing.T) {
 	if h.Mean() != 3*time.Millisecond {
 		t.Fatalf("Mean = %v, want 3ms", h.Mean())
 	}
-	if h.Min() != time.Millisecond || h.Max() != 5*time.Millisecond {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
+	if s := h.Summarize(); s.Min != time.Millisecond || s.Max != 5*time.Millisecond {
+		t.Fatalf("Min/Max = %v/%v", s.Min, s.Max)
 	}
 }
 
 func TestNegativeClampedToZero(t *testing.T) {
 	var h Histogram
 	h.Observe(-time.Second)
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("negative sample not clamped: min=%v max=%v", h.Min(), h.Max())
+	if s := h.Summarize(); s.Min != 0 || s.Max != 0 {
+		t.Fatalf("negative sample not clamped: min=%v max=%v", s.Min, s.Max)
 	}
 }
 
@@ -124,8 +124,8 @@ func TestMerge(t *testing.T) {
 	if a.Mean() != 3*time.Millisecond {
 		t.Fatalf("Mean = %v, want 3ms", a.Mean())
 	}
-	if a.Min() != time.Millisecond || a.Max() != 5*time.Millisecond {
-		t.Fatalf("Min/Max wrong after merge: %v/%v", a.Min(), a.Max())
+	if s := a.Summarize(); s.Min != time.Millisecond || s.Max != 5*time.Millisecond {
+		t.Fatalf("Min/Max wrong after merge: %v/%v", s.Min, s.Max)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestMergeEmpty(t *testing.T) {
 		t.Fatal("merging empty histogram changed count")
 	}
 	b.Merge(&a)
-	if b.Count() != 1 || b.Min() != time.Millisecond {
+	if b.Count() != 1 || b.Summarize().Min != time.Millisecond {
 		t.Fatal("merging into empty histogram lost stats")
 	}
 }
@@ -268,8 +268,8 @@ func TestMergedAggregatesShardHistograms(t *testing.T) {
 	if got.Count() != want.Count() || got.Sum() != want.Sum() {
 		t.Fatalf("merged count/sum = %d/%v, want %d/%v", got.Count(), got.Sum(), want.Count(), want.Sum())
 	}
-	if got.Min() != want.Min() || got.Max() != want.Max() {
-		t.Fatalf("merged min/max = %v/%v, want %v/%v", got.Min(), got.Max(), want.Min(), want.Max())
+	if g, w := got.Summarize(), want.Summarize(); g.Min != w.Min || g.Max != w.Max {
+		t.Fatalf("merged min/max = %v/%v, want %v/%v", g.Min, g.Max, w.Min, w.Max)
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
 		if got.Quantile(q) != want.Quantile(q) {
@@ -285,7 +285,7 @@ func TestMergedAggregatesShardHistograms(t *testing.T) {
 func TestMergedEmpty(t *testing.T) {
 	var m Histogram
 	m.Merge(&Histogram{})
-	if m.Count() != 0 || m.Min() != 0 || m.Max() != 0 {
+	if s := m.Summarize(); s.Count != 0 || s.Min != 0 || s.Max != 0 {
 		t.Fatal("merging empties should stay empty")
 	}
 }

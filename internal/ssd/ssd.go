@@ -238,9 +238,6 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *SSD {
 // SetFault installs a fault-injection hook (nil clears it).
 func (s *SSD) SetFault(f storage.FaultFunc) { s.q.Fault = f }
 
-// Profile returns the device profile.
-func (s *SSD) Profile() Profile { return s.prof }
-
 // Geometry implements storage.Device. BlockSize is exposed so applications
 // can align batched writes to erase blocks, as BufferHash does.
 func (s *SSD) Geometry() storage.Geometry {
@@ -295,10 +292,11 @@ func (s *SSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 	return s.ReadBatch(one[:])
 }
 
-// ReadBatch implements storage.Device through the device's queue. A
-// request costs its whole sectors' transfer (P2), plus ReadFixed when it
-// starts a sequential run; requests overlap across QueueDepth channel
-// lanes, behind any GC the submission stalls for.
+// ReadBatch implements storage.Device through the device's queue, serving
+// reqs in the ascending address order given. A request costs its whole
+// sectors' transfer (P2), plus ReadFixed when it starts a sequential run;
+// requests overlap across QueueDepth channel lanes, behind any GC the
+// submission stalls for.
 func (s *SSD) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	return s.q.Read(reqs, s.begin, s.readCost)
 }
@@ -319,13 +317,13 @@ func (s *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 }
 
 // WriteBatch implements storage.Device through the device's queue. FTL
-// bookkeeping runs per request in address order. A request costs its
-// transfer (on the block-mapped FTL also any erase or merge it forces),
-// plus WriteFixed when it starts a sequential run, and requests overlap
-// across QueueDepth channel lanes. Synchronous GC — pending reclamation
-// plus any emergency reclaims the batch's own allocations force — stalls
-// the whole submission ahead of the overlapped transfers: GC blocks the
-// device (§7.2.2).
+// bookkeeping runs per request in the ascending address order given. A
+// request costs its transfer (on the block-mapped FTL also any erase or
+// merge it forces), plus WriteFixed when it starts a sequential run, and
+// requests overlap across QueueDepth channel lanes. Synchronous GC —
+// pending reclamation plus any emergency reclaims the batch's own
+// allocations force — stalls the whole submission ahead of the overlapped
+// transfers: GC blocks the device (§7.2.2).
 func (s *SSD) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
 	return s.q.Write(reqs, s.begin, s.writeCost)
 }

@@ -2,8 +2,10 @@ package ssd
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -50,7 +52,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: round trip mismatch", s.Profile().Name)
+			t.Fatalf("%s: round trip mismatch", s.prof.Name)
 		}
 	}
 }
@@ -412,7 +414,7 @@ func TestZeroCapacityPanics(t *testing.T) {
 func TestReadBatchOverlapsLanes(t *testing.T) {
 	s, clock := newIntel(4 << 20)
 	// Lay down identifiable data across 16 scattered sectors.
-	sec := int64(s.Profile().SectorSize)
+	sec := int64(s.prof.SectorSize)
 	offs := []int64{30, 2, 17, 9, 25, 4, 11, 28, 0, 19, 6, 22, 13, 31, 8, 15}
 	for i, o := range offs {
 		page := bytes.Repeat([]byte{byte(i + 1)}, int(sec))
@@ -442,6 +444,7 @@ func TestReadBatchOverlapsLanes(t *testing.T) {
 	for i, o := range offs {
 		reqs[i] = storage.ReadReq{P: make([]byte, sec), Off: o * sec}
 	}
+	slices.SortStableFunc(reqs, func(a, b storage.ReadReq) int { return cmp.Compare(a.Off, b.Off) })
 	before := clock.Now()
 	batch, err := s.ReadBatch(reqs)
 	if err != nil {
@@ -455,10 +458,10 @@ func TestReadBatchOverlapsLanes(t *testing.T) {
 	if batch >= serial {
 		t.Fatalf("batch %v not faster than serial %v", batch, serial)
 	}
-	if floor := serial / time.Duration(s.Profile().QueueDepth); batch < floor/2 {
+	if floor := serial / time.Duration(s.prof.QueueDepth); batch < floor/2 {
 		t.Fatalf("batch %v implausibly below lane floor %v", batch, floor)
 	}
-	// Data integrity: reqs were sorted in place, so identify by offset.
+	// Data integrity: reqs were sorted by address, so identify by offset.
 	for _, r := range reqs {
 		i := -1
 		for j, o := range offs {
@@ -477,7 +480,7 @@ func TestReadBatchOverlapsLanes(t *testing.T) {
 
 func TestReadBatchSequentialRunDiscount(t *testing.T) {
 	s, _ := newIntel(4 << 20)
-	sec := int64(s.Profile().SectorSize)
+	sec := int64(s.prof.SectorSize)
 	buf := make([]byte, 8*sec)
 	if _, err := s.WriteAt(buf, 0); err != nil {
 		t.Fatal(err)
@@ -491,7 +494,7 @@ func TestReadBatchSequentialRunDiscount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.Profile()
+	p := s.prof
 	perByte := time.Duration(sec) * p.ReadPerByte
 	// The run's lone fixed cost and the 8 transfers spread over 8 lanes:
 	// max lane = ReadFixed + perByte.
@@ -505,19 +508,19 @@ func TestReadBatchTranscendSingleLane(t *testing.T) {
 	// QueueDepth 1: the batch equals the sorted serial sum with sequential
 	// discounting — no overlap on the old device.
 	s, _ := newTranscend(4 << 20)
-	sec := int64(s.Profile().SectorSize)
+	sec := int64(s.prof.SectorSize)
 	if _, err := s.WriteAt(make([]byte, 4*sec), 0); err != nil {
 		t.Fatal(err)
 	}
 	reqs := []storage.ReadReq{
-		{P: make([]byte, sec), Off: 2 * sec},
 		{P: make([]byte, sec), Off: 0},
+		{P: make([]byte, sec), Off: 2 * sec},
 	}
 	batch, err := s.ReadBatch(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.Profile()
+	p := s.prof
 	perByte := time.Duration(sec) * p.ReadPerByte
 	want := 2*p.ReadFixed + 2*perByte // discontiguous: two runs, one lane
 	if batch != want {

@@ -1,8 +1,7 @@
 package storage
 
 import (
-	"cmp"
-	"slices"
+	"fmt"
 	"time"
 
 	"repro/internal/vclock"
@@ -23,7 +22,10 @@ import (
 // The overlap model is shared by all devices, and Queue is its one
 // implementation:
 //
-//  1. Requests are served in ascending address order (NCQ / elevator).
+//  1. Requests are served in the order given, which must be ascending
+//     address order (NCQ / elevator): the caller sorts, and a submission
+//     whose offsets go down anywhere fails with ErrUnsorted. Equal offsets
+//     are allowed.
 //  2. A request starting exactly where the previous request ended joins a
 //     sequential run and pays no per-request fixed cost (no seek, no
 //     command setup) — only the transfer cost.
@@ -34,8 +36,8 @@ import (
 //
 // A lone request starts a new run and occupies one lane, so it pays the
 // fixed cost plus its transfer: the paper's linear I/O cost (§6.1). Devices
-// that cannot reorder or overlap simply have one lane, where the model
-// degenerates to the sorted serial sum (still a win on seek-bound media).
+// that cannot overlap simply have one lane, where the model degenerates to
+// the sorted serial sum (still a win on seek-bound media).
 // Callers must treat request buffers as invalid on error.
 //
 // A request with View set lets a simulated device skip the copy: instead of
@@ -67,10 +69,10 @@ type ReadReq struct {
 // insert pipeline: BufferHash collects every incarnation image a batch's
 // flushes produce and submits them in one call.
 //
-// Requests must respect the same alignment rules as WriteAt and must not
-// overlap one another; on media with program-order constraints (raw NAND)
-// the address-sorted requests must respect them, as full-block incarnation
-// images do by construction.
+// Requests must ascend by address, respect the same alignment rules as
+// WriteAt and not overlap one another; on media with program-order
+// constraints (raw NAND) they must respect those too, as full-block
+// incarnation images do by construction.
 type WriteReq struct {
 	P   []byte
 	Off int64
@@ -78,12 +80,13 @@ type WriteReq struct {
 
 // Queue is the submission engine of the simulated devices, the one
 // implementation of the overlap model (see ReadReq). Every read and write
-// of the SSD, flash chip and disk models is a Queue submission: the queue
-// checks every request's range and alignment and consults the fault hook
-// before any state moves, sorts the requests by address, detects
-// sequential runs, serves each request against the device's SparseStore,
-// counts it, overlaps the per-request service times across the device's
-// lanes, and advances the clock once by the submission's total.
+// of the SSD, flash chip and disk models is a Queue submission: before any
+// state moves, the queue checks that the requests ascend by address,
+// checks every request's range and alignment, and consults the fault hook;
+// then it detects sequential runs, serves each request in the order given
+// against the device's SparseStore, counts it, overlaps the per-request
+// service times across the device's lanes, and advances the clock once by
+// the submission's total.
 //
 // A model supplies only what differs between media: a CostFunc pricing
 // one request, and optionally a begin hook that runs once a submission has
@@ -107,7 +110,6 @@ type Queue struct {
 	busyUntil  time.Duration   // clock reading when the last charge ended
 	stall      time.Duration   // Stall total of the submission being served
 	svc        []time.Duration // per-request service times of a submission
-	sortBuf    []ReadReq       // merge buffer of a read submission's address sort
 }
 
 // CostFunc prices one request of a submission: the service time n bytes at
@@ -140,10 +142,15 @@ func (q *Queue) Check(op Op, off, n int64, align int) error {
 
 // Read serves reqs as one read submission and returns its service time.
 // begin, if non-nil, runs once every request has passed its checks. cost
-// prices each request; reqs are reordered by address.
+// prices each request, in the order given.
 func (q *Queue) Read(reqs []ReadReq, begin func(), cost CostFunc) (time.Duration, error) {
 	if len(reqs) == 0 {
 		return 0, nil
+	}
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Off < reqs[i-1].Off {
+			return 0, unsorted(i, reqs[i-1].Off, reqs[i].Off)
+		}
 	}
 	for _, r := range reqs {
 		if err := q.Check(OpRead, r.Off, int64(len(r.P)), 1); err != nil {
@@ -151,7 +158,6 @@ func (q *Queue) Read(reqs []ReadReq, begin func(), cost CostFunc) (time.Duration
 		}
 	}
 	q.start(len(reqs), begin)
-	q.sortBuf = SortReadReqs(reqs, q.sortBuf)
 	prevEnd := int64(-1)
 	for i, r := range reqs {
 		lat, err := cost(r.Off, len(r.P), r.Off != prevEnd)
@@ -173,13 +179,17 @@ func (q *Queue) Write(reqs []WriteReq, begin func(), cost CostFunc) (time.Durati
 	if len(reqs) == 0 {
 		return 0, nil
 	}
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Off < reqs[i-1].Off {
+			return 0, unsorted(i, reqs[i-1].Off, reqs[i].Off)
+		}
+	}
 	for _, r := range reqs {
 		if err := q.Check(OpWrite, r.Off, int64(len(r.P)), q.writeAlign); err != nil {
 			return 0, err
 		}
 	}
 	q.start(len(reqs), begin)
-	sortWriteReqs(reqs)
 	prevEnd := int64(-1)
 	for i, r := range reqs {
 		lat, err := cost(r.Off, len(r.P), r.Off != prevEnd)
@@ -193,6 +203,12 @@ func (q *Queue) Write(reqs []WriteReq, begin func(), cost CostFunc) (time.Durati
 		q.Counters.BytesWritten += uint64(len(r.P))
 	}
 	return q.finish(q.svc), nil
+}
+
+// unsorted reports request i of a submission starting below its
+// predecessor.
+func unsorted(i int, prev, off int64) error {
+	return fmt.Errorf("%w: request %d at off=%d follows off=%d", ErrUnsorted, i, off, prev)
 }
 
 // start readies a checked submission of n requests and runs begin.
@@ -232,105 +248,12 @@ func (q *Queue) Charge(lat time.Duration) time.Duration {
 // its last charge ended, or 0 if the clock has not moved on since.
 func (q *Queue) Idle() time.Duration { return max(0, q.clock.Now()-q.busyUntil) }
 
-// SortReadReqs orders reqs by ascending device address (step 1 of the
-// overlap model). Ties keep their relative order so duplicate-page reads
-// stay adjacent for callers that dedupe; a stable order is unique, so run
-// detection and lane assignment do not depend on the algorithm.
-// Already-sorted batches — the common case, since the core pipeline
-// submits sorted requests — are detected with one linear scan and left
-// untouched.
-//
-// Others are sorted in O(n log n): insertion-sorted runs of sortRun
-// requests, then bottom-up merge passes that alternate between reqs and
-// buf. buf is the caller's merge buffer; it is grown to len(reqs) when
-// short and returned for the caller to keep, so a device that stores it
-// sorts without allocating once warm. On return the buffer is cleared and
-// holds no request buffers. Batches of at most sortRun requests never
-// touch it.
-//
-// The sort is written for ReadReq rather than as one generic helper: a
-// generic call goes through a shape dictionary, which hides the slice from
-// escape analysis and would move every device's one-request ReadAt array
-// to the heap. For the same reason the buffer belongs to the caller: only
-// buf, never reqs, flows to the result, so reqs stays on the caller's
-// stack.
-func SortReadReqs(reqs, buf []ReadReq) []ReadReq {
-	n := len(reqs)
-	if slices.IsSortedFunc(reqs, func(a, b ReadReq) int { return cmp.Compare(a.Off, b.Off) }) {
-		return buf
-	}
-	for lo := 0; lo < n; lo += sortRun {
-		insertionSortReadReqs(reqs[lo:min(lo+sortRun, n)])
-	}
-	if n <= sortRun {
-		return buf
-	}
-	if cap(buf) < n {
-		buf = make([]ReadReq, n)
-	}
-	tmp := buf[:n]
-	src, dst := reqs, tmp
-	for width := sortRun; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := min(lo+width, n), min(lo+2*width, n)
-			mergeReadReqs(dst[lo:hi], src[lo:mid], src[mid:hi])
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &reqs[0] {
-		copy(reqs, src)
-	}
-	clear(tmp)
-	return buf
-}
-
-// sortRun is the length of SortReadReqs's insertion-sorted runs.
-const sortRun = 16
-
-// insertionSortReadReqs stably sorts a short run by Off.
-func insertionSortReadReqs(reqs []ReadReq) {
-	for i := 1; i < len(reqs); i++ {
-		r, j := reqs[i], i
-		for ; j > 0 && r.Off < reqs[j-1].Off; j-- {
-			reqs[j] = reqs[j-1]
-		}
-		reqs[j] = r
-	}
-}
-
-// mergeReadReqs merges the sorted runs a and b into dst (len(a)+len(b)),
-// taking from a on ties so the merge is stable.
-func mergeReadReqs(dst, a, b []ReadReq) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Off < a[i].Off {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
-}
-
-// sortWriteReqs orders reqs by ascending device address (the elevator/NCQ
-// step of the overlap model), leaving already-sorted batches untouched.
-func sortWriteReqs(reqs []WriteReq) {
-	cmpOff := func(a, b WriteReq) int { return cmp.Compare(a.Off, b.Off) }
-	if !slices.IsSortedFunc(reqs, cmpOff) {
-		slices.SortStableFunc(reqs, cmpOff)
-	}
-}
-
 // overlapLanes implements step 3 of the overlap model: distribute the
 // per-request service times over `lanes` queue lanes, each request on the
 // currently least-loaded lane, and return the maximum lane total. With one
 // lane (or one request) this is the plain sum. svc is consumed in order,
-// so Queue passes the address-sorted (and sequential-run-discounted)
-// service times.
+// so Queue passes the service times in submission (address) order, with
+// sequential runs discounted.
 func overlapLanes(svc []time.Duration, lanes int) time.Duration {
 	lanes = min(lanes, len(svc))
 	if lanes <= 1 {

@@ -2,7 +2,9 @@ package storage_test
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,6 +19,16 @@ import (
 // incarnation layouts rely on: the Trimmer/Eraser optional interfaces as
 // seen through a plain storage.Device, and the batch service every device
 // model implements.
+
+// sortReads and sortWrites stably order a submission by address, as
+// devices require; requests at equal offsets keep their order.
+func sortReads(reqs []storage.ReadReq) {
+	slices.SortStableFunc(reqs, func(a, b storage.ReadReq) int { return cmp.Compare(a.Off, b.Off) })
+}
+
+func sortWrites(reqs []storage.WriteReq) {
+	slices.SortStableFunc(reqs, func(a, b storage.WriteReq) int { return cmp.Compare(a.Off, b.Off) })
+}
 
 // TestTrimmerInterface exercises Trim through the optional interface from
 // a plain Device value, on both FTL flavours.
@@ -183,19 +195,15 @@ func TestSerialIOAllocs(t *testing.T) {
 				t.Errorf("WriteAt allocates %v per call, want %v", a, tc.writeAllocs)
 			}
 
-			// Warm submissions allocate nothing either: 64 unsorted reads,
-			// which take the merge path of the address sort, and (except on
-			// raw NAND, which would program fresh pages) 8 writes in
-			// descending order.
+			// Warm submissions allocate nothing either: 64 scattered reads,
+			// sorted as devices require, and (except on raw NAND, which
+			// would program fresh pages) 8 writes at every other page.
 			rreqs := make([]storage.ReadReq, 64)
-			bufs := make([][]byte, len(rreqs))
-			for i := range bufs {
-				bufs[i] = make([]byte, g.PageSize)
+			for i := range rreqs {
+				rreqs[i] = storage.ReadReq{P: make([]byte, g.PageSize), Off: int64(i*37%64) * int64(g.PageSize)}
 			}
+			sortReads(rreqs)
 			readBatch := func() {
-				for i := range rreqs {
-					rreqs[i] = storage.ReadReq{P: bufs[i], Off: int64(i*37%64) * int64(g.PageSize)}
-				}
 				if _, err := tc.dev.ReadBatch(rreqs); err != nil {
 					t.Fatal(err)
 				}
@@ -208,10 +216,10 @@ func TestSerialIOAllocs(t *testing.T) {
 				return
 			}
 			wreqs := make([]storage.WriteReq, 8)
+			for i := range wreqs {
+				wreqs[i] = storage.WriteReq{P: p, Off: int64(i+1) * 2 * int64(g.PageSize)}
+			}
 			writeBatch := func() {
-				for i := range wreqs {
-					wreqs[i] = storage.WriteReq{P: p, Off: int64(len(wreqs)-i) * 2 * int64(g.PageSize)}
-				}
 				if _, err := tc.dev.WriteBatch(wreqs); err != nil {
 					t.Fatal(err)
 				}
@@ -227,7 +235,7 @@ func TestSerialIOAllocs(t *testing.T) {
 // TestBatchWriterContract exercises WriteBatch on every device model
 // against a twin device driven by serial WriteAt: identical stored bytes
 // and write counters, and batch service time never above the serial sum
-// (sorting and lane overlap can only help).
+// (run detection and lane overlap can only help).
 func TestBatchWriterContract(t *testing.T) {
 	mkDevices := func() map[string]storage.Device {
 		return map[string]storage.Device{
@@ -242,17 +250,17 @@ func TestBatchWriterContract(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sd, bd := serialDevs[name], batchDevs[name]
 			// 128 KB chunks (whole erase blocks on NAND) at scattered,
-			// non-contiguous addresses, submitted in descending order so the
-			// batch path must sort.
+			// non-contiguous addresses, in the ascending order devices
+			// require.
 			const chunk = 128 << 10
 			var reqs []storage.WriteReq
-			for i := 7; i >= 0; i-- {
+			for i := 0; i < 8; i++ {
 				p := bytes.Repeat([]byte{byte('A' + i)}, chunk)
 				reqs = append(reqs, storage.WriteReq{P: p, Off: int64(i) * 2 * chunk})
 			}
 			var serialSum time.Duration
-			for i := len(reqs) - 1; i >= 0; i-- { // ascending order for the serial twin
-				lat, err := sd.WriteAt(reqs[i].P, reqs[i].Off)
+			for _, r := range reqs {
+				lat, err := sd.WriteAt(r.P, r.Off)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -320,8 +328,8 @@ func TestBatchWriterProgramOrder(t *testing.T) {
 	chip := flashchip.New(flashchip.DefaultConfig(1<<20), vclock.New())
 	g := chip.Geometry()
 	p := bytes.Repeat([]byte{0x5A}, g.PageSize)
-	// Page 1 of block 0 without page 0 first: out of order even after the
-	// address sort.
+	// Page 1 of block 0 without page 0 first: a valid submission order,
+	// but out of program order.
 	_, err := chip.WriteBatch([]storage.WriteReq{{P: p, Off: int64(g.PageSize)}})
 	if !errors.Is(err, storage.ErrProgramOrder) {
 		t.Fatalf("out-of-order batch write: %v, want ErrProgramOrder", err)
@@ -356,10 +364,10 @@ func TestReadViewContract(t *testing.T) {
 					}
 				}
 			}
-			// Descending, so the device must sort: written pages, an
-			// unwritten page, a sub-page range and a two-page range (which
-			// no single page can back).
-			shape := []struct{ off, n int64 }{{9 * ps, ps}, {3 * ps, ps}, {2*ps + 16, 64}, {ps, 2 * ps}, {0, ps}}
+			// Written pages, a two-page range (which no single page can
+			// back), a sub-page range and an unwritten page, in ascending
+			// order.
+			shape := []struct{ off, n int64 }{{0, ps}, {ps, 2 * ps}, {2*ps + 16, 64}, {3 * ps, ps}, {9 * ps, ps}}
 			submit := func(d storage.Device, view bool) ([]storage.ReadReq, map[int64][]byte, time.Duration) {
 				t.Helper()
 				reqs := make([]storage.ReadReq, len(shape))
@@ -458,32 +466,45 @@ func TestRejectedSubmissionsChargeNothing(t *testing.T) {
 		name string
 		skip string // model the case does not apply to
 		only string // model the case is limited to
+		want error  // the error the submission must fail with
 		run  submit
 	}{
-		{name: "read-out-of-range", run: func(d faultable, g storage.Geometry) error {
+		{name: "read-out-of-range", want: storage.ErrOutOfRange, run: func(d faultable, g storage.Geometry) error {
 			_, err := d.ReadBatch([]storage.ReadReq{{P: make([]byte, g.PageSize)}, {P: make([]byte, g.PageSize), Off: g.Capacity}})
 			return err
 		}},
-		{name: "write-out-of-range", run: func(d faultable, g storage.Geometry) error {
+		{name: "write-out-of-range", want: storage.ErrOutOfRange, run: func(d faultable, g storage.Geometry) error {
 			_, err := d.WriteBatch([]storage.WriteReq{valid(g), {P: make([]byte, g.PageSize), Off: g.Capacity}})
 			return err
 		}},
 		// Disks accept byte-granular writes.
-		{name: "write-unaligned", skip: "disk", run: func(d faultable, g storage.Geometry) error {
+		{name: "write-unaligned", skip: "disk", want: storage.ErrUnaligned, run: func(d faultable, g storage.Geometry) error {
 			_, err := d.WriteBatch([]storage.WriteReq{valid(g), {P: make([]byte, g.PageSize/2), Off: 8 * int64(g.PageSize)}})
 			return err
 		}},
-		{name: "read-fault", run: func(d faultable, g storage.Geometry) error {
+		// A descending pair fails the order check ahead of the fault hook,
+		// which is armed on the first request.
+		{name: "read-unsorted", want: storage.ErrUnsorted, run: func(d faultable, g storage.Geometry) error {
+			faultOn(d, storage.OpRead, 5*int64(g.PageSize))
+			_, err := d.ReadBatch([]storage.ReadReq{{P: make([]byte, g.PageSize), Off: 5 * int64(g.PageSize)}, {P: make([]byte, g.PageSize)}})
+			return err
+		}},
+		{name: "write-unsorted", want: storage.ErrUnsorted, run: func(d faultable, g storage.Geometry) error {
+			faultOn(d, storage.OpWrite, 8*int64(g.PageSize))
+			_, err := d.WriteBatch([]storage.WriteReq{{P: make([]byte, g.PageSize), Off: 8 * int64(g.PageSize)}, valid(g)})
+			return err
+		}},
+		{name: "read-fault", want: boom, run: func(d faultable, g storage.Geometry) error {
 			faultOn(d, storage.OpRead, 5*int64(g.PageSize))
 			_, err := d.ReadBatch([]storage.ReadReq{{P: make([]byte, g.PageSize)}, {P: make([]byte, g.PageSize), Off: 5 * int64(g.PageSize)}})
 			return err
 		}},
-		{name: "write-fault", run: func(d faultable, g storage.Geometry) error {
+		{name: "write-fault", want: boom, run: func(d faultable, g storage.Geometry) error {
 			faultOn(d, storage.OpWrite, 8*int64(g.PageSize))
 			_, err := d.WriteBatch([]storage.WriteReq{valid(g), {P: make([]byte, g.PageSize), Off: 8 * int64(g.PageSize)}})
 			return err
 		}},
-		{name: "erase-fault", only: "chip", run: func(d faultable, g storage.Geometry) error {
+		{name: "erase-fault", only: "chip", want: boom, run: func(d faultable, g storage.Geometry) error {
 			faultOn(d, storage.OpErase, 0)
 			_, err := d.(storage.Eraser).Erase(0, int64(g.BlockSize))
 			return err
@@ -522,8 +543,8 @@ func TestRejectedSubmissionsChargeNothing(t *testing.T) {
 				prepare(t, twin)
 				g := m.dev.Geometry()
 				clock, counters := m.clock.Now(), m.dev.Counters()
-				if err := tc.run(m.dev, g); err == nil {
-					t.Fatal("submission succeeded")
+				if err := tc.run(m.dev, g); !errors.Is(err, tc.want) {
+					t.Fatalf("submission returned %v, want %v", err, tc.want)
 				}
 				m.dev.SetFault(nil)
 				if m.clock.Now() != clock || m.dev.Counters() != counters {
@@ -550,5 +571,30 @@ func TestRejectedSubmissionsChargeNothing(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEqualOffsetsServed pins that ties are a valid submission order: the
+// value log submits one read per in-batch duplicate record, so two
+// requests at one offset are served, each with the stored bytes.
+func TestEqualOffsetsServed(t *testing.T) {
+	for _, m := range models(1 << 20) {
+		t.Run(m.name, func(t *testing.T) {
+			ps := m.dev.Geometry().PageSize
+			page := bytes.Repeat([]byte{0x5A}, ps)
+			if _, err := m.dev.WriteAt(page, 0); err != nil {
+				t.Fatal(err)
+			}
+			reqs := []storage.ReadReq{{P: make([]byte, ps)}, {P: make([]byte, ps/2), View: true}}
+			if _, err := m.dev.ReadBatch(reqs); err != nil {
+				t.Fatalf("equal offsets: %v", err)
+			}
+			if !bytes.Equal(reqs[0].P, page) || !bytes.Equal(reqs[1].P, page[:ps/2]) {
+				t.Fatal("equal-offset reads returned wrong bytes")
+			}
+			if c := m.dev.Counters(); c.Reads != 2 {
+				t.Fatalf("equal-offset submission counted %d reads, want 2", c.Reads)
+			}
+		})
 	}
 }

@@ -59,8 +59,9 @@ type streamResult struct {
 }
 
 // deviceStream drives one seeded mixed stream through dev: one-request and
-// batched reads (sorted, reversed, more than one insertion run, contiguous
-// runs, views), one-request and batched writes, SSD trims, chip erases,
+// batched reads (few or many requests, contiguous runs, views), each
+// submission sorted by address as devices require, one-request and batched
+// writes, SSD trims, chip erases,
 // idle gaps, one injected read fault, one injected write fault and, on the
 // chip, one batch that fails mid-way on program order.
 func deviceStream(t *testing.T, dev faultable, clock *vclock.Clock) streamResult {
@@ -136,6 +137,7 @@ func deviceStream(t *testing.T, dev faultable, clock *vclock.Clock) streamResult
 		return reqs
 	}
 	doReads := func(reqs []storage.ReadReq) error {
+		sortReads(reqs)
 		var lat time.Duration
 		var err error
 		if len(reqs) == 1 && !reqs[0].View {
@@ -195,6 +197,7 @@ func deviceStream(t *testing.T, dev faultable, clock *vclock.Clock) streamResult
 		return reqs
 	}
 	doWrites := func(reqs []storage.WriteReq) error {
+		sortWrites(reqs)
 		var lat time.Duration
 		var err error
 		if len(reqs) == 1 {

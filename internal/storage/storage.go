@@ -8,19 +8,20 @@
 // model and the data path are exercised together.
 //
 // Every device services reads and writes as queued submissions: ReadBatch
-// and WriteBatch serve many requests in ascending address order, with
-// sequential runs paying the fixed command cost once and service times
-// overlapped across the device's internal parallelism (SSD channels, NAND
-// planes). ReadAt and WriteAt are the one-request case, which pays the
-// fixed cost plus the transfer (§6.1). The batched lookup pipeline in
-// internal/core feeds coalesced flash probes through ReadBatch, and the
-// batched insert pipeline feeds the incarnation images its flushes produce
-// through WriteBatch; see ReadReq and WriteReq for the precise three-step
-// overlap model. Queue is its one implementation: every simulated device
-// serves its submissions through a Queue — request checks, the fault
-// hook, the address sort, run detection, lane overlap, the SparseStore
-// data movement, Counters and the clock charge — and supplies only the
-// pricing of one request and the state only its medium has.
+// and WriteBatch serve many requests in the ascending address order the
+// caller sorted them into, with sequential runs paying the fixed command
+// cost once and service times overlapped across the device's internal
+// parallelism (SSD channels, NAND planes). ReadAt and WriteAt are the
+// one-request case, which pays the fixed cost plus the transfer (§6.1).
+// The batched lookup pipeline in internal/core feeds coalesced flash
+// probes through ReadBatch, and the batched insert pipeline feeds the
+// incarnation images its flushes produce through WriteBatch; see ReadReq
+// and WriteReq for the precise three-step overlap model. Queue is its one
+// implementation: every simulated device serves its submissions through a
+// Queue — the address-order check, request checks, the fault hook, run
+// detection, lane overlap, the SparseStore data movement, Counters and the
+// clock charge — and supplies only the pricing of one request and the
+// state only its medium has.
 //
 // The lookup pipeline's probe reads and the value log's one-page record
 // reads set ReadReq.View: a simulated device then hands back a read-only
@@ -119,10 +120,13 @@ type Device interface {
 	// WriteAt writes len(p) bytes at off and returns the simulated latency.
 	WriteAt(p []byte, off int64) (time.Duration, error)
 	// ReadBatch serves reqs as one queued submission and returns its
-	// overlapped service time (see ReadReq). It may reorder reqs.
+	// overlapped service time (see ReadReq). reqs must ascend by Off
+	// (ties allowed) and are served in the order given; a descending pair
+	// fails the submission with ErrUnsorted before any state moves.
 	ReadBatch(reqs []ReadReq) (time.Duration, error)
 	// WriteBatch serves reqs as one queued submission and returns its
-	// overlapped service time (see WriteReq). It may reorder reqs.
+	// overlapped service time (see WriteReq). reqs must ascend by Off, as
+	// for ReadBatch, and are served in the order given.
 	WriteBatch(reqs []WriteReq) (time.Duration, error)
 	// Geometry returns the device's addressing structure.
 	Geometry() Geometry
@@ -147,6 +151,7 @@ var (
 	ErrOutOfRange   = errors.New("storage: offset out of range")
 	ErrUnaligned    = errors.New("storage: unaligned access")
 	ErrProgramOrder = errors.New("storage: out-of-order page program within erase block")
+	ErrUnsorted     = errors.New("storage: submission not in ascending address order")
 )
 
 // CheckRange validates [off, off+n) against the geometry and the alignment

@@ -265,16 +265,3 @@ func TestOverlapLanes(t *testing.T) {
 		t.Fatalf("empty batch = %v, want 0", got)
 	}
 }
-
-func TestSortReadReqsStable(t *testing.T) {
-	a := make([]byte, 1)
-	b := make([]byte, 2)
-	reqs := []ReadReq{{P: a, Off: 8}, {P: b, Off: 8}, {P: a, Off: 0}}
-	SortReadReqs(reqs, nil)
-	if reqs[0].Off != 0 || reqs[1].Off != 8 || reqs[2].Off != 8 {
-		t.Fatalf("not sorted: %+v", reqs)
-	}
-	if len(reqs[1].P) != 1 || len(reqs[2].P) != 2 {
-		t.Fatal("equal offsets reordered")
-	}
-}

@@ -247,9 +247,6 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 	}, nil
 }
 
-// Capacity returns the usable log capacity in bytes.
-func (l *ValueLog) Capacity() int64 { return l.capacity }
-
 // Device returns the backing device.
 func (l *ValueLog) Device() Device { return l.dev }
 
@@ -494,11 +491,9 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 // A record that is one device segment inside one device page is read as
 // a view: Rec becomes the device's page slice, with no copy. Records that
 // cross a page, overlap the tail buffer or reach past the head are copied
-// into log-owned scratch. The submission is address-sorted here, with
-// each segment's index packed under its offset, so the device finds it
-// sorted and serves it in place, and every served request pairs back to
-// its record; ties keep record order, the order the device's stable sort
-// would give, so time and Counters match an all-copy read.
+// into log-owned scratch. The submission is address-sorted here, as the
+// device requires, with each segment's index packed under its offset, so
+// every served request pairs back to its record; ties keep record order.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 	total := 0
 	for i := range reqs {

@@ -219,7 +219,7 @@ func TestValueLogRejectsOversizeRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := appendOne(l, []byte("k"), make([]byte, l.Capacity())); err == nil {
+	if _, _, err := appendOne(l, []byte("k"), make([]byte, l.Stats().Capacity)); err == nil {
 		t.Fatal("accepted a record larger than the log")
 	}
 }
@@ -391,8 +391,8 @@ func TestValueLogSpaceAccounting(t *testing.T) {
 }
 
 // TestValueLogReadAllocs pins that, once warm, a batch of unsorted record
-// reads allocates nothing: the log reuses its scratch and request slices,
-// and every device sorts the submission through the merge buffer it keeps.
+// reads allocates nothing: the log reuses its scratch, request and sort
+// slices, and the device serves the sorted submission in place.
 func TestValueLogReadAllocs(t *testing.T) {
 	for name, dev := range vlogDevices(t, 1<<20) {
 		t.Run(name, func(t *testing.T) {
@@ -409,7 +409,7 @@ func TestValueLogReadAllocs(t *testing.T) {
 				reqs[i] = storage.ValueReadReq{Off: off, N: n}
 			}
 			// A fixed stride permutation: consecutive requests are far
-			// apart in the log, so the device sees an unsorted submission.
+			// apart in the log, so the log must sort the submission.
 			perm := make([]storage.ValueReadReq, len(reqs))
 			for i := range perm {
 				perm[i] = reqs[i*97%len(reqs)]

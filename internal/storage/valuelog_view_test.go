@@ -66,8 +66,9 @@ var classNames = [numClasses]string{"one-page", "cross-page", "tail", "straddle"
 // length, next to the record that follows) and out-of-range pointers. The
 // first log reads with views and the second, its twin, through a device
 // that copies. For the third the test builds the copying read itself:
-// each record's device segments submitted in record order, which the
-// device sorts, and its tail-buffer bytes from an image of the appends.
+// each record's device segments gathered in record order and stably
+// sorted by address, and its tail-buffer bytes from an image of the
+// appends.
 //
 // Both logs' Rec bytes must equal the built read's, every one-page device
 // record must come back as a view, and all three devices must end every
@@ -100,7 +101,7 @@ func TestValueLogViewReads(t *testing.T) {
 			}
 			vl, cl := logs[0], logs[1]
 			ps := int64(devs[0].Geometry().PageSize)
-			capacity := vl.Capacity()
+			capacity := vl.Stats().Capacity
 			rng := rand.New(rand.NewSource(21))
 			type ptr struct {
 				off int64
@@ -191,7 +192,7 @@ func TestValueLogViewReads(t *testing.T) {
 					t.Fatal(err)
 				}
 				// The copying read, built here: each record's device bytes
-				// before the flush frontier and past the head, submitted in
+				// before the flush frontier and past the head, gathered in
 				// record order, and its tail-buffer bytes from the image.
 				var sub []storage.ReadReq
 				want := make([][]byte, len(reqs))
@@ -217,6 +218,7 @@ func TestValueLogViewReads(t *testing.T) {
 					want[i] = rec
 				}
 				if len(sub) > 0 {
+					sortReads(sub)
 					if _, err := devs[2].ReadBatch(sub); err != nil {
 						t.Fatal(err)
 					}
