@@ -1,12 +1,7 @@
-// Package repro's root benchmark suite regenerates every table and figure
-// of the paper's evaluation (one benchmark per artifact, named after its
-// figure or table) plus raw data-structure benchmarks for the hot paths.
-//
-// The experiment benchmarks measure the real CPU cost of running each
-// simulation and report the paper's quantities — simulated latencies in
-// milliseconds, improvement factors — via b.ReportMetric, so
-// `go test -bench=. -benchmem` prints paper-vs-measured numbers next to
-// real throughput.
+// Package repro's root benchmark suite measures the store through its
+// public API: the dedup merge, per-key insert and lookup throughput, and
+// concurrent per-key callers on one shard against eight. The paper's
+// figures and tables are regenerated by cmd/clam-figures, not here.
 package repro
 
 import (
@@ -19,156 +14,9 @@ import (
 
 	"repro/clam"
 	"repro/internal/dedup"
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/vclock"
 )
-
-// reportAll exports a Report's metrics on the benchmark.
-func reportAll(b *testing.B, r experiments.Report) {
-	b.Helper()
-	for name, v := range r.Metrics {
-		b.ReportMetric(v, name)
-	}
-}
-
-func BenchmarkFig3BloomSizing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3()
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkFig4InsertCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig4()
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkFig5SpuriousRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkTable2LookupIOs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table2(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkFig6LatencyCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkFig7BDBLatencyCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkTable3MixSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table3(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkFig8PartialDiscard(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkFig9WANThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkFig10PerObject(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkAblations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Ablations(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
-
-func BenchmarkEvictionPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Headline(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportAll(b, r)
-		}
-	}
-}
 
 func BenchmarkDedupMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -399,101 +247,3 @@ func BenchmarkCLAMLookup(b *testing.B) {
 	b.ReportMetric(metrics.Ms(st.LookupLatency.Mean), "lookup_ms(virtual)")
 	b.ReportMetric(st.Core.HitRate(), "hit_rate")
 }
-
-// --- batched lookup pipeline (wall-clock) ---
-//
-// These benchmarks compare Sharded.GetBatchU64 — the PR 2 batched pipeline:
-// phase-A memory resolution, page-deduped address-sorted flash probes
-// overlapped through the device's ReadBatch, chunked shard-affine dispatch —
-// against the plain per-key Lookup loop, across shard counts and key
-// distributions. As with BenchmarkShardedSpeedup, the parallel component
-// of the win is bounded by GOMAXPROCS; the batching component (lock, clock
-// and histogram amortization, duplicate-key memoization, same-page read
-// dedupe) is visible at any core count and is largest on skewed keys.
-
-// openBatchedLookupBench warms a sharded instance past eviction onset
-// (700k distinct keys into 512k entries of capacity) so lookups are
-// flash-heavy, and returns the warm universe.
-func openBatchedLookupBench(b *testing.B, shards int) (clam.Store, []uint64) {
-	b.Helper()
-	s, err := clam.Open(
-		clam.WithDevice(clam.IntelSSD), clam.WithFlash(16<<20), clam.WithMemory(4<<20),
-		clam.WithSeed(7), clam.WithShards(shards))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(70))
-	const nKeys = 700000
-	universe := make([]uint64, nKeys)
-	vals := make([]uint64, nKeys)
-	for i := range universe {
-		universe[i] = rng.Uint64()
-		vals[i] = uint64(i)
-	}
-	const chunk = 16384
-	for at := 0; at < nKeys; at += chunk {
-		end := at + chunk
-		if end > nKeys {
-			end = nKeys
-		}
-		if err := s.PutBatchU64(context.Background(), universe[at:end], vals[at:end]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if s.Stats().Core.Evictions == 0 {
-		b.Fatal("warm-up did not reach the eviction regime")
-	}
-	return s, universe
-}
-
-func benchBatchedVsSerialLookup(b *testing.B, shards int, zipf bool) {
-	s, universe := openBatchedLookupBench(b, shards)
-	rng := rand.New(rand.NewSource(71))
-	probes := make([]uint64, 65536)
-	if zipf {
-		zr := rand.NewZipf(rng, 1.2, 1, uint64(len(universe)-1))
-		for i := range probes {
-			probes[i] = universe[zr.Uint64()]
-		}
-	} else {
-		for i := range probes {
-			probes[i] = universe[rng.Intn(len(universe))]
-		}
-	}
-	measure := func(fn func()) time.Duration {
-		best := time.Duration(0)
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			fn()
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	b.ResetTimer()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		serial := measure(func() {
-			for _, k := range probes {
-				if _, _, err := s.GetU64(k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		batched := measure(func() {
-			if _, _, err := s.GetBatchU64(context.Background(), probes); err != nil {
-				b.Fatal(err)
-			}
-		})
-		speedup = serial.Seconds() / batched.Seconds()
-		b.ReportMetric(float64(len(probes))/batched.Seconds(), "batched_ops/s(wall)")
-		b.ReportMetric(float64(len(probes))/serial.Seconds(), "serial_ops/s(wall)")
-	}
-	b.ReportMetric(speedup, "speedup_x")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
-func BenchmarkBatchedLookup1Shard(b *testing.B)      { benchBatchedVsSerialLookup(b, 1, false) }
-func BenchmarkBatchedLookup8Shards(b *testing.B)     { benchBatchedVsSerialLookup(b, 8, false) }
-func BenchmarkBatchedLookup8ShardsZipf(b *testing.B) { benchBatchedVsSerialLookup(b, 8, true) }

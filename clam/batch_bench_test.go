@@ -16,13 +16,18 @@ import (
 // most hits require at least one incarnation page probe, which is where
 // batching (lock amortization, page dedupe, overlapped virtual I/O) pays.
 
-// openBatchBench builds an 8-shard/8-worker instance small enough to warm
-// past eviction onset quickly: 16 MB of flash = 512k entry capacity, warmed
-// with 700k distinct keys so the incarnation rings wrap.
-func openBatchBench(b *testing.B) (*Sharded, []uint64) {
+// openBatchBench builds an instance with the given shard count (one
+// worker per shard) small enough to warm past eviction onset quickly: 16 MB
+// of flash = 512k entry capacity, warmed with 700k distinct keys so the
+// incarnation rings wrap. The warm universe depends only on the seed, so
+// every shard count sees the same keys.
+func openBatchBench(b *testing.B, shards int) (Store, []uint64) {
 	b.Helper()
-	s := openShardedT(b, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
-		WithSeed(7), WithShards(8), WithWorkers(8))
+	s, err := Open(WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
+		WithSeed(7), WithShards(shards), WithWorkers(shards))
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(60))
 	const nKeys = 700000
 	universe := make([]uint64, nKeys)
@@ -60,20 +65,23 @@ func measureLookups(b *testing.B, fn func()) time.Duration {
 
 // BenchmarkLookupBatchVsSerialLoop compares the pipeline against the plain
 // single-caller per-key GetU64 loop — the paper's blocking design point —
-// on two probe streams over the same warmed instance (lookups under FIFO
-// don't mutate state, so both sides see an identical structure):
+// on three probe streams over warmed instances (lookups under FIFO don't
+// mutate state, so both sides see an identical structure):
 //
-//   - uniform: uniformly drawn warm keys, the flash-heavy baseline;
-//   - zipf: Zipf(1.2)-ranked warm keys, so one shard's group dwarfs the
-//     others — the skew the stealing router was built for — and phase A's
-//     duplicate memo replays the hot keys.
+//   - uniform: uniformly drawn warm keys on 8 shards, the flash-heavy
+//     baseline;
+//   - zipf: Zipf(1.2)-ranked warm keys on 8 shards, so one shard's group
+//     dwarfs the others — the skew the stealing router was built for — and
+//     phase A's duplicate memo replays the hot keys;
+//   - uniform-1shard: the uniform stream on one CLAM, where the batch still
+//     pays the router's grouping copy and one goroutine hop.
 //
 // The parallel component of the speedup is bounded by GOMAXPROCS (reported
 // alongside, as in BenchmarkShardedSpeedup); the batching component —
 // lock/clock/histogram amortization, phase-A memoization, page dedupe —
 // survives even on one core.
 func BenchmarkLookupBatchVsSerialLoop(b *testing.B) {
-	s, universe := openBatchBench(b)
+	sharded, universe := openBatchBench(b, 8)
 	rng := rand.New(rand.NewSource(61))
 	uniform := make([]uint64, 65536)
 	for i := range uniform {
@@ -84,11 +92,19 @@ func BenchmarkLookupBatchVsSerialLoop(b *testing.B) {
 	for i := range zipf {
 		zipf[i] = universe[zipfRank.Uint64()]
 	}
+	stores := map[int]Store{8: sharded} // by shard count, warmed on first use
 	for _, tc := range []struct {
 		name   string
+		shards int
 		probes []uint64
-	}{{"uniform", uniform}, {"zipf", zipf}} {
+	}{{"uniform", 8, uniform}, {"zipf", 8, zipf}, {"uniform-1shard", 1, uniform}} {
 		b.Run(tc.name, func(b *testing.B) {
+			s := stores[tc.shards]
+			if s == nil {
+				s, _ = openBatchBench(b, tc.shards)
+				stores[tc.shards] = s
+				b.ResetTimer()
+			}
 			var speedup float64
 			for i := 0; i < b.N; i++ {
 				loop := measureLookups(b, func() {

@@ -291,25 +291,21 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 		k = maxK
 	}
 
-	fbe := cfg.filterBitsPerEntry
-	if fbe == 0 {
-		if cfg.memoryBytes == 0 {
-			fbe = 16 // the paper's candidate configuration
-		} else {
-			bloomBytes := cfg.memoryBytes - nt*int64(bufBytes)
-			if bloomBytes <= 0 {
-				return core.Config{}, fmt.Errorf(
-					"clam: memory budget %d leaves no room for Bloom filters after %d of buffers",
-					cfg.memoryBytes, nt*int64(bufBytes))
-			}
-			entries := nt * int64(k) * int64(bufBytes/32) // n′ per incarnation × all
-			fbe = int(bloomBytes * 8 / entries)
-			if fbe < 1 {
-				fbe = 1
-			}
-			if fbe > 64 {
-				fbe = 64
-			}
+	fbe := 16 // the paper's candidate configuration
+	if cfg.memoryBytes > 0 {
+		bloomBytes := cfg.memoryBytes - nt*int64(bufBytes)
+		if bloomBytes <= 0 {
+			return core.Config{}, fmt.Errorf(
+				"clam: memory budget %d leaves no room for Bloom filters after %d of buffers",
+				cfg.memoryBytes, nt*int64(bufBytes))
+		}
+		entries := nt * int64(k) * int64(bufBytes/32) // n′ per incarnation × all
+		fbe = int(bloomBytes * 8 / entries)
+		if fbe < 1 {
+			fbe = 1
+		}
+		if fbe > 64 {
+			fbe = 64
 		}
 	}
 	seed := cfg.seed

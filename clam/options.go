@@ -24,9 +24,8 @@ type config struct {
 	memoryBytes   int64
 	valueLogBytes int64 // 0 → flashBytes
 
-	bufferKB           int
-	filterBitsPerEntry int
-	maxIncarnations    int
+	bufferKB        int
+	maxIncarnations int
 
 	policy Policy
 	retain func(key, value uint64) bool
@@ -71,8 +70,8 @@ func WithFlash(bytes int64) Option {
 }
 
 // WithMemory sets M, the DRAM budget (total across shards), split per the
-// §6.4 tuning rules. Required unless WithBufferKB and
-// WithFilterBitsPerEntry are both given.
+// §6.4 tuning rules. Optional: without a budget, buffers take B_opt and the
+// Bloom filters get 16 bits per entry, the paper's configuration.
 //
 // The budget counts the paper's k·m Bloom bits per super table: what is
 // left after the buffers sets the filter bits per entry. The bit-sliced
@@ -112,18 +111,6 @@ func WithBufferKB(kb int) Option {
 			return fmt.Errorf("clam: WithBufferKB(%d): buffer size must not be negative", kb)
 		}
 		c.bufferKB = kb
-		return nil
-	}
-}
-
-// WithFilterBitsPerEntry overrides the Bloom budget (default, or 0: derived
-// from the memory budget).
-func WithFilterBitsPerEntry(bits int) Option {
-	return func(c *config) error {
-		if bits < 0 {
-			return fmt.Errorf("clam: WithFilterBitsPerEntry(%d): bits must not be negative", bits)
-		}
-		c.filterBitsPerEntry = bits
 		return nil
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 func putBenchStore(b *testing.B) Store {
 	b.Helper()
-	return openShardedT(b, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
-		WithBufferKB(8), WithFilterBitsPerEntry(16), WithShards(8), withBatchChunk(1<<16))
+	return openShardedT(b, WithDevice(IntelSSD), WithFlash(16<<20),
+		WithBufferKB(8), WithShards(8), withBatchChunk(1<<16))
 }
 
 func putBenchKeys(n int) []uint64 {

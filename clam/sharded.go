@@ -128,9 +128,6 @@ func (r *router) shard(key uint64) *shard { return r.shards[r.shardIndex(key)] }
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Workers returns the batch worker-pool bound.
-func (s *Sharded) Workers() int { return s.workers }
-
 // Shard exposes shard i as a one-shard CLAM for inspection (per-shard
 // stats, clock, device). The view is live: its methods take the shard lock
 // as usual, and byte keys fingerprint with the deployment seed.

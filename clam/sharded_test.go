@@ -48,8 +48,7 @@ func TestOpenShardedValidation(t *testing.T) {
 		// outside the four eviction policies.
 		{"negative max incarnations", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithMaxIncarnations(-1)}},
 		{"negative buffer KB", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithBufferKB(-1)}},
-		{"negative filter bits", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithFilterBitsPerEntry(-1)}},
-		{"negative memory", []Option{WithFlash(16 << 20), WithMemory(-1), WithBufferKB(128), WithFilterBitsPerEntry(16)}},
+		{"negative memory", []Option{WithFlash(16 << 20), WithMemory(-1), WithBufferKB(128)}},
 		{"negative workers on one CLAM", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithWorkers(-1)}},
 		{"unknown policy", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithPolicy(Policy(99))}},
 		{"negative policy", []Option{WithFlash(16 << 20), WithMemory(4 << 20), WithPolicy(Policy(-1))}},
@@ -64,13 +63,13 @@ func TestOpenShardedValidation(t *testing.T) {
 
 func TestOpenShardedDefaults(t *testing.T) {
 	s := openShardedT(t, WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20), WithShards(8))
-	if s.NumShards() != 8 || s.Workers() != 8 {
-		t.Fatalf("defaults: shards=%d workers=%d, want 8/8", s.NumShards(), s.Workers())
+	if s.NumShards() != 8 || s.workers != 8 {
+		t.Fatalf("defaults: shards=%d workers=%d, want 8/8", s.NumShards(), s.workers)
 	}
 	// Workers above the shard count are useless; the pool is capped.
 	s = openShardedSmall(t, 4, 99)
-	if s.Workers() != 4 {
-		t.Fatalf("workers not capped at shards: %d", s.Workers())
+	if s.workers != 4 {
+		t.Fatalf("workers not capped at shards: %d", s.workers)
 	}
 	// WithShards(1) opens a plain CLAM, the paper's single-instance design.
 	one, err := Open(WithDevice(IntelSSD), WithFlash(32<<20), WithMemory(8<<20), WithShards(1))

@@ -55,10 +55,14 @@ func main() {
 	for i := 0; i < churn; i++ {
 		n := rng.Intn(names)
 		if rng.Intn(4) == 0 {
-			dir.Unregister(name(n))
+			if err := dir.Unregister(name(n)); err != nil {
+				log.Fatal(err)
+			}
 		} else {
 			h := dirsvc.HostID(300 + rng.Intn(100))
-			dir.Register(name(n), h, addr(h))
+			if err := dir.Register(name(n), h, addr(h)); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 

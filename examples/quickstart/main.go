@@ -64,12 +64,24 @@ func main() {
 	}
 
 	// Lazy update and delete (§5.1.1).
-	st.Update(fp(7), []byte("moved to container-9999"))
-	if v, _, _ := st.Get(fp(7)); !bytes.Equal(v, []byte("moved to container-9999")) {
+	if err := st.Update(fp(7), []byte("moved to container-9999")); err != nil {
+		log.Fatal(err)
+	}
+	v, _, err := st.Get(fp(7))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !bytes.Equal(v, []byte("moved to container-9999")) {
 		log.Fatal("update not visible")
 	}
-	st.Delete(fp(7))
-	if _, ok, _ := st.Get(fp(7)); ok {
+	if err := st.Delete(fp(7)); err != nil {
+		log.Fatal(err)
+	}
+	_, ok, err := st.Get(fp(7))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if ok {
 		log.Fatal("delete not visible")
 	}
 
@@ -81,7 +93,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if addr, ok, _ := st.GetU64(uint64(n)); ok {
+	addr, ok, err := st.GetU64(uint64(n))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if ok {
 		fmt.Printf("fast path: fingerprint %d -> address %d\n", n, addr)
 	}
 

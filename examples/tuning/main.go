@@ -1,7 +1,8 @@
 // Tuning example (§6.4): use the analytical cost model to size a CLAM —
 // optimal buffer allocation, Bloom filter memory for a latency target, and
 // the effect of buffer size on insertion cost — then open a CLAM with the
-// derived configuration and verify the predicted behaviour.
+// derived configuration and check its measured false-positive reads
+// against the model's.
 package main
 
 import (
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/clam"
+	"repro/internal/bloom"
 	"repro/internal/costmodel"
 	"repro/internal/metrics"
 )
@@ -65,12 +67,25 @@ func main() {
 	}
 	c.ResetMetrics()
 	for i := 0; i < 50_000; i++ {
-		c.GetU64(uint64(i) + (1 << 60)) // guaranteed misses
+		if _, _, err := c.GetU64(uint64(i) + (1 << 60)); err != nil { // guaranteed misses
+			log.Fatal(err)
+		}
 	}
 	stats := c.Stats()
+	measured := float64(stats.Core.SpuriousProbes) / float64(stats.Core.Lookups)
 	fmt.Printf("\nmeasured miss-lookup mean: %.4f ms (pure filter work)\n", metrics.Ms(stats.LookupLatency.Mean))
 	fmt.Printf("spurious flash reads: %d in %d lookups (rate %.5f)\n",
-		stats.Core.SpuriousProbes, stats.Core.Lookups,
-		float64(stats.Core.SpuriousProbes)/float64(stats.Core.Lookups))
-	fmt.Println("(compare: the model's expected false-positive I/O overhead at this filter size)")
+		stats.Core.SpuriousProbes, stats.Core.Lookups, measured)
+
+	// 5. Compare with the model (§6.2): a miss probes each of the k
+	// incarnation filters, and each answers a false positive with
+	// probability p(m′, n′, h), so it costs k·p spurious reads.
+	m, n := cfg.FilterBits(), cfg.EntriesPerBuffer()
+	model := float64(cfg.NumIncarnations) * bloom.FalsePositiveRate(m, n, bloom.OptimalHashes(m, n))
+	ratio := measured / model
+	fmt.Printf("model: k·p = %d × p(m′=%d, n′=%d) = %.5f spurious reads per miss (measured/model = %.2f)\n",
+		cfg.NumIncarnations, m, n, model, ratio)
+	if ratio < 0.5 || ratio > 2 {
+		log.Fatalf("measured spurious rate is %.2fx the model's, outside [0.5, 2]", ratio)
+	}
 }

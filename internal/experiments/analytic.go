@@ -52,6 +52,17 @@ func Fig4() Report {
 		sw := costmodel.WorstInsert(intel, buf)
 		r.addRow("%10d | %12.5f %12.3f | %12.5f %12.3f", kb, ms(ca), ms(cw), ms(sa), ms(sw))
 	}
+	// The §6.1 split of one flush at B' = 128 KB: C1 writes the buffer
+	// image, C2 erases, C3 copies the valid pages of a partly rewritten
+	// block (zero at a whole block, and inside the FTL on an SSD).
+	for _, d := range []struct {
+		name  string
+		costs costmodel.FlashCosts
+	}{{"chip", chip}, {"ssd", intel}} {
+		fc := costmodel.FlushCost(d.costs, 128<<10)
+		r.addRow("flush at B'=128KB, %-4s: C1 = %.3f ms, C2 = %.3f ms, C3 = %.3f ms",
+			d.name, ms(fc.C1), ms(fc.C2), ms(fc.C3))
+	}
 	atBlockWorst := costmodel.WorstInsert(chip, 128<<10)
 	r.metric("chip_worst_at_block_ms", ms(atBlockWorst))
 	r.metric("ssd_worst_at_128KB_ms", ms(costmodel.WorstInsert(intel, 128<<10)))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,22 @@ func TestTuningTable(t *testing.T) {
 	r := TuningTable()
 	if v := r.Metrics["bopt_mb_32GB"]; v < 250 || v > 280 {
 		t.Fatalf("B_opt = %.0f MB, want ≈266 (§7.1.1)", v)
+	}
+}
+
+// TestAnalyticBlocksMatchGolden pins the analytic reports in plain go test:
+// each must appear verbatim in the small-scale golden output of
+// cmd/clam-figures, so a cost-model edit fails here and not only in the
+// golden diff that reruns every simulated figure.
+func TestAnalyticBlocksMatchGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/figures-small.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Report{Fig3(), Fig4(), TuningTable()} {
+		if !strings.Contains(string(golden), r.String()) {
+			t.Errorf("%s differs from testdata/figures-small.golden:\n%s", r.ID, r.String())
+		}
 	}
 }
 

@@ -104,17 +104,10 @@ type Optimizer struct {
 
 // Stats aggregates optimizer behaviour.
 type Stats struct {
-	Objects          int
-	BytesIn          int64
-	BytesOut         int64
-	ChunksTotal      uint64
-	ChunksMatched    uint64
-	IndexInserts     uint64
-	IndexLookups     uint64
-	CacheWriteBytes  int64
-	CacheWriteTime   time.Duration
-	IndexTime        time.Duration
-	TransmissionTime time.Duration
+	BytesIn         int64
+	BytesOut        int64
+	ChunksTotal     uint64
+	CacheWriteBytes int64
 }
 
 // New builds an optimizer.
@@ -168,7 +161,6 @@ type ObjectResult struct {
 func (o *Optimizer) Process(data []byte) (ObjectResult, error) {
 	clock := o.cfg.Clock
 	res := ObjectResult{RawBytes: len(data)}
-	o.stats.Objects++
 	o.stats.BytesIn += int64(len(data))
 
 	// CM: content chunking + SHA-1 (precomputed per §8, so free in
@@ -183,17 +175,13 @@ func (o *Optimizer) Process(data []byte) (ObjectResult, error) {
 	compressed := 0
 	for _, chunk := range chunks {
 		fp := Fingerprint(chunk)
-		idxW := clock.StartWatch()
 		_, found, err := o.cfg.Index.Get(fp[:])
-		o.stats.IndexLookups++
 		if err != nil {
 			return res, fmt.Errorf("wanopt: index lookup: %w", err)
 		}
 		if found {
 			res.Matched++
-			o.stats.ChunksMatched++
 			compressed += RefBytes
-			o.stats.IndexTime += idxW.Elapsed()
 			continue
 		}
 		compressed += len(chunk)
@@ -202,7 +190,6 @@ func (o *Optimizer) Process(data []byte) (ObjectResult, error) {
 		// serial fashion").
 		addr := uint64(o.writePos)
 		if o.cfg.ContentDev != nil {
-			cw := clock.StartWatch()
 			cap := o.cfg.ContentDev.Geometry().Capacity
 			pos := o.writePos % cap
 			if pos+int64(len(chunk)) > cap {
@@ -212,15 +199,12 @@ func (o *Optimizer) Process(data []byte) (ObjectResult, error) {
 			if _, err := o.cfg.ContentDev.WriteAt(chunk, pos); err != nil {
 				return res, fmt.Errorf("wanopt: content cache write: %w", err)
 			}
-			o.stats.CacheWriteTime += cw.Elapsed()
 		}
 		o.writePos += int64(len(chunk))
 		o.stats.CacheWriteBytes += int64(len(chunk))
 		if err := o.cfg.Index.Put(fp[:], cacheRef(addr, len(chunk))); err != nil {
 			return res, fmt.Errorf("wanopt: index insert: %w", err)
 		}
-		o.stats.IndexInserts++
-		o.stats.IndexTime += idxW.Elapsed()
 	}
 	res.CompressedBytes = compressed
 	res.ProcessTime = clock.Now() - ceStart
@@ -241,10 +225,8 @@ func (o *Optimizer) transmit(n int) time.Duration {
 	if o.linkFree > start {
 		start = o.linkFree
 	}
-	dur := TransmitTime(n, o.cfg.LinkBitsPerSec)
-	done := start + dur
+	done := start + TransmitTime(n, o.cfg.LinkBitsPerSec)
 	o.linkFree = done
-	o.stats.TransmissionTime += dur
 	return done
 }
 
