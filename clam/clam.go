@@ -198,9 +198,7 @@ type shard struct {
 	batchIdx []int                  // GetBatch scatter scratch, guarded by mu
 	batchHit [][]byte               // GetBatch verified-value scratch, guarded by mu
 
-	putOffs  []int64           // PutBatch value-log pointer scratch, guarded by mu
-	putNs    []int             // PutBatch value-log pointer scratch, guarded by mu
-	putPtrs  []uint64          // PutBatch encoded-pointer scratch, guarded by mu
+	putPtrs  []uint64          // PutBatch value-log pointer scratch, guarded by mu
 	deadSeen map[uint64]uint64 // retire's per-chunk dup tracking, guarded by mu
 }
 
@@ -416,23 +414,13 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 }
 
 // appendRecords appends the chunk's records to the value log as one
-// multi-record append and returns their encoded pointers in shard scratch.
+// multi-record append and returns their pointer words in shard scratch.
 func (s *shard) appendRecords(keys, values [][]byte) ([]uint64, error) {
-	s.putOffs = resize(s.putOffs, len(keys))
-	s.putNs = resize(s.putNs, len(keys))
 	s.putPtrs = resize(s.putPtrs, len(keys))
-	offs, ns, ptrs := s.putOffs, s.putNs, s.putPtrs
-	if err := s.vlog.AppendBatch(keys, values, offs, ns); err != nil {
+	if err := s.vlog.AppendBatch(keys, values, s.putPtrs); err != nil {
 		return nil, err
 	}
-	for i := range ptrs {
-		ptr, ok := storage.EncodeValuePtr(offs[i], ns[i])
-		if !ok {
-			return nil, fmt.Errorf("clam: value-log pointer (%d, %d) not encodable", offs[i], ns[i])
-		}
-		ptrs[i] = ptr
-	}
-	return ptrs, nil
+	return s.putPtrs, nil
 }
 
 // retire moves the value-log records that a chunk of puts (the new
@@ -447,11 +435,13 @@ func (s *shard) appendRecords(keys, values [][]byte) ([]uint64, error) {
 //
 // Records whose pointer already flushed to an incarnation die silently and
 // are only accounted when the log laps them (ValueLogStats.LappedBytes).
-// On a store mixing the key families, an inline U64 value whose bit 63 is
-// set and whose key collides with a fingerprint decodes as a bogus pointer
-// here; the mis-debit is bounded by MarkDead's range and region clamping,
-// the same approximation class as silent deaths. Accounting only: no
-// counters, CPU charges or I/O are touched.
+// A buffered pointer whose record the log already overwrote debits
+// nothing: MarkDead reads the pointer's cycle. On a store mixing the key
+// families, an inline U64 value whose bit 63 is set and whose key collides
+// with a fingerprint decodes as a bogus pointer here; the mis-debit is
+// bounded by MarkDead's range and region clamping, the same approximation
+// class as silent deaths. Accounting only: no counters, CPU charges or
+// I/O are touched.
 func (s *shard) retire(fps, ptrs []uint64) {
 	clear(s.deadSeen)
 	last := len(fps) - 1
@@ -460,9 +450,7 @@ func (s *shard) retire(fps, ptrs []uint64) {
 		if !dup {
 			prev, _ = s.bh.BufferedValue(fp)
 		}
-		if off, n, ok := storage.DecodeValuePtr(prev); ok {
-			s.vlog.MarkDead(off, n)
-		}
+		s.vlog.MarkDead(prev)
 		if i < last {
 			var ptr uint64
 			if ptrs != nil {
@@ -491,8 +479,9 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 }
 
 // readRecords reads the records that results point at as one batched
-// value-log read and fills values and found for each record whose stored
-// key matches. The records may be views of the value device's pages, so
+// value-log read (a record the log has overwritten is a miss it does not
+// read) and fills values and found for each record whose stored key
+// matches. The records may be views of the value device's pages, so
 // the verified values are copied out, under the shard lock and before any
 // later device write, into one arena per chunk: each value is a
 // capacity-capped sub-slice of it, so appending to one cannot reach the
@@ -501,8 +490,8 @@ func (s *shard) readRecords(results []core.LookupResult, keys, values [][]byte, 
 	reqs := s.batchReq[:0]
 	idxs := s.batchIdx[:0]
 	for i := range results {
-		if off, n, ok := storage.DecodeValuePtr(results[i].Value); ok && results[i].Found {
-			reqs = append(reqs, storage.ValueReadReq{Off: off, N: n})
+		if results[i].Found && storage.IsValuePtr(results[i].Value) {
+			reqs = append(reqs, storage.ValueReadReq{Ptr: results[i].Value})
 			idxs = append(idxs, i)
 		}
 	}
@@ -556,8 +545,7 @@ func (s *shard) containsBatchFPs(fps []uint64, found []bool) error {
 	err := s.bh.LookupBatch(fps, s.batchRes)
 	if err == nil {
 		for i := range s.batchRes {
-			_, _, ptr := storage.DecodeValuePtr(s.batchRes[i].Value)
-			found[i] = s.batchRes[i].Found && ptr
+			found[i] = s.batchRes[i].Found && storage.IsValuePtr(s.batchRes[i].Value)
 		}
 	}
 	return s.end(&s.lookup, w, len(fps), err)

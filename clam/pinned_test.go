@@ -129,14 +129,17 @@ func TestSingleStorePinned(t *testing.T) {
 	// size; every row evicts (UpdateBased scanning its victims) and wraps
 	// the value log once. The stats digests were re-derived when
 	// Stats.WriteLatency was removed: each is the digest of the old %+v
-	// string with its " WriteLatency:n=… max=…" segment cut out.
+	// string with its " WriteLatency:n=… max=…" segment cut out. They were
+	// re-derived again when ValueLogStats gained SkippedReads: each new
+	// %+v string is the previous one with " SkippedReads:0" added, and
+	// the clocks and result digests did not move.
 	pins := map[string]want{
-		"ssd-intel/fifo":       {2186117564, 0xfc361285896dbbda, 0xa4fa745b9667f5f7},
-		"ssd-intel/lru":        {2310946520, 0x8a9d4ceabcfac71d, 0x250dc63872a2a435},
-		"ssd-intel/update":     {2627769282, 0xf45d39faa72a70a2, 0xd012fe75d3aecd66},
-		"ssd-transcend/fifo":   {15448346236, 0x7f3aa820bece21b9, 0xa4fa745b9667f5f7},
-		"ssd-transcend/lru":    {15664566680, 0x9f2e776b69bcdee5, 0x250dc63872a2a435},
-		"ssd-transcend/update": {18283665666, 0x2d0129a6909fb17c, 0xd012fe75d3aecd66},
+		"ssd-intel/fifo":       {2186117564, 0x5d9eb4d9ee9e6ee5, 0xa4fa745b9667f5f7},
+		"ssd-intel/lru":        {2310946520, 0x9f6eb8967f2bb5be, 0x250dc63872a2a435},
+		"ssd-intel/update":     {2627769282, 0x3456d5a230b48933, 0xd012fe75d3aecd66},
+		"ssd-transcend/fifo":   {15448346236, 0xa90098e8216dbc0e, 0xa4fa745b9667f5f7},
+		"ssd-transcend/lru":    {15664566680, 0x57e7655c16eb9386, 0x250dc63872a2a435},
+		"ssd-transcend/update": {18283665666, 0xca6b16fb05ccabab, 0xd012fe75d3aecd66},
 	}
 	for _, kind := range []DeviceKind{IntelSSD, TranscendSSD} {
 		for _, policy := range []Policy{FIFO, LRU, UpdateBased} {

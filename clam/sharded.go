@@ -573,6 +573,9 @@ func (r *router) PutBatch(ctx context.Context, keys, values [][]byte) error {
 // resolves fingerprints to record pointers, then the chunk's surviving
 // value-log records are fetched as one overlapped batched read, and their
 // verified values are copied into one arena per chunk (see Store.GetBatch).
+// A pointer to a record the value log has since overwritten is a miss that
+// costs no record read: the pointer carries the log cycle it was written
+// in (see storage.ValueLog).
 func (r *router) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, error) {
 	values := make([][]byte, len(keys))
 	found := make([]bool, len(keys))

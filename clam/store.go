@@ -24,8 +24,11 @@ import (
 // value log on slow storage; the hash table stores a tagged pointer to the
 // record. Reads verify the full key bytes stored in the record, so
 // fingerprint collisions and wrapped-over (evicted) records surface as
-// misses, never as wrong values. Values are limited to
-// storage.MaxValueRecordBytes per record.
+// misses, never as wrong values; a pointer to a record the log has since
+// overwritten reads as a miss without a record read. A record (an 8-byte
+// header, the key and the value) is limited to storage.MaxValueRecordBytes
+// (2 MiB - 1), and a shard's value log to storage.MaxValueLogBytes
+// (64 GiB).
 //
 // # U64 fast path
 //

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/ssd"
+	"repro/internal/storage"
 	"repro/internal/vclock"
 )
 
@@ -352,9 +354,14 @@ func TestFailedPutKeepsRecordLive(t *testing.T) {
 			if err := st.Put(key, []byte("v1")); err != nil {
 				t.Fatal(err)
 			}
-			before := st.Stats().ValueLog
-			if err := tc.put(st); err == nil {
-				t.Fatal("Put of a record larger than the log succeeded")
+			before, dev := st.Stats().ValueLog, st.Stats().ValueDevice
+			// The record is over the 2 MiB - 1 pointer limit too; the
+			// capacity check comes first, before any I/O.
+			if err := tc.put(st); err == nil || !strings.Contains(err.Error(), "exceeds log capacity") {
+				t.Fatalf("Put of a record larger than the log: %v, want the capacity error", err)
+			}
+			if d := st.Stats().ValueDevice; d != dev {
+				t.Fatalf("failed Put reached the value device: %+v -> %+v", dev, d)
 			}
 			if v, ok, err := st.Get(key); err != nil || !ok || string(v) != "v1" {
 				t.Fatalf("Get after failed Put = %q, %v, %v; want v1", v, ok, err)
@@ -365,6 +372,53 @@ func TestFailedPutKeepsRecordLive(t *testing.T) {
 					before.LiveBytes, after.LiveBytes, before.DeadBytes, after.DeadBytes)
 			}
 		})
+	}
+}
+
+// TestLappedBufferedPointerDebitsNothing pins the dead-record accounting
+// of a key overwritten while its pointer is still in the DRAM buffer but
+// its record was already lapped by the value log: the lap counted that
+// record, so the overwrite debits nothing, and above all not the record
+// the head has since written in its place.
+func TestLappedBufferedPointerDebitsNothing(t *testing.T) {
+	st := openCLAMT(t, WithDevice(IntelSSD), WithFlash(8<<20), WithMemory(2<<20),
+		WithValueLog(64<<10), WithSeed(94))
+	key := []byte("lapped-key")
+	if err := st.Put(key, bytes.Repeat([]byte{1}, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	// Lap the log past the key's record at offset 0: wrap once, then
+	// write two more records over its region.
+	for i, extra := 0, 2; extra > 0; i++ {
+		if err := st.Put([]byte(fmt.Sprintf("filler-%06d", i)), bytes.Repeat([]byte{2}, 2000)); err != nil {
+			t.Fatal(err)
+		}
+		if st.Stats().ValueLog.Wraps > 0 {
+			extra--
+		}
+	}
+	before := st.Stats()
+	if before.ValueLog.Wraps != 1 || before.Core.Flushes != 0 {
+		t.Fatalf("want one wrap and the key's pointer still buffered: %d wraps, %d flushes",
+			before.ValueLog.Wraps, before.Core.Flushes)
+	}
+	val := []byte("v2")
+	if err := st.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	after := st.Stats().ValueLog
+	lappedLive := int64(after.LappedLiveBytes - before.ValueLog.LappedLiveBytes)
+	lappedDead := int64(after.LappedBytes-before.ValueLog.LappedBytes) - lappedLive
+	newN := int64(storage.RecordSize(len(key), len(val)))
+	if want := before.ValueLog.LiveBytes + newN - lappedLive; after.LiveBytes != want {
+		t.Fatalf("LiveBytes %d -> %d, want %d: the overwrite debited the lapped record's successor",
+			before.ValueLog.LiveBytes, after.LiveBytes, want)
+	}
+	if want := before.ValueLog.DeadBytes - lappedDead; after.DeadBytes != want {
+		t.Fatalf("DeadBytes %d -> %d, want %d", before.ValueLog.DeadBytes, after.DeadBytes, want)
+	}
+	if v, ok, err := st.Get(key); err != nil || !ok || !bytes.Equal(v, val) {
+		t.Fatalf("Get after overwrite = %q, %v, %v", v, ok, err)
 	}
 }
 

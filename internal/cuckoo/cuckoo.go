@@ -24,7 +24,7 @@
 //
 // Value words are opaque 64 bits: the table never inspects them. The byte
 // keyed clam path stores tagged value-log pointers in them (see
-// storage.EncodeValuePtr); the U64 fast path stores raw values. Either way
+// storage.ValueLog.AppendBatch); the U64 fast path stores raw values. Either way
 // the slot format is the same 16-byte (key, value) entry.
 package cuckoo
 

@@ -1,0 +1,13 @@
+package storage
+
+// The pointer codec, for the external tests that build pointer words the
+// log never issued: stale, re-tagged, past the head or past the capacity.
+var (
+	EncodeValuePtr = encodeValuePtr
+	DecodeValuePtr = decodeValuePtr
+)
+
+// Cycle returns the log's current append cycle: 1 on a fresh log, plus
+// one per wrap. Encoding a pointer with it yields a word the skip rule
+// never skips, so its read is the one the log made before the rule.
+func (l *ValueLog) Cycle() uint64 { return l.cycle }

@@ -8,11 +8,27 @@ import (
 
 // ValueLog is a circular append-only log of variable-length (key, value)
 // records on a Device — the slow-storage half of the byte-keyed CAM API.
-// The hash table maps a key's fingerprint to a tagged pointer (offset,
-// length) into this log; the record stores the full key bytes, so every
-// read is verified against the key the caller asked for and fingerprint
-// collisions or overwritten (wrapped-over) records surface as misses, never
-// as wrong values.
+// The hash table maps a key's fingerprint to a tagged pointer word (offset,
+// length and the log cycle the record was appended in) into this log; the
+// record stores the full key bytes, so every read is verified against the
+// key the caller asked for and fingerprint collisions or overwritten
+// (wrapped-over) records surface as misses, never as wrong values.
+//
+// The pointer's cycle lets the log answer a record it has provably
+// overwritten as a miss without reading it. With c the current cycle,
+// head the append head and prevEnd the end of the page-padded write that
+// closed cycle c-1, a pointer to [off, off+n) appended in cycle r is read
+// when r ≡ c (mod 2^valuePtrCycleBits), when r ≡ c-1 and off ≥ head, and
+// for any other r when off ≥ max(head, prevEnd); everything else starts
+// in a range a later cycle rewrote, and costs no device request
+// (ValueLogStats.SkippedReads). The rule only skips rewritten records. One
+// could still verify only if the rewrite repeated its bytes: a later
+// record of the same key at the same offset with the same length, whose
+// newer pointer the index returns first, or new bytes over its start that
+// happen to equal the old ones. The miss answered then is one the
+// lookup contract allows. An aliased tag from 2^valuePtrCycleBits cycles
+// back reads as the current cycle, where key verification decides as
+// before.
 //
 // Writes are page-aligned: records accumulate in a tail buffer whose full
 // pages are written to the device in multi-page appends (sequential I/O,
@@ -43,6 +59,7 @@ type ValueLog struct {
 
 	wrapped  bool
 	erasedTo int64 // exclusive erase frontier for the current cycle
+	prevEnd  int64 // end of the page-padded write that closed the previous cycle
 
 	stats ValueLogStats
 
@@ -76,11 +93,9 @@ type ValueLog struct {
 // Dead-marking is driven by the clam facade, which can only observe a
 // record dying while its pointer is still in the DRAM buffer (an overwrite
 // or delete of a flushed key dies silently), so the split is approximate:
-// LiveBytes overcounts for unobserved deaths, and a stale buffered pointer
-// whose record was already lapped can debit a region's current bytes
-// instead (see MarkDead). Region clamping keeps the totals within
-// [0, capacity] either way. The counters are accounting only — no reclaim
-// yet.
+// LiveBytes overcounts for unobserved deaths. Region clamping keeps the
+// totals within [0, capacity]. The counters are accounting only — no
+// reclaim yet.
 type ValueLogStats struct {
 	// Records is the number of records appended.
 	Records uint64
@@ -106,6 +121,9 @@ type ValueLogStats struct {
 	// LappedLiveBytes is the subset of LappedBytes never marked dead — the
 	// log's silent FIFO data loss.
 	LappedLiveBytes uint64
+	// SkippedReads counts record reads answered as misses because the log
+	// had provably overwritten the record, with no device request.
+	SkippedReads uint64
 }
 
 // Occupancy returns the fraction of the log capacity holding un-lapped
@@ -138,6 +156,7 @@ func (s *ValueLogStats) Add(o ValueLogStats) {
 	s.DeadBytes += o.DeadBytes
 	s.LappedBytes += o.LappedBytes
 	s.LappedLiveBytes += o.LappedLiveBytes
+	s.SkippedReads += o.SkippedReads
 }
 
 // recordHeaderSize is the per-record header: uint32 key length, uint32
@@ -148,17 +167,24 @@ const recordHeaderSize = 8
 // value word holding a tagged pointer to the key's record in this log,
 //
 //	bit  63     tag: 1 = value-log pointer, 0 = inline value
-//	bits 62..38 record length in bytes (valuePtrLenBits)
-//	bits 37..0  record byte offset in the log (valuePtrOffBits)
+//	bits 62..57 the log cycle the record was appended in, mod 2^6 (valuePtrCycleBits)
+//	bits 56..36 record length in bytes (valuePtrLenBits)
+//	bits 35..0  record byte offset in the log (valuePtrOffBits)
 //
-// The hash table stores value words opaquely, so the U64 fast path's inline
-// values share the same slots; an inline value with bit 63 set decodes as
-// a pointer, which is safe because every record read is verified against
+// so a record holds at most 2 MiB - 1 bytes and a log at most 64 GiB. The
+// log fills pointer words in AppendBatch and reads them in
+// ReadRecordsBatch and MarkDead; nothing outside it decodes them. The hash
+// table stores value words opaquely, so the U64 fast path's inline values
+// share the same slots; an inline value with bit 63 set decodes as a
+// pointer, which is safe because every record read is verified against
 // the full key bytes stored in the record.
 const (
-	valuePtrTag     = uint64(1) << 63
-	valuePtrLenBits = 25
-	valuePtrOffBits = 38
+	valuePtrTag       = uint64(1) << 63
+	valuePtrCycleBits = 6
+	valuePtrLenBits   = 21
+	valuePtrOffBits   = 36
+
+	cycleMask = 1<<valuePtrCycleBits - 1
 
 	// MaxValueRecordBytes caps one record (header + key + value) so its
 	// length fits a pointer's length field.
@@ -168,26 +194,33 @@ const (
 	MaxValueLogBytes = int64(1) << valuePtrOffBits
 )
 
-// EncodeValuePtr packs a record location into a tagged value word. It
-// reports ok=false when the location is out of range (a negative value, an
-// offset at or past MaxValueLogBytes, or a length over MaxValueRecordBytes).
-func EncodeValuePtr(off int64, n int) (word uint64, ok bool) {
+// encodeValuePtr packs a record location and the cycle it was appended in
+// (kept mod 2^valuePtrCycleBits) into a tagged value word. It reports
+// ok=false when the location is out of range (a negative value, an offset
+// at or past MaxValueLogBytes, or a length over MaxValueRecordBytes).
+func encodeValuePtr(off int64, n int, cycle uint64) (word uint64, ok bool) {
 	if off < 0 || off >= MaxValueLogBytes || n < 0 || n > MaxValueRecordBytes {
 		return 0, false
 	}
-	return valuePtrTag | uint64(n)<<valuePtrOffBits | uint64(off), true
+	return valuePtrTag | (cycle&cycleMask)<<(valuePtrLenBits+valuePtrOffBits) |
+		uint64(n)<<valuePtrOffBits | uint64(off), true
 }
 
-// DecodeValuePtr unpacks a value word as a record pointer. ok=false means
+// decodeValuePtr unpacks a value word as a record pointer. ok=false means
 // the word is an untagged inline value.
-func DecodeValuePtr(word uint64) (off int64, n int, ok bool) {
-	if word&valuePtrTag == 0 {
-		return 0, 0, false
+func decodeValuePtr(word uint64) (off int64, n int, cycle uint64, ok bool) {
+	if !IsValuePtr(word) {
+		return 0, 0, 0, false
 	}
 	off = int64(word & (1<<valuePtrOffBits - 1))
 	n = int(word >> valuePtrOffBits & (1<<valuePtrLenBits - 1))
-	return off, n, true
+	cycle = word >> (valuePtrLenBits + valuePtrOffBits) & cycleMask
+	return off, n, cycle, true
 }
+
+// IsValuePtr reports whether a value word carries the pointer tag, as
+// every word AppendBatch fills does, rather than an inline value.
+func IsValuePtr(word uint64) bool { return word&valuePtrTag != 0 }
 
 // RecordSize returns the on-log size of a (key, value) record.
 func RecordSize(keyLen, valLen int) int {
@@ -283,22 +316,18 @@ func (l *ValueLog) allocSpan(off int64, n int) {
 	}
 }
 
-// MarkDead records that the record at [off, off+n) no longer backs a live
-// key (its index entry was deleted or overwritten). The accounting is
-// approximate in the presence of stale pointers: a record ahead of the
-// head whose region was already re-entered this cycle is provably lapped
-// and skipped, but a lapped record behind the head is indistinguishable
-// from a current-cycle one, so its debit lands on whatever the region now
-// holds (clamped, so totals stay within [0, capacity]). Counters only;
-// the space is reclaimed by the circular overwrite as usual.
-func (l *ValueLog) MarkDead(off int64, n int) {
-	if off < 0 || n <= 0 || off+int64(n) > l.capacity {
-		return
-	}
-	if off >= l.head && l.regCycle[off/l.regionSize] == l.cycle {
-		// A record at or past the head was appended in a previous cycle; its
-		// region re-entering the current cycle means the head already lapped
-		// it — the lap accounting has counted it, nothing left to debit.
+// MarkDead records that the record a pointer word addresses no longer
+// backs a live key (its index entry was deleted or overwritten). A word
+// that is no pointer, or addresses no record region, is ignored, and so is
+// a record the log has provably overwritten (see ValueLog): the lap
+// accounting has counted it, nothing is left to debit. So is a record at
+// or past the head whose region the head already re-entered this cycle.
+// What remains is debited from its regions, clamped to what each still
+// holds, so totals stay within [0, capacity]. Counters only; the space is
+// reclaimed by the circular overwrite as usual.
+func (l *ValueLog) MarkDead(word uint64) {
+	off, n, read, _ := l.locate(word)
+	if !read || off >= l.head && l.regCycle[off/l.regionSize] == l.cycle {
 		return
 	}
 	end := off + int64(n)
@@ -320,20 +349,20 @@ func (l *ValueLog) MarkDead(off int64, n int) {
 // appendRecord stages one record in the tail buffer without triggering the
 // full-page flush, so AppendBatch can accumulate a whole chunk and write
 // its pages in one sequential submission.
-func (l *ValueLog) appendRecord(key, value []byte) (off int64, n int, err error) {
-	n = RecordSize(len(key), len(value))
+func (l *ValueLog) appendRecord(key, value []byte) (word uint64, err error) {
+	n := RecordSize(len(key), len(value))
 	if int64(n) > l.capacity {
-		return 0, 0, fmt.Errorf("storage: value record of %d bytes exceeds log capacity %d", n, l.capacity)
+		return 0, fmt.Errorf("storage: value record of %d bytes exceeds log capacity %d", n, l.capacity)
 	}
 	if n > MaxValueRecordBytes {
-		return 0, 0, fmt.Errorf("storage: value record of %d bytes exceeds the %d record limit", n, MaxValueRecordBytes)
+		return 0, fmt.Errorf("storage: value record of %d bytes exceeds the %d record limit", n, MaxValueRecordBytes)
 	}
 	if l.head+int64(n) > l.capacity {
 		if err := l.wrap(); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
-	off = l.head
+	off := l.head
 	var hdr [recordHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(key)))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(value)))
@@ -344,29 +373,32 @@ func (l *ValueLog) appendRecord(key, value []byte) (off int64, n int, err error)
 	l.stats.Records++
 	l.stats.AppendedBytes += uint64(n)
 	l.allocSpan(off, n)
-	return off, n, nil
+	// The capacity and record checks above keep the location encodable.
+	word, _ = encodeValuePtr(off, n, l.cycle)
+	return word, nil
 }
 
 // AppendBatch appends len(keys) records as one tail-buffered multi-record
-// append, filling offs[i] and ns[i] with each record's pointer (offset and
-// total length; both slices must have len(keys)). A pointer becomes
-// invalid — and reads of it self-invalidate via key verification — once
-// the head wraps past it. Record offsets, wrap points and tail-served
-// reads are exactly what one-record calls would produce; the difference is
-// purely the write stream — the batch's full pages reach the device as one
+// append, filling ptrs[i] (ptrs must have len(keys)) with each record's
+// tagged pointer word: offset, total length and the cycle it was appended
+// in. A pointer becomes invalid once the head wraps past it: a read of it
+// then costs no device request, or self-invalidates via key verification
+// (see ValueLog). Record offsets, wrap points and tail-served reads are
+// exactly what one-record calls would produce; the difference is purely
+// the write stream — the batch's full pages reach the device as one
 // sequential submission at the end instead of one write per flushAt of
 // accumulated records. On error the batch may be partially appended.
-func (l *ValueLog) AppendBatch(keys, values [][]byte, offs []int64, ns []int) error {
-	if len(keys) != len(values) || len(offs) != len(keys) || len(ns) != len(keys) {
-		return fmt.Errorf("storage: AppendBatch length mismatch: %d keys, %d values, %d offs, %d ns",
-			len(keys), len(values), len(offs), len(ns))
+func (l *ValueLog) AppendBatch(keys, values [][]byte, ptrs []uint64) error {
+	if len(keys) != len(values) || len(ptrs) != len(keys) {
+		return fmt.Errorf("storage: AppendBatch length mismatch: %d keys, %d values, %d ptrs",
+			len(keys), len(values), len(ptrs))
 	}
 	for i := range keys {
-		off, n, err := l.appendRecord(keys[i], values[i])
+		word, err := l.appendRecord(keys[i], values[i])
 		if err != nil {
 			return err
 		}
-		offs[i], ns[i] = off, n
+		ptrs[i] = word
 	}
 	if len(l.buf) >= l.flushAt {
 		return l.flushFullPages()
@@ -391,7 +423,9 @@ func (l *ValueLog) flushFullPages() error {
 }
 
 // wrap pads the tail buffer to a page boundary, writes it out, and moves
-// the append head back to offset 0, beginning a new overwrite cycle.
+// the append head back to offset 0, beginning a new overwrite cycle. The
+// padded write's end becomes prevEnd: past it lie older cycles' bytes the
+// closing cycle never reached.
 func (l *ValueLog) wrap() error {
 	if pad := (l.pageSize - len(l.buf)%l.pageSize) % l.pageSize; pad > 0 {
 		l.buf = append(l.buf, make([]byte, pad)...)
@@ -401,6 +435,7 @@ func (l *ValueLog) wrap() error {
 			return err
 		}
 	}
+	l.prevEnd = l.bufStart + int64(len(l.buf))
 	l.buf = l.buf[:0]
 	l.head, l.bufStart = 0, 0
 	l.wrapped = true
@@ -428,15 +463,16 @@ func (l *ValueLog) writeBuf(p int) error {
 	return nil
 }
 
-// ValueReadReq is one record read of a batched value-log fetch. Off and N
-// come from the record's pointer; Rec receives the record bytes or stays
-// nil when the pointer no longer addresses a live record region. Rec may
-// be a read-only view of the device's page (see ReadReq.View) or alias
-// log-owned scratch: it is valid until the device's next write or the
-// next log call, whichever comes first, and must not be written through.
+// ValueReadReq is one record read of a batched value-log fetch. Ptr is
+// the record's pointer word, as AppendBatch filled it; Rec receives the
+// record bytes or stays nil when the word is no pointer, addresses no
+// record region, or addresses a record the log has provably overwritten
+// (see ValueLog). Rec may be a read-only view of the device's page (see
+// ReadReq.View) or alias log-owned scratch: it is valid until the device's
+// next write or the next log call, whichever comes first, and must not be
+// written through.
 type ValueReadReq struct {
-	Off int64
-	N   int
+	Ptr uint64
 	Rec []byte
 }
 
@@ -445,18 +481,30 @@ type ValueReadReq struct {
 // MaxValueLogBytes, so the two fit one word.
 const segIdxBits = 64 - valuePtrOffBits
 
-// inRange reports whether [off, off+n) can hold a record this cycle.
-// Pointers past the current head on an unwrapped log were never written;
-// anything else is readable (possibly overwritten — key verification
-// decides).
-func (l *ValueLog) inRange(off int64, n int) bool {
-	if off < 0 || n < recordHeaderSize || off+int64(n) > l.capacity {
-		return false
+// locate decodes a pointer word into its record range and reports whether
+// a read can find the record there. read is false for a word that is no
+// pointer or addresses no record region (one reaching past the capacity,
+// or past the head of a log that never wrapped, was never written). It is
+// false too for a record the log has provably overwritten, which sets
+// overwritten (see ValueLog for the rule). A record that is read may
+// still be gone (an aliased tag, or a chip block erased ahead of the
+// head): key verification decides.
+func (l *ValueLog) locate(word uint64) (off int64, n int, read, overwritten bool) {
+	off, n, r, ok := decodeValuePtr(word)
+	if !ok || n < recordHeaderSize || off+int64(n) > l.capacity {
+		return off, n, false, false
 	}
-	if !l.wrapped && off+int64(n) > l.head {
-		return false
+	if !l.wrapped {
+		return off, n, off+int64(n) <= l.head, false
 	}
-	return true
+	switch r {
+	case l.cycle & cycleMask:
+	case (l.cycle - 1) & cycleMask:
+		overwritten = off < l.head
+	default:
+		overwritten = off < max(l.head, l.prevEnd)
+	}
+	return off, n, !overwritten, overwritten
 }
 
 // readSegments splits a log range into its buffered and device-backed
@@ -486,7 +534,8 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 // device portions survive are gathered and issued as one ReadBatch
 // submission, so a batch of record fetches pays the overlapped service
 // time, not the serial sum. Buffered bytes are copied from the tail
-// buffer. Out-of-range requests leave Rec nil.
+// buffer. Requests that locate no record leave Rec nil and cost no device
+// request; those the log has provably overwritten count as SkippedReads.
 //
 // A record that is one device segment inside one device page is read as
 // a view: Rec becomes the device's page slice, with no copy. Records that
@@ -498,8 +547,11 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 	total := 0
 	for i := range reqs {
 		reqs[i].Rec = nil
-		if l.inRange(reqs[i].Off, reqs[i].N) {
-			total += reqs[i].N
+		_, n, read, overwritten := l.locate(reqs[i].Ptr)
+		if read {
+			total += n
+		} else if overwritten {
+			l.stats.SkippedReads++
 		}
 	}
 	if total == 0 {
@@ -511,19 +563,19 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 	arena := l.scratch[:0]
 	l.segs, l.owner = l.segs[:0], l.owner[:0]
 	for i := range reqs {
-		r := &reqs[i]
-		if !l.inRange(r.Off, r.N) {
+		off, n, read, _ := l.locate(reqs[i].Ptr)
+		if !read {
 			continue
 		}
-		rec := arena[len(arena) : len(arena)+r.N]
-		arena = arena[:len(arena)+r.N]
-		r.Rec = rec
+		rec := arena[len(arena) : len(arena)+n]
+		arena = arena[:len(arena)+n]
+		reqs[i].Rec = rec
 		// Device segments become batched read requests; the tail-buffer
 		// overlap is copied immediately.
-		l.readSegments(rec, r.Off, func(seg []byte, segOff int64) {
+		l.readSegments(rec, off, func(seg []byte, segOff int64) {
 			owner := -1
 			ps := int64(l.pageSize)
-			if len(seg) == r.N && segOff/ps == (segOff+int64(r.N)-1)/ps {
+			if len(seg) == n && segOff/ps == (segOff+int64(n)-1)/ps {
 				owner = i
 			}
 			l.segs = append(l.segs, ReadReq{P: seg, Off: segOff, View: owner >= 0})

@@ -1,0 +1,374 @@
+package storage_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
+	"testing"
+
+	"repro/internal/disk"
+	"repro/internal/flashchip"
+	"repro/internal/ssd"
+	"repro/internal/storage"
+	"repro/internal/vclock"
+)
+
+// skipModels builds the devices the skip-rule streams run on: one per
+// model, small enough that a stream wraps its log several times.
+var skipModels = [...]struct {
+	name string
+	dev  func(*vclock.Clock) storage.Device
+}{
+	{"ssd", func(c *vclock.Clock) storage.Device { return ssd.New(ssd.IntelX18M(), 256<<10, c) }},
+	{"chip", func(c *vclock.Clock) storage.Device { return flashchip.New(flashchip.DefaultConfig(256<<10), c) }},
+	{"disk", func(c *vclock.Clock) storage.Device { return disk.New(disk.Hitachi7K80(), 256<<10, c) }},
+}
+
+const (
+	skipStreamWraps   = 6    // a stream ends once its log wrapped this often
+	skipStreamRecords = 3000 // or once it appended this many records
+	skipSample        = 48   // pointers read after an append that did not wrap
+)
+
+// skipTally counts what a stream's reads met.
+type skipTally struct {
+	reads      int // pointers read, on the log under test
+	hits       int // of those, verified under their key
+	skipped    int // answered as misses with no device request
+	olderHits  int // hits on records two or more cycles old
+	olderReads int // reads of records two or more cycles old
+}
+
+func (a *skipTally) add(b skipTally) {
+	a.reads += b.reads
+	a.hits += b.hits
+	a.skipped += b.skipped
+	a.olderHits += b.olderHits
+	a.olderReads += b.olderReads
+}
+
+// checkSkipStream drives two logs over twin devices of one model through
+// the append stream data describes, and checks the skip rule after every
+// append batch. Each byte of data (cycled) is one record: below 0x80 a
+// value of 4*b bytes, from 0x80 up a value of up to three device pages, so
+// records run from a header plus a two-byte key to more than two pages,
+// and a batch ends at a byte divisible by 8 or at 24 records.
+//
+// Keys are unique, each a uvarint record number ending in 0xEE, and value
+// bytes are at least 0x10. So bytes a later cycle rewrote never read back
+// as an intact record header: a rewritten range cannot verify. (A rewrite
+// can repeat a record's bytes in general, say a one-byte overlap whose
+// new byte equals the old key length, and then the rule answers a miss
+// where a read would have verified. The stream rules that out, so that
+// the twin's answer is exact.)
+//
+// After every batch the test reads a sample of the pointers issued so far,
+// and every one of them after a batch that wrapped the log and at the end
+// of the stream. The first log reads each pointer word as AppendBatch
+// filled it. Its twin reads the same location tagged with its current
+// cycle, which the rule never skips: the read the log made before the
+// rule. Both answers, verified under the record's key, must agree. The
+// first log must skip exactly the records the rule names: with c the
+// current cycle, last cycle's records behind the head, and older records
+// behind the head or below the end of the page-padded write that closed
+// cycle c-1. A skip must add nothing to the device's Counters or clock,
+// and SkippedReads must count it.
+func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
+	t.Helper()
+	if len(data) == 0 {
+		data = []byte{1}
+	}
+	m := skipModels[model%len(skipModels)]
+	clk := vclock.New()
+	dev := m.dev(clk)
+	l, err := storage.NewValueLog(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := storage.NewValueLog(m.dev(vclock.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := dev.Geometry().PageSize
+	rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+
+	type record struct {
+		key, val []byte
+		word     uint64
+		off      int64
+		n        int
+		cycle    uint64 // absolute: 1 for the log's first pass
+	}
+	var (
+		recs    []record
+		cycle   = uint64(1)
+		head    int64 // end of the newest record
+		prevEnd int64 // end of the page-padded write that closed cycle-1
+		pos     int
+		tally   skipTally
+	)
+	// check reads recs[i] for every i in idx on both logs.
+	check := func(idx []int) {
+		reqs := make([]storage.ValueReadReq, len(idx))
+		rereqs := make([]storage.ValueReadReq, len(idx))
+		for j, i := range idx {
+			reqs[j].Ptr = recs[i].word
+			word, ok := storage.EncodeValuePtr(recs[i].off, recs[i].n, twin.Cycle())
+			if !ok {
+				t.Fatalf("record %d (%d, %d) not encodable", i, recs[i].off, recs[i].n)
+			}
+			rereqs[j].Ptr = word
+		}
+		skipped0 := l.Stats().SkippedReads
+		if err := l.ReadRecordsBatch(reqs); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.ReadRecordsBatch(rereqs); err != nil {
+			t.Fatal(err)
+		}
+		var skips []int
+		for j, i := range idx {
+			r := recs[i]
+			got, ok := storage.VerifyRecord(reqs[j].Rec, r.key)
+			want, wantOK := storage.VerifyRecord(rereqs[j].Rec, r.key)
+			if ok != wantOK || !bytes.Equal(got, want) {
+				t.Fatalf("cycle %d, head %d: record %d (%d, %d) of cycle %d reads (%v, %d bytes), without the rule (%v, %d bytes)",
+					cycle, head, i, r.off, r.n, r.cycle, ok, len(got), wantOK, len(want))
+			}
+			if ok && !bytes.Equal(got, r.val) {
+				t.Fatalf("record %d verified with a wrong value", i)
+			}
+			overwritten := cycle > 1 && (r.cycle+1 == cycle && r.off < head ||
+				r.cycle+2 <= cycle && r.off < max(head, prevEnd))
+			if rereqs[j].Rec == nil {
+				t.Fatalf("record %d (%d, %d) unread without the rule", i, r.off, r.n)
+			}
+			if skipped := reqs[j].Rec == nil; skipped != overwritten {
+				t.Fatalf("cycle %d, head %d, prevEnd %d: record %d (%d, %d) of cycle %d skipped=%v, overwritten=%v",
+					cycle, head, prevEnd, i, r.off, r.n, r.cycle, skipped, overwritten)
+			}
+			if overwritten {
+				skips = append(skips, i)
+				continue
+			}
+			tally.reads++
+			if r.cycle+2 <= cycle {
+				tally.olderReads++
+			}
+			if ok {
+				tally.hits++
+				if r.cycle+2 <= cycle {
+					tally.olderHits++
+				}
+			}
+		}
+		if d := l.Stats().SkippedReads - skipped0; d != uint64(len(skips)) {
+			t.Fatalf("SkippedReads rose by %d for %d skipped records", d, len(skips))
+		}
+		tally.skipped += len(skips)
+		// A skipped read alone: no device request, no time.
+		for _, i := range skips[:min(len(skips), 8)] {
+			c0, t0 := dev.Counters(), clk.Now()
+			req := []storage.ValueReadReq{{Ptr: recs[i].word}}
+			if err := l.ReadRecordsBatch(req); err != nil {
+				t.Fatal(err)
+			}
+			if req[0].Rec != nil || dev.Counters() != c0 || clk.Now() != t0 {
+				t.Fatalf("skipped record %d read %d bytes, counters %+v -> %+v, clock %v -> %v",
+					i, len(req[0].Rec), c0, dev.Counters(), t0, clk.Now())
+			}
+		}
+	}
+
+	var idx []int
+	for l.Stats().Wraps < skipStreamWraps && len(recs) < skipStreamRecords {
+		var keys, vals [][]byte
+		for {
+			b := data[pos%len(data)]
+			pos++
+			vlen := 4 * int(b)
+			if b >= 0x80 {
+				vlen = 1 + int(b&0x7f)*3*ps/0x7f
+			}
+			keys = append(keys, append(binary.AppendUvarint(nil, uint64(len(recs)+len(keys))), 0xEE))
+			vals = append(vals, bytes.Repeat([]byte{0x10 | b}, vlen))
+			if b%8 == 0 || len(keys) == 24 {
+				break
+			}
+		}
+		words, twinWords := make([]uint64, len(keys)), make([]uint64, len(keys))
+		if err := l.AppendBatch(keys, vals, words); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.AppendBatch(keys, vals, twinWords); err != nil {
+			t.Fatal(err)
+		}
+		wrapped := false
+		for i, w := range words {
+			off, n, tag, ok := storage.DecodeValuePtr(w)
+			if !ok || twinWords[i] != w {
+				t.Fatalf("record %d: pointer %#x, twin's %#x", len(recs), w, twinWords[i])
+			}
+			if off == 0 && len(recs) > 0 {
+				cycle++
+				prevEnd = (head + int64(ps) - 1) / int64(ps) * int64(ps)
+				wrapped = true
+			}
+			if tag != cycle%64 {
+				t.Fatalf("record %d of cycle %d tagged %d", len(recs), cycle, tag)
+			}
+			head = off + int64(n)
+			recs = append(recs, record{keys[i], vals[i], w, off, n, cycle})
+		}
+		if l.Cycle() != cycle {
+			t.Fatalf("log cycle %d, stream cycle %d", l.Cycle(), cycle)
+		}
+		idx = idx[:0]
+		if wrapped {
+			for i := range recs {
+				idx = append(idx, i)
+			}
+		} else {
+			for range skipSample {
+				idx = append(idx, rng.Intn(len(recs)))
+			}
+		}
+		check(idx)
+	}
+	idx = idx[:0]
+	for i := range recs {
+		idx = append(idx, i)
+	}
+	check(idx)
+	return tally
+}
+
+// skipSeeds are FuzzValueLogSkips's seed corpus, run on every model.
+func skipSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(22))
+	mixed := make([]byte, 97)
+	rng.Read(mixed)
+	small := make([]byte, 61)
+	for i := range small {
+		small[i] = byte(rng.Intn(0x80))
+	}
+	return [][]byte{
+		mixed,
+		small,
+		{0x81, 0xff, 0x13, 0xc0, 0x7f, 0x00, 0xa5, 0x5a, 0xfe, 0x08},
+		{0x00, 0x9f},       // a header plus a key, then a record of one and a half pages
+		{0xff, 0xfe, 0xf7}, // three-page records
+	}
+}
+
+// FuzzValueLogSkips checks the value log's skip rule on append streams
+// over every device model (see checkSkipStream).
+func FuzzValueLogSkips(f *testing.F) {
+	for _, data := range skipSeeds() {
+		for model := range skipModels {
+			f.Add(uint8(model), data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, model uint8, data []byte) {
+		checkSkipStream(t, int(model), data)
+	})
+}
+
+// TestValueLogSkipRuleCoverage runs the seed streams and requires that
+// they reach every arm of the rule: skips, and on the SSD and the disk,
+// hits on records two or more cycles old, which lie past both the head
+// and the end of the last cycle's writes. (On the chip the erase ahead
+// of the head clears those records first.)
+func TestValueLogSkipRuleCoverage(t *testing.T) {
+	for model, m := range skipModels {
+		t.Run(m.name, func(t *testing.T) {
+			var tally skipTally
+			for _, data := range skipSeeds() {
+				tally.add(checkSkipStream(t, model, data))
+			}
+			t.Logf("%+v", tally)
+			if tally.skipped == 0 || tally.hits == 0 {
+				t.Fatalf("the seed streams skipped %d and hit %d records", tally.skipped, tally.hits)
+			}
+			if m.name != "chip" && tally.olderHits == 0 {
+				t.Fatalf("no seed stream hit a record two or more cycles old (%d read)", tally.olderReads)
+			}
+		})
+	}
+}
+
+// TestValueLogSkippedReadsCount pins SkippedReads as the device requests
+// the rule saves. A stream of one-page records wraps a log several times,
+// and whenever the tail buffer is empty every pointer issued so far is
+// read, so each record the rule skips would have cost one device request.
+// The device's Reads plus SkippedReads then equals the Reads of a twin
+// that reads every pointer re-tagged with its current cycle (the reads
+// before the rule), and both answer the same hits.
+func TestValueLogSkippedReadsCount(t *testing.T) {
+	for _, m := range skipModels {
+		t.Run(m.name, func(t *testing.T) {
+			dev, twinDev := m.dev(vclock.New()), m.dev(vclock.New())
+			l, err := storage.NewValueLog(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := storage.NewValueLog(twinDev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := dev.Geometry().PageSize
+			var keys [][]byte
+			var words []uint64
+			hits, twinHits := 0, 0
+			for i := 0; l.Stats().Wraps < 4; i++ {
+				key := binary.BigEndian.AppendUint32(nil, uint32(i))
+				val := bytes.Repeat([]byte{byte(i)}, ps-storage.RecordSize(len(key), 0))
+				w, err := appendOne(l, key, val)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tw, err := appendOne(twin, key, val); err != nil || tw != w {
+					t.Fatalf("twin pointer %#x (%v), want %#x", tw, err, w)
+				}
+				keys, words = append(keys, key), append(words, w)
+				if l.Stats().BufferedBytes != 0 {
+					continue
+				}
+				reqs := make([]storage.ValueReadReq, len(words))
+				rereqs := make([]storage.ValueReadReq, len(words))
+				for j, w := range words {
+					off, n, _, _ := storage.DecodeValuePtr(w)
+					reqs[j].Ptr, rereqs[j].Ptr = w, mustPtr(t, off, n, twin.Cycle())
+				}
+				if err := l.ReadRecordsBatch(reqs); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.ReadRecordsBatch(rereqs); err != nil {
+					t.Fatal(err)
+				}
+				for j := range reqs {
+					if _, ok := storage.VerifyRecord(reqs[j].Rec, keys[j]); ok {
+						hits++
+					}
+					if _, ok := storage.VerifyRecord(rereqs[j].Rec, keys[j]); ok {
+						twinHits++
+					}
+				}
+			}
+			s := l.Stats()
+			reads, twinReads := dev.Counters().Reads, twinDev.Counters().Reads
+			t.Logf("%d reads + %d skipped = %d reads without the rule; %d hits", reads, s.SkippedReads, twinReads, hits)
+			if s.SkippedReads == 0 || reads+s.SkippedReads != twinReads || hits != twinHits {
+				t.Fatalf("%d reads + %d skipped, want %d reads without the rule; hits %d, without %d",
+					reads, s.SkippedReads, twinReads, hits, twinHits)
+			}
+			var agg storage.ValueLogStats
+			agg.Add(s)
+			agg.Add(s)
+			if agg.SkippedReads != 2*s.SkippedReads {
+				t.Fatalf("Add summed SkippedReads to %d, want %d", agg.SkippedReads, 2*s.SkippedReads)
+			}
+		})
+	}
+}

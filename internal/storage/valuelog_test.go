@@ -24,19 +24,30 @@ func vlogDevices(t *testing.T, capacity int64) map[string]storage.Device {
 	}
 }
 
-// appendOne appends one record through a one-element AppendBatch.
-func appendOne(l *storage.ValueLog, key, val []byte) (off int64, n int, err error) {
-	offs, ns := []int64{0}, []int{0}
-	err = l.AppendBatch([][]byte{key}, [][]byte{val}, offs, ns)
-	return offs[0], ns[0], err
+// appendOne appends one record through a one-element AppendBatch and
+// returns its pointer word.
+func appendOne(l *storage.ValueLog, key, val []byte) (ptr uint64, err error) {
+	ptrs := []uint64{0}
+	err = l.AppendBatch([][]byte{key}, [][]byte{val}, ptrs)
+	return ptrs[0], err
 }
 
 // readOne reads one record through a one-element ReadRecordsBatch. ok=false
 // means the pointer addresses no live record region.
-func readOne(l *storage.ValueLog, off int64, n int) (rec []byte, ok bool, err error) {
-	reqs := []storage.ValueReadReq{{Off: off, N: n}}
+func readOne(l *storage.ValueLog, ptr uint64) (rec []byte, ok bool, err error) {
+	reqs := []storage.ValueReadReq{{Ptr: ptr}}
 	err = l.ReadRecordsBatch(reqs)
 	return reqs[0].Rec, reqs[0].Rec != nil, err
+}
+
+// mustPtr encodes a location the log never issued, tagged with cycle.
+func mustPtr(t *testing.T, off int64, n int, cycle uint64) uint64 {
+	t.Helper()
+	word, ok := storage.EncodeValuePtr(off, n, cycle)
+	if !ok {
+		t.Fatalf("location (%d, %d) not encodable", off, n)
+	}
+	return word
 }
 
 func TestValueLogRoundTrip(t *testing.T) {
@@ -47,8 +58,7 @@ func TestValueLogRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			type ref struct {
-				off int64
-				n   int
+				ptr uint64
 				key []byte
 				val []byte
 			}
@@ -58,26 +68,26 @@ func TestValueLogRoundTrip(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				key := []byte(fmt.Sprintf("key-%04d-%s", i, bytes.Repeat([]byte{'k'}, i%37)))
 				val := bytes.Repeat([]byte{byte(i)}, (i*131)%2500)
-				off, n, err := appendOne(l, key, val)
+				ptr, err := appendOne(l, key, val)
 				if err != nil {
 					t.Fatal(err)
 				}
-				refs = append(refs, ref{off, n, key, val})
+				refs = append(refs, ref{ptr, key, val})
 			}
 			for _, r := range refs {
-				rec, ok, err := readOne(l, r.off, r.n)
+				rec, ok, err := readOne(l, r.ptr)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !ok {
-					t.Fatalf("record at %d unreadable before any wrap", r.off)
+					t.Fatalf("record %#x unreadable before any wrap", r.ptr)
 				}
 				val, ok := storage.VerifyRecord(rec, r.key)
 				if !ok {
-					t.Fatalf("record at %d failed key verification", r.off)
+					t.Fatalf("record %#x failed key verification", r.ptr)
 				}
 				if !bytes.Equal(val, r.val) {
-					t.Fatalf("record at %d value mismatch: %d vs %d bytes", r.off, len(val), len(r.val))
+					t.Fatalf("record %#x value mismatch: %d vs %d bytes", r.ptr, len(val), len(r.val))
 				}
 				// The wrong key must never verify.
 				if _, ok := storage.VerifyRecord(rec, append([]byte("x"), r.key...)); ok {
@@ -104,14 +114,16 @@ func TestValueLogBatchedReads(t *testing.T) {
 			for i := range keys {
 				keys[i] = []byte(fmt.Sprintf("batch-key-%05d", i))
 				vals[i] = bytes.Repeat([]byte{byte(i), byte(i >> 3)}, 1+(i*97)%800)
-				off, n, err := appendOne(l, keys[i], vals[i])
+				ptr, err := appendOne(l, keys[i], vals[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				reqs[i] = storage.ValueReadReq{Off: off, N: n}
+				reqs[i] = storage.ValueReadReq{Ptr: ptr}
 			}
-			// A bogus request must come back nil without disturbing others.
-			reqs = append(reqs, storage.ValueReadReq{Off: 1 << 40, N: 64})
+			// Bogus requests must come back nil without disturbing others:
+			// a pointer past the capacity and an untagged inline word.
+			reqs = append(reqs, storage.ValueReadReq{Ptr: mustPtr(t, l.Stats().Capacity-4, 64, l.Cycle())},
+				storage.ValueReadReq{Ptr: 1 << 40})
 			if err := l.ReadRecordsBatch(reqs); err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +136,7 @@ func TestValueLogBatchedReads(t *testing.T) {
 					t.Fatalf("request %d verification failed", i)
 				}
 			}
-			if reqs[200].Rec != nil {
+			if reqs[200].Rec != nil || reqs[201].Rec != nil {
 				t.Fatal("out-of-range request resolved")
 			}
 		})
@@ -140,38 +152,48 @@ func TestValueLogWrapInvalidatesOldRecords(t *testing.T) {
 			}
 			val := bytes.Repeat([]byte{0xAB}, 4000)
 			firstKey := []byte("first-record")
-			firstOff, firstN, err := appendOne(l, firstKey, val)
+			first, err := appendOne(l, firstKey, val)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Fill several times the capacity so the head laps the first
 			// record repeatedly.
-			var lastOff int64
-			var lastN int
 			lastKey := []byte("last-record")
 			for i := 0; l.Stats().Wraps < 3; i++ {
 				key := []byte(fmt.Sprintf("filler-%06d", i))
-				if _, _, err := appendOne(l, key, val); err != nil {
+				if _, err := appendOne(l, key, val); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if lastOff, lastN, err = appendOne(l, lastKey, val); err != nil {
+			last, err := appendOne(l, lastKey, val)
+			if err != nil {
 				t.Fatal(err)
 			}
 
-			// The overwritten record must read as a verification miss, not
-			// as wrong bytes.
-			rec, ok, err := readOne(l, firstOff, firstN)
+			// The overwritten record reads as a miss with no device
+			// request: its cycle is three back and the head is past it.
+			before, skipped := dev.Counters(), l.Stats().SkippedReads
+			rec, ok, err := readOne(l, first)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ok {
-				if _, verified := storage.VerifyRecord(rec, firstKey); verified {
-					t.Fatal("lapped record still verifies under its key")
-				}
+				t.Fatalf("lapped record read back %d bytes", len(rec))
+			}
+			if after := dev.Counters(); after != before || l.Stats().SkippedReads != skipped+1 {
+				t.Fatalf("lapped record cost device I/O or went uncounted: %+v -> %+v, %d skipped reads",
+					before, after, l.Stats().SkippedReads)
+			}
+			// Read with the rule off, its bytes are another record's.
+			off, n, _, _ := storage.DecodeValuePtr(first)
+			if rec, ok, err = readOne(l, mustPtr(t, off, n, l.Cycle())); err != nil {
+				t.Fatal(err)
+			}
+			if _, verified := storage.VerifyRecord(rec, firstKey); ok && verified {
+				t.Fatal("lapped record still verifies under its key")
 			}
 			// The newest record is intact.
-			rec, ok, err = readOne(l, lastOff, lastN)
+			rec, ok, err = readOne(l, last)
 			if err != nil || !ok {
 				t.Fatalf("newest record unreadable: %v %v", ok, err)
 			}
@@ -195,14 +217,15 @@ func TestValueLogStraddlingFlushFrontier(t *testing.T) {
 	// leading pages, leaving its tail buffered.
 	key := []byte("straddler")
 	val := bytes.Repeat([]byte{0x5C}, 70<<10)
-	off, n, err := appendOne(l, key, val)
+	ptr, err := appendOne(l, key, val)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := storage.RecordSize(len(key), len(val))
 	if st := l.Stats(); st.BufferedBytes == 0 || st.BufferedBytes >= int64(n) {
 		t.Fatalf("expected a partially flushed record, buffered=%d of %d", st.BufferedBytes, n)
 	}
-	rec, ok, err := readOne(l, off, n)
+	rec, ok, err := readOne(l, ptr)
 	if err != nil || !ok {
 		t.Fatalf("straddling read: %v %v", ok, err)
 	}
@@ -219,7 +242,7 @@ func TestValueLogRejectsOversizeRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := appendOne(l, []byte("k"), make([]byte, l.Stats().Capacity)); err == nil {
+	if _, err := appendOne(l, []byte("k"), make([]byte, l.Stats().Capacity)); err == nil {
 		t.Fatal("accepted a record larger than the log")
 	}
 }
@@ -230,11 +253,11 @@ func TestValueLogUnwrittenRegionReadsAsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := appendOne(l, []byte("k"), []byte("v")); err != nil {
+	if _, err := appendOne(l, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	// Past the head on an unwrapped log: never written.
-	if _, ok, err := readOne(l, 512<<10, 64); err != nil || ok {
+	if _, ok, err := readOne(l, mustPtr(t, 512<<10, 64, l.Cycle())); err != nil || ok {
 		t.Fatalf("unwritten region readable: ok=%v err=%v", ok, err)
 	}
 }
@@ -263,36 +286,26 @@ func TestValueLogAppendBatchEquivalence(t *testing.T) {
 				keys[i] = []byte(fmt.Sprintf("key-%04d", i))
 				vals[i] = bytes.Repeat([]byte{byte(i)}, (i*37)%700)
 			}
-			type ptr struct {
-				off int64
-				n   int
-			}
-			sp := make([]ptr, nRecords)
-			bp := make([]ptr, nRecords)
-			offs := make([]int64, 64)
-			ns := make([]int, 64)
+			sp := make([]uint64, nRecords)
+			bp := make([]uint64, nRecords)
 			for at := 0; at < nRecords; at += 64 {
 				hi := at + 64
 				if hi > nRecords {
 					hi = nRecords
 				}
 				for i := at; i < hi; i++ {
-					off, n, err := appendOne(ls, keys[i], vals[i])
+					ptr, err := appendOne(ls, keys[i], vals[i])
 					if err != nil {
 						t.Fatal(err)
 					}
-					sp[i] = ptr{off, n}
+					sp[i] = ptr
 				}
-				w := hi - at
-				if err := lb.AppendBatch(keys[at:hi], vals[at:hi], offs[:w], ns[:w]); err != nil {
+				if err := lb.AppendBatch(keys[at:hi], vals[at:hi], bp[at:hi]); err != nil {
 					t.Fatal(err)
-				}
-				for j := 0; j < w; j++ {
-					bp[at+j] = ptr{offs[j], ns[j]}
 				}
 			}
 			if sp[len(sp)-1] != bp[len(bp)-1] {
-				t.Fatalf("final pointers diverge: %+v vs %+v", sp[len(sp)-1], bp[len(bp)-1])
+				t.Fatalf("final pointers diverge: %#x vs %#x", sp[len(sp)-1], bp[len(bp)-1])
 			}
 			ss, bs := ls.Stats(), lb.Stats()
 			if ss.Records != bs.Records || ss.AppendedBytes != bs.AppendedBytes || ss.Wraps != bs.Wraps {
@@ -300,14 +313,14 @@ func TestValueLogAppendBatchEquivalence(t *testing.T) {
 			}
 			for i := range keys {
 				if sp[i] != bp[i] {
-					t.Fatalf("record %d pointer: serial %+v, batched %+v", i, sp[i], bp[i])
+					t.Fatalf("record %d pointer: serial %#x, batched %#x", i, sp[i], bp[i])
 				}
-				srec, sok, err := readOne(ls, sp[i].off, sp[i].n)
+				srec, sok, err := readOne(ls, sp[i])
 				if err != nil {
 					t.Fatal(err)
 				}
 				scp := append([]byte(nil), srec...)
-				brec, bok, err := readOne(lb, bp[i].off, bp[i].n)
+				brec, bok, err := readOne(lb, bp[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -342,19 +355,19 @@ func TestValueLogSpaceAccounting(t *testing.T) {
 	val := bytes.Repeat([]byte{9}, 991)
 	recN := storage.RecordSize(len(key), len(val))
 
-	off1, n1, err := appendOne(l, key, val)
+	ptr1, err := appendOne(l, key, val)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := l.Stats(); s.LiveBytes != int64(recN) || s.DeadBytes != 0 {
 		t.Fatalf("after one append: %+v", s)
 	}
-	l.MarkDead(off1, n1)
+	l.MarkDead(ptr1)
 	if s := l.Stats(); s.LiveBytes != 0 || s.DeadBytes != int64(recN) {
 		t.Fatalf("after MarkDead: %+v", s)
 	}
 	// Double-marking must clamp, not go negative.
-	l.MarkDead(off1, n1)
+	l.MarkDead(ptr1)
 	if s := l.Stats(); s.LiveBytes < 0 || s.DeadBytes > 2*int64(recN) {
 		t.Fatalf("after double MarkDead: %+v", s)
 	}
@@ -362,7 +375,7 @@ func TestValueLogSpaceAccounting(t *testing.T) {
 	// Fill past several wraps; accounting must stay bounded by capacity and
 	// the lapped counters must grow.
 	for i := 0; i < 300; i++ {
-		if _, _, err := appendOne(l, key, val); err != nil {
+		if _, err := appendOne(l, key, val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -402,11 +415,11 @@ func TestValueLogReadAllocs(t *testing.T) {
 			}
 			reqs := make([]storage.ValueReadReq, 256)
 			for i := range reqs {
-				off, n, err := appendOne(l, []byte(fmt.Sprintf("alloc-key-%05d", i)), bytes.Repeat([]byte{byte(i)}, 100))
+				ptr, err := appendOne(l, []byte(fmt.Sprintf("alloc-key-%05d", i)), bytes.Repeat([]byte{byte(i)}, 100))
 				if err != nil {
 					t.Fatal(err)
 				}
-				reqs[i] = storage.ValueReadReq{Off: off, N: n}
+				reqs[i] = storage.ValueReadReq{Ptr: ptr}
 			}
 			// A fixed stride permutation: consecutive requests are far
 			// apart in the log, so the log must sort the submission.

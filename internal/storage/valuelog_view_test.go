@@ -42,20 +42,21 @@ func copying(dev storage.Device) storage.Device {
 
 // Request classes TestValueLogViewReads must cover on every device.
 const (
-	classOnePage    = iota // device-backed, inside one page: read as a view
-	classCrossPage         // device-backed, crossing a page boundary
-	classTail              // inside the tail buffer
-	classStraddle          // straddling the flush frontier
-	classStale             // reaching past the head after a wrap
-	classAcrossHead        // starting before the head and ending past it
-	classStaleEqOff        // past the head, sharing its offset with another length
-	classDuplicate         // a pointer the batch already holds
-	classOutOfRange        // no live record region: Rec stays nil
+	classOnePage     = iota // device-backed, inside one page: read as a view
+	classCrossPage          // device-backed, crossing a page boundary
+	classTail               // inside the tail buffer
+	classStraddle           // straddling the flush frontier
+	classStale              // reaching past the head after a wrap
+	classAcrossHead         // starting before the head and ending past it
+	classStaleEqOff         // past the head, sharing its offset with another length
+	classDuplicate          // a pointer the batch already holds
+	classOutOfRange         // no live record region: Rec stays nil
+	classOverwritten        // last cycle's record behind the head: skipped, Rec stays nil
 	numClasses
 )
 
 var classNames = [numClasses]string{"one-page", "cross-page", "tail", "straddle", "stale",
-	"across-head", "stale-equal-offset", "duplicate", "out-of-range"}
+	"across-head", "stale-equal-offset", "duplicate", "out-of-range", "overwritten"}
 
 // TestValueLogViewReads checks ReadRecordsBatch's device views against
 // copying reads. Three logs over one device model each get the same seeded
@@ -63,7 +64,10 @@ var classNames = [numClasses]string{"one-page", "cross-page", "tail", "straddle"
 // batch of reads: one-page and page-crossing records, records in the tail
 // buffer and across the flush frontier, in-batch duplicates, stale
 // pointers past and across the head (some sharing an offset with another
-// length, next to the record that follows) and out-of-range pointers. The
+// length, next to the record that follows) and out-of-range pointers.
+// Those requests carry the log's current cycle, so the skip rule reads
+// each of them; the batch also holds pointers to last cycle's records
+// behind the head, with their own cycle, which the rule skips. The
 // first log reads with views and the second, its twin, through a device
 // that copies. For the third the test builds the copying read itself:
 // each record's device segments gathered in record order and stably
@@ -110,6 +114,7 @@ func TestValueLogViewReads(t *testing.T) {
 			var (
 				image = make([]byte, capacity) // every record at its offset, as appended
 				ptrs  []ptr                    // every record appended, stale ones included
+				words []uint64                 // ptrs' words, as AppendBatch filled them
 				next  = map[int64]ptr{}
 				head  int64
 				seen  [numClasses]int
@@ -130,20 +135,21 @@ func TestValueLogViewReads(t *testing.T) {
 					rng.Read(v)
 					vals = append(vals, v)
 				}
-				var offs [3][]int64
-				var ns [3][]int
+				var appended [3][]uint64
 				for i, l := range logs {
-					offs[i], ns[i] = make([]int64, len(keys)), make([]int, len(keys))
-					if err := l.AppendBatch(keys, vals, offs[i], ns[i]); err != nil {
+					appended[i] = make([]uint64, len(keys))
+					if err := l.AppendBatch(keys, vals, appended[i]); err != nil {
 						t.Fatal(err)
 					}
 				}
-				for i := range keys {
-					if offs[1][i] != offs[0][i] || offs[2][i] != offs[0][i] || ns[1][i] != ns[0][i] || ns[2][i] != ns[0][i] {
+				for i, w := range appended[0] {
+					if appended[1][i] != w || appended[2][i] != w {
 						t.Fatalf("round %d: the logs placed record %d apart", round, i)
 					}
-					p := ptr{offs[0][i], ns[0][i]}
+					off, n, _, _ := storage.DecodeValuePtr(w)
+					p := ptr{off, n}
 					ptrs = append(ptrs, p)
+					words = append(words, w)
 					rec := image[p.off : p.off+int64(p.n)]
 					binary.LittleEndian.PutUint32(rec[0:], uint32(len(keys[i])))
 					binary.LittleEndian.PutUint32(rec[4:], uint32(len(vals[i])))
@@ -156,17 +162,27 @@ func TestValueLogViewReads(t *testing.T) {
 				bufStart, wrapped := head-st.BufferedBytes, st.Wraps > 0
 
 				// One batch of reads over the whole pointer history.
-				var reqs []storage.ValueReadReq
-				add := func(p ptr) { reqs = append(reqs, storage.ValueReadReq{Off: p.off, N: p.n}) }
+				cycle := vl.Cycle()
+				var (
+					reqs []storage.ValueReadReq
+					locs []ptr // each request's location
+				)
+				add := func(p ptr) {
+					word, ok := storage.EncodeValuePtr(p.off, p.n, cycle)
+					if !ok {
+						word = 1 // no pointer: an out-of-range location
+					}
+					reqs, locs = append(reqs, storage.ValueReadReq{Ptr: word}), append(locs, p)
+				}
 				for range 1 + rng.Intn(96) {
-					switch k := rng.Intn(11); {
+					switch k := rng.Intn(12); {
 					case k < 4:
 						add(ptrs[rng.Intn(len(ptrs))])
 					case k < 6: // recent records: the tail buffer and the frontier
 						add(ptrs[len(ptrs)-1-rng.Intn(min(len(ptrs), 64))])
 					case k < 7 && len(reqs) > 0:
-						r := reqs[rng.Intn(len(reqs))]
-						add(ptr{r.Off, r.N})
+						j := rng.Intn(len(reqs))
+						reqs, locs = append(reqs, reqs[j]), append(locs, locs[j])
 					case k < 8: // one offset, two lengths, then the next record
 						p := ptrs[rng.Intn(len(ptrs))]
 						add(p)
@@ -179,6 +195,11 @@ func TestValueLogViewReads(t *testing.T) {
 					case k < 10:
 						outs := []ptr{{capacity - 4, 64}, {-8, 16}, {0, 4}, {1 << 40, 64}, {head, 64}}
 						add(outs[rng.Intn(len(outs))])
+					case k < 11: // last cycle's record behind the head, with its own cycle
+						j := rng.Intn(len(ptrs))
+						if _, _, c, _ := storage.DecodeValuePtr(words[j]); c == (cycle-1)%64 && ptrs[j].off < head {
+							reqs, locs = append(reqs, storage.ValueReadReq{Ptr: words[j]}), append(locs, ptr{-1, 0})
+						}
 					default:
 						add(ptrs[len(ptrs)-1])
 					}
@@ -196,24 +217,26 @@ func TestValueLogViewReads(t *testing.T) {
 				// record order, and its tail-buffer bytes from the image.
 				var sub []storage.ReadReq
 				want := make([][]byte, len(reqs))
-				inRange := func(r storage.ValueReadReq) bool {
-					end := r.Off + int64(r.N)
-					return r.Off >= 0 && r.N >= 8 && end <= capacity && (wrapped || end <= head)
+				// Overwritten requests sit at location (-1, 0), which no
+				// read reaches.
+				inRange := func(r ptr) bool {
+					end := r.off + int64(r.n)
+					return r.off >= 0 && r.n >= 8 && end <= capacity && (wrapped || end <= head)
 				}
-				for i, r := range reqs {
+				for i, r := range locs {
 					if !inRange(r) {
 						continue
 					}
-					rec, end := make([]byte, r.N), r.Off+int64(r.N)
-					if r.Off < bufStart {
-						sub = append(sub, storage.ReadReq{P: rec[:min(end, bufStart)-r.Off], Off: r.Off})
+					rec, end := make([]byte, r.n), r.off+int64(r.n)
+					if r.off < bufStart {
+						sub = append(sub, storage.ReadReq{P: rec[:min(end, bufStart)-r.off], Off: r.off})
 					}
-					if lo, hi := max(r.Off, bufStart), min(end, head); lo < hi {
-						copy(rec[lo-r.Off:], image[lo:hi])
+					if lo, hi := max(r.off, bufStart), min(end, head); lo < hi {
+						copy(rec[lo-r.off:], image[lo:hi])
 					}
 					if end > head {
-						lo := max(r.Off, head)
-						sub = append(sub, storage.ReadReq{P: rec[lo-r.Off:], Off: lo})
+						lo := max(r.off, head)
+						sub = append(sub, storage.ReadReq{P: rec[lo-r.off:], Off: lo})
 					}
 					want[i] = rec
 				}
@@ -226,48 +249,52 @@ func TestValueLogViewReads(t *testing.T) {
 
 				offCount := map[int64]int{}
 				dups := map[ptr]int{}
-				for _, r := range reqs {
-					if dups[ptr{r.Off, r.N}]++; dups[ptr{r.Off, r.N}] == 1 {
-						offCount[r.Off]++
+				for _, r := range locs {
+					if dups[r]++; dups[r] == 1 {
+						offCount[r.off]++
 					}
 				}
-				for i, r := range reqs {
+				for i, r := range locs {
 					v := vreqs[i].Rec
 					for _, got := range [][]byte{v, creqs[i].Rec} {
 						if (got == nil) != (want[i] == nil) || !bytes.Equal(got, want[i]) {
 							t.Fatalf("round %d: request %d (%d, %d) reads %d bytes, want %d (or different bytes)",
-								round, i, r.Off, r.N, len(got), len(want[i]))
+								round, i, r.off, r.n, len(got), len(want[i]))
 						}
 					}
 					if !inRange(r) {
-						seen[classOutOfRange]++
+						if r.off == -1 {
+							seen[classOverwritten]++
+						} else {
+							seen[classOutOfRange]++
+						}
 						if v != nil {
-							t.Fatalf("round %d: out-of-range request (%d, %d) resolved", round, r.Off, r.N)
+							t.Fatalf("round %d: request %#x (%d, %d) resolved", round, reqs[i].Ptr, r.off, r.n)
 						}
 						continue
 					}
-					if dups[ptr{r.Off, r.N}] > 1 {
+					if dups[r] > 1 {
 						seen[classDuplicate]++
 					}
-					end := r.Off + int64(r.N)
+					end := r.off + int64(r.n)
 					switch {
-					case r.Off < head && end > head:
+					case r.off < head && end > head:
 						seen[classAcrossHead]++
 					case end > head:
 						seen[classStale]++
-						if offCount[r.Off] > 1 {
+						if offCount[r.off] > 1 {
 							seen[classStaleEqOff]++
 						}
-					case r.Off < bufStart && end > bufStart:
+					case r.off < bufStart && end > bufStart:
 						seen[classStraddle]++
-					case r.Off >= bufStart:
+					case r.off >= bufStart:
 						seen[classTail]++
-					case r.Off/ps != (end-1)/ps:
+					case r.off/ps != (end-1)/ps:
 						seen[classCrossPage]++
 					default:
 						seen[classOnePage]++
 						if cap(v) != len(v) {
-							t.Fatalf("round %d: one-page record (%d, %d) was copied, not viewed", round, r.Off, r.N)
+							t.Fatalf("round %d: one-page record (%d, %d) was copied, not viewed", round, r.off, r.n)
 						}
 						views++
 					}
