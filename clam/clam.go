@@ -200,6 +200,13 @@ type shard struct {
 
 	putPtrs  []uint64          // PutBatch value-log pointer scratch, guarded by mu
 	deadSeen map[uint64]uint64 // retire's per-chunk dup tracking, guarded by mu
+
+	// Incarnation expiry (see expireLapped), guarded by mu: the pending
+	// marks, oldest first, the flush sequence of the newest one taken, and
+	// whether the shard ever served a U64 put, which turns expiry off.
+	marks   []expiryMark
+	markSeq uint64
+	inline  bool
 }
 
 // effectiveEntryBytes is s in the §6 analysis: 16-byte entries at 50%
@@ -378,6 +385,7 @@ func (s *shard) end(h *metrics.Histogram, w vclock.Stopwatch, n int, err error) 
 // address-sorted overlapped write submission.
 func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
 	w := s.begin()
+	s.inline, s.marks = true, nil
 	return s.end(&s.insert, w, len(keys), s.bh.InsertBatch(keys, values))
 }
 
@@ -398,8 +406,9 @@ func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 // putBatchRecords applies one chunk of byte Puts: one multi-record
 // value-log append (its full pages reach the device as one sequential
 // submission), dead-record accounting, then one core insert batch of the
-// fingerprints and record pointers. Record offsets depend only on append
-// order, so the final state matches one Put per key exactly.
+// fingerprints and record pointers, and last the expiry of incarnations
+// the log has lapped. Record offsets depend only on append order, so the
+// final state matches one Put per key exactly.
 func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
@@ -410,7 +419,55 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 		s.retire(fps, ptrs)
 		err = s.bh.InsertBatch(fps, ptrs)
 	}
+	if err == nil {
+		s.expireLapped()
+	}
 	return s.end(&s.insert, w, len(fps), err)
+}
+
+// expiryMark pairs a flush sequence with the value-log position after it:
+// every incarnation at or below seq holds only pointers to records
+// appended before at.
+type expiryMark struct {
+	seq uint64
+	at  storage.LogMark
+}
+
+// maxExpiryMarks bounds a shard's pending marks. A full list replaces its
+// newest mark, which only delays the expiry the replaced mark would have
+// allowed.
+const maxExpiryMarks = 64
+
+// expireLapped expires the incarnations whose every entry points at a
+// record the value log has lapped, so a lookup never reads their pages
+// only to find a pointer the log answers as a miss. After a chunk of puts
+// that moved the flush sequence, it marks the sequence with the log
+// position: every incarnation flushed so far holds pointers to records
+// appended before it. It then pops the marks the log has lapped and
+// expires the incarnations through the newest one's sequence (see
+// core.BufferHash.ExpireThrough). Inline U64 values are no record
+// pointers, so a shard that ever served a U64 put expires nothing.
+func (s *shard) expireLapped() {
+	if s.inline {
+		return
+	}
+	if seq := s.bh.Seq(); seq != s.markSeq {
+		s.markSeq = seq
+		m := expiryMark{seq: seq, at: s.vlog.Mark()}
+		if len(s.marks) == maxExpiryMarks {
+			s.marks[len(s.marks)-1] = m
+		} else {
+			s.marks = append(s.marks, m)
+		}
+	}
+	n := 0
+	for n < len(s.marks) && s.vlog.Lapped(s.marks[n].at) {
+		n++
+	}
+	if n > 0 {
+		s.bh.ExpireThrough(s.marks[n-1].seq)
+		s.marks = append(s.marks[:0], s.marks[n:]...)
+	}
 }
 
 // appendRecords appends the chunk's records to the value log as one

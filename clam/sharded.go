@@ -214,7 +214,10 @@ func (r *router) Delete(key []byte) error {
 // only the index lookup. The price is the fingerprint-collision false
 // positive rate the paper itself accepts at 32–64-bit fingerprints — a
 // colliding key, or a key whose record the circular log has lapped, can
-// report true. Workloads that need exactness read through Get.
+// report true. A lapped record reports true only from an incarnation the
+// log has not lapped whole: one whose every record is gone has expired
+// (see shard.expireLapped). Workloads that need exactness read through
+// Get.
 func (r *router) Contains(key []byte) (bool, error) {
 	fps := [1]uint64{fingerprint(key, r.fpSeed)}
 	var found [1]bool
@@ -575,7 +578,9 @@ func (r *router) PutBatch(ctx context.Context, keys, values [][]byte) error {
 // verified values are copied into one arena per chunk (see Store.GetBatch).
 // A pointer to a record the value log has since overwritten is a miss that
 // costs no record read: the pointer carries the log cycle it was written
-// in (see storage.ValueLog).
+// in (see storage.ValueLog). An incarnation whose every pointer is such a
+// record has expired and costs no index page read either (see
+// shard.expireLapped).
 func (r *router) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, error) {
 	values := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
@@ -614,8 +619,9 @@ func (r *router) DeleteBatch(ctx context.Context, keys [][]byte) error {
 
 // ContainsBatch probes len(keys) byte keys through the batched index
 // pipeline, returning per-key existence in input order. No value-log
-// records are read (Contains's tradeoff), so each chunk costs exactly its
-// overlapped index probes.
+// records are read (Contains's tradeoff, with its lapped-record false
+// positives from unexpired incarnations only), so each chunk costs
+// exactly its overlapped index probes.
 func (r *router) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
 	found := make([]bool, len(keys))
 	g := r.groupBytes(keys, nil, nil)

@@ -90,6 +90,10 @@ type Store interface {
 	// existence probe dedup-style workloads want. It accepts the
 	// fingerprint-collision (and lapped-record) false positive rate the
 	// paper accepts at 32–64-bit fingerprints; deleted keys read false.
+	// A lapped record counts only while its index incarnation also holds
+	// a pointer the value log has not lapped: a store that never served a
+	// U64 put expires the incarnations whose every record is lapped, and
+	// their keys read false.
 	Contains(key []byte) (bool, error)
 	// ContainsU64 reports whether a fast-path key is present (GetU64
 	// without the value). On a store driven purely through the fast path
@@ -98,8 +102,9 @@ type Store interface {
 	// families inhabit one table, see the interface comment).
 	ContainsU64(key uint64) (bool, error)
 	// ContainsBatch probes len(keys) keys through the batched index
-	// pipeline with Contains's tradeoff, returning per-key existence in
-	// input order.
+	// pipeline with Contains's tradeoff (lapped records included, as far
+	// as their incarnations have not expired), returning per-key
+	// existence in input order.
 	ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error)
 
 	// PutU64 adds or updates a mapping on the 64-bit fast path.

@@ -335,6 +335,29 @@ func (b *BufferHash) placeImage(st *superTable) (addr int64, seq uint64, err err
 	}
 }
 
+// Seq returns the flush sequence: the sequence number of the newest
+// incarnation written, rising by one per flush across all super tables.
+func (b *BufferHash) Seq() uint64 { return b.seq }
+
+// ExpireThrough expires every live incarnation with a sequence number at
+// or below seq: lookups treat it as absent, so its Bloom column is never
+// probed, and eviction discards it without a scan. A caller expires
+// incarnations whose entries can no longer answer a lookup, such as
+// pointers to value-log records the log has overwritten. Sequence numbers
+// rise in flush order, so every older incarnation of a super table
+// expires with a newer one, and no older version of a key can show
+// through. Each expiration counts in Stats.Expirations.
+func (b *BufferHash) ExpireThrough(seq uint64) {
+	for _, st := range b.parts {
+		for j := st.oldest(); j < len(st.incs); j++ {
+			if st.incs[j].seq <= seq && st.dead&(1<<j) == 0 {
+				st.dead |= 1 << j
+				b.stats.Expirations++
+			}
+		}
+	}
+}
+
 // MemoryFootprint reports the DRAM consumed by the structure, split by
 // component (used to validate the §6.4 memory budget).
 type MemoryFootprint struct {

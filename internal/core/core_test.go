@@ -830,12 +830,12 @@ func TestStatsHitRate(t *testing.T) {
 
 func TestStatsMerge(t *testing.T) {
 	a := Stats{Inserts: 1, Deletes: 2, Lookups: 10, Hits: 4, FlashProbes: 5,
-		SpuriousProbes: 6, Flushes: 7, Evictions: 8, PartialScans: 9,
+		SpuriousProbes: 6, Flushes: 7, Evictions: 8, Expirations: 13, PartialScans: 9,
 		Reinserted: 10, LRUReinserts: 11, Cascades: 12}
 	a.LookupIOHist[0], a.LookupIOHist[7] = 3, 1
 	a.CascadeHist[1] = 2
 	b := Stats{Inserts: 100, Deletes: 200, Lookups: 1000, Hits: 400, FlashProbes: 500,
-		SpuriousProbes: 600, Flushes: 700, Evictions: 800, PartialScans: 900,
+		SpuriousProbes: 600, Flushes: 700, Evictions: 800, Expirations: 1300, PartialScans: 900,
 		Reinserted: 1000, LRUReinserts: 1100, Cascades: 1200}
 	b.LookupIOHist[0], b.LookupIOHist[2] = 30, 7
 	b.CascadeHist[1], b.CascadeHist[64] = 20, 5
@@ -845,7 +845,7 @@ func TestStatsMerge(t *testing.T) {
 	}
 	if a.FlashProbes != 505 || a.SpuriousProbes != 606 || a.Flushes != 707 ||
 		a.Evictions != 808 || a.PartialScans != 909 || a.Reinserted != 1010 ||
-		a.LRUReinserts != 1111 || a.Cascades != 1212 {
+		a.LRUReinserts != 1111 || a.Cascades != 1212 || a.Expirations != 1313 {
 		t.Fatalf("structural counters wrong after merge: %+v", a)
 	}
 	if a.LookupIOHist[0] != 33 || a.LookupIOHist[2] != 7 || a.LookupIOHist[7] != 1 {

@@ -19,8 +19,11 @@ type Stats struct {
 	// with the last bucket collecting ≥ len-1 (Table 2's distribution).
 	LookupIOHist [8]uint64
 
-	Flushes      uint64
-	Evictions    uint64
+	Flushes   uint64
+	Evictions uint64
+	// Expirations counts incarnations expired before their eviction
+	// (BufferHash.ExpireThrough).
+	Expirations  uint64
 	PartialScans uint64
 	Reinserted   uint64
 	LRUReinserts uint64
@@ -66,6 +69,7 @@ func (s *Stats) Merge(o Stats) {
 	}
 	s.Flushes += o.Flushes
 	s.Evictions += o.Evictions
+	s.Expirations += o.Expirations
 	s.PartialScans += o.PartialScans
 	s.Reinserted += o.Reinserted
 	s.LRUReinserts += o.LRUReinserts

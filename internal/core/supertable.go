@@ -36,9 +36,10 @@ type superTable struct {
 	// oldest, j = k-1 the newest).
 	incs []incarnation
 	live int
-	// dead marks window offsets whose incarnation write failed (see
-	// dropFailedImage); they are never probed or scanned, and shift out
-	// with the window.
+	// dead marks window offsets whose incarnation is gone: its write
+	// failed (see dropFailedImage), or it expired (see
+	// BufferHash.ExpireThrough). They are never probed or scanned, and
+	// shift out with the window.
 	dead uint64
 
 	// deleteList implements lazy deletion (§5.1.1): key → flush
@@ -293,7 +294,7 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 	st.owner.stats.Evictions++
 
 	// A dead incarnation's slot holds whatever an older write left there,
-	// so it is discarded without a scan.
+	// or entries that can only miss, so it is discarded without a scan.
 	full := forceFull || cfg.Policy == FIFO || cfg.Policy == LRU || st.dead&(1<<j0) != 0
 	if full {
 		return nil, nil

@@ -21,14 +21,29 @@ import (
 // when r ≡ c (mod 2^valuePtrCycleBits), when r ≡ c-1 and off ≥ head, and
 // for any other r when off ≥ max(head, prevEnd); everything else starts
 // in a range a later cycle rewrote, and costs no device request
-// (ValueLogStats.SkippedReads). The rule only skips rewritten records. One
-// could still verify only if the rewrite repeated its bytes: a later
-// record of the same key at the same offset with the same length, whose
-// newer pointer the index returns first, or new bytes over its start that
-// happen to equal the old ones. The miss answered then is one the
-// lookup contract allows. An aliased tag from 2^valuePtrCycleBits cycles
-// back reads as the current cycle, where key verification decides as
-// before.
+// (ValueLogStats.SkippedReads). On erasable media the head may trail the
+// erase frontier erasedTo, the end of the blocks erased ahead of it this
+// cycle: a record of an earlier cycle starting below it is gone too, so
+// max(head, erasedTo) stands in for head in both arms. The rule only
+// skips rewritten records. One could still verify only if the rewrite
+// repeated its bytes: a later record of the same key at the same offset
+// with the same length, whose newer pointer the index returns first, or
+// new bytes over its start that happen to equal the old ones. The miss
+// answered then is one the lookup contract allows. An aliased tag from
+// 2^valuePtrCycleBits cycles back reads as the current cycle, where key
+// verification decides as before.
+//
+// A mark (Mark) is an append position. Lapped(m) reports that the rule
+// now answers every record appended before m as overwritten, so an index
+// entry made before m can only point at a record that is gone. With
+// staleEnd the largest end of any cycle before c-1, m is lapped when its
+// cycle is c-1 and the head is at or past m's, or its cycle is older, and
+// in both cases staleEnd ≤ max(head, prevEnd). Records of cycle c-1
+// before m then lie behind the head, and every record of a cycle before
+// c-1 ends at or below staleEnd. The test ignores erasedTo, so it is
+// conservative on erasable media. Records whose tag aliases the current
+// cycle's are read even under a lapped mark: their bytes were rewritten,
+// and key verification decides as before.
 //
 // Writes are page-aligned: records accumulate in a tail buffer whose full
 // pages are written to the device in multi-page appends (sequential I/O,
@@ -60,6 +75,7 @@ type ValueLog struct {
 	wrapped  bool
 	erasedTo int64 // exclusive erase frontier for the current cycle
 	prevEnd  int64 // end of the page-padded write that closed the previous cycle
+	staleEnd int64 // largest end of the cycles before the previous one
 
 	stats ValueLogStats
 
@@ -425,7 +441,8 @@ func (l *ValueLog) flushFullPages() error {
 // wrap pads the tail buffer to a page boundary, writes it out, and moves
 // the append head back to offset 0, beginning a new overwrite cycle. The
 // padded write's end becomes prevEnd: past it lie older cycles' bytes the
-// closing cycle never reached.
+// closing cycle never reached. The old prevEnd joins staleEnd, which bounds
+// the records of every cycle before the closing one.
 func (l *ValueLog) wrap() error {
 	if pad := (l.pageSize - len(l.buf)%l.pageSize) % l.pageSize; pad > 0 {
 		l.buf = append(l.buf, make([]byte, pad)...)
@@ -435,6 +452,7 @@ func (l *ValueLog) wrap() error {
 			return err
 		}
 	}
+	l.staleEnd = max(l.staleEnd, l.prevEnd)
 	l.prevEnd = l.bufStart + int64(len(l.buf))
 	l.buf = l.buf[:0]
 	l.head, l.bufStart = 0, 0
@@ -487,8 +505,7 @@ const segIdxBits = 64 - valuePtrOffBits
 // or past the head of a log that never wrapped, was never written). It is
 // false too for a record the log has provably overwritten, which sets
 // overwritten (see ValueLog for the rule). A record that is read may
-// still be gone (an aliased tag, or a chip block erased ahead of the
-// head): key verification decides.
+// still be gone (an aliased tag): key verification decides.
 func (l *ValueLog) locate(word uint64) (off int64, n int, read, overwritten bool) {
 	off, n, r, ok := decodeValuePtr(word)
 	if !ok || n < recordHeaderSize || off+int64(n) > l.capacity {
@@ -500,11 +517,33 @@ func (l *ValueLog) locate(word uint64) (off int64, n int, read, overwritten bool
 	switch r {
 	case l.cycle & cycleMask:
 	case (l.cycle - 1) & cycleMask:
-		overwritten = off < l.head
+		overwritten = off < max(l.head, l.erasedTo)
 	default:
-		overwritten = off < max(l.head, l.prevEnd)
+		overwritten = off < max(l.head, l.prevEnd, l.erasedTo)
 	}
 	return off, n, !overwritten, overwritten
+}
+
+// LogMark is an append position of a ValueLog: its cycle and head when
+// Mark was called.
+type LogMark struct {
+	cycle uint64
+	head  int64
+}
+
+// Mark returns the current append position: every record appended so far
+// lies before it.
+func (l *ValueLog) Mark() LogMark { return LogMark{cycle: l.cycle, head: l.head} }
+
+// Lapped reports whether every record appended before m is one the log
+// now answers as overwritten, with no device request (see ValueLog for the
+// rule). Once a mark is lapped, no pointer word filled before it can read
+// a record.
+func (l *ValueLog) Lapped(m LogMark) bool {
+	if l.cycle <= m.cycle || l.cycle == m.cycle+1 && l.head < m.head {
+		return false
+	}
+	return l.staleEnd <= max(l.head, l.prevEnd)
 }
 
 // readSegments splits a log range into its buffered and device-backed

@@ -70,9 +70,9 @@ func (a *skipTally) add(b skipTally) {
 // cycle, which the rule never skips: the read the log made before the
 // rule. Both answers, verified under the record's key, must agree. The
 // first log must skip exactly the records the rule names: with c the
-// current cycle, last cycle's records behind the head, and older records
-// behind the head or below the end of the page-padded write that closed
-// cycle c-1. A skip must add nothing to the device's Counters or clock,
+// current cycle, last cycle's records behind the head or the erase
+// frontier, and older records behind either or below the end of the
+// page-padded write that closed cycle c-1. A skip must add nothing to the device's Counters or clock,
 // and SkippedReads must count it.
 func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 	t.Helper()
@@ -139,8 +139,9 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 			if ok && !bytes.Equal(got, r.val) {
 				t.Fatalf("record %d verified with a wrong value", i)
 			}
-			overwritten := cycle > 1 && (r.cycle+1 == cycle && r.off < head ||
-				r.cycle+2 <= cycle && r.off < max(head, prevEnd))
+			front := max(head, erasedTo(l, dev, head))
+			overwritten := cycle > 1 && (r.cycle+1 == cycle && r.off < front ||
+				r.cycle+2 <= cycle && r.off < max(front, prevEnd))
 			if rereqs[j].Rec == nil {
 				t.Fatalf("record %d (%d, %d) unread without the rule", i, r.off, r.n)
 			}
@@ -244,6 +245,20 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 	return tally
 }
 
+// erasedTo returns the erase frontier of a wrapped log on dev whose head
+// is at head: the end of the erase blocks holding the bytes it wrote to
+// the device this cycle,
+// which a log on erasable media erases just before writing them. It is 0
+// on media without an erase constraint.
+func erasedTo(l *storage.ValueLog, dev storage.Device, head int64) int64 {
+	bs := int64(dev.Geometry().BlockSize)
+	if _, ok := dev.(storage.Eraser); !ok || bs == 0 {
+		return 0
+	}
+	written := head - l.Stats().BufferedBytes
+	return (written + bs - 1) / bs * bs
+}
+
 // skipSeeds are FuzzValueLogSkips's seed corpus, run on every model.
 func skipSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(22))
@@ -279,7 +294,10 @@ func FuzzValueLogSkips(f *testing.F) {
 // they reach every arm of the rule: skips, and on the SSD and the disk,
 // hits on records two or more cycles old, which lie past both the head
 // and the end of the last cycle's writes. (On the chip the erase ahead
-// of the head clears those records first.)
+// of the head reaches those records first.) Every record read that is at
+// most one cycle old must verify: the rule leaves no such record unread
+// once it is gone, which on the chip means one in the blocks erased ahead
+// of the head.
 func TestValueLogSkipRuleCoverage(t *testing.T) {
 	for model, m := range skipModels {
 		t.Run(m.name, func(t *testing.T) {
@@ -290,6 +308,9 @@ func TestValueLogSkipRuleCoverage(t *testing.T) {
 			t.Logf("%+v", tally)
 			if tally.skipped == 0 || tally.hits == 0 {
 				t.Fatalf("the seed streams skipped %d and hit %d records", tally.skipped, tally.hits)
+			}
+			if misses, older := tally.reads-tally.hits, tally.olderReads-tally.olderHits; misses != older {
+				t.Fatalf("%d record reads missed, %d of them on records two or more cycles old", misses, older)
 			}
 			if m.name != "chip" && tally.olderHits == 0 {
 				t.Fatalf("no seed stream hit a record two or more cycles old (%d read)", tally.olderReads)
