@@ -42,7 +42,7 @@
 // option list opens a Sharded store, the key space partitioned by its top
 // key bits (a byte key's fingerprint bits), the same split BufferHash
 // applies to its super tables one level down (§5.2). The two types differ only in the surface they
-// add: a CLAM exposes its clock, core and devices, a Sharded store its
+// add: a CLAM exposes its clock and core, a Sharded store its
 // per-shard views and virtual makespan.
 //
 // A per-key call (PutU64, GetU64, DeleteU64, ContainsU64, Put, Get,
@@ -77,11 +77,11 @@
 // core.BufferHash.LookupBatch for the LRU carve-out); only wall-clock and
 // virtual time change.
 //
-// Each shard is opened over simulated storage devices (Intel-class SSD,
-// Transcend-class SSD, raw NAND chip, or magnetic disk). Simulation keeps
-// the paper's behaviour because each model prices I/O as the paper does:
-// flash as a fixed cost plus a per-byte transfer (§6.1) over whole pages
-// and erase blocks, the disk with seek and rotation delays. Each shard
+// Each shard is opened over simulated storage devices, the paper's
+// Intel-class or Transcend-class SSD. Simulation keeps the paper's
+// behaviour because each model prices I/O as the paper does: a fixed cost
+// plus a per-byte transfer (§6.1) over whole pages, behind the FTL's
+// mapping and garbage collection. Each shard
 // operates in virtual time: every operation advances its shard's virtual
 // clock by its modeled latency, and per-operation latency distributions
 // are recorded in histograms that the experiment harness turns into the
@@ -110,34 +110,16 @@ import (
 // DeviceKind selects one of the calibrated device models.
 type DeviceKind int
 
-// Device models (see internal/ssd, internal/flashchip, internal/disk).
+// Device models (see internal/ssd). The experiments build their disk
+// baseline (BH+Disk) on internal/disk directly, and WithCustomDevice opens
+// a CLAM over any other model.
 const (
 	// IntelSSD is the paper's Intel X18-M: page-mapped FTL, fast reads.
 	IntelSSD DeviceKind = iota
 	// TranscendSSD is the paper's Transcend TS32GSSD25: block-mapped FTL,
 	// an older and much cheaper device.
 	TranscendSSD
-	// FlashChip is a raw NAND chip (2 KB pages, 128 KB erase blocks).
-	FlashChip
-	// MagneticDisk is a 7200-rpm hard disk (the BH+Disk baseline).
-	MagneticDisk
 )
-
-// String returns the device name.
-func (d DeviceKind) String() string {
-	switch d {
-	case IntelSSD:
-		return "ssd-intel"
-	case TranscendSSD:
-		return "ssd-transcend"
-	case FlashChip:
-		return "flash-chip"
-	case MagneticDisk:
-		return "disk"
-	default:
-		return fmt.Sprintf("device(%d)", int(d))
-	}
-}
 
 // Policy re-exports the BufferHash eviction policies (§5.1.2).
 type Policy = core.EvictionPolicy
@@ -165,18 +147,6 @@ func (c *CLAM) Clock() *vclock.Clock { return c.shards[0].clock }
 // Core exposes the underlying BufferHash for the experiment harness.
 // Callers must not use it concurrently with CLAM methods.
 func (c *CLAM) Core() *core.BufferHash { return c.shards[0].bh }
-
-// Device returns the underlying index storage device.
-func (c *CLAM) Device() storage.Device { return c.shards[0].dev }
-
-// ValueDevice returns the value-log device, or nil when the store has no
-// value log.
-func (c *CLAM) ValueDevice() storage.Device {
-	if vlog := c.shards[0].vlog; vlog != nil {
-		return vlog.Device()
-	}
-	return nil
-}
 
 // shard is one BufferHash with its own index device, value log, virtual
 // clock and latency histograms, serialized behind one mutex. The router
@@ -255,13 +225,9 @@ func openShard(cfg config) (*shard, error) {
 // tables from B_opt, k = F/(nt·B′), and give all remaining memory to Bloom
 // filters.
 func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Config, error) {
-	g := dev.Geometry()
 	bufBytes := cfg.bufferKB << 10
 	if bufBytes == 0 {
 		bufBytes = 128 << 10
-		if _, erasable := dev.(storage.Eraser); erasable && g.BlockSize > 0 {
-			bufBytes = g.BlockSize
-		}
 	}
 	maxK := cfg.maxIncarnations
 	if maxK == 0 {

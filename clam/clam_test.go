@@ -43,12 +43,11 @@ func TestOpenRequiresFlash(t *testing.T) {
 
 func TestOpenAllDeviceKinds(t *testing.T) {
 	// A kind-opened store hands out the bare device models.
-	model := map[DeviceKind]string{IntelSSD: "*ssd.SSD", TranscendSSD: "*ssd.SSD",
-		FlashChip: "*flashchip.Chip", MagneticDisk: "*disk.Disk"}
-	for _, kind := range []DeviceKind{IntelSSD, TranscendSSD, FlashChip, MagneticDisk} {
+	for _, kind := range []DeviceKind{IntelSSD, TranscendSSD} {
 		c := openCLAMT(t, WithDevice(kind), WithFlash(16<<20), WithMemory(4<<20))
-		if got := fmt.Sprintf("%T %T", c.Device(), c.ValueDevice()); got != model[kind]+" "+model[kind] {
-			t.Fatalf("%v: index and value-log devices are %s, want %s", kind, got, model[kind])
+		sh := c.shards[0]
+		if got := fmt.Sprintf("%T %T", sh.dev, sh.vlog.Device()); got != "*ssd.SSD *ssd.SSD" {
+			t.Fatalf("%v: index and value-log devices are %s, want *ssd.SSD", kind, got)
 		}
 		if err := c.PutU64(1, 2); err != nil {
 			t.Fatalf("%v insert: %v", kind, err)
@@ -63,18 +62,6 @@ func TestOpenAllDeviceKinds(t *testing.T) {
 		}
 		if bv, ok, err := c.Get([]byte("name")); err != nil || !ok || !bytes.Equal(bv, []byte("value")) {
 			t.Fatalf("%v get: %q %v %v", kind, bv, ok, err)
-		}
-	}
-}
-
-func TestDeviceKindString(t *testing.T) {
-	names := map[DeviceKind]string{
-		IntelSSD: "ssd-intel", TranscendSSD: "ssd-transcend",
-		FlashChip: "flash-chip", MagneticDisk: "disk",
-	}
-	for k, want := range names {
-		if k.String() != want {
-			t.Errorf("String(%d) = %q", k, k.String())
 		}
 	}
 }
@@ -97,13 +84,6 @@ func TestTuningMatchesPaperShape(t *testing.T) {
 	used := int64(cfg.NumSuperTables()) * int64(cfg.NumIncarnations) * int64(cfg.BufferBytes)
 	if used > 128<<20 {
 		t.Errorf("configuration overcommits flash: %d > %d", used, 128<<20)
-	}
-}
-
-func TestChipDefaultsToBlockBuffer(t *testing.T) {
-	c := openCLAMT(t, WithDevice(FlashChip), WithFlash(16<<20), WithMemory(4<<20))
-	if got := c.Core().Config().BufferBytes; got != 128<<10 {
-		t.Fatalf("chip buffer = %d, want erase block 128KB", got)
 	}
 }
 
@@ -134,7 +114,7 @@ func TestLatencyHistogramsPopulated(t *testing.T) {
 	if st.Device.Writes == 0 {
 		t.Error("no device writes recorded")
 	}
-	if st.Memory.Total() == 0 {
+	if m := st.Memory; m.BufferBytes+m.BloomBytes+m.DeleteListBytes+m.MetadataBytes == 0 {
 		t.Error("no memory footprint")
 	}
 }

@@ -140,7 +140,8 @@ func (r *faultRig) arm(fail func(i int, op storage.Op) bool) {
 func openFaultCLAM(t testing.TB, flash, vlog int64, opts ...Option) *faultRig {
 	t.Helper()
 	c := openCLAMT(t, append([]Option{WithDevice(IntelSSD), WithValueLog(vlog), WithFlash(flash)}, opts...)...)
-	return &faultRig{st: c, devs: []*ssd.SSD{c.Device().(*ssd.SSD), c.ValueDevice().(*ssd.SSD)}}
+	sh := c.shards[0]
+	return &faultRig{st: c, devs: []*ssd.SSD{sh.dev.(*ssd.SSD), sh.vlog.Device().(*ssd.SSD)}}
 }
 
 // openFaultSharded opens a kind-built Sharded store and reaches each
@@ -149,10 +150,8 @@ func openFaultSharded(t testing.TB, opts ...Option) *faultRig {
 	t.Helper()
 	s := openShardedT(t, append([]Option{WithDevice(IntelSSD)}, opts...)...)
 	r := &faultRig{st: s}
-	for i := 0; i < s.NumShards(); i++ {
-		for _, d := range []storage.Device{s.Shard(i).Device(), s.Shard(i).ValueDevice()} {
-			r.devs = append(r.devs, d.(*ssd.SSD))
-		}
+	for _, sh := range s.shards {
+		r.devs = append(r.devs, sh.dev.(*ssd.SSD), sh.vlog.Device().(*ssd.SSD))
 	}
 	return r
 }

@@ -3,8 +3,6 @@ package clam
 import (
 	"fmt"
 
-	"repro/internal/disk"
-	"repro/internal/flashchip"
 	"repro/internal/ssd"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -104,7 +102,7 @@ func WithValueLog(bytes int64) Option {
 }
 
 // WithBufferKB overrides B′, the per-super-table buffer size (default:
-// 128 KB, or the device erase block on raw flash; 0 keeps the default).
+// 128 KB, the SSD erase block; 0 keeps the default).
 func WithBufferKB(kb int) Option {
 	return func(c *config) error {
 		if kb < 0 {
@@ -197,7 +195,7 @@ func WithWorkers(n int) Option {
 // router over 2^b shards: with one shard (the default) Open returns a
 // *CLAM, with WithShards(n > 1) a *Sharded. Both satisfy Store through
 // that one implementation; callers that need implementation-specific
-// surface (the clock, core handle and devices of a CLAM; per-shard views
+// surface (the clock and core handle of a CLAM; per-shard views
 // and the makespan of a Sharded store) type-assert to *CLAM or *Sharded.
 func Open(opts ...Option) (Store, error) {
 	cfg := config{seed: 1, shards: 1, batchChunk: defaultBatchChunk}
@@ -238,14 +236,6 @@ func newKindDevice(kind DeviceKind, capacity int64, clock *vclock.Clock) (storag
 		return ssd.New(ssd.IntelX18M(), capacity, clock), nil
 	case TranscendSSD:
 		return ssd.New(ssd.TranscendTS32(), capacity, clock), nil
-	case FlashChip:
-		// The chip requires a whole number of erase blocks; round up.
-		if bs := int64(128 << 10); capacity%bs != 0 {
-			capacity += bs - capacity%bs
-		}
-		return flashchip.New(flashchip.DefaultConfig(capacity), clock), nil
-	case MagneticDisk:
-		return disk.New(disk.Hitachi7K80(), capacity, clock), nil
 	default:
 		return nil, fmt.Errorf("clam: unknown device kind %d", kind)
 	}

@@ -144,11 +144,11 @@ func TestSingleStorePinned(t *testing.T) {
 		"ssd-transcend/lru":    {15664566680, 0x73c1f13eff4ee542, 0x250dc63872a2a435},
 		"ssd-transcend/update": {18283665666, 0x504e05e3e7b6757b, 0xd012fe75d3aecd66},
 	}
-	for _, kind := range []DeviceKind{IntelSSD, TranscendSSD} {
+	for kind, dev := range []string{IntelSSD: "ssd-intel", TranscendSSD: "ssd-transcend"} {
 		for _, policy := range []Policy{FIFO, LRU, UpdateBased} {
-			name := kind.String() + "/" + policy.String()
+			name := dev + "/" + policy.String()
 			t.Run(name, func(t *testing.T) {
-				c := openCLAMT(t, WithDevice(kind), WithFlash(2<<20), WithMemory(512<<10),
+				c := openCLAMT(t, WithDevice(DeviceKind(kind)), WithFlash(2<<20), WithMemory(512<<10),
 					WithBufferKB(16), WithValueLog(1<<20), withBatchChunk(64), WithPolicy(policy), WithSeed(12))
 				clock, sd, rd := singleStoreRun(t, c)
 				st := c.Stats()

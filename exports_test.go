@@ -1,22 +1,25 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"os"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // testOnlyAllowed lists the exported names of repro/clam and under
 // internal/ that only tests use and that stay anyway, keyed
-// "importpath.Name", each with its reason.
+// "importpath.Name" for a top-level name and "importpath.Type.Method" for
+// a method, each with its reason.
 var testOnlyAllowed = map[string]string{
 	"repro/clam.FIFO":                   policyReason,
 	"repro/clam.LRU":                    policyReason,
@@ -26,92 +29,167 @@ var testOnlyAllowed = map[string]string{
 	"repro/clam.WithRetain":             "the retain predicate of PriorityBased eviction, which the fault oracle and the priority tests run",
 	"repro/clam.WithSeed":               "the oracles and pinned-stream tests vary the hash seed",
 	"repro/clam.WithValueLog":           "the value-log wrap oracles and the pinned byte-op tests size the log below the index",
-	"repro/internal/wanopt.NewReceiver": "builds the decoding endpoint TestEndToEndReconstruction checks the optimizer's token streams against",
+	"repro/internal/wanopt.NewReceiver": reconstructReason,
+
+	"repro/clam.router.UpdateU64":      storeReason,
+	"repro/clam.router.DeleteU64":      storeReason,
+	"repro/clam.router.ContainsU64":    storeReason,
+	"repro/clam.router.DeleteBatchU64": storeReason,
+	"repro/clam.router.DeleteBatch":    storeReason,
+	"repro/clam.router.Flush":          storeReason,
+	"repro/clam.router.Elapse":         storeReason,
+
+	"repro/internal/core.BufferHash.Delete":      "the per-key delete beside Lookup and Insert, a one-key DeleteBatch; TestSerialOpsPinned and the core oracles drive per-key twins through it",
+	"repro/internal/bdb.HashIndex.Delete":        "the BDB baseline's in-place delete, the third operation of its hash-index interface, which the bdb tests check against a map",
+	"repro/internal/ssd.SSD.SetFault":            faultReason,
+	"repro/internal/disk.Disk.SetFault":          faultReason,
+	"repro/internal/metrics.Summary.String":      "fmt prints clam.Stats' latency fields through it, and TestSingleStorePinned digests that %+v form",
+	"repro/internal/wanopt.Optimizer.Encode":     reconstructReason,
+	"repro/internal/wanopt.Token.WireBytes":      reconstructReason,
+	"repro/internal/wanopt.Receiver.ChunkCount":  reconstructReason,
+	"repro/internal/wanopt.Receiver.Reconstruct": reconstructReason,
 }
 
-const policyReason = "the §5.1.2 eviction policies, which the differential, fault and pinned tests run; a churn workload is their planned non-test caller"
+const (
+	policyReason      = "the §5.1.2 eviction policies, which the differential, fault and pinned tests run; a churn workload is their planned non-test caller"
+	storeReason       = "a clam.Store method, part of the CAM's public operation set (§5.1), which the differential and fault oracles run against per-key twins"
+	faultReason       = "the device fault-injection hook (storage.FaultFunc) the fault oracles arm"
+	reconstructReason = "the token-stream encoder and decoding endpoint TestEndToEndReconstruction checks the optimizer's output against"
+)
 
-// exportedDecl is one top-level exported declaration of a non-test file.
+// checkedPkg is one type-checked directory of non-test files.
+type checkedPkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// sourceImporter type-checks every package of the repository (clambench/
+// included) from its non-test files, each once, so that all of them share
+// one set of objects; standard-library imports go to the source importer.
+type sourceImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*checkedPkg // by import path
+	order []string               // import paths in check order
+}
+
+func (im *sourceImporter) Import(p string) (*types.Package, error) {
+	if p != "repro" && !strings.HasPrefix(p, "repro/") {
+		return im.std.Import(p)
+	}
+	c, err := im.check(p)
+	if err != nil {
+		return nil, err
+	}
+	return c.pkg, nil
+}
+
+// check type-checks the package at import path p, whose directory is p
+// relative to the repository root.
+func (im *sourceImporter) check(p string) (*checkedPkg, error) {
+	if c, ok := im.pkgs[p]; ok {
+		if c == nil {
+			return nil, fmt.Errorf("import cycle through %s", p)
+		}
+		return c, nil
+	}
+	im.pkgs[p] = nil
+	dir := filepath.FromSlash("." + strings.TrimPrefix(p, "repro"))
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	c := &checkedPkg{info: &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(im.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		c.files = append(c.files, f)
+	}
+	conf := types.Config{Importer: im}
+	if c.pkg, err = conf.Check(p, im.fset, c.files, c.info); err != nil {
+		return nil, err
+	}
+	im.pkgs[p] = c
+	im.order = append(im.order, p)
+	return c, nil
+}
+
+// exportedDecl is one exported declaration of a non-test file: a
+// top-level name, or a method.
 type exportedDecl struct {
-	pkg   string // import path of the declaring package
-	name  string
 	at    token.Position
 	spans [][2]token.Pos // its own declaration, and for a type its methods
 }
 
-// TestNoTestOnlyExports fails on any top-level exported func, type, var or
-// const of the public clam package or under internal/ that no non-test Go
-// file of the repository (clambench/ included) references outside its own
-// declaration. A
-// reference is a same-package identifier or a pkg.Name selector. Production
-// code that only tests run is deleted, or named in testOnlyAllowed with a
-// reason.
+// TestNoTestOnlyExports fails on any exported top-level func, type, var or
+// const, and on any exported method, of the public clam package or under
+// internal/ that no non-test Go file of the repository (clambench/
+// included) uses outside its own declaration. Uses are resolved with
+// go/types. A top-level name is used where an identifier refers to it. A
+// method is used where a non-test file selects it on its own type (or on
+// a type embedding it), or where non-test code calls an interface method
+// the method's type implements. Production code that only tests run is
+// deleted, or named in testOnlyAllowed with a reason.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
-	type file struct {
-		pkg string // import path of the file's directory
-		f   *ast.File
-	}
-	var files []file
+	im := &sourceImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*checkedPkg{}}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
+		if !d.IsDir() {
+			return nil
+		}
+		if name := d.Name(); p != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err := build.ImportDir(p, 0); err != nil {
+			if _, none := err.(*build.NoGoError); none {
+				return nil
 			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(p)
-		if err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{path.Join("repro", filepath.ToSlash(filepath.Dir(p))), f})
-		return nil
+		_, err = im.check(path.Join("repro", filepath.ToSlash(p)))
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	decls := map[string]*exportedDecl{} // "importpath.Name"
-	declIdents := map[*ast.Ident]bool{}
-	add := func(pkg string, id *ast.Ident, node ast.Node) {
-		if !id.IsExported() {
-			return
-		}
-		declIdents[id] = true
-		decls[pkg+"."+id.Name] = &exportedDecl{
-			pkg: pkg, name: id.Name, at: fset.Position(id.Pos()),
-			spans: [][2]token.Pos{{node.Pos(), node.End()}},
+	inScope := func(p string) bool { return p == "repro/clam" || strings.HasPrefix(p, "repro/internal/") }
+	decls := map[string]*exportedDecl{} // "importpath.Name" or "importpath.Type.Method"
+	span := func(n ast.Node) [2]token.Pos { return [2]token.Pos{n.Pos(), n.End()} }
+	add := func(key string, id *ast.Ident, node ast.Node) {
+		if id.IsExported() {
+			decls[key] = &exportedDecl{at: fset.Position(id.Pos()), spans: [][2]token.Pos{span(node)}}
 		}
 	}
-	for _, fl := range files {
-		if !strings.HasPrefix(fl.pkg, "repro/internal/") && fl.pkg != "repro/clam" {
+	for _, p := range im.order {
+		if !inScope(p) {
 			continue
 		}
-		for _, d := range fl.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(fl.pkg, d.Name, d)
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(fl.pkg, s.Name, s)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(fl.pkg, id, s)
+		for _, f := range im.pkgs[p].files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						add(p+"."+d.Name.Name, d.Name, d)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add(p+"."+s.Name.Name, s.Name, s)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								add(p+"."+id.Name, id, s)
+							}
 						}
 					}
 				}
@@ -119,13 +197,23 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 	// A type's methods are part of its declaration: a receiver, or a
-	// method body naming its own type, is not a use.
-	for _, fl := range files {
-		for _, d := range fl.f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && len(fd.Recv.List) == 1 {
-				if dc := decls[fl.pkg+"."+receiverType(fd.Recv.List[0].Type)]; dc != nil {
-					dc.spans = append(dc.spans, [2]token.Pos{fd.Pos(), fd.End()})
+	// method body naming its own type, is not a use. Each exported method
+	// is a declaration of its own.
+	for _, p := range im.order {
+		if !inScope(p) {
+			continue
+		}
+		for _, f := range im.pkgs[p].files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 {
+					continue
 				}
+				recv := receiverType(fd.Recv.List[0].Type)
+				if dc := decls[p+"."+recv]; dc != nil {
+					dc.spans = append(dc.spans, span(fd))
+				}
+				add(p+"."+recv+"."+fd.Name.Name, fd.Name, fd)
 			}
 		}
 	}
@@ -143,39 +231,62 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 		used[key] = true
 	}
-	for _, fl := range files {
-		imports := map[string]string{} // local name -> import path
-		for _, im := range fl.f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			local := path.Base(p)
-			if im.Name != nil {
-				local = im.Name.Name
+	type ifaceCall struct {
+		iface *types.Interface
+		name  string
+	}
+	var ifaceCalls []ifaceCall
+	for _, p := range im.order {
+		info := im.pkgs[p].info
+		for id, obj := range info.Uses {
+			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+				mark(obj.Pkg().Path()+"."+obj.Name(), id.Pos())
 			}
-			imports[local] = p
 		}
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						mark(p+"."+n.Sel.Name, n.Pos())
-						return false
-					}
+		for sel, s := range info.Selections {
+			fn, ok := s.Obj().(*types.Func)
+			if !ok {
+				continue
+			}
+			if it, ok := s.Recv().Underlying().(*types.Interface); ok {
+				ifaceCalls = append(ifaceCalls, ifaceCall{it, fn.Name()})
+				continue
+			}
+			if key := methodKey(fn); key != "" {
+				mark(key, sel.Pos())
+			}
+		}
+	}
+	// A method implementing an interface method non-test code calls is
+	// used through that call.
+	for _, p := range im.order {
+		if !inScope(p) {
+			continue
+		}
+		scope := im.pkgs[p].pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				key := methodKey(m)
+				if used[key] || decls[key] == nil {
+					continue
 				}
-				ast.Inspect(n.X, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok && !declIdents[id] {
-						mark(fl.pkg+"."+id.Name, id.Pos())
+				for _, c := range ifaceCalls {
+					if c.name == m.Name() && (types.Implements(named, c.iface) || types.Implements(types.NewPointer(named), c.iface)) {
+						used[key] = true
+						break
 					}
-					return true
-				})
-				return false
-			case *ast.Ident:
-				if !declIdents[n] {
-					mark(fl.pkg+"."+n.Name, n.Pos())
 				}
 			}
-			return true
-		})
+		}
 	}
 
 	var unused []string
@@ -186,7 +297,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if _, ok := testOnlyAllowed[key]; ok {
 			continue
 		}
-		unused = append(unused, dc.at.String()+": "+path.Base(dc.pkg)+"."+dc.name)
+		unused = append(unused, dc.at.String()+": "+strings.TrimPrefix(key, "repro/"))
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
@@ -202,6 +313,25 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("testOnlyAllowed names %s, which non-test code now uses", key)
 		}
 	}
+}
+
+// methodKey returns "importpath.Type.Method" for a method of a named type,
+// or "" for a function or an interface method.
+func methodKey(fn *types.Func) string {
+	fn = fn.Origin()
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil || fn.Pkg() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	return fn.Pkg().Path() + "." + named.Origin().Obj().Name() + "." + fn.Name()
 }
 
 // receiverType returns the base type name of a method receiver.

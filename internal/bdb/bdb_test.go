@@ -68,7 +68,7 @@ func TestHashManyKeysWithOverflow(t *testing.T) {
 		}
 		ref[k] = v
 	}
-	if h.Stats().OverflowPages == 0 {
+	if h.stats.OverflowPages == 0 {
 		t.Log("note: no overflow pages allocated")
 	}
 	n := 0

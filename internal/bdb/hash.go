@@ -42,9 +42,6 @@ func NewHashIndex(opts Options) (*HashIndex, error) {
 	}, nil
 }
 
-// Stats returns operation counters.
-func (h *HashIndex) Stats() Stats { return h.stats }
-
 func (h *HashIndex) bucketOf(key uint64) int64 {
 	return int64(hashutil.Hash64Seed(key, h.seed) % uint64(h.nBuckets))
 }

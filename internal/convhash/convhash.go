@@ -66,12 +66,6 @@ func New(dev storage.Device, seed uint64) (*Table, error) {
 	}, nil
 }
 
-// Stats returns operation counters.
-func (t *Table) Stats() Stats { return t.stats }
-
-// Len returns the number of stored entries.
-func (t *Table) Len() int64 { return t.count }
-
 func (t *Table) homePage(key uint64) int64 {
 	return int64(hashutil.Hash64Seed(key, t.seed) % uint64(t.nPages))
 }

@@ -42,8 +42,8 @@ func TestOverwrite(t *testing.T) {
 	if v, _, _ := tb.Lookup(1); v != 2 {
 		t.Fatalf("overwrite: %d", v)
 	}
-	if tb.Len() != 1 {
-		t.Fatalf("Len = %d", tb.Len())
+	if tb.count != 1 {
+		t.Fatalf("Len = %d", tb.count)
 	}
 }
 

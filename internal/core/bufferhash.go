@@ -156,9 +156,8 @@ func (b *BufferHash) releaseImage(img []byte) {
 
 // stageWrite defers an incarnation write until the end of the operation.
 // A second image staged at the same address replaces the first: the slot
-// was recycled within the operation, so the earlier image is dead, nothing
-// can read it anymore, and on raw flash the slot's erase has already been
-// issued for the newer image.
+// was recycled within the operation, so the earlier image is dead and
+// nothing can read it anymore.
 func (b *BufferHash) stageWrite(w stagedWrite) {
 	for i := range b.staged {
 		if b.staged[i].addr == w.addr {
@@ -314,22 +313,12 @@ func (b *BufferHash) placeImage(st *superTable) (addr int64, seq uint64, err err
 		b.slotSeq[slot] = b.seq
 		return slot * int64(b.imageSize), b.seq, nil
 	case PartitionedRegions:
+		// Recycle the region circularly, overwriting in place (the
+		// paper's file-per-partition implementation, §7.1).
 		k := int64(b.cfg.NumIncarnations)
 		region := int64(st.idx) * k * int64(b.imageSize)
 		slot := int64(st.flushGen) % k
-		addr = region + slot*int64(b.imageSize)
-		// Recycle the region circularly. Raw flash requires an erase
-		// before rewrite once the ring has wrapped; SSDs and disks are
-		// simply overwritten in place (the paper's file-per-partition
-		// implementation, §7.1).
-		if st.flushGen >= uint64(k) {
-			if eraser, ok := b.cfg.Device.(storage.Eraser); ok {
-				if _, err := eraser.Erase(addr, int64(b.imageSize)); err != nil {
-					return 0, 0, fmt.Errorf("core: region erase: %w", err)
-				}
-			}
-		}
-		return addr, b.seq, nil
+		return region + slot*int64(b.imageSize), b.seq, nil
 	default:
 		return 0, 0, fmt.Errorf("core: unknown layout %d", b.layout)
 	}
@@ -365,11 +354,6 @@ type MemoryFootprint struct {
 	BloomBytes      int64 // all filter banks (incl. sliding-window slack and staging filter)
 	DeleteListBytes int64 // approximate
 	MetadataBytes   int64 // incarnation bookkeeping
-}
-
-// Total returns the footprint sum.
-func (m MemoryFootprint) Total() int64 {
-	return m.BufferBytes + m.BloomBytes + m.DeleteListBytes + m.MetadataBytes
 }
 
 // Add accumulates another footprint into m (sharded aggregation).

@@ -105,8 +105,9 @@ type Layout int
 
 // Layouts.
 const (
-	// AutoLayout picks SharedLog for devices without an Eraser interface
-	// (SSDs, disks) and PartitionedRegions for raw flash chips.
+	// AutoLayout picks by eviction policy: SharedLog under FIFO and LRU,
+	// PartitionedRegions under UpdateBased and PriorityBased, whose
+	// eviction scan runs inside the evicting super table.
 	AutoLayout Layout = iota
 	// SharedLog writes incarnations from all super tables sequentially
 	// into one device-wide circular log, the paper's SSD strategy: it
@@ -114,8 +115,8 @@ const (
 	// handle poorly. Eviction is FIFO over the whole key space.
 	SharedLog
 	// PartitionedRegions statically assigns each super table a circular
-	// region, the paper's flash-chip strategy; erase blocks are recycled
-	// within the region.
+	// region of NumIncarnations slots, rewritten in place as the ring
+	// wraps: the paper's file-per-partition implementation (§7.1).
 	PartitionedRegions
 )
 
@@ -247,33 +248,20 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: device capacity %d < required %d (%d super tables × %d incarnations × %d B)",
 			g.Capacity, need, c.NumSuperTables(), c.NumIncarnations, c.BufferBytes)
 	}
-	_, erasable := c.Device.(storage.Eraser)
-	if erasable && c.layout() == PartitionedRegions && g.BlockSize > 0 && c.BufferBytes%g.BlockSize != 0 {
-		// Sub-block incarnations would force the C3 valid-page copying of
-		// §6.1; the paper's own tuning (§6.4) concludes the buffer should
-		// match the erase block, so the implementation requires it and the
-		// sub-block regime is covered analytically by costmodel.
-		return fmt.Errorf("core: on raw flash, BufferBytes %d must be a multiple of the erase block %d",
-			c.BufferBytes, g.BlockSize)
-	}
 	if c.CPU == (CPUCosts{}) {
 		c.CPU = DefaultCPUCosts()
 	}
 	return nil
 }
 
-// layout resolves AutoLayout. Raw flash chips always use per-super-table
-// regions. On SSDs and disks, FIFO/LRU use the shared circular log of §5.2;
-// the partial-discard policies use per-partition rings, because their
-// eviction scan must run in the evicting super table — this matches the
-// paper's actual implementation, which kept "each partition in a separate
-// file with all its incarnations" (§7.1).
+// layout resolves AutoLayout. FIFO/LRU use the shared circular log of
+// §5.2; the partial-discard policies use per-partition rings, because
+// their eviction scan must run in the evicting super table — this matches
+// the paper's actual implementation, which kept "each partition in a
+// separate file with all its incarnations" (§7.1).
 func (c Config) layout() Layout {
 	if c.Layout != AutoLayout {
 		return c.Layout
-	}
-	if _, ok := c.Device.(storage.Eraser); ok {
-		return PartitionedRegions
 	}
 	if c.Policy == UpdateBased || c.Policy == PriorityBased {
 		return PartitionedRegions

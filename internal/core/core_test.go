@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/flashchip"
 	"repro/internal/ssd"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -632,54 +631,55 @@ func TestDeleteListPruned(t *testing.T) {
 	}
 }
 
-func TestChipLayoutPartitionedRegions(t *testing.T) {
-	clock := vclock.New()
-	chip := flashchip.New(flashchip.DefaultConfig(2<<20), clock)
-	cfg := Config{
-		Device:             chip,
-		Clock:              clock,
-		PartitionBits:      2,
-		BufferBytes:        128 << 10, // one erase block
-		NumIncarnations:    4,
-		FilterBitsPerEntry: 16,
-		Seed:               1,
-	}
-	b := mustNew(t, cfg)
-	if b.layout != PartitionedRegions {
-		t.Fatalf("layout = %d, want PartitionedRegions", b.layout)
-	}
-	const n = 120000 // ~2x chip capacity in entries
-	for i := uint64(0); i < n; i++ {
-		if err := b.Insert(i, i*3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(n - 3000); i < n; i++ {
-		res, err := b.Lookup(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Found || res.Value != i*3 {
-			t.Fatalf("chip: recent key %d -> %+v", i, res)
-		}
-	}
-	if chip.Counters().Erases == 0 {
-		t.Fatal("region recycling never erased")
-	}
-}
-
-func TestChipRequiresBlockMultiple(t *testing.T) {
-	clock := vclock.New()
-	chip := flashchip.New(flashchip.DefaultConfig(2<<20), clock)
-	cfg := Config{
-		Device:             chip,
-		Clock:              clock,
-		BufferBytes:        64 << 10, // half a block: rejected
-		NumIncarnations:    4,
-		FilterBitsPerEntry: 16,
-	}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sub-block buffer accepted on raw flash")
+// TestAutoLayoutResolution pins AutoLayout's resolution per eviction
+// policy: the shared log under FIFO and LRU, per-super-table rings under
+// the partial-discard policies. Each store takes about twice its flash in
+// entries, so every ring wraps and recent keys must still be found.
+func TestAutoLayoutResolution(t *testing.T) {
+	for _, tc := range []struct {
+		policy EvictionPolicy
+		want   Layout
+	}{
+		{FIFO, SharedLog},
+		{LRU, SharedLog},
+		{UpdateBased, PartitionedRegions},
+		{PriorityBased, PartitionedRegions},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			clock := vclock.New()
+			b := mustNew(t, Config{
+				Device:             ssd.New(ssd.IntelX18M(), 2<<20, clock),
+				Clock:              clock,
+				PartitionBits:      2,
+				BufferBytes:        128 << 10,
+				NumIncarnations:    4,
+				FilterBitsPerEntry: 16,
+				Policy:             tc.policy,
+				Retain:             func(_, v uint64) bool { return v%8 == 0 },
+				Seed:               1,
+			})
+			if b.layout != tc.want {
+				t.Fatalf("layout = %d, want %d", b.layout, tc.want)
+			}
+			const n = 120000 // ~2x the device's capacity in entries
+			for i := uint64(0); i < n; i++ {
+				if err := b.Insert(i, i*3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := uint64(n - 3000); i < n; i++ {
+				res, err := b.Lookup(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Found || res.Value != i*3 {
+					t.Fatalf("recent key %d -> %+v", i, res)
+				}
+			}
+			if b.Stats().Evictions == 0 {
+				t.Fatal("no ring wrapped; retune the test")
+			}
+		})
 	}
 }
 
@@ -801,8 +801,8 @@ func TestMemoryFootprint(t *testing.T) {
 	if fp.BloomBytes == 0 {
 		t.Fatal("BloomBytes = 0")
 	}
-	if fp.Total() <= fp.BufferBytes {
-		t.Fatal("Total() must exceed buffers alone")
+	if fp.DeleteListBytes+fp.MetadataBytes <= 0 {
+		t.Fatalf("footprint %+v holds buffers and filters alone", fp)
 	}
 }
 
@@ -863,7 +863,7 @@ func TestStatsMerge(t *testing.T) {
 func TestMemoryFootprintAdd(t *testing.T) {
 	a := MemoryFootprint{BufferBytes: 1, BloomBytes: 2, DeleteListBytes: 3, MetadataBytes: 4}
 	a.Add(MemoryFootprint{BufferBytes: 10, BloomBytes: 20, DeleteListBytes: 30, MetadataBytes: 40})
-	if a.Total() != 11+22+33+44 {
+	if a != (MemoryFootprint{BufferBytes: 11, BloomBytes: 22, DeleteListBytes: 33, MetadataBytes: 44}) {
 		t.Fatalf("footprint add: %+v", a)
 	}
 }
@@ -984,21 +984,25 @@ func TestLookupBatchMatchesSerialUpdatePolicy(t *testing.T) {
 	checkBatchAgainstSerial(t, serial, batched, universe, 306)
 }
 
-func TestLookupBatchFlashChipEquivalence(t *testing.T) {
-	// The raw chip path exercises PartitionedRegions placement and the
-	// chip's multi-plane read overlap.
+func TestLookupBatchPartitionedEquivalence(t *testing.T) {
+	// UpdateBased resolves AutoLayout to PartitionedRegions placement, here
+	// over full-buffer incarnations on the Intel SSD's channel overlap.
 	mk := func() *BufferHash {
 		clock := vclock.New()
-		cfg := Config{
+		b := mustNew(t, Config{
+			Device:             ssd.New(ssd.IntelX18M(), 1<<20, clock),
 			Clock:              clock,
 			PartitionBits:      1,
 			BufferBytes:        128 << 10,
 			NumIncarnations:    4,
 			FilterBitsPerEntry: 16,
+			Policy:             UpdateBased,
 			Seed:               42,
+		})
+		if b.layout != PartitionedRegions {
+			t.Fatalf("layout = %d, want PartitionedRegions", b.layout)
 		}
-		cfg.Device = flashchip.New(flashchip.DefaultConfig(1<<20), clock)
-		return mustNew(t, cfg)
+		return b
 	}
 	serial, batched := mk(), mk()
 	universe := populateTwin(t, serial, batched, 307, 9000, 3000)
@@ -1193,26 +1197,32 @@ func TestInsertBatchMatchesSerialUpdatePolicy(t *testing.T) {
 	}
 }
 
-func TestInsertBatchFlashChipEquivalence(t *testing.T) {
-	// Raw NAND: erase-before-write slot recycling, program-order frontiers,
-	// and the same-slot staged-write replacement within one batch.
+func TestInsertBatchPartitionedEquivalence(t *testing.T) {
+	// PartitionedRegions under UpdateBased: in-place slot recycling on a
+	// two-slot ring, and the same-slot staged-write replacement within one
+	// batch.
 	mk := func() *BufferHash {
 		clock := vclock.New()
-		return mustNew(t, Config{
-			Device:             flashchip.New(flashchip.DefaultConfig(1<<20), clock),
+		b := mustNew(t, Config{
+			Device:             ssd.New(ssd.IntelX18M(), 1<<20, clock),
 			Clock:              clock,
 			PartitionBits:      1,
 			BufferBytes:        128 << 10,
 			NumIncarnations:    2,
 			FilterBitsPerEntry: 16,
+			Policy:             UpdateBased,
 			Seed:               42,
 		})
+		if b.layout != PartitionedRegions {
+			t.Fatalf("layout = %d, want PartitionedRegions", b.layout)
+		}
+		return b
 	}
 	serial, batched := mk(), mk()
 	universe := driveInsertTwin(t, serial, batched, 405, 60000, 20000, 0.05)
 	checkInsertTwin(t, serial, batched, universe, 406)
 	if batched.Stats().Evictions == 0 {
-		t.Fatal("chip ring never wrapped; retune the test")
+		t.Fatal("ring never wrapped; retune the test")
 	}
 }
 

@@ -27,8 +27,8 @@ import (
 //	             then the staged images — every flush the batch triggered —
 //	             are address-sorted and issued as one device WriteBatch
 //	             submission, overlapping their service across the device's
-//	             queue lanes (SSD NCQ channels, NAND planes, disk
-//	             elevator), and the image buffers return to the pool.
+//	             queue lanes (SSD NCQ channels, disk elevator), and
+//	             the image buffers return to the pool.
 //	             Shared-log layouts allocate consecutive slots, so a
 //	             batch's flushes form sequential runs that pay the fixed
 //	             write cost once.

@@ -6,9 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"repro/internal/flashchip"
-	"repro/internal/vclock"
 )
 
 // pinnedRun drives a fixed mixed stream of per-key Insert, Lookup and
@@ -64,62 +61,42 @@ func TestSerialOpsPinned(t *testing.T) {
 		statsDigest, results uint64
 	}
 	// Captured from the per-key implementation that predates one-key
-	// batches. UpdateBased cascades 31 (ssd) and 21 (chip) times here; no
-	// other policy cascades. The priority rows were re-captured when
+	// batches. UpdateBased cascades 31 times here; no other policy
+	// cascades. The priority rows were re-captured when
 	// PriorityBased eviction began retaining only live entries, which
 	// changes its scans, flushes and answers by design. The stats digests
 	// were re-derived when Stats gained Expirations: each is the digest of
 	// the previous %+v string with " Expirations:0" added after its
 	// Evictions count.
 	pins := map[string]want{
-		"ssd/fifo":      {2981419520, 0xbcf16e5354781234, 0xa230165b4a46cb69},
-		"ssd/lru":       {2982640164, 0x35cbcf5488c9009a, 0x5c19ea68cd55d4a6},
-		"ssd/update":    {8438394658, 0x807f81ffeaabc171, 0xe48c6c53f97c235},
-		"ssd/priority":  {4006404332, 0x28050b4ddf58adf0, 0x40f17a6019ca5689},
-		"chip/fifo":     {4817216180, 0xfc2437e8c955f88a, 0xe913f5c000b52407},
-		"chip/lru":      {4819161560, 0xc7a624f1759eb1fc, 0xc6e16ea044b79a88},
-		"chip/update":   {17287109060, 0x39ff48d9470e13de, 0x5af127cb1d5eb1cb},
-		"chip/priority": {9364522540, 0x471fa22f73982950, 0x40f17a6019ca5689},
+		"ssd/fifo":     {2981419520, 0xbcf16e5354781234, 0xa230165b4a46cb69},
+		"ssd/lru":      {2982640164, 0x35cbcf5488c9009a, 0x5c19ea68cd55d4a6},
+		"ssd/update":   {8438394658, 0x807f81ffeaabc171, 0xe48c6c53f97c235},
+		"ssd/priority": {4006404332, 0x28050b4ddf58adf0, 0x40f17a6019ca5689},
 	}
-	for _, dev := range []string{"ssd", "chip"} {
-		for _, policy := range []EvictionPolicy{FIFO, LRU, UpdateBased, PriorityBased} {
-			name := dev + "/" + policy.String()
-			t.Run(name, func(t *testing.T) {
-				var cfg Config
-				if dev == "ssd" {
-					cfg, _ = testConfig(t)
-				} else {
-					clock := vclock.New()
-					cfg = Config{
-						Device:             flashchip.New(flashchip.DefaultConfig(1<<20), clock),
-						Clock:              clock,
-						PartitionBits:      1,
-						BufferBytes:        128 << 10,
-						NumIncarnations:    4,
-						FilterBitsPerEntry: 16,
-						Seed:               42,
-					}
+	for _, policy := range []EvictionPolicy{FIFO, LRU, UpdateBased, PriorityBased} {
+		name := "ssd/" + policy.String()
+		t.Run(name, func(t *testing.T) {
+			cfg, _ := testConfig(t)
+			cfg.Policy = policy
+			cfg.Retain = func(_, v uint64) bool { return v%8 == 0 }
+			b := mustNew(t, cfg)
+			clock, sd, rd := pinnedRun(t, b)
+			t.Logf("%q: {%d, %#x, %#x}, // %d cascades", name, int64(clock), sd, rd, b.Stats().Cascades)
+			w, ok := pins[name]
+			if !ok {
+				t.Fatalf("no pin for %s", name)
+			}
+			if sd != w.statsDigest || rd != w.results {
+				t.Fatalf("stats/results digest %#x/%#x, pinned %#x/%#x", sd, rd, w.statsDigest, w.results)
+			}
+			if policy == UpdateBased {
+				if clock > w.clock {
+					t.Fatalf("virtual clock %v above pinned %v", clock, w.clock)
 				}
-				cfg.Policy = policy
-				cfg.Retain = func(_, v uint64) bool { return v%8 == 0 }
-				b := mustNew(t, cfg)
-				clock, sd, rd := pinnedRun(t, b)
-				t.Logf("%q: {%d, %#x, %#x}, // %d cascades", name, int64(clock), sd, rd, b.Stats().Cascades)
-				w, ok := pins[name]
-				if !ok {
-					t.Fatalf("no pin for %s", name)
-				}
-				if sd != w.statsDigest || rd != w.results {
-					t.Fatalf("stats/results digest %#x/%#x, pinned %#x/%#x", sd, rd, w.statsDigest, w.results)
-				}
-				if policy == UpdateBased {
-					if clock > w.clock {
-						t.Fatalf("virtual clock %v above pinned %v", clock, w.clock)
-					}
-				} else if clock != w.clock {
-					t.Fatalf("virtual clock %v, pinned %v", clock, w.clock)
-				}
-			})
-		}
+			} else if clock != w.clock {
+				t.Fatalf("virtual clock %v, pinned %v", clock, w.clock)
+			}
+		})
 	}
 }

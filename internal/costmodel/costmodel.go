@@ -28,8 +28,10 @@ type FlashCosts struct {
 	BlockSize int64 // S_b: erase block (0 for SSDs: C2/C3 are inside the FTL)
 }
 
-// ChipCosts returns the §6 model for the raw flash chip, matching
-// flashchip.DefaultCosts.
+// ChipCosts returns the §6 model for the raw flash chip (2 KB pages,
+// 128 KB erase blocks). It is the repository's one encoding of the
+// paper's chip constants: no device model simulates the chip, so fig4,
+// its §6.1 flush split and examples/tuning read them from here.
 func ChipCosts() FlashCosts {
 	return FlashCosts{
 		ReadFixed:    100 * time.Microsecond,

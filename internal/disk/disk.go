@@ -77,17 +77,16 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *Disk {
 		lastEnd:  -1,
 		rng:      rand.New(rand.NewSource(0x715ac)),
 	}
-	d.q = storage.NewQueue(d.Geometry(), 1, 1, storage.NewSparseStore(prof.SectorSize, 0), clock)
+	d.q = storage.NewQueue(d.Geometry(), 1, 1, storage.NewSparseStore(prof.SectorSize), clock)
 	return d
 }
 
 // SetFault installs a fault-injection hook (nil clears it).
 func (d *Disk) SetFault(f storage.FaultFunc) { d.q.Fault = f }
 
-// Geometry implements storage.Device. BlockSize is 0: disks have no erase
-// constraint.
+// Geometry implements storage.Device.
 func (d *Disk) Geometry() storage.Geometry {
-	return storage.Geometry{Capacity: d.capacity, PageSize: d.prof.SectorSize, BlockSize: 0}
+	return storage.Geometry{Capacity: d.capacity, PageSize: d.prof.SectorSize}
 }
 
 // Counters implements storage.Device.

@@ -38,7 +38,7 @@ func TestRoundTrip(t *testing.T) {
 func TestGeometry(t *testing.T) {
 	d, _ := newDisk(1000) // rounds up to one sector
 	g := d.Geometry()
-	if g.Capacity != 4096 || g.PageSize != 4096 || g.BlockSize != 0 {
+	if g.Capacity != 4096 || g.PageSize != 4096 {
 		t.Fatalf("geometry = %+v", g)
 	}
 }

@@ -150,8 +150,8 @@ func TranscendTS32() Profile {
 	}
 }
 
-// SSD is a simulated solid-state disk. It implements storage.Device and
-// storage.Trimmer. Not safe for concurrent use.
+// SSD is a simulated solid-state disk. It implements storage.Device, plus
+// Trim. Not safe for concurrent use.
 type SSD struct {
 	prof  Profile
 	q     *storage.Queue // serves every read and write submission
@@ -198,7 +198,7 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *SSD {
 	if prof.EraseOverlap < 1 {
 		prof.EraseOverlap = 1
 	}
-	s := &SSD{prof: prof, store: storage.NewSparseStore(prof.SectorSize, 0)}
+	s := &SSD{prof: prof, store: storage.NewSparseStore(prof.SectorSize)}
 	nLogicalBlocks := capacity / bs
 	s.nLogicalPages = nLogicalBlocks * int64(prof.BlockPages)
 	switch prof.Mapping {
@@ -238,21 +238,16 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *SSD {
 // SetFault installs a fault-injection hook (nil clears it).
 func (s *SSD) SetFault(f storage.FaultFunc) { s.q.Fault = f }
 
-// Geometry implements storage.Device. BlockSize is exposed so applications
-// can align batched writes to erase blocks, as BufferHash does.
+// Geometry implements storage.Device.
 func (s *SSD) Geometry() storage.Geometry {
 	return storage.Geometry{
-		Capacity:  s.nLogicalPages / int64(s.prof.BlockPages) * int64(s.prof.BlockSize()),
-		PageSize:  s.prof.SectorSize,
-		BlockSize: s.prof.BlockSize(),
+		Capacity: s.nLogicalPages / int64(s.prof.BlockPages) * int64(s.prof.BlockSize()),
+		PageSize: s.prof.SectorSize,
 	}
 }
 
 // Counters implements storage.Device.
 func (s *SSD) Counters() storage.Counters { return s.q.Counters }
-
-// FreeBlocks returns the current erased-block pool size (page-mapped FTL).
-func (s *SSD) FreeBlocks() int { return len(s.freeBlocks) }
 
 // creditIdle converts host idle time into background GC budget.
 func (s *SSD) creditIdle() {
@@ -345,8 +340,8 @@ func (s *SSD) writeCost(off int64, n int, newRun bool) (time.Duration, error) {
 	return lat, nil
 }
 
-// Trim implements storage.Trimmer: it invalidates the mapping for the given
-// sector-aligned range without charging host latency.
+// Trim tells the FTL that the given sector-aligned range no longer holds
+// live data: it invalidates the mapping without charging host latency.
 func (s *SSD) Trim(off, n int64) error {
 	g := s.Geometry()
 	if err := storage.CheckRange(g, off, n, s.prof.SectorSize); err != nil {
@@ -576,7 +571,4 @@ func (s *SSD) blockMappedBody(off, n int64) time.Duration {
 	return lat
 }
 
-var (
-	_ storage.Device  = (*SSD)(nil)
-	_ storage.Trimmer = (*SSD)(nil)
-)
+var _ storage.Device = (*SSD)(nil)

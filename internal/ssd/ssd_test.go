@@ -32,7 +32,7 @@ func TestGeometryRoundedToBlocks(t *testing.T) {
 	if got := s.Geometry().Capacity; got != 128*kib {
 		t.Fatalf("capacity = %d, want 128KiB", got)
 	}
-	if s.Geometry().PageSize != 4096 || s.Geometry().BlockSize != 128*kib {
+	if s.Geometry().PageSize != 4096 || s.prof.BlockSize() != 128*kib {
 		t.Fatalf("geometry = %+v", s.Geometry())
 	}
 }
@@ -282,12 +282,12 @@ func TestIdleTimeRestoresPool(t *testing.T) {
 	degraded, _ := s.WriteAt(buf, rng.Int63n(nSectors)*4096)
 	// One virtual second of idle lets background GC rebuild the pool.
 	clock.Advance(time.Second)
-	free0 := s.FreeBlocks()
+	free0 := len(s.freeBlocks)
 	recovered, _ := s.WriteAt(buf, rng.Int63n(nSectors)*4096)
-	if s.FreeBlocks() < free0-1 {
-		t.Fatalf("pool did not grow during idle: %d -> %d", free0, s.FreeBlocks())
+	if len(s.freeBlocks) < free0-1 {
+		t.Fatalf("pool did not grow during idle: %d -> %d", free0, len(s.freeBlocks))
 	}
-	t.Logf("degraded %.3f ms, after idle %.3f ms, free blocks %d", ms(degraded), ms(recovered), s.FreeBlocks())
+	t.Logf("degraded %.3f ms, after idle %.3f ms, free blocks %d", ms(degraded), ms(recovered), len(s.freeBlocks))
 	if recovered >= degraded && degraded > 2*time.Millisecond {
 		t.Errorf("idle time did not restore write latency: %v -> %v", degraded, recovered)
 	}
@@ -608,7 +608,7 @@ func TestPageMappedGCPinned(t *testing.T) {
 	// BufferHash's cyclic whole-block writes with reads and idle gaps in
 	// between: the sealed blocks end up fully valid, so banked idle credit
 	// meets no victim — the state every read of a long-running store sees.
-	blk := make([]byte, g.BlockSize)
+	blk := make([]byte, s.prof.BlockSize())
 	noVictim := 0
 	for cycle := 0; cycle < 3; cycle++ {
 		for off := int64(0); off < g.Capacity; off += int64(len(blk)) {
@@ -632,7 +632,7 @@ func TestPageMappedGCPinned(t *testing.T) {
 	}
 	c := s.Counters()
 	t.Logf("clock %d, erases %d, pages moved %d, GC runs %d, free blocks %d",
-		clock.Now(), c.Erases, c.PagesMoved, c.GCRuns, s.FreeBlocks())
+		clock.Now(), c.Erases, c.PagesMoved, c.GCRuns, len(s.freeBlocks))
 	const (
 		wantClock      = time.Duration(25642819400)
 		wantErases     = 4255
@@ -641,9 +641,9 @@ func TestPageMappedGCPinned(t *testing.T) {
 		wantFree       = 7
 	)
 	if clock.Now() != wantClock || c.Erases != wantErases || c.PagesMoved != wantPagesMoved ||
-		c.GCRuns != wantGCRuns || s.FreeBlocks() != wantFree {
+		c.GCRuns != wantGCRuns || len(s.freeBlocks) != wantFree {
 		t.Fatalf("got clock %d, erases %d, pages moved %d, GC runs %d, free %d; want %d, %d, %d, %d, %d",
-			clock.Now(), c.Erases, c.PagesMoved, c.GCRuns, s.FreeBlocks(),
+			clock.Now(), c.Erases, c.PagesMoved, c.GCRuns, len(s.freeBlocks),
 			wantClock, wantErases, wantPagesMoved, wantGCRuns, wantFree)
 	}
 }
@@ -657,7 +657,7 @@ func TestPageMappedGCPinned(t *testing.T) {
 func BenchmarkDepletedPoolRead(b *testing.B) {
 	s, clock := newIntel(64 << 20)
 	g := s.Geometry()
-	blk := make([]byte, g.BlockSize)
+	blk := make([]byte, s.prof.BlockSize())
 	for cycle := 0; cycle < 2; cycle++ {
 		for off := int64(0); off < g.Capacity; off += int64(len(blk)) {
 			if _, err := s.WriteAt(blk, off); err != nil {
@@ -670,9 +670,9 @@ func BenchmarkDepletedPoolRead(b *testing.B) {
 	if _, err := s.ReadAt(p, 0); err != nil {
 		b.Fatal(err)
 	}
-	if s.reclaimable != 0 || s.idleCredit < 1 || s.FreeBlocks() >= int(s.nPhysBlocks)/2 {
+	if s.reclaimable != 0 || s.idleCredit < 1 || len(s.freeBlocks) >= int(s.nPhysBlocks)/2 {
 		b.Fatalf("not depleted: reclaimable %d, idle credit %.1f, free %d of %d",
-			s.reclaimable, s.idleCredit, s.FreeBlocks(), s.nPhysBlocks)
+			s.reclaimable, s.idleCredit, len(s.freeBlocks), s.nPhysBlocks)
 	}
 	nSectors := g.Capacity / 4096
 	b.ResetTimer()

@@ -70,9 +70,7 @@ type ReadReq struct {
 // flushes produce and submits them in one call.
 //
 // Requests must ascend by address, respect the same alignment rules as
-// WriteAt and not overlap one another; on media with program-order
-// constraints (raw NAND) they must respect those too, as full-block
-// incarnation images do by construction.
+// WriteAt and not overlap one another.
 type WriteReq struct {
 	P   []byte
 	Off int64
@@ -80,7 +78,7 @@ type WriteReq struct {
 
 // Queue is the submission engine of the simulated devices, the one
 // implementation of the overlap model (see ReadReq). Every read and write
-// of the SSD, flash chip and disk models is a Queue submission: before any
+// of the SSD and disk models is a Queue submission: before any
 // state moves, the queue checks that the requests ascend by address,
 // checks every request's range and alignment, and consults the fault hook;
 // then it detects sequential runs, serves each request in the order given
@@ -97,7 +95,7 @@ type WriteReq struct {
 type Queue struct {
 	// Counters is the device's I/O accounting. The queue counts every
 	// request it serves and all service time it charges; a model adds
-	// what only it sees (erases, GC relocations and episodes).
+	// what only it sees (an SSD's erases, GC relocations and episodes).
 	Counters Counters
 	// Fault, if non-nil, is consulted for every request (see FaultFunc).
 	Fault FaultFunc
@@ -128,9 +126,9 @@ func NewQueue(g Geometry, writeAlign, lanes int, store *SparseStore, clock *vclo
 	return &Queue{geom: g, writeAlign: writeAlign, lanes: lanes, store: store, clock: clock}
 }
 
-// Check validates one request of op: [off, off+n) must lie on the device
+// check validates one request of op: [off, off+n) must lie on the device
 // and respect align, and the fault hook must let it pass.
-func (q *Queue) Check(op Op, off, n int64, align int) error {
+func (q *Queue) check(op Op, off, n int64, align int) error {
 	if err := CheckRange(q.geom, off, n, align); err != nil {
 		return err
 	}
@@ -153,7 +151,7 @@ func (q *Queue) Read(reqs []ReadReq, begin func(), cost CostFunc) (time.Duration
 		}
 	}
 	for _, r := range reqs {
-		if err := q.Check(OpRead, r.Off, int64(len(r.P)), 1); err != nil {
+		if err := q.check(OpRead, r.Off, int64(len(r.P)), 1); err != nil {
 			return 0, err
 		}
 	}
@@ -185,7 +183,7 @@ func (q *Queue) Write(reqs []WriteReq, begin func(), cost CostFunc) (time.Durati
 		}
 	}
 	for _, r := range reqs {
-		if err := q.Check(OpWrite, r.Off, int64(len(r.P)), q.writeAlign); err != nil {
+		if err := q.check(OpWrite, r.Off, int64(len(r.P)), q.writeAlign); err != nil {
 			return 0, err
 		}
 	}
@@ -224,9 +222,13 @@ func (q *Queue) start(n int, begin func()) {
 }
 
 // finish charges a submission: its stall, then svc overlapped across the
-// lanes.
+// lanes. The total is service time, and the clock advances by it.
 func (q *Queue) finish(svc []time.Duration) time.Duration {
-	return q.Charge(q.stall + overlapLanes(svc, q.lanes))
+	lat := q.stall + overlapLanes(svc, q.lanes)
+	q.Counters.BusyTime += lat
+	q.clock.Advance(lat)
+	q.busyUntil = q.clock.Now()
+	return lat
 }
 
 // Stall charges d to the submission being served ahead of its overlapped
@@ -234,18 +236,8 @@ func (q *Queue) finish(svc []time.Duration) time.Duration {
 // collection. Begin and cost hooks call it.
 func (q *Queue) Stall(d time.Duration) { q.stall += d }
 
-// Charge accounts lat as service time and advances the clock by it. Every
-// submission ends with one; a model charges its own operations (a chip
-// erase) with it too.
-func (q *Queue) Charge(lat time.Duration) time.Duration {
-	q.Counters.BusyTime += lat
-	q.clock.Advance(lat)
-	q.busyUntil = q.clock.Now()
-	return lat
-}
-
 // Idle returns how long the device has been idle: the virtual time since
-// its last charge ended, or 0 if the clock has not moved on since.
+// its last submission ended, or 0 if the clock has not moved on since.
 func (q *Queue) Idle() time.Duration { return max(0, q.clock.Now()-q.busyUntil) }
 
 // overlapLanes implements step 3 of the overlap model: distribute the

@@ -9,16 +9,14 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/flashchip"
 	"repro/internal/ssd"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
 
 // These tests pin the storage-layer contracts the value log and the
-// incarnation layouts rely on: the Trimmer/Eraser optional interfaces as
-// seen through a plain storage.Device, and the batch service every device
-// model implements.
+// incarnation layouts rely on: the SSD's Trim, and the batch service every
+// device model implements.
 
 // sortReads and sortWrites stably order a submission by address, as
 // devices require; requests at equal offsets keep their order.
@@ -30,28 +28,23 @@ func sortWrites(reqs []storage.WriteReq) {
 	slices.SortStableFunc(reqs, func(a, b storage.WriteReq) int { return cmp.Compare(a.Off, b.Off) })
 }
 
-// TestTrimmerInterface exercises Trim through the optional interface from
-// a plain Device value, on both FTL flavours.
+// TestTrimmerInterface exercises the SSD's Trim on both FTL flavours.
 func TestTrimmerInterface(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		dev  storage.Device
+		dev  *ssd.SSD
 	}{
 		{"page-mapped", ssd.New(ssd.IntelX18M(), 4<<20, vclock.New())},
 		{"block-mapped", ssd.New(ssd.TranscendTS32(), 4<<20, vclock.New())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, ok := tc.dev.(storage.Trimmer)
-			if !ok {
-				t.Fatal("SSD does not expose storage.Trimmer")
-			}
 			page := tc.dev.Geometry().PageSize
 			data := bytes.Repeat([]byte{0xAB}, 2*page)
 			if _, err := tc.dev.WriteAt(data, 0); err != nil {
 				t.Fatal(err)
 			}
 			// Trim the first page only; the second must survive.
-			if err := tr.Trim(0, int64(page)); err != nil {
+			if err := tc.dev.Trim(0, int64(page)); err != nil {
 				t.Fatal(err)
 			}
 			got := make([]byte, 2*page)
@@ -70,117 +63,39 @@ func TestTrimmerInterface(t *testing.T) {
 				t.Fatal("untrimmed page corrupted")
 			}
 			// Partial-page trims must be rejected as unaligned.
-			if err := tr.Trim(int64(page/2), int64(page)); !errors.Is(err, storage.ErrUnaligned) {
+			if err := tc.dev.Trim(int64(page/2), int64(page)); !errors.Is(err, storage.ErrUnaligned) {
 				t.Fatalf("partial-page trim: %v, want ErrUnaligned", err)
 			}
-			if err := tr.Trim(0, int64(page)/2); !errors.Is(err, storage.ErrUnaligned) {
+			if err := tc.dev.Trim(0, int64(page)/2); !errors.Is(err, storage.ErrUnaligned) {
 				t.Fatalf("partial-page-length trim: %v, want ErrUnaligned", err)
 			}
 		})
-	}
-	// Disks have no FTL and must NOT advertise Trimmer.
-	if _, ok := interface{}(disk.New(disk.Hitachi7K80(), 4<<20, vclock.New())).(storage.Trimmer); ok {
-		t.Fatal("disk claims storage.Trimmer")
-	}
-}
-
-// TestEraserInterface exercises Erase through the optional interface from
-// a plain Device value.
-func TestEraserInterface(t *testing.T) {
-	var dev storage.Device = flashchip.New(flashchip.DefaultConfig(1<<20), vclock.New())
-	er, ok := dev.(storage.Eraser)
-	if !ok {
-		t.Fatal("flash chip does not expose storage.Eraser")
-	}
-	g := dev.Geometry()
-	bs := int64(g.BlockSize)
-
-	// Program block 0, then overwrite without erase: must fail.
-	page := make([]byte, g.PageSize)
-	for i := range page {
-		page[i] = 0x5A
-	}
-	if _, err := dev.WriteAt(page, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dev.WriteAt(page, 0); !errors.Is(err, storage.ErrProgramOrder) {
-		t.Fatalf("rewrite without erase: %v, want ErrProgramOrder", err)
-	}
-	// Erase the block: contents read as 0xFF and the page can be
-	// programmed again.
-	if lat, err := er.Erase(0, bs); err != nil || lat <= 0 {
-		t.Fatalf("erase: lat=%v err=%v", lat, err)
-	}
-	got := make([]byte, g.PageSize)
-	if _, err := dev.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range got {
-		if b != 0xFF {
-			t.Fatalf("erased byte %d = %#x, want 0xFF", i, b)
-		}
-	}
-	if _, err := dev.WriteAt(page, 0); err != nil {
-		t.Fatalf("program after erase: %v", err)
-	}
-
-	// Erase must be block-aligned, in offset and length.
-	if _, err := er.Erase(bs/2, bs); !errors.Is(err, storage.ErrUnaligned) {
-		t.Fatalf("partial-block erase offset: %v, want ErrUnaligned", err)
-	}
-	if _, err := er.Erase(0, bs/2); !errors.Is(err, storage.ErrUnaligned) {
-		t.Fatalf("partial-block erase length: %v, want ErrUnaligned", err)
-	}
-	if _, err := er.Erase(g.Capacity, bs); !errors.Is(err, storage.ErrOutOfRange) {
-		t.Fatalf("out-of-range erase: %v, want ErrOutOfRange", err)
-	}
-
-	// SSDs hide their erase behind the FTL and must NOT advertise Eraser.
-	if _, ok := interface{}(ssd.New(ssd.IntelX18M(), 4<<20, vclock.New())).(storage.Eraser); ok {
-		t.Fatal("SSD claims storage.Eraser")
 	}
 }
 
 // TestSerialIOAllocs pins that ReadAt and WriteAt, the one-request form of
 // every device model's batch service, keep their request on the stack. A
 // heap-allocated request would add one allocation per serial I/O, which is
-// every probe and flush of the serial store path. The only allowed
-// allocation is the raw chip's: a program lands on a freshly erased page,
-// which the sparse store materialises. Warm batched submissions, the
-// lookup and insert pipelines' I/O, allocate nothing.
+// every probe and flush of the serial store path. Warm batched
+// submissions, the lookup and insert pipelines' I/O, allocate nothing.
 func TestSerialIOAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		dev         storage.Device
-		writeAllocs float64
+		name string
+		dev  storage.Device
 	}{
-		{"ssd-intel", ssd.New(ssd.IntelX18M(), 4<<20, vclock.New()), 0},
-		{"ssd-transcend", ssd.New(ssd.TranscendTS32(), 4<<20, vclock.New()), 0},
-		{"chip", flashchip.New(flashchip.DefaultConfig(4<<20), vclock.New()), 1},
-		{"disk", disk.New(disk.Hitachi7K80(), 4<<20, vclock.New()), 0},
+		{"ssd-intel", ssd.New(ssd.IntelX18M(), 4<<20, vclock.New())},
+		{"ssd-transcend", ssd.New(ssd.TranscendTS32(), 4<<20, vclock.New())},
+		{"disk", disk.New(disk.Hitachi7K80(), 4<<20, vclock.New())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.dev.Geometry()
 			p := make([]byte, g.PageSize)
-			// Raw NAND programs block 0's pages in order and erases the block
-			// when it is full; the other media rewrite page 0.
-			er, _ := tc.dev.(storage.Eraser)
-			var next int64
-			write := func() {
-				if er != nil && next == int64(g.BlockSize) {
-					if _, err := er.Erase(0, int64(g.BlockSize)); err != nil {
-						t.Fatal(err)
-					}
-					next = 0
-				}
-				if _, err := tc.dev.WriteAt(p, next); err != nil {
+			write := func() { // rewrites page 0
+				if _, err := tc.dev.WriteAt(p, 0); err != nil {
 					t.Fatal(err)
 				}
-				if er != nil {
-					next += int64(g.PageSize)
-				}
 			}
-			for i := 0; i < g.BlockSize/g.PageSize; i++ { // warm the store and the FTL
+			for range 32 { // warm the store and the FTL
 				write()
 			}
 			read := func() {
@@ -191,13 +106,12 @@ func TestSerialIOAllocs(t *testing.T) {
 			if a := testing.AllocsPerRun(200, read); a != 0 {
 				t.Errorf("ReadAt allocates %v per call, want 0", a)
 			}
-			if a := testing.AllocsPerRun(200, write); a != tc.writeAllocs {
-				t.Errorf("WriteAt allocates %v per call, want %v", a, tc.writeAllocs)
+			if a := testing.AllocsPerRun(200, write); a != 0 {
+				t.Errorf("WriteAt allocates %v per call, want 0", a)
 			}
 
 			// Warm submissions allocate nothing either: 64 scattered reads,
-			// sorted as devices require, and (except on raw NAND, which
-			// would program fresh pages) 8 writes at every other page.
+			// sorted as devices require, and 8 writes at every other page.
 			rreqs := make([]storage.ReadReq, 64)
 			for i := range rreqs {
 				rreqs[i] = storage.ReadReq{P: make([]byte, g.PageSize), Off: int64(i*37%64) * int64(g.PageSize)}
@@ -211,9 +125,6 @@ func TestSerialIOAllocs(t *testing.T) {
 			readBatch()
 			if a := testing.AllocsPerRun(200, readBatch); a != 0 {
 				t.Errorf("64-request ReadBatch allocates %v per call, want 0", a)
-			}
-			if er != nil {
-				return
 			}
 			wreqs := make([]storage.WriteReq, 8)
 			for i := range wreqs {
@@ -241,7 +152,6 @@ func TestBatchWriterContract(t *testing.T) {
 		return map[string]storage.Device{
 			"ssd-intel":     ssd.New(ssd.IntelX18M(), 4<<20, vclock.New()),
 			"ssd-transcend": ssd.New(ssd.TranscendTS32(), 4<<20, vclock.New()),
-			"chip":          flashchip.New(flashchip.DefaultConfig(4<<20), vclock.New()),
 			"disk":          disk.New(disk.Hitachi7K80(), 4<<20, vclock.New()),
 		}
 	}
@@ -249,8 +159,7 @@ func TestBatchWriterContract(t *testing.T) {
 	for name := range serialDevs {
 		t.Run(name, func(t *testing.T) {
 			sd, bd := serialDevs[name], batchDevs[name]
-			// 128 KB chunks (whole erase blocks on NAND) at scattered,
-			// non-contiguous addresses, in the ascending order devices
+			// 128 KB chunks at scattered, non-contiguous addresses, in the ascending order devices
 			// require.
 			const chunk = 128 << 10
 			var reqs []storage.WriteReq
@@ -322,23 +231,9 @@ func TestBatchWriterSequentialRunDiscount(t *testing.T) {
 	}
 }
 
-// TestBatchWriterProgramOrder: on raw NAND a batch violating program order
-// must fail, exactly as serial writes would.
-func TestBatchWriterProgramOrder(t *testing.T) {
-	chip := flashchip.New(flashchip.DefaultConfig(1<<20), vclock.New())
-	g := chip.Geometry()
-	p := bytes.Repeat([]byte{0x5A}, g.PageSize)
-	// Page 1 of block 0 without page 0 first: a valid submission order,
-	// but out of program order.
-	_, err := chip.WriteBatch([]storage.WriteReq{{P: p, Off: int64(g.PageSize)}})
-	if !errors.Is(err, storage.ErrProgramOrder) {
-		t.Fatalf("out-of-order batch write: %v, want ErrProgramOrder", err)
-	}
-}
-
 // TestReadViewContract pins ReadReq.View on every device model against a
 // twin device serving the same submission by copy: the same latency,
-// Counters and bytes; an unwritten page reads as the medium's fill byte; a
+// Counters and bytes; an unwritten page reads as zeros; a
 // submission that fails replaces no buffer; and a request without View
 // keeps its own buffer, which a later write does not change.
 func TestReadViewContract(t *testing.T) {
@@ -346,11 +241,9 @@ func TestReadViewContract(t *testing.T) {
 		return map[string]storage.Device{
 			"ssd-intel":     ssd.New(ssd.IntelX18M(), 4<<20, vclock.New()),
 			"ssd-transcend": ssd.New(ssd.TranscendTS32(), 4<<20, vclock.New()),
-			"chip":          flashchip.New(flashchip.DefaultConfig(4<<20), vclock.New()),
 			"disk":          disk.New(disk.Hitachi7K80(), 4<<20, vclock.New()),
 		}
 	}
-	fills := map[string]byte{"ssd-intel": 0x00, "ssd-transcend": 0x00, "chip": 0xFF, "disk": 0x00}
 	copyDevs, viewDevs := devices(), devices()
 	for name := range copyDevs {
 		t.Run(name, func(t *testing.T) {
@@ -358,7 +251,7 @@ func TestReadViewContract(t *testing.T) {
 			g := vd.Geometry()
 			ps := int64(g.PageSize)
 			for _, d := range []storage.Device{cd, vd} {
-				for i := int64(0); i < 4; i++ { // pages 0..3, in program order
+				for i := int64(0); i < 4; i++ { // pages 0..3
 					if _, err := d.WriteAt(bytes.Repeat([]byte{byte(0x10 + i)}, int(ps)), i*ps); err != nil {
 						t.Fatal(err)
 					}
@@ -392,8 +285,8 @@ func TestReadViewContract(t *testing.T) {
 				if c.Off != v.Off || !bytes.Equal(c.P, v.P) {
 					t.Fatalf("view read at %d returned different bytes than the copying read", v.Off)
 				}
-				if v.Off == 9*ps && !bytes.Equal(v.P, bytes.Repeat([]byte{fills[name]}, int(ps))) {
-					t.Fatalf("unwritten page read %#x..., want fill byte %#x", v.P[:4], fills[name])
+				if v.Off == 9*ps && !bytes.Equal(v.P, make([]byte, ps)) {
+					t.Fatalf("unwritten page read %#x..., want zeros", v.P[:4])
 				}
 				if &c.P[0] != &cown[c.Off][0] {
 					t.Fatalf("request without View at %d lost its own buffer", c.Off)
@@ -405,11 +298,6 @@ func TestReadViewContract(t *testing.T) {
 			}
 			// A later write must not show through a copied buffer.
 			before := append([]byte(nil), creqs[0].P...)
-			if er, ok := cd.(storage.Eraser); ok {
-				if _, err := er.Erase(0, int64(g.BlockSize)); err != nil {
-					t.Fatal(err)
-				}
-			}
 			if _, err := cd.WriteAt(bytes.Repeat([]byte{0xC3}, int(ps)), 0); err != nil {
 				t.Fatal(err)
 			}
@@ -451,7 +339,7 @@ func TestReadViewContract(t *testing.T) {
 func TestRejectedSubmissionsChargeNothing(t *testing.T) {
 	boom := errors.New("injected fault")
 	type submit func(d faultable, g storage.Geometry) error
-	valid := func(g storage.Geometry) storage.WriteReq { // the chip's next page in program order
+	valid := func(g storage.Geometry) storage.WriteReq {
 		return storage.WriteReq{P: make([]byte, g.PageSize), Off: 3 * int64(g.PageSize)}
 	}
 	faultOn := func(d faultable, op storage.Op, at int64) {
@@ -465,7 +353,6 @@ func TestRejectedSubmissionsChargeNothing(t *testing.T) {
 	cases := []struct {
 		name string
 		skip string // model the case does not apply to
-		only string // model the case is limited to
 		want error  // the error the submission must fail with
 		run  submit
 	}{
@@ -504,23 +391,19 @@ func TestRejectedSubmissionsChargeNothing(t *testing.T) {
 			_, err := d.WriteBatch([]storage.WriteReq{valid(g), {P: make([]byte, g.PageSize), Off: 8 * int64(g.PageSize)}})
 			return err
 		}},
-		{name: "erase-fault", only: "chip", want: boom, run: func(d faultable, g storage.Geometry) error {
-			faultOn(d, storage.OpErase, 0)
-			_, err := d.(storage.Eraser).Erase(0, int64(g.BlockSize))
-			return err
-		}},
 	}
-	// prepare programs pages 0..2 (in program order on the chip), overwrites
-	// a few pages of an SSD so it has GC victims, and leaves an idle gap.
+	// prepare writes pages 0..2, fills an SSD and overwrites a few of its
+	// pages so it has GC victims, and leaves an idle gap.
 	prepare := func(t *testing.T, m model) {
 		g := m.dev.Geometry()
 		ps := int64(g.PageSize)
 		if _, err := m.dev.WriteAt(bytes.Repeat([]byte{0x3C}, 3*g.PageSize), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := m.dev.(storage.Trimmer); ok {
-			for off := int64(0); off < g.Capacity; off += int64(g.BlockSize) {
-				if _, err := m.dev.WriteAt(make([]byte, g.BlockSize), off); err != nil {
+		if m.trim != nil {
+			const block = 128 << 10 // the SSD models' erase block
+			for off := int64(0); off < g.Capacity; off += block {
+				if _, err := m.dev.WriteAt(make([]byte, block), off); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -534,7 +417,7 @@ func TestRejectedSubmissionsChargeNothing(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for i, m := range models(1 << 20) {
-			if m.name == tc.skip || tc.only != "" && m.name != tc.only {
+			if m.name == tc.skip {
 				continue
 			}
 			twin := models(1 << 20)[i]
@@ -552,8 +435,8 @@ func TestRejectedSubmissionsChargeNothing(t *testing.T) {
 						clock, m.clock.Now(), counters, m.dev.Counters())
 				}
 				// The next read prices and returns the same on both twins.
-				n := int64(g.BlockSize)
-				if g.BlockSize == 0 {
+				n := 32 * int64(g.PageSize)
+				if m.name == "disk" {
 					n = 16 * int64(g.PageSize)
 				}
 				got, want := make([]byte, n), make([]byte, n)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/flashchip"
 	"repro/internal/ssd"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -27,25 +26,27 @@ type model struct {
 	name  string
 	dev   faultable
 	clock *vclock.Clock
+	trim  func(off, n int64) error // the SSD's Trim; nil on the disk
 }
 
 // models builds one fresh instance of every device model.
 func models(capacity int64) []model {
 	var ms []model
-	for _, name := range []string{"ssd-intel", "ssd-transcend", "chip", "disk"} {
+	for _, name := range []string{"ssd-intel", "ssd-transcend", "disk"} {
 		clock := vclock.New()
-		var dev faultable
+		m := model{name: name, clock: clock}
 		switch name {
-		case "ssd-intel":
-			dev = ssd.New(ssd.IntelX18M(), capacity, clock)
-		case "ssd-transcend":
-			dev = ssd.New(ssd.TranscendTS32(), capacity, clock)
-		case "chip":
-			dev = flashchip.New(flashchip.DefaultConfig(capacity), clock)
+		case "ssd-intel", "ssd-transcend":
+			prof := ssd.IntelX18M()
+			if name == "ssd-transcend" {
+				prof = ssd.TranscendTS32()
+			}
+			s := ssd.New(prof, capacity, clock)
+			m.dev, m.trim = s, s.Trim
 		case "disk":
-			dev = disk.New(disk.Hitachi7K80(), capacity, clock)
+			m.dev = disk.New(disk.Hitachi7K80(), capacity, clock)
 		}
-		ms = append(ms, model{name, dev, clock})
+		ms = append(ms, m)
 	}
 	return ms
 }
@@ -58,27 +59,18 @@ type streamResult struct {
 	Ops      uint64 // FNV-1a over every submission's latency and error
 }
 
-// deviceStream drives one seeded mixed stream through dev: one-request and
-// batched reads (few or many requests, contiguous runs, views), each
-// submission sorted by address as devices require, one-request and batched
-// writes, SSD trims, chip erases,
-// idle gaps, one injected read fault, one injected write fault and, on the
-// chip, one batch that fails mid-way on program order.
-func deviceStream(t *testing.T, dev faultable, clock *vclock.Clock) streamResult {
+// deviceStream drives one seeded mixed stream through m's device:
+// one-request and batched reads (few or many requests, contiguous runs,
+// views), each submission sorted by address as devices require,
+// one-request and batched writes, SSD trims, idle gaps, one injected read
+// fault and one injected write fault.
+func deviceStream(t *testing.T, m model) streamResult {
 	t.Helper()
+	dev, clock := m.dev, m.clock
 	rng := rand.New(rand.NewSource(0x5eed))
 	g := dev.Geometry()
 	ps := int64(g.PageSize)
 	pages := g.Capacity / ps
-	er, _ := dev.(storage.Eraser)
-	tr, _ := dev.(storage.Trimmer)
-	// On the chip, writes land at each block's program frontier.
-	var ppb int64
-	var frontier []int64
-	if er != nil {
-		ppb = int64(g.BlockSize) / ps
-		frontier = make([]int64, g.Capacity/int64(g.BlockSize))
-	}
 	reads, ops := fnv.New64a(), fnv.New64a()
 	word := func(h hash.Hash64, v int64) { h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v))) }
 	note := func(lat time.Duration, err error) {
@@ -155,30 +147,10 @@ func deviceStream(t *testing.T, dev faultable, clock *vclock.Clock) streamResult
 		return err
 	}
 
-	// writeBatch builds a valid submission: at block frontiers on the chip
-	// (one or two contiguous requests per block), at distinct 8-page slots
-	// or as one contiguous run elsewhere.
+	// writeBatch builds a valid submission: at distinct 8-page slots or as
+	// one contiguous run.
 	writeBatch := func(k int) []storage.WriteReq {
 		var reqs []storage.WriteReq
-		if er != nil {
-			for _, b := range rng.Perm(len(frontier)) {
-				if len(reqs) >= k {
-					break
-				}
-				f := frontier[b]
-				if f == ppb {
-					continue
-				}
-				n := 1 + rng.Int63n(min(4, ppb-f))
-				off := (int64(b)*ppb + f) * ps
-				if n > 1 && rng.Intn(2) == 0 {
-					reqs = append(reqs, storage.WriteReq{P: data(ps), Off: off})
-					off, n = off+ps, n-1
-				}
-				reqs = append(reqs, storage.WriteReq{P: data(n * ps), Off: off})
-			}
-			return reqs
-		}
 		if k > 1 && rng.Intn(3) == 0 { // one contiguous run
 			pg := rng.Int63n(pages - 2*int64(k))
 			for range k {
@@ -239,27 +211,6 @@ func deviceStream(t *testing.T, dev faultable, clock *vclock.Clock) streamResult
 			}
 			dev.SetFault(nil)
 			continue
-		case 900: // chip: a batch whose middle request breaks program order
-			if er == nil {
-				break
-			}
-			var blocks []int64
-			for b := range int64(len(frontier)) {
-				if frontier[b] < ppb-1 {
-					blocks = append(blocks, b)
-				}
-			}
-			if len(blocks) < 3 {
-				t.Fatalf("step %d: %d blocks with room for a program-order case", step, len(blocks))
-			}
-			at := func(b, pg int64) storage.WriteReq { return storage.WriteReq{P: data(ps), Off: (b*ppb + pg) * ps} }
-			a, b, c := blocks[0], blocks[1], blocks[2]
-			reqs := []storage.WriteReq{at(c, frontier[c]), at(b, frontier[b]+1), at(a, frontier[a])}
-			if err := doWrites(reqs); !errors.Is(err, storage.ErrProgramOrder) {
-				t.Fatalf("program-order batch: %v, want ErrProgramOrder", err)
-			}
-			frontier[a]++ // served before the failing request
-			continue
 		}
 		switch op := rng.Intn(100); {
 		case op < 40:
@@ -271,30 +222,12 @@ func deviceStream(t *testing.T, dev faultable, clock *vclock.Clock) streamResult
 			if rng.Intn(2) == 0 {
 				k = 2 + rng.Intn(5)
 			}
-			reqs := writeBatch(k)
-			if len(reqs) == 0 {
-				continue
-			}
-			if err := doWrites(reqs); err != nil {
+			if err := doWrites(writeBatch(k)); err != nil {
 				t.Fatalf("step %d: write: %v", step, err)
 			}
-			for _, r := range reqs {
-				if er != nil {
-					frontier[r.Off/int64(g.BlockSize)] += int64(len(r.P)) / ps
-				}
-			}
-		case op < 88 && er != nil:
-			b := rng.Int63n(int64(len(frontier)) - 1)
-			n := 1 + rng.Int63n(2)
-			lat, err := er.Erase(b*int64(g.BlockSize), n*int64(g.BlockSize))
-			note(lat, err)
-			if err != nil {
-				t.Fatalf("step %d: erase: %v", step, err)
-			}
-			clear(frontier[b : b+n])
-		case op < 88 && tr != nil:
+		case op < 88 && m.trim != nil:
 			n := 1 + rng.Int63n(16)
-			if err := tr.Trim(rng.Int63n(pages-n)*ps, n*ps); err != nil {
+			if err := m.trim(rng.Int63n(pages-n)*ps, n*ps); err != nil {
 				t.Fatalf("step %d: trim: %v", step, err)
 			}
 		default:
@@ -316,14 +249,12 @@ func TestDeviceStreamsPinned(t *testing.T) {
 			PagesMoved: 982, GCRuns: 80, BusyTime: 754277728}, 0x582b81cc5153b15a, 0x3f6eb5856373fbf8},
 		"ssd-transcend": {17047964772, c{Reads: 6233, Writes: 1500, Erases: 355, BytesRead: 38599457, BytesWritten: 14221312,
 			PagesMoved: 7456, BusyTime: 17028093344}, 0x582b81cc5153b15a, 0xdf2ea5aef1f9f7d},
-		"chip": {1673430183, c{Reads: 6500, Writes: 1822, Erases: 179, BytesRead: 20199556, BytesWritten: 6694912,
-			BusyTime: 1657737200}, 0x1a49af6c863d5da0, 0x8a5ac283741348cd},
 		"disk": {47997014184, c{Reads: 6948, Writes: 1527, BytesRead: 42654686, BytesWritten: 15736832,
 			BusyTime: 47970182235}, 0x32386983a51ccf7a, 0x21a3a111e6f75fd1},
 	}
 	for _, m := range models(2 << 20) {
 		t.Run(m.name, func(t *testing.T) {
-			got := deviceStream(t, m.dev, m.clock)
+			got := deviceStream(t, m)
 			if w := want[m.name]; got != w {
 				t.Fatalf("got %#v\nwant %#v", got, w)
 			}

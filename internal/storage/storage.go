@@ -1,6 +1,8 @@
 // Package storage defines the block-device abstraction shared by all
-// simulated media (flash chip, SSD, magnetic disk) and the sparse byte store
-// backing them.
+// simulated media (SSD, magnetic disk) and the sparse byte store backing
+// them. Device's methods are the whole contract between the store and a
+// medium: nothing above this package asserts a device to another
+// interface.
 //
 // Devices operate in virtual time: every I/O returns the simulated service
 // latency and advances the shared vclock.Clock by it. Devices store real
@@ -11,7 +13,7 @@
 // and WriteBatch serve many requests in the ascending address order the
 // caller sorted them into, with sequential runs paying the fixed command
 // cost once and service times overlapped across the device's internal
-// parallelism (SSD channels, NAND planes). ReadAt and WriteAt are the
+// parallelism (SSD channels). ReadAt and WriteAt are the
 // one-request case, which pays the fixed cost plus the transfer (§6.1).
 // The batched lookup pipeline in internal/core feeds coalesced flash
 // probes through ReadBatch, and the batched insert pipeline feeds the
@@ -32,7 +34,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -45,22 +46,7 @@ type Op int
 const (
 	OpRead Op = iota
 	OpWrite
-	OpErase
 )
-
-// String returns the operation name.
-func (o Op) String() string {
-	switch o {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpErase:
-		return "erase"
-	default:
-		return fmt.Sprintf("op(%d)", int(o))
-	}
-}
 
 // FaultFunc is a fault-injection hook. If it returns a non-nil error for an
 // operation, the device fails that operation with the error (after charging
@@ -71,12 +57,9 @@ type FaultFunc func(op Op, off int64, n int) error
 type Geometry struct {
 	// Capacity is the usable size in bytes.
 	Capacity int64
-	// PageSize is the smallest read/write unit in bytes (flash page or SSD
-	// sector). Disk models use it as the sector size.
+	// PageSize is the smallest write unit in bytes (the SSD or disk
+	// sector).
 	PageSize int
-	// BlockSize is the erase-block size in bytes, or 0 for media without an
-	// erase constraint (magnetic disk).
-	BlockSize int
 }
 
 // Counters accumulates I/O accounting for a device.
@@ -134,24 +117,11 @@ type Device interface {
 	Counters() Counters
 }
 
-// Eraser is implemented by devices with an explicit erase operation (raw
-// flash chips). Offsets and sizes must be erase-block aligned.
-type Eraser interface {
-	Erase(off, n int64) (time.Duration, error)
-}
-
-// Trimmer is implemented by devices that accept invalidation hints (SSDs).
-// Trimming tells the FTL the range no longer holds live data.
-type Trimmer interface {
-	Trim(off, n int64) error
-}
-
 // Common device errors.
 var (
-	ErrOutOfRange   = errors.New("storage: offset out of range")
-	ErrUnaligned    = errors.New("storage: unaligned access")
-	ErrProgramOrder = errors.New("storage: out-of-order page program within erase block")
-	ErrUnsorted     = errors.New("storage: submission not in ascending address order")
+	ErrOutOfRange = errors.New("storage: offset out of range")
+	ErrUnaligned  = errors.New("storage: unaligned access")
+	ErrUnsorted   = errors.New("storage: submission not in ascending address order")
 )
 
 // CheckRange validates [off, off+n) against the geometry and the alignment
@@ -179,19 +149,18 @@ func Span(off int64, n, unit int) int64 {
 }
 
 // SparseStore is a page-granular sparse byte store. Unwritten regions read
-// as the fill byte (0x00 for disks, 0xFF for erased NAND). It is the data
-// backing for all device models, letting a simulated "32 GB" device cost
-// only as much host memory as the pages actually touched.
+// as zeros. It is the data backing for all device models, letting a
+// simulated "32 GB" device cost only as much host memory as the pages
+// actually touched.
 type SparseStore struct {
 	pageSize int
-	fill     byte
 	pages    map[int64][]byte
-	fillPage []byte // shared read-only view of an unwritten page, made on first use
+	zeroPage []byte // shared read-only view of an unwritten page, made on first use
 }
 
-// NewSparseStore returns a store with the given page size and fill byte.
-func NewSparseStore(pageSize int, fill byte) *SparseStore {
-	return &SparseStore{pageSize: pageSize, fill: fill, pages: make(map[int64][]byte)}
+// NewSparseStore returns a store with the given page size.
+func NewSparseStore(pageSize int) *SparseStore {
+	return &SparseStore{pageSize: pageSize, pages: make(map[int64][]byte)}
 }
 
 // ReadAt fills p from the store at off.
@@ -206,9 +175,7 @@ func (s *SparseStore) ReadAt(p []byte, off int64) {
 		if page, ok := s.pages[pageIdx]; ok {
 			copy(p[:n], page[inPage:inPage+n])
 		} else {
-			for i := 0; i < n; i++ {
-				p[i] = s.fill
-			}
+			clear(p[:n])
 		}
 		p = p[n:]
 		off += int64(n)
@@ -217,7 +184,7 @@ func (s *SparseStore) ReadAt(p []byte, off int64) {
 
 // Read serves one device read request. A View request whose range lies
 // within one page gets P replaced by a read-only slice of that page, or of
-// a shared fill page when the page was never written; the slice's capacity
+// a shared zero page when the page was never written; the slice's capacity
 // ends with the range, so appending to it cannot reach the page. Every
 // other request is copied into P.
 func (s *SparseStore) Read(r *ReadReq) {
@@ -228,10 +195,10 @@ func (s *SparseStore) Read(r *ReadReq) {
 		if hi := lo + len(r.P); hi <= s.pageSize {
 			page, ok := s.pages[idx]
 			if !ok {
-				if s.fillPage == nil {
-					s.fillPage = bytes.Repeat([]byte{s.fill}, s.pageSize)
+				if s.zeroPage == nil {
+					s.zeroPage = make([]byte, s.pageSize)
 				}
-				page = s.fillPage
+				page = s.zeroPage
 			}
 			r.P = page[lo:hi:hi]
 			return
@@ -252,11 +219,6 @@ func (s *SparseStore) WriteAt(p []byte, off int64) {
 		page, ok := s.pages[pageIdx]
 		if !ok {
 			page = make([]byte, s.pageSize)
-			if s.fill != 0 {
-				for i := range page {
-					page[i] = s.fill
-				}
-			}
 			s.pages[pageIdx] = page
 		}
 		copy(page[inPage:inPage+n], p[:n])
@@ -265,8 +227,8 @@ func (s *SparseStore) WriteAt(p []byte, off int64) {
 	}
 }
 
-// Drop releases the pages fully covered by [off, off+n) and refills partial
-// overlaps with the fill byte.
+// Drop releases the pages fully covered by [off, off+n) and zeroes partial
+// overlaps.
 func (s *SparseStore) Drop(off, n int64) {
 	end := off + n
 	first := off / int64(s.pageSize)
@@ -286,9 +248,7 @@ func (s *SparseStore) Drop(off, n int64) {
 			if end < pageEnd {
 				hi = end - pageStart
 			}
-			for i := lo; i < hi; i++ {
-				page[i] = s.fill
-			}
+			clear(page[lo:hi])
 		}
 	}
 }

@@ -7,15 +7,6 @@ import (
 	"time"
 )
 
-func TestOpString(t *testing.T) {
-	if OpRead.String() != "read" || OpWrite.String() != "write" || OpErase.String() != "erase" {
-		t.Fatal("Op.String() wrong")
-	}
-	if Op(99).String() == "" {
-		t.Fatal("unknown op should still format")
-	}
-}
-
 func TestCheckRange(t *testing.T) {
 	g := Geometry{Capacity: 4096, PageSize: 512}
 	if err := CheckRange(g, 0, 4096, 512); err != nil {
@@ -42,18 +33,18 @@ func TestCheckRange(t *testing.T) {
 }
 
 func TestSparseStoreReadUnwritten(t *testing.T) {
-	s := NewSparseStore(512, 0xFF)
-	buf := make([]byte, 100)
+	s := NewSparseStore(512)
+	buf := bytes.Repeat([]byte{0xFF}, 100)
 	s.ReadAt(buf, 1000)
 	for i, b := range buf {
-		if b != 0xFF {
-			t.Fatalf("byte %d = %#x, want 0xFF fill", i, b)
+		if b != 0 {
+			t.Fatalf("byte %d = %#x, want 0", i, b)
 		}
 	}
 }
 
 func TestSparseStoreRoundTrip(t *testing.T) {
-	s := NewSparseStore(512, 0)
+	s := NewSparseStore(512)
 	data := []byte("hello, sparse world")
 	s.WriteAt(data, 700) // crosses a page boundary
 	got := make([]byte, len(data))
@@ -64,30 +55,30 @@ func TestSparseStoreRoundTrip(t *testing.T) {
 }
 
 func TestSparseStoreCrossPageWrite(t *testing.T) {
-	s := NewSparseStore(8, 0xAA)
+	s := NewSparseStore(8)
 	data := make([]byte, 32)
 	for i := range data {
-		data[i] = byte(i)
+		data[i] = byte(i + 1)
 	}
 	s.WriteAt(data, 4) // spans 5 pages
 	got := make([]byte, 40)
 	s.ReadAt(got, 0)
 	for i := 0; i < 4; i++ {
-		if got[i] != 0xAA {
-			t.Fatalf("leading fill corrupted at %d: %#x", i, got[i])
+		if got[i] != 0 {
+			t.Fatalf("leading zeros corrupted at %d: %#x", i, got[i])
 		}
 	}
 	if !bytes.Equal(got[4:36], data) {
 		t.Fatal("cross-page data wrong")
 	}
-	if got[36] != 0xAA {
-		t.Fatal("trailing fill corrupted")
+	if got[36] != 0 {
+		t.Fatal("trailing zeros corrupted")
 	}
 }
 
 func TestSparseStoreDropWholePages(t *testing.T) {
-	s := NewSparseStore(16, 0xFF)
-	s.WriteAt(make([]byte, 64), 0) // 4 pages of zeros
+	s := NewSparseStore(16)
+	s.WriteAt(bytes.Repeat([]byte{0xFF}, 64), 0) // 4 pages of 0xFF
 	if len(s.pages) != 4 {
 		t.Fatalf("%d pages allocated, want 4", len(s.pages))
 	}
@@ -98,13 +89,13 @@ func TestSparseStoreDropWholePages(t *testing.T) {
 	buf := make([]byte, 64)
 	s.ReadAt(buf, 0)
 	for i := 0; i < 16; i++ {
-		if buf[i] != 0 {
+		if buf[i] != 0xFF {
 			t.Fatal("page 0 corrupted by drop")
 		}
 	}
 	for i := 16; i < 48; i++ {
-		if buf[i] != 0xFF {
-			t.Fatalf("dropped region not refilled at %d", i)
+		if buf[i] != 0 {
+			t.Fatalf("dropped region not zeroed at %d", i)
 		}
 	}
 }
@@ -112,10 +103,10 @@ func TestSparseStoreDropWholePages(t *testing.T) {
 func TestSparseStoreDropBoundaryCases(t *testing.T) {
 	const page = 16
 	fresh := func() *SparseStore {
-		s := NewSparseStore(page, 0xEE)
+		s := NewSparseStore(page)
 		data := make([]byte, 5*page)
 		for i := range data {
-			data[i] = byte(i)
+			data[i] = byte(i + 1)
 		}
 		s.WriteAt(data, 0)
 		return s
@@ -125,9 +116,9 @@ func TestSparseStoreDropBoundaryCases(t *testing.T) {
 		got := make([]byte, 5*page)
 		s.ReadAt(got, 0)
 		for i := int64(0); i < int64(len(got)); i++ {
-			want := byte(i)
+			want := byte(i + 1)
 			if i >= dropOff && i < dropOff+dropN {
-				want = 0xEE
+				want = 0
 			}
 			if got[i] != want {
 				t.Fatalf("byte %d = %#x, want %#x (drop [%d, %d))", i, got[i], want, dropOff, dropOff+dropN)
@@ -174,7 +165,7 @@ func TestSparseStoreDropBoundaryCases(t *testing.T) {
 		check(t, s, 2*page, 1)
 	})
 	t.Run("unallocated-pages-are-noop", func(t *testing.T) {
-		s := NewSparseStore(page, 0xEE)
+		s := NewSparseStore(page)
 		s.WriteAt(make([]byte, page), 0)
 		s.Drop(3*page, 2*page) // never written
 		if len(s.pages) != 1 {
@@ -184,24 +175,24 @@ func TestSparseStoreDropBoundaryCases(t *testing.T) {
 }
 
 func TestSparseStoreDropPartialPage(t *testing.T) {
-	s := NewSparseStore(16, 0xFF)
-	data := make([]byte, 16)
-	s.WriteAt(data, 0) // page 0 all zeros
+	s := NewSparseStore(16)
+	data := bytes.Repeat([]byte{0xFF}, 16)
+	s.WriteAt(data, 0) // page 0 all 0xFF
 	s.Drop(4, 8)       // partial drop within page 0
 	buf := make([]byte, 16)
 	s.ReadAt(buf, 0)
 	for i := 0; i < 4; i++ {
-		if buf[i] != 0 {
+		if buf[i] != 0xFF {
 			t.Fatal("prefix clobbered")
 		}
 	}
 	for i := 4; i < 12; i++ {
-		if buf[i] != 0xFF {
-			t.Fatalf("partial drop not refilled at %d", i)
+		if buf[i] != 0 {
+			t.Fatalf("partial drop not zeroed at %d", i)
 		}
 	}
 	for i := 12; i < 16; i++ {
-		if buf[i] != 0 {
+		if buf[i] != 0xFF {
 			t.Fatal("suffix clobbered")
 		}
 	}
@@ -210,7 +201,7 @@ func TestSparseStoreDropPartialPage(t *testing.T) {
 func TestSparseStoreQuick(t *testing.T) {
 	// Property: a sparse store behaves exactly like a flat byte array.
 	const size = 1 << 12
-	s := NewSparseStore(64, 0)
+	s := NewSparseStore(64)
 	ref := make([]byte, size)
 	f := func(off16 uint16, data []byte) bool {
 		if len(data) == 0 {

@@ -16,16 +16,15 @@ import (
 //
 // The pointer's cycle lets the log answer a record it has provably
 // overwritten as a miss without reading it. With c the current cycle,
-// head the append head and prevEnd the end of the page-padded write that
-// closed cycle c-1, a pointer to [off, off+n) appended in cycle r is read
-// when r ≡ c (mod 2^valuePtrCycleBits), when r ≡ c-1 and off ≥ head, and
-// for any other r when off ≥ max(head, prevEnd); everything else starts
-// in a range a later cycle rewrote, and costs no device request
-// (ValueLogStats.SkippedReads). On erasable media the head may trail the
-// erase frontier erasedTo, the end of the blocks erased ahead of it this
-// cycle: a record of an earlier cycle starting below it is gone too, so
-// max(head, erasedTo) stands in for head in both arms. The rule only
-// skips rewritten records. One could still verify only if the rewrite
+// head the append head and after(r) the largest end of the page-padded
+// writes that closed the cycles after r (0 for r = c-1), a pointer to
+// [off, off+n) appended in cycle r is read when r ≡ c (mod
+// 2^valuePtrCycleBits), and for any other r when off ≥ max(head,
+// after(r)); everything else starts in a range a later cycle rewrote, and
+// costs no device request (ValueLogStats.SkippedReads). The log keeps
+// after(r) for the newest cycle of each tag, so an aliased older cycle is
+// tested against a bound no larger than its own. The rule only skips
+// rewritten records. One could still verify only if the rewrite
 // repeated its bytes: a later record of the same key at the same offset
 // with the same length, whose newer pointer the index returns first, or
 // new bytes over its start that happen to equal the old ones. The miss
@@ -35,23 +34,21 @@ import (
 //
 // A mark (Mark) is an append position. Lapped(m) reports that the rule
 // now answers every record appended before m as overwritten, so an index
-// entry made before m can only point at a record that is gone. With
-// staleEnd the largest end of any cycle before c-1, m is lapped when its
-// cycle is c-1 and the head is at or past m's, or its cycle is older, and
-// in both cases staleEnd ≤ max(head, prevEnd). Records of cycle c-1
-// before m then lie behind the head, and every record of a cycle before
-// c-1 ends at or below staleEnd. The test ignores erasedTo, so it is
-// conservative on erasable media. Records whose tag aliases the current
-// cycle's are read even under a lapped mark: their bytes were rewritten,
-// and key verification decides as before.
+// entry made before m can only point at a record that is gone. With r
+// m's cycle and stale the largest end of the cycles closed before m was
+// taken, m is lapped when r < c, m's head is at most max(head, after(r)),
+// and stale is at most max(head, after(r-1)). Records of cycle r before m
+// then lie behind the first bound, and every record of an older cycle
+// behind the second, which covers the writes of cycle r too. Records
+// whose tag aliases the current cycle's are read even under a lapped
+// mark: their bytes were rewritten, and key verification decides as
+// before.
 //
 // Writes are page-aligned: records accumulate in a tail buffer whose full
 // pages are written to the device in multi-page appends (sequential I/O,
 // the access pattern every medium in this repository likes best). Reads are
 // byte-granular, as all simulated devices permit; records still buffered in
-// the tail are served from memory. On devices with an erase constraint
-// (raw NAND) the log erases each block just before the append head re-enters
-// it after a wrap, preserving program order within blocks.
+// the tail are served from memory.
 //
 // Record reads go to the device as one ReadBatch submission per call,
 // overlapping the records' service times across the device's queue lanes —
@@ -63,19 +60,20 @@ import (
 // access under the same lock as the hash table.
 type ValueLog struct {
 	dev      Device
-	eraser   Eraser // non-nil when dev has an erase constraint
 	pageSize int
-	capacity int64 // page-aligned (block-aligned on erasable media) usable bytes
+	capacity int64 // page-aligned usable bytes
 
 	head     int64  // next append offset
 	bufStart int64  // device offset of buf[0]; page-aligned
 	buf      []byte // bytes [bufStart, head) not yet written to the device
 	flushAt  int    // flush full pages once the tail buffer reaches this size
 
-	wrapped  bool
-	erasedTo int64 // exclusive erase frontier for the current cycle
-	prevEnd  int64 // end of the page-padded write that closed the previous cycle
-	staleEnd int64 // largest end of the cycles before the previous one
+	wrapped bool
+	// after holds, per cycle tag, after(r) for the newest cycle r with
+	// that tag: the largest end of the page-padded writes that closed the
+	// cycles since r. The current cycle's entry is 0.
+	after [1 << valuePtrCycleBits]int64
+	stale int64 // largest end of any closed cycle
 
 	stats ValueLogStats
 
@@ -142,26 +140,9 @@ type ValueLogStats struct {
 	SkippedReads uint64
 }
 
-// Occupancy returns the fraction of the log capacity holding un-lapped
-// record bytes (live + dead).
-func (s ValueLogStats) Occupancy() float64 {
-	if s.Capacity == 0 {
-		return 0
-	}
-	return float64(s.LiveBytes+s.DeadBytes) / float64(s.Capacity)
-}
-
-// LiveFraction returns the fraction of un-lapped record bytes still live.
-func (s ValueLogStats) LiveFraction() float64 {
-	if s.LiveBytes+s.DeadBytes == 0 {
-		return 0
-	}
-	return float64(s.LiveBytes) / float64(s.LiveBytes+s.DeadBytes)
-}
-
 // Add accumulates another log's stats (sharded aggregation). BufferedBytes
 // sums to the fleet-wide tail-buffer occupancy; Capacity and the space
-// counters sum to the fleet-wide view, so Occupancy stays meaningful.
+// counters sum to the fleet-wide view, so occupancy stays meaningful.
 func (s *ValueLogStats) Add(o ValueLogStats) {
 	s.Records += o.Records
 	s.AppendedBytes += o.AppendedBytes
@@ -244,16 +225,11 @@ func RecordSize(keyLen, valLen int) int {
 }
 
 // NewValueLog builds a log over dev, using its whole capacity. The usable
-// capacity is rounded down to the page (erase-block, on erasable media)
-// multiple and must hold at least eight pages.
+// capacity is rounded down to the page multiple and must hold at least
+// eight pages.
 func NewValueLog(dev Device) (*ValueLog, error) {
 	g := dev.Geometry()
-	align := int64(g.PageSize)
-	eraser, _ := dev.(Eraser)
-	if eraser != nil && g.BlockSize > 0 {
-		align = int64(g.BlockSize)
-	}
-	capacity := g.Capacity / align * align
+	capacity := g.Capacity / int64(g.PageSize) * int64(g.PageSize)
 	if capacity > MaxValueLogBytes {
 		return nil, fmt.Errorf("storage: value log capacity %d exceeds the %d pointer-encoding limit",
 			capacity, MaxValueLogBytes)
@@ -261,12 +237,9 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 	if capacity < 8*int64(g.PageSize) {
 		return nil, fmt.Errorf("storage: value log needs at least 8 pages, got %d bytes", capacity)
 	}
-	// Flush in ~64 KB sequential appends (an erase block on raw NAND);
-	// smaller logs flush at a quarter of their capacity.
+	// Flush in ~64 KB sequential appends; smaller logs flush at a quarter
+	// of their capacity.
 	flushAt := 64 << 10
-	if g.BlockSize > 0 && eraser != nil {
-		flushAt = g.BlockSize
-	}
 	flushAt -= flushAt % g.PageSize
 	if int64(flushAt) > capacity/4 {
 		flushAt = int(capacity/4) / g.PageSize * g.PageSize
@@ -283,11 +256,9 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 	nRegions := (capacity + regionSize - 1) / regionSize
 	return &ValueLog{
 		dev:        dev,
-		eraser:     eraser,
 		pageSize:   g.PageSize,
 		capacity:   capacity,
 		flushAt:    flushAt,
-		erasedTo:   capacity, // fresh media: nothing to erase until the first wrap
 		regionSize: regionSize,
 		regAlloc:   make([]int64, nRegions),
 		regDead:    make([]int64, nRegions),
@@ -440,9 +411,8 @@ func (l *ValueLog) flushFullPages() error {
 
 // wrap pads the tail buffer to a page boundary, writes it out, and moves
 // the append head back to offset 0, beginning a new overwrite cycle. The
-// padded write's end becomes prevEnd: past it lie older cycles' bytes the
-// closing cycle never reached. The old prevEnd joins staleEnd, which bounds
-// the records of every cycle before the closing one.
+// closing cycle rewrote everything below the padded write's end, so every
+// older cycle's after bound rises to it; the new cycle's tag starts at 0.
 func (l *ValueLog) wrap() error {
 	if pad := (l.pageSize - len(l.buf)%l.pageSize) % l.pageSize; pad > 0 {
 		l.buf = append(l.buf, make([]byte, pad)...)
@@ -452,29 +422,25 @@ func (l *ValueLog) wrap() error {
 			return err
 		}
 	}
-	l.staleEnd = max(l.staleEnd, l.prevEnd)
-	l.prevEnd = l.bufStart + int64(len(l.buf))
+	end := l.bufStart + int64(len(l.buf))
+	closed := l.cycle & cycleMask
+	for t := range l.after {
+		if uint64(t) != closed {
+			l.after[t] = max(l.after[t], end)
+		}
+	}
+	l.stale = max(l.stale, end)
 	l.buf = l.buf[:0]
 	l.head, l.bufStart = 0, 0
 	l.wrapped = true
-	l.erasedTo = 0
 	l.cycle++
+	l.after[l.cycle&cycleMask] = 0
 	l.stats.Wraps++
 	return nil
 }
 
-// writeBuf writes buf[:p] at bufStart, erasing blocks the head re-enters
-// on wrapped cycles of erasable media.
+// writeBuf writes buf[:p] at bufStart.
 func (l *ValueLog) writeBuf(p int) error {
-	if l.eraser != nil && l.wrapped {
-		bs := int64(l.dev.Geometry().BlockSize)
-		for l.erasedTo < l.bufStart+int64(p) {
-			if _, err := l.eraser.Erase(l.erasedTo, bs); err != nil {
-				return fmt.Errorf("storage: value log erase: %w", err)
-			}
-			l.erasedTo += bs
-		}
-	}
 	if _, err := l.dev.WriteAt(l.buf[:p], l.bufStart); err != nil {
 		return fmt.Errorf("storage: value log write: %w", err)
 	}
@@ -514,36 +480,30 @@ func (l *ValueLog) locate(word uint64) (off int64, n int, read, overwritten bool
 	if !l.wrapped {
 		return off, n, off+int64(n) <= l.head, false
 	}
-	switch r {
-	case l.cycle & cycleMask:
-	case (l.cycle - 1) & cycleMask:
-		overwritten = off < max(l.head, l.erasedTo)
-	default:
-		overwritten = off < max(l.head, l.prevEnd, l.erasedTo)
-	}
+	overwritten = r != l.cycle&cycleMask && off < max(l.head, l.after[r])
 	return off, n, !overwritten, overwritten
 }
 
 // LogMark is an append position of a ValueLog: its cycle and head when
-// Mark was called.
+// Mark was called, and the largest end of the cycles closed by then.
 type LogMark struct {
 	cycle uint64
 	head  int64
+	stale int64
 }
 
 // Mark returns the current append position: every record appended so far
 // lies before it.
-func (l *ValueLog) Mark() LogMark { return LogMark{cycle: l.cycle, head: l.head} }
+func (l *ValueLog) Mark() LogMark { return LogMark{cycle: l.cycle, head: l.head, stale: l.stale} }
 
 // Lapped reports whether every record appended before m is one the log
 // now answers as overwritten, with no device request (see ValueLog for the
 // rule). Once a mark is lapped, no pointer word filled before it can read
 // a record.
 func (l *ValueLog) Lapped(m LogMark) bool {
-	if l.cycle <= m.cycle || l.cycle == m.cycle+1 && l.head < m.head {
-		return false
-	}
-	return l.staleEnd <= max(l.head, l.prevEnd)
+	return l.cycle > m.cycle &&
+		m.head <= max(l.head, l.after[m.cycle&cycleMask]) &&
+		m.stale <= max(l.head, l.after[(m.cycle-1)&cycleMask])
 }
 
 // readSegments splits a log range into its buffered and device-backed

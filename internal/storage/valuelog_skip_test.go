@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/disk"
-	"repro/internal/flashchip"
 	"repro/internal/ssd"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -21,7 +20,6 @@ var skipModels = [...]struct {
 	dev  func(*vclock.Clock) storage.Device
 }{
 	{"ssd", func(c *vclock.Clock) storage.Device { return ssd.New(ssd.IntelX18M(), 256<<10, c) }},
-	{"chip", func(c *vclock.Clock) storage.Device { return flashchip.New(flashchip.DefaultConfig(256<<10), c) }},
 	{"disk", func(c *vclock.Clock) storage.Device { return disk.New(disk.Hitachi7K80(), 256<<10, c) }},
 }
 
@@ -36,6 +34,7 @@ type skipTally struct {
 	reads      int // pointers read, on the log under test
 	hits       int // of those, verified under their key
 	skipped    int // answered as misses with no device request
+	deepSkips  int // of those, skips only a cycle before the last one explains
 	olderHits  int // hits on records two or more cycles old
 	olderReads int // reads of records two or more cycles old
 }
@@ -44,6 +43,7 @@ func (a *skipTally) add(b skipTally) {
 	a.reads += b.reads
 	a.hits += b.hits
 	a.skipped += b.skipped
+	a.deepSkips += b.deepSkips
 	a.olderHits += b.olderHits
 	a.olderReads += b.olderReads
 }
@@ -70,10 +70,10 @@ func (a *skipTally) add(b skipTally) {
 // cycle, which the rule never skips: the read the log made before the
 // rule. Both answers, verified under the record's key, must agree. The
 // first log must skip exactly the records the rule names: with c the
-// current cycle, last cycle's records behind the head or the erase
-// frontier, and older records behind either or below the end of the
-// page-padded write that closed cycle c-1. A skip must add nothing to the device's Counters or clock,
-// and SkippedReads must count it.
+// current cycle, every earlier cycle's records behind the head or below
+// the end of the page-padded write that closed any later cycle. A skip
+// must add nothing to the device's Counters or clock, and SkippedReads
+// must count it.
 func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 	t.Helper()
 	if len(data) == 0 {
@@ -101,13 +101,21 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 		cycle    uint64 // absolute: 1 for the log's first pass
 	}
 	var (
-		recs    []record
-		cycle   = uint64(1)
-		head    int64 // end of the newest record
-		prevEnd int64 // end of the page-padded write that closed cycle-1
-		pos     int
-		tally   skipTally
+		recs  []record
+		cycle = uint64(1)
+		head  int64   // end of the newest record
+		ends  []int64 // ends[r-1]: end of the page-padded write that closed cycle r
+		pos   int
+		tally skipTally
 	)
+	// after returns the largest end of the cycles closed after cycle r.
+	after := func(r uint64) int64 {
+		var a int64
+		for _, e := range ends[r:] {
+			a = max(a, e)
+		}
+		return a
+	}
 	// check reads recs[i] for every i in idx on both logs.
 	check := func(idx []int) {
 		reqs := make([]storage.ValueReadReq, len(idx))
@@ -139,18 +147,19 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 			if ok && !bytes.Equal(got, r.val) {
 				t.Fatalf("record %d verified with a wrong value", i)
 			}
-			front := max(head, erasedTo(l, dev, head))
-			overwritten := cycle > 1 && (r.cycle+1 == cycle && r.off < front ||
-				r.cycle+2 <= cycle && r.off < max(front, prevEnd))
+			overwritten := r.cycle < cycle && r.off < max(head, after(r.cycle))
 			if rereqs[j].Rec == nil {
 				t.Fatalf("record %d (%d, %d) unread without the rule", i, r.off, r.n)
 			}
 			if skipped := reqs[j].Rec == nil; skipped != overwritten {
-				t.Fatalf("cycle %d, head %d, prevEnd %d: record %d (%d, %d) of cycle %d skipped=%v, overwritten=%v",
-					cycle, head, prevEnd, i, r.off, r.n, r.cycle, skipped, overwritten)
+				t.Fatalf("cycle %d, head %d, ends %v: record %d (%d, %d) of cycle %d skipped=%v, overwritten=%v",
+					cycle, head, ends, i, r.off, r.n, r.cycle, skipped, overwritten)
 			}
 			if overwritten {
 				skips = append(skips, i)
+				if r.off >= max(head, after(cycle-2)) {
+					tally.deepSkips++
+				}
 				continue
 			}
 			tally.reads++
@@ -213,7 +222,7 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 			}
 			if off == 0 && len(recs) > 0 {
 				cycle++
-				prevEnd = (head + int64(ps) - 1) / int64(ps) * int64(ps)
+				ends = append(ends, (head+int64(ps)-1)/int64(ps)*int64(ps))
 				wrapped = true
 			}
 			if tag != cycle%64 {
@@ -245,20 +254,6 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 	return tally
 }
 
-// erasedTo returns the erase frontier of a wrapped log on dev whose head
-// is at head: the end of the erase blocks holding the bytes it wrote to
-// the device this cycle,
-// which a log on erasable media erases just before writing them. It is 0
-// on media without an erase constraint.
-func erasedTo(l *storage.ValueLog, dev storage.Device, head int64) int64 {
-	bs := int64(dev.Geometry().BlockSize)
-	if _, ok := dev.(storage.Eraser); !ok || bs == 0 {
-		return 0
-	}
-	written := head - l.Stats().BufferedBytes
-	return (written + bs - 1) / bs * bs
-}
-
 // skipSeeds are FuzzValueLogSkips's seed corpus, run on every model.
 func skipSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(22))
@@ -274,6 +269,11 @@ func skipSeeds() [][]byte {
 		{0x81, 0xff, 0x13, 0xc0, 0x7f, 0x00, 0xa5, 0x5a, 0xfe, 0x08},
 		{0x00, 0x9f},       // a header plus a key, then a record of one and a half pages
 		{0xff, 0xfe, 0xf7}, // three-page records
+		// Cycles closing at varying offsets, so that some cycle ends short
+		// of an older one and leaves records below only that older end.
+		{0x40, 0x40, 0x40, 0x40, 0xff, 0xfe, 0x40, 0xff},
+		{0x08, 0x10, 0x18, 0xbf, 0x20, 0xff},
+		{0xff, 0x4e, 0x32, 0xcb, 0x9f, 0xd7, 0xfd, 0x57, 0xe3, 0xaa, 0xd0, 0x98, 0xca},
 	}
 }
 
@@ -291,13 +291,11 @@ func FuzzValueLogSkips(f *testing.F) {
 }
 
 // TestValueLogSkipRuleCoverage runs the seed streams and requires that
-// they reach every arm of the rule: skips, and on the SSD and the disk,
-// hits on records two or more cycles old, which lie past both the head
-// and the end of the last cycle's writes. (On the chip the erase ahead
-// of the head reaches those records first.) Every record read that is at
-// most one cycle old must verify: the rule leaves no such record unread
-// once it is gone, which on the chip means one in the blocks erased ahead
-// of the head.
+// they reach every arm of the rule: skips, skips that only the end of a
+// cycle before the last one explains, and hits on records two or more
+// cycles old, which lie past both the head and the end of every later
+// cycle's writes. Every record read must verify: the rule leaves no
+// record unread once a later cycle rewrote it.
 func TestValueLogSkipRuleCoverage(t *testing.T) {
 	for model, m := range skipModels {
 		t.Run(m.name, func(t *testing.T) {
@@ -306,13 +304,15 @@ func TestValueLogSkipRuleCoverage(t *testing.T) {
 				tally.add(checkSkipStream(t, model, data))
 			}
 			t.Logf("%+v", tally)
-			if tally.skipped == 0 || tally.hits == 0 {
-				t.Fatalf("the seed streams skipped %d and hit %d records", tally.skipped, tally.hits)
+			if tally.skipped == 0 || tally.deepSkips == 0 || tally.hits == 0 {
+				t.Fatalf("the seed streams skipped %d records (%d below an older cycle's end only) and hit %d",
+					tally.skipped, tally.deepSkips, tally.hits)
 			}
-			if misses, older := tally.reads-tally.hits, tally.olderReads-tally.olderHits; misses != older {
-				t.Fatalf("%d record reads missed, %d of them on records two or more cycles old", misses, older)
+			if misses := tally.reads - tally.hits; misses != 0 {
+				t.Fatalf("%d record reads missed, %d of them on records two or more cycles old",
+					misses, tally.olderReads-tally.olderHits)
 			}
-			if m.name != "chip" && tally.olderHits == 0 {
+			if tally.olderHits == 0 {
 				t.Fatalf("no seed stream hit a record two or more cycles old (%d read)", tally.olderReads)
 			}
 		})
@@ -389,6 +389,68 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 			agg.Add(s)
 			if agg.SkippedReads != 2*s.SkippedReads {
 				t.Fatalf("Add summed SkippedReads to %d, want %d", agg.SkippedReads, 2*s.SkippedReads)
+			}
+		})
+	}
+}
+
+// TestValueLogSkipsAfterShorterCycle pins the rule's memory of every
+// cycle's end. Cycle 1 and cycle 2 fill the log with one-page records,
+// cycle 3 ends early, at page 16, because its next record of 49 pages
+// does not fit, and that record opens cycle 4. Cycle 1's records past
+// the head (page 49) lie beyond cycle 3's end, but cycle 2 rewrote them:
+// each must be a skipped read, with no device request and no time.
+func TestValueLogSkipsAfterShorterCycle(t *testing.T) {
+	for _, m := range skipModels {
+		t.Run(m.name, func(t *testing.T) {
+			clk := vclock.New()
+			dev := m.dev(clk)
+			l, err := storage.NewValueLog(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := dev.Geometry().PageSize
+			pages := int(l.Stats().Capacity) / ps
+			n := 0
+			put := func(size int) uint64 {
+				key := binary.BigEndian.AppendUint32(nil, uint32(n))
+				n++
+				w, err := appendOne(l, key, make([]byte, size-storage.RecordSize(len(key), 0)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			}
+			var first []uint64
+			for range pages {
+				first = append(first, put(ps))
+			}
+			for range pages + 16 { // all of cycle 2, then 16 pages of cycle 3
+				put(ps)
+			}
+			put(49 * ps)
+			if c := l.Cycle(); c != 4 {
+				t.Fatalf("log in cycle %d, want 4", c)
+			}
+			past := 0
+			for _, w := range first {
+				off, _, _, _ := storage.DecodeValuePtr(w)
+				if off < 49*int64(ps) {
+					continue
+				}
+				past++
+				c0, t0, s0 := dev.Counters(), clk.Now(), l.Stats().SkippedReads
+				req := []storage.ValueReadReq{{Ptr: w}}
+				if err := l.ReadRecordsBatch(req); err != nil {
+					t.Fatal(err)
+				}
+				if req[0].Rec != nil || dev.Counters() != c0 || clk.Now() != t0 || l.Stats().SkippedReads != s0+1 {
+					t.Fatalf("cycle-1 record at %d read %d bytes, counters %+v -> %+v, clock %v -> %v, SkippedReads %d -> %d",
+						off, len(req[0].Rec), c0, dev.Counters(), t0, clk.Now(), s0, l.Stats().SkippedReads)
+				}
+			}
+			if past != pages-49 {
+				t.Fatalf("%d cycle-1 records past the head, want %d", past, pages-49)
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/flashchip"
 	"repro/internal/ssd"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -24,20 +23,6 @@ func (d copyingDevice) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) 
 		reqs[i].View = false
 	}
 	return d.Device.ReadBatch(reqs)
-}
-
-// copyingEraser is a copyingDevice over an erasable model, so a log over
-// it still erases blocks ahead of its head.
-type copyingEraser struct {
-	copyingDevice
-	storage.Eraser
-}
-
-func copying(dev storage.Device) storage.Device {
-	if e, ok := dev.(storage.Eraser); ok {
-		return copyingEraser{copyingDevice{dev}, e}
-	}
-	return copyingDevice{dev}
 }
 
 // Request classes TestValueLogViewReads must cover on every device.
@@ -81,7 +66,6 @@ func TestValueLogViewReads(t *testing.T) {
 	models := map[string]func(*vclock.Clock) storage.Device{
 		"ssd":  func(c *vclock.Clock) storage.Device { return ssd.New(ssd.IntelX18M(), 256<<10, c) },
 		"disk": func(c *vclock.Clock) storage.Device { return disk.New(disk.Hitachi7K80(), 256<<10, c) },
-		"chip": func(c *vclock.Clock) storage.Device { return flashchip.New(flashchip.DefaultConfig(1<<20), c) },
 	}
 	for name, model := range models {
 		t.Run(name, func(t *testing.T) {
@@ -95,7 +79,7 @@ func TestValueLogViewReads(t *testing.T) {
 				devs[i] = model(clks[i])
 				dev := devs[i]
 				if i == 1 {
-					dev = copying(dev)
+					dev = copyingDevice{dev}
 				}
 				l, err := storage.NewValueLog(dev)
 				if err != nil {

@@ -49,7 +49,7 @@ func TestEndToEndReconstruction(t *testing.T) {
 	}
 	// Token accounting must agree with Process's compression accounting
 	// to within the per-object boundary effects.
-	st := o.Stats()
+	st := o.stats
 	if st.BytesOut <= 0 || float64(wire) > float64(st.BytesOut)*1.02 || float64(wire) < float64(st.BytesOut)*0.98 {
 		t.Fatalf("token wire bytes %d disagree with Process BytesOut %d", wire, st.BytesOut)
 	}

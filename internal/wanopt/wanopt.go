@@ -125,9 +125,6 @@ func New(cfg Config) (*Optimizer, error) {
 	return &Optimizer{cfg: cfg, chunker: ch}, nil
 }
 
-// Stats returns aggregate counters.
-func (o *Optimizer) Stats() Stats { return o.stats }
-
 // Fingerprint hashes a chunk to its full SHA-1 index key.
 func Fingerprint(chunk []byte) [FingerprintBytes]byte {
 	return sha1.Sum(chunk)

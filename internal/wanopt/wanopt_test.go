@@ -239,7 +239,7 @@ func TestContentCacheOnDisk(t *testing.T) {
 	if contentDisk.Counters().BytesWritten == 0 {
 		t.Fatal("content cache never written")
 	}
-	st := o.Stats()
+	st := o.stats
 	if st.CacheWriteBytes == 0 || st.ChunksTotal == 0 {
 		t.Fatalf("stats empty: %+v", st)
 	}
