@@ -168,8 +168,8 @@ type shard struct {
 	batchIdx []int                  // GetBatch scatter scratch, guarded by mu
 	batchHit [][]byte               // GetBatch verified-value scratch, guarded by mu
 
-	putPtrs  []uint64          // PutBatch value-log pointer scratch, guarded by mu
-	deadSeen map[uint64]uint64 // retire's per-chunk dup tracking, guarded by mu
+	putPtrs   []uint64 // PutBatch value-log pointer scratch, guarded by mu
+	displaced []uint64 // buffer words a byte chunk's core call displaced, guarded by mu
 
 	// Incarnation expiry (see expireLapped), guarded by mu: the pending
 	// marks, oldest first, the flush sequence of the newest one taken, and
@@ -189,7 +189,7 @@ func openShard(cfg config) (*shard, error) {
 	if clock == nil {
 		clock = vclock.New()
 	}
-	s := &shard{clock: clock, deadSeen: make(map[uint64]uint64)}
+	s := &shard{clock: clock}
 	dev := cfg.customDevice
 	var vdev storage.Device
 	if dev == nil {
@@ -352,7 +352,7 @@ func (s *shard) end(h *metrics.Histogram, w vclock.Stopwatch, n int, err error) 
 func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
 	w := s.begin()
 	s.inline, s.marks = true, nil
-	return s.end(&s.insert, w, len(keys), s.bh.InsertBatch(keys, values))
+	return s.end(&s.insert, w, len(keys), s.bh.InsertBatch(keys, values, nil))
 }
 
 // getBatchU64Into is one batched lookup (in-memory phase, coalesced
@@ -366,15 +366,16 @@ func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult) erro
 // deleteBatchU64Chunk is one batched delete. Deletes perform no I/O.
 func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 	w := s.begin()
-	return s.end(&s.del, w, len(keys), s.bh.DeleteBatch(keys))
+	return s.end(&s.del, w, len(keys), s.bh.DeleteBatch(keys, nil))
 }
 
 // putBatchRecords applies one chunk of byte Puts: one multi-record
 // value-log append (its full pages reach the device as one sequential
-// submission), dead-record accounting, then one core insert batch of the
-// fingerprints and record pointers, and last the expiry of incarnations
-// the log has lapped. Record offsets depend only on append order, so the
-// final state matches one Put per key exactly.
+// submission), one core insert batch of the fingerprints and record
+// pointers, dead-record accounting of the pointers it displaced, and last
+// the expiry of incarnations the log has lapped. Record offsets depend
+// only on append order, so the final state matches one Put per key
+// exactly.
 func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
@@ -382,8 +383,9 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	w := s.begin()
 	ptrs, err := s.appendRecords(keys, values)
 	if err == nil {
-		s.retire(fps, ptrs)
-		err = s.bh.InsertBatch(fps, ptrs)
+		displaced := s.displacedWords(len(fps))
+		err = s.bh.InsertBatch(fps, ptrs, displaced)
+		s.retire(displaced)
 	}
 	if err == nil {
 		s.expireLapped()
@@ -396,7 +398,7 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 // appended before at.
 type expiryMark struct {
 	seq uint64
-	at  storage.LogMark
+	at  uint64 // ValueLog.Mark
 }
 
 // maxExpiryMarks bounds a shard's pending marks. A full list replaces its
@@ -446,15 +448,23 @@ func (s *shard) appendRecords(keys, values [][]byte) ([]uint64, error) {
 	return s.putPtrs, nil
 }
 
-// retire moves the value-log records that a chunk of puts (the new
-// records' ptrs) or deletes (ptrs nil) of fps kills to the dead side of
-// the log's space accounting, before the core call. A fingerprint's first
-// occurrence in the chunk kills its record still in the DRAM buffer — the
-// only place an overwrite or delete is observable without extra probes; a
-// later occurrence kills the previous occurrence's record (a delete's is
-// the zero word, which is no pointer). The last key has no later
-// occurrence to serve, so it stays untracked: a one-key chunk leaves the
-// tracker empty, and clearing an empty map is free.
+// displacedWords returns the shard's scratch for the value words a
+// chunk's core call of n keys displaces, zeroed, so a key an erring call
+// did not reach displaces nothing.
+func (s *shard) displacedWords(n int) []uint64 {
+	s.displaced = resize(s.displaced, n)
+	clear(s.displaced)
+	return s.displaced
+}
+
+// retire moves the value-log records that a chunk's core call displaced
+// from the DRAM buffer (see core.BufferHash.InsertBatch) to the dead side
+// of the log's space accounting. The buffer is the only place an
+// overwrite or delete is observable without extra probes, and the core
+// reports exactly what each key's insert or delete found there, so a
+// batch debits the records a per-key call would, across in-batch flushes
+// too: a duplicate displaces the record of its previous occurrence while
+// that is buffered, and nothing once a flush moved it out.
 //
 // Records whose pointer already flushed to an incarnation die silently and
 // are only accounted when the log laps them (ValueLogStats.LappedBytes).
@@ -465,22 +475,9 @@ func (s *shard) appendRecords(keys, values [][]byte) ([]uint64, error) {
 // bounded by MarkDead's range and region clamping, the same approximation
 // class as silent deaths. Accounting only: no counters, CPU charges or
 // I/O are touched.
-func (s *shard) retire(fps, ptrs []uint64) {
-	clear(s.deadSeen)
-	last := len(fps) - 1
-	for i, fp := range fps {
-		prev, dup := s.deadSeen[fp]
-		if !dup {
-			prev, _ = s.bh.BufferedValue(fp)
-		}
-		s.vlog.MarkDead(prev)
-		if i < last {
-			var ptr uint64
-			if ptrs != nil {
-				ptr = ptrs[i]
-			}
-			s.deadSeen[fp] = ptr
-		}
+func (s *shard) retire(displaced []uint64) {
+	for _, word := range displaced {
+		s.vlog.MarkDead(word)
 	}
 }
 
@@ -550,14 +547,17 @@ func (s *shard) readRecords(results []core.LookupResult, keys, values [][]byte, 
 	return nil
 }
 
-// deleteBatchFPs applies one chunk of byte-key deletes, retiring each
-// fingerprint's buffered record first.
+// deleteBatchFPs applies one chunk of byte-key deletes, retiring the
+// records whose pointers they removed from the buffer.
 func (s *shard) deleteBatchFPs(fps []uint64) error {
 	w := s.begin()
+	var displaced []uint64
 	if s.vlog != nil {
-		s.retire(fps, nil)
+		displaced = s.displacedWords(len(fps))
 	}
-	return s.end(&s.del, w, len(fps), s.bh.DeleteBatch(fps))
+	err := s.bh.DeleteBatch(fps, displaced)
+	s.retire(displaced)
+	return s.end(&s.del, w, len(fps), err)
 }
 
 // containsBatchFPs resolves one chunk of existence probes: the batched

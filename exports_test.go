@@ -21,40 +21,35 @@ import (
 // "importpath.Name" for a top-level name and "importpath.Type.Method" for
 // a method, each with its reason.
 var testOnlyAllowed = map[string]string{
-	"repro/clam.FIFO":                   policyReason,
-	"repro/clam.LRU":                    policyReason,
-	"repro/clam.UpdateBased":            policyReason,
-	"repro/clam.PriorityBased":          policyReason,
-	"repro/clam.WithPolicy":             policyReason,
-	"repro/clam.WithRetain":             "the retain predicate of PriorityBased eviction, which the fault oracle and the priority tests run",
-	"repro/clam.WithSeed":               "the oracles and pinned-stream tests vary the hash seed",
-	"repro/clam.WithValueLog":           "the value-log wrap oracles and the pinned byte-op tests size the log below the index",
-	"repro/internal/wanopt.NewReceiver": reconstructReason,
+	"repro/clam.FIFO":          policyReason,
+	"repro/clam.LRU":           policyReason,
+	"repro/clam.UpdateBased":   policyReason,
+	"repro/clam.PriorityBased": policyReason,
+	"repro/clam.WithPolicy":    policyReason,
+	"repro/clam.WithRetain":    "the retain predicate of PriorityBased eviction, which the fault oracle and the priority tests run",
+	"repro/clam.WithSeed":      "the oracles and pinned-stream tests vary the hash seed",
+	"repro/clam.WithValueLog":  "the value-log wrap oracles and the pinned byte-op tests size the log below the index",
 
 	"repro/clam.router.UpdateU64":      storeReason,
 	"repro/clam.router.DeleteU64":      storeReason,
+	"repro/clam.router.Contains":       storeReason,
 	"repro/clam.router.ContainsU64":    storeReason,
 	"repro/clam.router.DeleteBatchU64": storeReason,
 	"repro/clam.router.DeleteBatch":    storeReason,
 	"repro/clam.router.Flush":          storeReason,
 	"repro/clam.router.Elapse":         storeReason,
 
-	"repro/internal/core.BufferHash.Delete":      "the per-key delete beside Lookup and Insert, a one-key DeleteBatch; TestSerialOpsPinned and the core oracles drive per-key twins through it",
-	"repro/internal/bdb.HashIndex.Delete":        "the BDB baseline's in-place delete, the third operation of its hash-index interface, which the bdb tests check against a map",
-	"repro/internal/ssd.SSD.SetFault":            faultReason,
-	"repro/internal/disk.Disk.SetFault":          faultReason,
-	"repro/internal/metrics.Summary.String":      "fmt prints clam.Stats' latency fields through it, and TestSingleStorePinned digests that %+v form",
-	"repro/internal/wanopt.Optimizer.Encode":     reconstructReason,
-	"repro/internal/wanopt.Token.WireBytes":      reconstructReason,
-	"repro/internal/wanopt.Receiver.ChunkCount":  reconstructReason,
-	"repro/internal/wanopt.Receiver.Reconstruct": reconstructReason,
+	"repro/internal/core.BufferHash.Delete": "the per-key delete beside Lookup and Insert, a one-key DeleteBatch; TestSerialOpsPinned and the core oracles drive per-key twins through it",
+	"repro/internal/bdb.HashIndex.Delete":   "the BDB baseline's in-place delete, the third operation of its hash-index interface, which the bdb tests check against a map",
+	"repro/internal/ssd.SSD.SetFault":       faultReason,
+	"repro/internal/disk.Disk.SetFault":     faultReason,
+	"repro/internal/metrics.Summary.String": "fmt prints clam.Stats' latency fields through it, and TestSingleStorePinned digests that %+v form",
 }
 
 const (
-	policyReason      = "the §5.1.2 eviction policies, which the differential, fault and pinned tests run; a churn workload is their planned non-test caller"
-	storeReason       = "a clam.Store method, part of the CAM's public operation set (§5.1), which the differential and fault oracles run against per-key twins"
-	faultReason       = "the device fault-injection hook (storage.FaultFunc) the fault oracles arm"
-	reconstructReason = "the token-stream encoder and decoding endpoint TestEndToEndReconstruction checks the optimizer's output against"
+	policyReason = "the §5.1.2 eviction policies, which the differential, fault and pinned tests run; a churn workload is their planned non-test caller"
+	storeReason  = "a clam.Store method, part of the CAM's public operation set (§5.1), which the differential and fault oracles run against per-key twins"
+	faultReason  = "the device fault-injection hook (storage.FaultFunc) the fault oracles arm"
 )
 
 // checkedPkg is one type-checked directory of non-test files.

@@ -229,7 +229,7 @@ func (b *BufferHash) route(key uint64) (*superTable, uint64) {
 // Insert adds or updates a (key, value) mapping: a one-key InsertBatch.
 func (b *BufferHash) Insert(key, value uint64) error {
 	keys, values := [1]uint64{key}, [1]uint64{value}
-	return b.InsertBatch(keys[:], values[:])
+	return b.InsertBatch(keys[:], values[:], nil)
 }
 
 // Delete lazily removes a key (§5.1.1): it is dropped from the buffer if
@@ -237,7 +237,7 @@ func (b *BufferHash) Insert(key, value uint64) error {
 // reclaimed at eviction time. It is a one-key DeleteBatch.
 func (b *BufferHash) Delete(key uint64) error {
 	keys := [1]uint64{key}
-	return b.DeleteBatch(keys[:])
+	return b.DeleteBatch(keys[:], nil)
 }
 
 // Lookup returns the latest value for key: a one-key LookupBatch.

@@ -1068,9 +1068,11 @@ func TestLookupBatchLengthMismatch(t *testing.T) {
 // --- batched insert pipeline ---
 
 // driveInsertTwin feeds the same insert/delete stream into both instances:
-// serial per-key calls on one, windowed InsertBatch/DeleteBatch calls of
-// varying size on the other. The window sizes are deliberately ragged so
-// flush points land both inside and at the edges of batches.
+// one-key InsertBatch/DeleteBatch calls (Insert and Delete) on one,
+// windowed calls of varying size on the other. The window sizes are
+// deliberately ragged so flush points land both inside and at the edges
+// of batches. Every key's displaced buffer word must be the one its
+// one-key call displaced.
 func driveInsertTwin(t *testing.T, serial, batched *BufferHash, seed int64, nOps, nKeys int, pDelete float64) []uint64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -1079,44 +1081,57 @@ func driveInsertTwin(t *testing.T, serial, batched *BufferHash, seed int64, nOps
 		universe[i] = rng.Uint64()
 	}
 	var (
-		insKeys, insVals []uint64
-		delKeys          []uint64
+		insKeys, insVals, delKeys []uint64
+		want                      []uint64 // the one-key calls' displaced words of the pending window
 	)
+	checkDisplaced := func(op string, got []uint64) {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s window key %d displaced %#x, its one-key call %#x", op, i, got[i], want[i])
+			}
+		}
+		want = want[:0]
+	}
 	flushIns := func() {
 		if len(insKeys) == 0 {
 			return
 		}
-		if err := batched.InsertBatch(insKeys, insVals); err != nil {
+		got := make([]uint64, len(insKeys))
+		if err := batched.InsertBatch(insKeys, insVals, got); err != nil {
 			t.Fatal(err)
 		}
+		checkDisplaced("insert", got)
 		insKeys, insVals = insKeys[:0], insVals[:0]
 	}
 	flushDel := func() {
 		if len(delKeys) == 0 {
 			return
 		}
-		if err := batched.DeleteBatch(delKeys); err != nil {
+		got := make([]uint64, len(delKeys))
+		if err := batched.DeleteBatch(delKeys, got); err != nil {
 			t.Fatal(err)
 		}
+		checkDisplaced("delete", got)
 		delKeys = delKeys[:0]
 	}
+	var one [1]uint64
 	window := 1 + rng.Intn(700)
 	for i := 0; i < nOps; i++ {
 		k := universe[rng.Intn(nKeys)]
 		if rng.Float64() < pDelete {
-			if err := serial.Delete(k); err != nil {
+			flushIns() // preserve order across op kinds
+			if err := serial.DeleteBatch([]uint64{k}, one[:]); err != nil {
 				t.Fatal(err)
 			}
-			flushIns() // preserve order across op kinds
-			delKeys = append(delKeys, k)
+			delKeys, want = append(delKeys, k), append(want, one[0])
 			continue
 		}
 		v := rng.Uint64()
-		if err := serial.Insert(k, v); err != nil {
+		flushDel()
+		if err := serial.InsertBatch([]uint64{k}, []uint64{v}, one[:]); err != nil {
 			t.Fatal(err)
 		}
-		flushDel()
-		insKeys, insVals = append(insKeys, k), append(insVals, v)
+		insKeys, insVals, want = append(insKeys, k), append(insVals, v), append(want, one[0])
 		if len(insKeys) >= window {
 			flushIns()
 			window = 1 + rng.Intn(700)
@@ -1247,7 +1262,7 @@ func TestInsertBatchDuplicateKeysMemoized(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := batched.InsertBatch(keys, vals); err != nil {
+	if err := batched.InsertBatch(keys, vals, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkInsertTwin(t, serial, batched, hot, 410)
@@ -1277,7 +1292,7 @@ func TestInsertBatchVirtualTimeOverlap(t *testing.T) {
 	}
 	serialTime := serial.cfg.Clock.Now() - st0
 	bt0 := batched.cfg.Clock.Now()
-	if err := batched.InsertBatch(keys, vals); err != nil {
+	if err := batched.InsertBatch(keys, vals, nil); err != nil {
 		t.Fatal(err)
 	}
 	batchTime := batched.cfg.Clock.Now() - bt0
@@ -1294,8 +1309,14 @@ func TestInsertBatchVirtualTimeOverlap(t *testing.T) {
 func TestInsertBatchLengthMismatch(t *testing.T) {
 	cfg, _ := testConfig(t)
 	b := mustNew(t, cfg)
-	if err := b.InsertBatch(make([]uint64, 3), make([]uint64, 2)); err == nil {
+	if err := b.InsertBatch(make([]uint64, 3), make([]uint64, 2), nil); err == nil {
 		t.Fatal("want length-mismatch error")
+	}
+	if err := b.InsertBatch(make([]uint64, 3), make([]uint64, 3), make([]uint64, 2)); err == nil {
+		t.Fatal("want a displaced-length error")
+	}
+	if err := b.DeleteBatch(make([]uint64, 3), make([]uint64, 4)); err == nil {
+		t.Fatal("want a displaced-length error")
 	}
 }
 
@@ -1364,7 +1385,7 @@ func TestDeleteBatchMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := batched.DeleteBatch(dels); err != nil {
+	if err := batched.DeleteBatch(dels, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkInsertTwin(t, serial, batched, universe, 414)

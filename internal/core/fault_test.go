@@ -37,7 +37,7 @@ func TestFailedFlushNeverServesOlder(t *testing.T) {
 		name   string
 		insert func(b *BufferHash, keys, vals []uint64) error
 	}{
-		{"batch", func(b *BufferHash, keys, vals []uint64) error { return b.InsertBatch(keys, vals) }},
+		{"batch", func(b *BufferHash, keys, vals []uint64) error { return b.InsertBatch(keys, vals, nil) }},
 		{"serial", func(b *BufferHash, keys, vals []uint64) error {
 			var last error
 			for i := range keys {

@@ -78,9 +78,15 @@ type insertScratch struct {
 // advance. On error the batch may be partially applied; any writes already
 // staged are still issued so the device matches the structure's
 // bookkeeping, and a failed submission drops its images (see flushStaged).
-func (b *BufferHash) InsertBatch(keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("core: InsertBatch: %d keys, %d values", len(keys), len(values))
+//
+// displaced is nil or has len(keys): displaced[i] receives the value word
+// key i's insert overwrote in its DRAM buffer, 0 when the key was not
+// buffered (a key whose value flushed is overwritten silently). The byte
+// API retires the value-log record a displaced pointer addressed. Keys
+// the batch did not reach on error keep their displaced word.
+func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
+	if len(keys) != len(values) || displaced != nil && len(displaced) != len(keys) {
+		return fmt.Errorf("core: InsertBatch: %d keys, %d values, %d displaced", len(keys), len(values), len(displaced))
 	}
 	is := &b.insert
 	if is.memo == nil {
@@ -111,18 +117,26 @@ func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 			// Bloom staging filter would set the same bits. Charge what a
 			// full insert would and overwrite the value.
 			b.chargeCPU(cfg.CPU.BufferInsert)
-			if err := st.buf.Insert(kh, values[i]); err != nil {
+			old, err := st.buf.Insert(kh, values[i])
+			if err != nil {
 				applyErr = fmt.Errorf("core: buffer insert: %w", err)
 				break
+			}
+			if displaced != nil {
+				displaced[i] = old
 			}
 			if st.bank != nil {
 				b.chargeCPU(cfg.CPU.BloomAdd)
 			}
 			continue
 		}
-		if err := st.insert(kh, values[i]); err != nil {
+		old, err := st.insert(kh, values[i])
+		if err != nil {
 			applyErr = err
 			break
+		}
+		if displaced != nil {
+			displaced[i] = old
 		}
 		if i < last {
 			*slot = insertMemo{key: key, epoch: is.epoch, table: int32(st.idx), flushGen: st.flushGen}
@@ -141,23 +155,21 @@ func (b *BufferHash) InsertBatch(keys, values []uint64) error {
 
 // DeleteBatch applies len(keys) lazy deletes (§5.1.1). Deletes perform no
 // I/O, so batching only amortizes the CPU clock charges into one advance;
-// counters and state match one-key Delete calls exactly.
-func (b *BufferHash) DeleteBatch(keys []uint64) error {
-	for _, key := range keys {
+// counters and state match one-key Delete calls exactly. displaced is nil
+// or has len(keys), and receives each key's removed buffer word as in
+// InsertBatch.
+func (b *BufferHash) DeleteBatch(keys, displaced []uint64) error {
+	if displaced != nil && len(displaced) != len(keys) {
+		return fmt.Errorf("core: DeleteBatch: %d keys, %d displaced", len(keys), len(displaced))
+	}
+	for i, key := range keys {
 		st, kh := b.route(key)
 		b.stats.Deletes++
-		st.del(kh)
+		old := st.del(kh)
+		if displaced != nil {
+			displaced[i] = old
+		}
 	}
 	b.settleCPUDebt()
 	return nil
-}
-
-// BufferedValue returns the value word currently buffered in DRAM for key,
-// if any. It is an accounting peek — no CPU charge, no counter movement,
-// no I/O — used by the clam facade to detect a value-log record dying when
-// its pointer is overwritten or deleted while still buffered. It is not
-// part of the paper's cost model and must not be used as a lookup.
-func (b *BufferHash) BufferedValue(key uint64) (uint64, bool) {
-	st, kh := b.route(key)
-	return st.buf.Get(kh)
 }

@@ -162,7 +162,7 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 	if st.buf.Full() {
 		return
 	}
-	if st.buf.Insert(kh, v) == nil {
+	if _, err := st.buf.Insert(kh, v); err == nil {
 		if st.bank != nil {
 			st.bank.AddStaging(kh)
 		}
@@ -171,40 +171,43 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 }
 
 // insert implements §5.1.1: values go to the buffer; a full buffer is
-// flushed to flash as a new incarnation first.
-func (st *superTable) insert(kh, v uint64) error {
+// flushed to flash as a new incarnation first. It returns the value the
+// insert overwrote in the buffer, 0 when the key was not buffered.
+func (st *superTable) insert(kh, v uint64) (uint64, error) {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.BufferInsert)
 	delete(st.deleteList, kh) // a fresh insert revives a deleted key
 
-	err := st.buf.Insert(kh, v)
+	old, err := st.buf.Insert(kh, v)
 	if err == cuckoo.ErrFull {
 		if err := st.flush(); err != nil {
-			return err
+			return 0, err
 		}
-		err = st.buf.Insert(kh, v)
+		old, err = st.buf.Insert(kh, v)
 	}
 	if err != nil {
-		return fmt.Errorf("core: buffer insert: %w", err)
+		return 0, fmt.Errorf("core: buffer insert: %w", err)
 	}
 	if st.bank != nil {
 		st.owner.chargeCPU(cfg.CPU.BloomAdd)
 		st.bank.AddStaging(kh)
 	}
-	return nil
+	return old, nil
 }
 
 // del implements lazy deletion (§5.1.1): remove from the buffer if still
 // there, and record the key in the in-memory delete list consulted before
-// every lookup.
-func (st *superTable) del(kh uint64) {
+// every lookup. It returns the value removed from the buffer, 0 when the
+// key was not buffered.
+func (st *superTable) del(kh uint64) uint64 {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.BufferInsert)
-	st.buf.Delete(kh)
+	old, _ := st.buf.Delete(kh)
 	if st.deleteList == nil {
 		st.deleteList = make(map[uint64]uint64)
 	}
 	st.deleteList[kh] = st.flushGen
+	return old
 }
 
 // pruneDeletes drops delete-list entries old enough that no incarnation can
@@ -257,7 +260,7 @@ func (st *superTable) flush() error {
 		for n < len(pending) && !st.buf.Full() {
 			e := pending[n]
 			if _, ok := st.buf.Get(e.k); !ok {
-				if err := st.buf.Insert(e.k, e.v); err != nil {
+				if _, err := st.buf.Insert(e.k, e.v); err != nil {
 					break
 				}
 				if st.bank != nil {

@@ -212,17 +212,17 @@ func (t *Table) emptyIn(s int) int {
 	return -1
 }
 
-// Insert stores (key, value), overwriting any existing value for key.
-// It returns ErrFull if the table is at its utilization cap or the
+// Insert stores (key, value), overwriting any existing value for key, and
+// returns the value it overwrote (0 when key was absent). It returns ErrFull if the table is at its utilization cap or the
 // displacement chain within the key's page could not be resolved; in either
 // case the table is unchanged.
 //
 // The overwrite check and the empty-slot search share one pass over the
 // two candidate buckets (hashing the key once), since both need to scan
 // the same eight slots; the displacement walk below is the rare path.
-func (t *Table) Insert(key, value uint64) error {
+func (t *Table) Insert(key, value uint64) (old uint64, err error) {
 	if key == 0 {
-		return ErrZeroKey
+		return 0, ErrZeroKey
 	}
 	base := t.place.Page(key) * t.params.PageSlots
 	s1, s2 := t.place.bucketSlots(key)
@@ -231,8 +231,8 @@ func (t *Table) Insert(key, value uint64) error {
 		for i := 0; i < BucketSlots; i++ {
 			switch t.keys[s+i] {
 			case key:
-				t.values[s+i] = value
-				return nil
+				old, t.values[s+i] = t.values[s+i], value
+				return old, nil
 			case 0:
 				if empty < 0 {
 					empty = s + i
@@ -241,12 +241,12 @@ func (t *Table) Insert(key, value uint64) error {
 		}
 	}
 	if t.count >= t.Cap() {
-		return ErrFull
+		return 0, ErrFull
 	}
 	if empty >= 0 {
 		t.keys[empty], t.values[empty] = key, value
 		t.count++
-		return nil
+		return 0, nil
 	}
 	// Displace within the page, recording the path so a failed walk can be
 	// unwound exactly (the table must be unchanged on ErrFull).
@@ -268,7 +268,7 @@ func (t *Table) Insert(key, value uint64) error {
 		if es := t.emptyIn(base + alt); es >= 0 {
 			t.keys[es], t.values[es] = curKey, curVal
 			t.count++
-			return nil
+			return 0, nil
 		}
 		bucket = alt
 	}
@@ -282,20 +282,21 @@ func (t *Table) Insert(key, value uint64) error {
 	if curKey != key {
 		panic("cuckoo: unwind failed to restore the original key")
 	}
-	return ErrFull
+	return 0, ErrFull
 }
 
-// Delete removes key, reporting whether it was present.
-func (t *Table) Delete(key uint64) bool {
+// Delete removes key, returning its value and whether it was present.
+func (t *Table) Delete(key uint64) (uint64, bool) {
 	if key == 0 {
-		return false
+		return 0, false
 	}
 	if s := t.findSlot(key); s >= 0 {
+		old := t.values[s]
 		t.keys[s], t.values[s] = 0, 0
 		t.count--
-		return true
+		return old, true
 	}
-	return false
+	return 0, false
 }
 
 // Reset clears the table for reuse.

@@ -48,7 +48,7 @@ func TestPaperBufferShape(t *testing.T) {
 
 func TestInsertGet(t *testing.T) {
 	tb := New(params128KB())
-	if err := tb.Insert(42, 1000); err != nil {
+	if _, err := tb.Insert(42, 1000); err != nil {
 		t.Fatal(err)
 	}
 	v, ok := tb.Get(42)
@@ -65,8 +65,12 @@ func TestInsertGet(t *testing.T) {
 
 func TestInsertOverwrites(t *testing.T) {
 	tb := New(params128KB())
-	tb.Insert(42, 1)
-	tb.Insert(42, 2)
+	if old, err := tb.Insert(42, 1); old != 0 || err != nil {
+		t.Fatalf("first insert returned (%d, %v)", old, err)
+	}
+	if old, err := tb.Insert(42, 2); old != 1 || err != nil {
+		t.Fatalf("overwrite returned (%d, %v), want the old value 1", old, err)
+	}
 	if v, _ := tb.Get(42); v != 2 {
 		t.Fatalf("overwrite failed: %d", v)
 	}
@@ -77,13 +81,13 @@ func TestInsertOverwrites(t *testing.T) {
 
 func TestZeroKeyRejected(t *testing.T) {
 	tb := New(params128KB())
-	if err := tb.Insert(0, 1); !errors.Is(err, ErrZeroKey) {
+	if _, err := tb.Insert(0, 1); !errors.Is(err, ErrZeroKey) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, ok := tb.Get(0); ok {
 		t.Fatal("zero key found")
 	}
-	if tb.Delete(0) {
+	if _, ok := tb.Delete(0); ok {
 		t.Fatal("zero key deleted")
 	}
 }
@@ -97,7 +101,7 @@ func TestFillToCapacity(t *testing.T) {
 		if k == 0 {
 			continue
 		}
-		err := tb.Insert(k, uint64(inserted))
+		_, err := tb.Insert(k, uint64(inserted))
 		if err != nil {
 			// Page-local displacement can fail slightly before the global
 			// cap; it must be rare at 50% load.
@@ -115,7 +119,7 @@ func TestFillToCapacity(t *testing.T) {
 	}
 	// One more insert of a fresh key must fail once at cap.
 	if inserted == tb.Cap() {
-		if err := tb.Insert(0xdeadbeefcafe, 1); !errors.Is(err, ErrFull) {
+		if _, err := tb.Insert(0xdeadbeefcafe, 1); !errors.Is(err, ErrFull) {
 			t.Fatalf("insert past cap: %v", err)
 		}
 	}
@@ -131,7 +135,7 @@ func TestAllEntriesRetrievableAtHighLoad(t *testing.T) {
 			continue
 		}
 		v := rng.Uint64()
-		if err := tb.Insert(k, v); err != nil {
+		if _, err := tb.Insert(k, v); err != nil {
 			break
 		}
 		entries[k] = v
@@ -158,7 +162,7 @@ func TestErrFullLeavesTableIntact(t *testing.T) {
 	}
 	stored := map[uint64]uint64{}
 	for i, k := range samePage {
-		err := tb.Insert(k, uint64(i))
+		_, err := tb.Insert(k, uint64(i))
 		if err == nil {
 			stored[k] = uint64(i)
 		}
@@ -178,8 +182,8 @@ func TestErrFullLeavesTableIntact(t *testing.T) {
 func TestDelete(t *testing.T) {
 	tb := New(params128KB())
 	tb.Insert(7, 70)
-	if !tb.Delete(7) {
-		t.Fatal("Delete returned false")
+	if v, ok := tb.Delete(7); !ok || v != 70 {
+		t.Fatalf("Delete returned (%d, %v), want (70, true)", v, ok)
 	}
 	if _, ok := tb.Get(7); ok {
 		t.Fatal("deleted key found")
@@ -187,7 +191,7 @@ func TestDelete(t *testing.T) {
 	if tb.Len() != 0 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	if tb.Delete(7) {
+	if _, ok := tb.Delete(7); ok {
 		t.Fatal("double delete returned true")
 	}
 }
@@ -224,14 +228,17 @@ func TestModelBasedQuick(t *testing.T) {
 			key := uint64(o.Key) + 1 // non-zero
 			switch o.Kind % 3 {
 			case 0:
-				if err := tb.Insert(key, o.Value); err == nil {
+				if old, err := tb.Insert(key, o.Value); err == nil {
+					if old != ref[key] {
+						return false // the overwritten value, 0 for a new key
+					}
 					ref[key] = o.Value
 				} else if _, exists := ref[key]; exists {
 					return false // overwrite must not fail
 				}
 			case 1:
-				_, wantOK := ref[key]
-				if tb.Delete(key) != wantOK {
+				want, wantOK := ref[key]
+				if v, ok := tb.Delete(key); ok != wantOK || v != want {
 					return false
 				}
 				delete(ref, key)
@@ -269,7 +276,7 @@ func TestSerializeLookupInPage(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		k := rng.Uint64() | 1
 		v := rng.Uint64()
-		if tb.Insert(k, v) == nil {
+		if _, err := tb.Insert(k, v); err == nil {
 			entries[k] = v
 		}
 	}
@@ -307,7 +314,7 @@ func TestDecodeImage(t *testing.T) {
 	tb := New(p)
 	want := map[uint64]uint64{10: 100, 20: 200, 30: 300}
 	for k, v := range want {
-		if err := tb.Insert(k, v); err != nil {
+		if _, err := tb.Insert(k, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,7 +354,7 @@ func TestPageLocality(t *testing.T) {
 	var inserted []uint64
 	for i := 0; i < p.MaxItems(); i++ {
 		k := rng.Uint64() | 1
-		if tb.Insert(k, uint64(i)) == nil {
+		if _, err := tb.Insert(k, uint64(i)); err == nil {
 			inserted = append(inserted, k)
 		}
 	}

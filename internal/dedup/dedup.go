@@ -39,30 +39,19 @@ type Index interface {
 	Get(fp []byte) ([]byte, bool, error)
 }
 
-// BatchIndex is implemented by indexes whose lookups and inserts can be
-// batched into overlapped submissions (clam.Store). The merge feeds such
-// indexes window-at-a-time, so the index page probes — and the value-log
-// record fetches behind the duplicate hits — overlap across the device's
-// queue lanes instead of paying one blocking round trip per fingerprint.
-type BatchIndex interface {
-	Index
-	GetBatch(ctx context.Context, fps [][]byte) ([][]byte, []bool, error)
-	PutBatch(ctx context.Context, fps, locators [][]byte) error
-}
-
-// ProbeIndex is implemented by indexes offering existence probes that stop
-// at the index hit and skip the record fetch (clam.Store.Contains). A
-// dedup merge only asks "have I seen this fingerprint", so the probe's
+// BatchIndex is implemented by indexes whose existence probes and inserts
+// can be batched into overlapped submissions (clam.Store). The merge feeds
+// such indexes window-at-a-time, so the index page probes overlap across
+// the device's queue lanes instead of paying one blocking round trip per
+// fingerprint. A merge only asks "have I seen this fingerprint", so its
+// probe stops at the index hit and skips the record fetch; the probe's
 // fingerprint-collision false positive rate — which the paper accepts at
 // 32–64-bit fingerprints — merely misclassifies a chunk as duplicate, the
 // same outcome a true fingerprint collision produces in any dedup system.
-type ProbeIndex interface {
-	Contains(fp []byte) (bool, error)
-}
-
-// BatchProbeIndex is the batched ProbeIndex (clam.Store.ContainsBatch).
-type BatchProbeIndex interface {
+type BatchIndex interface {
+	Index
 	ContainsBatch(ctx context.Context, fps [][]byte) ([]bool, error)
+	PutBatch(ctx context.Context, fps, locators [][]byte) error
 }
 
 // mergeWindow is the batched-merge window size.
@@ -140,19 +129,10 @@ func merge(dst Index, src source, clock *vclock.Clock) (Result, error) {
 		res.Elapsed = w.Elapsed()
 		return res, err
 	}
-	probe, canProbe := dst.(ProbeIndex)
 	for i := int64(0); i < src.Len(); i++ {
 		fp := src.At(i)
 		res.Scanned++
-		var found bool
-		var err error
-		if canProbe {
-			// The duplicate check needs only existence: the probe stops at
-			// the index hit and skips the record read.
-			found, err = probe.Contains(fp)
-		} else {
-			_, found, err = dst.Get(fp)
-		}
+		_, found, err := dst.Get(fp)
 		if err != nil {
 			return res, fmt.Errorf("dedup: lookup: %w", err)
 		}
@@ -184,15 +164,7 @@ func mergeBatched(dst BatchIndex, src source, res *Result) error {
 			locs = append(locs, src.LocatorAt(i))
 		}
 		res.Scanned += int64(len(fps))
-		var found []bool
-		var err error
-		if bp, ok := dst.(BatchProbeIndex); ok {
-			// Existence is all the window needs; the batched probe pays only
-			// the overlapped index reads, not the value-log record fetches.
-			found, err = bp.ContainsBatch(ctx, fps)
-		} else {
-			_, found, err = dst.GetBatch(ctx, fps)
-		}
+		found, err := dst.ContainsBatch(ctx, fps)
 		if err != nil {
 			return fmt.Errorf("dedup: batched lookup: %w", err)
 		}

@@ -14,35 +14,32 @@ import (
 // key the caller asked for and fingerprint collisions or overwritten
 // (wrapped-over) records surface as misses, never as wrong values.
 //
-// The pointer's cycle lets the log answer a record it has provably
-// overwritten as a miss without reading it. With c the current cycle,
-// head the append head and after(r) the largest end of the page-padded
-// writes that closed the cycles after r (0 for r = c-1), a pointer to
-// [off, off+n) appended in cycle r is read when r ≡ c (mod
-// 2^valuePtrCycleBits), and for any other r when off ≥ max(head,
-// after(r)); everything else starts in a range a later cycle rewrote, and
-// costs no device request (ValueLogStats.SkippedReads). The log keeps
-// after(r) for the newest cycle of each tag, so an aliased older cycle is
-// tested against a bound no larger than its own. The rule only skips
-// rewritten records. One could still verify only if the rewrite
+// Every cycle ends at capacity: a wrap pads the tail with zeros out to the
+// end of the log and writes it, so each cycle rewrites every byte and
+// records die strictly in append order. The padding is less than the
+// record that did not fit; a record of at most one page always closes its
+// cycle within the last page, as page alignment alone would. The pointer's
+// cycle then lets the log answer a record it has provably overwritten as a
+// miss without reading it. With c the current cycle and head the append
+// head, a pointer appended in cycle r is read when r ≡ c (mod
+// 2^valuePtrCycleBits), and when r ≡ c-1 only if its offset is at or past
+// the head; every other record lies in a range cycle c-1 or c rewrote, and
+// costs no device request (ValueLogStats.SkippedReads). The rule only
+// skips rewritten records. One could still verify only if the rewrite
 // repeated its bytes: a later record of the same key at the same offset
 // with the same length, whose newer pointer the index returns first, or
 // new bytes over its start that happen to equal the old ones. The miss
-// answered then is one the lookup contract allows. An aliased tag from
-// 2^valuePtrCycleBits cycles back reads as the current cycle, where key
+// answered then is one the lookup contract allows. A tag aliased from
+// 2^valuePtrCycleBits cycles back reads as the cycle it aliases, where key
 // verification decides as before.
 //
-// A mark (Mark) is an append position. Lapped(m) reports that the rule
-// now answers every record appended before m as overwritten, so an index
-// entry made before m can only point at a record that is gone. With r
-// m's cycle and stale the largest end of the cycles closed before m was
-// taken, m is lapped when r < c, m's head is at most max(head, after(r)),
-// and stale is at most max(head, after(r-1)). Records of cycle r before m
-// then lie behind the first bound, and every record of an older cycle
-// behind the second, which covers the writes of cycle r too. Records
-// whose tag aliases the current cycle's are read even under a lapped
-// mark: their bytes were rewritten, and key verification decides as
-// before.
+// A mark (Mark) is an append position, cycle·capacity + head. Lapped(m)
+// reports that the position has moved a whole capacity past m, so the
+// rule answers every record appended before m as overwritten and an
+// index entry made before m can only point at a record that is gone.
+// Records whose tag aliases the current or the previous cycle's are read
+// even under a lapped mark: their bytes were rewritten, and key
+// verification decides as before.
 //
 // Writes are page-aligned: records accumulate in a tail buffer whose full
 // pages are written to the device in multi-page appends (sequential I/O,
@@ -67,13 +64,6 @@ type ValueLog struct {
 	bufStart int64  // device offset of buf[0]; page-aligned
 	buf      []byte // bytes [bufStart, head) not yet written to the device
 	flushAt  int    // flush full pages once the tail buffer reaches this size
-
-	wrapped bool
-	// after holds, per cycle tag, after(r) for the newest cycle r with
-	// that tag: the largest end of the page-padded writes that closed the
-	// cycles since r. The current cycle's entry is 0.
-	after [1 << valuePtrCycleBits]int64
-	stale int64 // largest end of any closed cycle
 
 	stats ValueLogStats
 
@@ -409,32 +399,22 @@ func (l *ValueLog) flushFullPages() error {
 	return nil
 }
 
-// wrap pads the tail buffer to a page boundary, writes it out, and moves
-// the append head back to offset 0, beginning a new overwrite cycle. The
-// closing cycle rewrote everything below the padded write's end, so every
-// older cycle's after bound rises to it; the new cycle's tag starts at 0.
+// wrap pads the tail buffer with zeros out to the log's capacity, writes
+// it, and moves the append head back to offset 0, beginning a new
+// overwrite cycle. On a failed write the padding is dropped again, so the
+// buffer still ends at the head.
 func (l *ValueLog) wrap() error {
-	if pad := (l.pageSize - len(l.buf)%l.pageSize) % l.pageSize; pad > 0 {
-		l.buf = append(l.buf, make([]byte, pad)...)
-	}
+	n := len(l.buf)
+	l.buf = append(l.buf, make([]byte, l.capacity-l.bufStart-int64(n))...)
 	if len(l.buf) > 0 {
 		if err := l.writeBuf(len(l.buf)); err != nil {
+			l.buf = l.buf[:n]
 			return err
 		}
 	}
-	end := l.bufStart + int64(len(l.buf))
-	closed := l.cycle & cycleMask
-	for t := range l.after {
-		if uint64(t) != closed {
-			l.after[t] = max(l.after[t], end)
-		}
-	}
-	l.stale = max(l.stale, end)
 	l.buf = l.buf[:0]
 	l.head, l.bufStart = 0, 0
-	l.wrapped = true
 	l.cycle++
-	l.after[l.cycle&cycleMask] = 0
 	l.stats.Wraps++
 	return nil
 }
@@ -470,41 +450,30 @@ const segIdxBits = 64 - valuePtrOffBits
 // pointer or addresses no record region (one reaching past the capacity,
 // or past the head of a log that never wrapped, was never written). It is
 // false too for a record the log has provably overwritten, which sets
-// overwritten (see ValueLog for the rule). A record that is read may
-// still be gone (an aliased tag): key verification decides.
+// overwritten: one tagged neither with the current cycle nor, at or past
+// the head, with the previous one (see ValueLog). A record that is read
+// may still be gone (an aliased tag): key verification decides.
 func (l *ValueLog) locate(word uint64) (off int64, n int, read, overwritten bool) {
 	off, n, r, ok := decodeValuePtr(word)
 	if !ok || n < recordHeaderSize || off+int64(n) > l.capacity {
 		return off, n, false, false
 	}
-	if !l.wrapped {
+	if l.cycle == 1 {
 		return off, n, off+int64(n) <= l.head, false
 	}
-	overwritten = r != l.cycle&cycleMask && off < max(l.head, l.after[r])
+	overwritten = r != l.cycle&cycleMask && (r != (l.cycle-1)&cycleMask || off < l.head)
 	return off, n, !overwritten, overwritten
 }
 
-// LogMark is an append position of a ValueLog: its cycle and head when
-// Mark was called, and the largest end of the cycles closed by then.
-type LogMark struct {
-	cycle uint64
-	head  int64
-	stale int64
-}
+// Mark returns the current append position, cycle·capacity + head: every
+// record appended so far lies before it.
+func (l *ValueLog) Mark() uint64 { return l.cycle*uint64(l.capacity) + uint64(l.head) }
 
-// Mark returns the current append position: every record appended so far
-// lies before it.
-func (l *ValueLog) Mark() LogMark { return LogMark{cycle: l.cycle, head: l.head, stale: l.stale} }
-
-// Lapped reports whether every record appended before m is one the log
-// now answers as overwritten, with no device request (see ValueLog for the
-// rule). Once a mark is lapped, no pointer word filled before it can read
-// a record.
-func (l *ValueLog) Lapped(m LogMark) bool {
-	return l.cycle > m.cycle &&
-		m.head <= max(l.head, l.after[m.cycle&cycleMask]) &&
-		m.stale <= max(l.head, l.after[(m.cycle-1)&cycleMask])
-}
+// Lapped reports whether the append position has moved a whole capacity
+// past m. Every record appended before m is then one the log answers as
+// overwritten, with no device request (see ValueLog), so no pointer word
+// filled before m can read a record.
+func (l *ValueLog) Lapped(m uint64) bool { return l.Mark() >= m+uint64(l.capacity) }
 
 // readSegments splits a log range into its buffered and device-backed
 // segments: only [bufStart, head) lives in the tail buffer; everything

@@ -19,14 +19,14 @@ const (
 type markTally struct {
 	lapped      int // checks that found a mark lapped
 	nextCycle   int // of those, in the cycle right after the mark's
-	staleWaits  int // checks past a mark's cycle and head that found it not lapped
+	waits       int // checks in the cycle right after a mark's, short of its head
 	checkedPtrs int // pointers read under the newest lapped mark
 }
 
 func (a *markTally) add(b markTally) {
 	a.lapped += b.lapped
 	a.nextCycle += b.nextCycle
-	a.staleWaits += b.staleWaits
+	a.waits += b.waits
 	a.checkedPtrs += b.checkedPtrs
 }
 
@@ -34,18 +34,17 @@ func (a *markTally) add(b markTally) {
 // stream data describes and checks the mark rule after every append
 // batch. Each byte of data (cycled) is one record, sized as in
 // checkSkipStream (a header plus a short key up to more than two pages),
-// so cycles end at different offsets and leave stale tails past the next
-// cycle's end. A batch ends at a byte divisible by 4 or at 6 records, so
-// the head moves in small steps, and after a batch the stream takes a
-// mark with probability 1/3.
+// so records that do not fit close cycles at different offsets. A batch
+// ends at a byte divisible by 4 or at 6 records, so the head moves in
+// small steps, and after a batch the stream takes a mark with
+// probability 1/3.
 //
-// After every batch each mark is tested with Lapped. Every pointer
-// appended before the newest lapped mark, which covers the older lapped
-// ones, is then read: each must come back as a skipped read, with no
-// device request, no time on the clock, and one SkippedReads count. A
-// mark whose cycle the log has left and, in the next cycle, whose head it
-// has passed, but which is not lapped, waits on a stale tail of an older
-// cycle: staleWaits counts those checks.
+// After every batch each mark is tested with Lapped, which must hold
+// exactly when the log has left the mark's cycle and, in the next cycle,
+// reached its head. Every pointer appended before the newest lapped mark,
+// which covers the older lapped ones, is then read: each must come back
+// as a skipped read, with no device request, no time on the clock, and
+// one SkippedReads count.
 func checkMarkStream(t *testing.T, model int, data []byte) markTally {
 	t.Helper()
 	if len(data) == 0 {
@@ -62,7 +61,7 @@ func checkMarkStream(t *testing.T, model int, data []byte) markTally {
 	rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
 
 	type mark struct {
-		at    storage.LogMark
+		at    uint64
 		n     int    // pointers appended before it
 		cycle uint64 // the log's cycle when it was taken
 		head  int64  // the end of the newest record when it was taken
@@ -102,15 +101,21 @@ func checkMarkStream(t *testing.T, model int, data []byte) markTally {
 
 		newest := -1
 		for i, mk := range marks {
+			c := l.Cycle()
+			lapped := l.Lapped(mk.at)
+			if want := c > mk.cycle+1 || c == mk.cycle+1 && head >= mk.head; lapped != want {
+				t.Fatalf("cycle %d, head %d: mark (cycle %d, head %d) lapped=%v, want %v",
+					c, head, mk.cycle, mk.head, lapped, want)
+			}
 			switch {
-			case l.Lapped(mk.at):
+			case lapped:
 				newest = i
 				tally.lapped++
-				if l.Cycle() == mk.cycle+1 {
+				if c == mk.cycle+1 {
 					tally.nextCycle++
 				}
-			case l.Cycle() > mk.cycle+1 || l.Cycle() == mk.cycle+1 && head >= mk.head:
-				tally.staleWaits++
+			case c == mk.cycle+1:
+				tally.waits++
 			}
 		}
 		if newest < 0 {
@@ -171,8 +176,8 @@ func FuzzValueLogMarks(f *testing.F) {
 
 // TestValueLogMarkCoverage runs the seed streams and requires that they
 // reach every arm of the mark rule on every model: marks lapped in the
-// cycle right after their own and in later ones, and marks the log has
-// passed that wait on a stale tail of an older cycle.
+// cycle right after their own and in later ones, and marks that wait in
+// the next cycle for the head to reach theirs.
 func TestValueLogMarkCoverage(t *testing.T) {
 	for model, m := range skipModels {
 		t.Run(m.name, func(t *testing.T) {
@@ -181,9 +186,9 @@ func TestValueLogMarkCoverage(t *testing.T) {
 				tally.add(checkMarkStream(t, model, data))
 			}
 			t.Logf("%+v", tally)
-			if tally.nextCycle == 0 || tally.lapped == tally.nextCycle || tally.staleWaits == 0 {
-				t.Fatalf("the seed streams found %d marks lapped, %d in the next cycle, and %d waiting on a stale tail",
-					tally.lapped, tally.nextCycle, tally.staleWaits)
+			if tally.nextCycle == 0 || tally.lapped == tally.nextCycle || tally.waits == 0 {
+				t.Fatalf("the seed streams found %d marks lapped, %d in the next cycle, and %d waiting there for the head",
+					tally.lapped, tally.nextCycle, tally.waits)
 			}
 		})
 	}

@@ -31,21 +31,21 @@ const (
 
 // skipTally counts what a stream's reads met.
 type skipTally struct {
-	reads      int // pointers read, on the log under test
-	hits       int // of those, verified under their key
-	skipped    int // answered as misses with no device request
-	deepSkips  int // of those, skips only a cycle before the last one explains
-	olderHits  int // hits on records two or more cycles old
-	olderReads int // reads of records two or more cycles old
+	reads     int // pointers read, on the log under test
+	hits      int // of those, verified under their key
+	prevHits  int // of those, hits on the previous cycle's records
+	skipped   int // answered as misses with no device request
+	prevSkips int // of those, the previous cycle's records behind the head
+	deepSkips int // of those, records two or more cycles old at or past the head
 }
 
 func (a *skipTally) add(b skipTally) {
 	a.reads += b.reads
 	a.hits += b.hits
+	a.prevHits += b.prevHits
 	a.skipped += b.skipped
+	a.prevSkips += b.prevSkips
 	a.deepSkips += b.deepSkips
-	a.olderHits += b.olderHits
-	a.olderReads += b.olderReads
 }
 
 // checkSkipStream drives two logs over twin devices of one model through
@@ -70,10 +70,9 @@ func (a *skipTally) add(b skipTally) {
 // cycle, which the rule never skips: the read the log made before the
 // rule. Both answers, verified under the record's key, must agree. The
 // first log must skip exactly the records the rule names: with c the
-// current cycle, every earlier cycle's records behind the head or below
-// the end of the page-padded write that closed any later cycle. A skip
-// must add nothing to the device's Counters or clock, and SkippedReads
-// must count it.
+// current cycle, cycle c-1's records behind the head and every record of
+// an older cycle. A skip must add nothing to the device's Counters or
+// clock, and SkippedReads must count it.
 func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 	t.Helper()
 	if len(data) == 0 {
@@ -103,19 +102,10 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 	var (
 		recs  []record
 		cycle = uint64(1)
-		head  int64   // end of the newest record
-		ends  []int64 // ends[r-1]: end of the page-padded write that closed cycle r
+		head  int64 // end of the newest record
 		pos   int
 		tally skipTally
 	)
-	// after returns the largest end of the cycles closed after cycle r.
-	after := func(r uint64) int64 {
-		var a int64
-		for _, e := range ends[r:] {
-			a = max(a, e)
-		}
-		return a
-	}
 	// check reads recs[i] for every i in idx on both logs.
 	check := func(idx []int) {
 		reqs := make([]storage.ValueReadReq, len(idx))
@@ -147,29 +137,29 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 			if ok && !bytes.Equal(got, r.val) {
 				t.Fatalf("record %d verified with a wrong value", i)
 			}
-			overwritten := r.cycle < cycle && r.off < max(head, after(r.cycle))
+			overwritten := r.cycle+1 < cycle || r.cycle+1 == cycle && r.off < head
 			if rereqs[j].Rec == nil {
 				t.Fatalf("record %d (%d, %d) unread without the rule", i, r.off, r.n)
 			}
 			if skipped := reqs[j].Rec == nil; skipped != overwritten {
-				t.Fatalf("cycle %d, head %d, ends %v: record %d (%d, %d) of cycle %d skipped=%v, overwritten=%v",
-					cycle, head, ends, i, r.off, r.n, r.cycle, skipped, overwritten)
+				t.Fatalf("cycle %d, head %d: record %d (%d, %d) of cycle %d skipped=%v, overwritten=%v",
+					cycle, head, i, r.off, r.n, r.cycle, skipped, overwritten)
 			}
 			if overwritten {
 				skips = append(skips, i)
-				if r.off >= max(head, after(cycle-2)) {
+				switch {
+				case r.cycle+1 == cycle:
+					tally.prevSkips++
+				case r.off >= head:
 					tally.deepSkips++
 				}
 				continue
 			}
 			tally.reads++
-			if r.cycle+2 <= cycle {
-				tally.olderReads++
-			}
 			if ok {
 				tally.hits++
-				if r.cycle+2 <= cycle {
-					tally.olderHits++
+				if r.cycle < cycle {
+					tally.prevHits++
 				}
 			}
 		}
@@ -222,7 +212,6 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 			}
 			if off == 0 && len(recs) > 0 {
 				cycle++
-				ends = append(ends, (head+int64(ps)-1)/int64(ps)*int64(ps))
 				wrapped = true
 			}
 			if tag != cycle%64 {
@@ -269,8 +258,7 @@ func skipSeeds() [][]byte {
 		{0x81, 0xff, 0x13, 0xc0, 0x7f, 0x00, 0xa5, 0x5a, 0xfe, 0x08},
 		{0x00, 0x9f},       // a header plus a key, then a record of one and a half pages
 		{0xff, 0xfe, 0xf7}, // three-page records
-		// Cycles closing at varying offsets, so that some cycle ends short
-		// of an older one and leaves records below only that older end.
+		// Cycles closed by records that do not fit, at varying offsets.
 		{0x40, 0x40, 0x40, 0x40, 0xff, 0xfe, 0x40, 0xff},
 		{0x08, 0x10, 0x18, 0xbf, 0x20, 0xff},
 		{0xff, 0x4e, 0x32, 0xcb, 0x9f, 0xd7, 0xfd, 0x57, 0xe3, 0xaa, 0xd0, 0x98, 0xca},
@@ -291,11 +279,11 @@ func FuzzValueLogSkips(f *testing.F) {
 }
 
 // TestValueLogSkipRuleCoverage runs the seed streams and requires that
-// they reach every arm of the rule: skips, skips that only the end of a
-// cycle before the last one explains, and hits on records two or more
-// cycles old, which lie past both the head and the end of every later
-// cycle's writes. Every record read must verify: the rule leaves no
-// record unread once a later cycle rewrote it.
+// they reach every arm of the rule: hits on the previous cycle's records
+// at or past the head, skips of its records behind the head, and skips of
+// records two or more cycles old at or past the head. Every record read
+// must verify: the rule leaves no record unread once a later cycle
+// rewrote it.
 func TestValueLogSkipRuleCoverage(t *testing.T) {
 	for model, m := range skipModels {
 		t.Run(m.name, func(t *testing.T) {
@@ -304,16 +292,12 @@ func TestValueLogSkipRuleCoverage(t *testing.T) {
 				tally.add(checkSkipStream(t, model, data))
 			}
 			t.Logf("%+v", tally)
-			if tally.skipped == 0 || tally.deepSkips == 0 || tally.hits == 0 {
-				t.Fatalf("the seed streams skipped %d records (%d below an older cycle's end only) and hit %d",
-					tally.skipped, tally.deepSkips, tally.hits)
+			if tally.prevHits == 0 || tally.prevSkips == 0 || tally.deepSkips == 0 {
+				t.Fatalf("the seed streams hit %d previous-cycle records, skipped %d behind the head and %d older ones past it",
+					tally.prevHits, tally.prevSkips, tally.deepSkips)
 			}
 			if misses := tally.reads - tally.hits; misses != 0 {
-				t.Fatalf("%d record reads missed, %d of them on records two or more cycles old",
-					misses, tally.olderReads-tally.olderHits)
-			}
-			if tally.olderHits == 0 {
-				t.Fatalf("no seed stream hit a record two or more cycles old (%d read)", tally.olderReads)
+				t.Fatalf("%d record reads missed", misses)
 			}
 		})
 	}
@@ -394,13 +378,17 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 	}
 }
 
-// TestValueLogSkipsAfterShorterCycle pins the rule's memory of every
-// cycle's end. Cycle 1 and cycle 2 fill the log with one-page records,
-// cycle 3 ends early, at page 16, because its next record of 49 pages
-// does not fit, and that record opens cycle 4. Cycle 1's records past
-// the head (page 49) lie beyond cycle 3's end, but cycle 2 rewrote them:
-// each must be a skipped read, with no device request and no time.
-func TestValueLogSkipsAfterShorterCycle(t *testing.T) {
+// TestValueLogWrapPadsToCapacity pins the wrap. Cycle 1 and cycle 2 fill
+// the log with one-page records, and cycle 3 stops 8 pages short of the
+// capacity, because its next record of 9 pages does not fit. That record
+// closes cycle 3 and opens cycle 4 at offset 0, and stays in the tail
+// buffer, so the device must read zeros from cycle 3's head to the
+// capacity. Every record of cycles 1
+// and 2 must then be a skipped read, with no device request and no time,
+// and so must cycle 3's records behind the head; those past it still
+// verify. A mark is taken after every record of cycles 2 and 3, and each
+// must be lapped exactly once the head is one capacity past it.
+func TestValueLogWrapPadsToCapacity(t *testing.T) {
 	for _, m := range skipModels {
 		t.Run(m.name, func(t *testing.T) {
 			clk := vclock.New()
@@ -410,47 +398,89 @@ func TestValueLogSkipsAfterShorterCycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			ps := dev.Geometry().PageSize
-			pages := int(l.Stats().Capacity) / ps
-			n := 0
-			put := func(size int) uint64 {
-				key := binary.BigEndian.AppendUint32(nil, uint32(n))
-				n++
-				w, err := appendOne(l, key, make([]byte, size-storage.RecordSize(len(key), 0)))
+			capacity := l.Stats().Capacity
+			pages := int(capacity) / ps
+			stop := pages - 8 // cycle 3's head, in pages
+			type record struct {
+				key   []byte
+				word  uint64
+				cycle uint64
+			}
+			type mark struct {
+				at    uint64
+				cycle uint64
+				page  int // the head, in pages
+			}
+			var (
+				recs  []record
+				marks []mark
+			)
+			val := bytes.Repeat([]byte{0xA5}, 9*ps)
+			put := func(n int) uint64 {
+				key := binary.BigEndian.AppendUint32(nil, uint32(len(recs)))
+				w, err := appendOne(l, key, val[:n*ps-storage.RecordSize(len(key), 0)])
 				if err != nil {
 					t.Fatal(err)
 				}
+				recs = append(recs, record{key, w, l.Cycle()})
 				return w
 			}
-			var first []uint64
-			for range pages {
-				first = append(first, put(ps))
-			}
-			for range pages + 16 { // all of cycle 2, then 16 pages of cycle 3
-				put(ps)
-			}
-			put(49 * ps)
-			if c := l.Cycle(); c != 4 {
-				t.Fatalf("log in cycle %d, want 4", c)
-			}
-			past := 0
-			for _, w := range first {
-				off, _, _, _ := storage.DecodeValuePtr(w)
-				if off < 49*int64(ps) {
-					continue
+			// checkMarks requires every mark lapped exactly when the head
+			// is one capacity past it.
+			checkMarks := func(page int) {
+				for _, mk := range marks {
+					want := l.Cycle() > mk.cycle+1 || l.Cycle() == mk.cycle+1 && page >= mk.page
+					if got := l.Lapped(mk.at); got != want {
+						t.Fatalf("cycle %d at page %d: mark of cycle %d at page %d lapped=%v, want %v",
+							l.Cycle(), page, mk.cycle, mk.page, got, want)
+					}
 				}
-				past++
+			}
+			for range pages {
+				put(1)
+			}
+			for p := 1; p <= pages+stop; p++ { // all of cycle 2, then cycle 3 up to stop
+				put(1)
+				page := (p-1)%pages + 1
+				checkMarks(page)
+				marks = append(marks, mark{l.Mark(), l.Cycle(), page})
+			}
+			if c := l.Cycle(); c != 3 {
+				t.Fatalf("log in cycle %d, want 3", c)
+			}
+			if off, _, _, _ := storage.DecodeValuePtr(put(9)); off != 0 || l.Cycle() != 4 {
+				t.Fatalf("the record that did not fit landed at %d in cycle %d, want 0 in cycle 4", off, l.Cycle())
+			}
+			if b := l.Stats().BufferedBytes; b != int64(9*ps) {
+				t.Fatalf("%d bytes buffered, want the 9-page record alone", b)
+			}
+			checkMarks(9)
+			for i, r := range recs[:len(recs)-1] {
+				off, _, _, _ := storage.DecodeValuePtr(r.word)
 				c0, t0, s0 := dev.Counters(), clk.Now(), l.Stats().SkippedReads
-				req := []storage.ValueReadReq{{Ptr: w}}
-				if err := l.ReadRecordsBatch(req); err != nil {
+				rec, ok, err := readOne(l, r.word)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if req[0].Rec != nil || dev.Counters() != c0 || clk.Now() != t0 || l.Stats().SkippedReads != s0+1 {
-					t.Fatalf("cycle-1 record at %d read %d bytes, counters %+v -> %+v, clock %v -> %v, SkippedReads %d -> %d",
-						off, len(req[0].Rec), c0, dev.Counters(), t0, clk.Now(), s0, l.Stats().SkippedReads)
+				if r.cycle == 3 && off >= int64(9*ps) {
+					if _, verified := storage.VerifyRecord(rec, r.key); !ok || !verified {
+						t.Fatalf("cycle-3 record %d at %d, past the head, does not verify", i, off)
+					}
+					continue
+				}
+				if ok || dev.Counters() != c0 || clk.Now() != t0 || l.Stats().SkippedReads != s0+1 {
+					t.Fatalf("cycle-%d record %d at %d read %d bytes, counters %+v -> %+v, clock %v -> %v, SkippedReads %d -> %d",
+						r.cycle, i, off, len(rec), c0, dev.Counters(), t0, clk.Now(), s0, l.Stats().SkippedReads)
 				}
 			}
-			if past != pages-49 {
-				t.Fatalf("%d cycle-1 records past the head, want %d", past, pages-49)
+			tail := make([]byte, 8*ps)
+			if _, err := dev.ReadAt(tail, int64(stop*ps)); err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range tail {
+				if b != 0 {
+					t.Fatalf("byte %d, past cycle 3's head, reads %#x", stop*ps+i, b)
+				}
 			}
 		})
 	}
