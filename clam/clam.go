@@ -53,13 +53,16 @@
 // keys (byte ops only), groups them into contiguous per-shard runs with one
 // counting sort, routes chunks of those runs to workers, makes one chunk
 // call per chunk on a zero-copy sub-slice, and — for reads — scatters the
-// grouped answers back to input order. GetBatch/GetBatchU64 overlap a
-// chunk's index page probes — and then its value-log record reads, a
-// second I/O stream — across the device's internal queue lanes.
-// PutBatch/PutBatchU64 are the write-side mirror: a chunk's records land in
-// the value log as one multi-record append, and every buffer flush the
-// chunk triggers is issued as one address-sorted device WriteBatch
-// submission, while counters and state match per-key calls exactly.
+// grouped answers back to input order. GetBatch/GetBatchU64 overlap each
+// probing round's index page probes across the index device's internal
+// queue lanes; GetBatch reads the records a round resolved as one batched
+// value-log read, likewise overlapped, on the value-log device while the
+// next round probes the index device. PutBatch/PutBatchU64 are the
+// write-side mirror: a chunk's records land in the value log as one
+// multi-record append, which runs on the value-log device while the chunk
+// inserts their pointers, and every buffer flush the chunk triggers is
+// issued as one address-sorted device WriteBatch submission, while
+// counters and state match per-key calls exactly.
 //
 // # Worker model: one worker per shard, affinity and stealing
 //
@@ -85,7 +88,17 @@
 // operates in virtual time: every operation advances its shard's virtual
 // clock by its modeled latency, and per-operation latency distributions
 // are recorded in histograms that the experiment harness turns into the
-// paper's tables and figures.
+// paper's tables and figures. A shard's two devices keep their own
+// timelines, as two devices on one host do (§6.1 prices each device's I/O
+// on its own): the index device and the CPU charges run on the shard
+// clock, and the value-log device on a private clock that a log
+// submission first moves up to the shard clock, since it cannot start
+// before it is issued. The shard clock moves up to the log clock (a join)
+// only where the shard needs the log's result: before a put chunk
+// acknowledges, after a get chunk's last lookup round, and so before
+// every chunk call returns. A one-key call has nothing to overlap and
+// costs the serial sum. Each device's idle time, and so its background
+// garbage-collection credit, is measured on its own clock.
 //
 // All Store methods are safe for concurrent use. Operations serialize per
 // shard, matching the paper's blocking-I/O design point: a CLAM serializes
@@ -148,8 +161,9 @@ func (c *CLAM) Clock() *vclock.Clock { return c.shards[0].clock }
 // Callers must not use it concurrently with CLAM methods.
 func (c *CLAM) Core() *core.BufferHash { return c.shards[0].bh }
 
-// shard is one BufferHash with its own index device, value log, virtual
-// clock and latency histograms, serialized behind one mutex. The router
+// shard is one BufferHash with its own index device, value log (on a
+// device with a timeline of its own), virtual clock and latency
+// histograms, serialized behind one mutex. The router
 // reaches it only through the locked methods below: the chunk helpers,
 // each one call into the core pipeline (a per-key op is a one-key chunk),
 // and the maintenance calls.
@@ -163,10 +177,24 @@ type shard struct {
 	lookup metrics.Histogram
 	del    metrics.Histogram
 
+	// logClock is the value-log device's private timeline (see issueLog
+	// and join); nil iff vlog is nil.
+	logClock *vclock.Clock
+
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
-	batchIdx []int                  // GetBatch scatter scratch, guarded by mu
-	batchHit [][]byte               // GetBatch verified-value scratch, guarded by mu
+	batchIdx []int                  // GetBatch read-to-key scratch, guarded by mu
+
+	// A byte get chunk in flight (see readHits), guarded by mu: the
+	// LookupBatch hook bound once at open, the records read and their key
+	// indexes in read order, the staging copy of records a later read
+	// would reuse, and the verified values.
+	onHits   func(hits []int) error
+	recs     [][]byte
+	recIdx   []int
+	stage    []byte
+	staged   int // recs[:staged] no longer alias value-log scratch
+	batchHit [][]byte
 
 	putPtrs   []uint64 // PutBatch value-log pointer scratch, guarded by mu
 	displaced []uint64 // buffer words a byte chunk's core call displaced, guarded by mu
@@ -201,9 +229,11 @@ func openShard(cfg config) (*shard, error) {
 		if vbytes == 0 {
 			vbytes = cfg.flashBytes
 		}
-		if vdev, err = newKindDevice(cfg.device, vbytes, clock); err != nil {
+		s.logClock = vclock.New()
+		if vdev, err = newKindDevice(cfg.device, vbytes, s.logClock); err != nil {
 			return nil, err
 		}
+		s.onHits = s.readHits
 	}
 	coreCfg, err := deriveConfig(cfg, dev, clock)
 	if err != nil {
@@ -360,7 +390,7 @@ func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
 // must have len(keys).
 func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
 	w := s.begin()
-	return s.end(&s.lookup, w, len(keys), s.bh.LookupBatch(keys, results))
+	return s.end(&s.lookup, w, len(keys), s.bh.LookupBatch(keys, results, nil))
 }
 
 // deleteBatchU64Chunk is one batched delete. Deletes perform no I/O.
@@ -371,27 +401,46 @@ func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 
 // putBatchRecords applies one chunk of byte Puts: one multi-record
 // value-log append (its full pages reach the device as one sequential
-// submission), one core insert batch of the fingerprints and record
-// pointers, dead-record accounting of the pointers it displaced, and last
-// the expiry of incarnations the log has lapped. Record offsets depend
-// only on append order, so the final state matches one Put per key
-// exactly.
+// submission, on the log device's timeline), one core insert batch of the
+// fingerprints and record pointers, which runs without waiting for the
+// append, dead-record accounting of the pointers it displaced, a join, and
+// last the expiry of incarnations the log has lapped. An append whose
+// pages fail to write still hands back its pointers, so the chunk inserts
+// them and fails at the join, unacknowledged. Record offsets depend only
+// on append order, so the final state matches one Put per key exactly.
 func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
 	}
 	w := s.begin()
+	s.issueLog()
 	ptrs, err := s.appendRecords(keys, values)
-	if err == nil {
+	if ptrs != nil {
 		displaced := s.displacedWords(len(fps))
-		err = s.bh.InsertBatch(fps, ptrs, displaced)
+		insertErr := s.bh.InsertBatch(fps, ptrs, displaced)
 		s.retire(displaced)
+		if err == nil {
+			err = insertErr
+		}
 	}
+	s.join()
 	if err == nil {
 		s.expireLapped()
 	}
 	return s.end(&s.insert, w, len(fps), err)
 }
+
+// issueLog readies the value-log device's timeline for a submission the
+// shard issues now: the submission cannot start before it is issued, so
+// the log clock moves up to the shard clock. The device then advances its
+// own clock, and the shard runs on without waiting for it.
+func (s *shard) issueLog() { s.logClock.AdvanceTo(s.clock.Now()) }
+
+// join makes the shard wait for the value-log device: the shard clock
+// moves up to the log clock. A chunk joins where it needs the log's result
+// and always before it returns, so between chunks the log clock is never
+// ahead of the shard clock.
+func (s *shard) join() { s.clock.AdvanceTo(s.logClock.Now()) }
 
 // expiryMark pairs a flush sequence with the value-log position after it:
 // every incarnation at or below seq holds only pointers to records
@@ -440,12 +489,19 @@ func (s *shard) expireLapped() {
 
 // appendRecords appends the chunk's records to the value log as one
 // multi-record append and returns their pointer words in shard scratch.
-func (s *shard) appendRecords(keys, values [][]byte) ([]uint64, error) {
+// The pointers are known before the append's pages reach the device, so
+// they come back with a write error too: the log keeps the pages in its
+// tail buffer, serves reads of them from there and writes them with its
+// next append. A record the log refused (too large, or a wrap whose
+// write failed) leaves the chunk without pointers, and ptrs is nil.
+func (s *shard) appendRecords(keys, values [][]byte) (ptrs []uint64, err error) {
 	s.putPtrs = resize(s.putPtrs, len(keys))
-	if err := s.vlog.AppendBatch(keys, values, s.putPtrs); err != nil {
+	s.putPtrs[len(keys)-1] = 0 // a pointer word is never 0
+	err = s.vlog.AppendBatch(keys, values, s.putPtrs)
+	if s.putPtrs[len(keys)-1] == 0 {
 		return nil, err
 	}
-	return s.putPtrs, nil
+	return s.putPtrs, err
 }
 
 // displacedWords returns the shard's scratch for the value words a
@@ -481,53 +537,77 @@ func (s *shard) retire(displaced []uint64) {
 	}
 }
 
-// getBatchRecords resolves one chunk of byte Gets: batched index lookup,
-// then one batched value-log read for every key that resolved to a record
-// pointer, then per-key verification. It fills only the hits of values
-// and found.
+// getBatchRecords resolves one chunk of byte Gets: a batched index lookup
+// whose hits readHits reads from the value log round by round, each
+// round's records on the log device while the next round probes the index
+// device, then one join and the per-key verification. It fills only the
+// hits of values and found.
 func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
 	}
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
-	err := s.bh.LookupBatch(fps, s.batchRes)
+	s.recs, s.recIdx, s.stage, s.staged = s.recs[:0], s.recIdx[:0], s.stage[:0], 0
+	err := s.bh.LookupBatch(fps, s.batchRes, s.onHits)
+	s.join()
 	if err == nil {
-		err = s.readRecords(s.batchRes, keys, values, found)
+		s.verifyRecords(keys, values, found)
 	}
 	return s.end(&s.lookup, w, len(fps), err)
 }
 
-// readRecords reads the records that results point at as one batched
-// value-log read (a record the log has overwritten is a miss it does not
-// read) and fills values and found for each record whose stored key
-// matches. The records may be views of the value device's pages, so
-// the verified values are copied out, under the shard lock and before any
-// later device write, into one arena per chunk: each value is a
-// capacity-capped sub-slice of it, so appending to one cannot reach the
-// next.
-func (s *shard) readRecords(results []core.LookupResult, keys, values [][]byte, found []bool) error {
+// readHits is getBatchRecords' LookupBatch hook: it reads the records that
+// one lookup step's hits point at as one batched value-log read, issued on
+// the log device's timeline (a record the log has overwritten is a miss it
+// does not read), and keeps them for verification. A record may be a view
+// of the value device's page, valid through the chunk because nothing
+// writes the value log inside a get chunk, or a copy in log-owned scratch,
+// which the next read reuses: so before a read, the records kept so far
+// are staged into shard memory.
+func (s *shard) readHits(hits []int) error {
 	reqs := s.batchReq[:0]
 	idxs := s.batchIdx[:0]
-	for i := range results {
-		if results[i].Found && storage.IsValuePtr(results[i].Value) {
-			reqs = append(reqs, storage.ValueReadReq{Ptr: results[i].Value})
+	for _, i := range hits {
+		if v := s.batchRes[i].Value; storage.IsValuePtr(v) {
+			reqs = append(reqs, storage.ValueReadReq{Ptr: v})
 			idxs = append(idxs, i)
 		}
 	}
 	s.batchReq, s.batchIdx = reqs, idxs
+	if len(reqs) == 0 {
+		return nil
+	}
+	for j := s.staged; j < len(s.recs); j++ {
+		at := len(s.stage)
+		s.stage = append(s.stage, s.recs[j]...)
+		s.recs[j] = s.stage[at:]
+	}
+	s.staged = len(s.recs)
+	s.issueLog()
 	if err := s.vlog.ReadRecordsBatch(reqs); err != nil {
 		return err
 	}
-	hits := s.batchHit[:0]
 	for j, req := range reqs {
-		i := idxs[j]
-		if req.Rec == nil {
-			continue
+		if req.Rec != nil {
+			s.recs = append(s.recs, req.Rec)
+			s.recIdx = append(s.recIdx, idxs[j])
 		}
-		if v, ok := storage.VerifyRecord(req.Rec, keys[i]); ok {
+	}
+	return nil
+}
+
+// verifyRecords fills values and found for each record read whose stored
+// key matches. The verified values are copied out, under the shard lock
+// and before any later device write, into one arena per chunk: each value
+// is a capacity-capped sub-slice of it, so appending to one cannot reach
+// the next.
+func (s *shard) verifyRecords(keys, values [][]byte, found []bool) {
+	hits := s.batchHit[:0]
+	for j, rec := range s.recs {
+		if v, ok := storage.VerifyRecord(rec, keys[s.recIdx[j]]); ok {
+			s.recIdx[len(hits)] = s.recIdx[j]
 			hits = append(hits, v)
-			found[i] = true
 		}
 	}
 	s.batchHit = hits
@@ -538,13 +618,11 @@ func (s *shard) readRecords(results []core.LookupResult, keys, values [][]byte, 
 	if arena == nil {
 		arena = []byte{}
 	}
-	for _, i := range idxs {
-		if found[i] {
-			n := len(hits[0])
-			values[i], arena, hits = arena[:n:n], arena[n:], hits[1:]
-		}
+	for j, v := range hits {
+		i, n := s.recIdx[j], len(v)
+		values[i], arena = arena[:n:n], arena[n:]
+		found[i] = true
 	}
-	return nil
 }
 
 // deleteBatchFPs applies one chunk of byte-key deletes, retiring the
@@ -565,7 +643,7 @@ func (s *shard) deleteBatchFPs(fps []uint64) error {
 func (s *shard) containsBatchFPs(fps []uint64, found []bool) error {
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
-	err := s.bh.LookupBatch(fps, s.batchRes)
+	err := s.bh.LookupBatch(fps, s.batchRes, nil)
 	if err == nil {
 		for i := range s.batchRes {
 			found[i] = s.batchRes[i].Found && storage.IsValuePtr(s.batchRes[i].Value)

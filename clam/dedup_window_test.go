@@ -10,11 +10,14 @@ import (
 )
 
 // dedupWindow is the dedup index-merge window at a small scale: 8 shards
-// and 2 workers over 16 MB of flash with 4 MB of value logs, a universe of
-// 20-byte fingerprints about twice the logs' record capacity, and 256-byte
+// and 2 workers over 16 MB of flash and 4 MB of DRAM, a universe of 20-byte
+// fingerprints about twice the value logs' record capacity, and 256-byte
 // values. Each window looks up windowKeys fingerprints with GetBatch and
 // inserts the window's distinct misses with PutBatch, so the logs keep
-// wrapping and the hit rate settles near one half.
+// wrapping and the hit rate settles near one half. With 4 MB of value
+// logs the universe fits the DRAM buffers, so the index never flushes and
+// every lookup resolves in memory; with 16 MB it does not, and lookups
+// probe flash incarnations, round after round.
 type dedupWindow struct {
 	s        *Sharded
 	universe [][]byte
@@ -32,17 +35,20 @@ const (
 	windowKeys  = 4096
 	windowValue = 256
 	slabSpan    = 251
+
+	// The two value-log sizes: the index stays in DRAM, or it flushes.
+	memoryIndexLogs = 4 << 20
+	flashIndexLogs  = 16 << 20
 )
 
-// newDedupWindow opens the store and merges windows until every shard's
-// value log has wrapped.
-func newDedupWindow(tb testing.TB) *dedupWindow {
+// newDedupWindow opens the store with vlogBytes of value logs and merges
+// windows until every shard's value log has wrapped.
+func newDedupWindow(tb testing.TB, vlogBytes int64) *dedupWindow {
 	tb.Helper()
-	const vlogBytes = 4 << 20
 	w := &dedupWindow{
 		s: openShardedT(tb, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
 			WithValueLog(vlogBytes), WithShards(8), WithWorkers(2), WithSeed(3)),
-		universe: make([][]byte, 2*vlogBytes/storage.RecordSize(20, windowValue)),
+		universe: make([][]byte, 2*vlogBytes/int64(storage.RecordSize(20, windowValue))),
 		slab:     make([]byte, slabSpan+windowValue),
 		rng:      rand.New(rand.NewSource(37)),
 		idx:      make([]int, windowKeys),
@@ -85,10 +91,17 @@ func (w *dedupWindow) draw() {
 // step merges one window and returns its hits. Every hit must carry its
 // fingerprint's value.
 func (w *dedupWindow) step(tb testing.TB) int {
-	ctx := context.Background()
+	hits := w.lookup(tb)
+	w.insert(tb)
+	return hits
+}
+
+// lookup draws the next window, looks it up, checks every hit and queues
+// the window's distinct misses; it returns the hits.
+func (w *dedupWindow) lookup(tb testing.TB) int {
 	w.window++
 	w.draw()
-	vals, found, err := w.s.GetBatch(ctx, w.keys)
+	vals, found, err := w.s.GetBatch(context.Background(), w.keys)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -107,21 +120,31 @@ func (w *dedupWindow) step(tb testing.TB) int {
 			w.putVals = append(w.putVals, w.value(i))
 		}
 	}
-	if err := w.s.PutBatch(ctx, w.putKeys, w.putVals); err != nil {
+	return hits
+}
+
+// insert puts the misses lookup queued.
+func (w *dedupWindow) insert(tb testing.TB) {
+	if err := w.s.PutBatch(context.Background(), w.putKeys, w.putVals); err != nil {
 		tb.Fatal(err)
 	}
-	return hits
 }
 
 // TestDedupWindowAllocs is the allocation guard of byte lookups on the
 // dedup store shape: a warm 4096-key GetBatch at a hit rate near one half
 // on wrapped logs allocates one value arena per chunk plus the router's
-// constant, and nothing per hit.
+// constant, and nothing per hit — with the index in DRAM, and with it in
+// flash, where a chunk reads the value log once per probing round.
 func TestDedupWindowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
 	}
-	w := newDedupWindow(t)
+	t.Run("memory-index", func(t *testing.T) { testDedupWindowAllocs(t, memoryIndexLogs) })
+	t.Run("flash-index", func(t *testing.T) { testDedupWindowAllocs(t, flashIndexLogs) })
+}
+
+func testDedupWindowAllocs(t *testing.T, vlogBytes int64) {
+	w := newDedupWindow(t, vlogBytes)
 	w.draw()
 	g := w.s.groupBytes(w.keys, nil, nil)
 	chunks := 0
@@ -148,7 +171,12 @@ func TestDedupWindowAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, get)
 	rate := float64(hits) / windowKeys
-	t.Logf("GetBatch of %d keys in %d chunks at hit rate %.3f: %.1f allocs per call", windowKeys, chunks, rate, allocs)
+	probes := w.s.Stats().Core.FlashProbes
+	t.Logf("GetBatch of %d keys in %d chunks at hit rate %.3f: %.1f allocs per call (%d flash probes so far)",
+		windowKeys, chunks, rate, allocs, probes)
+	if (probes > 0) != (vlogBytes == flashIndexLogs) {
+		t.Fatalf("%d flash probes with %d MB of value logs; retune the store", probes, vlogBytes>>20)
+	}
 	if rate < 0.35 || rate > 0.65 {
 		t.Fatalf("hit rate %.3f is not near one half; retune the store", rate)
 	}
@@ -166,7 +194,7 @@ func TestDedupWindowAllocs(t *testing.T) {
 // 4096-key GetBatch at a hit rate near one half, then a PutBatch of the
 // misses. It reports host ns per looked-up key; allocs/op is per window.
 func BenchmarkDedupWindow(b *testing.B) {
-	w := newDedupWindow(b)
+	w := newDedupWindow(b, memoryIndexLogs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	hits := 0

@@ -1,0 +1,166 @@
+package clam
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+)
+
+// A shard's value-log device runs on its own timeline (see shard.issueLog
+// and shard.join): an append overlaps the index work of its put chunk,
+// and a probing round's record reads overlap the next round's probes.
+// These tests pin the rules of that overlap.
+
+// shardTimes is a shard's clock reading and its two devices' busy time.
+type shardTimes struct{ clock, index, log time.Duration }
+
+func (s *shard) times() shardTimes {
+	return shardTimes{s.clock.Now(), s.dev.Counters().BusyTime, s.vlog.Device().Counters().BusyTime}
+}
+
+func (a shardTimes) sub(b shardTimes) shardTimes {
+	return shardTimes{a.clock - b.clock, a.index - b.index, a.log - b.log}
+}
+
+func (a shardTimes) add(b shardTimes) shardTimes {
+	return shardTimes{a.clock + b.clock, a.index + b.index, a.log + b.log}
+}
+
+func snapshotTimes(shards []*shard) []shardTimes {
+	ts := make([]shardTimes, len(shards))
+	for i, sh := range shards {
+		ts[i] = sh.times()
+	}
+	return ts
+}
+
+// requireJoined fails unless every shard's log clock is at or behind its
+// shard clock, as it must be between chunk calls.
+func requireJoined(t *testing.T, shards []*shard, after string) {
+	t.Helper()
+	for i, sh := range shards {
+		if l, c := sh.logClock.Now(), sh.clock.Now(); l > c {
+			t.Fatalf("after %s: shard %d's log clock %v is ahead of its clock %v", after, i, l, c)
+		}
+	}
+}
+
+// TestValueLogOverlapWindows runs dedup merge windows on wrapped logs and
+// checks, after every call, that each shard joined its log timeline, and
+// over every window that each shard's clock advanced by at least each of
+// its devices' busy time: overlap hides a device's time behind the other
+// device's, never outside the shard's own span. It logs shard 0's mean
+// clock advance and device busy time per window.
+func TestValueLogOverlapWindows(t *testing.T) {
+	w := newDedupWindow(t, flashIndexLogs)
+	const windows = 100
+	var get, put shardTimes
+	for range windows {
+		t0 := snapshotTimes(w.s.shards)
+		w.lookup(t)
+		requireJoined(t, w.s.shards, "GetBatch")
+		t1 := snapshotTimes(w.s.shards)
+		w.insert(t)
+		requireJoined(t, w.s.shards, "PutBatch")
+		t2 := snapshotTimes(w.s.shards)
+		for i := range t2 {
+			if d := t2[i].sub(t0[i]); d.clock < d.index || d.clock < d.log {
+				t.Fatalf("window %d, shard %d: clock advanced %v, below its index busy %v or log busy %v",
+					w.window, i, d.clock, d.index, d.log)
+			}
+		}
+		get = get.add(t1[0].sub(t0[0]))
+		put = put.add(t2[0].sub(t1[0]))
+	}
+	per := func(d time.Duration) string { return fmt.Sprintf("%.3f ms", float64(d)/windows/1e6) }
+	t.Logf("shard 0 per window: get advance %s (index busy %s, log busy %s); put advance %s (index busy %s, log busy %s)",
+		per(get.clock), per(get.index), per(get.log), per(put.clock), per(put.index), per(put.log))
+	all := get.add(put)
+	t.Logf("shard 0 per window: clock %s, index busy %s, log busy %s",
+		per(all.clock), per(all.index), per(all.log))
+}
+
+// overlapStore is the one-shard store the chunk-level overlap tests use.
+func overlapStore(t *testing.T) *CLAM {
+	return openCLAMT(t, WithDevice(IntelSSD), WithFlash(2<<20), WithMemory(512<<10), WithBufferKB(16),
+		WithValueLog(4<<20), WithSeed(21))
+}
+
+func overlapKey(i int) []byte { return []byte(fmt.Sprintf("overlap-key-%05d", i)) }
+
+// putUntilFlush issues 32-key PutBatch calls of fresh keys until one both
+// flushes an index buffer and writes value-log pages, and returns that
+// call's number and shard times.
+func putUntilFlush(t *testing.T, c *CLAM) (int, shardTimes) {
+	t.Helper()
+	sh := c.shards[0]
+	val := make([]byte, 100)
+	keys, vals := make([][]byte, 32), make([][]byte, 32)
+	for call := 0; call < 1000; call++ {
+		for j := range keys {
+			keys[j], vals[j] = overlapKey(call*len(keys)+j), val
+		}
+		flushes, before := c.Stats().Core.Flushes, sh.times()
+		if err := c.PutBatch(context.Background(), keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		d := sh.times().sub(before)
+		if c.Stats().Core.Flushes > flushes && d.index > 0 && d.log > 0 {
+			return call, d
+		}
+	}
+	t.Fatal("no PutBatch flushed the index and wrote the log")
+	return 0, shardTimes{}
+}
+
+// TestPutChunkOverlap pins a byte PutBatch chunk whose flush writes the
+// index device while its append writes the value-log device: the chunk
+// advances the clock by less than the serial sum it advanced by before
+// the log had its own timeline, captured below, and by at least the
+// longer of the two device times.
+func TestPutChunkOverlap(t *testing.T) {
+	c := overlapStore(t)
+	call, d := putUntilFlush(t, c)
+	requireJoined(t, c.shards, "PutBatch")
+	// Captured with the value-log device on the shard clock: call 262
+	// advanced it by 3,398,240 ns, its 1,314,112 ns of log writes in series
+	// with the chunk's CPU and its 478,528 ns flush write.
+	const serialCall, serialAdvance = 262, 3398240 * time.Nanosecond
+	t.Logf("call %d: clock advanced %v; index busy %v, log busy %v (serial: %v)", call, d.clock, d.index, d.log, serialAdvance)
+	if call != serialCall {
+		t.Fatalf("call %d flushed first; the serial capture is of call %d", call, serialCall)
+	}
+	if d.clock >= serialAdvance {
+		t.Errorf("clock advanced %v, not below the serial %v", d.clock, serialAdvance)
+	}
+	if d.clock < max(d.index, d.log) {
+		t.Errorf("clock advanced %v, below a device's busy time (index %v, log %v)", d.clock, d.index, d.log)
+	}
+}
+
+// TestOneKeyGetTimeline pins one-key Gets: with one hit there is nothing
+// to overlap, so each advances the clock exactly as it did before the log
+// had its own timeline (constants captured then): a key resolved by a
+// flash probe and a key still in the DRAM buffer, both reading their
+// records from the value-log device.
+func TestOneKeyGetTimeline(t *testing.T) {
+	c := overlapStore(t)
+	call, _ := putUntilFlush(t, c)
+	for _, g := range []struct {
+		key  int
+		want time.Duration
+	}{
+		{0, 307536 * time.Nanosecond},           // flushed: one index probe, then the record read
+		{call*32 - 1, 154268 * time.Nanosecond}, // buffered: the record read alone
+	} {
+		before := c.Clock().Now()
+		if _, ok, err := c.Get(overlapKey(g.key)); err != nil || !ok {
+			t.Fatalf("Get(%d): found %t, err %v", g.key, ok, err)
+		}
+		requireJoined(t, c.shards, "Get")
+		if d := c.Clock().Now() - before; d != g.want {
+			t.Errorf("Get(%d) advanced the clock %v; want %v", g.key, d, g.want)
+		}
+	}
+}

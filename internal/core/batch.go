@@ -75,6 +75,7 @@ type batchScratch struct {
 	packed  []uint64    // probe words: pageNo<<pendBits | pendingIndex
 	reqs    []storage.ReadReq
 	arena   []byte
+	hits    []int // one step's newly resolved hits, for LookupBatch's resolved hook
 }
 
 // LookupBatch looks up len(keys) keys through the lookup pipeline, writing
@@ -93,8 +94,15 @@ type batchScratch struct {
 // so both interleavings are legal; FIFO/UpdateBased/PriorityBased batches
 // match one-key calls exactly.
 //
+// resolved is nil or is called after phase A and after each probing round
+// that resolved hits, with the indexes, ascending, of the keys that step
+// resolved as hits; their results are final, and hits is valid only
+// during the call. The byte API reads a round's value-log records on that
+// device while the next round probes the index device. A non-nil error
+// from resolved ends the lookup with that error. U64 callers pass nil.
+//
 // On error the contents of results are unspecified.
-func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult) error {
+func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved func(hits []int) error) error {
 	if len(keys) != len(results) {
 		return fmt.Errorf("core: LookupBatch: %d keys, %d results", len(keys), len(results))
 	}
@@ -102,14 +110,27 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult) error {
 	const maxSegment = 1 << pendBits
 	for at := 0; at < len(keys); at += maxSegment {
 		end := min(at+maxSegment, len(keys))
-		if err := b.lookupBatchSegment(keys[at:end], results[at:end]); err != nil {
+		if err := b.lookupBatchSegment(keys[at:end], results[at:end], at, resolved); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) error {
+// report hands the step's hits, if any, offset by base, to resolved.
+func (bs *batchScratch) report(base int, resolved func(hits []int) error) error {
+	if len(bs.hits) == 0 {
+		return nil
+	}
+	for k := range bs.hits {
+		bs.hits[k] += base
+	}
+	err := resolved(bs.hits)
+	bs.hits = bs.hits[:0]
+	return err
+}
+
+func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult, base int, resolved func(hits []int) error) error {
 	bs := &b.batch
 	bs.pending = bs.pending[:0]
 	if bs.memo == nil {
@@ -150,6 +171,9 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 				continue
 			}
 			b.stats.recordLookup(results[i])
+			if resolved != nil && results[i].Found {
+				bs.hits = append(bs.hits, i)
+			}
 			continue
 		}
 		st, kh := b.route(key)
@@ -163,8 +187,14 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 			continue
 		}
 		b.stats.recordLookup(res)
+		if resolved != nil && res.Found {
+			bs.hits = append(bs.hits, i)
+		}
 	}
 	b.settleCPUDebt()
+	if err := bs.report(base, resolved); err != nil {
+		return err
+	}
 	if len(bs.pending) == 0 {
 		return nil
 	}
@@ -238,8 +268,14 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult) e
 				continue
 			}
 			b.stats.recordLookup(results[p.idx])
+			if resolved != nil && results[p.idx].Found {
+				bs.hits = append(bs.hits, p.idx)
+			}
 		}
 		bs.pending = live
+		if err := bs.report(base, resolved); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -243,7 +243,7 @@ func (b *BufferHash) Delete(key uint64) error {
 // Lookup returns the latest value for key: a one-key LookupBatch.
 func (b *BufferHash) Lookup(key uint64) (LookupResult, error) {
 	keys, results := [1]uint64{key}, [1]LookupResult{}
-	err := b.LookupBatch(keys[:], results[:])
+	err := b.LookupBatch(keys[:], results[:], nil)
 	return results[0], err
 }
 

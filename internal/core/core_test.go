@@ -922,6 +922,21 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 	const batchSize = 64
 	keys := make([]uint64, batchSize)
 	results := make([]LookupResult, batchSize)
+	// The resolved hook must report every hit once, ascending within a
+	// step, each with its final result.
+	reported := make([]int, batchSize)
+	resolved := func(hits []int) error {
+		for j, i := range hits {
+			if j > 0 && i <= hits[j-1] {
+				t.Fatalf("resolved hits not ascending: %v", hits)
+			}
+			if !results[i].Found {
+				t.Fatalf("resolved reports key %d, which has no hit", i)
+			}
+			reported[i]++
+		}
+		return nil
+	}
 	for round := 0; round < 40; round++ {
 		for i := range keys {
 			if rng.Intn(3) == 0 {
@@ -930,7 +945,8 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 				keys[i] = universe[rng.Intn(len(universe))]
 			}
 		}
-		if err := batched.LookupBatch(keys, results); err != nil {
+		clear(reported)
+		if err := batched.LookupBatch(keys, results, resolved); err != nil {
 			t.Fatal(err)
 		}
 		for i, k := range keys {
@@ -940,6 +956,9 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 			}
 			if results[i] != want {
 				t.Fatalf("round %d key %#x: batch %+v, serial %+v", round, k, results[i], want)
+			}
+			if n, hit := reported[i], results[i].Found; n != 1 && hit || n != 0 && !hit {
+				t.Fatalf("round %d key %#x: reported %d times, hit %t", round, k, n, hit)
 			}
 		}
 	}
@@ -1042,7 +1061,7 @@ func TestLookupBatchVirtualTimeOverlap(t *testing.T) {
 	serialTime := serial.cfg.Clock.Now() - st0
 
 	bt0 := batched.cfg.Clock.Now()
-	if err := batched.LookupBatch(keys, results); err != nil {
+	if err := batched.LookupBatch(keys, results, nil); err != nil {
 		t.Fatal(err)
 	}
 	batchTime := batched.cfg.Clock.Now() - bt0
@@ -1060,7 +1079,7 @@ func TestLookupBatchVirtualTimeOverlap(t *testing.T) {
 func TestLookupBatchLengthMismatch(t *testing.T) {
 	cfg, _ := testConfig(t)
 	b := mustNew(t, cfg)
-	if err := b.LookupBatch(make([]uint64, 3), make([]LookupResult, 2)); err == nil {
+	if err := b.LookupBatch(make([]uint64, 3), make([]LookupResult, 2), nil); err == nil {
 		t.Fatal("want length-mismatch error")
 	}
 }

@@ -5,9 +5,12 @@
 // interface.
 //
 // Devices operate in virtual time: every I/O returns the simulated service
-// latency and advances the shared vclock.Clock by it. Devices store real
-// bytes, so data integrity is verified end to end by the tests — the latency
-// model and the data path are exercised together.
+// latency and advances the device's vclock.Clock by it. Devices that share
+// a clock serialize; a device on a clock of its own keeps its own
+// timeline, which its owner joins where it needs the device's results
+// (the clam facade runs each shard's value-log device that way). Devices
+// store real bytes, so data integrity is verified end to end by the tests
+// — the latency model and the data path are exercised together.
 //
 // Every device services reads and writes as queued submissions: ReadBatch
 // and WriteBatch serve many requests in the ascending address order the
@@ -79,8 +82,10 @@ type Counters struct {
 
 // Add accumulates another device's counters into c. Sharded deployments sum
 // the per-shard device counters into one fleet-wide view; BusyTime becomes
-// the total service time across all devices (shard clocks are independent,
-// so it can exceed any single clock's reading).
+// the total service time across all devices. Shard clocks are independent,
+// and within a shard the value-log device's service overlaps the index
+// device's, so the sum can exceed any single clock's advance — even one
+// shard's index and value-log BusyTime together can.
 func (c *Counters) Add(o Counters) {
 	c.Reads += o.Reads
 	c.Writes += o.Writes

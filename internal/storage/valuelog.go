@@ -49,9 +49,10 @@ import (
 //
 // Record reads go to the device as one ReadBatch submission per call,
 // overlapping the records' service times across the device's queue lanes —
-// the "second I/O stream" of a batched Get: first the incarnation page
-// probes overlap, then the value-log record reads overlap. A single-record
-// read is the one-request case.
+// the "second I/O stream" of a batched Get, which the clam facade issues
+// once per probing round, on the value-log device's own timeline, while
+// the next round's incarnation page probes overlap on the index device. A
+// single-record read is the one-request case.
 //
 // A ValueLog is not safe for concurrent use; the clam facade serializes
 // access under the same lock as the hash table.

@@ -10,10 +10,12 @@ import (
 )
 
 // recordingIndex wraps an Index and records whether each Get found its
-// fingerprint: Process's match decision for each chunk, in chunk order.
+// fingerprint — Process's match decision for each chunk, in chunk order —
+// and counts the Puts.
 type recordingIndex struct {
 	Index
 	found []bool
+	puts  int
 }
 
 func (r *recordingIndex) Get(fp []byte) ([]byte, bool, error) {
@@ -22,13 +24,18 @@ func (r *recordingIndex) Get(fp []byte) ([]byte, bool, error) {
 	return ref, ok, err
 }
 
+func (r *recordingIndex) Put(fp, ref []byte) error {
+	r.puts++
+	return r.Index.Put(fp, ref)
+}
+
 // rebuild reconstructs one object at a receiver from the match decisions
 // Process made for it, as §8's destination does: a chunk Process did not
 // match arrives as a literal, which the receiver caches by fingerprint in
 // chunks; a matched chunk arrives as a reference, which must resolve
 // against that cache. It returns the object and its on-wire bytes.
 func rebuild(o *Optimizer, data []byte, found []bool, chunks map[[FingerprintBytes]byte][]byte) ([]byte, int, error) {
-	split := o.chunker.Split(data)
+	split := o.split(data)
 	if len(split) != len(found) {
 		return nil, 0, fmt.Errorf("%d chunks, %d index lookups", len(split), len(found))
 	}
@@ -112,14 +119,18 @@ type everyIndex struct{}
 func (everyIndex) Put(fp, ref []byte) error            { return nil }
 func (everyIndex) Get(fp []byte) ([]byte, bool, error) { return nil, true, nil }
 
-// TestReconstructEmpty checks that an empty object ships nothing and
-// rebuilds empty.
+// TestReconstructEmpty checks that an empty object is zero chunks: it
+// ships nothing, the index sees no lookup and no insert, and it rebuilds
+// empty.
 func TestReconstructEmpty(t *testing.T) {
 	idx := &recordingIndex{Index: newMapIndex()}
 	o := newOptimizer(t, idx, vclock.New(), 100)
 	res, err := o.Process(nil)
-	if err != nil || res.CompressedBytes != 0 {
+	if err != nil || res.CompressedBytes != 0 || res.Chunks != 0 {
 		t.Fatalf("empty object: %+v, %v", res, err)
+	}
+	if len(idx.found) != 0 || idx.puts != 0 {
+		t.Fatalf("empty object: %d index lookups, %d inserts; want none", len(idx.found), idx.puts)
 	}
 	out, n, err := rebuild(o, nil, idx.found, make(map[[FingerprintBytes]byte][]byte))
 	if err != nil || len(out) != 0 || n != 0 {

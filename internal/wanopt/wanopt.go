@@ -163,7 +163,7 @@ func (o *Optimizer) Process(data []byte) (ObjectResult, error) {
 	// CM: content chunking + SHA-1 (precomputed per §8, so free in
 	// virtual time aside from the buffering delay).
 	clock.Advance(o.cfg.CMDelay)
-	chunks := o.chunker.Split(data)
+	chunks := o.split(data)
 	res.Chunks = len(chunks)
 	o.stats.ChunksTotal += uint64(len(chunks))
 
@@ -211,6 +211,16 @@ func (o *Optimizer) Process(data []byte) (ObjectResult, error) {
 	tx := o.transmit(compressed)
 	res.Completion = tx
 	return res, nil
+}
+
+// split cuts an object into its content chunks. An empty object is zero
+// chunks: the chunker cuts empty input into one empty chunk, whose
+// fingerprint no object needs looked up or inserted.
+func (o *Optimizer) split(data []byte) [][]byte {
+	if len(data) == 0 {
+		return nil
+	}
+	return o.chunker.Split(data)
 }
 
 // transmit schedules n bytes on the FIFO link, starting no earlier than
