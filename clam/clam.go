@@ -29,9 +29,9 @@
 // have 64-bit fingerprints and word-sized values — the paper's evaluation
 // — use the inline fast path (PutU64/GetU64), which bypasses the value log
 // entirely and behaves exactly as before the byte API existed. Existence
-// checks that don't need the value go through Contains/ContainsU64/
-// ContainsBatch, which stop at the index hit and skip the record read
-// (accepting the fingerprint-collision rate the paper accepts).
+// checks that don't need the value go through ContainsBatch, which stops
+// at the index hit and skips the record read (accepting the
+// fingerprint-collision rate the paper accepts).
 //
 // # One store, one path per op
 //
@@ -45,11 +45,11 @@
 // add: a CLAM exposes its clock and core, a Sharded store its
 // per-shard views and virtual makespan.
 //
-// A per-key call (PutU64, GetU64, DeleteU64, ContainsU64, Put, Get,
-// Delete, Contains) routes its key to a shard and makes a one-key call of
-// the same chunk helper the batches use, on stack arrays, so a key sent
-// alone or inside a batch runs the same core pipeline, the same value-log
-// calls and the same dead-record accounting. A batch call fingerprints its
+// A per-key call (PutU64, GetU64, DeleteU64, Put, Get, Delete) routes its
+// key to a shard and makes a one-key call of the same chunk helper the
+// batches use, on stack arrays, so a key sent alone or inside a batch runs
+// the same core pipeline, the same value-log calls and the same
+// dead-record accounting. A batch call fingerprints its
 // keys (byte ops only), groups them into contiguous per-shard runs with one
 // counting sort, routes chunks of those runs to workers, makes one chunk
 // call per chunk on a zero-copy sub-slice, and — for reads — scatters the
@@ -628,11 +628,11 @@ func (s *shard) verifyRecords(keys, values [][]byte, found []bool) {
 // deleteBatchFPs applies one chunk of byte-key deletes, retiring the
 // records whose pointers they removed from the buffer.
 func (s *shard) deleteBatchFPs(fps []uint64) error {
-	w := s.begin()
-	var displaced []uint64
-	if s.vlog != nil {
-		displaced = s.displacedWords(len(fps))
+	if s.vlog == nil {
+		return ErrNoValueLog
 	}
+	w := s.begin()
+	displaced := s.displacedWords(len(fps))
 	err := s.bh.DeleteBatch(fps, displaced)
 	s.retire(displaced)
 	return s.end(&s.del, w, len(fps), err)
@@ -641,6 +641,9 @@ func (s *shard) deleteBatchFPs(fps []uint64) error {
 // containsBatchFPs resolves one chunk of existence probes: the batched
 // index lookup alone, with no value-log read.
 func (s *shard) containsBatchFPs(fps []uint64, found []bool) error {
+	if s.vlog == nil {
+		return ErrNoValueLog
+	}
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
 	err := s.bh.LookupBatch(fps, s.batchRes, nil)
@@ -658,12 +661,6 @@ func (s *shard) flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bh.Flush()
-}
-
-func (s *shard) elapse(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock.Advance(d)
 }
 
 func (s *shard) resetMetrics() {

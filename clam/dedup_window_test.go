@@ -41,6 +41,12 @@ const (
 	flashIndexLogs  = 16 << 20
 )
 
+// dedupGeometries names the two index placements by their value-log size.
+var dedupGeometries = []struct {
+	name      string
+	vlogBytes int64
+}{{"memory-index", memoryIndexLogs}, {"flash-index", flashIndexLogs}}
+
 // newDedupWindow opens the store with vlogBytes of value logs and merges
 // windows until every shard's value log has wrapped.
 func newDedupWindow(tb testing.TB, vlogBytes int64) *dedupWindow {
@@ -139,8 +145,9 @@ func TestDedupWindowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
 	}
-	t.Run("memory-index", func(t *testing.T) { testDedupWindowAllocs(t, memoryIndexLogs) })
-	t.Run("flash-index", func(t *testing.T) { testDedupWindowAllocs(t, flashIndexLogs) })
+	for _, g := range dedupGeometries {
+		t.Run(g.name, func(t *testing.T) { testDedupWindowAllocs(t, g.vlogBytes) })
+	}
 }
 
 func testDedupWindowAllocs(t *testing.T, vlogBytes int64) {
@@ -192,15 +199,20 @@ func testDedupWindowAllocs(t *testing.T, vlogBytes int64) {
 
 // BenchmarkDedupWindow times the dedup merge window on wrapped logs: a
 // 4096-key GetBatch at a hit rate near one half, then a PutBatch of the
-// misses. It reports host ns per looked-up key; allocs/op is per window.
+// misses, with the index in DRAM and in flash. It reports host ns per
+// looked-up key; allocs/op is per window.
 func BenchmarkDedupWindow(b *testing.B) {
-	w := newDedupWindow(b, memoryIndexLogs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	hits := 0
-	for range b.N {
-		hits += w.step(b)
+	for _, g := range dedupGeometries {
+		b.Run(g.name, func(b *testing.B) {
+			w := newDedupWindow(b, g.vlogBytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			hits := 0
+			for range b.N {
+				hits += w.step(b)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windowKeys), "ns/key")
+			b.ReportMetric(float64(hits)/float64(b.N*windowKeys), "hit_rate")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windowKeys), "ns/key")
-	b.ReportMetric(float64(hits)/float64(b.N*windowKeys), "hit_rate")
 }

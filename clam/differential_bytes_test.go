@@ -9,10 +9,10 @@ import (
 )
 
 // The byte-API differential harness mirrors differential_test.go for the
-// Store byte surface: a seeded randomized stream of Put / Update / Delete /
-// Get / Flush operations runs against a CLAM, a Sharded CLAM and a plain
-// map[string][]byte oracle, asserting agreement modulo the documented
-// semantics:
+// Store byte surface: a seeded randomized stream of Put (new keys and lazy
+// updates) / Delete / Get / Flush operations runs against a CLAM, a
+// Sharded CLAM and a plain map[string][]byte oracle, asserting agreement
+// modulo the documented semantics:
 //
 //   - Lazy delete (§5.1.1): a deleted key stays invisible until re-put.
 //   - Eviction: once the incarnation ring or the circular value log wraps,
@@ -62,23 +62,14 @@ func genByteOps(seed int64, nOps, nKeys, maxVal int, pLookup, pDelete, pFlush fl
 }
 
 // applyByteDifferential feeds ops to s and the oracle in lockstep,
-// checking every Get against the oracle. Every fourth insert goes through
-// Update to keep the alias on the differential path too.
+// checking every Get against the oracle.
 func applyByteDifferential(t *testing.T, name string, s Store, ops []byteOp, strict bool) map[string][]byte {
 	t.Helper()
 	oracle := make(map[string][]byte)
-	inserts := 0
 	for i, o := range ops {
 		switch o.kind {
 		case opInsert:
-			inserts++
-			var err error
-			if inserts%4 == 0 {
-				err = s.Update(o.key, o.val)
-			} else {
-				err = s.Put(o.key, o.val)
-			}
-			if err != nil {
+			if err := s.Put(o.key, o.val); err != nil {
 				t.Fatalf("%s: op %d put: %v", name, i, err)
 			}
 			oracle[string(o.key)] = o.val

@@ -31,7 +31,7 @@ func Example() {
 		fmt.Printf("found %d bytes: %s\n", len(data), data)
 	}
 
-	st.Update(fp[:], []byte("v2")) // lazy update: newest version shadows older ones
+	st.Put(fp[:], []byte("v2")) // lazy update: newest version shadows older ones
 	data, _, _ := st.Get(fp[:])
 	fmt.Printf("updated to %s\n", data)
 

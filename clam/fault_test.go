@@ -157,16 +157,18 @@ func openFaultSharded(t testing.TB, opts ...Option) *faultRig {
 }
 
 // faultOp kinds: per-key ops of both families, batch ops over a window of
-// keys, and Flush.
+// keys, and Flush. The codes are the fuzz corpus's op bytes, so they keep
+// their positions: the two per-key existence probes are GetU64's found
+// flag and a one-key ContainsBatch.
 const (
 	fopPutU64 = iota
 	fopGetU64
 	fopDeleteU64
-	fopContainsU64
+	fopFoundU64
 	fopPut
 	fopGet
 	fopDelete
-	fopContains
+	fopContainsOne
 	fopPutBatchU64
 	fopGetBatchU64
 	fopDeleteBatchU64
@@ -263,11 +265,11 @@ func (d *faultDriver) apply(kind, ki, win int) {
 		err := st.DeleteU64(u64Key(ki))
 		d.failed(err)
 		o.del(d.uName(ki), err)
-	case fopContainsU64:
-		ok, err := st.ContainsU64(u64Key(ki))
+	case fopFoundU64:
+		_, ok, err := st.GetU64(u64Key(ki))
 		d.failed(err)
 		if err == nil {
-			o.check("ContainsU64", d.uName(ki), ok, 0)
+			o.check("GetU64.found", d.uName(ki), ok, 0)
 		}
 	case fopPut:
 		seq := d.next()
@@ -288,11 +290,11 @@ func (d *faultDriver) apply(kind, ki, win int) {
 		err := st.Delete(d.byteKey[ki])
 		d.failed(err)
 		o.del(string(d.byteKey[ki]), err)
-	case fopContains:
-		ok, err := st.Contains(d.byteKey[ki])
+	case fopContainsOne:
+		found, err := st.ContainsBatch(ctx, [][]byte{d.byteKey[ki]})
 		d.failed(err)
 		if err == nil {
-			o.check("Contains", string(d.byteKey[ki]), ok, 0)
+			o.check("ContainsBatch", string(d.byteKey[ki]), found[0], 0)
 		}
 	case fopPutBatchU64:
 		idx := window()

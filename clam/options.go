@@ -49,8 +49,8 @@ func WithDevice(kind DeviceKind) Option {
 // CLAM) with a caller-supplied model. The caller must construct it against
 // the clock passed via WithClock (or let the device own its clock).
 // Such a store has no value log, so its byte-valued operations fail with
-// ErrNoValueLog. Rejected with WithShards > 1: each shard of a Sharded
-// store owns private devices.
+// ErrNoValueLog and WithValueLog is rejected. Rejected with WithShards > 1:
+// each shard of a Sharded store owns private devices.
 func WithCustomDevice(dev storage.Device) Option {
 	return func(c *config) error {
 		c.customDevice = dev
@@ -91,6 +91,7 @@ func WithMemory(bytes int64) Option {
 // backing the byte-valued API. Default: the flash capacity again. The log
 // is circular — when it wraps, the oldest records are overwritten and
 // their keys read as misses, the same FIFO story as incarnation eviction.
+// Rejected with WithCustomDevice, whose store has no value log.
 func WithValueLog(bytes int64) Option {
 	return func(c *config) error {
 		if bytes <= 0 {

@@ -48,11 +48,9 @@ func TestSerialOpAllocs(t *testing.T) {
 	}{
 		{"PutU64", 0, func() error { k := next(); return c.PutU64(uint64(k)*0x9e3779b97f4a7c15|1, 1) }},
 		{"GetU64", 0, func() error { _, _, err := c.GetU64(uint64(next())*0x9e3779b97f4a7c15 | 1); return err }},
-		{"ContainsU64", 0, func() error { _, err := c.ContainsU64(uint64(next())*0x9e3779b97f4a7c15 | 1); return err }},
 		{"DeleteU64", 0, func() error { return c.DeleteU64(uint64(next())*0x9e3779b97f4a7c15 | 1) }},
 		{"Put", 0, func() error { return c.Put(bkeys[next()%n], val) }},
 		{"Get", 1, func() error { _, _, err := c.Get(bkeys[next()%n]); return err }},
-		{"Contains", 0, func() error { _, err := c.Contains(bkeys[next()%n]); return err }},
 		{"Delete", 0, func() error { return c.Delete(bkeys[next()%n]) }},
 	} {
 		i = 0

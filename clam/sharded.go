@@ -75,6 +75,9 @@ func openRouter(cfg config) (*router, error) {
 	if n > 1 && cfg.customDevice != nil {
 		return nil, errors.New("clam: WithCustomDevice is incompatible with WithShards; each shard owns its own devices")
 	}
+	if cfg.customDevice != nil && cfg.valueLogBytes != 0 {
+		return nil, errors.New("clam: WithValueLog is incompatible with WithCustomDevice; such a store has no value log")
+	}
 	if cfg.flashBytes%int64(n) != 0 {
 		return nil, fmt.Errorf("clam: flash capacity %d not divisible by %d shards", cfg.flashBytes, n)
 	}
@@ -154,11 +157,6 @@ func (r *router) PutU64(key, value uint64) error {
 	return r.shard(key).putBatchU64Chunk(keys[:], values[:])
 }
 
-// UpdateU64 is an alias of PutU64 with the paper's lazy-update semantics
-// (§5.1.1): the new version shadows older ones because lookups probe
-// newest-first; there is no existence check and no read-modify-write.
-func (r *router) UpdateU64(key, value uint64) error { return r.PutU64(key, value) }
-
 // GetU64 returns the latest value stored under key.
 func (r *router) GetU64(key uint64) (value uint64, found bool, err error) {
 	keys, results := [1]uint64{key}, [1]core.LookupResult{}
@@ -172,13 +170,6 @@ func (r *router) DeleteU64(key uint64) error {
 	return r.shard(key).deleteBatchU64Chunk(keys[:])
 }
 
-// ContainsU64 reports whether key is present on the fast path. It is
-// GetU64 without returning the value: same probes, same counters.
-func (r *router) ContainsU64(key uint64) (bool, error) {
-	_, found, err := r.GetU64(key)
-	return found, err
-}
-
 // Put adds or updates a key → value mapping: the key's fingerprint picks
 // the shard, the record is appended to that shard's value log, and the
 // fingerprint maps to the record's pointer.
@@ -186,10 +177,6 @@ func (r *router) Put(key, value []byte) error {
 	fps, keys, values := [1]uint64{fingerprint(key, r.fpSeed)}, [1][]byte{key}, [1][]byte{value}
 	return r.shard(fps[0]).putBatchRecords(fps[:], keys[:], values[:])
 }
-
-// Update is an alias of Put with the paper's lazy-update semantics
-// (§5.1.1); see Store.
-func (r *router) Update(key, value []byte) error { return r.Put(key, value) }
 
 // Get returns the latest value stored under key, verified against the full
 // key bytes in the value-log record.
@@ -208,23 +195,6 @@ func (r *router) Delete(key []byte) error {
 	return r.shard(fps[0]).deleteBatchFPs(fps[:])
 }
 
-// Contains reports whether a record is indexed under key's fingerprint,
-// stopping at the index hit: unlike Get, it skips the value-log record
-// read that would verify the full key bytes, so a duplicate probe costs
-// only the index lookup. The price is the fingerprint-collision false
-// positive rate the paper itself accepts at 32–64-bit fingerprints — a
-// colliding key, or a key whose record the circular log has lapped, can
-// report true. A lapped record reports true only from an incarnation the
-// log has not lapped whole: one whose every record is gone has expired
-// (see shard.expireLapped). Workloads that need exactness read through
-// Get.
-func (r *router) Contains(key []byte) (bool, error) {
-	fps := [1]uint64{fingerprint(key, r.fpSeed)}
-	var found [1]bool
-	err := r.shard(fps[0]).containsBatchFPs(fps[:], found[:])
-	return found[0], err
-}
-
 // --- maintenance ---
 
 // Flush forces every shard's buffered entries to flash, one shard after
@@ -241,17 +211,11 @@ func (r *router) Flush() error {
 	return errors.Join(errs...)
 }
 
-// Elapse advances every shard's virtual clock by d, modeling host idle
-// time (during which SSDs garbage-collect in the background).
-func (r *router) Elapse(d time.Duration) {
-	for _, s := range r.shards {
-		s.elapse(d)
-	}
-}
-
 // ResetMetrics clears every shard's latency histograms and core counters,
-// typically after a warm-up phase, so every field of the next Stats
-// snapshot covers the same since-reset window.
+// typically after a warm-up phase, so the next Stats snapshot's latency
+// summaries and Core cover the since-reset window. The device and
+// value-log counters are not reset: they stay cumulative since Open (see
+// Store.ResetMetrics).
 func (r *router) ResetMetrics() {
 	for _, s := range r.shards {
 		s.resetMetrics()
@@ -619,9 +583,9 @@ func (r *router) DeleteBatch(ctx context.Context, keys [][]byte) error {
 
 // ContainsBatch probes len(keys) byte keys through the batched index
 // pipeline, returning per-key existence in input order. No value-log
-// records are read (Contains's tradeoff, with its lapped-record false
-// positives from unexpired incarnations only), so each chunk costs
-// exactly its overlapped index probes.
+// records are read (see Store.ContainsBatch for the tradeoff: colliding
+// fingerprints and lapped records from unexpired incarnations report
+// true), so each chunk costs exactly its overlapped index probes.
 func (r *router) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
 	found := make([]bool, len(keys))
 	g := r.groupBytes(keys, nil, nil)

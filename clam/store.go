@@ -3,7 +3,6 @@ package clam
 import (
 	"context"
 	"errors"
-	"time"
 
 	"repro/internal/hashutil"
 )
@@ -44,15 +43,9 @@ import (
 // read through GetU64 just returns its (meaningless) pointer word — but a
 // Store is meant to be driven through one family per key space.
 //
-// # Update semantics
-//
-// Update and UpdateU64 are documented aliases of Put and PutU64 with the
-// paper's lazy-update semantics (§5.1.1): the new version is simply
-// inserted, and lookups return it because they probe newest-first; older
-// versions age out with their incarnations. There is no read-modify-write
-// and no "key must exist" check — updating an absent key is an insert.
-// CLAM and Sharded share this contract through the one implementation,
-// and TestUpdateAliasSemantics pins it.
+// Put and PutU64 are the paper's lazy update (§5.1.1): the new version is
+// simply inserted and shadows the older ones, because lookups probe
+// newest-first; updating an absent key is an insert.
 //
 // # Batches and cancellation
 //
@@ -68,8 +61,6 @@ type Store interface {
 	Get(key []byte) (value []byte, found bool, err error)
 	// Delete lazily removes key (§5.1.1).
 	Delete(key []byte) error
-	// Update is an alias of Put (lazy update, see the interface comment).
-	Update(key, value []byte) error
 
 	// PutBatch applies len(keys) Put operations, batched through the
 	// router. keys and values must have equal length.
@@ -85,26 +76,16 @@ type Store interface {
 	// DeleteBatch applies len(keys) Delete operations, batched.
 	DeleteBatch(ctx context.Context, keys [][]byte) error
 
-	// Contains reports whether a record is indexed under key, stopping at
-	// the index hit and skipping the value-log verification read — the
-	// existence probe dedup-style workloads want. It accepts the
-	// fingerprint-collision (and lapped-record) false positive rate the
-	// paper accepts at 32–64-bit fingerprints; deleted keys read false.
-	// A lapped record counts only while its index incarnation also holds
-	// a pointer the value log has not lapped: a store that never served a
-	// U64 put expires the incarnations whose every record is lapped, and
-	// their keys read false.
-	Contains(key []byte) (bool, error)
-	// ContainsU64 reports whether a fast-path key is present (GetU64
-	// without the value). On a store driven purely through the fast path
-	// the probe is exact; on a store mixing both key families, a byte
-	// record whose fingerprint equals key also counts as present (the two
-	// families inhabit one table, see the interface comment).
-	ContainsU64(key uint64) (bool, error)
-	// ContainsBatch probes len(keys) keys through the batched index
-	// pipeline with Contains's tradeoff (lapped records included, as far
-	// as their incarnations have not expired), returning per-key
-	// existence in input order.
+	// ContainsBatch reports, per key in input order, whether a record is
+	// indexed under the key: the batched index pipeline alone, with no
+	// value-log verification read — the existence probe dedup-style
+	// workloads want. It accepts the fingerprint-collision (and
+	// lapped-record) false positive rate the paper accepts at 32–64-bit
+	// fingerprints; deleted keys read false. A lapped record reports true
+	// only while its index incarnation also holds a pointer the value log
+	// has not lapped: a store that never served a U64 put expires the
+	// incarnations whose every record is lapped, and their keys read
+	// false. Workloads that need exactness read through GetBatch.
 	ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error)
 
 	// PutU64 adds or updates a mapping on the 64-bit fast path.
@@ -113,8 +94,6 @@ type Store interface {
 	GetU64(key uint64) (value uint64, found bool, err error)
 	// DeleteU64 lazily removes a fast-path key.
 	DeleteU64(key uint64) error
-	// UpdateU64 is an alias of PutU64 (lazy update).
-	UpdateU64(key, value uint64) error
 
 	// PutBatchU64 applies len(keys) PutU64 operations, batched.
 	PutBatchU64(ctx context.Context, keys, values []uint64) error
@@ -130,10 +109,11 @@ type Store interface {
 	// Stats snapshots operation counters and latency summaries.
 	Stats() Stats
 	// ResetMetrics clears latency histograms and core counters (typically
-	// after warm-up).
+	// after warm-up), so the next Stats' latency summaries and Core cover
+	// the since-reset window. Device, ValueDevice and ValueLog are not
+	// reset: they stay cumulative since Open, and Memory is the current
+	// footprint.
 	ResetMetrics()
-	// Elapse advances virtual time by d, modeling host idle time.
-	Elapse(d time.Duration)
 }
 
 // ErrNoValueLog is returned by byte-valued operations on a store opened

@@ -14,50 +14,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestUpdateAliasSemantics pins the documented Update contract on both
-// implementations and both key families: Update is Put (lazy update,
-// §5.1.1) — updating an absent key inserts it, updating a present key
-// shadows the old version, and the structural counters are identical to
-// Put's (there is no hidden read-modify-write).
-func TestUpdateAliasSemantics(t *testing.T) {
-	c, s := strictStores(t, FIFO)
-	for _, st := range []struct {
-		name string
-		s    Store
-	}{{"clam", c}, {"sharded", s}} {
-		// Absent key: Update inserts.
-		if err := st.s.Update([]byte("ghost"), []byte("v1")); err != nil {
-			t.Fatalf("%s: update of absent key: %v", st.name, err)
-		}
-		if v, ok, _ := st.s.Get([]byte("ghost")); !ok || !bytes.Equal(v, []byte("v1")) {
-			t.Fatalf("%s: update-as-insert invisible: (%q, %v)", st.name, v, ok)
-		}
-		// Present key: newest version shadows.
-		if err := st.s.Update([]byte("ghost"), []byte("v2")); err != nil {
-			t.Fatal(err)
-		}
-		if v, _, _ := st.s.Get([]byte("ghost")); !bytes.Equal(v, []byte("v2")) {
-			t.Fatalf("%s: update not visible: %q", st.name, v)
-		}
-		// Same contract on the U64 fast path.
-		if err := st.s.UpdateU64(404, 1); err != nil {
-			t.Fatalf("%s: UpdateU64 of absent key: %v", st.name, err)
-		}
-		st.s.UpdateU64(404, 2)
-		if v, ok, _ := st.s.GetU64(404); !ok || v != 2 {
-			t.Fatalf("%s: UpdateU64: (%d, %v)", st.name, v, ok)
-		}
-		// No read-modify-write: an update is exactly one core insert.
-		before := st.s.Stats().Core
-		st.s.Update([]byte("ghost"), []byte("v3"))
-		st.s.UpdateU64(404, 3)
-		after := st.s.Stats().Core
-		if after.Inserts != before.Inserts+2 || after.Lookups != before.Lookups {
-			t.Fatalf("%s: update performed hidden work: %+v -> %+v", st.name, before, after)
-		}
-	}
-}
-
 // countingCtx is a context whose Err starts returning Canceled after the
 // Nth check — a deterministic way to cancel "mid-batch" exactly at a
 // router chunk boundary.
@@ -141,8 +97,9 @@ func TestBatchCancellation(t *testing.T) {
 }
 
 // TestCustomDeviceByteAPIRequiresValueLog pins ErrNoValueLog: a store over
-// a custom index device has no value log, so its byte API fails while the
-// U64 path keeps working.
+// a custom index device has no value log, so every byte op fails, touching
+// nothing, while the U64 path keeps working; and such a store takes no
+// value-log size.
 func TestCustomDeviceByteAPIRequiresValueLog(t *testing.T) {
 	clock := vclock.New()
 	dev := ssd.New(ssd.IntelX18M(), 16<<20, clock)
@@ -150,17 +107,35 @@ func TestCustomDeviceByteAPIRequiresValueLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutU64(1, 2); err != nil {
+	ctx, k := context.Background(), []byte("k")
+	// A U64 entry under k's fingerprint: a byte op that reached the index
+	// would find or delete it.
+	fp := fingerprint(k, st.(*CLAM).fpSeed)
+	if err := st.PutU64(fp, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrNoValueLog) {
-		t.Fatalf("Put without value log returned %v", err)
+	for _, op := range []struct {
+		name string
+		call func() error
+	}{
+		{"Put", func() error { return st.Put(k, []byte("v")) }},
+		{"Get", func() error { _, _, err := st.Get(k); return err }},
+		{"Delete", func() error { return st.Delete(k) }},
+		{"PutBatch", func() error { return st.PutBatch(ctx, [][]byte{k}, [][]byte{[]byte("v")}) }},
+		{"GetBatch", func() error { _, _, err := st.GetBatch(ctx, [][]byte{k}); return err }},
+		{"DeleteBatch", func() error { return st.DeleteBatch(ctx, [][]byte{k}) }},
+		{"ContainsBatch", func() error { _, err := st.ContainsBatch(ctx, [][]byte{k}); return err }},
+	} {
+		if err := op.call(); !errors.Is(err, ErrNoValueLog) {
+			t.Errorf("%s without value log returned %v", op.name, err)
+		}
 	}
-	if _, _, err := st.Get([]byte("k")); !errors.Is(err, ErrNoValueLog) {
-		t.Fatalf("Get without value log returned %v", err)
+	if v, ok, err := st.GetU64(fp); err != nil || !ok || v != 2 {
+		t.Errorf("GetU64 after the byte ops = (%d, %v, %v); want the U64 entry untouched", v, ok, err)
 	}
-	if _, _, err := st.GetBatch(context.Background(), [][]byte{[]byte("k")}); !errors.Is(err, ErrNoValueLog) {
-		t.Fatalf("GetBatch without value log returned %v", err)
+	if _, err := Open(WithCustomDevice(dev), WithClock(clock), WithFlash(16<<20), WithMemory(4<<20),
+		WithValueLog(1<<20)); err == nil {
+		t.Fatal("Open accepted WithValueLog with WithCustomDevice, whose store has no value log")
 	}
 }
 
@@ -229,10 +204,19 @@ func TestU64AndByteFamiliesCoexist(t *testing.T) {
 	}
 }
 
+// contains probes one key through ContainsBatch.
+func contains(t *testing.T, st Store, key []byte) bool {
+	t.Helper()
+	found, err := st.ContainsBatch(context.Background(), [][]byte{key})
+	if err != nil {
+		t.Fatalf("ContainsBatch(%q): %v", key, err)
+	}
+	return found[0]
+}
+
 // TestContainsSemantics pins the existence-probe contract on both
-// implementations: agreement with Get for present/absent/deleted keys, no
-// value-log record reads, and the documented stale-pointer false positive
-// once the circular log laps a record.
+// implementations: agreement with Get for present, absent and deleted
+// keys, per key and over a whole batch, and no value-log record reads.
 func TestContainsSemantics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -248,7 +232,6 @@ func TestContainsSemantics(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := tc.open()
-			ctx := context.Background()
 			keys := make([][]byte, 500)
 			for i := range keys {
 				keys[i] = []byte(fmt.Sprintf("object-%04d", i))
@@ -256,25 +239,19 @@ func TestContainsSemantics(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// U64 fast path: exact existence.
+			// A U64 entry shares the table but is no byte-keyed record.
 			if err := st.PutU64(777, 42); err != nil {
 				t.Fatal(err)
 			}
-			if ok, err := st.ContainsU64(777); err != nil || !ok {
-				t.Fatalf("ContainsU64(present) = (%v, %v)", ok, err)
-			}
-			if ok, err := st.ContainsU64(778); err != nil || ok {
-				t.Fatalf("ContainsU64(absent) = (%v, %v)", ok, err)
-			}
-			// Byte probes agree with Get on present keys and skip the record
-			// read: the value-log device must not be touched by the probes.
+			// Probes agree with Get on present keys and skip the record
+			// read: the value-log device must not be touched by them.
 			vr0 := st.Stats().ValueDevice.Reads
 			for _, k := range keys[:100] {
-				if ok, err := st.Contains(k); err != nil || !ok {
-					t.Fatalf("Contains(%q) = (%v, %v)", k, ok, err)
+				if !contains(t, st, k) {
+					t.Fatalf("ContainsBatch missed present key %q alone", k)
 				}
 			}
-			found, err := st.ContainsBatch(ctx, keys)
+			found, err := st.ContainsBatch(context.Background(), keys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,27 +264,25 @@ func TestContainsSemantics(t *testing.T) {
 				t.Fatalf("existence probes read the value log: %d -> %d device reads", vr0, vr)
 			}
 			// Absent and deleted keys read false.
-			if ok, _ := st.Contains([]byte("never-inserted")); ok {
-				t.Fatal("Contains(absent) = true")
+			if contains(t, st, []byte("never-inserted")) {
+				t.Fatal("ContainsBatch(absent) = true")
 			}
 			if err := st.Delete(keys[0]); err != nil {
 				t.Fatal(err)
 			}
-			if ok, _ := st.Contains(keys[0]); ok {
-				t.Fatal("Contains(deleted) = true")
+			if contains(t, st, keys[0]) {
+				t.Fatal("ContainsBatch(deleted) = true")
 			}
-			// A U64 entry is not a byte-keyed record even if the fingerprint
-			// were probed directly (pointer tag unset).
-			if ok, _ := st.Contains([]byte{}); ok {
-				t.Fatal("Contains(empty never-inserted key) = true")
+			if contains(t, st, []byte{}) {
+				t.Fatal("ContainsBatch(empty never-inserted key) = true")
 			}
 		})
 	}
 }
 
-// TestContainsStalePointerTradeoff shows the accepted false positive: after
-// the value log laps a record, Get reads a miss (key verification) but
-// Contains still reports true from the index hit alone.
+// TestContainsStalePointerTradeoff shows the accepted false positive:
+// after the value log laps a record, Get reads a miss (key verification)
+// but ContainsBatch still reports true from the index hit alone.
 func TestContainsStalePointerTradeoff(t *testing.T) {
 	st := openCLAMT(t, WithDevice(IntelSSD), WithFlash(8<<20), WithMemory(2<<20),
 		WithValueLog(64<<10), WithSeed(92))
@@ -325,12 +300,8 @@ func TestContainsStalePointerTradeoff(t *testing.T) {
 	if _, ok, err := st.Get(first); err != nil || ok {
 		t.Fatalf("Get(lapped) = (found=%v, %v), want miss", ok, err)
 	}
-	ok, err := st.Contains(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("Contains(lapped) = false; the documented index-only tradeoff should report true")
+	if !contains(t, st, first) {
+		t.Fatal("ContainsBatch(lapped) = false; the documented index-only tradeoff should report true")
 	}
 }
 

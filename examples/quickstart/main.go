@@ -63,8 +63,8 @@ func main() {
 		fmt.Printf("fingerprint %x... -> %-45q (found=%v)\n", fp(i)[:6], val, ok)
 	}
 
-	// Lazy update and delete (§5.1.1).
-	if err := st.Update(fp(7), []byte("moved to container-9999")); err != nil {
+	// Lazy update (a Put of a new version) and delete (§5.1.1).
+	if err := st.Put(fp(7), []byte("moved to container-9999")); err != nil {
 		log.Fatal(err)
 	}
 	v, _, err := st.Get(fp(7))

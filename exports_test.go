@@ -30,14 +30,10 @@ var testOnlyAllowed = map[string]string{
 	"repro/clam.WithSeed":      "the oracles and pinned-stream tests vary the hash seed",
 	"repro/clam.WithValueLog":  "the value-log wrap oracles and the pinned byte-op tests size the log below the index",
 
-	"repro/clam.router.UpdateU64":      storeReason,
-	"repro/clam.router.DeleteU64":      storeReason,
-	"repro/clam.router.Contains":       storeReason,
-	"repro/clam.router.ContainsU64":    storeReason,
-	"repro/clam.router.DeleteBatchU64": storeReason,
-	"repro/clam.router.DeleteBatch":    storeReason,
-	"repro/clam.router.Flush":          storeReason,
-	"repro/clam.router.Elapse":         storeReason,
+	"repro/clam.router.DeleteU64":      "the paper's lazy delete (§5.1.1) on the U64 fast path, which the differential and fault oracles run against per-key twins",
+	"repro/clam.router.DeleteBatchU64": "the paper's lazy delete (§5.1.1) on the U64 fast path, batched; the differential and fault oracles run it",
+	"repro/clam.router.DeleteBatch":    "the depart operation of the planned churn workload (register, resolve, depart), which the differential and fault oracles run",
+	"repro/clam.router.Flush":          "the oracles' quiescing call, which forces buffered entries to flash before they compare",
 
 	"repro/internal/core.BufferHash.Delete": "the per-key delete beside Lookup and Insert, a one-key DeleteBatch; TestSerialOpsPinned and the core oracles drive per-key twins through it",
 	"repro/internal/bdb.HashIndex.Delete":   "the BDB baseline's in-place delete, the third operation of its hash-index interface, which the bdb tests check against a map",
@@ -48,7 +44,6 @@ var testOnlyAllowed = map[string]string{
 
 const (
 	policyReason = "the §5.1.2 eviction policies, which the differential, fault and pinned tests run; a churn workload is their planned non-test caller"
-	storeReason  = "a clam.Store method, part of the CAM's public operation set (§5.1), which the differential and fault oracles run against per-key twins"
 	faultReason  = "the device fault-injection hook (storage.FaultFunc) the fault oracles arm"
 )
 
