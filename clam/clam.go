@@ -187,13 +187,12 @@ type shard struct {
 
 	// A byte get chunk in flight (see readHits), guarded by mu: the
 	// LookupBatch hook bound once at open, the records read and their key
-	// indexes in read order, the staging copy of records a later read
-	// would reuse, and the verified values.
+	// indexes in read order, the arena holding the records the value log
+	// copied, and the verified values.
 	onHits   func(hits []int) error
 	recs     [][]byte
 	recIdx   []int
-	stage    []byte
-	staged   int // recs[:staged] no longer alias value-log scratch
+	recArena []byte
 	batchHit [][]byte
 
 	putPtrs   []uint64 // PutBatch value-log pointer scratch, guarded by mu
@@ -548,7 +547,7 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 	}
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
-	s.recs, s.recIdx, s.stage, s.staged = s.recs[:0], s.recIdx[:0], s.stage[:0], 0
+	s.recs, s.recIdx, s.recArena = s.recs[:0], s.recIdx[:0], s.recArena[:0]
 	err := s.bh.LookupBatch(fps, s.batchRes, s.onHits)
 	s.join()
 	if err == nil {
@@ -562,9 +561,8 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 // the log device's timeline (a record the log has overwritten is a miss it
 // does not read), and keeps them for verification. A record may be a view
 // of the value device's page, valid through the chunk because nothing
-// writes the value log inside a get chunk, or a copy in log-owned scratch,
-// which the next read reuses: so before a read, the records kept so far
-// are staged into shard memory.
+// writes the value log inside a get chunk, or a copy in the shard's record
+// arena, which each read extends without touching earlier records.
 func (s *shard) readHits(hits []int) error {
 	reqs := s.batchReq[:0]
 	idxs := s.batchIdx[:0]
@@ -578,14 +576,9 @@ func (s *shard) readHits(hits []int) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	for j := s.staged; j < len(s.recs); j++ {
-		at := len(s.stage)
-		s.stage = append(s.stage, s.recs[j]...)
-		s.recs[j] = s.stage[at:]
-	}
-	s.staged = len(s.recs)
 	s.issueLog()
-	if err := s.vlog.ReadRecordsBatch(reqs); err != nil {
+	var err error
+	if s.recArena, err = s.vlog.ReadRecordsBatch(reqs, s.recArena); err != nil {
 		return err
 	}
 	for j, req := range reqs {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/clam"
-	"repro/internal/bloom"
 	"repro/internal/costmodel"
 	"repro/internal/metrics"
 )
@@ -81,7 +80,7 @@ func main() {
 	// incarnation filters, and each answers a false positive with
 	// probability p(m′, n′, h), so it costs k·p spurious reads.
 	m, n := cfg.FilterBits(), cfg.EntriesPerBuffer()
-	model := float64(cfg.NumIncarnations) * bloom.FalsePositiveRate(m, n, bloom.OptimalHashes(m, n))
+	model := float64(cfg.NumIncarnations) * costmodel.FalsePositiveRate(m, n, costmodel.OptimalHashes(m, n))
 	ratio := measured / model
 	fmt.Printf("model: k·p = %d × p(m′=%d, n′=%d) = %.5f spurious reads per miss (measured/model = %.2f)\n",
 		cfg.NumIncarnations, m, n, model, ratio)

@@ -115,9 +115,10 @@ func (b *Bank) MemoryBits() uint64 {
 }
 
 // AddStaging adds a pre-hashed key to the staging (buffer) filter. Like
-// every bank operation it generates bloom.Filter's rows inline: the
-// Kirsch–Mitzenmacher sequence h1 + i·h2 with h2 = Mix64(h1)|1, each
-// reduced by hashutil.Reduce.
+// every bank operation it generates the key's h rows inline with the
+// Kirsch–Mitzenmacher construction, which keeps the false-positive rate of
+// h independent hash functions: the sequence h1 + i·h2 with
+// h2 = Mix64(h1)|1, each reduced by hashutil.Reduce.
 func (b *Bank) AddStaging(keyHash uint64) {
 	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
 	for range b.h {
@@ -150,7 +151,7 @@ const queryGroup = 4
 // may contain the key. Columns that currently hold no incarnation are
 // all-zero and thus never match.
 //
-// The h rows are bloom.Filter's sequence, generated inline, and the
+// The h rows are AddStaging's sequence, generated inline, and the
 // accumulator is tested for zero once per queryGroup rows.
 func (b *Bank) Query(keyHash uint64) uint64 {
 	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1

@@ -4,23 +4,59 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
-	"repro/internal/bloom"
+	"repro/internal/costmodel"
 	"repro/internal/hashutil"
 )
+
+// filter is a plain Bloom filter over pre-hashed 64-bit keys, with m
+// rounded up to whole words: the organization the bank must answer like,
+// one filter per column. It probes the bank's row sequence bit by bit.
+type filter struct {
+	bits []uint64
+	m    uint64
+	h    int
+}
+
+func newFilter(m uint64, h int) *filter {
+	words := (m + 63) / 64
+	return &filter{bits: make([]uint64, words), m: words * 64, h: h}
+}
+
+func (f *filter) Add(keyHash uint64) {
+	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
+	for range f.h {
+		p := hashutil.Reduce(h1, f.m)
+		f.bits[p/64] |= 1 << (p % 64)
+		h1 += h2
+	}
+}
+
+func (f *filter) MayContain(keyHash uint64) bool {
+	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
+	for range f.h {
+		p := hashutil.Reduce(h1, f.m)
+		if f.bits[p/64]&(1<<(p%64)) == 0 {
+			return false
+		}
+		h1 += h2
+	}
+	return true
+}
 
 // naiveBank is the straightforward implementation the bit-sliced bank must
 // be equivalent to: k+1 separate Bloom filters rotated on eviction.
 type naiveBank struct {
 	k       int
-	filters []*bloom.Filter // len k, oldest first; nil = empty column
-	staging *bloom.Filter
+	filters []*filter // len k, oldest first; nil = empty column
+	staging *filter
 	m       uint64
 	h       int
 }
 
 func newNaive(m uint64, k, h int) *naiveBank {
-	return &naiveBank{k: k, filters: make([]*bloom.Filter, k), staging: bloom.New(m, h), m: m, h: h}
+	return &naiveBank{k: k, filters: make([]*filter, k), staging: newFilter(m, h), m: m, h: h}
 }
 
 func (n *naiveBank) AddStaging(kh uint64)        { n.staging.Add(kh) }
@@ -29,7 +65,7 @@ func (n *naiveBank) QueryStaging(kh uint64) bool { return n.staging.MayContain(k
 func (n *naiveBank) Rotate() {
 	copy(n.filters, n.filters[1:])
 	n.filters[n.k-1] = n.staging
-	n.staging = bloom.New(n.m, n.h)
+	n.staging = newFilter(n.m, n.h)
 }
 
 func (n *naiveBank) Query(kh uint64) uint64 {
@@ -40,6 +76,81 @@ func (n *naiveBank) Query(kh uint64) uint64 {
 		}
 	}
 	return mask
+}
+
+// newestColumn fills a fresh bank's staging filter with keys and rotates
+// it into the newest incarnation column, whose window offset it returns.
+func newestColumn(bank *Bank, keys []uint64) uint64 {
+	for _, kh := range keys {
+		bank.AddStaging(kh)
+	}
+	bank.Rotate()
+	return 1 << (bank.k - 1)
+}
+
+func TestNoFalseNegatives(t *testing.T) {
+	bank := NewBank(1<<16, 16, 4)
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, 2000)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	newest := newestColumn(bank, keys)
+	for _, k := range keys {
+		if bank.Query(k)&newest == 0 {
+			t.Fatalf("false negative for %#x", k)
+		}
+	}
+}
+
+func TestNoFalseNegativesQuick(t *testing.T) {
+	property := func(keys []uint64) bool {
+		bank := NewBank(1<<12, 16, 5)
+		for _, k := range keys {
+			bank.AddStaging(k)
+			if !bank.QueryStaging(k) {
+				return false
+			}
+		}
+		newest := newestColumn(bank, nil)
+		for _, k := range keys {
+			if bank.Query(k)&newest == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFalsePositiveRateMatchesTheory(t *testing.T) {
+	// One incarnation column at 16 bits/key with the optimal h = 11: §6.2
+	// predicts fp ≈ 0.00046 per column; measure it.
+	const n = 4096
+	m := uint64(16 * n)
+	h := costmodel.OptimalHashes(m, n)
+	bank := NewBank(m, 16, h)
+	rng := rand.New(rand.NewSource(2))
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	newest := newestColumn(bank, keys)
+	const probes = 200000
+	fp := 0
+	for i := 0; i < probes; i++ {
+		if bank.Query(rng.Uint64())&newest != 0 {
+			fp++
+		}
+	}
+	got := float64(fp) / probes
+	want := costmodel.FalsePositiveRate(m, n, h)
+	t.Logf("measured fp = %.6f, theory = %.6f (h=%d)", got, want, h)
+	if got > 5*want+0.001 {
+		t.Errorf("measured fp %.6f far above theoretical %.6f", got, want)
+	}
 }
 
 func TestEquivalenceWithNaiveBank(t *testing.T) {

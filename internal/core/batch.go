@@ -62,7 +62,7 @@ type memoEntry struct {
 const memoSlots = 512 // power of two
 
 // pendBits is the width of the pending-index field packed into a sorted
-// probe word; segments are capped at 2^pendBits keys so the field fits.
+// probe word; LookupBatch takes at most 2^pendBits keys so the field fits.
 const pendBits = 20
 
 // batchScratch is reusable LookupBatch state. BufferHash is single-caller
@@ -71,7 +71,7 @@ const pendBits = 20
 type batchScratch struct {
 	pending []batchKey
 	memo    []memoEntry // direct-mapped, memoSlots entries
-	epoch   uint32      // invalidates memo entries between segments
+	epoch   uint32      // invalidates memo entries between calls
 	packed  []uint64    // probe words: pageNo<<pendBits | pendingIndex
 	reqs    []storage.ReadReq
 	arena   []byte
@@ -101,36 +101,17 @@ type batchScratch struct {
 // device while the next round probes the index device. A non-nil error
 // from resolved ends the lookup with that error. U64 callers pass nil.
 //
-// On error the contents of results are unspecified.
+// A batch holds at most 2^pendBits keys, so that a pending index fits its
+// packed probe word; a longer one, or one whose results differ in length,
+// fails before any state moves. On any other error the contents of
+// results are unspecified.
 func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved func(hits []int) error) error {
 	if len(keys) != len(results) {
 		return fmt.Errorf("core: LookupBatch: %d keys, %d results", len(keys), len(results))
 	}
-	// Segment so a pending index always fits its packed probe word.
-	const maxSegment = 1 << pendBits
-	for at := 0; at < len(keys); at += maxSegment {
-		end := min(at+maxSegment, len(keys))
-		if err := b.lookupBatchSegment(keys[at:end], results[at:end], at, resolved); err != nil {
-			return err
-		}
+	if len(keys) > 1<<pendBits {
+		return fmt.Errorf("core: LookupBatch: %d keys exceed the %d-key batch limit", len(keys), 1<<pendBits)
 	}
-	return nil
-}
-
-// report hands the step's hits, if any, offset by base, to resolved.
-func (bs *batchScratch) report(base int, resolved func(hits []int) error) error {
-	if len(bs.hits) == 0 {
-		return nil
-	}
-	for k := range bs.hits {
-		bs.hits[k] += base
-	}
-	err := resolved(bs.hits)
-	bs.hits = bs.hits[:0]
-	return err
-}
-
-func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult, base int, resolved func(hits []int) error) error {
 	bs := &b.batch
 	bs.pending = bs.pending[:0]
 	if bs.memo == nil {
@@ -192,7 +173,7 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult, b
 		}
 	}
 	b.settleCPUDebt()
-	if err := bs.report(base, resolved); err != nil {
+	if err := bs.report(resolved); err != nil {
 		return err
 	}
 	if len(bs.pending) == 0 {
@@ -273,9 +254,19 @@ func (b *BufferHash) lookupBatchSegment(keys []uint64, results []LookupResult, b
 			}
 		}
 		bs.pending = live
-		if err := bs.report(base, resolved); err != nil {
+		if err := bs.report(resolved); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// report hands the step's hits, if any, to resolved.
+func (bs *batchScratch) report(resolved func(hits []int) error) error {
+	if len(bs.hits) == 0 {
+		return nil
+	}
+	err := resolved(bs.hits)
+	bs.hits = bs.hits[:0]
+	return err
 }

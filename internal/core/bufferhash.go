@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/bitslice"
 	"repro/internal/cuckoo"
 	"repro/internal/hashutil"
 	"repro/internal/storage"
@@ -124,11 +123,6 @@ func (b *BufferHash) Config() Config { return b.cfg }
 
 // tableParams returns the cuckoo parameters of partition idx.
 func (b *BufferHash) tableParams(idx int) cuckoo.Params { return b.params[idx] }
-
-// newSliceBank builds the bit-sliced Bloom bank for one super table.
-func (b *BufferHash) newSliceBank(m uint64, h int) filterBank {
-	return bitslice.NewBank(m, b.cfg.NumIncarnations, h)
-}
 
 // maxPooledImages caps how many free image buffers are retained between
 // batches; beyond that, buffers are dropped to the garbage collector so a

@@ -56,7 +56,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bloom"
+	"repro/internal/costmodel"
 	"repro/internal/hashutil"
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -192,8 +192,10 @@ type Config struct {
 	// cannot tell a live entry from a superseded one and discards every
 	// scanned entry.
 	DisableBloom bool
-	// DisableBitslice replaces the bit-sliced bank with k+1 separate
-	// filters (§7.3.1 ablation); answers are identical, CPU cost higher.
+	// DisableBitslice prices every Bloom query at CPU.BloomQueryNaive,
+	// the cost of probing k+1 separate filters, instead of CPU.BloomQuery
+	// (§7.3.1 ablation). The bank stays bit-sliced, so answers, counters
+	// and memory are unchanged; only the clock runs further.
 	DisableBitslice bool
 }
 
@@ -216,7 +218,7 @@ func (c Config) filterHashes() int {
 	if c.FilterHashes > 0 {
 		return c.FilterHashes
 	}
-	return bloom.OptimalHashes(c.FilterBits(), c.EntriesPerBuffer())
+	return costmodel.OptimalHashes(c.FilterBits(), c.EntriesPerBuffer())
 }
 
 func (c *Config) validate() error {

@@ -362,37 +362,76 @@ func TestBloomDisabledAblation(t *testing.T) {
 	}
 }
 
-func TestBitsliceAndNaiveAgree(t *testing.T) {
-	run := func(disableBitslice bool) (found int, stats Stats) {
-		cfg, _ := testConfig(t)
-		cfg.DisableBitslice = disableBitslice
+func TestDisableBitsliceOnlyPrices(t *testing.T) {
+	// DisableBitslice prices the §7.3.1 ablation and nothing else: the
+	// same bit-sliced bank answers, so every result, counter and the
+	// memory footprint match, and the clock runs further by exactly
+	// BloomQueryNaive − BloomQuery per Bloom query. Both charge sites run:
+	// one-key lookups, and a batch whose duplicates replay phase A's memo.
+	type run struct {
+		results []LookupResult
+		stats   Stats
+		mem     MemoryFootprint
+		clock   time.Duration
+	}
+	do := func(disable bool) run {
+		cfg, clock := testConfig(t)
+		cfg.DisableBitslice = disable
 		b := mustNew(t, cfg)
 		for i := uint64(0); i < 30000; i++ {
-			b.Insert(i, i^0xFF)
+			if err := b.Insert(i, i^0xFF); err != nil {
+				t.Fatal(err)
+			}
 		}
 		rng := rand.New(rand.NewSource(9))
-		for i := 0; i < 10000; i++ {
+		var r run
+		for i := 0; i < 5000; i++ {
 			k := uint64(rng.Intn(60000))
 			res, err := b.Lookup(k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Found {
-				if res.Value != k^0xFF {
-					t.Fatalf("wrong value for %d", k)
-				}
-				found++
+			if res.Found && res.Value != k^0xFF {
+				t.Fatalf("wrong value for %d", k)
 			}
+			r.results = append(r.results, res)
 		}
-		return found, b.Stats()
+		keys := make([]uint64, 2048)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(60000) / 8 * 8)
+		}
+		batch := make([]LookupResult, len(keys))
+		if err := b.LookupBatch(keys, batch, nil); err != nil {
+			t.Fatal(err)
+		}
+		r.results = append(r.results, batch...)
+		r.stats, r.mem, r.clock = b.Stats(), b.MemoryFootprint(), clock.Now()
+		return r
 	}
-	f1, s1 := run(false)
-	f2, s2 := run(true)
-	if f1 != f2 {
-		t.Fatalf("bit-sliced found %d, naive found %d", f1, f2)
+	sliced, naive := do(false), do(true)
+	// Every super table holds live incarnations and nothing is deleted,
+	// so each lookup the buffer did not answer queried the Bloom bank.
+	queries := 0
+	for i, res := range naive.results {
+		if res != sliced.results[i] {
+			t.Fatalf("lookup %d = %+v, bit-sliced %+v", i, res, sliced.results[i])
+		}
+		if !res.Found || res.FlashReads > 0 {
+			queries++
+		}
 	}
-	if s1.FlashProbes != s2.FlashProbes {
-		t.Fatalf("probe counts differ: %d vs %d (filters should be identical)", s1.FlashProbes, s2.FlashProbes)
+	if naive.stats != sliced.stats {
+		t.Fatalf("stats %+v, bit-sliced %+v", naive.stats, sliced.stats)
+	}
+	if naive.mem != sliced.mem {
+		t.Fatalf("footprint %+v, bit-sliced %+v", naive.mem, sliced.mem)
+	}
+	cpu := DefaultCPUCosts()
+	if got, want := naive.clock-sliced.clock, time.Duration(queries)*(cpu.BloomQueryNaive-cpu.BloomQuery); got != want {
+		t.Fatalf("clock ahead by %v, want %v for %d Bloom queries", got, want, queries)
+	}
+	if sliced.stats.Hits == 0 || sliced.stats.Hits == sliced.stats.Lookups {
+		t.Fatalf("want both hits and misses, got %d hits in %d lookups", sliced.stats.Hits, sliced.stats.Lookups)
 	}
 }
 
@@ -1081,6 +1120,36 @@ func TestLookupBatchLengthMismatch(t *testing.T) {
 	b := mustNew(t, cfg)
 	if err := b.LookupBatch(make([]uint64, 3), make([]LookupResult, 2), nil); err == nil {
 		t.Fatal("want length-mismatch error")
+	}
+}
+
+func TestLookupBatchOversizeRejected(t *testing.T) {
+	// One key past the packed probe word's pending-index field: the whole
+	// batch fails before any state moves.
+	cfg, clock := testConfig(t)
+	b := mustNew(t, cfg)
+	for i := uint64(0); i < 20000; i++ {
+		if err := b.Insert(i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := make([]uint64, 1<<pendBits+1)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	results := make([]LookupResult, len(keys))
+	stats, now := b.Stats(), clock.Now()
+	if err := b.LookupBatch(keys, results, nil); err == nil {
+		t.Fatalf("LookupBatch of %d keys succeeded, want the batch-limit error", len(keys))
+	}
+	if b.Stats() != stats || clock.Now() != now {
+		t.Fatalf("rejected batch moved state: stats %+v -> %+v, clock %v -> %v", stats, b.Stats(), now, clock.Now())
+	}
+	if err := b.LookupBatch(keys[:1<<pendBits], results[:1<<pendBits], nil); err != nil {
+		t.Fatalf("LookupBatch at the %d-key limit: %v", 1<<pendBits, err)
+	}
+	if got := b.Stats().Lookups - stats.Lookups; got != 1<<pendBits {
+		t.Fatalf("limit batch counted %d lookups, want %d", got, 1<<pendBits)
 	}
 }
 

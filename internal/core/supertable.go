@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bitslice"
 	"repro/internal/cuckoo"
 )
 
@@ -29,7 +30,7 @@ type superTable struct {
 	idx   int
 
 	buf  *cuckoo.Table
-	bank filterBank // nil when Bloom filters are disabled
+	bank *bitslice.Bank // nil when Bloom filters are disabled
 
 	// incs[j] is the incarnation at Bloom-bank window offset j; only
 	// offsets j ≥ k-live hold live incarnations (j = k-live is the
@@ -57,13 +58,7 @@ func newSuperTable(owner *BufferHash, idx int) *superTable {
 		incs:  make([]incarnation, owner.cfg.NumIncarnations),
 	}
 	if !owner.cfg.DisableBloom {
-		m := owner.cfg.FilterBits()
-		h := owner.cfg.filterHashes()
-		if owner.cfg.DisableBitslice {
-			st.bank = newNaiveBank(m, owner.cfg.NumIncarnations, h)
-		} else {
-			st.bank = owner.newSliceBank(m, h)
-		}
+		st.bank = bitslice.NewBank(owner.cfg.FilterBits(), owner.cfg.NumIncarnations, owner.cfg.filterHashes())
 	}
 	return st
 }

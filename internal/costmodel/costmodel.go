@@ -4,6 +4,12 @@
 // size B_opt ≈ 2F/s, Bloom filter sizing for a target I/O overhead, and the
 // per-buffer size B′ sweep behind Figure 4).
 //
+// The lookup cost rests on two Bloom filter formulas (§6.2), for one
+// incarnation filter of m′ bits holding n′ keys with h hash functions: the
+// false-positive rate p = (1 − e^(−h·n′/m′))^h (FalsePositiveRate) and the
+// hash count h = (m′/n′)·ln2 that minimizes it (OptimalHashes), where p
+// falls to (1/2)^h.
+//
 // All sizes are in bytes and all costs in time.Duration. The entry size s
 // is the *effective* flash footprint per entry — 32 bytes in the paper's
 // configuration (16-byte entries at 50% hash table utilization).
@@ -130,6 +136,24 @@ func LookupCost(flashBytes, bufBytes, bloomBytes int64, entryBytes float64, cr t
 	h := bitsPerEntry * math.Ln2
 	p := math.Pow(0.5, h) // Bloom hit probability per incarnation
 	return time.Duration(k * p * float64(cr))
+}
+
+// OptimalHashes returns the false-positive-minimizing hash count
+// h = (m/n)·ln2 for m bits and n keys, at least 1 (§6.2).
+func OptimalHashes(m uint64, n int) int {
+	if n <= 0 {
+		return 1
+	}
+	return max(1, int(math.Round(float64(m)/float64(n)*math.Ln2)))
+}
+
+// FalsePositiveRate returns the standard approximation
+// (1 - e^(-hn/m))^h for a filter with m bits, n keys and h hashes.
+func FalsePositiveRate(m uint64, n, h int) float64 {
+	if m == 0 || n == 0 {
+		return 0
+	}
+	return math.Pow(1-math.Exp(-float64(h)*float64(n)/float64(m)), float64(h))
 }
 
 // OptimalBufferBytes returns B_opt, the total buffer allocation minimizing

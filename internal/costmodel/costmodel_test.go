@@ -256,3 +256,44 @@ func TestLookupCostDegenerate(t *testing.T) {
 		t.Fatal("zero buffer should cost 0")
 	}
 }
+
+func TestOptimalHashes(t *testing.T) {
+	// m/n = 16 bits/key -> h = 16·ln2 ≈ 11.
+	if h := OptimalHashes(16*4096, 4096); h != 11 {
+		t.Fatalf("OptimalHashes = %d, want 11", h)
+	}
+	if h := OptimalHashes(100, 0); h != 1 {
+		t.Fatalf("OptimalHashes with n=0 = %d, want 1", h)
+	}
+	if h := OptimalHashes(1, 1000000); h != 1 {
+		t.Fatalf("OptimalHashes should clamp to 1, got %d", h)
+	}
+}
+
+func TestFalsePositiveRateFormula(t *testing.T) {
+	// (1/2)^h when m/n = h/ln2 (the paper's p = (1/2)^h, §6.2).
+	n := 1000
+	h := 7
+	m := uint64(math.Round(float64(h) * float64(n) / math.Ln2))
+	got := FalsePositiveRate(m, n, h)
+	want := math.Pow(0.5, float64(h))
+	if math.Abs(got-want)/want > 0.05 {
+		t.Fatalf("fp rate = %g, want ≈ %g", got, want)
+	}
+	if FalsePositiveRate(0, 10, 2) != 0 || FalsePositiveRate(100, 0, 2) != 0 {
+		t.Fatal("degenerate cases should be 0")
+	}
+}
+
+func TestEstimatedFPRateGrowsWithFill(t *testing.T) {
+	// The expected rate at a 1024-bit, 4-hash filter's fill never falls as
+	// keys are added.
+	prev := FalsePositiveRate(1024, 0, 4)
+	for n := 1; n <= 100; n++ {
+		cur := FalsePositiveRate(1024, n, 4)
+		if cur < prev {
+			t.Fatal("estimated fp rate decreased with fill")
+		}
+		prev = cur
+	}
+}

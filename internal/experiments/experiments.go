@@ -1,9 +1,8 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (§6.4, §7, §8), shared by the cmd/clam-figures tool
-// and the root benchmark suite. Every driver runs against the simulated
-// device substrate in virtual time at a configurable scale and returns a
-// Report whose rows mirror the paper's presentation, so paper-vs-measured
-// comparisons are mechanical.
+// paper's evaluation (§6.4, §7, §8), run by the cmd/clam-figures tool.
+// Each experiment runs against the simulated device substrate in virtual time
+// at a configurable scale and returns a Report whose rows mirror the
+// paper's presentation, so paper-vs-measured comparisons are mechanical.
 package experiments
 
 import (
@@ -14,7 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/ssd"
+	"repro/internal/storage"
 	"repro/internal/vclock"
 )
 
@@ -83,7 +82,8 @@ type Report struct {
 	// PaperClaim summarizes what the paper reports for this artifact.
 	PaperClaim string
 	Rows       []string
-	// Metrics are machine-readable key values for the bench harness.
+	// Metrics are machine-readable key values; the band checks in this
+	// package's tests read them.
 	Metrics map[string]float64
 }
 
@@ -116,9 +116,9 @@ func (r *Report) metric(name string, v float64) {
 func ms(d time.Duration) float64 { return metrics.Ms(d) }
 
 // clamConfig builds the paper-shaped BufferHash config for a scale on a
-// given SSD profile (16 super tables per 32 MB of flash, 128 KB buffers,
-// k=16, 16 Bloom bits/entry).
-func clamConfig(sc Scale, dev *ssd.SSD, clock *vclock.Clock) core.Config {
+// given device (16 super tables per 32 MB of flash, 128 KB buffers, k=16,
+// 16 Bloom bits/entry).
+func clamConfig(sc Scale, dev storage.Device, clock *vclock.Clock) core.Config {
 	flash := int64(sc.FlashMB) << 20
 	const bufBytes = 128 << 10
 	// nt·k·buf = flash with k=16.
@@ -141,9 +141,8 @@ func clamConfig(sc Scale, dev *ssd.SSD, clock *vclock.Clock) core.Config {
 // lsrKeyRange returns the key range for a target steady-state LSR given
 // the store's flash-resident population.
 func lsrKeyRange(sc Scale, lsr float64) uint64 {
-	flashEntries := uint64(sc.FlashMB) << 20 / 32
 	if lsr <= 0 {
 		return 1 << 62
 	}
-	return uint64(float64(flashEntries) / lsr)
+	return uint64(float64(flashEntries(sc)) / lsr)
 }

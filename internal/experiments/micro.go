@@ -81,23 +81,42 @@ func runCore(bh *core.BufferHash, clock *vclock.Clock, keyRange uint64, warm, op
 	return m, nil
 }
 
-// newCoreOn builds the paper-shaped BufferHash on a device profile.
-func newCoreOn(sc Scale, prof ssd.Profile) (*core.BufferHash, *vclock.Clock, error) {
+// newDevice builds a device of capacity bytes on clock.
+type newDevice func(capacity int64, clock *vclock.Clock) storage.Device
+
+// onSSD builds devices of an SSD profile.
+func onSSD(prof ssd.Profile) newDevice {
+	return func(capacity int64, clock *vclock.Clock) storage.Device { return ssd.New(prof, capacity, clock) }
+}
+
+// onDisk builds the magnetic disk (BH+Disk, DB+Disk).
+func onDisk(capacity int64, clock *vclock.Clock) storage.Device {
+	return disk.New(disk.Hitachi7K80(), capacity, clock)
+}
+
+// newCore builds the paper-shaped BufferHash (clamConfig) on a fresh clock
+// and a device of the scale's flash size; tweak, if not nil, adjusts the
+// config first.
+func newCore(sc Scale, dev newDevice, tweak func(*core.Config)) (*core.BufferHash, *vclock.Clock, error) {
 	clock := vclock.New()
-	dev := ssd.New(prof, int64(sc.FlashMB)<<20, clock)
-	cfg := clamConfig(sc, dev, clock)
+	cfg := clamConfig(sc, dev(int64(sc.FlashMB)<<20, clock), clock)
+	if tweak != nil {
+		tweak(&cfg)
+	}
 	bh, err := core.New(cfg)
 	return bh, clock, err
 }
 
-// newCoreOnDisk builds BufferHash on the magnetic disk (BH+Disk).
-func newCoreOnDisk(sc Scale) (*core.BufferHash, *vclock.Clock, error) {
-	clock := vclock.New()
-	dev := disk.New(disk.Hitachi7K80(), int64(sc.FlashMB)<<20, clock)
-	cfg := clamConfig(sc, nil, clock)
-	cfg.Device = dev
-	bh, err := core.New(cfg)
-	return bh, clock, err
+// newBDB builds the Berkeley-DB baseline's hash index for capacity entries
+// on clock, with a device sized by bdbDeviceBytes and a page cache by
+// bdbCachePages.
+func newBDB(dev newDevice, capacity int64, clock *vclock.Clock, seed uint64) (*bdb.HashIndex, error) {
+	return bdb.NewHashIndex(bdb.Options{
+		Device:          dev(bdbDeviceBytes(capacity), clock),
+		CapacityEntries: capacity,
+		CachePages:      bdbCachePages(capacity),
+		Seed:            seed,
+	})
 }
 
 // Fig5 regenerates Figure 5: spurious (Bloom false positive) lookup rate
@@ -180,7 +199,7 @@ func Table2(sc Scale) (Report, error) {
 	var dists [2][4]float64
 	var lats [4]time.Duration
 	for i, lsr := range []float64{0, 0.4} {
-		bh, clock, err := newCoreOn(sc, ssd.IntelX18M())
+		bh, clock, err := newCore(sc, onSSD(ssd.IntelX18M()), nil)
 		if err != nil {
 			return r, err
 		}
@@ -221,15 +240,15 @@ func Fig6(sc Scale) (Report, error) {
 			"<0.02ms (memory); BH+Disk lookups an order of magnitude worse (0.1-12ms)",
 	}
 	runs := []struct {
-		name  string
-		build func() (*core.BufferHash, *vclock.Clock, error)
+		name string
+		dev  newDevice
 	}{
-		{"bh+intel", func() (*core.BufferHash, *vclock.Clock, error) { return newCoreOn(sc, ssd.IntelX18M()) }},
-		{"bh+transcend", func() (*core.BufferHash, *vclock.Clock, error) { return newCoreOn(sc, ssd.TranscendTS32()) }},
-		{"bh+disk", func() (*core.BufferHash, *vclock.Clock, error) { return newCoreOnDisk(sc) }},
+		{"bh+intel", onSSD(ssd.IntelX18M())},
+		{"bh+transcend", onSSD(ssd.TranscendTS32())},
+		{"bh+disk", onDisk},
 	}
 	for _, run := range runs {
-		bh, clock, err := run.build()
+		bh, clock, err := newCore(sc, run.dev, nil)
 		if err != nil {
 			return r, err
 		}
@@ -267,22 +286,12 @@ func Fig7(sc Scale) (Report, error) {
 	if warm < 600000 {
 		warm = 600000
 	}
-	capacity := int64(warm)
-	for _, devName := range []string{"db+intel", "db+disk"} {
+	for _, run := range []struct {
+		name string
+		dev  newDevice
+	}{{"db+intel", onSSD(ssd.IntelX18M())}, {"db+disk", onDisk}} {
 		clock := vclock.New()
-		devBytes := bdbDeviceBytes(capacity)
-		var dev storage.Device
-		if devName == "db+intel" {
-			dev = ssd.New(ssd.IntelX18M(), devBytes, clock)
-		} else {
-			dev = disk.New(disk.Hitachi7K80(), devBytes, clock)
-		}
-		idx, err := bdb.NewHashIndex(bdb.Options{
-			Device:          dev,
-			CapacityEntries: capacity,
-			CachePages:      bdbCachePages(capacity),
-			Seed:            2,
-		})
+		idx, err := newBDB(run.dev, int64(warm), clock, 2)
 		if err != nil {
 			return r, err
 		}
@@ -314,10 +323,10 @@ func Fig7(sc Scale) (Report, error) {
 		}
 		is, ls := ins.Summarize(), lok.Summarize()
 		r.addRow("%-10s insert: mean %.3fms p99 %.3fms | lookup: mean %.3fms p99 %.3fms (lsr %.2f)",
-			devName, ms(is.Mean), ms(is.P99), ms(ls.Mean), ms(ls.P99),
+			run.name, ms(is.Mean), ms(is.P99), ms(ls.Mean), ms(ls.P99),
 			float64(hits)/float64(lok.Count()))
-		r.metric(devName+"_insert_mean_ms", ms(is.Mean))
-		r.metric(devName+"_lookup_mean_ms", ms(ls.Mean))
+		r.metric(run.name+"_insert_mean_ms", ms(is.Mean))
+		r.metric(run.name+"_lookup_mean_ms", ms(ls.Mean))
 		r.addRow("  lookup CDF: %s", cdfRow(lok.CDF()))
 		r.addRow("  insert CDF: %s", cdfRow(ins.CDF()))
 	}
@@ -372,7 +381,7 @@ func Table3(sc Scale) (Report, error) {
 	keyRange := lsrKeyRange(sc, 0.4)
 	r.addRow("%10s %16s %16s", "lookups", "bufferhash(ms)", "berkeleydb(ms)")
 	for _, frac := range fractions {
-		bh, clock, err := newCoreOn(sc, ssd.TranscendTS32())
+		bh, clock, err := newCore(sc, onSSD(ssd.TranscendTS32()), nil)
 		if err != nil {
 			return r, err
 		}
@@ -388,13 +397,7 @@ func Table3(sc Scale) (Report, error) {
 			dbWarm = 300000
 		}
 		dbRange := populationKeyRange(dbWarm, 0.4)
-		dev := ssd.New(ssd.TranscendTS32(), bdbDeviceBytes(int64(dbWarm)), clock2)
-		idx, err := bdb.NewHashIndex(bdb.Options{
-			Device:          dev,
-			CapacityEntries: int64(dbWarm),
-			CachePages:      bdbCachePages(int64(dbWarm)),
-			Seed:            2,
-		})
+		idx, err := newBDB(onSSD(ssd.TranscendTS32()), int64(dbWarm), clock2, 2)
 		if err != nil {
 			return r, err
 		}
@@ -451,11 +454,7 @@ func Fig8(sc Scale) (Report, error) {
 			"at reduced scale)",
 	}
 	for _, prof := range []ssd.Profile{ssd.IntelX18M(), ssd.TranscendTS32()} {
-		clock := vclock.New()
-		dev := ssd.New(prof, int64(sc.FlashMB)<<20, clock)
-		cfg := clamConfig(sc, dev, clock)
-		cfg.Policy = core.UpdateBased
-		bh, err := core.New(cfg)
+		bh, clock, err := newCore(sc, onSSD(prof), func(cfg *core.Config) { cfg.Policy = core.UpdateBased })
 		if err != nil {
 			return r, err
 		}
@@ -570,7 +569,7 @@ func Ablations(sc Scale) (Report, error) {
 		}
 		unbuf.Observe(w.Elapsed())
 	}
-	bh, clock2, err := newCoreOn(sc, ssd.IntelX18M())
+	bh, clock2, err := newCore(sc, onSSD(ssd.IntelX18M()), nil)
 	if err != nil {
 		return r, err
 	}
@@ -586,7 +585,7 @@ func Ablations(sc Scale) (Report, error) {
 
 	// (b) Bloom filters, at 40% and 80% LSR.
 	for _, lsr := range []float64{0.4, 0.8} {
-		withB, clockA, err := newCoreOn(sc, ssd.IntelX18M())
+		withB, clockA, err := newCore(sc, onSSD(ssd.IntelX18M()), nil)
 		if err != nil {
 			return r, err
 		}
@@ -594,11 +593,7 @@ func Ablations(sc Scale) (Report, error) {
 		if err != nil {
 			return r, err
 		}
-		clockB := vclock.New()
-		devB := ssd.New(ssd.IntelX18M(), int64(sc.FlashMB)<<20, clockB)
-		cfgB := clamConfig(sc, devB, clockB)
-		cfgB.DisableBloom = true
-		noB, err := core.New(cfgB)
+		noB, clockB, err := newCore(sc, onSSD(ssd.IntelX18M()), func(cfg *core.Config) { cfg.DisableBloom = true })
 		if err != nil {
 			return r, err
 		}
@@ -614,8 +609,10 @@ func Ablations(sc Scale) (Report, error) {
 	}
 
 	// (c) Bit-slicing: memory-bound lookups (0% LSR: all misses answered
-	// by the filters).
-	sliced, clockS, err := newCoreOn(sc, ssd.IntelX18M())
+	// by the filters). Both stores query the same bit-sliced bank;
+	// DisableBitslice only prices each query at the naive organisation's
+	// calibrated cost, so this row reports the cost model's ratio.
+	sliced, clockS, err := newCore(sc, onSSD(ssd.IntelX18M()), nil)
 	if err != nil {
 		return r, err
 	}
@@ -623,11 +620,7 @@ func Ablations(sc Scale) (Report, error) {
 	if err != nil {
 		return r, err
 	}
-	clockN := vclock.New()
-	devN := ssd.New(ssd.IntelX18M(), int64(sc.FlashMB)<<20, clockN)
-	cfgN := clamConfig(sc, devN, clockN)
-	cfgN.DisableBitslice = true
-	naive, err := core.New(cfgN)
+	naive, clockN, err := newCore(sc, onSSD(ssd.IntelX18M()), func(cfg *core.Config) { cfg.DisableBitslice = true })
 	if err != nil {
 		return r, err
 	}
@@ -652,7 +645,7 @@ func Headline(sc Scale) (Report, error) {
 			"Transcend: 0.007ms insert, worst 30ms; LRU raises insert 0.007→0.008ms",
 	}
 	for _, prof := range []ssd.Profile{ssd.IntelX18M(), ssd.TranscendTS32()} {
-		bh, clock, err := newCoreOn(sc, prof)
+		bh, clock, err := newCore(sc, onSSD(prof), nil)
 		if err != nil {
 			return r, err
 		}
@@ -670,11 +663,7 @@ func Headline(sc Scale) (Report, error) {
 	// §7.4: LRU vs FIFO on the Transcend SSD.
 	var insByPolicy [2]time.Duration
 	for i, pol := range []core.EvictionPolicy{core.FIFO, core.LRU} {
-		clock := vclock.New()
-		dev := ssd.New(ssd.TranscendTS32(), int64(sc.FlashMB)<<20, clock)
-		cfg := clamConfig(sc, dev, clock)
-		cfg.Policy = pol
-		bh, err := core.New(cfg)
+		bh, clock, err := newCore(sc, onSSD(ssd.TranscendTS32()), func(cfg *core.Config) { cfg.Policy = pol })
 		if err != nil {
 			return r, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/clam"
-	"repro/internal/bdb"
 	"repro/internal/ssd"
 	"repro/internal/vclock"
 	"repro/internal/wanopt"
@@ -45,14 +44,7 @@ func wanIndex(sc Scale, useCLAM bool) (wanopt.Index, *vclock.Clock, error) {
 		}
 		u64 = clamU64{c}
 	} else {
-		capacity := int64(idxFlash) / 32
-		dev := ssd.New(ssd.TranscendTS32(), bdbDeviceBytes(capacity), clock)
-		h, err := bdb.NewHashIndex(bdb.Options{
-			Device:          dev,
-			CapacityEntries: capacity,
-			CachePages:      bdbCachePages(capacity),
-			Seed:            1,
-		})
+		h, err := newBDB(onSSD(ssd.TranscendTS32()), idxFlash/32, clock, 1)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -82,11 +82,10 @@ type ValueLog struct {
 	allocTotal int64
 	deadTotal  int64
 
-	scratch []byte    // batched-read arena, reused across calls
-	segs    []ReadReq // batched-read device segments, in record order
-	owner   []int     // per segment: the record a view serves, or -1 for a copy
-	packed  []uint64  // segOff<<segIdxBits | segment index, address-sorted
-	reqs    []ReadReq // the address-sorted submission
+	segs   []ReadReq // batched-read device segments, in record order
+	owner  []int     // per segment: the record a view serves, or -1 for a copy
+	packed []uint64  // segOff<<segIdxBits | segment index, address-sorted
+	reqs   []ReadReq // the address-sorted submission
 }
 
 // ValueLogStats counts log activity, including the live/dead space
@@ -432,10 +431,9 @@ func (l *ValueLog) writeBuf(p int) error {
 // the record's pointer word, as AppendBatch filled it; Rec receives the
 // record bytes or stays nil when the word is no pointer, addresses no
 // record region, or addresses a record the log has provably overwritten
-// (see ValueLog). Rec may be a read-only view of the device's page (see
-// ReadReq.View) or alias log-owned scratch: it is valid until the device's
-// next write or the next log call, whichever comes first, and must not be
-// written through.
+// (see ValueLog). Rec is either a read-only view of the device's page (see
+// ReadReq.View), valid until the device's next write, or a copy in the
+// arena ReadRecordsBatch returns. It must not be written through.
 type ValueReadReq struct {
 	Ptr uint64
 	Rec []byte
@@ -509,10 +507,14 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 // A record that is one device segment inside one device page is read as
 // a view: Rec becomes the device's page slice, with no copy. Records that
 // cross a page, overlap the tail buffer or reach past the head are copied
-// into log-owned scratch. The submission is address-sorted here, as the
-// device requires, with each segment's index packed under its offset, so
-// every served request pairs back to its record; ties keep record order.
-func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
+// into the caller's arena. Every record read is carved past len(arena),
+// which grows at most once per call, and the extended arena is returned;
+// bytes below len(arena) are never written, so the records of earlier
+// calls stay valid, in the old backing array if the arena moved. The
+// submission is address-sorted here, as the device requires, with each
+// segment's index packed under its offset, so every served request pairs
+// back to its record; ties keep record order.
+func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, error) {
 	total := 0
 	for i := range reqs {
 		reqs[i].Rec = nil
@@ -524,12 +526,9 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 		}
 	}
 	if total == 0 {
-		return nil
+		return arena, nil
 	}
-	if cap(l.scratch) < total {
-		l.scratch = make([]byte, total)
-	}
-	arena := l.scratch[:0]
+	arena = slices.Grow(arena, total)
 	l.segs, l.owner = l.segs[:0], l.owner[:0]
 	for i := range reqs {
 		off, n, read, _ := l.locate(reqs[i].Ptr)
@@ -552,10 +551,10 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 		})
 	}
 	if len(l.segs) == 0 {
-		return nil
+		return arena, nil
 	}
 	if len(l.segs) > 1<<segIdxBits {
-		return fmt.Errorf("storage: value log read of %d segments exceeds the %d batch limit", len(l.segs), 1<<segIdxBits)
+		return arena, fmt.Errorf("storage: value log read of %d segments exceeds the %d batch limit", len(l.segs), 1<<segIdxBits)
 	}
 	l.packed = l.packed[:0]
 	for k, seg := range l.segs {
@@ -567,14 +566,14 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq) error {
 		l.reqs = append(l.reqs, l.segs[w&(1<<segIdxBits-1)])
 	}
 	if _, err := l.dev.ReadBatch(l.reqs); err != nil {
-		return fmt.Errorf("storage: value log read: %w", err)
+		return arena, fmt.Errorf("storage: value log read: %w", err)
 	}
 	for j, w := range l.packed {
 		if o := l.owner[w&(1<<segIdxBits-1)]; o >= 0 {
 			reqs[o].Rec = l.reqs[j].P
 		}
 	}
-	return nil
+	return arena, nil
 }
 
 // VerifyRecord parses rec as a (key, value) record and returns the value

@@ -127,7 +127,7 @@ func checkMarkStream(t *testing.T, model int, data []byte) markTally {
 			reqs[i].Ptr = words[i]
 		}
 		c0, t0, s0 := dev.Counters(), clk.Now(), l.Stats().SkippedReads
-		if err := l.ReadRecordsBatch(reqs); err != nil {
+		if _, err := l.ReadRecordsBatch(reqs, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i, req := range reqs {

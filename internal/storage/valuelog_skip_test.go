@@ -119,10 +119,10 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 			rereqs[j].Ptr = word
 		}
 		skipped0 := l.Stats().SkippedReads
-		if err := l.ReadRecordsBatch(reqs); err != nil {
+		if _, err := l.ReadRecordsBatch(reqs, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := twin.ReadRecordsBatch(rereqs); err != nil {
+		if _, err := twin.ReadRecordsBatch(rereqs, nil); err != nil {
 			t.Fatal(err)
 		}
 		var skips []int
@@ -171,7 +171,7 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 		for _, i := range skips[:min(len(skips), 8)] {
 			c0, t0 := dev.Counters(), clk.Now()
 			req := []storage.ValueReadReq{{Ptr: recs[i].word}}
-			if err := l.ReadRecordsBatch(req); err != nil {
+			if _, err := l.ReadRecordsBatch(req, nil); err != nil {
 				t.Fatal(err)
 			}
 			if req[0].Rec != nil || dev.Counters() != c0 || clk.Now() != t0 {
@@ -346,10 +346,10 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 					off, n, _, _ := storage.DecodeValuePtr(w)
 					reqs[j].Ptr, rereqs[j].Ptr = w, mustPtr(t, off, n, twin.Cycle())
 				}
-				if err := l.ReadRecordsBatch(reqs); err != nil {
+				if _, err := l.ReadRecordsBatch(reqs, nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := twin.ReadRecordsBatch(rereqs); err != nil {
+				if _, err := twin.ReadRecordsBatch(rereqs, nil); err != nil {
 					t.Fatal(err)
 				}
 				for j := range reqs {

@@ -33,7 +33,7 @@ func appendOne(l *storage.ValueLog, key, val []byte) (ptr uint64, err error) {
 // means the pointer addresses no live record region.
 func readOne(l *storage.ValueLog, ptr uint64) (rec []byte, ok bool, err error) {
 	reqs := []storage.ValueReadReq{{Ptr: ptr}}
-	err = l.ReadRecordsBatch(reqs)
+	_, err = l.ReadRecordsBatch(reqs, nil)
 	return reqs[0].Rec, reqs[0].Rec != nil, err
 }
 
@@ -121,7 +121,14 @@ func TestValueLogBatchedReads(t *testing.T) {
 			// a pointer past the capacity and an untagged inline word.
 			reqs = append(reqs, storage.ValueReadReq{Ptr: mustPtr(t, l.Stats().Capacity-4, 64, l.Cycle())},
 				storage.ValueReadReq{Ptr: 1 << 40})
-			if err := l.ReadRecordsBatch(reqs); err != nil {
+			// Two calls share one arena, as a lookup's probing rounds do:
+			// both outgrow it, and the first call's copies must survive
+			// the second.
+			arena := make([]byte, 0, 64)
+			if arena, err = l.ReadRecordsBatch(reqs[:100], arena); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.ReadRecordsBatch(reqs[100:], arena); err != nil {
 				t.Fatal(err)
 			}
 			for i := range keys {
@@ -401,8 +408,9 @@ func TestValueLogSpaceAccounting(t *testing.T) {
 }
 
 // TestValueLogReadAllocs pins that, once warm, a batch of unsorted record
-// reads allocates nothing: the log reuses its scratch, request and sort
-// slices, and the device serves the sorted submission in place.
+// reads allocates nothing: the caller's arena is reused across calls, the
+// log reuses its request and sort slices, and the device serves the sorted
+// submission in place.
 func TestValueLogReadAllocs(t *testing.T) {
 	for name, dev := range vlogDevices(t, 1<<20) {
 		t.Run(name, func(t *testing.T) {
@@ -424,8 +432,10 @@ func TestValueLogReadAllocs(t *testing.T) {
 			for i := range perm {
 				perm[i] = reqs[i*97%len(reqs)]
 			}
+			var arena []byte
 			read := func() {
-				if err := l.ReadRecordsBatch(perm); err != nil {
+				var err error
+				if arena, err = l.ReadRecordsBatch(perm, arena[:0]); err != nil {
 					t.Fatal(err)
 				}
 			}

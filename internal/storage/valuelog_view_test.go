@@ -190,10 +190,10 @@ func TestValueLogViewReads(t *testing.T) {
 				}
 				vreqs := append([]storage.ValueReadReq(nil), reqs...)
 				creqs := append([]storage.ValueReadReq(nil), reqs...)
-				if err := vl.ReadRecordsBatch(vreqs); err != nil {
+				if _, err := vl.ReadRecordsBatch(vreqs, nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := cl.ReadRecordsBatch(creqs); err != nil {
+				if _, err := cl.ReadRecordsBatch(creqs, nil); err != nil {
 					t.Fatal(err)
 				}
 				// The copying read, built here: each record's device bytes
