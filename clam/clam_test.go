@@ -216,3 +216,65 @@ func TestMemoryBudgetTooSmall(t *testing.T) {
 		t.Fatal("accepted impossible memory budget")
 	}
 }
+
+// TestBloomFootprint pins the Bloom banks' share of Stats().Memory. The
+// benchmark's layout (Intel, 64 MB of flash, a 12 MB budget) builds 32
+// super tables of k = 16 incarnations with m = 2^17-bit filters, on 1
+// shard or 8; each bank holds m 2-byte slices and an m-bit staging
+// filter, 17·m bits. Every example's layout keeps its banks within
+// (L+1)/k of the k·m bits per super table its budget pays for, L the
+// slice width: the smallest of 8, 16, 32 and 64 bits holding k.
+func TestBloomFootprint(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		st, err := Open(WithDevice(IntelSSD), WithFlash(64<<20), WithMemory(12<<20), WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := st.Stats().Memory.BloomBytes, int64(32*17<<17/8); got != want {
+			t.Errorf("%d shards: BloomBytes = %d, want %d", shards, got, want)
+		}
+	}
+	layouts := []struct {
+		name          string
+		dev           DeviceKind
+		flash, memory int64
+		shards        int
+	}{
+		{"quickstart", IntelSSD, 64 << 20, 8 << 20, 1},
+		{"dirsvc", IntelSSD, 64 << 20, 8 << 20, 1},
+		{"wanopt", TranscendSSD, 64 << 20, 8 << 20, 1},
+		{"dedup", IntelSSD, 64 << 20, 12 << 20, 1},
+		{"tuning", IntelSSD, 128 << 20, 16 << 20, 1},
+		{"tuning-smoke", IntelSSD, 16 << 20, 2 << 20, 1},
+		{"sharded-1", IntelSSD, 256 << 20, 64 << 20, 1},
+		{"sharded-8", IntelSSD, 256 << 20, 64 << 20, 8},
+	}
+	for _, l := range layouts {
+		st, err := Open(WithDevice(l.dev), WithFlash(l.flash), WithMemory(l.memory), WithShards(l.shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r *router
+		switch s := st.(type) {
+		case *CLAM:
+			r = s.router
+		case *Sharded:
+			r = s.router
+		}
+		var budget, bound uint64 // k·m bits per super table, and (L+1)/k of them
+		for _, sh := range r.shards {
+			cfg := sh.bh.Config()
+			k := cfg.NumIncarnations
+			L := 8
+			for L < k {
+				L *= 2
+			}
+			km := uint64(cfg.NumSuperTables()) * uint64(k) * cfg.FilterBits()
+			budget += km
+			bound += km * uint64(L+1) / uint64(k)
+		}
+		if got := uint64(st.Stats().Memory.BloomBytes) * 8; got > bound {
+			t.Errorf("%s: Bloom banks take %d bits, above %d, (L+1)/k of the %d budgeted", l.name, got, bound, budget)
+		}
+	}
+}

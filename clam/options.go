@@ -73,10 +73,10 @@ func WithFlash(bytes int64) Option {
 //
 // The budget counts the paper's k·m Bloom bits per super table: what is
 // left after the buffers sets the filter bits per entry. The bit-sliced
-// bank that holds those filters takes L·m + m bits, where L ≥ k+8 is the
-// slice length rounded up to 32, 64 or 128 (sliding-window slack) and m
-// the staging filter, so MemoryFootprint().BloomBytes exceeds the budgeted
-// share — about 2x at k = 16.
+// bank that holds those filters takes L·m + m bits, where L is k rounded
+// up to 8, 16, 32 or 64 (the slice width) and m the staging filter, so
+// MemoryFootprint().BloomBytes is (L+1)/k of the budgeted share: 17/16 at
+// k = 16.
 func WithMemory(bytes int64) Option {
 	return func(c *config) error {
 		if bytes < 0 {

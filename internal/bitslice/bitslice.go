@@ -11,38 +11,38 @@
 //
 // # Window layout
 //
-// Each slice is a ring of L bits, L the smallest of 32, 64 or 128 that
-// holds the k live bits plus one clearing chunk of 8 bits (L ≥ k+8): 4-byte
-// slices for k ≤ 24, 8-byte for k ≤ 56, 16-byte above. Positions are modulo
-// L and s is the window start:
+// Each slice is a ring of L bits, L the smallest of 8, 16, 32 or 64 that
+// holds the k live bits (L ≥ k): 1-byte slices for k ≤ 8, 2-byte for
+// k ≤ 16, 4-byte for k ≤ 32, 8-byte above. The bank keeps its slices as a
+// Go slice of that width, so a probe is one load of a slice's own type.
+// Positions are modulo L and s is the window start:
 //
 //	[s, s+k)         bits of the k incarnations, oldest at s, newest at s+k-1
-//	[s&^7, s)        stale bits of evicted incarnations, not yet cleared
-//	everything else  zero
+//	everything else  stale bits of evicted incarnations (L > k only)
 //
 // A query ANDs the h raw slices under a mask of the live window, so stale
-// bits never match, and maps the surviving physical positions to window
+// bits never match, and rotates the surviving physical positions to window
 // offsets once at the end: one load and one AND per probed slice.
 //
-// # Chunked clearing
+// # Column rewrite
 //
 // Eviction uses the paper's sliding window: rotating the bank moves s one
-// position and retires the oldest column without touching its bits. When
-// s crosses a chunk boundary the vacated 8-bit chunk of every slice is
-// zeroed with one masked store, so the next 8 columns the window grows into
-// are already clean. This is the paper's "w extra bits" at w = 8: clearing
-// costs one store per slice every 8 rotations instead of one per slice and
-// rotation, and the slack costs one byte per slice instead of a word.
+// position and retires the oldest column without touching its bits. The
+// new newest column is position s+k (mod L) of the old window: at L = k
+// the column just evicted, at L > k one whose stale bits an older
+// incarnation left. Rotate rewrites that one column in every slice, bit
+// for bit, from the staging filter, so no column needs clearing ahead of
+// time and the window needs no slack beyond the rounding of k up to L.
 //
 // # Staging filter
 //
 // The buffer's filter is not a column of the slices but a flat m-bit
 // bitmap (16 KB at m = 2^17), so AddStaging and QueryStaging touch a small,
-// cache-resident array instead of h scattered slices. Rotate folds the
-// bitmap's set bits into the new newest column in one ascending pass over
-// the slices and then zeroes the bitmap. The bitmap holds exactly the bits a
-// staging column would, so every answer is still that of k+1 plain Bloom
-// filters.
+// cache-resident array instead of h scattered slices. Rotate copies the
+// bitmap into the new newest column in one dense pass over the slices, 64
+// slices per bitmap word, and then zeroes the bitmap. The bitmap holds
+// exactly the bits a staging column would, so every answer is still that
+// of k+1 plain Bloom filters.
 //
 // # Why not a blocked layout
 //
@@ -58,14 +58,14 @@ package bitslice
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/hashutil"
 )
 
-// chunkBits is the clearing granularity: the window's slack beyond the k
-// live bits, zeroed one chunk of every slice at a time.
-const chunkBits = 8
+// word is a slice's storage type: one of the four slice lengths.
+type word interface {
+	uint8 | uint16 | uint32 | uint64
+}
 
 // Bank is a bit-sliced bank of k incarnation Bloom filters plus one staging
 // (buffer) filter. Not safe for concurrent use.
@@ -73,12 +73,15 @@ type Bank struct {
 	k        int    // incarnations per super table
 	h        int    // hash functions per filter
 	m        uint64 // bits per filter (number of slices)
-	sliceLen int    // L: bits per slice, 32, 64 or 128
-	words    int    // uint32 words per slice
-	slices   []uint32
-	staging  []uint64  // flat m-bit staging filter
-	start    int       // s: window start bit position
-	live     [4]uint32 // slice positions of the live window [s, s+k)
+	sliceLen int    // L: bits per slice, 8, 16, 32 or 64
+	// The m slices, held in the one of these that is L bits wide.
+	s8      []uint8
+	s16     []uint16
+	s32     []uint32
+	s64     []uint64
+	staging []uint64 // flat m-bit staging filter
+	start   int      // s: window start bit position
+	live    uint64   // slice positions of the live window [s, s+k)
 }
 
 // NewBank creates a bank for k incarnations with m-bit filters and h hash
@@ -90,28 +93,29 @@ func NewBank(m uint64, k, h int) *Bank {
 	if m == 0 || h < 1 {
 		panic("bitslice: non-positive filter parameters")
 	}
-	L := 32
-	for L < k+chunkBits {
+	L := 8
+	for L < k {
 		L *= 2
 	}
-	b := &Bank{
-		k:        k,
-		h:        h,
-		m:        m,
-		sliceLen: L,
-		words:    L / 32,
-		slices:   make([]uint32, int(m)*(L/32)),
-		staging:  make([]uint64, (m+63)/64),
+	b := &Bank{k: k, h: h, m: m, sliceLen: L, staging: make([]uint64, (m+63)/64)}
+	switch L {
+	case 8:
+		b.s8 = make([]uint8, m)
+	case 16:
+		b.s16 = make([]uint16, m)
+	case 32:
+		b.s32 = make([]uint32, m)
+	default:
+		b.s64 = make([]uint64, m)
 	}
 	b.setLive()
 	return b
 }
 
 // MemoryBits returns the total memory consumed by the bank in bits: the
-// L-bit slices, including the sliding window's slack, plus the m-bit
-// staging filter.
+// m L-bit slices plus the m-bit staging filter, rounded up to whole words.
 func (b *Bank) MemoryBits() uint64 {
-	return uint64(len(b.slices))*32 + uint64(len(b.staging))*64
+	return uint64(b.sliceLen)*b.m + uint64(len(b.staging))*64
 }
 
 // AddStaging adds a pre-hashed key to the staging (buffer) filter. Like
@@ -154,92 +158,97 @@ const queryGroup = 4
 // The h rows are AddStaging's sequence, generated inline, and the
 // accumulator is tested for zero once per queryGroup rows.
 func (b *Bank) Query(keyHash uint64) uint64 {
+	switch b.sliceLen {
+	case 8:
+		return query(b, b.s8, keyHash)
+	case 16:
+		return query(b, b.s16, keyHash)
+	case 32:
+		return query(b, b.s32, keyHash)
+	}
+	return query(b, b.s64, keyHash)
+}
+
+// query is Query over the bank's slices s, of type T.
+func query[T word](b *Bank, s []T, keyHash uint64) uint64 {
 	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
-	m, w := b.m, b.words
-	acc := b.live
-	if w == 1 {
-		// One word per slice (k ≤ 24, the paper's k = 16): a scalar
-		// accumulator and a row group per test.
-		s := b.slices[:m]
-		a := acc[0]
-		i := 0
-		for ; i+queryGroup <= b.h; i += queryGroup {
-			a &= s[hashutil.Reduce(h1, m)] & s[hashutil.Reduce(h1+h2, m)] &
-				s[hashutil.Reduce(h1+2*h2, m)] & s[hashutil.Reduce(h1+3*h2, m)]
-			h1 += queryGroup * h2
-			if a == 0 {
-				return 0
-			}
-		}
-		for ; i < b.h; i++ {
-			a &= s[hashutil.Reduce(h1, m)]
-			h1 += h2
-		}
-		acc[0] = a
-	} else {
-		for i := 0; i < b.h; i++ {
-			row := int(hashutil.Reduce(h1, m)) * w
-			h1 += h2
-			for j, v := range b.slices[row : row+w] {
-				acc[j] &= v
-			}
-			if i%queryGroup == queryGroup-1 && acc == [4]uint32{} {
-				return 0
-			}
+	m := b.m
+	s = s[:m]
+	a := T(b.live)
+	i := 0
+	for ; i+queryGroup <= b.h; i += queryGroup {
+		a &= s[hashutil.Reduce(h1, m)] & s[hashutil.Reduce(h1+h2, m)] &
+			s[hashutil.Reduce(h1+2*h2, m)] & s[hashutil.Reduce(h1+3*h2, m)]
+		h1 += queryGroup * h2
+		if a == 0 {
+			return 0
 		}
 	}
-	// Map the surviving slice positions to window offsets.
-	var mask uint64
-	for i, v := range acc[:w] {
-		for v != 0 {
-			p := i*32 + bits.TrailingZeros32(v)
-			mask |= 1 << ((p - b.start) & (b.sliceLen - 1))
-			v &= v - 1
-		}
+	for ; i < b.h; i++ {
+		a &= s[hashutil.Reduce(h1, m)]
+		h1 += h2
 	}
-	return mask
+	// Rotate the surviving slice positions right by s: position s becomes
+	// window offset 0. The shifts are of T, so the ring wraps at L bits.
+	return uint64(a>>b.start | a<<(b.sliceLen-b.start))
 }
 
 // Rotate slides the window one position: the staging filter becomes the
 // newest incarnation, the oldest incarnation column falls out of the
 // window, and the staging filter starts empty.
 //
-// When the window start crosses a chunk boundary, one masked store per
-// slice zeroes the chunk it vacated (§5.1.3's batched clearing of stale
-// bits). Then one ascending pass over the staging bitmap's set bits ORs
-// them into the column just past the old window, which the invariant keeps
-// zero, and clears the bitmap.
+// The new newest column is position s+k (mod L): at L = k the oldest
+// column, which leaves the window now, and at L > k a stale one the live
+// mask keeps out of every query. One dense pass over the staging bitmap
+// rewrites that bit of every slice from the bitmap, then zeroes it.
 func (b *Bank) Rotate() {
-	L := b.sliceLen
-	col := (b.start + b.k) % L
-	b.start = (b.start + 1) % L
-	w := b.words
-	if b.start%chunkBits == 0 {
-		// The window will not reach the vacated chunk again until it has
-		// wrapped past the other L-k-8 ≥ 0 free positions.
-		vacated := (b.start - chunkBits + L) % L
-		stale := uint32(1<<chunkBits-1) << (vacated % 32)
-		for i := vacated / 32; i < len(b.slices); i += w {
-			b.slices[i] &^= stale
-		}
-	}
-	colWord, bit := col/32, uint32(1)<<(col%32)
-	for wi, bm := range b.staging {
-		base := wi*64*w + colWord
-		for bm != 0 {
-			b.slices[base+bits.TrailingZeros64(bm)*w] |= bit
-			bm &= bm - 1
-		}
-		b.staging[wi] = 0
+	col := (b.start + b.k) % b.sliceLen
+	b.start = (b.start + 1) % b.sliceLen
+	switch b.sliceLen {
+	case 8:
+		rewrite(b.s8, b.staging, col)
+	case 16:
+		rewrite(b.s16, b.staging, col)
+	case 32:
+		rewrite(b.s32, b.staging, col)
+	default:
+		rewrite(b.s64, b.staging, col)
 	}
 	b.setLive()
 }
 
+// rewrite sets bit col of every slice to the staging bitmap's bit for that
+// slice and zeroes the bitmap, 64 slices per bitmap word, unrolled by 8.
+func rewrite[T word](s []T, staging []uint64, col int) {
+	bit := T(1) << col
+	keep := ^bit
+	full := len(s) / 64
+	for wi, bm := range staging[:full] {
+		p := (*[64]T)(s[wi*64:])
+		for j := 0; j < 64; j += 8 {
+			q := (*[8]T)(p[j:])
+			q[0] = q[0]&keep | -T(bm&1)&bit
+			q[1] = q[1]&keep | -T(bm>>1&1)&bit
+			q[2] = q[2]&keep | -T(bm>>2&1)&bit
+			q[3] = q[3]&keep | -T(bm>>3&1)&bit
+			q[4] = q[4]&keep | -T(bm>>4&1)&bit
+			q[5] = q[5]&keep | -T(bm>>5&1)&bit
+			q[6] = q[6]&keep | -T(bm>>6&1)&bit
+			q[7] = q[7]&keep | -T(bm>>7&1)&bit
+			bm >>= 8
+		}
+	}
+	// A filter size that is not a multiple of 64 leaves a partial word.
+	for j := full * 64; j < len(s); j++ {
+		s[j] = s[j]&keep | -T(staging[full]>>(j%64)&1)&bit
+	}
+	clear(staging)
+}
+
 // setLive recomputes the slice positions of the live window [s, s+k).
 func (b *Bank) setLive() {
-	b.live = [4]uint32{}
+	b.live = 0
 	for j := 0; j < b.k; j++ {
-		p := (b.start + j) % b.sliceLen
-		b.live[p/32] |= 1 << (p % 32)
+		b.live |= 1 << ((b.start + j) % b.sliceLen)
 	}
 }

@@ -3,6 +3,7 @@ package bitslice
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,9 +11,9 @@ import (
 	"repro/internal/hashutil"
 )
 
-// filter is a plain Bloom filter over pre-hashed 64-bit keys, with m
-// rounded up to whole words: the organization the bank must answer like,
-// one filter per column. It probes the bank's row sequence bit by bit.
+// filter is a plain Bloom filter of m bits over pre-hashed 64-bit keys:
+// the organization the bank must answer like, one filter per column. It
+// probes the bank's row sequence bit by bit.
 type filter struct {
 	bits []uint64
 	m    uint64
@@ -20,8 +21,7 @@ type filter struct {
 }
 
 func newFilter(m uint64, h int) *filter {
-	words := (m + 63) / 64
-	return &filter{bits: make([]uint64, words), m: words * 64, h: h}
+	return &filter{bits: make([]uint64, (m+63)/64), m: m, h: h}
 }
 
 func (f *filter) Add(keyHash uint64) {
@@ -197,7 +197,8 @@ func TestEquivalenceWithNaiveBank(t *testing.T) {
 
 func TestLongRotationWrapsWindow(t *testing.T) {
 	// Rotate far more times than the slice length to exercise wrap-around
-	// and the chunk-batched clearing, verifying equivalence throughout.
+	// and, at L = k, the rewrite of the column just evicted, verifying
+	// equivalence throughout.
 	const (
 		m = 256
 		k = 16
@@ -316,48 +317,59 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestMemoryBits(t *testing.T) {
-	// The benchmark's shape: 4-byte slices plus the m-bit staging filter.
-	const m = 131072
-	if got, want := NewBank(m, 16, 22).MemoryBits(), uint64(m*32+m); got != want {
-		t.Fatalf("MemoryBits = %d, want %d", got, want)
-	}
-	// A filter size that is not a multiple of 64 rounds the staging filter
-	// up to whole words.
-	if got, want := NewBank(1000, 16, 3).MemoryBits(), uint64(1000*32+16*64); got != want {
-		t.Fatalf("MemoryBits(m=1000) = %d, want %d", got, want)
+	// L·m bits of slices plus the m-bit staging filter, at every slice
+	// width. The benchmark's shape, k = 16 and m = 2^17, takes 2-byte
+	// slices: 17·m bits. A filter size that is not a multiple of 64 rounds
+	// only the staging filter up to whole words.
+	for _, k := range boundaryKs {
+		L := uint64(sliceLenFor(k))
+		for _, c := range []struct{ m, staging uint64 }{{131072, 131072}, {1000, 16 * 64}} {
+			if got, want := NewBank(c.m, k, 22).MemoryBits(), L*c.m+c.staging; got != want {
+				t.Fatalf("k=%d m=%d: MemoryBits = %d, want %d", k, c.m, got, want)
+			}
+		}
 	}
 }
 
 // sliceLenFor is the slice size the package documents: the smallest of
-// 32, 64 and 128 bits holding k live bits plus one 8-bit clearing chunk.
+// 8, 16, 32 and 64 bits holding the k live bits.
 func sliceLenFor(k int) int {
 	switch {
-	case k <= 24:
+	case k <= 8:
+		return 8
+	case k <= 16:
+		return 16
+	case k <= 32:
 		return 32
-	case k <= 56:
-		return 64
 	}
-	return 128
+	return 64
 }
 
 // boundaryKs are the incarnation counts at and around every slice-size
-// boundary, plus both ends of the valid range.
-var boundaryKs = []int{1, 15, 16, 23, 24, 25, 31, 32, 55, 56, 57, 63, 64}
+// boundary, plus both ends of the valid range. At k = 8, 16, 32 and 64
+// the window fills the slice (L = k), so each rotation rewrites the
+// column it just evicted.
+var boundaryKs = []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64}
+
+// midKs are incarnation counts inside the 32- and 64-bit ranges, where
+// the window leaves 7 to 9 stale columns.
+var midKs = []int{23, 24, 25, 55, 56, 57}
 
 func TestEquivalenceAcrossSliceSizes(t *testing.T) {
-	// For every slice size, rotate at least 3·L times — so the window wraps
-	// the ring repeatedly and every clearing chunk is vacated and reused —
-	// with staging adds, staging queries and window queries interleaved
-	// between rotations, and compare every answer with k+1 plain filters.
-	for _, k := range boundaryKs {
-		// A power of two takes Reduce's mask, 960 its fastrange reduction
-		// (the naive filters round m up to whole words, so m stays a
-		// multiple of 64). h = 3 is shorter than one of Query's row groups;
-		// h = 9 is two groups and a remainder row.
+	// For every slice size, rotate more than 3·L times — so the window
+	// wraps the ring repeatedly and every column is rewritten over stale
+	// bits — with staging adds, staging queries and window queries
+	// interleaved between rotations, and compare every answer with k+1
+	// plain filters.
+	for _, k := range slices.Concat(boundaryKs, midKs) {
+		// A power of two takes Reduce's mask, 960 and 1000 its fastrange
+		// reduction; 1000 is not a multiple of 64, so Rotate's last staging
+		// word covers a partial group of slices. h = 3 is shorter than one
+		// of Query's row groups; h = 9 is two groups and a remainder row.
 		for _, c := range []struct {
 			m uint64
 			h int
-		}{{512, 3}, {960, 3}, {512, 9}, {960, 9}} {
+		}{{512, 3}, {960, 3}, {1000, 3}, {512, 9}, {960, 9}, {1000, 9}} {
 			m, h := c.m, c.h
 			name := fmt.Sprintf("k=%d/m=%d", k, m)
 			if h != 3 {
@@ -380,7 +392,7 @@ func TestEquivalenceAcrossSliceSizes(t *testing.T) {
 						t.Fatalf("rotation %d: QueryStaging(%#x) = %v, want %v", rot, p, got, want)
 					}
 				}
-				for rot := 0; rot < 3*bank.sliceLen+chunkBits; rot++ {
+				for rot := 0; rot < 3*bank.sliceLen+k; rot++ {
 					for i := rng.Intn(12); i > 0; i-- {
 						kh := rng.Uint64()
 						keys = append(keys, kh)
@@ -401,14 +413,15 @@ func TestEquivalenceAcrossSliceSizes(t *testing.T) {
 }
 
 // FuzzBankEquivalence drives the bank and the naive reference through one
-// op sequence and requires identical answers at every step. k, m (in
-// 64-bit words) and h come from the first three inputs. Each op byte
+// op sequence and requires identical answers at every step. k, m and h
+// come from the first three inputs: m is 1 to 64 whole 64-bit words, less
+// mb/64 mod 64 bits, so mb ≥ 64 leaves a partial last word. Each op byte
 // selects, by its low two bits, a rotation, a run of staging adds, a
 // window query or a staging query; the remaining six bits size the run or
 // pick the probed key.
 func FuzzBankEquivalence(f *testing.F) {
-	// A quarter of the ops rotate, so 1024 ops wrap even a 128-bit slice
-	// twice, with about four adds between rotations.
+	// A quarter of the ops rotate, so 1024 ops wrap even a 64-bit slice
+	// four times, with about four adds between rotations.
 	ops := make([]byte, 1024)
 	rng := rand.New(rand.NewSource(1))
 	rng.Read(ops)
@@ -418,15 +431,17 @@ func FuzzBankEquivalence(f *testing.F) {
 	}
 	f.Add(uint8(16), uint16(1), uint8(22), ops)
 	// Filter sizes that are not a power of two (m = 192 and 960 bits, the
-	// fastrange reduction) with row counts that are not a multiple of
-	// Query's row group, on one-, two- and four-word slices.
-	for _, k := range []int{16, 25, 40, 57, 64} {
+	// fastrange reduction, and 923, a partial last word) with row counts that are not a multiple of
+	// Query's row group, on every slice width, each where the window fills
+	// the slice (L = k) and where it leaves stale columns (L > k).
+	for _, k := range []int{8, 9, 16, 17, 32, 33, 57, 64} {
 		f.Add(uint8(k), uint16(2), uint8(22), ops)
 		f.Add(uint8(k), uint16(14), uint8(7), ops)
+		f.Add(uint8(k), uint16(37<<6|14), uint8(7), ops) // m = 923
 	}
 	f.Fuzz(func(t *testing.T, kb uint8, mb uint16, hb uint8, ops []byte) {
 		k := 1 + int(kb-1)%64
-		m := 64 * (1 + uint64(mb)%64) // whole words, as the naive filters round
+		m := 64*(1+uint64(mb)%64) - uint64(mb)/64%64
 		h := 1 + int(hb)%24
 		bank := NewBank(m, k, h)
 		ref := newNaive(m, k, h)

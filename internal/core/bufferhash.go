@@ -345,7 +345,7 @@ func (b *BufferHash) ExpireThrough(seq uint64) {
 // component (used to validate the §6.4 memory budget).
 type MemoryFootprint struct {
 	BufferBytes     int64 // all cuckoo buffers
-	BloomBytes      int64 // all filter banks (incl. sliding-window slack and staging filter)
+	BloomBytes      int64 // all filter banks (incl. their staging filters)
 	DeleteListBytes int64 // approximate
 	MetadataBytes   int64 // incarnation bookkeeping
 }

@@ -511,16 +511,22 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 // which grows at most once per call, and the extended arena is returned;
 // bytes below len(arena) are never written, so the records of earlier
 // calls stay valid, in the old backing array if the arena moved. The
-// submission is address-sorted here, as the device requires, with each
-// segment's index packed under its offset, so every served request pairs
-// back to its record; ties keep record order.
+// view-eligible records are carved last, since a device without a backing
+// store fills them like any other; when the device serves every one of
+// them as a view, their bytes are handed back and the arena returned ends
+// with the copied records. The submission is address-sorted here, as the
+// device requires, with each segment's index packed under its offset, so
+// every served request pairs back to its record; ties keep record order.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, error) {
-	total := 0
+	total, views := 0, 0
 	for i := range reqs {
 		reqs[i].Rec = nil
-		_, n, read, overwritten := l.locate(reqs[i].Ptr)
+		off, n, read, overwritten := l.locate(reqs[i].Ptr)
 		if read {
 			total += n
+			if l.viewable(off, n) {
+				views += n
+			}
 		} else if overwritten {
 			l.stats.SkippedReads++
 		}
@@ -529,23 +535,26 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 		return arena, nil
 	}
 	arena = slices.Grow(arena, total)
+	copied, viewBase := len(arena), len(arena)+total-views
+	next := viewBase // where the next view-eligible record is carved
+	arena = arena[:len(arena)+total]
 	l.segs, l.owner = l.segs[:0], l.owner[:0]
 	for i := range reqs {
 		off, n, read, _ := l.locate(reqs[i].Ptr)
 		if !read {
 			continue
 		}
-		rec := arena[len(arena) : len(arena)+n]
-		arena = arena[:len(arena)+n]
+		owner := -1
+		var rec []byte
+		if l.viewable(off, n) {
+			owner, rec, next = i, arena[next:next+n], next+n
+		} else {
+			rec, copied = arena[copied:copied+n], copied+n
+		}
 		reqs[i].Rec = rec
 		// Device segments become batched read requests; the tail-buffer
 		// overlap is copied immediately.
 		l.readSegments(rec, off, func(seg []byte, segOff int64) {
-			owner := -1
-			ps := int64(l.pageSize)
-			if len(seg) == n && segOff/ps == (segOff+int64(n)-1)/ps {
-				owner = i
-			}
 			l.segs = append(l.segs, ReadReq{P: seg, Off: segOff, View: owner >= 0})
 			l.owner = append(l.owner, owner)
 		})
@@ -568,12 +577,27 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 	if _, err := l.dev.ReadBatch(l.reqs); err != nil {
 		return arena, fmt.Errorf("storage: value log read: %w", err)
 	}
+	viewed := true
 	for j, w := range l.packed {
 		if o := l.owner[w&(1<<segIdxBits-1)]; o >= 0 {
+			// A device that copied left P in the arena.
+			viewed = viewed && &l.reqs[j].P[0] != &reqs[o].Rec[0]
 			reqs[o].Rec = l.reqs[j].P
 		}
 	}
+	if viewed {
+		arena = arena[:viewBase]
+	}
 	return arena, nil
+}
+
+// viewable reports whether the record at [off, off+n) is one device
+// segment inside one device page: readSegments emits it whole, and a
+// simulated device can serve it as a view.
+func (l *ValueLog) viewable(off int64, n int) bool {
+	end, ps := off+int64(n), int64(l.pageSize)
+	head := l.bufStart + int64(len(l.buf))
+	return (end <= l.bufStart || off >= head) && off/ps == (end-1)/ps
 }
 
 // VerifyRecord parses rec as a (key, value) record and returns the value

@@ -301,3 +301,76 @@ func TestValueLogViewReads(t *testing.T) {
 		})
 	}
 }
+
+// TestValueLogViewArena checks the arena ReadRecordsBatch returns. On the
+// SSD a batch of one-page device records is served as views and leaves
+// the arena's length unchanged; adding page-crossing records grows it by
+// exactly their bytes. Through a device that copies, the same batches
+// carve every record into the arena, and every record still verifies.
+func TestValueLogViewArena(t *testing.T) {
+	for _, copying := range []bool{false, true} {
+		var dev storage.Device = ssd.New(ssd.IntelX18M(), 1<<20, vclock.New())
+		if copying {
+			dev = copyingDevice{dev}
+		}
+		l, err := storage.NewValueLog(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := int64(dev.Geometry().PageSize)
+		keys := make([][]byte, 1000)
+		vals := make([][]byte, len(keys))
+		for i := range keys {
+			keys[i] = fmt.Appendf(nil, "arena-%04d", i)
+			vals[i] = bytes.Repeat([]byte{byte(i)}, 50+i%150)
+		}
+		ptrs := make([]uint64, len(keys))
+		if err := l.AppendBatch(keys, vals, ptrs); err != nil {
+			t.Fatal(err)
+		}
+		last, lastN, _, _ := storage.DecodeValuePtr(ptrs[len(ptrs)-1])
+		bufStart := last + int64(lastN) - l.Stats().BufferedBytes
+		var onePage, crossing []int // records on the device, inside one page or not
+		for i, w := range ptrs {
+			off, n, _, _ := storage.DecodeValuePtr(w)
+			switch end := off + int64(n); {
+			case end > bufStart:
+			case off/ps == (end-1)/ps:
+				onePage = append(onePage, i)
+			default:
+				crossing = append(crossing, i)
+			}
+		}
+		if len(onePage) < 100 || len(crossing) == 0 {
+			t.Fatalf("%d one-page and %d page-crossing device records", len(onePage), len(crossing))
+		}
+		for _, batch := range [][]int{onePage, append(append([]int(nil), onePage...), crossing...)} {
+			reqs := make([]storage.ValueReadReq, len(batch))
+			copied, all := 0, 0
+			for j, i := range batch {
+				reqs[j].Ptr = ptrs[i]
+				_, n, _, _ := storage.DecodeValuePtr(ptrs[i])
+				all += n
+				if j >= len(onePage) {
+					copied += n
+				}
+			}
+			want := 5 + copied // a prefix of 5 bytes the call must keep
+			if copying {
+				want = 5 + all
+			}
+			arena, err := l.ReadRecordsBatch(reqs, make([]byte, 5, 64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(arena) != want {
+				t.Errorf("copying=%v, %d records: arena length %d, want %d", copying, len(batch), len(arena), want)
+			}
+			for j, i := range batch {
+				if v, ok := storage.VerifyRecord(reqs[j].Rec, keys[i]); !ok || !bytes.Equal(v, vals[i]) {
+					t.Fatalf("copying=%v: record %d does not verify", copying, i)
+				}
+			}
+		}
+	}
+}
