@@ -72,13 +72,13 @@ func measureLookups(b *testing.B, fn func()) time.Duration {
 //     baseline;
 //   - zipf: Zipf(1.2)-ranked warm keys on 8 shards, so one shard's group
 //     dwarfs the others — the skew the stealing router was built for — and
-//     phase A's duplicate memo replays the hot keys;
+//     the router coalesces the hot keys' repeats;
 //   - uniform-1shard: the uniform stream on one CLAM, where the batch still
 //     pays the router's grouping copy and one goroutine hop.
 //
 // The parallel component of the speedup is bounded by GOMAXPROCS (reported
 // alongside, as in BenchmarkShardedSpeedup); the batching component —
-// lock/clock/histogram amortization, phase-A memoization, page dedupe —
+// lock/clock/histogram amortization, coalesced repeats, page dedupe —
 // survives even on one core.
 func BenchmarkLookupBatchVsSerialLoop(b *testing.B) {
 	sharded, universe := openBatchBench(b, 8)
@@ -133,8 +133,10 @@ func BenchmarkLookupBatchVsSerialLoop(b *testing.B) {
 // measured step with one batch worker: the same store shape (8 shards,
 // 64 MB of IntelSSD flash, 12 MB of DRAM, FIFO), warmed with 1.25 times
 // its flash capacity of Zipf(1.1) keys, then GetBatchU64 calls of 4096
-// keys of the same distribution. One worker takes scheduling out of the wall time, so
-// ns/key is the lookup pipeline's host cost per key.
+// keys of the same distribution. One worker takes scheduling out of the
+// wall time, so ns/key is the lookup pipeline's host cost per key.
+// virt-ns/key is the virtual time per key: each batch's largest shard-clock
+// advance, the batch's virtual makespan, summed over batches.
 func BenchmarkGetBatchZipf1Worker(b *testing.B) {
 	const (
 		flash   = 64 << 20
@@ -163,11 +165,49 @@ func BenchmarkGetBatchZipf1Worker(b *testing.B) {
 	for i := range probes {
 		probes[i] = probe.Next()
 	}
+	before := make([]time.Duration, s.NumShards())
+	var virt time.Duration
 	for i := 0; b.Loop(); i++ {
 		at := i % (len(probes) / batch) * batch
+		for sh := range before {
+			before[sh] = s.Shard(sh).Clock().Now()
+		}
 		if _, _, err := s.GetBatchU64(context.Background(), probes[at:at+batch]); err != nil {
 			b.Fatal(err)
 		}
+		var most time.Duration
+		for sh, t := range before {
+			most = max(most, s.Shard(sh).Clock().Now()-t)
+		}
+		virt += most
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+	b.ReportMetric(float64(virt.Nanoseconds())/float64(b.N*batch), "virt-ns/key")
+}
+
+// BenchmarkCoalesceProbe measures the host cost of a read batch's dedupe
+// probes per key (coalesce: the seen-table probe that finds a repeated
+// key and chains it to its first occurrence) over 4096-key batches of the
+// get-batch-zipf benchmark workload's Zipf(1.1) keys, on its 8-shard
+// routing. With core's BenchmarkPhaseA it prices CPU.BatchCoalesce.
+func BenchmarkCoalesceProbe(b *testing.B) {
+	const (
+		entries = 64 << 20 / 32 // 16-byte entries at 50% cuckoo load
+		batch   = 4096
+	)
+	r := newRouter(make([]*shard, 8), 1, defaultBatchChunk, 1)
+	probe := workload.NewZipfStream(3, 1.1, workload.RangeForLSR(entries, 0.4))
+	probes := make([]uint64, 32*batch)
+	for i := range probes {
+		probes[i] = probe.Next()
+	}
+	g := r.getGroups()
+	distinct := 0
+	for i := 0; b.Loop(); i++ {
+		at := i % (len(probes) / batch) * batch
+		r.coalesce(g, probes[at:at+batch], nil)
+		distinct += len(g.seen.firsts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+	b.ReportMetric(float64(distinct)/float64(b.N*batch), "distinct/key")
 }

@@ -53,16 +53,20 @@
 // keys (byte ops only), groups them into contiguous per-shard runs with one
 // counting sort, routes chunks of those runs to workers, makes one chunk
 // call per chunk on a zero-copy sub-slice, and — for reads — scatters the
-// grouped answers back to input order. GetBatch/GetBatchU64 overlap each
-// probing round's index page probes across the index device's internal
-// queue lanes; GetBatch reads the records a round resolved as one batched
-// value-log read, likewise overlapped, on the value-log device while the
-// next round probes the index device. PutBatch/PutBatchU64 are the
-// write-side mirror: a chunk's records land in the value log as one
-// multi-record append, which runs on the value-log device while the chunk
-// inserts their pointers, and every buffer flush the chunk triggers is
-// issued as one address-sorted device WriteBatch submission, while
-// counters and state match per-key calls exactly.
+// grouped answers back to input order. A read batch is coalesced as it is
+// grouped: each distinct key takes one slot, is resolved once, and its
+// answer fans out to every position that repeats it, while its shard's
+// clock pays CPU.BatchCoalesce for each repeat the router absorbed.
+// GetBatch/GetBatchU64 overlap each probing round's index page probes
+// across the index device's internal queue lanes; GetBatch reads the
+// records a round resolved as one batched value-log read, likewise
+// overlapped, on the value-log device while the next round probes the
+// index device. PutBatch/PutBatchU64 are the write-side mirror: a chunk's
+// records land in the value log as one multi-record append, which runs on
+// the value-log device while the chunk inserts their pointers, and every
+// buffer flush the chunk triggers is issued as one address-sorted device
+// WriteBatch submission, while counters and state match per-key calls
+// exactly.
 //
 // # Worker model: one worker per shard, affinity and stealing
 //
@@ -75,10 +79,10 @@
 // worker goroutines run per batch while the caller waits; under heavy skew
 // the hot shard's chunks run on one worker while the others drain the cold
 // shards and exit. Every chunk is one call into the core pipeline, so
-// results, per-key probe sequences and every core counter match the same
-// keys sent one at a time (the differential oracles pin this; see
-// core.BufferHash.LookupBatch for the LRU carve-out); only wall-clock and
-// virtual time change.
+// results match the same keys sent one at a time, and per-key probe
+// sequences and every core counter match them sent one at a time with a
+// read batch's repeats left out (the differential oracles pin this); only
+// wall-clock and virtual time change.
 //
 // Each shard is opened over simulated storage devices, the paper's
 // Intel-class or Transcend-class SSD. Simulation keeps the paper's
@@ -181,6 +185,8 @@ type shard struct {
 	// and join); nil iff vlog is nil.
 	logClock *vclock.Clock
 
+	coalesce time.Duration // CPU.BatchCoalesce of the shard's core
+
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
 	batchIdx []int                  // GetBatch read-to-key scratch, guarded by mu
@@ -241,6 +247,7 @@ func openShard(cfg config) (*shard, error) {
 	if s.bh, err = core.New(coreCfg); err != nil {
 		return nil, err
 	}
+	s.coalesce = s.bh.Config().CPU.BatchCoalesce
 	s.dev = dev
 	if vdev != nil {
 		if s.vlog, err = storage.NewValueLog(vdev); err != nil {
@@ -386,10 +393,21 @@ func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
 
 // getBatchU64Into is one batched lookup (in-memory phase, coalesced
 // overlapped flash phase, newest-first resolution) into results, which
-// must have len(keys).
-func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
+// must have len(keys). absorbed is the number of repeated batch positions
+// the router coalesced into this chunk (see chargeAbsorbed).
+func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult, absorbed int) error {
 	w := s.begin()
+	s.chargeAbsorbed(absorbed)
 	return s.end(&s.lookup, w, len(keys), s.bh.LookupBatch(keys, results, nil))
+}
+
+// chargeAbsorbed charges the shard's clock CPU.BatchCoalesce for each of n
+// repeated read positions the router answered from another position's
+// lookup: the dedupe probe that found each one.
+func (s *shard) chargeAbsorbed(n int) {
+	if n > 0 {
+		s.clock.Advance(time.Duration(n) * s.coalesce)
+	}
 }
 
 // deleteBatchU64Chunk is one batched delete. Deletes perform no I/O.
@@ -540,18 +558,21 @@ func (s *shard) retire(displaced []uint64) {
 // whose hits readHits reads from the value log round by round, each
 // round's records on the log device while the next round probes the index
 // device, then one join and the per-key verification. It fills only the
-// hits of values and found.
-func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
+// hits of values and found. mult is nil or gives each key the number of
+// batch positions it answers (see verifyRecords), and absorbed is charged
+// as in getBatchU64Into.
+func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool, mult []int32, absorbed int) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
 	}
 	w := s.begin()
+	s.chargeAbsorbed(absorbed)
 	s.batchRes = resize(s.batchRes, len(fps))
 	s.recs, s.recIdx, s.recArena = s.recs[:0], s.recIdx[:0], s.recArena[:0]
 	err := s.bh.LookupBatch(fps, s.batchRes, s.onHits)
 	s.join()
 	if err == nil {
-		s.verifyRecords(keys, values, found)
+		s.verifyRecords(keys, values, found, mult)
 	}
 	return s.end(&s.lookup, w, len(fps), err)
 }
@@ -594,25 +615,40 @@ func (s *shard) readHits(hits []int) error {
 // key matches. The verified values are copied out, under the shard lock
 // and before any later device write, into one arena per chunk: each value
 // is a capacity-capped sub-slice of it, so appending to one cannot reach
-// the next.
-func (s *shard) verifyRecords(keys, values [][]byte, found []bool) {
-	hits := s.batchHit[:0]
+// the next. A key that answers mult[i] > 1 batch positions gets that many
+// copies of its value back to back in values[i], for the router to hand
+// one to each position.
+func (s *shard) verifyRecords(keys, values [][]byte, found []bool, mult []int32) {
+	copies := func(i int) int {
+		if mult == nil {
+			return 1
+		}
+		return int(mult[i])
+	}
+	parts := s.batchHit[:0]
+	hits := 0
 	for j, rec := range s.recs {
-		if v, ok := storage.VerifyRecord(rec, keys[s.recIdx[j]]); ok {
-			s.recIdx[len(hits)] = s.recIdx[j]
-			hits = append(hits, v)
+		i := s.recIdx[j]
+		if v, ok := storage.VerifyRecord(rec, keys[i]); ok {
+			s.recIdx[hits] = i
+			hits++
+			for range copies(i) {
+				parts = append(parts, v)
+			}
 		}
 	}
-	s.batchHit = hits
+	s.batchHit = parts
 	// Join sizes the arena from the values and copies each in once,
 	// without zeroing it first. A lone empty value joins to nil; a hit
 	// stays non-nil.
-	arena := bytes.Join(hits, nil)
+	arena := bytes.Join(parts, nil)
 	if arena == nil {
 		arena = []byte{}
 	}
-	for j, v := range hits {
-		i, n := s.recIdx[j], len(v)
+	for _, i := range s.recIdx[:hits] {
+		m := copies(i)
+		n := m * len(parts[0])
+		parts = parts[m:]
 		values[i], arena = arena[:n:n], arena[n:]
 		found[i] = true
 	}
@@ -632,12 +668,14 @@ func (s *shard) deleteBatchFPs(fps []uint64) error {
 }
 
 // containsBatchFPs resolves one chunk of existence probes: the batched
-// index lookup alone, with no value-log read.
-func (s *shard) containsBatchFPs(fps []uint64, found []bool) error {
+// index lookup alone, with no value-log read. absorbed is charged as in
+// getBatchU64Into.
+func (s *shard) containsBatchFPs(fps []uint64, found []bool, absorbed int) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
 	}
 	w := s.begin()
+	s.chargeAbsorbed(absorbed)
 	s.batchRes = resize(s.batchRes, len(fps))
 	err := s.bh.LookupBatch(fps, s.batchRes, nil)
 	if err == nil {
@@ -692,6 +730,11 @@ type Stats struct {
 	// ValueLog counts record appends and log wraps.
 	ValueLog storage.ValueLogStats
 
+	// InsertLatency, LookupLatency and DeleteLatency summarize the
+	// per-key virtual latency of the keys each shard served: a chunk's
+	// elapsed time spread over its keys. A coalesced read batch serves
+	// each distinct key once, so LookupLatency.Count counts the keys the
+	// shards resolved, not the batch positions they answered.
 	InsertLatency metrics.Summary
 	LookupLatency metrics.Summary
 	DeleteLatency metrics.Summary

@@ -153,7 +153,7 @@ func TestDedupWindowAllocs(t *testing.T) {
 func testDedupWindowAllocs(t *testing.T, vlogBytes int64) {
 	w := newDedupWindow(t, vlogBytes)
 	w.draw()
-	g := w.s.groupBytes(w.keys, nil, nil)
+	g := w.s.groupByteReads(w.keys, true) // the GetBatch's own chunks
 	chunks := 0
 	for sh := range w.s.shards {
 		chunks += (g.start[sh+1] - g.start[sh] + w.s.chunk - 1) / w.s.chunk

@@ -232,7 +232,8 @@ func TestDifferentialBytesEvictionRegime(t *testing.T) {
 // TestDifferentialBytesBatchedWindows drives the strict stream with Get
 // windows flushed through GetBatch on a second instance, proving the
 // batched byte pipeline (index probes + value-log reads) agrees key-for-key
-// with serial Gets.
+// with serial Gets, and that its core counters match serial Gets of each
+// window's distinct keys.
 func TestDifferentialBytesBatchedWindows(t *testing.T) {
 	ops := genByteOps(9003, 20000, 8000, 150, 0.3, 0.08, 0.0002)
 	cs, ss := strictStores(t, FIFO)
@@ -252,11 +253,19 @@ func TestDifferentialBytesBatchedWindows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: batch before op %d: %v", pair.name, at, err)
 			}
+			names := make([]string, len(win))
 			for i, k := range win {
-				sv, sok, err := pair.serial.Get(k)
-				if err != nil {
+				names[i] = string(k)
+			}
+			distinct, of := distinctInOrder(names)
+			svs, soks := make([][]byte, len(distinct)), make([]bool, len(distinct))
+			for d, k := range distinct {
+				if svs[d], soks[d], err = pair.serial.Get([]byte(k)); err != nil {
 					t.Fatalf("%s: serial get before op %d: %v", pair.name, at, err)
 				}
+			}
+			for i, k := range win {
+				sv, sok := svs[of[i]], soks[of[i]]
 				if sok != bok[i] || !bytes.Equal(sv, bv[i]) {
 					t.Fatalf("%s: window at %d key %q: serial (%v, %d bytes) vs batched (%v, %d bytes)",
 						pair.name, at, k, sok, len(sv), bok[i], len(bv[i]))
@@ -296,6 +305,7 @@ func TestDifferentialBytesBatchedWindows(t *testing.T) {
 			}
 		}
 		flush(len(ops))
+		checkLookupCountersEqual(t, pair.name, pair.serial, pair.batched)
 	}
 }
 

@@ -252,10 +252,12 @@ type batchStore interface {
 // applyBatchedDifferential drives the same op stream into a serial-lookup
 // instance and a batched-lookup instance in lockstep. Mutations apply to
 // both immediately; lookups accumulate into a window that is flushed —
-// serial per-key Lookup on one instance, one LookupBatch on the other —
+// one GetBatchU64 on the batched instance, and on the serial one a per-key
+// GetU64 loop over the window's distinct keys in first-occurrence order,
+// which is what the coalesced batch resolves (see distinctInOrder) —
 // before any mutation executes, and at the end of the stream. Every
-// flushed window must agree key-for-key with the other instance and obey
-// the oracle tolerance (strict: exact found/not-found agreement).
+// position of a flushed window must agree with its key's serial answer
+// and obey the oracle tolerance (strict: exact found/not-found agreement).
 func applyBatchedDifferential(t *testing.T, name string, serial, batched batchStore, ops []op, strict bool) map[uint64]uint64 {
 	return applyBatchedDifferentialWindow(t, name, serial, batched, ops, strict, 128)
 }
@@ -279,11 +281,15 @@ func applyBatchedDifferentialWindow(t *testing.T, name string, serial, batched b
 		if err != nil {
 			t.Fatalf("%s: batch before op %d: %v", name, at, err)
 		}
-		for i, k := range pkeys {
-			sv, sok, err := serial.GetU64(k)
-			if err != nil {
+		distinct, of := distinctInOrder(pkeys)
+		svs, soks := make([]uint64, len(distinct)), make([]bool, len(distinct))
+		for d, k := range distinct {
+			if svs[d], soks[d], err = serial.GetU64(k); err != nil {
 				t.Fatalf("%s: serial lookup before op %d: %v", name, at, err)
 			}
+		}
+		for i, k := range pkeys {
+			sv, sok := svs[of[i]], soks[of[i]]
 			if sv != bv[i] || sok != bok[i] {
 				t.Fatalf("%s: op window at %d key %#x: serial (%d,%v) vs batched (%d,%v)",
 					name, at, k, sv, sok, bv[i], bok[i])
@@ -329,9 +335,29 @@ func applyBatchedDifferentialWindow(t *testing.T, name string, serial, batched b
 	return oracle
 }
 
+// distinctInOrder returns the distinct keys of a read batch in
+// first-occurrence order, and for each position the index of its key in
+// that list: a one-key loop over the list is the lookup sequence a
+// coalesced batch resolves, so its core counters are the batch's.
+func distinctInOrder[K comparable](keys []K) (distinct []K, of []int) {
+	at := make(map[K]int, len(keys))
+	of = make([]int, len(keys))
+	for i, k := range keys {
+		d, ok := at[k]
+		if !ok {
+			d = len(distinct)
+			at[k] = d
+			distinct = append(distinct, k)
+		}
+		of[i] = d
+	}
+	return distinct, of
+}
+
 // checkLookupCountersEqual asserts the serial and batched instances probed
 // flash identically: same lookups, hits, flash probes, spurious probes and
-// per-lookup I/O histogram — the structural equality the pipeline promises.
+// per-lookup I/O histogram — the structural equality the pipeline promises
+// against a one-key loop over each window's distinct keys.
 func checkLookupCountersEqual(t *testing.T, name string, serial, batched batchStore) {
 	t.Helper()
 	sc, bc := serial.Stats().Core, batched.Stats().Core

@@ -633,9 +633,10 @@ func TestDifferentialHotShardInserts(t *testing.T) {
 
 // TestBatchGroupingAllocs is the allocation guard for the batch surface:
 // once the pool is warm, grouping a large batch — the counting sort, the
-// per-shard runs, the result slots and the fingerprint buffer — must not
-// allocate per call, and a full batch call must allocate only its outputs,
-// the router's goroutines and the core pipeline's own per-chunk state.
+// per-shard runs, the result slots, the fingerprint buffer and a read
+// batch's dedupe table — must not allocate per call, and a full batch call
+// must allocate only its outputs, the router's goroutines and the core
+// pipeline's own per-chunk state.
 func TestBatchGroupingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
@@ -658,6 +659,8 @@ func TestBatchGroupingAllocs(t *testing.T) {
 	group := func() {
 		s.putGroups(s.group(keys, vals))
 		s.putGroups(s.groupBytes(bkeys, bkeys, bvals))
+		s.putGroups(s.groupReads(keys))
+		s.putGroups(s.groupByteReads(bkeys, true))
 	}
 	group()
 	// sync.Pool may shed entries on a GC, so allow a stray allocation or

@@ -53,6 +53,14 @@ import (
 // (chunks of at most 512 keys): a canceled batch stops between chunks and
 // returns ctx.Err() joined with any chunk errors. Operations already
 // applied stay applied — cancellation is early return, not rollback.
+//
+// A read batch (GetBatchU64, GetBatch, ContainsBatch) writes nothing, so
+// its repeated keys share one answer: the router resolves each distinct
+// key once and answers every position that repeats it. Core counters and
+// the lookup latency histogram count the distinct keys, as a loop of
+// one-key calls over them in first-occurrence order would, and each
+// repeat costs its shard core.CPUCosts.BatchCoalesce of virtual time, the
+// dedupe probe that found it. Write batches apply every position.
 type Store interface {
 	// Put adds or updates a key → value mapping.
 	Put(key, value []byte) error
@@ -69,9 +77,11 @@ type Store interface {
 	// (overlapped index probes, then overlapped value-log reads) and
 	// returns per-key results in input order. The values are the caller's:
 	// none aliases store memory or another value, so appending to or
-	// writing one changes nothing else. The hits of one router chunk share
-	// one allocation, so holding any value keeps its chunk's arena (the
-	// values of at most 512 keys) alive.
+	// writing one changes nothing else; a key repeated in the batch is
+	// looked up once, and each of its positions gets its own copy. The
+	// hits of one router chunk share one allocation, so holding any value
+	// keeps its chunk's arena (the values of at most 512 distinct keys and
+	// their copies) alive.
 	GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error)
 	// DeleteBatch applies len(keys) Delete operations, batched.
 	DeleteBatch(ctx context.Context, keys [][]byte) error
@@ -98,8 +108,10 @@ type Store interface {
 	// PutBatchU64 applies len(keys) PutU64 operations, batched.
 	PutBatchU64(ctx context.Context, keys, values []uint64) error
 	// GetBatchU64 looks up len(keys) fast-path keys through the lookup
-	// pipeline, returning per-key results in input order with the same
-	// values and probe counters as one GetU64 call per key.
+	// pipeline, returning per-key results in input order with the values
+	// of one GetU64 call per key. The batch resolves each distinct key
+	// once, so its probe counters match one GetU64 call per distinct key,
+	// in first-occurrence order (see Batches and cancellation).
 	GetBatchU64(ctx context.Context, keys []uint64) (values []uint64, found []bool, err error)
 	// DeleteBatchU64 applies len(keys) DeleteU64 operations, batched.
 	DeleteBatchU64(ctx context.Context, keys []uint64) error

@@ -15,11 +15,10 @@ import (
 //
 //	A (memory):  every key's delete-list check, buffer probe and Bloom
 //	             query run back to back with zero I/O, producing a
-//	             candidate-incarnation mask per unresolved key. Duplicate
-//	             keys within the batch are memoized: the in-memory work
-//	             runs once per distinct key, while CPU charges and counters
-//	             are still accounted per occurrence, exactly as separate
-//	             one-key lookups would.
+//	             candidate-incarnation mask per unresolved key. Each key
+//	             is charged and counted as a one-key lookup would be; the
+//	             clam router coalesces a read batch's repeated keys before
+//	             they reach core, so a hot key's work is done once.
 //	B (gather):  each probing round collects every unresolved key's single
 //	             newest-candidate page probe, dedupes keys that land on the
 //	             same flash page, sorts the probes by device address, and
@@ -47,20 +46,6 @@ type batchKey struct {
 	mask uint64 // candidate window offsets not yet probed
 }
 
-// memoEntry caches one distinct key's phase-A outcome so duplicates skip
-// the buffer and Bloom computation (their charges are still applied). The
-// cache is direct-mapped: a collision merely recomputes, so hit rate is a
-// pure optimization with no correctness weight.
-type memoEntry struct {
-	key   uint64
-	epoch uint32
-	done  bool
-	mask  uint64
-	res   LookupResult
-}
-
-const memoSlots = 512 // power of two
-
 // pendBits is the width of the pending-index field packed into a sorted
 // probe word; LookupBatch takes at most 2^pendBits keys so the field fits.
 const pendBits = 20
@@ -70,9 +55,7 @@ const pendBits = 20
 // suffices; everything is grown on demand and reused across calls.
 type batchScratch struct {
 	pending []batchKey
-	memo    []memoEntry // direct-mapped, memoSlots entries
-	epoch   uint32      // invalidates memo entries between calls
-	packed  []uint64    // probe words: pageNo<<pendBits | pendingIndex
+	packed  []uint64 // probe words: pageNo<<pendBits | pendingIndex
 	reqs    []storage.ReadReq
 	arena   []byte
 	hits    []int // one step's newly resolved hits, for LookupBatch's resolved hook
@@ -80,19 +63,18 @@ type batchScratch struct {
 
 // LookupBatch looks up len(keys) keys through the lookup pipeline, writing
 // per-key outcomes into results (which must have the same length). Results
-// and the structural counters match one-key Lookup calls over the same keys
-// key-for-key; virtual time is lower because each probing round's flash
-// reads are deduped, sorted and overlapped through the device's ReadBatch
-// (on a one-lane device the overlap degenerates to the sum of the reads,
-// and the batch still benefits from dedupe and address ordering).
+// and the structural counters match one-key Lookup calls over the same
+// distinct keys key-for-key; virtual time is lower because each probing
+// round's flash reads are deduped, sorted and overlapped through the
+// device's ReadBatch (on a one-lane device the overlap degenerates to the
+// sum of the reads, and the batch still benefits from dedupe and address
+// ordering).
 //
-// One semantic carve-out, documented rather than hidden: under the LRU
-// policy, re-insertions triggered by flash hits land in the buffer only as
-// each round resolves, so a key appearing twice in one batch may probe
-// flash twice where one-key calls would hit the buffer on its second
-// occurrence. The paper performs LRU re-insertion asynchronously (§5.1.2),
-// so both interleavings are legal; FIFO/UpdateBased/PriorityBased batches
-// match one-key calls exactly.
+// A key given twice is looked up twice, each occurrence on its own (under
+// LRU, one-key calls would find the second occurrence re-inserted in the
+// buffer instead). The clam router coalesces a batch's repeated keys
+// before they reach core, so its calls hold distinct keys, two byte keys
+// with one fingerprint aside.
 //
 // resolved is nil or is called after phase A and after each probing round
 // that resolved hits, with the indexes, ascending, of the keys that step
@@ -114,54 +96,14 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved
 	}
 	bs := &b.batch
 	bs.pending = bs.pending[:0]
-	if bs.memo == nil {
-		bs.memo = make([]memoEntry, memoSlots)
-	}
-	bs.epoch++
-	if bs.epoch == 0 { // wrapped: stale entries could look current
-		clear(bs.memo)
-		bs.epoch = 1
-	}
-	cfg := &b.cfg
 
 	// Phase A: resolve everything the DRAM side can answer. CPU costs are
 	// accrued into one deferred charge and applied to the clock in a single
 	// advance — the same virtual total as one-key lookups, without several
-	// clock advances per key. Phase A
-	// performs no mutation, so a distinct key's outcome is computed once
-	// and replayed for duplicates (hot keys of a skewed batch). The first
-	// key has nothing to replay and the last nothing to record, so a
-	// one-key batch never touches the memo.
-	last := len(keys) - 1
+	// clock advances per key.
 	for i, key := range keys {
-		slot := &bs.memo[key&(memoSlots-1)]
-		if i > 0 && slot.epoch == bs.epoch && slot.key == key {
-			// Duplicate: replay the outcome, charge what lookupMem would.
-			b.chargeCPU(cfg.CPU.BufferLookup)
-			if !slot.done && !cfg.DisableBloom {
-				if cfg.DisableBitslice {
-					b.chargeCPU(cfg.CPU.BloomQueryNaive)
-				} else {
-					b.chargeCPU(cfg.CPU.BloomQuery)
-				}
-			}
-			results[i] = slot.res
-			if !slot.done && slot.mask != 0 {
-				st, kh := b.route(key)
-				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: slot.mask})
-				continue
-			}
-			b.stats.recordLookup(results[i])
-			if resolved != nil && results[i].Found {
-				bs.hits = append(bs.hits, i)
-			}
-			continue
-		}
 		st, kh := b.route(key)
 		res, mask, done := st.lookupMem(kh)
-		if i < last {
-			*slot = memoEntry{key: key, epoch: bs.epoch, done: done, mask: mask, res: res}
-		}
 		results[i] = res
 		if !done && mask != 0 {
 			bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})

@@ -32,8 +32,8 @@
 // Every operation accrues its CPU charges and lands them on the virtual
 // clock in one advance, before it issues its staged writes. A batch of n
 // keys leaves the same state, counters and results as n one-key calls
-// (LookupBatch documents one LRU carve-out); only virtual time, and the
-// physical I/O count (page dedupe, same-slot write collapse), differ.
+// (a lookup batch, as n calls over distinct keys); only virtual time, and
+// the physical I/O count (page dedupe, same-slot write collapse), differ.
 //
 // Two consequences of the single pipeline are part of the model:
 //
@@ -132,6 +132,7 @@ type CPUCosts struct {
 	BloomQueryNaive time.Duration // query without bit-slicing (§7.3.1 ablation)
 	FlushSerialize  time.Duration // serialize + reset one buffer
 	EvictScanEntry  time.Duration // per-entry partial-discard scan work
+	BatchCoalesce   time.Duration // a read batch's dedupe probe that finds a repeated key
 }
 
 // DefaultCPUCosts returns the calibrated cost model.
@@ -144,6 +145,10 @@ func DefaultCPUCosts() CPUCosts {
 		BloomQueryNaive: 2500 * time.Nanosecond,
 		FlushSerialize:  1500 * time.Microsecond,
 		EvictScanEntry:  150 * time.Nanosecond,
+		// The host cost of one dedupe probe over that of one phase-A
+		// lookup (clam's BenchmarkCoalesceProbe over BenchmarkPhaseA,
+		// 18.8 / 72.2 ns), times the 2.0 µs phase A is charged.
+		BatchCoalesce: 520 * time.Nanosecond,
 	}
 }
 

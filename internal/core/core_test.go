@@ -366,8 +366,8 @@ func TestDisableBitsliceOnlyPrices(t *testing.T) {
 	// DisableBitslice prices the §7.3.1 ablation and nothing else: the
 	// same bit-sliced bank answers, so every result, counter and the
 	// memory footprint match, and the clock runs further by exactly
-	// BloomQueryNaive − BloomQuery per Bloom query. Both charge sites run:
-	// one-key lookups, and a batch whose duplicates replay phase A's memo.
+	// BloomQueryNaive − BloomQuery per Bloom query, over one-key lookups
+	// and a batch with repeated keys.
 	type run struct {
 		results []LookupResult
 		stats   Stats

@@ -62,6 +62,8 @@ type insertMemo struct {
 	flushGen uint64
 }
 
+const memoSlots = 512 // power of two
+
 // insertScratch is reusable InsertBatch state, grown on demand and reused
 // across calls (BufferHash is single-caller by contract).
 type insertScratch struct {
@@ -99,9 +101,8 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 	}
 	cfg := &b.cfg
 
-	// Phase A: apply every key in input order with writes deferred. As in
-	// LookupBatch, the first key skips the memo probe and the last key the
-	// memo record.
+	// Phase A: apply every key in input order with writes deferred. The
+	// first key skips the memo probe and the last key the memo record.
 	var applyErr error
 	last := len(keys) - 1
 	for i, key := range keys {

@@ -3,6 +3,10 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/ssd"
+	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 // BenchmarkPerKeyOps measures the host cost of the per-key calls — each a
@@ -38,4 +42,61 @@ func BenchmarkPerKeyOps(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPhaseA measures the host cost of a lookup's phase A — route and
+// lookupMem: the delete-list check, the buffer probe and the Bloom query —
+// per key of 4096-key Zipf(1.1) batches, on one shard of the get-batch-zipf
+// benchmark workload's store (8 MB of IntelSSD flash, 4 super tables of
+// 128 KB buffers, 16 incarnations, 32 filter bits per entry) warmed with
+// 1.25 times its capacity of keys from the same distribution. With clam's
+// BenchmarkCoalesceProbe, the host cost of the dedupe probe that replaces
+// phase A for a repeated key, it prices CPU.BatchCoalesce: the probe's
+// share of this cost, times the 2.0 µs phase A is charged.
+func BenchmarkPhaseA(b *testing.B) {
+	const (
+		flash = 8 << 20
+		batch = 4096
+		zipfS = 1.1
+	)
+	clock := vclock.New()
+	bh := mustNew(b, Config{
+		Device:             ssd.New(ssd.IntelX18M(), flash, clock),
+		Clock:              clock,
+		PartitionBits:      2,
+		BufferBytes:        128 << 10,
+		NumIncarnations:    16,
+		FilterBitsPerEntry: 32,
+		Seed:               7,
+	})
+	entries := uint64(flash / 32) // 16-byte entries at 50% cuckoo load
+	keyRange := workload.RangeForLSR(entries, 0.4)
+	warm := workload.NewZipfStream(2, zipfS, keyRange)
+	keys, vals := make([]uint64, 8192), make([]uint64, 8192)
+	for n := uint64(0); n < entries*5/4; n += uint64(len(keys)) {
+		for i := range keys {
+			keys[i], vals[i] = warm.Next(), n+uint64(i)+1
+		}
+		if err := bh.InsertBatch(keys, vals, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	probe := workload.NewZipfStream(3, zipfS, keyRange)
+	probes := make([]uint64, 32*batch)
+	for i := range probes {
+		probes[i] = probe.Next()
+	}
+	found := 0
+	for i := 0; b.Loop(); i++ {
+		at := i % (len(probes) / batch) * batch
+		for _, k := range probes[at : at+batch] {
+			st, kh := bh.route(k)
+			if res, _, _ := st.lookupMem(kh); res.Found {
+				found++
+			}
+		}
+		bh.settleCPUDebt()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+	b.ReportMetric(float64(found)/float64(b.N*batch), "buffer_hits/key")
 }
