@@ -1,0 +1,52 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// TestLookupBatchProbeAllocs pins that phase B reserves no page per flash
+// probe: the device hands each probe's page back as a view, so a lookup
+// batch allocates only its per-key scratch. On a store whose index is on
+// flash, with the batch scratch warmed by a small batch, one LookupBatch
+// of keys that pend on at least 256 flash probes must allocate less than
+// an eighth of a probe page per probe.
+func TestLookupBatchProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation skews allocation totals; CI runs this guard in a non-race step")
+	}
+	cfg, _ := testConfig(t)
+	b := mustNew(t, cfg)
+	rng := rand.New(rand.NewSource(11))
+	keys := make([]uint64, 20000)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+		if err := b.Insert(keys[i], uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The oldest keys were flushed: every one of them pends on a probe.
+	results := make([]LookupResult, 2048)
+	if err := b.LookupBatch(keys[:8], results[:8], nil); err != nil {
+		t.Fatal(err)
+	}
+	probes0 := b.Stats().FlashProbes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := b.LookupBatch(keys[:len(results)], results, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := b.Stats().FlashProbes - probes0
+	if probes < 256 {
+		t.Fatalf("the batch pended on %d flash probes, want at least 256", probes)
+	}
+	alloc, bound := after.TotalAlloc-before.TotalAlloc, probes*uint64(b.probeN)/8
+	t.Logf("%d flash probes of %d bytes: %d bytes allocated", probes, b.probeN, alloc)
+	if alloc >= bound {
+		t.Errorf("LookupBatch allocated %d bytes for %d flash probes, want below %d (an eighth of a %d-byte page per probe)",
+			alloc, probes, bound, b.probeN)
+	}
+}

@@ -24,9 +24,9 @@ import (
 //	             same flash page, sorts the probes by device address, and
 //	             issues them as one device ReadBatch submission whose
 //	             virtual latency overlaps across the device's queue lanes.
-//	             The probes are view requests (storage.ReadReq.View): a
-//	             simulated device hands back its stored page, so no page
-//	             is copied.
+//	             The probes are view requests (storage.ReadReq.View): each
+//	             carries only its page's range and the device hands back
+//	             its stored page, so no page is reserved or copied.
 //	C (resolve): each key searches its page image through resolveProbe —
 //	             newest-first, stop on hit, one probe counted per page read
 //	             on its behalf. Nothing writes the device between B and C,
@@ -57,7 +57,6 @@ type batchScratch struct {
 	pending []batchKey
 	packed  []uint64 // probe words: pageNo<<pendBits | pendingIndex
 	reqs    []storage.ReadReq
-	arena   []byte
 	hits    []int // one step's newly resolved hits, for LookupBatch's resolved hook
 }
 
@@ -141,7 +140,6 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved
 		}
 		slices.Sort(bs.packed)
 		bs.reqs = bs.reqs[:0]
-		used := 0
 		lastPage := uint64(1)<<63 | 1 // sentinel no page number reaches
 		for _, w := range bs.packed {
 			page := w >> pendBits
@@ -149,25 +147,14 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved
 				continue
 			}
 			lastPage = page
-			if used+probeN > len(bs.arena) {
-				// Requests already carved out of the old arena keep
-				// pointing into it; only future carving moves.
-				bs.arena = make([]byte, len(bs.pending)*probeN)
-				used = 0
-			}
-			bs.reqs = append(bs.reqs, storage.ReadReq{
-				P:    bs.arena[used : used+probeN],
-				Off:  int64(page) * int64(probeN),
-				View: true,
-			})
-			used += probeN
+			bs.reqs = append(bs.reqs, storage.ReadReq{Off: int64(page) * int64(probeN), N: probeN, View: true})
 		}
 		if _, err := b.cfg.Device.ReadBatch(bs.reqs); err != nil {
 			return fmt.Errorf("core: batched incarnation read: %w", err)
 		}
 
 		// Phase C: resolve each probe against its (deduped) page image,
-		// the device's view of the page or the arena buffer it filled.
+		// the slice the device handed back.
 		// bs.packed and bs.reqs share the address sort, so a linear merge
 		// pairs them without a map.
 		ri := 0

@@ -40,19 +40,29 @@ import (
 // the sorted serial sum (still a win on seek-bound media).
 // Callers must treat request buffers as invalid on error.
 //
-// A request with View set lets a simulated device skip the copy: instead of
-// filling P, the device may replace P with a read-only slice of its backing
-// SparseStore of the same length (see SparseStore.Read). The charged time,
-// the Counters and the bytes seen are those of a copying read. The view is
-// valid until the device's next write or trim, and the caller must not
-// write through it. Only the simulated devices honour View; a device
-// without a backing store just fills P, so callers keep P sized and
-// writable either way. Buffers a caller pools or keeps past the next write
-// must not opt in.
+// A request with View set carries only its range, Off and N, and reserves
+// no buffer: the range must lie inside one device page, the device never
+// writes the request's P, and on success it replaces P with a read-only
+// slice of N bytes — a view of its backing SparseStore (see
+// SparseStore.Read), or a buffer the device owns. The charged time, the
+// Counters and the bytes seen are those of a copying read of the range.
+// The slice is valid until the device's next write or trim, and the
+// caller must not write through it. A View request crossing a page
+// boundary fails the submission's checks. Every other request is a copy:
+// its length is len(P), and the device fills P.
 type ReadReq struct {
 	P    []byte
 	Off  int64
+	N    int // a View request's length; copy requests use len(P)
 	View bool
+}
+
+// size returns the request's length in bytes.
+func (r *ReadReq) size() int {
+	if r.View {
+		return r.N
+	}
+	return len(r.P)
 }
 
 // WriteReq is one write of a Device.WriteBatch submission: store P at
@@ -150,23 +160,29 @@ func (q *Queue) Read(reqs []ReadReq, begin func(), cost CostFunc) (time.Duration
 			return 0, unsorted(i, reqs[i-1].Off, reqs[i].Off)
 		}
 	}
+	ps := int64(q.geom.PageSize)
 	for _, r := range reqs {
-		if err := q.check(OpRead, r.Off, int64(len(r.P)), 1); err != nil {
+		n := int64(r.size())
+		if r.View && n > 0 && r.Off/ps != (r.Off+n-1)/ps {
+			return 0, fmt.Errorf("%w: view off=%d n=%d crosses a %d-byte page", ErrUnaligned, r.Off, n, ps)
+		}
+		if err := q.check(OpRead, r.Off, n, 1); err != nil {
 			return 0, err
 		}
 	}
 	q.start(len(reqs), begin)
 	prevEnd := int64(-1)
 	for i, r := range reqs {
-		lat, err := cost(r.Off, len(r.P), r.Off != prevEnd)
+		n := r.size()
+		lat, err := cost(r.Off, n, r.Off != prevEnd)
 		if err != nil {
 			return q.finish(q.svc[:i]), err
 		}
 		q.svc[i] = lat
-		prevEnd = r.Off + int64(len(r.P))
+		prevEnd = r.Off + int64(n)
 		q.store.Read(&reqs[i])
 		q.Counters.Reads++
-		q.Counters.BytesRead += uint64(len(r.P))
+		q.Counters.BytesRead += uint64(n)
 	}
 	return q.finish(q.svc), nil
 }

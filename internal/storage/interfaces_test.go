@@ -232,10 +232,13 @@ func TestBatchWriterSequentialRunDiscount(t *testing.T) {
 }
 
 // TestReadViewContract pins ReadReq.View on every device model against a
-// twin device serving the same submission by copy: the same latency,
-// Counters and bytes; an unwritten page reads as zeros; a
-// submission that fails replaces no buffer; and a request without View
-// keeps its own buffer, which a later write does not change.
+// twin device serving the same ranges by copy: the same latency, Counters
+// and bytes; a view request comes back with a slice of its N bytes whose
+// capacity ends with the range, and an unwritten page reads as zeros; a
+// request without View keeps its own buffer, which a later write does not
+// change; a submission that fails hands back no slice; and a view
+// crossing a page boundary fails the submission's checks, charging
+// nothing.
 func TestReadViewContract(t *testing.T) {
 	devices := func() map[string]storage.Device {
 		return map[string]storage.Device{
@@ -257,16 +260,21 @@ func TestReadViewContract(t *testing.T) {
 					}
 				}
 			}
-			// Written pages, a two-page range (which no single page can
-			// back), a sub-page range and an unwritten page, in ascending
-			// order.
+			// Written pages, a two-page range (which no view may cover, so
+			// both devices copy it), a sub-page range and an unwritten
+			// page, in ascending order.
 			shape := []struct{ off, n int64 }{{0, ps}, {ps, 2 * ps}, {2*ps + 16, 64}, {3 * ps, ps}, {9 * ps, ps}}
+			onePage := func(off, n int64) bool { return off/ps == (off+n-1)/ps }
 			submit := func(d storage.Device, view bool) ([]storage.ReadReq, map[int64][]byte, time.Duration) {
 				t.Helper()
 				reqs := make([]storage.ReadReq, len(shape))
 				own := map[int64][]byte{}
 				for i, s := range shape {
-					reqs[i] = storage.ReadReq{P: make([]byte, s.n), Off: s.off, View: view}
+					if view && onePage(s.off, s.n) {
+						reqs[i] = storage.ReadReq{Off: s.off, N: int(s.n), View: true}
+						continue
+					}
+					reqs[i] = storage.ReadReq{P: make([]byte, s.n), Off: s.off}
 					own[s.off] = reqs[i].P
 				}
 				lat, err := d.ReadBatch(reqs)
@@ -291,9 +299,12 @@ func TestReadViewContract(t *testing.T) {
 				if &c.P[0] != &cown[c.Off][0] {
 					t.Fatalf("request without View at %d lost its own buffer", c.Off)
 				}
-				spansPages := v.Off/ps != (v.Off+int64(len(v.P))-1)/ps
-				if copied := &v.P[0] == &vown[v.Off][0]; copied != spansPages {
-					t.Fatalf("view request at %d (spanning pages: %v) copied: %v", v.Off, spansPages, copied)
+				if !v.View {
+					if &v.P[0] != &vown[v.Off][0] {
+						t.Fatalf("request without View at %d lost its own buffer", v.Off)
+					}
+				} else if len(v.P) != v.N || cap(v.P) != v.N {
+					t.Fatalf("view request at %d of %d bytes came back with len %d, cap %d", v.Off, v.N, len(v.P), cap(v.P))
 				}
 			}
 			// A later write must not show through a copied buffer.
@@ -305,8 +316,9 @@ func TestReadViewContract(t *testing.T) {
 				t.Fatal("a write changed the buffer of an earlier read without View")
 			}
 
-			// Failing submissions: a faulted request, then an out-of-range
-			// one, each last in address order; no buffer may be replaced.
+			// Failing submissions: a faulted request, an out-of-range one
+			// and a view crossing a page boundary, each last in address
+			// order; no view may come back and nothing may be charged.
 			boom := errors.New("injected read fault")
 			vd.(interface{ SetFault(storage.FaultFunc) }).SetFault(func(op storage.Op, off int64, _ int) error {
 				if op == storage.OpRead && off == 3*ps {
@@ -314,15 +326,22 @@ func TestReadViewContract(t *testing.T) {
 				}
 				return nil
 			})
-			for _, last := range []int64{3 * ps, g.Capacity} {
-				reqs := []storage.ReadReq{{P: make([]byte, ps), Off: 0, View: true}, {P: make([]byte, ps), Off: last, View: true}}
-				own := []*byte{&reqs[0].P[0], &reqs[1].P[0]}
-				if _, err := vd.ReadBatch(reqs); err == nil {
-					t.Fatalf("submission ending at %d succeeded", last)
+			for _, last := range []struct{ off, n int64 }{{3 * ps, ps}, {g.Capacity, ps}, {2*ps + 1, ps}} {
+				reqs := []storage.ReadReq{{Off: 0, N: int(ps), View: true}, {Off: last.off, N: int(last.n), View: true}}
+				was := vd.Counters()
+				_, err := vd.ReadBatch(reqs)
+				if err == nil {
+					t.Fatalf("submission ending at %d succeeded", last.off)
+				}
+				if !onePage(last.off, last.n) && !errors.Is(err, storage.ErrUnaligned) {
+					t.Fatalf("view across a page boundary failed with %v, want ErrUnaligned", err)
+				}
+				if vd.Counters() != was {
+					t.Fatalf("failed submission ending at %d charged %+v, had %+v", last.off, vd.Counters(), was)
 				}
 				for i := range reqs {
-					if &reqs[i].P[0] != own[i] {
-						t.Fatalf("failed submission ending at %d replaced request %d's buffer", last, i)
+					if reqs[i].P != nil {
+						t.Fatalf("failed submission ending at %d handed request %d a slice", last.off, i)
 					}
 				}
 			}
@@ -468,7 +487,7 @@ func TestEqualOffsetsServed(t *testing.T) {
 			if _, err := m.dev.WriteAt(page, 0); err != nil {
 				t.Fatal(err)
 			}
-			reqs := []storage.ReadReq{{P: make([]byte, ps)}, {P: make([]byte, ps/2), View: true}}
+			reqs := []storage.ReadReq{{P: make([]byte, ps)}, {N: ps / 2, View: true}}
 			if _, err := m.dev.ReadBatch(reqs); err != nil {
 				t.Fatalf("equal offsets: %v", err)
 			}

@@ -85,14 +85,22 @@ func deviceStream(t *testing.T, m model) streamResult {
 		return p
 	}
 
+	// req builds a request of n bytes at off: a view if view is set
+	// and the range lies inside one page, else a copy.
+	req := func(off, n int64, view bool) storage.ReadReq {
+		if view && off/ps == (off+n-1)/ps {
+			return storage.ReadReq{Off: off, N: int(n), View: true}
+		}
+		return storage.ReadReq{P: make([]byte, n), Off: off}
+	}
 	readReq := func(view bool) storage.ReadReq {
 		pg := rng.Int63n(pages)
 		if rng.Intn(4) == 0 { // sub-page
 			lo := rng.Int63n(ps)
-			return storage.ReadReq{P: make([]byte, 1+rng.Int63n(ps-lo)), Off: pg*ps + lo, View: view}
+			return req(pg*ps+lo, 1+rng.Int63n(ps-lo), view)
 		}
 		n := 1 + rng.Int63n(min(3, pages-pg))
-		return storage.ReadReq{P: make([]byte, n*ps), Off: pg * ps, View: view}
+		return req(pg*ps, n*ps, view)
 	}
 	readBatch := func() []storage.ReadReq {
 		view := rng.Intn(2) == 0
@@ -122,7 +130,7 @@ func deviceStream(t *testing.T, m model) streamResult {
 			k := 2 + rng.Int63n(5)
 			start := rng.Int63n(pages - k)
 			for i := range k {
-				reqs = append(reqs, storage.ReadReq{P: make([]byte, ps), Off: (start + i) * ps, View: view})
+				reqs = append(reqs, req((start+i)*ps, ps, view))
 			}
 			rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 		}

@@ -29,11 +29,11 @@
 // state only its medium has.
 //
 // The lookup pipeline's probe reads and the value log's one-page record
-// reads set ReadReq.View: a simulated device then hands back a read-only
-// slice of the SparseStore page instead of copying the page into the
-// request buffer. A view is valid until the device's next write or trim
-// and must never be written through; real devices ignore the flag and
-// fill the buffer. Time and Counters do not depend on it.
+// reads set ReadReq.View: such a request carries only its range, the
+// caller reserves no buffer for it, and the device hands back a read-only
+// slice — a simulated device's SparseStore page. A view is valid until the
+// device's next write or trim and must never be written through. Time and
+// Counters do not depend on it.
 package storage
 
 import (
@@ -154,18 +154,27 @@ func Span(off int64, n, unit int) int64 {
 }
 
 // SparseStore is a page-granular sparse byte store. Unwritten regions read
-// as zeros. It is the data backing for all device models, letting a
-// simulated "32 GB" device cost only as much host memory as the pages
-// actually touched.
+// as zeros. It is the data backing for all device models: a page is
+// allocated on its first write, so a simulated device costs the host only
+// the pages actually touched, plus one slice header per page number up to
+// the highest page written, by which pages are indexed.
 type SparseStore struct {
 	pageSize int
-	pages    map[int64][]byte
-	zeroPage []byte // shared read-only view of an unwritten page, made on first use
+	pages    [][]byte // by page number; nil for a page never written, or dropped
+	zeroPage []byte   // shared read-only view of an unwritten page, made on first use
 }
 
 // NewSparseStore returns a store with the given page size.
 func NewSparseStore(pageSize int) *SparseStore {
-	return &SparseStore{pageSize: pageSize, pages: make(map[int64][]byte)}
+	return &SparseStore{pageSize: pageSize}
+}
+
+// page returns page idx, or nil if it holds no bytes.
+func (s *SparseStore) page(idx int64) []byte {
+	if idx < int64(len(s.pages)) {
+		return s.pages[idx]
+	}
+	return nil
 }
 
 // ReadAt fills p from the store at off.
@@ -177,7 +186,7 @@ func (s *SparseStore) ReadAt(p []byte, off int64) {
 		if n > len(p) {
 			n = len(p)
 		}
-		if page, ok := s.pages[pageIdx]; ok {
+		if page := s.page(pageIdx); page != nil {
 			copy(p[:n], page[inPage:inPage+n])
 		} else {
 			clear(p[:n])
@@ -187,29 +196,27 @@ func (s *SparseStore) ReadAt(p []byte, off int64) {
 	}
 }
 
-// Read serves one device read request. A View request whose range lies
-// within one page gets P replaced by a read-only slice of that page, or of
-// a shared zero page when the page was never written; the slice's capacity
-// ends with the range, so appending to it cannot reach the page. Every
-// other request is copied into P.
+// Read serves one device read request. A View request, whose range Queue
+// has checked lies inside one page, gets P replaced by a read-only slice
+// of that page, or of a shared zero page when the page holds no bytes; the
+// slice's capacity ends with the range, so appending to it cannot reach
+// the page. Every other request is copied into P.
 func (s *SparseStore) Read(r *ReadReq) {
-	if r.View {
-		ps := int64(s.pageSize)
-		idx := r.Off / ps
-		lo := int(r.Off - idx*ps)
-		if hi := lo + len(r.P); hi <= s.pageSize {
-			page, ok := s.pages[idx]
-			if !ok {
-				if s.zeroPage == nil {
-					s.zeroPage = make([]byte, s.pageSize)
-				}
-				page = s.zeroPage
-			}
-			r.P = page[lo:hi:hi]
-			return
-		}
+	if !r.View {
+		s.ReadAt(r.P, r.Off)
+		return
 	}
-	s.ReadAt(r.P, r.Off)
+	ps := int64(s.pageSize)
+	idx := r.Off / ps
+	lo := int(r.Off - idx*ps)
+	page := s.page(idx)
+	if page == nil {
+		if s.zeroPage == nil {
+			s.zeroPage = make([]byte, s.pageSize)
+		}
+		page = s.zeroPage
+	}
+	r.P = page[lo : lo+r.N : lo+r.N]
 }
 
 // WriteAt stores p at off, allocating pages as needed.
@@ -221,8 +228,11 @@ func (s *SparseStore) WriteAt(p []byte, off int64) {
 		if n > len(p) {
 			n = len(p)
 		}
-		page, ok := s.pages[pageIdx]
-		if !ok {
+		if pageIdx >= int64(len(s.pages)) {
+			s.pages = append(s.pages, make([][]byte, pageIdx+1-int64(len(s.pages)))...)
+		}
+		page := s.pages[pageIdx]
+		if page == nil {
 			page = make([]byte, s.pageSize)
 			s.pages[pageIdx] = page
 		}
@@ -237,23 +247,25 @@ func (s *SparseStore) WriteAt(p []byte, off int64) {
 func (s *SparseStore) Drop(off, n int64) {
 	end := off + n
 	first := off / int64(s.pageSize)
-	last := (end - 1) / int64(s.pageSize)
+	last := min((end-1)/int64(s.pageSize), int64(len(s.pages))-1)
 	for idx := first; idx <= last; idx++ {
+		page := s.pages[idx]
+		if page == nil {
+			continue
+		}
 		pageStart := idx * int64(s.pageSize)
 		pageEnd := pageStart + int64(s.pageSize)
 		if pageStart >= off && pageEnd <= end {
-			delete(s.pages, idx)
+			s.pages[idx] = nil
 			continue
 		}
-		if page, ok := s.pages[idx]; ok {
-			lo, hi := int64(0), int64(s.pageSize)
-			if off > pageStart {
-				lo = off - pageStart
-			}
-			if end < pageEnd {
-				hi = end - pageStart
-			}
-			clear(page[lo:hi])
+		lo, hi := int64(0), int64(s.pageSize)
+		if off > pageStart {
+			lo = off - pageStart
 		}
+		if end < pageEnd {
+			hi = end - pageStart
+		}
+		clear(page[lo:hi])
 	}
 }

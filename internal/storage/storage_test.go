@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 	"time"
@@ -30,6 +31,17 @@ func TestCheckRange(t *testing.T) {
 	if err := CheckRange(g, 100, 10, 1); err != nil {
 		t.Fatalf("align=1 should accept byte granularity: %v", err)
 	}
+}
+
+// written counts the pages s holds bytes for.
+func written(s *SparseStore) int {
+	n := 0
+	for _, p := range s.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestSparseStoreReadUnwritten(t *testing.T) {
@@ -79,12 +91,12 @@ func TestSparseStoreCrossPageWrite(t *testing.T) {
 func TestSparseStoreDropWholePages(t *testing.T) {
 	s := NewSparseStore(16)
 	s.WriteAt(bytes.Repeat([]byte{0xFF}, 64), 0) // 4 pages of 0xFF
-	if len(s.pages) != 4 {
-		t.Fatalf("%d pages allocated, want 4", len(s.pages))
+	if written(s) != 4 {
+		t.Fatalf("%d pages allocated, want 4", written(s))
 	}
 	s.Drop(16, 32) // pages 1 and 2
-	if len(s.pages) != 2 {
-		t.Fatalf("%d pages allocated after drop, want 2", len(s.pages))
+	if written(s) != 2 {
+		t.Fatalf("%d pages allocated after drop, want 2", written(s))
 	}
 	buf := make([]byte, 64)
 	s.ReadAt(buf, 0)
@@ -129,8 +141,8 @@ func TestSparseStoreDropBoundaryCases(t *testing.T) {
 	t.Run("exactly-page-aligned", func(t *testing.T) {
 		s := fresh()
 		s.Drop(page, 2*page)
-		if len(s.pages) != 3 {
-			t.Fatalf("%d pages allocated, want 3 (two whole pages freed)", len(s.pages))
+		if written(s) != 3 {
+			t.Fatalf("%d pages allocated, want 3 (two whole pages freed)", written(s))
 		}
 		check(t, s, page, 2*page)
 	})
@@ -138,24 +150,24 @@ func TestSparseStoreDropBoundaryCases(t *testing.T) {
 		// Partial page 0 tail + whole pages 1,2 + partial page 3 head.
 		s := fresh()
 		s.Drop(page-4, 2*page+8)
-		if len(s.pages) != 3 {
-			t.Fatalf("%d pages allocated, want 3", len(s.pages))
+		if written(s) != 3 {
+			t.Fatalf("%d pages allocated, want 3", written(s))
 		}
 		check(t, s, page-4, 2*page+8)
 	})
 	t.Run("within-one-page", func(t *testing.T) {
 		s := fresh()
 		s.Drop(page+3, 7)
-		if len(s.pages) != 5 {
-			t.Fatalf("%d pages allocated, want 5 (no page fully covered)", len(s.pages))
+		if written(s) != 5 {
+			t.Fatalf("%d pages allocated, want 5 (no page fully covered)", written(s))
 		}
 		check(t, s, page+3, 7)
 	})
 	t.Run("ends-exactly-on-boundary", func(t *testing.T) {
 		s := fresh()
 		s.Drop(page+4, page-4) // tail of page 1 only, up to page 2's start
-		if len(s.pages) != 5 {
-			t.Fatalf("%d pages allocated, want 5", len(s.pages))
+		if written(s) != 5 {
+			t.Fatalf("%d pages allocated, want 5", written(s))
 		}
 		check(t, s, page+4, page-4)
 	})
@@ -168,8 +180,8 @@ func TestSparseStoreDropBoundaryCases(t *testing.T) {
 		s := NewSparseStore(page)
 		s.WriteAt(make([]byte, page), 0)
 		s.Drop(3*page, 2*page) // never written
-		if len(s.pages) != 1 {
-			t.Fatalf("%d pages allocated, want 1", len(s.pages))
+		if written(s) != 1 {
+			t.Fatalf("%d pages allocated, want 1", written(s))
 		}
 	})
 }
@@ -226,6 +238,87 @@ func TestSparseStoreQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzSparseStore runs op sequences against a SparseStore and a flat byte
+// slice, its model: every ReadAt, and every Read by copy or as a view,
+// must return the model's bytes, a view must end its capacity with its
+// range, and the store must hold exactly the pages written since they were
+// last dropped whole. Page sizes run from 8 to 4096 bytes and the model
+// spans 16 pages, so reads reach past the highest page written and drops
+// cover pages never written.
+//
+// An op is 4 bytes: the op, an offset scaled onto the model, and a length
+// scaled onto what is left of it (of its page, for a view).
+func FuzzSparseStore(f *testing.F) {
+	op := func(o byte, off uint16, n byte) []byte { return []byte{o, byte(off), byte(off >> 8), n} }
+	prog := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
+	f.Add(uint16(0), prog(op(0, 0x1000, 40), op(3, 0x1000, 255), op(3, 0xF000, 255), op(1, 0, 255)))
+	f.Add(uint16(92), prog(op(0, 0, 255), op(4, 0x2000, 90), op(2, 0x1800, 255), op(3, 0x2100, 128), op(4, 0x8000, 255), op(1, 0, 255)))
+	f.Add(uint16(504), prog(op(4, 0x4000, 200), op(0, 0x7000, 10), op(3, 0x7000, 255), op(4, 0x6000, 255), op(2, 0x6FFF, 255)))
+	f.Add(uint16(4088), prog(op(0, 0x3000, 30), op(0, 0x3100, 30), op(3, 0x3100, 128), op(4, 0x3000, 16), op(3, 0xC000, 255), op(2, 0x2F00, 255), op(1, 0xFFFF, 255)))
+	f.Fuzz(func(t *testing.T, psSeed uint16, prog []byte) {
+		ps := 8 + int(psSeed)%(4096-8+1)
+		const pages = 16
+		size := pages * ps
+		s := NewSparseStore(ps)
+		model := make([]byte, size)
+		var held [pages]bool // pages the store must hold bytes for
+		for k := 0; len(prog) >= 4; k, prog = k+1, prog[4:] {
+			off := int(binary.LittleEndian.Uint16(prog[1:3])) * size >> 16
+			n := int(prog[3]) * (size - off) / 255
+			first, last := off/ps, (off+n-1)/ps
+			switch prog[0] % 5 {
+			case 0:
+				p := make([]byte, n)
+				for i := range p {
+					p[i] = byte(k*7 + i + 1)
+				}
+				s.WriteAt(p, int64(off))
+				copy(model[off:], p)
+				for pg := first; n > 0 && pg <= last; pg++ {
+					held[pg] = true
+				}
+			case 1:
+				p := bytes.Repeat([]byte{0xA5}, n)
+				s.ReadAt(p, int64(off))
+				if !bytes.Equal(p, model[off:off+n]) {
+					t.Fatalf("op %d: ReadAt(%d, %d) differs from the model", k, off, n)
+				}
+			case 2:
+				r := ReadReq{P: bytes.Repeat([]byte{0xA5}, n), Off: int64(off)}
+				s.Read(&r)
+				if !bytes.Equal(r.P, model[off:off+n]) {
+					t.Fatalf("op %d: copying Read(%d, %d) differs from the model", k, off, n)
+				}
+			case 3:
+				lo := off % ps
+				n = int(prog[3]) * (ps - lo) / 255
+				r := ReadReq{Off: int64(off), N: n, View: true}
+				s.Read(&r)
+				if len(r.P) != n || cap(r.P) != n || !bytes.Equal(r.P, model[off:off+n]) {
+					t.Fatalf("op %d: view Read(%d, %d) got %d bytes (cap %d), or bytes other than the model's", k, off, n, len(r.P), cap(r.P))
+				}
+			case 4:
+				s.Drop(int64(off), int64(n))
+				clear(model[off : off+n])
+				for pg := first; n > 0 && pg <= last; pg++ {
+					if pg*ps >= off && (pg+1)*ps <= off+n {
+						held[pg] = false
+					}
+				}
+			}
+			want := 0
+			for _, h := range held {
+				if h {
+					want++
+				}
+			}
+			if got := written(s); got != want {
+				t.Fatalf("op %d: the store holds %d pages, want %d", k, got, want)
+			}
+		}
+	})
 }
 
 func TestCountersAdd(t *testing.T) {

@@ -83,7 +83,7 @@ type ValueLog struct {
 	deadTotal  int64
 
 	segs   []ReadReq // batched-read device segments, in record order
-	owner  []int     // per segment: the record a view serves, or -1 for a copy
+	owner  []int     // per segment: the record a view request serves, or -1 for a copy
 	packed []uint64  // segOff<<segIdxBits | segment index, address-sorted
 	reqs   []ReadReq // the address-sorted submission
 }
@@ -431,9 +431,10 @@ func (l *ValueLog) writeBuf(p int) error {
 // the record's pointer word, as AppendBatch filled it; Rec receives the
 // record bytes or stays nil when the word is no pointer, addresses no
 // record region, or addresses a record the log has provably overwritten
-// (see ValueLog). Rec is either a read-only view of the device's page (see
-// ReadReq.View), valid until the device's next write, or a copy in the
-// arena ReadRecordsBatch returns. It must not be written through.
+// (see ValueLog). Rec is either the read-only slice the device handed
+// back for a view request (see ReadReq.View), valid until the device's
+// next write, or a copy in the arena ReadRecordsBatch returns. It must not
+// be written through.
 type ValueReadReq struct {
 	Ptr uint64
 	Rec []byte
@@ -505,59 +506,48 @@ func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOf
 // request; those the log has provably overwritten count as SkippedReads.
 //
 // A record that is one device segment inside one device page is read as
-// a view: Rec becomes the device's page slice, with no copy. Records that
-// cross a page, overlap the tail buffer or reach past the head are copied
-// into the caller's arena. Every record read is carved past len(arena),
-// which grows at most once per call, and the extended arena is returned;
-// bytes below len(arena) are never written, so the records of earlier
-// calls stay valid, in the old backing array if the arena moved. The
-// view-eligible records are carved last, since a device without a backing
-// store fills them like any other; when the device serves every one of
-// them as a view, their bytes are handed back and the arena returned ends
-// with the copied records. The submission is address-sorted here, as the
-// device requires, with each segment's index packed under its offset, so
-// every served request pairs back to its record; ties keep record order.
+// a view request, and Rec becomes the slice the device hands back. Records
+// that cross a page, overlap the tail buffer or reach past the head are
+// copied into the caller's arena: each is carved past len(arena), which
+// grows at most once per call, and the extended arena is returned; bytes
+// below len(arena) are never written, so the records of earlier calls
+// stay valid, in the old backing array if the arena moved. The submission
+// is address-sorted here, as the device requires, with each segment's
+// index packed under its offset, so every served request pairs back to
+// its record; ties keep record order.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, error) {
-	total, views := 0, 0
+	copied := 0
 	for i := range reqs {
 		reqs[i].Rec = nil
 		off, n, read, overwritten := l.locate(reqs[i].Ptr)
-		if read {
-			total += n
-			if l.viewable(off, n) {
-				views += n
-			}
-		} else if overwritten {
+		switch {
+		case overwritten:
 			l.stats.SkippedReads++
+		case read && !l.viewable(off, n):
+			copied += n
 		}
 	}
-	if total == 0 {
-		return arena, nil
-	}
-	arena = slices.Grow(arena, total)
-	copied, viewBase := len(arena), len(arena)+total-views
-	next := viewBase // where the next view-eligible record is carved
-	arena = arena[:len(arena)+total]
+	arena = slices.Grow(arena, copied)
+	next := len(arena) // where the next copied record is carved
+	arena = arena[:next+copied]
 	l.segs, l.owner = l.segs[:0], l.owner[:0]
 	for i := range reqs {
 		off, n, read, _ := l.locate(reqs[i].Ptr)
-		if !read {
-			continue
+		switch {
+		case !read:
+		case l.viewable(off, n):
+			l.segs = append(l.segs, ReadReq{Off: off, N: n, View: true})
+			l.owner = append(l.owner, i)
+		default:
+			rec := arena[next : next+n]
+			reqs[i].Rec, next = rec, next+n
+			// Device segments become batched read requests; the
+			// tail-buffer overlap is copied immediately.
+			l.readSegments(rec, off, func(seg []byte, segOff int64) {
+				l.segs = append(l.segs, ReadReq{P: seg, Off: segOff})
+				l.owner = append(l.owner, -1)
+			})
 		}
-		owner := -1
-		var rec []byte
-		if l.viewable(off, n) {
-			owner, rec, next = i, arena[next:next+n], next+n
-		} else {
-			rec, copied = arena[copied:copied+n], copied+n
-		}
-		reqs[i].Rec = rec
-		// Device segments become batched read requests; the tail-buffer
-		// overlap is copied immediately.
-		l.readSegments(rec, off, func(seg []byte, segOff int64) {
-			l.segs = append(l.segs, ReadReq{P: seg, Off: segOff, View: owner >= 0})
-			l.owner = append(l.owner, owner)
-		})
 	}
 	if len(l.segs) == 0 {
 		return arena, nil
@@ -577,23 +567,17 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 	if _, err := l.dev.ReadBatch(l.reqs); err != nil {
 		return arena, fmt.Errorf("storage: value log read: %w", err)
 	}
-	viewed := true
 	for j, w := range l.packed {
 		if o := l.owner[w&(1<<segIdxBits-1)]; o >= 0 {
-			// A device that copied left P in the arena.
-			viewed = viewed && &l.reqs[j].P[0] != &reqs[o].Rec[0]
 			reqs[o].Rec = l.reqs[j].P
 		}
-	}
-	if viewed {
-		arena = arena[:viewBase]
 	}
 	return arena, nil
 }
 
 // viewable reports whether the record at [off, off+n) is one device
-// segment inside one device page: readSegments emits it whole, and a
-// simulated device can serve it as a view.
+// segment inside one device page: readSegments would emit it whole, and
+// it is read as a view request.
 func (l *ValueLog) viewable(off int64, n int) bool {
 	end, ps := off+int64(n), int64(l.pageSize)
 	head := l.bufStart + int64(len(l.buf))

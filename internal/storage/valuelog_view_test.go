@@ -8,21 +8,67 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/ssd"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
 
-// copyingDevice serves every read by copy: it clears ReadReq.View before
-// a submission reaches the wrapped device model.
-type copyingDevice struct{ storage.Device }
+// ownedViewDevice serves every View request from a buffer it owns, as a
+// device without a backing store would: it reads the request's range by
+// copy into bytes carved from its own arena, then hands those back as the
+// request's P. The arena is scribbled over and reused at the device's next
+// write, where the contract lets views expire, so a caller that keeps a
+// view past a write reads garbage.
+type ownedViewDevice struct {
+	storage.Device
+	arena []byte
+	sub   []storage.ReadReq
+	views int // View requests served
+}
 
-func (d copyingDevice) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
-	for i := range reqs {
-		reqs[i].View = false
+func (d *ownedViewDevice) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
+	d.sub = append(d.sub[:0], reqs...)
+	for i, r := range d.sub {
+		if !r.View {
+			continue
+		}
+		if len(d.arena)+r.N > cap(d.arena) {
+			d.arena = make([]byte, 0, max(2*cap(d.arena), r.N))
+		}
+		end := len(d.arena) + r.N
+		d.sub[i] = storage.ReadReq{P: d.arena[len(d.arena):end:end], Off: r.Off}
+		d.arena = d.arena[:end]
 	}
-	return d.Device.ReadBatch(reqs)
+	lat, err := d.Device.ReadBatch(d.sub)
+	if err != nil {
+		return lat, err
+	}
+	for i := range reqs {
+		if reqs[i].View {
+			reqs[i].P = d.sub[i].P
+			d.views++
+		}
+	}
+	return lat, nil
+}
+
+func (d *ownedViewDevice) expire() {
+	for i := range d.arena {
+		d.arena[i] = 0xEE
+	}
+	d.arena = d.arena[:0]
+}
+
+func (d *ownedViewDevice) WriteAt(p []byte, off int64) (time.Duration, error) {
+	d.expire()
+	return d.Device.WriteAt(p, off)
+}
+
+func (d *ownedViewDevice) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
+	d.expire()
+	return d.Device.WriteBatch(reqs)
 }
 
 // Request classes TestValueLogViewReads must cover on every device.
@@ -53,11 +99,11 @@ var classNames = [numClasses]string{"one-page", "cross-page", "tail", "straddle"
 // Those requests carry the log's current cycle, so the skip rule reads
 // each of them; the batch also holds pointers to last cycle's records
 // behind the head, with their own cycle, which the rule skips. The
-// first log reads with views and the second, its twin, through a device
-// that copies. For the third the test builds the copying read itself:
-// each record's device segments gathered in record order and stably
-// sorted by address, and its tail-buffer bytes from an image of the
-// appends.
+// first log reads with the model's page views and the second, its twin,
+// through a device that serves views from buffers it owns. For the third
+// the test builds the copying read itself: each record's device segments
+// gathered in record order and stably sorted by address, and its
+// tail-buffer bytes from an image of the appends.
 //
 // Both logs' Rec bytes must equal the built read's, every one-page device
 // record must come back as a view, and all three devices must end every
@@ -74,12 +120,14 @@ func TestValueLogViewReads(t *testing.T) {
 				devs [3]storage.Device
 				logs [3]*storage.ValueLog
 			)
+			owned := &ownedViewDevice{}
 			for i := range logs {
 				clks[i] = vclock.New()
 				devs[i] = model(clks[i])
 				dev := devs[i]
 				if i == 1 {
-					dev = copyingDevice{dev}
+					owned.Device = dev
+					dev = owned
 				}
 				l, err := storage.NewValueLog(dev)
 				if err != nil {
@@ -283,7 +331,7 @@ func TestValueLogViewReads(t *testing.T) {
 						views++
 					}
 				}
-				for i, what := range []string{"copying twin", "copying submission"} {
+				for i, what := range []string{"owned-buffer twin", "copying submission"} {
 					if vc, oc := devs[0].Counters(), devs[i+1].Counters(); vc != oc {
 						t.Fatalf("round %d: device counters differ from the %s's\nviews: %+v\nother: %+v", round, what, vc, oc)
 					}
@@ -297,21 +345,25 @@ func TestValueLogViewReads(t *testing.T) {
 					t.Errorf("no %s request was read", classNames[c])
 				}
 			}
+			if owned.views == 0 {
+				t.Error("the owned-buffer device served no view request")
+			}
 			t.Logf("requests per class %v, %d views", seen, views)
 		})
 	}
 }
 
-// TestValueLogViewArena checks the arena ReadRecordsBatch returns. On the
-// SSD a batch of one-page device records is served as views and leaves
-// the arena's length unchanged; adding page-crossing records grows it by
-// exactly their bytes. Through a device that copies, the same batches
-// carve every record into the arena, and every record still verifies.
+// TestValueLogViewArena checks the arena ReadRecordsBatch returns. A
+// batch of one-page device records is read as view requests and leaves the
+// arena's length unchanged; adding page-crossing records grows it by
+// exactly their bytes. That holds on the SSD, which hands back its pages,
+// and on a device that serves views from buffers it owns, and every record
+// verifies on both.
 func TestValueLogViewArena(t *testing.T) {
-	for _, copying := range []bool{false, true} {
+	for _, owned := range []bool{false, true} {
 		var dev storage.Device = ssd.New(ssd.IntelX18M(), 1<<20, vclock.New())
-		if copying {
-			dev = copyingDevice{dev}
+		if owned {
+			dev = &ownedViewDevice{Device: dev}
 		}
 		l, err := storage.NewValueLog(dev)
 		if err != nil {
@@ -346,31 +398,94 @@ func TestValueLogViewArena(t *testing.T) {
 		}
 		for _, batch := range [][]int{onePage, append(append([]int(nil), onePage...), crossing...)} {
 			reqs := make([]storage.ValueReadReq, len(batch))
-			copied, all := 0, 0
+			copied := 0
 			for j, i := range batch {
 				reqs[j].Ptr = ptrs[i]
-				_, n, _, _ := storage.DecodeValuePtr(ptrs[i])
-				all += n
-				if j >= len(onePage) {
+				if _, n, _, _ := storage.DecodeValuePtr(ptrs[i]); j >= len(onePage) {
 					copied += n
 				}
 			}
 			want := 5 + copied // a prefix of 5 bytes the call must keep
-			if copying {
-				want = 5 + all
-			}
 			arena, err := l.ReadRecordsBatch(reqs, make([]byte, 5, 64))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(arena) != want {
-				t.Errorf("copying=%v, %d records: arena length %d, want %d", copying, len(batch), len(arena), want)
+				t.Errorf("owned=%v, %d records: arena length %d, want %d", owned, len(batch), len(arena), want)
 			}
 			for j, i := range batch {
 				if v, ok := storage.VerifyRecord(reqs[j].Rec, keys[i]); !ok || !bytes.Equal(v, vals[i]) {
-					t.Fatalf("copying=%v: record %d does not verify", copying, i)
+					t.Fatalf("owned=%v: record %d does not verify", owned, i)
 				}
 			}
 		}
+	}
+}
+
+// TestLookupBatchOwnedViews runs core's batched lookup over a device that
+// serves view requests from buffers it owns, next to a twin on the bare
+// SSD: the same seeded inserts flush both indexes to flash, and every
+// batch of lookups, mixing stored and absent keys, must give the same
+// results, core Stats, device Counters and clock on both.
+func TestLookupBatchOwnedViews(t *testing.T) {
+	var (
+		clks [2]*vclock.Clock
+		devs [2]storage.Device
+		bhs  [2]*core.BufferHash
+	)
+	owned := &ownedViewDevice{}
+	for i := range bhs {
+		clks[i] = vclock.New()
+		devs[i] = ssd.New(ssd.IntelX18M(), 1<<20, clks[i])
+		dev := devs[i]
+		if i == 1 {
+			owned.Device = dev
+			dev = owned
+		}
+		b, err := core.New(core.Config{Device: dev, Clock: clks[i], PartitionBits: 2, BufferBytes: 64 << 10,
+			NumIncarnations: 4, FilterBitsPerEntry: 16, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bhs[i] = b
+	}
+	rng := rand.New(rand.NewSource(5))
+	stored := make([]uint64, 0, 40000)
+	for range 40000 {
+		k := rng.Uint64()
+		stored = append(stored, k)
+		for _, b := range bhs {
+			if err := b.Insert(k, k^0x5A5A); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	keys := make([]uint64, 512)
+	var res [2][]core.LookupResult
+	for round := range 20 {
+		for i := range keys {
+			keys[i] = rng.Uint64()
+			if i%3 != 0 {
+				keys[i] = stored[rng.Intn(len(stored))]
+			}
+		}
+		for i, b := range bhs {
+			res[i] = make([]core.LookupResult, len(keys))
+			if err := b.LookupBatch(keys, res[i], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range keys {
+			if res[0][i] != res[1][i] {
+				t.Fatalf("round %d: key %d resolved to %+v on the SSD, %+v with owned views", round, i, res[0][i], res[1][i])
+			}
+		}
+		if bhs[0].Stats() != bhs[1].Stats() || devs[0].Counters() != devs[1].Counters() || clks[0].Now() != clks[1].Now() {
+			t.Fatalf("round %d: stats, counters or clocks differ\nSSD:   %+v %+v %v\nowned: %+v %+v %v", round,
+				bhs[0].Stats(), devs[0].Counters(), clks[0].Now(), bhs[1].Stats(), devs[1].Counters(), clks[1].Now())
+		}
+	}
+	if st := bhs[0].Stats(); st.FlashProbes == 0 || st.Hits == 0 || owned.views == 0 {
+		t.Fatalf("%d flash probes, %d hits, %d views served: the lookups never reached flash", st.FlashProbes, st.Hits, owned.views)
 	}
 }
