@@ -92,17 +92,23 @@
 // operates in virtual time: every operation advances its shard's virtual
 // clock by its modeled latency, and per-operation latency distributions
 // are recorded in histograms that the experiment harness turns into the
-// paper's tables and figures. A shard's two devices keep their own
-// timelines, as two devices on one host do (§6.1 prices each device's I/O
-// on its own): the index device and the CPU charges run on the shard
-// clock, and the value-log device on a private clock that a log
-// submission first moves up to the shard clock, since it cannot start
-// before it is issued. The shard clock moves up to the log clock (a join)
-// only where the shard needs the log's result: before a put chunk
-// acknowledges, after a get chunk's last lookup round, and so before
-// every chunk call returns. A one-key call has nothing to overlap and
-// costs the serial sum. Each device's idle time, and so its background
-// garbage-collection credit, is measured on its own clock.
+// paper's tables and figures. A shard keeps three timelines, as a CPU and
+// two devices on one host do (§6.1 prices each device's I/O on its own):
+// the CPU charges run on the shard clock, and the index device and the
+// value-log device each on a private clock. A submission first moves its
+// device's clock up to the shard clock, since it cannot start before it
+// is issued, and the shard clock moves up to a device clock (a join) only
+// where the shard needs that device's result. The core joins the index
+// device after every write, image read and probing round; only a lookup
+// batch's first round runs while its in-memory phase still does, when
+// the core hands an idle index device the probes gathered so far (see
+// core.Config.DeviceClock). The shard joins the value-log device before a
+// put chunk acknowledges and after a get chunk's last lookup round. So
+// every chunk call returns joined to both. A one-key call has nothing to
+// overlap and costs the serial sum. Each device's idle time, and so its
+// background garbage-collection credit, is measured on its own clock. A
+// WithCustomDevice store runs its index device on the shard clock, where
+// device and CPU time add up.
 //
 // All Store methods are safe for concurrent use. Operations serialize per
 // shard, matching the paper's blocking-I/O design point: a CLAM serializes
@@ -165,9 +171,12 @@ func (c *CLAM) Clock() *vclock.Clock { return c.shards[0].clock }
 // Callers must not use it concurrently with CLAM methods.
 func (c *CLAM) Core() *core.BufferHash { return c.shards[0].bh }
 
-// shard is one BufferHash with its own index device, value log (on a
-// device with a timeline of its own), virtual clock and latency
-// histograms, serialized behind one mutex. The router
+// shard is one BufferHash with its own index device, value log, virtual
+// clock and latency histograms, serialized behind one mutex. The clock
+// times the shard's CPU charges; a kind-opened index device and the
+// value-log device each keep a timeline of their own, which every chunk
+// call joins before it returns (the index device's is the core's
+// Config.DeviceClock, the value log's is logClock). The router
 // reaches it only through the locked methods below: the chunk helpers,
 // each one call into the core pipeline (a per-key op is a one-key chunk),
 // and the maintenance calls.
@@ -224,10 +233,12 @@ func openShard(cfg config) (*shard, error) {
 	}
 	s := &shard{clock: clock}
 	dev := cfg.customDevice
+	var devClock *vclock.Clock // nil: a custom device runs on the shard clock
 	var vdev storage.Device
 	if dev == nil {
 		var err error
-		if dev, err = newKindDevice(cfg.device, cfg.flashBytes, clock); err != nil {
+		devClock = vclock.New()
+		if dev, err = newKindDevice(cfg.device, cfg.flashBytes, devClock); err != nil {
 			return nil, err
 		}
 		vbytes := cfg.valueLogBytes
@@ -244,6 +255,7 @@ func openShard(cfg config) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
+	coreCfg.DeviceClock = devClock
 	if s.bh, err = core.New(coreCfg); err != nil {
 		return nil, err
 	}

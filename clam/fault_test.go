@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/hashutil"
 	"repro/internal/ssd"
@@ -469,6 +470,61 @@ func TestFaultOracle(t *testing.T) {
 	}
 	t.Run("clam/vlog-read-late-round", testLateRoundReadFault)
 	t.Run("clam/vlog-append-flush", testFlushingAppendFault)
+	t.Run("clam/index-read-streamed", testStreamedIndexReadFault)
+}
+
+// testStreamedIndexReadFault fails the first index read that a GetBatch
+// chunk, and then a GetBatchU64 chunk, submits during phase A, while the
+// chunk's in-memory phase still runs and its phase-A hits are not yet
+// reported. Two Bloom filter bits per entry and every key put twice make
+// most lookups probe flash, so a 300-key window gathers its first pages
+// within a few keys. A read whose hook sees the shard clock below the
+// chunk's start plus BufferLookup for each of its keys, the least CPU its
+// phase A charges, runs inside phase A. Each call must fail, and every
+// later answer keep the contract: first a one-key GetU64, whose phase A
+// completes and reports no leftover hits, then random fault-free ops.
+func testStreamedIndexReadFault(t *testing.T) {
+	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(11))
+	d := newFaultDriver(t, r, 12000, 0, 300)
+	for range 2 {
+		for base := 0; base < d.nKeys; base += 2100 {
+			for k := range 7 {
+				d.apply(fopPutBatch, base+k, 300)
+				d.apply(fopPutBatchU64, base+k, 300)
+			}
+		}
+	}
+	sh := r.st.(*CLAM).shards[0]
+	perKey := sh.bh.Config().CPU.BufferLookup
+	var phaseAEnd time.Duration // the least clock phase A can end at
+	var armed, fired bool
+	r.devs[0].SetFault(func(op storage.Op, _ int64, _ int) error {
+		if armed && op == storage.OpRead && sh.clock.Now() < phaseAEnd {
+			armed, fired = false, true
+			return errFault
+		}
+		return nil
+	})
+	const win = 300
+	for _, kind := range []int{fopGetBatch, fopGetBatchU64} {
+		fired = false
+		for ki := 0; ki < d.nKeys && !fired; ki += 7 {
+			phaseAEnd = sh.clock.Now() + win*perKey
+			armed = true
+			errs := d.o.errs
+			d.apply(kind, ki, win)
+			armed = false
+			if fired && d.o.errs == errs {
+				t.Fatalf("op %d succeeded past its failed phase-A index read", kind)
+			}
+		}
+		if !fired {
+			t.Fatalf("no op %d read the index during phase A; retune the row", kind)
+		}
+		d.apply(fopGetU64, 0, 1)
+	}
+	r.arm(nil)
+	d.runRandom(601, 1500)
 }
 
 // testLateRoundReadFault fails one value-log record read that a GetBatch
@@ -670,6 +726,46 @@ func FuzzFaultedOps(f *testing.F) {
 		0x4, 0x5c, 0x9a, 0xb, 0xda, 0xfb, 0xb, 0xbf, 0x1f, 0x4, 0x25, 0x53,
 		0xb, 0xe2, 0xb1, 0xb, 0x77, 0x33, 0x4, 0xd9, 0xd7,
 	}, flushingAppend)
+	// A GetBatch (op 92) whose first index read fails while its phase A
+	// still runs and its phase-A hits are unreported, followed three ops
+	// later by a GetBatchU64, whose phase A must not report them: the
+	// bitmap's one set bit fails the index device's request 46 and no
+	// other request of the run.
+	streamed := make([]byte, 6)
+	streamed[46/8] = 1 << (46 % 8)
+	f.Add([]byte{
+		0x9, 0x7c, 0x63, 0x0, 0xf0, 0xf6, 0x0, 0xc5, 0xb1, 0xb, 0x43, 0x74,
+		0x0, 0xaf, 0x74, 0x4, 0xdb, 0x8a, 0x8, 0x8b, 0xe3, 0x4, 0xfa, 0x71,
+		0x8, 0xb9, 0xb2, 0x8, 0x1a, 0x5f, 0x0, 0x11, 0x64, 0xb, 0x81, 0x6b,
+		0xb, 0xfe, 0xfa, 0xc, 0xe9, 0xde, 0x4, 0x5d, 0x20, 0x8, 0xa6, 0xae,
+		0xb, 0xf6, 0x9, 0xb, 0xc3, 0x59, 0x8, 0x1e, 0x65, 0x4, 0x9e, 0x91,
+		0xb, 0x82, 0xaa, 0x0, 0x97, 0xc, 0x8, 0xf, 0x7e, 0xb, 0x50, 0xc9,
+		0xb, 0x20, 0xf4, 0xb, 0xbb, 0x1f, 0xb, 0xd7, 0x1d, 0x0, 0xbc, 0x38,
+		0xc, 0x1d, 0xd8, 0xc, 0x77, 0xde, 0xb, 0x4c, 0xd7, 0xc, 0xc1, 0x6d,
+		0x0, 0xc3, 0xa6, 0x4, 0xdd, 0x54, 0x4, 0x39, 0x19, 0x9, 0x5d, 0xc3,
+		0x9, 0x16, 0x53, 0xb, 0xc2, 0x4, 0xc, 0xf2, 0xde, 0x9, 0x96, 0x18,
+		0x9, 0xd7, 0xb, 0x9, 0x3c, 0x3c, 0xc, 0x7c, 0xe, 0x8, 0xca, 0x5b,
+		0x0, 0xb9, 0x7, 0xb, 0xd4, 0x74, 0x4, 0x1b, 0xc9, 0x4, 0x97, 0xf,
+		0xb, 0xb6, 0x4e, 0x8, 0x9e, 0x3c, 0xb, 0x2a, 0x6, 0x4, 0x8c, 0x62,
+		0x4, 0xa6, 0xb5, 0xc, 0x87, 0x7a, 0x9, 0x8c, 0xc5, 0x4, 0x44, 0x6c,
+		0xc, 0xfd, 0xda, 0x9, 0x68, 0x10, 0xc, 0xea, 0x79, 0x9, 0x92, 0x40,
+		0xb, 0x61, 0x29, 0x8, 0xf1, 0xc5, 0xc, 0xa2, 0x88, 0x8, 0x16, 0xca,
+		0x4, 0xd5, 0x62, 0x0, 0x21, 0xf3, 0xb, 0x80, 0xc0, 0x8, 0x3a, 0x28,
+		0x4, 0xe9, 0x96, 0xc, 0xc1, 0xc8, 0x8, 0xbe, 0x17, 0x8, 0x38, 0x37,
+		0xb, 0x77, 0x5f, 0x8, 0xd, 0xa, 0xb, 0x3a, 0xd6, 0xc, 0x48, 0x4,
+		0x8, 0xa3, 0x85, 0x8, 0xe0, 0x39, 0x8, 0xf5, 0x71, 0x8, 0x56, 0x56,
+		0x0, 0x34, 0x74, 0x0, 0x9f, 0xe5, 0x4, 0x57, 0x96, 0xb, 0x51, 0x66,
+		0xb, 0x93, 0x6f, 0x0, 0x3a, 0xa9, 0x0, 0xdd, 0xbc, 0xb, 0x7f, 0x59,
+		0x8, 0xb4, 0x4a, 0x8, 0x9c, 0xa0, 0xb, 0x3c, 0x4b, 0x0, 0xe9, 0xd2,
+		0xc, 0xab, 0xa5, 0x0, 0x8b, 0xd8, 0xb, 0xc6, 0xf9, 0x9, 0x35, 0x56,
+		0xb, 0x8a, 0xa6, 0xb, 0xb8, 0x58, 0xb, 0x75, 0xd, 0x4, 0x50, 0x40,
+		0xb, 0x50, 0xd4, 0xb, 0x4d, 0x26, 0x8, 0x27, 0x66, 0xc, 0xde, 0xa2,
+		0xb, 0x51, 0xee, 0x9, 0xe4, 0xd5, 0x4, 0x48, 0xb0, 0x8, 0x1d, 0x54,
+		0x0, 0x51, 0x24, 0x9, 0xc1, 0x5b, 0x4, 0x78, 0x3f, 0xc, 0x49, 0x46,
+		0xb, 0xf3, 0xc9, 0xc, 0x2c, 0x76, 0xb, 0x2c, 0xb1, 0x9, 0x4f, 0xc1,
+		0x4, 0x9a, 0x5e, 0x0, 0xd6, 0x56, 0x4, 0x7c, 0x46, 0xb, 0xc, 0x98,
+		0x9, 0x69, 0xb8, 0xb, 0xb8, 0x17, 0xc, 0x51, 0xeb,
+	}, streamed)
 	f.Fuzz(func(t *testing.T, ops, faults []byte) {
 		if len(ops) > 3*400 {
 			ops = ops[:3*400]

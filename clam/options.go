@@ -154,11 +154,12 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithClock supplies the virtual clock of a one-shard store (a CLAM); one
-// is created if absent. It is the shard's clock: the index device and the
-// CPU charges run on it. The value-log device runs on a private timeline
-// that every chunk call joins into this clock before it returns, so
-// between calls the clock covers all of the store's work. Rejected with
-// WithShards > 1: each shard of a Sharded store owns a private clock.
+// is created if absent. It is the shard's clock: the CPU charges run on
+// it, and so does a WithCustomDevice index device. A kind-opened index
+// device and the value-log device run on private timelines that every
+// chunk call joins into this clock before it returns, so between calls
+// the clock covers all of the store's work. Rejected with WithShards > 1:
+// each shard of a Sharded store owns a private clock.
 func WithClock(clock *vclock.Clock) Option {
 	return func(c *config) error {
 		c.clock = clock

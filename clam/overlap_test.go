@@ -3,14 +3,21 @@ package clam
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/hashutil"
+	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 // A shard's value-log device runs on its own timeline (see shard.issueLog
 // and shard.join): an append overlaps the index work of its put chunk,
-// and a probing round's record reads overlap the next round's probes.
-// These tests pin the rules of that overlap.
+// and a probing round's record reads overlap the next round's probes. Its
+// index device runs on another (core.Config.DeviceClock): a lookup
+// batch's first probes overlap the rest of its in-memory phase. These
+// tests pin the rules of both overlaps.
 
 // shardTimes is a shard's clock reading and its two devices' busy time.
 type shardTimes struct{ clock, index, log time.Duration }
@@ -35,12 +42,16 @@ func snapshotTimes(shards []*shard) []shardTimes {
 	return ts
 }
 
-// requireJoined fails unless every shard's log clock is at or behind its
-// shard clock, as it must be between chunk calls.
+// requireJoined fails unless every shard's index and log clocks are at
+// or behind its shard clock, as they must be between chunk calls.
 func requireJoined(t *testing.T, shards []*shard, after string) {
 	t.Helper()
 	for i, sh := range shards {
-		if l, c := sh.logClock.Now(), sh.clock.Now(); l > c {
+		c := sh.clock.Now()
+		if x := sh.bh.Config().DeviceClock.Now(); x > c {
+			t.Fatalf("after %s: shard %d's index clock %v is ahead of its clock %v", after, i, x, c)
+		}
+		if l := sh.logClock.Now(); l > c {
 			t.Fatalf("after %s: shard %d's log clock %v is ahead of its clock %v", after, i, l, c)
 		}
 	}
@@ -163,4 +174,122 @@ func TestOneKeyGetTimeline(t *testing.T) {
 			t.Errorf("Get(%d) advanced the clock %v; want %v", g.key, d, g.want)
 		}
 	}
+}
+
+// openSharedIndexTwin opens the Sharded store opts describe, except that
+// each shard's index device runs on its shard clock, as a WithCustomDevice
+// index does, and no shard has a value log: the timeline on which a
+// shard's index reads and CPU work add up.
+func openSharedIndexTwin(t testing.TB, opts ...Option) *Sharded {
+	t.Helper()
+	cfg := config{seed: 1, shards: 1, batchChunk: defaultBatchChunk}
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := cfg.shards
+	shards := make([]*shard, n)
+	for i := range shards {
+		po := cfg
+		po.flashBytes, po.memoryBytes, po.valueLogBytes = cfg.flashBytes/int64(n), cfg.memoryBytes/int64(n), 0
+		po.seed = hashutil.Hash64Seed(uint64(i), cfg.seed)
+		po.clock = vclock.New()
+		dev, err := newKindDevice(po.device, po.flashBytes, po.clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		po.customDevice = dev
+		if shards[i], err = openShard(po); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &Sharded{router: newRouter(shards, n, cfg.batchChunk, cfg.seed)}
+}
+
+// TestIndexOverlapWindows runs GetBatchU64 windows of the get-batch-zipf
+// benchmark workload's shape (8 shards, 64 MB of Intel flash, 12 MB of
+// DRAM, 4096 Zipf(1.1) keys per batch, warmed with 1.25 times the flash's
+// entries) on the store and on a twin whose index devices share their
+// shard clocks, and checks that the index timeline only moves time: the
+// answers and every shard's core counters match the twin's. After every
+// call each shard must be joined, and over every window each shard's
+// clock must advance by at least its index busy time. The twin's advance
+// less its busy time is the window's CPU time, and on at least one shard
+// per window the store's advance must fall below that CPU time plus the
+// store's busy time: the index reads overlapped phase A.
+func TestIndexOverlapWindows(t *testing.T) {
+	const (
+		flash   = 64 << 20
+		entries = flash / 32 // 16-byte entries at 50% cuckoo load
+		batch   = 4096
+		windows = 20
+		zipfS   = 1.1
+	)
+	opts := []Option{WithDevice(IntelSSD), WithFlash(flash), WithMemory(12 << 20), WithShards(8)}
+	s, twin := openShardedT(t, opts...), openSharedIndexTwin(t, opts...)
+	keyRange := workload.RangeForLSR(entries, 0.4)
+	warm := workload.NewZipfStream(2, zipfS, keyRange)
+	keys, vals := make([]uint64, 8192), make([]uint64, 8192)
+	for n := 0; n < entries*5/4; n += len(keys) {
+		for i := range keys {
+			keys[i], vals[i] = warm.Next(), uint64(n+i+1)
+		}
+		for _, st := range []Store{s, twin} {
+			if err := st.PutBatchU64(context.Background(), keys, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	requireJoined(t, s.shards, "warm-up")
+	probe := workload.NewZipfStream(3, zipfS, keyRange)
+	probes := make([]uint64, batch)
+	times := func(st *Sharded) []shardTimes {
+		ts := make([]shardTimes, len(st.shards))
+		for i, sh := range st.shards {
+			ts[i] = shardTimes{clock: sh.clock.Now(), index: sh.dev.Counters().BusyTime}
+		}
+		return ts
+	}
+	var makespan, twinMakespan time.Duration
+	for w := range windows {
+		for i := range probes {
+			probes[i] = probe.Next()
+		}
+		s0, t0 := times(s), times(twin)
+		vals, found, err := s.GetBatchU64(context.Background(), probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireJoined(t, s.shards, "GetBatchU64")
+		twinVals, twinFound, err := twin.GetBatchU64(context.Background(), probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(vals, twinVals) || !slices.Equal(found, twinFound) {
+			t.Fatalf("window %d: answers differ from the twin's", w)
+		}
+		s1, t1 := times(s), times(twin)
+		overlapped := false
+		var most, twinMost time.Duration
+		for i := range s1 {
+			if a, b := s.shards[i].bh.Stats(), twin.shards[i].bh.Stats(); a != b {
+				t.Fatalf("window %d, shard %d: core counters differ from the twin's:\n%+v\n%+v", w, i, a, b)
+			}
+			d, td := s1[i].sub(s0[i]), t1[i].sub(t0[i])
+			if d.clock < d.index {
+				t.Fatalf("window %d, shard %d: clock advanced %v, below its index busy %v", w, i, d.clock, d.index)
+			}
+			cpu := td.clock - td.index
+			overlapped = overlapped || d.clock < cpu+d.index
+			most, twinMost = max(most, d.clock), max(twinMost, td.clock)
+		}
+		if !overlapped {
+			t.Fatalf("window %d: every shard's clock advanced by at least its CPU time plus its index busy time", w)
+		}
+		makespan += most
+		twinMakespan += twinMost
+	}
+	t.Logf("mean window makespan %v; with the index devices on the shard clocks %v",
+		makespan/windows, twinMakespan/windows)
 }

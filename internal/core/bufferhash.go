@@ -37,6 +37,9 @@ type BufferHash struct {
 	// probeN is the byte length of one incarnation page probe, the same
 	// for every partition (pages are sized by the device geometry).
 	probeN int
+	// lanes is the device's queue lane count (at least 1): the fewest
+	// pages LookupBatch hands an idle device during phase A.
+	lanes int
 
 	// Shared-log layout state (§5.2: "uses the entire SSD as a single
 	// circular list"): slot i holds the image written at seq slotSeq[i] by
@@ -86,7 +89,9 @@ func New(cfg Config) (*BufferHash, error) {
 	}
 	nt := cfg.NumSuperTables()
 	b.params = make([]cuckoo.Params, nt)
-	pageSlots := cfg.Device.Geometry().PageSize / hashutil.EntrySize
+	g := cfg.Device.Geometry()
+	b.lanes = max(g.Lanes, 1)
+	pageSlots := g.PageSize / hashutil.EntrySize
 	for i := range b.params {
 		b.params[i] = cuckoo.Params{
 			NSlots:    cfg.BufferBytes / hashutil.EntrySize,
@@ -100,8 +105,8 @@ func New(cfg Config) (*BufferHash, error) {
 	// LookupBatch packs a probe's page number and its pending index into
 	// one sorted word, so every page number must fit in 64-pendBits bits.
 	_, b.probeN = b.params[0].PageByteRange(0)
-	if capacity := cfg.Device.Geometry().Capacity; capacity/int64(b.probeN) >= 1<<(64-pendBits) {
-		return nil, fmt.Errorf("core: device capacity %d holds too many %d-byte probe pages", capacity, b.probeN)
+	if g.Capacity/int64(b.probeN) >= 1<<(64-pendBits) {
+		return nil, fmt.Errorf("core: device capacity %d holds too many %d-byte probe pages", g.Capacity, b.probeN)
 	}
 	b.parts = make([]*superTable, nt)
 	for i := range b.parts {
@@ -182,7 +187,9 @@ func (b *BufferHash) flushStaged() error {
 	for _, s := range b.staged {
 		is.reqs = append(is.reqs, storage.WriteReq{P: s.buf, Off: s.addr})
 	}
+	b.issueDevice()
 	_, err := b.cfg.Device.WriteBatch(is.reqs)
+	b.joinDevice()
 	for _, s := range b.staged {
 		if err != nil {
 			s.st.dropFailedImage(s.buf, s.seq)
@@ -207,6 +214,15 @@ func (b *BufferHash) settleCPUDebt() {
 		b.cfg.Clock.Advance(d)
 	}
 }
+
+// issueDevice readies the device's timeline for a submission issued now:
+// it cannot start before it is issued, so the device clock moves up to the
+// clock. The device then advances its own clock (see Config.DeviceClock).
+func (b *BufferHash) issueDevice() { b.cfg.DeviceClock.AdvanceTo(b.cfg.Clock.Now()) }
+
+// joinDevice makes the operation wait for the device: the clock moves up
+// to the device clock. On a shared timeline both calls do nothing.
+func (b *BufferHash) joinDevice() { b.cfg.Clock.AdvanceTo(b.cfg.DeviceClock.Now()) }
 
 // route hashes a user key to (super table, in-partition key). The first
 // k1 bits of the hash select the partition; the rest form the in-partition
@@ -285,7 +301,10 @@ func (b *BufferHash) readImage(addr int64) ([]byte, error) {
 			return img, nil
 		}
 	}
-	if _, err := b.cfg.Device.ReadAt(img, addr); err != nil {
+	b.issueDevice()
+	_, err := b.cfg.Device.ReadAt(img, addr)
+	b.joinDevice()
+	if err != nil {
 		b.releaseImage(img)
 		return nil, fmt.Errorf("core: image read: %w", err)
 	}

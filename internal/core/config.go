@@ -7,18 +7,26 @@
 // The package operates in virtual time: CPU costs and device I/O advance
 // the configured vclock.Clock, so callers measure operation latencies by
 // reading the clock around calls (the clam package does exactly that).
+// The device may run on the same clock or on a clock of its own
+// (Config.DeviceClock); then every operation joins the device's timeline
+// before it uses a result, and so before it returns.
 //
 // BufferHash is not safe for concurrent use; the clam facade serializes
 // access. This mirrors the paper's design point that flash I/Os are
-// blocking operations (§5.2).
+// blocking operations (§5.2): every write, image read and probing round
+// waits for the device. The one overlap is a lookup batch's first
+// probing round, whose reads may start while phase A runs.
 //
 // Each operation kind has one pipeline, and the per-key calls are its
 // one-key case. A lookup (§5.1.1: buffer, Bloom filters, then newest-first
 // page probes) runs through LookupBatch: phase A answers every key's
-// in-memory portion with zero I/O, phase B gathers each probing round's
-// page reads, dedupes same-page keys, sorts them by device address and
-// submits them as one device ReadBatch so their virtual latency overlaps
-// across the device's queue lanes, and phase C resolves the pages
+// in-memory portion with zero I/O and gathers the first probing round,
+// handing its pages to a device with a timeline of its own whenever the
+// device is idle and they fill its queue lanes; phase B gathers each
+// probing round's page reads, dedupes same-page keys, sorts them by
+// device address and submits them (in round 1, the pages still
+// unsubmitted) as one device ReadBatch so their virtual latency overlaps
+// across the device's queue lanes; and phase C resolves the pages
 // newest-first, stopping at the first hit. Lookup is a one-key
 // LookupBatch; see batch.go.
 //
@@ -30,7 +38,9 @@
 // and writes one super table at a time. See insertbatch.go.
 //
 // Every operation accrues its CPU charges and lands them on the virtual
-// clock in one advance, before it issues its staged writes. A batch of n
+// clock in one advance, before it issues its staged writes (a lookup
+// batch may land them earlier, in several advances, when it submits
+// reads during phase A). A batch of n
 // keys leaves the same state, counters and results as n one-key calls
 // (a lookup batch, as n calls over distinct keys); only virtual time, and
 // the physical I/O count (page dedupe, same-slot write collapse), differ.
@@ -157,8 +167,17 @@ type Config struct {
 	// Device stores the incarnation tables. Its capacity must hold
 	// NumSuperTables() × NumIncarnations images of BufferBytes each.
 	Device storage.Device
-	// Clock is the shared virtual clock.
+	// Clock is the virtual clock the CPU charges land on, and the one a
+	// caller reads to time an operation.
 	Clock *vclock.Clock
+	// DeviceClock is the clock Device was built on. nil means Clock: one
+	// shared timeline, on which device time and CPU time add up. A device
+	// on a clock of its own keeps its own timeline: each submission first
+	// moves it up to Clock, since it cannot start before it is issued, and
+	// Clock moves up to it (a join) before the result is used, so every
+	// operation returns joined. Only LookupBatch's first probing round
+	// overlaps the device with CPU work (see batch.go).
+	DeviceClock *vclock.Clock
 
 	// PartitionBits is k1: the number of super tables is 2^k1 (§5.2).
 	PartitionBits uint
@@ -257,6 +276,9 @@ func (c *Config) validate() error {
 	}
 	if c.CPU == (CPUCosts{}) {
 		c.CPU = DefaultCPUCosts()
+	}
+	if c.DeviceClock == nil {
+		c.DeviceClock = c.Clock
 	}
 	return nil
 }

@@ -77,7 +77,7 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *Disk {
 		lastEnd:  -1,
 		rng:      rand.New(rand.NewSource(0x715ac)),
 	}
-	d.q = storage.NewQueue(d.Geometry(), 1, 1, storage.NewSparseStore(prof.SectorSize), clock)
+	d.q = storage.NewQueue(d.Geometry(), 1, storage.NewSparseStore(prof.SectorSize), clock)
 	return d
 }
 
@@ -86,7 +86,7 @@ func (d *Disk) SetFault(f storage.FaultFunc) { d.q.Fault = f }
 
 // Geometry implements storage.Device.
 func (d *Disk) Geometry() storage.Geometry {
-	return storage.Geometry{Capacity: d.capacity, PageSize: d.prof.SectorSize}
+	return storage.Geometry{Capacity: d.capacity, PageSize: d.prof.SectorSize, Lanes: 1}
 }
 
 // Counters implements storage.Device.

@@ -84,9 +84,9 @@ type Profile struct {
 	LogBlockSlots int
 
 	// QueueDepth is the number of internal queue lanes a batched read
-	// submission can overlap across (NCQ over independent flash channels).
-	// 1 (or 0) means batched reads serialize like a loop over ReadAt, minus
-	// the fixed cost on sequential runs.
+	// submission can overlap across (NCQ over independent flash channels),
+	// reported as Geometry.Lanes. 1 (or 0) means batched reads serialize
+	// like a loop over ReadAt, minus the fixed cost on sequential runs.
 	QueueDepth int
 
 	Mapping MappingMode
@@ -231,7 +231,7 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *SSD {
 	default:
 		panic(fmt.Sprintf("ssd: unknown mapping mode %d", prof.Mapping))
 	}
-	s.q = storage.NewQueue(s.Geometry(), prof.SectorSize, prof.QueueDepth, s.store, clock)
+	s.q = storage.NewQueue(s.Geometry(), prof.SectorSize, s.store, clock)
 	return s
 }
 
@@ -243,6 +243,7 @@ func (s *SSD) Geometry() storage.Geometry {
 	return storage.Geometry{
 		Capacity: s.nLogicalPages / int64(s.prof.BlockPages) * int64(s.prof.BlockSize()),
 		PageSize: s.prof.SectorSize,
+		Lanes:    max(s.prof.QueueDepth, 1),
 	}
 }
 

@@ -29,10 +29,10 @@ import (
 //  2. A request starting exactly where the previous request ended joins a
 //     sequential run and pays no per-request fixed cost (no seek, no
 //     command setup) — only the transfer cost.
-//  3. The device has a fixed number of queue lanes (channels, planes, or 1
-//     for a single-actuator disk). Each request is placed on the
-//     least-loaded lane, and the batch's service time is the maximum lane
-//     total — lanes overlap, they do not add.
+//  3. The device has a fixed number of queue lanes, Geometry.Lanes
+//     (channels, planes, or 1 for a single-actuator disk). Each request is
+//     placed on the least-loaded lane, and the batch's service time is the
+//     maximum lane total — lanes overlap, they do not add.
 //
 // A lone request starts a new run and occupies one lane, so it pays the
 // fixed cost plus its transfer: the paper's linear I/O cost (§6.1). Devices
@@ -112,7 +112,6 @@ type Queue struct {
 
 	geom       Geometry
 	writeAlign int
-	lanes      int
 	store      *SparseStore
 	clock      *vclock.Clock
 	busyUntil  time.Duration   // clock reading when the last charge ended
@@ -130,10 +129,9 @@ type CostFunc func(off int64, n int, newRun bool) (time.Duration, error)
 
 // NewQueue returns the queue of a device with geometry g, backed by store
 // and charging clock. Reads are byte-granular; writes must be aligned to
-// writeAlign bytes. lanes is the number of queue lanes requests overlap
-// across (1 or less serializes them).
-func NewQueue(g Geometry, writeAlign, lanes int, store *SparseStore, clock *vclock.Clock) *Queue {
-	return &Queue{geom: g, writeAlign: writeAlign, lanes: lanes, store: store, clock: clock}
+// writeAlign bytes. Requests overlap across g.Lanes queue lanes.
+func NewQueue(g Geometry, writeAlign int, store *SparseStore, clock *vclock.Clock) *Queue {
+	return &Queue{geom: g, writeAlign: writeAlign, store: store, clock: clock}
 }
 
 // check validates one request of op: [off, off+n) must lie on the device
@@ -240,7 +238,7 @@ func (q *Queue) start(n int, begin func()) {
 // finish charges a submission: its stall, then svc overlapped across the
 // lanes. The total is service time, and the clock advances by it.
 func (q *Queue) finish(svc []time.Duration) time.Duration {
-	lat := q.stall + overlapLanes(svc, q.lanes)
+	lat := q.stall + overlapLanes(svc, q.geom.Lanes)
 	q.Counters.BusyTime += lat
 	q.clock.Advance(lat)
 	q.busyUntil = q.clock.Now()

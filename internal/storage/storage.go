@@ -8,7 +8,8 @@
 // latency and advances the device's vclock.Clock by it. Devices that share
 // a clock serialize; a device on a clock of its own keeps its own
 // timeline, which its owner joins where it needs the device's results
-// (the clam facade runs each shard's value-log device that way). Devices
+// (the clam facade runs each shard's index and value-log devices that
+// way). Devices
 // store real bytes, so data integrity is verified end to end by the tests
 // — the latency model and the data path are exercised together.
 //
@@ -63,6 +64,10 @@ type Geometry struct {
 	// PageSize is the smallest write unit in bytes (the SSD or disk
 	// sector).
 	PageSize int
+	// Lanes is the number of queue lanes a submission's requests overlap
+	// across (an SSD's channels, 1 for a single-actuator disk); 1 or less
+	// serializes them.
+	Lanes int
 }
 
 // Counters accumulates I/O accounting for a device.
@@ -84,8 +89,9 @@ type Counters struct {
 // the per-shard device counters into one fleet-wide view; BusyTime becomes
 // the total service time across all devices. Shard clocks are independent,
 // and within a shard the value-log device's service overlaps the index
-// device's, so the sum can exceed any single clock's advance — even one
-// shard's index and value-log BusyTime together can.
+// device's, and both overlap CPU work, so the sum can exceed any single
+// clock's advance — even one shard's index and value-log BusyTime
+// together can.
 func (c *Counters) Add(o Counters) {
 	c.Reads += o.Reads
 	c.Writes += o.Writes
