@@ -24,14 +24,14 @@
 //
 // Byte keys of any length map to variable-length byte values: keys are
 // fingerprinted onto the paper's 64-bit key path and records live in a
-// page-aligned circular value log on slow storage, with every read
-// verified against the full key bytes (see Store). Workloads that already
-// have 64-bit fingerprints and word-sized values — the paper's evaluation
-// — use the inline fast path (PutU64/GetU64), which bypasses the value log
-// entirely and behaves exactly as before the byte API existed. Existence
-// checks that don't need the value go through ContainsBatch, which stops
-// at the index hit and skips the record read (accepting the
-// fingerprint-collision rate the paper accepts).
+// circular value log on slow storage, written in whole erase blocks, with
+// every read verified against the full key bytes (see Store). Workloads
+// that already have 64-bit fingerprints and word-sized values — the
+// paper's evaluation — use the inline fast path (PutU64/GetU64), which
+// bypasses the value log entirely and behaves exactly as before the byte
+// API existed. Existence checks that don't need the value go through
+// ContainsBatch, which stops at the index hit and skips the record read
+// (accepting the fingerprint-collision rate the paper accepts).
 //
 // # One store, one path per op
 //
@@ -59,11 +59,12 @@
 // clock pays CPU.BatchCoalesce for each repeat the router absorbed.
 // GetBatch/GetBatchU64 overlap each probing round's index page probes
 // across the index device's internal queue lanes; GetBatch reads the
-// records a round resolved as one batched value-log read, likewise
-// overlapped, on the value-log device while the next round probes the
-// index device. PutBatch/PutBatchU64 are the write-side mirror: a chunk's
-// records land in the value log as one multi-record append, which runs on
-// the value-log device while the chunk inserts their pointers, and every
+// records of its hits in batched value-log reads, likewise overlapped, on
+// the value-log device while the index device probes: during the
+// in-memory phase as hits become final, and after each probing round.
+// PutBatch/PutBatchU64 are the write-side mirror: a chunk's records land
+// in the value log as one multi-record append, which runs on the
+// value-log device while the chunk inserts their pointers, and every
 // buffer flush the chunk triggers is issued as one address-sorted device
 // WriteBatch submission, while counters and state match per-key calls
 // exactly.
@@ -102,13 +103,21 @@
 // device after every write, image read and probing round; only a lookup
 // batch's first round runs while its in-memory phase still does, when
 // the core hands an idle index device the probes gathered so far (see
-// core.Config.DeviceClock). The shard joins the value-log device before a
-// put chunk acknowledges and after a get chunk's last lookup round. So
-// every chunk call returns joined to both. A one-key call has nothing to
-// overlap and costs the serial sum. Each device's idle time, and so its
-// background garbage-collection credit, is measured on its own clock. A
-// WithCustomDevice store runs its index device on the shard clock, where
-// device and CPU time add up.
+// core.Config.DeviceClock), and resolves each key whose read has
+// completed. A byte get chunk hands the value-log device each hit as
+// soon as it is final, from the in-memory phase on (see core.HitHook),
+// and joins it after its last lookup round. The value log writes whole
+// erase blocks, and a put chunk that succeeds acknowledges without
+// waiting for its write: it joins the value-log device only before its
+// own append, when an earlier chunk's write still runs, and when it
+// fails. So every chunk call returns joined to the index device, and to
+// the value-log device but for one put chunk's write in flight, which
+// the next chunk that uses the log waits behind. A one-key call has
+// nothing to overlap and costs the serial sum of its device time and
+// whatever remains of an earlier put's write. Each device's idle time,
+// and so its background garbage-collection credit, is measured on its
+// own clock. A WithCustomDevice store runs its index device on the shard
+// clock, where device and CPU time add up.
 //
 // All Store methods are safe for concurrent use. Operations serialize per
 // shard, matching the paper's blocking-I/O design point: a CLAM serializes
@@ -175,11 +184,11 @@ func (c *CLAM) Core() *core.BufferHash { return c.shards[0].bh }
 // clock and latency histograms, serialized behind one mutex. The clock
 // times the shard's CPU charges; a kind-opened index device and the
 // value-log device each keep a timeline of their own, which every chunk
-// call joins before it returns (the index device's is the core's
-// Config.DeviceClock, the value log's is logClock). The router
-// reaches it only through the locked methods below: the chunk helpers,
-// each one call into the core pipeline (a per-key op is a one-key chunk),
-// and the maintenance calls.
+// call joins before it returns, but for a put chunk's value-log write
+// (the index device's is the core's Config.DeviceClock, the value log's
+// is logClock). The router reaches it only through the locked methods
+// below: the chunk helpers, each one call into the core pipeline (a
+// per-key op is a one-key chunk), and the maintenance calls.
 type shard struct {
 	mu     sync.Mutex
 	bh     *core.BufferHash
@@ -204,7 +213,7 @@ type shard struct {
 	// LookupBatch hook bound once at open, the records read and their key
 	// indexes in read order, the arena holding the records the value log
 	// copied, and the verified values.
-	onHits   func(hits []int) error
+	onHits   *core.HitHook
 	recs     [][]byte
 	recIdx   []int
 	recArena []byte
@@ -249,7 +258,7 @@ func openShard(cfg config) (*shard, error) {
 		if vdev, err = newKindDevice(cfg.device, vbytes, s.logClock); err != nil {
 			return nil, err
 		}
-		s.onHits = s.readHits
+		s.onHits = &core.HitHook{Read: s.readHits, Clock: s.logClock, Lanes: vdev.Geometry().Lanes}
 	}
 	coreCfg, err := deriveConfig(cfg, dev, clock)
 	if err != nil {
@@ -429,19 +438,28 @@ func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 }
 
 // putBatchRecords applies one chunk of byte Puts: one multi-record
-// value-log append (its full pages reach the device as one sequential
-// submission, on the log device's timeline), one core insert batch of the
-// fingerprints and record pointers, which runs without waiting for the
-// append, dead-record accounting of the pointers it displaced, a join, and
-// last the expiry of incarnations the log has lapped. An append whose
-// pages fail to write still hands back its pointers, so the chunk inserts
-// them and fails at the join, unacknowledged. Record offsets depend only
-// on append order, so the final state matches one Put per key exactly.
+// value-log append (its whole write units reach the device as one
+// sequential submission, on the log device's timeline), one core insert
+// batch of the fingerprints and record pointers, which runs without
+// waiting for the append, dead-record accounting of the pointers it
+// displaced, and last the expiry of incarnations the log has lapped.
+//
+// A chunk that succeeds acknowledges without joining the log: its write
+// runs on behind it, and a get's record reads queue behind the write,
+// since issueLog only moves the log clock forward. The records already sat
+// in DRAM until a write unit filled; a simulated write fails when it is
+// submitted, so its error still reaches the chunk that caused it. A put
+// chunk first waits for an earlier chunk's write still running, so at most
+// one chunk's append is in flight. An append whose pages fail to write
+// still hands back its pointers, so the chunk inserts them, joins the log
+// and fails, unacknowledged. Record offsets depend only on append order,
+// so the final state matches one Put per key exactly.
 func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
 	}
 	w := s.begin()
+	s.join()
 	s.issueLog()
 	ptrs, err := s.appendRecords(keys, values)
 	if ptrs != nil {
@@ -452,8 +470,9 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 			err = insertErr
 		}
 	}
-	s.join()
-	if err == nil {
+	if err != nil {
+		s.join()
+	} else {
 		s.expireLapped()
 	}
 	return s.end(&s.insert, w, len(fps), err)
@@ -466,9 +485,10 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 func (s *shard) issueLog() { s.logClock.AdvanceTo(s.clock.Now()) }
 
 // join makes the shard wait for the value-log device: the shard clock
-// moves up to the log clock. A chunk joins where it needs the log's result
-// and always before it returns, so between chunks the log clock is never
-// ahead of the shard clock.
+// moves up to the log clock. A get chunk joins after its last lookup
+// round, and a put chunk before its append and when it fails, so between
+// chunks the log clock is ahead of the shard clock by at most the last
+// put chunk's append.
 func (s *shard) join() { s.clock.AdvanceTo(s.logClock.Now()) }
 
 // expiryMark pairs a flush sequence with the value-log position after it:
@@ -567,12 +587,12 @@ func (s *shard) retire(displaced []uint64) {
 }
 
 // getBatchRecords resolves one chunk of byte Gets: a batched index lookup
-// whose hits readHits reads from the value log round by round, each
-// round's records on the log device while the next round probes the index
-// device, then one join and the per-key verification. It fills only the
-// hits of values and found. mult is nil or gives each key the number of
-// batch positions it answers (see verifyRecords), and absorbed is charged
-// as in getBatchU64Into.
+// that hands its hits to readHits as they become final, from its
+// in-memory phase on, so their records are read on the log device while
+// the index device probes, then one join and the per-key verification.
+// It fills only the hits of values and found. mult is nil or gives each
+// key the number of batch positions it answers (see verifyRecords), and
+// absorbed is charged as in getBatchU64Into.
 func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool, mult []int32, absorbed int) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
@@ -589,13 +609,14 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 	return s.end(&s.lookup, w, len(fps), err)
 }
 
-// readHits is getBatchRecords' LookupBatch hook: it reads the records that
-// one lookup step's hits point at as one batched value-log read, issued on
-// the log device's timeline (a record the log has overwritten is a miss it
-// does not read), and keeps them for verification. A record may be a view
-// of the value device's page, valid through the chunk because nothing
-// writes the value log inside a get chunk, or a copy in the shard's record
-// arena, which each read extends without touching earlier records.
+// readHits is getBatchRecords' LookupBatch hook (see core.HitHook): it
+// reads the records that one hand-off's hits point at as one batched
+// value-log read, issued on the log device's timeline (a record the log
+// has overwritten is a miss it does not read), and keeps them for
+// verification. A record may be a view of the value device's page, valid
+// through the chunk because nothing writes the value log inside a get
+// chunk, or a copy in the shard's record arena, which each read extends
+// without touching earlier records.
 func (s *shard) readHits(hits []int) error {
 	reqs := s.batchReq[:0]
 	idxs := s.batchIdx[:0]

@@ -471,6 +471,102 @@ func TestFaultOracle(t *testing.T) {
 	t.Run("clam/vlog-read-late-round", testLateRoundReadFault)
 	t.Run("clam/vlog-append-flush", testFlushingAppendFault)
 	t.Run("clam/index-read-streamed", testStreamedIndexReadFault)
+	t.Run("clam/vlog-read-handoff", testHandoffReadFault)
+	t.Run("clam/vlog-append-behind", testAppendBehindFault)
+}
+
+// putTwice puts every key of d's universe twice in 300-key byte windows:
+// more keys than the buffers of a 144 KB store hold, so most lookups
+// probe flash, and with two Bloom filter bits per entry several
+// incarnations.
+func putTwice(d *faultDriver) {
+	for range 2 {
+		for base := 0; base < d.nKeys; base += 2100 {
+			for k := range 7 {
+				d.apply(fopPutBatch, base+k, 300)
+			}
+		}
+	}
+}
+
+// testHandoffReadFault fails the first value-log read that a GetBatch
+// chunk issues while its phase A still runs: a hand-off of hits that
+// phase A found in the buffer or resolved against a completed streamed
+// index read. A read whose hook sees the shard clock below the chunk's
+// start plus BufferLookup for each of its keys, the least CPU its phase A
+// charges, runs inside phase A. The GetBatch must fail, and every later
+// answer keep the contract: random fault-free ops follow.
+func testHandoffReadFault(t *testing.T) {
+	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(12))
+	d := newFaultDriver(t, r, 12000, 0, 300)
+	putTwice(d)
+	sh := r.st.(*CLAM).shards[0]
+	perKey := sh.bh.Config().CPU.BufferLookup
+	var phaseAEnd time.Duration // the least clock phase A can end at
+	var armed, fired bool
+	r.devs[1].SetFault(func(op storage.Op, _ int64, _ int) error {
+		if armed && op == storage.OpRead && sh.clock.Now() < phaseAEnd {
+			armed, fired = false, true
+			return errFault
+		}
+		return nil
+	})
+	const win = 300
+	for ki := 0; ki < d.nKeys && !fired; ki += 7 {
+		phaseAEnd = sh.clock.Now() + win*perKey
+		armed = true
+		errs := d.o.errs
+		d.apply(fopGetBatch, ki, win)
+		armed = false
+		if fired && d.o.errs == errs {
+			t.Fatal("GetBatch succeeded past its failed phase-A record read")
+		}
+	}
+	r.arm(nil)
+	if !fired {
+		t.Fatal("no GetBatch read the value log during phase A; retune the row")
+	}
+	d.runRandom(701, 1500)
+}
+
+// testAppendBehindFault fails the first value-log write, the whole-block
+// write of a PutBatch chunk that a successful chunk would leave running
+// behind its acknowledgement. The put must fail, and return joined to the
+// log, and every later answer — first a GetBatch of the same keys — keep
+// the contract.
+func testAppendBehindFault(t *testing.T) {
+	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(13))
+	d := newFaultDriver(t, r, 12000, 100, 64)
+	sh := r.st.(*CLAM).shards[0]
+	var fired bool
+	r.devs[1].SetFault(func(op storage.Op, _ int64, _ int) error {
+		if op == storage.OpWrite && !fired {
+			fired = true
+			return errFault
+		}
+		return nil
+	})
+	rng := rand.New(rand.NewSource(700))
+	for step := 0; !fired; step++ {
+		if step == 2000 {
+			t.Fatal("no PutBatch wrote the value log; retune the row")
+		}
+		ki, win := rng.Intn(d.nKeys), 1+rng.Intn(d.maxWin)
+		errs := d.o.errs
+		d.apply(fopPutBatch, ki, win)
+		if !fired {
+			continue
+		}
+		if d.o.errs == errs {
+			t.Fatal("PutBatch acknowledged a chunk whose value-log write failed")
+		}
+		if l, c := sh.logClock.Now(), sh.clock.Now(); l > c {
+			t.Fatalf("the failed PutBatch left the log clock %v ahead of its clock %v", l, c)
+		}
+		r.arm(nil)
+		d.apply(fopGetBatch, ki, win)
+	}
+	d.runRandom(702, 3000)
 }
 
 // testStreamedIndexReadFault fails the first index read that a GetBatch
@@ -528,48 +624,36 @@ func testStreamedIndexReadFault(t *testing.T) {
 }
 
 // testLateRoundReadFault fails one value-log record read that a GetBatch
-// chunk issues after its second probing round began, a read that runs on
-// the log device while the index device probes. Two Bloom filter bits per
-// entry make lookups probe several incarnations, so a 300-key window
-// takes several rounds. The GetBatch must fail, and every later answer
-// keep the contract.
+// chunk issues for hits its second or a later probing round resolved, a
+// read that runs on the log device while the index device probes the
+// next round. A hit resolved in round r read r index pages, and phase A
+// resolves only round 1, so a hand-off holding a hit that read two pages
+// or more comes after round 2. Two Bloom filter bits per entry make
+// lookups probe several incarnations, so a 300-key window takes several
+// rounds. The GetBatch must fail, and every later answer keep the
+// contract.
 func testLateRoundReadFault(t *testing.T) {
 	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(8))
 	d := newFaultDriver(t, r, 12000, 0, 300)
-	// Put every key twice: more keys than the buffers hold, so most
-	// lookups probe flash.
-	for range 2 {
-		for base := 0; base < d.nKeys; base += 2100 {
-			for k := range 7 {
-				d.apply(fopPutBatch, base+k, 300)
-			}
+	putTwice(d)
+	sh := r.st.(*CLAM).shards[0]
+	var late, fired bool
+	read := sh.onHits.Read
+	sh.onHits.Read = func(hits []int) error {
+		for _, i := range hits {
+			late = late || sh.batchRes[i].FlashReads >= 2
 		}
+		return read(hits)
 	}
-	// The hooks see one shard's requests in issue order: a run of index
-	// reads is a probing round, and the log reads after the second run
-	// resolve a round after the first.
-	var rounds int
-	var inRound, fired bool
-	r.devs[0].SetFault(func(op storage.Op, _ int64, _ int) error {
-		if op == storage.OpRead && !inRound {
-			rounds++
-			inRound = true
-		}
-		return nil
-	})
 	r.devs[1].SetFault(func(op storage.Op, _ int64, _ int) error {
-		if op != storage.OpRead {
-			return nil
-		}
-		inRound = false
-		if rounds >= 2 && !fired {
+		if op == storage.OpRead && late && !fired {
 			fired = true
 			return errFault
 		}
 		return nil
 	})
 	for ki := 0; ki < d.nKeys && !fired; ki += 7 {
-		rounds, inRound = 0, false
+		late = false
 		errs := d.o.errs
 		d.apply(fopGetBatch, ki, 300)
 		if fired && d.o.errs == errs {
@@ -578,15 +662,15 @@ func testLateRoundReadFault(t *testing.T) {
 	}
 	r.arm(nil)
 	if !fired {
-		t.Fatal("no GetBatch read the value log after its second probing round; retune the row")
+		t.Fatal("no GetBatch read the value log for hits of its second probing round; retune the row")
 	}
 	d.runRandom(401, 1500)
 }
 
 // testFlushingAppendFault fails the value-log append of a PutBatch chunk
-// that also flushes an index buffer: the chunk inserts its record pointers
-// while the append is in flight and learns of the failure when it joins
-// the log's timeline. A twin store fed the same ops finds the chunk. The
+// that also flushes an index buffer: the append fails when it is
+// submitted, and the chunk still inserts its record pointers, flushing,
+// before it fails. A twin store fed the same ops finds the chunk. The
 // put must not be acknowledged, and every later answer — first a GetBatch
 // of the same keys — keep the contract.
 func testFlushingAppendFault(t *testing.T) {
@@ -668,118 +752,43 @@ func FuzzFaultedOps(f *testing.F) {
 		0xc, 0x3d, 0x8e, 0xb, 0x23, 0x9f, 0x1, 0x27, 0xbe, 0xb, 0x1, 0x0,
 		0x8, 0x41, 0x9a,
 	}, []byte{0x8})
-	// A GetBatch (op 70) whose value-log record read after its second
-	// probing round fails: the bitmap's one set bit fails the log
-	// device's request 148 and no other request of the run.
-	lateRead := make([]byte, 144)
-	lateRead[148/8] = 1 << (148 % 8)
-	f.Add([]byte{
-		0xc, 0x87, 0x63, 0x4, 0xcf, 0x9f, 0xb, 0x6d, 0xcf, 0xb, 0x49, 0xfd,
-		0xc, 0x85, 0xd, 0xb, 0x56, 0x23, 0xc, 0xac, 0x63, 0xc, 0xcd, 0xe5,
-		0x4, 0x6d, 0x26, 0xc, 0xf, 0x79, 0xc, 0x6c, 0x5b, 0x8, 0xaf, 0xad,
-		0x4, 0x75, 0xf8, 0xb, 0x1f, 0x31, 0xc, 0x41, 0xcc, 0xc, 0x3c, 0xa8,
-		0x4, 0x95, 0x99, 0x8, 0x22, 0xbc, 0xc, 0x79, 0xb1, 0xb, 0x27, 0xf2,
-		0x4, 0xff, 0x6d, 0x8, 0xd, 0xaf, 0x8, 0x8, 0xf8, 0x8, 0xd3, 0x54,
-		0x4, 0x63, 0x63, 0xc, 0xd7, 0xa0, 0xb, 0x47, 0x1a, 0xc, 0xf, 0x3d,
-		0xc, 0x92, 0x7b, 0xb, 0x5d, 0x1, 0xc, 0xe, 0x59, 0xc, 0xf0, 0x4b,
-		0xc, 0x53, 0x58, 0xc, 0x6e, 0x98, 0xc, 0x62, 0xad, 0xb, 0x8, 0xb7,
-		0xb, 0xab, 0x65, 0xb, 0x2a, 0x59, 0x8, 0xe4, 0x29, 0xc, 0x10, 0xc3,
-		0x4, 0xd7, 0x6a, 0xb, 0x4d, 0xc3, 0xc, 0xff, 0x94, 0xb, 0x56, 0x3b,
-		0xc, 0x7a, 0x3d, 0xc, 0x7d, 0xe3, 0xc, 0x37, 0x6c, 0xb, 0xc9, 0x5d,
-		0x8, 0x82, 0x18, 0xc, 0x8a, 0x8e, 0x4, 0x92, 0x53, 0xb, 0x64, 0xec,
-		0x8, 0xa0, 0x73, 0x8, 0x8b, 0xbe, 0xb, 0x80, 0x5e, 0xc, 0x98, 0xb5,
-		0xb, 0x8b, 0x89, 0xc, 0x74, 0xaa, 0xb, 0xff, 0xda, 0xb, 0xdf, 0xb8,
-		0xc, 0xfe, 0xb4, 0x8, 0x84, 0x9c, 0x4, 0x64, 0x82, 0xb, 0x81, 0xfe,
-		0xc, 0xf1, 0xac, 0xc, 0x5d, 0x55, 0x8, 0x13, 0x6c, 0xc, 0xe, 0xaa,
-		0xc, 0x12, 0xfa, 0xb, 0xc, 0x56, 0xc, 0xd9, 0x70, 0xc, 0x7f, 0x8d,
-		0xc, 0x0, 0x3c, 0x8, 0xb7, 0xe4, 0xc, 0x69, 0xd4, 0xb, 0xa0, 0x35,
-	}, lateRead)
-	// A PutBatch chunk (op 93) whose value-log append fails while its
-	// insert flushes an index buffer: the bitmap's one set bit fails the
-	// log device's request 166 and no other request of the run.
-	flushingAppend := make([]byte, 60)
-	flushingAppend[166/8] = 1 << (166 % 8)
-	f.Add([]byte{
-		0xb, 0x50, 0x8, 0xc, 0xc, 0xd6, 0xb, 0x30, 0x1a, 0xb, 0x53, 0x38,
-		0xb, 0xa, 0x10, 0xc, 0x7c, 0x18, 0xc, 0x2c, 0x24, 0xc, 0x85, 0x24,
-		0x8, 0xbf, 0x4e, 0xc, 0xef, 0x4a, 0xb, 0x4b, 0x67, 0xb, 0xb7, 0xad,
-		0xc, 0xd9, 0xec, 0x8, 0xb9, 0xd3, 0xc, 0x13, 0xb9, 0x8, 0xc4, 0xd4,
-		0x8, 0x8d, 0xcc, 0x4, 0x14, 0xb, 0xc, 0xb2, 0x50, 0x4, 0x9, 0x42,
-		0xb, 0x5e, 0xb4, 0xc, 0xac, 0x40, 0xb, 0x1f, 0x3d, 0x4, 0x45, 0x17,
-		0x8, 0x9, 0xb4, 0xb, 0xc1, 0xfd, 0xc, 0x8e, 0xee, 0xb, 0x1, 0x80,
-		0x4, 0x42, 0x36, 0xb, 0x46, 0xad, 0x8, 0x5e, 0x77, 0xb, 0xb1, 0xec,
-		0xb, 0x3c, 0x36, 0xc, 0x7, 0xa2, 0xc, 0xa2, 0xfb, 0x8, 0x85, 0x85,
-		0xb, 0xdd, 0x53, 0xc, 0x66, 0xc5, 0xc, 0xd7, 0x9b, 0xb, 0xf4, 0x1b,
-		0xc, 0x69, 0x92, 0xc, 0xd6, 0x67, 0xc, 0x12, 0xba, 0x4, 0xe6, 0xe4,
-		0x8, 0x21, 0xf9, 0xb, 0xd9, 0x26, 0xc, 0x16, 0xf3, 0xb, 0x9d, 0x73,
-		0xc, 0x71, 0x85, 0xb, 0xcd, 0x4a, 0xb, 0x77, 0xdd, 0xc, 0x95, 0xf0,
-		0x8, 0x76, 0x3b, 0xb, 0x83, 0xd3, 0xc, 0x6b, 0x20, 0xb, 0x75, 0xc,
-		0xc, 0x9, 0xa4, 0xb, 0x7c, 0xd9, 0x4, 0x67, 0x17, 0x4, 0x4e, 0x9c,
-		0xb, 0x2d, 0x14, 0x8, 0xb4, 0x8a, 0xb, 0xe7, 0x6a, 0x8, 0xd9, 0x70,
-		0xc, 0xb2, 0xd9, 0xc, 0x3c, 0xce, 0x4, 0x86, 0xd5, 0xc, 0x8, 0x3,
-		0xc, 0x49, 0xc2, 0xb, 0x78, 0x63, 0x8, 0xdc, 0x58, 0xc, 0x3, 0xbe,
-		0x4, 0x9c, 0x5c, 0xc, 0x4b, 0x51, 0x4, 0x3a, 0x70, 0x4, 0x71, 0xae,
-		0xc, 0x3e, 0xf, 0xb, 0x55, 0x70, 0xb, 0x93, 0xa0, 0x8, 0xc1, 0xda,
-		0xb, 0x97, 0xed, 0xb, 0xce, 0x7e, 0x8, 0x47, 0xc8, 0xb, 0xc1, 0xf4,
-		0xb, 0x64, 0x89, 0xb, 0x48, 0xc1, 0xc, 0x2, 0xf7, 0xc, 0x79, 0xc6,
-		0x8, 0x67, 0x17, 0xb, 0x25, 0xdf, 0xb, 0xcb, 0x18, 0x8, 0xfc, 0x58,
-		0x4, 0x5c, 0x9a, 0xb, 0xda, 0xfb, 0xb, 0xbf, 0x1f, 0x4, 0x25, 0x53,
-		0xb, 0xe2, 0xb1, 0xb, 0x77, 0x33, 0x4, 0xd9, 0xd7,
-	}, flushingAppend)
-	// A GetBatch (op 92) whose first index read fails while its phase A
-	// still runs and its phase-A hits are unreported, followed three ops
-	// later by a GetBatchU64, whose phase A must not report them: the
-	// bitmap's one set bit fails the index device's request 46 and no
-	// other request of the run.
-	streamed := make([]byte, 6)
-	streamed[46/8] = 1 << (46 % 8)
-	f.Add([]byte{
-		0x9, 0x7c, 0x63, 0x0, 0xf0, 0xf6, 0x0, 0xc5, 0xb1, 0xb, 0x43, 0x74,
-		0x0, 0xaf, 0x74, 0x4, 0xdb, 0x8a, 0x8, 0x8b, 0xe3, 0x4, 0xfa, 0x71,
-		0x8, 0xb9, 0xb2, 0x8, 0x1a, 0x5f, 0x0, 0x11, 0x64, 0xb, 0x81, 0x6b,
-		0xb, 0xfe, 0xfa, 0xc, 0xe9, 0xde, 0x4, 0x5d, 0x20, 0x8, 0xa6, 0xae,
-		0xb, 0xf6, 0x9, 0xb, 0xc3, 0x59, 0x8, 0x1e, 0x65, 0x4, 0x9e, 0x91,
-		0xb, 0x82, 0xaa, 0x0, 0x97, 0xc, 0x8, 0xf, 0x7e, 0xb, 0x50, 0xc9,
-		0xb, 0x20, 0xf4, 0xb, 0xbb, 0x1f, 0xb, 0xd7, 0x1d, 0x0, 0xbc, 0x38,
-		0xc, 0x1d, 0xd8, 0xc, 0x77, 0xde, 0xb, 0x4c, 0xd7, 0xc, 0xc1, 0x6d,
-		0x0, 0xc3, 0xa6, 0x4, 0xdd, 0x54, 0x4, 0x39, 0x19, 0x9, 0x5d, 0xc3,
-		0x9, 0x16, 0x53, 0xb, 0xc2, 0x4, 0xc, 0xf2, 0xde, 0x9, 0x96, 0x18,
-		0x9, 0xd7, 0xb, 0x9, 0x3c, 0x3c, 0xc, 0x7c, 0xe, 0x8, 0xca, 0x5b,
-		0x0, 0xb9, 0x7, 0xb, 0xd4, 0x74, 0x4, 0x1b, 0xc9, 0x4, 0x97, 0xf,
-		0xb, 0xb6, 0x4e, 0x8, 0x9e, 0x3c, 0xb, 0x2a, 0x6, 0x4, 0x8c, 0x62,
-		0x4, 0xa6, 0xb5, 0xc, 0x87, 0x7a, 0x9, 0x8c, 0xc5, 0x4, 0x44, 0x6c,
-		0xc, 0xfd, 0xda, 0x9, 0x68, 0x10, 0xc, 0xea, 0x79, 0x9, 0x92, 0x40,
-		0xb, 0x61, 0x29, 0x8, 0xf1, 0xc5, 0xc, 0xa2, 0x88, 0x8, 0x16, 0xca,
-		0x4, 0xd5, 0x62, 0x0, 0x21, 0xf3, 0xb, 0x80, 0xc0, 0x8, 0x3a, 0x28,
-		0x4, 0xe9, 0x96, 0xc, 0xc1, 0xc8, 0x8, 0xbe, 0x17, 0x8, 0x38, 0x37,
-		0xb, 0x77, 0x5f, 0x8, 0xd, 0xa, 0xb, 0x3a, 0xd6, 0xc, 0x48, 0x4,
-		0x8, 0xa3, 0x85, 0x8, 0xe0, 0x39, 0x8, 0xf5, 0x71, 0x8, 0x56, 0x56,
-		0x0, 0x34, 0x74, 0x0, 0x9f, 0xe5, 0x4, 0x57, 0x96, 0xb, 0x51, 0x66,
-		0xb, 0x93, 0x6f, 0x0, 0x3a, 0xa9, 0x0, 0xdd, 0xbc, 0xb, 0x7f, 0x59,
-		0x8, 0xb4, 0x4a, 0x8, 0x9c, 0xa0, 0xb, 0x3c, 0x4b, 0x0, 0xe9, 0xd2,
-		0xc, 0xab, 0xa5, 0x0, 0x8b, 0xd8, 0xb, 0xc6, 0xf9, 0x9, 0x35, 0x56,
-		0xb, 0x8a, 0xa6, 0xb, 0xb8, 0x58, 0xb, 0x75, 0xd, 0x4, 0x50, 0x40,
-		0xb, 0x50, 0xd4, 0xb, 0x4d, 0x26, 0x8, 0x27, 0x66, 0xc, 0xde, 0xa2,
-		0xb, 0x51, 0xee, 0x9, 0xe4, 0xd5, 0x4, 0x48, 0xb0, 0x8, 0x1d, 0x54,
-		0x0, 0x51, 0x24, 0x9, 0xc1, 0x5b, 0x4, 0x78, 0x3f, 0xc, 0x49, 0x46,
-		0xb, 0xf3, 0xc9, 0xc, 0x2c, 0x76, 0xb, 0x2c, 0xb1, 0x9, 0x4f, 0xc1,
-		0x4, 0x9a, 0x5e, 0x0, 0xd6, 0x56, 0x4, 0x7c, 0x46, 0xb, 0xc, 0x98,
-		0x9, 0x69, 0xb8, 0xb, 0xb8, 0x17, 0xc, 0x51, 0xeb,
-	}, streamed)
+	// Each targeted seed fails one request on a path of its own (see
+	// targetedFaultSeeds).
+	for _, seed := range targetedFaultSeeds {
+		f.Add(seed.ops, seed.bitmap())
+	}
 	f.Fuzz(func(t *testing.T, ops, faults []byte) {
-		if len(ops) > 3*400 {
-			ops = ops[:3*400]
-		}
-		r := openFaultCLAM(t, 128<<10, 64<<10, WithMemory(16<<10), WithBufferKB(4), WithSeed(9))
-		if len(faults) > 0 {
-			r.arm(func(i int, _ storage.Op) bool {
-				b := faults[(i/8)%len(faults)]
-				return b>>(i%8)&1 == 1
-			})
-		}
-		d := newFaultDriver(t, r, 256, 40, 64)
-		for i := 0; i+2 < len(ops); i += 3 {
-			d.apply(int(ops[i])%numFaultOps, int(ops[i+1]), 1+int(ops[i+2])%d.maxWin)
-		}
+		r, d := openFuzzRig(t)
+		r.arm(bitmapFaults(faults))
+		fuzzOps(ops, d.apply)
 	})
+}
+
+// openFuzzRig opens FuzzFaultedOps' store and its driver: one CLAM on
+// small Intel SSDs, 256 keys of each family, and byte values padded to
+// 120 bytes, so that puts write the two-erase-block value log a block at
+// a time and wrap it often.
+func openFuzzRig(t testing.TB) (*faultRig, *faultDriver) {
+	r := openFaultCLAM(t, 128<<10, 256<<10, WithMemory(16<<10), WithBufferKB(4), WithSeed(9))
+	return r, newFaultDriver(t, r, 256, 120, 64)
+}
+
+// bitmapFaults fails each device's request i when bit i of the bitmap,
+// repeated, is set. An empty bitmap fails nothing.
+func bitmapFaults(faults []byte) func(i int, _ storage.Op) bool {
+	return func(i int, _ storage.Op) bool {
+		if len(faults) == 0 {
+			return false
+		}
+		b := faults[(i/8)%len(faults)]
+		return b>>(i%8)&1 == 1
+	}
+}
+
+// fuzzOps calls apply for each of the first 400 3-byte groups of ops:
+// (kind, key, window).
+func fuzzOps(ops []byte, apply func(kind, ki, win int)) {
+	for i := 0; i+2 < min(len(ops), 3*400); i += 3 {
+		apply(int(ops[i])%numFaultOps, int(ops[i+1]), 1+int(ops[i+2])%64)
+	}
 }

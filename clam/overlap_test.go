@@ -42,45 +42,57 @@ func snapshotTimes(shards []*shard) []shardTimes {
 	return ts
 }
 
-// requireJoined fails unless every shard's index and log clocks are at
-// or behind its shard clock, as they must be between chunk calls.
-func requireJoined(t *testing.T, shards []*shard, after string) {
+// requireJoined fails unless every shard's index clock is at or behind
+// its shard clock, as it must be between chunk calls, and its log clock
+// is too, or, after a put call that began at the snapshot before (nil
+// after any other call), is ahead by at most the log busy time the call
+// added: a put chunk acknowledges while its append still runs.
+func requireJoined(t *testing.T, shards []*shard, after string, before []shardTimes) {
 	t.Helper()
 	for i, sh := range shards {
 		c := sh.clock.Now()
 		if x := sh.bh.Config().DeviceClock.Now(); x > c {
 			t.Fatalf("after %s: shard %d's index clock %v is ahead of its clock %v", after, i, x, c)
 		}
-		if l := sh.logClock.Now(); l > c {
-			t.Fatalf("after %s: shard %d's log clock %v is ahead of its clock %v", after, i, l, c)
+		var appended time.Duration
+		if before != nil {
+			appended = sh.times().log - before[i].log
+		}
+		if l := sh.logClock.Now(); l > c+appended {
+			t.Fatalf("after %s: shard %d's log clock %v is ahead of its clock %v by more than the call's %v of appends",
+				after, i, l, c, appended)
 		}
 	}
 }
 
 // TestValueLogOverlapWindows runs dedup merge windows on wrapped logs and
-// checks, after every call, that each shard joined its log timeline, and
-// over every window that each shard's clock advanced by at least each of
-// its devices' busy time: overlap hides a device's time behind the other
-// device's, never outside the shard's own span. It logs shard 0's mean
-// clock advance and device busy time per window.
+// checks, after every call, that each shard joined its index timeline and
+// its log timeline, but for a put's append in flight, and that between
+// the ends of two GetBatch calls, where every shard is joined to both,
+// each shard's clock advanced by at least each of its devices' busy time:
+// overlap hides a device's time behind the other device's or the CPU's,
+// never outside the shard's own span. It logs shard 0's mean clock
+// advance and device busy time per window.
 func TestValueLogOverlapWindows(t *testing.T) {
 	w := newDedupWindow(t, flashIndexLogs)
 	const windows = 100
 	var get, put shardTimes
+	joined := snapshotTimes(w.s.shards)
 	for range windows {
 		t0 := snapshotTimes(w.s.shards)
 		w.lookup(t)
-		requireJoined(t, w.s.shards, "GetBatch")
+		requireJoined(t, w.s.shards, "GetBatch", nil)
 		t1 := snapshotTimes(w.s.shards)
 		w.insert(t)
-		requireJoined(t, w.s.shards, "PutBatch")
+		requireJoined(t, w.s.shards, "PutBatch", t1)
 		t2 := snapshotTimes(w.s.shards)
-		for i := range t2 {
-			if d := t2[i].sub(t0[i]); d.clock < d.index || d.clock < d.log {
+		for i := range t1 {
+			if d := t1[i].sub(joined[i]); d.clock < d.index || d.clock < d.log {
 				t.Fatalf("window %d, shard %d: clock advanced %v, below its index busy %v or log busy %v",
 					w.window, i, d.clock, d.index, d.log)
 			}
 		}
+		joined = t1
 		get = get.add(t1[0].sub(t0[0]))
 		put = put.add(t2[0].sub(t1[0]))
 	}
@@ -100,9 +112,9 @@ func overlapStore(t *testing.T) *CLAM {
 
 func overlapKey(i int) []byte { return []byte(fmt.Sprintf("overlap-key-%05d", i)) }
 
-// putUntilFlush issues 32-key PutBatch calls of fresh keys until one both
-// flushes an index buffer and writes value-log pages, and returns that
-// call's number and shard times.
+// putUntilFlush issues 32-key PutBatch calls of fresh keys, checking
+// the timelines after each, until one both flushes an index buffer and
+// writes value-log pages, and returns that call's number and shard times.
 func putUntilFlush(t *testing.T, c *CLAM) (int, shardTimes) {
 	t.Helper()
 	sh := c.shards[0]
@@ -116,6 +128,7 @@ func putUntilFlush(t *testing.T, c *CLAM) (int, shardTimes) {
 		if err := c.PutBatch(context.Background(), keys, vals); err != nil {
 			t.Fatal(err)
 		}
+		requireJoined(t, c.shards, "PutBatch", []shardTimes{before})
 		d := sh.times().sub(before)
 		if c.Stats().Core.Flushes > flushes && d.index > 0 && d.log > 0 {
 			return call, d
@@ -126,52 +139,60 @@ func putUntilFlush(t *testing.T, c *CLAM) (int, shardTimes) {
 }
 
 // TestPutChunkOverlap pins a byte PutBatch chunk whose flush writes the
-// index device while its append writes the value-log device: the chunk
-// advances the clock by less than the serial sum it advanced by before
-// the log had its own timeline, captured below, and by at least the
-// longer of the two device times.
+// index device while its append writes a whole erase block to the
+// value-log device. The chunk waits for its flush write, not for its
+// append: it advances the clock by at least its index busy time, by less
+// than its log busy time, and so by less than the serial sum it advanced
+// by before the log had its own timeline, captured below, and it leaves
+// the log clock ahead.
 func TestPutChunkOverlap(t *testing.T) {
 	c := overlapStore(t)
 	call, d := putUntilFlush(t, c)
-	requireJoined(t, c.shards, "PutBatch")
+	sh := c.shards[0]
+	lead := sh.logClock.Now() - sh.clock.Now()
 	// Captured with the value-log device on the shard clock: call 262
 	// advanced it by 3,398,240 ns, its 1,314,112 ns of log writes in series
 	// with the chunk's CPU and its 478,528 ns flush write.
 	const serialCall, serialAdvance = 262, 3398240 * time.Nanosecond
-	t.Logf("call %d: clock advanced %v; index busy %v, log busy %v (serial: %v)", call, d.clock, d.index, d.log, serialAdvance)
+	t.Logf("call %d: clock advanced %v; index busy %v, log busy %v, the log running on %v past the acknowledgement (serial: %v)",
+		call, d.clock, d.index, d.log, lead, serialAdvance)
 	if call != serialCall {
 		t.Fatalf("call %d flushed first; the serial capture is of call %d", call, serialCall)
 	}
-	if d.clock >= serialAdvance {
-		t.Errorf("clock advanced %v, not below the serial %v", d.clock, serialAdvance)
-	}
-	if d.clock < max(d.index, d.log) {
-		t.Errorf("clock advanced %v, below a device's busy time (index %v, log %v)", d.clock, d.index, d.log)
+	if d.clock < d.index || d.clock >= d.log || d.clock >= serialAdvance || lead <= 0 {
+		t.Errorf("clock advanced %v: want at least the index busy %v, below the log busy %v and the serial %v, with the log still running (%v)",
+			d.clock, d.index, d.log, serialAdvance, lead)
 	}
 }
 
 // TestOneKeyGetTimeline pins one-key Gets: with one hit there is nothing
-// to overlap, so each advances the clock exactly as it did before the log
-// had its own timeline (constants captured then): a key resolved by a
-// flash probe and a key still in the DRAM buffer, both reading their
-// records from the value-log device.
+// to overlap, so each advances the clock by the serial sum of its reads,
+// the constants captured before the log had its own timeline, plus
+// whatever remains of an earlier put's append, which its record read
+// queues behind. Right after the put that flushed, a Get of a flushed key
+// waits for that put's value-log write; a key still in the DRAM buffer
+// then reads its record alone, and after idle time the flushed key costs
+// its serial sum again.
 func TestOneKeyGetTimeline(t *testing.T) {
 	c := overlapStore(t)
 	call, _ := putUntilFlush(t, c)
 	for _, g := range []struct {
 		key  int
+		idle time.Duration
 		want time.Duration
 	}{
-		{0, 307536 * time.Nanosecond},           // flushed: one index probe, then the record read
-		{call*32 - 1, 154268 * time.Nanosecond}, // buffered: the record read alone
+		{0, 0, 496864 * time.Nanosecond},                     // flushed: one index probe, then the record read behind the write
+		{call*32 - 1, 0, 154268 * time.Nanosecond},           // buffered: the record read alone
+		{0, 10 * time.Millisecond, 307536 * time.Nanosecond}, // flushed, the log idle: the serial sum
 	} {
+		c.Clock().Advance(g.idle)
 		before := c.Clock().Now()
 		if _, ok, err := c.Get(overlapKey(g.key)); err != nil || !ok {
 			t.Fatalf("Get(%d): found %t, err %v", g.key, ok, err)
 		}
-		requireJoined(t, c.shards, "Get")
+		requireJoined(t, c.shards, "Get", nil)
 		if d := c.Clock().Now() - before; d != g.want {
-			t.Errorf("Get(%d) advanced the clock %v; want %v", g.key, d, g.want)
+			t.Errorf("Get(%d) after %v idle advanced the clock %v; want %v", g.key, g.idle, d, g.want)
 		}
 	}
 }
@@ -241,7 +262,7 @@ func TestIndexOverlapWindows(t *testing.T) {
 			}
 		}
 	}
-	requireJoined(t, s.shards, "warm-up")
+	requireJoined(t, s.shards, "warm-up", nil)
 	probe := workload.NewZipfStream(3, zipfS, keyRange)
 	probes := make([]uint64, batch)
 	times := func(st *Sharded) []shardTimes {
@@ -261,7 +282,7 @@ func TestIndexOverlapWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireJoined(t, s.shards, "GetBatchU64")
+		requireJoined(t, s.shards, "GetBatchU64", nil)
 		twinVals, twinFound, err := twin.GetBatchU64(context.Background(), probes)
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/hashutil"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // The lookup pipeline — the only lookup path; Lookup is its one-key case.
@@ -26,7 +27,11 @@ import (
 //	             the current CPU instant and the gathered pages not yet
 //	             submitted fill its queue lanes (Geometry.Lanes), phase A
 //	             lands its CPU charges, submits those pages and runs on, so
-//	             the reads overlap the rest of phase A.
+//	             the reads overlap the rest of phase A. Given a hit hook,
+//	             phase A also runs phase C early for every round-1 key
+//	             whose read has completed by the current CPU instant, and
+//	             hands the hook its final hits, in multiples of the hook
+//	             device's lanes, whenever that device is idle (HitHook).
 //	B (gather):  each probing round collects every unresolved key's single
 //	             newest-candidate page probe, dedupes keys that land on the
 //	             same flash page (a page is read once per round, and every
@@ -34,11 +39,12 @@ import (
 //	             address, and issues them as one device ReadBatch
 //	             submission whose virtual latency overlaps across the
 //	             device's queue lanes — in round 1, the pages phase A has
-//	             not submitted yet. The round then joins the device: the
-//	             clock waits for every read of the round. The probes are
-//	             view requests (storage.ReadReq.View): each carries only
-//	             its page's range and the device hands back its stored
-//	             page, so no page is reserved or copied.
+//	             not submitted yet, for the keys it did not resolve. The
+//	             round then joins the device: the clock waits for every
+//	             read of the round. The probes are view requests
+//	             (storage.ReadReq.View): each carries only its page's
+//	             range and the device hands back its stored page, so no
+//	             page is reserved or copied.
 //	C (resolve): each key searches its page image through resolveProbe —
 //	             newest-first, stop on hit, one probe counted per page read
 //	             on its behalf. Nothing writes the device during a lookup,
@@ -58,6 +64,9 @@ type batchKey struct {
 	mask uint64 // candidate window offsets not yet probed
 	read int32  // index into the round's reads of the page it probes
 	slot int32  // its page's slot in the page index (streamed round 1)
+	// early marks a round-1 key phase A resolved against its streamed
+	// read (see resolveEarly); round 1's phase B and C pass it by.
+	early bool
 }
 
 // pendBits is the width of the pending-index field packed into a sorted
@@ -69,7 +78,13 @@ const pendBits = 20
 // suffices; everything is grown on demand and reused across calls.
 type batchScratch struct {
 	pending []batchKey
-	hits    []int // one step's newly resolved hits, for LookupBatch's resolved hook
+	hits    []int // final hits not yet handed to LookupBatch's hook
+
+	// Round-1 keys phase A may resolve early (see resolveEarly): the
+	// pending indexes not yet resolved, and how many of the round's reads
+	// had completed at the last pass over them.
+	waiting []int32
+	done    int
 
 	// The probing round in progress: its probe words, one per pending
 	// key, and its reads in submission order. A round 1 that phase A
@@ -176,10 +191,71 @@ func (b *BufferHash) read(reqs []storage.ReadReq) error {
 	return nil
 }
 
-// deviceIdle reports whether the device has finished every submission by
-// the current CPU instant: the clock plus the charges not yet landed.
-func (b *BufferHash) deviceIdle() bool {
-	return b.cfg.DeviceClock.Now() <= b.cfg.Clock.Now()+b.cpuDebt
+// idle reports whether the device on clock c has finished every
+// submission by the current CPU instant: the clock plus the charges not
+// yet landed.
+func (b *BufferHash) idle(c *vclock.Clock) bool { return c.Now() <= b.cfg.Clock.Now()+b.cpuDebt }
+
+// await queues round-1 key pi for early resolution, or, when its page's
+// read is one the device had completed at resolveEarly's last pass,
+// resolves it at once.
+func (b *BufferHash) await(pi int, results []LookupResult) {
+	bs := &b.batch
+	if r := bs.seen.reads[bs.pending[pi].slot]; r >= 0 && int(r) < bs.done {
+		bs.probeEarly(pi, r, results)
+		return
+	}
+	bs.waiting = append(bs.waiting, int32(pi))
+}
+
+// resolveEarly runs phase C for the waiting round-1 keys whose streamed
+// reads have completed. It is called only while the device is idle, when
+// every read submitted so far has completed, and passes over the waiting
+// keys only when reads were submitted since its last pass.
+func (b *BufferHash) resolveEarly(results []LookupResult) {
+	bs := &b.batch
+	if bs.done == len(bs.reqs) {
+		return
+	}
+	bs.done = len(bs.reqs)
+	still := bs.waiting[:0]
+	for _, pi := range bs.waiting {
+		if r := bs.seen.reads[bs.pending[pi].slot]; r >= 0 {
+			bs.probeEarly(int(pi), r, results)
+		} else {
+			still = append(still, pi)
+		}
+	}
+	bs.waiting = still
+}
+
+// probeEarly resolves round-1 key pi against its completed read r. A key
+// that hits becomes a final hit; one that misses clears its probed
+// candidate and goes on to round 2 exactly as if round 1 had probed it.
+func (bs *batchScratch) probeEarly(pi int, r int32, results []LookupResult) {
+	p := &bs.pending[pi]
+	p.early = true
+	p.mask &^= 1 << (bits.Len64(p.mask) - 1)
+	if p.st.resolveProbe(&results[p.idx], bs.reqs[r].P, p.kh) {
+		p.mask = 0
+		bs.hits = append(bs.hits, p.idx)
+	}
+}
+
+// HitHook is LookupBatch's hit hook. The byte API reads the value-log
+// records its hits point at, on the value-log device's own timeline.
+type HitHook struct {
+	// Read is called with the indexes, ascending, of hits whose results
+	// are final; hits is valid only during the call. A non-nil error ends
+	// the lookup with that error.
+	Read func(hits []int) error
+	// Clock is the timeline of the device Read submits to, and Lanes
+	// (at least 1) its queue lane count: while phase A runs, LookupBatch
+	// hands Read the final hits whenever that device is idle at the
+	// current CPU instant and at least Lanes of them wait, in whole
+	// multiples of Lanes.
+	Clock *vclock.Clock
+	Lanes int
 }
 
 // LookupBatch looks up len(keys) keys through the lookup pipeline, writing
@@ -194,23 +270,28 @@ func (b *BufferHash) deviceIdle() bool {
 //
 // A key given twice is looked up twice, each occurrence on its own (under
 // LRU, one-key calls would find the second occurrence re-inserted in the
-// buffer instead). The clam router coalesces a batch's repeated keys
-// before they reach core, so its calls hold distinct keys, two byte keys
-// with one fingerprint aside.
+// buffer instead, and so may a batch with a hit hook, whose phase A can
+// resolve the first occurrence early). The clam router coalesces a
+// batch's repeated keys before they reach core, so its calls hold
+// distinct keys, two byte keys with one fingerprint aside.
 //
-// resolved is nil or is called after phase A and after each probing round
-// that resolved hits, with the indexes, ascending, of the keys that step
-// resolved as hits; their results are final, and hits is valid only
-// during the call. The byte API reads a round's value-log records on that
-// device while the next round probes the index device. A non-nil error
-// from resolved ends the lookup with that error. U64 callers pass nil.
+// hook is nil or receives every hit once, as soon as its result is final
+// (see HitHook). A hit is final when phase A finds it in the buffer, when
+// a probing round resolves it, and, on a device with its own timeline,
+// when phase A resolves a round-1 key against a streamed read that has
+// completed by the current CPU instant: such a key runs phase C early, and
+// on a miss goes on to round 2. While phase A runs, the final hits go to
+// the hook in lane multiples whenever its device is idle; the rest go
+// after phase A and after each probing round that resolved hits. The byte
+// API reads the hits' value-log records on that device while the index
+// device probes. U64 callers pass nil.
 //
 // A batch holds at most 2^pendBits keys, so that a pending index fits its
 // packed probe word; a longer one, or one whose results differ in length,
 // fails before any state moves. On any other error the contents of
 // results are unspecified. Every call starts from empty scratch and
 // returns joined to the device, on error too.
-func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved func(hits []int) error) error {
+func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *HitHook) error {
 	if len(keys) != len(results) {
 		return fmt.Errorf("core: LookupBatch: %d keys, %d results", len(keys), len(results))
 	}
@@ -218,15 +299,17 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved
 		return fmt.Errorf("core: LookupBatch: %d keys exceed the %d-key batch limit", len(keys), 1<<pendBits)
 	}
 	bs := &b.batch
-	bs.pending, bs.hits = bs.pending[:0], bs.hits[:0]
+	bs.pending, bs.hits, bs.waiting, bs.done = bs.pending[:0], bs.hits[:0], bs.waiting[:0], 0
 	bs.packed, bs.reqs, bs.pages, bs.sent = bs.packed[:0], bs.reqs[:0], bs.pages[:0], 0
 
 	// Phase A: resolve everything the DRAM side can answer, and gather
 	// round 1. CPU costs are accrued into one deferred charge and applied
 	// to the clock in a single advance — the same virtual total as one-key
 	// lookups, without several clock advances per key — except where a
-	// submission to an idle device of its own lands them early.
+	// submission to an idle device of its own, or a hand-off of hits to an
+	// idle hook device, lands them early.
 	stream := b.cfg.DeviceClock != b.cfg.Clock
+	early := stream && hook != nil
 	if stream {
 		bs.seen.reset(len(keys))
 	}
@@ -237,29 +320,48 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved
 		if !done && mask != 0 {
 			bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
 			b.gather(len(bs.pending)-1, stream)
+			if early {
+				b.await(len(bs.pending)-1, results)
+			}
 		} else {
 			b.stats.recordLookup(res)
-			if resolved != nil && res.Found {
+			if hook != nil && res.Found {
 				bs.hits = append(bs.hits, i)
 			}
 		}
-		if stream && len(bs.pages)-bs.sent >= b.lanes && b.deviceIdle() {
+		if stream && (early || len(bs.pages)-bs.sent >= b.lanes) && b.idle(b.cfg.DeviceClock) {
+			if early {
+				b.resolveEarly(results)
+			}
+			if len(bs.pages)-bs.sent >= b.lanes {
+				b.settleCPUDebt()
+				if err := b.streamGroup(); err != nil {
+					b.joinDevice()
+					return err
+				}
+			}
+		}
+		if hook != nil && len(bs.hits) >= hook.Lanes && b.idle(hook.Clock) {
 			b.settleCPUDebt()
-			if err := b.streamGroup(); err != nil {
+			if err := bs.handOff(hook, len(bs.hits)-len(bs.hits)%hook.Lanes); err != nil {
 				b.joinDevice()
 				return err
 			}
 		}
 	}
 	b.settleCPUDebt()
-	if err := bs.report(resolved); err != nil {
+	if err := bs.handOff(hook, len(bs.hits)); err != nil {
 		b.joinDevice()
 		return err
 	}
 
 	// Phases B+C: probing rounds. Every round reads at most one page per
 	// pending key (its newest remaining candidate), so each key probes
-	// newest-first. Phase A gathered round 1; each round gathers the next.
+	// newest-first. Phase A gathered round 1, less the keys it resolved
+	// early; each round gathers the next.
+	if early && len(bs.waiting) < len(bs.pending) {
+		bs.packed = slices.DeleteFunc(bs.packed, func(w uint64) bool { return bs.pending[w&(1<<pendBits-1)].early })
+	}
 	for len(bs.pending) > 0 {
 		// Phase B: sort the probes by page and give each key its page's
 		// read: the one a phase-A submission issued, or a new one, one
@@ -297,20 +399,22 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved
 				p.mask = 0 // found: stop probing this key
 			}
 		}
-		// Retire resolved keys, keep the rest for the next round.
+		// Retire resolved keys, keep the rest for the next round. A key
+		// phase A resolved early has had its hit handed over already.
 		live := bs.pending[:0]
 		for _, p := range bs.pending {
 			if p.mask != 0 {
+				p.early = false
 				live = append(live, p)
 				continue
 			}
 			b.stats.recordLookup(results[p.idx])
-			if resolved != nil && results[p.idx].Found {
+			if hook != nil && results[p.idx].Found && !p.early {
 				bs.hits = append(bs.hits, p.idx)
 			}
 		}
 		bs.pending = live
-		if err := bs.report(resolved); err != nil {
+		if err := bs.handOff(hook, len(bs.hits)); err != nil {
 			return err
 		}
 		bs.packed, bs.reqs, bs.sent = bs.packed[:0], bs.reqs[:0], 0
@@ -321,12 +425,14 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, resolved
 	return nil
 }
 
-// report hands the step's hits, if any, to resolved.
-func (bs *batchScratch) report(resolved func(hits []int) error) error {
-	if len(bs.hits) == 0 {
+// handOff hands the first n final hits, sorted, to the hook and keeps the
+// rest. With no hook, or no hits to hand, it does nothing.
+func (bs *batchScratch) handOff(hook *HitHook, n int) error {
+	if hook == nil || n == 0 {
 		return nil
 	}
-	err := resolved(bs.hits)
-	bs.hits = bs.hits[:0]
+	slices.Sort(bs.hits[:n])
+	err := hook.Read(bs.hits[:n])
+	bs.hits = bs.hits[:copy(bs.hits, bs.hits[n:])]
 	return err
 }

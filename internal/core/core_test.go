@@ -961,8 +961,8 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 	const batchSize = 64
 	keys := make([]uint64, batchSize)
 	results := make([]LookupResult, batchSize)
-	// The resolved hook must report every hit once, ascending within a
-	// step, each with its final result.
+	// The hook must receive every hit once, ascending within a hand-off,
+	// each with its final result.
 	reported := make([]int, batchSize)
 	resolved := func(hits []int) error {
 		for j, i := range hits {
@@ -976,6 +976,9 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 		}
 		return nil
 	}
+	// A hook device on the core's own clock is always idle, so phase A
+	// hands its buffer hits over four at a time.
+	hook := &HitHook{Read: resolved, Clock: batched.cfg.Clock, Lanes: 4}
 	for round := 0; round < 40; round++ {
 		for i := range keys {
 			if rng.Intn(3) == 0 {
@@ -985,7 +988,7 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 			}
 		}
 		clear(reported)
-		if err := batched.LookupBatch(keys, results, resolved); err != nil {
+		if err := batched.LookupBatch(keys, results, hook); err != nil {
 			t.Fatal(err)
 		}
 		for i, k := range keys {

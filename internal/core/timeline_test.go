@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -48,21 +49,36 @@ func firstPage(b *BufferHash, key uint64) (page uint64, ok bool) {
 
 // TestOwnTimelineMatchesSharedClock runs the same lookups on an instance
 // whose device keeps a timeline of its own (Config.DeviceClock) and on a
-// twin whose device shares its clock. Handing phase A's first probes to
-// the idle device may only move time: results, every counter and the
-// device's physical reads must match the twin's. A one-key lookup has
-// nothing to overlap and advances both clocks equally, and a batch may not
-// advance the own-timeline clock further than the twin's. The batch puts
-// two keys whose first probes share a page into different submissions of
-// round 1; the page must be read once, as the twin reads it. Every call
-// must return with the device clock joined.
+// twin whose device shares its clock, under FIFO and LRU. Handing phase
+// A's first probes to the idle device, and resolving the keys whose reads
+// have completed while phase A runs, may only move time: results, every
+// counter and the device's physical reads must match the twin's. A
+// one-key lookup has nothing to overlap and advances both clocks equally,
+// and a batch may not advance the own-timeline clock further than the
+// twin's. The batch puts two keys whose first probes share a page into
+// different submissions of round 1; the page must be read once, as the
+// twin reads it. A last batch passes a hit hook on a device timeline of
+// its own, which must receive every hit once, final, ascending within
+// each hand-off, and on the own-timeline instance some flash hits before
+// phase A ends (LRU's reinsertions of them then run inside phase A). Two
+// Bloom filter bits per entry make some of the probes phase A resolves
+// early miss, so their keys go on to round 2. Every call must return
+// with the device clock joined.
 func TestOwnTimelineMatchesSharedClock(t *testing.T) {
+	for _, policy := range []EvictionPolicy{FIFO, LRU} {
+		t.Run(policy.String(), func(t *testing.T) { testOwnTimeline(t, policy) })
+	}
+}
+
+func testOwnTimeline(t *testing.T, policy EvictionPolicy) {
 	shCfg, _ := testConfig(t)
 	ownCfg, ownClock := testConfig(t)
 	devClock := vclock.New()
 	ownDev := ssd.New(ssd.IntelX18M(), 1<<20, devClock)
 	rec := &recordingDevice{Device: ownDev}
 	ownCfg.Device, ownCfg.DeviceClock = rec, devClock
+	shCfg.Policy, ownCfg.Policy = policy, policy
+	shCfg.FilterBitsPerEntry, ownCfg.FilterBitsPerEntry = 2, 2
 	shared, own := mustNew(t, shCfg), mustNew(t, ownCfg)
 	universe := populateTwin(t, shared, own, 321, 12000, 4000)
 	if own.lanes != 8 {
@@ -125,11 +141,14 @@ func TestOwnTimelineMatchesSharedClock(t *testing.T) {
 		batch = append(batch, k)
 	}
 
-	lookup := func(b *BufferHash, clock *vclock.Clock, keys []uint64) ([]LookupResult, time.Duration) {
+	lookup := func(b *BufferHash, clock *vclock.Clock, keys []uint64, hook *HitHook) ([]LookupResult, time.Duration) {
 		t.Helper()
 		res := make([]LookupResult, len(keys))
+		for i := range res {
+			res[i].FlashReads = -1 // not yet reached by phase A
+		}
 		t0 := clock.Now()
-		if err := b.LookupBatch(keys, res, nil); err != nil {
+		if err := b.LookupBatch(keys, res, hook); err != nil {
 			t.Fatal(err)
 		}
 		return res, clock.Now() - t0
@@ -150,8 +169,8 @@ func TestOwnTimelineMatchesSharedClock(t *testing.T) {
 	}
 
 	one := []uint64{x}
-	ownRes, ownAdv := lookup(own, ownClock, one)
-	shRes, shAdv := lookup(shared, shared.cfg.Clock, one)
+	ownRes, ownAdv := lookup(own, ownClock, one, nil)
+	shRes, shAdv := lookup(shared, shared.cfg.Clock, one, nil)
 	requireJoined("a one-key lookup")
 	compare("one-key lookup", ownRes, shRes)
 	if ownRes[0].FlashReads == 0 {
@@ -162,8 +181,8 @@ func TestOwnTimelineMatchesSharedClock(t *testing.T) {
 	}
 
 	rec.reads = nil
-	ownRes, ownAdv = lookup(own, ownClock, batch)
-	shRes, shAdv = lookup(shared, shared.cfg.Clock, batch)
+	ownRes, ownAdv = lookup(own, ownClock, batch, nil)
+	shRes, shAdv = lookup(shared, shared.cfg.Clock, batch, nil)
 	requireJoined("the batch")
 	compare("batch", ownRes, shRes)
 	t.Logf("%d keys, %d submissions: own-timeline clock advanced %v, shared %v", len(batch), len(rec.reads), ownAdv, shAdv)
@@ -176,5 +195,77 @@ func TestOwnTimelineMatchesSharedClock(t *testing.T) {
 	}
 	if ownAdv > shAdv {
 		t.Fatalf("batch advanced the own-timeline clock %v, beyond the shared clock's %v", ownAdv, shAdv)
+	}
+
+	// The hooked batch: keys the earlier lookups did not touch and as many
+	// absent keys, after a second population gave every partition a
+	// second incarnation. Bloom false positives then make round-1 probes
+	// miss, among them early ones whose keys go on to round 2. Each
+	// hand-off busies the hook's device for 20 µs per hit, so phase A
+	// finds it idle only now and then.
+	populateTwin(t, shared, own, 322, 12000, 4000)
+	hooked := slices.Clone(universe[1000:1400])
+	rng := rand.New(rand.NewSource(323))
+	for range 400 {
+		hooked = append(hooked, rng.Uint64())
+	}
+	type handOffs struct {
+		reported []int // per key: times reported
+		early    int   // flash hits reported while phase A still ran
+	}
+	hookFor := func(b *BufferHash, res *[]LookupResult, h *handOffs) *HitHook {
+		logClock := vclock.New()
+		h.reported = make([]int, len(hooked))
+		return &HitHook{Clock: logClock, Lanes: 8, Read: func(hits []int) error {
+			inPhaseA := (*res)[len(hooked)-1].FlashReads < 0
+			for j, i := range hits {
+				if j > 0 && i <= hits[j-1] {
+					t.Fatalf("hand-off not ascending: %v", hits)
+				}
+				if !(*res)[i].Found {
+					t.Fatalf("hook received key %d, which has no hit", i)
+				}
+				if inPhaseA && (*res)[i].FlashReads > 0 {
+					h.early++
+				}
+				h.reported[i]++
+			}
+			logClock.AdvanceTo(b.cfg.Clock.Now())
+			logClock.Advance(time.Duration(len(hits)) * 20 * time.Microsecond)
+			return nil
+		}}
+	}
+	var ownHits, shHits handOffs
+	ownRes = make([]LookupResult, len(hooked))
+	shRes = make([]LookupResult, len(hooked))
+	ownHook, shHook := hookFor(own, &ownRes, &ownHits), hookFor(shared, &shRes, &shHits)
+	for i := range hooked {
+		ownRes[i].FlashReads, shRes[i].FlashReads = -1, -1
+	}
+	if err := own.LookupBatch(hooked, ownRes, ownHook); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.LookupBatch(hooked, shRes, shHook); err != nil {
+		t.Fatal(err)
+	}
+	requireJoined("the hooked batch")
+	compare("hooked batch", ownRes, shRes)
+	for i, r := range ownRes {
+		want := 0
+		if r.Found {
+			want = 1
+		}
+		if ownHits.reported[i] != want || shHits.reported[i] != want {
+			t.Fatalf("key %d (hit %t) reported %d times, on the twin %d", i, r.Found, ownHits.reported[i], shHits.reported[i])
+		}
+	}
+	st := own.Stats()
+	t.Logf("hooked batch: %d flash hits handed over during phase A, %d on the twin; %d probes, %d spurious",
+		ownHits.early, shHits.early, st.FlashProbes, st.SpuriousProbes)
+	if ownHits.early == 0 {
+		t.Fatal("no flash hit reached the hook while phase A ran")
+	}
+	if shHits.early != 0 {
+		t.Fatalf("the shared-clock twin handed over %d flash hits during phase A", shHits.early)
 	}
 }

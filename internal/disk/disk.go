@@ -84,7 +84,8 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *Disk {
 // SetFault installs a fault-injection hook (nil clears it).
 func (d *Disk) SetFault(f storage.FaultFunc) { d.q.Fault = f }
 
-// Geometry implements storage.Device.
+// Geometry implements storage.Device. A disk has no erase unit, so its
+// EraseBlock is 0.
 func (d *Disk) Geometry() storage.Geometry {
 	return storage.Geometry{Capacity: d.capacity, PageSize: d.prof.SectorSize, Lanes: 1}
 }

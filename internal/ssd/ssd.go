@@ -241,9 +241,10 @@ func (s *SSD) SetFault(f storage.FaultFunc) { s.q.Fault = f }
 // Geometry implements storage.Device.
 func (s *SSD) Geometry() storage.Geometry {
 	return storage.Geometry{
-		Capacity: s.nLogicalPages / int64(s.prof.BlockPages) * int64(s.prof.BlockSize()),
-		PageSize: s.prof.SectorSize,
-		Lanes:    max(s.prof.QueueDepth, 1),
+		Capacity:   s.nLogicalPages / int64(s.prof.BlockPages) * int64(s.prof.BlockSize()),
+		PageSize:   s.prof.SectorSize,
+		Lanes:      max(s.prof.QueueDepth, 1),
+		EraseBlock: s.prof.BlockSize(),
 	}
 }
 

@@ -11,3 +11,7 @@ var (
 // one per wrap. Encoding a pointer with it yields a word the skip rule
 // never skips, so its read is the one the log made before the rule.
 func (l *ValueLog) Cycle() uint64 { return l.cycle }
+
+// Unit returns the log's write unit: the device's erase block, or about
+// 64 KB on a device without one.
+func (l *ValueLog) Unit() int { return l.unit }

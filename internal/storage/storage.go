@@ -68,6 +68,12 @@ type Geometry struct {
 	// across (an SSD's channels, 1 for a single-actuator disk); 1 or less
 	// serializes them.
 	Lanes int
+	// EraseBlock is the medium's erase unit in bytes (an SSD's flash
+	// block, a multiple of PageSize), or 0 where there is none. Writes that cover whole, aligned
+	// erase blocks let the FTL reclaim the blocks they replace without
+	// relocating live pages (§6.4 sizes the flush unit B′ to it for this
+	// reason); the value log writes in these units.
+	EraseBlock int
 }
 
 // Counters accumulates I/O accounting for a device.

@@ -41,11 +41,18 @@ import (
 // even under a lapped mark: their bytes were rewritten, and key
 // verification decides as before.
 //
-// Writes are page-aligned: records accumulate in a tail buffer whose full
-// pages are written to the device in multi-page appends (sequential I/O,
-// the access pattern every medium in this repository likes best). Reads are
-// byte-granular, as all simulated devices permit; records still buffered in
-// the tail are served from memory.
+// Writes come in whole write units: records accumulate in a tail buffer,
+// and once it holds a unit or more, its whole units are written to the
+// device as one sequential submission, aligned to the unit (sequential
+// I/O, the access pattern every medium in this repository likes best). The
+// unit is the device's erase block (Geometry.EraseBlock), as §6.4 sizes a
+// flush to one: each write then replaces whole blocks, and an SSD's FTL
+// reclaims the blocks the previous cycle wrote without relocating a page.
+// A device without one writes about 64 KB at a time, or a quarter of a
+// smaller log. The capacity rounds down to whole units, so every cycle
+// ends on a unit boundary. Reads are byte-granular, as all simulated
+// devices permit; records still buffered in the tail are served from
+// memory.
 //
 // Record reads go to the device as one ReadBatch submission per call,
 // overlapping the records' service times across the device's queue lanes —
@@ -59,12 +66,12 @@ import (
 type ValueLog struct {
 	dev      Device
 	pageSize int
-	capacity int64 // page-aligned usable bytes
+	capacity int64 // usable bytes, a whole number of write units
+	unit     int   // write unit: the device's erase block, or about 64 KB
 
 	head     int64  // next append offset
-	bufStart int64  // device offset of buf[0]; page-aligned
+	bufStart int64  // device offset of buf[0]; unit-aligned
 	buf      []byte // bytes [bufStart, head) not yet written to the device
-	flushAt  int    // flush full pages once the tail buffer reaches this size
 
 	stats ValueLogStats
 
@@ -215,8 +222,8 @@ func RecordSize(keyLen, valLen int) int {
 }
 
 // NewValueLog builds a log over dev, using its whole capacity. The usable
-// capacity is rounded down to the page multiple and must hold at least
-// eight pages.
+// capacity is rounded down to whole write units (see ValueLog) and must
+// hold at least eight pages.
 func NewValueLog(dev Device) (*ValueLog, error) {
 	g := dev.Geometry()
 	capacity := g.Capacity / int64(g.PageSize) * int64(g.PageSize)
@@ -224,18 +231,18 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 		return nil, fmt.Errorf("storage: value log capacity %d exceeds the %d pointer-encoding limit",
 			capacity, MaxValueLogBytes)
 	}
+	unit := g.EraseBlock
+	if unit <= 0 {
+		unit = 64 << 10
+		unit -= unit % g.PageSize
+		if int64(unit) > capacity/4 {
+			unit = int(capacity/4) / g.PageSize * g.PageSize
+		}
+		unit = max(unit, g.PageSize)
+	}
+	capacity -= capacity % int64(unit)
 	if capacity < 8*int64(g.PageSize) {
 		return nil, fmt.Errorf("storage: value log needs at least 8 pages, got %d bytes", capacity)
-	}
-	// Flush in ~64 KB sequential appends; smaller logs flush at a quarter
-	// of their capacity.
-	flushAt := 64 << 10
-	flushAt -= flushAt % g.PageSize
-	if int64(flushAt) > capacity/4 {
-		flushAt = int(capacity/4) / g.PageSize * g.PageSize
-	}
-	if flushAt < g.PageSize {
-		flushAt = g.PageSize
 	}
 	// Space accounting resolution: ~256 regions, page-aligned, at least one
 	// page each.
@@ -248,7 +255,7 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 		dev:        dev,
 		pageSize:   g.PageSize,
 		capacity:   capacity,
-		flushAt:    flushAt,
+		unit:       unit,
 		regionSize: regionSize,
 		regAlloc:   make([]int64, nRegions),
 		regDead:    make([]int64, nRegions),
@@ -363,7 +370,7 @@ func (l *ValueLog) appendRecord(key, value []byte) (word uint64, err error) {
 // (see ValueLog). Record offsets, wrap points and tail-served reads are
 // exactly what one-record calls would produce; the difference is purely
 // the write stream — the batch's full pages reach the device as one
-// sequential submission at the end instead of one write per flushAt of
+// sequential submission at the end instead of one write per write unit of
 // accumulated records. On error the batch may be partially appended.
 func (l *ValueLog) AppendBatch(keys, values [][]byte, ptrs []uint64) error {
 	if len(keys) != len(values) || len(ptrs) != len(keys) {
@@ -377,16 +384,14 @@ func (l *ValueLog) AppendBatch(keys, values [][]byte, ptrs []uint64) error {
 		}
 		ptrs[i] = word
 	}
-	if len(l.buf) >= l.flushAt {
-		return l.flushFullPages()
-	}
-	return nil
+	return l.flushUnits()
 }
 
-// flushFullPages writes the tail buffer's whole pages to the device and
-// keeps the partial-page remainder buffered. bufStart stays page-aligned.
-func (l *ValueLog) flushFullPages() error {
-	p := len(l.buf) - len(l.buf)%l.pageSize
+// flushUnits writes the tail buffer's whole write units to the device as
+// one submission and keeps the remainder buffered. bufStart stays
+// unit-aligned.
+func (l *ValueLog) flushUnits() error {
+	p := len(l.buf) - len(l.buf)%l.unit
 	if p == 0 {
 		return nil
 	}

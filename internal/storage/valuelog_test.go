@@ -3,7 +3,9 @@ package storage_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/ssd"
@@ -217,10 +219,10 @@ func TestValueLogStraddlingFlushFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One record bigger than the flush threshold: appending it flushes its
-	// leading pages, leaving its tail buffered.
+	// One record bigger than the write unit: appending it writes its
+	// leading unit, leaving its tail buffered.
 	key := []byte("straddler")
-	val := bytes.Repeat([]byte{0x5C}, 70<<10)
+	val := bytes.Repeat([]byte{0x5C}, l.Unit()+6<<10)
 	ptr, err := appendOne(l, key, val)
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +237,78 @@ func TestValueLogStraddlingFlushFrontier(t *testing.T) {
 	}
 	if got, verified := storage.VerifyRecord(rec, key); !verified || !bytes.Equal(got, val) {
 		t.Fatal("straddling record corrupted")
+	}
+}
+
+// writeRecorder records the range of every write it forwards.
+type writeRecorder struct {
+	storage.Device
+	writes [][2]int64 // offset, length
+}
+
+func (d *writeRecorder) WriteAt(p []byte, off int64) (time.Duration, error) {
+	d.writes = append(d.writes, [2]int64{off, int64(len(p))})
+	return d.Device.WriteAt(p, off)
+}
+
+func (d *writeRecorder) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
+	for _, r := range reqs {
+		d.writes = append(d.writes, [2]int64{r.Off, int64(len(r.P))})
+	}
+	return d.Device.WriteBatch(reqs)
+}
+
+// TestValueLogWritesWholeBlocks drives four cycles of variable-size
+// records, some larger than a unit, in ragged AppendBatch calls, and
+// requires every write the device sees to be whole write units aligned
+// to the unit: the device's erase block on the SSD, 64 KB on the disk.
+// Whole-block writes replace whole blocks, so the SSD's FTL relocates no
+// page.
+func TestValueLogWritesWholeBlocks(t *testing.T) {
+	for name, dev := range vlogDevices(t, 1<<20) {
+		t.Run(name, func(t *testing.T) {
+			rec := &writeRecorder{Device: dev}
+			l, err := storage.NewValueLog(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unit := int64(l.Unit())
+			want := int64(dev.Geometry().EraseBlock)
+			if want == 0 {
+				want = 64 << 10
+			}
+			if unit != want || l.Stats().Capacity%unit != 0 {
+				t.Fatalf("unit %d, capacity %d; want a %d-byte unit dividing the capacity", unit, l.Stats().Capacity, want)
+			}
+			rng := rand.New(rand.NewSource(34))
+			var keys, vals [][]byte
+			for i := 0; l.Stats().Wraps < 4; i++ {
+				keys, vals = keys[:0], vals[:0]
+				for range 1 + rng.Intn(40) {
+					n := rng.Intn(900)
+					if rng.Intn(200) == 0 {
+						n = int(unit) + rng.Intn(int(unit)) // spans units
+					}
+					keys = append(keys, []byte(fmt.Sprintf("block-key-%d", i)))
+					vals = append(vals, make([]byte, n))
+				}
+				if err := l.AppendBatch(keys, vals, make([]uint64, len(keys))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(rec.writes) < 4*int(l.Stats().Capacity/unit)/2 {
+				t.Fatalf("only %d writes over 4 cycles", len(rec.writes))
+			}
+			for _, w := range rec.writes {
+				if w[0]%unit != 0 || w[1] == 0 || w[1]%unit != 0 {
+					t.Fatalf("write of %d bytes at %d: not whole %d-byte units", w[1], w[0], unit)
+				}
+			}
+			if c := dev.Counters(); c.PagesMoved != 0 {
+				t.Fatalf("the FTL relocated %d pages under whole-block writes", c.PagesMoved)
+			}
+			t.Logf("%d writes, %d erases, %d pages moved", len(rec.writes), dev.Counters().Erases, dev.Counters().PagesMoved)
+		})
 	}
 }
 
