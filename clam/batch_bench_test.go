@@ -72,7 +72,7 @@ func measureLookups(b *testing.B, fn func()) time.Duration {
 //     baseline;
 //   - zipf: Zipf(1.2)-ranked warm keys on 8 shards, so one shard's group
 //     dwarfs the others — the skew the stealing router was built for — and
-//     the router coalesces the hot keys' repeats;
+//     each shard's phase A resolves its hot keys' repeats once;
 //   - uniform-1shard: the uniform stream on one CLAM, where the batch still
 //     pays the router's grouping copy and one goroutine hop.
 //
@@ -183,31 +183,4 @@ func BenchmarkGetBatchZipf1Worker(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	b.ReportMetric(float64(virt.Nanoseconds())/float64(b.N*batch), "virt-ns/key")
-}
-
-// BenchmarkCoalesceProbe measures the host cost of a read batch's dedupe
-// probes per key (coalesce: the seen-table probe that finds a repeated
-// key and chains it to its first occurrence) over 4096-key batches of the
-// get-batch-zipf benchmark workload's Zipf(1.1) keys, on its 8-shard
-// routing. With core's BenchmarkPhaseA it prices CPU.BatchCoalesce.
-func BenchmarkCoalesceProbe(b *testing.B) {
-	const (
-		entries = 64 << 20 / 32 // 16-byte entries at 50% cuckoo load
-		batch   = 4096
-	)
-	r := newRouter(make([]*shard, 8), 1, defaultBatchChunk, 1)
-	probe := workload.NewZipfStream(3, 1.1, workload.RangeForLSR(entries, 0.4))
-	probes := make([]uint64, 32*batch)
-	for i := range probes {
-		probes[i] = probe.Next()
-	}
-	g := r.getGroups()
-	distinct := 0
-	for i := 0; b.Loop(); i++ {
-		at := i % (len(probes) / batch) * batch
-		r.coalesce(g, probes[at:at+batch], nil)
-		distinct += len(g.seen.firsts)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
-	b.ReportMetric(float64(distinct)/float64(b.N*batch), "distinct/key")
 }

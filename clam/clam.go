@@ -53,10 +53,11 @@
 // keys (byte ops only), groups them into contiguous per-shard runs with one
 // counting sort, routes chunks of those runs to workers, makes one chunk
 // call per chunk on a zero-copy sub-slice, and — for reads — scatters the
-// grouped answers back to input order. A read batch is coalesced as it is
-// grouped: each distinct key takes one slot, is resolved once, and its
-// answer fans out to every position that repeats it, while its shard's
-// clock pays CPU.BatchCoalesce for each repeat the router absorbed.
+// grouped answers back to input order. A write run is cut into chunks of
+// 512 keys; a read run is one chunk, so its one core call resolves each
+// distinct key once: the core's in-memory phase finds each repeat as it
+// reaches it, charges the shard's clock CPU.BatchCoalesce there, and
+// answers the repeat from the key's first occurrence.
 // GetBatch/GetBatchU64 overlap each probing round's index page probes
 // across the index device's internal queue lanes; GetBatch reads the
 // records of its hits in batched value-log reads, likewise overlapped, on
@@ -203,8 +204,6 @@ type shard struct {
 	// and join); nil iff vlog is nil.
 	logClock *vclock.Clock
 
-	coalesce time.Duration // CPU.BatchCoalesce of the shard's core
-
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
 	batchIdx []int                  // GetBatch read-to-key scratch, guarded by mu
@@ -212,11 +211,13 @@ type shard struct {
 	// A byte get chunk in flight (see readHits), guarded by mu: the
 	// LookupBatch hook bound once at open, the records read and their key
 	// indexes in read order, the arena holding the records the value log
-	// copied, and the verified values.
+	// copied, each key's record (see verifyRecords) and the verified
+	// values.
 	onHits   *core.HitHook
 	recs     [][]byte
 	recIdx   []int
 	recArena []byte
+	recAt    []int32
 	batchHit [][]byte
 
 	putPtrs   []uint64 // PutBatch value-log pointer scratch, guarded by mu
@@ -268,7 +269,6 @@ func openShard(cfg config) (*shard, error) {
 	if s.bh, err = core.New(coreCfg); err != nil {
 		return nil, err
 	}
-	s.coalesce = s.bh.Config().CPU.BatchCoalesce
 	s.dev = dev
 	if vdev != nil {
 		if s.vlog, err = storage.NewValueLog(vdev); err != nil {
@@ -412,23 +412,12 @@ func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
 	return s.end(&s.insert, w, len(keys), s.bh.InsertBatch(keys, values, nil))
 }
 
-// getBatchU64Into is one batched lookup (in-memory phase, coalesced
-// overlapped flash phase, newest-first resolution) into results, which
-// must have len(keys). absorbed is the number of repeated batch positions
-// the router coalesced into this chunk (see chargeAbsorbed).
-func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult, absorbed int) error {
+// getBatchU64Into is one batched lookup (in-memory phase with repeated
+// keys resolved once, coalesced overlapped flash phase, newest-first
+// resolution) into results, which must have len(keys).
+func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
 	w := s.begin()
-	s.chargeAbsorbed(absorbed)
 	return s.end(&s.lookup, w, len(keys), s.bh.LookupBatch(keys, results, nil))
-}
-
-// chargeAbsorbed charges the shard's clock CPU.BatchCoalesce for each of n
-// repeated read positions the router answered from another position's
-// lookup: the dedupe probe that found each one.
-func (s *shard) chargeAbsorbed(n int) {
-	if n > 0 {
-		s.clock.Advance(time.Duration(n) * s.coalesce)
-	}
 }
 
 // deleteBatchU64Chunk is one batched delete. Deletes perform no I/O.
@@ -590,21 +579,18 @@ func (s *shard) retire(displaced []uint64) {
 // that hands its hits to readHits as they become final, from its
 // in-memory phase on, so their records are read on the log device while
 // the index device probes, then one join and the per-key verification.
-// It fills only the hits of values and found. mult is nil or gives each
-// key the number of batch positions it answers (see verifyRecords), and
-// absorbed is charged as in getBatchU64Into.
-func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool, mult []int32, absorbed int) error {
+// It fills only the hits of values and found.
+func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
 	}
 	w := s.begin()
-	s.chargeAbsorbed(absorbed)
 	s.batchRes = resize(s.batchRes, len(fps))
 	s.recs, s.recIdx, s.recArena = s.recs[:0], s.recIdx[:0], s.recArena[:0]
 	err := s.bh.LookupBatch(fps, s.batchRes, s.onHits)
 	s.join()
 	if err == nil {
-		s.verifyRecords(keys, values, found, mult)
+		s.verifyRecords(keys, values, found)
 	}
 	return s.end(&s.lookup, w, len(fps), err)
 }
@@ -644,33 +630,36 @@ func (s *shard) readHits(hits []int) error {
 	return nil
 }
 
-// verifyRecords fills values and found for each record read whose stored
-// key matches. The verified values are copied out, under the shard lock
-// and before any later device write, into one arena per chunk: each value
-// is a capacity-capped sub-slice of it, so appending to one cannot reach
-// the next. A key that answers mult[i] > 1 batch positions gets that many
-// copies of its value back to back in values[i], for the router to hand
-// one to each position.
-func (s *shard) verifyRecords(keys, values [][]byte, found []bool, mult []int32) {
-	copies := func(i int) int {
-		if mult == nil {
-			return 1
-		}
-		return int(mult[i])
+// verifyRecords fills values and found for each key whose record was read
+// and stores the key. The lookup read each distinct fingerprint's record
+// once, so a repeated fingerprint's position is verified against the
+// record its first occurrence read (see core.BufferHash.Repeats), and two
+// keys sharing a fingerprint answer apart. The verified values are copied
+// out, under the shard lock and before any later device write, into one
+// arena per chunk, one copy per position: each value is a
+// capacity-capped sub-slice of it, so appending to one cannot reach the
+// next.
+func (s *shard) verifyRecords(keys, values [][]byte, found []bool) {
+	at := resize(s.recAt, len(keys)) // each key's record index + 1; 0 for none
+	s.recAt = at
+	clear(at)
+	for j, i := range s.recIdx {
+		at[i] = int32(j) + 1
 	}
-	parts := s.batchHit[:0]
-	hits := 0
-	for j, rec := range s.recs {
-		i := s.recIdx[j]
-		if v, ok := storage.VerifyRecord(rec, keys[i]); ok {
-			s.recIdx[hits] = i
-			hits++
-			for range copies(i) {
-				parts = append(parts, v)
-			}
+	for _, r := range s.bh.Repeats() {
+		at[r.Pos] = at[r.First]
+	}
+	parts, hits := s.batchHit[:0], s.recIdx[:0]
+	for i, a := range at {
+		if a == 0 {
+			continue
+		}
+		if v, ok := storage.VerifyRecord(s.recs[a-1], keys[i]); ok {
+			parts = append(parts, v)
+			hits = append(hits, i)
 		}
 	}
-	s.batchHit = parts
+	s.batchHit, s.recIdx = parts, hits
 	// Join sizes the arena from the values and copies each in once,
 	// without zeroing it first. A lone empty value joins to nil; a hit
 	// stays non-nil.
@@ -678,10 +667,8 @@ func (s *shard) verifyRecords(keys, values [][]byte, found []bool, mult []int32)
 	if arena == nil {
 		arena = []byte{}
 	}
-	for _, i := range s.recIdx[:hits] {
-		m := copies(i)
-		n := m * len(parts[0])
-		parts = parts[m:]
+	for j, i := range hits {
+		n := len(parts[j])
 		values[i], arena = arena[:n:n], arena[n:]
 		found[i] = true
 	}
@@ -701,14 +688,12 @@ func (s *shard) deleteBatchFPs(fps []uint64) error {
 }
 
 // containsBatchFPs resolves one chunk of existence probes: the batched
-// index lookup alone, with no value-log read. absorbed is charged as in
-// getBatchU64Into.
-func (s *shard) containsBatchFPs(fps []uint64, found []bool, absorbed int) error {
+// index lookup alone, with no value-log read.
+func (s *shard) containsBatchFPs(fps []uint64, found []bool) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
 	}
 	w := s.begin()
-	s.chargeAbsorbed(absorbed)
 	s.batchRes = resize(s.batchRes, len(fps))
 	err := s.bh.LookupBatch(fps, s.batchRes, nil)
 	if err == nil {
@@ -764,10 +749,11 @@ type Stats struct {
 	ValueLog storage.ValueLogStats
 
 	// InsertLatency, LookupLatency and DeleteLatency summarize the
-	// per-key virtual latency of the keys each shard served: a chunk's
-	// elapsed time spread over its keys. A coalesced read batch serves
-	// each distinct key once, so LookupLatency.Count counts the keys the
-	// shards resolved, not the batch positions they answered.
+	// per-key virtual latency of the positions each shard served: a
+	// chunk's elapsed time spread over its positions. A read batch
+	// resolves each distinct key once but answers every position, so
+	// LookupLatency.Count counts positions, while Core.Lookups counts the
+	// distinct keys resolved.
 	InsertLatency metrics.Summary
 	LookupLatency metrics.Summary
 	DeleteLatency metrics.Summary

@@ -2,10 +2,13 @@ package clam
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // Coalesced read batches against one-key calls: every op of an input
@@ -15,7 +18,9 @@ import (
 const coalesceKeys = 6
 
 // coalesce ops: each is an op byte, a window-length byte (1 to 24; 0
-// reads as 1) and one key byte per window position.
+// reads as 1) and one key byte per window position. copLongReads cycles
+// its window's keys out to longReadRun positions and reads them through
+// all three batch reads.
 const (
 	copPutU64 = iota
 	copDeleteU64
@@ -27,8 +32,13 @@ const (
 	copGetBatch
 	copContainsBatch
 	copFlush
+	copLongReads
 	numCoalesceOps
 )
+
+// longReadRun is copLongReads' batch length: a shard run longer than a
+// write batch's 512-key chunk, whose repeats straddle its position 512.
+const longReadRun = 600
 
 // coalescePair is a store read through batches and its twin read through
 // one-key calls; both see the same mutations.
@@ -92,12 +102,24 @@ func (p *coalescePair) apply(op int, w []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Reads move no answer, so each key's one-key call answers all
+		// of its positions.
+		type answer struct {
+			v  uint64
+			ok bool
+		}
+		one := map[uint64]answer{}
 		for j, k := range ukeys {
-			v, ok, err := p.twin.GetU64(k)
-			if err != nil {
-				t.Fatal(err)
+			a, done := one[k]
+			if !done {
+				v, ok, err := p.twin.GetU64(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a = answer{v, ok}
+				one[k] = a
 			}
-			if vals[j] != v || found[j] != ok {
+			if v, ok := a.v, a.ok; vals[j] != v || found[j] != ok {
 				t.Fatalf("GetBatchU64 position %d (key %d of %v): (%d, %t), one-key GetU64 (%d, %t)",
 					j, w[j]%coalesceKeys, w, vals[j], found[j], v, ok)
 			}
@@ -107,57 +129,83 @@ func (p *coalescePair) apply(op int, w []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([][]byte, len(bkeys))
-		for j, k := range bkeys {
-			v, ok, err := p.twin.Get(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if found[j] != ok || !bytes.Equal(vals[j], v) || ok && vals[j] == nil {
-				t.Fatalf("GetBatch position %d (%q of %v): (%q, %t), one-key Get (%q, %t)",
-					j, k, w, vals[j], found[j], v, ok)
-			}
-			want[j] = v
+		type answer struct {
+			v  []byte
+			ok bool
 		}
-		checkNoAlias(t, vals, want)
+		one := map[string]answer{}
+		for j, k := range bkeys {
+			a, done := one[string(k)]
+			if !done {
+				v, ok, err := p.twin.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a = answer{v, ok}
+				one[string(k)] = a
+			}
+			if found[j] != a.ok || !bytes.Equal(vals[j], a.v) || a.ok && vals[j] == nil {
+				t.Fatalf("GetBatch position %d (%q of %v): (%q, %t), one-key Get (%q, %t)",
+					j, k, w, vals[j], found[j], a.v, a.ok)
+			}
+		}
+		checkNoAlias(t, vals)
 	case copContainsBatch:
 		found, err := p.batch.ContainsBatch(ctx, bkeys)
 		if err != nil {
 			t.Fatal(err)
 		}
+		one := map[string]bool{}
 		for j, k := range bkeys {
-			one, err := p.twin.ContainsBatch(ctx, [][]byte{k})
-			if err != nil {
-				t.Fatal(err)
+			ok, done := one[string(k)]
+			if !done {
+				f, err := p.twin.ContainsBatch(ctx, [][]byte{k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ok = f[0]
+				one[string(k)] = ok
 			}
-			if found[j] != one[0] {
-				t.Fatalf("ContainsBatch position %d (%q of %v): %t, one-key ContainsBatch %t", j, k, w, found[j], one[0])
+			if found[j] != ok {
+				t.Fatalf("ContainsBatch position %d (%q of %v): %t, one-key ContainsBatch %t", j, k, w, found[j], ok)
 			}
 		}
 	case copFlush:
 		p.both(func(s Store) error { return s.Flush() })
+	case copLongReads:
+		long := make([]byte, longReadRun)
+		for j := range long {
+			long[j] = w[j%len(w)]
+		}
+		for _, op := range []int{copGetBatchU64, copGetBatch, copContainsBatch} {
+			p.apply(op, long)
+		}
 	}
 }
 
-// checkNoAlias writes to, then appends to, each returned value in turn and
-// requires every other position to keep its answer.
-func checkNoAlias(t *testing.T, vals, want [][]byte) {
+// checkNoAlias requires the memory each returned value may reach, its
+// backing array up to its capacity, to be disjoint from every other
+// value's, so writing to or appending to one cannot change another. A
+// value of capacity 0 reaches nothing: appending to it allocates.
+func checkNoAlias(t *testing.T, vals [][]byte) {
 	t.Helper()
-	check := func(j int, how string) {
-		for i, v := range vals {
-			if i != j && !bytes.Equal(v, want[i]) {
-				t.Fatalf("%s position %d's value changed position %d's: %q, want %q", how, j, i, v, want[i])
-			}
+	type reach struct {
+		lo, hi uintptr
+		pos    int
+	}
+	var rs []reach
+	for i, v := range vals {
+		if cap(v) > 0 {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+			rs = append(rs, reach{lo, lo + uintptr(cap(v)), i})
 		}
 	}
-	for j, v := range vals {
-		if len(v) > 0 {
-			v[0] ^= 0xff
-			check(j, "writing")
-			v[0] ^= 0xff
+	slices.SortFunc(rs, func(a, b reach) int { return cmp.Compare(a.lo, b.lo) })
+	for k := 1; k < len(rs); k++ {
+		if a, b := rs[k-1], rs[k]; a.hi > b.lo {
+			t.Fatalf("position %d's value (capacity %d) reaches into position %d's (%q)",
+				a.pos, cap(vals[a.pos]), b.pos, vals[b.pos])
 		}
-		_ = append(v, "appended"...)
-		check(j, "appending to")
 	}
 }
 
@@ -197,6 +245,19 @@ func FuzzCoalescedBatches(f *testing.F) {
 		churn = append(churn, copPut, 1, byte(i%5), copDeleteBatch, 2, byte(i%3), byte(i%3))
 	}
 	f.Add(churn)
+	// Shard runs longer than a write chunk: each long read cycles its
+	// window out to longReadRun positions, key 2 at seven in eight, so on
+	// every shard count key 2's run passes position 512 and repeats on
+	// both sides of it, from flash, then from the buffers, then deleted.
+	f.Add([]byte{
+		copPutBatches, 6, 0, 1, 2, 3, 4, 5,
+		copFlush, 1, 0,
+		copLongReads, 8, 2, 2, 2, 5, 2, 2, 2, 2,
+		copPut, 1, 2, copPutU64, 1, 2,
+		copLongReads, 16, 2, 4, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 2, 2,
+		copDeleteU64, 1, 2, copDelete, 1, 2,
+		copLongReads, 8, 2, 2, 2, 3, 2, 2, 2, 2,
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4000 {
 			ops = ops[:4000]
@@ -224,42 +285,192 @@ func FuzzCoalescedBatches(f *testing.F) {
 	})
 }
 
-// TestCoalesceKeepsCollidingKeysApart groups a byte read batch whose
-// distinct keys share a fingerprint: a lookup keeps them in separate slots,
-// each verified against its own key, while an existence probe, whose
-// answer is per fingerprint, coalesces them.
+// TestLongReadRunsResolveOnce reads batches whose run on one shard is far
+// longer than a write batch's 512-key chunk, 300 distinct keys cycled over
+// 1200 positions, so every key repeats on both sides of position 512, on
+// 1- and 8-shard stores: most of the keys route to shard 0 and half of
+// them are stored, some flushed to flash and some buffered. Every
+// GetBatchU64, GetBatch and ContainsBatch position must match a one-key
+// call, and the core's Lookups must grow by exactly the distinct count.
+func TestLongReadRunsResolveOnce(t *testing.T) {
+	const (
+		distinct  = 300
+		positions = 1200
+	)
+	ctx := context.Background()
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprint(shards, "-shard"), func(t *testing.T) {
+			st, err := Open(WithDevice(IntelSSD), WithFlash(4<<20), WithMemory(512<<10),
+				WithValueLog(1<<20), WithBufferKB(16), WithShards(shards), WithSeed(29))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := routerOf(st)
+			rng := rand.New(rand.NewSource(31))
+			// Keys of shard 0 but for every sixth, which goes anywhere.
+			ukeys := make([]uint64, distinct)
+			bkeys := make([][]byte, distinct)
+			for i := range distinct {
+				ukeys[i] = rng.Uint64()
+				if i%6 != 0 {
+					ukeys[i] >>= 3
+				}
+				for {
+					bkeys[i] = fmt.Appendf(nil, "long-%d-%d", i, rng.Int())
+					if i%6 == 0 || r.shardIndex(fingerprint(bkeys[i], r.fpSeed)) == 0 {
+						break
+					}
+				}
+			}
+			// The even keys are stored, the first half of them flushed.
+			for half := range 2 {
+				var uk []uint64
+				var uv []uint64
+				var bk, bv [][]byte
+				for i := half * distinct / 2; i < (half+1)*distinct/2; i += 2 {
+					uk, uv = append(uk, ukeys[i]), append(uv, uint64(i)+1)
+					bk, bv = append(bk, bkeys[i]), append(bv, fmt.Appendf(nil, "value-%d", i))
+				}
+				if err := st.PutBatchU64(ctx, uk, uv); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.PutBatch(ctx, bk, bv); err != nil {
+					t.Fatal(err)
+				}
+				if half == 0 {
+					if err := st.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			ubatch := make([]uint64, positions)
+			bbatch := make([][]byte, positions)
+			for j := range positions {
+				ubatch[j], bbatch[j] = ukeys[j%distinct], bkeys[j%distinct]
+			}
+			run := 0
+			for _, k := range ubatch {
+				if r.shardIndex(k) == 0 {
+					run++
+				}
+			}
+			if run <= 512 {
+				t.Fatalf("shard 0's U64 run is %d positions, want more than 512", run)
+			}
+			lookups := func() uint64 { return st.Stats().Core.Lookups }
+
+			before := lookups()
+			vals, found, err := st.GetBatchU64(ctx, ubatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := lookups() - before; n != distinct {
+				t.Fatalf("GetBatchU64 resolved %d keys, want %d", n, distinct)
+			}
+			for j, k := range ubatch {
+				v, ok, err := st.GetU64(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vals[j] != v || found[j] != ok {
+					t.Fatalf("GetBatchU64 position %d: (%d, %t), one-key GetU64 (%d, %t)", j, vals[j], found[j], v, ok)
+				}
+			}
+
+			before = lookups()
+			bvals, bfound, err := st.GetBatch(ctx, bbatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := lookups() - before; n != distinct {
+				t.Fatalf("GetBatch resolved %d keys, want %d", n, distinct)
+			}
+			hits := 0
+			for j, k := range bbatch {
+				v, ok, err := st.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bfound[j] != ok || !bytes.Equal(bvals[j], v) {
+					t.Fatalf("GetBatch position %d: (%q, %t), one-key Get (%q, %t)", j, bvals[j], bfound[j], v, ok)
+				}
+				if ok {
+					hits++
+				}
+			}
+			if hits != positions/2 {
+				t.Fatalf("GetBatch hit %d positions, want %d", hits, positions/2)
+			}
+			checkNoAlias(t, bvals)
+
+			before = lookups()
+			cfound, err := st.ContainsBatch(ctx, bbatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := lookups() - before; n != distinct {
+				t.Fatalf("ContainsBatch resolved %d keys, want %d", n, distinct)
+			}
+			for j, k := range bbatch {
+				one, err := st.ContainsBatch(ctx, [][]byte{k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfound[j] != one[0] {
+					t.Fatalf("ContainsBatch position %d: %t, one-key ContainsBatch %t", j, cfound[j], one[0])
+				}
+			}
+		})
+	}
+}
+
+// TestCoalesceKeepsCollidingKeysApart reads a byte batch whose distinct
+// keys share a fingerprint, through a one-shard store's chunk helpers with
+// chosen fingerprints: 5 indexes b's record and 1<<63 c's, and a also
+// fingerprints to 5. A lookup resolves each distinct fingerprint once and
+// reads its record once, then verifies every position against its own
+// key, so a's positions miss and b's hit, each with a copy of its own. An
+// existence probe, whose answer is one per fingerprint, reads true at
+// every position.
 func TestCoalesceKeepsCollidingKeysApart(t *testing.T) {
-	r := newRouter(make([]*shard, 2), 1, defaultBatchChunk, 1)
+	c := openCLAMT(t, WithDevice(IntelSSD), WithFlash(1<<20), WithMemory(128<<10),
+		WithValueLog(256<<10), WithBufferKB(4))
+	s := c.shards[0]
+	a, b, k := []byte("a"), []byte("b"), []byte("c")
+	if err := s.putBatchRecords([]uint64{5, 1 << 63}, [][]byte{b, k}, [][]byte{[]byte("vb"), []byte("vc")}); err != nil {
+		t.Fatal(err)
+	}
 	fps := []uint64{5, 5, 5, 1 << 63, 5}
-	bk := [][]byte{[]byte("a"), []byte("b"), []byte("a"), []byte("c"), []byte("b")}
-	for _, tc := range []struct {
-		bk        [][]byte
-		slots     []int // input position of each grouped slot
-		positions [][]int
-	}{
-		{bk, []int{0, 1, 3}, [][]int{{0, 2}, {1, 4}, {3}}},
-		{nil, []int{0, 3}, [][]int{{0, 1, 2, 4}, {3}}},
-	} {
-		g := r.groupDistinct(r.getGroups(), fps, tc.bk)
-		if !slices.Equal(g.idx, tc.slots) {
-			t.Fatalf("verify %t: slots at positions %v, want %v", tc.bk != nil, g.idx, tc.slots)
+	keys := [][]byte{a, b, a, k, b}
+	lookups := func() uint64 { return s.bh.Stats().Lookups }
+
+	values, found := make([][]byte, len(fps)), make([]bool, len(fps))
+	before := lookups()
+	if err := s.getBatchRecords(fps, keys, values, found); err != nil {
+		t.Fatal(err)
+	}
+	if n := lookups() - before; n != 2 {
+		t.Fatalf("GetBatch resolved %d keys, want one per distinct fingerprint (2)", n)
+	}
+	if len(s.recs) != 2 {
+		t.Fatalf("GetBatch read %d records, want one per distinct fingerprint (2)", len(s.recs))
+	}
+	want := [][]byte{nil, []byte("vb"), nil, []byte("vc"), []byte("vb")}
+	for i := range want {
+		if found[i] != (want[i] != nil) || !bytes.Equal(values[i], want[i]) {
+			t.Fatalf("position %d (%q): (%q, %t), want %q", i, keys[i], values[i], found[i], want[i])
 		}
-		for j, i := range g.idx {
-			var got []int
-			for ; i >= 0; i = int(g.next[i]) {
-				got = append(got, i)
-			}
-			slices.Sort(got)
-			if !slices.Equal(got, tc.positions[j]) {
-				t.Fatalf("verify %t: slot %d answers positions %v, want %v", tc.bk != nil, j, got, tc.positions[j])
-			}
-			if tc.bk != nil && int(g.mult[j]) != len(got) {
-				t.Fatalf("slot %d: multiplicity %d, want %d", j, g.mult[j], len(got))
-			}
-		}
-		if want := len(fps) - len(tc.slots); g.dups[0]+g.dups[1] != want {
-			t.Fatalf("verify %t: %v repeats absorbed, want %d", tc.bk != nil, g.dups, want)
-		}
-		r.putGroups(g)
+	}
+	checkNoAlias(t, values)
+
+	before = lookups()
+	if err := s.containsBatchFPs(fps, found); err != nil {
+		t.Fatal(err)
+	}
+	if n := lookups() - before; n != 2 {
+		t.Fatalf("ContainsBatch resolved %d keys, want one per distinct fingerprint (2)", n)
+	}
+	if i := slices.Index(found, false); i >= 0 {
+		t.Fatalf("ContainsBatch position %d (fingerprint %#x) reads false", i, fps[i])
 	}
 }

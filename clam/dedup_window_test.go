@@ -153,10 +153,12 @@ func TestDedupWindowAllocs(t *testing.T) {
 func testDedupWindowAllocs(t *testing.T, vlogBytes int64) {
 	w := newDedupWindow(t, vlogBytes)
 	w.draw()
-	g := w.s.groupByteReads(w.keys, true) // the GetBatch's own chunks
+	g := w.s.groupBytes(w.keys, w.keys, nil) // the GetBatch's own runs, one chunk each
 	chunks := 0
 	for sh := range w.s.shards {
-		chunks += (g.start[sh+1] - g.start[sh] + w.s.chunk - 1) / w.s.chunk
+		if g.start[sh+1] > g.start[sh] {
+			chunks++
+		}
 	}
 	w.s.putGroups(g)
 	ctx := context.Background()

@@ -226,12 +226,14 @@ func Open(opts ...Option) (Store, error) {
 	return s, nil
 }
 
-// defaultBatchChunk is the batch router's task granularity: batches are
-// consumed in chunks of at most this many keys. A chunk is one core
-// batched-pipeline call, so it bounds the size of that call and the scope
-// of its same-page read dedupe; it is also the interval at which
-// cancellation is checked and at which the owning worker re-visits the
-// shared router queue. Only tests set another value.
+// defaultBatchChunk is the batch router's task granularity for writes: a
+// write batch is consumed in chunks of at most this many keys. A chunk is
+// one core batched-pipeline call, so it bounds the size of that call; it
+// is also the interval at which cancellation is checked and at which the
+// owning worker re-visits the shared router queue. Reads are not chunked:
+// a read batch's run on a shard is one core call of up to
+// core.MaxLookupBatch keys, so each distinct key is resolved once. Only
+// tests set another value.
 const defaultBatchChunk = 512
 
 // newKindDevice builds a device model of the given kind.

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/hashutil"
+	"repro/internal/ssd"
+	"repro/internal/storage"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
@@ -313,4 +315,99 @@ func TestIndexOverlapWindows(t *testing.T) {
 	}
 	t.Logf("mean window makespan %v; with the index devices on the shard clocks %v",
 		makespan/windows, twinMakespan/windows)
+}
+
+// TestRepeatsDoNotDelayFirstProbes sends a one-shard kind-opened store one
+// GetBatchU64 of Lanes flash-resident keys, whose first probe pages are
+// distinct, followed by 401 positions of one buffered key. The repeats'
+// dedupe charges land where phase A reaches them, so the index device's
+// first submission, the Lanes first pages, must start once the first
+// keys' phase-A charges have landed, not after 400 CPU.BatchCoalesce
+// charges. Every position must equal a one-key GetU64.
+func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
+	c := openCLAMT(t, WithDevice(IntelSSD), WithFlash(4<<20), WithMemory(512<<10), WithBufferKB(16), WithSeed(37))
+	sh := c.shards[0]
+	dev, devClock := sh.dev.(*ssd.SSD), sh.bh.Config().DeviceClock
+	lanes := dev.Geometry().Lanes
+	ctx := context.Background()
+	keys, vals := make([]uint64, 2000), make([]uint64, 2000)
+	for i := range keys {
+		keys[i], vals[i] = u64Key(i), uint64(i)+1
+	}
+	if err := c.PutBatchU64(ctx, keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buffered := u64Key(len(keys))
+	if err := c.PutU64(buffered, 7); err != nil {
+		t.Fatal(err)
+	}
+
+	// The device's read requests, each with its device clock reading, which
+	// is its submission's start: the fault hook runs before the device
+	// serves a submission.
+	type read struct {
+		off   int64
+		start time.Duration
+	}
+	var reads []read
+	dev.SetFault(func(op storage.Op, off int64, _ int) error {
+		if op == storage.OpRead {
+			reads = append(reads, read{off, devClock.Now()})
+		}
+		return nil
+	})
+	defer dev.SetFault(nil)
+	// A one-key GetU64 of a flushed key reads its first probe page first.
+	var batch []uint64
+	pages := map[int64]bool{}
+	for _, k := range keys {
+		reads = reads[:0]
+		if _, ok, err := c.GetU64(k); err != nil || !ok {
+			t.Fatalf("GetU64(%#x): found %t, err %v", k, ok, err)
+		}
+		if len(reads) > 0 && !pages[reads[0].off] {
+			pages[reads[0].off] = true
+			batch = append(batch, k)
+			if len(batch) == lanes {
+				break
+			}
+		}
+	}
+	if len(batch) < lanes {
+		t.Fatalf("found %d flushed keys with distinct first pages, want %d", len(batch), lanes)
+	}
+	for range 401 {
+		batch = append(batch, buffered)
+	}
+
+	reads = reads[:0]
+	start := c.Clock().Now()
+	got, found, err := c.GetBatchU64(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reads) == 0 {
+		t.Fatal("the batch read nothing")
+	}
+	cpu := sh.bh.Config().CPU
+	phaseA := time.Duration(lanes) * (cpu.BufferLookup + cpu.BloomQuery)
+	first := reads[0].start - start
+	t.Logf("first submission at +%v; the first %d keys' phase A costs %v, 400 repeats %v",
+		first, lanes, phaseA, 400*cpu.BatchCoalesce)
+	if first > phaseA {
+		t.Errorf("the index device's first submission started at +%v, after the first %d keys' phase-A charges (%v)",
+			first, lanes, phaseA)
+	}
+	for j, k := range batch {
+		v, ok, err := c.GetU64(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[j] != v || found[j] != ok {
+			t.Fatalf("position %d: (%d, %t), one-key GetU64 (%d, %t)", j, got[j], found[j], v, ok)
+		}
+	}
 }

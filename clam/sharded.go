@@ -1,7 +1,6 @@
 package clam
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -44,7 +43,7 @@ type router struct {
 	shards  []*shard
 	shift   uint // 64 - log2(len(shards)); shift ≥ 64 routes everything to shard 0
 	workers int
-	chunk   int       // batch router task granularity (keys per chunk)
+	chunk   int       // a write batch's task granularity (keys per chunk)
 	fpSeed  uint64    // deployment-level byte-key fingerprint seed
 	groups  sync.Pool // *shardGroups, per-batch grouping and result slots
 }
@@ -161,7 +160,7 @@ func (r *router) PutU64(key, value uint64) error {
 // GetU64 returns the latest value stored under key.
 func (r *router) GetU64(key uint64) (value uint64, found bool, err error) {
 	keys, results := [1]uint64{key}, [1]core.LookupResult{}
-	err = r.shard(key).getBatchU64Into(keys[:], results[:], 0)
+	err = r.shard(key).getBatchU64Into(keys[:], results[:])
 	return results[0].Value, results[0].Found, err
 }
 
@@ -185,7 +184,7 @@ func (r *router) Get(key []byte) (value []byte, found bool, err error) {
 	fps, keys := [1]uint64{fingerprint(key, r.fpSeed)}, [1][]byte{key}
 	var values [1][]byte
 	var founds [1]bool
-	err = r.shard(fps[0]).getBatchRecords(fps[:], keys[:], values[:], founds[:], nil, 0)
+	err = r.shard(fps[0]).getBatchRecords(fps[:], keys[:], values[:], founds[:])
 	return values[0], founds[0], err
 }
 
@@ -244,25 +243,20 @@ func (r *router) Stats() Stats {
 
 // shardGroups is the reusable result of grouping a batch by shard with a
 // counting sort: shard sh owns the grouped slots [start[sh], start[sh+1]),
-// in input order. fps holds a byte batch's fingerprints in input order,
-// kbuf the grouped keys (fingerprints, for byte batches), vbuf/bkbuf/bvbuf
-// the grouped values and byte keys/values a batch carries, and idx[j] the
-// input position of slot j. Every router chunk is a contiguous slot range,
-// so a chunk's core call takes zero-copy sub-slices of these runs.
-//
-// A read batch is coalesced while it is grouped (see groupDistinct): its
-// slots hold each distinct key once, at its first occurrence, and answer
-// every position that repeats it. next chains the positions of a key,
-// starting from idx[j] (-1 ends a chain), and mult[j] counts them for a
-// byte lookup. dups[sh] counts the repeated positions shard sh's slots
-// absorbed, and seen is the table that finds them. Writes are grouped
-// position by position, as sent.
+// one per position, in input order. fps holds a byte batch's fingerprints
+// in input order, kbuf the grouped keys (fingerprints, for byte batches),
+// vbuf/bkbuf/bvbuf the grouped values and byte keys/values a batch
+// carries, and idx[j] the input position of slot j. Every router chunk is
+// a contiguous slot range, so a chunk's core call takes zero-copy
+// sub-slices of these runs.
 //
 // Reads also leave their answers in grouped slots — res (U64 lookups),
 // bvbuf and found (byte lookups and existence probes) — and scatter them
-// back to input order along idx and next. cur is the router's per-shard
-// consumption cursor. Instances are pooled on the router because batches
-// run concurrently.
+// back to input order along idx. A read run keeps its repeated keys: the
+// shard's core call resolves each distinct key once (see
+// core.BufferHash.LookupBatch). cur is the router's per-shard consumption
+// cursor. Instances are pooled on the router because batches run
+// concurrently.
 type shardGroups struct {
 	fps   []uint64
 	idx   []int
@@ -274,11 +268,6 @@ type shardGroups struct {
 	bvbuf [][]byte
 	res   []core.LookupResult
 	found []bool
-
-	mult []int32
-	next []int32
-	dups []int
-	seen dedupTable
 
 	// runChunked's schedule, pooled with the groups so a batch allocates
 	// none of it: the shards with work and the next one to claim, the
@@ -292,13 +281,13 @@ type shardGroups struct {
 	wg       sync.WaitGroup
 }
 
-// group groups a U64 write batch into a pooled shardGroups (see
-// groupInto). Callers return the groups with putGroups.
+// group groups a U64 batch into a pooled shardGroups (see groupInto).
+// Callers return the groups with putGroups.
 func (r *router) group(keys, values []uint64) *shardGroups {
 	return r.groupInto(r.getGroups(), keys, values, nil, nil)
 }
 
-// groupBytes fingerprints a byte write batch once into the groups' fps
+// groupBytes fingerprints a byte batch once into the groups' fps
 // scratch — the fingerprints both route the batch and serve as the shards'
 // index keys — and groups them into a pooled shardGroups, carrying the
 // byte keys bk and values bv when non-nil. Callers return the groups with
@@ -307,28 +296,6 @@ func (r *router) groupBytes(keys, bk, bv [][]byte) *shardGroups {
 	g := r.getGroups()
 	r.fingerprints(g, keys)
 	return r.groupInto(g, g.fps, nil, bk, bv)
-}
-
-// groupReads coalesces a U64 read batch into a pooled shardGroups (see
-// groupDistinct). Callers return the groups with putGroups.
-func (r *router) groupReads(keys []uint64) *shardGroups {
-	return r.groupDistinct(r.getGroups(), keys, nil)
-}
-
-// groupByteReads fingerprints a byte read batch into the groups' fps
-// scratch and coalesces it into a pooled shardGroups (see groupDistinct).
-// With verify, two positions share a slot only if their keys are equal
-// byte for byte, and the slots carry the byte keys; without, equal
-// fingerprints suffice, as they do for an existence probe. Callers return
-// the groups with putGroups.
-func (r *router) groupByteReads(keys [][]byte, verify bool) *shardGroups {
-	g := r.getGroups()
-	r.fingerprints(g, keys)
-	var bk [][]byte
-	if verify {
-		bk = keys
-	}
-	return r.groupDistinct(g, g.fps, bk)
 }
 
 // fingerprints fingerprints a byte batch into g.fps. A batch of at least
@@ -361,10 +328,10 @@ func (r *router) getGroups() *shardGroups {
 		return g
 	}
 	n := len(r.shards)
-	return &shardGroups{start: make([]int, n+1), cur: make([]int, n), dups: make([]int, n)}
+	return &shardGroups{start: make([]int, n+1), cur: make([]int, n)}
 }
 
-// groupInto buckets a write batch into g's per-shard runs with one
+// groupInto buckets a batch into g's per-shard runs with one
 // two-pass counting sort over keys: it moves the keys — and, when non-nil,
 // the parallel values, byte keys and byte values — into their shard's run,
 // and records each slot's input position in idx.
@@ -384,7 +351,11 @@ func (r *router) groupInto(g *shardGroups, keys, values []uint64, bk, bv [][]byt
 	for _, k := range keys {
 		g.cur[r.shardIndex(k)]++
 	}
-	g.runs()
+	g.start[0] = 0
+	for i, n := range g.cur {
+		g.start[i+1] = g.start[i] + n
+		g.cur[i] = g.start[i]
+	}
 	for i, k := range keys {
 		sh := r.shardIndex(k)
 		at := g.cur[sh]
@@ -403,121 +374,6 @@ func (r *router) groupInto(g *shardGroups, keys, values []uint64, bk, bv [][]byt
 	}
 	copy(g.cur, g.start) // rewind: cur becomes the router's cursor
 	return g
-}
-
-// runs turns the per-shard slot counts in cur into the runs' starts, and
-// cur into each run's fill cursor.
-func (g *shardGroups) runs() {
-	g.start[0] = 0
-	for i, n := range g.cur {
-		g.start[i+1] = g.start[i] + n
-		g.cur[i] = g.start[i]
-	}
-}
-
-// groupDistinct buckets a read batch into g's per-shard runs as groupInto
-// does, with one slot per distinct key: coalesce finds the repeats, and
-// the counting sort places the first occurrences alone, in input order.
-// With bk non-nil, keys are fingerprints of bk, a position repeats an
-// earlier one only if their byte keys are equal, and the slots carry the
-// byte keys and their multiplicities.
-func (r *router) groupDistinct(g *shardGroups, keys []uint64, bk [][]byte) *shardGroups {
-	r.coalesce(g, keys, bk)
-	g.runs()
-	firsts := g.seen.firsts
-	g.idx = resize(g.idx, len(firsts))
-	g.kbuf = resize(g.kbuf, len(firsts))
-	if bk != nil {
-		g.bkbuf = resize(g.bkbuf, len(firsts))
-		g.mult = resize(g.mult, len(firsts))
-	}
-	for _, i := range firsts {
-		k := keys[i]
-		sh := r.shardIndex(k)
-		at := g.cur[sh]
-		g.cur[sh]++
-		g.idx[at] = int(i)
-		g.kbuf[at] = k
-		if bk != nil {
-			g.bkbuf[at] = bk[i]
-			m := int32(1)
-			for p := g.next[i]; p >= 0; p = g.next[p] {
-				m++
-			}
-			g.mult[at] = m
-		}
-	}
-	copy(g.cur, g.start) // rewind: cur becomes the router's cursor
-	return g
-}
-
-// coalesce is groupDistinct's first pass, one dedupe probe per position:
-// a position whose key the seen table holds joins the chain of the key's
-// first occurrence and counts in its shard's dups; any other becomes a
-// first occurrence and counts in its shard's cur.
-func (r *router) coalesce(g *shardGroups, keys []uint64, bk [][]byte) {
-	t := &g.seen
-	t.reset(len(keys))
-	g.next = resize(g.next, len(keys))
-	clear(g.cur)
-	clear(g.dups)
-	slots, mask, shift, firsts, next := t.slots, t.mask, t.shift, t.firsts, g.next
-	for i, k := range keys {
-		for s := int(k * 0x9e3779b97f4a7c15 >> shift); ; s = (s + 1) & mask {
-			f := slots[s] - 1
-			if f < 0 { // free: k is new
-				slots[s] = int32(i) + 1
-				firsts = append(firsts, int32(i))
-				next[i] = -1
-				g.cur[r.shardIndex(k)]++
-				break
-			}
-			if keys[f] == k && (bk == nil || bytes.Equal(bk[f], bk[i])) {
-				next[i], next[f] = next[f], int32(i)
-				g.dups[r.shardIndex(k)]++
-				break
-			}
-		}
-	}
-	t.firsts = firsts
-}
-
-// absorbed returns the repeated positions to charge to the chunk of shard
-// sh that starts at slot lo: all of the shard's, on its first chunk.
-func (g *shardGroups) absorbed(sh, lo int) int {
-	if lo == g.start[sh] {
-		return g.dups[sh]
-	}
-	return 0
-}
-
-// dedupTable is the open-addressed (linear probing) table of a read
-// batch's distinct keys, kept at most half full. A slot holds the input
-// position of a key's first occurrence plus one, 0 when free, and the
-// batch's keys hold the key: a table of 4-byte slots stays in the nearest
-// caches. A key's first probe slot is the top bits of its Fibonacci hash,
-// so keys that differ only in their low or high bits still spread. firsts
-// lists the first occurrences' positions in input order. Positions are
-// int32: a batch holds fewer than 2^31 keys.
-type dedupTable struct {
-	slots  []int32
-	firsts []int32
-	mask   int
-	shift  uint
-}
-
-// reset empties the table for a batch of n keys and sizes it to the least
-// power of two of at least 2n slots, and at least 16.
-func (t *dedupTable) reset(n int) {
-	size := 16
-	for size < 2*n {
-		size <<= 1
-	}
-	t.slots = resize(t.slots, size)
-	clear(t.slots)
-	t.firsts = t.firsts[:0]
-	t.mask = size - 1
-	t.shift = uint(64 - bits.Len(uint(t.mask)))
 }
 
 func (r *router) putGroups(g *shardGroups) {
@@ -542,18 +398,21 @@ func (r *router) putGroups(g *shardGroups) {
 //     pending shard the moment one exists.
 //
 // At most min(workers, shards with work) worker goroutines run a batch
-// while the caller waits. Chunks are the unit of work between scheduler
-// decisions: each chunk is one core batched-pipeline call (bounding the
-// core call and its page-dedupe scope) and the router's cancellation
-// point — ctx is checked under the queue lock before every chunk, and a
-// canceled batch stops claiming chunks and returns ctx.Err() joined with
-// any chunk errors. Work already applied stays applied.
+// while the caller waits. Chunks of at most chunk slots are the unit of
+// work between scheduler decisions: each chunk is one core
+// batched-pipeline call (bounding the core call and its page-dedupe
+// scope) and the router's cancellation point — ctx is checked under the
+// queue lock before every chunk, and a canceled batch stops claiming
+// chunks and returns ctx.Err() joined with any chunk errors. Work already
+// applied stays applied. Writes run in chunks of r.chunk keys; a read
+// run is one chunk of up to core.MaxLookupBatch keys, so its core call
+// resolves each distinct key once across the whole run.
 //
 // run receives the shard's index and the chunk as a [lo, hi) range of
 // grouped slots. A chunk error stops that shard's remaining chunks; other
 // shards keep going, and all errors are joined, so every shard is
 // attempted.
-func (r *router) runChunked(ctx context.Context, g *shardGroups, run func(sh, lo, hi int) error) error {
+func (r *router) runChunked(ctx context.Context, g *shardGroups, chunk int, run func(sh, lo, hi int) error) error {
 	g.ready, g.claim, g.errs, g.canceled = g.ready[:0], 0, g.errs[:0], nil
 	for sh := range g.cur {
 		if g.start[sh+1] > g.start[sh] {
@@ -577,7 +436,7 @@ func (r *router) runChunked(ctx context.Context, g *shardGroups, run func(sh, lo
 						g.canceled = err
 						break
 					}
-					lo, hi := g.cur[sh], min(g.cur[sh]+r.chunk, g.start[sh+1])
+					lo, hi := g.cur[sh], min(g.cur[sh]+chunk, g.start[sh+1])
 					g.cur[sh] = hi
 					g.mu.Unlock()
 					err := run(sh, lo, hi)
@@ -603,7 +462,8 @@ func (r *router) runChunked(ctx context.Context, g *shardGroups, run func(sh, lo
 //
 // Every batch op has one shape: fingerprint the keys (byte ops only),
 // group the batch into per-shard runs, run each chunk of a run as one
-// chunk-helper call on its shard, and — for reads — scatter the grouped
+// chunk-helper call on its shard (a read run is one chunk), and — for
+// reads — scatter the grouped
 // answers back to input order. Within a shard a batch preserves input
 // order; across shards there is no ordering. On error or cancellation a
 // batch may be partially applied, and all errors are joined.
@@ -619,36 +479,32 @@ func (r *router) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 	}
 	g := r.group(keys, values)
 	defer r.putGroups(g)
-	return r.runChunked(ctx, g, func(sh, lo, hi int) error {
+	return r.runChunked(ctx, g, r.chunk, func(sh, lo, hi int) error {
 		return r.shards[sh].putBatchU64Chunk(g.kbuf[lo:hi], g.vbuf[lo:hi])
 	})
 }
 
 // GetBatchU64 looks up len(keys) keys and returns per-key results in input
-// order. The router coalesces the batch: each distinct key is looked up
-// once, and its answer fans out to every position that repeats it. Each
-// chunk runs through the core batched lookup pipeline: the in-memory phase
-// answers buffer/Bloom hits with zero I/O, and the flash phase dedupes
-// keys on the same page, sorts probes by device address, and overlaps
-// them across the device's queue lanes. A shard's first chunk also pays
-// CPU.BatchCoalesce for each repeated position it absorbed. Chunks are
-// dispatched by the stealing router, so under a Zipf-skewed batch no
-// worker idles while an unclaimed shard remains.
+// order. Each shard's run is one call of the core batched lookup
+// pipeline: the in-memory phase answers buffer/Bloom hits with zero I/O
+// and resolves each repeated key once, for CPU.BatchCoalesce per repeat,
+// and the flash phase dedupes keys on the same page, sorts probes by
+// device address, and overlaps them across the device's queue lanes.
+// Runs are dispatched by the stealing router, so under a Zipf-skewed
+// batch no worker idles while an unclaimed shard remains.
 func (r *router) GetBatchU64(ctx context.Context, keys []uint64) ([]uint64, []bool, error) {
 	values := make([]uint64, len(keys))
 	found := make([]bool, len(keys))
-	g := r.groupReads(keys)
+	g := r.group(keys, nil)
 	defer r.putGroups(g)
-	g.res = resize(g.res, len(g.kbuf))
-	err := r.runChunked(ctx, g, func(sh, lo, hi int) error {
+	g.res = resize(g.res, len(keys))
+	err := r.runChunked(ctx, g, core.MaxLookupBatch, func(sh, lo, hi int) error {
 		res := g.res[lo:hi]
-		if err := r.shards[sh].getBatchU64Into(g.kbuf[lo:hi], res, g.absorbed(sh, lo)); err != nil {
+		if err := r.shards[sh].getBatchU64Into(g.kbuf[lo:hi], res); err != nil {
 			return err
 		}
 		for j, i := range g.idx[lo:hi] {
-			for ; i >= 0; i = int(g.next[i]) {
-				values[i], found[i] = res[j].Value, res[j].Found
-			}
+			values[i], found[i] = res[j].Value, res[j].Found
 		}
 		return nil
 	})
@@ -664,7 +520,7 @@ func (r *router) GetBatchU64(ctx context.Context, keys []uint64) ([]uint64, []bo
 func (r *router) DeleteBatchU64(ctx context.Context, keys []uint64) error {
 	g := r.group(keys, nil)
 	defer r.putGroups(g)
-	return r.runChunked(ctx, g, func(sh, lo, hi int) error {
+	return r.runChunked(ctx, g, r.chunk, func(sh, lo, hi int) error {
 		return r.shards[sh].deleteBatchU64Chunk(g.kbuf[lo:hi])
 	})
 }
@@ -683,48 +539,42 @@ func (r *router) PutBatch(ctx context.Context, keys, values [][]byte) error {
 	}
 	g := r.groupBytes(keys, keys, values)
 	defer r.putGroups(g)
-	return r.runChunked(ctx, g, func(sh, lo, hi int) error {
+	return r.runChunked(ctx, g, r.chunk, func(sh, lo, hi int) error {
 		return r.shards[sh].putBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], g.bvbuf[lo:hi])
 	})
 }
 
-// GetBatch looks up len(keys) byte keys in input order. The router
-// coalesces the batch as GetBatchU64 does, matching keys on fingerprint
-// and then byte for byte, so two keys whose fingerprints collide are still
-// verified apart. Each chunk runs two overlapped I/O streams on its shard:
-// the core batched index pipeline resolves fingerprints to record
-// pointers, then the chunk's surviving value-log records are fetched as
-// one overlapped batched read, and their verified values are copied into
-// one arena per chunk, once for every position a key answers (see
-// Store.GetBatch). A pointer to a record the value log has since
-// overwritten is a miss that costs no record read: the pointer carries the
-// log cycle it was written in (see storage.ValueLog). An incarnation whose
-// every pointer is such a record has expired and costs no index page read
-// either (see shard.expireLapped).
+// GetBatch looks up len(keys) byte keys in input order. Each shard's run
+// is one call with two overlapped I/O streams: the core batched index
+// pipeline resolves fingerprints to record pointers, each distinct
+// fingerprint once, and hands its hits to the value log as they become
+// final, which fetches their records in overlapped batched reads. Every
+// position's key is then verified against the record its fingerprint
+// read, so two keys whose fingerprints collide still answer apart, and
+// the verified values are copied into one arena per run, once for every
+// position they answer (see Store.GetBatch). A pointer to a record the
+// value log has since overwritten is a miss that costs no record read:
+// the pointer carries the log cycle it was written in (see
+// storage.ValueLog). An incarnation whose every pointer is such a record
+// has expired and costs no index page read either (see
+// shard.expireLapped).
 func (r *router) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, error) {
 	values := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
-	g := r.groupByteReads(keys, true)
+	g := r.groupBytes(keys, keys, nil)
 	defer r.putGroups(g)
 	// getBatchRecords fills only the hits, so the result slots start empty.
-	g.bvbuf = resize(g.bvbuf, len(g.kbuf))
-	g.found = resize(g.found, len(g.kbuf))
+	g.bvbuf = resize(g.bvbuf, len(keys))
+	g.found = resize(g.found, len(keys))
 	clear(g.bvbuf)
 	clear(g.found)
-	err := r.runChunked(ctx, g, func(sh, lo, hi int) error {
+	err := r.runChunked(ctx, g, core.MaxLookupBatch, func(sh, lo, hi int) error {
 		vals, ok := g.bvbuf[lo:hi], g.found[lo:hi]
-		if err := r.shards[sh].getBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], vals, ok, g.mult[lo:hi], g.absorbed(sh, lo)); err != nil {
+		if err := r.shards[sh].getBatchRecords(g.kbuf[lo:hi], g.bkbuf[lo:hi], vals, ok); err != nil {
 			return err
 		}
-		// A hit answering m positions holds m copies of its value back
-		// to back: each position takes its own.
 		for j, i := range g.idx[lo:hi] {
-			v := vals[j]
-			n := len(v) / int(g.mult[lo+j])
-			for ; i >= 0; i = int(g.next[i]) {
-				values[i], found[i] = v[:n:n], ok[j]
-				v = v[n:]
-			}
+			values[i], found[i] = vals[j], ok[j]
 		}
 		return nil
 	})
@@ -739,32 +589,30 @@ func (r *router) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool,
 func (r *router) DeleteBatch(ctx context.Context, keys [][]byte) error {
 	g := r.groupBytes(keys, nil, nil)
 	defer r.putGroups(g)
-	return r.runChunked(ctx, g, func(sh, lo, hi int) error {
+	return r.runChunked(ctx, g, r.chunk, func(sh, lo, hi int) error {
 		return r.shards[sh].deleteBatchFPs(g.kbuf[lo:hi])
 	})
 }
 
 // ContainsBatch probes len(keys) byte keys through the batched index
-// pipeline, returning per-key existence in input order. The router
-// coalesces the batch on fingerprints alone, since the answer is one per
-// fingerprint. No value-log records are read (see Store.ContainsBatch for
-// the tradeoff: colliding fingerprints and lapped records from unexpired
-// incarnations report true), so each chunk costs exactly its overlapped
-// index probes and its shard's coalescing charge.
+// pipeline, returning per-key existence in input order. Each shard's run
+// is one core call, which resolves each distinct fingerprint once, since
+// the answer is one per fingerprint. No value-log records are read (see
+// Store.ContainsBatch for the tradeoff: colliding fingerprints and lapped
+// records from unexpired incarnations report true), so a run costs
+// exactly its overlapped index probes and its repeats' dedupe probes.
 func (r *router) ContainsBatch(ctx context.Context, keys [][]byte) ([]bool, error) {
 	found := make([]bool, len(keys))
-	g := r.groupByteReads(keys, false)
+	g := r.groupBytes(keys, nil, nil)
 	defer r.putGroups(g)
-	g.found = resize(g.found, len(g.kbuf))
-	err := r.runChunked(ctx, g, func(sh, lo, hi int) error {
+	g.found = resize(g.found, len(keys))
+	err := r.runChunked(ctx, g, core.MaxLookupBatch, func(sh, lo, hi int) error {
 		ok := g.found[lo:hi]
-		if err := r.shards[sh].containsBatchFPs(g.kbuf[lo:hi], ok, g.absorbed(sh, lo)); err != nil {
+		if err := r.shards[sh].containsBatchFPs(g.kbuf[lo:hi], ok); err != nil {
 			return err
 		}
 		for j, i := range g.idx[lo:hi] {
-			for ; i >= 0; i = int(g.next[i]) {
-				found[i] = ok[j]
-			}
+			found[i] = ok[j]
 		}
 		return nil
 	})

@@ -10,9 +10,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// withBatchChunk overrides the batch router's task granularity, fixed at
-// defaultBatchChunk in Open: batches are consumed in chunks of at most n
-// keys. Tests use it to pin chunk-64 rows and to force re-queueing.
+// withBatchChunk overrides the batch router's write granularity, fixed at
+// defaultBatchChunk in Open: write batches are consumed in chunks of at
+// most n keys, and read batches stay one chunk per shard. Tests use it to
+// pin chunk-64 rows and to force re-queueing.
 func withBatchChunk(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -633,8 +634,8 @@ func TestDifferentialHotShardInserts(t *testing.T) {
 
 // TestBatchGroupingAllocs is the allocation guard for the batch surface:
 // once the pool is warm, grouping a large batch — the counting sort, the
-// per-shard runs, the result slots, the fingerprint buffer and a read
-// batch's dedupe table — must not allocate per call, and a full batch call
+// per-shard runs, the result slots and the fingerprint buffer, for writes
+// and for reads — must not allocate per call, and a full batch call
 // must allocate only its outputs, the router's goroutines and the core
 // pipeline's own per-chunk state.
 func TestBatchGroupingAllocs(t *testing.T) {
@@ -659,8 +660,8 @@ func TestBatchGroupingAllocs(t *testing.T) {
 	group := func() {
 		s.putGroups(s.group(keys, vals))
 		s.putGroups(s.groupBytes(bkeys, bkeys, bvals))
-		s.putGroups(s.groupReads(keys))
-		s.putGroups(s.groupByteReads(bkeys, true))
+		s.putGroups(s.group(keys, nil))
+		s.putGroups(s.groupBytes(bkeys, bkeys, nil))
 	}
 	group()
 	// sync.Pool may shed entries on a GC, so allow a stray allocation or

@@ -49,18 +49,22 @@ import (
 //
 // # Batches and cancellation
 //
-// The batch calls take a context checked at batch-router chunk boundaries
-// (chunks of at most 512 keys): a canceled batch stops between chunks and
-// returns ctx.Err() joined with any chunk errors. Operations already
-// applied stay applied — cancellation is early return, not rollback.
+// The batch calls take a context checked at batch-router chunk boundaries:
+// a write batch runs each shard's keys in chunks of at most 512, a read
+// batch each shard's keys as one chunk. A canceled batch stops between
+// chunks and returns ctx.Err() joined with any chunk errors. Operations
+// already applied stay applied — cancellation is early return, not
+// rollback.
 //
 // A read batch (GetBatchU64, GetBatch, ContainsBatch) writes nothing, so
-// its repeated keys share one answer: the router resolves each distinct
-// key once and answers every position that repeats it. Core counters and
-// the lookup latency histogram count the distinct keys, as a loop of
-// one-key calls over them in first-occurrence order would, and each
-// repeat costs its shard core.CPUCosts.BatchCoalesce of virtual time, the
-// dedupe probe that found it. Write batches apply every position.
+// its repeated keys share one answer: each shard resolves each distinct
+// key of its run once, as its in-memory lookup phase reaches the key, and
+// answers every position that repeats it. Core counters count the
+// distinct keys, as a loop of one-key calls over them in first-occurrence
+// order would, and each repeat costs its shard
+// core.CPUCosts.BatchCoalesce of virtual time, the dedupe probe that
+// found it, at its place in that phase. Write batches apply every
+// position.
 type Store interface {
 	// Put adds or updates a key → value mapping.
 	Put(key, value []byte) error
@@ -79,9 +83,9 @@ type Store interface {
 	// none aliases store memory or another value, so appending to or
 	// writing one changes nothing else; a key repeated in the batch is
 	// looked up once, and each of its positions gets its own copy. The
-	// hits of one router chunk share one allocation, so holding any value
-	// keeps its chunk's arena (the values of at most 512 distinct keys and
-	// their copies) alive.
+	// hits of one shard share one allocation, so holding any value keeps
+	// its shard's arena (every hit of the shard's run in the batch)
+	// alive.
 	GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error)
 	// DeleteBatch applies len(keys) Delete operations, batched.
 	DeleteBatch(ctx context.Context, keys [][]byte) error

@@ -11,7 +11,9 @@ import (
 // batch allocates only its per-key scratch. On a store whose index is on
 // flash, with the batch scratch warmed by a small batch, one LookupBatch
 // of keys that pend on at least 256 flash probes must allocate less than
-// an eighth of a probe page per probe.
+// an eighth of a probe page per probe. A batch that repeats its keys, each
+// repeat found by phase A's dedupe table, must allocate nothing once the
+// same batch has warmed the scratch.
 func TestLookupBatchProbeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation skews allocation totals; CI runs this guard in a non-race step")
@@ -48,5 +50,24 @@ func TestLookupBatchProbeAllocs(t *testing.T) {
 	if alloc >= bound {
 		t.Errorf("LookupBatch allocated %d bytes for %d flash probes, want below %d (an eighth of a %d-byte page per probe)",
 			alloc, probes, bound, b.probeN)
+	}
+
+	// The oldest 512 keys, each at four positions, the repeats behind
+	// their first occurrences and interleaved with them.
+	repeated := make([]uint64, 4*512)
+	for i := range repeated {
+		repeated[i] = keys[(i*7)%512]
+	}
+	lookup := func() {
+		if err := b.LookupBatch(repeated, results, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookup()
+	if n := len(b.Repeats()); n != len(repeated)-512 {
+		t.Fatalf("the batch found %d repeats, want %d", n, len(repeated)-512)
+	}
+	if allocs := testing.AllocsPerRun(10, lookup); allocs != 0 {
+		t.Errorf("a warmed LookupBatch of repeated keys allocates %.1f per call, want 0", allocs)
 	}
 }

@@ -18,9 +18,11 @@ import (
 //	A (memory):  every key's delete-list check, buffer probe and Bloom
 //	             query run back to back with zero I/O, producing a
 //	             candidate-incarnation mask per unresolved key. Each key
-//	             is charged and counted as a one-key lookup would be; the
-//	             clam router coalesces a read batch's repeated keys before
-//	             they reach core, so a hot key's work is done once. Phase A
+//	             is charged and counted as a one-key lookup would be, but
+//	             a key the batch already gave: a dedupe probe finds each
+//	             repeat as phase A reaches it, charges CPU.BatchCoalesce
+//	             at that position instead, and the key's first occurrence
+//	             answers it, so a hot key's work is done once. Phase A
 //	             also gathers each unresolved key's first probe (phase B's
 //	             round 1) as it goes. On a device with a timeline of its
 //	             own (Config.DeviceClock), whenever the device is idle at
@@ -73,12 +75,23 @@ type batchKey struct {
 // probe word; LookupBatch takes at most 2^pendBits keys so the field fits.
 const pendBits = 20
 
+// MaxLookupBatch is the most keys one LookupBatch call takes.
+const MaxLookupBatch = 1 << pendBits
+
+// Repeat is a batch position whose key an earlier position of the same
+// LookupBatch call holds: the lookup of First answers it.
+type Repeat struct{ Pos, First int32 }
+
 // batchScratch is reusable LookupBatch state. BufferHash is single-caller
 // by contract (the clam facade serializes), so one scratch per instance
 // suffices; everything is grown on demand and reused across calls.
 type batchScratch struct {
 	pending []batchKey
 	hits    []int // final hits not yet handed to LookupBatch's hook
+
+	// The batch's distinct keys, and its repeated positions in order.
+	distinct keyTable
+	repeats  []Repeat
 
 	// Round-1 keys phase A may resolve early (see resolveEarly): the
 	// pending indexes not yet resolved, and how many of the round's reads
@@ -96,6 +109,52 @@ type batchScratch struct {
 	pages  []uint64
 	sent   int
 	seen   pageIndex
+}
+
+// keyTable is the open-addressed (linear probing) table of a lookup
+// batch's distinct keys, kept at most half full. A slot holds the batch
+// position of a key's first occurrence plus one, 0 when free, and the
+// batch's keys hold the key, so a table of 4-byte slots stays in the
+// nearest caches. A key's first probe slot is the top bits of its
+// Fibonacci hash, so keys that differ only in their low or high bits
+// still spread.
+type keyTable struct {
+	slots []int32
+	mask  int
+	shift uint
+}
+
+// reset empties the table for a batch of n keys and sizes it to the least
+// power of two of at least 2n slots, and at least 16.
+func (t *keyTable) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(t.slots) < size {
+		t.slots = make([]int32, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.mask = size - 1
+	t.shift = uint(64 - bits.Len(uint(t.mask)))
+}
+
+// first returns the position of keys[i]'s first occurrence in keys[:i],
+// or -1 after recording i as that first occurrence.
+func (t *keyTable) first(keys []uint64, i int) int32 {
+	k := keys[i]
+	for s := int(k * 0x9e3779b97f4a7c15 >> t.shift); ; s = (s + 1) & t.mask {
+		f := t.slots[s] - 1
+		if f < 0 {
+			t.slots[s] = int32(i) + 1
+			return -1
+		}
+		if keys[f] == k {
+			return f
+		}
+	}
 }
 
 // pageIndex maps the pages phase A gathers to the reads that serve them:
@@ -268,12 +327,12 @@ type HitHook struct {
 // ordering), and, on a device with its own timeline, because round 1's
 // reads start while phase A still runs.
 //
-// A key given twice is looked up twice, each occurrence on its own (under
-// LRU, one-key calls would find the second occurrence re-inserted in the
-// buffer instead, and so may a batch with a hit hook, whose phase A can
-// resolve the first occurrence early). The clam router coalesces a
-// batch's repeated keys before they reach core, so its calls hold
-// distinct keys, two byte keys with one fingerprint aside.
+// A key given twice is looked up once: phase A finds each repeat with
+// one probe of a batch-scoped table of the keys so far (a one-key call
+// builds none), charges it CPU.BatchCoalesce, and the repeat's result is
+// its first occurrence's, copied when the batch ends. So the counters
+// count distinct keys, as one-key calls over them in first-occurrence
+// order would, and Repeats lists the repeated positions.
 //
 // hook is nil or receives every hit once, as soon as its result is final
 // (see HitHook). A hit is final when phase A finds it in the buffer, when
@@ -284,22 +343,24 @@ type HitHook struct {
 // the hook in lane multiples whenever its device is idle; the rest go
 // after phase A and after each probing round that resolved hits. The byte
 // API reads the hits' value-log records on that device while the index
-// device probes. U64 callers pass nil.
+// device probes. A repeated position is never handed over: the record its
+// first occurrence's hit points at answers it. U64 callers pass nil.
 //
-// A batch holds at most 2^pendBits keys, so that a pending index fits its
-// packed probe word; a longer one, or one whose results differ in length,
-// fails before any state moves. On any other error the contents of
+// A batch holds at most MaxLookupBatch keys, so that a pending index fits
+// its packed probe word; a longer one, or one whose results differ in
+// length, fails before any state moves. On any other error the contents of
 // results are unspecified. Every call starts from empty scratch and
 // returns joined to the device, on error too.
 func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *HitHook) error {
 	if len(keys) != len(results) {
 		return fmt.Errorf("core: LookupBatch: %d keys, %d results", len(keys), len(results))
 	}
-	if len(keys) > 1<<pendBits {
-		return fmt.Errorf("core: LookupBatch: %d keys exceed the %d-key batch limit", len(keys), 1<<pendBits)
+	if len(keys) > MaxLookupBatch {
+		return fmt.Errorf("core: LookupBatch: %d keys exceed the %d-key batch limit", len(keys), MaxLookupBatch)
 	}
 	bs := &b.batch
 	bs.pending, bs.hits, bs.waiting, bs.done = bs.pending[:0], bs.hits[:0], bs.waiting[:0], 0
+	bs.repeats = bs.repeats[:0]
 	bs.packed, bs.reqs, bs.pages, bs.sent = bs.packed[:0], bs.reqs[:0], bs.pages[:0], 0
 
 	// Phase A: resolve everything the DRAM side can answer, and gather
@@ -313,20 +374,33 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	if stream {
 		bs.seen.reset(len(keys))
 	}
+	dedupe := len(keys) > 1
+	if dedupe {
+		bs.distinct.reset(len(keys))
+	}
 	for i, key := range keys {
-		st, kh := b.route(key)
-		res, mask, done := st.lookupMem(kh)
-		results[i] = res
-		if !done && mask != 0 {
-			bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
-			b.gather(len(bs.pending)-1, stream)
-			if early {
-				b.await(len(bs.pending)-1, results)
-			}
+		first := int32(-1)
+		if dedupe {
+			first = bs.distinct.first(keys, i)
+		}
+		if first >= 0 {
+			b.chargeCPU(b.cfg.CPU.BatchCoalesce)
+			bs.repeats = append(bs.repeats, Repeat{Pos: int32(i), First: first})
 		} else {
-			b.stats.recordLookup(res)
-			if hook != nil && res.Found {
-				bs.hits = append(bs.hits, i)
+			st, kh := b.route(key)
+			res, mask, done := st.lookupMem(kh)
+			results[i] = res
+			if !done && mask != 0 {
+				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
+				b.gather(len(bs.pending)-1, stream)
+				if early {
+					b.await(len(bs.pending)-1, results)
+				}
+			} else {
+				b.stats.recordLookup(res)
+				if hook != nil && res.Found {
+					bs.hits = append(bs.hits, i)
+				}
 			}
 		}
 		if stream && (early || len(bs.pages)-bs.sent >= b.lanes) && b.idle(b.cfg.DeviceClock) {
@@ -422,8 +496,16 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			b.gather(pi, false)
 		}
 	}
+	for _, r := range bs.repeats {
+		results[r.Pos] = results[r.First]
+	}
 	return nil
 }
+
+// Repeats returns the positions of the last LookupBatch call that repeated
+// an earlier position's key, ascending, each with the position of the
+// key's first occurrence. The slice is valid until the next call.
+func (b *BufferHash) Repeats() []Repeat { return b.batch.repeats }
 
 // handOff hands the first n final hits, sorted, to the hook and keeps the
 // rest. With no hook, or no hits to hand, it does nothing.

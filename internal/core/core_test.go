@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -367,9 +368,10 @@ func TestDisableBitsliceOnlyPrices(t *testing.T) {
 	// same bit-sliced bank answers, so every result, counter and the
 	// memory footprint match, and the clock runs further by exactly
 	// BloomQueryNaive − BloomQuery per Bloom query, over one-key lookups
-	// and a batch with repeated keys.
+	// and a batch with repeated keys, whose repeats query nothing.
 	type run struct {
 		results []LookupResult
+		repeat  []bool // results[i] answered a repeated batch key
 		stats   Stats
 		mem     MemoryFootprint
 		clock   time.Duration
@@ -404,6 +406,10 @@ func TestDisableBitsliceOnlyPrices(t *testing.T) {
 		if err := b.LookupBatch(keys, batch, nil); err != nil {
 			t.Fatal(err)
 		}
+		r.repeat = make([]bool, len(r.results)+len(batch))
+		for _, rp := range b.Repeats() {
+			r.repeat[len(r.results)+int(rp.Pos)] = true
+		}
 		r.results = append(r.results, batch...)
 		r.stats, r.mem, r.clock = b.Stats(), b.MemoryFootprint(), clock.Now()
 		return r
@@ -416,7 +422,7 @@ func TestDisableBitsliceOnlyPrices(t *testing.T) {
 		if res != sliced.results[i] {
 			t.Fatalf("lookup %d = %+v, bit-sliced %+v", i, res, sliced.results[i])
 		}
-		if !res.Found || res.FlashReads > 0 {
+		if (!res.Found || res.FlashReads > 0) && !naive.repeat[i] {
 			queries++
 		}
 	}
@@ -961,8 +967,8 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 	const batchSize = 64
 	keys := make([]uint64, batchSize)
 	results := make([]LookupResult, batchSize)
-	// The hook must receive every hit once, ascending within a hand-off,
-	// each with its final result.
+	// The hook must receive every distinct key's hit once, ascending
+	// within a hand-off, each with its final result.
 	reported := make([]int, batchSize)
 	resolved := func(hits []int) error {
 		for j, i := range hits {
@@ -991,7 +997,20 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 		if err := batched.LookupBatch(keys, results, hook); err != nil {
 			t.Fatal(err)
 		}
+		// A repeated key is resolved once, at its first occurrence, so the
+		// serial twin looks up each distinct key once, in that order.
+		first := map[uint64]int{}
+		var repeats []Repeat
 		for i, k := range keys {
+			if f, ok := first[k]; ok {
+				repeats = append(repeats, Repeat{Pos: int32(i), First: int32(f)})
+				if results[i] != results[f] || reported[i] != 0 {
+					t.Fatalf("round %d key %#x repeated at %d: %+v reported %d times, first occurrence %+v",
+						round, k, i, results[i], reported[i], results[f])
+				}
+				continue
+			}
+			first[k] = i
 			want, err := serial.Lookup(k)
 			if err != nil {
 				t.Fatal(err)
@@ -1002,6 +1021,9 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 			if n, hit := reported[i], results[i].Found; n != 1 && hit || n != 0 && !hit {
 				t.Fatalf("round %d key %#x: reported %d times, hit %t", round, k, n, hit)
 			}
+		}
+		if !slices.Equal(batched.Repeats(), repeats) {
+			t.Fatalf("round %d: Repeats %v, want %v", round, batched.Repeats(), repeats)
 		}
 	}
 	ss, bs := serial.Stats(), batched.Stats()

@@ -49,7 +49,7 @@ func BenchmarkPerKeyOps(b *testing.B) {
 // per key of 4096-key Zipf(1.1) batches, on one shard of the get-batch-zipf
 // benchmark workload's store (8 MB of IntelSSD flash, 4 super tables of
 // 128 KB buffers, 16 incarnations, 32 filter bits per entry) warmed with
-// 1.25 times its capacity of keys from the same distribution. With clam's
+// 1.25 times its capacity of keys from the same distribution. With
 // BenchmarkCoalesceProbe, the host cost of the dedupe probe that replaces
 // phase A for a repeated key, it prices CPU.BatchCoalesce: the probe's
 // share of this cost, times the 2.0 µs phase A is charged.
@@ -99,4 +99,42 @@ func BenchmarkPhaseA(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	b.ReportMetric(float64(found)/float64(b.N*batch), "buffer_hits/key")
+}
+
+// BenchmarkCoalesceProbe measures the host cost per key of phase A's
+// dedupe probe (keyTable.first, which finds a repeated key or records a
+// new one, after a reset per call) over 4096-key batches of the
+// get-batch-zipf benchmark workload's Zipf(1.1) keys, each split by its
+// top three key bits into the runs its 8 shards' LookupBatch calls take.
+// With BenchmarkPhaseA it prices CPU.BatchCoalesce.
+func BenchmarkCoalesceProbe(b *testing.B) {
+	const (
+		entries = 64 << 20 / 32 // 16-byte entries at 50% cuckoo load
+		batch   = 4096
+		batches = 32
+		shards  = 8
+	)
+	probe := workload.NewZipfStream(3, 1.1, workload.RangeForLSR(entries, 0.4))
+	runs := make([][]uint64, batches*shards)
+	for i := range batches {
+		for range batch {
+			k := probe.Next()
+			at := i*shards + int(k>>61)
+			runs[at] = append(runs[at], k)
+		}
+	}
+	var t keyTable
+	distinct := 0
+	for i := 0; b.Loop(); i++ {
+		for _, run := range runs[i%batches*shards:][:shards] {
+			t.reset(len(run))
+			for j := range run {
+				if t.first(run, j) < 0 {
+					distinct++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+	b.ReportMetric(float64(distinct)/float64(b.N*batch), "distinct/key")
 }

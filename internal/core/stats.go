@@ -7,10 +7,9 @@ package core
 type Stats struct {
 	Inserts uint64
 	Deletes uint64
-	// Lookups and Hits count the keys LookupBatch resolved, one per key it
-	// was given. The clam router coalesces a read batch before it reaches
-	// core, so there they count a batch's distinct keys, not its
-	// positions.
+	// Lookups and Hits count the keys LookupBatch resolved: a batch
+	// resolves each distinct key once, so they count its distinct keys,
+	// not its positions.
 	Lookups uint64
 	Hits    uint64
 
