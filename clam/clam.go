@@ -579,7 +579,9 @@ func (s *shard) retire(displaced []uint64) {
 // that hands its hits to readHits as they become final, from its
 // in-memory phase on, so their records are read on the log device while
 // the index device probes, then one join and the per-key verification.
-// It fills only the hits of values and found.
+// The chunk is one value-log get chunk (see storage.ValueLog.BeginChunk):
+// a log page one hand-off read serves every later hand-off's records in
+// it. It fills only the hits of values and found.
 func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	if s.vlog == nil {
 		return ErrNoValueLog
@@ -587,7 +589,9 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
 	s.recs, s.recIdx, s.recArena = s.recs[:0], s.recIdx[:0], s.recArena[:0]
+	s.vlog.BeginChunk()
 	err := s.bh.LookupBatch(fps, s.batchRes, s.onHits)
+	s.vlog.EndChunk()
 	s.join()
 	if err == nil {
 		s.verifyRecords(keys, values, found)
@@ -597,12 +601,13 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 
 // readHits is getBatchRecords' LookupBatch hook (see core.HitHook): it
 // reads the records that one hand-off's hits point at as one batched
-// value-log read, issued on the log device's timeline (a record the log
-// has overwritten is a miss it does not read), and keeps them for
-// verification. A record may be a view of the value device's page, valid
-// through the chunk because nothing writes the value log inside a get
-// chunk, or a copy in the shard's record arena, which each read extends
-// without touching earlier records.
+// value-log read, issued on the log device's timeline, which submits
+// only the log pages no earlier hand-off of the chunk read (a record the
+// log has overwritten is a miss it does not read), and keeps them for
+// verification. A record may be a view into the value device's page,
+// valid through the chunk because nothing writes the value log inside a
+// get chunk, or a copy in the shard's record arena, which each read
+// extends without touching earlier records.
 func (s *shard) readHits(hits []int) error {
 	reqs := s.batchReq[:0]
 	idxs := s.batchIdx[:0]

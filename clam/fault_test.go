@@ -472,6 +472,7 @@ func TestFaultOracle(t *testing.T) {
 	t.Run("clam/vlog-append-flush", testFlushingAppendFault)
 	t.Run("clam/index-read-streamed", testStreamedIndexReadFault)
 	t.Run("clam/vlog-read-handoff", testHandoffReadFault)
+	t.Run("clam/vlog-read-reused-pages", testReusedPagesReadFault)
 	t.Run("clam/vlog-append-behind", testAppendBehindFault)
 }
 
@@ -527,6 +528,70 @@ func testHandoffReadFault(t *testing.T) {
 		t.Fatal("no GetBatch read the value log during phase A; retune the row")
 	}
 	d.runRandom(701, 1500)
+}
+
+// testReusedPagesReadFault fails a value-log read that a GetBatch chunk
+// issues in its second or a later hand-off of hits (see core.HitHook),
+// one whose hits include a record on a log page an earlier hand-off of
+// the same chunk read: the log serves that record from the chunk's page
+// without a request, and submits only the pages no hand-off read yet, the
+// first of which fails. A hit's record pages come from its pointer word:
+// the record's offset in the low 36 bits and its length in the next 21
+// (see storage's pointer layout). The GetBatch must fail, and every later
+// answer keep the contract: random fault-free ops follow.
+func testReusedPagesReadFault(t *testing.T) {
+	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(14))
+	d := newFaultDriver(t, r, 12000, 0, 300)
+	putTwice(d)
+	sh := r.st.(*CLAM).shards[0]
+	ps := uint64(r.devs[1].Geometry().PageSize)
+	var (
+		handoffs     int
+		read         = map[uint64]bool{} // log pages the chunk's hand-offs read
+		armed, fired bool
+	)
+	hook := sh.onHits.Read
+	sh.onHits.Read = func(hits []int) error {
+		armed = false
+		if handoffs++; handoffs > 1 && !fired {
+			for _, i := range hits {
+				w := sh.batchRes[i].Value
+				if !storage.IsValuePtr(w) {
+					continue
+				}
+				off, n := w&(1<<36-1), w>>36&(1<<21-1)
+				for pg := off / ps; n > 0 && pg <= (off+n-1)/ps; pg++ {
+					armed = armed || read[pg]
+				}
+			}
+		}
+		return hook(hits)
+	}
+	r.devs[1].SetFault(func(op storage.Op, off int64, _ int) error {
+		if op != storage.OpRead {
+			return nil
+		}
+		if armed && !fired {
+			fired = true
+			return errFault
+		}
+		read[uint64(off)/ps] = true
+		return nil
+	})
+	for ki := 0; ki < d.nKeys && !fired; ki += 7 {
+		handoffs, armed = 0, false
+		clear(read)
+		errs := d.o.errs
+		d.apply(fopGetBatch, ki, 300)
+		if fired && d.o.errs == errs {
+			t.Fatal("GetBatch succeeded past its failed record read")
+		}
+	}
+	r.arm(nil)
+	if !fired {
+		t.Fatal("no GetBatch read new log pages in a hand-off that reused an earlier one's; retune the row")
+	}
+	d.runRandom(703, 1500)
 }
 
 // testAppendBehindFault fails the first value-log write, the whole-block

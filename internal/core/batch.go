@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/hashutil"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -65,7 +64,7 @@ type batchKey struct {
 	kh   uint64
 	mask uint64 // candidate window offsets not yet probed
 	read int32  // index into the round's reads of the page it probes
-	slot int32  // its page's slot in the page index (streamed round 1)
+	pid  int32  // its page's number in the page table (streamed round 1)
 	// early marks a round-1 key phase A resolved against its streamed
 	// read (see resolveEarly); round 1's phase B and C pass it by.
 	early bool
@@ -102,13 +101,15 @@ type batchScratch struct {
 	// The probing round in progress: its probe words, one per pending
 	// key, and its reads in submission order. A round 1 that phase A
 	// streams to the device also keeps its distinct pages in gather
-	// order, pages[sent:] awaiting submission, and the index that dedupes
-	// them across submissions.
-	packed []uint64 // pageNo<<pendBits | pendingIndex
-	reqs   []storage.ReadReq
-	pages  []uint64
-	sent   int
-	seen   pageIndex
+	// order, pages[sent:] awaiting submission, the table that dedupes
+	// them across submissions, and the read serving each page by its
+	// number in the table (-1 while it awaits submission).
+	packed   []uint64 // pageNo<<pendBits | pendingIndex
+	reqs     []storage.ReadReq
+	pages    []uint64
+	sent     int
+	seen     storage.PageTable
+	pageRead []int32
 }
 
 // keyTable is the open-addressed (linear probing) table of a lookup
@@ -117,20 +118,24 @@ type batchScratch struct {
 // batch's keys hold the key, so a table of 4-byte slots stays in the
 // nearest caches. A key's first probe slot is the top bits of its
 // Fibonacci hash, so keys that differ only in their low or high bits
-// still spread.
+// still spread. It grows on demand, and reset sizes it for as many
+// distinct keys as its last batch held (see storage.FitSlots).
 type keyTable struct {
 	slots []int32
 	mask  int
 	shift uint
+	n     int // distinct keys recorded
 }
 
-// reset empties the table for a batch of n keys and sizes it to the least
-// power of two of at least 2n slots, and at least 16.
-func (t *keyTable) reset(n int) {
-	size := 16
-	for size < 2*n {
-		size <<= 1
-	}
+// reset empties the table, sized for as many keys as it held before.
+func (t *keyTable) reset() {
+	size := storage.FitSlots(len(t.slots), t.n)
+	t.n = 0
+	t.resize(size)
+}
+
+// resize empties the table and sets its slot count to size, a power of two.
+func (t *keyTable) resize(size int) {
 	if cap(t.slots) < size {
 		t.slots = make([]int32, size)
 	} else {
@@ -144,11 +149,15 @@ func (t *keyTable) reset(n int) {
 // first returns the position of keys[i]'s first occurrence in keys[:i],
 // or -1 after recording i as that first occurrence.
 func (t *keyTable) first(keys []uint64, i int) int32 {
+	if 2*t.n+2 > len(t.slots) {
+		t.grow(keys, i)
+	}
 	k := keys[i]
 	for s := int(k * 0x9e3779b97f4a7c15 >> t.shift); ; s = (s + 1) & t.mask {
 		f := t.slots[s] - 1
 		if f < 0 {
 			t.slots[s] = int32(i) + 1
+			t.n++
 			return -1
 		}
 		if keys[f] == k {
@@ -157,41 +166,13 @@ func (t *keyTable) first(keys []uint64, i int) int32 {
 	}
 }
 
-// pageIndex maps the pages phase A gathers to the reads that serve them:
-// open addressing over page+1 keys, 0 marking a free slot, kept at most
-// half full. A page not yet submitted maps to read -1.
-type pageIndex struct {
-	keys  []uint64
-	reads []int32
-}
-
-// reset empties the index and sizes it for n pages.
-func (m *pageIndex) reset(n int) {
-	size := 2
-	for size < 2*n {
-		size <<= 1
-	}
-	if cap(m.keys) < size {
-		m.keys, m.reads = make([]uint64, size), make([]int32, size)
-		return
-	}
-	m.keys, m.reads = m.keys[:size], m.reads[:size]
-	clear(m.keys)
-}
-
-// slot returns page's slot, adding page unsubmitted if it is absent, and
-// reports whether it was.
-func (m *pageIndex) slot(page uint64) (int, bool) {
-	mask := uint64(len(m.keys) - 1)
-	k := page + 1
-	for i := hashutil.Mix64(page) & mask; ; i = (i + 1) & mask {
-		switch m.keys[i] {
-		case 0:
-			m.keys[i], m.reads[i] = k, -1
-			return int(i), true
-		case k:
-			return int(i), false
-		}
+// grow doubles a table that recording one more key would take past half
+// full, and records keys[:i] again.
+func (t *keyTable) grow(keys []uint64, i int) {
+	t.resize(max(2*len(t.slots), 16))
+	t.n = 0
+	for j := range i {
+		t.first(keys, j)
 	}
 }
 
@@ -207,11 +188,12 @@ func (b *BufferHash) gather(pi int, stream bool) {
 	page := uint64(b.probeAddr(p.st, p.st.incs[j], p.kh)) / uint64(b.probeN)
 	bs.packed = append(bs.packed, page<<pendBits|uint64(pi))
 	if stream {
-		i, fresh := bs.seen.slot(page)
+		id, fresh := bs.seen.Add(page)
 		if fresh {
 			bs.pages = append(bs.pages, page)
+			bs.pageRead = append(bs.pageRead, -1)
 		}
-		p.slot = int32(i)
+		p.pid = int32(id)
 	}
 }
 
@@ -225,8 +207,8 @@ func (b *BufferHash) streamGroup() error {
 	slices.Sort(group)
 	first := len(bs.reqs)
 	for _, page := range group {
-		i, _ := bs.seen.slot(page)
-		bs.seen.reads[i] = int32(len(bs.reqs))
+		id, _ := bs.seen.Add(page)
+		bs.pageRead[id] = int32(len(bs.reqs))
 		bs.reqs = append(bs.reqs, b.probeReq(page))
 	}
 	return b.read(bs.reqs[first:])
@@ -260,7 +242,7 @@ func (b *BufferHash) idle(c *vclock.Clock) bool { return c.Now() <= b.cfg.Clock.
 // resolves it at once.
 func (b *BufferHash) await(pi int, results []LookupResult) {
 	bs := &b.batch
-	if r := bs.seen.reads[bs.pending[pi].slot]; r >= 0 && int(r) < bs.done {
+	if r := bs.pageRead[bs.pending[pi].pid]; r >= 0 && int(r) < bs.done {
 		bs.probeEarly(pi, r, results)
 		return
 	}
@@ -279,7 +261,7 @@ func (b *BufferHash) resolveEarly(results []LookupResult) {
 	bs.done = len(bs.reqs)
 	still := bs.waiting[:0]
 	for _, pi := range bs.waiting {
-		if r := bs.seen.reads[bs.pending[pi].slot]; r >= 0 {
+		if r := bs.pageRead[bs.pending[pi].pid]; r >= 0 {
 			bs.probeEarly(int(pi), r, results)
 		} else {
 			still = append(still, pi)
@@ -302,7 +284,11 @@ func (bs *batchScratch) probeEarly(pi int, r int32, results []LookupResult) {
 }
 
 // HitHook is LookupBatch's hit hook. The byte API reads the value-log
-// records its hits point at, on the value-log device's own timeline.
+// records its hits point at, on the value-log device's own timeline: each
+// hand-off is one submission of the log pages that no earlier hand-off
+// of the same call read (see storage.ValueLog.BeginChunk), so the
+// lane-sized hand-offs of phase A split a call's page reads without
+// reading a page twice.
 type HitHook struct {
 	// Read is called with the indexes, ascending, of hits whose results
 	// are final; hits is valid only during the call. A non-nil error ends
@@ -372,11 +358,12 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	stream := b.cfg.DeviceClock != b.cfg.Clock
 	early := stream && hook != nil
 	if stream {
-		bs.seen.reset(len(keys))
+		bs.seen.Reset()
+		bs.pageRead = bs.pageRead[:0]
 	}
 	dedupe := len(keys) > 1
 	if dedupe {
-		bs.distinct.reset(len(keys))
+		bs.distinct.reset()
 	}
 	for i, key := range keys {
 		first := int32(-1)
@@ -448,7 +435,7 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			if page := w >> pendBits; page != last {
 				last, ri = page, -1
 				if bs.sent > 0 {
-					ri = bs.seen.reads[p.slot]
+					ri = bs.pageRead[p.pid]
 				}
 				if ri < 0 {
 					ri = int32(len(bs.reqs))

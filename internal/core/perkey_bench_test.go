@@ -127,7 +127,7 @@ func BenchmarkCoalesceProbe(b *testing.B) {
 	distinct := 0
 	for i := 0; b.Loop(); i++ {
 		for _, run := range runs[i%batches*shards:][:shards] {
-			t.reset(len(run))
+			t.reset()
 			for j := range run {
 				if t.first(run, j) < 0 {
 					distinct++

@@ -174,7 +174,7 @@ func (q *Queue) Read(reqs []ReadReq, begin func(), cost CostFunc) (time.Duration
 		n := r.size()
 		lat, err := cost(r.Off, n, r.Off != prevEnd)
 		if err != nil {
-			return q.finish(q.svc[:i]), err
+			return q.finish(q.svc[:i], &q.Counters.ReadBusy), err
 		}
 		q.svc[i] = lat
 		prevEnd = r.Off + int64(n)
@@ -182,7 +182,7 @@ func (q *Queue) Read(reqs []ReadReq, begin func(), cost CostFunc) (time.Duration
 		q.Counters.Reads++
 		q.Counters.BytesRead += uint64(n)
 	}
-	return q.finish(q.svc), nil
+	return q.finish(q.svc, &q.Counters.ReadBusy), nil
 }
 
 // Write serves reqs as one write submission and returns its service time,
@@ -206,7 +206,7 @@ func (q *Queue) Write(reqs []WriteReq, begin func(), cost CostFunc) (time.Durati
 	for i, r := range reqs {
 		lat, err := cost(r.Off, len(r.P), r.Off != prevEnd)
 		if err != nil {
-			return q.finish(q.svc[:i]), err
+			return q.finish(q.svc[:i], &q.Counters.WriteBusy), err
 		}
 		q.svc[i] = lat
 		prevEnd = r.Off + int64(len(r.P))
@@ -214,7 +214,7 @@ func (q *Queue) Write(reqs []WriteReq, begin func(), cost CostFunc) (time.Durati
 		q.Counters.Writes++
 		q.Counters.BytesWritten += uint64(len(r.P))
 	}
-	return q.finish(q.svc), nil
+	return q.finish(q.svc, &q.Counters.WriteBusy), nil
 }
 
 // unsorted reports request i of a submission starting below its
@@ -236,10 +236,12 @@ func (q *Queue) start(n int, begin func()) {
 }
 
 // finish charges a submission: its stall, then svc overlapped across the
-// lanes. The total is service time, and the clock advances by it.
-func (q *Queue) finish(svc []time.Duration) time.Duration {
+// lanes. The total is service time, counted in BusyTime and in busy, the
+// read or write share of it, and the clock advances by it.
+func (q *Queue) finish(svc []time.Duration, busy *time.Duration) time.Duration {
 	lat := q.stall + overlapLanes(svc, q.geom.Lanes)
 	q.Counters.BusyTime += lat
+	*busy += lat
 	q.clock.Advance(lat)
 	q.busyUntil = q.clock.Now()
 	return lat

@@ -136,15 +136,30 @@ func deviceStream(t *testing.T, m model) streamResult {
 		}
 		return reqs
 	}
+	// split checks that a submission of op charged its service time lat
+	// to op's share of the busy time, and nothing to the other's.
+	split := func(op storage.Op, c0 storage.Counters, lat time.Duration) {
+		c := dev.Counters()
+		dr, dw := c.ReadBusy-c0.ReadBusy, c.WriteBusy-c0.WriteBusy
+		if op == storage.OpWrite {
+			dr, dw = dw, dr
+		}
+		if dr != lat || dw != 0 {
+			t.Fatalf("a submission of %v charged %v: read busy %v -> %v, write busy %v -> %v",
+				lat, op, c0.ReadBusy, c.ReadBusy, c0.WriteBusy, c.WriteBusy)
+		}
+	}
 	doReads := func(reqs []storage.ReadReq) error {
 		sortReads(reqs)
 		var lat time.Duration
 		var err error
+		c0 := dev.Counters()
 		if len(reqs) == 1 && !reqs[0].View {
 			lat, err = dev.ReadAt(reqs[0].P, reqs[0].Off)
 		} else {
 			lat, err = dev.ReadBatch(reqs)
 		}
+		split(storage.OpRead, c0, lat)
 		note(lat, err)
 		if err == nil {
 			for _, r := range reqs {
@@ -180,11 +195,13 @@ func deviceStream(t *testing.T, m model) streamResult {
 		sortWrites(reqs)
 		var lat time.Duration
 		var err error
+		c0 := dev.Counters()
 		if len(reqs) == 1 {
 			lat, err = dev.WriteAt(reqs[0].P, reqs[0].Off)
 		} else {
 			lat, err = dev.WriteBatch(reqs)
 		}
+		split(storage.OpWrite, c0, lat)
 		note(lat, err)
 		return err
 	}
@@ -245,6 +262,21 @@ func deviceStream(t *testing.T, m model) streamResult {
 	return streamResult{Clock: clock.Now(), Counters: dev.Counters(), Reads: reads.Sum64(), Ops: ops.Sum64()}
 }
 
+// TestBusySplit runs the pinned device stream on every model (see
+// deviceStream, which checks that each submission charges its service
+// time to its own op's share) and requires ReadBusy and WriteBusy to sum
+// to BusyTime, each of them non-zero.
+func TestBusySplit(t *testing.T) {
+	for _, m := range models(2 << 20) {
+		t.Run(m.name, func(t *testing.T) {
+			c := deviceStream(t, m).Counters
+			if c.ReadBusy == 0 || c.WriteBusy == 0 || c.ReadBusy+c.WriteBusy != c.BusyTime {
+				t.Fatalf("read busy %v + write busy %v, busy time %v", c.ReadBusy, c.WriteBusy, c.BusyTime)
+			}
+		})
+	}
+}
+
 // TestDeviceStreamsPinned runs one seeded stream of every submission shape
 // through every device model and pins the final clock, every Counters
 // field, and digests of the bytes read and of each submission's latency
@@ -254,11 +286,11 @@ func TestDeviceStreamsPinned(t *testing.T) {
 	type c = storage.Counters
 	want := map[string]streamResult{
 		"ssd-intel": {774149156, c{Reads: 6233, Writes: 1500, Erases: 119, BytesRead: 38599457, BytesWritten: 14221312,
-			PagesMoved: 982, GCRuns: 80, BusyTime: 754277728}, 0x582b81cc5153b15a, 0x3f6eb5856373fbf8},
+			PagesMoved: 982, GCRuns: 80, BusyTime: 754277728, ReadBusy: 348836448, WriteBusy: 405441280}, 0x582b81cc5153b15a, 0x3f6eb5856373fbf8},
 		"ssd-transcend": {17047964772, c{Reads: 6233, Writes: 1500, Erases: 355, BytesRead: 38599457, BytesWritten: 14221312,
-			PagesMoved: 7456, BusyTime: 17028093344}, 0x582b81cc5153b15a, 0xdf2ea5aef1f9f7d},
+			PagesMoved: 7456, BusyTime: 17028093344, ReadBusy: 3357711264, WriteBusy: 13670382080}, 0x582b81cc5153b15a, 0xdf2ea5aef1f9f7d},
 		"disk": {47997014184, c{Reads: 6948, Writes: 1527, BytesRead: 42654686, BytesWritten: 15736832,
-			BusyTime: 47970182235}, 0x32386983a51ccf7a, 0x21a3a111e6f75fd1},
+			BusyTime: 47970182235, ReadBusy: 38709472463, WriteBusy: 9260709772}, 0x32386983a51ccf7a, 0x21a3a111e6f75fd1},
 	}
 	for _, m := range models(2 << 20) {
 		t.Run(m.name, func(t *testing.T) {

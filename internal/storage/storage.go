@@ -29,8 +29,8 @@
 // clock charge — and supplies only the pricing of one request and the
 // state only its medium has.
 //
-// The lookup pipeline's probe reads and the value log's one-page record
-// reads set ReadReq.View: such a request carries only its range, the
+// The lookup pipeline's probe reads and the value log's page reads set
+// ReadReq.View: such a request carries only its range, the
 // caller reserves no buffer for it, and the device hands back a read-only
 // slice — a simulated device's SparseStore page. A view is valid until the
 // device's next write or trim and must never be written through. Time and
@@ -87,8 +87,13 @@ type Counters struct {
 	PagesMoved uint64
 	// GCRuns counts synchronous garbage-collection episodes (SSD FTL).
 	GCRuns uint64
-	// BusyTime is the total simulated service time.
-	BusyTime time.Duration
+	// BusyTime is the total simulated service time. ReadBusy and
+	// WriteBusy split it by the submission that was charged: a write's
+	// synchronous garbage collection counts as write time, a read's as
+	// read time. They always sum to BusyTime.
+	BusyTime  time.Duration
+	ReadBusy  time.Duration
+	WriteBusy time.Duration
 }
 
 // Add accumulates another device's counters into c. Sharded deployments sum
@@ -107,6 +112,8 @@ func (c *Counters) Add(o Counters) {
 	c.PagesMoved += o.PagesMoved
 	c.GCRuns += o.GCRuns
 	c.BusyTime += o.BusyTime
+	c.ReadBusy += o.ReadBusy
+	c.WriteBusy += o.WriteBusy
 }
 
 // Device is a virtual-time block storage device.

@@ -50,16 +50,21 @@ import (
 // reclaims the blocks the previous cycle wrote without relocating a page.
 // A device without one writes about 64 KB at a time, or a quarter of a
 // smaller log. The capacity rounds down to whole units, so every cycle
-// ends on a unit boundary. Reads are byte-granular, as all simulated
-// devices permit; records still buffered in the tail are served from
-// memory.
+// ends on a unit boundary. Records still buffered in the tail are served
+// from memory.
 //
-// Record reads go to the device as one ReadBatch submission per call,
-// overlapping the records' service times across the device's queue lanes —
-// the "second I/O stream" of a batched Get, which the clam facade issues
-// once per probing round, on the value-log device's own timeline, while
-// the next round's incarnation page probes overlap on the index device. A
-// single-record read is the one-request case.
+// Record reads go to the device by the page, as §5.1.1 reads the index:
+// each call gathers the device pages its records' device bytes lie in,
+// dedupes them, and submits the pages not yet read as one address-sorted
+// ReadBatch of whole-page view requests, so two records in one page cost
+// one request, records on adjacent pages chain into one sequential run,
+// and the requests overlap across the device's queue lanes. This is the
+// "second I/O stream" of a batched Get, which the clam facade issues for
+// each hand-off of hits (see core.HitHook), on the value-log device's own
+// timeline, while the index device probes. Inside a get chunk (BeginChunk
+// to EndChunk) a page one call read is not read again by a later call;
+// any write forgets the chunk's pages, so a view is never used past the
+// device's next write. A single-record read is the one-page case.
 //
 // A ValueLog is not safe for concurrent use; the clam facade serializes
 // access under the same lock as the hash table.
@@ -89,10 +94,17 @@ type ValueLog struct {
 	allocTotal int64
 	deadTotal  int64
 
-	segs   []ReadReq // batched-read device segments, in record order
-	owner  []int     // per segment: the record a view request serves, or -1 for a copy
-	packed []uint64  // segOff<<segIdxBits | segment index, address-sorted
-	reqs   []ReadReq // the address-sorted submission
+	// The device pages read since the get chunk began, or in the call
+	// outside a chunk (see BeginChunk): the table numbering them, and
+	// each one's view by its number. Then one call's scratch: its pages
+	// not yet read, the submission reading them, and for each record
+	// served as a view, the number of its page (-1 for every other).
+	pages   PageTable
+	views   [][]byte
+	chunk   bool
+	fresh   []uint64
+	reqs    []ReadReq
+	recPage []int32
 }
 
 // ValueLogStats counts log activity, including the live/dead space
@@ -424,8 +436,10 @@ func (l *ValueLog) wrap() error {
 	return nil
 }
 
-// writeBuf writes buf[:p] at bufStart.
+// writeBuf writes buf[:p] at bufStart. The write ends the views of the
+// pages read so far, so the log forgets them first.
 func (l *ValueLog) writeBuf(p int) error {
+	l.forget()
 	if _, err := l.dev.WriteAt(l.buf[:p], l.bufStart); err != nil {
 		return fmt.Errorf("storage: value log write: %w", err)
 	}
@@ -436,19 +450,14 @@ func (l *ValueLog) writeBuf(p int) error {
 // the record's pointer word, as AppendBatch filled it; Rec receives the
 // record bytes or stays nil when the word is no pointer, addresses no
 // record region, or addresses a record the log has provably overwritten
-// (see ValueLog). Rec is either the read-only slice the device handed
-// back for a view request (see ReadReq.View), valid until the device's
-// next write, or a copy in the arena ReadRecordsBatch returns. It must not
-// be written through.
+// (see ValueLog). Rec is either a sub-slice of the read-only page the
+// device handed back for a view request (see ReadReq.View), valid until
+// the device's next write, or a copy in the arena ReadRecordsBatch
+// returns. It must not be written through.
 type ValueReadReq struct {
 	Ptr uint64
 	Rec []byte
 }
-
-// segIdxBits is the width of the segment index packed under a segment's
-// device offset in ReadRecordsBatch's sort keys; offsets stay below
-// MaxValueLogBytes, so the two fit one word.
-const segIdxBits = 64 - valuePtrOffBits
 
 // locate decodes a pointer word into its record range and reports whether
 // a read can find the record there. read is false for a word that is no
@@ -480,113 +489,152 @@ func (l *ValueLog) Mark() uint64 { return l.cycle*uint64(l.capacity) + uint64(l.
 // filled before m can read a record.
 func (l *ValueLog) Lapped(m uint64) bool { return l.Mark() >= m+uint64(l.capacity) }
 
-// readSegments splits a log range into its buffered and device-backed
-// segments: only [bufStart, head) lives in the tail buffer; everything
-// else — including stale regions past the head that a wrapped-over pointer
-// may still address — is read from the device, where key verification
-// sorts live records from overwritten ones. Each device segment is emitted
-// through emit; the buffered overlap is copied immediately.
-func (l *ValueLog) readSegments(p []byte, off int64, emit func(seg []byte, segOff int64)) {
-	end := off + int64(len(p))
+// split returns where the log range [off, end) meets the tail buffer:
+// [off, lo) lies on the device before the flush frontier, [lo, hi) in the
+// tail buffer, and [hi, end) on the device past the head, where a
+// wrapped-over pointer may still address stale bytes; key verification
+// sorts live records from overwritten ones.
+func (l *ValueLog) split(off, end int64) (lo, hi int64) {
 	head := l.bufStart + int64(len(l.buf))
-	if off < l.bufStart { // device bytes before the flush frontier
-		devEnd := min(end, l.bufStart)
-		emit(p[:devEnd-off], off)
-	}
-	if end > l.bufStart && off < head { // tail-buffer overlap
-		lo, hi := max(off, l.bufStart), min(end, head)
-		copy(p[lo-off:hi-off], l.buf[lo-l.bufStart:hi-l.bufStart])
-	}
-	if end > head { // stale device bytes past the head (wrapped pointers)
-		devOff := max(off, head)
-		emit(p[devOff-off:], devOff)
-	}
+	return min(max(off, l.bufStart), end), min(max(off, head), end)
 }
 
-// ReadRecordsBatch resolves every request's record bytes. Requests whose
-// device portions survive are gathered and issued as one ReadBatch
-// submission, so a batch of record fetches pays the overlapped service
-// time, not the serial sum. Buffered bytes are copied from the tail
-// buffer. Requests that locate no record leave Rec nil and cost no device
-// request; those the log has provably overwritten count as SkippedReads.
+// BeginChunk begins a get chunk: until EndChunk, or a write, a page that
+// one ReadRecordsBatch call read is served to later calls from the view
+// the device handed back, with no further request. Outside a chunk each
+// call reads its own pages.
+func (l *ValueLog) BeginChunk() {
+	l.forget()
+	l.chunk = true
+}
+
+// EndChunk ends the get chunk BeginChunk began and forgets its pages.
+// Records already read stay valid until the device's next write.
+func (l *ValueLog) EndChunk() {
+	l.forget()
+	l.chunk = false
+}
+
+// forget drops the pages read so far.
+func (l *ValueLog) forget() {
+	l.pages.Reset()
+	l.views = l.views[:0]
+}
+
+// ReadRecordsBatch resolves every request's record bytes. The device pages
+// holding the records' device bytes are gathered and deduped, and those
+// not read yet in this get chunk (see BeginChunk) are read as one
+// address-sorted ReadBatch submission of whole-page view requests, so a
+// batch of record fetches pays each page once, adjacent pages as one
+// sequential run, and the overlapped service time, not the serial sum.
+// Requests that locate no record leave Rec nil and add no page; those the
+// log has provably overwritten count as SkippedReads.
 //
-// A record that is one device segment inside one device page is read as
-// a view request, and Rec becomes the slice the device hands back. Records
-// that cross a page, overlap the tail buffer or reach past the head are
-// copied into the caller's arena: each is carved past len(arena), which
-// grows at most once per call, and the extended arena is returned; bytes
-// below len(arena) are never written, so the records of earlier calls
-// stay valid, in the old backing array if the arena moved. The submission
-// is address-sorted here, as the device requires, with each segment's
-// index packed under its offset, so every served request pairs back to
-// its record; ties keep record order.
+// A record that lies on the device inside one page is served as a
+// sub-slice of that page's view. Records that cross a page, overlap the
+// tail buffer or reach past the head are copied into the caller's arena,
+// their device bytes from the page views and their buffered bytes from
+// the tail: each is carved past len(arena), which grows at most once per
+// call, and the extended arena is returned; bytes below len(arena) are
+// never written, so the records of earlier calls stay valid, in the old
+// backing array if the arena moved. A failed submission forgets the
+// chunk's pages.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, error) {
+	if !l.chunk {
+		l.forget()
+	}
+	l.fresh, l.recPage = l.fresh[:0], l.recPage[:0]
 	copied := 0
 	for i := range reqs {
 		reqs[i].Rec = nil
 		off, n, read, overwritten := l.locate(reqs[i].Ptr)
-		switch {
-		case overwritten:
+		if overwritten {
 			l.stats.SkippedReads++
-		case read && !l.viewable(off, n):
-			copied += n
+		}
+		id := -1
+		if read {
+			end := off + int64(n)
+			lo, hi := l.split(off, end)
+			first := l.addPages(off, lo)
+			if last := l.addPages(hi, end); first < 0 {
+				first = last
+			}
+			if lo == hi && off/int64(l.pageSize) == (end-1)/int64(l.pageSize) {
+				id = first
+			} else {
+				copied += n
+			}
+		}
+		l.recPage = append(l.recPage, int32(id))
+	}
+	if len(l.fresh) > 0 {
+		slices.Sort(l.fresh)
+		l.reqs = l.reqs[:0]
+		for _, page := range l.fresh {
+			l.reqs = append(l.reqs, ReadReq{Off: int64(page) * int64(l.pageSize), N: l.pageSize, View: true})
+		}
+		if _, err := l.dev.ReadBatch(l.reqs); err != nil {
+			l.forget()
+			return arena, fmt.Errorf("storage: value log read: %w", err)
+		}
+		for j, page := range l.fresh {
+			id, _ := l.pages.Add(page)
+			l.views[id] = l.reqs[j].P
 		}
 	}
 	arena = slices.Grow(arena, copied)
 	next := len(arena) // where the next copied record is carved
 	arena = arena[:next+copied]
-	l.segs, l.owner = l.segs[:0], l.owner[:0]
 	for i := range reqs {
 		off, n, read, _ := l.locate(reqs[i].Ptr)
 		switch {
 		case !read:
-		case l.viewable(off, n):
-			l.segs = append(l.segs, ReadReq{Off: off, N: n, View: true})
-			l.owner = append(l.owner, i)
+		case l.recPage[i] >= 0:
+			lo := int(off % int64(l.pageSize))
+			reqs[i].Rec = l.views[l.recPage[i]][lo : lo+n : lo+n]
 		default:
-			rec := arena[next : next+n]
+			rec := arena[next : next+n : next+n]
 			reqs[i].Rec, next = rec, next+n
-			// Device segments become batched read requests; the
-			// tail-buffer overlap is copied immediately.
-			l.readSegments(rec, off, func(seg []byte, segOff int64) {
-				l.segs = append(l.segs, ReadReq{P: seg, Off: segOff})
-				l.owner = append(l.owner, -1)
-			})
-		}
-	}
-	if len(l.segs) == 0 {
-		return arena, nil
-	}
-	if len(l.segs) > 1<<segIdxBits {
-		return arena, fmt.Errorf("storage: value log read of %d segments exceeds the %d batch limit", len(l.segs), 1<<segIdxBits)
-	}
-	l.packed = l.packed[:0]
-	for k, seg := range l.segs {
-		l.packed = append(l.packed, uint64(seg.Off)<<segIdxBits|uint64(k))
-	}
-	slices.Sort(l.packed)
-	l.reqs = l.reqs[:0]
-	for _, w := range l.packed {
-		l.reqs = append(l.reqs, l.segs[w&(1<<segIdxBits-1)])
-	}
-	if _, err := l.dev.ReadBatch(l.reqs); err != nil {
-		return arena, fmt.Errorf("storage: value log read: %w", err)
-	}
-	for j, w := range l.packed {
-		if o := l.owner[w&(1<<segIdxBits-1)]; o >= 0 {
-			reqs[o].Rec = l.reqs[j].P
+			end := off + int64(n)
+			lo, hi := l.split(off, end)
+			l.copyPages(rec[:lo-off], off)
+			if lo < hi {
+				copy(rec[lo-off:hi-off], l.buf[lo-l.bufStart:hi-l.bufStart])
+			}
+			l.copyPages(rec[hi-off:], hi)
 		}
 	}
 	return arena, nil
 }
 
-// viewable reports whether the record at [off, off+n) is one device
-// segment inside one device page: readSegments would emit it whole, and
-// it is read as a view request.
-func (l *ValueLog) viewable(off int64, n int) bool {
-	end, ps := off+int64(n), int64(l.pageSize)
-	head := l.bufStart + int64(len(l.buf))
-	return (end <= l.bufStart || off >= head) && off/ps == (end-1)/ps
+// addPages adds the device pages [off, end) touches to the chunk's, each
+// page not read yet to the call's fresh pages, and returns the number of
+// the first, or -1 for an empty range.
+func (l *ValueLog) addPages(off, end int64) int {
+	first := -1
+	ps := int64(l.pageSize)
+	for p := off / ps; off < end && p <= (end-1)/ps; p++ {
+		id, fresh := l.pages.Add(uint64(p))
+		if fresh {
+			l.fresh = append(l.fresh, uint64(p))
+			l.views = append(l.views, nil)
+		}
+		if first < 0 {
+			first = id
+		}
+	}
+	return first
+}
+
+// copyPages fills p with the device bytes at off from the views of the
+// pages read.
+func (l *ValueLog) copyPages(p []byte, off int64) {
+	ps := int64(l.pageSize)
+	for len(p) > 0 {
+		id, _ := l.pages.Add(uint64(off / ps))
+		k := copy(p, l.views[id][off%ps:])
+		p, off = p[k:], off+int64(k)
+	}
 }
 
 // VerifyRecord parses rec as a (key, value) record and returns the value

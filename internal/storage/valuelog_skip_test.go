@@ -71,8 +71,12 @@ func (a *skipTally) add(b skipTally) {
 // rule. Both answers, verified under the record's key, must agree. The
 // first log must skip exactly the records the rule names: with c the
 // current cycle, cycle c-1's records behind the head and every record of
-// an older cycle. A skip must add nothing to the device's Counters or
-// clock, and SkippedReads must count it.
+// an older cycle. A skip must add no page to the submission and nothing
+// to the device's Counters or clock: a third log, appended the same
+// stream, reads only the records the first log read and must end each
+// check with its Counters and clock, and the skipped records read again,
+// as one batch and a few alone, must move neither. SkippedReads must
+// count every skip.
 func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 	t.Helper()
 	if len(data) == 0 {
@@ -86,6 +90,12 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 		t.Fatal(err)
 	}
 	twin, err := storage.NewValueLog(m.dev(vclock.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptClk := vclock.New()
+	keptDev := m.dev(keptClk)
+	kept, err := storage.NewValueLog(keptDev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +136,7 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 			t.Fatal(err)
 		}
 		var skips []int
+		var read []storage.ValueReadReq
 		for j, i := range idx {
 			r := recs[i]
 			got, ok := storage.VerifyRecord(reqs[j].Rec, r.key)
@@ -156,6 +167,7 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 				continue
 			}
 			tally.reads++
+			read = append(read, storage.ValueReadReq{Ptr: r.word})
 			if ok {
 				tally.hits++
 				if r.cycle < cycle {
@@ -167,7 +179,34 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 			t.Fatalf("SkippedReads rose by %d for %d skipped records", d, len(skips))
 		}
 		tally.skipped += len(skips)
-		// A skipped read alone: no device request, no time.
+		// The records read, alone on the kept twin: the same pages, the
+		// same time.
+		if _, err := kept.ReadRecordsBatch(read, nil); err != nil {
+			t.Fatal(err)
+		}
+		if dev.Counters() != keptDev.Counters() || clk.Now() != keptClk.Now() {
+			t.Fatalf("cycle %d, head %d: counters %+v and clock %v, reading only the records read %+v and %v",
+				cycle, head, dev.Counters(), clk.Now(), keptDev.Counters(), keptClk.Now())
+		}
+		// The skipped reads as one batch, and a few alone: no device
+		// request, no time.
+		c0, t0 := dev.Counters(), clk.Now()
+		all := make([]storage.ValueReadReq, len(skips))
+		for j, i := range skips {
+			all[j].Ptr = recs[i].word
+		}
+		if _, err := l.ReadRecordsBatch(all, nil); err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range all {
+			if r.Rec != nil {
+				t.Fatalf("skipped record %d read %d bytes in a batch of %d", skips[j], len(r.Rec), len(all))
+			}
+		}
+		if dev.Counters() != c0 || clk.Now() != t0 {
+			t.Fatalf("%d skipped records moved counters %+v -> %+v, clock %v -> %v",
+				len(all), c0, dev.Counters(), t0, clk.Now())
+		}
 		for _, i := range skips[:min(len(skips), 8)] {
 			c0, t0 := dev.Counters(), clk.Now()
 			req := []storage.ValueReadReq{{Ptr: recs[i].word}}
@@ -202,6 +241,9 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 			t.Fatal(err)
 		}
 		if err := twin.AppendBatch(keys, vals, twinWords); err != nil {
+			t.Fatal(err)
+		}
+		if err := kept.AppendBatch(keys, vals, make([]uint64, len(keys))); err != nil {
 			t.Fatal(err)
 		}
 		wrapped := false
@@ -303,29 +345,39 @@ func TestValueLogSkipRuleCoverage(t *testing.T) {
 	}
 }
 
-// TestValueLogSkippedReadsCount pins SkippedReads as the device requests
-// the rule saves. A stream of one-page records wraps a log several times,
-// and whenever the tail buffer is empty every pointer issued so far is
-// read, so each record the rule skips would have cost one device request.
-// The device's Reads plus SkippedReads then equals the Reads of a twin
+// TestValueLogSkippedReadsCount pins SkippedReads as the records answered
+// with no device request. A stream of one-page records wraps a log several
+// times, and whenever the tail buffer is empty every pointer issued so far
+// is read. Every pointer the log answers nil is one the rule skipped, and
+// SkippedReads counts exactly those. A skipped record adds no page to the
+// submission and costs no device time: a second twin that reads only the
+// pointers the log answered must end every batch with the log's device
+// Counters and clock, and the skipped pointers read again as one batch
+// must answer nil and move neither. The rule loses no hit: a first twin
 // that reads every pointer re-tagged with its current cycle (the reads
-// before the rule), and both answer the same hits.
+// before the rule) answers the same hits.
 func TestValueLogSkippedReadsCount(t *testing.T) {
 	for _, m := range skipModels {
 		t.Run(m.name, func(t *testing.T) {
-			dev, twinDev := m.dev(vclock.New()), m.dev(vclock.New())
-			l, err := storage.NewValueLog(dev)
-			if err != nil {
-				t.Fatal(err)
+			var (
+				clks [3]*vclock.Clock
+				devs [3]storage.Device
+				logs [3]*storage.ValueLog
+			)
+			for i := range logs {
+				clks[i] = vclock.New()
+				devs[i] = m.dev(clks[i])
+				l, err := storage.NewValueLog(devs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				logs[i] = l
 			}
-			twin, err := storage.NewValueLog(twinDev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps := dev.Geometry().PageSize
+			l, twin, kept := logs[0], logs[1], logs[2]
+			ps := devs[0].Geometry().PageSize
 			var keys [][]byte
 			var words []uint64
-			hits, twinHits := 0, 0
+			hits, twinHits, skipped := 0, 0, 0
 			for i := 0; l.Stats().Wraps < 4; i++ {
 				key := binary.BigEndian.AppendUint32(nil, uint32(i))
 				val := bytes.Repeat([]byte{byte(i)}, ps-storage.RecordSize(len(key), 0))
@@ -333,8 +385,10 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tw, err := appendOne(twin, key, val); err != nil || tw != w {
-					t.Fatalf("twin pointer %#x (%v), want %#x", tw, err, w)
+				for _, other := range logs[1:] {
+					if tw, err := appendOne(other, key, val); err != nil || tw != w {
+						t.Fatalf("twin pointer %#x (%v), want %#x", tw, err, w)
+					}
 				}
 				keys, words = append(keys, key), append(words, w)
 				if l.Stats().BufferedBytes != 0 {
@@ -352,7 +406,14 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 				if _, err := twin.ReadRecordsBatch(rereqs, nil); err != nil {
 					t.Fatal(err)
 				}
+				var read, skips []storage.ValueReadReq
 				for j := range reqs {
+					if reqs[j].Rec == nil {
+						skipped++
+						skips = append(skips, storage.ValueReadReq{Ptr: reqs[j].Ptr})
+					} else {
+						read = append(read, storage.ValueReadReq{Ptr: reqs[j].Ptr})
+					}
 					if _, ok := storage.VerifyRecord(reqs[j].Rec, keys[j]); ok {
 						hits++
 					}
@@ -360,13 +421,34 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 						twinHits++
 					}
 				}
+				if _, err := kept.ReadRecordsBatch(read, nil); err != nil {
+					t.Fatal(err)
+				}
+				if devs[0].Counters() != devs[2].Counters() || clks[0].Now() != clks[2].Now() {
+					t.Fatalf("after %d records: counters %+v and clock %v, reading only the records read %+v and %v",
+						i+1, devs[0].Counters(), clks[0].Now(), devs[2].Counters(), clks[2].Now())
+				}
+				// The skipped records alone: one batch, no request, no time.
+				c0, t0 := devs[0].Counters(), clks[0].Now()
+				if _, err := l.ReadRecordsBatch(skips, nil); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range skips {
+					if r.Rec != nil {
+						t.Fatalf("a skipped pointer %#x read %d bytes alone", r.Ptr, len(r.Rec))
+					}
+				}
+				if devs[0].Counters() != c0 || clks[0].Now() != t0 {
+					t.Fatalf("%d skipped records alone moved counters %+v -> %+v, clock %v -> %v",
+						len(skips), c0, devs[0].Counters(), t0, clks[0].Now())
+				}
+				skipped += len(skips)
 			}
 			s := l.Stats()
-			reads, twinReads := dev.Counters().Reads, twinDev.Counters().Reads
-			t.Logf("%d reads + %d skipped = %d reads without the rule; %d hits", reads, s.SkippedReads, twinReads, hits)
-			if s.SkippedReads == 0 || reads+s.SkippedReads != twinReads || hits != twinHits {
-				t.Fatalf("%d reads + %d skipped, want %d reads without the rule; hits %d, without %d",
-					reads, s.SkippedReads, twinReads, hits, twinHits)
+			t.Logf("%d records skipped, %d device reads, %d without the rule; %d hits",
+				s.SkippedReads, devs[0].Counters().Reads, devs[1].Counters().Reads, hits)
+			if s.SkippedReads == 0 || s.SkippedReads != uint64(skipped) || hits != twinHits {
+				t.Fatalf("%d skipped, %d answered nil; hits %d, without the rule %d", s.SkippedReads, skipped, hits, twinHits)
 			}
 			var agg storage.ValueLogStats
 			agg.Add(s)

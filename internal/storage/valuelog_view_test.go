@@ -101,9 +101,10 @@ var classNames = [numClasses]string{"one-page", "cross-page", "tail", "straddle"
 // behind the head, with their own cycle, which the rule skips. The
 // first log reads with the model's page views and the second, its twin,
 // through a device that serves views from buffers it owns. For the third
-// the test builds the copying read itself: each record's device segments
-// gathered in record order and stably sorted by address, and its
-// tail-buffer bytes from an image of the appends.
+// the test builds a page-granular copying read itself: every device page
+// the batch's records touch, deduped and read by copy in address order,
+// each record's device bytes taken from those pages and its tail-buffer
+// bytes from an image of the appends.
 //
 // Both logs' Rec bytes must equal the built read's, every one-page device
 // record must come back as a view, and all three devices must end every
@@ -244,10 +245,11 @@ func TestValueLogViewReads(t *testing.T) {
 				if _, err := cl.ReadRecordsBatch(creqs, nil); err != nil {
 					t.Fatal(err)
 				}
-				// The copying read, built here: each record's device bytes
-				// before the flush frontier and past the head, gathered in
-				// record order, and its tail-buffer bytes from the image.
-				var sub []storage.ReadReq
+				// The copying read, built here: every page holding a
+				// record's device bytes before the flush frontier or past
+				// the head, read once by copy in one address-sorted
+				// submission, and each record assembled from those pages
+				// and, for its tail-buffer bytes, the image.
 				want := make([][]byte, len(reqs))
 				// Overwritten requests sit at location (-1, 0), which no
 				// read reaches.
@@ -255,28 +257,52 @@ func TestValueLogViewReads(t *testing.T) {
 					end := r.off + int64(r.n)
 					return r.off >= 0 && r.n >= 8 && end <= capacity && (wrapped || end <= head)
 				}
+				pages := map[int64][]byte{}
+				devBytes := func(r ptr, f func(lo, hi int64)) {
+					end := r.off + int64(r.n)
+					if r.off < bufStart {
+						f(r.off, min(end, bufStart))
+					}
+					if end > head {
+						f(max(r.off, head), end)
+					}
+				}
+				for _, r := range locs {
+					if inRange(r) {
+						devBytes(r, func(lo, hi int64) {
+							for pg := lo / ps; pg <= (hi-1)/ps; pg++ {
+								pages[pg] = nil
+							}
+						})
+					}
+				}
+				if len(pages) > 0 {
+					var sub []storage.ReadReq
+					for pg := range pages {
+						sub = append(sub, storage.ReadReq{P: make([]byte, ps), Off: pg * ps})
+					}
+					sortReads(sub)
+					if _, err := devs[2].ReadBatch(sub); err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range sub {
+						pages[r.Off/ps] = r.P
+					}
+				}
 				for i, r := range locs {
 					if !inRange(r) {
 						continue
 					}
 					rec, end := make([]byte, r.n), r.off+int64(r.n)
-					if r.off < bufStart {
-						sub = append(sub, storage.ReadReq{P: rec[:min(end, bufStart)-r.off], Off: r.off})
-					}
 					if lo, hi := max(r.off, bufStart), min(end, head); lo < hi {
 						copy(rec[lo-r.off:], image[lo:hi])
 					}
-					if end > head {
-						lo := max(r.off, head)
-						sub = append(sub, storage.ReadReq{P: rec[lo-r.off:], Off: lo})
-					}
+					devBytes(r, func(lo, hi int64) {
+						for at := lo; at < hi; {
+							at += int64(copy(rec[at-r.off:hi-r.off], pages[at/ps][at%ps:]))
+						}
+					})
 					want[i] = rec
-				}
-				if len(sub) > 0 {
-					sortReads(sub)
-					if _, err := devs[2].ReadBatch(sub); err != nil {
-						t.Fatal(err)
-					}
 				}
 
 				offCount := map[int64]int{}
