@@ -279,7 +279,8 @@ func openShard(cfg config) (*shard, error) {
 }
 
 // deriveConfig applies §6.4: choose B′ (≈ flash block), the number of super
-// tables from B_opt, k = F/(nt·B′), and give all remaining memory to Bloom
+// tables from B_opt, k = F/(nt·B′), set a budgeted store's hot-entry cache
+// at 1/hotCacheShare of its budget, and give all remaining memory to Bloom
 // filters.
 func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Config, error) {
 	bufBytes := cfg.bufferKB << 10
@@ -320,12 +321,14 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 	}
 
 	fbe := 16 // the paper's candidate configuration
+	cacheEntries := 0
 	if cfg.memoryBytes > 0 {
-		bloomBytes := cfg.memoryBytes - nt*int64(bufBytes)
+		cacheEntries = hotCacheEntries(cfg.memoryBytes)
+		bloomBytes := cfg.memoryBytes - nt*int64(bufBytes) - int64(cacheEntries)*core.CacheEntryBytes
 		if bloomBytes <= 0 {
 			return core.Config{}, fmt.Errorf(
-				"clam: memory budget %d leaves no room for Bloom filters after %d of buffers",
-				cfg.memoryBytes, nt*int64(bufBytes))
+				"clam: memory budget %d leaves no room for Bloom filters after %d of buffers and %d of hot cache",
+				cfg.memoryBytes, nt*int64(bufBytes), int64(cacheEntries)*core.CacheEntryBytes)
 		}
 		entries := nt * int64(k) * int64(bufBytes/32) // n′ per incarnation × all
 		fbe = int(bloomBytes * 8 / entries)
@@ -348,10 +351,26 @@ func deriveConfig(cfg config, dev storage.Device, clock *vclock.Clock) (core.Con
 		NumIncarnations:    k,
 		FilterBitsPerEntry: fbe,
 		FilterHashes:       0,
+		CacheEntries:       cacheEntries,
 		Policy:             cfg.policy,
 		Retain:             cfg.retain,
 		Seed:               seed,
 	}, nil
+}
+
+// A shard's hot-entry cache takes 1/hotCacheShare of its memory budget,
+// out of the Bloom filters' share: 4,096 entries per shard when 8 shards
+// split 12 MB.
+const hotCacheShare = 16
+
+// hotCacheEntries sizes a shard's hot-entry cache for a memory budget: the
+// most entries, a power of two, that fit its share, or none below 2.
+func hotCacheEntries(memoryBytes int64) int {
+	n := memoryBytes / hotCacheShare / core.CacheEntryBytes
+	if n < 2 {
+		return 0
+	}
+	return 1 << (bits.Len64(uint64(n)) - 1)
 }
 
 // observeSpread records a chunk's virtual elapsed time as n samples of its

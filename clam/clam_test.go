@@ -219,19 +219,25 @@ func TestMemoryBudgetTooSmall(t *testing.T) {
 
 // TestBloomFootprint pins the Bloom banks' share of Stats().Memory. The
 // benchmark's layout (Intel, 64 MB of flash, a 12 MB budget) builds 32
-// super tables of k = 16 incarnations with m = 2^17-bit filters, on 1
-// shard or 8; each bank holds m 2-byte slices and an m-bit staging
-// filter, 17·m bits. Every example's layout keeps its banks within
-// (L+1)/k of the k·m bits per super table its budget pays for, L the
-// slice width: the smallest of 8, 16, 32 and 64 bits holding k.
+// super tables of k = 16 incarnations, on 1 shard or 8; the hot-entry
+// cache takes 1/16 of the budget, 768 KB, which leaves 29 filter bits per
+// entry, m = 29·2^12-bit filters. Each bank holds m 2-byte slices and an
+// m-bit staging filter, 17·m bits. Every example's layout spends at most
+// its budget on buffers, the k·m Bloom bits per super table it budgets
+// and the cache, and keeps its banks within (L+1)/k of those Bloom bits,
+// L the slice width: the smallest of 8, 16, 32 and 64 bits holding k.
 func TestBloomFootprint(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		st, err := Open(WithDevice(IntelSSD), WithFlash(64<<20), WithMemory(12<<20), WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := st.Stats().Memory.BloomBytes, int64(32*17<<17/8); got != want {
+		m := st.Stats().Memory
+		if got, want := m.BloomBytes, int64(29*17<<12*32/8); got != want {
 			t.Errorf("%d shards: BloomBytes = %d, want %d", shards, got, want)
+		}
+		if got, want := m.CacheBytes, int64(768<<10); got != want {
+			t.Errorf("%d shards: CacheBytes = %d, want %d", shards, got, want)
 		}
 	}
 	layouts := []struct {
@@ -240,6 +246,7 @@ func TestBloomFootprint(t *testing.T) {
 		flash, memory int64
 		shards        int
 	}{
+		{"benchmark-8", IntelSSD, 64 << 20, 12 << 20, 8},
 		{"quickstart", IntelSSD, 64 << 20, 8 << 20, 1},
 		{"dirsvc", IntelSSD, 64 << 20, 8 << 20, 1},
 		{"wanopt", TranscendSSD, 64 << 20, 8 << 20, 1},
@@ -273,8 +280,16 @@ func TestBloomFootprint(t *testing.T) {
 			budget += km
 			bound += km * uint64(L+1) / uint64(k)
 		}
-		if got := uint64(st.Stats().Memory.BloomBytes) * 8; got > bound {
+		m := st.Stats().Memory
+		if got := uint64(m.BloomBytes) * 8; got > bound {
 			t.Errorf("%s: Bloom banks take %d bits, above %d, (L+1)/k of the %d budgeted", l.name, got, bound, budget)
+		}
+		if m.CacheBytes == 0 {
+			t.Errorf("%s: no hot-entry cache", l.name)
+		}
+		if spent := m.BufferBytes + int64(budget/8) + m.CacheBytes; spent > l.memory {
+			t.Errorf("%s: %d B of buffers, %d B of budgeted Bloom bits and %d B of cache exceed the %d B budget",
+				l.name, m.BufferBytes, budget/8, m.CacheBytes, l.memory)
 		}
 	}
 }

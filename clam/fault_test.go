@@ -101,37 +101,41 @@ func (o *faultOracle) check(what, k string, found bool, seq uint64) {
 
 // faultSchedule decides, per device request in issue order, whether it
 // fails. The random test draws from a seeded source; the fuzz target
-// reads a bitmap from its input.
+// reads a bitmap per device from its input.
 type faultSchedule struct {
+	dev  int
 	n    int
-	fail func(i int, op storage.Op) bool
+	fail func(dev, i int, op storage.Op) bool
 }
 
 func (s *faultSchedule) hook(op storage.Op, _ int64, _ int) error {
 	i := s.n
 	s.n++
-	if s.fail(i, op) {
+	if s.fail(s.dev, i, op) {
 		return errFault
 	}
 	return nil
 }
 
-// faultRig is a store under test plus every SSD behind it.
+// faultRig is a store under test plus every SSD behind it: shard i's index
+// device at devs[2i] and its value-log device at devs[2i+1].
 type faultRig struct {
 	st   Store
 	devs []*ssd.SSD
 }
 
-// arm installs the schedule on every device (nil disarms). Devices of
-// different shards run concurrently, so each gets its own request counter;
-// fail must be a pure function of its arguments.
-func (r *faultRig) arm(fail func(i int, op storage.Op) bool) {
-	for _, d := range r.devs {
+// arm installs the schedule on every device (nil disarms). Each device
+// counts its own requests, so that its schedule does not move with
+// another's request count, and devices of different shards run
+// concurrently; fail, given the device's position in devs and its
+// request's number, must be a pure function of its arguments.
+func (r *faultRig) arm(fail func(dev, i int, op storage.Op) bool) {
+	for dev, d := range r.devs {
 		if fail == nil {
 			d.SetFault(nil)
 			continue
 		}
-		s := &faultSchedule{fail: fail}
+		s := &faultSchedule{dev: dev, fail: fail}
 		d.SetFault(s.hook)
 	}
 }
@@ -442,7 +446,7 @@ func TestFaultOracle(t *testing.T) {
 			d.runRandom(int64(100+ri), 1500)
 			for phase := 0; phase < 4; phase++ {
 				seed := uint64(ri)<<8 | uint64(phase)
-				r.arm(func(i int, op storage.Op) bool {
+				r.arm(func(_, i int, op storage.Op) bool {
 					h := hashutil.Mix64(seed<<32 ^ uint64(i))
 					if op == storage.OpWrite {
 						return h%3 == 0
@@ -474,6 +478,78 @@ func TestFaultOracle(t *testing.T) {
 	t.Run("clam/vlog-read-handoff", testHandoffReadFault)
 	t.Run("clam/vlog-read-reused-pages", testReusedPagesReadFault)
 	t.Run("clam/vlog-append-behind", testAppendBehindFault)
+	t.Run("clam/cached-key-writes", testCachedKeyWrites)
+}
+
+// testCachedKeyWrites caches a U64 key and a byte key, each first put and
+// flushed, then put again and found by a read run of Gets, whose later
+// Gets the hot-entry cache answers. Then the key is overwritten, deleted,
+// or lost to a failed index write: a Flush whose index write fails drops
+// the image holding the key's latest value. The next read run's Gets must
+// keep the contract, never reading the flushed, older value: an
+// overwritten key hits its new value, from the cache too, and a deleted or
+// lost key misses, the cache answering none of them.
+func testCachedKeyWrites(t *testing.T) {
+	families := []struct {
+		name          string
+		put, get, del int
+	}{
+		{"u64", fopPutU64, fopGetU64, fopDeleteU64},
+		{"byte", fopPut, fopGet, fopDelete},
+	}
+	for _, fam := range families {
+		for _, write := range []string{"overwrite", "delete", "failed-index-write"} {
+			t.Run(fam.name+"/"+write, func(t *testing.T) {
+				r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(15))
+				d := newFaultDriver(t, r, 16, 0, 1)
+				bh := r.st.(*CLAM).shards[0].bh
+				const ki = 3
+				// readRun Gets the key three times in a row and returns the
+				// cache hits the run took.
+				readRun := func() uint64 {
+					hits := bh.Stats().CacheHits
+					for range 3 {
+						d.apply(fam.get, ki, 1)
+					}
+					return bh.Stats().CacheHits - hits
+				}
+				d.apply(fam.put, ki, 1)
+				d.failed(r.st.Flush())
+				d.apply(fam.put, ki, 1)
+				if readRun() == 0 {
+					t.Fatal("the read run's Gets never hit the cache")
+				}
+				switch write {
+				case "overwrite":
+					d.apply(fam.put, ki, 1)
+				case "delete":
+					d.apply(fam.del, ki, 1)
+				case "failed-index-write":
+					r.devs[0].SetFault(func(op storage.Op, _ int64, _ int) error {
+						if op == storage.OpWrite {
+							return errFault
+						}
+						return nil
+					})
+					errs := d.o.errs
+					d.apply(fopFlush, 0, 1)
+					r.devs[0].SetFault(nil)
+					if d.o.errs == errs {
+						t.Fatal("the Flush whose index write failed succeeded")
+					}
+				}
+				hits := readRun()
+				switch {
+				case write == "overwrite" && hits == 0:
+					t.Fatal("the read run after the overwrite never hit the cache")
+				case write == "overwrite" && d.o.hits != d.o.probes:
+					t.Fatalf("only %d of %d Gets of the key hit", d.o.hits, d.o.probes)
+				case write != "overwrite" && hits != 0:
+					t.Fatalf("the cache answered %d Gets of a key with no value", hits)
+				}
+			})
+		}
+	}
 }
 
 // putTwice puts every key of d's universe twice in 300-key byte windows:
@@ -783,9 +859,12 @@ func testFlushingAppendFault(t *testing.T) {
 
 // FuzzFaultedOps runs the oracle over an op sequence and a fault schedule
 // taken from the input: each 3-byte group of ops is (kind, key, window),
-// and faults is a bitmap over device requests in issue order, repeated.
+// and indexFaults and logFaults are bitmaps over the index and value-log
+// devices' requests in issue order, each repeated.
 func FuzzFaultedOps(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 1, 1, 0, 8, 2, 40, 9, 2, 40, 15, 0, 0, 1, 3, 0}, []byte{0x10})
+	// These three seeds predate a bitmap per device and give both devices
+	// the one bitmap they had.
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 8, 2, 40, 9, 2, 40, 15, 0, 0, 1, 3, 0}, []byte{0x10}, []byte{0x10})
 	// Found by a randomized search over op sequences and fault bitmaps
 	// while failed flush writes still left their images' incarnations
 	// readable: both served values older than the latest acknowledged one.
@@ -801,7 +880,7 @@ func FuzzFaultedOps(f *testing.F) {
 		0xc, 0x55, 0xf5, 0x0, 0x8, 0x1, 0x1, 0x3b, 0x66, 0x8, 0x68, 0x8c,
 		0x8, 0x3b, 0xfb, 0x8, 0x98, 0x78, 0xc, 0xa0, 0xfe, 0x4, 0xb, 0xac,
 		0xc, 0x27, 0x18,
-	}, []byte{0x10, 0x0, 0x0})
+	}, []byte{0x10, 0x0, 0x0}, []byte{0x10, 0x0, 0x0})
 	f.Add([]byte{
 		0x8, 0xb5, 0x93, 0xb, 0xb5, 0x1f, 0x0, 0x6, 0xa2, 0x4, 0x92, 0x2f,
 		0x4, 0x6, 0x7a, 0x8, 0x7d, 0x2b, 0x8, 0x1a, 0x44, 0x0, 0x72, 0xe2,
@@ -816,15 +895,16 @@ func FuzzFaultedOps(f *testing.F) {
 		0x8, 0xd0, 0xff, 0x1, 0x59, 0x3f, 0x1, 0x8f, 0x9b, 0x1, 0x32, 0x72,
 		0xc, 0x3d, 0x8e, 0xb, 0x23, 0x9f, 0x1, 0x27, 0xbe, 0xb, 0x1, 0x0,
 		0x8, 0x41, 0x9a,
-	}, []byte{0x8})
+	}, []byte{0x8}, []byte{0x8})
 	// Each targeted seed fails one request on a path of its own (see
 	// targetedFaultSeeds).
 	for _, seed := range targetedFaultSeeds {
-		f.Add(seed.ops, seed.bitmap())
+		index, log := seed.bitmaps()
+		f.Add(seed.ops, index, log)
 	}
-	f.Fuzz(func(t *testing.T, ops, faults []byte) {
+	f.Fuzz(func(t *testing.T, ops, indexFaults, logFaults []byte) {
 		r, d := openFuzzRig(t)
-		r.arm(bitmapFaults(faults))
+		r.arm(bitmapFaults(indexFaults, logFaults))
 		fuzzOps(ops, d.apply)
 	})
 }
@@ -838,10 +918,15 @@ func openFuzzRig(t testing.TB) (*faultRig, *faultDriver) {
 	return r, newFaultDriver(t, r, 256, 120, 64)
 }
 
-// bitmapFaults fails each device's request i when bit i of the bitmap,
-// repeated, is set. An empty bitmap fails nothing.
-func bitmapFaults(faults []byte) func(i int, _ storage.Op) bool {
-	return func(i int, _ storage.Op) bool {
+// bitmapFaults fails request i of a rig's index devices (even positions
+// in its devs) when bit i of index, repeated, is set, and request i of its
+// value-log devices when bit i of log is. An empty bitmap fails nothing.
+func bitmapFaults(index, log []byte) func(dev, i int, _ storage.Op) bool {
+	return func(dev, i int, _ storage.Op) bool {
+		faults := index
+		if dev%2 == 1 {
+			faults = log
+		}
 		if len(faults) == 0 {
 			return false
 		}

@@ -68,11 +68,18 @@ func WithFlash(bytes int64) Option {
 }
 
 // WithMemory sets M, the DRAM budget (total across shards), split per the
-// §6.4 tuning rules. Optional: without a budget, buffers take B_opt and the
-// Bloom filters get 16 bits per entry, the paper's configuration.
+// §6.4 tuning rules. Optional: without a budget, buffers take B_opt, the
+// Bloom filters get 16 bits per entry, the paper's configuration, and
+// there is no hot-entry cache.
 //
-// The budget counts the paper's k·m Bloom bits per super table: what is
-// left after the buffers sets the filter bits per entry. The bit-sliced
+// Each shard's share of the budget pays, in turn, for its buffers, for a
+// hot-entry cache of 1/16 of the share (the most entries, a power of two,
+// that fit; a lookup call that follows another with no write between
+// checks it before the buffers and the filters, see
+// core.Config.CacheEntries), and for the paper's k·m Bloom
+// bits per super table: what is left sets the filter bits per entry. At
+// the benchmark layout, 12 MB over 8 shards, the cache holds 4,096
+// entries per shard and leaves 29 filter bits per entry. The bit-sliced
 // bank that holds those filters takes L·m + m bits, where L is k rounded
 // up to 8, 16, 32 or 64 (the slice width) and m the staging filter, so
 // MemoryFootprint().BloomBytes is (L+1)/k of the budgeted share: 17/16 at

@@ -174,11 +174,13 @@ func TestPutChunkOverlap(t *testing.T) {
 // queues behind. Right after the put that flushed, a Get of a flushed key
 // waits for that put's value-log write; a key still in the DRAM buffer
 // then reads its record alone, and after idle time the flushed key costs
-// its serial sum again.
+// its serial sum again. Each Get follows a write, the put or a delete of
+// a key never put, so it starts no read run: the hot-entry cache neither
+// answers nor fills, and its reads are the ones timed.
 func TestOneKeyGetTimeline(t *testing.T) {
 	c := overlapStore(t)
 	call, _ := putUntilFlush(t, c)
-	for _, g := range []struct {
+	for i, g := range []struct {
 		key  int
 		idle time.Duration
 		want time.Duration
@@ -187,6 +189,11 @@ func TestOneKeyGetTimeline(t *testing.T) {
 		{call*32 - 1, 0, 154268 * time.Nanosecond},           // buffered: the record read alone
 		{0, 10 * time.Millisecond, 307536 * time.Nanosecond}, // flushed, the log idle: the serial sum
 	} {
+		if i > 0 {
+			if err := c.DeleteU64(1); err != nil {
+				t.Fatal(err)
+			}
+		}
 		c.Clock().Advance(g.idle)
 		before := c.Clock().Now()
 		if _, ok, err := c.Get(overlapKey(g.key)); err != nil || !ok {
@@ -381,6 +388,11 @@ func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
 	}
 	for range 401 {
 		batch = append(batch, buffered)
+	}
+	// The one-key calls above were a read run, which cached every key of
+	// the batch; a write ends it, so the batch reads the index.
+	if err := c.PutU64(buffered, 7); err != nil {
+		t.Fatal(err)
 	}
 
 	reads = reads[:0]

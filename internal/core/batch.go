@@ -21,7 +21,15 @@ import (
 //	             a key the batch already gave: a dedupe probe finds each
 //	             repeat as phase A reaches it, charges CPU.BatchCoalesce
 //	             at that position instead, and the key's first occurrence
-//	             answers it, so a hot key's work is done once. Phase A
+//	             answers it, so a hot key's work is done once. In a read
+//	             run (see hotcache.go), every distinct key is first checked
+//	             against the hot-entry cache (CPU.CacheProbe): a cached key
+//	             is a final hit, recorded as a zero-I/O lookup and handed
+//	             to the hit hook like any other, and skips the rest of its
+//	             lookup; a buffer hit, here, or a flash hit, when its
+//	             probing round resolves it, fills the cache
+//	             (CPU.CacheFill), so a hot key's work is done once per read
+//	             run rather than once per batch. Phase A
 //	             also gathers each unresolved key's first probe (phase B's
 //	             round 1) as it goes. On a device with a timeline of its
 //	             own (Config.DeviceClock), whenever the device is idle at
@@ -55,7 +63,10 @@ import (
 // per-key probe sequence — and therefore FlashProbes, SpuriousProbes,
 // Lookups, Hits and LookupIOHist — does not depend on how keys are grouped
 // into batches or submissions; only the device time model (and the
-// physical read count, via page dedupe) does.
+// physical read count, via page dedupe) does. The exception is a store
+// with a hot-entry cache: inside a read run, which keys the cache answers
+// depends on which calls filled it, so CacheHits and the probe counters
+// do depend on how the run's keys are grouped into calls.
 
 // batchKey is the per-key state of an in-flight batched lookup.
 type batchKey struct {
@@ -320,12 +331,22 @@ type HitHook struct {
 // count distinct keys, as one-key calls over them in first-occurrence
 // order would, and Repeats lists the repeated positions.
 //
+// On a store with a hot-entry cache (Config.CacheEntries), a call that no
+// write has preceded since the previous call ended is in a read run: it
+// checks each distinct key against the cache first, and a cached key is a
+// hit with no flash read (FlashReads 0), counted in Stats.CacheHits. Its
+// value is the one the skipped lookup would find, but the probe counters
+// and LookupIOHist then depend on how the run's keys are grouped into
+// calls: splitting a call in two lets the second half hit what the first
+// half filled. The call's buffer and flash hits fill the cache. A call
+// after a write neither probes nor fills it.
+//
 // hook is nil or receives every hit once, as soon as its result is final
-// (see HitHook). A hit is final when phase A finds it in the buffer, when
-// a probing round resolves it, and, on a device with its own timeline,
-// when phase A resolves a round-1 key against a streamed read that has
-// completed by the current CPU instant: such a key runs phase C early, and
-// on a miss goes on to round 2. While phase A runs, the final hits go to
+// (see HitHook). A hit is final when phase A finds it in the cache or the
+// buffer, when a probing round resolves it, and, on a device with its own
+// timeline, when phase A resolves a round-1 key against a streamed read
+// that has completed by the current CPU instant: such a key runs phase C
+// early, and on a miss goes on to round 2. While phase A runs, the final hits go to
 // the hook in lane multiples whenever its device is idle; the rest go
 // after phase A and after each probing round that resolved hits. The byte
 // API reads the hits' value-log records on that device while the index
@@ -344,6 +365,14 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	if len(keys) > MaxLookupBatch {
 		return fmt.Errorf("core: LookupBatch: %d keys exceed the %d-key batch limit", len(keys), MaxLookupBatch)
 	}
+	err := b.lookupBatch(keys, results, hook, len(b.cache.sets) > 0 && b.epoch == b.runEpoch)
+	b.runEpoch = b.epoch
+	return err
+}
+
+// lookupBatch is LookupBatch on validated arguments; run reports that the
+// call is in a read run of a store with a hot-entry cache.
+func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *HitHook, run bool) error {
 	bs := &b.batch
 	bs.pending, bs.hits, bs.waiting, bs.done = bs.pending[:0], bs.hits[:0], bs.waiting[:0], 0
 	bs.repeats = bs.repeats[:0]
@@ -370,10 +399,15 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 		if dedupe {
 			first = bs.distinct.first(keys, i)
 		}
-		if first >= 0 {
+		switch {
+		case first >= 0:
 			b.chargeCPU(b.cfg.CPU.BatchCoalesce)
 			bs.repeats = append(bs.repeats, Repeat{Pos: int32(i), First: first})
-		} else {
+		case run && b.cacheHit(key, &results[i]):
+			if hook != nil {
+				bs.hits = append(bs.hits, i)
+			}
+		default:
 			st, kh := b.route(key)
 			res, mask, done := st.lookupMem(kh)
 			results[i] = res
@@ -385,8 +419,13 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 				}
 			} else {
 				b.stats.recordLookup(res)
-				if hook != nil && res.Found {
-					bs.hits = append(bs.hits, i)
+				if res.Found {
+					if run {
+						b.fill(key, res.Value)
+					}
+					if hook != nil {
+						bs.hits = append(bs.hits, i)
+					}
 				}
 			}
 		}
@@ -470,11 +509,18 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 				continue
 			}
 			b.stats.recordLookup(results[p.idx])
-			if hook != nil && results[p.idx].Found && !p.early {
+			if !results[p.idx].Found {
+				continue
+			}
+			if run && b.fillable(p.st, p.kh) {
+				b.fill(keys[p.idx], results[p.idx].Value)
+			}
+			if hook != nil && !p.early {
 				bs.hits = append(bs.hits, p.idx)
 			}
 		}
 		bs.pending = live
+		b.settleCPUDebt()
 		if err := bs.handOff(hook, len(bs.hits)); err != nil {
 			return err
 		}

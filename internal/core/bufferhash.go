@@ -64,6 +64,14 @@ type BufferHash struct {
 	// cpuDebt accrues the operation's CPU charges; settleCPUDebt lands
 	// them on the clock in one advance.
 	cpuDebt time.Duration
+
+	// cache is the hot-entry cache (it has no sets when
+	// Config.CacheEntries is 0). epoch is the write epoch, bumped by every change of state, and
+	// runEpoch the epoch the last lookup call ended at: a lookup call
+	// that starts at runEpoch is in a read run (see hotcache.go).
+	cache    hotCache
+	epoch    uint64
+	runEpoch uint64
 }
 
 // stagedWrite is one deferred incarnation write: the image, its address,
@@ -86,6 +94,10 @@ func New(cfg Config) (*BufferHash, error) {
 		layout:    cfg.layout(),
 		imageSize: cfg.BufferBytes,
 		routeSeed: hashutil.Mix64(cfg.Seed),
+		epoch:     1,
+	}
+	if cfg.CacheEntries > 0 {
+		b.cache = newHotCache(cfg.CacheEntries)
 	}
 	nt := cfg.NumSuperTables()
 	b.params = make([]cuckoo.Params, nt)
@@ -263,6 +275,7 @@ func (b *BufferHash) Lookup(key uint64) (LookupResult, error) {
 // another, as a sequence of per-key inserts would. Mainly useful in tests
 // and when quiescing.
 func (b *BufferHash) Flush() error {
+	b.epoch++
 	for _, st := range b.parts {
 		if st.buf.Len() == 0 {
 			continue
@@ -350,6 +363,7 @@ func (b *BufferHash) Seq() uint64 { return b.seq }
 // expires with a newer one, and no older version of a key can show
 // through. Each expiration counts in Stats.Expirations.
 func (b *BufferHash) ExpireThrough(seq uint64) {
+	b.epoch++
 	for _, st := range b.parts {
 		for j := st.oldest(); j < len(st.incs); j++ {
 			if st.incs[j].seq <= seq && st.dead&(1<<j) == 0 {
@@ -367,6 +381,7 @@ type MemoryFootprint struct {
 	BloomBytes      int64 // all filter banks (incl. their staging filters)
 	DeleteListBytes int64 // approximate
 	MetadataBytes   int64 // incarnation bookkeeping
+	CacheBytes      int64 // the hot-entry cache
 }
 
 // Add accumulates another footprint into m (sharded aggregation).
@@ -375,11 +390,12 @@ func (m *MemoryFootprint) Add(o MemoryFootprint) {
 	m.BloomBytes += o.BloomBytes
 	m.DeleteListBytes += o.DeleteListBytes
 	m.MetadataBytes += o.MetadataBytes
+	m.CacheBytes += o.CacheBytes
 }
 
 // MemoryFootprint computes the current DRAM footprint.
 func (b *BufferHash) MemoryFootprint() MemoryFootprint {
-	var m MemoryFootprint
+	m := MemoryFootprint{CacheBytes: int64(len(b.cache.sets)) * 2 * CacheEntryBytes}
 	for _, st := range b.parts {
 		m.BufferBytes += int64(b.cfg.BufferBytes)
 		if st.bank != nil {

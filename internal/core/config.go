@@ -30,6 +30,16 @@
 // newest-first, stopping at the first hit. Lookup is a one-key
 // LookupBatch; see batch.go.
 //
+// A store may spend part of its DRAM on a hot-entry cache
+// (Config.CacheEntries): in a read run, a lookup call that no write has
+// preceded since the previous one ended, phase A checks every distinct
+// key against it before the delete list, buffer and Bloom filters, and a
+// cached key is a final hit with no further work. Every change of state
+// bumps a write epoch and an entry answers only at the epoch it was filled
+// in, so the cache answers exactly what the lookup it skips would, and a
+// workload that writes between its lookups never probes, fills or pays
+// for it. See hotcache.go.
+//
 // An insert (a buffer write that may flush the full buffer as a new
 // incarnation) runs through InsertBatch: keys apply in input order with
 // every flush's image staged in a pooled buffer, and the staged images are
@@ -42,8 +52,10 @@
 // batch may land them earlier, in several advances, when it submits
 // reads during phase A). A batch of n
 // keys leaves the same state, counters and results as n one-key calls
-// (a lookup batch, as n calls over distinct keys); only virtual time, and
-// the physical I/O count (page dedupe, same-slot write collapse), differ.
+// (a lookup batch, as n calls over distinct keys, on a store without a
+// hot-entry cache, whose hits depend on how a read run's keys are grouped
+// into calls); only virtual time, and the physical I/O count (page
+// dedupe, same-slot write collapse), differ.
 //
 // Two consequences of the single pipeline are part of the model:
 //
@@ -143,6 +155,8 @@ type CPUCosts struct {
 	FlushSerialize  time.Duration // serialize + reset one buffer
 	EvictScanEntry  time.Duration // per-entry partial-discard scan work
 	BatchCoalesce   time.Duration // LookupBatch's dedupe probe that finds a key the batch already gave
+	CacheProbe      time.Duration // a read run's hot-cache probe of one distinct key
+	CacheFill       time.Duration // a read run's hot-cache fill with one hit
 }
 
 // DefaultCPUCosts returns the calibrated cost model.
@@ -162,6 +176,13 @@ func DefaultCPUCosts() CPUCosts {
 		// phase A the probe reads 13.9 / 71.3 ns (about 390 ns); the price
 		// stays, so that moving the probe moved only where it is charged.
 		BatchCoalesce: 520 * time.Nanosecond,
+		// The hot-entry cache's host costs over phase A's, times phase
+		// A's 2.0 µs: BenchmarkHotCache against BenchmarkPhaseA, medians
+		// of 16 alternating runs. A fill reads 8.5 / 68.2 ns (250 ns). A
+		// read run's probe loop reads 23.1 ns per key with 0.278 fills
+		// per key; less those fills, a probe is 20.7 / 68.2 ns (610 ns).
+		CacheProbe: 610 * time.Nanosecond,
+		CacheFill:  250 * time.Nanosecond,
 	}
 }
 
@@ -199,6 +220,11 @@ type Config struct {
 	// FilterHashes overrides the number of hash functions; 0 = optimal
 	// h = (m/n)·ln2 (§6.2).
 	FilterHashes int
+
+	// CacheEntries sizes the hot-entry cache (see hotcache.go): 0 for
+	// none, else a power of two of at least 2. Each entry takes
+	// CacheEntryBytes of DRAM.
+	CacheEntries int
 
 	// Policy is the eviction policy; Retain is consulted by
 	// PriorityBased eviction (return true to keep the entry).
@@ -265,6 +291,9 @@ func (c *Config) validate() error {
 	}
 	if !c.DisableBloom && c.FilterBitsPerEntry <= 0 {
 		return fmt.Errorf("core: FilterBitsPerEntry must be positive (got %d)", c.FilterBitsPerEntry)
+	}
+	if c.CacheEntries != 0 && (c.CacheEntries < 2 || c.CacheEntries&(c.CacheEntries-1) != 0) {
+		return fmt.Errorf("core: CacheEntries %d is neither 0 nor a power of two of at least 2", c.CacheEntries)
 	}
 	if c.Policy < FIFO || c.Policy > PriorityBased {
 		return fmt.Errorf("core: unknown eviction policy %d", int(c.Policy))

@@ -56,6 +56,9 @@ func TestConfigValidation(t *testing.T) {
 		{"priority without retain", func(c *Config) { c.Policy = PriorityBased }},
 		{"huge partitions", func(c *Config) { c.PartitionBits = 30 }},
 		{"unpackable probe pages", func(c *Config) { c.Device = hugeDevice{c.Device} }},
+		{"one cache entry", func(c *Config) { c.CacheEntries = 1 }},
+		{"cache entries not a power of two", func(c *Config) { c.CacheEntries = 96 }},
+		{"negative cache entries", func(c *Config) { c.CacheEntries = -2 }},
 	}
 	for _, tc := range cases {
 		cfg := good
@@ -849,6 +852,13 @@ func TestMemoryFootprint(t *testing.T) {
 	if fp.DeleteListBytes+fp.MetadataBytes <= 0 {
 		t.Fatalf("footprint %+v holds buffers and filters alone", fp)
 	}
+	if fp.CacheBytes != 0 {
+		t.Fatalf("CacheBytes = %d with no cache", fp.CacheBytes)
+	}
+	cfg.CacheEntries = 256
+	if got := mustNew(t, cfg).MemoryFootprint().CacheBytes; got != 256*CacheEntryBytes {
+		t.Fatalf("CacheBytes = %d for 256 entries, want %d", got, 256*CacheEntryBytes)
+	}
 }
 
 func TestPolicyString(t *testing.T) {
@@ -874,18 +884,18 @@ func TestStatsHitRate(t *testing.T) {
 }
 
 func TestStatsMerge(t *testing.T) {
-	a := Stats{Inserts: 1, Deletes: 2, Lookups: 10, Hits: 4, FlashProbes: 5,
+	a := Stats{Inserts: 1, Deletes: 2, Lookups: 10, Hits: 4, CacheHits: 3, FlashProbes: 5,
 		SpuriousProbes: 6, Flushes: 7, Evictions: 8, Expirations: 13, PartialScans: 9,
 		Reinserted: 10, LRUReinserts: 11, Cascades: 12}
 	a.LookupIOHist[0], a.LookupIOHist[7] = 3, 1
 	a.CascadeHist[1] = 2
-	b := Stats{Inserts: 100, Deletes: 200, Lookups: 1000, Hits: 400, FlashProbes: 500,
+	b := Stats{Inserts: 100, Deletes: 200, Lookups: 1000, Hits: 400, CacheHits: 300, FlashProbes: 500,
 		SpuriousProbes: 600, Flushes: 700, Evictions: 800, Expirations: 1300, PartialScans: 900,
 		Reinserted: 1000, LRUReinserts: 1100, Cascades: 1200}
 	b.LookupIOHist[0], b.LookupIOHist[2] = 30, 7
 	b.CascadeHist[1], b.CascadeHist[64] = 20, 5
 	a.Merge(b)
-	if a.Inserts != 101 || a.Deletes != 202 || a.Lookups != 1010 || a.Hits != 404 {
+	if a.Inserts != 101 || a.Deletes != 202 || a.Lookups != 1010 || a.Hits != 404 || a.CacheHits != 303 {
 		t.Fatalf("op counters wrong after merge: %+v", a)
 	}
 	if a.FlashProbes != 505 || a.SpuriousProbes != 606 || a.Flushes != 707 ||
@@ -906,9 +916,9 @@ func TestStatsMerge(t *testing.T) {
 }
 
 func TestMemoryFootprintAdd(t *testing.T) {
-	a := MemoryFootprint{BufferBytes: 1, BloomBytes: 2, DeleteListBytes: 3, MetadataBytes: 4}
-	a.Add(MemoryFootprint{BufferBytes: 10, BloomBytes: 20, DeleteListBytes: 30, MetadataBytes: 40})
-	if a != (MemoryFootprint{BufferBytes: 11, BloomBytes: 22, DeleteListBytes: 33, MetadataBytes: 44}) {
+	a := MemoryFootprint{BufferBytes: 1, BloomBytes: 2, DeleteListBytes: 3, MetadataBytes: 4, CacheBytes: 5}
+	a.Add(MemoryFootprint{BufferBytes: 10, BloomBytes: 20, DeleteListBytes: 30, MetadataBytes: 40, CacheBytes: 50})
+	if a != (MemoryFootprint{BufferBytes: 11, BloomBytes: 22, DeleteListBytes: 33, MetadataBytes: 44, CacheBytes: 55}) {
 		t.Fatalf("footprint add: %+v", a)
 	}
 }

@@ -90,6 +90,7 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 	if len(keys) != len(values) || displaced != nil && len(displaced) != len(keys) {
 		return fmt.Errorf("core: InsertBatch: %d keys, %d values, %d displaced", len(keys), len(values), len(displaced))
 	}
+	b.epoch++
 	is := &b.insert
 	if is.memo == nil {
 		is.memo = make([]insertMemo, memoSlots)
@@ -163,6 +164,7 @@ func (b *BufferHash) DeleteBatch(keys, displaced []uint64) error {
 	if displaced != nil && len(displaced) != len(keys) {
 		return fmt.Errorf("core: DeleteBatch: %d keys, %d displaced", len(keys), len(displaced))
 	}
+	b.epoch++
 	for i, key := range keys {
 		st, kh := b.route(key)
 		b.stats.Deletes++

@@ -138,3 +138,69 @@ func BenchmarkCoalesceProbe(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	b.ReportMetric(float64(distinct)/float64(b.N*batch), "distinct/key")
 }
+
+// BenchmarkHotCache measures the host cost per key of the hot-entry
+// cache over the distinct keys of 4096-key batches of the get-batch-zipf
+// benchmark workload's Zipf(1.1) keys, each split by its top three key
+// bits into the runs its 8 shards' LookupBatch calls take, each shard with
+// the 4,096-entry cache that workload's layout gives it. "probe" runs a
+// read run's cache traffic: every key is probed (hotCache.get), and a miss
+// filled (hotCache.put); "fill" fills every key. With BenchmarkPhaseA they
+// price CPU.CacheFill, the fill's share of phase A's host cost, and
+// CPU.CacheProbe, the probe loop's share less its fills, each times the
+// 2.0 µs phase A is charged.
+func BenchmarkHotCache(b *testing.B) {
+	const (
+		entries = 64 << 20 / 32 // 16-byte entries at 50% cuckoo load
+		batch   = 4096
+		batches = 32
+		shards  = 8
+		cached  = 4096
+	)
+	probe := workload.NewZipfStream(3, 1.1, workload.RangeForLSR(entries, 0.4))
+	runs := make([][]uint64, batches*shards)
+	distinct := 0
+	for i := range batches {
+		seen := map[uint64]bool{}
+		for range batch {
+			k := probe.Next()
+			if !seen[k] {
+				seen[k] = true
+				at := i*shards + int(k>>61)
+				runs[at] = append(runs[at], k)
+				distinct++
+			}
+		}
+	}
+	var caches [shards]hotCache
+	for sh := range caches {
+		caches[sh] = newHotCache(cached)
+	}
+	b.Run("probe", func(b *testing.B) {
+		misses := 0
+		for b.Loop() {
+			for i, run := range runs {
+				c := &caches[i%shards]
+				for _, k := range run {
+					if _, ok := c.get(k, 1); !ok {
+						c.put(k, k, 1)
+						misses++
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*distinct), "ns/key")
+		b.ReportMetric(float64(misses)/float64(b.N*distinct), "misses/key")
+	})
+	b.Run("fill", func(b *testing.B) {
+		for b.Loop() {
+			for i, run := range runs {
+				c := &caches[i%shards]
+				for _, k := range run {
+					c.put(k, k, 1)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*distinct), "ns/key")
+	})
+}

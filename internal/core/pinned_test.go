@@ -67,12 +67,14 @@ func TestSerialOpsPinned(t *testing.T) {
 	// changes its scans, flushes and answers by design. The stats digests
 	// were re-derived when Stats gained Expirations: each is the digest of
 	// the previous %+v string with " Expirations:0" added after its
-	// Evictions count.
+	// Evictions count. They were re-derived again when Stats gained
+	// CacheHits: each is the digest of the previous %+v string with
+	// " CacheHits:0" added after its Hits count (testConfig has no cache).
 	pins := map[string]want{
-		"ssd/fifo":     {2981419520, 0xbcf16e5354781234, 0xa230165b4a46cb69},
-		"ssd/lru":      {2982640164, 0x35cbcf5488c9009a, 0x5c19ea68cd55d4a6},
-		"ssd/update":   {8438394658, 0x807f81ffeaabc171, 0xe48c6c53f97c235},
-		"ssd/priority": {4006404332, 0x28050b4ddf58adf0, 0x40f17a6019ca5689},
+		"ssd/fifo":     {2981419520, 0xf2540bfff6296e6e, 0xa230165b4a46cb69},
+		"ssd/lru":      {2982640164, 0x7866d95be813b70, 0x5c19ea68cd55d4a6},
+		"ssd/update":   {8438394658, 0x9d5bca67abf35b1b, 0xe48c6c53f97c235},
+		"ssd/priority": {4006404332, 0xe5c177693dfc3f76, 0x40f17a6019ca5689},
 	}
 	for _, policy := range []EvictionPolicy{FIFO, LRU, UpdateBased, PriorityBased} {
 		name := "ssd/" + policy.String()

@@ -12,6 +12,9 @@ type Stats struct {
 	// not its positions.
 	Lookups uint64
 	Hits    uint64
+	// CacheHits counts the lookups the hot-entry cache answered; each is
+	// also a zero-I/O lookup and a hit.
+	CacheHits uint64
 
 	// FlashProbes counts incarnation page reads; SpuriousProbes counts the
 	// subset that found nothing (Bloom false positives).
@@ -65,6 +68,7 @@ func (s *Stats) Merge(o Stats) {
 	s.Deletes += o.Deletes
 	s.Lookups += o.Lookups
 	s.Hits += o.Hits
+	s.CacheHits += o.CacheHits
 	s.FlashProbes += o.FlashProbes
 	s.SpuriousProbes += o.SpuriousProbes
 	for i := range s.LookupIOHist {

@@ -158,6 +158,7 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 		return
 	}
 	if _, err := st.buf.Insert(kh, v); err == nil {
+		st.owner.epoch++
 		if st.bank != nil {
 			st.bank.AddStaging(kh)
 		}
@@ -379,6 +380,7 @@ func (st *superTable) writeBufferAsIncarnation() error {
 // entry once k further flushes have evicted all of those. A shadowed key
 // reads as a miss until it is inserted again.
 func (st *superTable) dropFailedImage(img []byte, seq uint64) {
+	st.owner.epoch++
 	for j := st.oldest(); j < st.owner.cfg.NumIncarnations; j++ {
 		if st.incs[j].seq == seq {
 			st.dead |= 1 << j

@@ -97,15 +97,29 @@ type ValueLog struct {
 	// The device pages read since the get chunk began, or in the call
 	// outside a chunk (see BeginChunk): the table numbering them, and
 	// each one's view by its number. Then one call's scratch: its pages
-	// not yet read, the submission reading them, and for each record
-	// served as a view, the number of its page (-1 for every other).
-	pages   PageTable
-	views   [][]byte
-	chunk   bool
-	fresh   []uint64
-	reqs    []ReadReq
-	recPage []int32
+	// not yet read, each packed with its place among them (see
+	// addPages), the submission reading them, and where each request's
+	// record lies.
+	pages PageTable
+	views [][]byte
+	chunk bool
+	fresh []uint64
+	reqs  []ReadReq
+	recs  []recLoc
 }
+
+// recLoc is where ReadRecordsBatch found a request's record: its log
+// range, n 0 when it reads none, and the number of the one device page
+// holding it, -1 when the record is copied into the arena instead.
+type recLoc struct {
+	off     int64
+	n, page int32
+}
+
+// freshBits is the width of a fresh page's place among its call's fresh
+// pages, packed below its page number; NewValueLog rejects devices whose
+// page numbers would not fit above it.
+const freshBits = 32
 
 // ValueLogStats counts log activity, including the live/dead space
 // accounting: delete is index-only and overwrite is append-only, so dead
@@ -255,6 +269,9 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 	capacity -= capacity % int64(unit)
 	if capacity < 8*int64(g.PageSize) {
 		return nil, fmt.Errorf("storage: value log needs at least 8 pages, got %d bytes", capacity)
+	}
+	if capacity/int64(g.PageSize) > 1<<(64-freshBits) {
+		return nil, fmt.Errorf("storage: value log of %d bytes holds too many %d-byte pages", capacity, g.PageSize)
 	}
 	// Space accounting resolution: ~256 regions, page-aligned, at least one
 	// page each.
@@ -543,7 +560,8 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 	if !l.chunk {
 		l.forget()
 	}
-	l.fresh, l.recPage = l.fresh[:0], l.recPage[:0]
+	l.fresh, l.recs = l.fresh[:0], l.recs[:0]
+	base := len(l.views) // the number the call's first fresh page gets
 	copied := 0
 	for i := range reqs {
 		reqs[i].Rec = nil
@@ -551,7 +569,7 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 		if overwritten {
 			l.stats.SkippedReads++
 		}
-		id := -1
+		loc := recLoc{page: -1}
 		if read {
 			end := off + int64(n)
 			lo, hi := l.split(off, end)
@@ -559,43 +577,43 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 			if last := l.addPages(hi, end); first < 0 {
 				first = last
 			}
+			loc.off, loc.n = off, int32(n)
 			if lo == hi && off/int64(l.pageSize) == (end-1)/int64(l.pageSize) {
-				id = first
+				loc.page = int32(first)
 			} else {
 				copied += n
 			}
 		}
-		l.recPage = append(l.recPage, int32(id))
+		l.recs = append(l.recs, loc)
 	}
 	if len(l.fresh) > 0 {
 		slices.Sort(l.fresh)
 		l.reqs = l.reqs[:0]
-		for _, page := range l.fresh {
-			l.reqs = append(l.reqs, ReadReq{Off: int64(page) * int64(l.pageSize), N: l.pageSize, View: true})
+		for _, w := range l.fresh {
+			l.reqs = append(l.reqs, ReadReq{Off: int64(w>>freshBits) * int64(l.pageSize), N: l.pageSize, View: true})
 		}
 		if _, err := l.dev.ReadBatch(l.reqs); err != nil {
 			l.forget()
 			return arena, fmt.Errorf("storage: value log read: %w", err)
 		}
-		for j, page := range l.fresh {
-			id, _ := l.pages.Add(page)
-			l.views[id] = l.reqs[j].P
+		for j, w := range l.fresh {
+			l.views[base+int(w&(1<<freshBits-1))] = l.reqs[j].P
 		}
 	}
 	arena = slices.Grow(arena, copied)
 	next := len(arena) // where the next copied record is carved
 	arena = arena[:next+copied]
-	for i := range reqs {
-		off, n, read, _ := l.locate(reqs[i].Ptr)
+	for i, loc := range l.recs {
+		off, n := loc.off, int64(loc.n)
 		switch {
-		case !read:
-		case l.recPage[i] >= 0:
-			lo := int(off % int64(l.pageSize))
-			reqs[i].Rec = l.views[l.recPage[i]][lo : lo+n : lo+n]
+		case n == 0:
+		case loc.page >= 0:
+			lo := off % int64(l.pageSize)
+			reqs[i].Rec = l.views[loc.page][lo : lo+n : lo+n]
 		default:
-			rec := arena[next : next+n : next+n]
-			reqs[i].Rec, next = rec, next+n
-			end := off + int64(n)
+			rec := arena[next : next+int(n) : next+int(n)]
+			reqs[i].Rec, next = rec, next+int(n)
+			end := off + n
 			lo, hi := l.split(off, end)
 			l.copyPages(rec[:lo-off], off)
 			if lo < hi {
@@ -608,15 +626,16 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 }
 
 // addPages adds the device pages [off, end) touches to the chunk's, each
-// page not read yet to the call's fresh pages, and returns the number of
-// the first, or -1 for an empty range.
+// page not read yet to the call's fresh pages, packed above its place
+// among them (the page's number less the call's first fresh page's), and
+// returns the number of the first, or -1 for an empty range.
 func (l *ValueLog) addPages(off, end int64) int {
 	first := -1
 	ps := int64(l.pageSize)
 	for p := off / ps; off < end && p <= (end-1)/ps; p++ {
 		id, fresh := l.pages.Add(uint64(p))
 		if fresh {
-			l.fresh = append(l.fresh, uint64(p))
+			l.fresh = append(l.fresh, uint64(p)<<freshBits|uint64(len(l.fresh)))
 			l.views = append(l.views, nil)
 		}
 		if first < 0 {
