@@ -118,7 +118,10 @@
 // whatever remains of an earlier put's write. Each device's idle time,
 // and so its background garbage-collection credit, is measured on its
 // own clock. A WithCustomDevice store runs its index device on the shard
-// clock, where device and CPU time add up.
+// clock, where device and CPU time add up, through the same lookup path:
+// such a device is idle at every CPU instant and completes each read as
+// it is issued. Its value log is kind-made on a private clock, as every
+// shard's is.
 //
 // All Store methods are safe for concurrent use. Operations serialize per
 // shard, matching the paper's blocking-I/O design point: a CLAM serializes
@@ -194,14 +197,14 @@ type shard struct {
 	mu     sync.Mutex
 	bh     *core.BufferHash
 	dev    storage.Device
-	vlog   *storage.ValueLog // nil iff no value-log device was configured
+	vlog   *storage.ValueLog
 	clock  *vclock.Clock
 	insert metrics.Histogram
 	lookup metrics.Histogram
 	del    metrics.Histogram
 
 	// logClock is the value-log device's private timeline (see issueLog
-	// and join); nil iff vlog is nil.
+	// and join).
 	logClock *vclock.Clock
 
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
@@ -241,39 +244,34 @@ func openShard(cfg config) (*shard, error) {
 	if clock == nil {
 		clock = vclock.New()
 	}
-	s := &shard{clock: clock}
-	dev := cfg.customDevice
+	s := &shard{clock: clock, logClock: vclock.New(), dev: cfg.customDevice}
 	var devClock *vclock.Clock // nil: a custom device runs on the shard clock
-	var vdev storage.Device
-	if dev == nil {
-		var err error
+	var err error
+	if s.dev == nil {
 		devClock = vclock.New()
-		if dev, err = newKindDevice(cfg.device, cfg.flashBytes, devClock); err != nil {
+		if s.dev, err = newKindDevice(cfg.device, cfg.flashBytes, devClock); err != nil {
 			return nil, err
 		}
-		vbytes := cfg.valueLogBytes
-		if vbytes == 0 {
-			vbytes = cfg.flashBytes
-		}
-		s.logClock = vclock.New()
-		if vdev, err = newKindDevice(cfg.device, vbytes, s.logClock); err != nil {
-			return nil, err
-		}
-		s.onHits = &core.HitHook{Read: s.readHits, Clock: s.logClock, Lanes: vdev.Geometry().Lanes}
 	}
-	coreCfg, err := deriveConfig(cfg, dev, clock)
+	vbytes := cfg.valueLogBytes
+	if vbytes == 0 {
+		vbytes = cfg.flashBytes
+	}
+	vdev, err := newKindDevice(cfg.device, vbytes, s.logClock)
+	if err != nil {
+		return nil, err
+	}
+	if s.vlog, err = storage.NewValueLog(vdev); err != nil {
+		return nil, err
+	}
+	s.onHits = &core.HitHook{Read: s.readHits, Clock: s.logClock, Lanes: vdev.Geometry().Lanes}
+	coreCfg, err := deriveConfig(cfg, s.dev, clock)
 	if err != nil {
 		return nil, err
 	}
 	coreCfg.DeviceClock = devClock
 	if s.bh, err = core.New(coreCfg); err != nil {
 		return nil, err
-	}
-	s.dev = dev
-	if vdev != nil {
-		if s.vlog, err = storage.NewValueLog(vdev); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -463,9 +461,6 @@ func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 // and fails, unacknowledged. Record offsets depend only on append order,
 // so the final state matches one Put per key exactly.
 func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
-	if s.vlog == nil {
-		return ErrNoValueLog
-	}
 	w := s.begin()
 	s.join()
 	s.issueLog()
@@ -602,9 +597,6 @@ func (s *shard) retire(displaced []uint64) {
 // a log page one hand-off read serves every later hand-off's records in
 // it. It fills only the hits of values and found.
 func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
-	if s.vlog == nil {
-		return ErrNoValueLog
-	}
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
 	s.recs, s.recIdx, s.recArena = s.recs[:0], s.recIdx[:0], s.recArena[:0]
@@ -701,9 +693,6 @@ func (s *shard) verifyRecords(keys, values [][]byte, found []bool) {
 // deleteBatchFPs applies one chunk of byte-key deletes, retiring the
 // records whose pointers they removed from the buffer.
 func (s *shard) deleteBatchFPs(fps []uint64) error {
-	if s.vlog == nil {
-		return ErrNoValueLog
-	}
 	w := s.begin()
 	displaced := s.displacedWords(len(fps))
 	err := s.bh.DeleteBatch(fps, displaced)
@@ -714,9 +703,6 @@ func (s *shard) deleteBatchFPs(fps []uint64) error {
 // containsBatchFPs resolves one chunk of existence probes: the batched
 // index lookup alone, with no value-log read.
 func (s *shard) containsBatchFPs(fps []uint64, found []bool) error {
-	if s.vlog == nil {
-		return ErrNoValueLog
-	}
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
 	err := s.bh.LookupBatch(fps, s.batchRes, nil)
@@ -753,10 +739,8 @@ func (s *shard) addStats(agg *Stats, hs *[3]metrics.Histogram) {
 	agg.Core.Merge(s.bh.Stats())
 	agg.Device.Add(s.dev.Counters())
 	agg.Memory.Add(s.bh.MemoryFootprint())
-	if s.vlog != nil {
-		agg.ValueDevice.Add(s.vlog.Device().Counters())
-		agg.ValueLog.Add(s.vlog.Stats())
-	}
+	agg.ValueDevice.Add(s.vlog.Device().Counters())
+	agg.ValueLog.Add(s.vlog.Stats())
 	for i, h := range [...]*metrics.Histogram{&s.insert, &s.lookup, &s.del} {
 		hs[i].Merge(h)
 	}
@@ -766,8 +750,8 @@ func (s *shard) addStats(agg *Stats, hs *[3]metrics.Histogram) {
 type Stats struct {
 	Core   core.Stats
 	Device storage.Counters
-	// ValueDevice counts the value log's own I/O (zero when the store has
-	// no value log or the byte API was never used).
+	// ValueDevice counts the value log's own I/O (zero while the byte API
+	// was never used).
 	ValueDevice storage.Counters
 	// ValueLog counts record appends and log wraps.
 	ValueLog storage.ValueLogStats

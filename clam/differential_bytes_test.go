@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/ssd"
+	"repro/internal/vclock"
 )
 
 // The byte-API differential harness mirrors differential_test.go for the
@@ -147,23 +150,35 @@ func verifyByteFinal(t *testing.T, name string, s Store, oracle map[string][]byt
 	return lost
 }
 
+// TestDifferentialBytesStrictNoEvictions runs one stream against three
+// stores: a CLAM, a Sharded store and a WithCustomDevice CLAM over an
+// Intel SSD built on its WithClock clock, which keeps a value log like
+// every other store. All three must answer exactly as the oracle does.
 func TestDifferentialBytesStrictNoEvictions(t *testing.T) {
 	// 30k ops over 10k keys with values up to 200 B: total appended record
 	// bytes stay well below the 16 MB value log, and the index stays below
 	// eviction onset, so the tolerance collapses to exact equality.
 	ops := genByteOps(7001, 30000, 10000, 200, 0.25, 0.10, 0.0002)
 	c, s := strictStores(t, FIFO)
-
-	co := applyByteDifferential(t, "clam", c, ops, true)
-	so := applyByteDifferential(t, "sharded", s, ops, true)
-	if len(co) != len(so) {
-		t.Fatalf("oracle divergence: clam %d keys, sharded %d", len(co), len(so))
-	}
-
-	for _, st := range []struct {
+	clock := vclock.New()
+	cd := openCLAMT(t, WithCustomDevice(ssd.New(ssd.IntelX18M(), 16<<20, clock)), WithClock(clock),
+		WithFlash(16<<20), WithMemory(4<<20), WithPolicy(FIFO), WithSeed(11))
+	stores := []struct {
 		name string
 		s    Store
-	}{{"clam", c}, {"sharded", s}} {
+	}{{"clam", c}, {"sharded", s}, {"custom-device", cd}}
+
+	var oracle map[string][]byte
+	for _, st := range stores {
+		o := applyByteDifferential(t, st.name, st.s, ops, true)
+		if oracle == nil {
+			oracle = o
+		} else if len(o) != len(oracle) {
+			t.Fatalf("oracle divergence: clam %d keys, %s %d", len(oracle), st.name, len(o))
+		}
+	}
+
+	for _, st := range stores {
 		stats := st.s.Stats()
 		if stats.Core.Evictions != 0 {
 			t.Fatalf("%s: strict phase evicted %d times; retune the test sizes", st.name, stats.Core.Evictions)
@@ -175,19 +190,19 @@ func TestDifferentialBytesStrictNoEvictions(t *testing.T) {
 		if stats.ValueLog.Records == 0 || stats.ValueDevice.Writes == 0 {
 			t.Fatalf("%s: value log unused (%+v)", st.name, stats.ValueLog)
 		}
-		if lost := verifyByteFinal(t, st.name, st.s, co, 7001); lost != 0 {
+		if lost := verifyByteFinal(t, st.name, st.s, oracle, 7001); lost != 0 {
 			t.Fatalf("%s: lost %d keys with zero evictions", st.name, lost)
 		}
 	}
 
 	// Same stream, same semantics: every per-key answer must agree between
-	// the two implementations.
-	for k, v := range co {
-		cv, cok, _ := c.Get([]byte(k))
-		sv, sok, _ := s.Get([]byte(k))
-		if !cok || !sok || !bytes.Equal(cv, v) || !bytes.Equal(sv, v) {
-			t.Fatalf("clam/sharded diverge on %q: (%v, %d bytes) vs (%v, %d bytes), oracle %d bytes",
-				k, cok, len(cv), sok, len(sv), len(v))
+	// the three stores.
+	for k, v := range oracle {
+		for _, st := range stores {
+			got, ok, err := st.s.Get([]byte(k))
+			if err != nil || !ok || !bytes.Equal(got, v) {
+				t.Fatalf("%s diverges on %q: (%v, %d bytes, %v), oracle %d bytes", st.name, k, ok, len(got), err, len(v))
+			}
 		}
 	}
 }

@@ -47,10 +47,10 @@ func WithDevice(kind DeviceKind) Option {
 
 // WithCustomDevice overrides the index device of a one-shard store (a
 // CLAM) with a caller-supplied model. The caller must construct it against
-// the clock passed via WithClock (or let the device own its clock).
-// Such a store has no value log, so its byte-valued operations fail with
-// ErrNoValueLog and WithValueLog is rejected. Rejected with WithShards > 1:
-// each shard of a Sharded store owns private devices.
+// the clock passed via WithClock (or let the device own its clock). The
+// store is otherwise an ordinary one: its value log is made of the
+// WithDevice kind on a private clock, as every shard's is. Rejected with
+// WithShards > 1: each shard of a Sharded store owns private devices.
 func WithCustomDevice(dev storage.Device) Option {
 	return func(c *config) error {
 		c.customDevice = dev
@@ -98,7 +98,6 @@ func WithMemory(bytes int64) Option {
 // backing the byte-valued API. Default: the flash capacity again. The log
 // is circular — when it wraps, the oldest records are overwritten and
 // their keys read as misses, the same FIFO story as incarnation eviction.
-// Rejected with WithCustomDevice, whose store has no value log.
 func WithValueLog(bytes int64) Option {
 	return func(c *config) error {
 		if bytes <= 0 {

@@ -208,8 +208,8 @@ func TestOneKeyGetTimeline(t *testing.T) {
 
 // openSharedIndexTwin opens the Sharded store opts describe, except that
 // each shard's index device runs on its shard clock, as a WithCustomDevice
-// index does, and no shard has a value log: the timeline on which a
-// shard's index reads and CPU work add up.
+// index does: the timeline on which a shard's index reads and CPU work add
+// up.
 func openSharedIndexTwin(t testing.TB, opts ...Option) *Sharded {
 	t.Helper()
 	cfg := config{seed: 1, shards: 1, batchChunk: defaultBatchChunk}
@@ -222,7 +222,7 @@ func openSharedIndexTwin(t testing.TB, opts ...Option) *Sharded {
 	shards := make([]*shard, n)
 	for i := range shards {
 		po := cfg
-		po.flashBytes, po.memoryBytes, po.valueLogBytes = cfg.flashBytes/int64(n), cfg.memoryBytes/int64(n), 0
+		po.flashBytes, po.memoryBytes, po.valueLogBytes = cfg.flashBytes/int64(n), cfg.memoryBytes/int64(n), cfg.valueLogBytes/int64(n)
 		po.seed = hashutil.Hash64Seed(uint64(i), cfg.seed)
 		po.clock = vclock.New()
 		dev, err := newKindDevice(po.device, po.flashBytes, po.clock)

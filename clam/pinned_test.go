@@ -201,7 +201,7 @@ func TestSingleStorePinned(t *testing.T) {
 	// 0.02%. The result digests did not move.
 	pins := map[string]want{
 		"ssd-intel/fifo":       {1992342094, 0x528e2a26fc493ee9, 0xa4fa745b9667f5f7},
-		"ssd-intel/lru":        {2112788678, 0xfd0531013eb20354, 0x250dc63872a2a435},
+		"ssd-intel/lru":        {2112788678, 0x8e82bda6424f7e59, 0x250dc63872a2a435},
 		"ssd-intel/update":     {2418826538, 0x31553014e69c584, 0xd012fe75d3aecd66},
 		"ssd-transcend/fifo":   {11491061560, 0xcc787bc89575f86f, 0xa4fa745b9667f5f7},
 		"ssd-transcend/lru":    {11629466292, 0x3038eb18bb9d26a, 0x250dc63872a2a435},

@@ -75,9 +75,6 @@ func openRouter(cfg config) (*router, error) {
 	if n > 1 && cfg.customDevice != nil {
 		return nil, errors.New("clam: WithCustomDevice is incompatible with WithShards; each shard owns its own devices")
 	}
-	if cfg.customDevice != nil && cfg.valueLogBytes != 0 {
-		return nil, errors.New("clam: WithValueLog is incompatible with WithCustomDevice; such a store has no value log")
-	}
 	if cfg.flashBytes%int64(n) != 0 {
 		return nil, fmt.Errorf("clam: flash capacity %d not divisible by %d shards", cfg.flashBytes, n)
 	}

@@ -2,7 +2,6 @@ package clam
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/hashutil"
 )
@@ -131,11 +130,6 @@ type Store interface {
 	// footprint.
 	ResetMetrics()
 }
-
-// ErrNoValueLog is returned by byte-valued operations on a store opened
-// with WithCustomDevice: such a store has no value log, so only the U64
-// API serves it.
-var ErrNoValueLog = errors.New("clam: no value log; a WithCustomDevice store serves only the U64 API")
 
 // fingerprintSalt decorrelates byte-key fingerprints from caller-chosen
 // U64 keys and from the table's internal hashing.

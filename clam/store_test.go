@@ -9,9 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/ssd"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // countingCtx is a context whose Err starts returning Canceled after the
@@ -93,49 +91,6 @@ func TestBatchCancellation(t *testing.T) {
 		if applied != 3*64 {
 			t.Fatalf("workers=%d: canceled batch applied %d inserts, want exactly %d (3 chunks of 64)", workers, applied, 3*64)
 		}
-	}
-}
-
-// TestCustomDeviceByteAPIRequiresValueLog pins ErrNoValueLog: a store over
-// a custom index device has no value log, so every byte op fails, touching
-// nothing, while the U64 path keeps working; and such a store takes no
-// value-log size.
-func TestCustomDeviceByteAPIRequiresValueLog(t *testing.T) {
-	clock := vclock.New()
-	dev := ssd.New(ssd.IntelX18M(), 16<<20, clock)
-	st, err := Open(WithCustomDevice(dev), WithClock(clock), WithFlash(16<<20), WithMemory(4<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, k := context.Background(), []byte("k")
-	// A U64 entry under k's fingerprint: a byte op that reached the index
-	// would find or delete it.
-	fp := fingerprint(k, st.(*CLAM).fpSeed)
-	if err := st.PutU64(fp, 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []struct {
-		name string
-		call func() error
-	}{
-		{"Put", func() error { return st.Put(k, []byte("v")) }},
-		{"Get", func() error { _, _, err := st.Get(k); return err }},
-		{"Delete", func() error { return st.Delete(k) }},
-		{"PutBatch", func() error { return st.PutBatch(ctx, [][]byte{k}, [][]byte{[]byte("v")}) }},
-		{"GetBatch", func() error { _, _, err := st.GetBatch(ctx, [][]byte{k}); return err }},
-		{"DeleteBatch", func() error { return st.DeleteBatch(ctx, [][]byte{k}) }},
-		{"ContainsBatch", func() error { _, err := st.ContainsBatch(ctx, [][]byte{k}); return err }},
-	} {
-		if err := op.call(); !errors.Is(err, ErrNoValueLog) {
-			t.Errorf("%s without value log returned %v", op.name, err)
-		}
-	}
-	if v, ok, err := st.GetU64(fp); err != nil || !ok || v != 2 {
-		t.Errorf("GetU64 after the byte ops = (%d, %v, %v); want the U64 entry untouched", v, ok, err)
-	}
-	if _, err := Open(WithCustomDevice(dev), WithClock(clock), WithFlash(16<<20), WithMemory(4<<20),
-		WithValueLog(1<<20)); err == nil {
-		t.Fatal("Open accepted WithValueLog with WithCustomDevice, whose store has no value log")
 	}
 }
 

@@ -31,16 +31,19 @@ import (
 //	             (CPU.CacheFill), so a hot key's work is done once per read
 //	             run rather than once per batch. Phase A
 //	             also gathers each unresolved key's first probe (phase B's
-//	             round 1) as it goes. On a device with a timeline of its
-//	             own (Config.DeviceClock), whenever the device is idle at
-//	             the current CPU instant and the gathered pages not yet
-//	             submitted fill its queue lanes (Geometry.Lanes), phase A
-//	             lands its CPU charges, submits those pages and runs on, so
-//	             the reads overlap the rest of phase A. Given a hit hook,
-//	             phase A also runs phase C early for every round-1 key
-//	             whose read has completed by the current CPU instant, and
-//	             hands the hook its final hits, in multiples of the hook
-//	             device's lanes, whenever that device is idle (HitHook).
+//	             round 1) as it goes. In a call of more than one key,
+//	             whenever the device is idle at the current CPU instant
+//	             and the gathered pages not yet submitted fill its queue
+//	             lanes (Geometry.Lanes), phase A lands its CPU charges,
+//	             submits those pages and runs on, so the reads overlap the
+//	             rest of phase A (a device on the CPU's own clock, see
+//	             Config.DeviceClock, is idle at every CPU instant and
+//	             completes each read as it is issued). Given a hit hook,
+//	             such a call also runs phase C early for every round-1 key
+//	             whose read has completed by the current CPU instant.
+//	             Phase A hands the hook its final hits, in multiples of
+//	             the hook device's lanes, whenever that device is idle
+//	             (HitHook).
 //	B (gather):  each probing round collects every unresolved key's single
 //	             newest-candidate page probe, dedupes keys that land on the
 //	             same flash page (a page is read once per round, and every
@@ -321,8 +324,7 @@ type HitHook struct {
 // round's flash reads are deduped, sorted and overlapped through the
 // device's ReadBatch (on a one-lane device the overlap degenerates to the
 // sum of the reads, and the batch still benefits from dedupe and address
-// ordering), and, on a device with its own timeline, because round 1's
-// reads start while phase A still runs.
+// ordering), and because round 1's reads may run while phase A still does.
 //
 // A key given twice is looked up once: phase A finds each repeat with
 // one probe of a batch-scoped table of the keys so far (a one-key call
@@ -343,8 +345,8 @@ type HitHook struct {
 //
 // hook is nil or receives every hit once, as soon as its result is final
 // (see HitHook). A hit is final when phase A finds it in the cache or the
-// buffer, when a probing round resolves it, and, on a device with its own
-// timeline, when phase A resolves a round-1 key against a streamed read
+// buffer, when a probing round resolves it, and, in a call of more than
+// one key, when phase A resolves a round-1 key against a streamed read
 // that has completed by the current CPU instant: such a key runs phase C
 // early, and on a miss goes on to round 2. While phase A runs, the final hits go to
 // the hook in lane multiples whenever its device is idle; the rest go
@@ -382,21 +384,18 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	// round 1. CPU costs are accrued into one deferred charge and applied
 	// to the clock in a single advance — the same virtual total as one-key
 	// lookups, without several clock advances per key — except where a
-	// submission to an idle device of its own, or a hand-off of hits to an
+	// batch's submission to an idle device, or a hand-off of hits to an
 	// idle hook device, lands them early.
-	stream := b.cfg.DeviceClock != b.cfg.Clock
-	early := stream && hook != nil
-	if stream {
+	batch := len(keys) > 1
+	early := batch && hook != nil
+	if batch {
+		bs.distinct.reset()
 		bs.seen.Reset()
 		bs.pageRead = bs.pageRead[:0]
 	}
-	dedupe := len(keys) > 1
-	if dedupe {
-		bs.distinct.reset()
-	}
 	for i, key := range keys {
 		first := int32(-1)
-		if dedupe {
+		if batch {
 			first = bs.distinct.first(keys, i)
 		}
 		switch {
@@ -413,7 +412,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			results[i] = res
 			if !done && mask != 0 {
 				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
-				b.gather(len(bs.pending)-1, stream)
+				b.gather(len(bs.pending)-1, batch)
 				if early {
 					b.await(len(bs.pending)-1, results)
 				}
@@ -429,7 +428,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 				}
 			}
 		}
-		if stream && (early || len(bs.pages)-bs.sent >= b.lanes) && b.idle(b.cfg.DeviceClock) {
+		if batch && (early || len(bs.pages)-bs.sent >= b.lanes) && b.idle(b.cfg.DeviceClock) {
 			if early {
 				b.resolveEarly(results)
 			}

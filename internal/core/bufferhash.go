@@ -66,7 +66,7 @@ type BufferHash struct {
 	cpuDebt time.Duration
 
 	// cache is the hot-entry cache (it has no sets when
-	// Config.CacheEntries is 0). epoch is the write epoch, bumped by every change of state, and
+	// Config.CacheEntries is 0). epoch is the write epoch, bumped by every change of state but an LRU re-insertion, and
 	// runEpoch the epoch the last lookup call ended at: a lookup call
 	// that starts at runEpoch is in a read run (see hotcache.go).
 	cache    hotCache
@@ -233,7 +233,7 @@ func (b *BufferHash) settleCPUDebt() {
 func (b *BufferHash) issueDevice() { b.cfg.DeviceClock.AdvanceTo(b.cfg.Clock.Now()) }
 
 // joinDevice makes the operation wait for the device: the clock moves up
-// to the device clock. On a shared timeline both calls do nothing.
+// to the device clock. For a device on Clock itself both calls do nothing.
 func (b *BufferHash) joinDevice() { b.cfg.Clock.AdvanceTo(b.cfg.DeviceClock.Now()) }
 
 // route hashes a user key to (super table, in-partition key). The first

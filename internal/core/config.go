@@ -7,9 +7,9 @@
 // The package operates in virtual time: CPU costs and device I/O advance
 // the configured vclock.Clock, so callers measure operation latencies by
 // reading the clock around calls (the clam package does exactly that).
-// The device may run on the same clock or on a clock of its own
-// (Config.DeviceClock); then every operation joins the device's timeline
-// before it uses a result, and so before it returns.
+// The device keeps its own timeline (Config.DeviceClock): a submission
+// starts no earlier than the clock, and every operation joins the
+// device's timeline before it uses a result, and so before it returns.
 //
 // BufferHash is not safe for concurrent use; the clam facade serializes
 // access. This mirrors the paper's design point that flash I/Os are
@@ -21,22 +21,21 @@
 // one-key case. A lookup (§5.1.1: buffer, Bloom filters, then newest-first
 // page probes) runs through LookupBatch: phase A answers every key's
 // in-memory portion with zero I/O and gathers the first probing round,
-// handing its pages to a device with a timeline of its own whenever the
-// device is idle and they fill its queue lanes; phase B gathers each
-// probing round's page reads, dedupes same-page keys, sorts them by
-// device address and submits them (in round 1, the pages still
-// unsubmitted) as one device ReadBatch so their virtual latency overlaps
-// across the device's queue lanes; and phase C resolves the pages
-// newest-first, stopping at the first hit. Lookup is a one-key
-// LookupBatch; see batch.go.
+// handing a batch's pages to the device whenever it is idle and they fill
+// its queue lanes; phase B gathers each probing round's page reads,
+// dedupes same-page keys, sorts them by device address and submits them
+// (in round 1, the pages still unsubmitted) as one device ReadBatch so
+// their virtual latency overlaps across the device's queue lanes; and
+// phase C resolves the pages newest-first, stopping at the first hit.
+// Lookup is a one-key LookupBatch; see batch.go.
 //
 // A store may spend part of its DRAM on a hot-entry cache
 // (Config.CacheEntries): in a read run, a lookup call that no write has
 // preceded since the previous one ended, phase A checks every distinct
 // key against it before the delete list, buffer and Bloom filters, and a
-// cached key is a final hit with no further work. Every change of state
-// bumps a write epoch and an entry answers only at the epoch it was filled
-// in, so the cache answers exactly what the lookup it skips would, and a
+// cached key is a final hit with no further work. Every write bumps a
+// write epoch and an entry answers only at the epoch it was filled in, so
+// the cache answers exactly what the lookup it skips would, and a
 // workload that writes between its lookups never probes, fills or pays
 // for it. See hotcache.go.
 //
@@ -194,13 +193,13 @@ type Config struct {
 	// Clock is the virtual clock the CPU charges land on, and the one a
 	// caller reads to time an operation.
 	Clock *vclock.Clock
-	// DeviceClock is the clock Device was built on. nil means Clock: one
-	// shared timeline, on which device time and CPU time add up. A device
-	// on a clock of its own keeps its own timeline: each submission first
-	// moves it up to Clock, since it cannot start before it is issued, and
-	// Clock moves up to it (a join) before the result is used, so every
-	// operation returns joined. Only LookupBatch's first probing round
-	// overlaps the device with CPU work (see batch.go).
+	// DeviceClock is the clock Device was built on, the device's
+	// timeline: each submission first moves it up to Clock, since it
+	// cannot start before it is issued, and Clock moves up to it (a join)
+	// before the result is used, so every operation returns joined. Only
+	// LookupBatch's first probing round overlaps the device with CPU work
+	// (see batch.go). nil means Clock, the timeline on which the device
+	// is idle at every CPU instant and device time and CPU time add up.
 	DeviceClock *vclock.Clock
 
 	// PartitionBits is k1: the number of super tables is 2^k1 (§5.2).

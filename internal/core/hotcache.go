@@ -11,13 +11,15 @@ import "math/bits"
 // final hit at the cost of one probe.
 //
 // It is correct by construction rather than by invalidation. Every change
-// of core state (InsertBatch, DeleteBatch, Flush, ExpireThrough, a dropped
-// image, an LRU re-insertion) bumps the write epoch, an entry answers only
-// at the epoch it was filled in, and a lookup call probes and fills the
-// cache only in a read run: when no write has come since the previous
-// lookup call ended. So an entry answers exactly what a lookup of the same
-// unchanged state would, and a workload that interleaves every read with a
-// write never probes, fills or pays for it.
+// of core state that can change an answer (InsertBatch, DeleteBatch,
+// Flush, ExpireThrough, a dropped image) bumps the write epoch, an entry
+// answers only at the epoch it was filled in, and a lookup call probes and
+// fills the cache only in a read run: when no write has come since the
+// previous lookup call ended. An LRU re-insertion bumps nothing: it moves
+// a found key into its buffer with the value found, and changes no key's
+// answer (fillable guards the one key it concerns). So an entry answers
+// exactly what a lookup of the same state would, and a workload that
+// interleaves every read with a write never probes, fills or pays for it.
 
 // CacheEntryBytes is the DRAM one hot-cache entry takes: its key, value
 // and epoch tag.

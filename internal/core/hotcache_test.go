@@ -343,3 +343,41 @@ func TestHotCacheEpochs(t *testing.T) {
 		}
 	}
 }
+
+// TestHotCacheKeepsRunAcrossLRUReinsert checks that an LRU re-insertion,
+// which moves a flash hit into its buffer and changes no key's answer,
+// leaves the read run's cache valid: a key cached before the re-insertion
+// still answers from the cache in the run's next call.
+func TestHotCacheKeepsRunAcrossLRUReinsert(t *testing.T) {
+	b := mustNew(t, twinConfig(LRU, cacheTwinEntries))
+	const flashKey, bufKey = 12345, 67890
+	if err := b.Insert(flashKey, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Insert(bufKey, 2); err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(key uint64) LookupResult {
+		t.Helper()
+		res, err := b.Lookup(key)
+		if err != nil || !res.Found {
+			t.Fatalf("lookup of %d: found %t, err %v", key, res.Found, err)
+		}
+		return res
+	}
+	lookup(bufKey) // ends the write's run
+	lookup(bufKey) // a read run's buffer hit fills the cache
+	reinserts := b.Stats().LRUReinserts
+	if res := lookup(flashKey); res.FlashReads == 0 || b.Stats().LRUReinserts != reinserts+1 {
+		t.Fatalf("the flash key read %d pages and was re-inserted %d times, want a flash hit re-inserted once",
+			res.FlashReads, b.Stats().LRUReinserts-reinserts)
+	}
+	hits := b.Stats().CacheHits
+	lookup(bufKey)
+	if got := b.Stats().CacheHits - hits; got != 1 {
+		t.Fatalf("after the re-insertion the cached key got %d cache hits, want 1", got)
+	}
+}

@@ -12,9 +12,25 @@ import (
 // BenchmarkPerKeyOps measures the host cost of the per-key calls — each a
 // one-key batch — on a warmed testConfig store whose keys are spread over
 // the buffer and every incarnation, so lookups mix buffer hits, flash
-// probes and Bloom-excluded misses.
+// probes and Bloom-excluded misses. The cpu-clock case builds the device
+// on the store's clock; the own-clock case builds it on a clock of its own
+// (Config.DeviceClock), as every kind-opened clam shard does.
 func BenchmarkPerKeyOps(b *testing.B) {
+	for _, own := range []bool{false, true} {
+		name := "cpu-clock"
+		if own {
+			name = "own-clock"
+		}
+		b.Run(name, func(b *testing.B) { benchPerKeyOps(b, own) })
+	}
+}
+
+func benchPerKeyOps(b *testing.B, ownClock bool) {
 	cfg, _ := testConfig(b)
+	if ownClock {
+		cfg.DeviceClock = vclock.New()
+		cfg.Device = ssd.New(ssd.IntelX18M(), 1<<20, cfg.DeviceClock)
+	}
 	bh := mustNew(b, cfg)
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]uint64, 1<<16)

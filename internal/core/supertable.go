@@ -158,7 +158,6 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 		return
 	}
 	if _, err := st.buf.Insert(kh, v); err == nil {
-		st.owner.epoch++
 		if st.bank != nil {
 			st.bank.AddStaging(kh)
 		}

@@ -47,30 +47,31 @@ func firstPage(b *BufferHash, key uint64) (page uint64, ok bool) {
 	return uint64(b.probeAddr(st, st.incs[j], kh)) / uint64(b.probeN), true
 }
 
-// TestOwnTimelineMatchesSharedClock runs the same lookups on an instance
-// whose device keeps a timeline of its own (Config.DeviceClock) and on a
-// twin whose device shares its clock, under FIFO and LRU. Handing phase
-// A's first probes to the idle device, and resolving the keys whose reads
-// have completed while phase A runs, may only move time: results, every
-// counter and the device's physical reads must match the twin's. A
-// one-key lookup has nothing to overlap and advances both clocks equally,
-// and a batch may not advance the own-timeline clock further than the
-// twin's. The batch puts two keys whose first probes share a page into
-// different submissions of round 1; the page must be read once, as the
-// twin reads it. A last batch passes a hit hook on a device timeline of
-// its own, which must receive every hit once, final, ascending within
-// each hand-off, and on the own-timeline instance some flash hits before
-// phase A ends (LRU's reinsertions of them then run inside phase A). Two
-// Bloom filter bits per entry make some of the probes phase A resolves
-// early miss, so their keys go on to round 2. Every call must return
-// with the device clock joined.
-func TestOwnTimelineMatchesSharedClock(t *testing.T) {
+// TestLookupTimelinesAgree runs the same lookups on an instance whose
+// device keeps a timeline of its own (Config.DeviceClock) and on a twin
+// whose device is on the CPU clock, under FIFO and LRU. Both run one
+// lookup path: phase A hands its first probes to the idle device and
+// resolves the keys whose reads have completed. Where the device's clock
+// sits may only move time: results, every counter and the device's
+// physical reads must match the twin's. A one-key lookup has nothing to
+// overlap and advances both clocks equally, and a batch may not advance
+// the own-timeline clock further than the twin's, on which every read
+// delays phase A. The batch puts two keys whose first probes share a page
+// into different submissions of round 1; the page must be read once, as
+// the twin reads it. A last batch passes a hit hook on a device timeline
+// of its own, which must receive every hit once, final, ascending within
+// each hand-off, and on both instances some flash hits before phase A
+// ends (LRU's reinsertions of them then run inside phase A): the twin's
+// reads complete as they are issued. Two Bloom filter bits per entry make
+// some of the probes phase A resolves early miss, so their keys go on to
+// round 2. Every call must return with the device clock joined.
+func TestLookupTimelinesAgree(t *testing.T) {
 	for _, policy := range []EvictionPolicy{FIFO, LRU} {
-		t.Run(policy.String(), func(t *testing.T) { testOwnTimeline(t, policy) })
+		t.Run(policy.String(), func(t *testing.T) { testTimelines(t, policy) })
 	}
 }
 
-func testOwnTimeline(t *testing.T, policy EvictionPolicy) {
+func testTimelines(t *testing.T, policy EvictionPolicy) {
 	shCfg, _ := testConfig(t)
 	ownCfg, ownClock := testConfig(t)
 	devClock := vclock.New()
@@ -262,10 +263,7 @@ func testOwnTimeline(t *testing.T, policy EvictionPolicy) {
 	st := own.Stats()
 	t.Logf("hooked batch: %d flash hits handed over during phase A, %d on the twin; %d probes, %d spurious",
 		ownHits.early, shHits.early, st.FlashProbes, st.SpuriousProbes)
-	if ownHits.early == 0 {
-		t.Fatal("no flash hit reached the hook while phase A ran")
-	}
-	if shHits.early != 0 {
-		t.Fatalf("the shared-clock twin handed over %d flash hits during phase A", shHits.early)
+	if ownHits.early == 0 || shHits.early == 0 {
+		t.Fatalf("flash hits handed over while phase A ran: %d, on the twin %d; want some on both", ownHits.early, shHits.early)
 	}
 }
