@@ -258,6 +258,20 @@ func FuzzCoalescedBatches(f *testing.F) {
 		copDeleteU64, 1, 2, copDelete, 1, 2,
 		copLongReads, 8, 2, 2, 2, 3, 2, 2, 2, 2,
 	})
+	// One hookless GetBatchU64 meets every outcome of phase A: key 0 is a
+	// flash hit, key 1, put again after the flush, a buffer hit the Bloom
+	// filters admit, key 2 a deleted flash-resident key, key 3, first put
+	// after the flush, a buffer hit they exclude, whose buffer probe runs
+	// after round 1's reads went out, and key 4 an excluded miss. Each key
+	// is given twice, so on every shard count each shard's run is a batch.
+	f.Add([]byte{
+		copPutBatches, 3, 0, 1, 2,
+		copFlush, 1, 0,
+		copPutU64, 1, 1,
+		copDeleteU64, 1, 2,
+		copPutU64, 1, 3,
+		copGetBatchU64, 10, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4,
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4000 {
 			ops = ops[:4000]

@@ -324,96 +324,66 @@ func TestIndexOverlapWindows(t *testing.T) {
 		makespan/windows, twinMakespan/windows)
 }
 
-// TestRepeatsDoNotDelayFirstProbes sends a one-shard kind-opened store one
-// GetBatchU64 of Lanes flash-resident keys, whose first probe pages are
-// distinct, followed by 401 positions of one buffered key. The repeats'
-// dedupe charges land where phase A reaches them, so the index device's
-// first submission, the Lanes first pages, must start once the first
-// keys' phase-A charges have landed, not after 400 CPU.BatchCoalesce
-// charges. Every position must equal a one-key GetU64.
-func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
-	c := openCLAMT(t, WithDevice(IntelSSD), WithFlash(4<<20), WithMemory(512<<10), WithBufferKB(16), WithSeed(37))
+// devRead is one read request an index device served, with its device
+// clock reading, which is its submission's start: the fault hook runs
+// before the device serves a submission.
+type devRead struct {
+	off   int64
+	start time.Duration
+}
+
+// firstProbeStore opens a one-shard kind-opened store holding 2000 flushed
+// keys, records every read its index device serves from then on into
+// *reads, and returns Lanes of the keys whose one-key GetU64s read
+// distinct first probe pages.
+func firstProbeStore(t *testing.T, seed uint64) (c *CLAM, flushed []uint64, reads *[]devRead) {
+	t.Helper()
+	c = openCLAMT(t, WithDevice(IntelSSD), WithFlash(4<<20), WithMemory(512<<10), WithBufferKB(16), WithSeed(seed))
 	sh := c.shards[0]
 	dev, devClock := sh.dev.(*ssd.SSD), sh.bh.Config().DeviceClock
 	lanes := dev.Geometry().Lanes
-	ctx := context.Background()
 	keys, vals := make([]uint64, 2000), make([]uint64, 2000)
 	for i := range keys {
 		keys[i], vals[i] = u64Key(i), uint64(i)+1
 	}
-	if err := c.PutBatchU64(ctx, keys, vals); err != nil {
+	if err := c.PutBatchU64(context.Background(), keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	buffered := u64Key(len(keys))
-	if err := c.PutU64(buffered, 7); err != nil {
-		t.Fatal(err)
-	}
-
-	// The device's read requests, each with its device clock reading, which
-	// is its submission's start: the fault hook runs before the device
-	// serves a submission.
-	type read struct {
-		off   int64
-		start time.Duration
-	}
-	var reads []read
+	reads = new([]devRead)
 	dev.SetFault(func(op storage.Op, off int64, _ int) error {
 		if op == storage.OpRead {
-			reads = append(reads, read{off, devClock.Now()})
+			*reads = append(*reads, devRead{off, devClock.Now()})
 		}
 		return nil
 	})
-	defer dev.SetFault(nil)
+	t.Cleanup(func() { dev.SetFault(nil) })
 	// A one-key GetU64 of a flushed key reads its first probe page first.
-	var batch []uint64
 	pages := map[int64]bool{}
 	for _, k := range keys {
-		reads = reads[:0]
+		*reads = (*reads)[:0]
 		if _, ok, err := c.GetU64(k); err != nil || !ok {
 			t.Fatalf("GetU64(%#x): found %t, err %v", k, ok, err)
 		}
-		if len(reads) > 0 && !pages[reads[0].off] {
-			pages[reads[0].off] = true
-			batch = append(batch, k)
-			if len(batch) == lanes {
-				break
+		if len(*reads) > 0 && !pages[(*reads)[0].off] {
+			pages[(*reads)[0].off] = true
+			flushed = append(flushed, k)
+			if len(flushed) == lanes {
+				return c, flushed, reads
 			}
 		}
 	}
-	if len(batch) < lanes {
-		t.Fatalf("found %d flushed keys with distinct first pages, want %d", len(batch), lanes)
-	}
-	for range 401 {
-		batch = append(batch, buffered)
-	}
-	// The one-key calls above were a read run, which cached every key of
-	// the batch; a write ends it, so the batch reads the index.
-	if err := c.PutU64(buffered, 7); err != nil {
-		t.Fatal(err)
-	}
+	t.Fatalf("found %d flushed keys with distinct first pages, want %d", len(flushed), lanes)
+	return nil, nil, nil
+}
 
-	reads = reads[:0]
-	start := c.Clock().Now()
-	got, found, err := c.GetBatchU64(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reads) == 0 {
-		t.Fatal("the batch read nothing")
-	}
-	cpu := sh.bh.Config().CPU
-	phaseA := time.Duration(lanes) * (cpu.BufferLookup + cpu.BloomQuery)
-	first := reads[0].start - start
-	t.Logf("first submission at +%v; the first %d keys' phase A costs %v, 400 repeats %v",
-		first, lanes, phaseA, 400*cpu.BatchCoalesce)
-	if first > phaseA {
-		t.Errorf("the index device's first submission started at +%v, after the first %d keys' phase-A charges (%v)",
-			first, lanes, phaseA)
-	}
-	for j, k := range batch {
+// requireOneKeyAnswers fails unless every position of a GetBatchU64 of
+// keys answered (got, found) equals a one-key GetU64.
+func requireOneKeyAnswers(t *testing.T, c *CLAM, keys, got []uint64, found []bool) {
+	t.Helper()
+	for j, k := range keys {
 		v, ok, err := c.GetU64(k)
 		if err != nil {
 			t.Fatal(err)
@@ -422,4 +392,106 @@ func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
 			t.Fatalf("position %d: (%d, %t), one-key GetU64 (%d, %t)", j, got[j], found[j], v, ok)
 		}
 	}
+}
+
+// TestRepeatsDoNotDelayFirstProbes sends a one-shard kind-opened store one
+// GetBatchU64 of Lanes flash-resident keys, whose first probe pages are
+// distinct, followed by 401 positions of one buffered key. The repeats'
+// dedupe charges land where phase A reaches them, so the index device's
+// first submission, the Lanes first pages, must start once the first
+// keys' phase-A charges have landed, not after 400 CPU.BatchCoalesce
+// charges. Every position must equal a one-key GetU64.
+func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
+	c, batch, reads := firstProbeStore(t, 37)
+	lanes := len(batch)
+	buffered := u64Key(2000)
+	for range 401 {
+		batch = append(batch, buffered)
+	}
+	// The one-key calls that chose the keys were a read run, which cached
+	// every key of the batch; a write ends it, so the batch reads the
+	// index.
+	if err := c.PutU64(buffered, 7); err != nil {
+		t.Fatal(err)
+	}
+
+	*reads = (*reads)[:0]
+	start := c.Clock().Now()
+	got, found, err := c.GetBatchU64(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(*reads) == 0 {
+		t.Fatal("the batch read nothing")
+	}
+	cpu := c.shards[0].bh.Config().CPU
+	phaseA := time.Duration(lanes) * (cpu.BufferLookup + cpu.BloomQuery)
+	first := (*reads)[0].start - start
+	t.Logf("first submission at +%v; the first %d keys' phase A costs %v, 400 repeats %v",
+		first, lanes, phaseA, 400*cpu.BatchCoalesce)
+	if first > phaseA {
+		t.Errorf("the index device's first submission started at +%v, after the first %d keys' phase-A charges (%v)",
+			first, lanes, phaseA)
+	}
+	requireOneKeyAnswers(t, c, batch, got, found)
+}
+
+// TestDeferredProbesOverlapRoundOne sends a one-shard kind-opened store one
+// GetBatchU64 of 400 distinct absent keys that the Bloom filters exclude
+// from every incarnation, followed by Lanes flash-resident keys whose
+// first probe pages are distinct. A hookless batch queries the Bloom bank
+// before the buffer and probes the buffer for the absent keys only after
+// its round-1 pages went out, while their reads are in flight. So the
+// index device's last round-1 submission must start before the absent
+// keys' CPU.BufferLookup charges land: once the call's Bloom queries and
+// the flash keys' buffer probes have, and the call must count 400 deferred
+// probes. Every position must equal a one-key GetU64.
+func TestDeferredProbesOverlapRoundOne(t *testing.T) {
+	const absent = 400
+	c, flushed, reads := firstProbeStore(t, 37)
+	lanes := len(flushed)
+	// An absent key whose one-key GetU64 reads no page is one the Bloom
+	// filters exclude.
+	var batch []uint64
+	for i := 2000; len(batch) < absent; i++ {
+		*reads = (*reads)[:0]
+		if _, ok, err := c.GetU64(u64Key(i)); err != nil || ok {
+			t.Fatalf("GetU64 of absent key %d: found %t, err %v", i, ok, err)
+		}
+		if len(*reads) == 0 {
+			batch = append(batch, u64Key(i))
+		}
+	}
+	batch = append(batch, flushed...)
+	// A write ends the read run of the one-key calls above.
+	if err := c.DeleteU64(u64Key(1 << 20)); err != nil {
+		t.Fatal(err)
+	}
+
+	*reads = (*reads)[:0]
+	deferred := c.Stats().Core.DeferredProbes
+	start := c.Clock().Now()
+	got, found, err := c.GetBatchU64(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(*reads) != lanes {
+		t.Fatalf("the batch read %d pages, want its %d flash keys' first pages", len(*reads), lanes)
+	}
+	var last time.Duration
+	for _, r := range *reads {
+		last = max(last, r.start-start)
+	}
+	cpu := c.shards[0].bh.Config().CPU
+	pass1 := time.Duration(absent+lanes)*cpu.BloomQuery + time.Duration(lanes)*cpu.BufferLookup
+	t.Logf("last round-1 submission at +%v; the Bloom queries and the flash keys' buffer probes cost %v, the absent keys' buffer probes %v",
+		last, pass1, absent*cpu.BufferLookup)
+	if last > pass1 {
+		t.Errorf("the index device's last round-1 submission started at +%v, after the absent keys' buffer probes began to land (+%v)",
+			last, pass1)
+	}
+	if d := c.Stats().Core.DeferredProbes - deferred; d != absent {
+		t.Errorf("the batch deferred %d buffer probes, want %d", d, absent)
+	}
+	requireOneKeyAnswers(t, c, batch, got, found)
 }

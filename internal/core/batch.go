@@ -15,7 +15,7 @@ import (
 // phases —
 //
 //	A (memory):  every key's delete-list check, buffer probe and Bloom
-//	             query run back to back with zero I/O, producing a
+//	             query run with zero I/O, producing a
 //	             candidate-incarnation mask per unresolved key. Each key
 //	             is charged and counted as a one-key lookup would be, but
 //	             a key the batch already gave: a dedupe probe finds each
@@ -35,15 +35,27 @@ import (
 //	             whenever the device is idle at the current CPU instant
 //	             and the gathered pages not yet submitted fill its queue
 //	             lanes (Geometry.Lanes), phase A lands its CPU charges,
-//	             submits those pages and runs on, so the reads overlap the
-//	             rest of phase A (a device on the CPU's own clock, see
-//	             Config.DeviceClock, is idle at every CPU instant and
-//	             completes each read as it is issued). Given a hit hook,
-//	             such a call also runs phase C early for every round-1 key
-//	             whose read has completed by the current CPU instant.
-//	             Phase A hands the hook its final hits, in multiples of
-//	             the hook device's lanes, whenever that device is idle
-//	             (HitHook).
+//	             submits one page per lane, earliest gathered first, and
+//	             runs on, so the reads overlap the rest of phase A and
+//	             come back in small groups (a device on the CPU's own
+//	             clock, see Config.DeviceClock, is idle at every CPU
+//	             instant and completes each read as it is issued).
+//	             Such a call with no hit hook runs in two passes. Pass 1
+//	             queries each key's Bloom filters first and probes the
+//	             buffer (delete list, then cuckoo table) only for a key
+//	             an incarnation may hold; when it ends, no further
+//	             round-1 page can come, so every page not yet sent goes
+//	             to the device as one submission. Pass 2 then probes the
+//	             buffer for the keys the filters excluded, which can end
+//	             only in a hit or a miss, while round 1's reads are in
+//	             flight (Stats.DeferredProbes). A call given a hit hook
+//	             keeps the buffer-first order: its buffer hits are work
+//	             for the hook's device, so none of its work is deferred.
+//	             It runs phase C early for every round-1 key whose read
+//	             has completed by the current CPU instant, and hands the
+//	             hook its final hits, in multiples of the hook device's
+//	             lanes, whenever that device is idle (HitHook). A one-key
+//	             call runs the paper's order, buffer first.
 //	B (gather):  each probing round collects every unresolved key's single
 //	             newest-candidate page probe, dedupes keys that land on the
 //	             same flash page (a page is read once per round, and every
@@ -111,6 +123,10 @@ type batchScratch struct {
 	// had completed at the last pass over them.
 	waiting []int32
 	done    int
+
+	// The keys of a hookless batch whose buffer probes pass 2 runs: those
+	// the Bloom bank excluded from every incarnation in pass 1.
+	deferred []batchKey
 
 	// The probing round in progress: its probe words, one per pending
 	// key, and its reads in submission order. A round 1 that phase A
@@ -211,13 +227,14 @@ func (b *BufferHash) gather(pi int, stream bool) {
 	}
 }
 
-// streamGroup submits the pages phase A gathered since its last
-// submission as one address-sorted read submission, without waiting for
-// it, and records the read of each page in the index.
-func (b *BufferHash) streamGroup() error {
+// streamGroup submits the first n pages phase A gathered since its last
+// submission, or all of them when fewer wait, as one address-sorted read
+// submission, without waiting for it, and records the read of each page
+// in the index.
+func (b *BufferHash) streamGroup(n int) error {
 	bs := &b.batch
-	group := bs.pages[bs.sent:]
-	bs.sent = len(bs.pages)
+	group := bs.pages[bs.sent:min(bs.sent+n, len(bs.pages))]
+	bs.sent += len(group)
 	slices.Sort(group)
 	first := len(bs.reqs)
 	for _, page := range group {
@@ -302,7 +319,9 @@ func (bs *batchScratch) probeEarly(pi int, r int32, results []LookupResult) {
 // hand-off is one submission of the log pages that no earlier hand-off
 // of the same call read (see storage.ValueLog.BeginChunk), so the
 // lane-sized hand-offs of phase A split a call's page reads without
-// reading a page twice.
+// reading a page twice. A hooked call's phase A runs in one pass, buffer
+// first: its buffer hits are reads for the hook's device, which the
+// Bloom-first order of a hookless batch would hand over later.
 type HitHook struct {
 	// Read is called with the indexes, ascending, of hits whose results
 	// are final; hits is valid only during the call. A non-nil error ends
@@ -324,7 +343,13 @@ type HitHook struct {
 // round's flash reads are deduped, sorted and overlapped through the
 // device's ReadBatch (on a one-lane device the overlap degenerates to the
 // sum of the reads, and the batch still benefits from dedupe and address
-// ordering), and because round 1's reads may run while phase A still does.
+// ordering), and because round 1's reads may run while phase A still does:
+// phase A submits them one page per lane as the device goes idle, and a
+// batch with no hook queries each key's Bloom filters before its buffer,
+// so that the buffer probes of the keys the filters exclude run after
+// round 1's last pages went out (Stats.DeferredProbes counts them). Such
+// a batch queries the filters of every distinct key the hot-entry cache
+// does not answer, buffered keys included.
 //
 // A key given twice is looked up once: phase A finds each repeat with
 // one probe of a batch-scoped table of the keys so far (a one-key call
@@ -385,13 +410,16 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	// to the clock in a single advance — the same virtual total as one-key
 	// lookups, without several clock advances per key — except where a
 	// batch's submission to an idle device, or a hand-off of hits to an
-	// idle hook device, lands them early.
+	// idle hook device, lands them early. A batch with no hook runs it in
+	// two passes, Bloom queries first (see the phase-A header above).
 	batch := len(keys) > 1
 	early := batch && hook != nil
+	bloomFirst := batch && hook == nil
 	if batch {
 		bs.distinct.reset()
 		bs.seen.Reset()
 		bs.pageRead = bs.pageRead[:0]
+		bs.deferred = bs.deferred[:0]
 	}
 	for i, key := range keys {
 		first := int32(-1)
@@ -408,8 +436,20 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			}
 		default:
 			st, kh := b.route(key)
-			res, mask, done := st.lookupMem(kh)
+			var mask uint64
+			if bloomFirst {
+				// Pass 1 probes the buffer only for keys an incarnation
+				// may hold; pass 2 probes it for the rest.
+				if mask = st.candidates(kh); mask == 0 {
+					bs.deferred = append(bs.deferred, batchKey{idx: i, st: st, kh: kh})
+					break
+				}
+			}
+			res, done := st.probeBuffer(kh)
 			results[i] = res
+			if !done && !bloomFirst {
+				mask = st.candidates(kh)
+			}
 			if !done && mask != 0 {
 				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
 				b.gather(len(bs.pending)-1, batch)
@@ -417,15 +457,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 					b.await(len(bs.pending)-1, results)
 				}
 			} else {
-				b.stats.recordLookup(res)
-				if res.Found {
-					if run {
-						b.fill(key, res.Value)
-					}
-					if hook != nil {
-						bs.hits = append(bs.hits, i)
-					}
-				}
+				b.resolvedInMemory(keys, i, results, run, hook != nil)
 			}
 		}
 		if batch && (early || len(bs.pages)-bs.sent >= b.lanes) && b.idle(b.cfg.DeviceClock) {
@@ -434,7 +466,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			}
 			if len(bs.pages)-bs.sent >= b.lanes {
 				b.settleCPUDebt()
-				if err := b.streamGroup(); err != nil {
+				if err := b.streamGroup(b.lanes); err != nil {
 					b.joinDevice()
 					return err
 				}
@@ -446,6 +478,21 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 				b.joinDevice()
 				return err
 			}
+		}
+	}
+	if bloomFirst {
+		// Pass 2. No further round-1 page can come, so the pages not yet
+		// sent go now, and the deferred buffer probes, which can end only
+		// in a hit or a miss, run while round 1's reads are in flight.
+		b.settleCPUDebt()
+		if err := b.streamGroup(len(bs.pages)); err != nil {
+			b.joinDevice()
+			return err
+		}
+		for _, d := range bs.deferred {
+			results[d.idx], _ = d.st.probeBuffer(d.kh)
+			b.stats.DeferredProbes++
+			b.resolvedInMemory(keys, d.idx, results, run, false)
 		}
 	}
 	b.settleCPUDebt()
@@ -532,6 +579,23 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 		results[r.Pos] = results[r.First]
 	}
 	return nil
+}
+
+// resolvedInMemory records the lookup of position i, which phase A
+// resolved with no flash read. A hit fills the hot-entry cache in a read
+// run, and joins the hits for the hook when the call has one.
+func (b *BufferHash) resolvedInMemory(keys []uint64, i int, results []LookupResult, run, hooked bool) {
+	res := results[i]
+	b.stats.recordLookup(res)
+	if !res.Found {
+		return
+	}
+	if run {
+		b.fill(keys[i], res.Value)
+	}
+	if hooked {
+		b.batch.hits = append(b.batch.hits, i)
+	}
 }
 
 // Repeats returns the positions of the last LookupBatch call that repeated

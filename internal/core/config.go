@@ -21,8 +21,14 @@
 // one-key case. A lookup (§5.1.1: buffer, Bloom filters, then newest-first
 // page probes) runs through LookupBatch: phase A answers every key's
 // in-memory portion with zero I/O and gathers the first probing round,
-// handing a batch's pages to the device whenever it is idle and they fill
-// its queue lanes; phase B gathers each probing round's page reads,
+// handing a batch's pages to the device, one page per queue lane, earliest
+// gathered first, whenever it is idle and they fill its lanes. A batch
+// with no hit hook runs phase A in two passes: the first queries each
+// key's Bloom filters before its buffer and probes the buffer only for a
+// key an incarnation may hold, then submits the round-1 pages not yet
+// sent; the second probes the buffer for the other keys, which can end
+// only in a hit or a miss, while those reads are in flight. Phase B
+// gathers each probing round's page reads,
 // dedupes same-page keys, sorts them by device address and submits them
 // (in round 1, the pages still unsubmitted) as one device ReadBatch so
 // their virtual latency overlaps across the device's queue lanes; and
@@ -53,8 +59,8 @@
 // keys leaves the same state, counters and results as n one-key calls
 // (a lookup batch, as n calls over distinct keys, on a store without a
 // hot-entry cache, whose hits depend on how a read run's keys are grouped
-// into calls); only virtual time, and the physical I/O count (page
-// dedupe, same-slot write collapse), differ.
+// into calls); only virtual time, the physical I/O count (page dedupe,
+// same-slot write collapse) and Stats.DeferredProbes differ.
 //
 // Two consequences of the single pipeline are part of the model:
 //

@@ -122,8 +122,10 @@ func (tw *cacheTwins) sameErr(what string, ec, ep error) {
 	}
 }
 
-// lookup runs one LookupBatch call on both twins and checks it.
-func (tw *cacheTwins) lookup(keys []uint64) {
+// lookup runs one LookupBatch call on both twins, with their hit hooks
+// when hooked (phase A buffer first) or without (Bloom queries first, see
+// batch.go), and checks it.
+func (tw *cacheTwins) lookup(keys []uint64, hooked bool) {
 	t := tw.t
 	t.Helper()
 	cached := make([]bool, len(keys))
@@ -134,7 +136,11 @@ func (tw *cacheTwins) lookup(keys []uint64) {
 	for w, b := range tw.twins() {
 		tw.res[w] = slices.Grow(tw.res[w][:0], len(keys))[:len(keys)]
 		tw.handed[w] = tw.handed[w][:0]
-		errs[w] = b.LookupBatch(keys, tw.res[w], tw.hooks[w])
+		hook := tw.hooks[w]
+		if !hooked {
+			hook = nil
+		}
+		errs[w] = b.LookupBatch(keys, tw.res[w], hook)
 	}
 	tw.sameErr("LookupBatch", errs[0], errs[1])
 	if errs[0] != nil {
@@ -167,6 +173,9 @@ func (tw *cacheTwins) lookup(keys []uint64) {
 		tw.hist[0]--
 		tw.answered++
 	}
+	if !hooked {
+		return
+	}
 	for w := range tw.handed {
 		slices.Sort(tw.handed[w])
 		if !slices.Equal(tw.handed[w], want) {
@@ -183,7 +192,7 @@ func (tw *cacheTwins) step(kind, a, b int) {
 	n := 1 + b%48
 	switch kind % 7 {
 	case 0, 1: // lookups; consecutive ones form read runs
-		tw.lookup(tw.pick(a*11+b, n, kind%7 == 0))
+		tw.lookup(tw.pick(a*11+b, n, kind%7 == 0), (a^b)&1 == 0)
 	case 2:
 		keys := tw.pick(a*11+b, n, a%2 == 0)
 		tw.vals = tw.vals[:0]
@@ -222,7 +231,8 @@ func (tw *cacheTwins) step(kind, a, b int) {
 }
 
 // checkStats requires the twins' counters to agree but for the cache's
-// hits.
+// hits, and but for DeferredProbes: a key the cache answers is one whose
+// buffer probe the cacheless twin may defer.
 func (tw *cacheTwins) checkStats() {
 	t := tw.t
 	t.Helper()
@@ -231,7 +241,7 @@ func (tw *cacheTwins) checkStats() {
 		t.Fatalf("CacheHits: cached twin %d (it answered %d keys that read flash without it), cacheless twin %d",
 			sc.CacheHits, tw.answered, sp.CacheHits)
 	}
-	sc.CacheHits = 0
+	sc.CacheHits, sc.DeferredProbes, sp.DeferredProbes = 0, 0, 0
 	sp.FlashProbes -= tw.probes
 	sp.SpuriousProbes -= tw.spurious
 	for i, d := range tw.hist {
@@ -243,10 +253,11 @@ func (tw *cacheTwins) checkStats() {
 }
 
 // TestHotCacheMatchesCacheless runs the oracle over random ops under FIFO,
-// LRU and UpdateBased: read runs of lookups over mostly hot keys, broken
-// by puts, deletes, Flush, ExpireThrough and inserts whose index writes
-// fail. Every row must see the cache answer keys, FIFO and UpdateBased
-// keys that read flash without it, and LRU re-insert flash hits.
+// LRU and UpdateBased: read runs of lookups over mostly hot keys, with
+// and without a hit hook, broken by puts, deletes, Flush, ExpireThrough
+// and inserts whose index writes fail. Every row must see the cache
+// answer keys, a hookless batch defer buffer probes, FIFO and UpdateBased
+// keys that read flash without the cache, and LRU re-insert flash hits.
 func TestHotCacheMatchesCacheless(t *testing.T) {
 	for _, policy := range []EvictionPolicy{FIFO, LRU, UpdateBased} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -263,13 +274,15 @@ func TestHotCacheMatchesCacheless(t *testing.T) {
 				tw.step(kind, rng.Intn(256), rng.Intn(256))
 			}
 			st := tw.cached.Stats()
-			t.Logf("%d cache hits, %d of keys that read flash without the cache; %d lookups, %d flash probes, %d flushes, %d evictions, %d LRU re-inserts",
-				st.CacheHits, tw.answered, st.Lookups, st.FlashProbes, st.Flushes, st.Evictions, st.LRUReinserts)
+			t.Logf("%d cache hits, %d of keys that read flash without the cache; %d lookups, %d deferred buffer probes, %d flash probes, %d flushes, %d evictions, %d LRU re-inserts",
+				st.CacheHits, tw.answered, st.Lookups, st.DeferredProbes, st.FlashProbes, st.Flushes, st.Evictions, st.LRUReinserts)
 			// Under LRU a flash hit is re-inserted into its buffer, so a key
 			// the cache answers is mostly one its twin finds buffered.
 			switch {
 			case st.CacheHits == 0:
 				t.Fatal("the cache answered nothing")
+			case st.DeferredProbes == 0:
+				t.Fatal("no hookless batch deferred a buffer probe")
 			case policy != LRU && tw.answered == 0:
 				t.Fatal("the cache never answered a key that reads flash without it")
 			case policy == LRU && st.LRUReinserts == 0:

@@ -60,11 +60,12 @@ func benchPerKeyOps(b *testing.B, ownClock bool) {
 	})
 }
 
-// BenchmarkPhaseA measures the host cost of a lookup's phase A — route and
-// lookupMem: the delete-list check, the buffer probe and the Bloom query —
-// per key of 4096-key Zipf(1.1) batches, on one shard of the get-batch-zipf
-// benchmark workload's store (8 MB of IntelSSD flash, 4 super tables of
-// 128 KB buffers, 16 incarnations, 32 filter bits per entry) warmed with
+// BenchmarkPhaseA measures the host cost of a lookup's phase A — route,
+// probeBuffer (the delete-list check and the buffer probe) and, for a key
+// the buffer does not resolve, candidates (the Bloom query) — per key of
+// 4096-key Zipf(1.1) batches, on one shard of the get-batch-zipf benchmark
+// workload's store (8 MB of IntelSSD flash, 4 super tables of 128 KB
+// buffers, 16 incarnations, 29 filter bits per entry) warmed with
 // 1.25 times its capacity of keys from the same distribution. With
 // BenchmarkCoalesceProbe, the host cost of the dedupe probe that replaces
 // phase A for a repeated key, it prices CPU.BatchCoalesce: the probe's
@@ -82,7 +83,7 @@ func BenchmarkPhaseA(b *testing.B) {
 		PartitionBits:      2,
 		BufferBytes:        128 << 10,
 		NumIncarnations:    16,
-		FilterBitsPerEntry: 32,
+		FilterBitsPerEntry: 29,
 		Seed:               7,
 	})
 	entries := uint64(flash / 32) // 16-byte entries at 50% cuckoo load
@@ -107,8 +108,10 @@ func BenchmarkPhaseA(b *testing.B) {
 		at := i % (len(probes) / batch) * batch
 		for _, k := range probes[at : at+batch] {
 			st, kh := bh.route(k)
-			if res, _, _ := st.lookupMem(kh); res.Found {
+			if res, done := st.probeBuffer(kh); res.Found {
 				found++
+			} else if !done {
+				st.candidates(kh)
 			}
 		}
 		bh.settleCPUDebt()

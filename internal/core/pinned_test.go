@@ -69,12 +69,14 @@ func TestSerialOpsPinned(t *testing.T) {
 	// the previous %+v string with " Expirations:0" added after its
 	// Evictions count. They were re-derived again when Stats gained
 	// CacheHits: each is the digest of the previous %+v string with
-	// " CacheHits:0" added after its Hits count (testConfig has no cache).
+	// " CacheHits:0" added after its Hits count (testConfig has no cache),
+	// and again when Stats gained DeferredProbes: " DeferredProbes:0"
+	// after its CacheHits count (a one-key lookup defers no probe).
 	pins := map[string]want{
-		"ssd/fifo":     {2981419520, 0xf2540bfff6296e6e, 0xa230165b4a46cb69},
-		"ssd/lru":      {2982640164, 0x7866d95be813b70, 0x5c19ea68cd55d4a6},
-		"ssd/update":   {8438394658, 0x9d5bca67abf35b1b, 0xe48c6c53f97c235},
-		"ssd/priority": {4006404332, 0xe5c177693dfc3f76, 0x40f17a6019ca5689},
+		"ssd/fifo":     {2981419520, 0x1f1e6996429b050a, 0xa230165b4a46cb69},
+		"ssd/lru":      {2982640164, 0xb5ce4dfd06548d8a, 0x5c19ea68cd55d4a6},
+		"ssd/update":   {8438394658, 0x47fe88c55caff949, 0xe48c6c53f97c235},
+		"ssd/priority": {4006404332, 0xe0468b4172f92daa, 0x40f17a6019ca5689},
 	}
 	for _, policy := range []EvictionPolicy{FIFO, LRU, UpdateBased, PriorityBased} {
 		name := "ssd/" + policy.String()

@@ -97,36 +97,46 @@ func (st *superTable) evictOldestExternal(seq uint64) {
 	st.owner.stats.Evictions++
 }
 
-// lookupMem is the in-memory phase of a lookup (phase A of the pipeline):
-// every step that needs no flash I/O. It charges the CPU costs, consults
-// the delete list, the buffer and the Bloom bank, and returns the
-// candidate-incarnation mask for the flash phase (bit j set = window offset
-// j may hold the key). done reports the lookup resolved without I/O; a zero
-// mask with done == false is a clean miss (Bloom filters excluded every
-// incarnation).
-func (st *superTable) lookupMem(kh uint64) (res LookupResult, mask uint64, done bool) {
-	cfg := &st.owner.cfg
-	st.owner.chargeCPU(cfg.CPU.BufferLookup)
+// The in-memory phase of a lookup (phase A of the pipeline) is every step
+// that needs no flash I/O, in two halves: probeBuffer, the delete-list
+// check and the buffer probe, and candidates, the Bloom query. A one-key or
+// hooked lookup runs them in the paper's order (§5.1.1), the buffer first;
+// a hookless batch queries the Bloom bank first (see batch.go).
 
+// probeBuffer charges CPU.BufferLookup and consults the delete list and
+// the buffer. done reports that the key resolved there: a deleted key is
+// a miss, a buffered one a hit.
+func (st *superTable) probeBuffer(kh uint64) (res LookupResult, done bool) {
+	st.owner.chargeCPU(st.owner.cfg.CPU.BufferLookup)
 	if _, deleted := st.deleteList[kh]; deleted {
-		return res, 0, true
+		return res, true
 	}
 	if v, ok := st.buf.Get(kh); ok {
-		return LookupResult{Value: v, Found: true}, 0, true
+		return LookupResult{Value: v, Found: true}, true
 	}
+	return res, false
+}
+
+// candidates queries the Bloom bank, charging the query when the table has
+// live incarnations, and returns the candidate-incarnation mask for the
+// flash phase (bit j set = window offset j may hold the key). A zero mask
+// excludes every incarnation: a key the buffer does not hold is a clean
+// miss.
+func (st *superTable) candidates(kh uint64) uint64 {
 	if st.live == 0 {
-		return res, 0, true
+		return 0
 	}
+	cfg := &st.owner.cfg
 	valid := st.validMask()
 	if cfg.DisableBloom {
-		return res, valid, false
+		return valid
 	}
 	if cfg.DisableBitslice {
 		st.owner.chargeCPU(cfg.CPU.BloomQueryNaive)
 	} else {
 		st.owner.chargeCPU(cfg.CPU.BloomQuery)
 	}
-	return res, st.bank.Query(kh) & valid, false
+	return st.bank.Query(kh) & valid
 }
 
 // resolveProbe is the probe-resolution step of the lookup pipeline (phase
