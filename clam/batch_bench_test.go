@@ -136,10 +136,9 @@ func BenchmarkLookupBatchVsSerialLoop(b *testing.B) {
 // keys of the same distribution. One worker takes scheduling out of the
 // wall time, so ns/key is the lookup pipeline's host cost per key.
 // virt-ns/key is the virtual time per key: each batch's largest shard-clock
-// advance, the batch's virtual makespan, summed over batches. deferred/key
-// is core.Stats.DeferredProbes per key: the buffer probes of the keys the
-// Bloom filters excluded, which phase A runs while round 1's reads are in
-// flight.
+// advance, the batch's virtual makespan, summed over batches. screened/key
+// is core.Stats.ScreenedProbes per key: the buffer probes phase A skipped
+// because the staging filter ruled the key out of the buffer.
 func BenchmarkGetBatchZipf1Worker(b *testing.B) {
 	const (
 		flash   = 64 << 20
@@ -178,7 +177,7 @@ func BenchmarkGetBatchZipf1Worker(b *testing.B) {
 	}
 	before := make([]time.Duration, s.NumShards())
 	var virt time.Duration
-	deferred := s.Stats().Core.DeferredProbes
+	screened := s.Stats().Core.ScreenedProbes
 	for i := 0; b.Loop(); i++ {
 		at := i % (len(probes) / batch) * batch
 		for sh := range before {
@@ -195,5 +194,5 @@ func BenchmarkGetBatchZipf1Worker(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	b.ReportMetric(float64(virt.Nanoseconds())/float64(b.N*batch), "virt-ns/key")
-	b.ReportMetric(float64(s.Stats().Core.DeferredProbes-deferred)/float64(b.N*batch), "deferred/key")
+	b.ReportMetric(float64(s.Stats().Core.ScreenedProbes-screened)/float64(b.N*batch), "screened/key")
 }

@@ -259,11 +259,12 @@ func FuzzCoalescedBatches(f *testing.F) {
 		copLongReads, 8, 2, 2, 2, 3, 2, 2, 2, 2,
 	})
 	// One hookless GetBatchU64 meets every outcome of phase A: key 0 is a
-	// flash hit, key 1, put again after the flush, a buffer hit the Bloom
-	// filters admit, key 2 a deleted flash-resident key, key 3, first put
-	// after the flush, a buffer hit they exclude, whose buffer probe runs
-	// after round 1's reads went out, and key 4 an excluded miss. Each key
-	// is given twice, so on every shard count each shard's run is a batch.
+	// flash hit, key 1, put again after the flush, a buffer hit an
+	// incarnation's filter admits too, key 2 a deleted flash-resident key,
+	// key 3, first put after the flush, a buffer hit only the staging
+	// filter admits, and key 4 a miss no filter admits, whose buffer probe
+	// is skipped unless its super table has a pending delete. Each key is
+	// given twice, so on every shard count each shard's run is a batch.
 	f.Add([]byte{
 		copPutBatches, 3, 0, 1, 2,
 		copFlush, 1, 0,

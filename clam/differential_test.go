@@ -4,8 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // The differential harness runs a seeded randomized stream of Insert /
@@ -356,21 +354,13 @@ func distinctInOrder[K comparable](keys []K) (distinct []K, of []int) {
 	return distinct, of
 }
 
-// structural returns s less DeferredProbes, which counts when a batch ran
-// some of its buffer probes, not what work it did: a one-key call defers
-// none.
-func structural(s core.Stats) core.Stats {
-	s.DeferredProbes = 0
-	return s
-}
-
 // checkLookupCountersEqual asserts the serial and batched instances probed
 // flash identically: same lookups, hits, flash probes, spurious probes and
 // per-lookup I/O histogram — the structural equality the pipeline promises
 // against a one-key loop over each window's distinct keys.
 func checkLookupCountersEqual(t *testing.T, name string, serial, batched batchStore) {
 	t.Helper()
-	sc, bc := structural(serial.Stats().Core), structural(batched.Stats().Core)
+	sc, bc := serial.Stats().Core, batched.Stats().Core
 	if sc != bc {
 		t.Fatalf("%s: core counters diverge:\nserial  %+v\nbatched %+v", name, sc, bc)
 	}

@@ -173,8 +173,9 @@ func TestPutChunkOverlap(t *testing.T) {
 // whatever remains of an earlier put's append, which its record read
 // queues behind. Right after the put that flushed, a Get of a flushed key
 // waits for that put's value-log write; a key still in the DRAM buffer
-// then reads its record alone, and after idle time the flushed key costs
-// its serial sum again. Each Get follows a write, the put or a delete of
+// then pays its Bloom query, which every lookup in a super table with
+// live incarnations runs before its buffer probe, and reads its record
+// alone, and after idle time the flushed key costs its serial sum again. Each Get follows a write, the put or a delete of
 // a key never put, so it starts no read run: the hot-entry cache neither
 // answers nor fills, and its reads are the ones timed.
 func TestOneKeyGetTimeline(t *testing.T) {
@@ -186,7 +187,7 @@ func TestOneKeyGetTimeline(t *testing.T) {
 		want time.Duration
 	}{
 		{0, 0, 496864 * time.Nanosecond},                     // flushed: one index probe, then the record read behind the write
-		{call*32 - 1, 0, 154268 * time.Nanosecond},           // buffered: the record read alone
+		{call*32 - 1, 0, 154768 * time.Nanosecond},           // buffered: the Bloom query, then the record read
 		{0, 10 * time.Millisecond, 307536 * time.Nanosecond}, // flushed, the log idle: the serial sum
 	} {
 		if i > 0 {
@@ -436,17 +437,18 @@ func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
 	requireOneKeyAnswers(t, c, batch, got, found)
 }
 
-// TestDeferredProbesOverlapRoundOne sends a one-shard kind-opened store one
+// TestStagingScreenSpeedsRoundOne sends a one-shard kind-opened store one
 // GetBatchU64 of 400 distinct absent keys that the Bloom filters exclude
 // from every incarnation, followed by Lanes flash-resident keys whose
-// first probe pages are distinct. A hookless batch queries the Bloom bank
-// before the buffer and probes the buffer for the absent keys only after
-// its round-1 pages went out, while their reads are in flight. So the
-// index device's last round-1 submission must start before the absent
-// keys' CPU.BufferLookup charges land: once the call's Bloom queries and
-// the flash keys' buffer probes have, and the call must count 400 deferred
-// probes. Every position must equal a one-key GetU64.
-func TestDeferredProbesOverlapRoundOne(t *testing.T) {
+// first probe pages are distinct; the buffers hold neither. Phase A
+// queries each key's Bloom bank first, and the staging filter rules every
+// key out of its buffer, so none is charged CPU.BufferLookup: the call
+// counts 400+Lanes screened probes, and the index device's last round-1
+// submission must start once the call's Bloom queries have landed, before
+// the buffer-first order (CPU.BufferLookup, then the query, per key)
+// would have gathered the first flash key's page. Every position must
+// equal a one-key GetU64.
+func TestStagingScreenSpeedsRoundOne(t *testing.T) {
 	const absent = 400
 	c, flushed, reads := firstProbeStore(t, 37)
 	lanes := len(flushed)
@@ -463,13 +465,14 @@ func TestDeferredProbesOverlapRoundOne(t *testing.T) {
 		}
 	}
 	batch = append(batch, flushed...)
-	// A write ends the read run of the one-key calls above.
-	if err := c.DeleteU64(u64Key(1 << 20)); err != nil {
+	// A write ends the read run of the one-key calls above; a put leaves
+	// no pending delete, which would make its super table probe its buffer.
+	if err := c.PutU64(u64Key(1<<20), 1); err != nil {
 		t.Fatal(err)
 	}
 
 	*reads = (*reads)[:0]
-	deferred := c.Stats().Core.DeferredProbes
+	screened := c.Stats().Core.ScreenedProbes
 	start := c.Clock().Now()
 	got, found, err := c.GetBatchU64(context.Background(), batch)
 	if err != nil {
@@ -478,20 +481,21 @@ func TestDeferredProbesOverlapRoundOne(t *testing.T) {
 	if len(*reads) != lanes {
 		t.Fatalf("the batch read %d pages, want its %d flash keys' first pages", len(*reads), lanes)
 	}
+	if d := c.Stats().Core.ScreenedProbes - screened; d != absent+uint64(lanes) {
+		t.Errorf("the batch skipped %d buffer probes, want all %d", d, absent+lanes)
+	}
 	var last time.Duration
 	for _, r := range *reads {
 		last = max(last, r.start-start)
 	}
 	cpu := c.shards[0].bh.Config().CPU
-	pass1 := time.Duration(absent+lanes)*cpu.BloomQuery + time.Duration(lanes)*cpu.BufferLookup
-	t.Logf("last round-1 submission at +%v; the Bloom queries and the flash keys' buffer probes cost %v, the absent keys' buffer probes %v",
-		last, pass1, absent*cpu.BufferLookup)
-	if last > pass1 {
-		t.Errorf("the index device's last round-1 submission started at +%v, after the absent keys' buffer probes began to land (+%v)",
-			last, pass1)
-	}
-	if d := c.Stats().Core.DeferredProbes - deferred; d != absent {
-		t.Errorf("the batch deferred %d buffer probes, want %d", d, absent)
+	queries := time.Duration(absent+lanes) * cpu.BloomQuery
+	bufferFirst := time.Duration(absent+1) * (cpu.BufferLookup + cpu.BloomQuery)
+	t.Logf("last round-1 submission at +%v; the Bloom queries cost %v; buffer first, the first flash key's page would be gathered at +%v",
+		last, queries, bufferFirst)
+	if last > queries || last >= bufferFirst {
+		t.Errorf("the index device's last round-1 submission started at +%v, after the call's Bloom queries (+%v)",
+			last, queries)
 	}
 	requireOneKeyAnswers(t, c, batch, got, found)
 }

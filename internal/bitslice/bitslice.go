@@ -37,12 +37,13 @@
 // # Staging filter
 //
 // The buffer's filter is not a column of the slices but a flat m-bit
-// bitmap (16 KB at m = 2^17), so AddStaging and QueryStaging touch a small,
-// cache-resident array instead of h scattered slices. Rotate copies the
-// bitmap into the new newest column in one dense pass over the slices, 64
-// slices per bitmap word, and then zeroes the bitmap. The bitmap holds
-// exactly the bits a staging column would, so every answer is still that
-// of k+1 plain Bloom filters.
+// bitmap (16 KB at m = 2^17), so AddStaging touches a small, cache-resident
+// array instead of h scattered slices. Query reads it at the rows it reads
+// the slices at, so one query answers for the buffer and the incarnations
+// alike. Rotate copies the bitmap into the new newest column in one dense
+// pass over the slices, 64 slices per bitmap word, and then zeroes the
+// bitmap. The bitmap holds exactly the bits a staging column would, so
+// every answer is still that of k+1 plain Bloom filters.
 //
 // # Why not a blocked layout
 //
@@ -132,32 +133,22 @@ func (b *Bank) AddStaging(keyHash uint64) {
 	}
 }
 
-// QueryStaging reports whether the staging filter may contain the key.
-func (b *Bank) QueryStaging(keyHash uint64) bool {
-	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
-	for range b.h {
-		row := hashutil.Reduce(h1, b.m)
-		if b.staging[row/64]&(1<<(row%64)) == 0 {
-			return false
-		}
-		h1 += h2
-	}
-	return true
-}
-
-// queryGroup is how many rows Query ANDs between two tests of the
-// accumulator: the group's slice loads issue back to back instead of each
-// waiting on the previous row's early-exit branch.
+// queryGroup is how many rows Query ANDs between two tests of its
+// answers: the group's loads issue back to back instead of each waiting on
+// the previous row's early-exit branch.
 const queryGroup = 4
 
-// Query returns a bitmask over the k incarnation columns: bit j set means
-// the incarnation at window offset j (0 = oldest position, k-1 = newest)
-// may contain the key. Columns that currently hold no incarnation are
-// all-zero and thus never match.
+// Query answers for all k+1 filters at once (§5.1.3). mask is a bitmask
+// over the k incarnation columns: bit j set means the incarnation at
+// window offset j (0 = oldest position, k-1 = newest) may contain the key.
+// Columns that currently hold no incarnation are all-zero and thus never
+// match. staged reports whether the staging (buffer) filter may contain
+// it.
 //
-// The h rows are AddStaging's sequence, generated inline, and the
-// accumulator is tested for zero once per queryGroup rows.
-func (b *Bank) Query(keyHash uint64) uint64 {
+// The h rows are AddStaging's sequence, generated once and read from the
+// slices and the staging bitmap alike, and the answers are tested once per
+// queryGroup rows: the query stops as soon as neither can hold.
+func (b *Bank) Query(keyHash uint64) (mask uint64, staged bool) {
 	switch b.sliceLen {
 	case 8:
 		return query(b, b.s8, keyHash)
@@ -169,28 +160,52 @@ func (b *Bank) Query(keyHash uint64) uint64 {
 	return query(b, b.s64, keyHash)
 }
 
-// query is Query over the bank's slices s, of type T.
-func query[T word](b *Bank, s []T, keyHash uint64) uint64 {
+// query is Query over the bank's slices s, of type T. a accumulates the
+// slices, and bit 0 of g the staging bits, each shifted down to it. While
+// both answers are open each row group reads both; once one settles, the
+// other finishes alone.
+func query[T word](b *Bank, s []T, keyHash uint64) (uint64, bool) {
 	h1, h2 := keyHash, hashutil.Mix64(keyHash)|1
 	m := b.m
 	s = s[:m]
-	a := T(b.live)
+	f := b.staging
+	a, g := T(b.live), uint64(1)
 	i := 0
-	for ; i+queryGroup <= b.h; i += queryGroup {
-		a &= s[hashutil.Reduce(h1, m)] & s[hashutil.Reduce(h1+h2, m)] &
-			s[hashutil.Reduce(h1+2*h2, m)] & s[hashutil.Reduce(h1+3*h2, m)]
+	for ; i+queryGroup <= b.h && a != 0 && g&1 != 0; i += queryGroup {
+		r0, r1 := hashutil.Reduce(h1, m), hashutil.Reduce(h1+h2, m)
+		r2, r3 := hashutil.Reduce(h1+2*h2, m), hashutil.Reduce(h1+3*h2, m)
+		a &= s[r0] & s[r1] & s[r2] & s[r3]
+		g &= (f[r0/64] >> (r0 % 64)) & (f[r1/64] >> (r1 % 64)) & (f[r2/64] >> (r2 % 64)) & (f[r3/64] >> (r3 % 64))
 		h1 += queryGroup * h2
-		if a == 0 {
-			return 0
-		}
 	}
-	for ; i < b.h; i++ {
-		a &= s[hashutil.Reduce(h1, m)]
-		h1 += h2
+	switch {
+	case a != 0 && g&1 != 0: // fewer rows than a group are left
+		for ; i < b.h; i++ {
+			r := hashutil.Reduce(h1, m)
+			a &= s[r]
+			g &= f[r/64] >> (r % 64)
+			h1 += h2
+		}
+	case a != 0: // the staging filter rules the key out
+		for ; i+queryGroup <= b.h && a != 0; i += queryGroup {
+			a &= s[hashutil.Reduce(h1, m)] & s[hashutil.Reduce(h1+h2, m)] &
+				s[hashutil.Reduce(h1+2*h2, m)] & s[hashutil.Reduce(h1+3*h2, m)]
+			h1 += queryGroup * h2
+		}
+		for ; i < b.h && a != 0; i++ {
+			a &= s[hashutil.Reduce(h1, m)]
+			h1 += h2
+		}
+	case g&1 != 0: // every incarnation rules the key out
+		for ; i < b.h && g&1 != 0; i++ {
+			r := hashutil.Reduce(h1, m)
+			g &= f[r/64] >> (r % 64)
+			h1 += h2
+		}
 	}
 	// Rotate the surviving slice positions right by s: position s becomes
 	// window offset 0. The shifts are of T, so the ring wraps at L bits.
-	return uint64(a>>b.start | a<<(b.sliceLen-b.start))
+	return uint64(a>>b.start | a<<(b.sliceLen-b.start)), g&1 != 0
 }
 
 // Rotate slides the window one position: the staging filter becomes the

@@ -88,6 +88,26 @@ func newestColumn(bank *Bank, keys []uint64) uint64 {
 	return 1 << (bank.k - 1)
 }
 
+// queryMask is Query's incarnation mask alone.
+func queryMask(b *Bank, kh uint64) uint64 {
+	mask, _ := b.Query(kh)
+	return mask
+}
+
+// requireNaive fails unless both of the bank's answers for p equal the
+// naive reference's: the mask its k incarnation filters give, and its
+// staging filter's.
+func requireNaive(t *testing.T, bank *Bank, ref *naiveBank, what string, p uint64) {
+	t.Helper()
+	mask, staged := bank.Query(p)
+	if want := ref.Query(p); mask != want {
+		t.Fatalf("%s: Query(%#x) mask = %#x, want %#x", what, p, mask, want)
+	}
+	if want := ref.QueryStaging(p); staged != want {
+		t.Fatalf("%s: Query(%#x) staged = %v, want %v", what, p, staged, want)
+	}
+}
+
 func TestNoFalseNegatives(t *testing.T) {
 	bank := NewBank(1<<16, 16, 4)
 	rng := rand.New(rand.NewSource(1))
@@ -97,7 +117,7 @@ func TestNoFalseNegatives(t *testing.T) {
 	}
 	newest := newestColumn(bank, keys)
 	for _, k := range keys {
-		if bank.Query(k)&newest == 0 {
+		if queryMask(bank, k)&newest == 0 {
 			t.Fatalf("false negative for %#x", k)
 		}
 	}
@@ -108,13 +128,13 @@ func TestNoFalseNegativesQuick(t *testing.T) {
 		bank := NewBank(1<<12, 16, 5)
 		for _, k := range keys {
 			bank.AddStaging(k)
-			if !bank.QueryStaging(k) {
+			if _, staged := bank.Query(k); !staged {
 				return false
 			}
 		}
 		newest := newestColumn(bank, nil)
 		for _, k := range keys {
-			if bank.Query(k)&newest == 0 {
+			if queryMask(bank, k)&newest == 0 {
 				return false
 			}
 		}
@@ -141,7 +161,7 @@ func TestFalsePositiveRateMatchesTheory(t *testing.T) {
 	const probes = 200000
 	fp := 0
 	for i := 0; i < probes; i++ {
-		if bank.Query(rng.Uint64())&newest != 0 {
+		if queryMask(bank, rng.Uint64())&newest != 0 {
 			fp++
 		}
 	}
@@ -184,12 +204,7 @@ func TestEquivalenceWithNaiveBank(t *testing.T) {
 				probes = append(probes, keys[len(keys)-1], keys[rng.Intn(len(keys))])
 			}
 			for _, p := range probes {
-				if got, want := bank.Query(p), ref.Query(p); got != want {
-					t.Fatalf("seed %d step %d: Query(%#x) = %#x, want %#x", seed, step, p, got, want)
-				}
-				if got, want := bank.QueryStaging(p), ref.QueryStaging(p); got != want {
-					t.Fatalf("seed %d step %d: QueryStaging(%#x) = %v, want %v", seed, step, p, got, want)
-				}
+				requireNaive(t, bank, ref, fmt.Sprintf("seed %d step %d", seed, step), p)
 			}
 		}
 	}
@@ -216,10 +231,7 @@ func TestLongRotationWrapsWindow(t *testing.T) {
 		bank.Rotate()
 		ref.Rotate()
 		for i := 0; i < 4; i++ {
-			p := rng.Uint64()
-			if got, want := bank.Query(p), ref.Query(p); got != want {
-				t.Fatalf("rotation %d: Query(%#x) = %#x, want %#x", rot, p, got, want)
-			}
+			requireNaive(t, bank, ref, fmt.Sprintf("rotation %d", rot), rng.Uint64())
 		}
 	}
 }
@@ -227,20 +239,21 @@ func TestLongRotationWrapsWindow(t *testing.T) {
 func TestFreshKeyFoundInNewestColumn(t *testing.T) {
 	bank := NewBank(1<<12, 16, 4)
 	bank.AddStaging(0xABCD)
-	if !bank.QueryStaging(0xABCD) {
+	mask, staged := bank.Query(0xABCD)
+	if !staged {
 		t.Fatal("staging lost the key")
 	}
-	if bank.Query(0xABCD) != 0 {
+	if mask != 0 {
 		// Might be a false positive, but with an empty bank all columns
 		// are zero, so this must be exact.
 		t.Fatal("key visible in incarnations before rotation")
 	}
 	bank.Rotate()
-	mask := bank.Query(0xABCD)
+	mask, staged = bank.Query(0xABCD)
 	if mask&(1<<15) == 0 {
 		t.Fatalf("key not in newest column after rotation: mask %#x", mask)
 	}
-	if bank.QueryStaging(0xABCD) {
+	if staged {
 		t.Fatal("fresh staging column not empty (false positive impossible on empty filter)")
 	}
 }
@@ -251,14 +264,14 @@ func TestKeyAgesOutAfterKRotations(t *testing.T) {
 	bank.AddStaging(0x1234)
 	bank.Rotate()
 	for i := 0; i < k-1; i++ {
-		if bank.Query(0x1234) == 0 {
+		if queryMask(bank, 0x1234) == 0 {
 			t.Fatalf("key lost after only %d of %d rotations", i+1, k)
 		}
 		bank.Rotate()
 	}
 	// One more rotation evicts it.
 	bank.Rotate()
-	if bank.Query(0x1234) != 0 {
+	if queryMask(bank, 0x1234) != 0 {
 		t.Fatal("key still visible after k+1 rotations (stale bits not retired)")
 	}
 }
@@ -270,7 +283,7 @@ func TestMaskOffsetsShiftWithRotation(t *testing.T) {
 	bank.Rotate() // key now at offset k-1 (newest)
 	for age := 1; age < k; age++ {
 		bank.Rotate()
-		mask := bank.Query(7)
+		mask := queryMask(bank, 7)
 		want := uint64(1) << (k - 1 - age)
 		if mask&want == 0 {
 			t.Fatalf("after %d rotations mask = %#x, want bit %d", age+1, mask, k-1-age)
@@ -282,13 +295,13 @@ func TestK64Boundary(t *testing.T) {
 	bank := NewBank(512, 64, 3)
 	bank.AddStaging(99)
 	bank.Rotate()
-	if mask := bank.Query(99); mask&(1<<63) == 0 {
+	if mask := queryMask(bank, 99); mask&(1<<63) == 0 {
 		t.Fatalf("k=64: mask = %#x, want bit 63", mask)
 	}
 	for i := 0; i < 64; i++ {
 		bank.Rotate()
 	}
-	if mask := bank.Query(99); mask != 0 {
+	if mask := queryMask(bank, 99); mask != 0 {
 		t.Fatalf("k=64: key survived 65 rotations: %#x", mask)
 	}
 }
@@ -297,11 +310,11 @@ func TestK1Boundary(t *testing.T) {
 	bank := NewBank(128, 1, 2)
 	bank.AddStaging(5)
 	bank.Rotate()
-	if bank.Query(5)&1 == 0 {
+	if queryMask(bank, 5)&1 == 0 {
 		t.Fatal("k=1: key not found")
 	}
 	bank.Rotate()
-	if bank.Query(5) != 0 {
+	if queryMask(bank, 5) != 0 {
 		t.Fatal("k=1: key survived eviction")
 	}
 }
@@ -385,12 +398,7 @@ func TestEquivalenceAcrossSliceSizes(t *testing.T) {
 				var keys []uint64
 				check := func(rot int, p uint64) {
 					t.Helper()
-					if got, want := bank.Query(p), ref.Query(p); got != want {
-						t.Fatalf("rotation %d: Query(%#x) = %#x, want %#x", rot, p, got, want)
-					}
-					if got, want := bank.QueryStaging(p), ref.QueryStaging(p); got != want {
-						t.Fatalf("rotation %d: QueryStaging(%#x) = %v, want %v", rot, p, got, want)
-					}
+					requireNaive(t, bank, ref, fmt.Sprintf("rotation %d", rot), p)
 				}
 				for rot := 0; rot < 3*bank.sliceLen+k; rot++ {
 					for i := rng.Intn(12); i > 0; i-- {
@@ -416,9 +424,10 @@ func TestEquivalenceAcrossSliceSizes(t *testing.T) {
 // op sequence and requires identical answers at every step. k, m and h
 // come from the first three inputs: m is 1 to 64 whole 64-bit words, less
 // mb/64 mod 64 bits, so mb ≥ 64 leaves a partial last word. Each op byte
-// selects, by its low two bits, a rotation, a run of staging adds, a
-// window query or a staging query; the remaining six bits size the run or
-// pick the probed key.
+// selects, by its low two bits, a rotation, a run of staging adds, or (two
+// codes of four) a query, whose incarnation mask must equal the reference's
+// k filters' and whose staging answer its staging filter's; the remaining
+// six bits size the run or pick the probed key.
 func FuzzBankEquivalence(f *testing.F) {
 	// A quarter of the ops rotate, so 1024 ops wrap even a 64-bit slice
 	// four times, with about four adds between rotations.
@@ -431,10 +440,11 @@ func FuzzBankEquivalence(f *testing.F) {
 	}
 	f.Add(uint8(16), uint16(1), uint8(22), ops)
 	// Filter sizes that are not a power of two (m = 192 and 960 bits, the
-	// fastrange reduction, and 923, a partial last word) with row counts that are not a multiple of
-	// Query's row group, on every slice width, each where the window fills
-	// the slice (L = k) and where it leaves stale columns (L > k).
-	for _, k := range []int{8, 9, 16, 17, 32, 33, 57, 64} {
+	// fastrange reduction, and 923, a partial last word) with row counts
+	// that are not a multiple of Query's row group, on every slice width,
+	// each where the window fills the slice (L = k) and where it leaves
+	// stale columns (L > k).
+	for _, k := range []int{7, 8, 9, 16, 17, 32, 33, 57, 64} {
 		f.Add(uint8(k), uint16(2), uint8(22), ops)
 		f.Add(uint8(k), uint16(14), uint8(7), ops)
 		f.Add(uint8(k), uint16(37<<6|14), uint8(7), ops) // m = 923
@@ -468,13 +478,7 @@ func FuzzBankEquivalence(f *testing.F) {
 			if arg&1 == 1 {
 				p = hashutil.Mix64(uint64(step) | 1<<62)
 			}
-			if op&3 == 2 {
-				if got, want := bank.Query(p), ref.Query(p); got != want {
-					t.Fatalf("k=%d m=%d h=%d step %d: Query(%#x) = %#x, want %#x", k, m, h, step, p, got, want)
-				}
-			} else if got, want := bank.QueryStaging(p), ref.QueryStaging(p); got != want {
-				t.Fatalf("k=%d m=%d h=%d step %d: QueryStaging(%#x) = %v, want %v", k, m, h, step, p, got, want)
-			}
+			requireNaive(t, bank, ref, fmt.Sprintf("k=%d m=%d h=%d step %d", k, m, h, step), p)
 		}
 	})
 }
@@ -559,7 +563,8 @@ const (
 // shapeKey is the i-th key the shape benchmarks insert.
 func shapeKey(i int) uint64 { return hashutil.Mix64(uint64(i) + 1) }
 
-// fullShape returns the 32 banks with every incarnation column filled.
+// fullShape returns the 32 banks with every incarnation column filled and
+// each staging filter half full, as a buffer is on average.
 func fullShape() []*Bank {
 	banks := make([]*Bank, shapeBanks)
 	i := 0
@@ -571,6 +576,12 @@ func fullShape() []*Bank {
 				i++
 			}
 			banks[bi].Rotate()
+		}
+	}
+	for bi := range banks {
+		for range shapeKeys / 2 {
+			banks[bi].AddStaging(shapeKey(i))
+			i++
 		}
 	}
 	return banks
@@ -593,7 +604,7 @@ func BenchmarkQuery(b *testing.B) {
 		n := shapeBanks * shapeK * shapeKeys
 		for i := 0; b.Loop(); i++ {
 			j := int(hashutil.Mix64(uint64(i)) % uint64(n))
-			if banks[j/(shapeK*shapeKeys)].Query(shapeKey(j)) == 0 {
+			if queryMask(banks[j/(shapeK*shapeKeys)], shapeKey(j)) == 0 {
 				b.Fatal("inserted key missing")
 			}
 		}
@@ -648,7 +659,7 @@ func BenchmarkBankQuery(b *testing.B) {
 	var hits int
 	for b.Loop() {
 		for _, p := range probes {
-			if p.bank.Query(p.key) != 0 {
+			if mask, _ := p.bank.Query(p.key); mask != 0 {
 				hits++
 			}
 		}

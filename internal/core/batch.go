@@ -14,8 +14,8 @@ import (
 // blocking device round-trip per probe per key, a batch runs in three
 // phases —
 //
-//	A (memory):  every key's delete-list check, buffer probe and Bloom
-//	             query run with zero I/O, producing a
+//	A (memory):  every key's Bloom query, delete-list check and buffer
+//	             probe run with zero I/O, producing a
 //	             candidate-incarnation mask per unresolved key. Each key
 //	             is charged and counted as a one-key lookup would be, but
 //	             a key the batch already gave: a dedupe probe finds each
@@ -29,7 +29,16 @@ import (
 //	             lookup; a buffer hit, here, or a flash hit, when its
 //	             probing round resolves it, fills the cache
 //	             (CPU.CacheFill), so a hot key's work is done once per read
-//	             run rather than once per batch. Phase A
+//	             run rather than once per batch. Every other key runs one
+//	             order, in every call: its super table's bank of k+1 Bloom
+//	             filters (§5.1.3), the k incarnations' and the buffer's,
+//	             answers in one query, and the buffer is probed (delete
+//	             list, then cuckoo table) only when its filter may hold the
+//	             key or the table has pending deletes, so a key no filter
+//	             may hold is a miss with no probe (Stats.ScreenedProbes),
+//	             and a flash-only key gathers its page right after the
+//	             query. A super table with no live incarnation has no
+//	             filter to ask: its buffer is probed alone. Phase A
 //	             also gathers each unresolved key's first probe (phase B's
 //	             round 1) as it goes. In a call of more than one key,
 //	             whenever the device is idle at the current CPU instant
@@ -40,22 +49,11 @@ import (
 //	             come back in small groups (a device on the CPU's own
 //	             clock, see Config.DeviceClock, is idle at every CPU
 //	             instant and completes each read as it is issued).
-//	             Such a call with no hit hook runs in two passes. Pass 1
-//	             queries each key's Bloom filters first and probes the
-//	             buffer (delete list, then cuckoo table) only for a key
-//	             an incarnation may hold; when it ends, no further
-//	             round-1 page can come, so every page not yet sent goes
-//	             to the device as one submission. Pass 2 then probes the
-//	             buffer for the keys the filters excluded, which can end
-//	             only in a hit or a miss, while round 1's reads are in
-//	             flight (Stats.DeferredProbes). A call given a hit hook
-//	             keeps the buffer-first order: its buffer hits are work
-//	             for the hook's device, so none of its work is deferred.
-//	             It runs phase C early for every round-1 key whose read
-//	             has completed by the current CPU instant, and hands the
-//	             hook its final hits, in multiples of the hook device's
-//	             lanes, whenever that device is idle (HitHook). A one-key
-//	             call runs the paper's order, buffer first.
+//	             A call given a hit hook also runs phase C early for
+//	             every round-1 key whose read has completed by the
+//	             current CPU instant, and hands the hook its final hits,
+//	             in multiples of the hook device's lanes, whenever that
+//	             device is idle (HitHook).
 //	B (gather):  each probing round collects every unresolved key's single
 //	             newest-candidate page probe, dedupes keys that land on the
 //	             same flash page (a page is read once per round, and every
@@ -123,10 +121,6 @@ type batchScratch struct {
 	// had completed at the last pass over them.
 	waiting []int32
 	done    int
-
-	// The keys of a hookless batch whose buffer probes pass 2 runs: those
-	// the Bloom bank excluded from every incarnation in pass 1.
-	deferred []batchKey
 
 	// The probing round in progress: its probe words, one per pending
 	// key, and its reads in submission order. A round 1 that phase A
@@ -228,12 +222,11 @@ func (b *BufferHash) gather(pi int, stream bool) {
 }
 
 // streamGroup submits the first n pages phase A gathered since its last
-// submission, or all of them when fewer wait, as one address-sorted read
-// submission, without waiting for it, and records the read of each page
-// in the index.
+// submission as one address-sorted read submission, without waiting for
+// it, and records the read of each page in the index.
 func (b *BufferHash) streamGroup(n int) error {
 	bs := &b.batch
-	group := bs.pages[bs.sent:min(bs.sent+n, len(bs.pages))]
+	group := bs.pages[bs.sent : bs.sent+n]
 	bs.sent += len(group)
 	slices.Sort(group)
 	first := len(bs.reqs)
@@ -319,9 +312,8 @@ func (bs *batchScratch) probeEarly(pi int, r int32, results []LookupResult) {
 // hand-off is one submission of the log pages that no earlier hand-off
 // of the same call read (see storage.ValueLog.BeginChunk), so the
 // lane-sized hand-offs of phase A split a call's page reads without
-// reading a page twice. A hooked call's phase A runs in one pass, buffer
-// first: its buffer hits are reads for the hook's device, which the
-// Bloom-first order of a hookless batch would hand over later.
+// reading a page twice. Phase A meets each buffer hit at its own
+// position, so a hooked call can hand it over at once.
 type HitHook struct {
 	// Read is called with the indexes, ascending, of hits whose results
 	// are final; hits is valid only during the call. A non-nil error ends
@@ -344,12 +336,12 @@ type HitHook struct {
 // device's ReadBatch (on a one-lane device the overlap degenerates to the
 // sum of the reads, and the batch still benefits from dedupe and address
 // ordering), and because round 1's reads may run while phase A still does:
-// phase A submits them one page per lane as the device goes idle, and a
-// batch with no hook queries each key's Bloom filters before its buffer,
-// so that the buffer probes of the keys the filters exclude run after
-// round 1's last pages went out (Stats.DeferredProbes counts them). Such
-// a batch queries the filters of every distinct key the hot-entry cache
-// does not answer, buffered keys included.
+// phase A submits them one page per lane as the device goes idle. Every
+// lookup, one-key or batched, hooked or not, runs one phase-A order: one
+// query of its super table's k+1 Bloom filters (§5.1.3) first, then a
+// buffer probe only when the buffer's filter may hold the key or the
+// table has pending deletes (Stats.ScreenedProbes counts the probes
+// skipped), so a flash-only key's page is gathered right after its query.
 //
 // A key given twice is looked up once: phase A finds each repeat with
 // one probe of a batch-scoped table of the keys so far (a one-key call
@@ -410,16 +402,13 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	// to the clock in a single advance — the same virtual total as one-key
 	// lookups, without several clock advances per key — except where a
 	// batch's submission to an idle device, or a hand-off of hits to an
-	// idle hook device, lands them early. A batch with no hook runs it in
-	// two passes, Bloom queries first (see the phase-A header above).
+	// idle hook device, lands them early.
 	batch := len(keys) > 1
 	early := batch && hook != nil
-	bloomFirst := batch && hook == nil
 	if batch {
 		bs.distinct.reset()
 		bs.seen.Reset()
 		bs.pageRead = bs.pageRead[:0]
-		bs.deferred = bs.deferred[:0]
 	}
 	for i, key := range keys {
 		first := int32(-1)
@@ -436,19 +425,13 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			}
 		default:
 			st, kh := b.route(key)
-			var mask uint64
-			if bloomFirst {
-				// Pass 1 probes the buffer only for keys an incarnation
-				// may hold; pass 2 probes it for the rest.
-				if mask = st.candidates(kh); mask == 0 {
-					bs.deferred = append(bs.deferred, batchKey{idx: i, st: st, kh: kh})
-					break
-				}
-			}
-			res, done := st.probeBuffer(kh)
-			results[i] = res
-			if !done && !bloomFirst {
-				mask = st.candidates(kh)
+			mask, staged := st.query(kh)
+			var done bool
+			if staged || len(st.deleteList) > 0 {
+				results[i], done = st.probeBuffer(kh)
+			} else {
+				results[i] = LookupResult{}
+				b.stats.ScreenedProbes++
 			}
 			if !done && mask != 0 {
 				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
@@ -478,21 +461,6 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 				b.joinDevice()
 				return err
 			}
-		}
-	}
-	if bloomFirst {
-		// Pass 2. No further round-1 page can come, so the pages not yet
-		// sent go now, and the deferred buffer probes, which can end only
-		// in a hit or a miss, run while round 1's reads are in flight.
-		b.settleCPUDebt()
-		if err := b.streamGroup(len(bs.pages)); err != nil {
-			b.joinDevice()
-			return err
-		}
-		for _, d := range bs.deferred {
-			results[d.idx], _ = d.st.probeBuffer(d.kh)
-			b.stats.DeferredProbes++
-			b.resolvedInMemory(keys, d.idx, results, run, false)
 		}
 	}
 	b.settleCPUDebt()

@@ -22,18 +22,18 @@
 // page probes) runs through LookupBatch: phase A answers every key's
 // in-memory portion with zero I/O and gathers the first probing round,
 // handing a batch's pages to the device, one page per queue lane, earliest
-// gathered first, whenever it is idle and they fill its lanes. A batch
-// with no hit hook runs phase A in two passes: the first queries each
-// key's Bloom filters before its buffer and probes the buffer only for a
-// key an incarnation may hold, then submits the round-1 pages not yet
-// sent; the second probes the buffer for the other keys, which can end
-// only in a hit or a miss, while those reads are in flight. Phase B
-// gathers each probing round's page reads,
-// dedupes same-page keys, sorts them by device address and submits them
-// (in round 1, the pages still unsubmitted) as one device ReadBatch so
-// their virtual latency overlaps across the device's queue lanes; and
-// phase C resolves the pages newest-first, stopping at the first hit.
-// Lookup is a one-key LookupBatch; see batch.go.
+// gathered first, whenever it is idle and they fill its lanes. Every
+// lookup runs phase A in one order: one query of its super table's k+1
+// Bloom filters (§5.1.3), the k incarnations' and the buffer's, and then a
+// buffer probe only when the buffer's filter may hold the key or the table
+// has pending deletes, so a key no filter may hold is a miss with no probe
+// and a flash-only key gathers its page right after the query. Phase B
+// gathers each probing round's page reads, dedupes same-page keys, sorts
+// them by device address and submits them (in round 1, the pages still
+// unsubmitted) as one device ReadBatch so their virtual latency overlaps
+// across the device's queue lanes; and phase C resolves the pages
+// newest-first, stopping at the first hit. Lookup is a one-key
+// LookupBatch; see batch.go.
 //
 // A store may spend part of its DRAM on a hot-entry cache
 // (Config.CacheEntries): in a read run, a lookup call that no write has
@@ -59,8 +59,8 @@
 // keys leaves the same state, counters and results as n one-key calls
 // (a lookup batch, as n calls over distinct keys, on a store without a
 // hot-entry cache, whose hits depend on how a read run's keys are grouped
-// into calls); only virtual time, the physical I/O count (page dedupe,
-// same-slot write collapse) and Stats.DeferredProbes differ.
+// into calls); only virtual time and the physical I/O count (page dedupe,
+// same-slot write collapse) differ.
 //
 // Two consequences of the single pipeline are part of the model:
 //

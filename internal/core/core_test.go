@@ -420,16 +420,15 @@ func TestDisableBitsliceOnlyPrices(t *testing.T) {
 		return r
 	}
 	sliced, naive := do(false), do(true)
-	// Every super table holds live incarnations and nothing is deleted,
-	// so each one-key lookup the buffer did not answer queried the Bloom
-	// bank, and so did each of the batch's distinct keys: a hookless batch
-	// queries the bank before it probes the buffer.
+	// Every super table holds live incarnations, so every lookup queried
+	// the Bloom bank before its buffer, buffer hits included: each one-key
+	// lookup and each of the batch's distinct keys.
 	queries := 0
 	for i, res := range naive.results {
 		if res != sliced.results[i] {
 			t.Fatalf("lookup %d = %+v, bit-sliced %+v", i, res, sliced.results[i])
 		}
-		if (i >= naive.batch || !res.Found || res.FlashReads > 0) && !naive.repeat[i] {
+		if !naive.repeat[i] {
 			queries++
 		}
 	}
@@ -888,19 +887,19 @@ func TestStatsHitRate(t *testing.T) {
 }
 
 func TestStatsMerge(t *testing.T) {
-	a := Stats{Inserts: 1, Deletes: 2, Lookups: 10, Hits: 4, CacheHits: 3, DeferredProbes: 14,
+	a := Stats{Inserts: 1, Deletes: 2, Lookups: 10, Hits: 4, CacheHits: 3, ScreenedProbes: 14,
 		FlashProbes: 5, SpuriousProbes: 6, Flushes: 7, Evictions: 8, Expirations: 13, PartialScans: 9,
 		Reinserted: 10, LRUReinserts: 11, Cascades: 12}
 	a.LookupIOHist[0], a.LookupIOHist[7] = 3, 1
 	a.CascadeHist[1] = 2
-	b := Stats{Inserts: 100, Deletes: 200, Lookups: 1000, Hits: 400, CacheHits: 300, DeferredProbes: 1400,
+	b := Stats{Inserts: 100, Deletes: 200, Lookups: 1000, Hits: 400, CacheHits: 300, ScreenedProbes: 1400,
 		FlashProbes: 500, SpuriousProbes: 600, Flushes: 700, Evictions: 800, Expirations: 1300, PartialScans: 900,
 		Reinserted: 1000, LRUReinserts: 1100, Cascades: 1200}
 	b.LookupIOHist[0], b.LookupIOHist[2] = 30, 7
 	b.CascadeHist[1], b.CascadeHist[64] = 20, 5
 	a.Merge(b)
 	if a.Inserts != 101 || a.Deletes != 202 || a.Lookups != 1010 || a.Hits != 404 || a.CacheHits != 303 ||
-		a.DeferredProbes != 1414 {
+		a.ScreenedProbes != 1414 {
 		t.Fatalf("op counters wrong after merge: %+v", a)
 	}
 	if a.FlashProbes != 505 || a.SpuriousProbes != 606 || a.Flushes != 707 ||

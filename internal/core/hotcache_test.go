@@ -59,6 +59,10 @@ type cacheTwins struct {
 	// answered counts the keys the cache answered that the cacheless twin
 	// read flash for.
 	answered int
+	// What the ops did to the buffers the staging-filter invariant covers:
+	// insert keys already buffered (updates in place), insert deleted keys
+	// again, and Flush calls whose index writes failed.
+	updates, revived, failed int
 }
 
 func newCacheTwins(t testing.TB, policy EvictionPolicy) *cacheTwins {
@@ -123,8 +127,7 @@ func (tw *cacheTwins) sameErr(what string, ec, ep error) {
 }
 
 // lookup runs one LookupBatch call on both twins, with their hit hooks
-// when hooked (phase A buffer first) or without (Bloom queries first, see
-// batch.go), and checks it.
+// when hooked or without, and checks it.
 func (tw *cacheTwins) lookup(keys []uint64, hooked bool) {
 	t := tw.t
 	t.Helper()
@@ -195,6 +198,7 @@ func (tw *cacheTwins) step(kind, a, b int) {
 		tw.lookup(tw.pick(a*11+b, n, kind%7 == 0), (a^b)&1 == 0)
 	case 2:
 		keys := tw.pick(a*11+b, n, a%2 == 0)
+		tw.countRewrites(keys)
 		tw.vals = tw.vals[:0]
 		for range keys {
 			tw.seq++
@@ -223,16 +227,54 @@ func (tw *cacheTwins) step(kind, a, b int) {
 			tw.vals = append(tw.vals, tw.seq)
 		}
 		tw.sameErr("failed InsertBatch", tw.cached.InsertBatch(keys, tw.vals, nil), tw.plain.InsertBatch(keys, tw.vals, nil))
-		tw.sameErr("failed Flush", tw.cached.Flush(), tw.plain.Flush())
+		ec := tw.cached.Flush()
+		tw.sameErr("failed Flush", ec, tw.plain.Flush())
+		if ec != nil {
+			tw.failed++
+		}
 		heal[0]()
 		heal[1]()
 	}
 	tw.checkStats()
+	for _, bh := range tw.twins() {
+		requireStaged(t, bh)
+	}
+}
+
+// countRewrites counts the keys an insert of keys finds in the cacheless
+// twin's buffers or delete lists.
+func (tw *cacheTwins) countRewrites(keys []uint64) {
+	for _, k := range keys {
+		st, kh := tw.plain.route(k)
+		if _, ok := st.buf.Get(kh); ok {
+			tw.updates++
+		}
+		if _, ok := st.deleteList[kh]; ok {
+			tw.revived++
+		}
+	}
+}
+
+// requireStaged requires every key a super table of b buffers to be in its
+// staging filter, which lets a lookup skip the buffer probe of a key the
+// filter rules out.
+func requireStaged(t testing.TB, b *BufferHash) {
+	t.Helper()
+	img := make([]byte, b.cfg.BufferBytes)
+	for _, st := range b.parts {
+		st.buf.Serialize(img)
+		b.tableParams(st.idx).DecodeImage(img, func(kh, _ uint64) bool {
+			if _, staged := st.bank.Query(kh); !staged {
+				t.Fatalf("super table %d buffers key %#x, which its staging filter rules out", st.idx, kh)
+			}
+			return true
+		})
+	}
 }
 
 // checkStats requires the twins' counters to agree but for the cache's
-// hits, and but for DeferredProbes: a key the cache answers is one whose
-// buffer probe the cacheless twin may defer.
+// hits, and but for ScreenedProbes: a key the cache answers is one whose
+// buffer probe the cacheless twin may skip.
 func (tw *cacheTwins) checkStats() {
 	t := tw.t
 	t.Helper()
@@ -241,7 +283,7 @@ func (tw *cacheTwins) checkStats() {
 		t.Fatalf("CacheHits: cached twin %d (it answered %d keys that read flash without it), cacheless twin %d",
 			sc.CacheHits, tw.answered, sp.CacheHits)
 	}
-	sc.CacheHits, sc.DeferredProbes, sp.DeferredProbes = 0, 0, 0
+	sc.CacheHits, sc.ScreenedProbes, sp.ScreenedProbes = 0, 0, 0
 	sp.FlashProbes -= tw.probes
 	sp.SpuriousProbes -= tw.spurious
 	for i, d := range tw.hist {
@@ -253,13 +295,17 @@ func (tw *cacheTwins) checkStats() {
 }
 
 // TestHotCacheMatchesCacheless runs the oracle over random ops under FIFO,
-// LRU and UpdateBased: read runs of lookups over mostly hot keys, with
-// and without a hit hook, broken by puts, deletes, Flush, ExpireThrough
-// and inserts whose index writes fail. Every row must see the cache
-// answer keys, a hookless batch defer buffer probes, FIFO and UpdateBased
-// keys that read flash without the cache, and LRU re-insert flash hits.
+// LRU, UpdateBased and PriorityBased: read runs of lookups over mostly hot
+// keys, with and without a hit hook, broken by puts, deletes, Flush,
+// ExpireThrough and inserts whose index writes fail. Every row must see
+// the cache answer keys, the staging filter rule out buffer probes, FIFO
+// and the partial-discard rows' keys that read flash without the cache,
+// and LRU re-insert flash hits; and, for the staging-filter invariant
+// checked after every op, inserts update buffered keys in place and bring
+// deleted keys back, partial discard re-inserts survivors, and Flush,
+// ExpireThrough and a failed index write each take effect.
 func TestHotCacheMatchesCacheless(t *testing.T) {
-	for _, policy := range []EvictionPolicy{FIFO, LRU, UpdateBased} {
+	for _, policy := range []EvictionPolicy{FIFO, LRU, UpdateBased, PriorityBased} {
 		t.Run(policy.String(), func(t *testing.T) {
 			tw := newCacheTwins(t, policy)
 			rng := rand.New(rand.NewSource(int64(policy) + 31))
@@ -274,33 +320,41 @@ func TestHotCacheMatchesCacheless(t *testing.T) {
 				tw.step(kind, rng.Intn(256), rng.Intn(256))
 			}
 			st := tw.cached.Stats()
-			t.Logf("%d cache hits, %d of keys that read flash without the cache; %d lookups, %d deferred buffer probes, %d flash probes, %d flushes, %d evictions, %d LRU re-inserts",
-				st.CacheHits, tw.answered, st.Lookups, st.DeferredProbes, st.FlashProbes, st.Flushes, st.Evictions, st.LRUReinserts)
+			t.Logf("%d cache hits, %d of keys that read flash without the cache; %d lookups, %d screened buffer probes, %d flash probes, %d flushes, %d evictions, %d LRU re-inserts, %d survivors re-inserted; %d updates in place, %d deleted keys inserted again, %d failed flushes",
+				st.CacheHits, tw.answered, st.Lookups, st.ScreenedProbes, st.FlashProbes, st.Flushes, st.Evictions, st.LRUReinserts, st.Reinserted, tw.updates, tw.revived, tw.failed)
 			// Under LRU a flash hit is re-inserted into its buffer, so a key
 			// the cache answers is mostly one its twin finds buffered.
+			partial := policy == UpdateBased || policy == PriorityBased
 			switch {
 			case st.CacheHits == 0:
 				t.Fatal("the cache answered nothing")
-			case st.DeferredProbes == 0:
-				t.Fatal("no hookless batch deferred a buffer probe")
+			case st.ScreenedProbes == 0:
+				t.Fatal("the staging filter ruled out no buffer probe")
 			case policy != LRU && tw.answered == 0:
 				t.Fatal("the cache never answered a key that reads flash without it")
 			case policy == LRU && st.LRUReinserts == 0:
 				t.Fatal("no LRU re-insertion")
+			case partial && st.Reinserted == 0:
+				t.Fatal("partial discard re-inserted no survivor")
+			case tw.updates == 0 || tw.revived == 0:
+				t.Fatalf("%d updates in place and %d deleted keys inserted again, want both", tw.updates, tw.revived)
+			case st.Flushes == 0 || st.Expirations == 0 || tw.failed == 0:
+				t.Fatalf("%d flushes, %d expirations and %d failed flushes, want all three", st.Flushes, st.Expirations, tw.failed)
 			}
 		})
 	}
 }
 
 // FuzzHotCache runs the oracle over ops taken from the input: policy picks
-// FIFO, LRU or UpdateBased, and each 3-byte group of ops is (kind, a, b).
+// FIFO, LRU, UpdateBased or PriorityBased, and each 3-byte group of ops is
+// (kind, a, b).
 func FuzzHotCache(f *testing.F) {
 	f.Add(byte(0), []byte{2, 0, 40, 2, 1, 40, 4, 0, 0, 0, 0, 30, 0, 0, 30, 1, 3, 20, 1, 3, 20})
 	f.Add(byte(1), []byte{2, 9, 47, 2, 10, 47, 2, 11, 47, 4, 0, 0, 1, 2, 47, 1, 2, 47, 0, 2, 47, 0, 2, 47})
 	f.Add(byte(2), []byte{2, 4, 47, 4, 0, 0, 2, 5, 47, 4, 0, 0, 0, 1, 20, 0, 1, 20, 3, 1, 2, 0, 1, 20, 6, 2, 30, 0, 1, 20})
 	f.Add(byte(0), []byte{2, 0, 47, 4, 0, 0, 0, 0, 47, 0, 0, 47, 5, 0, 0, 0, 0, 47, 6, 1, 9, 0, 0, 47, 0, 0, 47})
 	f.Fuzz(func(t *testing.T, policy byte, ops []byte) {
-		tw := newCacheTwins(t, []EvictionPolicy{FIFO, LRU, UpdateBased}[policy%3])
+		tw := newCacheTwins(t, []EvictionPolicy{FIFO, LRU, UpdateBased, PriorityBased}[policy%4])
 		for i := 0; i+2 < min(len(ops), 3*300); i += 3 {
 			tw.step(int(ops[i]), int(ops[i+1]), int(ops[i+2]))
 		}

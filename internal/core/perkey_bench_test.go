@@ -62,7 +62,7 @@ func benchPerKeyOps(b *testing.B, ownClock bool) {
 
 // BenchmarkPhaseA measures the host cost of a lookup's phase A — route,
 // probeBuffer (the delete-list check and the buffer probe) and, for a key
-// the buffer does not resolve, candidates (the Bloom query) — per key of
+// the buffer does not resolve, query (the Bloom query) — per key of
 // 4096-key Zipf(1.1) batches, on one shard of the get-batch-zipf benchmark
 // workload's store (8 MB of IntelSSD flash, 4 super tables of 128 KB
 // buffers, 16 incarnations, 29 filter bits per entry) warmed with
@@ -111,7 +111,7 @@ func BenchmarkPhaseA(b *testing.B) {
 			if res, done := st.probeBuffer(kh); res.Found {
 				found++
 			} else if !done {
-				st.candidates(kh)
+				st.query(kh)
 			}
 		}
 		bh.settleCPUDebt()

@@ -15,10 +15,10 @@ type Stats struct {
 	// CacheHits counts the lookups the hot-entry cache answered; each is
 	// also a zero-I/O lookup and a hit.
 	CacheHits uint64
-	// DeferredProbes counts the buffer probes a lookup call ran after its
-	// round-1 reads went out: those of the keys a hookless batch's Bloom
-	// bank excluded from every incarnation.
-	DeferredProbes uint64
+	// ScreenedProbes counts the buffer probes lookups skipped: those of
+	// keys the Bloom query ruled out of the buffer, in a super table with
+	// no pending deletes.
+	ScreenedProbes uint64
 
 	// FlashProbes counts incarnation page reads; SpuriousProbes counts the
 	// subset that found nothing (Bloom false positives).
@@ -73,7 +73,7 @@ func (s *Stats) Merge(o Stats) {
 	s.Lookups += o.Lookups
 	s.Hits += o.Hits
 	s.CacheHits += o.CacheHits
-	s.DeferredProbes += o.DeferredProbes
+	s.ScreenedProbes += o.ScreenedProbes
 	s.FlashProbes += o.FlashProbes
 	s.SpuriousProbes += o.SpuriousProbes
 	for i := range s.LookupIOHist {

@@ -98,10 +98,11 @@ func (st *superTable) evictOldestExternal(seq uint64) {
 }
 
 // The in-memory phase of a lookup (phase A of the pipeline) is every step
-// that needs no flash I/O, in two halves: probeBuffer, the delete-list
-// check and the buffer probe, and candidates, the Bloom query. A one-key or
-// hooked lookup runs them in the paper's order (§5.1.1), the buffer first;
-// a hookless batch queries the Bloom bank first (see batch.go).
+// that needs no flash I/O, in two halves: query, the Bloom query that
+// answers for the buffer and every incarnation at once (§5.1.3's k+1
+// filters), and probeBuffer, the delete-list check and the buffer probe,
+// which a lookup runs only when query says the buffer may hold the key or
+// the table has pending deletes (see batch.go).
 
 // probeBuffer charges CPU.BufferLookup and consults the delete list and
 // the buffer. done reports that the key resolved there: a deleted key is
@@ -117,26 +118,28 @@ func (st *superTable) probeBuffer(kh uint64) (res LookupResult, done bool) {
 	return res, false
 }
 
-// candidates queries the Bloom bank, charging the query when the table has
-// live incarnations, and returns the candidate-incarnation mask for the
-// flash phase (bit j set = window offset j may hold the key). A zero mask
-// excludes every incarnation: a key the buffer does not hold is a clean
-// miss.
-func (st *superTable) candidates(kh uint64) uint64 {
+// query queries the Bloom bank, charging the query when the table has
+// live incarnations. mask is the candidate-incarnation mask for the flash
+// phase (bit j set = window offset j may hold the key), and staged reports
+// that the buffer may hold the key: every buffered key is in the staging
+// filter. A table with no live incarnation queries nothing, and one
+// without filters cannot rule the buffer out, so both answer staged.
+func (st *superTable) query(kh uint64) (mask uint64, staged bool) {
 	if st.live == 0 {
-		return 0
+		return 0, true
 	}
 	cfg := &st.owner.cfg
 	valid := st.validMask()
 	if cfg.DisableBloom {
-		return valid
+		return valid, true
 	}
 	if cfg.DisableBitslice {
 		st.owner.chargeCPU(cfg.CPU.BloomQueryNaive)
 	} else {
 		st.owner.chargeCPU(cfg.CPU.BloomQuery)
 	}
-	return st.bank.Query(kh) & valid
+	mask, staged = st.bank.Query(kh)
+	return mask & valid, staged
 }
 
 // resolveProbe is the probe-resolution step of the lookup pipeline (phase
@@ -334,7 +337,7 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 			return true
 		}
 		st.owner.chargeCPU(cfg.CPU.BloomQuery)
-		if st.bank.Query(k)&newerMask != 0 || st.bank.QueryStaging(k) {
+		if mask, staged := st.bank.Query(k); mask&newerMask != 0 || staged {
 			// Possibly updated; discard. False positives evict a live
 			// item (paper footnote 2) — semantically FIFO-safe.
 			return true

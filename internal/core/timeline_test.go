@@ -39,8 +39,8 @@ func firstPage(b *BufferHash, key uint64) (page uint64, ok bool) {
 	if _, buffered := st.buf.Get(kh); buffered || st.live == 0 {
 		return 0, false
 	}
-	mask := st.bank.Query(kh) & st.validMask()
-	if mask == 0 {
+	mask, _ := st.bank.Query(kh)
+	if mask &= st.validMask(); mask == 0 {
 		return 0, false
 	}
 	j := bits.Len64(mask) - 1
