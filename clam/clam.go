@@ -594,8 +594,9 @@ func (s *shard) retire(displaced []uint64) {
 // in-memory phase on, so their records are read on the log device while
 // the index device probes, then one join and the per-key verification.
 // The chunk is one value-log get chunk (see storage.ValueLog.BeginChunk):
-// a log page one hand-off read serves every later hand-off's records in
-// it. It fills only the hits of values and found.
+// every hand-off adds its records' log pages to the chunk's one page-read
+// set, so a page one hand-off read serves every later hand-off's records
+// in it. It fills only the hits of values and found.
 func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))

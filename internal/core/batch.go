@@ -54,20 +54,19 @@ import (
 //	             current CPU instant, and hands the hook its final hits,
 //	             in multiples of the hook device's lanes, whenever that
 //	             device is idle (HitHook).
-//	B (gather):  each probing round collects every unresolved key's single
-//	             newest-candidate page probe, dedupes keys that land on the
-//	             same flash page (a page is read once per round, and every
-//	             key on it uses that read), sorts the probes by device
-//	             address, and issues them as one device ReadBatch
-//	             submission whose virtual latency overlaps across the
-//	             device's queue lanes — in round 1, the pages phase A has
-//	             not submitted yet, for the keys it did not resolve. The
-//	             round then joins the device: the clock waits for every
-//	             read of the round. The probes are view requests
-//	             (storage.ReadReq.View): each carries only its page's
-//	             range and the device hands back its stored page, so no
-//	             page is reserved or copied.
-//	C (resolve): each key searches its page image through resolveProbe —
+//	B (gather):  each probing round adds every unresolved key's single
+//	             newest-candidate page to one page-read set
+//	             (storage.PageReads), so keys on the same flash page share
+//	             its one read. Phase A submits round 1 in the lane-sized
+//	             groups above; phase B submits the round's pages not yet
+//	             submitted as one address-sorted device ReadBatch, whose
+//	             latency overlaps across the device's queue lanes, and
+//	             joins the device: the clock waits for every read of the
+//	             round. The reads are view requests (storage.ReadReq.View):
+//	             the device hands back its stored page, so no page is
+//	             reserved or copied.
+//	C (resolve): each key, in pending order, but one phase A resolved
+//	             early, searches its page's view through resolveProbe —
 //	             newest-first, stop on hit, one probe counted per page read
 //	             on its behalf. Nothing writes the device during a lookup,
 //	             so the views stay valid while they are searched.
@@ -87,19 +86,16 @@ type batchKey struct {
 	st   *superTable
 	kh   uint64
 	mask uint64 // candidate window offsets not yet probed
-	read int32  // index into the round's reads of the page it probes
-	pid  int32  // its page's number in the page table (streamed round 1)
+	pid  int32  // the number of the page it probes in the round's page reads
 	// early marks a round-1 key phase A resolved against its streamed
-	// read (see resolveEarly); round 1's phase B and C pass it by.
+	// read (see resolveEarly); round 1's phase C passes it by.
 	early bool
 }
 
-// pendBits is the width of the pending-index field packed into a sorted
-// probe word; LookupBatch takes at most 2^pendBits keys so the field fits.
-const pendBits = 20
-
-// MaxLookupBatch is the most keys one LookupBatch call takes.
-const MaxLookupBatch = 1 << pendBits
+// MaxLookupBatch is the most keys one LookupBatch call takes: the router's
+// read-run chunk, and so the granularity at which a batched read notices
+// its context's cancellation.
+const MaxLookupBatch = 1 << 20
 
 // Repeat is a batch position whose key an earlier position of the same
 // LookupBatch call holds: the lookup of First answers it.
@@ -117,23 +113,14 @@ type batchScratch struct {
 	repeats  []Repeat
 
 	// Round-1 keys phase A may resolve early (see resolveEarly): the
-	// pending indexes not yet resolved, and how many of the round's reads
-	// had completed at the last pass over them.
+	// pending indexes not yet resolved, and how many of the round's pages
+	// had been submitted, and so read, at the last pass over them.
 	waiting []int32
 	done    int
 
-	// The probing round in progress: its probe words, one per pending
-	// key, and its reads in submission order. A round 1 that phase A
-	// streams to the device also keeps its distinct pages in gather
-	// order, pages[sent:] awaiting submission, the table that dedupes
-	// them across submissions, and the read serving each page by its
-	// number in the table (-1 while it awaits submission).
-	packed   []uint64 // pageNo<<pendBits | pendingIndex
-	reqs     []storage.ReadReq
-	pages    []uint64
-	sent     int
-	seen     storage.PageTable
-	pageRead []int32
+	// The probing round in progress: its distinct pages, numbered in the
+	// order the round's keys gathered them.
+	pages storage.PageReads
 }
 
 // keyTable is the open-addressed (linear probing) table of a lookup
@@ -201,56 +188,22 @@ func (t *keyTable) grow(keys []uint64, i int) {
 }
 
 // gather adds pending key pi's newest remaining candidate page to the
-// round, and, when phase A streams the round, its page to the round's
-// distinct pages. All partitions share one probe length, so a probe is
-// fully described by its page number; New rejects devices whose page
-// numbers would not fit a packed probe word.
-func (b *BufferHash) gather(pi int, stream bool) {
-	bs := &b.batch
-	p := &bs.pending[pi]
+// round's page reads. All partitions share one probe length, so a probe is
+// fully described by its page number.
+func (b *BufferHash) gather(pi int) {
+	p := &b.batch.pending[pi]
 	j := bits.Len64(p.mask) - 1
-	page := uint64(b.probeAddr(p.st, p.st.incs[j], p.kh)) / uint64(b.probeN)
-	bs.packed = append(bs.packed, page<<pendBits|uint64(pi))
-	if stream {
-		id, fresh := bs.seen.Add(page)
-		if fresh {
-			bs.pages = append(bs.pages, page)
-			bs.pageRead = append(bs.pageRead, -1)
-		}
-		p.pid = int32(id)
-	}
+	p.pid = int32(b.batch.pages.Add(uint64(b.probeAddr(p.st, p.st.incs[j], p.kh)) / uint64(b.probeN)))
 }
 
-// streamGroup submits the first n pages phase A gathered since its last
-// submission as one address-sorted read submission, without waiting for
-// it, and records the read of each page in the index.
-func (b *BufferHash) streamGroup(n int) error {
-	bs := &b.batch
-	group := bs.pages[bs.sent : bs.sent+n]
-	bs.sent += len(group)
-	slices.Sort(group)
-	first := len(bs.reqs)
-	for _, page := range group {
-		id, _ := bs.seen.Add(page)
-		bs.pageRead[id] = int32(len(bs.reqs))
-		bs.reqs = append(bs.reqs, b.probeReq(page))
-	}
-	return b.read(bs.reqs[first:])
-}
-
-// probeReq is the view request of the probe page numbered page.
-func (b *BufferHash) probeReq(page uint64) storage.ReadReq {
-	return storage.ReadReq{Off: int64(page) * int64(b.probeN), N: b.probeN, View: true}
-}
-
-// read issues reqs as one ReadBatch on the device's timeline, without
-// waiting for it.
-func (b *BufferHash) read(reqs []storage.ReadReq) error {
-	if len(reqs) == 0 {
+// submit issues the round's next n unsubmitted pages as one ReadBatch on
+// the device's timeline, without waiting for it.
+func (b *BufferHash) submit(n int) error {
+	if n == 0 {
 		return nil
 	}
 	b.issueDevice()
-	if _, err := b.cfg.Device.ReadBatch(reqs); err != nil {
+	if err := b.batch.pages.Submit(n); err != nil {
 		return fmt.Errorf("core: batched incarnation read: %w", err)
 	}
 	return nil
@@ -261,32 +214,32 @@ func (b *BufferHash) read(reqs []storage.ReadReq) error {
 // yet landed.
 func (b *BufferHash) idle(c *vclock.Clock) bool { return c.Now() <= b.cfg.Clock.Now()+b.cpuDebt }
 
-// await queues round-1 key pi for early resolution, or, when its page's
-// read is one the device had completed at resolveEarly's last pass,
-// resolves it at once.
+// await queues round-1 key pi for early resolution, or, when its page is
+// one the device had read at resolveEarly's last pass, resolves it at
+// once.
 func (b *BufferHash) await(pi int, results []LookupResult) {
 	bs := &b.batch
-	if r := bs.pageRead[bs.pending[pi].pid]; r >= 0 && int(r) < bs.done {
-		bs.probeEarly(pi, r, results)
+	if int(bs.pending[pi].pid) < bs.done {
+		bs.probeEarly(pi, results)
 		return
 	}
 	bs.waiting = append(bs.waiting, int32(pi))
 }
 
-// resolveEarly runs phase C for the waiting round-1 keys whose streamed
-// reads have completed. It is called only while the device is idle, when
-// every read submitted so far has completed, and passes over the waiting
-// keys only when reads were submitted since its last pass.
+// resolveEarly runs phase C for the waiting round-1 keys whose pages have
+// been read. It is called only while the device is idle, when every page
+// submitted so far has been read, and passes over the waiting keys only
+// when pages were submitted since its last pass.
 func (b *BufferHash) resolveEarly(results []LookupResult) {
 	bs := &b.batch
-	if bs.done == len(bs.reqs) {
+	if bs.done == bs.pages.Sent() {
 		return
 	}
-	bs.done = len(bs.reqs)
+	bs.done = bs.pages.Sent()
 	still := bs.waiting[:0]
 	for _, pi := range bs.waiting {
-		if r := bs.pageRead[bs.pending[pi].pid]; r >= 0 {
-			bs.probeEarly(int(pi), r, results)
+		if int(bs.pending[pi].pid) < bs.done {
+			bs.probeEarly(int(pi), results)
 		} else {
 			still = append(still, pi)
 		}
@@ -294,26 +247,28 @@ func (b *BufferHash) resolveEarly(results []LookupResult) {
 	bs.waiting = still
 }
 
-// probeEarly resolves round-1 key pi against its completed read r. A key
-// that hits becomes a final hit; one that misses clears its probed
-// candidate and goes on to round 2 exactly as if round 1 had probed it.
-func (bs *batchScratch) probeEarly(pi int, r int32, results []LookupResult) {
+// probeEarly resolves round-1 key pi against its page, which the device
+// has read. A key that hits becomes a final hit; one that misses clears
+// its probed candidate and goes on to round 2 exactly as if round 1 had
+// probed it.
+func (bs *batchScratch) probeEarly(pi int, results []LookupResult) {
 	p := &bs.pending[pi]
 	p.early = true
 	p.mask &^= 1 << (bits.Len64(p.mask) - 1)
-	if p.st.resolveProbe(&results[p.idx], bs.reqs[r].P, p.kh) {
+	if p.st.resolveProbe(&results[p.idx], bs.pages.View(int(p.pid)), p.kh) {
 		p.mask = 0
 		bs.hits = append(bs.hits, p.idx)
 	}
 }
 
 // HitHook is LookupBatch's hit hook. The byte API reads the value-log
-// records its hits point at, on the value-log device's own timeline: each
-// hand-off is one submission of the log pages that no earlier hand-off
-// of the same call read (see storage.ValueLog.BeginChunk), so the
-// lane-sized hand-offs of phase A split a call's page reads without
-// reading a page twice. Phase A meets each buffer hit at its own
-// position, so a hooked call can hand it over at once.
+// records its hits point at, on the value-log device's own timeline: the
+// log keeps one page-read set for the call (see
+// storage.ValueLog.BeginChunk), and each hand-off submits the log pages
+// that no earlier hand-off of the call added to it, so the lane-sized
+// hand-offs of phase A split a call's page reads without reading a page
+// twice. Phase A meets each buffer hit at its own position, so a hooked
+// call can hand it over at once.
 type HitHook struct {
 	// Read is called with the indexes, ascending, of hits whose results
 	// are final; hits is valid only during the call. A non-nil error ends
@@ -372,11 +327,10 @@ type HitHook struct {
 // device probes. A repeated position is never handed over: the record its
 // first occurrence's hit points at answers it. U64 callers pass nil.
 //
-// A batch holds at most MaxLookupBatch keys, so that a pending index fits
-// its packed probe word; a longer one, or one whose results differ in
-// length, fails before any state moves. On any other error the contents of
-// results are unspecified. Every call starts from empty scratch and
-// returns joined to the device, on error too.
+// A batch holds at most MaxLookupBatch keys; a longer one, or one whose
+// results differ in length, fails before any state moves. On any other
+// error the contents of results are unspecified. Every call starts from
+// empty scratch and returns joined to the device, on error too.
 func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *HitHook) error {
 	if len(keys) != len(results) {
 		return fmt.Errorf("core: LookupBatch: %d keys, %d results", len(keys), len(results))
@@ -395,7 +349,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	bs := &b.batch
 	bs.pending, bs.hits, bs.waiting, bs.done = bs.pending[:0], bs.hits[:0], bs.waiting[:0], 0
 	bs.repeats = bs.repeats[:0]
-	bs.packed, bs.reqs, bs.pages, bs.sent = bs.packed[:0], bs.reqs[:0], bs.pages[:0], 0
+	bs.pages.Reset()
 
 	// Phase A: resolve everything the DRAM side can answer, and gather
 	// round 1. CPU costs are accrued into one deferred charge and applied
@@ -407,8 +361,6 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	early := batch && hook != nil
 	if batch {
 		bs.distinct.reset()
-		bs.seen.Reset()
-		bs.pageRead = bs.pageRead[:0]
 	}
 	for i, key := range keys {
 		first := int32(-1)
@@ -435,7 +387,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			}
 			if !done && mask != 0 {
 				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
-				b.gather(len(bs.pending)-1, batch)
+				b.gather(len(bs.pending) - 1)
 				if early {
 					b.await(len(bs.pending)-1, results)
 				}
@@ -443,13 +395,13 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 				b.resolvedInMemory(keys, i, results, run, hook != nil)
 			}
 		}
-		if batch && (early || len(bs.pages)-bs.sent >= b.lanes) && b.idle(b.cfg.DeviceClock) {
+		if batch && (early || bs.pages.Unsent() >= b.lanes) && b.idle(b.cfg.DeviceClock) {
 			if early {
 				b.resolveEarly(results)
 			}
-			if len(bs.pages)-bs.sent >= b.lanes {
+			if bs.pages.Unsent() >= b.lanes {
 				b.settleCPUDebt()
-				if err := b.streamGroup(b.lanes); err != nil {
+				if err := b.submit(b.lanes); err != nil {
 					b.joinDevice()
 					return err
 				}
@@ -471,45 +423,25 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 
 	// Phases B+C: probing rounds. Every round reads at most one page per
 	// pending key (its newest remaining candidate), so each key probes
-	// newest-first. Phase A gathered round 1, less the keys it resolved
-	// early; each round gathers the next.
-	if early && len(bs.waiting) < len(bs.pending) {
-		bs.packed = slices.DeleteFunc(bs.packed, func(w uint64) bool { return bs.pending[w&(1<<pendBits-1)].early })
-	}
+	// newest-first. Phase A gathered round 1; each round gathers the next.
 	for len(bs.pending) > 0 {
-		// Phase B: sort the probes by page and give each key its page's
-		// read: the one a phase-A submission issued, or a new one, one
-		// per page. Submit the new reads and wait for the whole round.
-		slices.Sort(bs.packed)
-		first := len(bs.reqs)
-		last, ri := ^uint64(0), int32(0) // no page number reaches last
-		for _, w := range bs.packed {
-			p := &bs.pending[w&(1<<pendBits-1)]
-			if page := w >> pendBits; page != last {
-				last, ri = page, -1
-				if bs.sent > 0 {
-					ri = bs.pageRead[p.pid]
-				}
-				if ri < 0 {
-					ri = int32(len(bs.reqs))
-					bs.reqs = append(bs.reqs, b.probeReq(page))
-				}
-			}
-			p.read = ri
-		}
-		err := b.read(bs.reqs[first:])
+		// Phase B: submit the round's pages not submitted yet, and wait
+		// for the whole round.
+		err := b.submit(bs.pages.Unsent())
 		b.joinDevice()
 		if err != nil {
 			return err
 		}
 
-		// Phase C: resolve each probe against its (deduped) page image,
-		// the slice the device handed back, in page order.
-		for _, w := range bs.packed {
-			p := &bs.pending[w&(1<<pendBits-1)]
-			j := bits.Len64(p.mask) - 1
-			p.mask &^= 1 << j
-			if p.st.resolveProbe(&results[p.idx], bs.reqs[p.read].P, p.kh) {
+		// Phase C: resolve each key against its page's view, but a key
+		// phase A resolved early.
+		for pi := range bs.pending {
+			p := &bs.pending[pi]
+			if p.early {
+				continue
+			}
+			p.mask &^= 1 << (bits.Len64(p.mask) - 1)
+			if p.st.resolveProbe(&results[p.idx], bs.pages.View(int(p.pid)), p.kh) {
 				p.mask = 0 // found: stop probing this key
 			}
 		}
@@ -538,9 +470,9 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 		if err := bs.handOff(hook, len(bs.hits)); err != nil {
 			return err
 		}
-		bs.packed, bs.reqs, bs.sent = bs.packed[:0], bs.reqs[:0], 0
+		bs.pages.Reset()
 		for pi := range bs.pending {
-			b.gather(pi, false)
+			b.gather(pi)
 		}
 	}
 	for _, r := range bs.repeats {

@@ -114,12 +114,12 @@ func New(cfg Config) (*BufferHash, error) {
 			return nil, err
 		}
 	}
-	// LookupBatch packs a probe's page number and its pending index into
-	// one sorted word, so every page number must fit in 64-pendBits bits.
 	_, b.probeN = b.params[0].PageByteRange(0)
-	if g.Capacity/int64(b.probeN) >= 1<<(64-pendBits) {
-		return nil, fmt.Errorf("core: device capacity %d holds too many %d-byte probe pages", g.Capacity, b.probeN)
+	pages, err := storage.NewPageReads(cfg.Device, b.probeN)
+	if err != nil {
+		return nil, fmt.Errorf("core: probe pages: %w", err)
 	}
+	b.batch.pages = pages
 	b.parts = make([]*superTable, nt)
 	for i := range b.parts {
 		b.parts[i] = newSuperTable(b, i)

@@ -27,13 +27,13 @@
 // Bloom filters (§5.1.3), the k incarnations' and the buffer's, and then a
 // buffer probe only when the buffer's filter may hold the key or the table
 // has pending deletes, so a key no filter may hold is a miss with no probe
-// and a flash-only key gathers its page right after the query. Phase B
-// gathers each probing round's page reads, dedupes same-page keys, sorts
-// them by device address and submits them (in round 1, the pages still
-// unsubmitted) as one device ReadBatch so their virtual latency overlaps
-// across the device's queue lanes; and phase C resolves the pages
-// newest-first, stopping at the first hit. Lookup is a one-key
-// LookupBatch; see batch.go.
+// and a flash-only key gathers its page right after the query. Each
+// probing round reads its keys' pages through one page-read set
+// (storage.PageReads), each distinct page once: phase B submits those not
+// yet submitted as one address-sorted device ReadBatch, whose virtual
+// latency overlaps across the device's queue lanes, and phase C resolves
+// each key against its page's view, newest-first, stopping at the first
+// hit. Lookup is a one-key LookupBatch; see batch.go.
 //
 // A store may spend part of its DRAM on a hot-entry cache
 // (Config.CacheEntries): in a read run, a lookup call that no write has

@@ -55,7 +55,7 @@ func TestConfigValidation(t *testing.T) {
 		{"capacity too small", func(c *Config) { c.NumIncarnations = 64 }},
 		{"priority without retain", func(c *Config) { c.Policy = PriorityBased }},
 		{"huge partitions", func(c *Config) { c.PartitionBits = 30 }},
-		{"unpackable probe pages", func(c *Config) { c.Device = hugeDevice{c.Device} }},
+		{"probe pages past the page-read bound", func(c *Config) { c.Device = hugeDevice{c.Device, 1<<32 + 1} }},
 		{"one cache entry", func(c *Config) { c.CacheEntries = 1 }},
 		{"cache entries not a power of two", func(c *Config) { c.CacheEntries = 96 }},
 		{"negative cache entries", func(c *Config) { c.CacheEntries = -2 }},
@@ -69,6 +69,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(good); err != nil {
 		t.Fatalf("good config rejected: %v", err)
+	}
+	atBound := good
+	atBound.Device = hugeDevice{good.Device, 1 << 32}
+	if _, err := New(atBound); err != nil {
+		t.Fatalf("device of 2^32 probe pages rejected: %v", err)
 	}
 }
 
@@ -1008,13 +1013,17 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 			}
 		}
 		clear(reported)
+		reads := batched.Config().Device.Counters().Reads
 		if err := batched.LookupBatch(keys, results, hook); err != nil {
 			t.Fatal(err)
 		}
 		// A repeated key is resolved once, at its first occurrence, so the
 		// serial twin looks up each distinct key once, in that order.
+		// Probing round r of the call reads each distinct page its keys'
+		// r-th probes land on once, though an earlier round read it.
 		first := map[uint64]int{}
 		var repeats []Repeat
+		var roundPages []map[uint64]bool
 		for i, k := range keys {
 			if f, ok := first[k]; ok {
 				repeats = append(repeats, Repeat{Pos: int32(i), First: int32(f)})
@@ -1025,6 +1034,12 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 				continue
 			}
 			first[k] = i
+			for r, page := range probePages(batched, k, results[i].FlashReads) {
+				if r == len(roundPages) {
+					roundPages = append(roundPages, map[uint64]bool{})
+				}
+				roundPages[r][page] = true
+			}
 			want, err := serial.Lookup(k)
 			if err != nil {
 				t.Fatal(err)
@@ -1038,6 +1053,13 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 		}
 		if !slices.Equal(batched.Repeats(), repeats) {
 			t.Fatalf("round %d: Repeats %v, want %v", round, batched.Repeats(), repeats)
+		}
+		var want uint64
+		for _, pages := range roundPages {
+			want += uint64(len(pages))
+		}
+		if got := batched.Config().Device.Counters().Reads - reads; got != want {
+			t.Fatalf("round %d: %d device reads, want %d: each probing round's distinct pages once", round, got, want)
 		}
 	}
 	ss, bs := serial.Stats(), batched.Stats()
@@ -1062,6 +1084,18 @@ func TestLookupBatchMatchesSerial(t *testing.T) {
 	if batched.Stats().Evictions == 0 {
 		t.Fatal("workload too small: want the eviction regime")
 	}
+}
+
+// TestLookupBatchMatchesSerialFewFilterBits runs the twin check with two
+// Bloom filter bits per entry: most keys have false-positive candidates,
+// so batches run several probing rounds, and a later round meets pages an
+// earlier round of the same call read.
+func TestLookupBatchMatchesSerialFewFilterBits(t *testing.T) {
+	ca, cb := twinConfigs(t)
+	ca.FilterBitsPerEntry, cb.FilterBitsPerEntry = 2, 2
+	serial, batched := mustNew(t, ca), mustNew(t, cb)
+	universe := populateTwin(t, serial, batched, 309, 80000, 60000)
+	checkBatchAgainstSerial(t, serial, batched, universe, 310)
 }
 
 func TestLookupBatchMatchesSerialNoBloom(t *testing.T) {
@@ -1106,13 +1140,17 @@ func TestLookupBatchPartitionedEquivalence(t *testing.T) {
 	checkBatchAgainstSerial(t, serial, batched, universe, 308)
 }
 
-// hugeDevice reports a capacity of 2^62 bytes: more 4 KB probe pages than
-// a batched lookup's packed probe word can number.
-type hugeDevice struct{ storage.Device }
+// hugeDevice reports a capacity of pages of its device's pages, which
+// are its probe pages: past 2^32 of them, more than a page-read set can
+// number (storage.NewPageReads).
+type hugeDevice struct {
+	storage.Device
+	pages int64
+}
 
 func (h hugeDevice) Geometry() storage.Geometry {
 	g := h.Device.Geometry()
-	g.Capacity = 1 << 62
+	g.Capacity = h.pages * int64(g.PageSize)
 	return g
 }
 
@@ -1163,8 +1201,8 @@ func TestLookupBatchLengthMismatch(t *testing.T) {
 }
 
 func TestLookupBatchOversizeRejected(t *testing.T) {
-	// One key past the packed probe word's pending-index field: the whole
-	// batch fails before any state moves.
+	// One key past MaxLookupBatch: the whole batch fails before any state
+	// moves.
 	cfg, clock := testConfig(t)
 	b := mustNew(t, cfg)
 	for i := uint64(0); i < 20000; i++ {
@@ -1172,7 +1210,7 @@ func TestLookupBatchOversizeRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys := make([]uint64, 1<<pendBits+1)
+	keys := make([]uint64, MaxLookupBatch+1)
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
@@ -1184,11 +1222,11 @@ func TestLookupBatchOversizeRejected(t *testing.T) {
 	if b.Stats() != stats || clock.Now() != now {
 		t.Fatalf("rejected batch moved state: stats %+v -> %+v, clock %v -> %v", stats, b.Stats(), now, clock.Now())
 	}
-	if err := b.LookupBatch(keys[:1<<pendBits], results[:1<<pendBits], nil); err != nil {
-		t.Fatalf("LookupBatch at the %d-key limit: %v", 1<<pendBits, err)
+	if err := b.LookupBatch(keys[:MaxLookupBatch], results[:MaxLookupBatch], nil); err != nil {
+		t.Fatalf("LookupBatch at the %d-key limit: %v", MaxLookupBatch, err)
 	}
-	if got := b.Stats().Lookups - stats.Lookups; got != 1<<pendBits {
-		t.Fatalf("limit batch counted %d lookups, want %d", got, 1<<pendBits)
+	if got := b.Stats().Lookups - stats.Lookups; got != MaxLookupBatch {
+		t.Fatalf("limit batch counted %d lookups, want %d", got, MaxLookupBatch)
 	}
 }
 

@@ -36,15 +36,37 @@ func firstPage(b *BufferHash, key uint64) (page uint64, ok bool) {
 	if _, deleted := st.deleteList[kh]; deleted {
 		return 0, false
 	}
-	if _, buffered := st.buf.Get(kh); buffered || st.live == 0 {
+	if _, buffered := st.buf.Get(kh); buffered {
 		return 0, false
 	}
-	mask, _ := st.bank.Query(kh)
-	if mask &= st.validMask(); mask == 0 {
+	pages := probePages(b, key, 1)
+	if len(pages) == 0 {
 		return 0, false
 	}
-	j := bits.Len64(mask) - 1
-	return uint64(b.probeAddr(st, st.incs[j], kh)) / uint64(b.probeN), true
+	return pages[0], true
+}
+
+// probePages returns the page numbers of key's first n flash probes, or
+// of as many as it has candidate incarnations: the candidates' pages,
+// newest first, as a lookup that reaches flash reads them. It charges and
+// counts nothing.
+func probePages(b *BufferHash, key uint64, n int) []uint64 {
+	st, kh := b.route(key)
+	if st.live == 0 {
+		return nil
+	}
+	mask := st.validMask()
+	if st.bank != nil && !b.cfg.DisableBloom {
+		m, _ := st.bank.Query(kh)
+		mask &= m
+	}
+	var pages []uint64
+	for ; n > 0 && mask != 0; n-- {
+		j := bits.Len64(mask) - 1
+		mask &^= 1 << j
+		pages = append(pages, uint64(b.probeAddr(st, st.incs[j], kh))/uint64(b.probeN))
+	}
+	return pages
 }
 
 // TestLookupTimelinesAgree runs the same lookups on an instance whose

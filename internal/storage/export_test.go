@@ -15,3 +15,9 @@ func (l *ValueLog) Cycle() uint64 { return l.cycle }
 // Unit returns the log's write unit: the device's erase block, or about
 // 64 KB on a device without one.
 func (l *ValueLog) Unit() int { return l.unit }
+
+// Slots returns the number of slots of the set's page table, and
+// LinearPages the most pages the set scans instead.
+func (r *PageReads) Slots() int { return len(r.slots) }
+
+const LinearPages = linearPages

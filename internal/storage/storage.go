@@ -29,12 +29,12 @@
 // clock charge — and supplies only the pricing of one request and the
 // state only its medium has.
 //
-// The lookup pipeline's probe reads and the value log's page reads set
-// ReadReq.View: such a request carries only its range, the
-// caller reserves no buffer for it, and the device hands back a read-only
-// slice — a simulated device's SparseStore page. A view is valid until the
-// device's next write or trim and must never be written through. Time and
-// Counters do not depend on it.
+// The lookup pipeline and the value log read pages through PageReads,
+// whose requests set ReadReq.View: such a request carries only its range,
+// the caller reserves no buffer for it, and the device hands back a
+// read-only slice — a simulated device's SparseStore page. A view is valid
+// until the device's next write or trim and must never be written
+// through. Time and Counters do not depend on it.
 package storage
 
 import (

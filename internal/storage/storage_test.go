@@ -352,52 +352,3 @@ func TestOverlapLanes(t *testing.T) {
 		t.Fatalf("empty batch = %v, want 0", got)
 	}
 }
-
-// TestPageTable numbers pages in the order first added, across the
-// growths a run of adjacent pages and a scattered set force, and checks
-// that Reset sizes the table for its last use (FitSlots): it keeps a size
-// that fits, shrinks one more than 8 times too large, and leaves an empty
-// table as it is.
-func TestPageTable(t *testing.T) {
-	var pt PageTable
-	var want []uint64
-	for i := range uint64(300) {
-		want = append(want, 1000+i, i*0x9e3779b97f4a7c15>>20)
-	}
-	for round := range 2 {
-		for i, page := range want {
-			id, fresh := pt.Add(page)
-			if id != i || !fresh {
-				t.Fatalf("round %d: page %d added as %d (fresh %v), want %d", round, page, id, fresh, i)
-			}
-		}
-		for i, page := range want {
-			if id, fresh := pt.Add(page); id != i || fresh {
-				t.Fatalf("round %d: page %d found as %d (fresh %v), want %d", round, page, id, fresh, i)
-			}
-		}
-		if 2*len(want) > len(pt.slots) {
-			t.Fatalf("%d pages in %d slots: more than half full", len(want), len(pt.slots))
-		}
-		pt.Reset()
-		if len(pt.slots) != 2048 {
-			t.Fatalf("reset after %d pages to %d slots, want 2048", len(want), len(pt.slots))
-		}
-	}
-	pt.Reset()
-	if len(pt.slots) != 2048 {
-		t.Fatalf("an empty table reset to %d slots, want 2048 kept", len(pt.slots))
-	}
-	pt.Add(7)
-	pt.Reset()
-	if len(pt.slots) != minPageSlots {
-		t.Fatalf("reset after one page to %d slots, want %d", len(pt.slots), minPageSlots)
-	}
-	for _, c := range []struct{ size, n, want int }{
-		{0, 0, 16}, {16, 8, 16}, {16, 9, 32}, {256, 16, 256}, {512, 16, 32}, {1024, 300, 1024}, {2048, 600, 2048},
-	} {
-		if got := FitSlots(c.size, c.n); got != c.want {
-			t.Errorf("FitSlots(%d, %d) = %d, want %d", c.size, c.n, got, c.want)
-		}
-	}
-}

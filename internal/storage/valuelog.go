@@ -54,8 +54,8 @@ import (
 // from memory.
 //
 // Record reads go to the device by the page, as §5.1.1 reads the index:
-// each call gathers the device pages its records' device bytes lie in,
-// dedupes them, and submits the pages not yet read as one address-sorted
+// each call adds the device pages its records' device bytes lie in to a
+// PageReads set and submits those not yet read as one address-sorted
 // ReadBatch of whole-page view requests, so two records in one page cost
 // one request, records on adjacent pages chain into one sequential run,
 // and the requests overlap across the device's queue lanes. This is the
@@ -95,16 +95,10 @@ type ValueLog struct {
 	deadTotal  int64
 
 	// The device pages read since the get chunk began, or in the call
-	// outside a chunk (see BeginChunk): the table numbering them, and
-	// each one's view by its number. Then one call's scratch: its pages
-	// not yet read, each packed with its place among them (see
-	// addPages), the submission reading them, and where each request's
-	// record lies.
-	pages PageTable
-	views [][]byte
+	// outside a chunk (see BeginChunk), and one call's scratch: where each
+	// request's record lies.
+	pages PageReads
 	chunk bool
-	fresh []uint64
-	reqs  []ReadReq
 	recs  []recLoc
 }
 
@@ -115,11 +109,6 @@ type recLoc struct {
 	off     int64
 	n, page int32
 }
-
-// freshBits is the width of a fresh page's place among its call's fresh
-// pages, packed below its page number; NewValueLog rejects devices whose
-// page numbers would not fit above it.
-const freshBits = 32
 
 // ValueLogStats counts log activity, including the live/dead space
 // accounting: delete is index-only and overwrite is append-only, so dead
@@ -270,8 +259,9 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 	if capacity < 8*int64(g.PageSize) {
 		return nil, fmt.Errorf("storage: value log needs at least 8 pages, got %d bytes", capacity)
 	}
-	if capacity/int64(g.PageSize) > 1<<(64-freshBits) {
-		return nil, fmt.Errorf("storage: value log of %d bytes holds too many %d-byte pages", capacity, g.PageSize)
+	pages, err := NewPageReads(dev, g.PageSize)
+	if err != nil {
+		return nil, err
 	}
 	// Space accounting resolution: ~256 regions, page-aligned, at least one
 	// page each.
@@ -283,6 +273,7 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 	return &ValueLog{
 		dev:        dev,
 		pageSize:   g.PageSize,
+		pages:      pages,
 		capacity:   capacity,
 		unit:       unit,
 		regionSize: regionSize,
@@ -533,10 +524,7 @@ func (l *ValueLog) EndChunk() {
 }
 
 // forget drops the pages read so far.
-func (l *ValueLog) forget() {
-	l.pages.Reset()
-	l.views = l.views[:0]
-}
+func (l *ValueLog) forget() { l.pages.Reset() }
 
 // ReadRecordsBatch resolves every request's record bytes. The device pages
 // holding the records' device bytes are gathered and deduped, and those
@@ -560,8 +548,7 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 	if !l.chunk {
 		l.forget()
 	}
-	l.fresh, l.recs = l.fresh[:0], l.recs[:0]
-	base := len(l.views) // the number the call's first fresh page gets
+	l.recs = l.recs[:0]
 	copied := 0
 	for i := range reqs {
 		reqs[i].Rec = nil
@@ -586,19 +573,9 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 		}
 		l.recs = append(l.recs, loc)
 	}
-	if len(l.fresh) > 0 {
-		slices.Sort(l.fresh)
-		l.reqs = l.reqs[:0]
-		for _, w := range l.fresh {
-			l.reqs = append(l.reqs, ReadReq{Off: int64(w>>freshBits) * int64(l.pageSize), N: l.pageSize, View: true})
-		}
-		if _, err := l.dev.ReadBatch(l.reqs); err != nil {
-			l.forget()
-			return arena, fmt.Errorf("storage: value log read: %w", err)
-		}
-		for j, w := range l.fresh {
-			l.views[base+int(w&(1<<freshBits-1))] = l.reqs[j].P
-		}
+	if err := l.pages.Submit(l.pages.Unsent()); err != nil {
+		l.forget()
+		return arena, fmt.Errorf("storage: value log read: %w", err)
 	}
 	arena = slices.Grow(arena, copied)
 	next := len(arena) // where the next copied record is carved
@@ -609,7 +586,7 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 		case n == 0:
 		case loc.page >= 0:
 			lo := off % int64(l.pageSize)
-			reqs[i].Rec = l.views[loc.page][lo : lo+n : lo+n]
+			reqs[i].Rec = l.pages.View(int(loc.page))[lo : lo+n : lo+n]
 		default:
 			rec := arena[next : next+int(n) : next+int(n)]
 			reqs[i].Rec, next = rec, next+int(n)
@@ -625,20 +602,13 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 	return arena, nil
 }
 
-// addPages adds the device pages [off, end) touches to the chunk's, each
-// page not read yet to the call's fresh pages, packed above its place
-// among them (the page's number less the call's first fresh page's), and
+// addPages adds the device pages [off, end) touches to the chunk's and
 // returns the number of the first, or -1 for an empty range.
 func (l *ValueLog) addPages(off, end int64) int {
 	first := -1
 	ps := int64(l.pageSize)
 	for p := off / ps; off < end && p <= (end-1)/ps; p++ {
-		id, fresh := l.pages.Add(uint64(p))
-		if fresh {
-			l.fresh = append(l.fresh, uint64(p)<<freshBits|uint64(len(l.fresh)))
-			l.views = append(l.views, nil)
-		}
-		if first < 0 {
+		if id := l.pages.Add(uint64(p)); first < 0 {
 			first = id
 		}
 	}
@@ -650,8 +620,7 @@ func (l *ValueLog) addPages(off, end int64) int {
 func (l *ValueLog) copyPages(p []byte, off int64) {
 	ps := int64(l.pageSize)
 	for len(p) > 0 {
-		id, _ := l.pages.Add(uint64(off / ps))
-		k := copy(p, l.views[id][off%ps:])
+		k := copy(p, l.pages.View(l.pages.Add(uint64(off / ps)))[off%ps:])
 		p, off = p[k:], off+int64(k)
 	}
 }
