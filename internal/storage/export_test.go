@@ -16,8 +16,5 @@ func (l *ValueLog) Cycle() uint64 { return l.cycle }
 // 64 KB on a device without one.
 func (l *ValueLog) Unit() int { return l.unit }
 
-// Slots returns the number of slots of the set's page table, and
-// LinearPages the most pages the set scans instead.
+// Slots returns the number of slots of the set's page table.
 func (r *PageReads) Slots() int { return len(r.slots) }
-
-const LinearPages = linearPages

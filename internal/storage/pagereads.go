@@ -16,13 +16,12 @@ import (
 // device's queue lanes. View hands back a submitted page's view by its
 // number.
 //
-// A set of at most linearPages pages finds a page by scanning them; a
-// larger one indexes them in an open-addressed table with linear probing,
-// kept at most half full, whose 4-byte slots hold a page's number plus one
-// (0 when free). A page's first probe slot is the top bits of its
-// Fibonacci hash, which spreads runs of adjacent pages. The table grows on
-// demand, and is built at the size Reset chose after the last set that
-// used it (see FitSlots), so it tracks the pages a batch actually
+// The set indexes its pages in an open-addressed table with linear
+// probing, kept at most half full, whose 4-byte slots hold a page's
+// number plus one (0 when free). A page's first probe slot is the top
+// bits of its Fibonacci hash, which spreads runs of adjacent pages. The
+// table grows as pages are added, and Reset sizes it for as many pages as
+// the set held (see FitSlots), so it tracks the pages a batch actually
 // gathers, not the batch's keys.
 type PageReads struct {
 	dev      Device
@@ -32,11 +31,8 @@ type PageReads struct {
 	views [][]byte // each submitted page's view, by number
 	sent  int      // pages[:sent] are submitted
 
-	// The table, holding the pages while there are more than linearPages,
-	// and the size it is next built at.
-	slots []int32
-	shift uint // 64 minus the bit length of len(slots)-1
-	fit   int
+	slots []int32 // the table
+	shift uint    // 64 minus the bit length of len(slots)-1
 
 	// Submit's scratch: a word per page, its number above its place in
 	// the submission, and the requests.
@@ -56,16 +52,13 @@ func NewPageReads(dev Device, pageSize int) (PageReads, error) {
 	if c := dev.Geometry().Capacity; c/int64(pageSize) > 1<<(64-placeBits) {
 		return PageReads{}, fmt.Errorf("storage: device capacity %d holds more than 2^%d %d-byte pages", c, 64-placeBits, pageSize)
 	}
-	return PageReads{dev: dev, pageSize: pageSize}, nil
+	r := PageReads{dev: dev, pageSize: pageSize}
+	r.resize(minPageSlots)
+	return r, nil
 }
 
 // minPageSlots is the smallest table.
 const minPageSlots = 16
-
-// linearPages is the most pages a set finds by a linear scan. A lookup of
-// one key, or a value-log read of a few records, then neither probes nor
-// clears a table.
-const linearPages = 8
 
 // FitSlots sizes an open-addressed table of size slots, kept at most half
 // full, for its next use after one that held n entries: the least power
@@ -90,13 +83,15 @@ func (r *PageReads) Sent() int { return r.sent }
 // Unsent returns the number of pages not yet submitted.
 func (r *PageReads) Unsent() int { return len(r.pages) - r.sent }
 
-// Reset empties the set. A set that used its table sizes the next one
-// for as many pages as it held (see FitSlots).
+// Reset empties the set, its table sized for as many pages as it held
+// (see FitSlots). An empty set stays as it is.
 func (r *PageReads) Reset() {
-	if len(r.pages) > linearPages {
-		r.fit = FitSlots(len(r.slots), len(r.pages))
+	if len(r.pages) == 0 {
+		return
 	}
+	size := FitSlots(len(r.slots), len(r.pages))
 	r.pages, r.views, r.sent = r.pages[:0], r.views[:0], 0
+	r.resize(size)
 }
 
 // resize empties the slots, sets their number to size, a power of two,
@@ -124,34 +119,18 @@ func (r *PageReads) home(page uint64) int { return int(page * 0x9e3779b97f4a7c15
 // Add returns page's number, adding page to the set, not yet submitted,
 // if it is absent.
 func (r *PageReads) Add(page uint64) int {
-	if len(r.pages) <= linearPages {
-		if id := slices.Index(r.pages, page); id >= 0 {
+	mask := len(r.slots) - 1
+	s := r.home(page)
+	for ; r.slots[s] != 0; s = (s + 1) & mask {
+		if id := int(r.slots[s]) - 1; r.pages[id] == page {
 			return id
 		}
-		if len(r.pages) < linearPages {
-			return r.push(page)
-		}
-		// The set outgrows the scan: index its pages.
-		r.resize(max(r.fit, FitSlots(0, linearPages+1)))
 	}
 	if 2*(len(r.pages)+1) > len(r.slots) {
 		r.resize(2 * len(r.slots))
+		return r.Add(page)
 	}
-	mask := len(r.slots) - 1
-	for s := r.home(page); ; s = (s + 1) & mask {
-		e := int(r.slots[s]) - 1
-		if e < 0 {
-			r.slots[s] = int32(len(r.pages)) + 1
-			return r.push(page)
-		}
-		if r.pages[e] == page {
-			return e
-		}
-	}
-}
-
-// push appends page to the set and returns its number.
-func (r *PageReads) push(page uint64) int {
+	r.slots[s] = int32(len(r.pages)) + 1
 	r.pages = append(r.pages, page)
 	r.views = append(r.views, nil)
 	return len(r.pages) - 1

@@ -96,8 +96,7 @@ func TestPageReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		// addAll adds pages twice over, and requires the first-add order's
-		// numbers both times and a table at most half full, of size slots
-		// when size is not 0.
+		// numbers both times and a table at most half full, of size slots.
 		addAll := func(pages []uint64, size int) {
 			t.Helper()
 			for round := range 2 {
@@ -111,10 +110,10 @@ func TestPageReads(t *testing.T) {
 					}
 				}
 			}
-			if len(pages) > storage.LinearPages && 2*len(pages) > pr.Slots() {
+			if 2*len(pages) > pr.Slots() {
 				t.Fatalf("%d pages in %d slots: more than half full", len(pages), pr.Slots())
 			}
-			if size != 0 && pr.Slots() != size {
+			if pr.Slots() != size {
 				t.Fatalf("%d pages in %d slots, want %d", len(pages), pr.Slots(), size)
 			}
 			pr.Reset()
@@ -126,19 +125,15 @@ func TestPageReads(t *testing.T) {
 		for i := range uint64(300) {
 			many = append(many, 1000+i, i*0x9e3779b97f4a7c15>>32)
 		}
-		few := many[:storage.LinearPages]
-		next := many[:storage.LinearPages+1]
+		few, next := many[:8], many[:9]
 
-		addAll(few, 0) // scanned: no table is built
-		if pr.Slots() != 0 {
-			t.Fatalf("a set of %d pages built a table of %d slots", len(few), pr.Slots())
-		}
-		addAll(next, 32) // outgrows the scan: the least table for it
+		addAll(few, 16)  // the least table
+		addAll(next, 32) // outgrows it
 		addAll(many, 2048)
-		addAll(many, 2048) // sized for its last use: no growth
-		addAll(few, 2048)  // a scanned set leaves the size as it is
-		addAll(next, 2048) // built at the size the last table use left
-		addAll(next, 32)   // which 9 pages shrink: 2048 is over 8 times their fit
+		addAll(many, 2048)       // sized for its last use: no growth
+		addAll(many[:300], 2048) // a smaller set keeps the size
+		addAll(few, 2048)        // and so do 8 pages, until Reset
+		addAll(few, 16)          // shrinks it: 2048 is over 8 times their fit
 		for _, c := range []struct{ size, n, want int }{
 			{0, 0, 16}, {16, 8, 16}, {16, 9, 32}, {256, 16, 256}, {512, 16, 32}, {1024, 300, 1024}, {2048, 600, 2048},
 		} {
