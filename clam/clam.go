@@ -209,18 +209,15 @@ type shard struct {
 
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
-	batchIdx []int                  // GetBatch read-to-key scratch, guarded by mu
+	batchIdx []int                  // GetBatch read-to-key and verified-hit scratch, guarded by mu
 
 	// A byte get chunk in flight (see readHits), guarded by mu: the
-	// LookupBatch hook bound once at open, the records read and their key
-	// indexes in read order, the arena holding the records the value log
-	// copied, each key's record (see verifyRecords) and the verified
-	// values.
+	// LookupBatch hook bound once at open, the record read for each
+	// position (nil for none), the arena holding the records the value
+	// log copied, and the verified values.
 	onHits   *core.HitHook
-	recs     [][]byte
-	recIdx   []int
+	rec      [][]byte
 	recArena []byte
-	recAt    []int32
 	batchHit [][]byte
 
 	putPtrs   []uint64 // PutBatch value-log pointer scratch, guarded by mu
@@ -600,7 +597,8 @@ func (s *shard) retire(displaced []uint64) {
 func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
-	s.recs, s.recIdx, s.recArena = s.recs[:0], s.recIdx[:0], s.recArena[:0]
+	s.rec, s.recArena = resize(s.rec, len(fps)), s.recArena[:0]
+	clear(s.rec)
 	s.vlog.BeginChunk()
 	err := s.bh.LookupBatch(fps, s.batchRes, s.onHits)
 	s.vlog.EndChunk()
@@ -639,10 +637,7 @@ func (s *shard) readHits(hits []int) error {
 		return err
 	}
 	for j, req := range reqs {
-		if req.Rec != nil {
-			s.recs = append(s.recs, req.Rec)
-			s.recIdx = append(s.recIdx, idxs[j])
-		}
+		s.rec[idxs[j]] = req.Rec
 	}
 	return nil
 }
@@ -657,26 +652,20 @@ func (s *shard) readHits(hits []int) error {
 // capacity-capped sub-slice of it, so appending to one cannot reach the
 // next.
 func (s *shard) verifyRecords(keys, values [][]byte, found []bool) {
-	at := resize(s.recAt, len(keys)) // each key's record index + 1; 0 for none
-	s.recAt = at
-	clear(at)
-	for j, i := range s.recIdx {
-		at[i] = int32(j) + 1
-	}
 	for _, r := range s.bh.Repeats() {
-		at[r.Pos] = at[r.First]
+		s.rec[r.Pos] = s.rec[r.First]
 	}
-	parts, hits := s.batchHit[:0], s.recIdx[:0]
-	for i, a := range at {
-		if a == 0 {
+	parts, hits := s.batchHit[:0], s.batchIdx[:0]
+	for i, rec := range s.rec {
+		if rec == nil {
 			continue
 		}
-		if v, ok := storage.VerifyRecord(s.recs[a-1], keys[i]); ok {
+		if v, ok := storage.VerifyRecord(rec, keys[i]); ok {
 			parts = append(parts, v)
 			hits = append(hits, i)
 		}
 	}
-	s.batchHit, s.recIdx = parts, hits
+	s.batchHit, s.batchIdx = parts, hits
 	// Join sizes the arena from the values and copies each in once,
 	// without zeroing it first. A lone empty value joins to nil; a hit
 	// stays non-nil.

@@ -49,11 +49,12 @@ import (
 //	             come back in small groups (a device on the CPU's own
 //	             clock, see Config.DeviceClock, is idle at every CPU
 //	             instant and completes each read as it is issued).
-//	             A call given a hit hook also runs phase C early for
-//	             every round-1 key whose read has completed by the
-//	             current CPU instant, and hands the hook its final hits,
-//	             in multiples of the hook device's lanes, whenever that
-//	             device is idle (HitHook).
+//	             Every unresolved key joins the round's waiting list as
+//	             it gathers its page. A call given a hit hook also
+//	             resolves the waiting keys whose reads have completed by
+//	             the current CPU instant (phase C, run early), and hands
+//	             the hook its final hits, in multiples of the hook
+//	             device's lanes, whenever that device is idle (HitHook).
 //	B (gather):  each probing round adds every unresolved key's single
 //	             newest-candidate page to one page-read set
 //	             (storage.PageReads), so keys on the same flash page share
@@ -65,11 +66,16 @@ import (
 //	             round. The reads are view requests (storage.ReadReq.View):
 //	             the device hands back its stored page, so no page is
 //	             reserved or copied.
-//	C (resolve): each key, in pending order, but one phase A resolved
-//	             early, searches its page's view through resolveProbe —
-//	             newest-first, stop on hit, one probe counted per page read
-//	             on its behalf. Nothing writes the device during a lookup,
-//	             so the views stay valid while they are searched.
+//	C (resolve): after the round's join every page is read, so one pass
+//	             resolves every key still waiting, in the order it was
+//	             queued: each searches its page's view through
+//	             resolveProbe — newest-first, stop on hit, one probe
+//	             counted per page read on its behalf. Each finished key
+//	             retires through one step with phase A's in-memory
+//	             results, and the keys still pending gather the next
+//	             round's pages and wait again. Nothing writes the device
+//	             during a lookup, so the views stay valid while they are
+//	             searched.
 //
 // Keys probe incarnations newest-first and stop at the first hit, so the
 // per-key probe sequence — and therefore FlashProbes, SpuriousProbes,
@@ -87,9 +93,6 @@ type batchKey struct {
 	kh   uint64
 	mask uint64 // candidate window offsets not yet probed
 	pid  int32  // the number of the page it probes in the round's page reads
-	// early marks a round-1 key phase A resolved against its streamed
-	// read (see resolveEarly); round 1's phase C passes it by.
-	early bool
 }
 
 // MaxLookupBatch is the most keys one LookupBatch call takes: the router's
@@ -112,9 +115,10 @@ type batchScratch struct {
 	distinct keyTable
 	repeats  []Repeat
 
-	// Round-1 keys phase A may resolve early (see resolveEarly): the
-	// pending indexes not yet resolved, and how many of the round's pages
-	// had been submitted, and so read, at the last pass over them.
+	// The probing round's waiting list (see resolveEarly): the pending
+	// indexes not yet resolved against their pages, and how many of the
+	// round's pages had been submitted, and so read, at the last pass
+	// over them.
 	waiting []int32
 	done    int
 
@@ -123,8 +127,8 @@ type batchScratch struct {
 	pages storage.PageReads
 }
 
-// keyTable is the open-addressed (linear probing) table of a lookup
-// batch's distinct keys, kept at most half full. A slot holds the batch
+// keyTable is the open-addressed (linear probing) table of a lookup or
+// insert batch's distinct keys, kept at most half full. A slot holds the batch
 // position of a key's first occurrence plus one, 0 when free, and the
 // batch's keys hold the key, so a table of 4-byte slots stays in the
 // nearest caches. A key's first probe slot is the top bits of its
@@ -188,12 +192,13 @@ func (t *keyTable) grow(keys []uint64, i int) {
 }
 
 // gather adds pending key pi's newest remaining candidate page to the
-// round's page reads. All partitions share one probe length, so a probe is
-// fully described by its page number.
+// round's page reads: its incarnation's first page plus the key's page in
+// the image. All partitions share one probe length, so a probe is fully
+// described by its page number.
 func (b *BufferHash) gather(pi int) {
 	p := &b.batch.pending[pi]
 	j := bits.Len64(p.mask) - 1
-	p.pid = int32(b.batch.pages.Add(uint64(b.probeAddr(p.st, p.st.incs[j], p.kh)) / uint64(b.probeN)))
+	p.pid = int32(b.batch.pages.Add(p.st.incs[j].page + uint64(p.st.buf.Placement().Page(p.kh))))
 }
 
 // submit issues the round's next n unsubmitted pages as one ReadBatch on
@@ -214,22 +219,24 @@ func (b *BufferHash) submit(n int) error {
 // yet landed.
 func (b *BufferHash) idle(c *vclock.Clock) bool { return c.Now() <= b.cfg.Clock.Now()+b.cpuDebt }
 
-// await queues round-1 key pi for early resolution, or, when its page is
-// one the device had read at resolveEarly's last pass, resolves it at
-// once.
+// await queues pending key pi on the round's waiting list, or, when its
+// page is one the device had read at resolveEarly's last pass, resolves
+// it at once.
 func (b *BufferHash) await(pi int, results []LookupResult) {
 	bs := &b.batch
 	if int(bs.pending[pi].pid) < bs.done {
-		bs.probeEarly(pi, results)
+		bs.probe(pi, results)
 		return
 	}
 	bs.waiting = append(bs.waiting, int32(pi))
 }
 
-// resolveEarly runs phase C for the waiting round-1 keys whose pages have
-// been read. It is called only while the device is idle, when every page
-// submitted so far has been read, and passes over the waiting keys only
-// when pages were submitted since its last pass.
+// resolveEarly resolves the waiting keys whose pages have been read, in
+// the order they were queued. It is called only while the device is idle,
+// when every page submitted so far has been read: during a hooked call's
+// phase A, and after each probing round's join, when it resolves every
+// waiting key. It passes over the waiting keys only when pages were
+// submitted since its last pass.
 func (b *BufferHash) resolveEarly(results []LookupResult) {
 	bs := &b.batch
 	if bs.done == bs.pages.Sent() {
@@ -239,7 +246,7 @@ func (b *BufferHash) resolveEarly(results []LookupResult) {
 	still := bs.waiting[:0]
 	for _, pi := range bs.waiting {
 		if int(bs.pending[pi].pid) < bs.done {
-			bs.probeEarly(int(pi), results)
+			bs.probe(int(pi), results)
 		} else {
 			still = append(still, pi)
 		}
@@ -247,13 +254,12 @@ func (b *BufferHash) resolveEarly(results []LookupResult) {
 	bs.waiting = still
 }
 
-// probeEarly resolves round-1 key pi against its page, which the device
-// has read. A key that hits becomes a final hit; one that misses clears
-// its probed candidate and goes on to round 2 exactly as if round 1 had
-// probed it.
-func (bs *batchScratch) probeEarly(pi int, results []LookupResult) {
+// probe resolves pending key pi against its page, which the device has
+// read (phase C), newest-first: it clears the probed candidate, and a key
+// that hits has no candidate left and joins the final hits. A key that
+// misses goes on to the next round.
+func (bs *batchScratch) probe(pi int, results []LookupResult) {
 	p := &bs.pending[pi]
-	p.early = true
 	p.mask &^= 1 << (bits.Len64(p.mask) - 1)
 	if p.st.resolveProbe(&results[p.idx], bs.pages.View(int(p.pid)), p.kh) {
 		p.mask = 0
@@ -317,12 +323,12 @@ type HitHook struct {
 //
 // hook is nil or receives every hit once, as soon as its result is final
 // (see HitHook). A hit is final when phase A finds it in the cache or the
-// buffer, when a probing round resolves it, and, in a call of more than
-// one key, when phase A resolves a round-1 key against a streamed read
-// that has completed by the current CPU instant: such a key runs phase C
-// early, and on a miss goes on to round 2. While phase A runs, the final hits go to
-// the hook in lane multiples whenever its device is idle; the rest go
-// after phase A and after each probing round that resolved hits. The byte
+// buffer, and when its page is searched: after its probing round's join,
+// or, for a round-1 key of a call of more than one key, as soon as phase A
+// finds its streamed read completed by the current CPU instant (a miss
+// there goes on to round 2). While phase A runs, the final hits go to the
+// hook in lane multiples whenever its device is idle; the rest go after
+// phase A and after each probing round that resolved hits. The byte
 // API reads the hits' value-log records on that device while the index
 // device probes. A repeated position is never handed over: the record its
 // first occurrence's hit points at answers it. U64 callers pass nil.
@@ -372,9 +378,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			b.chargeCPU(b.cfg.CPU.BatchCoalesce)
 			bs.repeats = append(bs.repeats, Repeat{Pos: int32(i), First: first})
 		case run && b.cacheHit(key, &results[i]):
-			if hook != nil {
-				bs.hits = append(bs.hits, i)
-			}
+			bs.hits = append(bs.hits, i)
 		default:
 			st, kh := b.route(key)
 			mask, staged := st.query(kh)
@@ -388,12 +392,13 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			if !done && mask != 0 {
 				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
 				b.gather(len(bs.pending) - 1)
-				if early {
-					b.await(len(bs.pending)-1, results)
-				}
-			} else {
-				b.resolvedInMemory(keys, i, results, run, hook != nil)
+				b.await(len(bs.pending)-1, results)
+				break
 			}
+			if results[i].Found {
+				bs.hits = append(bs.hits, i)
+			}
+			b.retire(key, st, kh, results[i], run)
 		}
 		if batch && (early || bs.pages.Unsent() >= b.lanes) && b.idle(b.cfg.DeviceClock) {
 			if early {
@@ -433,36 +438,15 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			return err
 		}
 
-		// Phase C: resolve each key against its page's view, but a key
-		// phase A resolved early.
-		for pi := range bs.pending {
-			p := &bs.pending[pi]
-			if p.early {
-				continue
-			}
-			p.mask &^= 1 << (bits.Len64(p.mask) - 1)
-			if p.st.resolveProbe(&results[p.idx], bs.pages.View(int(p.pid)), p.kh) {
-				p.mask = 0 // found: stop probing this key
-			}
-		}
-		// Retire resolved keys, keep the rest for the next round. A key
-		// phase A resolved early has had its hit handed over already.
+		// Phase C: every page is read, so every waiting key resolves.
+		// Retire the resolved keys and keep the rest for the next round.
+		b.resolveEarly(results)
 		live := bs.pending[:0]
 		for _, p := range bs.pending {
 			if p.mask != 0 {
-				p.early = false
 				live = append(live, p)
-				continue
-			}
-			b.stats.recordLookup(results[p.idx])
-			if !results[p.idx].Found {
-				continue
-			}
-			if run && b.fillable(p.st, p.kh) {
-				b.fill(keys[p.idx], results[p.idx].Value)
-			}
-			if hook != nil && !p.early {
-				bs.hits = append(bs.hits, p.idx)
+			} else {
+				b.retire(keys[p.idx], p.st, p.kh, results[p.idx], run)
 			}
 		}
 		bs.pending = live
@@ -471,8 +455,10 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			return err
 		}
 		bs.pages.Reset()
+		bs.done = 0
 		for pi := range bs.pending {
 			b.gather(pi)
+			bs.waiting = append(bs.waiting, int32(pi))
 		}
 	}
 	for _, r := range bs.repeats {
@@ -481,20 +467,13 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	return nil
 }
 
-// resolvedInMemory records the lookup of position i, which phase A
-// resolved with no flash read. A hit fills the hot-entry cache in a read
-// run, and joins the hits for the hook when the call has one.
-func (b *BufferHash) resolvedInMemory(keys []uint64, i int, results []LookupResult, run, hooked bool) {
-	res := results[i]
+// retire records the lookup of key, st's in-partition key kh, whose
+// result res is final, and in a read run fills the hot-entry cache with a
+// hit that fillable allows (a buffer hit always: it is buffered).
+func (b *BufferHash) retire(key uint64, st *superTable, kh uint64, res LookupResult, run bool) {
 	b.stats.recordLookup(res)
-	if !res.Found {
-		return
-	}
-	if run {
-		b.fill(keys[i], res.Value)
-	}
-	if hooked {
-		b.batch.hits = append(b.batch.hits, i)
+	if res.Found && run && b.fillable(st, kh) {
+		b.fill(key, res.Value)
 	}
 }
 
@@ -504,13 +483,13 @@ func (b *BufferHash) resolvedInMemory(keys []uint64, i int, results []LookupResu
 func (b *BufferHash) Repeats() []Repeat { return b.batch.repeats }
 
 // handOff hands the first n final hits, sorted, to the hook and keeps the
-// rest. With no hook, or no hits to hand, it does nothing.
+// rest. With no hook it drops them.
 func (bs *batchScratch) handOff(hook *HitHook, n int) error {
-	if hook == nil || n == 0 {
-		return nil
+	var err error
+	if hook != nil && n > 0 {
+		slices.Sort(bs.hits[:n])
+		err = hook.Read(bs.hits[:n])
 	}
-	slices.Sort(bs.hits[:n])
-	err := hook.Read(bs.hits[:n])
 	bs.hits = bs.hits[:copy(bs.hits, bs.hits[n:])]
 	return err
 }

@@ -292,13 +292,6 @@ func (b *BufferHash) Flush() error {
 	return nil
 }
 
-// probeAddr returns the device address of the single flash page that can
-// hold kh within an incarnation of st (§5.1.1): the probeN bytes a lookup
-// probe reads.
-func (b *BufferHash) probeAddr(st *superTable, inc incarnation, kh uint64) int64 {
-	return inc.addr + int64(st.buf.Placement().Page(kh))*int64(b.probeN)
-}
-
 // readImage reads a whole incarnation image (partial-discard scan path)
 // into a pooled buffer owned by the caller, who returns it with
 // releaseImage when the scan is done. Each call gets a distinct buffer, so

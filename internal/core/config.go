@@ -32,8 +32,10 @@
 // (storage.PageReads), each distinct page once: phase B submits those not
 // yet submitted as one address-sorted device ReadBatch, whose virtual
 // latency overlaps across the device's queue lanes, and phase C resolves
-// each key against its page's view, newest-first, stopping at the first
-// hit. Lookup is a one-key LookupBatch; see batch.go.
+// the round's waiting keys against their pages' views, newest-first,
+// stopping at the first hit (a call given a hit hook resolves round-1 keys
+// whose reads have completed while phase A still runs). Lookup is a
+// one-key LookupBatch; see batch.go.
 //
 // A store may spend part of its DRAM on a hot-entry cache
 // (Config.CacheEntries): in a read run, a lookup call that no write has
@@ -47,8 +49,9 @@
 //
 // An insert (a buffer write that may flush the full buffer as a new
 // incarnation) runs through InsertBatch: keys apply in input order with
-// every flush's image staged in a pooled buffer, and the staged images are
-// then issued as one address-sorted device WriteBatch submission. Insert
+// every flush's image staged in a pooled buffer (a repeated key still
+// buffered is overwritten in place), and the staged images are then
+// issued as one address-sorted device WriteBatch submission. Insert
 // is a one-key InsertBatch and Delete a one-key DeleteBatch; Flush stages
 // and writes one super table at a time. See insertbatch.go.
 //

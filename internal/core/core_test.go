@@ -1406,9 +1406,10 @@ func TestInsertBatchPartitionedEquivalence(t *testing.T) {
 	}
 }
 
-func TestInsertBatchDuplicateKeysMemoized(t *testing.T) {
-	// A heavily skewed batch: most occurrences hit the last-write-wins
-	// memo, and the outcome must still match serial exactly.
+func TestInsertBatchDuplicateKeysOverwrite(t *testing.T) {
+	// A heavily skewed batch: most occurrences find their key buffered
+	// and overwrite it in place, and the outcome must still match serial
+	// exactly.
 	ca, cb := twinConfigs(t)
 	serial, batched := mustNew(t, ca), mustNew(t, cb)
 	rng := rand.New(rand.NewSource(409))
@@ -1509,8 +1510,8 @@ func TestReadImageStableAcrossFlushes(t *testing.T) {
 			t.Fatal("never flushed twice")
 		}
 	}
-	a1 := st.incs[st.oldest()].addr
-	a2 := st.incs[st.oldest()+1].addr
+	a1 := int64(st.incs[st.oldest()].page) * int64(b.probeN)
+	a2 := int64(st.incs[st.oldest()+1].page) * int64(b.probeN)
 	img1, err := b.readImage(a1)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -17,12 +18,14 @@ import (
 //	             buffer reset, counters) run in input order, with CPU
 //	             charges accrued into one deferred clock advance. Only the
 //	             flush's device write is withheld: the image is serialized
-//	             into a pooled buffer and staged. Duplicate keys whose first
-//	             occurrence is still in the buffer are memoized: the
-//	             occurrence collapses to a last-write-wins value overwrite,
-//	             skipping the delete-list probe and the (idempotent) Bloom
-//	             staging add while still charging a full insert's CPU costs
-//	             and counters.
+//	             into a pooled buffer and staged. A batch of more than one
+//	             key finds its repeated keys with the lookup pipeline's
+//	             batch-scoped key table, and a repeat whose super table
+//	             has not flushed since its key's latest full insert finds
+//	             the key buffered: it collapses to a last-write-wins value
+//	             overwrite, skipping the delete-list delete and the
+//	             (idempotent) Bloom staging add while still charging a full
+//	             insert's CPU costs and counters.
 //	B (write):   the deferred CPU debt lands on the clock in one advance;
 //	             then the staged images — every flush the batch triggered —
 //	             are address-sorted and issued as one device WriteBatch
@@ -51,25 +54,15 @@ import (
 // readImage serves those addresses from the staged buffers, so the scan
 // sees exactly the bytes the device will eventually hold.
 
-// insertMemo caches one distinct key's buffer residency so duplicates
-// collapse to a value overwrite. An entry is valid only while its super
-// table's flushGen is unchanged — a flush moves the buffered entry into an
-// incarnation, and the next occurrence must take the full insert path.
-type insertMemo struct {
-	key      uint64
-	epoch    uint32
-	table    int32
-	flushGen uint64
-}
-
-const memoSlots = 512 // power of two
-
 // insertScratch is reusable InsertBatch state, grown on demand and reused
 // across calls (BufferHash is single-caller by contract).
 type insertScratch struct {
-	memo  []insertMemo // direct-mapped, memoSlots entries
-	epoch uint32
-	reqs  []storage.WriteReq // flushStaged submission scratch
+	// The batch's distinct keys, and for each first occurrence's
+	// position, its super table's flushGen after the key's latest full
+	// insert.
+	distinct keyTable
+	gen      []uint64
+	reqs     []storage.WriteReq // flushStaged submission scratch
 }
 
 // InsertBatch applies len(keys) inserts through the insert pipeline.
@@ -92,47 +85,26 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 	}
 	b.epoch++
 	is := &b.insert
-	if is.memo == nil {
-		is.memo = make([]insertMemo, memoSlots)
+	batch := len(keys) > 1
+	if batch {
+		is.distinct.reset()
+		is.gen = slices.Grow(is.gen[:0], len(keys))[:len(keys)]
 	}
-	is.epoch++
-	if is.epoch == 0 { // wrapped: stale entries could look current
-		clear(is.memo)
-		is.epoch = 1
-	}
-	cfg := &b.cfg
 
-	// Phase A: apply every key in input order with writes deferred. The
-	// first key skips the memo probe and the last key the memo record.
+	// Phase A: apply every key in input order with writes deferred. A
+	// repeat whose table has not flushed since its key's latest full
+	// insert finds the key buffered: its insert is a pure overwrite.
 	var applyErr error
-	last := len(keys) - 1
 	for i, key := range keys {
 		st, kh := b.route(key)
 		b.stats.Inserts++
-		slot := &is.memo[key&(memoSlots-1)]
-		if i > 0 && slot.epoch == is.epoch && slot.key == key &&
-			int(slot.table) == st.idx && slot.flushGen == st.flushGen {
-			// Duplicate within the current flush epoch: the key is still in
-			// the buffer, so this occurrence is a pure last-write-wins
-			// overwrite — it cannot fill the buffer, its delete-list entry
-			// was removed by the first occurrence, and re-adding it to the
-			// Bloom staging filter would set the same bits. Charge what a
-			// full insert would and overwrite the value.
-			b.chargeCPU(cfg.CPU.BufferInsert)
-			old, err := st.buf.Insert(kh, values[i])
-			if err != nil {
-				applyErr = fmt.Errorf("core: buffer insert: %w", err)
-				break
+		f := i
+		if batch {
+			if first := is.distinct.first(keys, i); first >= 0 {
+				f = int(first)
 			}
-			if displaced != nil {
-				displaced[i] = old
-			}
-			if st.bank != nil {
-				b.chargeCPU(cfg.CPU.BloomAdd)
-			}
-			continue
 		}
-		old, err := st.insert(kh, values[i])
+		old, err := st.insert(kh, values[i], f < i && is.gen[f] == st.flushGen)
 		if err != nil {
 			applyErr = err
 			break
@@ -140,8 +112,8 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 		if displaced != nil {
 			displaced[i] = old
 		}
-		if i < last {
-			*slot = insertMemo{key: key, epoch: is.epoch, table: int32(st.idx), flushGen: st.flushGen}
+		if batch {
+			is.gen[f] = st.flushGen
 		}
 	}
 

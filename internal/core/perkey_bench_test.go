@@ -60,16 +60,18 @@ func benchPerKeyOps(b *testing.B, ownClock bool) {
 	})
 }
 
-// BenchmarkPhaseA measures the host cost of a lookup's phase A — route,
-// probeBuffer (the delete-list check and the buffer probe) and, for a key
-// the buffer does not resolve, query (the Bloom query) — per key of
-// 4096-key Zipf(1.1) batches, on one shard of the get-batch-zipf benchmark
+// BenchmarkPhaseA measures the host cost of a lookup's phase A in the
+// order lookupBatch runs it — route, query (the Bloom query, which answers
+// for the buffer too) and, only when the buffer's filter may hold the key
+// or the table has pending deletes, probeBuffer (the delete-list check
+// and the buffer probe) — per key of 4096-key Zipf(1.1) batches, on one shard of the get-batch-zipf benchmark
 // workload's store (8 MB of IntelSSD flash, 4 super tables of 128 KB
 // buffers, 16 incarnations, 29 filter bits per entry) warmed with
 // 1.25 times its capacity of keys from the same distribution. With
 // BenchmarkCoalesceProbe, the host cost of the dedupe probe that replaces
 // phase A for a repeated key, it prices CPU.BatchCoalesce: the probe's
-// share of this cost, times the 2.0 µs phase A is charged.
+// share of this cost, times the 2.0 µs phase A is charged. It reports the
+// buffer probes the staging filter skipped as screened/key.
 func BenchmarkPhaseA(b *testing.B) {
 	const (
 		flash = 8 << 20
@@ -103,21 +105,22 @@ func BenchmarkPhaseA(b *testing.B) {
 	for i := range probes {
 		probes[i] = probe.Next()
 	}
-	found := 0
+	found, screened := 0, 0
 	for i := 0; b.Loop(); i++ {
 		at := i % (len(probes) / batch) * batch
 		for _, k := range probes[at : at+batch] {
 			st, kh := bh.route(k)
-			if res, done := st.probeBuffer(kh); res.Found {
+			if _, staged := st.query(kh); !staged && len(st.deleteList) == 0 {
+				screened++
+			} else if res, _ := st.probeBuffer(kh); res.Found {
 				found++
-			} else if !done {
-				st.query(kh)
 			}
 		}
 		bh.settleCPUDebt()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	b.ReportMetric(float64(found)/float64(b.N*batch), "buffer_hits/key")
+	b.ReportMetric(float64(screened)/float64(b.N*batch), "screened/key")
 }
 
 // BenchmarkCoalesceProbe measures the host cost per key of phase A's

@@ -15,11 +15,11 @@ type entry struct {
 }
 
 // incarnation is the in-memory metadata for one in-flash incarnation: its
-// flash address (kept "along with their Bloom filters", §5.2) and a global
-// sequence number used by the shared-log layout to match log slots to
-// incarnations.
+// flash location (kept "along with their Bloom filters", §5.2), as the
+// number of its image's first device page, and a global sequence number
+// used by the shared-log layout to match log slots to incarnations.
 type incarnation struct {
-	addr int64
+	page uint64
 	seq  uint64
 }
 
@@ -181,10 +181,17 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 // insert implements §5.1.1: values go to the buffer; a full buffer is
 // flushed to flash as a new incarnation first. It returns the value the
 // insert overwrote in the buffer, 0 when the key was not buffered.
-func (st *superTable) insert(kh, v uint64) (uint64, error) {
+// buffered reports that the key is in the buffer, inserted since the last
+// flush with nothing deleted since: the insert is then a pure overwrite,
+// which cannot fill the buffer, finds no delete-list entry and would set
+// staging bits already set, so it skips the delete-list delete and the
+// staging add, and charges what any insert charges.
+func (st *superTable) insert(kh, v uint64, buffered bool) (uint64, error) {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.BufferInsert)
-	delete(st.deleteList, kh) // a fresh insert revives a deleted key
+	if !buffered {
+		delete(st.deleteList, kh) // a fresh insert revives a deleted key
+	}
 
 	old, err := st.buf.Insert(kh, v)
 	if err == cuckoo.ErrFull {
@@ -198,7 +205,9 @@ func (st *superTable) insert(kh, v uint64) (uint64, error) {
 	}
 	if st.bank != nil {
 		st.owner.chargeCPU(cfg.CPU.BloomAdd)
-		st.bank.AddStaging(kh)
+		if !buffered {
+			st.bank.AddStaging(kh)
+		}
 	}
 	return old, nil
 }
@@ -311,7 +320,7 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 		return nil, nil
 	}
 
-	image, err := st.owner.readImage(inc.addr)
+	image, err := st.owner.readImage(int64(inc.page) * int64(st.owner.probeN))
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +380,7 @@ func (st *superTable) writeBufferAsIncarnation() error {
 		st.bank.Rotate()
 	}
 	copy(st.incs, st.incs[1:])
-	st.incs[cfg.NumIncarnations-1] = incarnation{addr: addr, seq: seq}
+	st.incs[cfg.NumIncarnations-1] = incarnation{page: uint64(addr) / uint64(st.owner.probeN), seq: seq}
 	st.dead >>= 1
 	if st.live < cfg.NumIncarnations {
 		st.live++

@@ -64,7 +64,7 @@ func probePages(b *BufferHash, key uint64, n int) []uint64 {
 	for ; n > 0 && mask != 0; n-- {
 		j := bits.Len64(mask) - 1
 		mask &^= 1 << j
-		pages = append(pages, uint64(b.probeAddr(st, st.incs[j], kh))/uint64(b.probeN))
+		pages = append(pages, st.incs[j].page+uint64(st.buf.Placement().Page(kh)))
 	}
 	return pages
 }
