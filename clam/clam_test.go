@@ -41,12 +41,15 @@ func TestOpenRequiresFlash(t *testing.T) {
 }
 
 func TestOpenAllDeviceKinds(t *testing.T) {
-	// A kind-opened store hands out the bare device models.
+	// A kind-opened store hands out the bare device models: an index SSD,
+	// and a value log striped over a log SSD and a partition of the index
+	// SSD.
 	for _, kind := range []DeviceKind{IntelSSD, TranscendSSD} {
 		c := openCLAMT(t, WithDevice(kind), WithFlash(16<<20), WithMemory(4<<20))
 		sh := c.shards[0]
-		if got := fmt.Sprintf("%T %T", sh.dev, sh.vlog.Device()); got != "*ssd.SSD *ssd.SSD" {
-			t.Fatalf("%v: index and value-log devices are %s, want *ssd.SSD", kind, got)
+		logSSD, part := sh.logMembers()
+		if got := fmt.Sprintf("%T %T %T", sh.dev, logSSD, part); got != "*ssd.SSD *ssd.SSD *ssd.SSD" {
+			t.Fatalf("%v: index, log and partition devices are %s, want *ssd.SSD", kind, got)
 		}
 		if err := c.PutU64(1, 2); err != nil {
 			t.Fatalf("%v insert: %v", kind, err)

@@ -27,6 +27,15 @@ const (
 	// A PutBatch's whole-block value-log write in a chunk that flushes
 	// nothing, which a successful chunk leaves running behind it.
 	pathAppendBehind
+	// A GetBatch's value-log record read on the index SSD's log
+	// partition, which queues on the index device's timeline.
+	pathPartLogRead
+	// A PutBatch's value-log write on the index SSD's log partition.
+	pathPartLogWrite
+	// The partition's share of a wrap's padding write that spans both
+	// SSDs: the log SSD's share, served first, ended the log SSD's units,
+	// and the failing share ends the partition's.
+	pathWrapAcrossMembers
 )
 
 // targetedFaultSeeds are FuzzFaultedOps inputs whose fault bitmaps set one
@@ -38,135 +47,89 @@ const (
 // failing each request of the seed's device the trace puts on the path in
 // turn.
 var targetedFaultSeeds = []faultSeed{
-	// A GetBatch (op 178) whose record read of hits its second or a later
-	// round resolved fails. Its PutBatchU64 windows push the byte keys'
-	// pointers into flash incarnations, where a Bloom false positive
-	// makes a lookup probe twice.
+	// A GetBatch (op 111) whose record read of hits its second or a later
+	// round resolved fails on the log SSD. Its PutBatchU64 windows push the
+	// byte keys' pointers into flash incarnations, where a Bloom false
+	// positive makes a lookup probe twice.
 	{pathLateRoundLogRead, []byte{
-		0xb, 0xda, 0x3c, 0xb, 0xd2, 0x25, 0xb, 0x19, 0x25, 0xb, 0xc, 0x32,
-		0x8, 0x3, 0x30, 0x8, 0xe9, 0x30, 0x8, 0x86, 0x39, 0x8, 0x8a, 0x20,
-		0x8, 0xb9, 0x25, 0x8, 0xee, 0x28, 0x8, 0xf3, 0x36, 0x8, 0xf0, 0x37,
-		0x8, 0x62, 0x27, 0x8, 0x4a, 0x2b, 0x8, 0x71, 0x3e, 0x8, 0x53, 0x3c,
-		0x8, 0xf0, 0x21, 0xc, 0x74, 0x30, 0xc, 0xe3, 0x20, 0xc, 0x15, 0x21,
-		0xc, 0xc2, 0x2e, 0xc, 0xc6, 0x3e, 0xc, 0xfd, 0x33, 0xc, 0xe7, 0x23,
-		0xc, 0xa0, 0x37, 0xc, 0x0, 0x3e, 0xc, 0x6c, 0x38, 0xc, 0xfd, 0x3f,
-		0xc, 0x60, 0x36, 0xc, 0x5f, 0x22, 0xc, 0x64, 0x35, 0xc, 0x6f, 0x3b,
-		0xc, 0x4, 0x34, 0xc, 0x6d, 0x38, 0xc, 0xa5, 0x3a, 0xc, 0x61, 0x37,
-		0xc, 0xb1, 0x30, 0xc, 0xd2, 0x35, 0xc, 0x66, 0x33, 0xc, 0xfd, 0x30,
-		0xb, 0xe9, 0x3c, 0xb, 0x94, 0x35, 0xb, 0xf, 0x37, 0xb, 0xe5, 0x2e,
-		0xb, 0xdd, 0x3a, 0xb, 0xb6, 0x33, 0xb, 0xe3, 0x28, 0xb, 0xc7, 0x3b,
-		0xb, 0x28, 0x2c, 0xb, 0x2a, 0x37, 0x8, 0x2a, 0x2b, 0x8, 0x27, 0x2c,
-		0x8, 0x2d, 0x20, 0x8, 0x31, 0x3b, 0x8, 0x1, 0x31, 0x8, 0xe2, 0x37,
-		0x8, 0x3, 0x27, 0x8, 0x1d, 0x21, 0x8, 0x10, 0x35, 0x8, 0x6, 0x2d,
-		0x8, 0xd5, 0x2b, 0x8, 0xaa, 0x2a, 0x8, 0xe3, 0x3e, 0x8, 0xde, 0x21,
-		0x8, 0x86, 0x25, 0x8, 0xc8, 0x23, 0x8, 0xf6, 0x21, 0x8, 0x12, 0x39,
-		0x8, 0xbb, 0x33, 0xc, 0x29, 0x3d, 0xc, 0x5b, 0x27, 0xc, 0xc, 0x24,
-		0xc, 0x6b, 0x3e, 0xc, 0xdc, 0x21, 0xc, 0xae, 0x2d, 0xc, 0x88, 0x22,
-		0xc, 0xb4, 0x29, 0xc, 0xa, 0x2c, 0xb, 0xb3, 0x28, 0xb, 0x9f, 0x29,
-		0x8, 0x8c, 0x3b, 0x8, 0x90, 0x2e, 0x8, 0xf5, 0x32, 0x8, 0xce, 0x29,
-		0x8, 0xf6, 0x36, 0x8, 0x28, 0x31, 0x8, 0x19, 0x20, 0x8, 0xc8, 0x2a,
-		0x8, 0xf9, 0x21, 0x8, 0x23, 0x33, 0x8, 0x26, 0x25, 0x8, 0xf1, 0x37,
-		0x8, 0xbd, 0x2a, 0x8, 0xc0, 0x30, 0x8, 0xf2, 0x3a, 0x8, 0xa3, 0x27,
-		0x8, 0x5e, 0x31, 0x8, 0x65, 0x3b, 0x8, 0x70, 0x2a, 0x8, 0x5d, 0x35,
-		0x8, 0x25, 0x2c, 0xc, 0x76, 0x22, 0xc, 0x6b, 0x2f, 0xc, 0x8e, 0x23,
-		0xc, 0xc2, 0x3f, 0xc, 0x1a, 0x20, 0xc, 0xfb, 0x25, 0xc, 0xd6, 0x3e,
-		0xc, 0xa, 0x22, 0xc, 0xc9, 0x37, 0xc, 0x19, 0x2e, 0xc, 0x9d, 0x2f,
-		0xc, 0xd5, 0x33, 0xc, 0x43, 0x33, 0xc, 0x7e, 0x22, 0xc, 0x4f, 0x30,
-		0xc, 0x4e, 0x3a, 0xc, 0x1e, 0x3f, 0xc, 0x8d, 0x35, 0xc, 0xd7, 0x3a,
-		0xc, 0x92, 0x37, 0xb, 0x6d, 0x34, 0xb, 0xbd, 0x33, 0xb, 0xe3, 0x20,
-		0xb, 0x3a, 0x20, 0x8, 0x54, 0x2e, 0x8, 0x9f, 0x3c, 0x8, 0x5a, 0x3d,
-		0x8, 0x28, 0x3f, 0x8, 0x93, 0x2b, 0x8, 0x41, 0x38, 0x8, 0x3b, 0x38,
-		0x8, 0x74, 0x39, 0x8, 0xa2, 0x34, 0x8, 0x36, 0x2d, 0x8, 0xc3, 0x2c,
-		0x8, 0x76, 0x2d, 0xc, 0xb2, 0x3b, 0xc, 0xaf, 0x28, 0xc, 0x5b, 0x23,
-		0xc, 0xb6, 0x38, 0xc, 0xa4, 0x2b, 0xc, 0xab, 0x38, 0xc, 0xc2, 0x3a,
-		0xc, 0xea, 0x2e, 0xc, 0xc, 0x3c, 0xc, 0x83, 0x38, 0xc, 0x63, 0x36,
-		0xc, 0x61, 0x2a, 0xc, 0x8e, 0x3b, 0xc, 0x6c, 0x27, 0xc, 0xf1, 0x37,
-		0xc, 0x81, 0x38, 0xc, 0x96, 0x27, 0xc, 0xe6, 0x3a, 0xc, 0xd4, 0x2f,
-		0xc, 0x8, 0x20, 0xc, 0xd1, 0x34, 0xc, 0x4, 0x39, 0xb, 0xdc, 0x3c,
-		0xb, 0x1b, 0x26, 0xb, 0x15, 0x37, 0xb, 0xd2, 0x26, 0xb, 0xdd, 0x3d,
-		0xb, 0x43, 0x3f, 0x8, 0xa5, 0x32, 0x8, 0xd3, 0x3e, 0x8, 0x35, 0x22,
-		0x8, 0x3b, 0x36, 0x8, 0xef, 0x3c, 0x8, 0xc7, 0x3a, 0x8, 0x52, 0x25,
-		0x8, 0x84, 0x28, 0x8, 0xd, 0x3c, 0x8, 0xac, 0x32, 0x8, 0xf3, 0x2d,
-		0x8, 0xac, 0x2e, 0xc, 0x63, 0x38, 0xc, 0x5d, 0x3d, 0xc, 0xed, 0x22,
-		0xc, 0xaf, 0x26, 0xc, 0x2a, 0x32, 0xc, 0xb7, 0x32, 0xc, 0x6b, 0x20,
-		0xc, 0xa, 0x2f, 0xc, 0xcc, 0x25, 0xc, 0x43, 0x2c, 0xc, 0xbf, 0x39,
-		0xc, 0x15, 0x23, 0xc, 0x1, 0x2f, 0xc, 0xb, 0x3a, 0xc, 0x96, 0x3f,
-		0xb, 0x31, 0x3e, 0xb, 0x19, 0x27, 0x8, 0xaf, 0x2d, 0x8, 0xac, 0x37,
-		0x8, 0xf0, 0x2a, 0x8, 0xd1, 0x28, 0x8, 0xee, 0x23,
-	}, 1, 10, 5},
-	// A PutBatch (op 79) whose value-log write fails while it flushes an
-	// index buffer.
+		0xc, 0xc5, 0x35, 0xb, 0x35, 0x1e, 0x8, 0x4e, 0x3c, 0xb, 0x33, 0x28,
+		0xc, 0x61, 0xb4, 0xb, 0xf1, 0x3c, 0x8, 0x95, 0x44, 0x8, 0x3, 0x26,
+		0xc, 0x6c, 0x6e, 0xc, 0xa, 0x2f, 0xc, 0x86, 0x37, 0x8, 0x7b, 0x35,
+		0x8, 0xb9, 0x4a, 0x8, 0x5c, 0x35, 0x8, 0x2d, 0x4c, 0xb, 0x84, 0x27,
+		0x8, 0xd7, 0x2c, 0xc, 0xf3, 0x2e, 0xb, 0x89, 0x2a, 0xc, 0xfa, 0x37,
+		0xc, 0x81, 0x2f, 0xb, 0x83, 0x24, 0xc, 0xcf, 0x25, 0xb, 0x8a, 0x3b,
+		0x8, 0x34, 0xf, 0xc, 0x2a, 0x3b, 0x8, 0x2, 0x61, 0xc, 0x7a, 0x3a,
+		0xb, 0x47, 0xac, 0x8, 0x64, 0x2d, 0xc, 0x1b, 0xd4, 0x8, 0xe, 0xc1,
+		0x8, 0x38, 0x3b, 0xc, 0xa6, 0x3b, 0x8, 0x78, 0x34, 0x8, 0xbc, 0xaa,
+		0x8, 0x8c, 0x36, 0xc, 0xf2, 0x2b, 0xc, 0x70, 0xf6, 0x8, 0x98, 0x22,
+		0x8, 0xf4, 0x76, 0x8, 0x75, 0x3e, 0xc, 0x97, 0x27, 0xb, 0x35, 0x2a,
+		0x8, 0x7a, 0x3e, 0x8, 0x5, 0x39, 0x8, 0xb5, 0x2a, 0x8, 0xfb, 0x83,
+		0xc, 0xe6, 0x71, 0xb, 0xe3, 0x3a, 0x8, 0x7e, 0x84, 0x8, 0xe1, 0x32,
+		0x8, 0x1c, 0x22, 0x8, 0x2f, 0x3e, 0xc, 0xfc, 0x33, 0x8, 0xbd, 0x24,
+		0xc, 0xbd, 0x3f, 0xb, 0x83, 0x31, 0xc, 0x4e, 0x26, 0xb, 0xab, 0x35,
+		0xc, 0x6d, 0x2d, 0xb, 0x22, 0x2b, 0x8, 0x36, 0x98, 0x8, 0x7, 0x37,
+		0xc, 0x32, 0x24, 0x8, 0x72, 0x3d, 0xc, 0xd1, 0x38, 0xc, 0xc6, 0x62,
+		0x8, 0x57, 0x38, 0xc, 0x1f, 0x42, 0x8, 0x92, 0x3f, 0x8, 0x62, 0x1b,
+		0xc, 0xcd, 0x37, 0xc, 0x9f, 0x23, 0x8, 0xc1, 0xb1, 0x8, 0x47, 0x55,
+		0xb, 0xd, 0x37, 0x8, 0x64, 0x25, 0x8, 0x34, 0xd9, 0x8, 0x31, 0x2e,
+		0x8, 0x25, 0x2d, 0xb, 0xe4, 0x3d, 0xb, 0xf2, 0x20, 0x8, 0xc5, 0x3d,
+		0x8, 0xc8, 0x36, 0x8, 0x35, 0x3b, 0x8, 0x3, 0xe4, 0x8, 0xd0, 0x3f,
+		0xc, 0x12, 0x39, 0x8, 0x36, 0x32, 0x8, 0xd9, 0x23, 0x8, 0x69, 0x28,
+		0x8, 0x27, 0x35, 0xc, 0xb3, 0x29, 0xb, 0x73, 0x24, 0xb, 0x59, 0xf9,
+		0x8, 0x84, 0x43, 0x8, 0xac, 0x64, 0x8, 0x68, 0x32, 0x8, 0x1d, 0x20,
+		0x8, 0xc7, 0x2d, 0x8, 0xbb, 0x31, 0x8, 0xa, 0x2c, 0xb, 0x2, 0x32,
+		0x8, 0xd4, 0x2c, 0x8, 0xa2, 0x31, 0xc, 0xbb, 0x33, 0x8, 0x84, 0x20,
+		0xc, 0xe0, 0x2e, 0x8, 0x69, 0x3a, 0xc, 0xc, 0x28, 0xc, 0x75, 0xb1,
+		0x8, 0x16, 0x27, 0xc, 0x69, 0x3c,
+	}, roleLog, 273, 39},
+	// A PutBatch (op 9) whose value-log write on the log SSD fails while
+	// it flushes an index buffer.
 	{pathFlushingAppend, []byte{
-		0xb, 0xe, 0x3c, 0xb, 0x4d, 0x33, 0xb, 0x97, 0x31, 0xb, 0x5, 0x3f,
-		0xb, 0x6a, 0x3c, 0xb, 0xec, 0x2c, 0xb, 0x76, 0x3a, 0xb, 0x59, 0x2c,
-		0xb, 0x53, 0x2a, 0xb, 0x4d, 0x37, 0xb, 0x19, 0x2f, 0xb, 0xc8, 0x3b,
-		0xb, 0xc9, 0x38, 0xb, 0x9e, 0x3c, 0xb, 0xe2, 0x29, 0xb, 0x45, 0x33,
-		0xb, 0x70, 0x38, 0xb, 0x2a, 0x36, 0xb, 0x1d, 0x34, 0xb, 0xc5, 0x37,
-		0xb, 0xdc, 0x35, 0xb, 0x91, 0x3f, 0xb, 0x89, 0x39, 0xb, 0x77, 0x2a,
-		0xb, 0xcc, 0x3d, 0xb, 0xd0, 0x28, 0xb, 0x91, 0x3a, 0xb, 0x38, 0x37,
-		0xb, 0xc2, 0x38, 0xb, 0x3a, 0x35, 0xb, 0xd, 0x2a, 0xb, 0xbd, 0x3a,
-		0xb, 0xba, 0x3b, 0xb, 0x84, 0x38, 0xb, 0x3b, 0x2b, 0xb, 0xa2, 0x3f,
-		0xb, 0x5f, 0x2c, 0xc, 0x3b, 0x35, 0xc, 0xa2, 0x22, 0xc, 0xa9, 0x36,
-		0xc, 0xa9, 0x2e, 0xc, 0x5f, 0x3f, 0xc, 0x6d, 0x32, 0xc, 0x49, 0x1f,
-		0xc, 0x5f, 0x35, 0xc, 0x66, 0x2c, 0xc, 0x3b, 0x26, 0xc, 0xb0, 0x3e,
-		0xc, 0x42, 0x1b, 0xc, 0xb0, 0x35, 0xc, 0x42, 0x37, 0xb, 0xc4, 0xe3,
-		0xb, 0x7c, 0xb8, 0xb, 0x8d, 0x7d, 0xb, 0x45, 0x4, 0xb, 0xcd, 0x10,
-		0xb, 0xc2, 0x53, 0xb, 0xcf, 0x87, 0xb, 0x3c, 0xf3, 0xb, 0xbe, 0x3f,
-		0xb, 0x88, 0x52, 0xb, 0x63, 0x80, 0xb, 0x1c, 0x2d, 0xb, 0x94, 0x49,
-		0xb, 0x5e, 0x20, 0xb, 0x8a, 0x35, 0xb, 0xf7, 0xec, 0xb, 0x96, 0x16,
-		0xb, 0x38, 0xcc, 0xb, 0xd0, 0x38, 0xb, 0xa6, 0x9f, 0xb, 0xd1, 0x9e,
-		0xb, 0xf9, 0xc3, 0xb, 0xb6, 0xa2, 0xb, 0x17, 0x17, 0xb, 0x2c, 0x74,
-		0xb, 0x4f, 0x7c, 0xb, 0xc7, 0x1, 0xb, 0xd1, 0x17, 0xb, 0xe0, 0xb9,
-	}, 1, 31, 6},
-	// A GetBatch (op 108) whose index read fails while its phase A runs.
+		0xc, 0x20, 0x32, 0x8, 0x40, 0x38, 0xb, 0xbf, 0x2d, 0xe, 0xea, 0x20,
+		0x8, 0x81, 0x26, 0xb, 0xf5, 0xcd, 0xb, 0x73, 0x3b, 0x6, 0xcf, 0x34,
+		0x1, 0x3e, 0x21, 0xb, 0x71, 0x29, 0xc, 0x58, 0x47, 0xc, 0xbd, 0x36,
+	}, roleLog, 1, 4},
+	// A GetBatch (op 9) whose index read fails while its phase A runs.
 	{pathStreamedIndexRead, []byte{
-		0x5, 0xfc, 0x2e, 0x4, 0xaf, 0x1a, 0xb, 0x14, 0xea, 0x9, 0x5, 0xf6,
-		0x9, 0xf3, 0xee, 0xc, 0xe4, 0xd7, 0x8, 0x10, 0xea, 0x5, 0x5d, 0xd4,
-		0x4, 0x52, 0xe6, 0x8, 0x18, 0xe5, 0xc, 0x6b, 0x89, 0x9, 0xea, 0x20,
-		0x5, 0xd1, 0x92, 0xb, 0x96, 0x59, 0x9, 0xfe, 0x40, 0xc, 0x17, 0x18,
-		0x8, 0x9c, 0xd3, 0x4, 0x6a, 0x2, 0xc, 0x7e, 0x2a, 0x8, 0x76, 0x97,
-		0xc, 0xba, 0xa8, 0xb, 0xd0, 0x7d, 0xb, 0xe8, 0xff, 0xc, 0x60, 0xd5,
-		0x8, 0x99, 0xe4, 0xb, 0xc0, 0x7e, 0xb, 0x67, 0x75, 0x9, 0xd5, 0x49,
-		0x8, 0xf, 0xea, 0xc, 0x48, 0xd6, 0x8, 0xe2, 0x5f, 0x8, 0x39, 0xe9,
-		0xc, 0x29, 0xc9, 0x9, 0x44, 0x20, 0xc, 0xf8, 0x58, 0xc, 0xba, 0xe3,
-		0x5, 0x2, 0xf, 0x4, 0xec, 0xfc, 0x8, 0x45, 0x2f, 0x5, 0xef, 0x22,
-		0x4, 0x92, 0x7e, 0xb, 0x5b, 0x35, 0x8, 0x4a, 0xe, 0xb, 0xb2, 0x69,
-		0x4, 0x7f, 0x92, 0x9, 0xfc, 0x9f, 0xc, 0xee, 0x26, 0xc, 0xf2, 0x57,
-		0x8, 0x13, 0xec, 0xc, 0x2b, 0xae, 0x8, 0x87, 0x5b, 0xb, 0xaf, 0xeb,
-		0x8, 0x1d, 0xf1, 0x8, 0xfc, 0xb7, 0xc, 0x8e, 0x91, 0x8, 0x3b, 0x7d,
-		0x9, 0xf9, 0xb3, 0xc, 0x35, 0xae, 0xc, 0x9e, 0xc3, 0x4, 0x44, 0xa0,
-		0xc, 0xfc, 0x6f, 0x8, 0x35, 0xe6, 0x8, 0x2a, 0x39, 0xb, 0xa0, 0x31,
-		0xb, 0x81, 0xe1, 0x4, 0x71, 0xe7, 0x8, 0xe4, 0x15, 0x5, 0x42, 0xd7,
-		0xc, 0x22, 0xf1, 0x9, 0xb3, 0xf7, 0x8, 0x9b, 0xa0, 0xb, 0x7f, 0x9a,
-		0x5, 0xb7, 0x29, 0xc, 0xa0, 0xb2, 0xb, 0x90, 0x15, 0xb, 0x7f, 0xbe,
-		0xc, 0xdf, 0x1d, 0x8, 0xdf, 0x97, 0x8, 0x4b, 0xe8, 0x5, 0x84, 0xce,
-		0x8, 0xd6, 0xfa, 0x8, 0x19, 0xba, 0xc, 0xae, 0x7c, 0x8, 0x3d, 0x3d,
-		0xc, 0xe7, 0x95, 0xc, 0x2e, 0xb0, 0x8, 0x26, 0x55, 0xb, 0xe3, 0xb8,
-		0xc, 0x33, 0x5a, 0xc, 0x95, 0xe, 0xc, 0x85, 0x64, 0x5, 0xa3, 0x7,
-		0x5, 0x5, 0x1c, 0x8, 0xd8, 0xed, 0x9, 0x44, 0xc5, 0xb, 0x3e, 0x4a,
-		0xb, 0xee, 0xb2, 0xb, 0x91, 0x7, 0x8, 0x75, 0x3, 0x8, 0xa4, 0xb2,
-		0xc, 0x86, 0x64, 0x8, 0x27, 0xd8, 0xc, 0x56, 0x71, 0x4, 0x60, 0x87,
-		0x5, 0x3e, 0x12, 0xb, 0x6d, 0x93, 0x8, 0x77, 0xd0, 0xb, 0x4e, 0xc,
-		0xc, 0x7, 0x38,
-	}, 0, 74, 18},
-	// A GetBatch (op 19) whose record read of buffer hits fails while its
-	// phase A runs.
+		0xb, 0x4f, 0xea, 0x8, 0x96, 0x3f, 0xb, 0x12, 0xcf, 0xe, 0x8e, 0x3c,
+		0x8, 0xb7, 0x3b, 0xb, 0x37, 0x77, 0x0, 0x7b, 0x2a, 0x0, 0x1, 0x25,
+		0x8, 0xf2, 0x6f, 0xc, 0xe9, 0x84, 0xb, 0x0, 0x89, 0x6, 0xf3, 0xed,
+	}, roleIndex, 1, 4},
+	// A GetBatch (op 13) whose record read of buffer hits on the log SSD
+	// fails while its phase A runs.
 	{pathHandoffLogRead, []byte{
-		0xb, 0xec, 0x36, 0xb, 0xaf, 0x31, 0xb, 0xba, 0x38, 0xb, 0x8e, 0x3c,
-		0xb, 0x2f, 0x3b, 0xb, 0x8e, 0x37, 0xb, 0x11, 0x39, 0xb, 0x4d, 0x31,
-		0xb, 0x5d, 0x3d, 0xb, 0xda, 0x30, 0xb, 0xe4, 0x37, 0xb, 0xe5, 0x34,
-		0xb, 0x37, 0x3c, 0xb, 0xfc, 0x3e, 0xb, 0x7a, 0x31, 0xb, 0x3c, 0x3e,
-		0xb, 0xef, 0x2a, 0xb, 0x4f, 0x27, 0xc, 0x5d, 0x26, 0xc, 0xef, 0x3d,
-	}, 1, 3, 2},
-	// A PutBatch (op 17) whose whole-block value-log write fails, with no
-	// flush.
+		0x6, 0x21, 0x34, 0xc, 0xf7, 0x2b, 0xc, 0xac, 0x23, 0x8, 0x32, 0x25,
+		0x9, 0xf1, 0x36, 0xc, 0x63, 0x25, 0x6, 0x89, 0x3b, 0x9, 0x33, 0x34,
+		0xb, 0xac, 0x3b, 0xb, 0x6a, 0x2c, 0x9, 0x10, 0x27, 0xb, 0xab, 0x49,
+		0xe, 0xf9, 0x39, 0xc, 0x74, 0x21, 0xe, 0xb5, 0x25,
+	}, roleLog, 1, 6},
+	// A PutBatch (op 5) whose whole-block value-log write on the log SSD
+	// fails, with no flush.
 	{pathAppendBehind, []byte{
-		0xb, 0x58, 0x38, 0xb, 0x84, 0x3a, 0xb, 0xbe, 0x34, 0xb, 0x6a, 0x3c,
-		0xb, 0x68, 0x27, 0xb, 0xff, 0x39, 0xb, 0x6, 0x2b, 0xb, 0x95, 0x33,
-		0xb, 0xf8, 0x3d, 0xb, 0x32, 0x31, 0xb, 0x4a, 0x35, 0xb, 0x6b, 0x34,
-		0xb, 0x40, 0x3c, 0xb, 0x78, 0x29, 0xb, 0x6d, 0x3f, 0xb, 0xd4, 0x3c,
-		0xb, 0x41, 0x3a, 0xb, 0xff, 0x33,
-	}, 1, 0, 2},
+		0x0, 0x8, 0x3a, 0xe, 0xfd, 0x30, 0x5, 0x3b, 0x21, 0x6, 0x42, 0x3d,
+		0x1, 0xd7, 0x0, 0xb, 0x6e, 0x3b, 0xb, 0x0, 0x31, 0xb, 0x73, 0x39,
+	}, roleLog, 0, 9},
+	// A GetBatch (op 8) whose record read on the index SSD's log
+	// partition fails.
+	{pathPartLogRead, []byte{
+		0x1, 0xcd, 0x2c, 0xb, 0x97, 0x2a, 0x5, 0x6b, 0x25, 0xb, 0xd2, 0x38,
+		0xd, 0x59, 0x34, 0xd, 0x8a, 0x21, 0x5, 0x64, 0x2d, 0x0, 0x7a, 0x26,
+		0xc, 0x57, 0x2f, 0x5, 0xfe, 0x27, 0xb, 0x40, 0x33,
+	}, rolePart, 1, 6},
+	// A PutBatch (op 5) whose whole-block value-log write on the index
+	// SSD's log partition fails.
+	{pathPartLogWrite, []byte{
+		0xb, 0xe9, 0x26, 0xb, 0x64, 0x2b, 0x0, 0x7b, 0x27, 0x4, 0x2, 0xa5,
+		0x8, 0x7d, 0x36, 0xb, 0x29, 0x3b, 0xe, 0x18, 0x32, 0xc, 0x11, 0x24,
+	}, rolePart, 0, 9},
+	// A PutBatch (op 12) whose wrap writes the log's last two units, one
+	// on each SSD: the log SSD's share is served, the partition's fails.
+	{pathWrapAcrossMembers, []byte{
+		0xc, 0x51, 0x24, 0xe, 0x7f, 0x3c, 0x8, 0xda, 0x2a, 0xb, 0x38, 0xd3,
+		0xb, 0xf0, 0x38, 0xb, 0xfe, 0x32, 0x5, 0xcf, 0x3e, 0xc, 0x4a, 0x33,
+		0x9, 0x61, 0x3a, 0x9, 0x75, 0x2a, 0xc, 0x26, 0x24, 0x9, 0xe9, 0xac,
+		0xb, 0x90, 0x34,
+	}, rolePart, 1, 4},
 }
 
 // faultSeed is a FuzzFaultedOps input whose fault bitmaps set one bit, on
@@ -174,26 +137,25 @@ var targetedFaultSeeds = []faultSeed{
 type faultSeed struct {
 	path      faultPath
 	ops       []byte
-	dev       int // the failing device: 0 the index device, 1 the value-log device
-	req       int // the failed request, counted on that device in issue order
-	bitmapLen int // the bitmap's bytes: the failure repeats every 8·bitmapLen requests
+	dev       faultRole // the failing device
+	req       int       // the failed request, counted on that device in issue order
+	bitmapLen int       // the bitmap's bytes: the failure repeats every 8·bitmapLen requests
 }
 
-// bitmaps returns the seed's index and value-log fault bitmaps.
-func (s faultSeed) bitmaps() (index, log []byte) {
-	b := make([]byte, s.bitmapLen)
-	b[s.req/8] = 1 << (s.req % 8)
-	if s.dev == 0 {
-		return b, nil
-	}
-	return nil, b
+// bitmaps returns the seed's fault bitmaps of the index device, the log
+// SSD and the index SSD's log partition.
+func (s faultSeed) bitmaps() (index, log, part []byte) {
+	bm := [3][]byte{}
+	bm[s.dev] = make([]byte, s.bitmapLen)
+	bm[s.dev][s.req/8] = 1 << (s.req % 8)
+	return bm[roleIndex], bm[roleLog], bm[rolePart]
 }
 
 // tracedReq is a device request of a traced run, with the context it was
 // issued in.
 type tracedReq struct {
 	failed bool
-	dev    int // 0 the index device, 1 the value-log device
+	dev    faultRole
 	op     storage.Op
 	req    int  // the request, counted per device in issue order
 	opNum  int  // the driver op in progress, counted from 0
@@ -205,6 +167,12 @@ type tracedReq struct {
 	// indexWrote reports that the index device wrote during the driver
 	// op: its chunk flushed a buffer.
 	indexWrote bool
+	// tail reports a write that ends at its SSD's capacity, as a wrap's
+	// padding write does on the SSD holding the log's last unit, and the
+	// other's when the write spans both; spans reports a tail write on the
+	// partition whose op's previous request was a tail write on the log
+	// SSD: the two shares of one write.
+	tail, spans bool
 }
 
 // traceFaultedOps runs FuzzFaultedOps' body on ops and faults and
@@ -212,11 +180,11 @@ type tracedReq struct {
 // driver ops that failed. A GetBatch runs its phase A at least until its
 // clock passes its start plus BufferLookup for each of its keys (phase A
 // finds no repeat: a window of at most 64 keys repeats none of the 256).
-func traceFaultedOps(t *testing.T, ops, indexFaults, logFaults []byte) (reqs []tracedReq, errs int) {
+func traceFaultedOps(t *testing.T, ops, indexFaults, logFaults, partFaults []byte) (reqs []tracedReq, errs int) {
 	r, d := openFuzzRig(t)
 	sh := r.st.(*CLAM).shards[0]
 	perKey := sh.bh.Config().CPU.BufferLookup
-	fail := bitmapFaults(indexFaults, logFaults)
+	fail := bitmapFaults(indexFaults, logFaults, partFaults)
 	var cur tracedReq
 	var phaseAEnd time.Duration
 	read := sh.onHits.Read
@@ -227,17 +195,22 @@ func traceFaultedOps(t *testing.T, ops, indexFaults, logFaults []byte) (reqs []t
 		}
 		return read(hits)
 	}
-	for dev, ssd := range r.devs {
-		n := 0
-		ssd.SetFault(func(op storage.Op, _ int64, _ int) error {
+	for i, ssd := range r.devs {
+		n, role, capacity := 0, r.roles[i], ssd.Geometry().Capacity
+		ssd.SetFault(func(op storage.Op, off int64, size int) error {
 			i := n
 			n++
-			if dev == 0 && op == storage.OpWrite {
+			if role == roleIndex && op == storage.OpWrite {
 				cur.indexWrote = true
 			}
 			q := cur
-			q.dev, q.op, q.req, q.failed = dev, op, i, fail(dev, i, op)
+			q.dev, q.op, q.req, q.failed = role, op, i, fail(role, i, op)
 			q.phaseA = cur.kind == fopGetBatch && sh.clock.Now() < phaseAEnd
+			q.tail = op == storage.OpWrite && off+int64(size) == capacity
+			if k := len(reqs) - 1; q.tail && role == rolePart && k >= 0 {
+				p := reqs[k]
+				q.spans = p.tail && p.dev == roleLog && p.opNum == q.opNum
+			}
 			reqs = append(reqs, q)
 			if q.failed {
 				return errFault
@@ -264,8 +237,8 @@ func traceFaultedOps(t *testing.T, ops, indexFaults, logFaults []byte) (reqs []t
 // must lie on its path; the driver op it failed in must fail.
 func TestFaultedOpsSeedPaths(t *testing.T) {
 	for i, seed := range targetedFaultSeeds {
-		index, log := seed.bitmaps()
-		reqs, errs := traceFaultedOps(t, seed.ops, index, log)
+		index, log, part := seed.bitmaps()
+		reqs, errs := traceFaultedOps(t, seed.ops, index, log, part)
 		var failed []tracedReq
 		for _, q := range reqs {
 			if q.failed {
@@ -287,15 +260,21 @@ func TestFaultedOpsSeedPaths(t *testing.T) {
 func (p faultPath) on(q tracedReq) bool {
 	switch p {
 	case pathLateRoundLogRead:
-		return q.dev == 1 && q.op == storage.OpRead && q.kind == fopGetBatch && q.probes >= 2
+		return q.dev == roleLog && q.op == storage.OpRead && q.kind == fopGetBatch && q.probes >= 2
 	case pathFlushingAppend:
-		return q.dev == 1 && q.op == storage.OpWrite && q.kind == fopPutBatch && q.indexWrote
+		return q.dev == roleLog && q.op == storage.OpWrite && q.kind == fopPutBatch && q.indexWrote
 	case pathStreamedIndexRead:
-		return q.dev == 0 && q.op == storage.OpRead && q.kind == fopGetBatch && q.phaseA
+		return q.dev == roleIndex && q.op == storage.OpRead && q.kind == fopGetBatch && q.phaseA
 	case pathHandoffLogRead:
-		return q.dev == 1 && q.op == storage.OpRead && q.kind == fopGetBatch && q.phaseA
+		return q.dev == roleLog && q.op == storage.OpRead && q.kind == fopGetBatch && q.phaseA
 	case pathAppendBehind:
-		return q.dev == 1 && q.op == storage.OpWrite && q.kind == fopPutBatch && !q.indexWrote
+		return q.dev == roleLog && q.op == storage.OpWrite && q.kind == fopPutBatch && !q.indexWrote
+	case pathPartLogRead:
+		return q.dev == rolePart && q.op == storage.OpRead && q.kind == fopGetBatch
+	case pathPartLogWrite:
+		return q.dev == rolePart && q.op == storage.OpWrite && q.kind == fopPutBatch && !q.tail
+	case pathWrapAcrossMembers:
+		return q.dev == rolePart && q.op == storage.OpWrite && q.spans
 	}
 	return false
 }

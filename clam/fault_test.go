@@ -101,62 +101,86 @@ func (o *faultOracle) check(what, k string, found bool, seq uint64) {
 
 // faultSchedule decides, per device request in issue order, whether it
 // fails. The random test draws from a seeded source; the fuzz target
-// reads a bitmap per device from its input.
+// reads a bitmap per device role from its input.
 type faultSchedule struct {
-	dev  int
+	role faultRole
 	n    int
-	fail func(dev, i int, op storage.Op) bool
+	fail func(role faultRole, i int, op storage.Op) bool
 }
 
 func (s *faultSchedule) hook(op storage.Op, _ int64, _ int) error {
 	i := s.n
 	s.n++
-	if s.fail(s.dev, i, op) {
+	if s.fail(s.role, i, op) {
 		return errFault
 	}
 	return nil
 }
 
-// faultRig is a store under test plus every SSD behind it: shard i's index
-// device at devs[2i] and its value-log device at devs[2i+1].
+// faultRole is what an SSD of a fault rig serves.
+type faultRole int
+
+const (
+	roleIndex faultRole = iota // a shard's index device
+	roleLog                    // its log SSD, which holds its value log, or the log's share of it
+	rolePart                   // the index SSD's partition that holds the rest of a striped value log
+)
+
+// faultRig is a store under test plus every SSD behind it, with its role:
+// per shard the index device, the log SSD and, for a striped value log,
+// the index SSD's log partition, in that order.
 type faultRig struct {
-	st   Store
-	devs []*ssd.SSD
+	st    Store
+	devs  []*ssd.SSD
+	roles []faultRole
+}
+
+// addShard adds a shard's SSDs, which a kind-opened store hands out bare.
+func (r *faultRig) addShard(sh *shard) {
+	logSSD, part := sh.logMembers()
+	r.devs = append(r.devs, sh.dev.(*ssd.SSD), logSSD.(*ssd.SSD))
+	r.roles = append(r.roles, roleIndex, roleLog)
+	if part != nil {
+		r.devs = append(r.devs, part.(*ssd.SSD))
+		r.roles = append(r.roles, rolePart)
+	}
 }
 
 // arm installs the schedule on every device (nil disarms). Each device
 // counts its own requests, so that its schedule does not move with
 // another's request count, and devices of different shards run
-// concurrently; fail, given the device's position in devs and its
-// request's number, must be a pure function of its arguments.
-func (r *faultRig) arm(fail func(dev, i int, op storage.Op) bool) {
+// concurrently; fail, given the device's role and its request's number,
+// must be a pure function of its arguments.
+func (r *faultRig) arm(fail func(role faultRole, i int, op storage.Op) bool) {
 	for dev, d := range r.devs {
 		if fail == nil {
 			d.SetFault(nil)
 			continue
 		}
-		s := &faultSchedule{dev: dev, fail: fail}
+		s := &faultSchedule{role: r.roles[dev], fail: fail}
 		d.SetFault(s.hook)
 	}
 }
 
 // openFaultCLAM opens a kind-built single CLAM on Intel SSDs and reaches
-// its index and value-log SSDs, which a kind-opened store hands out bare.
+// its SSDs: devs[0] is the index device, devs[1] the log SSD, and
+// devs[2] the index SSD's log partition when the log is striped.
 func openFaultCLAM(t testing.TB, flash, vlog int64, opts ...Option) *faultRig {
 	t.Helper()
 	c := openCLAMT(t, append([]Option{WithDevice(IntelSSD), WithValueLog(vlog), WithFlash(flash)}, opts...)...)
-	sh := c.shards[0]
-	return &faultRig{st: c, devs: []*ssd.SSD{sh.dev.(*ssd.SSD), sh.vlog.Device().(*ssd.SSD)}}
+	r := &faultRig{st: c}
+	r.addShard(c.shards[0])
+	return r
 }
 
 // openFaultSharded opens a kind-built Sharded store and reaches each
-// shard's SSDs, which a kind-opened store hands out bare.
+// shard's SSDs.
 func openFaultSharded(t testing.TB, opts ...Option) *faultRig {
 	t.Helper()
 	s := openShardedT(t, append([]Option{WithDevice(IntelSSD)}, opts...)...)
 	r := &faultRig{st: s}
 	for _, sh := range s.shards {
-		r.devs = append(r.devs, sh.dev.(*ssd.SSD), sh.vlog.Device().(*ssd.SSD))
+		r.addShard(sh)
 	}
 	return r
 }
@@ -446,7 +470,7 @@ func TestFaultOracle(t *testing.T) {
 			d.runRandom(int64(100+ri), 1500)
 			for phase := 0; phase < 4; phase++ {
 				seed := uint64(ri)<<8 | uint64(phase)
-				r.arm(func(_, i int, op storage.Op) bool {
+				r.arm(func(_ faultRole, i int, op storage.Op) bool {
 					h := hashutil.Mix64(seed<<32 ^ uint64(i))
 					if op == storage.OpWrite {
 						return h%3 == 0
@@ -479,6 +503,9 @@ func TestFaultOracle(t *testing.T) {
 	t.Run("clam/vlog-read-reused-pages", testReusedPagesReadFault)
 	t.Run("clam/vlog-append-behind", testAppendBehindFault)
 	t.Run("clam/cached-key-writes", testCachedKeyWrites)
+	t.Run("clam/vlog-read-partition", testPartReadFault)
+	t.Run("clam/vlog-append-partition", testPartWriteFault)
+	t.Run("clam/vlog-wrap-across-ssds", testWrapAcrossSSDs)
 }
 
 // testCachedKeyWrites caches a U64 key and a byte key, each first put and
@@ -611,10 +638,11 @@ func testHandoffReadFault(t *testing.T) {
 // one whose hits include a record on a log page an earlier hand-off of
 // the same chunk read: the log serves that record from the chunk's page
 // without a request, and submits only the pages no hand-off read yet, the
-// first of which fails. A hit's record pages come from its pointer word:
-// the record's offset in the low 36 bits and its length in the next 21
-// (see storage's pointer layout). The GetBatch must fail, and every later
-// answer keep the contract: random fault-free ops follow.
+// first of which fails, on either of the log's SSDs. A hit's record pages
+// come from its pointer word: the record's offset in the low 36 bits and
+// its length in the next 21 (see storage's pointer layout). The GetBatch
+// must fail, and every later answer keep the contract: random fault-free
+// ops follow.
 func testReusedPagesReadFault(t *testing.T) {
 	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(14))
 	d := newFaultDriver(t, r, 12000, 0, 300)
@@ -643,17 +671,19 @@ func testReusedPagesReadFault(t *testing.T) {
 		}
 		return hook(hits)
 	}
-	r.devs[1].SetFault(func(op storage.Op, off int64, _ int) error {
-		if op != storage.OpRead {
+	for _, role := range []faultRole{roleLog, rolePart} {
+		r.devs[role].SetFault(func(op storage.Op, off int64, _ int) error {
+			if op != storage.OpRead {
+				return nil
+			}
+			if armed && !fired {
+				fired = true
+				return errFault
+			}
+			read[uint64(logOffset(sh, role, off))/ps] = true
 			return nil
-		}
-		if armed && !fired {
-			fired = true
-			return errFault
-		}
-		read[uint64(off)/ps] = true
-		return nil
-	})
+		})
+	}
 	for ki := 0; ki < d.nKeys && !fired; ki += 7 {
 		handoffs, armed = 0, false
 		clear(read)
@@ -668,6 +698,142 @@ func testReusedPagesReadFault(t *testing.T) {
 		t.Fatal("no GetBatch read new log pages in a hand-off that reused an earlier one's; retune the row")
 	}
 	d.runRandom(703, 1500)
+}
+
+// logOffset returns the value-log offset of byte off of the shard's log
+// SSD (role roleLog) or of the index SSD's log partition (rolePart): the
+// stripe holds every indexLogShare-th unit on the partition and the rest
+// on the log SSD, each SSD its units back to back (see newLogDevice).
+func logOffset(sh *shard, role faultRole, off int64) int64 {
+	if _, part := sh.logMembers(); part == nil {
+		return off
+	}
+	unit := int64(sh.vlog.Device().Geometry().EraseBlock)
+	k, in := off/unit, off%unit
+	u := k*indexLogShare + indexLogShare - 1
+	if role == roleLog {
+		u = k/(indexLogShare-1)*indexLogShare + k%(indexLogShare-1)
+	}
+	return u*unit + in
+}
+
+// testPartReadFault fails the first value-log read on the index SSD's log
+// partition, a record read that queues on the index device's timeline.
+// The GetBatch must fail, and every later answer keep the contract:
+// random fault-free ops follow. (The late-round, hand-off and
+// reused-page rows fail reads on the log SSD.)
+func testPartReadFault(t *testing.T) {
+	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(15))
+	d := newFaultDriver(t, r, 12000, 0, 300)
+	putTwice(d)
+	var fired bool
+	r.devs[rolePart].SetFault(func(op storage.Op, _ int64, _ int) error {
+		if op == storage.OpRead && !fired {
+			fired = true
+			return errFault
+		}
+		return nil
+	})
+	for ki := 0; ki < d.nKeys && !fired; ki += 7 {
+		errs := d.o.errs
+		d.apply(fopGetBatch, ki, 300)
+		if fired && d.o.errs == errs {
+			t.Fatal("GetBatch succeeded past its failed record read on the index SSD")
+		}
+	}
+	r.arm(nil)
+	if !fired {
+		t.Fatal("no GetBatch read the index SSD's log partition; retune the row")
+	}
+	d.runRandom(704, 1500)
+}
+
+// testPartWriteFault fails the first value-log write on the index SSD's
+// log partition, a whole-block append that a successful chunk would leave
+// running on the index device's timeline. The put must fail and return
+// joined to both log timelines, and every later answer — first a GetBatch
+// of the same keys — keep the contract.
+func testPartWriteFault(t *testing.T) {
+	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(16))
+	d := newFaultDriver(t, r, 12000, 100, 64)
+	sh := r.st.(*CLAM).shards[0]
+	var fired bool
+	r.devs[rolePart].SetFault(func(op storage.Op, _ int64, _ int) error {
+		if op == storage.OpWrite && !fired {
+			fired = true
+			return errFault
+		}
+		return nil
+	})
+	rng := rand.New(rand.NewSource(705))
+	for step := 0; !fired; step++ {
+		if step == 4000 {
+			t.Fatal("no PutBatch wrote the index SSD's log partition; retune the row")
+		}
+		ki, win := rng.Intn(d.nKeys), 1+rng.Intn(d.maxWin)
+		errs := d.o.errs
+		d.apply(fopPutBatch, ki, win)
+		if !fired {
+			continue
+		}
+		if d.o.errs == errs {
+			t.Fatal("PutBatch acknowledged a chunk whose append to the index SSD failed")
+		}
+		for _, m := range sh.logs {
+			if l, c := m.clock.Now(), sh.clock.Now(); l > c {
+				t.Fatalf("the failed PutBatch left a log clock %v ahead of its clock %v", l, c)
+			}
+		}
+		r.arm(nil)
+		d.apply(fopGetBatch, ki, win)
+	}
+	d.runRandom(706, 3000)
+}
+
+// testWrapAcrossSSDs fails the index SSD's share of a wrap's padding
+// write that spans both SSDs. The log has four units, alternating between
+// the log SSD and the partition, and 3,000-byte values make a 64-key
+// PutBatch longer than a unit, so the tail buffer can hold the log's last
+// two units when a record does not fit: the wrap writes both, the log
+// SSD's share first, which stays served and charged, and then the
+// partition's, which fails. The put must fail, and every later answer
+// keep the contract: random fault-free ops follow.
+func testWrapAcrossSSDs(t *testing.T) {
+	r := openFaultCLAM(t, 128<<10, 512<<10, WithMemory(16<<10), WithBufferKB(4), WithSeed(17))
+	d := newFaultDriver(t, r, 256, 3000, 64)
+	logCap, partCap := r.devs[roleLog].Geometry().Capacity, r.devs[rolePart].Geometry().Capacity
+	var logTail, fired bool // logTail: the last request was the log SSD's write of its last unit
+	var served uint64       // the log SSD's writes, when its share of the spanning wrap was served
+	r.devs[roleIndex].SetFault(func(storage.Op, int64, int) error { logTail = false; return nil })
+	r.devs[roleLog].SetFault(func(op storage.Op, off int64, n int) error {
+		logTail = op == storage.OpWrite && off+int64(n) == logCap
+		return nil
+	})
+	r.devs[rolePart].SetFault(func(op storage.Op, off int64, n int) error {
+		spans := logTail && op == storage.OpWrite && off+int64(n) == partCap
+		logTail = false
+		if spans && !fired {
+			fired, served = true, r.devs[roleLog].Counters().Writes
+			return errFault
+		}
+		return nil
+	})
+	rng := rand.New(rand.NewSource(707))
+	for step := 0; !fired; step++ {
+		if step == 4000 {
+			t.Fatal("no wrap wrote both SSDs; retune the row")
+		}
+		errs := d.o.errs
+		d.apply(fopPutBatch, rng.Intn(d.nKeys), 32+rng.Intn(33))
+		if fired && d.o.errs == errs {
+			t.Fatal("PutBatch acknowledged a chunk whose wrap failed on the index SSD")
+		}
+	}
+	if r.devs[roleLog].Counters().Writes != served || served == 0 {
+		t.Fatal("the log SSD's share of the failed wrap was not served")
+	}
+	r.arm(nil)
+	d.runRandom(708, 1500)
 }
 
 // testAppendBehindFault fails the first value-log write, the whole-block
@@ -701,8 +867,10 @@ func testAppendBehindFault(t *testing.T) {
 		if d.o.errs == errs {
 			t.Fatal("PutBatch acknowledged a chunk whose value-log write failed")
 		}
-		if l, c := sh.logClock.Now(), sh.clock.Now(); l > c {
-			t.Fatalf("the failed PutBatch left the log clock %v ahead of its clock %v", l, c)
+		for _, m := range sh.logs {
+			if l, c := m.clock.Now(), sh.clock.Now(); l > c {
+				t.Fatalf("the failed PutBatch left a log clock %v ahead of its clock %v", l, c)
+			}
 		}
 		r.arm(nil)
 		d.apply(fopGetBatch, ki, win)
@@ -859,12 +1027,14 @@ func testFlushingAppendFault(t *testing.T) {
 
 // FuzzFaultedOps runs the oracle over an op sequence and a fault schedule
 // taken from the input: each 3-byte group of ops is (kind, key, window),
-// and indexFaults and logFaults are bitmaps over the index and value-log
-// devices' requests in issue order, each repeated.
+// and indexFaults, logFaults and partFaults are bitmaps over the requests
+// of the index device, the log SSD and the index SSD's log partition (see
+// faultRole) in issue order, each repeated. The rig's value log is
+// striped over its two SSDs, so the oracle covers the stripe.
 func FuzzFaultedOps(f *testing.F) {
 	// These three seeds predate a bitmap per device and give both devices
 	// the one bitmap they had.
-	f.Add([]byte{0, 1, 0, 1, 1, 0, 8, 2, 40, 9, 2, 40, 15, 0, 0, 1, 3, 0}, []byte{0x10}, []byte{0x10})
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 8, 2, 40, 9, 2, 40, 15, 0, 0, 1, 3, 0}, []byte{0x10}, []byte{0x10}, []byte(nil))
 	// Found by a randomized search over op sequences and fault bitmaps
 	// while failed flush writes still left their images' incarnations
 	// readable: both served values older than the latest acknowledged one.
@@ -880,7 +1050,7 @@ func FuzzFaultedOps(f *testing.F) {
 		0xc, 0x55, 0xf5, 0x0, 0x8, 0x1, 0x1, 0x3b, 0x66, 0x8, 0x68, 0x8c,
 		0x8, 0x3b, 0xfb, 0x8, 0x98, 0x78, 0xc, 0xa0, 0xfe, 0x4, 0xb, 0xac,
 		0xc, 0x27, 0x18,
-	}, []byte{0x10, 0x0, 0x0}, []byte{0x10, 0x0, 0x0})
+	}, []byte{0x10, 0x0, 0x0}, []byte{0x10, 0x0, 0x0}, []byte(nil))
 	f.Add([]byte{
 		0x8, 0xb5, 0x93, 0xb, 0xb5, 0x1f, 0x0, 0x6, 0xa2, 0x4, 0x92, 0x2f,
 		0x4, 0x6, 0x7a, 0x8, 0x7d, 0x2b, 0x8, 0x1a, 0x44, 0x0, 0x72, 0xe2,
@@ -895,38 +1065,38 @@ func FuzzFaultedOps(f *testing.F) {
 		0x8, 0xd0, 0xff, 0x1, 0x59, 0x3f, 0x1, 0x8f, 0x9b, 0x1, 0x32, 0x72,
 		0xc, 0x3d, 0x8e, 0xb, 0x23, 0x9f, 0x1, 0x27, 0xbe, 0xb, 0x1, 0x0,
 		0x8, 0x41, 0x9a,
-	}, []byte{0x8}, []byte{0x8})
+	}, []byte{0x8}, []byte{0x8}, []byte(nil))
 	// Each targeted seed fails one request on a path of its own (see
 	// targetedFaultSeeds).
 	for _, seed := range targetedFaultSeeds {
-		index, log := seed.bitmaps()
-		f.Add(seed.ops, index, log)
+		index, log, part := seed.bitmaps()
+		f.Add(seed.ops, index, log, part)
 	}
-	f.Fuzz(func(t *testing.T, ops, indexFaults, logFaults []byte) {
+	f.Fuzz(func(t *testing.T, ops, indexFaults, logFaults, partFaults []byte) {
 		r, d := openFuzzRig(t)
-		r.arm(bitmapFaults(indexFaults, logFaults))
+		r.arm(bitmapFaults(indexFaults, logFaults, partFaults))
 		fuzzOps(ops, d.apply)
 	})
 }
 
 // openFuzzRig opens FuzzFaultedOps' store and its driver: one CLAM on
 // small Intel SSDs, 256 keys of each family, and byte values padded to
-// 120 bytes, so that puts write the two-erase-block value log a block at
-// a time and wrap it often.
+// 3,000 bytes. The value log is four erase blocks, striped over the log
+// SSD and the index SSD's partition, so puts write it a block or more at
+// a time, wrap it often, and a window of 64 puts can outgrow a block, so
+// that a wrap's padding write can span both SSDs.
 func openFuzzRig(t testing.TB) (*faultRig, *faultDriver) {
-	r := openFaultCLAM(t, 128<<10, 256<<10, WithMemory(16<<10), WithBufferKB(4), WithSeed(9))
-	return r, newFaultDriver(t, r, 256, 120, 64)
+	r := openFaultCLAM(t, 128<<10, 512<<10, WithMemory(16<<10), WithBufferKB(4), WithSeed(9))
+	return r, newFaultDriver(t, r, 256, 3000, 64)
 }
 
-// bitmapFaults fails request i of a rig's index devices (even positions
-// in its devs) when bit i of index, repeated, is set, and request i of its
-// value-log devices when bit i of log is. An empty bitmap fails nothing.
-func bitmapFaults(index, log []byte) func(dev, i int, _ storage.Op) bool {
-	return func(dev, i int, _ storage.Op) bool {
-		faults := index
-		if dev%2 == 1 {
-			faults = log
-		}
+// bitmapFaults fails request i of a rig's index devices when bit i of
+// index, repeated, is set, request i of its log SSDs when bit i of log is,
+// and request i of its index SSDs' log partitions when bit i of part is.
+// An empty bitmap fails nothing.
+func bitmapFaults(index, log, part []byte) func(role faultRole, i int, _ storage.Op) bool {
+	return func(role faultRole, i int, _ storage.Op) bool {
+		faults := [...][]byte{roleIndex: index, roleLog: log, rolePart: part}[role]
 		if len(faults) == 0 {
 			return false
 		}

@@ -3,6 +3,7 @@ package clam
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -21,19 +22,40 @@ import (
 // batch's first probes overlap the rest of its in-memory phase. These
 // tests pin the rules of both overlaps.
 
-// shardTimes is a shard's clock reading and its two devices' busy time.
-type shardTimes struct{ clock, index, log time.Duration }
+// shardTimes is a shard's clock reading and the busy time of its devices:
+// the index device, the value-log partition of the index SSD, on the
+// index device's timeline (0 for a one-member log), and the log SSD.
+type shardTimes struct{ clock, index, part, log time.Duration }
 
-func (s *shard) times() shardTimes {
-	return shardTimes{s.clock.Now(), s.dev.Counters().BusyTime, s.vlog.Device().Counters().BusyTime}
+// logMembers returns a shard's value-log devices: the log SSD, and the
+// index SSD's log partition when the log is striped over both (nil
+// otherwise).
+func (s *shard) logMembers() (logSSD, part storage.Device) {
+	if len(s.logs) == 2 {
+		part = s.logs[1].dev
+	}
+	return s.logs[0].dev, part
 }
 
+func (s *shard) times() shardTimes {
+	logSSD, part := s.logMembers()
+	t := shardTimes{clock: s.clock.Now(), index: s.dev.Counters().BusyTime, log: logSSD.Counters().BusyTime}
+	if part != nil {
+		t.part = part.Counters().BusyTime
+	}
+	return t
+}
+
+// indexSSD is the busy time of the index SSD: its index device's and its
+// value-log partition's, which share one timeline.
+func (a shardTimes) indexSSD() time.Duration { return a.index + a.part }
+
 func (a shardTimes) sub(b shardTimes) shardTimes {
-	return shardTimes{a.clock - b.clock, a.index - b.index, a.log - b.log}
+	return shardTimes{a.clock - b.clock, a.index - b.index, a.part - b.part, a.log - b.log}
 }
 
 func (a shardTimes) add(b shardTimes) shardTimes {
-	return shardTimes{a.clock + b.clock, a.index + b.index, a.log + b.log}
+	return shardTimes{a.clock + b.clock, a.index + b.index, a.part + b.part, a.log + b.log}
 }
 
 func snapshotTimes(shards []*shard) []shardTimes {
@@ -44,23 +66,25 @@ func snapshotTimes(shards []*shard) []shardTimes {
 	return ts
 }
 
-// requireJoined fails unless every shard's index clock is at or behind
-// its shard clock, as it must be between chunk calls, and its log clock
-// is too, or, after a put call that began at the snapshot before (nil
-// after any other call), is ahead by at most the log busy time the call
-// added: a put chunk acknowledges while its append still runs.
+// requireJoined fails unless every shard's index clock and log clock are
+// at or behind its shard clock, as they must be between chunk calls, or,
+// after a put call that began at the snapshot before (nil after any other
+// call), each is ahead by at most the value-log busy time the call added
+// on that SSD: a put chunk acknowledges while its append still runs.
 func requireJoined(t *testing.T, shards []*shard, after string, before []shardTimes) {
 	t.Helper()
 	for i, sh := range shards {
 		c := sh.clock.Now()
-		if x := sh.bh.Config().DeviceClock.Now(); x > c {
-			t.Fatalf("after %s: shard %d's index clock %v is ahead of its clock %v", after, i, x, c)
-		}
-		var appended time.Duration
+		var part, appended time.Duration
 		if before != nil {
-			appended = sh.times().log - before[i].log
+			d := sh.times().sub(before[i])
+			part, appended = d.part, d.log
 		}
-		if l := sh.logClock.Now(); l > c+appended {
+		if x := sh.bh.Config().DeviceClock.Now(); x > c+part {
+			t.Fatalf("after %s: shard %d's index clock %v is ahead of its clock %v by more than the call's %v of appends",
+				after, i, x, c, part)
+		}
+		if l := sh.logs[0].clock.Now(); l > c+appended {
 			t.Fatalf("after %s: shard %d's log clock %v is ahead of its clock %v by more than the call's %v of appends",
 				after, i, l, c, appended)
 		}
@@ -89,9 +113,9 @@ func TestValueLogOverlapWindows(t *testing.T) {
 		requireJoined(t, w.s.shards, "PutBatch", t1)
 		t2 := snapshotTimes(w.s.shards)
 		for i := range t1 {
-			if d := t1[i].sub(joined[i]); d.clock < d.index || d.clock < d.log {
-				t.Fatalf("window %d, shard %d: clock advanced %v, below its index busy %v or log busy %v",
-					w.window, i, d.clock, d.index, d.log)
+			if d := t1[i].sub(joined[i]); d.clock < d.indexSSD() || d.clock < d.log {
+				t.Fatalf("window %d, shard %d: clock advanced %v, below its index SSD's busy %v or its log SSD's %v",
+					w.window, i, d.clock, d.indexSSD(), d.log)
 			}
 		}
 		joined = t1
@@ -99,11 +123,11 @@ func TestValueLogOverlapWindows(t *testing.T) {
 		put = put.add(t2[0].sub(t1[0]))
 	}
 	per := func(d time.Duration) string { return fmt.Sprintf("%.3f ms", float64(d)/windows/1e6) }
-	t.Logf("shard 0 per window: get advance %s (index busy %s, log busy %s); put advance %s (index busy %s, log busy %s)",
-		per(get.clock), per(get.index), per(get.log), per(put.clock), per(put.index), per(put.log))
+	t.Logf("shard 0 per window: get advance %s (index busy %s, index SSD's log busy %s, log SSD busy %s); put advance %s (%s, %s, %s)",
+		per(get.clock), per(get.index), per(get.part), per(get.log), per(put.clock), per(put.index), per(put.part), per(put.log))
 	all := get.add(put)
-	t.Logf("shard 0 per window: clock %s, index busy %s, log busy %s",
-		per(all.clock), per(all.index), per(all.log))
+	t.Logf("shard 0 per window: clock %s, index SSD busy %s, log SSD busy %s",
+		per(all.clock), per(all.indexSSD()), per(all.log))
 }
 
 // overlapStore is the one-shard store the chunk-level overlap tests use.
@@ -116,8 +140,9 @@ func overlapKey(i int) []byte { return []byte(fmt.Sprintf("overlap-key-%05d", i)
 
 // putUntilFlush issues 32-key PutBatch calls of fresh keys, checking
 // the timelines after each, until one both flushes an index buffer and
-// writes value-log pages, and returns that call's number and shard times.
-func putUntilFlush(t *testing.T, c *CLAM) (int, shardTimes) {
+// writes value-log pages to the SSD that log picks out of the call's
+// shard times, and returns that call's number and shard times.
+func putUntilFlush(t *testing.T, c *CLAM, log func(d shardTimes) time.Duration) (int, shardTimes) {
 	t.Helper()
 	sh := c.shards[0]
 	val := make([]byte, 100)
@@ -132,7 +157,7 @@ func putUntilFlush(t *testing.T, c *CLAM) (int, shardTimes) {
 		}
 		requireJoined(t, c.shards, "PutBatch", []shardTimes{before})
 		d := sh.times().sub(before)
-		if c.Stats().Core.Flushes > flushes && d.index > 0 && d.log > 0 {
+		if c.Stats().Core.Flushes > flushes && d.index > 0 && log(d) > 0 {
 			return call, d
 		}
 	}
@@ -140,30 +165,35 @@ func putUntilFlush(t *testing.T, c *CLAM) (int, shardTimes) {
 	return 0, shardTimes{}
 }
 
-// TestPutChunkOverlap pins a byte PutBatch chunk whose flush writes the
-// index device while its append writes a whole erase block to the
-// value-log device. The chunk waits for its flush write, not for its
-// append: it advances the clock by at least its index busy time, by less
-// than its log busy time, and so by less than the serial sum it advanced
-// by before the log had its own timeline, captured below, and it leaves
-// the log clock ahead.
+// onLogSSD and onPart pick a call's value-log busy time on the log SSD
+// and on the index SSD's log partition.
+func onLogSSD(d shardTimes) time.Duration { return d.log }
+func onPart(d shardTimes) time.Duration   { return d.part }
+
+// TestPutChunkOverlap pins byte PutBatch chunks whose flush writes the
+// index device while their append writes a whole erase block of the
+// value log. A chunk whose append lands on the log SSD waits for its
+// flush write, not for its append: it advances the clock by at least its
+// index busy time and by less than its log busy time, and it leaves the
+// log clock ahead. A chunk whose append lands on the index SSD's log
+// partition waits for both: the index SSD serves one submission at a
+// time, so its flush write queues behind the append.
 func TestPutChunkOverlap(t *testing.T) {
 	c := overlapStore(t)
-	call, d := putUntilFlush(t, c)
 	sh := c.shards[0]
-	lead := sh.logClock.Now() - sh.clock.Now()
-	// Captured with the value-log device on the shard clock: call 262
-	// advanced it by 3,398,240 ns, its 1,314,112 ns of log writes in series
-	// with the chunk's CPU and its 478,528 ns flush write.
-	const serialCall, serialAdvance = 262, 3398240 * time.Nanosecond
-	t.Logf("call %d: clock advanced %v; index busy %v, log busy %v, the log running on %v past the acknowledgement (serial: %v)",
-		call, d.clock, d.index, d.log, lead, serialAdvance)
-	if call != serialCall {
-		t.Fatalf("call %d flushed first; the serial capture is of call %d", call, serialCall)
+	call, d := putUntilFlush(t, c, onLogSSD)
+	lead := sh.logs[0].clock.Now() - sh.clock.Now()
+	t.Logf("call %d: clock advanced %v; index busy %v, log SSD busy %v, the log running on %v past the acknowledgement",
+		call, d.clock, d.index, d.log, lead)
+	if d.part != 0 || d.clock < d.index || d.clock >= d.log || lead <= 0 {
+		t.Errorf("clock advanced %v: want at least the index busy %v and below the log SSD's busy %v (partition %v), with the log still running (%v)",
+			d.clock, d.index, d.log, d.part, lead)
 	}
-	if d.clock < d.index || d.clock >= d.log || d.clock >= serialAdvance || lead <= 0 {
-		t.Errorf("clock advanced %v: want at least the index busy %v, below the log busy %v and the serial %v, with the log still running (%v)",
-			d.clock, d.index, d.log, serialAdvance, lead)
+	call, d = putUntilFlush(t, c, onPart)
+	t.Logf("call %d: clock advanced %v; index busy %v, partition busy %v", call, d.clock, d.index, d.part)
+	if d.log != 0 || d.clock < d.index+d.part {
+		t.Errorf("clock advanced %v: want at least the index SSD's busy %v, its flush %v behind its append %v (log SSD %v)",
+			d.clock, d.index+d.part, d.index, d.part, d.log)
 	}
 }
 
@@ -180,7 +210,7 @@ func TestPutChunkOverlap(t *testing.T) {
 // answers nor fills, and its reads are the ones timed.
 func TestOneKeyGetTimeline(t *testing.T) {
 	c := overlapStore(t)
-	call, _ := putUntilFlush(t, c)
+	call, _ := putUntilFlush(t, c, onLogSSD)
 	for i, g := range []struct {
 		key  int
 		idle time.Duration
@@ -498,4 +528,155 @@ func TestStagingScreenSpeedsRoundOne(t *testing.T) {
 			last, queries)
 	}
 	requireOneKeyAnswers(t, c, batch, got, found)
+}
+
+// indexSSDSub is one submission to the index SSD: its start on the index
+// device's timeline, the device that served it (0 the index device, 1 the
+// log partition), and that device's busy time before it.
+type indexSSDSub struct {
+	start, busy time.Duration
+	dev         int
+}
+
+// TestIndexSSDServesOneSubmissionAtATime records every submission to a
+// shard's index SSD during dedup merge windows, whose GetBatch record
+// reads and PutBatch appends on the index SSD's log partition run beside
+// the index probes and flushes: each submission must start at or after
+// the previous one, from either device, has ended. A submission's end is its start plus its
+// device's busy time until that device's next submission.
+func TestIndexSSDServesOneSubmissionAtATime(t *testing.T) {
+	w := newDedupWindow(t, flashIndexLogs)
+	sh := w.s.shards[0]
+	_, part := sh.logMembers()
+	devClock := sh.bh.Config().DeviceClock
+	devs := []*ssd.SSD{sh.dev.(*ssd.SSD), part.(*ssd.SSD)}
+	var subs []indexSSDSub
+	for i, d := range devs {
+		d.SetFault(func(storage.Op, int64, int) error {
+			s := indexSSDSub{devClock.Now(), d.Counters().BusyTime, i}
+			if n := len(subs); n == 0 || subs[n-1] != s {
+				subs = append(subs, s) // a submission's first request
+			}
+			return nil
+		})
+	}
+	for range 20 {
+		w.lookup(t)
+		w.insert(t)
+	}
+	// end returns submission k's end: its device's busy time grows by the
+	// submission's service time before that device's next submission.
+	end := func(k int) time.Duration {
+		s := subs[k]
+		next := devs[s.dev].Counters().BusyTime
+		for _, o := range subs[k+1:] {
+			if o.dev == s.dev {
+				next = o.busy
+				break
+			}
+		}
+		return s.start + next - s.busy
+	}
+	var switches int
+	for k := 1; k < len(subs); k++ {
+		if prev := end(k - 1); subs[k].start < prev {
+			t.Fatalf("submission %d (device %d) starts at %v, before submission %d (device %d) ends at %v",
+				k, subs[k].dev, subs[k].start, k-1, subs[k-1].dev, prev)
+		}
+		if subs[k].dev != subs[k-1].dev {
+			switches++
+		}
+	}
+	t.Logf("%d submissions to the index SSD, %d switches between its index device and its log partition", len(subs), switches)
+	if switches < 20 {
+		t.Fatalf("only %d switches between the index SSD's two devices; retune the test", switches)
+	}
+}
+
+// TestU64StreamLeavesLogAlone runs a stream of every U64 call on a
+// kind-opened store, whose value log is striped over its two SSDs, and on
+// a twin whose log is too small to stripe: neither log device may see a
+// request, the log SSD's clock must not move, and the two stores' clocks,
+// core counters and index device counters must agree, so no U64 store's
+// timing depends on its log.
+func TestU64StreamLeavesLogAlone(t *testing.T) {
+	open := func(vlog int64) *CLAM {
+		return openCLAMT(t, WithDevice(IntelSSD), WithFlash(2<<20), WithMemory(512<<10), WithBufferKB(16),
+			WithValueLog(vlog), WithSeed(23))
+	}
+	striped, single := open(4<<20), open(128<<10)
+	if _, part := striped.shards[0].logMembers(); part == nil {
+		t.Fatal("the 4 MB log is not striped")
+	}
+	ctx := context.Background()
+	for _, c := range []*CLAM{striped, single} {
+		rng := rand.New(rand.NewSource(24))
+		keys := make([]uint64, 256)
+		for i := 0; i < 3000; i++ {
+			for j := range keys {
+				keys[j] = rng.Uint64() % 20000
+			}
+			var err error
+			switch i % 6 {
+			case 0:
+				err = c.PutBatchU64(ctx, keys, keys)
+			case 1:
+				_, _, err = c.GetBatchU64(ctx, keys)
+			case 2:
+				err = c.PutU64(keys[0], keys[1])
+			case 3:
+				_, _, err = c.GetU64(keys[0])
+			case 4:
+				err = c.DeleteU64(keys[0])
+			default:
+				if i%60 == 5 {
+					err = c.Flush()
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		sh := c.shards[0]
+		if v := sh.vlog.Device().Counters(); v != (storage.Counters{}) || sh.logs[0].clock.Now() != 0 {
+			t.Fatalf("a U64 stream used the value log: %+v, log clock %v", v, sh.logs[0].clock.Now())
+		}
+	}
+	a, b := striped.Stats(), single.Stats()
+	if striped.Clock().Now() != single.Clock().Now() || a.Core != b.Core || a.Device != b.Device {
+		t.Fatalf("the striped store's clock %v and counters differ from the one-member log's %v",
+			striped.Clock().Now(), single.Clock().Now())
+	}
+}
+
+// TestOneMemberLogs pins which stores keep their value log on one SSD: a
+// WithCustomDevice store, whose index device runs on the shard clock, and
+// a store whose log is one erase block, too small to give the index SSD's
+// partition a unit. A log of two erase blocks is striped, one on each
+// SSD, with the capacity it would have on one.
+func TestOneMemberLogs(t *testing.T) {
+	clock := vclock.New()
+	custom := openCLAMT(t, WithCustomDevice(ssd.New(ssd.IntelX18M(), 2<<20, clock)), WithClock(clock),
+		WithFlash(2<<20), WithValueLog(4<<20))
+	small := openCLAMT(t, WithDevice(IntelSSD), WithFlash(2<<20), WithValueLog(128<<10))
+	two := openCLAMT(t, WithDevice(IntelSSD), WithFlash(2<<20), WithValueLog(256<<10))
+	for _, row := range []struct {
+		name    string
+		c       *CLAM
+		striped bool
+		cap     int64
+	}{{"custom device", custom, false, 4 << 20}, {"one erase block", small, false, 128 << 10}, {"two erase blocks", two, true, 256 << 10}} {
+		sh := row.c.shards[0]
+		logSSD, part := sh.logMembers()
+		if (part != nil) != row.striped || len(sh.logs) != map[bool]int{false: 1, true: 2}[row.striped] {
+			t.Fatalf("%s: log SSD %T, partition %T, %d log members; striped %t", row.name, logSSD, part, len(sh.logs), row.striped)
+		}
+		if c := sh.vlog.Stats().Capacity; c != row.cap {
+			t.Fatalf("%s: log capacity %d, want %d", row.name, c, row.cap)
+		}
+		if row.striped && (logSSD.Geometry().Capacity != 128<<10 || part.Geometry().Capacity != 128<<10) {
+			t.Fatalf("%s: members of %d and %d bytes, want one erase block each", row.name,
+				logSSD.Geometry().Capacity, part.Geometry().Capacity)
+		}
+	}
 }

@@ -34,8 +34,10 @@ import (
 //	             filters (§5.1.3), the k incarnations' and the buffer's,
 //	             answers in one query, and the buffer is probed (delete
 //	             list, then cuckoo table) only when its filter may hold the
-//	             key or the table has pending deletes, so a key no filter
-//	             may hold is a miss with no probe (Stats.ScreenedProbes),
+//	             key, or when an incarnation's may and the table has
+//	             pending deletes, which must mask that incarnation's entry:
+//	             a key no filter may hold is a miss with no probe, deleted
+//	             or not (Stats.ScreenedProbes),
 //	             and a flash-only key gathers its page right after the
 //	             query. A super table with no live incarnation has no
 //	             filter to ask: its buffer is probed alone. Phase A
@@ -284,7 +286,10 @@ type HitHook struct {
 	// (at least 1) its queue lane count: while phase A runs, LookupBatch
 	// hands Read the final hits whenever that device is idle at the
 	// current CPU instant and at least Lanes of them wait, in whole
-	// multiples of Lanes.
+	// multiples of Lanes. For a device striped over several timelines,
+	// Clock is the one whose idleness the hand-offs wait for (the clam
+	// facade's value log gives its log SSD's) and Lanes its members'
+	// summed.
 	Clock *vclock.Clock
 	Lanes int
 }
@@ -300,9 +305,10 @@ type HitHook struct {
 // phase A submits them one page per lane as the device goes idle. Every
 // lookup, one-key or batched, hooked or not, runs one phase-A order: one
 // query of its super table's k+1 Bloom filters (§5.1.3) first, then a
-// buffer probe only when the buffer's filter may hold the key or the
-// table has pending deletes (Stats.ScreenedProbes counts the probes
-// skipped), so a flash-only key's page is gathered right after its query.
+// buffer probe only when the buffer's filter may hold the key, or an
+// incarnation's may and the table has pending deletes (Stats.ScreenedProbes
+// counts the probes skipped), so a flash-only key's page is gathered right
+// after its query.
 //
 // A key given twice is looked up once: phase A finds each repeat with
 // one probe of a batch-scoped table of the keys so far (a one-key call
@@ -383,7 +389,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			st, kh := b.route(key)
 			mask, staged := st.query(kh)
 			var done bool
-			if staged || len(st.deleteList) > 0 {
+			if staged || mask != 0 && len(st.deleteList) > 0 {
 				results[i], done = st.probeBuffer(kh)
 			} else {
 				results[i] = LookupResult{}

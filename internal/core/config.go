@@ -25,9 +25,10 @@
 // gathered first, whenever it is idle and they fill its lanes. Every
 // lookup runs phase A in one order: one query of its super table's k+1
 // Bloom filters (§5.1.3), the k incarnations' and the buffer's, and then a
-// buffer probe only when the buffer's filter may hold the key or the table
-// has pending deletes, so a key no filter may hold is a miss with no probe
-// and a flash-only key gathers its page right after the query. Each
+// buffer probe only when the buffer's filter may hold the key, or an
+// incarnation's may and the table has pending deletes, so a key no filter
+// may hold is a miss with no probe and a flash-only key gathers its page
+// right after the query. Each
 // probing round reads its keys' pages through one page-read set
 // (storage.PageReads), each distinct page once: phase B submits those not
 // yet submitted as one address-sorted device ReadBatch, whose virtual

@@ -62,9 +62,10 @@ func benchPerKeyOps(b *testing.B, ownClock bool) {
 
 // BenchmarkPhaseA measures the host cost of a lookup's phase A in the
 // order lookupBatch runs it — route, query (the Bloom query, which answers
-// for the buffer too) and, only when the buffer's filter may hold the key
-// or the table has pending deletes, probeBuffer (the delete-list check
-// and the buffer probe) — per key of 4096-key Zipf(1.1) batches, on one shard of the get-batch-zipf benchmark
+// for the buffer too) and, only when the buffer's filter may hold the key,
+// or an incarnation's may and the table has pending deletes, probeBuffer
+// (the delete-list check and the buffer probe) — per key of 4096-key
+// Zipf(1.1) batches, on one shard of the get-batch-zipf benchmark
 // workload's store (8 MB of IntelSSD flash, 4 super tables of 128 KB
 // buffers, 16 incarnations, 29 filter bits per entry) warmed with
 // 1.25 times its capacity of keys from the same distribution. With
@@ -110,7 +111,7 @@ func BenchmarkPhaseA(b *testing.B) {
 		at := i % (len(probes) / batch) * batch
 		for _, k := range probes[at : at+batch] {
 			st, kh := bh.route(k)
-			if _, staged := st.query(kh); !staged && len(st.deleteList) == 0 {
+			if mask, staged := st.query(kh); !staged && (mask == 0 || len(st.deleteList) == 0) {
 				screened++
 			} else if res, _ := st.probeBuffer(kh); res.Found {
 				found++

@@ -16,8 +16,8 @@ type Stats struct {
 	// also a zero-I/O lookup and a hit.
 	CacheHits uint64
 	// ScreenedProbes counts the buffer probes lookups skipped: those of
-	// keys the Bloom query ruled out of the buffer, in a super table with
-	// no pending deletes.
+	// keys the Bloom query ruled out of the buffer, and either out of
+	// every incarnation or in a super table with no pending deletes.
 	ScreenedProbes uint64
 
 	// FlashProbes counts incarnation page reads; SpuriousProbes counts the

@@ -101,8 +101,9 @@ func (st *superTable) evictOldestExternal(seq uint64) {
 // that needs no flash I/O, in two halves: query, the Bloom query that
 // answers for the buffer and every incarnation at once (§5.1.3's k+1
 // filters), and probeBuffer, the delete-list check and the buffer probe,
-// which a lookup runs only when query says the buffer may hold the key or
-// the table has pending deletes (see batch.go).
+// which a lookup runs only when query says the buffer may hold the key,
+// or says an incarnation may and the table has pending deletes (see
+// batch.go).
 
 // probeBuffer charges CPU.BufferLookup and consults the delete list and
 // the buffer. done reports that the key resolved there: a deleted key is

@@ -226,7 +226,7 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
-	ms := models(64 << 12)
+	ms := pageReadModels()
 	m := fill(t, ms[model%len(ms)], int64(len(data)))
 	pr, err := storage.NewPageReads(m.rec, int(m.ps))
 	if err != nil {
@@ -303,8 +303,12 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 	}
 }
 
+// pageReadModels builds the devices FuzzPageReads runs on: every device
+// model and a two-member stripe of SSDs and of disks, 64 pages each.
+func pageReadModels() []model { return append(models(64<<12), stripeModels(64<<12)...) }
+
 // FuzzPageReads checks the page-read set against a naive model on every
-// device model (see checkPageReadsSet).
+// device model and on two-member stripes (see checkPageReadsSet).
 func FuzzPageReads(f *testing.F) {
 	seeds := [][]byte{
 		{0x00, 0x05, 0x01, 0x03, 0x00, 0x05, 0x02, 0x01, 0x00, 0x3f, 0x82, 0x01, 0x02, 0x07, 0x03, 0x00, 0x05, 0x02, 0x01},
@@ -317,7 +321,7 @@ func FuzzPageReads(f *testing.F) {
 		seeds = append(seeds, b)
 	}
 	for _, data := range seeds {
-		for model := range 3 {
+		for model := range pageReadModels() {
 			f.Add(uint8(model), data)
 		}
 	}

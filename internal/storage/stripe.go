@@ -1,0 +1,270 @@
+package storage
+
+import (
+	"fmt"
+	"time"
+)
+
+// Stripe is a Device striped over member devices, RAID-0 style
+// (Patterson, Gibson and Katz, SIGMOD 1988). Its address space is cut into
+// stripe units, and a fixed pattern deals them to the members: unit u lies
+// on member pattern[u mod len(pattern)], at that member's next unit, so
+// each member holds its units back to back in stripe order. A unit is a
+// whole number of every member's erase blocks, and the stripe reports it
+// as its own EraseBlock, so a writer that writes whole units (the value
+// log) replaces whole blocks on one member per unit.
+//
+// ReadBatch and WriteBatch split a submission into one submission per
+// member: each request's pieces, cut at unit boundaries, keep the
+// submission's ascending order on their member, and a request's pieces
+// that land back to back on one member stay one request, so sequential
+// runs inside a unit, or across units a member holds in a row, are kept.
+// The members serve their shares in member order, each on its own queue
+// and clock, which advances by its own share's service time only; the
+// stripe returns the longest share's. A member's failure fails the
+// submission with that member's error, and the shares of the members
+// before it stay served and charged, as on a real array. Counters are the
+// sum of the members', Geometry's Capacity the sum of theirs and its Lanes
+// the sum of theirs.
+//
+// The stripe keeps per-member scratch, so a submission allocates nothing
+// once the scratch has grown. It is not safe for concurrent use.
+type Stripe struct {
+	members []Device
+	unit    int64
+	pattern []int   // the member of each unit of a period
+	rank    []int64 // each unit of a period's place among its member's units of the period
+	per     []int64 // each member's units per period
+	geom    Geometry
+
+	// Per-member scratch: the share of the submission being split, and
+	// for each read the stripe request it serves.
+	reads  [][]ReadReq
+	readOf [][]int
+	writes [][]WriteReq
+}
+
+// StripeShares returns how many of n stripe units pattern deals to each
+// of members members.
+func StripeShares(pattern []int, members int, n int64) []int64 {
+	shares := make([]int64, members)
+	period := int64(len(pattern))
+	for i, m := range pattern {
+		shares[m] += n / period
+		if int64(i) < n%period {
+			shares[m]++
+		}
+	}
+	return shares
+}
+
+// NewStripe returns a stripe of unit-byte units over members, dealt by
+// pattern (see Stripe). Every member must appear in pattern, the members
+// must share one page size, unit must be a multiple of it and of each
+// member's erase block, and each member must hold exactly the units the
+// pattern deals it out of all the members' units together (see
+// StripeShares).
+func NewStripe(unit int, pattern []int, members ...Device) (*Stripe, error) {
+	if len(members) == 0 || len(pattern) == 0 {
+		return nil, fmt.Errorf("storage: stripe of %d members over a %d-unit pattern", len(members), len(pattern))
+	}
+	s := &Stripe{
+		members: members,
+		unit:    int64(unit),
+		pattern: pattern,
+		rank:    make([]int64, len(pattern)),
+		per:     make([]int64, len(members)),
+		reads:   make([][]ReadReq, len(members)),
+		readOf:  make([][]int, len(members)),
+		writes:  make([][]WriteReq, len(members)),
+	}
+	for i, m := range pattern {
+		if m < 0 || m >= len(members) {
+			return nil, fmt.Errorf("storage: stripe pattern names member %d of %d", m, len(members))
+		}
+		s.rank[i] = s.per[m]
+		s.per[m]++
+	}
+	ps := members[0].Geometry().PageSize
+	var units int64
+	for i, d := range members {
+		g := d.Geometry()
+		switch {
+		case s.per[i] == 0:
+			return nil, fmt.Errorf("storage: stripe pattern deals member %d no unit", i)
+		case g.PageSize != ps:
+			return nil, fmt.Errorf("storage: stripe member %d has %d-byte pages, member 0 %d-byte ones", i, g.PageSize, ps)
+		case unit <= 0 || unit%ps != 0 || g.EraseBlock > 0 && unit%g.EraseBlock != 0:
+			return nil, fmt.Errorf("storage: stripe unit %d is no multiple of member %d's %d-byte pages and %d-byte erase blocks",
+				unit, i, ps, g.EraseBlock)
+		case g.Capacity%s.unit != 0:
+			return nil, fmt.Errorf("storage: stripe member %d's capacity %d is no whole number of %d-byte units", i, g.Capacity, unit)
+		}
+		units += g.Capacity / s.unit
+		s.geom.Lanes += max(g.Lanes, 1)
+	}
+	for i, n := range StripeShares(pattern, len(members), units) {
+		if have := members[i].Geometry().Capacity / s.unit; have != n {
+			return nil, fmt.Errorf("storage: stripe member %d holds %d units, the pattern deals it %d of %d", i, have, n, units)
+		}
+	}
+	s.geom.Capacity, s.geom.PageSize, s.geom.EraseBlock = units*s.unit, ps, unit
+	return s, nil
+}
+
+// locate maps stripe offset off to its member and the offset there, and
+// returns the bytes left in its unit.
+func (s *Stripe) locate(off int64) (member int, moff, left int64) {
+	u, in := off/s.unit, off%s.unit
+	period := int64(len(s.pattern))
+	slot := u % period
+	member = s.pattern[slot]
+	return member, ((u/period)*s.per[member]+s.rank[slot])*s.unit + in, s.unit - in
+}
+
+// Geometry implements Device.
+func (s *Stripe) Geometry() Geometry { return s.geom }
+
+// Counters implements Device: the sum of the members'.
+func (s *Stripe) Counters() Counters {
+	var c Counters
+	for _, d := range s.members {
+		c.Add(d.Counters())
+	}
+	return c
+}
+
+// ReadAt implements Device as a one-request ReadBatch.
+func (s *Stripe) ReadAt(p []byte, off int64) (time.Duration, error) {
+	one := [1]ReadReq{{P: p, Off: off}}
+	return s.ReadBatch(one[:])
+}
+
+// WriteAt implements Device as a one-request WriteBatch.
+func (s *Stripe) WriteAt(p []byte, off int64) (time.Duration, error) {
+	one := [1]WriteReq{{P: p, Off: off}}
+	return s.WriteBatch(one[:])
+}
+
+// check validates a submission's order and ranges on the stripe before
+// any member sees it: offsets ascend, every range lies on the stripe and
+// respects align, and a view lies inside one page.
+func (s *Stripe) check(n, align int, req func(i int) (off, size int64, view bool)) error {
+	ps := int64(s.geom.PageSize)
+	prev := int64(0)
+	for i := range n {
+		off, size, view := req(i)
+		if i > 0 && off < prev {
+			return unsorted(i, prev, off)
+		}
+		prev = off
+		if err := CheckRange(s.geom, off, size, align); err != nil {
+			return err
+		}
+		if view && size > 0 && off/ps != (off+size-1)/ps {
+			return fmt.Errorf("%w: view off=%d n=%d crosses a %d-byte page", ErrUnaligned, off, size, ps)
+		}
+	}
+	return nil
+}
+
+// split cuts the range of n bytes at stripe offset off at unit
+// boundaries and calls piece for each piece, in order: its member, its
+// offset there, its place in the range and its length, and whether it
+// continues the range's previous piece back to back on the same member,
+// which consecutive units of one member always do. An empty range is one
+// empty piece.
+func (s *Stripe) split(off, n int64, piece func(m int, moff, at, k int64, cont bool)) {
+	prev := -1
+	for at := int64(0); at < n || at == 0; {
+		m, moff, left := s.locate(off + at)
+		k := min(left, n-at)
+		piece(m, moff, at, k, m == prev)
+		prev, at = m, at+k
+		if k == 0 {
+			return
+		}
+	}
+}
+
+// ReadBatch implements Device: reqs split into one submission per member
+// (see Stripe). A view request lies inside one page, so inside one unit,
+// and gets its member's view back.
+func (s *Stripe) ReadBatch(reqs []ReadReq) (time.Duration, error) {
+	if err := s.check(len(reqs), 1, func(i int) (int64, int64, bool) {
+		return reqs[i].Off, int64(reqs[i].size()), reqs[i].View
+	}); err != nil {
+		return 0, err
+	}
+	for m := range s.members {
+		s.reads[m], s.readOf[m] = s.reads[m][:0], s.readOf[m][:0]
+	}
+	for i, r := range reqs {
+		s.split(r.Off, int64(r.size()), func(m int, moff, at, k int64, cont bool) {
+			if last := len(s.reads[m]) - 1; cont {
+				s.reads[m][last].P = s.reads[m][last].P[:len(s.reads[m][last].P)+int(k)]
+				return
+			}
+			piece := ReadReq{Off: moff}
+			if r.View {
+				piece.N, piece.View = r.N, true
+			} else {
+				piece.P = r.P[at : at+k]
+			}
+			s.reads[m] = append(s.reads[m], piece)
+			s.readOf[m] = append(s.readOf[m], i)
+		})
+	}
+	var lat time.Duration
+	for m, d := range s.members {
+		if len(s.reads[m]) == 0 {
+			continue
+		}
+		l, err := d.ReadBatch(s.reads[m])
+		lat = max(lat, l)
+		if err != nil {
+			return lat, err
+		}
+		for j, r := range s.reads[m] {
+			if r.View {
+				reqs[s.readOf[m][j]].P = r.P
+			}
+		}
+	}
+	return lat, nil
+}
+
+// WriteBatch implements Device: reqs split into one submission per member
+// (see Stripe). Writes must be aligned to the members' page, as on every
+// device model.
+func (s *Stripe) WriteBatch(reqs []WriteReq) (time.Duration, error) {
+	if err := s.check(len(reqs), s.geom.PageSize, func(i int) (int64, int64, bool) {
+		return reqs[i].Off, int64(len(reqs[i].P)), false
+	}); err != nil {
+		return 0, err
+	}
+	for m := range s.members {
+		s.writes[m] = s.writes[m][:0]
+	}
+	for _, r := range reqs {
+		s.split(r.Off, int64(len(r.P)), func(m int, moff, at, k int64, cont bool) {
+			if last := len(s.writes[m]) - 1; cont {
+				s.writes[m][last].P = s.writes[m][last].P[:len(s.writes[m][last].P)+int(k)]
+				return
+			}
+			s.writes[m] = append(s.writes[m], WriteReq{P: r.P[at : at+k], Off: moff})
+		})
+	}
+	var lat time.Duration
+	for m, d := range s.members {
+		if len(s.writes[m]) == 0 {
+			continue
+		}
+		l, err := d.WriteBatch(s.writes[m])
+		lat = max(lat, l)
+		if err != nil {
+			return lat, err
+		}
+	}
+	return lat, nil
+}

@@ -51,7 +51,9 @@ import (
 // A device without one writes about 64 KB at a time, or a quarter of a
 // smaller log. The capacity rounds down to whole units, so every cycle
 // ends on a unit boundary. Records still buffered in the tail are served
-// from memory.
+// from memory. Over a Stripe, whose EraseBlock is its stripe unit, each
+// write unit lands whole on one member, and a read or write submission
+// becomes one per member; the log is the same either way.
 //
 // Record reads go to the device by the page, as §5.1.1 reads the index:
 // each call adds the device pages its records' device bytes lie in to a
@@ -61,7 +63,8 @@ import (
 // and the requests overlap across the device's queue lanes. This is the
 // "second I/O stream" of a batched Get, which the clam facade issues for
 // each hand-off of hits (see core.HitHook), on the value-log device's own
-// timeline, while the index device probes. Inside a get chunk (BeginChunk
+// timelines, one per member of a striped log, while the index device
+// probes. Inside a get chunk (BeginChunk
 // to EndChunk) a page one call read is not read again by a later call;
 // any write forgets the chunk's pages, so a view is never used past the
 // device's next write. A single-record read is the one-page case.

@@ -24,13 +24,16 @@ func oneLaneSSD() ssd.Profile {
 	return p
 }
 
-// pageModels are the devices the page-read tests run on.
+// pageModels are the devices the page-read tests run on: the SSD, the
+// disk, and two-member stripes of each (see stripeModels).
 var pageModels = [...]struct {
 	name string
 	dev  func(*vclock.Clock) storage.Device
 }{
 	{"ssd", func(c *vclock.Clock) storage.Device { return ssd.New(oneLaneSSD(), 256<<10, c) }},
 	{"disk", func(c *vclock.Clock) storage.Device { return disk.New(disk.Hitachi7K80(), 256<<10, c) }},
+	{"stripe-ssd", func(c *vclock.Clock) storage.Device { return ssdStripe(1, 256<<10, c) }},
+	{"stripe-disk", func(c *vclock.Clock) storage.Device { return diskStripe(256<<10, c) }},
 }
 
 // pageRec is a record a pageLog appended, or a location a test made up.
