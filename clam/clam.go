@@ -57,7 +57,11 @@
 // 512 keys; a read run is one chunk, so its one core call resolves each
 // distinct key once: the core's in-memory phase finds each repeat as it
 // reaches it, charges the shard's clock CPU.BatchCoalesce there, and
-// answers the repeat from the key's first occurrence.
+// answers the repeat from the key's first occurrence. A GetBatchU64 run
+// far above the mean lends that dedupe: shards with short runs dedupe its
+// tail on their own clocks and forward its distinct keys to the owner,
+// whose one call then resolves the same distinct keys in the same order
+// (see Sharded.GetBatchU64).
 // GetBatch/GetBatchU64 overlap each probing round's index page probes
 // across the index device's internal queue lanes; GetBatch reads the
 // records of its hits in batched value-log reads, likewise overlapped, on
@@ -146,6 +150,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/metrics"
+	"repro/internal/ssd"
 	"repro/internal/storage"
 	"repro/internal/vclock"
 )
@@ -230,6 +235,8 @@ type shard struct {
 	rec      [][]byte
 	recArena []byte
 	batchHit [][]byte
+
+	lentDedupes uint64 // read positions deduped for other shards' runs, guarded by mu
 
 	putPtrs   []uint64 // PutBatch value-log pointer scratch, guarded by mu
 	displaced []uint64 // buffer words a byte chunk's core call displaced, guarded by mu
@@ -318,37 +325,29 @@ const indexLogShare = 2
 // The partition is an SSD of its own on the index device's clock, so the
 // index's FTL state does not change and the two serialize on one
 // timeline. The log's capacity, and so its unit boundaries, cycles and
-// pointer words, are those of a log over one SSD of vbytes. A log keeps
-// the one SSD when idxClock is nil (a WithCustomDevice store, whose index
-// device runs on the shard clock) or when it is too small to give the
-// partition a unit.
+// pointer words, are those of a log over one SSD of vbytes: the kind's
+// profile gives its erase block and rounds vbytes up to whole blocks, as
+// the SSD model does. A log keeps the one SSD when idxClock is nil (a
+// WithCustomDevice store, whose index device runs on the shard clock) or
+// when it is too small to give the partition a unit.
 func (s *shard) openLog(kind DeviceKind, vbytes int64, idxClock *vclock.Clock) (storage.Device, error) {
-	logClock := vclock.New()
-	dev, err := newKindDevice(kind, vbytes, logClock)
+	prof, err := kindProfile(kind)
 	if err != nil {
 		return nil, err
 	}
-	s.logs = []logMember{{dev, logClock}}
-	if idxClock == nil {
-		return dev, nil
-	}
-	unit := dev.Geometry().EraseBlock
+	logClock := vclock.New()
+	unit := int64(prof.BlockSize())
 	pattern := make([]int, indexLogShare)
 	pattern[indexLogShare-1] = 1
-	shares := storage.StripeShares(pattern, 2, dev.Geometry().Capacity/int64(unit))
-	if shares[1] == 0 {
+	shares := storage.StripeShares(pattern, 2, (vbytes+unit-1)/unit)
+	if idxClock == nil || shares[1] == 0 {
+		dev := ssd.New(prof, vbytes, logClock)
+		s.logs = []logMember{{dev, logClock}}
 		return dev, nil
 	}
-	logPart, err := newKindDevice(kind, shares[0]*int64(unit), logClock)
-	if err != nil {
-		return nil, err
-	}
-	idxPart, err := newKindDevice(kind, shares[1]*int64(unit), idxClock)
-	if err != nil {
-		return nil, err
-	}
+	logPart, idxPart := ssd.New(prof, shares[0]*unit, logClock), ssd.New(prof, shares[1]*unit, idxClock)
 	s.logs = []logMember{{logPart, logClock}, {idxPart, idxClock}}
-	return storage.NewStripe(unit, pattern, logPart, idxPart)
+	return storage.NewStripe(int(unit), pattern, logPart, idxPart)
 }
 
 // deriveConfig applies §6.4: choose B′ (≈ flash block), the number of super
@@ -510,6 +509,38 @@ func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
 func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
 	w := s.begin()
 	return s.end(&s.lookup, w, len(keys), s.bh.LookupBatch(keys, results, nil))
+}
+
+// lendU64 is getBatchU64Into for a helper in a read batch's lent dedupe
+// (see router.lend), with lent positions of another shard's run deduped
+// on its behalf: their charge lands on the shard's clock during its own
+// call, or as a plain advance when its run is empty, which records no
+// latency. It returns the instant on the shard's clock at which the lent
+// dedupe ended.
+func (s *shard) lendU64(keys []uint64, results []core.LookupResult, lent int) (ready time.Duration, err error) {
+	w := s.begin()
+	s.lentDedupes += uint64(lent)
+	s.bh.Lend(lent)
+	if len(keys) > 0 {
+		if err = s.bh.LookupBatch(keys, results, nil); err == nil {
+			observeSpread(&s.lookup, w.Elapsed(), len(keys))
+		}
+	}
+	ready = s.bh.LentReady()
+	s.mu.Unlock()
+	return ready, err
+}
+
+// getLentU64 is getBatchU64Into for the owner of a split run (see
+// router.lend): its clock first moves up to ready, the instant its
+// helpers' dedupe ended, and keys, its head and the keys forwarded for its
+// tail, answer all positions of its run. It returns the clock instant at
+// which its lookup call began.
+func (s *shard) getLentU64(keys []uint64, results []core.LookupResult, ready time.Duration, positions int) (start time.Duration, err error) {
+	w := s.begin()
+	s.clock.AdvanceTo(ready)
+	start = s.clock.Now()
+	return start, s.end(&s.lookup, w, positions, s.bh.LookupBatch(keys, results, nil))
 }
 
 // deleteBatchU64Chunk is one batched delete. Deletes perform no I/O.
@@ -809,6 +840,7 @@ func (s *shard) resetMetrics() {
 	s.insert.Reset()
 	s.lookup.Reset()
 	s.del.Reset()
+	s.lentDedupes = 0
 	s.bh.ResetStats()
 }
 
@@ -818,6 +850,7 @@ func (s *shard) addStats(agg *Stats, hs *[3]metrics.Histogram) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	agg.Core.Merge(s.bh.Stats())
+	agg.LentDedupes += s.lentDedupes
 	agg.Device.Add(s.dev.Counters())
 	agg.Memory.Add(s.bh.MemoryFootprint())
 	agg.ValueDevice.Add(s.vlog.Device().Counters())
@@ -848,6 +881,11 @@ type Stats struct {
 	InsertLatency metrics.Summary
 	LookupLatency metrics.Summary
 	DeleteLatency metrics.Summary
+
+	// LentDedupes counts the read-batch positions a shard deduped for a
+	// skewed run of another shard (see Sharded.GetBatchU64), since Open or
+	// ResetMetrics. The owning shard's LookupLatency counts them.
+	LentDedupes uint64
 
 	Memory core.MemoryFootprint
 }

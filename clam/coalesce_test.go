@@ -209,14 +209,9 @@ func checkNoAlias(t *testing.T, vals [][]byte) {
 	}
 }
 
-// FuzzCoalescedBatches runs an op sequence on 1-, 2- and 8-shard store
-// pairs: GetBatchU64, GetBatch and ContainsBatch positions must equal the
-// twin's one-key GetU64, Get and ContainsBatch answers, interleaved with
-// per-key and batch puts and deletes and flushes of both families. The
-// stores are small enough that the sequences flush buffers and evict
-// incarnations, so repeats resolve from the buffer and from flash.
-func FuzzCoalescedBatches(f *testing.F) {
-	f.Add([]byte{
+// coalesceSeeds is FuzzCoalescedBatches' seed corpus.
+func coalesceSeeds() [][]byte {
+	seeds := [][]byte{{
 		copPutBatches, 6, 0, 1, 2, 3, 4, 5,
 		copGetBatchU64, 12, 0, 0, 1, 0, 2, 1, 0, 5, 5, 5, 3, 0,
 		copGetBatch, 12, 0, 0, 1, 0, 2, 1, 0, 5, 5, 5, 3, 0,
@@ -226,7 +221,7 @@ func FuzzCoalescedBatches(f *testing.F) {
 		copGetBatchU64, 6, 1, 1, 0, 1, 1, 0,
 		copGetBatch, 6, 5, 5, 0, 5, 0, 5,
 		copContainsBatch, 4, 5, 0, 5, 0,
-	})
+	}}
 	// Every second round flushes before its reads, so repeats resolve
 	// from flash as well as from the buffers, and the incarnation rings
 	// wrap; the empty values of every fifth put coalesce as well.
@@ -244,60 +239,124 @@ func FuzzCoalescedBatches(f *testing.F) {
 		churn = append(churn, copContainsBatch, 5, byte(i), 1, byte(i), 1, 4)
 		churn = append(churn, copPut, 1, byte(i%5), copDeleteBatch, 2, byte(i%3), byte(i%3))
 	}
-	f.Add(churn)
-	// Shard runs longer than a write chunk: each long read cycles its
-	// window out to longReadRun positions, key 2 at seven in eight, so on
-	// every shard count key 2's run passes position 512 and repeats on
-	// both sides of it, from flash, then from the buffers, then deleted.
-	f.Add([]byte{
-		copPutBatches, 6, 0, 1, 2, 3, 4, 5,
-		copFlush, 1, 0,
-		copLongReads, 8, 2, 2, 2, 5, 2, 2, 2, 2,
-		copPut, 1, 2, copPutU64, 1, 2,
-		copLongReads, 16, 2, 4, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 2, 2,
-		copDeleteU64, 1, 2, copDelete, 1, 2,
-		copLongReads, 8, 2, 2, 2, 3, 2, 2, 2, 2,
-	})
-	// One hookless GetBatchU64 meets every outcome of phase A: key 0 is a
-	// flash hit, key 1, put again after the flush, a buffer hit an
-	// incarnation's filter admits too, key 2 a deleted flash-resident key,
-	// key 3, first put after the flush, a buffer hit only the staging
-	// filter admits, and key 4 a miss no filter admits, whose buffer probe
-	// is skipped unless its super table has a pending delete. Each key is
-	// given twice, so on every shard count each shard's run is a batch.
-	f.Add([]byte{
-		copPutBatches, 3, 0, 1, 2,
-		copFlush, 1, 0,
-		copPutU64, 1, 1,
-		copDeleteU64, 1, 2,
-		copPutU64, 1, 3,
-		copGetBatchU64, 10, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4,
-	})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) > 4000 {
-			ops = ops[:4000]
-		}
-		for _, shards := range []int{1, 2, 8} {
-			open := func() Store {
-				s, err := Open(WithDevice(IntelSSD), WithFlash(1<<20), WithMemory(128<<10),
-					WithValueLog(256<<10), WithBufferKB(4), WithShards(shards), WithSeed(17))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
+	return append(seeds,
+		churn,
+		// Shard runs longer than a write chunk: each long read cycles its
+		// window out to longReadRun positions, key 2 at seven in eight, so
+		// on every shard count key 2's run passes position 512 and repeats
+		// on both sides of it, from flash, then from the buffers, then
+		// deleted.
+		[]byte{
+			copPutBatches, 6, 0, 1, 2, 3, 4, 5,
+			copFlush, 1, 0,
+			copLongReads, 8, 2, 2, 2, 5, 2, 2, 2, 2,
+			copPut, 1, 2, copPutU64, 1, 2,
+			copLongReads, 16, 2, 4, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 2, 2,
+			copDeleteU64, 1, 2, copDelete, 1, 2,
+			copLongReads, 8, 2, 2, 2, 3, 2, 2, 2, 2,
+		},
+		// One hookless GetBatchU64 meets every outcome of phase A: key 0
+		// is a flash hit, key 1, put again after the flush, a buffer hit an
+		// incarnation's filter admits too, key 2 a deleted flash-resident
+		// key, key 3, first put after the flush, a buffer hit only the
+		// staging filter admits, and key 4 a miss no filter admits, whose
+		// buffer probe is skipped unless its super table has a pending
+		// delete. Each key is given twice, so on every shard count each
+		// shard's run is a batch.
+		[]byte{
+			copPutBatches, 3, 0, 1, 2,
+			copFlush, 1, 0,
+			copPutU64, 1, 1,
+			copDeleteU64, 1, 2,
+			copPutU64, 1, 3,
+			copGetBatchU64, 10, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4,
+		},
+		// GetBatchU64 windows that pile most positions onto key 2's shard
+		// (shard 6 of 8, shard 1 of 2, with keys 0 and 5), after flushes
+		// of key 2 alone that put its clock ahead: the run splits, and the
+		// other shards dedupe its tail (TestCoalesceSeedsLend). Key 2 hits
+		// in flash, then in the buffer; key 0, deleted, misses.
+		[]byte{
+			copPutBatches, 6, 0, 1, 2, 3, 4, 5,
+			copFlush, 1, 0,
+			copPutU64, 1, 2, copFlush, 1, 0,
+			copPutU64, 1, 2, copFlush, 1, 0,
+			copDeleteU64, 1, 0,
+			copGetBatchU64, 24, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 2, 6, 2, 2, 2, 1, 2, 2, 3, 2, 4,
+			copPutU64, 1, 2,
+			copGetBatchU64, 24, 2, 1, 2, 2, 2, 2, 2, 2, 2, 6, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 5,
+			copLongReads, 12, 2, 2, 2, 2, 2, 2, 2, 0, 1, 3, 4, 5,
+		},
+	)
+}
+
+// FuzzCoalescedBatches runs an op sequence on 1-, 2- and 8-shard store
+// pairs: GetBatchU64, GetBatch and ContainsBatch positions must equal the
+// twin's one-key GetU64, Get and ContainsBatch answers, interleaved with
+// per-key and batch puts and deletes and flushes of both families. The
+// stores are small enough that the sequences flush buffers and evict
+// incarnations, so repeats resolve from the buffer and from flash, and a
+// GetBatchU64 run that piles onto one shard lends its dedupe to the
+// others.
+func FuzzCoalescedBatches(f *testing.F) {
+	for _, seed := range coalesceSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) { runCoalesced(t, ops) })
+}
+
+// coalesceShards are the shard counts runCoalesced opens.
+var coalesceShards = [...]int{1, 2, 8}
+
+// runCoalesced runs ops on a store pair of each of coalesceShards and
+// returns the positions each batch store's shards deduped for one
+// another (Stats.LentDedupes).
+func runCoalesced(t *testing.T, ops []byte) (lent [len(coalesceShards)]uint64) {
+	if len(ops) > 4000 {
+		ops = ops[:4000]
+	}
+	for si, shards := range coalesceShards {
+		open := func() Store {
+			s, err := Open(WithDevice(IntelSSD), WithFlash(1<<20), WithMemory(128<<10),
+				WithValueLog(256<<10), WithBufferKB(4), WithShards(shards), WithSeed(17))
+			if err != nil {
+				t.Fatal(err)
 			}
-			p := &coalescePair{t: t, batch: open(), twin: open()}
-			for i := 0; i+2 < len(ops); {
-				op, n := int(ops[i])%numCoalesceOps, max(1, int(ops[i+1])%25)
-				i += 2
-				w := ops[i:min(i+n, len(ops))]
-				i += len(w)
-				if len(w) > 0 {
-					p.apply(op, w)
-				}
+			return s
+		}
+		p := &coalescePair{t: t, batch: open(), twin: open()}
+		for i := 0; i+2 < len(ops); {
+			op, n := int(ops[i])%numCoalesceOps, max(1, int(ops[i+1])%25)
+			i += 2
+			w := ops[i:min(i+n, len(ops))]
+			i += len(w)
+			if len(w) > 0 {
+				p.apply(op, w)
 			}
 		}
-	})
+		lent[si] = p.batch.Stats().LentDedupes
+	}
+	return lent
+}
+
+// TestCoalesceSeedsLend requires FuzzCoalescedBatches' seeds to split a
+// GetBatchU64 run, so the fuzzer's oracle covers lent dedupe: on 2 and 8
+// shards some seed lends, and on 1 shard none can.
+func TestCoalesceSeedsLend(t *testing.T) {
+	var lent [len(coalesceShards)]uint64
+	for k, seed := range coalesceSeeds() {
+		l := runCoalesced(t, seed)
+		t.Logf("seed#%d: %v positions lent on %v shards", k, l, coalesceShards)
+		for i, n := range l {
+			lent[i] += n
+		}
+	}
+	for i, shards := range coalesceShards {
+		t.Logf("%d shards: %d positions lent", shards, lent[i])
+		if (shards > 1) != (lent[i] > 0) {
+			t.Errorf("%d shards: %d positions lent", shards, lent[i])
+		}
+	}
 }
 
 // TestLongReadRunsResolveOnce reads batches whose run on one shard is far

@@ -248,12 +248,21 @@ const defaultBatchChunk = 512
 
 // newKindDevice builds a device model of the given kind.
 func newKindDevice(kind DeviceKind, capacity int64, clock *vclock.Clock) (storage.Device, error) {
+	prof, err := kindProfile(kind)
+	if err != nil {
+		return nil, err
+	}
+	return ssd.New(prof, capacity, clock), nil
+}
+
+// kindProfile returns the SSD profile of a device kind.
+func kindProfile(kind DeviceKind) (ssd.Profile, error) {
 	switch kind {
 	case IntelSSD:
-		return ssd.New(ssd.IntelX18M(), capacity, clock), nil
+		return ssd.IntelX18M(), nil
 	case TranscendSSD:
-		return ssd.New(ssd.TranscendTS32(), capacity, clock), nil
+		return ssd.TranscendTS32(), nil
 	default:
-		return nil, fmt.Errorf("clam: unknown device kind %d", kind)
+		return ssd.Profile{}, fmt.Errorf("clam: unknown device kind %d", kind)
 	}
 }

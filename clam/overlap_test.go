@@ -355,6 +355,135 @@ func TestIndexOverlapWindows(t *testing.T) {
 		makespan/windows, twinMakespan/windows)
 }
 
+// TestLentDedupeWindows runs GetBatchU64 windows of the get-batch-zipf
+// benchmark workload's shape (8 shards, 64 MB of Intel flash, 12 MB of
+// DRAM, 4096 Zipf(1.1) keys per batch, warmed with 1.25 times the flash's
+// entries) on the store and on a twin that reads the same per-shard runs
+// through its Shard(i) views, one-shard stores that never split a run.
+// Lent dedupe moves only which shard's clock pays for a repeat, so the
+// answers, every shard's core counters and its LookupLatency.Count must
+// match the twin's. In every window some run must split: each owner's
+// run holds at least 1.25 mean runs and its clock was at or above the
+// mean, each helper's run was below the mean, and each owner's call began
+// at or after the instants its helpers' dedupe ended. Over the windows
+// the store's makespan must fall below the twin's.
+func TestLentDedupeWindows(t *testing.T) {
+	const (
+		flash   = 64 << 20
+		entries = flash / 32 // 16-byte entries at 50% cuckoo load
+		batch   = 4096
+		windows = 20
+		zipfS   = 1.1
+		shards  = 8
+	)
+	ctx := context.Background()
+	opts := []Option{WithDevice(IntelSSD), WithFlash(flash), WithMemory(12 << 20), WithShards(shards)}
+	s, twin := openShardedT(t, opts...), openShardedT(t, opts...)
+	keyRange := workload.RangeForLSR(entries, 0.4)
+	warm := workload.NewZipfStream(2, zipfS, keyRange)
+	keys, vals := make([]uint64, 8192), make([]uint64, 8192)
+	for n := 0; n < entries*5/4; n += len(keys) {
+		for i := range keys {
+			keys[i], vals[i] = warm.Next(), uint64(n+i+1)
+		}
+		for _, st := range []Store{s, twin} {
+			if err := st.PutBatchU64(ctx, keys, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	clocks := func(st *Sharded) (ts []time.Duration, sum time.Duration) {
+		for i := range shards {
+			ts = append(ts, st.Shard(i).Clock().Now())
+			sum += ts[i]
+		}
+		return ts, sum
+	}
+	probe := workload.NewZipfStream(3, zipfS, keyRange)
+	probes := make([]uint64, batch)
+	got, found := make([]uint64, batch), make([]bool, batch)
+	want, wantFound := make([]uint64, batch), make([]bool, batch)
+	runs, at := make([][]uint64, shards), make([][]int, shards)
+	var makespan, twinMakespan time.Duration
+	var lent int
+	for w := range windows {
+		for i := range probes {
+			probes[i] = probe.Next()
+		}
+		s0, sum := clocks(s)
+		t0, _ := clocks(twin)
+		g := s.group(probes, nil)
+		if err := s.getBatchU64(ctx, g, got, found); err != nil {
+			t.Fatal(err)
+		}
+		requireJoined(t, s.shards, "GetBatchU64", nil)
+		if len(g.pieces) == 0 {
+			t.Fatalf("window %d: no run split", w)
+		}
+		run := func(sh int) int { return g.start[sh+1] - g.start[sh] }
+		for _, p := range g.pieces {
+			switch {
+			case !p.done:
+				t.Fatalf("window %d: shard %d never forwarded its piece", w, p.helper)
+			case 4*shards*run(p.owner) < 5*batch || s0[p.owner]*shards < sum:
+				t.Fatalf("window %d: owner %d of a %d-position run, clock %v against the mean %v", w, p.owner, run(p.owner), s0[p.owner], sum/shards)
+			case shards*run(p.helper) >= batch:
+				t.Fatalf("window %d: helper %d has a %d-position run, not below the mean", w, p.helper, run(p.helper))
+			case p.start < p.ready:
+				t.Fatalf("window %d: owner %d's call began at %v, before helper %d's dedupe ended at %v", w, p.owner, p.start, p.helper, p.ready)
+			}
+			lent += p.hi - p.lo
+		}
+		s.putGroups(g)
+
+		for i := range runs {
+			runs[i], at[i] = runs[i][:0], at[i][:0]
+		}
+		for j, k := range probes {
+			i := twin.shardIndex(k)
+			runs[i], at[i] = append(runs[i], k), append(at[i], j)
+		}
+		for i, r := range runs {
+			if len(r) == 0 {
+				continue
+			}
+			v, f, err := twin.Shard(i).GetBatchU64(ctx, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x, j := range at[i] {
+				want[j], wantFound[j] = v[x], f[x]
+			}
+		}
+		if !slices.Equal(got, want) || !slices.Equal(found, wantFound) {
+			t.Fatalf("window %d: answers differ from the twin's", w)
+		}
+		s1, _ := clocks(s)
+		t1, _ := clocks(twin)
+		var most, twinMost time.Duration
+		for i := range shards {
+			a, b := s.Shard(i).Stats(), twin.Shard(i).Stats()
+			if a.Core != b.Core {
+				t.Fatalf("window %d, shard %d: core counters differ from the twin's:\n%+v\n%+v", w, i, a.Core, b.Core)
+			}
+			if a.LookupLatency.Count != b.LookupLatency.Count {
+				t.Fatalf("window %d, shard %d: %d lookup latency samples, the twin %d", w, i, a.LookupLatency.Count, b.LookupLatency.Count)
+			}
+			most, twinMost = max(most, s1[i]-s0[i]), max(twinMost, t1[i]-t0[i])
+		}
+		makespan += most
+		twinMakespan += twinMost
+	}
+	if st := s.Stats(); st.LentDedupes != uint64(lent) || twin.Stats().LentDedupes != 0 {
+		t.Fatalf("LentDedupes %d, the pieces held %d positions; the twin's %d", st.LentDedupes, lent, twin.Stats().LentDedupes)
+	}
+	if makespan >= twinMakespan {
+		t.Fatalf("mean window makespan %v, not below the twin's %v", makespan/windows, twinMakespan/windows)
+	}
+	t.Logf("mean window makespan %v, the twin's %v; %d positions lent over %d windows",
+		makespan/windows, twinMakespan/windows, lent, windows)
+}
+
 // devRead is one read request an index device served, with its device
 // clock reading, which is its submission's start: the fault hook runs
 // before the device serves a submission.

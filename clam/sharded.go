@@ -1,10 +1,12 @@
 package clam
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -208,11 +210,11 @@ func (r *router) Flush() error {
 	return errors.Join(errs...)
 }
 
-// ResetMetrics clears every shard's latency histograms and core counters,
-// typically after a warm-up phase, so the next Stats snapshot's latency
-// summaries and Core cover the since-reset window. The device and
-// value-log counters are not reset: they stay cumulative since Open (see
-// Store.ResetMetrics).
+// ResetMetrics clears every shard's latency histograms, core counters and
+// lent dedupes, typically after a warm-up phase, so the next Stats
+// snapshot's latency summaries, Core and LentDedupes cover the
+// since-reset window. The device and value-log counters are not reset:
+// they stay cumulative since Open (see Store.ResetMetrics).
 func (r *router) ResetMetrics() {
 	for _, s := range r.shards {
 		s.resetMetrics()
@@ -276,6 +278,61 @@ type shardGroups struct {
 	errs     []error
 	canceled error
 	wg       sync.WaitGroup
+
+	// A U64 read batch's lent dedupe (see lend): the pieces of split runs,
+	// in the order they were dealt; per shard the piece it dedupes (-1 for
+	// none) and, for an owner, the first slot of its run that no helper
+	// took (-1 for a shard whose run is not split); per slot of a piece
+	// its key's index among the piece's forwarded keys; each shard's
+	// dedupe table; and the shards in ascending clock order. lentDone, on
+	// mu, wakes an owner waiting for its pieces.
+	pieces   []lentPiece
+	helps    []int
+	rest     []int
+	via      []int32
+	tables   []core.KeyTable
+	byClock  []shardClock
+	lentDone sync.Cond
+}
+
+// queue returns the queue runChunked claims shard sh from: 0 for a
+// helper, 2 for the owner of a split run, 1 for any other shard.
+func (g *shardGroups) queue(sh int) int {
+	switch {
+	case g.helps[sh] >= 0:
+		return 0
+	case g.rest[sh] >= 0:
+		return 2
+	}
+	return 1
+}
+
+// lentPiece is the slots [lo, hi) of owner's read run that helper
+// dedupes. Once done, the piece's first fwd slots hold its distinct keys
+// in first-occurrence order, forwarded to the owner, and ready is the
+// instant on the helper's clock at which their dedupe ended. off is the
+// place of the forwarded keys in the owner's lookup call, and start the
+// owner's clock when that call began, at or after every ready of its
+// pieces.
+type lentPiece struct {
+	owner, helper int
+	lo, hi        int
+	fwd, off      int
+	ready, start  time.Duration
+	done          bool
+}
+
+// shardClock is a shard and its clock reading.
+type shardClock struct {
+	sh int
+	at time.Duration
+}
+
+func (a shardClock) cmp(b shardClock) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	return a.sh - b.sh
 }
 
 // group groups a U64 batch into a pooled shardGroups (see groupInto).
@@ -325,13 +382,17 @@ func (r *router) getGroups() *shardGroups {
 		return g
 	}
 	n := len(r.shards)
-	return &shardGroups{start: make([]int, n+1), cur: make([]int, n)}
+	g := &shardGroups{start: make([]int, n+1), cur: make([]int, n),
+		helps: make([]int, n), rest: make([]int, n), tables: make([]core.KeyTable, n)}
+	g.lentDone.L = &g.mu
+	return g
 }
 
 // groupInto buckets a batch into g's per-shard runs with one
 // two-pass counting sort over keys: it moves the keys — and, when non-nil,
 // the parallel values, byte keys and byte values — into their shard's run,
-// and records each slot's input position in idx.
+// and records each slot's input position in idx. The batch starts with no
+// lent dedupe.
 func (r *router) groupInto(g *shardGroups, keys, values []uint64, bk, bv [][]byte) *shardGroups {
 	g.idx = resize(g.idx, len(keys))
 	g.kbuf = resize(g.kbuf, len(keys))
@@ -345,6 +406,10 @@ func (r *router) groupInto(g *shardGroups, keys, values []uint64, bk, bv [][]byt
 		g.bvbuf = resize(g.bvbuf, len(keys))
 	}
 	clear(g.cur)
+	g.pieces = g.pieces[:0]
+	for sh := range g.helps {
+		g.helps[sh], g.rest[sh] = -1, -1
+	}
 	for _, k := range keys {
 		g.cur[r.shardIndex(k)]++
 	}
@@ -383,7 +448,7 @@ func (r *router) putGroups(g *shardGroups) {
 
 // runChunked is the batch router: shard groups become chunk-sized tasks
 // consumed from a shared queue, so skewed key distributions no longer leave
-// workers idle while unclaimed work exists. Two rules shape the schedule:
+// workers idle while unclaimed work exists. Three rules shape the schedule:
 //
 //   - Single ownership: a shard is claimed by at most one worker at a time.
 //     It serializes behind one mutex anyway, and single ownership
@@ -393,6 +458,19 @@ func (r *router) putGroups(g *shardGroups) {
 //     migrating per chunk measurably thrashes them) and returns to the
 //     shared queue only when the shard is drained, stealing the next
 //     pending shard the moment one exists.
+//   - Helpers first: in a U64 read batch whose skewed runs lend their
+//     dedupe (see lend), the helpers are queued first, a helper with no
+//     run of its own as one empty chunk, then every shard that neither
+//     helps nor splits, then the owners of split runs, which wait for
+//     their helpers, so a worker seldom idles in that wait. Helpers never
+//     wait. A worker claims a shard and checks ctx in one hold of the
+//     queue lock, so by the time an owner is claimed past its check,
+//     every helper was claimed past its own and runs its one chunk: the
+//     wait cannot deadlock, and a canceled batch leaves no owner waiting.
+//     On a two-worker get-batch-zipf probe (300 batches, 10 alternating
+//     runs each, 2 CPUs) the host cost's median was 120.0 ns per key with
+//     owners last, 129.6 with owners right after the helpers and 127.4
+//     before lending, inside run-to-run quartiles about 20 ns apart.
 //
 // At most min(workers, shards with work) worker goroutines run a batch
 // while the caller waits. Chunks of at most chunk slots are the unit of
@@ -400,10 +478,10 @@ func (r *router) putGroups(g *shardGroups) {
 // batched-pipeline call (bounding the core call and its page-dedupe
 // scope) and the router's cancellation point — ctx is checked under the
 // queue lock before every chunk, and a canceled batch stops claiming
-// chunks and returns ctx.Err() joined with any chunk errors. Work already
-// applied stays applied. Writes run in chunks of r.chunk keys; a read
-// run is one chunk of up to core.MaxLookupBatch keys, so its core call
-// resolves each distinct key once across the whole run.
+// chunks and returns ctx.Err() joined with any chunk errors. Work
+// already applied stays applied. Writes run in chunks of r.chunk keys; a
+// read run is one chunk of up to core.MaxLookupBatch keys, so its core
+// call resolves each distinct key once across the whole run.
 //
 // run receives the shard's index and the chunk as a [lo, hi) range of
 // grouped slots. A chunk error stops that shard's remaining chunks; other
@@ -411,9 +489,11 @@ func (r *router) putGroups(g *shardGroups) {
 // attempted.
 func (r *router) runChunked(ctx context.Context, g *shardGroups, chunk int, run func(sh, lo, hi int) error) error {
 	g.ready, g.claim, g.errs, g.canceled = g.ready[:0], 0, g.errs[:0], nil
-	for sh := range g.cur {
-		if g.start[sh+1] > g.start[sh] {
-			g.ready = append(g.ready, sh)
+	for queue := range 3 {
+		for sh := range g.cur {
+			if g.queue(sh) == queue && (g.start[sh+1] > g.start[sh] || g.helps[sh] >= 0) {
+				g.ready = append(g.ready, sh)
+			}
 		}
 	}
 	workers := min(r.workers, len(g.ready))
@@ -428,7 +508,7 @@ func (r *router) runChunked(ctx context.Context, g *shardGroups, chunk int, run 
 				g.claim++
 				// Own sh until drained, failed or canceled; between chunks
 				// only the cursor advance needs the queue lock.
-				for g.cur[sh] < g.start[sh+1] {
+				for {
 					if err := ctx.Err(); err != nil {
 						g.canceled = err
 						break
@@ -442,6 +522,9 @@ func (r *router) runChunked(ctx context.Context, g *shardGroups, chunk int, run 
 						g.errs = append(g.errs, err)
 						break
 					}
+					if hi == g.start[sh+1] {
+						break
+					}
 				}
 			}
 		}()
@@ -453,6 +536,186 @@ func (r *router) runChunked(ctx context.Context, g *shardGroups, chunk int, run 
 	err := errors.Join(g.errs...)
 	clear(g.errs)
 	return err
+}
+
+// Lent dedupe: under a Zipf-skewed read batch every copy of a hot key
+// routes to one shard, whose phase A pays CPU.BatchCoalesce per copy,
+// while the light shards' CPUs sit idle in their device waits, so the
+// slowest shard sets the makespan. On get-batch-zipf (seed 1, 3 s, before
+// lending) shard 2 received 1,973,667 positions and shard 3 713,579, with
+// nearly the same distinct keys (554,704 and 536,801) and index busy time
+// (1.112 s and 1.104 s), but their clocks advanced 1.797 s and 1.370 s:
+// the mean shard was 0.851 of the makespan. Skew-aware splitting (DeWitt,
+// Naughton, Schneider and Seshadri, VLDB 1992) lets the shards behind
+// dedupe part of the hot run. With the thresholds below the makespan fell
+// to 1.566 s (seed 1) and 1.563 s (seed 2), the mean shard 0.952 and 0.954
+// of it. Keeping a quarter-mean head, with helpers that take two mean runs
+// each, measured 1.561 s and 1.560 s, within 0.3%; charging the lent work
+// ahead of the helper's own call, instead of at its first device wait,
+// measured 1.832 s and 1.836 s, slower than not lending.
+const (
+	// A run splits when it holds at least lendSplitQuarters quarters of
+	// the mean run and its shard's clock is at or above the mean shard
+	// clock.
+	lendSplitQuarters = 5
+	// The owner keeps the first mean/lendHead positions of its run, and a
+	// helper, a shard whose run is below the mean, takes at most one mean
+	// run of the rest.
+	lendHead = 2
+)
+
+// lend plans the lent dedupe of a U64 read batch grouped into g (see
+// GetBatchU64): for each split run, from the owner furthest ahead down, it
+// keeps the head with the owner and deals the rest in position order to
+// helpers taken in ascending clock order, one piece each. Positions no
+// helper took stay with the owner. A batch whose runs may exceed one
+// lookup call, or whose mean run is under one position, lends nothing.
+func (r *router) lend(g *shardGroups) {
+	n, total := len(r.shards), g.start[len(r.shards)]
+	mean := total / n
+	if mean == 0 || total > core.MaxLookupBatch {
+		return
+	}
+	g.byClock = g.byClock[:0]
+	var sum time.Duration
+	for sh, s := range r.shards {
+		at := s.clock.Now()
+		sum += at
+		g.byClock = append(g.byClock, shardClock{sh, at})
+	}
+	slices.SortFunc(g.byClock, shardClock.cmp)
+	h := 0 // the next shard, in ascending clock order, to consider as a helper
+	for i := n - 1; i >= 0; i-- {
+		o := g.byClock[i]
+		head, end := g.start[o.sh]+mean/lendHead, g.start[o.sh+1]
+		if 4*n*(end-g.start[o.sh]) < lendSplitQuarters*total || o.at*time.Duration(n) < sum {
+			continue
+		}
+		lo := head
+		for ; lo < end && h < n; h++ {
+			sh := g.byClock[h].sh
+			if n*(g.start[sh+1]-g.start[sh]) >= total {
+				continue
+			}
+			hi := min(lo+mean, end)
+			g.helps[sh] = len(g.pieces)
+			g.pieces = append(g.pieces, lentPiece{owner: o.sh, helper: sh, lo: lo, hi: hi})
+			lo = hi
+		}
+		if lo > head {
+			g.rest[o.sh] = lo
+		}
+	}
+	if len(g.pieces) > 0 {
+		g.via = resize(g.via, total)
+	}
+}
+
+// forward dedupes piece p for its helper: the piece's first slots become
+// its distinct keys in first-occurrence order, and each slot's via the
+// index of its key among them. It returns how many there are.
+func (g *shardGroups) forward(p *lentPiece) int {
+	t := &g.tables[p.helper]
+	t.Reset()
+	keys := g.kbuf[p.lo:p.hi]
+	d := 0
+	for j, k := range keys {
+		keys[d] = k
+		f := t.First(keys, d)
+		if f < 0 {
+			f = int32(d)
+			d++
+		}
+		g.via[p.lo+j] = f
+	}
+	return d
+}
+
+// await waits until every piece of owner's run is forwarded and returns
+// the latest instant a helper's dedupe of one ended.
+func (g *shardGroups) await(owner int) (ready time.Duration) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i := range g.pieces {
+		p := &g.pieces[i]
+		for p.owner == owner && !p.done {
+			g.lentDone.Wait()
+		}
+		if p.owner == owner {
+			ready = max(ready, p.ready)
+		}
+	}
+	return ready
+}
+
+// lookupRun looks up shard sh's read run, the slots [lo, hi), and writes
+// each position's answer to values and found, in the shard's role in the
+// batch's lent dedupe (see lend): a helper forwards its piece, then looks
+// up its own run, if it has one, with the piece's dedupe lent to its
+// clock; an owner waits for its pieces and looks up its head, the
+// forwarded keys, piece by piece, and the positions no helper took, in one
+// call, which answers every position of its run; any other shard looks up
+// its run.
+func (r *router) lookupRun(g *shardGroups, sh, lo, hi int, values []uint64, found []bool) error {
+	s, res := r.shards[sh], g.res[lo:hi]
+	put := func(j int, a core.LookupResult) { values[g.idx[j]], found[g.idx[j]] = a.Value, a.Found }
+	switch {
+	case g.helps[sh] >= 0:
+		p := &g.pieces[g.helps[sh]]
+		fwd := g.forward(p)
+		ready, err := s.lendU64(g.kbuf[lo:hi], res, p.hi-p.lo)
+		g.mu.Lock()
+		p.fwd, p.ready, p.done = fwd, ready, true
+		g.lentDone.Broadcast()
+		g.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	case g.rest[sh] >= 0:
+		ready := g.await(sh)
+		// Forwarded keys overwrite the slots their pieces held: each
+		// piece forwards at most its length, so the call's keys never
+		// pass a slot not yet moved.
+		at, head := -1, 0
+		for i := range g.pieces {
+			if p := &g.pieces[i]; p.owner == sh {
+				if at < 0 {
+					at, head = p.lo, p.lo
+				}
+				p.off = at - lo
+				at += copy(g.kbuf[at:], g.kbuf[p.lo:p.lo+p.fwd])
+			}
+		}
+		rest, restOff := g.rest[sh], at-lo
+		at += copy(g.kbuf[at:], g.kbuf[rest:hi])
+		start, err := s.getLentU64(g.kbuf[lo:at], res[:at-lo], ready, hi-lo)
+		if err != nil {
+			return err
+		}
+		for j := lo; j < head; j++ {
+			put(j, res[j-lo])
+		}
+		for i := range g.pieces {
+			if p := &g.pieces[i]; p.owner == sh {
+				p.start = start
+				for j := p.lo; j < p.hi; j++ {
+					put(j, res[p.off+int(g.via[j])])
+				}
+			}
+		}
+		for j := rest; j < hi; j++ {
+			put(j, res[restOff+j-rest])
+		}
+		return nil
+	default:
+		if err := s.getBatchU64Into(g.kbuf[lo:hi], res); err != nil {
+			return err
+		}
+	}
+	for j := lo; j < hi; j++ {
+		put(j, res[j-lo])
+	}
+	return nil
 }
 
 // --- U64 batches ---
@@ -489,26 +752,42 @@ func (r *router) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 // device address, and overlaps them across the device's queue lanes.
 // Runs are dispatched by the stealing router, so under a Zipf-skewed
 // batch no worker idles while an unclaimed shard remains.
+//
+// A skewed run lends its dedupe (see lend): when a run holds at least 1.25
+// mean runs and its shard's clock is at or above the mean shard clock, the
+// owner keeps the first half mean run, and the rest is dealt in position
+// order to helpers, shards whose runs are below the mean, in ascending
+// clock order, at most one mean run each. A helper dedupes its piece and
+// forwards its distinct keys in first-occurrence order, and charges
+// CPU.BatchCoalesce per position of the piece to its own clock, where it
+// overlaps the helper's own reads (core.BufferHash.Lend). The owner's clock
+// first moves up to the latest instant its helpers' dedupe ended, and its
+// one call looks up its head, the forwarded keys and the positions no
+// helper took: every distinct key of the run in the same first-occurrence
+// order, so its counters, page reads and answers are those of the whole
+// run, and a key forwarded twice is an ordinary repeat. Only which shard's
+// clock pays for a repeat moves. Stats.LentDedupes counts the positions a
+// shard deduped for another's run; the owner's LookupLatency counts every
+// position of its run.
 func (r *router) GetBatchU64(ctx context.Context, keys []uint64) ([]uint64, []bool, error) {
 	values := make([]uint64, len(keys))
 	found := make([]bool, len(keys))
 	g := r.group(keys, nil)
 	defer r.putGroups(g)
-	g.res = resize(g.res, len(keys))
-	err := r.runChunked(ctx, g, core.MaxLookupBatch, func(sh, lo, hi int) error {
-		res := g.res[lo:hi]
-		if err := r.shards[sh].getBatchU64Into(g.kbuf[lo:hi], res); err != nil {
-			return err
-		}
-		for j, i := range g.idx[lo:hi] {
-			values[i], found[i] = res[j].Value, res[j].Found
-		}
-		return nil
-	})
-	if err != nil {
+	if err := r.getBatchU64(ctx, g, values, found); err != nil {
 		return nil, nil, err
 	}
 	return values, found, nil
+}
+
+// getBatchU64 is GetBatchU64 on a batch grouped into g. It leaves the
+// batch's lent dedupe in g.pieces.
+func (r *router) getBatchU64(ctx context.Context, g *shardGroups, values []uint64, found []bool) error {
+	g.res = resize(g.res, len(g.kbuf))
+	r.lend(g)
+	return r.runChunked(ctx, g, core.MaxLookupBatch, func(sh, lo, hi int) error {
+		return r.lookupRun(g, sh, lo, hi, values, found)
+	})
 }
 
 // DeleteBatchU64 lazily removes len(keys) keys, each chunk applied as one

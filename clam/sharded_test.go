@@ -600,6 +600,12 @@ func TestDifferentialHotShardLookups(t *testing.T) {
 			applyBatchedDifferentialWindow(t, tc.name, serial, batched, ops, true, 1536)
 			checkLookupCountersEqual(t, tc.name, serial, batched)
 			checkShardCountersEqual(t, tc.name, serial, batched)
+			// The hot shard's runs split, so the oracle covers lent dedupe.
+			if lent := batched.Stats().LentDedupes; lent == 0 {
+				t.Fatal("no shard deduped for the hot shard's runs")
+			} else {
+				t.Logf("%d positions lent", lent)
+			}
 		})
 	}
 }
@@ -712,7 +718,12 @@ func TestBatchGroupingAllocs(t *testing.T) {
 // GetBatchU64 on the get-batch-zipf store shape (8 shards, 2 workers) at a
 // small scale, warmed so most lookups probe flash: the outputs, the
 // router's grouping and goroutines, and nothing per probe. The lookup
-// pipeline's probe reads and page views must not add to it.
+// pipeline's probe reads and page views must not add to it. Two batches
+// run: uniform keys, half of them stored, which probe flash, and
+// Zipf(1.1)-skewed stored keys, which the hot-entry caches answer once
+// warm, and whose hot shard's run lends its dedupe to the other shards in
+// every call: the pieces, forwarded keys and their index map must not add
+// either.
 func TestLookupBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
@@ -735,30 +746,48 @@ func TestLookupBatchAllocs(t *testing.T) {
 	if s.Stats().Core.Evictions == 0 {
 		t.Fatal("warm-up did not reach the eviction regime")
 	}
-	probes := make([]uint64, 4096)
-	for i := range probes {
+	uniform := make([]uint64, 4096)
+	for i := range uniform {
 		if i%2 == 0 {
-			probes[i] = stored[rng.Intn(len(stored))]
+			uniform[i] = stored[rng.Intn(len(stored))]
 		} else {
-			probes[i] = rng.Uint64()
+			uniform[i] = rng.Uint64()
 		}
 	}
-	get := func() {
-		if _, _, err := s.GetBatchU64(ctx, probes); err != nil {
-			t.Fatal(err)
+	// Zipf(1.1) ranks over the stored keys, so the hottest keys repeat
+	// on their shards as they do on get-batch-zipf.
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(stored)-1))
+	skewed := make([]uint64, 4096)
+	for i := range skewed {
+		skewed[i] = stored[zipf.Uint64()]
+	}
+	for _, c := range []struct {
+		name   string
+		probes []uint64
+		lends  bool // true: the row lends; false: it probes flash
+	}{{"uniform", uniform, false}, {"zipf", skewed, true}} {
+		get := func() {
+			if _, _, err := s.GetBatchU64(ctx, c.probes); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 3; i++ { // warm the pool and the shards' scratch
-		get()
-	}
-	before := s.Stats().Core.FlashProbes
-	allocs := testing.AllocsPerRun(20, get)
-	if s.Stats().Core.FlashProbes == before {
-		t.Fatal("no lookup probed flash")
-	}
-	t.Logf("GetBatchU64 of %d keys: %.1f allocs per call", len(probes), allocs)
-	const bound = 5 // the router's per-call allocations; none per key or probe
-	if allocs > bound {
-		t.Errorf("GetBatchU64 allocates %.1f per warmed call; want at most %d", allocs, bound)
+		for i := 0; i < 3; i++ { // warm the pool and the shards' scratch
+			get()
+		}
+		before, lent := s.Stats().Core.FlashProbes, s.Stats().LentDedupes
+		allocs := testing.AllocsPerRun(20, get)
+		st := s.Stats()
+		if !c.lends && st.Core.FlashProbes == before {
+			t.Fatalf("%s: no lookup probed flash", c.name)
+		}
+		if c.lends && st.LentDedupes == lent {
+			t.Fatalf("%s: no run lent its dedupe", c.name)
+		}
+		t.Logf("%s GetBatchU64 of %d keys: %.1f allocs per call, %d positions lent",
+			c.name, len(c.probes), allocs, st.LentDedupes-lent)
+		const bound = 5 // the router's per-call allocations; none per key or probe
+		if allocs > bound {
+			t.Errorf("%s GetBatchU64 allocates %.1f per warmed call; want at most %d", c.name, allocs, bound)
+		}
 	}
 }

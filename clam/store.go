@@ -123,9 +123,9 @@ type Store interface {
 	Flush() error
 	// Stats snapshots operation counters and latency summaries.
 	Stats() Stats
-	// ResetMetrics clears latency histograms and core counters (typically
-	// after warm-up), so the next Stats' latency summaries and Core cover
-	// the since-reset window. Device, ValueDevice and ValueLog are not
+	// ResetMetrics clears latency histograms, core counters and
+	// LentDedupes (typically after warm-up), so the next Stats' latency
+	// summaries, Core and LentDedupes cover the since-reset window. Device, ValueDevice and ValueLog are not
 	// reset: they stay cumulative since Open, and Memory is the current
 	// footprint.
 	ResetMetrics()

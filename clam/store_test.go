@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -91,6 +93,96 @@ func TestBatchCancellation(t *testing.T) {
 		if applied != 3*64 {
 			t.Fatalf("workers=%d: canceled batch applied %d inserts, want exactly %d (3 chunks of 64)", workers, applied, 3*64)
 		}
+	}
+}
+
+// TestLentDedupeCancellation cancels a GetBatchU64 whose hot run lends
+// its dedupe at each of its chunk-boundary checks in turn, on 1 and 4
+// workers: every call must return, canceled unless all four runs passed
+// their check, and a batch that passed them all must lend and answer as
+// an uncanceled one does.
+func TestLentDedupeCancellation(t *testing.T) {
+	keys, vals := make([]uint64, 1024), make([]uint64, 1024)
+	for i := range keys {
+		keys[i], vals[i] = uint64(i)*0x9e3779b97f4a7c15, uint64(i)
+		if i%4 != 0 {
+			keys[i] &= 1<<62 - 1 // three in four on shard 0 of 4
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		for after := int64(0); after <= 4; after++ {
+			s := openShardedT(t, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
+				WithShards(4), WithWorkers(workers))
+			if err := s.PutBatchU64(context.Background(), keys, vals); err != nil {
+				t.Fatal(err)
+			}
+			got, found, err := s.GetBatchU64(&countingCtx{Context: context.Background(), after: after}, keys)
+			if after < 4 {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("workers=%d, canceled after %d checks: %v", workers, after, err)
+				}
+				continue
+			}
+			if err != nil || s.Stats().LentDedupes == 0 {
+				t.Fatalf("workers=%d: uncanceled batch returned %v after lending %d positions", workers, err, s.Stats().LentDedupes)
+			}
+			for i, v := range got {
+				if !found[i] || v != vals[i] {
+					t.Fatalf("workers=%d: position %d answered (%d, %t), want (%d, true)", workers, i, v, found[i], vals[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLentDedupeConcurrentBatches runs skewed GetBatchU64 calls from four
+// goroutines at once on one store, so batches whose runs lend their
+// dedupe share shards, and the helpers of one batch queue on shard locks
+// that another batch's owners hold: every call must return, and every
+// position must answer its key's value.
+func TestLentDedupeConcurrentBatches(t *testing.T) {
+	keys, vals := make([]uint64, 1024), make([]uint64, 1024)
+	for i := range keys {
+		keys[i], vals[i] = uint64(i)*0x9e3779b97f4a7c15, uint64(i)
+		if i%4 != 0 {
+			keys[i] &= 1<<62 - 1 // three in four on shard 0 of 4
+		}
+	}
+	s := openShardedT(t, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
+		WithShards(4), WithWorkers(2))
+	if err := s.PutBatchU64(context.Background(), keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			batch, want := make([]int, 2048), make([]uint64, 2048)
+			probes := make([]uint64, len(batch))
+			for range 20 {
+				for j := range batch {
+					batch[j] = rng.Intn(len(keys)) * rng.Intn(2) // half the positions repeat key 0
+					probes[j], want[j] = keys[batch[j]], vals[batch[j]]
+				}
+				got, found, err := s.GetBatchU64(context.Background(), probes)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := range got {
+					if !found[j] || got[j] != want[j] {
+						t.Errorf("goroutine %d: position %d answered (%d, %t), want (%d, true)", g, j, got[j], found[j], want[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s.Stats().LentDedupes == 0 {
+		t.Fatal("no run lent its dedupe")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -114,7 +115,7 @@ type batchScratch struct {
 	hits    []int // final hits not yet handed to LookupBatch's hook
 
 	// The batch's distinct keys, and its repeated positions in order.
-	distinct keyTable
+	distinct KeyTable
 	repeats  []Repeat
 
 	// The probing round's waiting list (see resolveEarly): the pending
@@ -129,30 +130,31 @@ type batchScratch struct {
 	pages storage.PageReads
 }
 
-// keyTable is the open-addressed (linear probing) table of a lookup or
-// insert batch's distinct keys, kept at most half full. A slot holds the batch
+// KeyTable is the open-addressed (linear probing) table of a lookup or
+// insert batch's distinct keys, kept at most half full; the clam router's
+// lent dedupe uses one too. A slot holds the batch
 // position of a key's first occurrence plus one, 0 when free, and the
 // batch's keys hold the key, so a table of 4-byte slots stays in the
 // nearest caches. A key's first probe slot is the top bits of its
 // Fibonacci hash, so keys that differ only in their low or high bits
-// still spread. It grows on demand, and reset sizes it for as many
+// still spread. It grows on demand, and Reset sizes it for as many
 // distinct keys as its last batch held (see storage.FitSlots).
-type keyTable struct {
+type KeyTable struct {
 	slots []int32
 	mask  int
 	shift uint
 	n     int // distinct keys recorded
 }
 
-// reset empties the table, sized for as many keys as it held before.
-func (t *keyTable) reset() {
+// Reset empties the table, sized for as many keys as it held before.
+func (t *KeyTable) Reset() {
 	size := storage.FitSlots(len(t.slots), t.n)
 	t.n = 0
 	t.resize(size)
 }
 
 // resize empties the table and sets its slot count to size, a power of two.
-func (t *keyTable) resize(size int) {
+func (t *KeyTable) resize(size int) {
 	if cap(t.slots) < size {
 		t.slots = make([]int32, size)
 	} else {
@@ -163,9 +165,11 @@ func (t *keyTable) resize(size int) {
 	t.shift = uint(64 - bits.Len(uint(t.mask)))
 }
 
-// first returns the position of keys[i]'s first occurrence in keys[:i],
-// or -1 after recording i as that first occurrence.
-func (t *keyTable) first(keys []uint64, i int) int32 {
+// First returns the position of keys[i]'s first occurrence in keys[:i],
+// or -1 after recording i as that first occurrence. Every call since the
+// last Reset must pass keys whose prefix holds the keys recorded so far
+// at their recorded positions.
+func (t *KeyTable) First(keys []uint64, i int) int32 {
 	if 2*t.n+2 > len(t.slots) {
 		t.grow(keys, i)
 	}
@@ -185,11 +189,11 @@ func (t *keyTable) first(keys []uint64, i int) int32 {
 
 // grow doubles a table that recording one more key would take past half
 // full, and records keys[:i] again.
-func (t *keyTable) grow(keys []uint64, i int) {
+func (t *KeyTable) grow(keys []uint64, i int) {
 	t.resize(max(2*len(t.slots), 16))
 	t.n = 0
 	for j := range i {
-		t.first(keys, j)
+		t.First(keys, j)
 	}
 }
 
@@ -339,6 +343,15 @@ type HitHook struct {
 // device probes. A repeated position is never handed over: the record its
 // first occurrence's hit points at answers it. U64 callers pass nil.
 //
+// Dedupe the caller did for another shard's read batch and charged
+// through Lend lands on the clock inside this call: at its first probing
+// round's device wait, after the round's submission and before the join,
+// so the lent work overlaps the call's own reads, or at the call's end
+// when no key reaches flash. The clam router's lent dedupe (see
+// clam.Sharded.GetBatchU64) feeds a skewed run's owner the distinct keys
+// its helpers forwarded, in first-occurrence order, so the owner's
+// counters stay those of the whole run.
+//
 // A batch holds at most MaxLookupBatch keys; a longer one, or one whose
 // results differ in length, fails before any state moves. On any other
 // error the contents of results are unspecified. Every call starts from
@@ -352,7 +365,36 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	}
 	err := b.lookupBatch(keys, results, hook, len(b.cache.sets) > 0 && b.epoch == b.runEpoch)
 	b.runEpoch = b.epoch
+	b.landLent()
 	return err
+}
+
+// Lend charges the CPU work of deduping n positions of another shard's
+// read batch, CPU.BatchCoalesce each, as the clam router's lent dedupe
+// does (see clam.Sharded.GetBatchU64). The next LookupBatch call lands it
+// on the clock at its first probing round's device wait, after the
+// round's submission and before the join, so the work overlaps the call's
+// own reads; a call with no probing round lands it when it ends. Lent
+// work moves no counter.
+func (b *BufferHash) Lend(n int) {
+	b.lent += time.Duration(n) * b.cfg.CPU.BatchCoalesce
+	b.lending = true
+}
+
+// LentReady lands lent work no LookupBatch call has landed, as a plain
+// advance of the clock, and returns the clock instant the last lent work
+// ended: when the positions it deduped are ready for their owner.
+func (b *BufferHash) LentReady() time.Duration {
+	b.landLent()
+	return b.lentReady
+}
+
+// landLent lands the pending lent work, if any, on the clock now.
+func (b *BufferHash) landLent() {
+	if b.lending {
+		b.lentReady = b.cfg.Clock.Advance(b.lent)
+		b.lent, b.lending = 0, false
+	}
 }
 
 // lookupBatch is LookupBatch on validated arguments; run reports that the
@@ -372,12 +414,12 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	batch := len(keys) > 1
 	early := batch && hook != nil
 	if batch {
-		bs.distinct.reset()
+		bs.distinct.Reset()
 	}
 	for i, key := range keys {
 		first := int32(-1)
 		if batch {
-			first = bs.distinct.first(keys, i)
+			first = bs.distinct.First(keys, i)
 		}
 		switch {
 		case first >= 0:
@@ -439,6 +481,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 		// Phase B: submit the round's pages not submitted yet, and wait
 		// for the whole round.
 		err := b.submit(bs.pages.Unsent())
+		b.landLent()
 		b.joinDevice()
 		if err != nil {
 			return err

@@ -65,6 +65,12 @@ type BufferHash struct {
 	// them on the clock in one advance.
 	cpuDebt time.Duration
 
+	// Lent dedupe (see Lend): the charge not landed yet, whether one is
+	// pending, and the clock instant the last landed one ended.
+	lent      time.Duration
+	lending   bool
+	lentReady time.Duration
+
 	// cache is the hot-entry cache (it has no sets when
 	// Config.CacheEntries is 0). epoch is the write epoch, bumped by every change of state but an LRU re-insertion, and
 	// runEpoch the epoch the last lookup call ended at: a lookup call

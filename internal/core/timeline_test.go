@@ -289,3 +289,77 @@ func testTimelines(t *testing.T, policy EvictionPolicy) {
 		t.Fatalf("flash hits handed over while phase A ran: %d, on the twin %d; want some on both", ownHits.early, shHits.early)
 	}
 }
+
+// TestLendLandsAtFirstDeviceWait pins where lent dedupe (Lend) lands on
+// an instance whose device keeps a timeline of its own, against a twin
+// that lends nothing: a batch that probes flash lands it at its first
+// probing round's device wait, after the round's submission, so one
+// position's charge hides under the wait (the clocks end equal) and its
+// ready instant lies inside the call; a batch that resolves in memory
+// lands it when it ends; and LentReady lands work no call took as a plain
+// advance. Results and counters never move.
+func TestLendLandsAtFirstDeviceWait(t *testing.T) {
+	open := func() (*BufferHash, *vclock.Clock) {
+		cfg, clock := testConfig(t)
+		devClock := vclock.New()
+		cfg.Device, cfg.DeviceClock = ssd.New(ssd.IntelX18M(), 1<<20, devClock), devClock
+		return mustNew(t, cfg), clock
+	}
+	twin, twinClock := open()
+	lender, clock := open()
+	var flash []uint64
+	for _, k := range populateTwin(t, twin, lender, 7, 12000, 4000) {
+		if _, ok := firstPage(lender, k); ok {
+			flash = append(flash, k)
+		}
+	}
+	if len(flash) < 64 {
+		t.Fatalf("%d flash-resident keys; want 64", len(flash))
+	}
+	buffered := flash[64:72] // put again below, so phase A resolves them
+	for _, b := range []*BufferHash{twin, lender} {
+		for _, k := range buffered {
+			if err := b.Insert(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	coalesce := lender.cfg.CPU.BatchCoalesce
+	lookup := func(keys []uint64) {
+		t.Helper()
+		want, got := make([]LookupResult, len(keys)), make([]LookupResult, len(keys))
+		if err := twin.LookupBatch(keys, want, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := lender.LookupBatch(keys, got, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || lender.Stats() != twin.Stats() {
+			t.Fatal("lending moved a result or a counter")
+		}
+	}
+
+	start := clock.Now()
+	if start != twinClock.Now() {
+		t.Fatalf("clocks %v and %v differ before any lending", start, twinClock.Now())
+	}
+	lender.Lend(1)
+	lookup(flash[:64])
+	if ready := lender.LentReady(); clock.Now() != twinClock.Now() || ready < start+coalesce || ready >= clock.Now() {
+		t.Fatalf("flash batch: lent work ready at %v, call from %v to %v, the twin's to %v",
+			ready, start, clock.Now(), twinClock.Now())
+	}
+
+	lender.Lend(3)
+	lookup(buffered[:8])
+	if ready := lender.LentReady(); clock.Now() != twinClock.Now()+3*coalesce || ready != clock.Now() {
+		t.Fatalf("buffered batch: clock %v, the twin's %v, lent work ready at %v; want the twin's plus %v, ready at the end",
+			clock.Now(), twinClock.Now(), ready, 3*coalesce)
+	}
+
+	before := clock.Now()
+	lender.Lend(2)
+	if ready := lender.LentReady(); ready != before+2*coalesce || clock.Now() != ready {
+		t.Fatalf("no call: lent work ready at %v, clock %v; want both at %v", ready, clock.Now(), before+2*coalesce)
+	}
+}

@@ -188,8 +188,9 @@ func (s *Stripe) split(off, n int64, piece func(m int, moff, at, k int64, cont b
 }
 
 // ReadBatch implements Device: reqs split into one submission per member
-// (see Stripe). A view request lies inside one page, so inside one unit,
-// and gets its member's view back.
+// (see Stripe). A view request lies inside one page, so inside one unit:
+// it goes to its member whole, without a split, and gets the member's
+// view back.
 func (s *Stripe) ReadBatch(reqs []ReadReq) (time.Duration, error) {
 	if err := s.check(len(reqs), 1, func(i int) (int64, int64, bool) {
 		return reqs[i].Off, int64(reqs[i].size()), reqs[i].View
@@ -200,18 +201,18 @@ func (s *Stripe) ReadBatch(reqs []ReadReq) (time.Duration, error) {
 		s.reads[m], s.readOf[m] = s.reads[m][:0], s.readOf[m][:0]
 	}
 	for i, r := range reqs {
-		s.split(r.Off, int64(r.size()), func(m int, moff, at, k int64, cont bool) {
+		if r.View {
+			m, moff, _ := s.locate(r.Off)
+			s.reads[m] = append(s.reads[m], ReadReq{Off: moff, N: r.N, View: true})
+			s.readOf[m] = append(s.readOf[m], i)
+			continue
+		}
+		s.split(r.Off, int64(len(r.P)), func(m int, moff, at, k int64, cont bool) {
 			if last := len(s.reads[m]) - 1; cont {
 				s.reads[m][last].P = s.reads[m][last].P[:len(s.reads[m][last].P)+int(k)]
 				return
 			}
-			piece := ReadReq{Off: moff}
-			if r.View {
-				piece.N, piece.View = r.N, true
-			} else {
-				piece.P = r.P[at : at+k]
-			}
-			s.reads[m] = append(s.reads[m], piece)
+			s.reads[m] = append(s.reads[m], ReadReq{P: r.P[at : at+k], Off: moff})
 			s.readOf[m] = append(s.readOf[m], i)
 		})
 	}

@@ -263,6 +263,41 @@ func TestStripe(t *testing.T) {
 		}
 	})
 
+	t.Run("a view goes to its member whole", func(t *testing.T) {
+		s, recs, _, _, _ := open(t)
+		image := make([]byte, units*stripeUnit)
+		rand.New(rand.NewSource(2)).Read(image)
+		if _, err := s.WriteAt(image, 0); err != nil {
+			t.Fatal(err)
+		}
+		recs[0].subs, recs[1].subs = nil, nil
+		// Views on each member, two ending at a unit's last byte: unit 2's
+		// last page and the stripe's last 10 bytes, in unit 9.
+		reqs := []storage.ReadReq{
+			{Off: 0, N: ps, View: true},
+			{Off: 3*stripeUnit - ps, N: ps, View: true},
+			{Off: 5*stripeUnit + 7*ps + 3, N: 50, View: true},
+			{Off: units*stripeUnit - 10, N: 10, View: true},
+		}
+		if _, err := s.ReadBatch(reqs); err != nil {
+			t.Fatal(err)
+		}
+		want := [2][][2]int64{
+			{{at(0, 0), ps}, {at(9, stripeUnit-10), 10}},
+			{{at(2, stripeUnit-ps), ps}, {at(5, 7*ps+3), 50}},
+		}
+		for m, rec := range recs {
+			if len(rec.subs) != 1 || !slices.Equal(rec.subs[0], want[m]) {
+				t.Fatalf("member %d served %v, want one submission of %v", m, rec.subs, want[m])
+			}
+		}
+		for _, r := range reqs {
+			if !bytes.Equal(r.P, image[r.Off:r.Off+int64(r.N)]) {
+				t.Fatalf("view at %d holds bytes unlike the image", r.Off)
+			}
+		}
+	})
+
 	t.Run("a member's fault fails the submission", func(t *testing.T) {
 		s, recs, _, _, _ := open(t)
 		if _, err := s.WriteAt(make([]byte, units*stripeUnit), 0); err != nil {
