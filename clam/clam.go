@@ -59,9 +59,9 @@
 // reaches it, charges the shard's clock CPU.BatchCoalesce there, and
 // answers the repeat from the key's first occurrence. A GetBatchU64 run
 // far above the mean lends that dedupe: shards with short runs dedupe its
-// tail on their own clocks and forward its distinct keys to the owner,
-// whose one call then resolves the same distinct keys in the same order
-// (see Sharded.GetBatchU64).
+// tail with their own cores on their own clocks, and the last of them to
+// finish makes the owner's one call, which resolves the same distinct keys
+// in the same order (see Sharded.GetBatchU64).
 // GetBatch/GetBatchU64 overlap each probing round's index page probes
 // across the index device's internal queue lanes; GetBatch reads the
 // records of its hits in batched value-log reads, likewise overlapped, on
@@ -512,15 +512,16 @@ func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult) erro
 }
 
 // lendU64 is getBatchU64Into for a helper in a read batch's lent dedupe
-// (see router.lend), with lent positions of another shard's run deduped
-// on its behalf: their charge lands on the shard's clock during its own
-// call, or as a plain advance when its run is empty, which records no
-// latency. It returns the instant on the shard's clock at which the lent
-// dedupe ended.
-func (s *shard) lendU64(keys []uint64, results []core.LookupResult, lent int) (ready time.Duration, err error) {
+// (see router.lend), which first dedupes piece, positions of another
+// shard's run, in place on its behalf (see core.BufferHash.Lend): their
+// charge lands on the shard's clock during its own call, or as a plain
+// advance when its run is empty, which records no latency. It returns how
+// many distinct keys the piece forwards and the instant on the shard's
+// clock at which its dedupe ended.
+func (s *shard) lendU64(piece []uint64, via []int32, keys []uint64, results []core.LookupResult) (fwd int, ready time.Duration, err error) {
 	w := s.begin()
-	s.lentDedupes += uint64(lent)
-	s.bh.Lend(lent)
+	s.lentDedupes += uint64(len(piece))
+	fwd = s.bh.Lend(piece, via)
 	if len(keys) > 0 {
 		if err = s.bh.LookupBatch(keys, results, nil); err == nil {
 			observeSpread(&s.lookup, w.Elapsed(), len(keys))
@@ -528,14 +529,14 @@ func (s *shard) lendU64(keys []uint64, results []core.LookupResult, lent int) (r
 	}
 	ready = s.bh.LentReady()
 	s.mu.Unlock()
-	return ready, err
+	return fwd, ready, err
 }
 
 // getLentU64 is getBatchU64Into for the owner of a split run (see
-// router.lend): its clock first moves up to ready, the instant its
-// helpers' dedupe ended, and keys, its head and the keys forwarded for its
-// tail, answer all positions of its run. It returns the clock instant at
-// which its lookup call began.
+// router.lend), made by its last helper: its clock first moves up to
+// ready, the instant its helpers' dedupe ended, and keys, its head and the
+// keys forwarded for its tail, answer all positions of its run. It
+// returns the clock instant at which its lookup call began.
 func (s *shard) getLentU64(keys []uint64, results []core.LookupResult, ready time.Duration, positions int) (start time.Duration, err error) {
 	w := s.begin()
 	s.clock.AdvanceTo(ready)
@@ -712,7 +713,7 @@ func (s *shard) retire(displaced []uint64) {
 // that hands its hits to readHits as they become final, from its
 // in-memory phase on, so their records are read on the log device while
 // the index device probes, then one join and the per-key verification.
-// The chunk is one value-log get chunk (see storage.ValueLog.BeginChunk):
+// The chunk is one value-log get chunk (see storage.ValueLog.EndChunk):
 // every hand-off adds its records' log pages to the chunk's one page-read
 // set, so a page one hand-off read serves every later hand-off's records
 // in it. It fills only the hits of values and found.
@@ -721,7 +722,6 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 	s.batchRes = resize(s.batchRes, len(fps))
 	s.rec, s.recArena = resize(s.rec, len(fps)), s.recArena[:0]
 	clear(s.rec)
-	s.vlog.BeginChunk()
 	err := s.bh.LookupBatch(fps, s.batchRes, s.onHits)
 	s.vlog.EndChunk()
 	s.join()

@@ -423,7 +423,7 @@ func TestLentDedupeWindows(t *testing.T) {
 		run := func(sh int) int { return g.start[sh+1] - g.start[sh] }
 		for _, p := range g.pieces {
 			switch {
-			case !p.done:
+			case p.fwd == 0:
 				t.Fatalf("window %d: shard %d never forwarded its piece", w, p.helper)
 			case 4*shards*run(p.owner) < 5*batch || s0[p.owner]*shards < sum:
 				t.Fatalf("window %d: owner %d of a %d-position run, clock %v against the mean %v", w, p.owner, run(p.owner), s0[p.owner], sum/shards)

@@ -269,7 +269,7 @@ type shardGroups struct {
 	found []bool
 
 	// runChunked's schedule, pooled with the groups so a batch allocates
-	// none of it: the shards with work and the next one to claim, the
+	// none of it: the shards queued and the next one to claim, the
 	// chunk errors and the cancellation, guarded by mu. wg waits for the
 	// workers, and for the stripes of fingerprints before them.
 	mu       sync.Mutex
@@ -282,44 +282,28 @@ type shardGroups struct {
 	// A U64 read batch's lent dedupe (see lend): the pieces of split runs,
 	// in the order they were dealt; per shard the piece it dedupes (-1 for
 	// none) and, for an owner, the first slot of its run that no helper
-	// took (-1 for a shard whose run is not split); per slot of a piece
-	// its key's index among the piece's forwarded keys; each shard's
-	// dedupe table; and the shards in ascending clock order. lentDone, on
-	// mu, wakes an owner waiting for its pieces.
-	pieces   []lentPiece
-	helps    []int
-	rest     []int
-	via      []int32
-	tables   []core.KeyTable
-	byClock  []shardClock
-	lentDone sync.Cond
-}
-
-// queue returns the queue runChunked claims shard sh from: 0 for a
-// helper, 2 for the owner of a split run, 1 for any other shard.
-func (g *shardGroups) queue(sh int) int {
-	switch {
-	case g.helps[sh] >= 0:
-		return 0
-	case g.rest[sh] >= 0:
-		return 2
-	}
-	return 1
+	// took (-1 for a shard whose run is not split) and its pieces not yet
+	// forwarded, guarded by mu; per slot of a piece its key's index among
+	// the piece's forwarded keys; and the shards in ascending clock order.
+	pieces  []lentPiece
+	helps   []int
+	rest    []int
+	left    []int
+	via     []int32
+	byClock []shardClock
 }
 
 // lentPiece is the slots [lo, hi) of owner's read run that helper
-// dedupes. Once done, the piece's first fwd slots hold its distinct keys
-// in first-occurrence order, forwarded to the owner, and ready is the
-// instant on the helper's clock at which their dedupe ended. off is the
-// place of the forwarded keys in the owner's lookup call, and start the
-// owner's clock when that call began, at or after every ready of its
-// pieces.
+// dedupes. Once forwarded, the piece's first fwd slots hold its distinct
+// keys in first-occurrence order, and ready is the instant on the
+// helper's clock at which their dedupe ended. off is the place of the
+// forwarded keys in the owner's lookup call, and start the owner's clock
+// when that call began, at or after every ready of its pieces.
 type lentPiece struct {
 	owner, helper int
 	lo, hi        int
 	fwd, off      int
 	ready, start  time.Duration
-	done          bool
 }
 
 // shardClock is a shard and its clock reading.
@@ -382,10 +366,8 @@ func (r *router) getGroups() *shardGroups {
 		return g
 	}
 	n := len(r.shards)
-	g := &shardGroups{start: make([]int, n+1), cur: make([]int, n),
-		helps: make([]int, n), rest: make([]int, n), tables: make([]core.KeyTable, n)}
-	g.lentDone.L = &g.mu
-	return g
+	return &shardGroups{start: make([]int, n+1), cur: make([]int, n),
+		helps: make([]int, n), rest: make([]int, n), left: make([]int, n)}
 }
 
 // groupInto buckets a batch into g's per-shard runs with one
@@ -408,7 +390,7 @@ func (r *router) groupInto(g *shardGroups, keys, values []uint64, bk, bv [][]byt
 	clear(g.cur)
 	g.pieces = g.pieces[:0]
 	for sh := range g.helps {
-		g.helps[sh], g.rest[sh] = -1, -1
+		g.helps[sh], g.rest[sh], g.left[sh] = -1, -1, 0
 	}
 	for _, k := range keys {
 		g.cur[r.shardIndex(k)]++
@@ -448,7 +430,7 @@ func (r *router) putGroups(g *shardGroups) {
 
 // runChunked is the batch router: shard groups become chunk-sized tasks
 // consumed from a shared queue, so skewed key distributions no longer leave
-// workers idle while unclaimed work exists. Three rules shape the schedule:
+// workers idle while unclaimed work exists. Two rules shape the schedule:
 //
 //   - Single ownership: a shard is claimed by at most one worker at a time.
 //     It serializes behind one mutex anyway, and single ownership
@@ -458,30 +440,30 @@ func (r *router) putGroups(g *shardGroups) {
 //     migrating per chunk measurably thrashes them) and returns to the
 //     shared queue only when the shard is drained, stealing the next
 //     pending shard the moment one exists.
-//   - Helpers first: in a U64 read batch whose skewed runs lend their
-//     dedupe (see lend), the helpers are queued first, a helper with no
-//     run of its own as one empty chunk, then every shard that neither
-//     helps nor splits, then the owners of split runs, which wait for
-//     their helpers, so a worker seldom idles in that wait. Helpers never
-//     wait. A worker claims a shard and checks ctx in one hold of the
-//     queue lock, so by the time an owner is claimed past its check,
-//     every helper was claimed past its own and runs its one chunk: the
-//     wait cannot deadlock, and a canceled batch leaves no owner waiting.
-//     On a two-worker get-batch-zipf probe (300 batches, 10 alternating
-//     runs each, 2 CPUs) the host cost's median was 120.0 ns per key with
-//     owners last, 129.6 with owners right after the helpers and 127.4
-//     before lending, inside run-to-run quartiles about 20 ns apart.
 //
-// At most min(workers, shards with work) worker goroutines run a batch
+// In a U64 read batch whose skewed runs lend their dedupe (see lend), the
+// owner of a split run is not queued: the helper that forwards its last
+// piece makes its call (see lookupRun), so no worker waits for another.
+// The helpers are queued first, a helper with no run of its own as one
+// empty chunk, then the other shards, each group in index order, so an
+// owner's call starts while other shards still run rather than last. On
+// a two-worker get-batch-zipf probe (6,000 batches in one process, the
+// two orders alternating, 2 CPUs) index order cost 85.5 to 98.9 ns per
+// key and helpers first 80.4 to 93.0, 5 to 7% less in each of 7 runs:
+// every batch lent, and in 99% of them the last shard in index order was
+// a helper, whose owner's call then ran alone at the batch's end.
+//
+// At most min(workers, queued shards) worker goroutines run a batch
 // while the caller waits. Chunks of at most chunk slots are the unit of
 // work between scheduler decisions: each chunk is one core
 // batched-pipeline call (bounding the core call and its page-dedupe
 // scope) and the router's cancellation point — ctx is checked under the
-// queue lock before every chunk, and a canceled batch stops claiming
-// chunks and returns ctx.Err() joined with any chunk errors. Work
-// already applied stays applied. Writes run in chunks of r.chunk keys; a
-// read run is one chunk of up to core.MaxLookupBatch keys, so its core
-// call resolves each distinct key once across the whole run.
+// queue lock before every chunk and every owner's call, and a canceled
+// batch stops claiming chunks and returns ctx.Err() joined with any chunk
+// errors. Work already applied stays applied. Writes run in chunks of
+// r.chunk keys; a read run is one chunk of up to core.MaxLookupBatch
+// keys, so its core call resolves each distinct key once across the whole
+// run.
 //
 // run receives the shard's index and the chunk as a [lo, hi) range of
 // grouped slots. A chunk error stops that shard's remaining chunks; other
@@ -489,9 +471,10 @@ func (r *router) putGroups(g *shardGroups) {
 // attempted.
 func (r *router) runChunked(ctx context.Context, g *shardGroups, chunk int, run func(sh, lo, hi int) error) error {
 	g.ready, g.claim, g.errs, g.canceled = g.ready[:0], 0, g.errs[:0], nil
-	for queue := range 3 {
+	for pass := range 2 {
+		helper := pass == 0
 		for sh := range g.cur {
-			if g.queue(sh) == queue && (g.start[sh+1] > g.start[sh] || g.helps[sh] >= 0) {
+			if (g.helps[sh] >= 0) == helper && g.rest[sh] < 0 && (helper || g.start[sh+1] > g.start[sh]) {
 				g.ready = append(g.ready, sh)
 			}
 		}
@@ -508,11 +491,7 @@ func (r *router) runChunked(ctx context.Context, g *shardGroups, chunk int, run 
 				g.claim++
 				// Own sh until drained, failed or canceled; between chunks
 				// only the cursor advance needs the queue lock.
-				for {
-					if err := ctx.Err(); err != nil {
-						g.canceled = err
-						break
-					}
+				for g.live(ctx) {
 					lo, hi := g.cur[sh], min(g.cur[sh]+chunk, g.start[sh+1])
 					g.cur[sh] = hi
 					g.mu.Unlock()
@@ -536,6 +515,16 @@ func (r *router) runChunked(ctx context.Context, g *shardGroups, chunk int, run 
 	err := errors.Join(g.errs...)
 	clear(g.errs)
 	return err
+}
+
+// live reports, under mu, whether ctx lets the batch run one more chunk
+// or owner's call, and records its error when it does not.
+func (g *shardGroups) live(ctx context.Context) bool {
+	if err := ctx.Err(); err != nil {
+		g.canceled = err
+		return false
+	}
+	return true
 }
 
 // Lent dedupe: under a Zipf-skewed read batch every copy of a hot key
@@ -600,6 +589,7 @@ func (r *router) lend(g *shardGroups) {
 			hi := min(lo+mean, end)
 			g.helps[sh] = len(g.pieces)
 			g.pieces = append(g.pieces, lentPiece{owner: o.sh, helper: sh, lo: lo, hi: hi})
+			g.left[o.sh]++
 			lo = hi
 		}
 		if lo > head {
@@ -611,111 +601,87 @@ func (r *router) lend(g *shardGroups) {
 	}
 }
 
-// forward dedupes piece p for its helper: the piece's first slots become
-// its distinct keys in first-occurrence order, and each slot's via the
-// index of its key among them. It returns how many there are.
-func (g *shardGroups) forward(p *lentPiece) int {
-	t := &g.tables[p.helper]
-	t.Reset()
-	keys := g.kbuf[p.lo:p.hi]
-	d := 0
-	for j, k := range keys {
-		keys[d] = k
-		f := t.First(keys, d)
-		if f < 0 {
-			f = int32(d)
-			d++
-		}
-		g.via[p.lo+j] = f
-	}
-	return d
-}
-
-// await waits until every piece of owner's run is forwarded and returns
-// the latest instant a helper's dedupe of one ended.
-func (g *shardGroups) await(owner int) (ready time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i := range g.pieces {
-		p := &g.pieces[i]
-		for p.owner == owner && !p.done {
-			g.lentDone.Wait()
-		}
-		if p.owner == owner {
-			ready = max(ready, p.ready)
-		}
-	}
-	return ready
-}
-
 // lookupRun looks up shard sh's read run, the slots [lo, hi), and writes
-// each position's answer to values and found, in the shard's role in the
-// batch's lent dedupe (see lend): a helper forwards its piece, then looks
-// up its own run, if it has one, with the piece's dedupe lent to its
-// clock; an owner waits for its pieces and looks up its head, the
-// forwarded keys, piece by piece, and the positions no helper took, in one
-// call, which answers every position of its run; any other shard looks up
-// its run.
-func (r *router) lookupRun(g *shardGroups, sh, lo, hi int, values []uint64, found []bool) error {
+// each position's answer to values and found. A helper in the batch's
+// lent dedupe (see lend) first dedupes its piece and forwards it; the
+// helper that forwards an owner's last piece then makes the owner's call
+// (see lookupOwner), unless ctx has ended, after its own call, whether or
+// not that failed.
+func (r *router) lookupRun(ctx context.Context, g *shardGroups, sh, lo, hi int, values []uint64, found []bool) error {
 	s, res := r.shards[sh], g.res[lo:hi]
-	put := func(j int, a core.LookupResult) { values[g.idx[j]], found[g.idx[j]] = a.Value, a.Found }
-	switch {
-	case g.helps[sh] >= 0:
-		p := &g.pieces[g.helps[sh]]
-		fwd := g.forward(p)
-		ready, err := s.lendU64(g.kbuf[lo:hi], res, p.hi-p.lo)
-		g.mu.Lock()
-		p.fwd, p.ready, p.done = fwd, ready, true
-		g.lentDone.Broadcast()
-		g.mu.Unlock()
-		if err != nil {
-			return err
+	i := g.helps[sh]
+	if i < 0 {
+		err := s.getBatchU64Into(g.kbuf[lo:hi], res)
+		if err == nil {
+			g.scatter(lo, res, values, found)
 		}
-	case g.rest[sh] >= 0:
-		ready := g.await(sh)
-		// Forwarded keys overwrite the slots their pieces held: each
-		// piece forwards at most its length, so the call's keys never
-		// pass a slot not yet moved.
-		at, head := -1, 0
-		for i := range g.pieces {
-			if p := &g.pieces[i]; p.owner == sh {
-				if at < 0 {
-					at, head = p.lo, p.lo
-				}
-				p.off = at - lo
-				at += copy(g.kbuf[at:], g.kbuf[p.lo:p.lo+p.fwd])
+		return err
+	}
+	p := &g.pieces[i]
+	fwd, ready, err := s.lendU64(g.kbuf[p.lo:p.hi], g.via[p.lo:p.hi], g.kbuf[lo:hi], res)
+	if err == nil {
+		g.scatter(lo, res, values, found)
+	}
+	g.mu.Lock()
+	p.fwd, p.ready = fwd, ready
+	g.left[p.owner]--
+	last := g.left[p.owner] == 0 && g.live(ctx)
+	g.mu.Unlock()
+	if last {
+		err = errors.Join(err, r.lookupOwner(g, p.owner, values, found))
+	}
+	return err
+}
+
+// lookupOwner makes the one lookup call of owner sh's split run, once
+// every piece of it is forwarded: its clock first moves up to the latest
+// instant a helper's dedupe of one ended, and the call looks up its head,
+// the forwarded keys, piece by piece, and the positions no helper took,
+// which answers every position of its run.
+func (r *router) lookupOwner(g *shardGroups, sh int, values []uint64, found []bool) error {
+	lo, hi := g.start[sh], g.start[sh+1]
+	res := g.res[lo:hi]
+	// Forwarded keys overwrite the slots their pieces held: each piece
+	// forwards at most its length, so the call's keys never pass a slot
+	// not yet moved.
+	var ready time.Duration
+	at, head := -1, 0
+	for i := range g.pieces {
+		if p := &g.pieces[i]; p.owner == sh {
+			if at < 0 {
+				at, head = p.lo, p.lo
 			}
-		}
-		rest, restOff := g.rest[sh], at-lo
-		at += copy(g.kbuf[at:], g.kbuf[rest:hi])
-		start, err := s.getLentU64(g.kbuf[lo:at], res[:at-lo], ready, hi-lo)
-		if err != nil {
-			return err
-		}
-		for j := lo; j < head; j++ {
-			put(j, res[j-lo])
-		}
-		for i := range g.pieces {
-			if p := &g.pieces[i]; p.owner == sh {
-				p.start = start
-				for j := p.lo; j < p.hi; j++ {
-					put(j, res[p.off+int(g.via[j])])
-				}
-			}
-		}
-		for j := rest; j < hi; j++ {
-			put(j, res[restOff+j-rest])
-		}
-		return nil
-	default:
-		if err := s.getBatchU64Into(g.kbuf[lo:hi], res); err != nil {
-			return err
+			ready = max(ready, p.ready)
+			p.off = at - lo
+			at += copy(g.kbuf[at:], g.kbuf[p.lo:p.lo+p.fwd])
 		}
 	}
-	for j := lo; j < hi; j++ {
-		put(j, res[j-lo])
+	rest, restOff := g.rest[sh], at-lo
+	at += copy(g.kbuf[at:], g.kbuf[rest:hi])
+	start, err := r.shards[sh].getLentU64(g.kbuf[lo:at], res[:at-lo], ready, hi-lo)
+	if err != nil {
+		return err
 	}
+	g.scatter(lo, res[:head-lo], values, found)
+	for i := range g.pieces {
+		if p := &g.pieces[i]; p.owner == sh {
+			p.start = start
+			for j := p.lo; j < p.hi; j++ {
+				a := res[p.off+int(g.via[j])]
+				values[g.idx[j]], found[g.idx[j]] = a.Value, a.Found
+			}
+		}
+	}
+	g.scatter(rest, res[restOff:restOff+hi-rest], values, found)
 	return nil
+}
+
+// scatter writes the answers res of the slots from lo on to their input
+// positions.
+func (g *shardGroups) scatter(lo int, res []core.LookupResult, values []uint64, found []bool) {
+	for j, a := range res {
+		values[g.idx[lo+j]], found[g.idx[lo+j]] = a.Value, a.Found
+	}
 }
 
 // --- U64 batches ---
@@ -757,18 +723,21 @@ func (r *router) PutBatchU64(ctx context.Context, keys, values []uint64) error {
 // mean runs and its shard's clock is at or above the mean shard clock, the
 // owner keeps the first half mean run, and the rest is dealt in position
 // order to helpers, shards whose runs are below the mean, in ascending
-// clock order, at most one mean run each. A helper dedupes its piece and
-// forwards its distinct keys in first-occurrence order, and charges
-// CPU.BatchCoalesce per position of the piece to its own clock, where it
-// overlaps the helper's own reads (core.BufferHash.Lend). The owner's clock
-// first moves up to the latest instant its helpers' dedupe ended, and its
-// one call looks up its head, the forwarded keys and the positions no
-// helper took: every distinct key of the run in the same first-occurrence
-// order, so its counters, page reads and answers are those of the whole
-// run, and a key forwarded twice is an ordinary repeat. Only which shard's
-// clock pays for a repeat moves. Stats.LentDedupes counts the positions a
-// shard deduped for another's run; the owner's LookupLatency counts every
-// position of its run.
+// clock order, at most one mean run each. A helper's core dedupes its
+// piece under the helper's lock and forwards its distinct keys in
+// first-occurrence order, and charges CPU.BatchCoalesce per position of
+// the piece to the helper's clock, where it overlaps the helper's own
+// reads (core.BufferHash.Lend). The helper that forwards an owner's last
+// piece makes the owner's call: the owner's clock first moves up to the
+// latest instant its helpers' dedupe ended, and its one call looks up its
+// head, the forwarded keys and the positions no helper took: every
+// distinct key of the run in the same first-occurrence order, so its
+// counters, page reads and answers are those of the whole run, and a key
+// forwarded twice is an ordinary repeat. Only which shard's clock pays for
+// a repeat moves. The owner's call runs even when a helper's own call
+// failed, and not when ctx ends before it. Stats.LentDedupes counts the
+// positions a shard deduped for another's run; the owner's LookupLatency
+// counts every position of its run.
 func (r *router) GetBatchU64(ctx context.Context, keys []uint64) ([]uint64, []bool, error) {
 	values := make([]uint64, len(keys))
 	found := make([]bool, len(keys))
@@ -786,7 +755,7 @@ func (r *router) getBatchU64(ctx context.Context, g *shardGroups, values []uint6
 	g.res = resize(g.res, len(g.kbuf))
 	r.lend(g)
 	return r.runChunked(ctx, g, core.MaxLookupBatch, func(sh, lo, hi int) error {
-		return r.lookupRun(g, sh, lo, hi, values, found)
+		return r.lookupRun(ctx, g, sh, lo, hi, values, found)
 	})
 }
 

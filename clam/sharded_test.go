@@ -718,12 +718,12 @@ func TestBatchGroupingAllocs(t *testing.T) {
 // GetBatchU64 on the get-batch-zipf store shape (8 shards, 2 workers) at a
 // small scale, warmed so most lookups probe flash: the outputs, the
 // router's grouping and goroutines, and nothing per probe. The lookup
-// pipeline's probe reads and page views must not add to it. Two batches
-// run: uniform keys, half of them stored, which probe flash, and
-// Zipf(1.1)-skewed stored keys, which the hot-entry caches answer once
-// warm, and whose hot shard's run lends its dedupe to the other shards in
-// every call: the pieces, forwarded keys and their index map must not add
-// either.
+// pipeline's probe reads and page views must not add to it. Two kinds of
+// batch run: uniform keys, half of them stored, and Zipf(1.1)-skewed
+// recently stored keys, whose hot shard's run lends its dedupe to the
+// other shards: the pieces, forwarded keys and their index map must not
+// add either. The skewed calls rotate through more distinct keys than the
+// hot-entry caches hold, so the measured calls both lend and probe flash.
 func TestLookupBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
@@ -732,9 +732,10 @@ func TestLookupBatchAllocs(t *testing.T) {
 		WithShards(8), WithWorkers(2), WithSeed(9))
 	rng := rand.New(rand.NewSource(17))
 	ctx := context.Background()
+	const rounds, recentRounds = 80, 16
 	keys, vals := make([]uint64, 8192), make([]uint64, 8192)
-	var stored []uint64
-	for round := 0; round < 80; round++ {
+	var stored, recent []uint64
+	for round := 0; round < rounds; round++ {
 		for i := range keys {
 			keys[i], vals[i] = rng.Uint64(), uint64(i+1)
 		}
@@ -742,6 +743,9 @@ func TestLookupBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		stored = append(stored, keys[:64]...)
+		if round >= rounds-recentRounds {
+			recent = append(recent, keys...)
+		}
 	}
 	if s.Stats().Core.Evictions == 0 {
 		t.Fatal("warm-up did not reach the eviction regime")
@@ -754,37 +758,43 @@ func TestLookupBatchAllocs(t *testing.T) {
 			uniform[i] = rng.Uint64()
 		}
 	}
-	// Zipf(1.1) ranks over the stored keys, so the hottest keys repeat
-	// on their shards as they do on get-batch-zipf.
-	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(stored)-1))
-	skewed := make([]uint64, 4096)
-	for i := range skewed {
-		skewed[i] = stored[zipf.Uint64()]
+	// Zipf(1.1) ranks over the recent keys, so the hottest keys repeat on
+	// their shards as they do on get-batch-zipf, with each batch's ranks
+	// shifted to other keys.
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(recent)-1))
+	skewed := make([][]uint64, 32)
+	for b := range skewed {
+		skewed[b] = make([]uint64, 4096)
+		for i := range skewed[b] {
+			skewed[b][i] = recent[(int(zipf.Uint64())+b*len(recent)/len(skewed))%len(recent)]
+		}
 	}
 	for _, c := range []struct {
-		name   string
-		probes []uint64
-		lends  bool // true: the row lends; false: it probes flash
-	}{{"uniform", uniform, false}, {"zipf", skewed, true}} {
+		name    string
+		batches [][]uint64
+		lends   bool // the measured calls lend as well as probe flash
+	}{{"uniform", [][]uint64{uniform}, false}, {"zipf", skewed, true}} {
+		calls := 0
 		get := func() {
-			if _, _, err := s.GetBatchU64(ctx, c.probes); err != nil {
+			if _, _, err := s.GetBatchU64(ctx, c.batches[calls%len(c.batches)]); err != nil {
 				t.Fatal(err)
 			}
+			calls++
 		}
-		for i := 0; i < 3; i++ { // warm the pool and the shards' scratch
+		for range max(3, len(c.batches)) { // warm the pool and the shards' scratch
 			get()
 		}
 		before, lent := s.Stats().Core.FlashProbes, s.Stats().LentDedupes
 		allocs := testing.AllocsPerRun(20, get)
 		st := s.Stats()
-		if !c.lends && st.Core.FlashProbes == before {
+		if st.Core.FlashProbes == before {
 			t.Fatalf("%s: no lookup probed flash", c.name)
 		}
 		if c.lends && st.LentDedupes == lent {
 			t.Fatalf("%s: no run lent its dedupe", c.name)
 		}
-		t.Logf("%s GetBatchU64 of %d keys: %.1f allocs per call, %d positions lent",
-			c.name, len(c.probes), allocs, st.LentDedupes-lent)
+		t.Logf("%s GetBatchU64 of %d keys: %.1f allocs per call, %d flash probes, %d positions lent",
+			c.name, len(c.batches[0]), allocs, st.Core.FlashProbes-before, st.LentDedupes-lent)
 		const bound = 5 // the router's per-call allocations; none per key or probe
 		if allocs > bound {
 			t.Errorf("%s GetBatchU64 allocates %.1f per warmed call; want at most %d", c.name, allocs, bound)

@@ -6,11 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/ssd"
 	"repro/internal/storage"
 )
 
@@ -96,19 +100,30 @@ func TestBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestLentDedupeCancellation cancels a GetBatchU64 whose hot run lends
-// its dedupe at each of its chunk-boundary checks in turn, on 1 and 4
-// workers: every call must return, canceled unless all four runs passed
-// their check, and a batch that passed them all must lend and answer as
-// an uncanceled one does.
-func TestLentDedupeCancellation(t *testing.T) {
-	keys, vals := make([]uint64, 1024), make([]uint64, 1024)
+// hotShardKeys returns 1024 distinct keys, three in four of them on
+// shard 0 of a 4-shard store, and their values.
+func hotShardKeys() (keys, vals []uint64) {
+	keys, vals = make([]uint64, 1024), make([]uint64, 1024)
 	for i := range keys {
 		keys[i], vals[i] = uint64(i)*0x9e3779b97f4a7c15, uint64(i)
 		if i%4 != 0 {
-			keys[i] &= 1<<62 - 1 // three in four on shard 0 of 4
+			keys[i] &= 1<<62 - 1
 		}
 	}
+	return keys, vals
+}
+
+// TestLentDedupeCancellation cancels a GetBatchU64 whose hot run, on
+// shard 0 of 4, lends its dedupe to the three other shards, at each of its
+// four checks in turn, on 1 and 4 workers: the three helpers' chunks are
+// checked when claimed, and the owner's call when its last helper has
+// made its own. Every call must return, canceled unless all four checks
+// passed, and a canceled call must not start the owner's call: canceled
+// after 3 checks, between the last helper's own call and the owner's, the
+// helpers lent their dedupe and shard 0 looked up nothing. A batch that
+// passed them all must lend and answer as an uncanceled one does.
+func TestLentDedupeCancellation(t *testing.T) {
+	keys, vals := hotShardKeys()
 	for _, workers := range []int{1, 4} {
 		for after := int64(0); after <= 4; after++ {
 			s := openShardedT(t, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
@@ -120,6 +135,13 @@ func TestLentDedupeCancellation(t *testing.T) {
 			if after < 4 {
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("workers=%d, canceled after %d checks: %v", workers, after, err)
+				}
+				if owner := s.Shard(0).Stats(); owner.Core.Lookups != 0 || owner.LookupLatency.Count != 0 {
+					t.Fatalf("workers=%d, canceled after %d checks: the owner looked up %d keys at %d positions",
+						workers, after, owner.Core.Lookups, owner.LookupLatency.Count)
+				}
+				if after == 3 && s.Stats().LentDedupes == 0 {
+					t.Fatalf("workers=%d: canceled after the helpers' checks, but no helper lent its dedupe", workers)
 				}
 				continue
 			}
@@ -135,19 +157,78 @@ func TestLentDedupeCancellation(t *testing.T) {
 	}
 }
 
+// TestLentDedupeHelperFault fails one helper's index reads in a
+// GetBatchU64 whose hot run, on shard 0 of 4, lends its dedupe to the
+// three other shards, each of which reads its own run from flash. The
+// call must return the fault, the owner's one call must still run, once:
+// shard 0's Lookups rise by its run's distinct keys and its
+// LookupLatency.Count by its run's positions, and no router goroutine may
+// outlive the call.
+func TestLentDedupeHelperFault(t *testing.T) {
+	keys, vals := hotShardKeys()
+	for _, workers := range []int{1, 4} {
+		s := openShardedT(t, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
+			WithShards(4), WithWorkers(workers))
+		ctx := context.Background()
+		if err := s.PutBatchU64(ctx, keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil { // so every run reads flash
+			t.Fatal(err)
+		}
+		// Every key once, and key 1, on shard 0, 1024 times more.
+		probes := append(slices.Clone(keys), slices.Repeat(keys[1:2], 1024)...)
+		distinct, positions := 0, 0
+		for i, k := range probes {
+			if s.shardIndex(k) == 0 {
+				positions++
+				if i < len(keys) {
+					distinct++
+				}
+			}
+		}
+		helper := s.shards[3].dev.(*ssd.SSD) // with one worker, the last helper to run
+		var fired atomic.Bool
+		helper.SetFault(func(op storage.Op, _ int64, _ int) error {
+			if op == storage.OpRead {
+				fired.Store(true)
+				return errFault
+			}
+			return nil
+		})
+		goroutines := runtime.NumGoroutine()
+		owner := s.Shard(0).Stats()
+		_, _, err := s.GetBatchU64(ctx, probes)
+		helper.SetFault(nil)
+		if !errors.Is(err, errFault) || !fired.Load() {
+			t.Fatalf("workers=%d: GetBatchU64 returned %v, the fault fired: %t; want the helper's fault", workers, err, fired.Load())
+		}
+		if s.Stats().LentDedupes == 0 {
+			t.Fatalf("workers=%d: no run lent its dedupe", workers)
+		}
+		after := s.Shard(0).Stats()
+		if d := after.Core.Lookups - owner.Core.Lookups; d != uint64(distinct) {
+			t.Fatalf("workers=%d: the owner looked up %d keys, want its run's %d distinct keys once", workers, d, distinct)
+		}
+		if d := after.LookupLatency.Count - owner.LookupLatency.Count; d != uint64(positions) {
+			t.Fatalf("workers=%d: the owner recorded %d lookup positions, want its run's %d", workers, d, positions)
+		}
+		for wait := 0; runtime.NumGoroutine() > goroutines; wait++ {
+			if wait == 100 {
+				t.Fatalf("workers=%d: %d goroutines after the call, %d before", workers, runtime.NumGoroutine(), goroutines)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
 // TestLentDedupeConcurrentBatches runs skewed GetBatchU64 calls from four
 // goroutines at once on one store, so batches whose runs lend their
 // dedupe share shards, and the helpers of one batch queue on shard locks
 // that another batch's owners hold: every call must return, and every
 // position must answer its key's value.
 func TestLentDedupeConcurrentBatches(t *testing.T) {
-	keys, vals := make([]uint64, 1024), make([]uint64, 1024)
-	for i := range keys {
-		keys[i], vals[i] = uint64(i)*0x9e3779b97f4a7c15, uint64(i)
-		if i%4 != 0 {
-			keys[i] &= 1<<62 - 1 // three in four on shard 0 of 4
-		}
-	}
+	keys, vals := hotShardKeys()
 	s := openShardedT(t, WithDevice(IntelSSD), WithFlash(16<<20), WithMemory(4<<20),
 		WithShards(4), WithWorkers(2))
 	if err := s.PutBatchU64(context.Background(), keys, vals); err != nil {

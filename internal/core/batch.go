@@ -115,7 +115,7 @@ type batchScratch struct {
 	hits    []int // final hits not yet handed to LookupBatch's hook
 
 	// The batch's distinct keys, and its repeated positions in order.
-	distinct KeyTable
+	distinct keyTable
 	repeats  []Repeat
 
 	// The probing round's waiting list (see resolveEarly): the pending
@@ -130,31 +130,30 @@ type batchScratch struct {
 	pages storage.PageReads
 }
 
-// KeyTable is the open-addressed (linear probing) table of a lookup or
-// insert batch's distinct keys, kept at most half full; the clam router's
-// lent dedupe uses one too. A slot holds the batch
-// position of a key's first occurrence plus one, 0 when free, and the
+// keyTable is the open-addressed (linear probing) table of a lookup or
+// insert batch's distinct keys, kept at most half full. A slot holds the
+// batch position of a key's first occurrence plus one, 0 when free, and the
 // batch's keys hold the key, so a table of 4-byte slots stays in the
 // nearest caches. A key's first probe slot is the top bits of its
 // Fibonacci hash, so keys that differ only in their low or high bits
-// still spread. It grows on demand, and Reset sizes it for as many
+// still spread. It grows on demand, and reset sizes it for as many
 // distinct keys as its last batch held (see storage.FitSlots).
-type KeyTable struct {
+type keyTable struct {
 	slots []int32
 	mask  int
 	shift uint
 	n     int // distinct keys recorded
 }
 
-// Reset empties the table, sized for as many keys as it held before.
-func (t *KeyTable) Reset() {
+// reset empties the table, sized for as many keys as it held before.
+func (t *keyTable) reset() {
 	size := storage.FitSlots(len(t.slots), t.n)
 	t.n = 0
 	t.resize(size)
 }
 
 // resize empties the table and sets its slot count to size, a power of two.
-func (t *KeyTable) resize(size int) {
+func (t *keyTable) resize(size int) {
 	if cap(t.slots) < size {
 		t.slots = make([]int32, size)
 	} else {
@@ -165,11 +164,11 @@ func (t *KeyTable) resize(size int) {
 	t.shift = uint(64 - bits.Len(uint(t.mask)))
 }
 
-// First returns the position of keys[i]'s first occurrence in keys[:i],
+// first returns the position of keys[i]'s first occurrence in keys[:i],
 // or -1 after recording i as that first occurrence. Every call since the
-// last Reset must pass keys whose prefix holds the keys recorded so far
+// last reset must pass keys whose prefix holds the keys recorded so far
 // at their recorded positions.
-func (t *KeyTable) First(keys []uint64, i int) int32 {
+func (t *keyTable) first(keys []uint64, i int) int32 {
 	if 2*t.n+2 > len(t.slots) {
 		t.grow(keys, i)
 	}
@@ -189,11 +188,11 @@ func (t *KeyTable) First(keys []uint64, i int) int32 {
 
 // grow doubles a table that recording one more key would take past half
 // full, and records keys[:i] again.
-func (t *KeyTable) grow(keys []uint64, i int) {
+func (t *keyTable) grow(keys []uint64, i int) {
 	t.resize(max(2*len(t.slots), 16))
 	t.n = 0
 	for j := range i {
-		t.First(keys, j)
+		t.first(keys, j)
 	}
 }
 
@@ -276,7 +275,7 @@ func (bs *batchScratch) probe(pi int, results []LookupResult) {
 // HitHook is LookupBatch's hit hook. The byte API reads the value-log
 // records its hits point at, on the value-log device's own timeline: the
 // log keeps one page-read set for the call (see
-// storage.ValueLog.BeginChunk), and each hand-off submits the log pages
+// storage.ValueLog.EndChunk), and each hand-off submits the log pages
 // that no earlier hand-off of the call added to it, so the lane-sized
 // hand-offs of phase A split a call's page reads without reading a page
 // twice. Phase A meets each buffer hit at its own position, so a hooked
@@ -343,14 +342,14 @@ type HitHook struct {
 // device probes. A repeated position is never handed over: the record its
 // first occurrence's hit points at answers it. U64 callers pass nil.
 //
-// Dedupe the caller did for another shard's read batch and charged
-// through Lend lands on the clock inside this call: at its first probing
-// round's device wait, after the round's submission and before the join,
-// so the lent work overlaps the call's own reads, or at the call's end
-// when no key reaches flash. The clam router's lent dedupe (see
-// clam.Sharded.GetBatchU64) feeds a skewed run's owner the distinct keys
-// its helpers forwarded, in first-occurrence order, so the owner's
-// counters stay those of the whole run.
+// The dedupe of another shard's positions that Lend did since the last
+// call lands on the clock inside this call: at its first probing round's
+// device wait, after the round's submission and before the join, so the
+// lent work overlaps the call's own reads, or at the call's end when no
+// key reaches flash. The owner of those positions looks up the distinct
+// keys Lend left, in first-occurrence order, in one call with the rest of
+// its run (see clam.Sharded.GetBatchU64), so its counters stay those of
+// the whole run.
 //
 // A batch holds at most MaxLookupBatch keys; a longer one, or one whose
 // results differ in length, fails before any state moves. On any other
@@ -369,16 +368,31 @@ func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	return err
 }
 
-// Lend charges the CPU work of deduping n positions of another shard's
-// read batch, CPU.BatchCoalesce each, as the clam router's lent dedupe
-// does (see clam.Sharded.GetBatchU64). The next LookupBatch call lands it
-// on the clock at its first probing round's device wait, after the
-// round's submission and before the join, so the work overlaps the call's
-// own reads; a call with no probing round lands it when it ends. Lent
-// work moves no counter.
-func (b *BufferHash) Lend(n int) {
-	b.lent += time.Duration(n) * b.cfg.CPU.BatchCoalesce
+// Lend dedupes keys, positions of another shard's read batch, in place,
+// as the clam router's lent dedupe does (see clam.Sharded.GetBatchU64):
+// keys' first distinct entries become its distinct keys in
+// first-occurrence order, via[j] the index of keys[j]'s key among them,
+// and it returns how many there are. It uses the lookup batch's key table
+// and charges CPU.BatchCoalesce per position, which the next LookupBatch
+// call lands on the clock at its first probing round's device wait, after
+// the round's submission and before the join, so the work overlaps the
+// call's own reads; a call with no probing round lands it when it ends.
+// Lent work moves no counter.
+func (b *BufferHash) Lend(keys []uint64, via []int32) (distinct int) {
+	t := &b.batch.distinct
+	t.reset()
+	for j, k := range keys {
+		keys[distinct] = k
+		f := t.first(keys, distinct)
+		if f < 0 {
+			f = int32(distinct)
+			distinct++
+		}
+		via[j] = f
+	}
+	b.lent += time.Duration(len(keys)) * b.cfg.CPU.BatchCoalesce
 	b.lending = true
+	return distinct
 }
 
 // LentReady lands lent work no LookupBatch call has landed, as a plain
@@ -414,12 +428,12 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 	batch := len(keys) > 1
 	early := batch && hook != nil
 	if batch {
-		bs.distinct.Reset()
+		bs.distinct.reset()
 	}
 	for i, key := range keys {
 		first := int32(-1)
 		if batch {
-			first = bs.distinct.First(keys, i)
+			first = bs.distinct.first(keys, i)
 		}
 		switch {
 		case first >= 0:

@@ -60,7 +60,7 @@ type insertScratch struct {
 	// The batch's distinct keys, and for each first occurrence's
 	// position, its super table's flushGen after the key's latest full
 	// insert.
-	distinct KeyTable
+	distinct keyTable
 	gen      []uint64
 	reqs     []storage.WriteReq // flushStaged submission scratch
 }
@@ -87,7 +87,7 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 	is := &b.insert
 	batch := len(keys) > 1
 	if batch {
-		is.distinct.Reset()
+		is.distinct.reset()
 		is.gen = slices.Grow(is.gen[:0], len(keys))[:len(keys)]
 	}
 
@@ -100,7 +100,7 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 		b.stats.Inserts++
 		f := i
 		if batch {
-			if first := is.distinct.First(keys, i); first >= 0 {
+			if first := is.distinct.first(keys, i); first >= 0 {
 				f = int(first)
 			}
 		}

@@ -125,7 +125,7 @@ func BenchmarkPhaseA(b *testing.B) {
 }
 
 // BenchmarkCoalesceProbe measures the host cost per key of phase A's
-// dedupe probe (KeyTable.First, which finds a repeated key or records a
+// dedupe probe (keyTable.first, which finds a repeated key or records a
 // new one, after a reset per call) over 4096-key batches of the
 // get-batch-zipf benchmark workload's Zipf(1.1) keys, each split by its
 // top three key bits into the runs its 8 shards' LookupBatch calls take.
@@ -146,13 +146,13 @@ func BenchmarkCoalesceProbe(b *testing.B) {
 			runs[at] = append(runs[at], k)
 		}
 	}
-	var t KeyTable
+	var t keyTable
 	distinct := 0
 	for i := 0; b.Loop(); i++ {
 		for _, run := range runs[i%batches*shards:][:shards] {
-			t.Reset()
+			t.reset()
 			for j := range run {
-				if t.First(run, j) < 0 {
+				if t.first(run, j) < 0 {
 					distinct++
 				}
 			}

@@ -297,7 +297,8 @@ func testTimelines(t *testing.T, policy EvictionPolicy) {
 // position's charge hides under the wait (the clocks end equal) and its
 // ready instant lies inside the call; a batch that resolves in memory
 // lands it when it ends; and LentReady lands work no call took as a plain
-// advance. Results and counters never move.
+// advance. Lend dedupes its positions in place and charges each one.
+// Results and counters never move.
 func TestLendLandsAtFirstDeviceWait(t *testing.T) {
 	open := func() (*BufferHash, *vclock.Clock) {
 		cfg, clock := testConfig(t)
@@ -343,14 +344,21 @@ func TestLendLandsAtFirstDeviceWait(t *testing.T) {
 	if start != twinClock.Now() {
 		t.Fatalf("clocks %v and %v differ before any lending", start, twinClock.Now())
 	}
-	lender.Lend(1)
+	lend := func(keys ...uint64) (distinct int, via []int32) {
+		via = make([]int32, len(keys))
+		return lender.Lend(keys, via), via
+	}
+	lend(7)
 	lookup(flash[:64])
 	if ready := lender.LentReady(); clock.Now() != twinClock.Now() || ready < start+coalesce || ready >= clock.Now() {
 		t.Fatalf("flash batch: lent work ready at %v, call from %v to %v, the twin's to %v",
 			ready, start, clock.Now(), twinClock.Now())
 	}
 
-	lender.Lend(3)
+	lent := []uint64{5, 9, 5}
+	if d, via := lend(lent...); d != 2 || !slices.Equal(lent[:d], []uint64{5, 9}) || !slices.Equal(via, []int32{0, 1, 0}) {
+		t.Fatalf("Lend(5, 9, 5) left %d distinct keys %v, via %v; want 2, [5 9], [0 1 0]", d, lent[:d], via)
+	}
 	lookup(buffered[:8])
 	if ready := lender.LentReady(); clock.Now() != twinClock.Now()+3*coalesce || ready != clock.Now() {
 		t.Fatalf("buffered batch: clock %v, the twin's %v, lent work ready at %v; want the twin's plus %v, ready at the end",
@@ -358,7 +366,7 @@ func TestLendLandsAtFirstDeviceWait(t *testing.T) {
 	}
 
 	before := clock.Now()
-	lender.Lend(2)
+	lend(7, 7)
 	if ready := lender.LentReady(); ready != before+2*coalesce || clock.Now() != ready {
 		t.Fatalf("no call: lent work ready at %v, clock %v; want both at %v", ready, clock.Now(), before+2*coalesce)
 	}

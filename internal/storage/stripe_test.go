@@ -361,7 +361,6 @@ func TestStripe(t *testing.T) {
 			t.Fatalf("%d records on the units read", len(reqs))
 		}
 		boom := errors.New("member 1 fault")
-		l.BeginChunk()
 		defer l.EndChunk()
 		// The chunk reads member 0's records first, then all of them while
 		// member 1 fails: the failure forgets the pages read before it.

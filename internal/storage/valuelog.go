@@ -64,10 +64,11 @@ import (
 // "second I/O stream" of a batched Get, which the clam facade issues for
 // each hand-off of hits (see core.HitHook), on the value-log device's own
 // timelines, one per member of a striped log, while the index device
-// probes. Inside a get chunk (BeginChunk
-// to EndChunk) a page one call read is not read again by a later call;
-// any write forgets the chunk's pages, so a view is never used past the
-// device's next write. A single-record read is the one-page case.
+// probes. The calls of one get chunk share the set: a page one call read
+// is not read again by a later call until EndChunk ends the chunk. Any
+// write, and any failed submission, forgets the pages too, so a view is
+// never used past the device's next write. A single-record read is the
+// one-page case.
 //
 // A ValueLog is not safe for concurrent use; the clam facade serializes
 // access under the same lock as the hash table.
@@ -97,11 +98,9 @@ type ValueLog struct {
 	allocTotal int64
 	deadTotal  int64
 
-	// The device pages read since the get chunk began, or in the call
-	// outside a chunk (see BeginChunk), and one call's scratch: where each
-	// request's record lies.
+	// The device pages read in the get chunk so far (see EndChunk), and
+	// one call's scratch: where each request's record lies.
 	pages PageReads
-	chunk bool
 	recs  []recLoc
 }
 
@@ -510,28 +509,19 @@ func (l *ValueLog) split(off, end int64) (lo, hi int64) {
 	return min(max(off, l.bufStart), end), min(max(off, head), end)
 }
 
-// BeginChunk begins a get chunk: until EndChunk, or a write, a page that
-// one ReadRecordsBatch call read is served to later calls from the view
-// the device handed back, with no further request. Outside a chunk each
-// call reads its own pages.
-func (l *ValueLog) BeginChunk() {
-	l.forget()
-	l.chunk = true
-}
-
-// EndChunk ends the get chunk BeginChunk began and forgets its pages.
-// Records already read stay valid until the device's next write.
-func (l *ValueLog) EndChunk() {
-	l.forget()
-	l.chunk = false
-}
+// EndChunk ends a get chunk: the ReadRecordsBatch calls since the last
+// EndChunk, write or failed submission, which serve a page one of them
+// read to the later ones from the view the device handed back, with no
+// further request. It forgets their pages; records already read stay
+// valid until the device's next write.
+func (l *ValueLog) EndChunk() { l.forget() }
 
 // forget drops the pages read so far.
 func (l *ValueLog) forget() { l.pages.Reset() }
 
 // ReadRecordsBatch resolves every request's record bytes. The device pages
 // holding the records' device bytes are gathered and deduped, and those
-// not read yet in this get chunk (see BeginChunk) are read as one
+// not read yet in this get chunk (see EndChunk) are read as one
 // address-sorted ReadBatch submission of whole-page view requests, so a
 // batch of record fetches pays each page once, adjacent pages as one
 // sequential run, and the overlapped service time, not the serial sum.
@@ -548,9 +538,6 @@ func (l *ValueLog) forget() { l.pages.Reset() }
 // backing array if the arena moved. A failed submission forgets the
 // chunk's pages.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, error) {
-	if !l.chunk {
-		l.forget()
-	}
 	l.recs = l.recs[:0]
 	copied := 0
 	for i := range reqs {

@@ -129,11 +129,11 @@ func (p *pageLog) devicePages(r pageRec, f func(page int64)) {
 
 // pageStep is one step of a TestValueLogPageReads row.
 type pageStep struct {
-	begin, end bool     // BeginChunk before the read, EndChunk after it
-	read       []string // the records it reads, by name
-	copied     []string // of those, the records copied into the arena
-	reqs       int      // the device requests it submits, or -1 for any
-	runs       int      // on the SSD, the runs among them (0: not checked)
+	keep   bool     // the next step reads in the same get chunk: no EndChunk after the read
+	read   []string // the records it reads, by name
+	copied []string // of those, the records copied into the arena
+	reqs   int      // the device requests it submits, or -1 for any
+	runs   int      // on the SSD, the runs among them (0: not checked)
 }
 
 // TestValueLogPageReads pins the value log's page-granular reads on the
@@ -144,7 +144,8 @@ type pageStep struct {
 // in the tail buffer, the previous cycle's past the head (inside a page
 // and across one), and a made-up current-cycle location across the head.
 //
-// Each row reads some of them, in calls inside or outside a get chunk.
+// Each row reads some of them, in calls that end a get chunk each or
+// share one.
 // Every record must read back byte for byte as the image holds it, the
 // arena must grow by exactly the copied records' bytes, and each call must
 // submit the row's number of requests. A twin device, which saw the same
@@ -173,10 +174,10 @@ func TestValueLogPageReads(t *testing.T) {
 			{read: []string{"p1", "p2", "x"}, copied: []string{"p2", "x"}, reqs: -1},
 		}},
 		{"a chunk reads each page once", []pageStep{
-			{begin: true, read: []string{"a1"}, reqs: 1, runs: 1},
-			{read: []string{"a2", "b1"}, reqs: 1, runs: 1},
-			{read: []string{"b1", "a1", "c"}, copied: []string{"c"}, reqs: -1},
-			{read: []string{"a2", "b1", "c"}, copied: []string{"c"}, reqs: 0, end: true},
+			{keep: true, read: []string{"a1"}, reqs: 1, runs: 1},
+			{keep: true, read: []string{"a2", "b1"}, reqs: 1, runs: 1},
+			{keep: true, read: []string{"b1", "a1", "c"}, copied: []string{"c"}, reqs: -1},
+			{read: []string{"a2", "b1", "c"}, copied: []string{"c"}, reqs: 0},
 			{read: []string{"a1"}, reqs: 1, runs: 1},
 		}},
 	}
@@ -202,16 +203,8 @@ func TestValueLogPageReads(t *testing.T) {
 			picks := pickPageClasses(t, p)
 			for _, row := range rows {
 				t.Run(row.name, func(t *testing.T) {
-					seen := map[int64]bool{} // pages the twin read in the call or the chunk
-					open := false
+					seen := map[int64]bool{} // pages the twin read in the chunk
 					for si, st := range row.steps {
-						if st.begin {
-							p.l.BeginChunk()
-							open = true
-						}
-						if !open || st.begin {
-							clear(seen)
-						}
 						reqs := make([]storage.ValueReadReq, len(st.read))
 						copied := 0
 						var fresh []int64
@@ -233,9 +226,8 @@ func TestValueLogPageReads(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if st.end {
+						if !st.keep {
 							p.l.EndChunk()
-							open = false
 						}
 						for i, name := range st.read {
 							r := picks[name]
@@ -268,6 +260,9 @@ func TestValueLogPageReads(t *testing.T) {
 							if d := clk.Now() - t0; d != want {
 								t.Fatalf("step %d: %d requests took %v, want %v for %d runs", si, got, d, want, st.runs)
 							}
+						}
+						if !st.keep {
+							clear(seen)
 						}
 					}
 				})
@@ -329,7 +324,6 @@ func testWriteForgetsPages(t *testing.T, model func(*vclock.Clock) storage.Devic
 		p.append(rng, 100, 200, 300)
 	}
 	first := p.recs[1] // inside page 0, on the device
-	p.l.BeginChunk()
 	defer p.l.EndChunk()
 	read := func(r pageRec) {
 		t.Helper()
@@ -356,8 +350,8 @@ func testWriteForgetsPages(t *testing.T, model func(*vclock.Clock) storage.Devic
 }
 
 // pageCountingDevice records the pages each scope of reads requests: a
-// scope is one ReadRecordsBatch call outside a get chunk, or a chunk,
-// and ends at any write. It fails the test on a request that is no whole
+// scope is the ReadRecordsBatch calls of one get chunk, and ends at any
+// write. It fails the test on a request that is no whole
 // page view, or on a page requested twice in one scope.
 type pageCountingDevice struct {
 	storage.Device
@@ -395,11 +389,12 @@ func (d *pageCountingDevice) WriteBatch(reqs []storage.WriteReq) (time.Duration,
 // value sizes the next bytes give (below 0xC0 up to about 500 bytes, from
 // 0xC0 up to three device pages); 2 reads a batch of 1 to 32 records
 // picked by the next bytes from every record appended, stale ones
-// included, and sometimes a made-up location across the head; 3 begins
-// or ends a get chunk. Every record the skip rule reads must come back
-// byte for byte as the flat image holds it, every other must come back
-// nil, and no device page may be requested twice in one call outside a
-// chunk, or in one chunk between writes.
+// included, and sometimes a made-up location across the head; 3 toggles
+// whether reads share a get chunk: until it toggles back, they do and it
+// then ends their chunk, and otherwise each read ends its own. Every
+// record the skip rule reads must come back byte for byte as the flat
+// image holds it, every other must come back nil, and no device page may
+// be requested twice in one chunk between writes.
 func checkPageReads(t *testing.T, model int, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -453,6 +448,9 @@ func checkPageReads(t *testing.T, model int, data []byte) {
 			if _, err := p.l.ReadRecordsBatch(reqs, nil); err != nil {
 				t.Fatal(err)
 			}
+			if !chunk {
+				p.l.EndChunk()
+			}
 			for i, r := range recs {
 				var want []byte
 				if p.readable(r) {
@@ -466,8 +464,6 @@ func checkPageReads(t *testing.T, model int, data []byte) {
 		case 3:
 			if chunk {
 				p.l.EndChunk()
-			} else {
-				p.l.BeginChunk()
 			}
 			chunk = !chunk
 			clear(dev.scope)

@@ -138,6 +138,8 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 		if _, err := twin.ReadRecordsBatch(rereqs, nil); err != nil {
 			t.Fatal(err)
 		}
+		l.EndChunk()
+		twin.EndChunk()
 		var skips []int
 		var read []storage.ValueReadReq
 		for j, i := range idx {
@@ -187,6 +189,7 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 		if _, err := kept.ReadRecordsBatch(read, nil); err != nil {
 			t.Fatal(err)
 		}
+		kept.EndChunk()
 		if dev.Counters() != keptDev.Counters() || clk.Now() != keptClk.Now() {
 			t.Fatalf("cycle %d, head %d: counters %+v and clock %v, reading only the records read %+v and %v",
 				cycle, head, dev.Counters(), clk.Now(), keptDev.Counters(), keptClk.Now())
@@ -409,6 +412,8 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 				if _, err := twin.ReadRecordsBatch(rereqs, nil); err != nil {
 					t.Fatal(err)
 				}
+				l.EndChunk()
+				twin.EndChunk()
 				var read, skips []storage.ValueReadReq
 				for j := range reqs {
 					if reqs[j].Rec == nil {
@@ -427,6 +432,7 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 				if _, err := kept.ReadRecordsBatch(read, nil); err != nil {
 					t.Fatal(err)
 				}
+				kept.EndChunk()
 				if devs[0].Counters() != devs[2].Counters() || clks[0].Now() != clks[2].Now() {
 					t.Fatalf("after %d records: counters %+v and clock %v, reading only the records read %+v and %v",
 						i+1, devs[0].Counters(), clks[0].Now(), devs[2].Counters(), clks[2].Now())

@@ -31,11 +31,13 @@ func appendOne(l *storage.ValueLog, key, val []byte) (ptr uint64, err error) {
 	return ptrs[0], err
 }
 
-// readOne reads one record through a one-element ReadRecordsBatch. ok=false
-// means the pointer addresses no live record region.
+// readOne reads one record through a one-element ReadRecordsBatch, a get
+// chunk of its own. ok=false means the pointer addresses no live record
+// region.
 func readOne(l *storage.ValueLog, ptr uint64) (rec []byte, ok bool, err error) {
 	reqs := []storage.ValueReadReq{{Ptr: ptr}}
 	_, err = l.ReadRecordsBatch(reqs, nil)
+	l.EndChunk()
 	return reqs[0].Rec, reqs[0].Rec != nil, err
 }
 
@@ -507,11 +509,12 @@ func TestValueLogReadAllocs(t *testing.T) {
 				perm[i] = reqs[i*97%len(reqs)]
 			}
 			var arena []byte
-			read := func() {
+			read := func() { // a get chunk of its own, so it reads every page
 				var err error
 				if arena, err = l.ReadRecordsBatch(perm, arena[:0]); err != nil {
 					t.Fatal(err)
 				}
+				l.EndChunk()
 			}
 			read()
 			for i := range perm {

@@ -245,6 +245,8 @@ func TestValueLogViewReads(t *testing.T) {
 				if _, err := cl.ReadRecordsBatch(creqs, nil); err != nil {
 					t.Fatal(err)
 				}
+				vl.EndChunk()
+				cl.EndChunk()
 				// The copying read, built here: every page holding a
 				// record's device bytes before the flush frontier or past
 				// the head, read once by copy in one address-sorted
