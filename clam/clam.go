@@ -63,10 +63,10 @@
 // finish makes the owner's one call, which resolves the same distinct keys
 // in the same order (see Sharded.GetBatchU64).
 // GetBatch/GetBatchU64 overlap each probing round's index page probes
-// across the index device's internal queue lanes; GetBatch reads the
-// records of its hits in batched value-log reads, likewise overlapped, on
-// the value-log device while the index device probes: during the
-// in-memory phase as hits become final, and after each probing round.
+// across the index's SSDs and their internal queue lanes; GetBatch reads
+// the records of its hits in batched value-log reads, likewise
+// overlapped, while the index probes: during the in-memory phase as hits
+// become final, and after each probing round.
 // PutBatch/PutBatchU64 are the write-side mirror: a chunk's records land
 // in the value log as one multi-record append, which runs on the
 // value-log device while the chunk inserts their pointers, and every
@@ -94,45 +94,57 @@
 // Intel-class or Transcend-class SSD. Simulation keeps the paper's
 // behaviour because each model prices I/O as the paper does: a fixed cost
 // plus a per-byte transfer (§6.1) over whole pages, behind the FTL's
-// mapping and garbage collection. Each shard
-// operates in virtual time: every operation advances its shard's virtual
-// clock by its modeled latency, and per-operation latency distributions
-// are recorded in histograms that the experiment harness turns into the
-// paper's tables and figures. A shard keeps three timelines, as a CPU and
-// two SSDs on one host do (§6.1 prices each device's I/O on its own): the
-// CPU charges run on the shard clock, and the index SSD and the log SSD
-// each on a private clock. The index stays on the index SSD, as in the
-// paper; the value log, this repository's byte-API extension, is striped
-// over both SSDs (see storage.Stripe): every second erase block of it lies
-// on a partition of the index SSD, an SSD model of its own on the index
-// SSD's clock, so that SSD serves one submission at a time, index probe or
-// record read, while the index's FTL state stays its own. A submission
-// first moves its device's clock up to the shard clock, since it cannot
-// start before it is issued, and the shard clock moves up to a device
-// clock (a join) only where the shard needs that device's result; a value-
-// log submission moves both SSDs' clocks up, and a join of the log waits
-// for whichever is later. The core joins the index
-// device after every write, image read and probing round; only a lookup
-// batch's first round runs while its in-memory phase still does, when
-// the core hands an idle index device the probes gathered so far (see
-// core.Config.DeviceClock), and resolves each key whose read has
-// completed. A byte get chunk hands the value-log device each hit as
-// soon as it is final, from the in-memory phase on (see core.HitHook),
-// and joins it after its last lookup round. The value log writes whole
-// erase blocks, and a put chunk that succeeds acknowledges without
-// waiting for its write: it joins the value-log device only before its
-// own append, when an earlier chunk's write still runs, and when it
-// fails. So every chunk call returns joined to the index device, and to
-// the value-log device but for one put chunk's write in flight, which
-// the next chunk that uses the log waits behind. A one-key call has
-// nothing to overlap and costs the serial sum of its device time and
-// whatever remains of an earlier put's write. Each device's idle time,
-// and so its background garbage-collection credit, is measured on its
-// own clock. A WithCustomDevice store runs its index device on the shard
-// clock, where device and CPU time add up, through the same lookup path:
-// such a device is idle at every CPU instant and completes each read as
-// it is issued. Its value log is kind-made on one SSD on a private clock,
-// as is a log too small to give each SSD an erase block.
+// mapping and garbage collection. Each shard operates in virtual time:
+// every operation advances its shard's virtual clock by its modeled
+// latency, and per-operation latency distributions are recorded in
+// histograms that the experiment harness turns into the paper's tables
+// and figures.
+//
+// A kind-opened shard has two SSDs, A and B, and keeps three timelines,
+// as a CPU and two SSDs on one host do (§6.1 prices each device's I/O on
+// its own): the CPU charges run on the shard clock, and each SSD on a
+// private clock. The two SSDs are a symmetric pair. Each holds half the
+// index and half the value log, this repository's byte-API extension, as
+// two partitions, each an SSD model of its own on its SSD's clock, so the
+// index's and the log's FTL state stay apart while an SSD serves one
+// submission at a time, index probe, flush, record read or append. The
+// index and the log are each a storage.Stripe of one-erase-block units
+// dealt over both SSDs, RAID-0 style: the index's every second unit lies
+// on B, the log's every second on A. A submission first moves both
+// clocks up to the shard clock, since it cannot start before it is
+// issued, each SSD serves its share on its own clock, and the shard clock
+// moves up to the later SSD's clock (a join) only where the shard needs
+// the result. The core joins the index after every write, image read and
+// probing round; only a lookup batch's first round runs while its
+// in-memory phase still does, when the core hands the index, while both
+// SSDs are idle, the probes gathered so far, one SSD's lanes at a time
+// (see core.Config.DeviceClock), and resolves each key whose read has
+// completed. A byte get chunk hands the value log each hit as soon as it
+// is final, from the in-memory phase on, whenever SSD B is idle (see
+// core.HitHook), and joins it after its last lookup round. The value log
+// writes whole erase blocks, and a put chunk that succeeds acknowledges
+// without waiting for its write: it joins the log only before its own
+// append, when an earlier chunk's write still runs, and when it fails.
+// So every chunk call returns joined to both SSDs but for one put chunk's
+// write in flight, which the next submission to its SSD, index or log,
+// queues behind. A one-key call has nothing to overlap and costs the
+// serial sum of its device time and whatever remains of an earlier put's
+// write. Each partition's idle time, and so its background
+// garbage-collection credit, is measured on its SSD's clock. A
+// WithCustomDevice store runs its index device on the shard clock, where
+// device and CPU time add up, through the same lookup path: such a device
+// is idle at every CPU instant and completes each read as it is issued.
+// Its value log is kind-made on one SSD on a private clock. A log too
+// small to give each SSD an erase block lies on B alone, and such an
+// index on A alone.
+//
+// Shard clocks run free between calls: a call advances each shard it
+// reaches from wherever that shard's clock stands, so a shard that ended
+// one call early starts its part of the next early too, and a Sharded
+// store's Now is the makespan of a parallel workload, not of a caller
+// that waits for each call. Virtual time gives each shard its own CPU
+// timeline whatever WithWorkers is: the workers set how many shards run
+// at once in wall time, never a shard's virtual time.
 //
 // All Store methods are safe for concurrent use. Operations serialize per
 // shard, matching the paper's blocking-I/O design point: a CLAM serializes
@@ -198,30 +210,29 @@ func (c *CLAM) Core() *core.BufferHash { return c.shards[0].bh }
 
 // shard is one BufferHash with its own index device, value log, virtual
 // clock and latency histograms, serialized behind one mutex. The clock
-// times the shard's CPU charges; a kind-opened index SSD and the log SSD
-// each keep a timeline of their own, which every chunk call joins before
-// it returns, but for a put chunk's value-log write (the index SSD's is
-// the core's Config.DeviceClock, the log SSD's is logs[0].clock). The
-// value log is striped over both SSDs (see openLog), so its record reads
-// and writes run on both timelines. The router reaches it only through
-// the locked methods below: the chunk helpers, each one call into the
-// core pipeline (a per-key op is a one-key chunk), and the maintenance
-// calls.
+// times the shard's CPU charges. A kind-opened shard's two SSDs, A and B,
+// are a symmetric pair: each keeps a timeline of its own and holds half
+// the index and half the value log (see openShard), so the index's probes
+// and flushes and the log's record reads and appends all run on both
+// timelines, and each SSD serves one submission at a time, whichever
+// structure it is for. The core issues and joins the index on both (its
+// Config.DeviceClock), and the shard the log (see issueLog and join);
+// every chunk call returns joined to both, but for a put chunk's
+// value-log write. The router reaches a shard only through the locked
+// methods below: the chunk helpers, each one call into the core pipeline
+// (a per-key op is a one-key chunk), and the maintenance calls.
 type shard struct {
 	mu     sync.Mutex
 	bh     *core.BufferHash
-	dev    storage.Device
 	vlog   *storage.ValueLog
 	clock  *vclock.Clock
 	insert metrics.Histogram
 	lookup metrics.Histogram
 	del    metrics.Histogram
 
-	// logs are the value-log device's members, each with its timeline
-	// (see issueLog and join): the log SSD on a private clock, and when
-	// the log is striped over the index SSD too, that SSD's log partition
-	// on the index device's clock.
-	logs []logMember
+	// idx is the index device and logs the value log's, each with the
+	// timelines it runs on.
+	idx, logs striped
 
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
@@ -249,105 +260,101 @@ type shard struct {
 	inline  bool
 }
 
-// logMember is one device of a shard's value log and the timeline it
-// runs on.
-type logMember struct {
-	dev   storage.Device
-	clock *vclock.Clock
-}
-
 // effectiveEntryBytes is s in the §6 analysis: 16-byte entries at 50%
 // cuckoo utilization occupy 32 bytes of buffer/flash per stored entry.
 const effectiveEntryBytes = 32.0
 
-// openShard builds one shard from its share of the resolved config.
+// openShard builds one shard from its share of the resolved config. A
+// kind-opened shard gets two SSDs of the kind, A and B, each on a
+// timeline of its own, and each holds half the index and half the value
+// log as two partitions (see stripeOver): the index is dealt over A then
+// B, the log over B then A. A WithCustomDevice shard keeps its index device
+// on the shard clock and builds its log on one SSD on a private clock.
 func openShard(cfg config) (*shard, error) {
 	clock := cfg.clock
 	if clock == nil {
 		clock = vclock.New()
 	}
-	s := &shard{clock: clock, dev: cfg.customDevice}
-	var devClock *vclock.Clock // nil: a custom device runs on the shard clock
-	var err error
-	if s.dev == nil {
-		devClock = vclock.New()
-		if s.dev, err = newKindDevice(cfg.device, cfg.flashBytes, devClock); err != nil {
+	prof, err := kindProfile(cfg.device)
+	if err != nil {
+		return nil, err
+	}
+	s := &shard{clock: clock, idx: striped{Device: cfg.customDevice}}
+	logClocks := []*vclock.Clock{vclock.New()}
+	if s.idx.Device == nil {
+		a, b := vclock.New(), vclock.New()
+		if s.idx, err = stripeOver(prof, cfg.flashBytes, a, b); err != nil {
 			return nil, err
 		}
+		logClocks = []*vclock.Clock{b, a}
 	}
 	vbytes := cfg.valueLogBytes
 	if vbytes == 0 {
 		vbytes = cfg.flashBytes
 	}
-	vdev, err := s.openLog(cfg.device, vbytes, devClock)
+	if s.logs, err = stripeOver(prof, vbytes, logClocks...); err != nil {
+		return nil, err
+	}
+	if s.vlog, err = storage.NewValueLog(s.logs.Device); err != nil {
+		return nil, err
+	}
+	// A get chunk hands its hits to the log when its first member's SSD (B
+	// on a pair) is idle, in multiples of the log's lanes, both SSDs'
+	// (see core.HitHook): 769,208 virtual ops/s on dedup-ingest (seed 1).
+	// Multiples of one SSD's lanes read 767,944.
+	s.onHits = &core.HitHook{Read: s.readHits, Clock: s.logs.clocks[0], Lanes: s.logs.Geometry().Lanes}
+	coreCfg, err := deriveConfig(cfg, s.idx.Device, clock)
 	if err != nil {
 		return nil, err
 	}
-	if s.vlog, err = storage.NewValueLog(vdev); err != nil {
-		return nil, err
-	}
-	// A get chunk hands its hits to the log when the log SSD is idle, in
-	// multiples of the log's lanes, both SSDs' (see core.HitHook). Waiting
-	// for both members to be idle instead measured no better on
-	// dedup-ingest: 724,464 against 724,879 virtual ops/s (seed 1).
-	s.onHits = &core.HitHook{Read: s.readHits, Clock: s.logs[0].clock, Lanes: vdev.Geometry().Lanes}
-	coreCfg, err := deriveConfig(cfg, s.dev, clock)
-	if err != nil {
-		return nil, err
-	}
-	coreCfg.DeviceClock = devClock
+	coreCfg.DeviceClock = s.idx.clocks
 	if s.bh, err = core.New(coreCfg); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// indexLogShare deals a shard's value log over its two SSDs: a partition
-// of the index SSD holds every indexLogShare-th write unit, the log SSD
-// the rest. On dedup-ingest, the byte workload, the log SSD was busy 0.884
-// of each shard's clock and the index SSD 0.306 with the log on one SSD.
-// Moving a share f of the log's load evens the two busy fractions when
-// 0.884·(1−f) = 0.306 + 0.884·f, so f = (0.884 − 0.306) / (2 · 0.884) ≈
-// 0.33, one unit in three. Measured, one unit in two does better: 726,701
-// against 705,325 virtual ops/s (seed 2; the parent's 621,596), with the
-// index SSD busy 0.862 and the log SSD 0.537, against 0.678 and 0.688.
-// Evening the busy fractions assumes both devices stay busy; but a get
-// chunk's record reads are mostly on its critical path, after its index
-// probes, while the index SSD is idle, and each hand-off of hits waits for
-// its slower member, so an even split of every read submission pays more
-// than even totals.
-const indexLogShare = 2
+// striped is a device of a shard's SSDs: a storage.Stripe over one
+// partition of each (see stripeOver), or a single device, and the clocks
+// of the SSDs its members lie on, in member order, which are its
+// timelines (none for a WithCustomDevice index, which runs on the shard
+// clock). parts are the partitions themselves.
+type striped struct {
+	storage.Device
+	parts  []*ssd.SSD
+	clocks []*vclock.Clock
+}
 
-// openLog builds the shard's value-log device of vbytes and its members:
-// a log SSD of the kind, on a private clock, striped with a partition of
-// the index SSD on idxClock, the index device's timeline, which holds
-// every indexLogShare-th write unit (an erase block; see storage.Stripe).
-// The partition is an SSD of its own on the index device's clock, so the
-// index's FTL state does not change and the two serialize on one
-// timeline. The log's capacity, and so its unit boundaries, cycles and
-// pointer words, are those of a log over one SSD of vbytes: the kind's
-// profile gives its erase block and rounds vbytes up to whole blocks, as
-// the SSD model does. A log keeps the one SSD when idxClock is nil (a
-// WithCustomDevice store, whose index device runs on the shard clock) or
-// when it is too small to give the partition a unit.
-func (s *shard) openLog(kind DeviceKind, vbytes int64, idxClock *vclock.Clock) (storage.Device, error) {
-	prof, err := kindProfile(kind)
-	if err != nil {
-		return nil, err
-	}
-	logClock := vclock.New()
+// stripeOver builds a device of bytes over one SSD partition of the kind
+// per clock, each on its clock: a storage.Stripe whose unit is one erase
+// block, dealt to the partitions in clock order, RAID-0 style (Patterson,
+// Gibson and Katz, SIGMOD 1988). Each partition is an SSD model of its own,
+// so the index's and the log's FTL state stay apart while a shard's two
+// partitions on one SSD serialize on its one timeline. The device's
+// capacity, and so the value log's unit boundaries, cycles and pointer
+// words, are those of one SSD of bytes: the kind's erase block rounds bytes
+// up to whole blocks, as the SSD model does. A device too small to give
+// every partition a block is the first clock's SSD alone.
+func stripeOver(prof ssd.Profile, bytes int64, clocks ...*vclock.Clock) (striped, error) {
 	unit := int64(prof.BlockSize())
-	pattern := make([]int, indexLogShare)
-	pattern[indexLogShare-1] = 1
-	shares := storage.StripeShares(pattern, 2, (vbytes+unit-1)/unit)
-	if idxClock == nil || shares[1] == 0 {
-		dev := ssd.New(prof, vbytes, logClock)
-		s.logs = []logMember{{dev, logClock}}
-		return dev, nil
+	pattern := make([]int, len(clocks))
+	for i := range pattern {
+		pattern[i] = i
 	}
-	logPart, idxPart := ssd.New(prof, shares[0]*unit, logClock), ssd.New(prof, shares[1]*unit, idxClock)
-	s.logs = []logMember{{logPart, logClock}, {idxPart, idxClock}}
-	return storage.NewStripe(int(unit), pattern, logPart, idxPart)
+	shares := storage.StripeShares(pattern, len(clocks), (bytes+unit-1)/unit)
+	if len(clocks) == 1 || shares[len(shares)-1] == 0 {
+		dev := ssd.New(prof, bytes, clocks[0])
+		return striped{dev, []*ssd.SSD{dev}, clocks[:1]}, nil
+	}
+	d := striped{parts: make([]*ssd.SSD, len(clocks)), clocks: clocks}
+	members := make([]storage.Device, len(clocks))
+	for i, c := range clocks {
+		d.parts[i] = ssd.New(prof, shares[i]*unit, c)
+		members[i] = d.parts[i]
+	}
+	var err error
+	d.Device, err = storage.NewStripe(int(unit), pattern, members...)
+	return d, err
 }
 
 // deriveConfig applies §6.4: choose B′ (≈ flash block), the number of super
@@ -552,7 +559,7 @@ func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 
 // putBatchRecords applies one chunk of byte Puts: one multi-record
 // value-log append (its whole write units reach the device as one
-// sequential submission, on the log device's timeline), one core insert
+// sequential submission, on the log's timelines), one core insert
 // batch of the fingerprints and record pointers, which runs without
 // waiting for the append, dead-record accounting of the pointers it
 // displaced, and last the expiry of incarnations the log has lapped.
@@ -590,29 +597,20 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 
 // issueLog readies the value-log device's timelines for a submission the
 // shard issues now: the submission cannot start before it is issued, so
-// each member's clock, the log SSD's and, for a striped log, the index
-// SSD's, moves up to the shard clock. Each member then advances its own
-// clock by its share, queued behind whatever that SSD still serves (on
-// the index SSD, the core's probes and flushes too), and the shard runs
-// on without waiting for them.
-func (s *shard) issueLog() {
-	for _, m := range s.logs {
-		m.clock.AdvanceTo(s.clock.Now())
-	}
-}
+// each SSD's clock moves up to the shard clock, as the core's issue of an
+// index submission moves them. Each partition then advances its SSD's
+// clock by its share, queued behind whatever that SSD still serves, the
+// index's probes and flushes too, and the shard runs on without waiting.
+func (s *shard) issueLog() { vclock.AdvanceAll(s.logs.clocks, s.clock.Now()) }
 
 // join makes the shard wait for the value-log device: the shard clock
-// moves up to whichever member's clock is later. A get chunk joins after
-// its last lookup round, and a put chunk before its append and when it
-// fails, so between chunks each log member's clock is ahead of the shard
-// clock by at most its share of the last put chunk's append. The core
-// joins the index SSD after its own writes and probing rounds, so a put
-// chunk that flushes waits for its append's share on the index SSD too.
-func (s *shard) join() {
-	for _, m := range s.logs {
-		s.clock.AdvanceTo(m.clock.Now())
-	}
-}
+// moves up to the later SSD's clock. A get chunk joins after its last
+// lookup round, and a put chunk before its append and when it fails, so
+// between chunks each SSD's clock is ahead of the shard clock by at most
+// its share of the last put chunk's append. The core joins both SSDs after
+// its own writes and probing rounds, so a put chunk that flushes waits for
+// its append's shares too.
+func (s *shard) join() { s.clock.AdvanceTo(vclock.Latest(s.logs.clocks)) }
 
 // expiryMark pairs a flush sequence with the value-log position after it:
 // every incarnation at or below seq holds only pointers to records
@@ -711,8 +709,8 @@ func (s *shard) retire(displaced []uint64) {
 
 // getBatchRecords resolves one chunk of byte Gets: a batched index lookup
 // that hands its hits to readHits as they become final, from its
-// in-memory phase on, so their records are read on the log device while
-// the index device probes, then one join and the per-key verification.
+// in-memory phase on, so their records are read while the index probes,
+// then one join and the per-key verification.
 // The chunk is one value-log get chunk (see storage.ValueLog.EndChunk):
 // every hand-off adds its records' log pages to the chunk's one page-read
 // set, so a page one hand-off read serves every later hand-off's records
@@ -733,7 +731,7 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 
 // readHits is getBatchRecords' LookupBatch hook (see core.HitHook): it
 // reads the records that one hand-off's hits point at as one batched
-// value-log read, issued on the log device's timeline, which submits
+// value-log read, issued on the log's timelines, which submits
 // only the log pages no earlier hand-off of the chunk read (a record the
 // log has overwritten is a miss it does not read), and keeps them for
 // verification. A record may be a view into the value device's page,
@@ -851,7 +849,7 @@ func (s *shard) addStats(agg *Stats, hs *[3]metrics.Histogram) {
 	defer s.mu.Unlock()
 	agg.Core.Merge(s.bh.Stats())
 	agg.LentDedupes += s.lentDedupes
-	agg.Device.Add(s.dev.Counters())
+	agg.Device.Add(s.idx.Counters())
 	agg.Memory.Add(s.bh.MemoryFootprint())
 	agg.ValueDevice.Add(s.vlog.Device().Counters())
 	agg.ValueLog.Add(s.vlog.Stats())
@@ -863,11 +861,13 @@ func (s *shard) addStats(agg *Stats, hs *[3]metrics.Histogram) {
 // Stats is a point-in-time summary of a Store's behaviour.
 type Stats struct {
 	Core core.Stats
-	// Device counts the index device's I/O only.
+	// Device counts the index's I/O only: on a kind-opened store, its
+	// partitions of both SSDs of each shard, summed.
 	Device storage.Counters
 	// ValueDevice counts the value log's own I/O (zero while the byte API
-	// was never used), on both SSDs of a striped log: the log SSD's and
-	// the index SSD's log partition's, summed.
+	// was never used): on a kind-opened store, its partitions of both SSDs
+	// of each shard, summed. Device plus ValueDevice is what the SSDs
+	// served.
 	ValueDevice storage.Counters
 	// ValueLog counts record appends and log wraps.
 	ValueLog storage.ValueLogStats

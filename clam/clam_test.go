@@ -41,15 +41,18 @@ func TestOpenRequiresFlash(t *testing.T) {
 }
 
 func TestOpenAllDeviceKinds(t *testing.T) {
-	// A kind-opened store hands out the bare device models: an index SSD,
-	// and a value log striped over a log SSD and a partition of the index
-	// SSD.
+	// A kind-opened store builds its index and its value log as stripes
+	// over a partition of each of its two SSDs, A and B: the index over A
+	// then B, the log over B then A, each partition on its SSD's clock.
 	for _, kind := range []DeviceKind{IntelSSD, TranscendSSD} {
 		c := openCLAMT(t, WithDevice(kind), WithFlash(16<<20), WithMemory(4<<20))
 		sh := c.shards[0]
-		logSSD, part := sh.logMembers()
-		if got := fmt.Sprintf("%T %T %T", sh.dev, logSSD, part); got != "*ssd.SSD *ssd.SSD *ssd.SSD" {
-			t.Fatalf("%v: index, log and partition devices are %s, want *ssd.SSD", kind, got)
+		if got := fmt.Sprintf("%T %T %d %d", sh.idx.Device, sh.logs.Device, len(sh.idx.parts), len(sh.logs.parts)); got != "*storage.Stripe *storage.Stripe 2 2" {
+			t.Fatalf("%v: index and log devices are %s, want two-partition stripes", kind, got)
+		}
+		a, b := sh.idx.clocks[0], sh.idx.clocks[1]
+		if a == b || sh.logs.clocks[0] != b || sh.logs.clocks[1] != a || sh.clock == a || sh.clock == b {
+			t.Fatalf("%v: the log's timelines are not the index's two SSDs in turn", kind)
 		}
 		if err := c.PutU64(1, 2); err != nil {
 			t.Fatalf("%v insert: %v", kind, err)

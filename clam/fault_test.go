@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/hashutil"
 	"repro/internal/ssd"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // The fault oracle drives both key families through per-key and batch
@@ -117,32 +119,39 @@ func (s *faultSchedule) hook(op storage.Op, _ int64, _ int) error {
 	return nil
 }
 
-// faultRole is what an SSD of a fault rig serves.
+// faultRole is what an SSD partition of a fault rig serves, and where.
 type faultRole int
 
+// A kind-opened shard's four partitions (see openShard), in the order of
+// its index's and then its value log's members.
 const (
-	roleIndex faultRole = iota // a shard's index device
-	roleLog                    // its log SSD, which holds its value log, or the log's share of it
-	rolePart                   // the index SSD's partition that holds the rest of a striped value log
+	roleIndexA faultRole = iota // the index's half on SSD A
+	roleIndexB                  // the index's half on SSD B
+	roleLogB                    // the value log's half on SSD B
+	roleLogA                    // the value log's half on SSD A
+	numFaultRoles
 )
 
-// faultRig is a store under test plus every SSD behind it, with its role:
-// per shard the index device, the log SSD and, for a striped value log,
-// the index SSD's log partition, in that order.
+// faultRig is a store under test plus every SSD partition behind it, with
+// its role: per shard the four of faultRole's order, so that a one-shard
+// rig's devs[role] is that role's partition.
 type faultRig struct {
 	st    Store
 	devs  []*ssd.SSD
 	roles []faultRole
 }
 
-// addShard adds a shard's SSDs, which a kind-opened store hands out bare.
-func (r *faultRig) addShard(sh *shard) {
-	logSSD, part := sh.logMembers()
-	r.devs = append(r.devs, sh.dev.(*ssd.SSD), logSSD.(*ssd.SSD))
-	r.roles = append(r.roles, roleIndex, roleLog)
-	if part != nil {
-		r.devs = append(r.devs, part.(*ssd.SSD))
-		r.roles = append(r.roles, rolePart)
+// addShard adds a shard's partitions, which a kind-opened store builds
+// bare. Every rig's shard has all four.
+func (r *faultRig) addShard(t testing.TB, sh *shard) {
+	t.Helper()
+	parts := append(slices.Clone(sh.idx.parts), sh.logs.parts...)
+	if len(parts) != int(numFaultRoles) {
+		t.Fatalf("a fault rig's shard has %d SSD partitions, want %d", len(parts), numFaultRoles)
+	}
+	for role, p := range parts {
+		r.devs = append(r.devs, p)
+		r.roles = append(r.roles, faultRole(role))
 	}
 }
 
@@ -163,24 +172,23 @@ func (r *faultRig) arm(fail func(role faultRole, i int, op storage.Op) bool) {
 }
 
 // openFaultCLAM opens a kind-built single CLAM on Intel SSDs and reaches
-// its SSDs: devs[0] is the index device, devs[1] the log SSD, and
-// devs[2] the index SSD's log partition when the log is striped.
+// its SSD partitions, devs[role] each.
 func openFaultCLAM(t testing.TB, flash, vlog int64, opts ...Option) *faultRig {
 	t.Helper()
 	c := openCLAMT(t, append([]Option{WithDevice(IntelSSD), WithValueLog(vlog), WithFlash(flash)}, opts...)...)
 	r := &faultRig{st: c}
-	r.addShard(c.shards[0])
+	r.addShard(t, c.shards[0])
 	return r
 }
 
 // openFaultSharded opens a kind-built Sharded store and reaches each
-// shard's SSDs.
+// shard's SSD partitions.
 func openFaultSharded(t testing.TB, opts ...Option) *faultRig {
 	t.Helper()
 	s := openShardedT(t, append([]Option{WithDevice(IntelSSD)}, opts...)...)
 	r := &faultRig{st: s}
 	for _, sh := range s.shards {
-		r.addShard(sh)
+		r.addShard(t, sh)
 	}
 	return r
 }
@@ -433,34 +441,41 @@ func (d *faultDriver) runRandom(seed int64, nOps int) {
 
 // TestFaultOracle runs the oracle on single and sharded stores with
 // pseudo-random read and write faults: 2% of reads and a third of writes
-// fail (a store issues far fewer writes than reads). Each row checks that
-// faults actually failed ops and that the store still answered: at least a
-// fifth of the lookups of acknowledged keys hit.
+// fail (a store issues far fewer writes than reads), on every SSD
+// partition or, where a row names one, on that partition alone. Each row
+// checks that faults actually failed ops and that the store still
+// answered: at least a fifth of the lookups of acknowledged keys hit.
 func TestFaultOracle(t *testing.T) {
 	rows := []struct {
 		name  string
 		open  func(t *testing.T) *faultRig
 		pad   int
 		wraps bool
+		only  []faultRole // the partitions faulted, or nil for all
 	}{
 		{"clam/fifo", func(t *testing.T) *faultRig {
 			return openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(3))
-		}, 0, false},
+		}, 0, false, nil},
 		{"clam/update", func(t *testing.T) *faultRig {
 			return openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16),
 				WithPolicy(UpdateBased), WithSeed(4))
-		}, 0, false},
+		}, 0, false, nil},
 		{"clam/priority", func(t *testing.T) *faultRig {
 			return openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16),
 				WithPolicy(PriorityBased), WithRetain(func(_, v uint64) bool { return v%2 == 0 }), WithSeed(7))
-		}, 0, false},
+		}, 0, false, nil},
 		{"clam/vlog-wrap", func(t *testing.T) *faultRig {
 			return openFaultCLAM(t, 2<<20, 256<<10, WithMemory(512<<10), WithBufferKB(16), WithSeed(5))
-		}, 200, true},
+		}, 200, true, nil},
 		{"sharded", func(t *testing.T) *faultRig {
 			return openFaultSharded(t, WithFlash(4<<20), WithMemory(1<<20), WithValueLog(4<<20),
 				WithBufferKB(16), WithShards(4), WithWorkers(2), withBatchChunk(64), WithSeed(6))
-		}, 0, false},
+		}, 0, false, nil},
+		// SSD B's half of the index alone: its probes, image reads and
+		// flushes fail while SSD A's half serves.
+		{"clam/index-ssd-b", func(t *testing.T) *faultRig {
+			return openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(18))
+		}, 0, false, []faultRole{roleIndexB}},
 	}
 	for ri, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -470,7 +485,10 @@ func TestFaultOracle(t *testing.T) {
 			d.runRandom(int64(100+ri), 1500)
 			for phase := 0; phase < 4; phase++ {
 				seed := uint64(ri)<<8 | uint64(phase)
-				r.arm(func(_ faultRole, i int, op storage.Op) bool {
+				r.arm(func(role faultRole, i int, op storage.Op) bool {
+					if row.only != nil && !slices.Contains(row.only, role) {
+						return false
+					}
 					h := hashutil.Mix64(seed<<32 ^ uint64(i))
 					if op == storage.OpWrite {
 						return h%3 == 0
@@ -552,15 +570,12 @@ func testCachedKeyWrites(t *testing.T) {
 				case "delete":
 					d.apply(fam.del, ki, 1)
 				case "failed-index-write":
-					r.devs[0].SetFault(func(op storage.Op, _ int64, _ int) error {
-						if op == storage.OpWrite {
-							return errFault
-						}
-						return nil
+					r.arm(func(role faultRole, _ int, op storage.Op) bool {
+						return role <= roleIndexB && op == storage.OpWrite
 					})
 					errs := d.o.errs
 					d.apply(fopFlush, 0, 1)
-					r.devs[0].SetFault(nil)
+					r.arm(nil)
 					if d.o.errs == errs {
 						t.Fatal("the Flush whose index write failed succeeded")
 					}
@@ -593,10 +608,10 @@ func putTwice(d *faultDriver) {
 	}
 }
 
-// testHandoffReadFault fails the first value-log read that a GetBatch
-// chunk issues while its phase A still runs: a hand-off of hits that
-// phase A found in the buffer or resolved against a completed streamed
-// index read. A read whose hook sees the shard clock below the chunk's
+// testHandoffReadFault fails the first value-log read on SSD B that a
+// GetBatch chunk issues while its phase A still runs: a hand-off of hits
+// that phase A found in the buffer or resolved against a completed
+// streamed index read. A read whose hook sees the shard clock below the chunk's
 // start plus BufferLookup for each of its keys, the least CPU its phase A
 // charges, runs inside phase A. The GetBatch must fail, and every later
 // answer keep the contract: random fault-free ops follow.
@@ -608,7 +623,7 @@ func testHandoffReadFault(t *testing.T) {
 	perKey := sh.bh.Config().CPU.BufferLookup
 	var phaseAEnd time.Duration // the least clock phase A can end at
 	var armed, fired bool
-	r.devs[1].SetFault(func(op storage.Op, _ int64, _ int) error {
+	r.devs[roleLogB].SetFault(func(op storage.Op, _ int64, _ int) error {
 		if armed && op == storage.OpRead && sh.clock.Now() < phaseAEnd {
 			armed, fired = false, true
 			return errFault
@@ -648,7 +663,7 @@ func testReusedPagesReadFault(t *testing.T) {
 	d := newFaultDriver(t, r, 12000, 0, 300)
 	putTwice(d)
 	sh := r.st.(*CLAM).shards[0]
-	ps := uint64(r.devs[1].Geometry().PageSize)
+	ps := uint64(r.devs[roleLogB].Geometry().PageSize)
 	var (
 		handoffs     int
 		read         = map[uint64]bool{} // log pages the chunk's hand-offs read
@@ -671,8 +686,8 @@ func testReusedPagesReadFault(t *testing.T) {
 		}
 		return hook(hits)
 	}
-	for _, role := range []faultRole{roleLog, rolePart} {
-		r.devs[role].SetFault(func(op storage.Op, off int64, _ int) error {
+	for i, p := range sh.logs.parts {
+		p.SetFault(func(op storage.Op, off int64, _ int) error {
 			if op != storage.OpRead {
 				return nil
 			}
@@ -680,7 +695,7 @@ func testReusedPagesReadFault(t *testing.T) {
 				fired = true
 				return errFault
 			}
-			read[uint64(logOffset(sh, role, off))/ps] = true
+			read[uint64(logOffset(sh, i, off))/ps] = true
 			return nil
 		})
 	}
@@ -701,33 +716,25 @@ func testReusedPagesReadFault(t *testing.T) {
 }
 
 // logOffset returns the value-log offset of byte off of the shard's log
-// SSD (role roleLog) or of the index SSD's log partition (rolePart): the
-// stripe holds every indexLogShare-th unit on the partition and the rest
-// on the log SSD, each SSD its units back to back (see newLogDevice).
-func logOffset(sh *shard, role faultRole, off int64) int64 {
-	if _, part := sh.logMembers(); part == nil {
-		return off
-	}
+// partition i: the stripe deals the log's units to its partitions in turn,
+// each holding its units back to back (see stripeOver).
+func logOffset(sh *shard, i int, off int64) int64 {
+	n := int64(len(sh.logs.parts))
 	unit := int64(sh.vlog.Device().Geometry().EraseBlock)
-	k, in := off/unit, off%unit
-	u := k*indexLogShare + indexLogShare - 1
-	if role == roleLog {
-		u = k/(indexLogShare-1)*indexLogShare + k%(indexLogShare-1)
-	}
-	return u*unit + in
+	return (off/unit*n+int64(i))*unit + off%unit
 }
 
-// testPartReadFault fails the first value-log read on the index SSD's log
-// partition, a record read that queues on the index device's timeline.
+// testPartReadFault fails the first value-log read on SSD A's log
+// partition, a record read that queues behind SSD A's index probes.
 // The GetBatch must fail, and every later answer keep the contract:
 // random fault-free ops follow. (The late-round, hand-off and
-// reused-page rows fail reads on the log SSD.)
+// reused-page rows fail reads on SSD B's log partition.)
 func testPartReadFault(t *testing.T) {
 	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(15))
 	d := newFaultDriver(t, r, 12000, 0, 300)
 	putTwice(d)
 	var fired bool
-	r.devs[rolePart].SetFault(func(op storage.Op, _ int64, _ int) error {
+	r.devs[roleLogA].SetFault(func(op storage.Op, _ int64, _ int) error {
 		if op == storage.OpRead && !fired {
 			fired = true
 			return errFault
@@ -738,27 +745,27 @@ func testPartReadFault(t *testing.T) {
 		errs := d.o.errs
 		d.apply(fopGetBatch, ki, 300)
 		if fired && d.o.errs == errs {
-			t.Fatal("GetBatch succeeded past its failed record read on the index SSD")
+			t.Fatal("GetBatch succeeded past its failed record read on SSD A")
 		}
 	}
 	r.arm(nil)
 	if !fired {
-		t.Fatal("no GetBatch read the index SSD's log partition; retune the row")
+		t.Fatal("no GetBatch read SSD A's log partition; retune the row")
 	}
 	d.runRandom(704, 1500)
 }
 
-// testPartWriteFault fails the first value-log write on the index SSD's
-// log partition, a whole-block append that a successful chunk would leave
-// running on the index device's timeline. The put must fail and return
-// joined to both log timelines, and every later answer — first a GetBatch
-// of the same keys — keep the contract.
+// testPartWriteFault fails the first value-log write on SSD A's log
+// partition, a whole-block append that a successful chunk would leave
+// running on SSD A's timeline. The put must fail and return joined to both
+// SSDs' timelines, and every later answer — first a GetBatch of the same
+// keys — keep the contract.
 func testPartWriteFault(t *testing.T) {
 	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(16))
 	d := newFaultDriver(t, r, 12000, 100, 64)
 	sh := r.st.(*CLAM).shards[0]
 	var fired bool
-	r.devs[rolePart].SetFault(func(op storage.Op, _ int64, _ int) error {
+	r.devs[roleLogA].SetFault(func(op storage.Op, _ int64, _ int) error {
 		if op == storage.OpWrite && !fired {
 			fired = true
 			return errFault
@@ -768,7 +775,7 @@ func testPartWriteFault(t *testing.T) {
 	rng := rand.New(rand.NewSource(705))
 	for step := 0; !fired; step++ {
 		if step == 4000 {
-			t.Fatal("no PutBatch wrote the index SSD's log partition; retune the row")
+			t.Fatal("no PutBatch wrote SSD A's log partition; retune the row")
 		}
 		ki, win := rng.Intn(d.nKeys), 1+rng.Intn(d.maxWin)
 		errs := d.o.errs
@@ -777,12 +784,10 @@ func testPartWriteFault(t *testing.T) {
 			continue
 		}
 		if d.o.errs == errs {
-			t.Fatal("PutBatch acknowledged a chunk whose append to the index SSD failed")
+			t.Fatal("PutBatch acknowledged a chunk whose append to SSD A failed")
 		}
-		for _, m := range sh.logs {
-			if l, c := m.clock.Now(), sh.clock.Now(); l > c {
-				t.Fatalf("the failed PutBatch left a log clock %v ahead of its clock %v", l, c)
-			}
+		if l, c := vclock.Latest(sh.logs.clocks), sh.clock.Now(); l > c {
+			t.Fatalf("the failed PutBatch left an SSD clock %v ahead of its clock %v", l, c)
 		}
 		r.arm(nil)
 		d.apply(fopGetBatch, ki, win)
@@ -790,30 +795,32 @@ func testPartWriteFault(t *testing.T) {
 	d.runRandom(706, 3000)
 }
 
-// testWrapAcrossSSDs fails the index SSD's share of a wrap's padding
-// write that spans both SSDs. The log has four units, alternating between
-// the log SSD and the partition, and 3,000-byte values make a 64-key
-// PutBatch longer than a unit, so the tail buffer can hold the log's last
-// two units when a record does not fit: the wrap writes both, the log
-// SSD's share first, which stays served and charged, and then the
-// partition's, which fails. The put must fail, and every later answer
-// keep the contract: random fault-free ops follow.
+// testWrapAcrossSSDs fails SSD A's share of a wrap's padding write that
+// spans both SSDs. The log has four units, alternating between SSD B's
+// log partition and SSD A's, and 3,000-byte values make a 64-key PutBatch
+// longer than a unit, so the tail buffer can hold the log's last two units
+// when a record does not fit: the wrap writes both, SSD B's share first,
+// which stays served and charged, and then SSD A's, which fails. The put
+// must fail, and every later answer keep the contract: random fault-free
+// ops follow.
 func testWrapAcrossSSDs(t *testing.T) {
-	r := openFaultCLAM(t, 128<<10, 512<<10, WithMemory(16<<10), WithBufferKB(4), WithSeed(17))
+	r := openFaultCLAM(t, 256<<10, 512<<10, WithMemory(16<<10), WithBufferKB(4), WithMaxIncarnations(32), WithSeed(17))
 	d := newFaultDriver(t, r, 256, 3000, 64)
-	logCap, partCap := r.devs[roleLog].Geometry().Capacity, r.devs[rolePart].Geometry().Capacity
-	var logTail, fired bool // logTail: the last request was the log SSD's write of its last unit
-	var served uint64       // the log SSD's writes, when its share of the spanning wrap was served
-	r.devs[roleIndex].SetFault(func(storage.Op, int64, int) error { logTail = false; return nil })
-	r.devs[roleLog].SetFault(func(op storage.Op, off int64, n int) error {
+	logCap, partCap := r.devs[roleLogB].Geometry().Capacity, r.devs[roleLogA].Geometry().Capacity
+	var logTail, fired bool // logTail: the last request was SSD B's write of its log partition's last unit
+	var served uint64       // SSD B's log writes, when its share of the spanning wrap was served
+	for _, role := range []faultRole{roleIndexA, roleIndexB} {
+		r.devs[role].SetFault(func(storage.Op, int64, int) error { logTail = false; return nil })
+	}
+	r.devs[roleLogB].SetFault(func(op storage.Op, off int64, n int) error {
 		logTail = op == storage.OpWrite && off+int64(n) == logCap
 		return nil
 	})
-	r.devs[rolePart].SetFault(func(op storage.Op, off int64, n int) error {
+	r.devs[roleLogA].SetFault(func(op storage.Op, off int64, n int) error {
 		spans := logTail && op == storage.OpWrite && off+int64(n) == partCap
 		logTail = false
 		if spans && !fired {
-			fired, served = true, r.devs[roleLog].Counters().Writes
+			fired, served = true, r.devs[roleLogB].Counters().Writes
 			return errFault
 		}
 		return nil
@@ -826,27 +833,27 @@ func testWrapAcrossSSDs(t *testing.T) {
 		errs := d.o.errs
 		d.apply(fopPutBatch, rng.Intn(d.nKeys), 32+rng.Intn(33))
 		if fired && d.o.errs == errs {
-			t.Fatal("PutBatch acknowledged a chunk whose wrap failed on the index SSD")
+			t.Fatal("PutBatch acknowledged a chunk whose wrap failed on SSD A")
 		}
 	}
-	if r.devs[roleLog].Counters().Writes != served || served == 0 {
-		t.Fatal("the log SSD's share of the failed wrap was not served")
+	if r.devs[roleLogB].Counters().Writes != served || served == 0 {
+		t.Fatal("SSD B's share of the failed wrap was not served")
 	}
 	r.arm(nil)
 	d.runRandom(708, 1500)
 }
 
-// testAppendBehindFault fails the first value-log write, the whole-block
-// write of a PutBatch chunk that a successful chunk would leave running
-// behind its acknowledgement. The put must fail, and return joined to the
-// log, and every later answer — first a GetBatch of the same keys — keep
+// testAppendBehindFault fails the first value-log write on SSD B, the
+// whole-block write of a PutBatch chunk that a successful chunk would
+// leave running behind its acknowledgement. The put must fail, and return
+// joined to both SSDs, and every later answer — first a GetBatch of the same keys — keep
 // the contract.
 func testAppendBehindFault(t *testing.T) {
 	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(13))
 	d := newFaultDriver(t, r, 12000, 100, 64)
 	sh := r.st.(*CLAM).shards[0]
 	var fired bool
-	r.devs[1].SetFault(func(op storage.Op, _ int64, _ int) error {
+	r.devs[roleLogB].SetFault(func(op storage.Op, _ int64, _ int) error {
 		if op == storage.OpWrite && !fired {
 			fired = true
 			return errFault
@@ -867,10 +874,8 @@ func testAppendBehindFault(t *testing.T) {
 		if d.o.errs == errs {
 			t.Fatal("PutBatch acknowledged a chunk whose value-log write failed")
 		}
-		for _, m := range sh.logs {
-			if l, c := m.clock.Now(), sh.clock.Now(); l > c {
-				t.Fatalf("the failed PutBatch left a log clock %v ahead of its clock %v", l, c)
-			}
+		if l, c := vclock.Latest(sh.logs.clocks), sh.clock.Now(); l > c {
+			t.Fatalf("the failed PutBatch left an SSD clock %v ahead of its clock %v", l, c)
 		}
 		r.arm(nil)
 		d.apply(fopGetBatch, ki, win)
@@ -878,8 +883,9 @@ func testAppendBehindFault(t *testing.T) {
 	d.runRandom(702, 3000)
 }
 
-// testStreamedIndexReadFault fails the first index read that a GetBatch
-// chunk, and then a GetBatchU64 chunk, submits during phase A, while the
+// testStreamedIndexReadFault fails the first index read on SSD A that a
+// GetBatch chunk, and then a GetBatchU64 chunk, submits during phase A,
+// while the
 // chunk's in-memory phase still runs and its phase-A hits are not yet
 // reported. Two Bloom filter bits per entry and every key put twice make
 // most lookups probe flash, so a 300-key window gathers its first pages
@@ -903,7 +909,7 @@ func testStreamedIndexReadFault(t *testing.T) {
 	perKey := sh.bh.Config().CPU.BufferLookup
 	var phaseAEnd time.Duration // the least clock phase A can end at
 	var armed, fired bool
-	r.devs[0].SetFault(func(op storage.Op, _ int64, _ int) error {
+	r.devs[roleIndexA].SetFault(func(op storage.Op, _ int64, _ int) error {
 		if armed && op == storage.OpRead && sh.clock.Now() < phaseAEnd {
 			armed, fired = false, true
 			return errFault
@@ -932,10 +938,9 @@ func testStreamedIndexReadFault(t *testing.T) {
 	d.runRandom(601, 1500)
 }
 
-// testLateRoundReadFault fails one value-log record read that a GetBatch
-// chunk issues for hits its second or a later probing round resolved, a
-// read that runs on the log device while the index device probes the
-// next round. A hit resolved in round r read r index pages, and phase A
+// testLateRoundReadFault fails one value-log record read on SSD B that a
+// GetBatch chunk issues for hits its second or a later probing round
+// resolved, a read that runs while the index probes the next round. A hit resolved in round r read r index pages, and phase A
 // resolves only round 1, so a hand-off holding a hit that read two pages
 // or more comes after round 2. Two Bloom filter bits per entry make
 // lookups probe several incarnations, so a 300-key window takes several
@@ -954,7 +959,7 @@ func testLateRoundReadFault(t *testing.T) {
 		}
 		return read(hits)
 	}
-	r.devs[1].SetFault(func(op storage.Op, _ int64, _ int) error {
+	r.devs[roleLogB].SetFault(func(op storage.Op, _ int64, _ int) error {
 		if op == storage.OpRead && late && !fired {
 			fired = true
 			return errFault
@@ -988,7 +993,10 @@ func testFlushingAppendFault(t *testing.T) {
 	}
 	twin, r := open(), open()
 	dt, d := newFaultDriver(t, twin, 12000, 100, 64), newFaultDriver(t, r, 12000, 100, 64)
-	writes := func(r *faultRig) (index, log uint64) { return r.devs[0].Counters().Writes, r.devs[1].Counters().Writes }
+	// index counts the index's writes on both SSDs, log SSD B's log writes.
+	writes := func(r *faultRig) (index, log uint64) {
+		return r.devs[roleIndexA].Counters().Writes + r.devs[roleIndexB].Counters().Writes, r.devs[roleLogB].Counters().Writes
+	}
 	rng := rand.New(rand.NewSource(500))
 	for step := 0; ; step++ {
 		if step == 2000 {
@@ -1000,14 +1008,14 @@ func testFlushingAppendFault(t *testing.T) {
 		i1, l1 := writes(twin)
 		both := i1 > i0 && l1 > l0
 		if both {
-			r.devs[1].SetFault(func(op storage.Op, _ int64, _ int) error {
+			r.devs[roleLogB].SetFault(func(op storage.Op, _ int64, _ int) error {
 				if op == storage.OpWrite {
 					return errFault
 				}
 				return nil
 			})
 		}
-		errs, flushes := d.o.errs, r.devs[0].Counters().Writes
+		errs, flushes := d.o.errs, r.st.Stats().Device.Writes
 		d.apply(fopPutBatch, ki, win)
 		if !both {
 			continue
@@ -1016,7 +1024,7 @@ func testFlushingAppendFault(t *testing.T) {
 		if d.o.errs == errs {
 			t.Fatal("PutBatch acknowledged a chunk whose value-log append failed")
 		}
-		if r.devs[0].Counters().Writes == flushes {
+		if r.st.Stats().Device.Writes == flushes {
 			t.Fatal("the chunk whose append failed did not flush the index")
 		}
 		d.apply(fopGetBatch, ki, win)
@@ -1027,14 +1035,15 @@ func testFlushingAppendFault(t *testing.T) {
 
 // FuzzFaultedOps runs the oracle over an op sequence and a fault schedule
 // taken from the input: each 3-byte group of ops is (kind, key, window),
-// and indexFaults, logFaults and partFaults are bitmaps over the requests
-// of the index device, the log SSD and the index SSD's log partition (see
-// faultRole) in issue order, each repeated. The rig's value log is
-// striped over its two SSDs, so the oracle covers the stripe.
+// and the four fault inputs are bitmaps over the requests of the index's
+// partitions on SSDs A and B and the value log's on B and A (see
+// faultRole), each in issue order, each repeated. The rig's index and
+// value log are each striped over its two SSDs, so the oracle covers both
+// stripes.
 func FuzzFaultedOps(f *testing.F) {
-	// These three seeds predate a bitmap per device and give both devices
-	// the one bitmap they had.
-	f.Add([]byte{0, 1, 0, 1, 1, 0, 8, 2, 40, 9, 2, 40, 15, 0, 0, 1, 3, 0}, []byte{0x10}, []byte{0x10}, []byte(nil))
+	// These three seeds predate a bitmap per device and give every
+	// partition the one bitmap they had.
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 8, 2, 40, 9, 2, 40, 15, 0, 0, 1, 3, 0}, []byte{0x10}, []byte{0x10}, []byte{0x10}, []byte(nil))
 	// Found by a randomized search over op sequences and fault bitmaps
 	// while failed flush writes still left their images' incarnations
 	// readable: both served values older than the latest acknowledged one.
@@ -1050,7 +1059,7 @@ func FuzzFaultedOps(f *testing.F) {
 		0xc, 0x55, 0xf5, 0x0, 0x8, 0x1, 0x1, 0x3b, 0x66, 0x8, 0x68, 0x8c,
 		0x8, 0x3b, 0xfb, 0x8, 0x98, 0x78, 0xc, 0xa0, 0xfe, 0x4, 0xb, 0xac,
 		0xc, 0x27, 0x18,
-	}, []byte{0x10, 0x0, 0x0}, []byte{0x10, 0x0, 0x0}, []byte(nil))
+	}, []byte{0x10, 0x0, 0x0}, []byte{0x10, 0x0, 0x0}, []byte{0x10, 0x0, 0x0}, []byte(nil))
 	f.Add([]byte{
 		0x8, 0xb5, 0x93, 0xb, 0xb5, 0x1f, 0x0, 0x6, 0xa2, 0x4, 0x92, 0x2f,
 		0x4, 0x6, 0x7a, 0x8, 0x7d, 0x2b, 0x8, 0x1a, 0x44, 0x0, 0x72, 0xe2,
@@ -1065,38 +1074,39 @@ func FuzzFaultedOps(f *testing.F) {
 		0x8, 0xd0, 0xff, 0x1, 0x59, 0x3f, 0x1, 0x8f, 0x9b, 0x1, 0x32, 0x72,
 		0xc, 0x3d, 0x8e, 0xb, 0x23, 0x9f, 0x1, 0x27, 0xbe, 0xb, 0x1, 0x0,
 		0x8, 0x41, 0x9a,
-	}, []byte{0x8}, []byte{0x8}, []byte(nil))
+	}, []byte{0x8}, []byte{0x8}, []byte{0x8}, []byte(nil))
 	// Each targeted seed fails one request on a path of its own (see
 	// targetedFaultSeeds).
 	for _, seed := range targetedFaultSeeds {
-		index, log, part := seed.bitmaps()
-		f.Add(seed.ops, index, log, part)
+		bm := seed.bitmaps()
+		f.Add(seed.ops, bm[roleIndexA], bm[roleIndexB], bm[roleLogB], bm[roleLogA])
 	}
-	f.Fuzz(func(t *testing.T, ops, indexFaults, logFaults, partFaults []byte) {
+	f.Fuzz(func(t *testing.T, ops, indexA, indexB, logB, logA []byte) {
 		r, d := openFuzzRig(t)
-		r.arm(bitmapFaults(indexFaults, logFaults, partFaults))
+		r.arm(bitmapFaults(indexA, indexB, logB, logA))
 		fuzzOps(ops, d.apply)
 	})
 }
 
 // openFuzzRig opens FuzzFaultedOps' store and its driver: one CLAM on
 // small Intel SSDs, 256 keys of each family, and byte values padded to
-// 3,000 bytes. The value log is four erase blocks, striped over the log
-// SSD and the index SSD's partition, so puts write it a block or more at
-// a time, wrap it often, and a window of 64 puts can outgrow a block, so
-// that a wrap's padding write can span both SSDs.
+// 3,000 bytes. The index is two erase blocks, one on each SSD, in two
+// super tables of up to 32 incarnations, so that its 128-entry buffers
+// flush often. The value log is four, striped over SSD B's partition and
+// SSD A's, so puts write it a block or more at a time, wrap it often, and
+// a window of 64 puts can outgrow a block, so that a wrap's padding write
+// can span both SSDs.
 func openFuzzRig(t testing.TB) (*faultRig, *faultDriver) {
-	r := openFaultCLAM(t, 128<<10, 512<<10, WithMemory(16<<10), WithBufferKB(4), WithSeed(9))
+	r := openFaultCLAM(t, 256<<10, 512<<10, WithMemory(16<<10), WithBufferKB(4), WithMaxIncarnations(32), WithSeed(9))
 	return r, newFaultDriver(t, r, 256, 3000, 64)
 }
 
-// bitmapFaults fails request i of a rig's index devices when bit i of
-// index, repeated, is set, request i of its log SSDs when bit i of log is,
-// and request i of its index SSDs' log partitions when bit i of part is.
-// An empty bitmap fails nothing.
-func bitmapFaults(index, log, part []byte) func(role faultRole, i int, _ storage.Op) bool {
+// bitmapFaults fails request i of a rig's partitions of each role when bit
+// i of that role's bitmap, repeated, is set; the bitmaps come in role
+// order (see faultRole). An empty bitmap fails nothing.
+func bitmapFaults(bitmaps ...[]byte) func(role faultRole, i int, _ storage.Op) bool {
 	return func(role faultRole, i int, _ storage.Op) bool {
-		faults := [...][]byte{roleIndex: index, roleLog: log, rolePart: part}[role]
+		faults := bitmaps[role]
 		if len(faults) == 0 {
 			return false
 		}

@@ -98,8 +98,8 @@ func WithMemory(bytes int64) Option {
 // backing the byte-valued API. Default: the flash capacity again. The log
 // is circular — when it wraps, the oldest records are overwritten and
 // their keys read as misses, the same FIFO story as incarnation eviction.
-// A kind-opened shard stripes its log over its two SSDs, every second
-// erase block on a partition of the index SSD, so record reads use both;
+// A kind-opened shard stripes its log over its two SSDs, as it stripes
+// its index, every second erase block on each, so record reads use both;
 // the capacity is the same as on one SSD. A WithCustomDevice store, or a
 // shard's log of a single erase block, keeps the log on one SSD.
 func WithValueLog(bytes int64) Option {
@@ -165,10 +165,10 @@ func WithSeed(seed uint64) Option {
 
 // WithClock supplies the virtual clock of a one-shard store (a CLAM); one
 // is created if absent. It is the shard's clock: the CPU charges run on
-// it, and so does a WithCustomDevice index device. A kind-opened index
-// device and the value-log device run on private timelines that every
-// chunk call joins into this clock before it returns, so between calls
-// the clock covers all of the store's work. Rejected with WithShards > 1:
+// it, and so does a WithCustomDevice index device. A kind-opened store's
+// two SSDs, which hold its index and its value log, run on private
+// timelines that every chunk call joins into this clock before it returns,
+// so between calls the clock covers all of the store's work. Rejected with WithShards > 1:
 // each shard of a Sharded store owns a private clock.
 func WithClock(clock *vclock.Clock) Option {
 	return func(c *config) error {
@@ -245,15 +245,6 @@ func Open(opts ...Option) (Store, error) {
 // core.MaxLookupBatch keys, so each distinct key is resolved once. Only
 // tests set another value.
 const defaultBatchChunk = 512
-
-// newKindDevice builds a device model of the given kind.
-func newKindDevice(kind DeviceKind, capacity int64, clock *vclock.Clock) (storage.Device, error) {
-	prof, err := kindProfile(kind)
-	if err != nil {
-		return nil, err
-	}
-	return ssd.New(prof, capacity, clock), nil
-}
 
 // kindProfile returns the SSD profile of a device kind.
 func kindProfile(kind DeviceKind) (ssd.Profile, error) {

@@ -15,47 +15,58 @@ import (
 	"repro/internal/workload"
 )
 
-// A shard's value-log device runs on its own timeline (see shard.issueLog
-// and shard.join): an append overlaps the index work of its put chunk,
-// and a probing round's record reads overlap the next round's probes. Its
-// index device runs on another (core.Config.DeviceClock): a lookup
-// batch's first probes overlap the rest of its in-memory phase. These
-// tests pin the rules of both overlaps.
+// A kind-opened shard's two SSDs, A and B, each run on a timeline of their
+// own, and each holds half the index and half the value log (see
+// openShard): a put chunk's append overlaps its index work, a probing
+// round's record reads overlap the next round's probes, a lookup batch's
+// first probes overlap the rest of its in-memory phase, and an SSD serves
+// one submission at a time, whichever structure it is for. These tests
+// pin the rules of those overlaps against the timelines: the shard clock
+// and each SSD's busy time.
 
-// shardTimes is a shard's clock reading and the busy time of its devices:
-// the index device, the value-log partition of the index SSD, on the
-// index device's timeline (0 for a one-member log), and the log SSD.
-type shardTimes struct{ clock, index, part, log time.Duration }
-
-// logMembers returns a shard's value-log devices: the log SSD, and the
-// index SSD's log partition when the log is striped over both (nil
-// otherwise).
-func (s *shard) logMembers() (logSSD, part storage.Device) {
-	if len(s.logs) == 2 {
-		part = s.logs[1].dev
-	}
-	return s.logs[0].dev, part
+// shardTimes is a shard's clock reading and the busy time of its
+// partitions: idx the index's on SSDs A and B, log the value log's on B
+// and A, in member order (each 0 where the device has no such member).
+type shardTimes struct {
+	clock    time.Duration
+	idx, log [2]time.Duration
 }
 
 func (s *shard) times() shardTimes {
-	logSSD, part := s.logMembers()
-	t := shardTimes{clock: s.clock.Now(), index: s.dev.Counters().BusyTime, log: logSSD.Counters().BusyTime}
-	if part != nil {
-		t.part = part.Counters().BusyTime
+	t := shardTimes{clock: s.clock.Now()}
+	for i, p := range s.idx.parts {
+		t.idx[i] = p.Counters().BusyTime
+	}
+	for i, p := range s.logs.parts {
+		t.log[i] = p.Counters().BusyTime
 	}
 	return t
 }
 
-// indexSSD is the busy time of the index SSD: its index device's and its
-// value-log partition's, which share one timeline.
-func (a shardTimes) indexSSD() time.Duration { return a.index + a.part }
+// onSSD returns SSD x's (0 for A, 1 for B) index and value-log busy time.
+func (a shardTimes) onSSD(x int) (index, log time.Duration) { return a.idx[x], a.log[1-x] }
+
+// busy returns SSD x's busy time: its two partitions', which share its
+// timeline.
+func (a shardTimes) busy(x int) time.Duration {
+	index, log := a.onSSD(x)
+	return index + log
+}
 
 func (a shardTimes) sub(b shardTimes) shardTimes {
-	return shardTimes{a.clock - b.clock, a.index - b.index, a.part - b.part, a.log - b.log}
+	d := shardTimes{clock: a.clock - b.clock}
+	for x := range 2 {
+		d.idx[x], d.log[x] = a.idx[x]-b.idx[x], a.log[x]-b.log[x]
+	}
+	return d
 }
 
 func (a shardTimes) add(b shardTimes) shardTimes {
-	return shardTimes{a.clock + b.clock, a.index + b.index, a.part + b.part, a.log + b.log}
+	d := shardTimes{clock: a.clock + b.clock}
+	for x := range 2 {
+		d.idx[x], d.log[x] = a.idx[x]+b.idx[x], a.log[x]+b.log[x]
+	}
+	return d
 }
 
 func snapshotTimes(shards []*shard) []shardTimes {
@@ -66,39 +77,36 @@ func snapshotTimes(shards []*shard) []shardTimes {
 	return ts
 }
 
-// requireJoined fails unless every shard's index clock and log clock are
-// at or behind its shard clock, as they must be between chunk calls, or,
-// after a put call that began at the snapshot before (nil after any other
-// call), each is ahead by at most the value-log busy time the call added
-// on that SSD: a put chunk acknowledges while its append still runs.
+// requireJoined fails unless each of every shard's SSD clocks is at or
+// behind its shard clock, as they must be between chunk calls, or, after
+// a put call that began at the snapshot before (nil after any other
+// call), ahead by at most the value-log busy time the call added on that
+// SSD: a put chunk acknowledges while its append still runs.
 func requireJoined(t *testing.T, shards []*shard, after string, before []shardTimes) {
 	t.Helper()
 	for i, sh := range shards {
 		c := sh.clock.Now()
-		var part, appended time.Duration
+		var d shardTimes
 		if before != nil {
-			d := sh.times().sub(before[i])
-			part, appended = d.part, d.log
+			d = sh.times().sub(before[i])
 		}
-		if x := sh.bh.Config().DeviceClock.Now(); x > c+part {
-			t.Fatalf("after %s: shard %d's index clock %v is ahead of its clock %v by more than the call's %v of appends",
-				after, i, x, c, part)
-		}
-		if l := sh.logs[0].clock.Now(); l > c+appended {
-			t.Fatalf("after %s: shard %d's log clock %v is ahead of its clock %v by more than the call's %v of appends",
-				after, i, l, c, appended)
+		for x, ssdClock := range sh.idx.clocks {
+			if _, appended := d.onSSD(x); ssdClock.Now() > c+appended {
+				t.Fatalf("after %s: shard %d's SSD %c clock %v is ahead of its clock %v by more than the call's %v of appends",
+					after, i, 'A'+x, ssdClock.Now(), c, appended)
+			}
 		}
 	}
 }
 
 // TestValueLogOverlapWindows runs dedup merge windows on wrapped logs and
-// checks, after every call, that each shard joined its index timeline and
-// its log timeline, but for a put's append in flight, and that between
-// the ends of two GetBatch calls, where every shard is joined to both,
-// each shard's clock advanced by at least each of its devices' busy time:
-// overlap hides a device's time behind the other device's or the CPU's,
-// never outside the shard's own span. It logs shard 0's mean clock
-// advance and device busy time per window.
+// checks, after every call, that each shard joined both SSDs' timelines,
+// but for a put's append in flight, and that between the ends of two
+// GetBatch calls, where every shard is joined to both, each shard's clock
+// advanced by at least each SSD's busy time: overlap hides an SSD's time
+// behind the other SSD's or the CPU's, never outside the shard's own span.
+// It logs shard 0's mean clock advance and each SSD's busy time per
+// window.
 func TestValueLogOverlapWindows(t *testing.T) {
 	w := newDedupWindow(t, flashIndexLogs)
 	const windows = 100
@@ -113,9 +121,9 @@ func TestValueLogOverlapWindows(t *testing.T) {
 		requireJoined(t, w.s.shards, "PutBatch", t1)
 		t2 := snapshotTimes(w.s.shards)
 		for i := range t1 {
-			if d := t1[i].sub(joined[i]); d.clock < d.indexSSD() || d.clock < d.log {
-				t.Fatalf("window %d, shard %d: clock advanced %v, below its index SSD's busy %v or its log SSD's %v",
-					w.window, i, d.clock, d.indexSSD(), d.log)
+			if d := t1[i].sub(joined[i]); d.clock < d.busy(0) || d.clock < d.busy(1) {
+				t.Fatalf("window %d, shard %d: clock advanced %v, below SSD A's busy %v or SSD B's %v",
+					w.window, i, d.clock, d.busy(0), d.busy(1))
 			}
 		}
 		joined = t1
@@ -123,11 +131,13 @@ func TestValueLogOverlapWindows(t *testing.T) {
 		put = put.add(t2[0].sub(t1[0]))
 	}
 	per := func(d time.Duration) string { return fmt.Sprintf("%.3f ms", float64(d)/windows/1e6) }
-	t.Logf("shard 0 per window: get advance %s (index busy %s, index SSD's log busy %s, log SSD busy %s); put advance %s (%s, %s, %s)",
-		per(get.clock), per(get.index), per(get.part), per(get.log), per(put.clock), per(put.index), per(put.part), per(put.log))
-	all := get.add(put)
-	t.Logf("shard 0 per window: clock %s, index SSD busy %s, log SSD busy %s",
-		per(all.clock), per(all.indexSSD()), per(all.log))
+	for _, c := range []struct {
+		call string
+		d    shardTimes
+	}{{"get", get}, {"put", put}, {"window", get.add(put)}} {
+		t.Logf("shard 0 per %s: clock %s; SSD A busy %s (index %s), SSD B busy %s (index %s)", c.call,
+			per(c.d.clock), per(c.d.busy(0)), per(c.d.idx[0]), per(c.d.busy(1)), per(c.d.idx[1]))
+	}
 }
 
 // overlapStore is the one-shard store the chunk-level overlap tests use.
@@ -138,87 +148,125 @@ func overlapStore(t *testing.T) *CLAM {
 
 func overlapKey(i int) []byte { return []byte(fmt.Sprintf("overlap-key-%05d", i)) }
 
-// putUntilFlush issues 32-key PutBatch calls of fresh keys, checking
-// the timelines after each, until one both flushes an index buffer and
-// writes value-log pages to the SSD that log picks out of the call's
-// shard times, and returns that call's number and shard times.
-func putUntilFlush(t *testing.T, c *CLAM, log func(d shardTimes) time.Duration) (int, shardTimes) {
+// side returns the SSD (0 for A, 1 for B) that alone was busy for a time
+// a on A and b on B, or -1 when neither or both were.
+func side(a, b time.Duration) int {
+	switch {
+	case a > 0 && b == 0:
+		return 0
+	case b > 0 && a == 0:
+		return 1
+	}
+	return -1
+}
+
+// sides returns the SSD that alone served a call's index I/O and the one
+// that alone served its value-log I/O (see side).
+func (a shardTimes) sides() (index, log int) {
+	return side(a.idx[0], a.idx[1]), side(a.log[1], a.log[0])
+}
+
+// putUntil issues 32-key PutBatch calls of fresh keys, from key *next on,
+// checking the timelines after each, until one satisfies want, given
+// whether it flushed an index buffer and its shard times, and returns
+// that call's shard times; *next is then the first key not put.
+func putUntil(t *testing.T, c *CLAM, next *int, what string, want func(flushed bool, d shardTimes) bool) shardTimes {
 	t.Helper()
 	sh := c.shards[0]
 	val := make([]byte, 100)
 	keys, vals := make([][]byte, 32), make([][]byte, 32)
-	for call := 0; call < 1000; call++ {
+	for range 1000 {
 		for j := range keys {
-			keys[j], vals[j] = overlapKey(call*len(keys)+j), val
+			keys[j], vals[j] = overlapKey(*next), val
+			*next++
 		}
 		flushes, before := c.Stats().Core.Flushes, sh.times()
 		if err := c.PutBatch(context.Background(), keys, vals); err != nil {
 			t.Fatal(err)
 		}
 		requireJoined(t, c.shards, "PutBatch", []shardTimes{before})
-		d := sh.times().sub(before)
-		if c.Stats().Core.Flushes > flushes && d.index > 0 && log(d) > 0 {
-			return call, d
+		if d := sh.times().sub(before); want(c.Stats().Core.Flushes > flushes, d) {
+			return d
 		}
 	}
-	t.Fatal("no PutBatch flushed the index and wrote the log")
-	return 0, shardTimes{}
+	t.Fatalf("no PutBatch %s", what)
+	return shardTimes{}
 }
 
-// onLogSSD and onPart pick a call's value-log busy time on the log SSD
-// and on the index SSD's log partition.
-func onLogSSD(d shardTimes) time.Duration { return d.log }
-func onPart(d shardTimes) time.Duration   { return d.part }
+// appendOnly picks a put call that wrote the value log on one SSD and
+// flushed no index buffer.
+func appendOnly(flushed bool, d shardTimes) bool {
+	_, log := d.sides()
+	return !flushed && log >= 0
+}
 
-// TestPutChunkOverlap pins byte PutBatch chunks whose flush writes the
-// index device while their append writes a whole erase block of the
-// value log. A chunk whose append lands on the log SSD waits for its
-// flush write, not for its append: it advances the clock by at least its
-// index busy time and by less than its log busy time, and it leaves the
-// log clock ahead. A chunk whose append lands on the index SSD's log
-// partition waits for both: the index SSD serves one submission at a
-// time, so its flush write queues behind the append.
+// TestPutChunkOverlap pins byte PutBatch chunks whose append writes a
+// whole erase block of the value log, on one SSD. A chunk that flushes no
+// index buffer does not wait for its append: it advances the clock by
+// less than its append SSD's busy time and leaves that SSD's clock ahead.
+// A chunk that flushes joins both SSDs after its flush write, as every
+// index write does, so it returns joined and advances the clock by at
+// least each SSD's busy time, whether its flush ran beside the append on
+// the other SSD or queued behind it on the same one, which serves one
+// submission at a time.
 func TestPutChunkOverlap(t *testing.T) {
 	c := overlapStore(t)
 	sh := c.shards[0]
-	call, d := putUntilFlush(t, c, onLogSSD)
-	lead := sh.logs[0].clock.Now() - sh.clock.Now()
-	t.Logf("call %d: clock advanced %v; index busy %v, log SSD busy %v, the log running on %v past the acknowledgement",
-		call, d.clock, d.index, d.log, lead)
-	if d.part != 0 || d.clock < d.index || d.clock >= d.log || lead <= 0 {
-		t.Errorf("clock advanced %v: want at least the index busy %v and below the log SSD's busy %v (partition %v), with the log still running (%v)",
-			d.clock, d.index, d.log, d.part, lead)
+	next := 0
+	d := putUntil(t, c, &next, "wrote the log on one SSD without flushing", appendOnly)
+	_, y := d.sides()
+	lead := sh.idx.clocks[y].Now() - sh.clock.Now()
+	t.Logf("no flush: clock advanced %v; SSD %c (the append) busy %v, running on %v past the acknowledgement",
+		d.clock, 'A'+y, d.busy(y), lead)
+	if d.clock >= d.busy(y) || lead <= 0 {
+		t.Errorf("clock advanced %v: want below the append SSD's busy %v, with the append still running (%v)", d.clock, d.busy(y), lead)
 	}
-	call, d = putUntilFlush(t, c, onPart)
-	t.Logf("call %d: clock advanced %v; index busy %v, partition busy %v", call, d.clock, d.index, d.part)
-	if d.log != 0 || d.clock < d.index+d.part {
-		t.Errorf("clock advanced %v: want at least the index SSD's busy %v, its flush %v behind its append %v (log SSD %v)",
-			d.clock, d.index+d.part, d.index, d.part, d.log)
+	for _, together := range []bool{false, true} {
+		d = putUntil(t, c, &next, fmt.Sprintf("flushed and wrote the log on one SSD each (together: %t)", together),
+			func(flushed bool, d shardTimes) bool {
+				index, log := d.sides()
+				return flushed && index >= 0 && log >= 0 && (index == log) == together
+			})
+		requireJoined(t, c.shards, "a flushing PutBatch", nil)
+		x, _ := d.sides()
+		t.Logf("flush on SSD %c, together %t: clock advanced %v; SSD A busy %v (index %v), SSD B busy %v (index %v)",
+			'A'+x, together, d.clock, d.busy(0), d.idx[0], d.busy(1), d.idx[1])
+		if d.clock < d.busy(0) || d.clock < d.busy(1) {
+			t.Errorf("clock advanced %v: want at least each SSD's busy %v and %v", d.clock, d.busy(0), d.busy(1))
+		}
 	}
 }
 
 // TestOneKeyGetTimeline pins one-key Gets: with one hit there is nothing
-// to overlap, so each advances the clock by the serial sum of its reads,
-// the constants captured before the log had its own timeline, plus
-// whatever remains of an earlier put's append, which its record read
-// queues behind. Right after the put that flushed, a Get of a flushed key
-// waits for that put's value-log write; a key still in the DRAM buffer
-// then pays its Bloom query, which every lookup in a super table with
-// live incarnations runs before its buffer probe, and reads its record
-// alone, and after idle time the flushed key costs its serial sum again. Each Get follows a write, the put or a delete of
+// to overlap, so each advances the clock by at least the serial sum of
+// its reads, its index probe and then its record read, the busy time it
+// adds to SSDs A and B together, and a read on an SSD that an earlier
+// put's append still occupies queues behind the append. Right after a put
+// chunk that flushed nothing and left its append running on SSD A, a Get
+// of a flushed key waits for that write; a key put after the last flush,
+// still in the DRAM buffer, then pays its Bloom query, which every lookup
+// in a super table with live incarnations runs before its buffer probe,
+// and reads its record alone; and after idle time the flushed key costs
+// its serial sum again. Each Get follows a write, the put or a delete of
 // a key never put, so it starts no read run: the hot-entry cache neither
 // answers nor fills, and its reads are the ones timed.
 func TestOneKeyGetTimeline(t *testing.T) {
 	c := overlapStore(t)
-	call, _ := putUntilFlush(t, c, onLogSSD)
+	sh := c.shards[0]
+	next := 0
+	putUntil(t, c, &next, "flushed", func(flushed bool, _ shardTimes) bool { return flushed })
+	buffered := next
+	if _, y := putUntil(t, c, &next, "wrote the log on one SSD without flushing", appendOnly).sides(); y != 0 {
+		t.Fatalf("the append ran on SSD %c; the pins assume A", 'A'+y)
+	}
 	for i, g := range []struct {
 		key  int
 		idle time.Duration
 		want time.Duration
 	}{
-		{0, 0, 496864 * time.Nanosecond},                     // flushed: one index probe, then the record read behind the write
-		{call*32 - 1, 0, 154768 * time.Nanosecond},           // buffered: the Bloom query, then the record read
-		{0, 10 * time.Millisecond, 307536 * time.Nanosecond}, // flushed, the log idle: the serial sum
+		{0, 0, 2628160 * time.Nanosecond},                    // flushed: its probe on SSD A behind the write, then its record read on B
+		{buffered, 0, 154268 * time.Nanosecond},              // buffered: the Bloom query, then the record read on A
+		{0, 10 * time.Millisecond, 307536 * time.Nanosecond}, // flushed, both SSDs idle: the serial sum
 	} {
 		if i > 0 {
 			if err := c.DeleteU64(1); err != nil {
@@ -226,20 +274,35 @@ func TestOneKeyGetTimeline(t *testing.T) {
 			}
 		}
 		c.Clock().Advance(g.idle)
-		before := c.Clock().Now()
+		var lead [2]time.Duration // how far each SSD's clock is ahead: the append still running
+		for x, ssdClock := range sh.idx.clocks {
+			lead[x] = max(ssdClock.Now()-sh.clock.Now(), 0)
+		}
+		before := sh.times()
 		if _, ok, err := c.Get(overlapKey(g.key)); err != nil || !ok {
 			t.Fatalf("Get(%d): found %t, err %v", g.key, ok, err)
 		}
 		requireJoined(t, c.shards, "Get", nil)
-		if d := c.Clock().Now() - before; d != g.want {
-			t.Errorf("Get(%d) after %v idle advanced the clock %v; want %v", g.key, g.idle, d, g.want)
+		d := sh.times().sub(before)
+		t.Logf("Get(%d) after %v idle: clock %v; SSD A busy %v (index %v, ahead by %v), SSD B busy %v (index %v, ahead by %v)",
+			g.key, g.idle, d.clock, d.busy(0), d.idx[0], lead[0], d.busy(1), d.idx[1], lead[1])
+		if serial := d.busy(0) + d.busy(1); d.clock < serial {
+			t.Errorf("Get(%d) advanced the clock %v, below the serial sum of its reads %v", g.key, d.clock, serial)
+		}
+		for x := range 2 {
+			if d.busy(x) > 0 && d.clock < lead[x]+d.busy(x) {
+				t.Errorf("Get(%d) advanced the clock %v, below the %v its read on SSD %c waited plus its %v", g.key, d.clock, lead[x], 'A'+x, d.busy(x))
+			}
+		}
+		if d.clock != g.want {
+			t.Errorf("Get(%d) after %v idle advanced the clock %v; want %v", g.key, g.idle, d.clock, g.want)
 		}
 	}
 }
 
 // openSharedIndexTwin opens the Sharded store opts describe, except that
-// each shard's index device runs on its shard clock, as a WithCustomDevice
-// index does: the timeline on which a shard's index reads and CPU work add
+// each shard's index is one SSD on its shard clock, as a WithCustomDevice
+// index is: the timeline on which a shard's index reads and CPU work add
 // up.
 func openSharedIndexTwin(t testing.TB, opts ...Option) *Sharded {
 	t.Helper()
@@ -256,11 +319,11 @@ func openSharedIndexTwin(t testing.TB, opts ...Option) *Sharded {
 		po.flashBytes, po.memoryBytes, po.valueLogBytes = cfg.flashBytes/int64(n), cfg.memoryBytes/int64(n), cfg.valueLogBytes/int64(n)
 		po.seed = hashutil.Hash64Seed(uint64(i), cfg.seed)
 		po.clock = vclock.New()
-		dev, err := newKindDevice(po.device, po.flashBytes, po.clock)
+		prof, err := kindProfile(po.device)
 		if err != nil {
 			t.Fatal(err)
 		}
-		po.customDevice = dev
+		po.customDevice = ssd.New(prof, po.flashBytes, po.clock)
 		if shards[i], err = openShard(po); err != nil {
 			t.Fatal(err)
 		}
@@ -271,14 +334,15 @@ func openSharedIndexTwin(t testing.TB, opts ...Option) *Sharded {
 // TestIndexOverlapWindows runs GetBatchU64 windows of the get-batch-zipf
 // benchmark workload's shape (8 shards, 64 MB of Intel flash, 12 MB of
 // DRAM, 4096 Zipf(1.1) keys per batch, warmed with 1.25 times the flash's
-// entries) on the store and on a twin whose index devices share their
-// shard clocks, and checks that the index timeline only moves time: the
-// answers and every shard's core counters match the twin's. After every
-// call each shard must be joined, and over every window each shard's
-// clock must advance by at least its index busy time. The twin's advance
-// less its busy time is the window's CPU time, and on at least one shard
-// per window the store's advance must fall below that CPU time plus the
-// store's busy time: the index reads overlapped phase A.
+// entries) on the store and on a twin whose indexes are one SSD each on
+// their shard clocks, and checks that the index timelines only move time:
+// the answers and every shard's core counters match the twin's. After
+// every call each shard must be joined, and over every window each
+// shard's clock must advance by at least each SSD's index busy time. The
+// twin's advance less its index busy time is the window's CPU time, and
+// on at least one shard per window the store's advance must fall below
+// that CPU time plus the busier SSD's index time: the index reads
+// overlapped phase A, not only each other.
 func TestIndexOverlapWindows(t *testing.T) {
 	const (
 		flash   = 64 << 20
@@ -305,10 +369,13 @@ func TestIndexOverlapWindows(t *testing.T) {
 	requireJoined(t, s.shards, "warm-up", nil)
 	probe := workload.NewZipfStream(3, zipfS, keyRange)
 	probes := make([]uint64, batch)
+	// The twin's index busy time is its one SSD's, in idx[0].
 	times := func(st *Sharded) []shardTimes {
-		ts := make([]shardTimes, len(st.shards))
+		ts := snapshotTimes(st.shards)
 		for i, sh := range st.shards {
-			ts[i] = shardTimes{clock: sh.clock.Now(), index: sh.dev.Counters().BusyTime}
+			if sh.idx.parts == nil {
+				ts[i].idx[0] = sh.idx.Counters().BusyTime
+			}
 		}
 		return ts
 	}
@@ -338,20 +405,21 @@ func TestIndexOverlapWindows(t *testing.T) {
 				t.Fatalf("window %d, shard %d: core counters differ from the twin's:\n%+v\n%+v", w, i, a, b)
 			}
 			d, td := s1[i].sub(s0[i]), t1[i].sub(t0[i])
-			if d.clock < d.index {
-				t.Fatalf("window %d, shard %d: clock advanced %v, below its index busy %v", w, i, d.clock, d.index)
+			busier := max(d.idx[0], d.idx[1])
+			if d.clock < busier {
+				t.Fatalf("window %d, shard %d: clock advanced %v, below an SSD's index busy %v", w, i, d.clock, busier)
 			}
-			cpu := td.clock - td.index
-			overlapped = overlapped || d.clock < cpu+d.index
+			cpu := td.clock - td.idx[0]
+			overlapped = overlapped || d.clock < cpu+busier
 			most, twinMost = max(most, d.clock), max(twinMost, td.clock)
 		}
 		if !overlapped {
-			t.Fatalf("window %d: every shard's clock advanced by at least its CPU time plus its index busy time", w)
+			t.Fatalf("window %d: every shard's clock advanced by at least its CPU time plus its busier SSD's index time", w)
 		}
 		makespan += most
 		twinMakespan += twinMost
 	}
-	t.Logf("mean window makespan %v; with the index devices on the shard clocks %v",
+	t.Logf("mean window makespan %v; with each index one SSD on its shard clock %v",
 		makespan/windows, twinMakespan/windows)
 }
 
@@ -484,24 +552,24 @@ func TestLentDedupeWindows(t *testing.T) {
 		makespan/windows, twinMakespan/windows, lent, windows)
 }
 
-// devRead is one read request an index device served, with its device
-// clock reading, which is its submission's start: the fault hook runs
-// before the device serves a submission.
+// devRead is one read request an index partition served, with its SSD's
+// clock reading, which is its submission's start on that SSD: the fault
+// hook runs before the partition serves its share of a submission.
 type devRead struct {
+	part  int // 0 on SSD A, 1 on SSD B
 	off   int64
 	start time.Duration
 }
 
 // firstProbeStore opens a one-shard kind-opened store holding 2000 flushed
-// keys, records every read its index device serves from then on into
-// *reads, and returns Lanes of the keys whose one-key GetU64s read
-// distinct first probe pages.
+// keys, records every read its index partitions serve from then on into
+// *reads, and returns one SSD's Lanes of the keys whose one-key GetU64s
+// read distinct first probe pages: phase A's group of pages.
 func firstProbeStore(t *testing.T, seed uint64) (c *CLAM, flushed []uint64, reads *[]devRead) {
 	t.Helper()
 	c = openCLAMT(t, WithDevice(IntelSSD), WithFlash(4<<20), WithMemory(512<<10), WithBufferKB(16), WithSeed(seed))
 	sh := c.shards[0]
-	dev, devClock := sh.dev.(*ssd.SSD), sh.bh.Config().DeviceClock
-	lanes := dev.Geometry().Lanes
+	lanes := sh.idx.parts[0].Geometry().Lanes
 	keys, vals := make([]uint64, 2000), make([]uint64, 2000)
 	for i := range keys {
 		keys[i], vals[i] = u64Key(i), uint64(i)+1
@@ -513,22 +581,31 @@ func firstProbeStore(t *testing.T, seed uint64) (c *CLAM, flushed []uint64, read
 		t.Fatal(err)
 	}
 	reads = new([]devRead)
-	dev.SetFault(func(op storage.Op, off int64, _ int) error {
-		if op == storage.OpRead {
-			*reads = append(*reads, devRead{off, devClock.Now()})
-		}
-		return nil
-	})
-	t.Cleanup(func() { dev.SetFault(nil) })
+	for i, p := range sh.idx.parts {
+		p.SetFault(func(op storage.Op, off int64, _ int) error {
+			if op == storage.OpRead {
+				*reads = append(*reads, devRead{i, off, sh.idx.clocks[i].Now()})
+			}
+			return nil
+		})
+		t.Cleanup(func() { p.SetFault(nil) })
+	}
 	// A one-key GetU64 of a flushed key reads its first probe page first.
-	pages := map[int64]bool{}
+	type page struct {
+		part int
+		off  int64
+	}
+	pages := map[page]bool{}
 	for _, k := range keys {
 		*reads = (*reads)[:0]
 		if _, ok, err := c.GetU64(k); err != nil || !ok {
 			t.Fatalf("GetU64(%#x): found %t, err %v", k, ok, err)
 		}
-		if len(*reads) > 0 && !pages[(*reads)[0].off] {
-			pages[(*reads)[0].off] = true
+		if len(*reads) == 0 {
+			continue
+		}
+		if r := (*reads)[0]; !pages[page{r.part, r.off}] {
+			pages[page{r.part, r.off}] = true
 			flushed = append(flushed, k)
 			if len(flushed) == lanes {
 				return c, flushed, reads
@@ -555,12 +632,12 @@ func requireOneKeyAnswers(t *testing.T, c *CLAM, keys, got []uint64, found []boo
 }
 
 // TestRepeatsDoNotDelayFirstProbes sends a one-shard kind-opened store one
-// GetBatchU64 of Lanes flash-resident keys, whose first probe pages are
-// distinct, followed by 401 positions of one buffered key. The repeats'
-// dedupe charges land where phase A reaches them, so the index device's
-// first submission, the Lanes first pages, must start once the first
-// keys' phase-A charges have landed, not after 400 CPU.BatchCoalesce
-// charges. Every position must equal a one-key GetU64.
+// GetBatchU64 of one SSD's Lanes flash-resident keys, whose first probe
+// pages are distinct, followed by 401 positions of one buffered key. The
+// repeats' dedupe charges land where phase A reaches them, so the index's
+// first submission, the Lanes first pages, must start on its SSDs once the
+// first keys' phase-A charges have landed, not after 400
+// CPU.BatchCoalesce charges. Every position must equal a one-key GetU64.
 func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
 	c, batch, reads := firstProbeStore(t, 37)
 	lanes := len(batch)
@@ -590,7 +667,7 @@ func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
 	t.Logf("first submission at +%v; the first %d keys' phase A costs %v, 400 repeats %v",
 		first, lanes, phaseA, 400*cpu.BatchCoalesce)
 	if first > phaseA {
-		t.Errorf("the index device's first submission started at +%v, after the first %d keys' phase-A charges (%v)",
+		t.Errorf("the index's first submission started at +%v, after the first %d keys' phase-A charges (%v)",
 			first, lanes, phaseA)
 	}
 	requireOneKeyAnswers(t, c, batch, got, found)
@@ -598,11 +675,11 @@ func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
 
 // TestStagingScreenSpeedsRoundOne sends a one-shard kind-opened store one
 // GetBatchU64 of 400 distinct absent keys that the Bloom filters exclude
-// from every incarnation, followed by Lanes flash-resident keys whose
-// first probe pages are distinct; the buffers hold neither. Phase A
+// from every incarnation, followed by one SSD's Lanes flash-resident keys
+// whose first probe pages are distinct; the buffers hold neither. Phase A
 // queries each key's Bloom bank first, and the staging filter rules every
 // key out of its buffer, so none is charged CPU.BufferLookup: the call
-// counts 400+Lanes screened probes, and the index device's last round-1
+// counts 400+Lanes screened probes, and the index's last round-1
 // submission must start once the call's Bloom queries have landed, before
 // the buffer-first order (CPU.BufferLookup, then the query, per key)
 // would have gathered the first flash key's page. Every position must
@@ -653,89 +730,93 @@ func TestStagingScreenSpeedsRoundOne(t *testing.T) {
 	t.Logf("last round-1 submission at +%v; the Bloom queries cost %v; buffer first, the first flash key's page would be gathered at +%v",
 		last, queries, bufferFirst)
 	if last > queries || last >= bufferFirst {
-		t.Errorf("the index device's last round-1 submission started at +%v, after the call's Bloom queries (+%v)",
+		t.Errorf("the index's last round-1 submission started at +%v, after the call's Bloom queries (+%v)",
 			last, queries)
 	}
 	requireOneKeyAnswers(t, c, batch, got, found)
 }
 
-// indexSSDSub is one submission to the index SSD: its start on the index
-// device's timeline, the device that served it (0 the index device, 1 the
-// log partition), and that device's busy time before it.
-type indexSSDSub struct {
+// ssdSub is one submission to an SSD: its start on the SSD's timeline,
+// the partition that served it (0 its index partition, 1 its log
+// partition), and that partition's busy time before it.
+type ssdSub struct {
 	start, busy time.Duration
-	dev         int
+	part        int
 }
 
-// TestIndexSSDServesOneSubmissionAtATime records every submission to a
-// shard's index SSD during dedup merge windows, whose GetBatch record
-// reads and PutBatch appends on the index SSD's log partition run beside
-// the index probes and flushes: each submission must start at or after
-// the previous one, from either device, has ended. A submission's end is its start plus its
-// device's busy time until that device's next submission.
+// TestIndexSSDServesOneSubmissionAtATime records every submission to each
+// of a shard's two SSDs during dedup merge windows, whose index probes and
+// flushes and GetBatch record reads and PutBatch appends run on both: on
+// each SSD, each submission must start at or after the previous one, to
+// either of its partitions, has ended. A submission's end is its start
+// plus its partition's busy time until that partition's next submission.
 func TestIndexSSDServesOneSubmissionAtATime(t *testing.T) {
 	w := newDedupWindow(t, flashIndexLogs)
 	sh := w.s.shards[0]
-	_, part := sh.logMembers()
-	devClock := sh.bh.Config().DeviceClock
-	devs := []*ssd.SSD{sh.dev.(*ssd.SSD), part.(*ssd.SSD)}
-	var subs []indexSSDSub
-	for i, d := range devs {
-		d.SetFault(func(storage.Op, int64, int) error {
-			s := indexSSDSub{devClock.Now(), d.Counters().BusyTime, i}
-			if n := len(subs); n == 0 || subs[n-1] != s {
-				subs = append(subs, s) // a submission's first request
-			}
-			return nil
-		})
+	var parts [2][2]*ssd.SSD // per SSD: its index partition and its log partition
+	var subs [2][]ssdSub
+	for x := range 2 {
+		parts[x] = [2]*ssd.SSD{sh.idx.parts[x], sh.logs.parts[1-x]}
+		for i, p := range parts[x] {
+			p.SetFault(func(storage.Op, int64, int) error {
+				s := ssdSub{sh.idx.clocks[x].Now(), p.Counters().BusyTime, i}
+				if n := len(subs[x]); n == 0 || subs[x][n-1] != s {
+					subs[x] = append(subs[x], s) // a submission's first request
+				}
+				return nil
+			})
+		}
 	}
 	for range 20 {
 		w.lookup(t)
 		w.insert(t)
 	}
-	// end returns submission k's end: its device's busy time grows by the
-	// submission's service time before that device's next submission.
-	end := func(k int) time.Duration {
-		s := subs[k]
-		next := devs[s.dev].Counters().BusyTime
-		for _, o := range subs[k+1:] {
-			if o.dev == s.dev {
-				next = o.busy
-				break
+	for x := range 2 {
+		subs := subs[x]
+		// end returns submission k's end: its partition's busy time grows by
+		// the submission's service time before that partition's next
+		// submission.
+		end := func(k int) time.Duration {
+			s := subs[k]
+			next := parts[x][s.part].Counters().BusyTime
+			for _, o := range subs[k+1:] {
+				if o.part == s.part {
+					next = o.busy
+					break
+				}
+			}
+			return s.start + next - s.busy
+		}
+		var switches int
+		for k := 1; k < len(subs); k++ {
+			if prev := end(k - 1); subs[k].start < prev {
+				t.Fatalf("SSD %c: submission %d (partition %d) starts at %v, before submission %d (partition %d) ends at %v",
+					'A'+x, k, subs[k].part, subs[k].start, k-1, subs[k-1].part, prev)
+			}
+			if subs[k].part != subs[k-1].part {
+				switches++
 			}
 		}
-		return s.start + next - s.busy
-	}
-	var switches int
-	for k := 1; k < len(subs); k++ {
-		if prev := end(k - 1); subs[k].start < prev {
-			t.Fatalf("submission %d (device %d) starts at %v, before submission %d (device %d) ends at %v",
-				k, subs[k].dev, subs[k].start, k-1, subs[k-1].dev, prev)
+		t.Logf("SSD %c: %d submissions, %d switches between its index and log partitions", 'A'+x, len(subs), switches)
+		if switches < 20 {
+			t.Fatalf("SSD %c: only %d switches between its two partitions; retune the test", 'A'+x, switches)
 		}
-		if subs[k].dev != subs[k-1].dev {
-			switches++
-		}
-	}
-	t.Logf("%d submissions to the index SSD, %d switches between its index device and its log partition", len(subs), switches)
-	if switches < 20 {
-		t.Fatalf("only %d switches between the index SSD's two devices; retune the test", switches)
 	}
 }
 
 // TestU64StreamLeavesLogAlone runs a stream of every U64 call on a
 // kind-opened store, whose value log is striped over its two SSDs, and on
-// a twin whose log is too small to stripe: neither log device may see a
-// request, the log SSD's clock must not move, and the two stores' clocks,
-// core counters and index device counters must agree, so no U64 store's
-// timing depends on its log.
+// a twin whose log is too small to stripe: neither log partition may see
+// a request, and the two stores' clocks, core counters and index
+// counters must agree, so no U64 store's timing depends on its log.
 func TestU64StreamLeavesLogAlone(t *testing.T) {
 	open := func(vlog int64) *CLAM {
 		return openCLAMT(t, WithDevice(IntelSSD), WithFlash(2<<20), WithMemory(512<<10), WithBufferKB(16),
 			WithValueLog(vlog), WithSeed(23))
 	}
 	striped, single := open(4<<20), open(128<<10)
-	if _, part := striped.shards[0].logMembers(); part == nil {
-		t.Fatal("the 4 MB log is not striped")
+	if n := len(striped.shards[0].logs.parts); n != 2 {
+		t.Fatalf("the 4 MB log has %d partitions, want 2", n)
 	}
 	ctx := context.Background()
 	for _, c := range []*CLAM{striped, single} {
@@ -766,9 +847,8 @@ func TestU64StreamLeavesLogAlone(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sh := c.shards[0]
-		if v := sh.vlog.Device().Counters(); v != (storage.Counters{}) || sh.logs[0].clock.Now() != 0 {
-			t.Fatalf("a U64 stream used the value log: %+v, log clock %v", v, sh.logs[0].clock.Now())
+		if v := c.shards[0].logs.Counters(); v != (storage.Counters{}) {
+			t.Fatalf("a U64 stream used the value log: %+v", v)
 		}
 	}
 	a, b := striped.Stats(), single.Stats()
@@ -778,34 +858,48 @@ func TestU64StreamLeavesLogAlone(t *testing.T) {
 	}
 }
 
-// TestOneMemberLogs pins which stores keep their value log on one SSD: a
-// WithCustomDevice store, whose index device runs on the shard clock, and
-// a store whose log is one erase block, too small to give the index SSD's
-// partition a unit. A log of two erase blocks is striped, one on each
-// SSD, with the capacity it would have on one.
+// TestOneMemberLogs pins which devices keep to one partition: a
+// WithCustomDevice store's value log, one SSD on a private clock, while its
+// index device runs on the shard clock; a log of one erase block, too
+// small to give each SSD a unit, on SSD B alone; and an index of one erase
+// block on SSD A alone. A log of two erase blocks is striped, one on each
+// SSD, B first, with the capacity it would have on one.
 func TestOneMemberLogs(t *testing.T) {
 	clock := vclock.New()
 	custom := openCLAMT(t, WithCustomDevice(ssd.New(ssd.IntelX18M(), 2<<20, clock)), WithClock(clock),
 		WithFlash(2<<20), WithValueLog(4<<20))
 	small := openCLAMT(t, WithDevice(IntelSSD), WithFlash(2<<20), WithValueLog(128<<10))
 	two := openCLAMT(t, WithDevice(IntelSSD), WithFlash(2<<20), WithValueLog(256<<10))
+	smallIndex := openCLAMT(t, WithDevice(IntelSSD), WithFlash(128<<10), WithBufferKB(4), WithValueLog(256<<10))
 	for _, row := range []struct {
-		name    string
-		c       *CLAM
-		striped bool
-		cap     int64
-	}{{"custom device", custom, false, 4 << 20}, {"one erase block", small, false, 128 << 10}, {"two erase blocks", two, true, 256 << 10}} {
+		name          string
+		c             *CLAM
+		index, logs   int // partitions
+		logCap        int64
+		logOnIndexSSD []int // each log partition's SSD among the index's clocks, -1 for a clock of its own
+	}{
+		{"custom device", custom, 0, 1, 4 << 20, []int{-1}},
+		{"one-block log", small, 2, 1, 128 << 10, []int{1}},
+		{"two-block log", two, 2, 2, 256 << 10, []int{1, 0}},
+		{"one-block index", smallIndex, 1, 2, 256 << 10, []int{-1, 0}},
+	} {
 		sh := row.c.shards[0]
-		logSSD, part := sh.logMembers()
-		if (part != nil) != row.striped || len(sh.logs) != map[bool]int{false: 1, true: 2}[row.striped] {
-			t.Fatalf("%s: log SSD %T, partition %T, %d log members; striped %t", row.name, logSSD, part, len(sh.logs), row.striped)
+		if len(sh.idx.parts) != row.index || len(sh.idx.clocks) != row.index || len(sh.logs.parts) != row.logs {
+			t.Fatalf("%s: %d index and %d log partitions, want %d and %d", row.name, len(sh.idx.parts), len(sh.logs.parts), row.index, row.logs)
 		}
-		if c := sh.vlog.Stats().Capacity; c != row.cap {
-			t.Fatalf("%s: log capacity %d, want %d", row.name, c, row.cap)
+		for i, c := range sh.logs.clocks {
+			at := slices.Index(sh.idx.clocks, c)
+			if at != row.logOnIndexSSD[i] || c == sh.clock {
+				t.Fatalf("%s: log partition %d runs on index clock %d, want %d", row.name, i, at, row.logOnIndexSSD[i])
+			}
 		}
-		if row.striped && (logSSD.Geometry().Capacity != 128<<10 || part.Geometry().Capacity != 128<<10) {
-			t.Fatalf("%s: members of %d and %d bytes, want one erase block each", row.name,
-				logSSD.Geometry().Capacity, part.Geometry().Capacity)
+		if c := sh.vlog.Stats().Capacity; c != row.logCap {
+			t.Fatalf("%s: log capacity %d, want %d", row.name, c, row.logCap)
+		}
+		for _, p := range sh.logs.parts {
+			if row.logs == 2 && p.Geometry().Capacity != row.logCap/2 {
+				t.Fatalf("%s: a log partition of %d bytes, want %d", row.name, p.Geometry().Capacity, row.logCap/2)
+			}
 		}
 	}
 }

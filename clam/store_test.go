@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ssd"
 	"repro/internal/storage"
 )
 
@@ -187,19 +186,23 @@ func TestLentDedupeHelperFault(t *testing.T) {
 				}
 			}
 		}
-		helper := s.shards[3].dev.(*ssd.SSD) // with one worker, the last helper to run
+		helper := s.shards[3].idx.parts // with one worker, the last helper to run
 		var fired atomic.Bool
-		helper.SetFault(func(op storage.Op, _ int64, _ int) error {
-			if op == storage.OpRead {
-				fired.Store(true)
-				return errFault
-			}
-			return nil
-		})
+		for _, p := range helper {
+			p.SetFault(func(op storage.Op, _ int64, _ int) error {
+				if op == storage.OpRead {
+					fired.Store(true)
+					return errFault
+				}
+				return nil
+			})
+		}
 		goroutines := runtime.NumGoroutine()
 		owner := s.Shard(0).Stats()
 		_, _, err := s.GetBatchU64(ctx, probes)
-		helper.SetFault(nil)
+		for _, p := range helper {
+			p.SetFault(nil)
+		}
 		if !errors.Is(err, errFault) || !fired.Load() {
 			t.Fatalf("workers=%d: GetBatchU64 returned %v, the fault fired: %t; want the helper's fault", workers, err, fired.Load())
 		}

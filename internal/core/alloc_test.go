@@ -4,21 +4,44 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/ssd"
+	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // TestLookupBatchProbeAllocs pins that phase B reserves no page per flash
 // probe: the device hands each probe's page back as a view, so a lookup
 // batch allocates only its per-key scratch. On a store whose index is on
-// flash, with the batch scratch warmed by a small batch, one LookupBatch
-// of keys that pend on at least 256 flash probes must allocate less than
-// an eighth of a probe page per probe. A batch that repeats its keys, each
-// repeat found by phase A's dedupe table, must allocate nothing once the
-// same batch has warmed the scratch.
+// flash, one SSD or a stripe over two on clocks of their own (whose
+// ReadBatch routes each view request to its member), with the batch
+// scratch warmed by a small batch, one LookupBatch of keys that pend on at
+// least 256 flash probes must allocate less than an eighth of a probe page
+// per probe. A batch that repeats its keys, each repeat found by phase A's
+// dedupe table, must allocate nothing once the same batch has warmed the
+// scratch.
 func TestLookupBatchProbeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation skews allocation totals; CI runs this guard in a non-race step")
 	}
-	cfg, _ := testConfig(t)
+	t.Run("one-ssd", func(t *testing.T) {
+		cfg, _ := testConfig(t)
+		testProbeAllocs(t, cfg)
+	})
+	t.Run("stripe", func(t *testing.T) {
+		cfg, _ := testConfig(t)
+		prof := ssd.IntelX18M()
+		a, b := vclock.New(), vclock.New()
+		stripe, err := storage.NewStripe(prof.BlockSize(), []int{0, 1}, ssd.New(prof, 512<<10, a), ssd.New(prof, 512<<10, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Device, cfg.DeviceClock = stripe, []*vclock.Clock{a, b}
+		testProbeAllocs(t, cfg)
+	})
+}
+
+func testProbeAllocs(t *testing.T, cfg Config) {
 	b := mustNew(t, cfg)
 	rng := rand.New(rand.NewSource(11))
 	keys := make([]uint64, 20000)

@@ -44,14 +44,22 @@ import (
 //	             filter to ask: its buffer is probed alone. Phase A
 //	             also gathers each unresolved key's first probe (phase B's
 //	             round 1) as it goes. In a call of more than one key,
-//	             whenever the device is idle at the current CPU instant
-//	             and the gathered pages not yet submitted fill its queue
-//	             lanes (Geometry.Lanes), phase A lands its CPU charges,
-//	             submits one page per lane, earliest gathered first, and
-//	             runs on, so the reads overlap the rest of phase A and
-//	             come back in small groups (a device on the CPU's own
-//	             clock, see Config.DeviceClock, is idle at every CPU
-//	             instant and completes each read as it is issued).
+//	             whenever every device timeline is idle at the current
+//	             CPU instant and the gathered pages not yet submitted fill
+//	             one timeline's share of the queue lanes (Geometry.Lanes
+//	             over len(Config.DeviceClock): one SSD's 8 lanes on a
+//	             stripe over two), phase A lands its CPU charges, submits
+//	             one page per such lane, earliest gathered first, and runs
+//	             on, so the reads overlap the rest of phase A and come
+//	             back in small groups (a device on the CPU's own clock,
+//	             see Config.DeviceClock, is idle at every CPU instant and
+//	             completes each read as it is issued). On a stripe over
+//	             two SSDs, groups of one SSD's 8 lanes read 6,499,640
+//	             virtual ops/s on the get-batch-zipf benchmark (seed 1),
+//	             groups of the stripe's 16 read 5,893,388, of 4
+//	             5,986,793 and of 2 5,659,521; and submitting while any
+//	             one timeline is idle read 741,333 on dedup-ingest,
+//	             against 769,208 while every one is.
 //	             Every unresolved key joins the round's waiting list as
 //	             it gathers its page. A call given a hit hook also
 //	             resolves the waiting keys whose reads have completed by
@@ -219,10 +227,12 @@ func (b *BufferHash) submit(n int) error {
 	return nil
 }
 
-// idle reports whether the device on clock c has finished every
-// submission by the current CPU instant: the clock plus the charges not
-// yet landed.
-func (b *BufferHash) idle(c *vclock.Clock) bool { return c.Now() <= b.cfg.Clock.Now()+b.cpuDebt }
+// idle reports whether the device on timelines cs has finished every
+// submission on each of them by the current CPU instant: the clock plus
+// the charges not yet landed.
+func (b *BufferHash) idle(cs ...*vclock.Clock) bool {
+	return vclock.Latest(cs) <= b.cfg.Clock.Now()+b.cpuDebt
+}
 
 // await queues pending key pi on the round's waiting list, or, when its
 // page is one the device had read at resolveEarly's last pass, resolves
@@ -291,8 +301,8 @@ type HitHook struct {
 	// current CPU instant and at least Lanes of them wait, in whole
 	// multiples of Lanes. For a device striped over several timelines,
 	// Clock is the one whose idleness the hand-offs wait for (the clam
-	// facade's value log gives its log SSD's) and Lanes its members'
-	// summed.
+	// facade's value log gives its first member's, on SSD B) and Lanes its
+	// members' summed.
 	Clock *vclock.Clock
 	Lanes int
 }
@@ -462,7 +472,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			}
 			b.retire(key, st, kh, results[i], run)
 		}
-		if batch && (early || bs.pages.Unsent() >= b.lanes) && b.idle(b.cfg.DeviceClock) {
+		if batch && (early || bs.pages.Unsent() >= b.lanes) && b.idle(b.cfg.DeviceClock...) {
 			if early {
 				b.resolveEarly(results)
 			}

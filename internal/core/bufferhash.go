@@ -9,6 +9,7 @@ import (
 	"repro/internal/cuckoo"
 	"repro/internal/hashutil"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // LookupResult reports the outcome of a lookup and its flash I/O footprint,
@@ -37,8 +38,9 @@ type BufferHash struct {
 	// probeN is the byte length of one incarnation page probe, the same
 	// for every partition (pages are sized by the device geometry).
 	probeN int
-	// lanes is the device's queue lane count (at least 1): the fewest
-	// pages LookupBatch hands an idle device during phase A.
+	// lanes is the device's queue lane count over its timelines (at least
+	// 1), one SSD's lanes for a stripe over two: the pages LookupBatch
+	// hands an idle device at a time during phase A.
 	lanes int
 
 	// Shared-log layout state (§5.2: "uses the entire SSD as a single
@@ -108,7 +110,7 @@ func New(cfg Config) (*BufferHash, error) {
 	nt := cfg.NumSuperTables()
 	b.params = make([]cuckoo.Params, nt)
 	g := cfg.Device.Geometry()
-	b.lanes = max(g.Lanes, 1)
+	b.lanes = max(g.Lanes/len(cfg.DeviceClock), 1)
 	pageSlots := g.PageSize / hashutil.EntrySize
 	for i := range b.params {
 		b.params[i] = cuckoo.Params{
@@ -233,14 +235,15 @@ func (b *BufferHash) settleCPUDebt() {
 	}
 }
 
-// issueDevice readies the device's timeline for a submission issued now:
-// it cannot start before it is issued, so the device clock moves up to the
-// clock. The device then advances its own clock (see Config.DeviceClock).
-func (b *BufferHash) issueDevice() { b.cfg.DeviceClock.AdvanceTo(b.cfg.Clock.Now()) }
+// issueDevice readies the device's timelines for a submission issued now:
+// it cannot start before it is issued, so every timeline moves up to the
+// clock. Each then advances by its own share (see Config.DeviceClock).
+func (b *BufferHash) issueDevice() { vclock.AdvanceAll(b.cfg.DeviceClock, b.cfg.Clock.Now()) }
 
 // joinDevice makes the operation wait for the device: the clock moves up
-// to the device clock. For a device on Clock itself both calls do nothing.
-func (b *BufferHash) joinDevice() { b.cfg.Clock.AdvanceTo(b.cfg.DeviceClock.Now()) }
+// to the latest timeline. For a device on Clock itself both calls do
+// nothing.
+func (b *BufferHash) joinDevice() { b.cfg.Clock.AdvanceTo(vclock.Latest(b.cfg.DeviceClock)) }
 
 // route hashes a user key to (super table, in-partition key). The first
 // k1 bits of the hash select the partition; the rest form the in-partition

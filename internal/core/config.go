@@ -7,9 +7,10 @@
 // The package operates in virtual time: CPU costs and device I/O advance
 // the configured vclock.Clock, so callers measure operation latencies by
 // reading the clock around calls (the clam package does exactly that).
-// The device keeps its own timeline (Config.DeviceClock): a submission
-// starts no earlier than the clock, and every operation joins the
-// device's timeline before it uses a result, and so before it returns.
+// The device keeps its own timelines (Config.DeviceClock), one per SSD it
+// spans: a submission starts on none of them earlier than the clock, and
+// every operation joins the latest before it uses a result, and so before
+// it returns.
 //
 // BufferHash is not safe for concurrent use; the clam facade serializes
 // access. This mirrors the paper's design point that flash I/Os are
@@ -21,8 +22,9 @@
 // one-key case. A lookup (§5.1.1: buffer, Bloom filters, then newest-first
 // page probes) runs through LookupBatch: phase A answers every key's
 // in-memory portion with zero I/O and gathers the first probing round,
-// handing a batch's pages to the device, one page per queue lane, earliest
-// gathered first, whenever it is idle and they fill its lanes. Every
+// handing a batch's pages to the device, one page per queue lane of one
+// of its SSDs, earliest gathered first, whenever every SSD is idle and
+// they fill those lanes. Every
 // lookup runs phase A in one order: one query of its super table's k+1
 // Bloom filters (§5.1.3), the k incarnations' and the buffer's, and then a
 // buffer probe only when the buffer's filter may hold the key, or an
@@ -203,14 +205,19 @@ type Config struct {
 	// Clock is the virtual clock the CPU charges land on, and the one a
 	// caller reads to time an operation.
 	Clock *vclock.Clock
-	// DeviceClock is the clock Device was built on, the device's
-	// timeline: each submission first moves it up to Clock, since it
-	// cannot start before it is issued, and Clock moves up to it (a join)
-	// before the result is used, so every operation returns joined. Only
-	// LookupBatch's first probing round overlaps the device with CPU work
-	// (see batch.go). nil means Clock, the timeline on which the device
-	// is idle at every CPU instant and device time and CPU time add up.
-	DeviceClock *vclock.Clock
+	// DeviceClock is the set of clocks Device was built on, the device's
+	// timelines: one for a single SSD, one per member SSD for a stripe
+	// over several (storage.Stripe), each of which serves its own share of
+	// a submission. Each submission first moves every timeline up to
+	// Clock, since it cannot start before it is issued, and Clock moves up
+	// to the latest of them (a join) before the result is used, so every
+	// operation returns joined. Only LookupBatch's first probing round
+	// overlaps the device with CPU work: phase A submits only while every
+	// timeline is idle, in groups of one timeline's share of Device's
+	// queue lanes (see batch.go). nil means Clock, the timeline on which
+	// the device is idle at every CPU instant and device time and CPU time
+	// add up.
+	DeviceClock []*vclock.Clock
 
 	// PartitionBits is k1: the number of super tables is 2^k1 (§5.2).
 	PartitionBits uint
@@ -318,8 +325,8 @@ func (c *Config) validate() error {
 	if c.CPU == (CPUCosts{}) {
 		c.CPU = DefaultCPUCosts()
 	}
-	if c.DeviceClock == nil {
-		c.DeviceClock = c.Clock
+	if len(c.DeviceClock) == 0 {
+		c.DeviceClock = []*vclock.Clock{c.Clock}
 	}
 	return nil
 }

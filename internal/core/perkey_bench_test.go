@@ -28,8 +28,8 @@ func BenchmarkPerKeyOps(b *testing.B) {
 func benchPerKeyOps(b *testing.B, ownClock bool) {
 	cfg, _ := testConfig(b)
 	if ownClock {
-		cfg.DeviceClock = vclock.New()
-		cfg.Device = ssd.New(ssd.IntelX18M(), 1<<20, cfg.DeviceClock)
+		devClock := vclock.New()
+		cfg.Device, cfg.DeviceClock = ssd.New(ssd.IntelX18M(), 1<<20, devClock), []*vclock.Clock{devClock}
 	}
 	bh := mustNew(b, cfg)
 	rng := rand.New(rand.NewSource(1))

@@ -99,7 +99,7 @@ func testTimelines(t *testing.T, policy EvictionPolicy) {
 	devClock := vclock.New()
 	ownDev := ssd.New(ssd.IntelX18M(), 1<<20, devClock)
 	rec := &recordingDevice{Device: ownDev}
-	ownCfg.Device, ownCfg.DeviceClock = rec, devClock
+	ownCfg.Device, ownCfg.DeviceClock = rec, []*vclock.Clock{devClock}
 	shCfg.Policy, ownCfg.Policy = policy, policy
 	shCfg.FilterBitsPerEntry, ownCfg.FilterBitsPerEntry = 2, 2
 	shared, own := mustNew(t, shCfg), mustNew(t, ownCfg)
@@ -303,7 +303,7 @@ func TestLendLandsAtFirstDeviceWait(t *testing.T) {
 	open := func() (*BufferHash, *vclock.Clock) {
 		cfg, clock := testConfig(t)
 		devClock := vclock.New()
-		cfg.Device, cfg.DeviceClock = ssd.New(ssd.IntelX18M(), 1<<20, devClock), devClock
+		cfg.Device, cfg.DeviceClock = ssd.New(ssd.IntelX18M(), 1<<20, devClock), []*vclock.Clock{devClock}
 		return mustNew(t, cfg), clock
 	}
 	twin, twinClock := open()
@@ -369,5 +369,125 @@ func TestLendLandsAtFirstDeviceWait(t *testing.T) {
 	lend(7, 7)
 	if ready := lender.LentReady(); ready != before+2*coalesce || clock.Now() != ready {
 		t.Fatalf("no call: lent work ready at %v, clock %v; want both at %v", ready, clock.Now(), before+2*coalesce)
+	}
+}
+
+// busyWatch is an index device that counts, per LookupBatch call, the read
+// submissions issued while one of its timelines was still busy with an
+// earlier one: a submission moves every timeline up to the CPU clock
+// before it reaches the device, so a timeline still ahead of it is busy.
+type busyWatch struct {
+	storage.Device
+	clock     *vclock.Clock
+	timelines []*vclock.Clock
+	subs      int // read submissions in the call
+	busy      int // of which issued while a timeline was busy
+}
+
+func (d *busyWatch) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
+	d.subs++
+	if vclock.Latest(d.timelines) > d.clock.Now() {
+		d.busy++
+	}
+	return d.Device.ReadBatch(reqs)
+}
+
+// TestStripedIndexMovesOnlyTime runs one stream of InsertBatch and
+// LookupBatch calls, with read runs for the hot-entry cache, on an
+// instance whose index is a two-member stripe of Intel SSDs (one erase
+// block per unit), each member on a clock of its own, and on a twin over
+// one Intel SSD of the same capacity on a clock of its own, under FIFO
+// and LRU. Where the index's pages lie and how many timelines serve them
+// may only move time: every result and every counter (Lookups, Hits,
+// FlashProbes, SpuriousProbes, LookupIOHist, Flushes, Evictions,
+// ScreenedProbes and CacheHits among them) must match the twin's. Phase A
+// submits only while every timeline is idle, so in each LookupBatch call
+// at most one read submission, phase B's of round 1, may start while a
+// timeline is still busy, and only with phase A's reads: some calls must
+// show it, or phase A never submitted.
+func TestStripedIndexMovesOnlyTime(t *testing.T) {
+	for _, policy := range []EvictionPolicy{FIFO, LRU} {
+		t.Run(policy.String(), func(t *testing.T) {
+			oneCfg, _ := testConfig(t)
+			oneClock := vclock.New()
+			oneCfg.Device, oneCfg.DeviceClock = ssd.New(ssd.IntelX18M(), 1<<20, oneClock), []*vclock.Clock{oneClock}
+			pairCfg, clock := testConfig(t)
+			a, b := vclock.New(), vclock.New()
+			prof := ssd.IntelX18M()
+			stripe, err := storage.NewStripe(prof.BlockSize(), []int{0, 1}, ssd.New(prof, 512<<10, a), ssd.New(prof, 512<<10, b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			watch := &busyWatch{Device: stripe, clock: clock, timelines: []*vclock.Clock{a, b}}
+			pairCfg.Device, pairCfg.DeviceClock = watch, watch.timelines
+			for _, cfg := range []*Config{&oneCfg, &pairCfg} {
+				cfg.Policy, cfg.FilterBitsPerEntry, cfg.CacheEntries = policy, 4, 256
+			}
+			one, pair := mustNew(t, oneCfg), mustNew(t, pairCfg)
+			if pair.lanes != one.lanes {
+				t.Fatalf("the stripe's phase-A group is %d pages, one SSD's %d", pair.lanes, one.lanes)
+			}
+			rng := rand.New(rand.NewSource(77))
+			universe := make([]uint64, 60000)
+			for i := range universe {
+				universe[i] = rng.Uint64()
+			}
+			var calls, overlapped int
+			var keys []uint64
+			for step := range 800 {
+				// Every fourth call inserts, and the three lookups between
+				// repeat their keys: the second and third are a read run,
+				// which the second fills the cache for and the third hits.
+				if step%4 < 2 {
+					n := 1 + rng.Intn(300)
+					if step%4 == 0 {
+						n *= 4
+					}
+					keys = make([]uint64, n)
+					for i := range keys {
+						keys[i] = universe[rng.Intn(len(universe))]
+					}
+				}
+				if step%4 == 0 {
+					vals := make([]uint64, len(keys))
+					for i := range vals {
+						vals[i] = rng.Uint64()
+					}
+					for _, bh := range []*BufferHash{one, pair} {
+						if err := bh.InsertBatch(keys, vals, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+					continue
+				}
+				want, got := make([]LookupResult, len(keys)), make([]LookupResult, len(keys))
+				if err := one.LookupBatch(keys, want, nil); err != nil {
+					t.Fatal(err)
+				}
+				watch.subs, watch.busy = 0, 0
+				if err := pair.LookupBatch(keys, got, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) || pair.Stats() != one.Stats() {
+					t.Fatalf("step %d: results or counters differ from the one-SSD twin's:\n%+v\n%+v", step, pair.Stats(), one.Stats())
+				}
+				if watch.busy > 1 {
+					t.Fatalf("step %d: %d of the call's %d read submissions started while a timeline was busy", step, watch.busy, watch.subs)
+				}
+				if l := vclock.Latest(watch.timelines); l > clock.Now() {
+					t.Fatalf("step %d: a timeline at %v is ahead of the clock %v after the call", step, l, clock.Now())
+				}
+				calls++
+				if watch.busy == 1 {
+					overlapped++
+				}
+			}
+			st := pair.Stats()
+			t.Logf("%d lookup calls, %d with phase A's reads still running at phase B; clock %v, the twin's %v; %d flash probes, %d cache hits",
+				calls, overlapped, clock.Now(), oneCfg.Clock.Now(), st.FlashProbes, st.CacheHits)
+			if overlapped == 0 || st.CacheHits == 0 || st.Evictions == 0 {
+				t.Fatalf("%d calls overlapped phase A's reads, %d cache hits, %d evictions; retune the stream", overlapped, st.CacheHits, st.Evictions)
+			}
+		})
 	}
 }

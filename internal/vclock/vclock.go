@@ -72,3 +72,22 @@ func (c *Clock) StartWatch() Stopwatch {
 func (s Stopwatch) Elapsed() time.Duration {
 	return s.clock.Now() - s.start
 }
+
+// AdvanceAll moves each of cs forward to t, as AdvanceTo does: a
+// submission issued at t to a device spanning several timelines cannot
+// start on any of them before t.
+func AdvanceAll(cs []*Clock, t time.Duration) {
+	for _, c := range cs {
+		c.AdvanceTo(t)
+	}
+}
+
+// Latest returns the latest time among cs, 0 for none: the instant at
+// which every timeline has finished what it was given.
+func Latest(cs []*Clock) time.Duration {
+	var t time.Duration
+	for _, c := range cs {
+		t = max(t, c.Now())
+	}
+	return t
+}
