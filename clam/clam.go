@@ -110,7 +110,9 @@
 // submission at a time, index probe, flush, record read or append. The
 // index and the log are each a storage.Stripe of one-erase-block units
 // dealt over both SSDs, RAID-0 style: the index's every second unit lies
-// on B, the log's every second on A. A submission first moves both
+// on B, the log's every second on A, so an index image lands whole on one
+// SSD, and a value-log write unit is a whole block on each SSD, both
+// written in one submission. A submission first moves both
 // clocks up to the shard clock, since it cannot start before it is
 // issued, each SSD serves its share on its own clock, and the shard clock
 // moves up to the later SSD's clock (a join) only where the shard needs
@@ -122,7 +124,8 @@
 // completed. A byte get chunk hands the value log each hit as soon as it
 // is final, from the in-memory phase on, whenever SSD B is idle (see
 // core.HitHook), and joins it after its last lookup round. The value log
-// writes whole erase blocks, and a put chunk that succeeds acknowledges
+// writes a whole erase block on each SSD at once, the moment its tail
+// fills one on each, and a put chunk that succeeds acknowledges
 // without waiting for its write: it joins the log only before its own
 // append, when an earlier chunk's write still runs, and when it fails.
 // So every chunk call returns joined to both SSDs but for one put chunk's
@@ -300,8 +303,10 @@ func openShard(cfg config) (*shard, error) {
 	}
 	// A get chunk hands its hits to the log when its first member's SSD (B
 	// on a pair) is idle, in multiples of the log's lanes, both SSDs'
-	// (see core.HitHook): 769,208 virtual ops/s on dedup-ingest (seed 1).
-	// Multiples of one SSD's lanes read 767,944.
+	// (see core.HitHook): 818,038 virtual ops/s on dedup-ingest (seed 1);
+	// waiting for both SSDs to be idle read 817,986. While a log write
+	// took one SSD at a time, multiples of one SSD's lanes read 767,944
+	// against 769,208.
 	s.onHits = &core.HitHook{Read: s.readHits, Clock: s.logs.clocks[0], Lanes: s.logs.Geometry().Lanes}
 	coreCfg, err := deriveConfig(cfg, s.idx.Device, clock)
 	if err != nil {
@@ -328,12 +333,16 @@ type striped struct {
 // stripeOver builds a device of bytes over one SSD partition of the kind
 // per clock, each on its clock: a storage.Stripe whose unit is one erase
 // block, dealt to the partitions in clock order, RAID-0 style (Patterson,
-// Gibson and Katz, SIGMOD 1988). Each partition is an SSD model of its own,
-// so the index's and the log's FTL state stay apart while a shard's two
-// partitions on one SSD serialize on its one timeline. The device's
-// capacity, and so the value log's unit boundaries, cycles and pointer
-// words, are those of one SSD of bytes: the kind's erase block rounds bytes
-// up to whole blocks, as the SSD model does. A device too small to give
+// Gibson and Katz, SIGMOD 1988). Its EraseBlock is a block on each
+// partition, so a value log over it writes a whole block on every SSD in
+// one submission, while an index image, one block, lands whole on one
+// SSD. Each partition is an SSD model of its own, so the index's and the
+// log's FTL state stay apart while a shard's two partitions on one SSD
+// serialize on its one timeline. The device's capacity, and so the value
+// log's cycles and pointer words, are those of one SSD of bytes: the
+// kind's erase block rounds bytes up to whole blocks, as the SSD model
+// does, and a log of an odd number of blocks ends each cycle with a write
+// unit of one block, on the first clock's SSD. A device too small to give
 // every partition a block is the first clock's SSD alone.
 func stripeOver(prof ssd.Profile, bytes int64, clocks ...*vclock.Clock) (striped, error) {
 	unit := int64(prof.BlockSize())
@@ -558,11 +567,11 @@ func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 }
 
 // putBatchRecords applies one chunk of byte Puts: one multi-record
-// value-log append (its whole write units reach the device as one
-// sequential submission, on the log's timelines), one core insert
-// batch of the fingerprints and record pointers, which runs without
-// waiting for the append, dead-record accounting of the pointers it
-// displaced, and last the expiry of incarnations the log has lapped.
+// value-log append (each write unit it fills reaches the device as one
+// sequential submission, a block on each SSD, on the log's timelines), one
+// core insert batch of the fingerprints and record pointers, which runs
+// without waiting for the append, dead-record accounting of the pointers
+// it displaced, and last the expiry of incarnations the log has lapped.
 //
 // A chunk that succeeds acknowledges without joining the log: its write
 // runs on behind it, and a get's record reads queue behind the write,
@@ -661,9 +670,10 @@ func (s *shard) expireLapped() {
 // multi-record append and returns their pointer words in shard scratch.
 // The pointers are known before the append's pages reach the device, so
 // they come back with a write error too: the log keeps the pages in its
-// tail buffer, serves reads of them from there and writes them with its
-// next append. A record the log refused (too large, or a wrap whose
-// write failed) leaves the chunk without pointers, and ptrs is nil.
+// tail buffer, serves reads of them from there and writes them when it
+// next fills a write unit. A record the log refused (too large, or a
+// wrap whose write failed) leaves the chunk without pointers, and ptrs is
+// nil.
 func (s *shard) appendRecords(keys, values [][]byte) (ptrs []uint64, err error) {
 	s.putPtrs = resize(s.putPtrs, len(keys))
 	s.putPtrs[len(keys)-1] = 0 // a pointer word is never 0

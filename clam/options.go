@@ -99,9 +99,10 @@ func WithMemory(bytes int64) Option {
 // is circular — when it wraps, the oldest records are overwritten and
 // their keys read as misses, the same FIFO story as incarnation eviction.
 // A kind-opened shard stripes its log over its two SSDs, as it stripes
-// its index, every second erase block on each, so record reads use both;
-// the capacity is the same as on one SSD. A WithCustomDevice store, or a
-// shard's log of a single erase block, keeps the log on one SSD.
+// its index, every second erase block on each, so record reads use both
+// and each write is one block on each SSD at once; the capacity is the
+// same as on one SSD. A WithCustomDevice store, or a shard's log of a
+// single erase block, keeps the log on one SSD.
 func WithValueLog(bytes int64) Option {
 	return func(c *config) error {
 		if bytes <= 0 {

@@ -193,47 +193,45 @@ func putUntil(t *testing.T, c *CLAM, next *int, what string, want func(flushed b
 	return shardTimes{}
 }
 
-// appendOnly picks a put call that wrote the value log on one SSD and
-// flushed no index buffer.
+// appendOnly picks a put call that wrote the value log, one erase block
+// on each SSD, and flushed no index buffer.
 func appendOnly(flushed bool, d shardTimes) bool {
-	_, log := d.sides()
-	return !flushed && log >= 0
+	return !flushed && d.log[0] > 0 && d.log[1] > 0
 }
 
 // TestPutChunkOverlap pins byte PutBatch chunks whose append writes a
-// whole erase block of the value log, on one SSD. A chunk that flushes no
-// index buffer does not wait for its append: it advances the clock by
-// less than its append SSD's busy time and leaves that SSD's clock ahead.
-// A chunk that flushes joins both SSDs after its flush write, as every
-// index write does, so it returns joined and advances the clock by at
-// least each SSD's busy time, whether its flush ran beside the append on
-// the other SSD or queued behind it on the same one, which serves one
+// write unit of the value log, one erase block on each SSD in one
+// submission. A chunk that flushes no index buffer does not wait for its
+// append: it advances the clock by less than either SSD's busy time and
+// leaves both SSDs' clocks ahead. A chunk that flushes joins both SSDs
+// after its flush write, as every index write does, so it returns joined
+// and advances the clock by at least each SSD's busy time: its flush
+// queues behind the append's block on the SSD it writes, which serves one
 // submission at a time.
 func TestPutChunkOverlap(t *testing.T) {
 	c := overlapStore(t)
 	sh := c.shards[0]
 	next := 0
-	d := putUntil(t, c, &next, "wrote the log on one SSD without flushing", appendOnly)
-	_, y := d.sides()
-	lead := sh.idx.clocks[y].Now() - sh.clock.Now()
-	t.Logf("no flush: clock advanced %v; SSD %c (the append) busy %v, running on %v past the acknowledgement",
-		d.clock, 'A'+y, d.busy(y), lead)
-	if d.clock >= d.busy(y) || lead <= 0 {
-		t.Errorf("clock advanced %v: want below the append SSD's busy %v, with the append still running (%v)", d.clock, d.busy(y), lead)
-	}
-	for _, together := range []bool{false, true} {
-		d = putUntil(t, c, &next, fmt.Sprintf("flushed and wrote the log on one SSD each (together: %t)", together),
-			func(flushed bool, d shardTimes) bool {
-				index, log := d.sides()
-				return flushed && index >= 0 && log >= 0 && (index == log) == together
-			})
-		requireJoined(t, c.shards, "a flushing PutBatch", nil)
-		x, _ := d.sides()
-		t.Logf("flush on SSD %c, together %t: clock advanced %v; SSD A busy %v (index %v), SSD B busy %v (index %v)",
-			'A'+x, together, d.clock, d.busy(0), d.idx[0], d.busy(1), d.idx[1])
-		if d.clock < d.busy(0) || d.clock < d.busy(1) {
-			t.Errorf("clock advanced %v: want at least each SSD's busy %v and %v", d.clock, d.busy(0), d.busy(1))
+	d := putUntil(t, c, &next, "wrote the log without flushing", appendOnly)
+	for x := range 2 {
+		lead := sh.idx.clocks[x].Now() - sh.clock.Now()
+		t.Logf("no flush: clock advanced %v; SSD %c busy %v (the append's block), running on %v past the acknowledgement",
+			d.clock, 'A'+x, d.busy(x), lead)
+		if d.clock >= d.busy(x) || lead <= 0 {
+			t.Errorf("clock advanced %v: want below SSD %c's busy %v, with the append still running (%v)", d.clock, 'A'+x, d.busy(x), lead)
 		}
+	}
+	d = putUntil(t, c, &next, "flushed and wrote the log",
+		func(flushed bool, d shardTimes) bool {
+			index, _ := d.sides()
+			return flushed && index >= 0 && d.log[0] > 0 && d.log[1] > 0
+		})
+	requireJoined(t, c.shards, "a flushing PutBatch", nil)
+	x, _ := d.sides()
+	t.Logf("flush on SSD %c: clock advanced %v; SSD A busy %v (index %v), SSD B busy %v (index %v)",
+		'A'+x, d.clock, d.busy(0), d.idx[0], d.busy(1), d.idx[1])
+	if d.clock < d.busy(0) || d.clock < d.busy(1) {
+		t.Errorf("clock advanced %v: want at least each SSD's busy %v and %v", d.clock, d.busy(0), d.busy(1))
 	}
 }
 
@@ -242,12 +240,12 @@ func TestPutChunkOverlap(t *testing.T) {
 // its reads, its index probe and then its record read, the busy time it
 // adds to SSDs A and B together, and a read on an SSD that an earlier
 // put's append still occupies queues behind the append. Right after a put
-// chunk that flushed nothing and left its append running on SSD A, a Get
-// of a flushed key waits for that write; a key put after the last flush,
-// still in the DRAM buffer, then pays its Bloom query, which every lookup
-// in a super table with live incarnations runs before its buffer probe,
-// and reads its record alone; and after idle time the flushed key costs
-// its serial sum again. Each Get follows a write, the put or a delete of
+// chunk that flushed nothing and left its append running on both SSDs, a
+// Get of a flushed key waits for that write's block on the SSD its probe
+// reads; a key put after the last flush, still in the DRAM buffer, then
+// pays its Bloom query, which every lookup in a super table with live
+// incarnations runs before its buffer probe, and reads its record alone;
+// and after idle time the flushed key costs its serial sum again. Each Get follows a write, the put or a delete of
 // a key never put, so it starts no read run: the hot-entry cache neither
 // answers nor fills, and its reads are the ones timed.
 func TestOneKeyGetTimeline(t *testing.T) {
@@ -256,9 +254,7 @@ func TestOneKeyGetTimeline(t *testing.T) {
 	next := 0
 	putUntil(t, c, &next, "flushed", func(flushed bool, _ shardTimes) bool { return flushed })
 	buffered := next
-	if _, y := putUntil(t, c, &next, "wrote the log on one SSD without flushing", appendOnly).sides(); y != 0 {
-		t.Fatalf("the append ran on SSD %c; the pins assume A", 'A'+y)
-	}
+	putUntil(t, c, &next, "wrote the log without flushing", appendOnly)
 	for i, g := range []struct {
 		key  int
 		idle time.Duration
@@ -863,7 +859,8 @@ func TestU64StreamLeavesLogAlone(t *testing.T) {
 // index device runs on the shard clock; a log of one erase block, too
 // small to give each SSD a unit, on SSD B alone; and an index of one erase
 // block on SSD A alone. A log of two erase blocks is striped, one on each
-// SSD, B first, with the capacity it would have on one.
+// SSD, B first, with the capacity it would have on one, and its write unit
+// is both blocks, one on each SSD; a log on one SSD writes one block.
 func TestOneMemberLogs(t *testing.T) {
 	clock := vclock.New()
 	custom := openCLAMT(t, WithCustomDevice(ssd.New(ssd.IntelX18M(), 2<<20, clock)), WithClock(clock),
@@ -872,16 +869,16 @@ func TestOneMemberLogs(t *testing.T) {
 	two := openCLAMT(t, WithDevice(IntelSSD), WithFlash(2<<20), WithValueLog(256<<10))
 	smallIndex := openCLAMT(t, WithDevice(IntelSSD), WithFlash(128<<10), WithBufferKB(4), WithValueLog(256<<10))
 	for _, row := range []struct {
-		name          string
-		c             *CLAM
-		index, logs   int // partitions
-		logCap        int64
-		logOnIndexSSD []int // each log partition's SSD among the index's clocks, -1 for a clock of its own
+		name            string
+		c               *CLAM
+		index, logs     int // partitions
+		logCap, logUnit int64
+		logOnIndexSSD   []int // each log partition's SSD among the index's clocks, -1 for a clock of its own
 	}{
-		{"custom device", custom, 0, 1, 4 << 20, []int{-1}},
-		{"one-block log", small, 2, 1, 128 << 10, []int{1}},
-		{"two-block log", two, 2, 2, 256 << 10, []int{1, 0}},
-		{"one-block index", smallIndex, 1, 2, 256 << 10, []int{-1, 0}},
+		{"custom device", custom, 0, 1, 4 << 20, 128 << 10, []int{-1}},
+		{"one-block log", small, 2, 1, 128 << 10, 128 << 10, []int{1}},
+		{"two-block log", two, 2, 2, 256 << 10, 256 << 10, []int{1, 0}},
+		{"one-block index", smallIndex, 1, 2, 256 << 10, 256 << 10, []int{-1, 0}},
 	} {
 		sh := row.c.shards[0]
 		if len(sh.idx.parts) != row.index || len(sh.idx.clocks) != row.index || len(sh.logs.parts) != row.logs {
@@ -893,12 +890,105 @@ func TestOneMemberLogs(t *testing.T) {
 				t.Fatalf("%s: log partition %d runs on index clock %d, want %d", row.name, i, at, row.logOnIndexSSD[i])
 			}
 		}
-		if c := sh.vlog.Stats().Capacity; c != row.logCap {
-			t.Fatalf("%s: log capacity %d, want %d", row.name, c, row.logCap)
+		if c, u := sh.vlog.Stats().Capacity, int64(sh.logs.Geometry().EraseBlock); c != row.logCap || u != row.logUnit {
+			t.Fatalf("%s: log capacity %d and write unit %d, want %d and %d", row.name, c, u, row.logCap, row.logUnit)
 		}
 		for _, p := range sh.logs.parts {
 			if row.logs == 2 && p.Geometry().Capacity != row.logCap/2 {
 				t.Fatalf("%s: a log partition of %d bytes, want %d", row.name, p.Geometry().Capacity, row.logCap/2)
+			}
+		}
+	}
+}
+
+// blockUnits reports one erase block of its SSDs as the device's, so a
+// value log over a two-SSD stripe writes one block on one SSD at a time,
+// as the log did before a write unit covered both SSDs.
+type blockUnits struct {
+	storage.Device
+	block int
+}
+
+func (d blockUnits) Geometry() storage.Geometry {
+	g := d.Device.Geometry()
+	g.EraseBlock = d.block
+	return g
+}
+
+// TestLogWritesWholeBlocks runs a byte put stream that wraps a kind-opened
+// store's 8 MB value log three times and its 1 MB index twice, with gets
+// between the puts, and requires every partition of both SSDs, index and
+// log, to finish with no page relocated: each log write replaces one whole
+// erase block on each SSD, and each index image (B′, one block) one on one
+// SSD. The log's partitions hold 32 blocks each, so their free pools stay
+// below half and idle cleaning reclaims the emptiest block whenever it
+// can: a log whose writes left blocks half rewritten would have them
+// relocated. A twin whose log writes one block on one SSD at a time, over
+// the same partitions, must find the same keys and, once both stores'
+// SSDs have idled long enough to finish their background cleaning, count
+// the same erases on every partition: the larger write unit changes when
+// each SSD writes, not what it writes.
+func TestLogWritesWholeBlocks(t *testing.T) {
+	open := func() *CLAM {
+		return openCLAMT(t, WithDevice(IntelSSD), WithFlash(1<<20), WithMemory(512<<10), WithValueLog(8<<20), WithSeed(23))
+	}
+	c, twin := open(), open()
+	tsh := twin.shards[0]
+	block := ssd.IntelX18M().BlockSize()
+	if c.shards[0].logs.Geometry().EraseBlock != 2*block {
+		t.Fatalf("the log's write unit is %d bytes, want a block on each SSD", c.shards[0].logs.Geometry().EraseBlock)
+	}
+	var err error
+	if tsh.vlog, err = storage.NewValueLog(blockUnits{tsh.logs.Device, block}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	val := make([]byte, 300)
+	var keys, vals [][]byte
+	for next := 0; c.Stats().ValueLog.Wraps < 3; {
+		keys, vals = keys[:0], vals[:0]
+		for range 200 + rng.Intn(400) {
+			keys, vals = append(keys, overlapKey(next)), append(vals, val)
+			next++
+		}
+		for _, s := range []*CLAM{c, twin} {
+			if err := s.PutBatch(context.Background(), keys, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range keys {
+			keys[i] = overlapKey(rng.Intn(next))
+		}
+		_, a, errA := c.GetBatch(context.Background(), keys)
+		_, b, errB := twin.GetBatch(context.Background(), keys)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if !slices.Equal(a, b) {
+			t.Fatal("the store and its twin found different keys")
+		}
+	}
+	for _, s := range []*CLAM{c, twin} {
+		sh := s.shards[0]
+		for _, ssdClock := range sh.idx.clocks {
+			ssdClock.Advance(time.Second)
+		}
+		for _, p := range slices.Concat(sh.idx.parts, sh.logs.parts) {
+			if _, err := p.ReadAt(make([]byte, 4096), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sh := c.shards[0]
+	for _, p := range []struct {
+		name string
+		a, b []*ssd.SSD
+	}{{"index", sh.idx.parts, tsh.idx.parts}, {"log", sh.logs.parts, tsh.logs.parts}} {
+		for i := range p.a {
+			a, b := p.a[i].Counters(), p.b[i].Counters()
+			t.Logf("%s partition %d: %d writes, %d erases, %d pages moved; twin %d erases", p.name, i, a.Writes, a.Erases, a.PagesMoved, b.Erases)
+			if a.PagesMoved != 0 || b.PagesMoved != 0 || a.Erases != b.Erases || a.Erases == 0 {
+				t.Errorf("%s partition %d: %d pages moved and %d erases, the twin %d and %d", p.name, i, a.PagesMoved, a.Erases, b.PagesMoved, b.Erases)
 			}
 		}
 	}

@@ -244,13 +244,21 @@ func TestSingleStorePinned(t *testing.T) {
 	// costs), the lookup histogram moved with the clock, the Intel clocks
 	// fell 3.1% to 3.4% (to 1,909,028,754 ns on fifo) and the one-lane
 	// Transcend clocks 19.6% to 22.1%. The result digests did not move.
+	// The clocks and stats digests were re-captured when a value-log
+	// write unit became one erase block on each SSD, both written in one
+	// submission (256 KB, was 128 KB on one SSD): the index's counters and
+	// the log's writes and bytes written did not move; the 256 KB tail
+	// buffer serves more records from memory, so on ssd-intel/fifo the
+	// log's reads went 2,368 → 1,257 and its busy time 111.2 → 70.7 ms.
+	// The Intel clocks fell 1.7% to 2.2% (to 1,867,183,116 ns on fifo) and
+	// the Transcend clocks 3.1% to 4.0%. The result digests did not move.
 	pins := map[string]want{
-		"ssd-intel/fifo":       {1909028754, 0xd66f154b65a3c647, 0xa4fa745b9667f5f7},
-		"ssd-intel/lru":        {2038829476, 0x5d1f9d8a8cf05e56, 0x250dc63872a2a435},
-		"ssd-intel/update":     {2327041072, 0x6973fa828ffe3134, 0xd012fe75d3aecd66},
-		"ssd-transcend/fifo":   {8885868458, 0xf63d91850c7e0d53, 0xa4fa745b9667f5f7},
-		"ssd-transcend/lru":    {9114203924, 0xfbc2296141016046, 0x250dc63872a2a435},
-		"ssd-transcend/update": {11023330118, 0xb62f1f39b17c8dad, 0xd012fe75d3aecd66},
+		"ssd-intel/fifo":       {1867183116, 0x4480e1b8d4b33b62, 0xa4fa745b9667f5f7},
+		"ssd-intel/lru":        {1996952804, 0x61b590f190c89cc8, 0x250dc63872a2a435},
+		"ssd-intel/update":     {2286540784, 0xceb738e205a6576e, 0xd012fe75d3aecd66},
+		"ssd-transcend/fifo":   {8563009568, 0x6c420f9d0841d27e, 0xa4fa745b9667f5f7},
+		"ssd-transcend/lru":    {8748134652, 0xa08a0b8a6079cdab, 0x250dc63872a2a435},
+		"ssd-transcend/update": {10686742780, 0x5b07b06fdbe6e7b7, 0xd012fe75d3aecd66},
 	}
 	for kind, dev := range []string{IntelSSD: "ssd-intel", TranscendSSD: "ssd-transcend"} {
 		for _, policy := range []Policy{FIFO, LRU, UpdateBased} {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -10,22 +11,28 @@ import (
 // stripe units, and a fixed pattern deals them to the members: unit u lies
 // on member pattern[u mod len(pattern)], at that member's next unit, so
 // each member holds its units back to back in stripe order. A unit is a
-// whole number of every member's erase blocks, and the stripe reports it
-// as its own EraseBlock, so a writer that writes whole units (the value
-// log) replaces whole blocks on one member per unit.
+// whole number of every member's erase blocks. The stripe reports one
+// period of the pattern, len(pattern) units, as its own EraseBlock: the
+// smallest span that replaces whole blocks on every member, so a writer
+// that writes whole, aligned periods (the value log) writes whole blocks
+// on each member in one submission. A unit still lands whole on one
+// member, so a whole-unit write at a unit boundary (an index image)
+// reaches one member alone.
 //
 // ReadBatch and WriteBatch split a submission into one submission per
 // member: each request's pieces, cut at unit boundaries, keep the
-// submission's ascending order on their member, and a request's pieces
-// that land back to back on one member stay one request, so sequential
-// runs inside a unit, or across units a member holds in a row, are kept.
-// The members serve their shares in member order, each on its own queue
-// and clock, which advances by its own share's service time only; the
-// stripe returns the longest share's. A member's failure fails the
-// submission with that member's error, and the shares of the members
-// before it stay served and charged, as on a real array. Counters are the
-// sum of the members', Geometry's Capacity the sum of theirs and its Lanes
-// the sum of theirs.
+// submission's ascending order on their member, and all of a request's
+// pieces on one member, which lie there back to back, are one request,
+// so a sequential run stays one request on each member, priced as one. A
+// request of several pieces on a member goes through the member's
+// scratch: a write gathers them there, and a read fills the scratch and
+// scatters it back. The members serve their shares in member
+// order, each on its own queue and clock, which advances by its own
+// share's service time only; the stripe returns the longest share's. A
+// member's failure fails the submission with that member's error, and
+// the shares of the members before it stay served and charged, as on a
+// real array. Counters are the sum of the members', Geometry's Capacity
+// the sum of theirs and its Lanes the sum of theirs.
 //
 // The stripe keeps per-member scratch, so a submission allocates nothing
 // once the scratch has grown. It is not safe for concurrent use.
@@ -37,11 +44,25 @@ type Stripe struct {
 	per     []int64 // each member's units per period
 	geom    Geometry
 
-	// Per-member scratch: the share of the submission being split, and
-	// for each read the stripe request it serves.
-	reads  [][]ReadReq
-	readOf [][]int
-	writes [][]WriteReq
+	// Per-member scratch: the share of the submission being split, for
+	// each read the stripe request it serves, the bytes of the requests
+	// gathered from several pieces, the number of the request whose bytes
+	// end the gathered ones (-1 for none), and for a read the pieces to
+	// scatter back once the member has read them.
+	reads   [][]ReadReq
+	readOf  [][]int
+	writes  [][]WriteReq
+	gather  [][]byte
+	tail    []int
+	scatter [][]scatterPiece
+	seen    []bool // the members the request being split has reached
+}
+
+// scatterPiece is a piece of a gathered read: the bytes at at in the
+// member's request req go to dst.
+type scatterPiece struct {
+	req, at int
+	dst     []byte
 }
 
 // StripeShares returns how many of n stripe units pattern deals to each
@@ -59,11 +80,11 @@ func StripeShares(pattern []int, members int, n int64) []int64 {
 }
 
 // NewStripe returns a stripe of unit-byte units over members, dealt by
-// pattern (see Stripe). Every member must appear in pattern, the members
-// must share one page size, unit must be a multiple of it and of each
-// member's erase block, and each member must hold exactly the units the
-// pattern deals it out of all the members' units together (see
-// StripeShares).
+// pattern (see Stripe), whose EraseBlock is len(pattern) units. Every
+// member must appear in pattern, the members must share one page size,
+// unit must be a multiple of it and of each member's erase block, and
+// each member must hold exactly the units the pattern deals it out of all
+// the members' units together (see StripeShares).
 func NewStripe(unit int, pattern []int, members ...Device) (*Stripe, error) {
 	if len(members) == 0 || len(pattern) == 0 {
 		return nil, fmt.Errorf("storage: stripe of %d members over a %d-unit pattern", len(members), len(pattern))
@@ -77,6 +98,10 @@ func NewStripe(unit int, pattern []int, members ...Device) (*Stripe, error) {
 		reads:   make([][]ReadReq, len(members)),
 		readOf:  make([][]int, len(members)),
 		writes:  make([][]WriteReq, len(members)),
+		gather:  make([][]byte, len(members)),
+		tail:    make([]int, len(members)),
+		scatter: make([][]scatterPiece, len(members)),
+		seen:    make([]bool, len(members)),
 	}
 	for i, m := range pattern {
 		if m < 0 || m >= len(members) {
@@ -108,7 +133,7 @@ func NewStripe(unit int, pattern []int, members ...Device) (*Stripe, error) {
 			return nil, fmt.Errorf("storage: stripe member %d holds %d units, the pattern deals it %d of %d", i, have, n, units)
 		}
 	}
-	s.geom.Capacity, s.geom.PageSize, s.geom.EraseBlock = units*s.unit, ps, unit
+	s.geom.Capacity, s.geom.PageSize, s.geom.EraseBlock = units*s.unit, ps, len(pattern)*unit
 	return s, nil
 }
 
@@ -170,21 +195,42 @@ func (s *Stripe) check(n, align int, req func(i int) (off, size int64, view bool
 
 // split cuts the range of n bytes at stripe offset off at unit
 // boundaries and calls piece for each piece, in order: its member, its
-// offset there, its place in the range and its length, and whether it
-// continues the range's previous piece back to back on the same member,
-// which consecutive units of one member always do. An empty range is one
-// empty piece.
+// offset there, its place in the range and its length, and whether an
+// earlier piece of the range reached the member, which the piece then
+// continues back to back there. An empty range is one empty piece.
 func (s *Stripe) split(off, n int64, piece func(m int, moff, at, k int64, cont bool)) {
-	prev := -1
+	clear(s.seen)
 	for at := int64(0); at < n || at == 0; {
 		m, moff, left := s.locate(off + at)
 		k := min(left, n-at)
-		piece(m, moff, at, k, m == prev)
-		prev, at = m, at+k
+		piece(m, moff, at, k, s.seen[m])
+		s.seen[m], at = true, at+k
 		if k == 0 {
 			return
 		}
 	}
+}
+
+// begin empties every member's share and scratch for a new submission.
+func (s *Stripe) begin() {
+	for m := range s.members {
+		s.reads[m], s.readOf[m], s.writes[m] = s.reads[m][:0], s.readOf[m][:0], s.writes[m][:0]
+		s.gather[m], s.scatter[m], s.tail[m] = s.gather[m][:0], s.scatter[m][:0], -1
+	}
+}
+
+// extend returns have, the bytes of member m's request req, followed by k
+// more bytes for the caller to fill, all in the member's gather scratch:
+// have is copied to the scratch's end unless it ends it already.
+func (s *Stripe) extend(m, req int, have []byte, k int64) []byte {
+	g := s.gather[m]
+	if s.tail[m] != req {
+		g, s.tail[m] = append(g, have...), req
+	}
+	n := len(have) + int(k)
+	g = slices.Grow(g, int(k))[:len(g)+int(k)]
+	s.gather[m] = g
+	return g[len(g)-n:]
 }
 
 // ReadBatch implements Device: reqs split into one submission per member
@@ -197,9 +243,7 @@ func (s *Stripe) ReadBatch(reqs []ReadReq) (time.Duration, error) {
 	}); err != nil {
 		return 0, err
 	}
-	for m := range s.members {
-		s.reads[m], s.readOf[m] = s.reads[m][:0], s.readOf[m][:0]
-	}
+	s.begin()
 	for i, r := range reqs {
 		if r.View {
 			m, moff, _ := s.locate(r.Off)
@@ -208,12 +252,18 @@ func (s *Stripe) ReadBatch(reqs []ReadReq) (time.Duration, error) {
 			continue
 		}
 		s.split(r.Off, int64(len(r.P)), func(m int, moff, at, k int64, cont bool) {
-			if last := len(s.reads[m]) - 1; cont {
-				s.reads[m][last].P = s.reads[m][last].P[:len(s.reads[m][last].P)+int(k)]
+			p, last := r.P[at:at+k], len(s.reads[m])-1
+			if !cont {
+				s.reads[m] = append(s.reads[m], ReadReq{P: p, Off: moff})
+				s.readOf[m] = append(s.readOf[m], i)
 				return
 			}
-			s.reads[m] = append(s.reads[m], ReadReq{P: r.P[at : at+k], Off: moff})
-			s.readOf[m] = append(s.readOf[m], i)
+			have := s.reads[m][last].P
+			if s.tail[m] != last {
+				s.scatter[m] = append(s.scatter[m], scatterPiece{req: last, dst: have})
+			}
+			s.scatter[m] = append(s.scatter[m], scatterPiece{req: last, at: len(have), dst: p})
+			s.reads[m][last].P = s.extend(m, last, have, k)
 		})
 	}
 	var lat time.Duration
@@ -231,6 +281,9 @@ func (s *Stripe) ReadBatch(reqs []ReadReq) (time.Duration, error) {
 				reqs[s.readOf[m][j]].P = r.P
 			}
 		}
+		for _, p := range s.scatter[m] {
+			copy(p.dst, s.reads[m][p.req].P[p.at:])
+		}
 	}
 	return lat, nil
 }
@@ -244,16 +297,17 @@ func (s *Stripe) WriteBatch(reqs []WriteReq) (time.Duration, error) {
 	}); err != nil {
 		return 0, err
 	}
-	for m := range s.members {
-		s.writes[m] = s.writes[m][:0]
-	}
+	s.begin()
 	for _, r := range reqs {
 		s.split(r.Off, int64(len(r.P)), func(m int, moff, at, k int64, cont bool) {
-			if last := len(s.writes[m]) - 1; cont {
-				s.writes[m][last].P = s.writes[m][last].P[:len(s.writes[m][last].P)+int(k)]
+			p, last := r.P[at:at+k], len(s.writes[m])-1
+			if !cont {
+				s.writes[m] = append(s.writes[m], WriteReq{P: p, Off: moff})
 				return
 			}
-			s.writes[m] = append(s.writes[m], WriteReq{P: r.P[at : at+k], Off: moff})
+			have := s.writes[m][last].P
+			s.writes[m][last].P = s.extend(m, last, have, k)
+			copy(s.writes[m][last].P[len(have):], p)
 		})
 	}
 	var lat time.Duration

@@ -24,14 +24,11 @@ func smallBlockSSD(lanes int) ssd.Profile {
 	return p
 }
 
-// stripeUnit is TestStripe's unit: one smallBlockSSD erase block.
-// modelUnit, two of them, is the unit of the stripes the device-model
-// lists add: as for the SSD and the disk there, a 256 KB value log's unit
-// holds a record of 9 pages.
-const (
-	stripeUnit = 32 << 10
-	modelUnit  = 64 << 10
-)
+// stripeUnit is the unit of every test stripe: one smallBlockSSD erase
+// block. A value log over a stripe writes one period of its pattern at a
+// time, two or three units, so as for the SSD and the disk in the
+// device-model lists, a 256 KB log's unit holds a record of 9 pages.
+const stripeUnit = 32 << 10
 
 // faultStripe is a stripe whose fault hook arms every member.
 type faultStripe struct {
@@ -45,18 +42,18 @@ func (s *faultStripe) SetFault(f storage.FaultFunc) {
 	}
 }
 
-// newStripe builds a stripe of capacity bytes in modelUnit units dealt by
-// pattern over members that member makes, member i on clocks[i]. It
+// newStripe builds a stripe of capacity bytes in stripeUnit units dealt
+// by pattern over members that member makes, member i on clocks[i]. It
 // panics on an invalid layout, which is a bug in the test.
 func newStripe(capacity int64, pattern []int, member func(capacity int64, c *vclock.Clock) faultable, clocks ...*vclock.Clock) *faultStripe {
 	s := &faultStripe{}
 	devs := make([]storage.Device, len(clocks))
-	for i, n := range storage.StripeShares(pattern, len(clocks), capacity/modelUnit) {
-		s.members = append(s.members, member(n*modelUnit, clocks[i]))
+	for i, n := range storage.StripeShares(pattern, len(clocks), capacity/stripeUnit) {
+		s.members = append(s.members, member(n*stripeUnit, clocks[i]))
 		devs[i] = s.members[i]
 	}
 	var err error
-	if s.Stripe, err = storage.NewStripe(modelUnit, pattern, devs...); err != nil {
+	if s.Stripe, err = storage.NewStripe(stripeUnit, pattern, devs...); err != nil {
 		panic(err)
 	}
 	return s
@@ -70,10 +67,17 @@ func ssdMember(lanes int) func(int64, *vclock.Clock) faultable {
 func diskMember(n int64, c *vclock.Clock) faultable { return disk.New(disk.Hitachi7K80(), n, c) }
 
 // The two-member stripes the device-model lists add, both members on one
-// clock: SSD members dealt every third unit to the second, and disk
+// clock: SSD members dealt every third unit to the second, whose 256 KB
+// value log writes two 96 KB units and a short 64 KB one per cycle; a pair
+// of SSDs dealt alternately, as a shard's two SSDs hold its log, whose
+// log writes one erase block on each member in each submission; and disk
 // members dealt alternately.
 func ssdStripe(lanes int, capacity int64, c *vclock.Clock) *faultStripe {
 	return newStripe(capacity, []int{0, 0, 1}, ssdMember(lanes), c, c)
+}
+
+func ssdPair(lanes int, capacity int64, c *vclock.Clock) *faultStripe {
+	return newStripe(capacity, []int{0, 1}, ssdMember(lanes), c, c)
 }
 
 func diskStripe(capacity int64, c *vclock.Clock) *faultStripe {
@@ -83,10 +87,11 @@ func diskStripe(capacity int64, c *vclock.Clock) *faultStripe {
 // stripeModels builds one fresh instance of each two-member stripe, for
 // the lists of device models that run a property on every device.
 func stripeModels(capacity int64) []model {
-	c1, c2 := vclock.New(), vclock.New()
+	c1, c2, c3 := vclock.New(), vclock.New(), vclock.New()
 	return []model{
 		{name: "stripe-ssd", dev: ssdStripe(8, capacity, c1), clock: c1},
-		{name: "stripe-disk", dev: diskStripe(capacity, c2), clock: c2},
+		{name: "stripe-pair", dev: ssdPair(8, capacity, c2), clock: c2},
+		{name: "stripe-disk", dev: diskStripe(capacity, c3), clock: c3},
 	}
 }
 
@@ -155,7 +160,8 @@ func TestStripe(t *testing.T) {
 	t.Run("geometry", func(t *testing.T) {
 		s, recs, _, _, _ := open(t)
 		g := s.Geometry()
-		want := storage.Geometry{Capacity: units * stripeUnit, PageSize: ps, Lanes: 16, EraseBlock: stripeUnit}
+		// The erase block is one period of the pattern, three units.
+		want := storage.Geometry{Capacity: units * stripeUnit, PageSize: ps, Lanes: 16, EraseBlock: 3 * stripeUnit}
 		if g != want || g.Capacity != recs[0].Geometry().Capacity+recs[1].Geometry().Capacity {
 			t.Fatalf("geometry %+v, want %+v, the members' capacities summed", g, want)
 		}
@@ -181,10 +187,7 @@ func TestStripe(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		wantWrites := [2][][2]int64{
-			{{0, 2 * stripeUnit}, {2 * stripeUnit, 2 * stripeUnit}, {4 * stripeUnit, 2 * stripeUnit}, {6 * stripeUnit, stripeUnit}},
-			{{0, stripeUnit}, {stripeUnit, stripeUnit}, {2 * stripeUnit, stripeUnit}},
-		}
+		wantWrites := [2][][2]int64{{{0, 7 * stripeUnit}}, {{0, 3 * stripeUnit}}}
 		for m, rec := range recs {
 			if len(rec.subs) != 2 || !slices.Equal(rec.subs[1], wantWrites[m]) {
 				t.Fatalf("member %d served writes %v, want two of %v", m, rec.subs, wantWrites[m])
@@ -260,6 +263,67 @@ func TestStripe(t *testing.T) {
 		}
 		if clocks[0].Now() != c0 || len(recs[0].subs) != 1 {
 			t.Fatal("a read of member 1's unit moved member 0")
+		}
+	})
+
+	t.Run("a request's pieces reach each member as one request", func(t *testing.T) {
+		// A 1-in-2 pair of six units: units 0, 2 and 4 on member 0, 1, 3
+		// and 5 on member 1, each member on its own clock.
+		var recs [2]*recordingDevice
+		var clocks [2]*vclock.Clock
+		devs := make([]storage.Device, 2)
+		for i := range recs {
+			clocks[i] = vclock.New()
+			recs[i] = &recordingDevice{faultable: ssd.New(smallBlockSSD(8), 3*stripeUnit, clocks[i])}
+			devs[i] = recs[i]
+		}
+		s, err := storage.NewStripe(stripeUnit, []int{0, 1}, devs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eb := s.Geometry().EraseBlock; eb != 2*stripeUnit {
+			t.Fatalf("erase block %d, want one period, %d", eb, 2*stripeUnit)
+		}
+		image := make([]byte, 6*stripeUnit)
+		rand.New(rand.NewSource(3)).Read(image)
+		if _, err := s.WriteAt(image, 0); err != nil {
+			t.Fatal(err)
+		}
+		recs[0].subs, recs[1].subs = nil, nil
+		// A 4-unit write from unit 1, and a 4-unit copy read from the
+		// middle of unit 0: each member's pieces lie back to back there,
+		// apart in the caller's buffer.
+		fresh := make([]byte, 4*stripeUnit)
+		rand.New(rand.NewSource(4)).Read(fresh)
+		copy(image[stripeUnit:], fresh)
+		var took [2]time.Duration
+		for m, c := range clocks {
+			took[m] = c.Now()
+		}
+		if _, err := s.WriteAt(fresh, stripeUnit); err != nil {
+			t.Fatal(err)
+		}
+		p := make([]byte, 4*stripeUnit)
+		if _, err := s.ReadAt(p, stripeUnit/2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p, image[stripeUnit/2:stripeUnit/2+4*stripeUnit]) {
+			t.Fatal("the read's bytes differ from the image")
+		}
+		want := [2][][][2]int64{
+			{{{stripeUnit, 2 * stripeUnit}}, {{stripeUnit / 2, 2 * stripeUnit}}},
+			{{{0, 2 * stripeUnit}}, {{0, 2 * stripeUnit}}},
+		}
+		prof := smallBlockSSD(8)
+		for m, rec := range recs {
+			if len(rec.subs) != 2 || !slices.Equal(rec.subs[0], want[m][0]) || !slices.Equal(rec.subs[1], want[m][1]) {
+				t.Fatalf("member %d served %v, want %v", m, rec.subs, want[m])
+			}
+			// Each request is priced as one: a fixed cost and its bytes.
+			perByte := 2 * stripeUnit * (prof.WritePerByte + prof.ReadPerByte)
+			if d := clocks[m].Now() - took[m]; d != prof.WriteFixed+prof.ReadFixed+time.Duration(perByte) {
+				t.Fatalf("member %d took %v for a write and a read of two units", m, d)
+			}
 		}
 	})
 

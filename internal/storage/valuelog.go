@@ -41,19 +41,23 @@ import (
 // even under a lapped mark: their bytes were rewritten, and key
 // verification decides as before.
 //
-// Writes come in whole write units: records accumulate in a tail buffer,
-// and once it holds a unit or more, its whole units are written to the
-// device as one sequential submission, aligned to the unit (sequential
-// I/O, the access pattern every medium in this repository likes best). The
-// unit is the device's erase block (Geometry.EraseBlock), as §6.4 sizes a
-// flush to one: each write then replaces whole blocks, and an SSD's FTL
-// reclaims the blocks the previous cycle wrote without relocating a page.
-// A device without one writes about 64 KB at a time, or a quarter of a
-// smaller log. The capacity rounds down to whole units, so every cycle
-// ends on a unit boundary. Records still buffered in the tail are served
-// from memory. Over a Stripe, whose EraseBlock is its stripe unit, each
-// write unit lands whole on one member, and a read or write submission
-// becomes one per member; the log is the same either way.
+// Writes come in whole write units: records accumulate in a tail buffer
+// of one unit, and the moment a record fills it, the unit is written to
+// the device as one sequential submission, aligned to the unit
+// (sequential I/O, the access pattern every medium in this repository
+// likes best), and the record's rest starts the next. The unit is the
+// device's erase block (Geometry.EraseBlock), as §6.4 sizes a flush to
+// one: each write then replaces whole blocks, and an SSD's FTL reclaims
+// the blocks the previous cycle wrote without relocating a page. A device
+// without one writes about 64 KB at a time, or a quarter of a smaller log,
+// and its capacity rounds down to whole units; any other capacity rounds
+// down to whole pages, and a cycle's last unit ends at the capacity, short
+// when the capacity is no whole number of units. Records still buffered in
+// the tail are served from memory. Over a Stripe, whose EraseBlock is one
+// period of its pattern, each write unit is whole erase blocks on every
+// member (one on each of a 1-in-2 pair's), all written in the same
+// submission, and a read or write submission becomes one per member; the
+// log is the same either way.
 //
 // Record reads go to the device by the page, as §5.1.1 reads the index:
 // each call adds the device pages its records' device bytes lie in to a
@@ -75,12 +79,12 @@ import (
 type ValueLog struct {
 	dev      Device
 	pageSize int
-	capacity int64 // usable bytes, a whole number of write units
+	capacity int64 // usable bytes: whole pages, whole units without an erase block
 	unit     int   // write unit: the device's erase block, or about 64 KB
 
 	head     int64  // next append offset
 	bufStart int64  // device offset of buf[0]; unit-aligned
-	buf      []byte // bytes [bufStart, head) not yet written to the device
+	buf      []byte // bytes [bufStart, head) not yet written to the device; cap one unit
 
 	stats ValueLogStats
 
@@ -239,8 +243,9 @@ func RecordSize(keyLen, valLen int) int {
 }
 
 // NewValueLog builds a log over dev, using its whole capacity. The usable
-// capacity is rounded down to whole write units (see ValueLog) and must
-// hold at least eight pages.
+// capacity is rounded down to whole pages, or on a device without an
+// erase block to whole write units (see ValueLog), and must hold at least
+// eight pages.
 func NewValueLog(dev Device) (*ValueLog, error) {
 	g := dev.Geometry()
 	capacity := g.Capacity / int64(g.PageSize) * int64(g.PageSize)
@@ -256,8 +261,8 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 			unit = int(capacity/4) / g.PageSize * g.PageSize
 		}
 		unit = max(unit, g.PageSize)
+		capacity -= capacity % int64(unit)
 	}
-	capacity -= capacity % int64(unit)
 	if capacity < 8*int64(g.PageSize) {
 		return nil, fmt.Errorf("storage: value log needs at least 8 pages, got %d bytes", capacity)
 	}
@@ -352,9 +357,11 @@ func (l *ValueLog) MarkDead(word uint64) {
 	}
 }
 
-// appendRecord stages one record in the tail buffer without triggering the
-// full-page flush, so AppendBatch can accumulate a whole chunk and write
-// its pages in one sequential submission.
+// appendRecord stages one record in the tail buffer (see stage) and
+// returns its pointer word. A record the log refuses (too large, or a
+// wrap whose write failed) returns word 0 and the error; a unit write
+// that fails leaves the record staged, and returns its word and the
+// write's error.
 func (l *ValueLog) appendRecord(key, value []byte) (word uint64, err error) {
 	n := RecordSize(len(key), len(value))
 	if int64(n) > l.capacity {
@@ -362,6 +369,9 @@ func (l *ValueLog) appendRecord(key, value []byte) (word uint64, err error) {
 	}
 	if n > MaxValueRecordBytes {
 		return 0, fmt.Errorf("storage: value record of %d bytes exceeds the %d record limit", n, MaxValueRecordBytes)
+	}
+	if l.buf == nil {
+		l.buf = make([]byte, 0, l.unit)
 	}
 	if l.head+int64(n) > l.capacity {
 		if err := l.wrap(); err != nil {
@@ -372,16 +382,38 @@ func (l *ValueLog) appendRecord(key, value []byte) (word uint64, err error) {
 	var hdr [recordHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(key)))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(value)))
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, key...)
-	l.buf = append(l.buf, value...)
+	for _, p := range [...][]byte{hdr[:], key, value} {
+		if e := l.stage(p); err == nil {
+			err = e
+		}
+	}
 	l.head += int64(n)
 	l.stats.Records++
 	l.stats.AppendedBytes += uint64(n)
 	l.allocSpan(off, n)
 	// The capacity and record checks above keep the location encodable.
 	word, _ = encodeValuePtr(off, n, l.cycle)
-	return word, nil
+	return word, err
+}
+
+// stage copies p to the tail buffer, a unit's end at a time. Each time
+// the tail reaches the end of a write unit, it writes the tail's whole
+// units (see flushUnits), so the tail never holds more than one unit; a
+// failed write keeps them in the tail, which grows past a unit until a
+// later write succeeds, and the first error is returned once p is staged.
+func (l *ValueLog) stage(p []byte) (err error) {
+	for len(p) > 0 {
+		head := l.bufStart + int64(len(l.buf))
+		end := min((head/int64(l.unit)+1)*int64(l.unit), l.capacity)
+		k := min(int64(len(p)), end-head)
+		l.buf, p = append(l.buf, p[:k]...), p[k:]
+		if head+k == end {
+			if e := l.flushUnits(); err == nil {
+				err = e
+			}
+		}
+	}
+	return err
 }
 
 // AppendBatch appends len(keys) records as one tail-buffered multi-record
@@ -389,31 +421,40 @@ func (l *ValueLog) appendRecord(key, value []byte) (word uint64, err error) {
 // tagged pointer word: offset, total length and the cycle it was appended
 // in. A pointer becomes invalid once the head wraps past it: a read of it
 // then costs no device request, or self-invalidates via key verification
-// (see ValueLog). Record offsets, wrap points and tail-served reads are
-// exactly what one-record calls would produce; the difference is purely
-// the write stream — the batch's full pages reach the device as one
-// sequential submission at the end instead of one write per write unit of
-// accumulated records. On error the batch may be partially appended.
+// (see ValueLog). Record offsets, wrap points, tail-served reads and the
+// device writes are exactly what one-record calls would produce: each
+// write unit reaches the device as one submission the moment a record
+// fills it. A unit whose write fails stays in the tail, and the next unit
+// the log fills writes both; the batch still appends every record, fills
+// every pointer and returns the first write's error. A record the log
+// refuses ends the batch with its error, the records before it appended.
 func (l *ValueLog) AppendBatch(keys, values [][]byte, ptrs []uint64) error {
 	if len(keys) != len(values) || len(ptrs) != len(keys) {
 		return fmt.Errorf("storage: AppendBatch length mismatch: %d keys, %d values, %d ptrs",
 			len(keys), len(values), len(ptrs))
 	}
+	var werr error
 	for i := range keys {
 		word, err := l.appendRecord(keys[i], values[i])
-		if err != nil {
+		if word == 0 {
 			return err
 		}
 		ptrs[i] = word
+		if werr == nil {
+			werr = err
+		}
 	}
-	return l.flushUnits()
+	return werr
 }
 
-// flushUnits writes the tail buffer's whole write units to the device as
-// one submission and keeps the remainder buffered. bufStart stays
-// unit-aligned.
+// flushUnits writes the tail buffer's whole write units, a cycle's short
+// last unit included, to the device as one submission and keeps the
+// remainder buffered. bufStart stays unit-aligned.
 func (l *ValueLog) flushUnits() error {
 	p := len(l.buf) - len(l.buf)%l.unit
+	if l.bufStart+int64(len(l.buf)) == l.capacity {
+		p = len(l.buf)
+	}
 	if p == 0 {
 		return nil
 	}
@@ -426,25 +467,34 @@ func (l *ValueLog) flushUnits() error {
 	return nil
 }
 
-// wrap pads the tail buffer with zeros out to the log's capacity, writes
-// it, and moves the append head back to offset 0, beginning a new
-// overwrite cycle. On a failed write the padding is dropped again, so the
+// wrap pads the log with zeros out to its capacity through the tail
+// buffer, so each unit is written as it fills (see stage), and moves the
+// append head back to offset 0, beginning a new overwrite cycle. On a
+// failed write, the padding units written before it stay written, and the
+// head moves past them; the rest of the padding is dropped again, so the
 // buffer still ends at the head.
 func (l *ValueLog) wrap() error {
-	n := len(l.buf)
-	l.buf = append(l.buf, make([]byte, l.capacity-l.bufStart-int64(n))...)
-	if len(l.buf) > 0 {
-		if err := l.writeBuf(len(l.buf)); err != nil {
-			l.buf = l.buf[:n]
-			return err
-		}
+	var err error
+	for pad := l.capacity - l.head; pad > 0 && err == nil; {
+		k := min(pad, int64(len(zeros)))
+		err, pad = l.stage(zeros[:k]), pad-k
 	}
-	l.buf = l.buf[:0]
+	if err == nil {
+		err = l.flushUnits()
+	}
+	if err != nil {
+		l.head = max(l.head, l.bufStart)
+		l.buf = l.buf[:l.head-l.bufStart]
+		return err
+	}
 	l.head, l.bufStart = 0, 0
 	l.cycle++
 	l.stats.Wraps++
 	return nil
 }
+
+// zeros is the padding wrap stages, a piece at a time.
+var zeros [4 << 10]byte
 
 // writeBuf writes buf[:p] at bufStart. The write ends the views of the
 // pages read so far, so the log forgets them first.

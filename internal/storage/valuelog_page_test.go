@@ -25,7 +25,8 @@ func oneLaneSSD() ssd.Profile {
 }
 
 // pageModels are the devices the page-read tests run on: the SSD, the
-// disk, and two-member stripes of each (see stripeModels).
+// disk, and the two-member stripes of stripeModels: of SSDs 2-in-3 and
+// 1-in-2, and of disks.
 var pageModels = [...]struct {
 	name string
 	dev  func(*vclock.Clock) storage.Device
@@ -33,6 +34,7 @@ var pageModels = [...]struct {
 	{"ssd", func(c *vclock.Clock) storage.Device { return ssd.New(oneLaneSSD(), 256<<10, c) }},
 	{"disk", func(c *vclock.Clock) storage.Device { return disk.New(disk.Hitachi7K80(), 256<<10, c) }},
 	{"stripe-ssd", func(c *vclock.Clock) storage.Device { return ssdStripe(1, 256<<10, c) }},
+	{"stripe-pair", func(c *vclock.Clock) storage.Device { return ssdPair(1, 256<<10, c) }},
 	{"stripe-disk", func(c *vclock.Clock) storage.Device { return diskStripe(256<<10, c) }},
 }
 

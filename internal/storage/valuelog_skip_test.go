@@ -14,8 +14,9 @@ import (
 )
 
 // skipModels builds the devices the skip-rule streams run on: one per
-// model, the SSD, the disk and a two-member stripe of each (see
-// stripeModels), small enough that a stream wraps its log several times.
+// model, the SSD, the disk and the two-member stripes of stripeModels (of
+// SSDs 2-in-3 and 1-in-2, and of disks), small enough that a stream wraps
+// its log several times.
 var skipModels = [...]struct {
 	name string
 	dev  func(*vclock.Clock) storage.Device
@@ -23,6 +24,7 @@ var skipModels = [...]struct {
 	{"ssd", func(c *vclock.Clock) storage.Device { return ssd.New(ssd.IntelX18M(), 256<<10, c) }},
 	{"disk", func(c *vclock.Clock) storage.Device { return disk.New(disk.Hitachi7K80(), 256<<10, c) }},
 	{"stripe-ssd", func(c *vclock.Clock) storage.Device { return ssdStripe(8, 256<<10, c) }},
+	{"stripe-pair", func(c *vclock.Clock) storage.Device { return ssdPair(8, 256<<10, c) }},
 	{"stripe-disk", func(c *vclock.Clock) storage.Device { return diskStripe(256<<10, c) }},
 }
 

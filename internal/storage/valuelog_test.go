@@ -262,25 +262,40 @@ func (d *writeRecorder) WriteBatch(reqs []storage.WriteReq) (time.Duration, erro
 
 // TestValueLogWritesWholeBlocks drives four cycles of variable-size
 // records, some larger than a unit, in ragged AppendBatch calls, and
-// requires every write the device sees to be whole write units aligned
-// to the unit: the device's erase block on the SSD, 64 KB on the disk.
-// Whole-block writes replace whole blocks, so the SSD's FTL relocates no
-// page.
+// requires every write the device sees to be one write unit aligned to
+// the unit, the moment a record fills it: the device's erase block on the
+// SSD, 64 KB on the disk, and one period of the pattern on a stripe of
+// SSDs, a 1-in-2 pair of eight units and one of nine, whose cycles end
+// with a short unit of one block. Whole-block writes replace whole blocks,
+// so the FTL of no SSD relocates a page.
 func TestValueLogWritesWholeBlocks(t *testing.T) {
-	for name, dev := range vlogDevices(t, 1<<20) {
+	devs := vlogDevices(t, 1<<20)
+	for name, units := range map[string]int64{"stripe-pair": 8, "stripe-pair-odd": 9} {
+		block := int64(ssd.IntelX18M().BlockSize())
+		var members []storage.Device
+		for _, n := range storage.StripeShares([]int{0, 1}, 2, units) {
+			members = append(members, ssd.New(ssd.IntelX18M(), n*block, vclock.New()))
+		}
+		s, err := storage.NewStripe(int(block), []int{0, 1}, members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs[name] = s
+	}
+	for name, dev := range devs {
 		t.Run(name, func(t *testing.T) {
 			rec := &writeRecorder{Device: dev}
 			l, err := storage.NewValueLog(rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			unit := int64(l.Unit())
+			unit, capacity := int64(l.Unit()), l.Stats().Capacity
 			want := int64(dev.Geometry().EraseBlock)
 			if want == 0 {
 				want = 64 << 10
 			}
-			if unit != want || l.Stats().Capacity%unit != 0 {
-				t.Fatalf("unit %d, capacity %d; want a %d-byte unit dividing the capacity", unit, l.Stats().Capacity, want)
+			if unit != want || capacity != dev.Geometry().Capacity {
+				t.Fatalf("unit %d, capacity %d; want a %d-byte unit and the device's capacity %d", unit, capacity, want, dev.Geometry().Capacity)
 			}
 			rng := rand.New(rand.NewSource(34))
 			var keys, vals [][]byte
@@ -298,12 +313,12 @@ func TestValueLogWritesWholeBlocks(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if len(rec.writes) < 4*int(l.Stats().Capacity/unit)/2 {
+			if len(rec.writes) < 4*int(capacity/unit) {
 				t.Fatalf("only %d writes over 4 cycles", len(rec.writes))
 			}
 			for _, w := range rec.writes {
-				if w[0]%unit != 0 || w[1] == 0 || w[1]%unit != 0 {
-					t.Fatalf("write of %d bytes at %d: not whole %d-byte units", w[1], w[0], unit)
+				if w[0]%unit != 0 || w[1] != min(unit, capacity-w[0]) {
+					t.Fatalf("write of %d bytes at %d: not one %d-byte unit", w[1], w[0], unit)
 				}
 			}
 			if c := dev.Counters(); c.PagesMoved != 0 {
@@ -344,8 +359,8 @@ func TestValueLogUnwrittenRegionReadsAsMiss(t *testing.T) {
 
 // TestValueLogAppendBatchEquivalence drives the same record stream through
 // one-record and 64-record AppendBatch calls on twin logs: pointers, wrap
-// points and every readable record must be identical — only the write
-// submission pattern (and therefore latency) may differ.
+// points, every readable record and the device writes, each unit the
+// moment a record fills it, must be identical.
 func TestValueLogAppendBatchEquivalence(t *testing.T) {
 	for name := range vlogDevices(t, 1<<20) {
 		t.Run(name, func(t *testing.T) {
@@ -386,6 +401,9 @@ func TestValueLogAppendBatchEquivalence(t *testing.T) {
 			}
 			if sp[len(sp)-1] != bp[len(bp)-1] {
 				t.Fatalf("final pointers diverge: %#x vs %#x", sp[len(sp)-1], bp[len(bp)-1])
+			}
+			if sc, bc := serialDev.Counters(), batchDev.Counters(); sc != bc {
+				t.Fatalf("device counters diverge:\nserial  %+v\nbatched %+v", sc, bc)
 			}
 			ss, bs := ls.Stats(), lb.Stats()
 			if ss.Records != bs.Records || ss.AppendedBytes != bs.AppendedBytes || ss.Wraps != bs.Wraps {
