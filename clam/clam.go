@@ -63,10 +63,9 @@
 // finish makes the owner's one call, which resolves the same distinct keys
 // in the same order (see Sharded.GetBatchU64).
 // GetBatch/GetBatchU64 overlap each probing round's index page probes
-// across the index's SSDs and their internal queue lanes; GetBatch reads
-// the records of its hits in batched value-log reads, likewise
-// overlapped, while the index probes: during the in-memory phase as hits
-// become final, and after each probing round.
+// across the index's SSDs and their internal queue lanes; GetBatch then
+// reads the records of its hits in one batched value-log read, likewise
+// overlapped.
 // PutBatch/PutBatchU64 are the write-side mirror: a chunk's records land
 // in the value log as one multi-record append, which runs on the
 // value-log device while the chunk inserts their pointers, and every
@@ -120,10 +119,9 @@
 // probing round; only a lookup batch's first round runs while its
 // in-memory phase still does, when the core hands the index, while both
 // SSDs are idle, the probes gathered so far, one SSD's lanes at a time
-// (see core.Config.DeviceClock), and resolves each key whose read has
-// completed. A byte get chunk hands the value log each hit as soon as it
-// is final, from the in-memory phase on, whenever SSD B is idle (see
-// core.HitHook), and joins it after its last lookup round. The value log
+// (see core.Config.DeviceClock). A byte get chunk reads its hits' records
+// from the value log in one submission after its lookup, and joins it. The
+// value log
 // writes a whole erase block on each SSD at once, the moment its tail
 // fills one on each, and a put chunk that succeeds acknowledges
 // without waiting for its write: it joins the log only before its own
@@ -242,10 +240,8 @@ type shard struct {
 	batchIdx []int                  // GetBatch read-to-key and verified-hit scratch, guarded by mu
 
 	// A byte get chunk in flight (see readHits), guarded by mu: the
-	// LookupBatch hook bound once at open, the record read for each
-	// position (nil for none), the arena holding the records the value
-	// log copied, and the verified values.
-	onHits   *core.HitHook
+	// record read for each position (nil for none), the arena holding the
+	// records the value log copied, and the verified values.
 	rec      [][]byte
 	recArena []byte
 	batchHit [][]byte
@@ -301,13 +297,6 @@ func openShard(cfg config) (*shard, error) {
 	if s.vlog, err = storage.NewValueLog(s.logs.Device); err != nil {
 		return nil, err
 	}
-	// A get chunk hands its hits to the log when its first member's SSD (B
-	// on a pair) is idle, in multiples of the log's lanes, both SSDs'
-	// (see core.HitHook): 818,038 virtual ops/s on dedup-ingest (seed 1);
-	// waiting for both SSDs to be idle read 817,986. While a log write
-	// took one SSD at a time, multiples of one SSD's lanes read 767,944
-	// against 769,208.
-	s.onHits = &core.HitHook{Read: s.readHits, Clock: s.logs.clocks[0], Lanes: s.logs.Geometry().Lanes}
 	coreCfg, err := deriveConfig(cfg, s.idx.Device, clock)
 	if err != nil {
 		return nil, err
@@ -346,23 +335,19 @@ type striped struct {
 // every partition a block is the first clock's SSD alone.
 func stripeOver(prof ssd.Profile, bytes int64, clocks ...*vclock.Clock) (striped, error) {
 	unit := int64(prof.BlockSize())
-	pattern := make([]int, len(clocks))
-	for i := range pattern {
-		pattern[i] = i
-	}
-	shares := storage.StripeShares(pattern, len(clocks), (bytes+unit-1)/unit)
-	if len(clocks) == 1 || shares[len(shares)-1] == 0 {
+	units := (bytes + unit - 1) / unit
+	if len(clocks) == 1 || units < int64(len(clocks)) {
 		dev := ssd.New(prof, bytes, clocks[0])
 		return striped{dev, []*ssd.SSD{dev}, clocks[:1]}, nil
 	}
 	d := striped{parts: make([]*ssd.SSD, len(clocks)), clocks: clocks}
 	members := make([]storage.Device, len(clocks))
 	for i, c := range clocks {
-		d.parts[i] = ssd.New(prof, shares[i]*unit, c)
+		d.parts[i] = ssd.New(prof, storage.StripeShare(units, len(clocks), i)*unit, c)
 		members[i] = d.parts[i]
 	}
 	var err error
-	d.Device, err = storage.NewStripe(int(unit), pattern, members...)
+	d.Device, err = storage.NewStripe(int(unit), members...)
 	return d, err
 }
 
@@ -524,7 +509,7 @@ func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
 // resolution) into results, which must have len(keys).
 func (s *shard) getBatchU64Into(keys []uint64, results []core.LookupResult) error {
 	w := s.begin()
-	return s.end(&s.lookup, w, len(keys), s.bh.LookupBatch(keys, results, nil))
+	return s.end(&s.lookup, w, len(keys), s.bh.LookupBatch(keys, results))
 }
 
 // lendU64 is getBatchU64Into for a helper in a read batch's lent dedupe
@@ -539,7 +524,7 @@ func (s *shard) lendU64(piece []uint64, via []int32, keys []uint64, results []co
 	s.lentDedupes += uint64(len(piece))
 	fwd = s.bh.Lend(piece, via)
 	if len(keys) > 0 {
-		if err = s.bh.LookupBatch(keys, results, nil); err == nil {
+		if err = s.bh.LookupBatch(keys, results); err == nil {
 			observeSpread(&s.lookup, w.Elapsed(), len(keys))
 		}
 	}
@@ -557,7 +542,7 @@ func (s *shard) getLentU64(keys []uint64, results []core.LookupResult, ready tim
 	w := s.begin()
 	s.clock.AdvanceTo(ready)
 	start = s.clock.Now()
-	return start, s.end(&s.lookup, w, positions, s.bh.LookupBatch(keys, results, nil))
+	return start, s.end(&s.lookup, w, positions, s.bh.LookupBatch(keys, results))
 }
 
 // deleteBatchU64Chunk is one batched delete. Deletes perform no I/O.
@@ -717,21 +702,17 @@ func (s *shard) retire(displaced []uint64) {
 	}
 }
 
-// getBatchRecords resolves one chunk of byte Gets: a batched index lookup
-// that hands its hits to readHits as they become final, from its
-// in-memory phase on, so their records are read while the index probes,
-// then one join and the per-key verification.
-// The chunk is one value-log get chunk (see storage.ValueLog.EndChunk):
-// every hand-off adds its records' log pages to the chunk's one page-read
-// set, so a page one hand-off read serves every later hand-off's records
-// in it. It fills only the hits of values and found.
+// getBatchRecords resolves one chunk of byte Gets: a batched index
+// lookup, then one batched read of its hits' records (see readHits), one
+// join and the per-key verification. It fills only the hits of values and
+// found.
 func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, found []bool) error {
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
-	s.rec, s.recArena = resize(s.rec, len(fps)), s.recArena[:0]
-	clear(s.rec)
-	err := s.bh.LookupBatch(fps, s.batchRes, s.onHits)
-	s.vlog.EndChunk()
+	err := s.bh.LookupBatch(fps, s.batchRes)
+	if err == nil {
+		err = s.readHits()
+	}
 	s.join()
 	if err == nil {
 		s.verifyRecords(keys, values, found)
@@ -739,21 +720,26 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 	return s.end(&s.lookup, w, len(fps), err)
 }
 
-// readHits is getBatchRecords' LookupBatch hook (see core.HitHook): it
-// reads the records that one hand-off's hits point at as one batched
-// value-log read, issued on the log's timelines, which submits
-// only the log pages no earlier hand-off of the chunk read (a record the
-// log has overwritten is a miss it does not read), and keeps them for
-// verification. A record may be a view into the value device's page,
-// valid through the chunk because nothing writes the value log inside a
-// get chunk, or a copy in the shard's record arena, which each read
-// extends without touching earlier records.
-func (s *shard) readHits(hits []int) error {
-	reqs := s.batchReq[:0]
-	idxs := s.batchIdx[:0]
-	for _, i := range hits {
-		if v := s.batchRes[i].Value; storage.IsValuePtr(v) {
-			reqs = append(reqs, storage.ValueReadReq{Ptr: v})
+// readHits reads the records that the lookup's hits point at, each
+// distinct position's once and in ascending order (a repeated position's
+// first occurrence reads it, see core.BufferHash.Repeats), as one batched
+// value-log read issued on the log's timelines (a record the log has
+// overwritten is a miss it does not read), and keeps them for
+// verification. A record is a view into the value device's page, valid
+// through the chunk because nothing writes the value log inside a get
+// chunk, or a copy in the shard's record arena.
+func (s *shard) readHits() error {
+	s.rec = resize(s.rec, len(s.batchRes))
+	clear(s.rec)
+	reqs, idxs := s.batchReq[:0], s.batchIdx[:0]
+	repeats := s.bh.Repeats()
+	for i, r := range s.batchRes {
+		if len(repeats) > 0 && int(repeats[0].Pos) == i {
+			repeats = repeats[1:]
+			continue
+		}
+		if r.Found && storage.IsValuePtr(r.Value) {
+			reqs = append(reqs, storage.ValueReadReq{Ptr: r.Value})
 			idxs = append(idxs, i)
 		}
 	}
@@ -763,7 +749,7 @@ func (s *shard) readHits(hits []int) error {
 	}
 	s.issueLog()
 	var err error
-	if s.recArena, err = s.vlog.ReadRecordsBatch(reqs, s.recArena); err != nil {
+	if s.recArena, err = s.vlog.ReadRecordsBatch(reqs, s.recArena[:0]); err != nil {
 		return err
 	}
 	for j, req := range reqs {
@@ -825,7 +811,7 @@ func (s *shard) deleteBatchFPs(fps []uint64) error {
 func (s *shard) containsBatchFPs(fps []uint64, found []bool) error {
 	w := s.begin()
 	s.batchRes = resize(s.batchRes, len(fps))
-	err := s.bh.LookupBatch(fps, s.batchRes, nil)
+	err := s.bh.LookupBatch(fps, s.batchRes)
 	if err == nil {
 		for i := range s.batchRes {
 			found[i] = s.batchRes[i].Found && storage.IsValuePtr(s.batchRes[i].Value)

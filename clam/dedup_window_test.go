@@ -140,7 +140,7 @@ func (w *dedupWindow) insert(tb testing.TB) {
 // dedup store shape: a warm 4096-key GetBatch at a hit rate near one half
 // on wrapped logs allocates one value arena per chunk plus the router's
 // constant, and nothing per hit — with the index in DRAM, and with it in
-// flash, where a chunk reads the value log once per probing round.
+// flash, where a chunk's lookup takes several probing rounds.
 func TestDedupWindowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")

@@ -420,9 +420,9 @@ func TestIndexOverlapWindows(t *testing.T) {
 }
 
 // TestLentDedupeWindows runs GetBatchU64 windows of the get-batch-zipf
-// benchmark workload's shape (8 shards, 64 MB of Intel flash, 12 MB of
-// DRAM, 4096 Zipf(1.1) keys per batch, warmed with 1.25 times the flash's
-// entries) on the store and on a twin that reads the same per-shard runs
+// benchmark workload's shape scaled down to a quarter of its store (8
+// shards, 16 MB of Intel flash, 3 MB of DRAM, 4096 Zipf(1.1) keys per
+// batch, warmed with 1.25 times the flash's entries) on the store and on a twin that reads the same per-shard runs
 // through its Shard(i) views, one-shard stores that never split a run.
 // Lent dedupe moves only which shard's clock pays for a repeat, so the
 // answers, every shard's core counters and its LookupLatency.Count must
@@ -433,7 +433,7 @@ func TestIndexOverlapWindows(t *testing.T) {
 // the store's makespan must fall below the twin's.
 func TestLentDedupeWindows(t *testing.T) {
 	const (
-		flash   = 64 << 20
+		flash   = 16 << 20
 		entries = flash / 32 // 16-byte entries at 50% cuckoo load
 		batch   = 4096
 		windows = 20
@@ -441,7 +441,7 @@ func TestLentDedupeWindows(t *testing.T) {
 		shards  = 8
 	)
 	ctx := context.Background()
-	opts := []Option{WithDevice(IntelSSD), WithFlash(flash), WithMemory(12 << 20), WithShards(shards)}
+	opts := []Option{WithDevice(IntelSSD), WithFlash(flash), WithMemory(3 << 20), WithShards(shards)}
 	s, twin := openShardedT(t, opts...), openShardedT(t, opts...)
 	keyRange := workload.RangeForLSR(entries, 0.4)
 	warm := workload.NewZipfStream(2, zipfS, keyRange)

@@ -32,7 +32,7 @@ func TestLookupBatchProbeAllocs(t *testing.T) {
 		cfg, _ := testConfig(t)
 		prof := ssd.IntelX18M()
 		a, b := vclock.New(), vclock.New()
-		stripe, err := storage.NewStripe(prof.BlockSize(), []int{0, 1}, ssd.New(prof, 512<<10, a), ssd.New(prof, 512<<10, b))
+		stripe, err := storage.NewStripe(prof.BlockSize(), ssd.New(prof, 512<<10, a), ssd.New(prof, 512<<10, b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,13 +53,13 @@ func testProbeAllocs(t *testing.T, cfg Config) {
 	}
 	// The oldest keys were flushed: every one of them pends on a probe.
 	results := make([]LookupResult, 2048)
-	if err := b.LookupBatch(keys[:8], results[:8], nil); err != nil {
+	if err := b.LookupBatch(keys[:8], results[:8]); err != nil {
 		t.Fatal(err)
 	}
 	probes0 := b.Stats().FlashProbes
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := b.LookupBatch(keys[:len(results)], results, nil)
+	err := b.LookupBatch(keys[:len(results)], results)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func testProbeAllocs(t *testing.T, cfg Config) {
 		repeated[i] = keys[(i*7)%512]
 	}
 	lookup := func() {
-		if err := b.LookupBatch(repeated, results, nil); err != nil {
+		if err := b.LookupBatch(repeated, results); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"time"
 
 	"repro/internal/storage"
@@ -25,10 +24,9 @@ import (
 //	             answers it, so a hot key's work is done once. In a read
 //	             run (see hotcache.go), every distinct key is first checked
 //	             against the hot-entry cache (CPU.CacheProbe): a cached key
-//	             is a final hit, recorded as a zero-I/O lookup and handed
-//	             to the hit hook like any other, and skips the rest of its
-//	             lookup; a buffer hit, here, or a flash hit, when its
-//	             probing round resolves it, fills the cache
+//	             is a final hit, recorded as a zero-I/O lookup, and skips
+//	             the rest of its lookup; a buffer hit, here, or a flash
+//	             hit, when its probing round resolves it, fills the cache
 //	             (CPU.CacheFill), so a hot key's work is done once per read
 //	             run rather than once per batch. Every other key runs one
 //	             order, in every call: its super table's bank of k+1 Bloom
@@ -60,12 +58,6 @@ import (
 //	             5,986,793 and of 2 5,659,521; and submitting while any
 //	             one timeline is idle read 741,333 on dedup-ingest,
 //	             against 769,208 while every one is.
-//	             Every unresolved key joins the round's waiting list as
-//	             it gathers its page. A call given a hit hook also
-//	             resolves the waiting keys whose reads have completed by
-//	             the current CPU instant (phase C, run early), and hands
-//	             the hook its final hits, in multiples of the hook
-//	             device's lanes, whenever that device is idle (HitHook).
 //	B (gather):  each probing round adds every unresolved key's single
 //	             newest-candidate page to one page-read set
 //	             (storage.PageReads), so keys on the same flash page share
@@ -78,13 +70,12 @@ import (
 //	             the device hands back its stored page, so no page is
 //	             reserved or copied.
 //	C (resolve): after the round's join every page is read, so one pass
-//	             resolves every key still waiting, in the order it was
-//	             queued: each searches its page's view through
-//	             resolveProbe — newest-first, stop on hit, one probe
-//	             counted per page read on its behalf. Each finished key
-//	             retires through one step with phase A's in-memory
-//	             results, and the keys still pending gather the next
-//	             round's pages and wait again. Nothing writes the device
+//	             resolves every pending key, in pending order: each
+//	             searches its page's view through resolveProbe —
+//	             newest-first, stop on hit, one probe counted per page read
+//	             on its behalf. A second pass retires each finished key
+//	             through the step phase A's in-memory results take, and
+//	             the keys still pending gather the next round's pages. Nothing writes the device
 //	             during a lookup, so the views stay valid while they are
 //	             searched.
 //
@@ -120,18 +111,10 @@ type Repeat struct{ Pos, First int32 }
 // suffices; everything is grown on demand and reused across calls.
 type batchScratch struct {
 	pending []batchKey
-	hits    []int // final hits not yet handed to LookupBatch's hook
 
 	// The batch's distinct keys, and its repeated positions in order.
 	distinct keyTable
 	repeats  []Repeat
-
-	// The probing round's waiting list (see resolveEarly): the pending
-	// indexes not yet resolved against their pages, and how many of the
-	// round's pages had been submitted, and so read, at the last pass
-	// over them.
-	waiting []int32
-	done    int
 
 	// The probing round in progress: its distinct pages, numbered in the
 	// order the round's keys gathered them.
@@ -227,84 +210,22 @@ func (b *BufferHash) submit(n int) error {
 	return nil
 }
 
-// idle reports whether the device on timelines cs has finished every
-// submission on each of them by the current CPU instant: the clock plus
-// the charges not yet landed.
-func (b *BufferHash) idle(cs ...*vclock.Clock) bool {
-	return vclock.Latest(cs) <= b.cfg.Clock.Now()+b.cpuDebt
+// idle reports whether the device has finished every submission on each
+// of its timelines by the current CPU instant: the clock plus the charges
+// not yet landed.
+func (b *BufferHash) idle() bool {
+	return vclock.Latest(b.cfg.DeviceClock) <= b.cfg.Clock.Now()+b.cpuDebt
 }
 
-// await queues pending key pi on the round's waiting list, or, when its
-// page is one the device had read at resolveEarly's last pass, resolves
-// it at once.
-func (b *BufferHash) await(pi int, results []LookupResult) {
-	bs := &b.batch
-	if int(bs.pending[pi].pid) < bs.done {
-		bs.probe(pi, results)
-		return
-	}
-	bs.waiting = append(bs.waiting, int32(pi))
-}
-
-// resolveEarly resolves the waiting keys whose pages have been read, in
-// the order they were queued. It is called only while the device is idle,
-// when every page submitted so far has been read: during a hooked call's
-// phase A, and after each probing round's join, when it resolves every
-// waiting key. It passes over the waiting keys only when pages were
-// submitted since its last pass.
-func (b *BufferHash) resolveEarly(results []LookupResult) {
-	bs := &b.batch
-	if bs.done == bs.pages.Sent() {
-		return
-	}
-	bs.done = bs.pages.Sent()
-	still := bs.waiting[:0]
-	for _, pi := range bs.waiting {
-		if int(bs.pending[pi].pid) < bs.done {
-			bs.probe(int(pi), results)
-		} else {
-			still = append(still, pi)
-		}
-	}
-	bs.waiting = still
-}
-
-// probe resolves pending key pi against its page, which the device has
+// probe resolves pending key p against its page, which the device has
 // read (phase C), newest-first: it clears the probed candidate, and a key
-// that hits has no candidate left and joins the final hits. A key that
-// misses goes on to the next round.
-func (bs *batchScratch) probe(pi int, results []LookupResult) {
-	p := &bs.pending[pi]
+// that hits has no candidate left. A key that misses goes on to the next
+// round.
+func (bs *batchScratch) probe(p *batchKey, results []LookupResult) {
 	p.mask &^= 1 << (bits.Len64(p.mask) - 1)
 	if p.st.resolveProbe(&results[p.idx], bs.pages.View(int(p.pid)), p.kh) {
 		p.mask = 0
-		bs.hits = append(bs.hits, p.idx)
 	}
-}
-
-// HitHook is LookupBatch's hit hook. The byte API reads the value-log
-// records its hits point at, on the value-log device's own timeline: the
-// log keeps one page-read set for the call (see
-// storage.ValueLog.EndChunk), and each hand-off submits the log pages
-// that no earlier hand-off of the call added to it, so the lane-sized
-// hand-offs of phase A split a call's page reads without reading a page
-// twice. Phase A meets each buffer hit at its own position, so a hooked
-// call can hand it over at once.
-type HitHook struct {
-	// Read is called with the indexes, ascending, of hits whose results
-	// are final; hits is valid only during the call. A non-nil error ends
-	// the lookup with that error.
-	Read func(hits []int) error
-	// Clock is the timeline of the device Read submits to, and Lanes
-	// (at least 1) its queue lane count: while phase A runs, LookupBatch
-	// hands Read the final hits whenever that device is idle at the
-	// current CPU instant and at least Lanes of them wait, in whole
-	// multiples of Lanes. For a device striped over several timelines,
-	// Clock is the one whose idleness the hand-offs wait for (the clam
-	// facade's value log gives its first member's, on SSD B) and Lanes its
-	// members' summed.
-	Clock *vclock.Clock
-	Lanes int
 }
 
 // LookupBatch looks up len(keys) keys through the lookup pipeline, writing
@@ -316,7 +237,7 @@ type HitHook struct {
 // sum of the reads, and the batch still benefits from dedupe and address
 // ordering), and because round 1's reads may run while phase A still does:
 // phase A submits them one page per lane as the device goes idle. Every
-// lookup, one-key or batched, hooked or not, runs one phase-A order: one
+// lookup, one-key or batched, runs one phase-A order: one
 // query of its super table's k+1 Bloom filters (§5.1.3) first, then a
 // buffer probe only when the buffer's filter may hold the key, or an
 // incarnation's may and the table has pending deletes (Stats.ScreenedProbes
@@ -340,18 +261,6 @@ type HitHook struct {
 // half filled. The call's buffer and flash hits fill the cache. A call
 // after a write neither probes nor fills it.
 //
-// hook is nil or receives every hit once, as soon as its result is final
-// (see HitHook). A hit is final when phase A finds it in the cache or the
-// buffer, and when its page is searched: after its probing round's join,
-// or, for a round-1 key of a call of more than one key, as soon as phase A
-// finds its streamed read completed by the current CPU instant (a miss
-// there goes on to round 2). While phase A runs, the final hits go to the
-// hook in lane multiples whenever its device is idle; the rest go after
-// phase A and after each probing round that resolved hits. The byte
-// API reads the hits' value-log records on that device while the index
-// device probes. A repeated position is never handed over: the record its
-// first occurrence's hit points at answers it. U64 callers pass nil.
-//
 // The dedupe of another shard's positions that Lend did since the last
 // call lands on the clock inside this call: at its first probing round's
 // device wait, after the round's submission and before the join, so the
@@ -365,14 +274,14 @@ type HitHook struct {
 // results differ in length, fails before any state moves. On any other
 // error the contents of results are unspecified. Every call starts from
 // empty scratch and returns joined to the device, on error too.
-func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult, hook *HitHook) error {
+func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult) error {
 	if len(keys) != len(results) {
 		return fmt.Errorf("core: LookupBatch: %d keys, %d results", len(keys), len(results))
 	}
 	if len(keys) > MaxLookupBatch {
 		return fmt.Errorf("core: LookupBatch: %d keys exceed the %d-key batch limit", len(keys), MaxLookupBatch)
 	}
-	err := b.lookupBatch(keys, results, hook, len(b.cache.sets) > 0 && b.epoch == b.runEpoch)
+	err := b.lookupBatch(keys, results, len(b.cache.sets) > 0 && b.epoch == b.runEpoch)
 	b.runEpoch = b.epoch
 	b.landLent()
 	return err
@@ -423,20 +332,17 @@ func (b *BufferHash) landLent() {
 
 // lookupBatch is LookupBatch on validated arguments; run reports that the
 // call is in a read run of a store with a hot-entry cache.
-func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *HitHook, run bool) error {
+func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, run bool) error {
 	bs := &b.batch
-	bs.pending, bs.hits, bs.waiting, bs.done = bs.pending[:0], bs.hits[:0], bs.waiting[:0], 0
-	bs.repeats = bs.repeats[:0]
+	bs.pending, bs.repeats = bs.pending[:0], bs.repeats[:0]
 	bs.pages.Reset()
 
 	// Phase A: resolve everything the DRAM side can answer, and gather
 	// round 1. CPU costs are accrued into one deferred charge and applied
 	// to the clock in a single advance — the same virtual total as one-key
 	// lookups, without several clock advances per key — except where a
-	// batch's submission to an idle device, or a hand-off of hits to an
-	// idle hook device, lands them early.
+	// batch's submission to an idle device lands them early.
 	batch := len(keys) > 1
-	early := batch && hook != nil
 	if batch {
 		bs.distinct.reset()
 	}
@@ -450,7 +356,6 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			b.chargeCPU(b.cfg.CPU.BatchCoalesce)
 			bs.repeats = append(bs.repeats, Repeat{Pos: int32(i), First: first})
 		case run && b.cacheHit(key, &results[i]):
-			bs.hits = append(bs.hits, i)
 		default:
 			st, kh := b.route(key)
 			mask, staged := st.query(kh)
@@ -464,39 +369,19 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			if !done && mask != 0 {
 				bs.pending = append(bs.pending, batchKey{idx: i, st: st, kh: kh, mask: mask})
 				b.gather(len(bs.pending) - 1)
-				b.await(len(bs.pending)-1, results)
 				break
-			}
-			if results[i].Found {
-				bs.hits = append(bs.hits, i)
 			}
 			b.retire(key, st, kh, results[i], run)
 		}
-		if batch && (early || bs.pages.Unsent() >= b.lanes) && b.idle(b.cfg.DeviceClock...) {
-			if early {
-				b.resolveEarly(results)
-			}
-			if bs.pages.Unsent() >= b.lanes {
-				b.settleCPUDebt()
-				if err := b.submit(b.lanes); err != nil {
-					b.joinDevice()
-					return err
-				}
-			}
-		}
-		if hook != nil && len(bs.hits) >= hook.Lanes && b.idle(hook.Clock) {
+		if batch && bs.pages.Unsent() >= b.lanes && b.idle() {
 			b.settleCPUDebt()
-			if err := bs.handOff(hook, len(bs.hits)-len(bs.hits)%hook.Lanes); err != nil {
+			if err := b.submit(b.lanes); err != nil {
 				b.joinDevice()
 				return err
 			}
 		}
 	}
 	b.settleCPUDebt()
-	if err := bs.handOff(hook, len(bs.hits)); err != nil {
-		b.joinDevice()
-		return err
-	}
 
 	// Phases B+C: probing rounds. Every round reads at most one page per
 	// pending key (its newest remaining candidate), so each key probes
@@ -511,9 +396,11 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 			return err
 		}
 
-		// Phase C: every page is read, so every waiting key resolves.
+		// Phase C: every page is read, so every pending key resolves.
 		// Retire the resolved keys and keep the rest for the next round.
-		b.resolveEarly(results)
+		for pi := range bs.pending {
+			bs.probe(&bs.pending[pi], results)
+		}
 		live := bs.pending[:0]
 		for _, p := range bs.pending {
 			if p.mask != 0 {
@@ -524,14 +411,9 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, hook *Hi
 		}
 		bs.pending = live
 		b.settleCPUDebt()
-		if err := bs.handOff(hook, len(bs.hits)); err != nil {
-			return err
-		}
 		bs.pages.Reset()
-		bs.done = 0
 		for pi := range bs.pending {
 			b.gather(pi)
-			bs.waiting = append(bs.waiting, int32(pi))
 		}
 	}
 	for _, r := range bs.repeats {
@@ -554,15 +436,3 @@ func (b *BufferHash) retire(key uint64, st *superTable, kh uint64, res LookupRes
 // an earlier position's key, ascending, each with the position of the
 // key's first occurrence. The slice is valid until the next call.
 func (b *BufferHash) Repeats() []Repeat { return b.batch.repeats }
-
-// handOff hands the first n final hits, sorted, to the hook and keeps the
-// rest. With no hook it drops them.
-func (bs *batchScratch) handOff(hook *HitHook, n int) error {
-	var err error
-	if hook != nil && n > 0 {
-		slices.Sort(bs.hits[:n])
-		err = hook.Read(bs.hits[:n])
-	}
-	bs.hits = bs.hits[:copy(bs.hits, bs.hits[n:])]
-	return err
-}

@@ -274,7 +274,7 @@ func (b *BufferHash) Delete(key uint64) error {
 // Lookup returns the latest value for key: a one-key LookupBatch.
 func (b *BufferHash) Lookup(key uint64) (LookupResult, error) {
 	keys, results := [1]uint64{key}, [1]LookupResult{}
-	err := b.LookupBatch(keys[:], results[:], nil)
+	err := b.LookupBatch(keys[:], results[:])
 	return results[0], err
 }
 

@@ -35,10 +35,8 @@
 // (storage.PageReads), each distinct page once: phase B submits those not
 // yet submitted as one address-sorted device ReadBatch, whose virtual
 // latency overlaps across the device's queue lanes, and phase C resolves
-// the round's waiting keys against their pages' views, newest-first,
-// stopping at the first hit (a call given a hit hook resolves round-1 keys
-// whose reads have completed while phase A still runs). Lookup is a
-// one-key LookupBatch; see batch.go.
+// the round's keys against their pages' views, newest-first, stopping at
+// the first hit. Lookup is a one-key LookupBatch; see batch.go.
 //
 // A store may spend part of its DRAM on a hot-entry cache
 // (Config.CacheEntries): in a read run, a lookup call that no write has

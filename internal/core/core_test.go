@@ -412,7 +412,7 @@ func TestDisableBitsliceOnlyPrices(t *testing.T) {
 			keys[i] = uint64(rng.Intn(60000) / 8 * 8)
 		}
 		batch := make([]LookupResult, len(keys))
-		if err := b.LookupBatch(keys, batch, nil); err != nil {
+		if err := b.LookupBatch(keys, batch); err != nil {
 			t.Fatal(err)
 		}
 		r.batch = len(r.results)
@@ -986,24 +986,6 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 	const batchSize = 64
 	keys := make([]uint64, batchSize)
 	results := make([]LookupResult, batchSize)
-	// The hook must receive every distinct key's hit once, ascending
-	// within a hand-off, each with its final result.
-	reported := make([]int, batchSize)
-	resolved := func(hits []int) error {
-		for j, i := range hits {
-			if j > 0 && i <= hits[j-1] {
-				t.Fatalf("resolved hits not ascending: %v", hits)
-			}
-			if !results[i].Found {
-				t.Fatalf("resolved reports key %d, which has no hit", i)
-			}
-			reported[i]++
-		}
-		return nil
-	}
-	// A hook device on the core's own clock is always idle, so phase A
-	// hands its buffer hits over four at a time.
-	hook := &HitHook{Read: resolved, Clock: batched.cfg.Clock, Lanes: 4}
 	for round := 0; round < 40; round++ {
 		for i := range keys {
 			if rng.Intn(3) == 0 {
@@ -1012,9 +994,8 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 				keys[i] = universe[rng.Intn(len(universe))]
 			}
 		}
-		clear(reported)
 		reads := batched.Config().Device.Counters().Reads
-		if err := batched.LookupBatch(keys, results, hook); err != nil {
+		if err := batched.LookupBatch(keys, results); err != nil {
 			t.Fatal(err)
 		}
 		// A repeated key is resolved once, at its first occurrence, so the
@@ -1027,9 +1008,9 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 		for i, k := range keys {
 			if f, ok := first[k]; ok {
 				repeats = append(repeats, Repeat{Pos: int32(i), First: int32(f)})
-				if results[i] != results[f] || reported[i] != 0 {
-					t.Fatalf("round %d key %#x repeated at %d: %+v reported %d times, first occurrence %+v",
-						round, k, i, results[i], reported[i], results[f])
+				if results[i] != results[f] {
+					t.Fatalf("round %d key %#x repeated at %d: %+v, first occurrence %+v",
+						round, k, i, results[i], results[f])
 				}
 				continue
 			}
@@ -1046,9 +1027,6 @@ func checkBatchAgainstSerial(t *testing.T, serial, batched *BufferHash, universe
 			}
 			if results[i] != want {
 				t.Fatalf("round %d key %#x: batch %+v, serial %+v", round, k, results[i], want)
-			}
-			if n, hit := reported[i], results[i].Found; n != 1 && hit || n != 0 && !hit {
-				t.Fatalf("round %d key %#x: reported %d times, hit %t", round, k, n, hit)
 			}
 		}
 		if !slices.Equal(batched.Repeats(), repeats) {
@@ -1177,7 +1155,7 @@ func TestLookupBatchVirtualTimeOverlap(t *testing.T) {
 	serialTime := serial.cfg.Clock.Now() - st0
 
 	bt0 := batched.cfg.Clock.Now()
-	if err := batched.LookupBatch(keys, results, nil); err != nil {
+	if err := batched.LookupBatch(keys, results); err != nil {
 		t.Fatal(err)
 	}
 	batchTime := batched.cfg.Clock.Now() - bt0
@@ -1195,7 +1173,7 @@ func TestLookupBatchVirtualTimeOverlap(t *testing.T) {
 func TestLookupBatchLengthMismatch(t *testing.T) {
 	cfg, _ := testConfig(t)
 	b := mustNew(t, cfg)
-	if err := b.LookupBatch(make([]uint64, 3), make([]LookupResult, 2), nil); err == nil {
+	if err := b.LookupBatch(make([]uint64, 3), make([]LookupResult, 2)); err == nil {
 		t.Fatal("want length-mismatch error")
 	}
 }
@@ -1216,13 +1194,13 @@ func TestLookupBatchOversizeRejected(t *testing.T) {
 	}
 	results := make([]LookupResult, len(keys))
 	stats, now := b.Stats(), clock.Now()
-	if err := b.LookupBatch(keys, results, nil); err == nil {
+	if err := b.LookupBatch(keys, results); err == nil {
 		t.Fatalf("LookupBatch of %d keys succeeded, want the batch-limit error", len(keys))
 	}
 	if b.Stats() != stats || clock.Now() != now {
 		t.Fatalf("rejected batch moved state: stats %+v -> %+v, clock %v -> %v", stats, b.Stats(), now, clock.Now())
 	}
-	if err := b.LookupBatch(keys[:MaxLookupBatch], results[:MaxLookupBatch], nil); err != nil {
+	if err := b.LookupBatch(keys[:MaxLookupBatch], results[:MaxLookupBatch]); err != nil {
 		t.Fatalf("LookupBatch at the %d-key limit: %v", MaxLookupBatch, err)
 	}
 	if got := b.Stats().Lookups - stats.Lookups; got != MaxLookupBatch {

@@ -48,8 +48,6 @@ type cacheTwins struct {
 	window        []uint64
 	vals          []uint64
 	res           [2][]LookupResult
-	handed        [2][]int // the positions each twin's hit hook received
-	hooks         [2]*HitHook
 
 	// What the cacheless twin's probe counters may exceed the cached
 	// twin's by: the probes of the keys the cache answered, and their
@@ -75,13 +73,6 @@ func newCacheTwins(t testing.TB, policy EvictionPolicy) *cacheTwins {
 	tw.universe = make([]uint64, 1500)
 	for i := range tw.universe {
 		tw.universe[i] = rng.Uint64()
-	}
-	for w := range tw.hooks {
-		tw.hooks[w] = &HitHook{
-			Read:  func(hits []int) error { tw.handed[w] = append(tw.handed[w], hits...); return nil },
-			Clock: vclock.New(), // an idle device: phase A hands over every hit at once
-			Lanes: 1,
-		}
 	}
 	return tw
 }
@@ -126,9 +117,8 @@ func (tw *cacheTwins) sameErr(what string, ec, ep error) {
 	}
 }
 
-// lookup runs one LookupBatch call on both twins, with their hit hooks
-// when hooked or without, and checks it.
-func (tw *cacheTwins) lookup(keys []uint64, hooked bool) {
+// lookup runs one LookupBatch call on both twins and checks it.
+func (tw *cacheTwins) lookup(keys []uint64) {
 	t := tw.t
 	t.Helper()
 	cached := make([]bool, len(keys))
@@ -138,19 +128,13 @@ func (tw *cacheTwins) lookup(keys []uint64, hooked bool) {
 	var errs [2]error
 	for w, b := range tw.twins() {
 		tw.res[w] = slices.Grow(tw.res[w][:0], len(keys))[:len(keys)]
-		tw.handed[w] = tw.handed[w][:0]
-		hook := tw.hooks[w]
-		if !hooked {
-			hook = nil
-		}
-		errs[w] = b.LookupBatch(keys, tw.res[w], hook)
+		errs[w] = b.LookupBatch(keys, tw.res[w])
 	}
 	tw.sameErr("LookupBatch", errs[0], errs[1])
 	if errs[0] != nil {
 		return
 	}
 	first := map[uint64]bool{}
-	var want []int // the first occurrences that hit
 	for i, k := range keys {
 		rc, rp := tw.res[0][i], tw.res[1][i]
 		if rc.Found != rp.Found || rc.Value != rp.Value {
@@ -160,9 +144,6 @@ func (tw *cacheTwins) lookup(keys []uint64, hooked bool) {
 			continue
 		}
 		first[k] = true
-		if rc.Found {
-			want = append(want, i)
-		}
 		if rc.FlashReads == rp.FlashReads && rc.Spurious == rp.Spurious {
 			continue
 		}
@@ -176,15 +157,6 @@ func (tw *cacheTwins) lookup(keys []uint64, hooked bool) {
 		tw.hist[0]--
 		tw.answered++
 	}
-	if !hooked {
-		return
-	}
-	for w := range tw.handed {
-		slices.Sort(tw.handed[w])
-		if !slices.Equal(tw.handed[w], want) {
-			t.Fatalf("twin %d's hit hook received positions %v; its hits are %v", w, tw.handed[w], want)
-		}
-	}
 }
 
 // step applies op kind with arguments a and b to both twins, then checks
@@ -195,7 +167,7 @@ func (tw *cacheTwins) step(kind, a, b int) {
 	n := 1 + b%48
 	switch kind % 7 {
 	case 0, 1: // lookups; consecutive ones form read runs
-		tw.lookup(tw.pick(a*11+b, n, kind%7 == 0), (a^b)&1 == 0)
+		tw.lookup(tw.pick(a*11+b, n, kind%7 == 0))
 	case 2:
 		keys := tw.pick(a*11+b, n, a%2 == 0)
 		tw.countRewrites(keys)
@@ -296,8 +268,8 @@ func (tw *cacheTwins) checkStats() {
 
 // TestHotCacheMatchesCacheless runs the oracle over random ops under FIFO,
 // LRU, UpdateBased and PriorityBased: read runs of lookups over mostly hot
-// keys, with and without a hit hook, broken by puts, deletes, Flush,
-// ExpireThrough and inserts whose index writes fail. Every row must see
+// keys, broken by puts, deletes, Flush, ExpireThrough and inserts whose
+// index writes fail. Every row must see
 // the cache answer keys, the staging filter rule out buffer probes, FIFO
 // and the partial-discard rows' keys that read flash without the cache,
 // and LRU re-insert flash hits; and, for the staging-filter invariant

@@ -72,21 +72,15 @@ func probePages(b *BufferHash, key uint64, n int) []uint64 {
 // TestLookupTimelinesAgree runs the same lookups on an instance whose
 // device keeps a timeline of its own (Config.DeviceClock) and on a twin
 // whose device is on the CPU clock, under FIFO and LRU. Both run one
-// lookup path: phase A hands its first probes to the idle device and
-// resolves the keys whose reads have completed. Where the device's clock
-// sits may only move time: results, every counter and the device's
-// physical reads must match the twin's. A one-key lookup has nothing to
-// overlap and advances both clocks equally, and a batch may not advance
-// the own-timeline clock further than the twin's, on which every read
-// delays phase A. The batch puts two keys whose first probes share a page
-// into different submissions of round 1; the page must be read once, as
-// the twin reads it. A last batch passes a hit hook on a device timeline
-// of its own, which must receive every hit once, final, ascending within
-// each hand-off, and on both instances some flash hits before phase A
-// ends (LRU's reinsertions of them then run inside phase A): the twin's
-// reads complete as they are issued. Two Bloom filter bits per entry make
-// some of the probes phase A resolves early miss, so their keys go on to
-// round 2. Every call must return with the device clock joined.
+// lookup path: phase A hands its first probes to the idle device. Where
+// the device's clock sits may only move time: results, every counter and
+// the device's physical reads must match the twin's. A one-key lookup has
+// nothing to overlap and advances both clocks equally, and a batch may not
+// advance the own-timeline clock further than the twin's, on which every
+// read delays phase A. The batch puts two keys whose first probes share a
+// page into different submissions of round 1; the page must be read once,
+// as the twin reads it. Every call must return with the device clock
+// joined.
 func TestLookupTimelinesAgree(t *testing.T) {
 	for _, policy := range []EvictionPolicy{FIFO, LRU} {
 		t.Run(policy.String(), func(t *testing.T) { testTimelines(t, policy) })
@@ -164,14 +158,11 @@ func testTimelines(t *testing.T, policy EvictionPolicy) {
 		batch = append(batch, k)
 	}
 
-	lookup := func(b *BufferHash, clock *vclock.Clock, keys []uint64, hook *HitHook) ([]LookupResult, time.Duration) {
+	lookup := func(b *BufferHash, clock *vclock.Clock, keys []uint64) ([]LookupResult, time.Duration) {
 		t.Helper()
 		res := make([]LookupResult, len(keys))
-		for i := range res {
-			res[i].FlashReads = -1 // not yet reached by phase A
-		}
 		t0 := clock.Now()
-		if err := b.LookupBatch(keys, res, hook); err != nil {
+		if err := b.LookupBatch(keys, res); err != nil {
 			t.Fatal(err)
 		}
 		return res, clock.Now() - t0
@@ -192,8 +183,8 @@ func testTimelines(t *testing.T, policy EvictionPolicy) {
 	}
 
 	one := []uint64{x}
-	ownRes, ownAdv := lookup(own, ownClock, one, nil)
-	shRes, shAdv := lookup(shared, shared.cfg.Clock, one, nil)
+	ownRes, ownAdv := lookup(own, ownClock, one)
+	shRes, shAdv := lookup(shared, shared.cfg.Clock, one)
 	requireJoined("a one-key lookup")
 	compare("one-key lookup", ownRes, shRes)
 	if ownRes[0].FlashReads == 0 {
@@ -204,8 +195,8 @@ func testTimelines(t *testing.T, policy EvictionPolicy) {
 	}
 
 	rec.reads = nil
-	ownRes, ownAdv = lookup(own, ownClock, batch, nil)
-	shRes, shAdv = lookup(shared, shared.cfg.Clock, batch, nil)
+	ownRes, ownAdv = lookup(own, ownClock, batch)
+	shRes, shAdv = lookup(shared, shared.cfg.Clock, batch)
 	requireJoined("the batch")
 	compare("batch", ownRes, shRes)
 	t.Logf("%d keys, %d submissions: own-timeline clock advanced %v, shared %v", len(batch), len(rec.reads), ownAdv, shAdv)
@@ -218,75 +209,6 @@ func testTimelines(t *testing.T, policy EvictionPolicy) {
 	}
 	if ownAdv > shAdv {
 		t.Fatalf("batch advanced the own-timeline clock %v, beyond the shared clock's %v", ownAdv, shAdv)
-	}
-
-	// The hooked batch: keys the earlier lookups did not touch and as many
-	// absent keys, after a second population gave every partition a
-	// second incarnation. Bloom false positives then make round-1 probes
-	// miss, among them early ones whose keys go on to round 2. Each
-	// hand-off busies the hook's device for 20 µs per hit, so phase A
-	// finds it idle only now and then.
-	populateTwin(t, shared, own, 322, 12000, 4000)
-	hooked := slices.Clone(universe[1000:1400])
-	rng := rand.New(rand.NewSource(323))
-	for range 400 {
-		hooked = append(hooked, rng.Uint64())
-	}
-	type handOffs struct {
-		reported []int // per key: times reported
-		early    int   // flash hits reported while phase A still ran
-	}
-	hookFor := func(b *BufferHash, res *[]LookupResult, h *handOffs) *HitHook {
-		logClock := vclock.New()
-		h.reported = make([]int, len(hooked))
-		return &HitHook{Clock: logClock, Lanes: 8, Read: func(hits []int) error {
-			inPhaseA := (*res)[len(hooked)-1].FlashReads < 0
-			for j, i := range hits {
-				if j > 0 && i <= hits[j-1] {
-					t.Fatalf("hand-off not ascending: %v", hits)
-				}
-				if !(*res)[i].Found {
-					t.Fatalf("hook received key %d, which has no hit", i)
-				}
-				if inPhaseA && (*res)[i].FlashReads > 0 {
-					h.early++
-				}
-				h.reported[i]++
-			}
-			logClock.AdvanceTo(b.cfg.Clock.Now())
-			logClock.Advance(time.Duration(len(hits)) * 20 * time.Microsecond)
-			return nil
-		}}
-	}
-	var ownHits, shHits handOffs
-	ownRes = make([]LookupResult, len(hooked))
-	shRes = make([]LookupResult, len(hooked))
-	ownHook, shHook := hookFor(own, &ownRes, &ownHits), hookFor(shared, &shRes, &shHits)
-	for i := range hooked {
-		ownRes[i].FlashReads, shRes[i].FlashReads = -1, -1
-	}
-	if err := own.LookupBatch(hooked, ownRes, ownHook); err != nil {
-		t.Fatal(err)
-	}
-	if err := shared.LookupBatch(hooked, shRes, shHook); err != nil {
-		t.Fatal(err)
-	}
-	requireJoined("the hooked batch")
-	compare("hooked batch", ownRes, shRes)
-	for i, r := range ownRes {
-		want := 0
-		if r.Found {
-			want = 1
-		}
-		if ownHits.reported[i] != want || shHits.reported[i] != want {
-			t.Fatalf("key %d (hit %t) reported %d times, on the twin %d", i, r.Found, ownHits.reported[i], shHits.reported[i])
-		}
-	}
-	st := own.Stats()
-	t.Logf("hooked batch: %d flash hits handed over during phase A, %d on the twin; %d probes, %d spurious",
-		ownHits.early, shHits.early, st.FlashProbes, st.SpuriousProbes)
-	if ownHits.early == 0 || shHits.early == 0 {
-		t.Fatalf("flash hits handed over while phase A ran: %d, on the twin %d; want some on both", ownHits.early, shHits.early)
 	}
 }
 
@@ -329,10 +251,10 @@ func TestLendLandsAtFirstDeviceWait(t *testing.T) {
 	lookup := func(keys []uint64) {
 		t.Helper()
 		want, got := make([]LookupResult, len(keys)), make([]LookupResult, len(keys))
-		if err := twin.LookupBatch(keys, want, nil); err != nil {
+		if err := twin.LookupBatch(keys, want); err != nil {
 			t.Fatal(err)
 		}
-		if err := lender.LookupBatch(keys, got, nil); err != nil {
+		if err := lender.LookupBatch(keys, got); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) || lender.Stats() != twin.Stats() {
@@ -414,7 +336,7 @@ func TestStripedIndexMovesOnlyTime(t *testing.T) {
 			pairCfg, clock := testConfig(t)
 			a, b := vclock.New(), vclock.New()
 			prof := ssd.IntelX18M()
-			stripe, err := storage.NewStripe(prof.BlockSize(), []int{0, 1}, ssd.New(prof, 512<<10, a), ssd.New(prof, 512<<10, b))
+			stripe, err := storage.NewStripe(prof.BlockSize(), ssd.New(prof, 512<<10, a), ssd.New(prof, 512<<10, b))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -461,11 +383,11 @@ func TestStripedIndexMovesOnlyTime(t *testing.T) {
 					continue
 				}
 				want, got := make([]LookupResult, len(keys)), make([]LookupResult, len(keys))
-				if err := one.LookupBatch(keys, want, nil); err != nil {
+				if err := one.LookupBatch(keys, want); err != nil {
 					t.Fatal(err)
 				}
 				watch.subs, watch.busy = 0, 0
-				if err := pair.LookupBatch(keys, got, nil); err != nil {
+				if err := pair.LookupBatch(keys, got); err != nil {
 					t.Fatal(err)
 				}
 				if !slices.Equal(got, want) || pair.Stats() != one.Stats() {

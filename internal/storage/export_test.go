@@ -18,3 +18,6 @@ func (l *ValueLog) Unit() int { return l.unit }
 
 // Slots returns the number of slots of the set's page table.
 func (r *PageReads) Slots() int { return len(r.slots) }
+
+// Sent returns the number of pages submitted: those numbered below it.
+func (r *PageReads) Sent() int { return r.sent }

@@ -7,7 +7,7 @@ import (
 )
 
 // PageReads is the set of device pages a batch reads, each once: core's
-// probing rounds and the value log's get chunks read through one. It
+// probing rounds and the value log's record reads go through one. It
 // numbers the distinct pages added to it from 0 in first-add order, and
 // Submit reads the next n not yet submitted as one address-sorted
 // ReadBatch of whole-page view requests (ReadReq.View), so a page costs
@@ -77,9 +77,6 @@ func FitSlots(size, n int) int {
 	return fit
 }
 
-// Sent returns the number of pages submitted: those numbered below it.
-func (r *PageReads) Sent() int { return r.sent }
-
 // Unsent returns the number of pages not yet submitted.
 func (r *PageReads) Unsent() int { return len(r.pages) - r.sent }
 
@@ -136,9 +133,9 @@ func (r *PageReads) Add(page uint64) int {
 	return len(r.pages) - 1
 }
 
-// Submit reads the next n pages not yet submitted, numbers Sent() to
-// Sent()+n-1, as one ReadBatch of whole-page view requests in ascending
-// address order, and records each page's view. n must not exceed
+// Submit reads the next n pages not yet submitted, in first-add order, as
+// one ReadBatch of whole-page view requests in ascending address order,
+// and records each page's view. n must not exceed
 // Unsent(); a submission of no pages does nothing. On error the pages
 // stay unsubmitted.
 func (r *PageReads) Submit(n int) error {

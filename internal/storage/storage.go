@@ -8,11 +8,12 @@
 // latency and advances the device's vclock.Clock by it. Devices that share
 // a clock serialize; a device on a clock of its own keeps its own
 // timeline, which its owner joins where it needs the device's results
-// (the clam facade runs each shard's index SSD and log SSD that way). A
-// Stripe is a device over member devices, each on its own clock: it deals
-// its erase-block units over them, RAID-0 style, and splits every
-// submission into one per member (the clam facade stripes each shard's
-// value log over its two SSDs). Devices store real bytes, so data
+// (the clam facade runs each shard's two SSDs that way). A Stripe is a
+// device over member devices, each on its own clock: it deals its
+// erase-block units over them, RAID-0 style, and splits every submission
+// into one per member (the clam facade stripes each shard's index and its
+// value log over its two SSDs, so each SSD holds one partition of the
+// index and one of the log). Devices store real bytes, so data
 // integrity is verified end to end by the tests — the latency model and
 // the data path are exercised together.
 //
@@ -102,10 +103,11 @@ type Counters struct {
 // Add accumulates another device's counters into c. Sharded deployments sum
 // the per-shard device counters into one fleet-wide view, and a Stripe its
 // members'; BusyTime becomes the total service time across all devices.
-// Shard clocks are independent, and within a shard the log SSD's service
-// overlaps the index SSD's, and both overlap CPU work, so the sum can
-// exceed any single clock's advance — even one shard's index and
-// value-log BusyTime together can.
+// Shard clocks are independent, and within a shard each of the two SSDs,
+// each holding a partition of the index and one of the log, serves on its
+// own timeline, overlapping the other and CPU work, so the sum can exceed
+// any single clock's advance — even one shard's index and value-log
+// BusyTime together can.
 func (c *Counters) Add(o Counters) {
 	c.Reads += o.Reads
 	c.Writes += o.Writes

@@ -8,16 +8,16 @@ import (
 
 // Stripe is a Device striped over member devices, RAID-0 style
 // (Patterson, Gibson and Katz, SIGMOD 1988). Its address space is cut into
-// stripe units, and a fixed pattern deals them to the members: unit u lies
-// on member pattern[u mod len(pattern)], at that member's next unit, so
-// each member holds its units back to back in stripe order. A unit is a
-// whole number of every member's erase blocks. The stripe reports one
-// period of the pattern, len(pattern) units, as its own EraseBlock: the
-// smallest span that replaces whole blocks on every member, so a writer
-// that writes whole, aligned periods (the value log) writes whole blocks
-// on each member in one submission. A unit still lands whole on one
-// member, so a whole-unit write at a unit boundary (an index image)
-// reaches one member alone.
+// stripe units, dealt to the members round-robin in member order: unit u
+// of a stripe of n members lies on member u mod n, as that member's unit
+// u/n, so each member holds its units back to back in stripe order. A
+// unit is a whole number of every member's erase blocks. The stripe
+// reports one round, n units, as its own EraseBlock: the smallest span
+// that replaces whole blocks on every member, so a writer that writes
+// whole, aligned rounds (the value log) writes whole blocks on each member
+// in one submission. A unit still lands whole on one member, so a
+// whole-unit write at a unit boundary (an index image) reaches one member
+// alone.
 //
 // ReadBatch and WriteBatch split a submission into one submission per
 // member: each request's pieces, cut at unit boundaries, keep the
@@ -39,9 +39,6 @@ import (
 type Stripe struct {
 	members []Device
 	unit    int64
-	pattern []int   // the member of each unit of a period
-	rank    []int64 // each unit of a period's place among its member's units of the period
-	per     []int64 // each member's units per period
 	geom    Geometry
 
 	// Per-member scratch: the share of the submission being split, for
@@ -65,36 +62,24 @@ type scatterPiece struct {
 	dst     []byte
 }
 
-// StripeShares returns how many of n stripe units pattern deals to each
-// of members members.
-func StripeShares(pattern []int, members int, n int64) []int64 {
-	shares := make([]int64, members)
-	period := int64(len(pattern))
-	for i, m := range pattern {
-		shares[m] += n / period
-		if int64(i) < n%period {
-			shares[m]++
-		}
-	}
-	return shares
+// StripeShare returns how many of n stripe units a stripe of members
+// members deals to member i.
+func StripeShare(n int64, members, i int) int64 {
+	return (n + int64(members-1-i)) / int64(members)
 }
 
-// NewStripe returns a stripe of unit-byte units over members, dealt by
-// pattern (see Stripe), whose EraseBlock is len(pattern) units. Every
-// member must appear in pattern, the members must share one page size,
-// unit must be a multiple of it and of each member's erase block, and
-// each member must hold exactly the units the pattern deals it out of all
-// the members' units together (see StripeShares).
-func NewStripe(unit int, pattern []int, members ...Device) (*Stripe, error) {
-	if len(members) == 0 || len(pattern) == 0 {
-		return nil, fmt.Errorf("storage: stripe of %d members over a %d-unit pattern", len(members), len(pattern))
+// NewStripe returns a stripe of unit-byte units dealt round-robin over
+// members (see Stripe), whose EraseBlock is len(members) units. The
+// members must share one page size, unit must be a multiple of it and of
+// each member's erase block, and each member must hold exactly its share
+// of all the members' units together (see StripeShare), at least one.
+func NewStripe(unit int, members ...Device) (*Stripe, error) {
+	if len(members) == 0 {
+		return nil, fmt.Errorf("storage: stripe of no members")
 	}
 	s := &Stripe{
 		members: members,
 		unit:    int64(unit),
-		pattern: pattern,
-		rank:    make([]int64, len(pattern)),
-		per:     make([]int64, len(members)),
 		reads:   make([][]ReadReq, len(members)),
 		readOf:  make([][]int, len(members)),
 		writes:  make([][]WriteReq, len(members)),
@@ -103,20 +88,11 @@ func NewStripe(unit int, pattern []int, members ...Device) (*Stripe, error) {
 		scatter: make([][]scatterPiece, len(members)),
 		seen:    make([]bool, len(members)),
 	}
-	for i, m := range pattern {
-		if m < 0 || m >= len(members) {
-			return nil, fmt.Errorf("storage: stripe pattern names member %d of %d", m, len(members))
-		}
-		s.rank[i] = s.per[m]
-		s.per[m]++
-	}
 	ps := members[0].Geometry().PageSize
 	var units int64
 	for i, d := range members {
 		g := d.Geometry()
 		switch {
-		case s.per[i] == 0:
-			return nil, fmt.Errorf("storage: stripe pattern deals member %d no unit", i)
 		case g.PageSize != ps:
 			return nil, fmt.Errorf("storage: stripe member %d has %d-byte pages, member 0 %d-byte ones", i, g.PageSize, ps)
 		case unit <= 0 || unit%ps != 0 || g.EraseBlock > 0 && unit%g.EraseBlock != 0:
@@ -128,12 +104,12 @@ func NewStripe(unit int, pattern []int, members ...Device) (*Stripe, error) {
 		units += g.Capacity / s.unit
 		s.geom.Lanes += max(g.Lanes, 1)
 	}
-	for i, n := range StripeShares(pattern, len(members), units) {
-		if have := members[i].Geometry().Capacity / s.unit; have != n {
-			return nil, fmt.Errorf("storage: stripe member %d holds %d units, the pattern deals it %d of %d", i, have, n, units)
+	for i, d := range members {
+		if have, n := d.Geometry().Capacity/s.unit, StripeShare(units, len(members), i); have != n || n == 0 {
+			return nil, fmt.Errorf("storage: stripe member %d holds %d of the %d units, its round-robin share is %d (at least 1)", i, have, units, n)
 		}
 	}
-	s.geom.Capacity, s.geom.PageSize, s.geom.EraseBlock = units*s.unit, ps, len(pattern)*unit
+	s.geom.Capacity, s.geom.PageSize, s.geom.EraseBlock = units*s.unit, ps, len(members)*unit
 	return s, nil
 }
 
@@ -141,10 +117,8 @@ func NewStripe(unit int, pattern []int, members ...Device) (*Stripe, error) {
 // returns the bytes left in its unit.
 func (s *Stripe) locate(off int64) (member int, moff, left int64) {
 	u, in := off/s.unit, off%s.unit
-	period := int64(len(s.pattern))
-	slot := u % period
-	member = s.pattern[slot]
-	return member, ((u/period)*s.per[member]+s.rank[slot])*s.unit + in, s.unit - in
+	n := int64(len(s.members))
+	return int(u % n), u/n*s.unit + in, s.unit - in
 }
 
 // Geometry implements Device.

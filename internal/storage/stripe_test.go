@@ -25,9 +25,9 @@ func smallBlockSSD(lanes int) ssd.Profile {
 }
 
 // stripeUnit is the unit of every test stripe: one smallBlockSSD erase
-// block. A value log over a stripe writes one period of its pattern at a
-// time, two or three units, so as for the SSD and the disk in the
-// device-model lists, a 256 KB log's unit holds a record of 9 pages.
+// block. A value log over a two-member stripe writes two units at a time,
+// so as for the SSD and the disk in the device-model lists, a 256 KB log's
+// unit holds a record of 9 pages.
 const stripeUnit = 32 << 10
 
 // faultStripe is a stripe whose fault hook arms every member.
@@ -42,18 +42,18 @@ func (s *faultStripe) SetFault(f storage.FaultFunc) {
 	}
 }
 
-// newStripe builds a stripe of capacity bytes in stripeUnit units dealt
-// by pattern over members that member makes, member i on clocks[i]. It
-// panics on an invalid layout, which is a bug in the test.
-func newStripe(capacity int64, pattern []int, member func(capacity int64, c *vclock.Clock) faultable, clocks ...*vclock.Clock) *faultStripe {
+// newStripe builds a stripe of capacity bytes in stripeUnit units over
+// members that member makes, member i on clocks[i]. It panics on an
+// invalid layout, which is a bug in the test.
+func newStripe(capacity int64, member func(capacity int64, c *vclock.Clock) faultable, clocks ...*vclock.Clock) *faultStripe {
 	s := &faultStripe{}
 	devs := make([]storage.Device, len(clocks))
-	for i, n := range storage.StripeShares(pattern, len(clocks), capacity/stripeUnit) {
-		s.members = append(s.members, member(n*stripeUnit, clocks[i]))
+	for i := range clocks {
+		s.members = append(s.members, member(storage.StripeShare(capacity/stripeUnit, len(clocks), i)*stripeUnit, clocks[i]))
 		devs[i] = s.members[i]
 	}
 	var err error
-	if s.Stripe, err = storage.NewStripe(stripeUnit, pattern, devs...); err != nil {
+	if s.Stripe, err = storage.NewStripe(stripeUnit, devs...); err != nil {
 		panic(err)
 	}
 	return s
@@ -67,21 +67,21 @@ func ssdMember(lanes int) func(int64, *vclock.Clock) faultable {
 func diskMember(n int64, c *vclock.Clock) faultable { return disk.New(disk.Hitachi7K80(), n, c) }
 
 // The two-member stripes the device-model lists add, both members on one
-// clock: SSD members dealt every third unit to the second, whose 256 KB
-// value log writes two 96 KB units and a short 64 KB one per cycle; a pair
-// of SSDs dealt alternately, as a shard's two SSDs hold its log, whose
-// log writes one erase block on each member in each submission; and disk
-// members dealt alternately.
+// clock: a pair of SSDs of an odd number of units, one unit more than
+// capacity, whose value log writes one erase block on each member in each
+// submission and ends each cycle with a short unit of one block on the
+// first member; a pair of SSDs of capacity, as a shard's two SSDs hold its
+// log; and a pair of disks.
 func ssdStripe(lanes int, capacity int64, c *vclock.Clock) *faultStripe {
-	return newStripe(capacity, []int{0, 0, 1}, ssdMember(lanes), c, c)
+	return newStripe(capacity+stripeUnit, ssdMember(lanes), c, c)
 }
 
 func ssdPair(lanes int, capacity int64, c *vclock.Clock) *faultStripe {
-	return newStripe(capacity, []int{0, 1}, ssdMember(lanes), c, c)
+	return newStripe(capacity, ssdMember(lanes), c, c)
 }
 
 func diskStripe(capacity int64, c *vclock.Clock) *faultStripe {
-	return newStripe(capacity, []int{0, 1}, diskMember, c, c)
+	return newStripe(capacity, diskMember, c, c)
 }
 
 // stripeModels builds one fresh instance of each two-member stripe, for
@@ -124,12 +124,11 @@ func (d *recordingDevice) WriteBatch(reqs []storage.WriteReq) (time.Duration, er
 	return d.faultable.WriteBatch(reqs)
 }
 
-// TestStripe checks the stripe's semantics on a 1-in-3 stripe of SSDs,
-// each on its own clock, over ten units: units 0, 1, 3, 4, 6, 7 and 9 on
-// member 0, units 2, 5 and 8 on member 1.
+// TestStripe checks the stripe's semantics on a pair of SSDs, each on its
+// own clock, over nine units: units 0, 2, 4, 6 and 8 on member 0, units 1,
+// 3, 5 and 7 on member 1.
 func TestStripe(t *testing.T) {
-	const units = 10
-	pattern := []int{0, 0, 1}
+	const units = 9
 	// open builds the stripe over recording members, and twins: bare
 	// devices of the same layout that a test serves each member's share
 	// directly.
@@ -139,40 +138,39 @@ func TestStripe(t *testing.T) {
 		var clocks, twinClocks [2]*vclock.Clock
 		var twins [2]storage.Device
 		devs := make([]storage.Device, 2)
-		for i, n := range storage.StripeShares(pattern, 2, units) {
+		for i := range 2 {
+			n := storage.StripeShare(units, 2, i)
 			clocks[i], twinClocks[i] = vclock.New(), vclock.New()
 			recs[i] = &recordingDevice{faultable: ssd.New(smallBlockSSD(8), n*stripeUnit, clocks[i])}
 			twins[i] = ssd.New(smallBlockSSD(8), n*stripeUnit, twinClocks[i])
 			devs[i] = recs[i]
 		}
-		s, err := storage.NewStripe(stripeUnit, pattern, devs...)
+		s, err := storage.NewStripe(stripeUnit, devs...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s, recs, clocks, twins, twinClocks
 	}
 	// at is the member offset of stripe unit u's byte in.
-	at := func(u, in int64) int64 {
-		return map[int64]int64{0: 0, 1: 1, 3: 2, 4: 3, 6: 4, 7: 5, 9: 6, 2: 0, 5: 1, 8: 2}[u]*stripeUnit + in
-	}
+	at := func(u, in int64) int64 { return u/2*stripeUnit + in }
 	const ps = 4096
 
 	t.Run("geometry", func(t *testing.T) {
 		s, recs, _, _, _ := open(t)
 		g := s.Geometry()
-		// The erase block is one period of the pattern, three units.
-		want := storage.Geometry{Capacity: units * stripeUnit, PageSize: ps, Lanes: 16, EraseBlock: 3 * stripeUnit}
+		// The erase block is one round, a unit on each member.
+		want := storage.Geometry{Capacity: units * stripeUnit, PageSize: ps, Lanes: 16, EraseBlock: 2 * stripeUnit}
 		if g != want || g.Capacity != recs[0].Geometry().Capacity+recs[1].Geometry().Capacity {
 			t.Fatalf("geometry %+v, want %+v, the members' capacities summed", g, want)
 		}
-		if shares := storage.StripeShares(pattern, 2, units); !slices.Equal(shares, []int64{7, 3}) {
-			t.Fatalf("shares %v, want [7 3]", shares)
+		if a, b := storage.StripeShare(units, 2, 0), storage.StripeShare(units, 2, 1); a != 5 || b != 4 {
+			t.Fatalf("shares %d and %d, want 5 and 4", a, b)
 		}
-		short := ssd.New(smallBlockSSD(8), 2*stripeUnit, vclock.New())
-		if _, err := storage.NewStripe(stripeUnit, pattern, recs[0], short); err == nil {
+		short := ssd.New(smallBlockSSD(8), 3*stripeUnit, vclock.New())
+		if _, err := storage.NewStripe(stripeUnit, recs[0], short); err == nil {
 			t.Fatal("a member short of its share was accepted")
 		}
-		if _, err := storage.NewStripe(stripeUnit/2, pattern, recs[0], recs[1]); err == nil {
+		if _, err := storage.NewStripe(stripeUnit/2, recs[0], recs[1]); err == nil {
 			t.Fatal("a unit of half an erase block was accepted")
 		}
 	})
@@ -187,16 +185,16 @@ func TestStripe(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		wantWrites := [2][][2]int64{{{0, 7 * stripeUnit}}, {{0, 3 * stripeUnit}}}
+		wantWrites := [2][][2]int64{{{0, 5 * stripeUnit}}, {{0, 4 * stripeUnit}}}
 		for m, rec := range recs {
 			if len(rec.subs) != 2 || !slices.Equal(rec.subs[1], wantWrites[m]) {
 				t.Fatalf("member %d served writes %v, want two of %v", m, rec.subs, wantWrites[m])
 			}
 			rec.subs = nil
 		}
-		// A submission of views on units 0, 2 and 4, a copy of units 0 and
-		// 1, which member 0 holds in a row, and half of unit 2, and a copy
-		// of units 1 and 2.
+		// A submission of views on units 0, 2 and 4, a copy of half of unit
+		// 0, unit 1 and half of unit 2, whose halves member 0 holds in a
+		// row, and a copy of units 1 and 2.
 		reqs := []storage.ReadReq{
 			{Off: 3 * ps, N: ps, View: true},
 			{P: make([]byte, 2*stripeUnit), Off: stripeUnit / 2},
@@ -210,8 +208,8 @@ func TestStripe(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantReads := [2][][2]int64{
-			{{at(0, 3*ps), ps}, {at(0, stripeUnit/2), 3 * stripeUnit / 2}, {at(1, stripeUnit-2*ps), 2 * ps}, {at(4, 5*ps), 100}},
-			{{at(2, 0), stripeUnit / 2}, {at(2, 0), stripeUnit - 2*ps}, {at(2, ps), ps}},
+			{{at(0, 3*ps), ps}, {at(0, stripeUnit/2), stripeUnit}, {at(2, 0), stripeUnit - 2*ps}, {at(2, ps), ps}, {at(4, 5*ps), 100}},
+			{{at(1, 0), stripeUnit}, {at(1, stripeUnit-2*ps), 2 * ps}},
 		}
 		for m, rec := range recs {
 			if len(rec.subs) != 1 || !slices.Equal(rec.subs[0], wantReads[m]) {
@@ -267,7 +265,7 @@ func TestStripe(t *testing.T) {
 	})
 
 	t.Run("a request's pieces reach each member as one request", func(t *testing.T) {
-		// A 1-in-2 pair of six units: units 0, 2 and 4 on member 0, 1, 3
+		// A pair of six units: units 0, 2 and 4 on member 0, 1, 3
 		// and 5 on member 1, each member on its own clock.
 		var recs [2]*recordingDevice
 		var clocks [2]*vclock.Clock
@@ -277,12 +275,9 @@ func TestStripe(t *testing.T) {
 			recs[i] = &recordingDevice{faultable: ssd.New(smallBlockSSD(8), 3*stripeUnit, clocks[i])}
 			devs[i] = recs[i]
 		}
-		s, err := storage.NewStripe(stripeUnit, []int{0, 1}, devs...)
+		s, err := storage.NewStripe(stripeUnit, devs...)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if eb := s.Geometry().EraseBlock; eb != 2*stripeUnit {
-			t.Fatalf("erase block %d, want one period, %d", eb, 2*stripeUnit)
 		}
 		image := make([]byte, 6*stripeUnit)
 		rand.New(rand.NewSource(3)).Read(image)
@@ -335,11 +330,11 @@ func TestStripe(t *testing.T) {
 			t.Fatal(err)
 		}
 		recs[0].subs, recs[1].subs = nil, nil
-		// Views on each member, two ending at a unit's last byte: unit 2's
-		// last page and the stripe's last 10 bytes, in unit 9.
+		// Views on each member, two ending at a unit's last byte: unit 3's
+		// last page and the stripe's last 10 bytes, in unit 8.
 		reqs := []storage.ReadReq{
 			{Off: 0, N: ps, View: true},
-			{Off: 3*stripeUnit - ps, N: ps, View: true},
+			{Off: 4*stripeUnit - ps, N: ps, View: true},
 			{Off: 5*stripeUnit + 7*ps + 3, N: 50, View: true},
 			{Off: units*stripeUnit - 10, N: 10, View: true},
 		}
@@ -347,8 +342,8 @@ func TestStripe(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := [2][][2]int64{
-			{{at(0, 0), ps}, {at(9, stripeUnit-10), 10}},
-			{{at(2, stripeUnit-ps), ps}, {at(5, 7*ps+3), 50}},
+			{{at(0, 0), ps}, {at(8, stripeUnit-10), 10}},
+			{{at(3, stripeUnit-ps), ps}, {at(5, 7*ps+3), 50}},
 		}
 		for m, rec := range recs {
 			if len(rec.subs) != 1 || !slices.Equal(rec.subs[0], want[m]) {
@@ -370,7 +365,7 @@ func TestStripe(t *testing.T) {
 		boom := errors.New("member 1 fault")
 		recs[1].SetFault(func(storage.Op, int64, int) error { return boom })
 		before := recs[0].Counters().Reads
-		reqs := []storage.ReadReq{{Off: 0, N: ps, View: true}, {Off: 2 * stripeUnit, N: ps, View: true}}
+		reqs := []storage.ReadReq{{Off: 0, N: ps, View: true}, {Off: stripeUnit, N: ps, View: true}}
 		if _, err := s.ReadBatch(reqs); !errors.Is(err, boom) {
 			t.Fatalf("read %v, want member 1's fault", err)
 		}
@@ -388,7 +383,7 @@ func TestStripe(t *testing.T) {
 		if _, err := s.ReadAt(make([]byte, ps), units*stripeUnit); !errors.Is(err, storage.ErrOutOfRange) {
 			t.Fatalf("read past the stripe: %v", err)
 		}
-		misaligned := []storage.WriteReq{{P: make([]byte, ps), Off: 0}, {P: make([]byte, ps), Off: 2*stripeUnit + 1}}
+		misaligned := []storage.WriteReq{{P: make([]byte, ps), Off: 0}, {P: make([]byte, ps), Off: stripeUnit + 1}}
 		if _, err := s.WriteBatch(misaligned); !errors.Is(err, storage.ErrUnaligned) {
 			t.Fatalf("misaligned write: %v", err)
 		}
@@ -403,7 +398,7 @@ func TestStripe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Records on units 0 and 2, one per member, both written.
+		// Records on units 0 and 1, one per member, both written.
 		var keys, vals [][]byte
 		for i := range 100 {
 			keys = append(keys, []byte{byte(i), 'k'})
@@ -416,7 +411,7 @@ func TestStripe(t *testing.T) {
 		var reqs []storage.ValueReadReq
 		pages := map[int64]bool{}
 		for _, w := range words {
-			if off, n, _, _ := storage.DecodeValuePtr(w); off < 4*ps || off >= 2*stripeUnit && off < 2*stripeUnit+4*ps {
+			if off, n, _, _ := storage.DecodeValuePtr(w); off < 4*ps || off >= stripeUnit && off < stripeUnit+4*ps {
 				reqs = append(reqs, storage.ValueReadReq{Ptr: w})
 				pages[off/ps], pages[(off+int64(n)-1)/ps] = true, true
 			}
@@ -424,13 +419,9 @@ func TestStripe(t *testing.T) {
 		if len(reqs) < 2 {
 			t.Fatalf("%d records on the units read", len(reqs))
 		}
+		// A read of all of them fails while member 1 fails, after member
+		// 0's share was served; the next read requests every page again.
 		boom := errors.New("member 1 fault")
-		defer l.EndChunk()
-		// The chunk reads member 0's records first, then all of them while
-		// member 1 fails: the failure forgets the pages read before it.
-		if _, err := l.ReadRecordsBatch(slices.Clone(reqs[:1]), nil); err != nil {
-			t.Fatal(err)
-		}
 		recs[1].SetFault(func(storage.Op, int64, int) error { return boom })
 		if _, err := l.ReadRecordsBatch(reqs, nil); !errors.Is(err, boom) {
 			t.Fatalf("read %v, want member 1's fault", err)
@@ -442,6 +433,11 @@ func TestStripe(t *testing.T) {
 		}
 		if got := s.Counters().Reads - before; got != uint64(len(pages)) {
 			t.Fatalf("the read after the fault requested %d pages, want all %d again", got, len(pages))
+		}
+		for i, r := range reqs {
+			if _, ok := storage.VerifyRecord(r.Rec, keys[slices.Index(words, r.Ptr)]); !ok {
+				t.Fatalf("record %d does not verify", i)
+			}
 		}
 	})
 }

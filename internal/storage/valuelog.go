@@ -53,26 +53,20 @@ import (
 // and its capacity rounds down to whole units; any other capacity rounds
 // down to whole pages, and a cycle's last unit ends at the capacity, short
 // when the capacity is no whole number of units. Records still buffered in
-// the tail are served from memory. Over a Stripe, whose EraseBlock is one
-// period of its pattern, each write unit is whole erase blocks on every
-// member (one on each of a 1-in-2 pair's), all written in the same
-// submission, and a read or write submission becomes one per member; the
-// log is the same either way.
+// the tail are served from memory. Over a Stripe, whose EraseBlock is a
+// unit on each member, each write unit is whole erase blocks on every
+// member, all written in the same submission, and a read or write
+// submission becomes one per member; the log is the same either way.
 //
 // Record reads go to the device by the page, as §5.1.1 reads the index:
 // each call adds the device pages its records' device bytes lie in to a
-// PageReads set and submits those not yet read as one address-sorted
-// ReadBatch of whole-page view requests, so two records in one page cost
-// one request, records on adjacent pages chain into one sequential run,
-// and the requests overlap across the device's queue lanes. This is the
-// "second I/O stream" of a batched Get, which the clam facade issues for
-// each hand-off of hits (see core.HitHook), on the value-log device's own
-// timelines, one per member of a striped log, while the index device
-// probes. The calls of one get chunk share the set: a page one call read
-// is not read again by a later call until EndChunk ends the chunk. Any
-// write, and any failed submission, forgets the pages too, so a view is
-// never used past the device's next write. A single-record read is the
-// one-page case.
+// PageReads set and submits them as one address-sorted ReadBatch of
+// whole-page view requests, so two records in one page cost one request,
+// records on adjacent pages chain into one sequential run, and the
+// requests overlap across the device's queue lanes. The clam facade reads
+// a batched Get's records in one such call after its index lookup, on the
+// value-log device's own timelines, one per member of a striped log. A
+// single-record read is the one-page case.
 //
 // A ValueLog is not safe for concurrent use; the clam facade serializes
 // access under the same lock as the hash table.
@@ -102,8 +96,8 @@ type ValueLog struct {
 	allocTotal int64
 	deadTotal  int64
 
-	// The device pages read in the get chunk so far (see EndChunk), and
-	// one call's scratch: where each request's record lies.
+	// ReadRecordsBatch's scratch: the device pages one call reads, and
+	// where each request's record lies.
 	pages PageReads
 	recs  []recLoc
 }
@@ -496,10 +490,8 @@ func (l *ValueLog) wrap() error {
 // zeros is the padding wrap stages, a piece at a time.
 var zeros [4 << 10]byte
 
-// writeBuf writes buf[:p] at bufStart. The write ends the views of the
-// pages read so far, so the log forgets them first.
+// writeBuf writes buf[:p] at bufStart.
 func (l *ValueLog) writeBuf(p int) error {
-	l.forget()
 	if _, err := l.dev.WriteAt(l.buf[:p], l.bufStart); err != nil {
 		return fmt.Errorf("storage: value log write: %w", err)
 	}
@@ -559,19 +551,8 @@ func (l *ValueLog) split(off, end int64) (lo, hi int64) {
 	return min(max(off, l.bufStart), end), min(max(off, head), end)
 }
 
-// EndChunk ends a get chunk: the ReadRecordsBatch calls since the last
-// EndChunk, write or failed submission, which serve a page one of them
-// read to the later ones from the view the device handed back, with no
-// further request. It forgets their pages; records already read stay
-// valid until the device's next write.
-func (l *ValueLog) EndChunk() { l.forget() }
-
-// forget drops the pages read so far.
-func (l *ValueLog) forget() { l.pages.Reset() }
-
 // ReadRecordsBatch resolves every request's record bytes. The device pages
-// holding the records' device bytes are gathered and deduped, and those
-// not read yet in this get chunk (see EndChunk) are read as one
+// holding the records' device bytes are gathered, deduped and read as one
 // address-sorted ReadBatch submission of whole-page view requests, so a
 // batch of record fetches pays each page once, adjacent pages as one
 // sequential run, and the overlapped service time, not the serial sum.
@@ -585,9 +566,9 @@ func (l *ValueLog) forget() { l.pages.Reset() }
 // the tail: each is carved past len(arena), which grows at most once per
 // call, and the extended arena is returned; bytes below len(arena) are
 // never written, so the records of earlier calls stay valid, in the old
-// backing array if the arena moved. A failed submission forgets the
-// chunk's pages.
+// backing array if the arena moved.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, error) {
+	l.pages.Reset()
 	l.recs = l.recs[:0]
 	copied := 0
 	for i := range reqs {
@@ -614,7 +595,6 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 		l.recs = append(l.recs, loc)
 	}
 	if err := l.pages.Submit(l.pages.Unsent()); err != nil {
-		l.forget()
 		return arena, fmt.Errorf("storage: value log read: %w", err)
 	}
 	arena = slices.Grow(arena, copied)
@@ -642,7 +622,7 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 	return arena, nil
 }
 
-// addPages adds the device pages [off, end) touches to the chunk's and
+// addPages adds the device pages [off, end) touches to the call's and
 // returns the number of the first, or -1 for an empty range.
 func (l *ValueLog) addPages(off, end int64) int {
 	first := -1

@@ -25,8 +25,8 @@ func oneLaneSSD() ssd.Profile {
 }
 
 // pageModels are the devices the page-read tests run on: the SSD, the
-// disk, and the two-member stripes of stripeModels: of SSDs 2-in-3 and
-// 1-in-2, and of disks.
+// disk, and the two-member stripes of stripeModels: pairs of SSDs of an
+// odd and an even number of units, and of disks.
 var pageModels = [...]struct {
 	name string
 	dev  func(*vclock.Clock) storage.Device
@@ -131,7 +131,6 @@ func (p *pageLog) devicePages(r pageRec, f func(page int64)) {
 
 // pageStep is one step of a TestValueLogPageReads row.
 type pageStep struct {
-	keep   bool     // the next step reads in the same get chunk: no EndChunk after the read
 	read   []string // the records it reads, by name
 	copied []string // of those, the records copied into the arena
 	reqs   int      // the device requests it submits, or -1 for any
@@ -146,15 +145,13 @@ type pageStep struct {
 // in the tail buffer, the previous cycle's past the head (inside a page
 // and across one), and a made-up current-cycle location across the head.
 //
-// Each row reads some of them, in calls that end a get chunk each or
-// share one.
-// Every record must read back byte for byte as the image holds it, the
-// arena must grow by exactly the copied records' bytes, and each call must
-// submit the row's number of requests. A twin device, which saw the same
-// writes, is read the way the log must read: every device page the call's
-// records touch, less those the chunk already read, whole and in address
-// order. The log's device must end each call with the twin's Counters
-// and clock.
+// Each row reads some of them, one call per step. Every record must read
+// back byte for byte as the image holds it, the arena must grow by exactly
+// the copied records' bytes, and each call must submit the row's number of
+// requests. A twin device, which saw the same writes, is read the way the
+// log must read: every device page the call's records touch, each once,
+// whole and in address order. The log's device must end each call with
+// the twin's Counters and clock.
 func TestValueLogPageReads(t *testing.T) {
 	rows := []struct {
 		name  string
@@ -176,10 +173,7 @@ func TestValueLogPageReads(t *testing.T) {
 			{read: []string{"p1", "p2", "x"}, copied: []string{"p2", "x"}, reqs: -1},
 		}},
 		{"a chunk reads each page once", []pageStep{
-			{keep: true, read: []string{"a1"}, reqs: 1, runs: 1},
-			{keep: true, read: []string{"a2", "b1"}, reqs: 1, runs: 1},
-			{keep: true, read: []string{"b1", "a1", "c"}, copied: []string{"c"}, reqs: -1},
-			{read: []string{"a2", "b1", "c"}, copied: []string{"c"}, reqs: 0},
+			{read: []string{"a1", "a2", "b1", "b1", "a1", "c", "a2", "c"}, copied: []string{"c"}, reqs: -1},
 			{read: []string{"a1"}, reqs: 1, runs: 1},
 		}},
 	}
@@ -205,8 +199,8 @@ func TestValueLogPageReads(t *testing.T) {
 			picks := pickPageClasses(t, p)
 			for _, row := range rows {
 				t.Run(row.name, func(t *testing.T) {
-					seen := map[int64]bool{} // pages the twin read in the chunk
 					for si, st := range row.steps {
+						seen := map[int64]bool{} // pages the twin reads in the call
 						reqs := make([]storage.ValueReadReq, len(st.read))
 						copied := 0
 						var fresh []int64
@@ -227,9 +221,6 @@ func TestValueLogPageReads(t *testing.T) {
 						arena, err := p.l.ReadRecordsBatch(reqs, make([]byte, 3, 16))
 						if err != nil {
 							t.Fatal(err)
-						}
-						if !st.keep {
-							p.l.EndChunk()
 						}
 						for i, name := range st.read {
 							r := picks[name]
@@ -263,9 +254,6 @@ func TestValueLogPageReads(t *testing.T) {
 								t.Fatalf("step %d: %d requests took %v, want %v for %d runs", si, got, d, want, st.runs)
 							}
 						}
-						if !st.keep {
-							clear(seen)
-						}
 					}
 				})
 			}
@@ -294,10 +282,14 @@ func pickPageClasses(t *testing.T, p *pageLog) map[string]pageRec {
 		}
 		t.Fatalf("no record of class %s", name)
 	}
-	pick("a1", func(r pageRec) bool { return device(r) && inPage(r) })
-	pick("a2", func(r pageRec) bool {
-		return device(r) && inPage(r) && page(r) == page(picks["a1"]) && r.off != picks["a1"].off
+	// a1 and a2 are the first two device records inside one page.
+	sharing := func(a, b pageRec) bool {
+		return device(a) && inPage(a) && device(b) && inPage(b) && page(a) == page(b) && a.off != b.off
+	}
+	pick("a1", func(r pageRec) bool {
+		return slices.ContainsFunc(p.recs, func(o pageRec) bool { return sharing(r, o) })
 	})
+	pick("a2", func(r pageRec) bool { return sharing(r, picks["a1"]) })
 	pick("b1", func(r pageRec) bool { return device(r) && inPage(r) && page(r) > page(picks["a1"])+1 })
 	pick("b2", func(r pageRec) bool { return device(r) && inPage(r) && page(r) == page(picks["b1"])+1 })
 	pick("c", func(r pageRec) bool { return device(r) && !inPage(r) && page(r) > page(picks["b2"]) })
@@ -311,13 +303,13 @@ func pickPageClasses(t *testing.T, p *pageLog) map[string]pageRec {
 	return picks
 }
 
-// testWriteForgetsPages checks that a write inside a get chunk forgets
-// the pages the chunk read. The log runs on a device that serves views
-// from buffers it owns and scribbles over them at its next write (see
-// ownedViewDevice). A chunk reads a record, then appends until the log
-// wraps and rewrites that record's page, and reads the record now at its
-// offset: it must read its page again and come back as the image holds
-// it, which a view kept past the write would not.
+// testWriteForgetsPages checks that a read after a write reads its pages
+// again. The log runs on a device that serves views from buffers it owns
+// and scribbles over them at its next write (see ownedViewDevice). A read
+// of a record is followed by appends until the log wraps and rewrites that
+// record's page, and a read of the record now at its offset: it must read
+// its page again and come back as the image holds it, which a view kept
+// past the write would not.
 func testWriteForgetsPages(t *testing.T, model func(*vclock.Clock) storage.Device) {
 	dev := &ownedViewDevice{Device: model(vclock.New())}
 	p := newPageLog(t, dev)
@@ -326,7 +318,6 @@ func testWriteForgetsPages(t *testing.T, model func(*vclock.Clock) storage.Devic
 		p.append(rng, 100, 200, 300)
 	}
 	first := p.recs[1] // inside page 0, on the device
-	defer p.l.EndChunk()
 	read := func(r pageRec) {
 		t.Helper()
 		reqs := []storage.ValueReadReq{{Ptr: r.word}}
@@ -351,52 +342,38 @@ func testWriteForgetsPages(t *testing.T, model func(*vclock.Clock) storage.Devic
 	read(again)
 }
 
-// pageCountingDevice records the pages each scope of reads requests: a
-// scope is the ReadRecordsBatch calls of one get chunk, and ends at any
-// write. It fails the test on a request that is no whole
-// page view, or on a page requested twice in one scope.
+// pageCountingDevice fails the test on a read request that is no whole
+// page view, or on a page requested twice in one submission.
 type pageCountingDevice struct {
 	storage.Device
-	t     testing.TB
-	ps    int64
-	scope map[int64]bool
+	t  testing.TB
+	ps int64
 }
 
 func (d *pageCountingDevice) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
+	seen := map[int64]bool{}
 	for _, r := range reqs {
 		if !r.View || r.Off%d.ps != 0 || int64(r.N) != d.ps {
 			d.t.Fatalf("request %+v is no whole-page view", r)
 		}
-		if d.scope[r.Off] {
-			d.t.Fatalf("page at %d requested twice in one scope", r.Off)
+		if seen[r.Off] {
+			d.t.Fatalf("page at %d requested twice in one submission", r.Off)
 		}
-		d.scope[r.Off] = true
+		seen[r.Off] = true
 	}
 	return d.Device.ReadBatch(reqs)
 }
 
-func (d *pageCountingDevice) WriteAt(p []byte, off int64) (time.Duration, error) {
-	clear(d.scope)
-	return d.Device.WriteAt(p, off)
-}
-
-func (d *pageCountingDevice) WriteBatch(reqs []storage.WriteReq) (time.Duration, error) {
-	clear(d.scope)
-	return d.Device.WriteBatch(reqs)
-}
-
-// checkPageReads runs the append, read and chunk sequence data describes
-// on a log over model's device. Each byte (cycled, at most 600) is an op
-// by its low two bits: 0 and 1 append a batch of 1 to 8 records, whose
-// value sizes the next bytes give (below 0xC0 up to about 500 bytes, from
-// 0xC0 up to three device pages); 2 reads a batch of 1 to 32 records
+// checkPageReads runs the append and read sequence data describes on a
+// log over model's device. Each byte (cycled, at most 600) is an op by its
+// low two bits: 0 and 1 append a batch of 1 to 8 records, whose value
+// sizes the next bytes give (below 0xC0 up to about 500 bytes, from 0xC0
+// up to three device pages); 2 and 3 read a batch of 1 to 32 records
 // picked by the next bytes from every record appended, stale ones
-// included, and sometimes a made-up location across the head; 3 toggles
-// whether reads share a get chunk: until it toggles back, they do and it
-// then ends their chunk, and otherwise each read ends its own. Every
+// included, and sometimes a made-up location across the head. Every
 // record the skip rule reads must come back byte for byte as the flat
 // image holds it, every other must come back nil, and no device page may
-// be requested twice in one chunk between writes.
+// be requested twice in one call.
 func checkPageReads(t *testing.T, model int, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -405,7 +382,7 @@ func checkPageReads(t *testing.T, model int, data []byte) {
 	m := pageModels[model%len(pageModels)]
 	base := m.dev(vclock.New())
 	ps := int64(base.Geometry().PageSize)
-	dev := &pageCountingDevice{Device: base, t: t, ps: ps, scope: map[int64]bool{}}
+	dev := &pageCountingDevice{Device: base, t: t, ps: ps}
 	p := newPageLog(t, dev)
 	rng := rand.New(rand.NewSource(int64(len(data))))
 	pos := 0
@@ -414,7 +391,6 @@ func checkPageReads(t *testing.T, model int, data []byte) {
 		pos++
 		return b
 	}
-	chunk := false
 	for step := 0; step < max(len(data), 64) && step < 600; step++ {
 		switch op := next(); op % 4 {
 		case 0, 1:
@@ -427,7 +403,7 @@ func checkPageReads(t *testing.T, model int, data []byte) {
 				}
 			}
 			p.append(rng, sizes...)
-		case 2:
+		case 2, 3:
 			if len(p.recs) == 0 {
 				continue
 			}
@@ -444,14 +420,8 @@ func checkPageReads(t *testing.T, model int, data []byte) {
 			for i, r := range recs {
 				reqs[i].Ptr = r.word
 			}
-			if !chunk {
-				clear(dev.scope)
-			}
 			if _, err := p.l.ReadRecordsBatch(reqs, nil); err != nil {
 				t.Fatal(err)
-			}
-			if !chunk {
-				p.l.EndChunk()
 			}
 			for i, r := range recs {
 				var want []byte
@@ -463,12 +433,6 @@ func checkPageReads(t *testing.T, model int, data []byte) {
 						step, r.off, r.n, r.cycle, p.cycle, p.head, len(got), len(want))
 				}
 			}
-		case 3:
-			if chunk {
-				p.l.EndChunk()
-			}
-			chunk = !chunk
-			clear(dev.scope)
 		}
 	}
 }

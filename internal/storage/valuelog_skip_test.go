@@ -14,9 +14,9 @@ import (
 )
 
 // skipModels builds the devices the skip-rule streams run on: one per
-// model, the SSD, the disk and the two-member stripes of stripeModels (of
-// SSDs 2-in-3 and 1-in-2, and of disks), small enough that a stream wraps
-// its log several times.
+// model, the SSD, the disk and the two-member stripes of stripeModels
+// (pairs of SSDs of an odd and an even number of units, and of disks),
+// small enough that a stream wraps its log several times.
 var skipModels = [...]struct {
 	name string
 	dev  func(*vclock.Clock) storage.Device
@@ -140,8 +140,6 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 		if _, err := twin.ReadRecordsBatch(rereqs, nil); err != nil {
 			t.Fatal(err)
 		}
-		l.EndChunk()
-		twin.EndChunk()
 		var skips []int
 		var read []storage.ValueReadReq
 		for j, i := range idx {
@@ -191,7 +189,6 @@ func checkSkipStream(t *testing.T, model int, data []byte) skipTally {
 		if _, err := kept.ReadRecordsBatch(read, nil); err != nil {
 			t.Fatal(err)
 		}
-		kept.EndChunk()
 		if dev.Counters() != keptDev.Counters() || clk.Now() != keptClk.Now() {
 			t.Fatalf("cycle %d, head %d: counters %+v and clock %v, reading only the records read %+v and %v",
 				cycle, head, dev.Counters(), clk.Now(), keptDev.Counters(), keptClk.Now())
@@ -414,8 +411,6 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 				if _, err := twin.ReadRecordsBatch(rereqs, nil); err != nil {
 					t.Fatal(err)
 				}
-				l.EndChunk()
-				twin.EndChunk()
 				var read, skips []storage.ValueReadReq
 				for j := range reqs {
 					if reqs[j].Rec == nil {
@@ -434,7 +429,6 @@ func TestValueLogSkippedReadsCount(t *testing.T) {
 				if _, err := kept.ReadRecordsBatch(read, nil); err != nil {
 					t.Fatal(err)
 				}
-				kept.EndChunk()
 				if devs[0].Counters() != devs[2].Counters() || clks[0].Now() != clks[2].Now() {
 					t.Fatalf("after %d records: counters %+v and clock %v, reading only the records read %+v and %v",
 						i+1, devs[0].Counters(), clks[0].Now(), devs[2].Counters(), clks[2].Now())

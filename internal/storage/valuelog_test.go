@@ -31,13 +31,11 @@ func appendOne(l *storage.ValueLog, key, val []byte) (ptr uint64, err error) {
 	return ptrs[0], err
 }
 
-// readOne reads one record through a one-element ReadRecordsBatch, a get
-// chunk of its own. ok=false means the pointer addresses no live record
-// region.
+// readOne reads one record through a one-element ReadRecordsBatch.
+// ok=false means the pointer addresses no live record region.
 func readOne(l *storage.ValueLog, ptr uint64) (rec []byte, ok bool, err error) {
 	reqs := []storage.ValueReadReq{{Ptr: ptr}}
 	_, err = l.ReadRecordsBatch(reqs, nil)
-	l.EndChunk()
 	return reqs[0].Rec, reqs[0].Rec != nil, err
 }
 
@@ -264,19 +262,19 @@ func (d *writeRecorder) WriteBatch(reqs []storage.WriteReq) (time.Duration, erro
 // records, some larger than a unit, in ragged AppendBatch calls, and
 // requires every write the device sees to be one write unit aligned to
 // the unit, the moment a record fills it: the device's erase block on the
-// SSD, 64 KB on the disk, and one period of the pattern on a stripe of
-// SSDs, a 1-in-2 pair of eight units and one of nine, whose cycles end
-// with a short unit of one block. Whole-block writes replace whole blocks,
+// SSD, 64 KB on the disk, and a block on each member on a pair of SSDs of
+// eight units and one of nine, whose cycles end with a short unit of one
+// block. Whole-block writes replace whole blocks,
 // so the FTL of no SSD relocates a page.
 func TestValueLogWritesWholeBlocks(t *testing.T) {
 	devs := vlogDevices(t, 1<<20)
 	for name, units := range map[string]int64{"stripe-pair": 8, "stripe-pair-odd": 9} {
 		block := int64(ssd.IntelX18M().BlockSize())
 		var members []storage.Device
-		for _, n := range storage.StripeShares([]int{0, 1}, 2, units) {
-			members = append(members, ssd.New(ssd.IntelX18M(), n*block, vclock.New()))
+		for i := range 2 {
+			members = append(members, ssd.New(ssd.IntelX18M(), storage.StripeShare(units, 2, i)*block, vclock.New()))
 		}
-		s, err := storage.NewStripe(int(block), []int{0, 1}, members...)
+		s, err := storage.NewStripe(int(block), members...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,12 +525,11 @@ func TestValueLogReadAllocs(t *testing.T) {
 				perm[i] = reqs[i*97%len(reqs)]
 			}
 			var arena []byte
-			read := func() { // a get chunk of its own, so it reads every page
+			read := func() {
 				var err error
 				if arena, err = l.ReadRecordsBatch(perm, arena[:0]); err != nil {
 					t.Fatal(err)
 				}
-				l.EndChunk()
 			}
 			read()
 			for i := range perm {

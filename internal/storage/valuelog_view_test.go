@@ -245,8 +245,6 @@ func TestValueLogViewReads(t *testing.T) {
 				if _, err := cl.ReadRecordsBatch(creqs, nil); err != nil {
 					t.Fatal(err)
 				}
-				vl.EndChunk()
-				cl.EndChunk()
 				// The copying read, built here: every page holding a
 				// record's device bytes before the flush frontier or past
 				// the head, read once by copy in one address-sorted
@@ -499,7 +497,7 @@ func TestLookupBatchOwnedViews(t *testing.T) {
 		}
 		for i, b := range bhs {
 			res[i] = make([]core.LookupResult, len(keys))
-			if err := b.LookupBatch(keys, res[i], nil); err != nil {
+			if err := b.LookupBatch(keys, res[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
