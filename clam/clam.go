@@ -117,9 +117,11 @@
 // moves up to the later SSD's clock (a join) only where the shard needs
 // the result. The core joins the index after every write, image read and
 // probing round; only a lookup batch's first round runs while its
-// in-memory phase still does, when the core hands the index, while both
-// SSDs are idle, the probes gathered so far, one SSD's lanes at a time
-// (see core.Config.DeviceClock). A byte get chunk reads its hits' records
+// in-memory phase still does: the core keeps each SSD's gathered probes
+// apart and hands an SSD its lanes' worth as soon as it holds them while
+// idle, with the probes gathered so far of the other SSD if that one is
+// idle too, so a busy SSD never holds back the idle one (see
+// core.Config.DeviceClock). A byte get chunk reads its hits' records
 // from the value log in one submission after its lookup, and joins it. The
 // value log
 // writes a whole erase block on each SSD at once, the moment its tail
@@ -749,7 +751,7 @@ func (s *shard) readHits() error {
 	}
 	s.issueLog()
 	var err error
-	if s.recArena, err = s.vlog.ReadRecordsBatch(reqs, s.recArena[:0]); err != nil {
+	if s.recArena, err = s.vlog.ReadRecordsBatch(reqs, s.recArena); err != nil {
 		return err
 	}
 	for j, req := range reqs {

@@ -769,8 +769,9 @@ func testAppendBehindFault(t *testing.T) {
 // while the chunk's in-memory phase still runs. Two Bloom filter bits per
 // entry and every key put twice make most lookups probe flash, so a
 // 300-key window gathers its first pages within a few keys. A read whose
-// hook sees the shard clock below the chunk's start plus BufferLookup for
-// each of its keys runs inside phase A. Each call must fail, and every
+// hook sees the shard clock below the chunk's start plus the least
+// phase-A charge for each of its keys (see leastPhaseACharge) runs inside
+// phase A. Each call must fail, and every
 // later answer keep the contract: first a one-key GetU64, then random
 // fault-free ops.
 func testStreamedIndexReadFault(t *testing.T) {
@@ -785,7 +786,7 @@ func testStreamedIndexReadFault(t *testing.T) {
 		}
 	}
 	sh := r.st.(*CLAM).shards[0]
-	perKey := sh.bh.Config().CPU.BufferLookup
+	perKey := leastPhaseACharge(sh)
 	var phaseAEnd time.Duration // the least clock phase A can end at
 	var armed, fired bool
 	r.devs[roleIndexA].SetFault(func(op storage.Op, _ int64, _ int) error {
@@ -815,6 +816,18 @@ func testStreamedIndexReadFault(t *testing.T) {
 	}
 	r.arm(nil)
 	d.runRandom(601, 1500)
+}
+
+// leastPhaseACharge is the least CPU charge sh's phase A lands for a key:
+// a repeat's dedupe probe, a read run's hot-entry cache probe, a Bloom
+// query, or the buffer probe of a key whose super table has no filter to
+// ask. A chunk's phase A runs at least until the shard clock passes the
+// chunk's start plus this charge for each of its keys; a key the staging
+// filter screens is charged its query alone, so BufferLookup is no such
+// bound.
+func leastPhaseACharge(sh *shard) time.Duration {
+	c := sh.bh.Config().CPU
+	return min(c.BatchCoalesce, c.CacheProbe, c.BloomQuery, c.BloomQueryNaive, c.BufferLookup)
 }
 
 // testLateRoundReadFault fails the value-log record read on SSD B of a

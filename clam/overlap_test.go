@@ -560,7 +560,8 @@ type devRead struct {
 // firstProbeStore opens a one-shard kind-opened store holding 2000 flushed
 // keys, records every read its index partitions serve from then on into
 // *reads, and returns one SSD's Lanes of the keys whose one-key GetU64s
-// read distinct first probe pages: phase A's group of pages.
+// read distinct first probe pages on SSD A: phase A's group of pages for
+// that SSD.
 func firstProbeStore(t *testing.T, seed uint64) (c *CLAM, flushed []uint64, reads *[]devRead) {
 	t.Helper()
 	c = openCLAMT(t, WithDevice(IntelSSD), WithFlash(4<<20), WithMemory(512<<10), WithBufferKB(16), WithSeed(seed))
@@ -600,7 +601,7 @@ func firstProbeStore(t *testing.T, seed uint64) (c *CLAM, flushed []uint64, read
 		if len(*reads) == 0 {
 			continue
 		}
-		if r := (*reads)[0]; !pages[page{r.part, r.off}] {
+		if r := (*reads)[0]; r.part == 0 && !pages[page{r.part, r.off}] {
 			pages[page{r.part, r.off}] = true
 			flushed = append(flushed, k)
 			if len(flushed) == lanes {
@@ -608,7 +609,7 @@ func firstProbeStore(t *testing.T, seed uint64) (c *CLAM, flushed []uint64, read
 			}
 		}
 	}
-	t.Fatalf("found %d flushed keys with distinct first pages, want %d", len(flushed), lanes)
+	t.Fatalf("found %d flushed keys with distinct first pages on SSD A, want %d", len(flushed), lanes)
 	return nil, nil, nil
 }
 
@@ -629,11 +630,12 @@ func requireOneKeyAnswers(t *testing.T, c *CLAM, keys, got []uint64, found []boo
 
 // TestRepeatsDoNotDelayFirstProbes sends a one-shard kind-opened store one
 // GetBatchU64 of one SSD's Lanes flash-resident keys, whose first probe
-// pages are distinct, followed by 401 positions of one buffered key. The
-// repeats' dedupe charges land where phase A reaches them, so the index's
-// first submission, the Lanes first pages, must start on its SSDs once the
-// first keys' phase-A charges have landed, not after 400
-// CPU.BatchCoalesce charges. Every position must equal a one-key GetU64.
+// pages are distinct and lie on SSD A, followed by 401 positions of one
+// buffered key. The repeats' dedupe charges land where phase A reaches
+// them, so the index's first submission, the Lanes first pages, which fill
+// SSD A's lane group, must start on SSD A once the first keys' phase-A
+// charges have landed, not after 400 CPU.BatchCoalesce charges. Every
+// position must equal a one-key GetU64.
 func TestRepeatsDoNotDelayFirstProbes(t *testing.T) {
 	c, batch, reads := firstProbeStore(t, 37)
 	lanes := len(batch)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // The lookup pipeline — the only lookup path; Lookup is its one-key case.
@@ -41,27 +40,42 @@ import (
 //	             query. A super table with no live incarnation has no
 //	             filter to ask: its buffer is probed alone. Phase A
 //	             also gathers each unresolved key's first probe (phase B's
-//	             round 1) as it goes. In a call of more than one key,
-//	             whenever every device timeline is idle at the current
-//	             CPU instant and the gathered pages not yet submitted fill
-//	             one timeline's share of the queue lanes (Geometry.Lanes
-//	             over len(Config.DeviceClock): one SSD's 8 lanes on a
-//	             stripe over two), phase A lands its CPU charges, submits
-//	             one page per such lane, earliest gathered first, and runs
-//	             on, so the reads overlap the rest of phase A and come
-//	             back in small groups (a device on the CPU's own clock,
-//	             see Config.DeviceClock, is idle at every CPU instant and
-//	             completes each read as it is issued). On a stripe over
-//	             two SSDs, groups of one SSD's 8 lanes read 6,499,640
-//	             virtual ops/s on the get-batch-zipf benchmark (seed 1),
-//	             groups of the stripe's 16 read 5,893,388, of 4
-//	             5,986,793 and of 2 5,659,521; and submitting while any
-//	             one timeline is idle read 741,333 on dedup-ingest,
-//	             against 769,208 while every one is.
+//	             round 1) as it goes, each SSD's pages apart: member m of
+//	             the page-read set is the device's SSD m, on timeline
+//	             Config.DeviceClock[m], and a device of one timeline is its
+//	             one member. In a call of more than one key, whenever some
+//	             SSD is idle at the current CPU instant and holds a lane
+//	             group of gathered pages not yet submitted (its share of
+//	             the queue lanes, Geometry.Lanes over
+//	             len(Config.DeviceClock): 8 on a shard's pair), phase A
+//	             lands its CPU charges and submits, as one submission, up
+//	             to a lane group of the earliest gathered pages of every
+//	             SSD idle then, the trigger's and any other idle one's, and
+//	             runs on. So the reads overlap the rest of phase A and come
+//	             back in small groups, and a busy SSD holds back neither
+//	             the other's group nor phase A (a device on the CPU's own
+//	             clock, see Config.DeviceClock, is idle at every CPU
+//	             instant and completes each read as it is issued). The
+//	             per-member counts gate the rule, so phase A reads no
+//	             timeline's clock until an SSD holds a group. On the
+//	             get-batch-zipf benchmark (seeds 1 and 2, 3-second runs)
+//	             this rule reads 6,776,034 and 6,752,619 virtual ops/s and
+//	             dedup-ingest 842,661 and 844,182, against 6,499,640,
+//	             6,456,575, 837,914 and 839,703 when phase A handed the
+//	             pair one SSD's 8 lanes of pages, earliest gathered first,
+//	             only while both SSDs were idle. Submitting the first 16
+//	             gathered pages when one SSD's group triggers read
+//	             6,761,031 and 6,736,357, and 827,234 and 829,407;
+//	             handing the triggering SSD its group alone, 6,630,276 and
+//	             6,623,399, and 843,175 and 844,774; adding the old
+//	             both-idle trigger to this rule, 6,521,368 and 6,482,569,
+//	             and 841,331 and 842,760. Groups of the pair's 16 pages
+//	             read 5,893,388 on get-batch-zipf (seed 1), of 4 5,986,793
+//	             and of 2 5,659,521, all handed while both SSDs were idle.
 //	B (gather):  each probing round adds every unresolved key's single
 //	             newest-candidate page to one page-read set
 //	             (storage.PageReads), so keys on the same flash page share
-//	             its one read. Phase A submits round 1 in the lane-sized
+//	             its one read. Phase A submits round 1 in the lane
 //	             groups above; phase B submits the round's pages not yet
 //	             submitted as one address-sorted device ReadBatch, whose
 //	             latency overlaps across the device's queue lanes, and
@@ -197,24 +211,47 @@ func (b *BufferHash) gather(pi int) {
 	p.pid = int32(b.batch.pages.Add(p.st.incs[j].page + uint64(p.st.buf.Placement().Page(p.kh))))
 }
 
-// submit issues the round's next n unsubmitted pages as one ReadBatch on
-// the device's timeline, without waiting for it.
-func (b *BufferHash) submit(n int) error {
-	if n == 0 {
+// submit issues the round's first n unsubmitted pages of each member of
+// the device set in members (see storage.PageReads.Submit) as one
+// ReadBatch on the device's timelines, without waiting for it. With no
+// page left to submit it does nothing.
+func (b *BufferHash) submit(n int, members uint64) error {
+	if b.batch.pages.Unsent() == 0 {
 		return nil
 	}
 	b.issueDevice()
-	if err := b.batch.pages.Submit(n); err != nil {
+	if err := b.batch.pages.Submit(n, members); err != nil {
 		return fmt.Errorf("core: batched incarnation read: %w", err)
 	}
 	return nil
 }
 
-// idle reports whether the device has finished every submission on each
-// of its timelines by the current CPU instant: the clock plus the charges
-// not yet landed.
-func (b *BufferHash) idle() bool {
-	return vclock.Latest(b.cfg.DeviceClock) <= b.cfg.Clock.Now()+b.cpuDebt
+// handOver submits round 1's gathered pages during phase A when one of
+// the device's SSDs is idle at the current CPU instant (the clock plus
+// the charges not yet landed) and holds at least b.lanes of them not yet
+// submitted: it lands the charges and submits up to b.lanes of the first
+// pages of every SSD then idle. Member m of the page-read set is SSD m, on
+// timeline Config.DeviceClock[m].
+func (b *BufferHash) handOver() error {
+	pages := &b.batch.pages
+	now := b.cfg.Clock.Now() + b.cpuDebt
+	var idle uint64
+	for m, c := range b.cfg.DeviceClock {
+		if pages.UnsentOn(m) >= b.lanes && c.Now() <= now {
+			idle = 1 << m
+			break
+		}
+	}
+	if idle == 0 {
+		return nil
+	}
+	for m, c := range b.cfg.DeviceClock {
+		if pages.UnsentOn(m) > 0 && c.Now() <= now {
+			idle |= 1 << m
+		}
+	}
+	b.settleCPUDebt()
+	return b.submit(b.lanes, idle)
 }
 
 // probe resolves pending key p against its page, which the device has
@@ -236,7 +273,8 @@ func (bs *batchScratch) probe(p *batchKey, results []LookupResult) {
 // device's ReadBatch (on a one-lane device the overlap degenerates to the
 // sum of the reads, and the batch still benefits from dedupe and address
 // ordering), and because round 1's reads may run while phase A still does:
-// phase A submits them one page per lane as the device goes idle. Every
+// phase A hands each SSD a lane group of its pages as soon as it holds one
+// while idle (see the pipeline comment above). Every
 // lookup, one-key or batched, runs one phase-A order: one
 // query of its super table's k+1 Bloom filters (§5.1.3) first, then a
 // buffer probe only when the buffer's filter may hold the key, or an
@@ -373,9 +411,8 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, run bool
 			}
 			b.retire(key, st, kh, results[i], run)
 		}
-		if batch && bs.pages.Unsent() >= b.lanes && b.idle() {
-			b.settleCPUDebt()
-			if err := b.submit(b.lanes); err != nil {
+		if batch && bs.pages.Unsent() >= b.lanes {
+			if err := b.handOver(); err != nil {
 				b.joinDevice()
 				return err
 			}
@@ -389,7 +426,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, run bool
 	for len(bs.pending) > 0 {
 		// Phase B: submit the round's pages not submitted yet, and wait
 		// for the whole round.
-		err := b.submit(bs.pages.Unsent())
+		err := b.submit(bs.pages.Unsent(), storage.AllMembers)
 		b.landLent()
 		b.joinDevice()
 		if err != nil {

@@ -39,8 +39,9 @@ type BufferHash struct {
 	// for every partition (pages are sized by the device geometry).
 	probeN int
 	// lanes is the device's queue lane count over its timelines (at least
-	// 1), one SSD's lanes for a stripe over two: the pages LookupBatch
-	// hands an idle device at a time during phase A.
+	// 1), one SSD's lanes for a stripe over two: a lane group, the pages
+	// of its own an idle SSD must hold for LookupBatch's phase A to hand
+	// it pages, and the most it hands each idle SSD at a time.
 	lanes int
 
 	// Shared-log layout state (§5.2: "uses the entire SSD as a single
@@ -123,9 +124,12 @@ func New(cfg Config) (*BufferHash, error) {
 		}
 	}
 	_, b.probeN = b.params[0].PageByteRange(0)
-	pages, err := storage.NewPageReads(cfg.Device, b.probeN)
+	pages, err := storage.NewPageReads(cfg.Device, b.probeN, len(cfg.DeviceClock) > 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: probe pages: %w", err)
+	}
+	if n := len(cfg.DeviceClock); n > 1 && pages.Members() != n {
+		return nil, fmt.Errorf("core: %d device timelines, but the device has %d members", n, pages.Members())
 	}
 	b.batch.pages = pages
 	b.parts = make([]*superTable, nt)

@@ -22,9 +22,9 @@
 // one-key case. A lookup (§5.1.1: buffer, Bloom filters, then newest-first
 // page probes) runs through LookupBatch: phase A answers every key's
 // in-memory portion with zero I/O and gathers the first probing round,
-// handing a batch's pages to the device, one page per queue lane of one
-// of its SSDs, earliest gathered first, whenever every SSD is idle and
-// they fill those lanes. Every
+// each SSD's pages apart, and hands an SSD that is idle a lane group of
+// its pages, one page per queue lane, earliest gathered first, as soon as
+// it holds one, together with the pages of every other idle SSD. Every
 // lookup runs phase A in one order: one query of its super table's k+1
 // Bloom filters (§5.1.3), the k incarnations' and the buffer's, and then a
 // buffer probe only when the buffer's filter may hold the key, or an
@@ -210,11 +210,12 @@ type Config struct {
 	// Clock, since it cannot start before it is issued, and Clock moves up
 	// to the latest of them (a join) before the result is used, so every
 	// operation returns joined. Only LookupBatch's first probing round
-	// overlaps the device with CPU work: phase A submits only while every
-	// timeline is idle, in groups of one timeline's share of Device's
-	// queue lanes (see batch.go). nil means Clock, the timeline on which
-	// the device is idle at every CPU instant and device time and CPU time
-	// add up.
+	// overlaps the device with CPU work: phase A hands each SSD, while it
+	// is idle, groups of its own pages of one timeline's share of Device's
+	// queue lanes (see batch.go). With several timelines, Device must be a
+	// storage.MemberDevice of as many members, member m on DeviceClock[m].
+	// nil means Clock, the timeline on which the device is idle at every
+	// CPU instant and device time and CPU time add up.
 	DeviceClock []*vclock.Clock
 
 	// PartitionBits is k1: the number of super tables is 2^k1 (§5.2).

@@ -59,6 +59,7 @@ func TestConfigValidation(t *testing.T) {
 		{"one cache entry", func(c *Config) { c.CacheEntries = 1 }},
 		{"cache entries not a power of two", func(c *Config) { c.CacheEntries = 96 }},
 		{"negative cache entries", func(c *Config) { c.CacheEntries = -2 }},
+		{"two timelines over one SSD", func(c *Config) { c.DeviceClock = []*vclock.Clock{c.Clock, vclock.New()} }},
 	}
 	for _, tc := range cases {
 		cfg := good

@@ -294,24 +294,60 @@ func TestLendLandsAtFirstDeviceWait(t *testing.T) {
 	}
 }
 
-// busyWatch is an index device that counts, per LookupBatch call, the read
-// submissions issued while one of its timelines was still busy with an
-// earlier one: a submission moves every timeline up to the CPU clock
-// before it reaches the device, so a timeline still ahead of it is busy.
+// busyWatch is a striped index device that counts, per LookupBatch call,
+// its read submissions and those that reached an SSD still busy with an
+// earlier submission: a submission moves every timeline up to the CPU
+// clock before it reaches the device, so a timeline still ahead of it is
+// busy. It also logs each submission's pages, the SSDs it reached and
+// those busy at its start.
 type busyWatch struct {
-	storage.Device
+	*storage.Stripe
 	clock     *vclock.Clock
 	timelines []*vclock.Clock
 	subs      int // read submissions in the call
-	busy      int // of which issued while a timeline was busy
+	busy      int // of which reached a busy SSD
+	log       []watchedSub
+}
+
+// watchedSub is one read submission a busyWatch served: its pages, and
+// masks of the SSDs it reached and of those busy when it started.
+type watchedSub struct {
+	pages         int
+	reached, busy uint64
 }
 
 func (d *busyWatch) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
+	w := watchedSub{pages: len(reqs)}
+	for _, r := range reqs {
+		w.reached |= 1 << d.Member(r.Off)
+	}
+	for m, c := range d.timelines {
+		if c.Now() > d.clock.Now() {
+			w.busy |= 1 << m
+		}
+	}
 	d.subs++
-	if vclock.Latest(d.timelines) > d.clock.Now() {
+	if w.busy&w.reached != 0 {
 		d.busy++
 	}
-	return d.Device.ReadBatch(reqs)
+	d.log = append(d.log, w)
+	return d.Stripe.ReadBatch(reqs)
+}
+
+// newPairIndex returns cfg over a two-member stripe of Intel SSDs of 512 KB
+// each, one erase block per unit, on clocks of their own, behind a
+// busyWatch on cfg's clock.
+func newPairIndex(t *testing.T, cfg *Config) *busyWatch {
+	t.Helper()
+	a, b := vclock.New(), vclock.New()
+	prof := ssd.IntelX18M()
+	stripe, err := storage.NewStripe(prof.BlockSize(), ssd.New(prof, 512<<10, a), ssd.New(prof, 512<<10, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch := &busyWatch{Stripe: stripe, clock: cfg.Clock, timelines: []*vclock.Clock{a, b}}
+	cfg.Device, cfg.DeviceClock = watch, watch.timelines
+	return watch
 }
 
 // TestStripedIndexMovesOnlyTime runs one stream of InsertBatch and
@@ -323,10 +359,11 @@ func (d *busyWatch) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 // may only move time: every result and every counter (Lookups, Hits,
 // FlashProbes, SpuriousProbes, LookupIOHist, Flushes, Evictions,
 // ScreenedProbes and CacheHits among them) must match the twin's. Phase A
-// submits only while every timeline is idle, so in each LookupBatch call
-// at most one read submission, phase B's of round 1, may start while a
-// timeline is still busy, and only with phase A's reads: some calls must
-// show it, or phase A never submitted.
+// hands an SSD pages only while that SSD is idle, so in each LookupBatch
+// call at most one read submission, phase B's of round 1, may reach an
+// SSD still busy, and only with phase A's reads: some calls must show it,
+// or phase A never submitted. TestPhaseAHandsEachSSDItsGroup pins the
+// hand-over to one SSD while the other is busy.
 func TestStripedIndexMovesOnlyTime(t *testing.T) {
 	for _, policy := range []EvictionPolicy{FIFO, LRU} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -334,14 +371,7 @@ func TestStripedIndexMovesOnlyTime(t *testing.T) {
 			oneClock := vclock.New()
 			oneCfg.Device, oneCfg.DeviceClock = ssd.New(ssd.IntelX18M(), 1<<20, oneClock), []*vclock.Clock{oneClock}
 			pairCfg, clock := testConfig(t)
-			a, b := vclock.New(), vclock.New()
-			prof := ssd.IntelX18M()
-			stripe, err := storage.NewStripe(prof.BlockSize(), ssd.New(prof, 512<<10, a), ssd.New(prof, 512<<10, b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			watch := &busyWatch{Device: stripe, clock: clock, timelines: []*vclock.Clock{a, b}}
-			pairCfg.Device, pairCfg.DeviceClock = watch, watch.timelines
+			watch := newPairIndex(t, &pairCfg)
 			for _, cfg := range []*Config{&oneCfg, &pairCfg} {
 				cfg.Policy, cfg.FilterBitsPerEntry, cfg.CacheEntries = policy, 4, 256
 			}
@@ -386,7 +416,7 @@ func TestStripedIndexMovesOnlyTime(t *testing.T) {
 				if err := one.LookupBatch(keys, want); err != nil {
 					t.Fatal(err)
 				}
-				watch.subs, watch.busy = 0, 0
+				watch.subs, watch.busy, watch.log = 0, 0, watch.log[:0]
 				if err := pair.LookupBatch(keys, got); err != nil {
 					t.Fatal(err)
 				}
@@ -394,7 +424,7 @@ func TestStripedIndexMovesOnlyTime(t *testing.T) {
 					t.Fatalf("step %d: results or counters differ from the one-SSD twin's:\n%+v\n%+v", step, pair.Stats(), one.Stats())
 				}
 				if watch.busy > 1 {
-					t.Fatalf("step %d: %d of the call's %d read submissions started while a timeline was busy", step, watch.busy, watch.subs)
+					t.Fatalf("step %d: %d of the call's %d read submissions reached a busy SSD", step, watch.busy, watch.subs)
 				}
 				if l := vclock.Latest(watch.timelines); l > clock.Now() {
 					t.Fatalf("step %d: a timeline at %v is ahead of the clock %v after the call", step, l, clock.Now())
@@ -411,5 +441,94 @@ func TestStripedIndexMovesOnlyTime(t *testing.T) {
 				t.Fatalf("%d calls overlapped phase A's reads, %d cache hits, %d evictions; retune the stream", overlapped, st.CacheHits, st.Evictions)
 			}
 		})
+	}
+}
+
+// TestPhaseAHandsEachSSDItsGroup pins phase A's hand-over on an index
+// striped over two SSDs, A and B, each on a clock of its own: a LookupBatch
+// of three keys whose first probes lie on B, then one SSD's lanes of keys
+// whose first probes lie on A, all on distinct pages. While B is busy with
+// a write of another partition on its clock (a value-log block), phase A
+// hands A its lane group as soon as A's pages fill it, without waiting for
+// B: the call's first submission reaches A alone, with its 8 pages, while
+// B is still busy, and B's pages wait for phase B. With both SSDs idle,
+// the same trigger on A carries B's pending pages: the first submission
+// reaches both, with all 11 pages. Every key's answer is the one-key
+// Lookup's.
+func TestPhaseAHandsEachSSDItsGroup(t *testing.T) {
+	cfg, clock := testConfig(t)
+	watch := newPairIndex(t, &cfg)
+	bh := mustNew(t, cfg)
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]uint64, 12000)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+		if err := bh.Insert(keys[i], uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var onA, onB []uint64
+	pages := map[uint64]bool{}
+	for _, k := range keys {
+		p, ok := firstPage(bh, k)
+		if !ok || pages[p] {
+			continue
+		}
+		switch watch.Member(int64(p) * int64(bh.probeN)) {
+		case 0:
+			if len(onA) < bh.lanes {
+				onA = append(onA, k)
+				pages[p] = true
+			}
+		case 1:
+			if len(onB) < 3 {
+				onB = append(onB, k)
+				pages[p] = true
+			}
+		}
+	}
+	if len(onA) < bh.lanes || len(onB) < 3 {
+		t.Fatalf("found %d keys probing A first and %d probing B first; retune the population", len(onA), len(onB))
+	}
+	batch := append(append([]uint64(nil), onB...), onA...)
+	b := watch.timelines[1]
+	logPart := ssd.New(ssd.IntelX18M(), 512<<10, b)
+
+	lookup := func(what string) watchedSub {
+		t.Helper()
+		watch.log = watch.log[:0]
+		res := make([]LookupResult, len(batch))
+		if err := bh.LookupBatch(batch, res); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: submissions %+v", what, watch.log)
+		if len(watch.log) == 0 {
+			t.Fatalf("%s: the batch read nothing", what)
+		}
+		first := watch.log[0]
+		for i, k := range batch {
+			want, err := bh.Lookup(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i] != want {
+				t.Fatalf("%s: key %d answered %+v, one-key Lookup %+v", what, i, res[i], want)
+			}
+		}
+		return first
+	}
+
+	b.AdvanceTo(clock.Now())
+	if _, err := logPart.WriteAt(make([]byte, ssd.IntelX18M().BlockSize()), 0); err != nil {
+		t.Fatal(err)
+	}
+	if first := lookup("B busy"); first.reached != 1 || first.busy != 2 || first.pages != bh.lanes {
+		t.Errorf("B busy: first submission of %d pages reached SSDs %b with %b busy; want A's %d alone while B is busy",
+			first.pages, first.reached, first.busy, bh.lanes)
+	}
+
+	if first := lookup("both idle"); first.reached != 3 || first.busy != 0 || first.pages != bh.lanes+len(onB) {
+		t.Errorf("both idle: first submission of %d pages reached SSDs %b with %b busy; want all %d pages on both, neither busy",
+			first.pages, first.reached, first.busy, bh.lanes+len(onB))
 	}
 }

@@ -19,5 +19,5 @@ func (l *ValueLog) Unit() int { return l.unit }
 // Slots returns the number of slots of the set's page table.
 func (r *PageReads) Slots() int { return len(r.slots) }
 
-// Sent returns the number of pages submitted: those numbered below it.
-func (r *PageReads) Sent() int { return r.sent }
+// Sent returns the number of pages submitted.
+func (r *PageReads) Sent() int { return len(r.pages) - r.unsent }

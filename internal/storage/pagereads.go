@@ -8,13 +8,16 @@ import (
 
 // PageReads is the set of device pages a batch reads, each once: core's
 // probing rounds and the value log's record reads go through one. It
-// numbers the distinct pages added to it from 0 in first-add order, and
-// Submit reads the next n not yet submitted as one address-sorted
-// ReadBatch of whole-page view requests (ReadReq.View), so a page costs
-// one request however many keys or records lie in it, adjacent pages
-// chain into one sequential run, and the requests overlap across the
-// device's queue lanes. View hands back a submitted page's view by its
-// number.
+// numbers the distinct pages added to it from 0 in first-add order. A set
+// built to split its device's members (see NewPageReads) keeps count of
+// each member's pages not yet submitted, which it submits in first-add
+// order, so that a caller can hand each member of a stripe its own pages;
+// any other set keeps them as one member's. Submit reads the first pages not yet
+// submitted of the members it is given as one address-sorted ReadBatch of
+// whole-page view requests (ReadReq.View), so a page costs one request
+// however many keys or records lie in it, adjacent pages chain into one
+// sequential run, and the requests overlap across the device's queue
+// lanes. View hands back a submitted page's view by its number.
 //
 // The set indexes its pages in an open-addressed table with linear
 // probing, kept at most half full, whose 4-byte slots hold a page's
@@ -25,34 +28,57 @@ import (
 // gathers, not the batch's keys.
 type PageReads struct {
 	dev      Device
+	split    MemberDevice // dev, when the set splits its members; else nil
 	pageSize int
 
-	pages []uint64 // page numbers, by number in the set
-	views [][]byte // each submitted page's view, by number
-	sent  int      // pages[:sent] are submitted
+	pages   []uint64 // page numbers, by number in the set
+	views   [][]byte // each submitted page's view, by number
+	members []uint8  // each page's member, by number
+
+	// A member's pages are submitted in number order, so per member:
+	// next is at most the number of its first page not yet submitted,
+	// unsentOn counts those pages, and upto is Submit's scratch, next
+	// once the submission succeeds. unsent is their sum.
+	next, unsentOn, upto []int
+	unsent               int
 
 	slots []int32 // the table
 	shift uint    // 64 minus the bit length of len(slots)-1
 
-	// Submit's scratch: a word per page, its number above its place in
-	// the submission, and the requests.
+	// Submit's scratch: a word per page, its page number above its
+	// number in the set, and the requests.
 	order []uint64
 	reqs  []ReadReq
 }
 
-// placeBits is the width of a page's place in a submission, below its
-// page number in the word Submit sorts; NewPageReads rejects devices whose
-// page numbers would not fit above it.
+// AllMembers selects every member of a page-read set (see Submit).
+const AllMembers = ^uint64(0)
+
+// placeBits is the width of a page's number in the set, below its page
+// number in the word Submit sorts; NewPageReads rejects devices whose page
+// numbers would not fit above it.
 const placeBits = 32
 
 // NewPageReads returns an empty set of reads of dev's pageSize-byte pages,
-// page n lying at byte n·pageSize. It fails when dev holds more than 2^32
-// such pages, whose numbers would not fit the words Submit sorts.
-func NewPageReads(dev Device, pageSize int) (PageReads, error) {
+// page n lying at byte n·pageSize. With split, a dev that is a
+// MemberDevice of at most 64 members has its members' pages kept apart
+// (see PageReads), for a caller that hands each member pages while its own
+// timeline is idle; every other set has one member. It fails when dev
+// holds more than 2^32 such pages, whose numbers would not fit the words
+// Submit sorts.
+func NewPageReads(dev Device, pageSize int, split bool) (PageReads, error) {
 	if c := dev.Geometry().Capacity; c/int64(pageSize) > 1<<(64-placeBits) {
 		return PageReads{}, fmt.Errorf("storage: device capacity %d holds more than 2^%d %d-byte pages", c, 64-placeBits, pageSize)
 	}
 	r := PageReads{dev: dev, pageSize: pageSize}
+	members := 1
+	if md, ok := dev.(MemberDevice); ok && split && md.Members() > 1 {
+		if members = md.Members(); members > 64 {
+			return PageReads{}, fmt.Errorf("storage: page reads split over %d members, at most 64", members)
+		}
+		r.split = md
+	}
+	r.next, r.unsentOn, r.upto = make([]int, members), make([]int, members), make([]int, members)
 	r.resize(minPageSlots)
 	return r, nil
 }
@@ -77,8 +103,14 @@ func FitSlots(size, n int) int {
 	return fit
 }
 
+// Members returns the number of members whose pages the set keeps apart.
+func (r *PageReads) Members() int { return len(r.next) }
+
 // Unsent returns the number of pages not yet submitted.
-func (r *PageReads) Unsent() int { return len(r.pages) - r.sent }
+func (r *PageReads) Unsent() int { return r.unsent }
+
+// UnsentOn returns the number of member m's pages not yet submitted.
+func (r *PageReads) UnsentOn(m int) int { return r.unsentOn[m] }
 
 // Reset empties the set, its table sized for as many pages as it held
 // (see FitSlots). An empty set stays as it is.
@@ -87,7 +119,9 @@ func (r *PageReads) Reset() {
 		return
 	}
 	size := FitSlots(len(r.slots), len(r.pages))
-	r.pages, r.views, r.sent = r.pages[:0], r.views[:0], 0
+	r.pages, r.views, r.members, r.unsent = r.pages[:0], r.views[:0], r.members[:0], 0
+	clear(r.next)
+	clear(r.unsentOn)
 	r.resize(size)
 }
 
@@ -127,24 +161,43 @@ func (r *PageReads) Add(page uint64) int {
 		r.resize(2 * len(r.slots))
 		return r.Add(page)
 	}
-	r.slots[s] = int32(len(r.pages)) + 1
+	id := len(r.pages)
+	r.slots[s] = int32(id) + 1
 	r.pages = append(r.pages, page)
 	r.views = append(r.views, nil)
-	return len(r.pages) - 1
+	m := 0
+	if r.split != nil {
+		m = r.split.Member(int64(page) * int64(r.pageSize))
+	}
+	r.members = append(r.members, uint8(m))
+	r.unsentOn[m]++
+	r.unsent++
+	return id
 }
 
-// Submit reads the next n pages not yet submitted, in first-add order, as
-// one ReadBatch of whole-page view requests in ascending address order,
-// and records each page's view. n must not exceed
-// Unsent(); a submission of no pages does nothing. On error the pages
-// stay unsubmitted.
-func (r *PageReads) Submit(n int) error {
-	if n == 0 {
-		return nil
-	}
+// Submit reads the first n pages not yet submitted of each member whose
+// bit is set in members (all of a member's when it has fewer; bit m is
+// member m, AllMembers every member), in first-add order, as one ReadBatch
+// of whole-page view requests in ascending address order, and records
+// each page's view. A submission of no pages does nothing. On error the
+// pages stay unsubmitted.
+func (r *PageReads) Submit(n int, members uint64) error {
 	r.order = r.order[:0]
-	for place, page := range r.pages[r.sent : r.sent+n] {
-		r.order = append(r.order, page<<placeBits|uint64(place))
+	for m := range r.next {
+		if members&(1<<m) == 0 {
+			continue
+		}
+		id := r.next[m]
+		for k := min(n, r.unsentOn[m]); k > 0; id++ {
+			if int(r.members[id]) == m {
+				r.order = append(r.order, r.pages[id]<<placeBits|uint64(id))
+				k--
+			}
+		}
+		r.upto[m] = id
+	}
+	if len(r.order) == 0 {
+		return nil
 	}
 	slices.Sort(r.order)
 	r.reqs = r.reqs[:0]
@@ -155,9 +208,15 @@ func (r *PageReads) Submit(n int) error {
 		return err
 	}
 	for j, w := range r.order {
-		r.views[r.sent+int(w&(1<<placeBits-1))] = r.reqs[j].P
+		r.views[w&(1<<placeBits-1)] = r.reqs[j].P
 	}
-	r.sent += n
+	for m := range r.next {
+		if members&(1<<m) != 0 {
+			r.unsentOn[m] -= min(n, r.unsentOn[m])
+			r.next[m] = r.upto[m]
+		}
+	}
+	r.unsent -= len(r.order)
 	return nil
 }
 

@@ -37,6 +37,16 @@ func (d *submissionRecorder) ReadBatch(reqs []storage.ReadReq) (time.Duration, e
 	return lat, nil
 }
 
+// memberRecorder is a submission recorder over a device with members,
+// which it reports as its own.
+type memberRecorder struct {
+	*submissionRecorder
+	md storage.MemberDevice
+}
+
+func (d memberRecorder) Members() int         { return d.md.Members() }
+func (d memberRecorder) Member(off int64) int { return d.md.Member(off) }
+
 // pagedModel is a device model filled with random bytes, whose image
 // holds what each of its pages stores, behind a submission recorder.
 type pagedModel struct {
@@ -44,6 +54,15 @@ type pagedModel struct {
 	rec   *submissionRecorder
 	image []byte
 	ps    int64
+}
+
+// reader is the recorder as the device a page-read set reads: with the
+// model's members, if it has any.
+func (m *pagedModel) reader() storage.Device {
+	if md, ok := m.dev.(storage.MemberDevice); ok {
+		return memberRecorder{m.rec, md}
+	}
+	return m.rec
 }
 
 // fill fills m's device with random bytes drawn from seed.
@@ -83,15 +102,15 @@ func (d pageCountDevice) Geometry() storage.Geometry {
 // unsubmitted; and a device of more than 2^32 pages is rejected.
 func TestPageReads(t *testing.T) {
 	dev := models(1 << 20)[0].dev
-	if _, err := storage.NewPageReads(pageCountDevice{dev, 1 << 32}, 4096); err != nil {
+	if _, err := storage.NewPageReads(pageCountDevice{dev, 1 << 32}, 4096, false); err != nil {
 		t.Fatalf("device of 2^32 pages rejected: %v", err)
 	}
-	if _, err := storage.NewPageReads(pageCountDevice{dev, 1<<32 + 1}, 4096); err == nil {
+	if _, err := storage.NewPageReads(pageCountDevice{dev, 1<<32 + 1}, 4096, false); err == nil {
 		t.Fatal("device of 2^32+1 pages accepted")
 	}
 
 	t.Run("numbering", func(t *testing.T) {
-		pr, err := storage.NewPageReads(dev, 4096)
+		pr, err := storage.NewPageReads(dev, 4096, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,10 +162,49 @@ func TestPageReads(t *testing.T) {
 		}
 	})
 
+	t.Run("members", func(t *testing.T) {
+		// A shard's pair of SSDs: pages 0-7 lie on member 0, 8-15 on
+		// member 1, 16-23 on member 0 and so on.
+		m := fill(t, stripeModels(64 << 12)[1], 43)
+		if pr, err := storage.NewPageReads(m.reader(), int(m.ps), false); err != nil || pr.Members() != 1 {
+			t.Fatalf("an unsplit set over a pair keeps %d members apart (%v), want 1", pr.Members(), err)
+		}
+		pr, err := storage.NewPageReads(m.reader(), int(m.ps), true)
+		if err != nil || pr.Members() != 2 {
+			t.Fatalf("a split set over a pair keeps %d members apart (%v), want 2", pr.Members(), err)
+		}
+		for _, page := range []uint64{9, 1, 20, 3, 8, 2} {
+			pr.Add(page)
+		}
+		submit := func(n int, members uint64, want ...uint64) {
+			t.Helper()
+			before := len(m.rec.subs)
+			if err := pr.Submit(n, members); err != nil {
+				t.Fatal(err)
+			}
+			if len(m.rec.subs) != before+1 || !slices.Equal(m.rec.subs[before], want) {
+				t.Fatalf("Submit(%d, %#x) read %v, want %v in one submission", n, members, m.rec.subs[before:], want)
+			}
+		}
+		submit(2, 1<<1, 8, 9) // member 1's first two: all it holds
+		if pr.UnsentOn(0) != 4 || pr.UnsentOn(1) != 0 {
+			t.Fatalf("members hold %d and %d pages unsubmitted, want 4 and 0", pr.UnsentOn(0), pr.UnsentOn(1))
+		}
+		submit(2, 1<<0, 1, 20)
+		submit(1, storage.AllMembers, 3)
+		pr.Add(25)
+		submit(pr.Unsent(), storage.AllMembers, 2, 25)
+		for id, page := range []uint64{9, 1, 20, 3, 8, 2, 25} {
+			if !bytes.Equal(pr.View(id), m.page(page)) {
+				t.Fatalf("view %d is not page %d's bytes", id, page)
+			}
+		}
+	})
+
 	for _, m := range models(64 << 12) {
 		m := fill(t, m, 41)
 		t.Run(m.name, func(t *testing.T) {
-			pr, err := storage.NewPageReads(m.rec, int(m.ps))
+			pr, err := storage.NewPageReads(m.reader(), int(m.ps), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +217,7 @@ func TestPageReads(t *testing.T) {
 			submit := func(n int, want ...uint64) {
 				t.Helper()
 				before := len(m.rec.subs)
-				if err := pr.Submit(n); err != nil {
+				if err := pr.Submit(n, storage.AllMembers); err != nil {
 					t.Fatal(err)
 				}
 				switch {
@@ -198,7 +256,7 @@ func TestPageReads(t *testing.T) {
 				return nil
 			})
 			before := len(m.rec.subs)
-			if err := pr.Submit(2); !errors.Is(err, boom) {
+			if err := pr.Submit(2, storage.AllMembers); !errors.Is(err, boom) {
 				t.Fatalf("faulted Submit returned %v, want the fault", err)
 			}
 			if pr.Sent() != 0 || len(m.rec.subs) != before {
@@ -211,16 +269,20 @@ func TestPageReads(t *testing.T) {
 }
 
 // checkPageReadsSet runs the Add, Submit and Reset sequence data describes
-// on a page-read set over a 64-page model device, against a naive model: a
-// slice of the pages in first-add order. Each byte (cycled, at most 600)
+// on a page-read set over a 64-page model device, split over its members
+// if it has any, against a naive model: a slice of the pages in first-add
+// order, and each member's queue of them. Each byte (cycled, at most 600)
 // is an op by its low two bits: 0 and 1 add the page the next byte names,
-// 2 submits as many of the unsubmitted pages as the next byte names
-// (modulo their count plus one), failing the submission when the op's
-// top bit is set, and 3 resets the set. Every page must be numbered as
-// the model numbers it, every submission must read the next pages of the
-// model in ascending address order, no page may be requested twice
-// between Resets, every view must equal the device's bytes, and a failed
-// submission must return its error and submit nothing.
+// 2 submits as many of each chosen member's first unsubmitted pages as the
+// next byte names (modulo the set's unsubmitted pages plus one), failing
+// the submission when the op's top bit is set, and 3 resets the set. Bits
+// 2 and 3 of a submission's op choose its members: 0 all, else a mask of
+// members 0 and 1. Every page must be numbered as the model numbers it,
+// every submission must read exactly its members' next pages of the
+// model, in ascending address order (so each member's share ascends too),
+// no page may be requested twice between Resets, every view must equal the
+// device's bytes, and a failed submission must return its error and
+// submit nothing.
 func checkPageReadsSet(t *testing.T, model int, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -228,13 +290,22 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 	}
 	ms := pageReadModels()
 	m := fill(t, ms[model%len(ms)], int64(len(data)))
-	pr, err := storage.NewPageReads(m.rec, int(m.ps))
+	pr, err := storage.NewPageReads(m.reader(), int(m.ps), true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	member := func(uint64) int { return 0 }
+	if md, ok := m.dev.(storage.MemberDevice); ok {
+		member = func(page uint64) int { return md.Member(int64(page) * m.ps) }
+		if pr.Members() != md.Members() {
+			t.Fatalf("a set over %d members keeps %d apart", md.Members(), pr.Members())
+		}
+	}
 	boom := errors.New("injected read fault")
 	var pages []uint64 // the model: pages by number
-	sent := 0
+	queues := make([][]int, pr.Members())
+	sentOn := make([]int, pr.Members())
+	sent := map[int]bool{}
 	requested := map[uint64]bool{}
 	pos := 0
 	next := func() byte {
@@ -250,35 +321,51 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 			if want < 0 {
 				want = len(pages)
 				pages = append(pages, page)
+				mi := member(page)
+				queues[mi] = append(queues[mi], want)
 			}
 			if id := pr.Add(page); id != want || pr.Sent()+pr.Unsent() != len(pages) {
 				t.Fatalf("step %d: page %d numbered %d of %d, want %d of %d", step, page, id, pr.Sent()+pr.Unsent(), want, len(pages))
 			}
 		case 2:
-			n := int(next()) % (len(pages) - sent + 1)
-			faulted := op&0x80 != 0 && n > 0
+			n := int(next()) % (pr.Unsent() + 1)
+			members := storage.AllMembers
+			if sel := uint64(op>>2) & 3; sel != 0 {
+				members = sel
+			}
+			var ids []int
+			for mi, q := range queues {
+				if members&(1<<mi) != 0 {
+					ids = append(ids, q[sentOn[mi]:sentOn[mi]+min(n, len(q)-sentOn[mi])]...)
+				}
+			}
+			faulted := op&0x80 != 0 && len(ids) > 0
 			if faulted {
 				m.dev.SetFault(func(storage.Op, int64, int) error { return boom })
 			}
-			before := len(m.rec.subs)
-			err := pr.Submit(n)
+			before, unsent := len(m.rec.subs), pr.Unsent()
+			err := pr.Submit(n, members)
 			m.dev.SetFault(nil)
 			if faulted {
-				if !errors.Is(err, boom) || pr.Sent() != sent || len(m.rec.subs) != before {
-					t.Fatalf("step %d: faulted Submit(%d) returned %v with %d pages submitted, want the fault with %d", step, n, err, pr.Sent(), sent)
+				if !errors.Is(err, boom) || pr.Unsent() != unsent || len(m.rec.subs) != before {
+					t.Fatalf("step %d: faulted Submit(%d, %#x) returned %v with %d pages unsubmitted, want the fault with %d", step, n, members, err, pr.Unsent(), unsent)
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("step %d: Submit(%d): %v", step, n, err)
+				t.Fatalf("step %d: Submit(%d, %#x): %v", step, n, members, err)
 			}
-			want := slices.Sorted(slices.Values(pages[sent : sent+n]))
+			var want []uint64
+			for _, id := range ids {
+				want = append(want, pages[id])
+			}
+			slices.Sort(want)
 			var got []uint64
 			if len(m.rec.subs) > before {
 				got = m.rec.subs[before]
 			}
-			if len(m.rec.subs) != before+min(n, 1) || !slices.Equal(got, want) {
-				t.Fatalf("step %d: Submit(%d) read %v, want %v in one submission", step, n, m.rec.subs[before:], want)
+			if len(m.rec.subs) != before+min(len(ids), 1) || !slices.Equal(got, want) {
+				t.Fatalf("step %d: Submit(%d, %#x) read %v, want %v in one submission", step, n, members, m.rec.subs[before:], want)
 			}
 			for _, page := range got {
 				if requested[page] {
@@ -286,9 +373,21 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 				}
 				requested[page] = true
 			}
-			sent += n
-			if pr.Sent() != sent {
-				t.Fatalf("step %d: %d pages submitted, want %d", step, pr.Sent(), sent)
+			for mi, q := range queues {
+				if members&(1<<mi) != 0 {
+					sentOn[mi] += min(n, len(q)-sentOn[mi])
+				}
+			}
+			for _, id := range ids {
+				sent[id] = true
+			}
+			if pr.Sent() != len(sent) {
+				t.Fatalf("step %d: %d pages submitted, want %d", step, pr.Sent(), len(sent))
+			}
+			for mi := range queues {
+				if u := len(queues[mi]) - sentOn[mi]; pr.UnsentOn(mi) != u {
+					t.Fatalf("step %d: member %d has %d pages unsubmitted, want %d", step, mi, pr.UnsentOn(mi), u)
+				}
 			}
 			for id := range sent {
 				if !bytes.Equal(pr.View(id), m.page(pages[id])) {
@@ -297,7 +396,11 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 			}
 		case 3:
 			pr.Reset()
-			pages, sent = pages[:0], 0
+			pages = pages[:0]
+			for mi := range queues {
+				queues[mi], sentOn[mi] = queues[mi][:0], 0
+			}
+			clear(sent)
 			clear(requested)
 		}
 	}
@@ -308,11 +411,17 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 func pageReadModels() []model { return append(models(64<<12), stripeModels(64<<12)...) }
 
 // FuzzPageReads checks the page-read set against a naive model on every
-// device model and on two-member stripes (see checkPageReadsSet).
+// device model and on two-member stripes, whose members it keeps apart
+// (see checkPageReadsSet).
 func FuzzPageReads(f *testing.F) {
 	seeds := [][]byte{
 		{0x00, 0x05, 0x01, 0x03, 0x00, 0x05, 0x02, 0x01, 0x00, 0x3f, 0x82, 0x01, 0x02, 0x07, 0x03, 0x00, 0x05, 0x02, 0x01},
 		{0x01, 0x10, 0x01, 0x11, 0x01, 0x0f, 0x02, 0x02, 0x01, 0x10, 0x01, 0x20, 0x02, 0xff, 0x03, 0x01, 0x10, 0x02, 0x01},
+		// Partial submissions to chosen members of a stripe: member 1's
+		// first two, member 0's first, a faulted one to both, one page of
+		// each, then the rest.
+		{0x00, 0x01, 0x00, 0x09, 0x00, 0x02, 0x00, 0x0a, 0x00, 0x11, 0x00, 0x03, 0x0a, 0x02, 0x06, 0x01,
+			0x8e, 0x05, 0x0e, 0x01, 0x02, 0xff, 0x03},
 	}
 	rng := rand.New(rand.NewSource(41))
 	for range 3 {

@@ -146,6 +146,17 @@ type Device interface {
 	Counters() Counters
 }
 
+// MemberDevice is a Device whose every page lies on one of several member
+// devices, each serving its share of a submission on its own queue and
+// timeline: a Stripe.
+type MemberDevice interface {
+	Device
+	// Members returns the number of members.
+	Members() int
+	// Member returns the member holding the byte at off.
+	Member(off int64) int
+}
+
 // Common device errors.
 var (
 	ErrOutOfRange = errors.New("storage: offset out of range")

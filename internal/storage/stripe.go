@@ -121,6 +121,12 @@ func (s *Stripe) locate(off int64) (member int, moff, left int64) {
 	return int(u % n), u/n*s.unit + in, s.unit - in
 }
 
+// Members implements MemberDevice: the number of member devices.
+func (s *Stripe) Members() int { return len(s.members) }
+
+// Member implements MemberDevice: the member holding stripe offset off.
+func (s *Stripe) Member(off int64) int { return int(off / s.unit % int64(len(s.members))) }
+
 // Geometry implements Device.
 func (s *Stripe) Geometry() Geometry { return s.geom }
 

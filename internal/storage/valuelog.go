@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -71,10 +72,10 @@ import (
 // A ValueLog is not safe for concurrent use; the clam facade serializes
 // access under the same lock as the hash table.
 type ValueLog struct {
-	dev      Device
-	pageSize int
-	capacity int64 // usable bytes: whole pages, whole units without an erase block
-	unit     int   // write unit: the device's erase block, or about 64 KB
+	dev       Device
+	pageShift uint  // log2 of the device's page size
+	capacity  int64 // usable bytes: whole pages, whole units without an erase block
+	unit      int   // write unit: the device's erase block, or about 64 KB
 
 	head     int64  // next append offset
 	bufStart int64  // device offset of buf[0]; unit-aligned
@@ -236,12 +237,15 @@ func RecordSize(keyLen, valLen int) int {
 	return recordHeaderSize + keyLen + valLen
 }
 
-// NewValueLog builds a log over dev, using its whole capacity. The usable
-// capacity is rounded down to whole pages, or on a device without an
-// erase block to whole write units (see ValueLog), and must hold at least
-// eight pages.
+// NewValueLog builds a log over dev, using its whole capacity. The
+// device's page size must be a power of two. The usable capacity is
+// rounded down to whole pages, or on a device without an erase block to
+// whole write units (see ValueLog), and must hold at least eight pages.
 func NewValueLog(dev Device) (*ValueLog, error) {
 	g := dev.Geometry()
+	if g.PageSize <= 0 || g.PageSize&(g.PageSize-1) != 0 {
+		return nil, fmt.Errorf("storage: value log needs a power-of-two page size, got %d", g.PageSize)
+	}
 	capacity := g.Capacity / int64(g.PageSize) * int64(g.PageSize)
 	if capacity > MaxValueLogBytes {
 		return nil, fmt.Errorf("storage: value log capacity %d exceeds the %d pointer-encoding limit",
@@ -260,7 +264,7 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 	if capacity < 8*int64(g.PageSize) {
 		return nil, fmt.Errorf("storage: value log needs at least 8 pages, got %d bytes", capacity)
 	}
-	pages, err := NewPageReads(dev, g.PageSize)
+	pages, err := NewPageReads(dev, g.PageSize, false)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +277,7 @@ func NewValueLog(dev Device) (*ValueLog, error) {
 	nRegions := (capacity + regionSize - 1) / regionSize
 	return &ValueLog{
 		dev:        dev,
-		pageSize:   g.PageSize,
+		pageShift:  uint(bits.TrailingZeros(uint(g.PageSize))),
 		pages:      pages,
 		capacity:   capacity,
 		unit:       unit,
@@ -561,12 +565,11 @@ func (l *ValueLog) split(off, end int64) (lo, hi int64) {
 //
 // A record that lies on the device inside one page is served as a
 // sub-slice of that page's view. Records that cross a page, overlap the
-// tail buffer or reach past the head are copied into the caller's arena,
-// their device bytes from the page views and their buffered bytes from
-// the tail: each is carved past len(arena), which grows at most once per
-// call, and the extended arena is returned; bytes below len(arena) are
-// never written, so the records of earlier calls stay valid, in the old
-// backing array if the arena moved.
+// tail buffer or reach past the head are copied into arena, the caller's
+// scratch, their device bytes from the page views and their buffered
+// bytes from the tail: the call carves them from its start, grows it at
+// most once, and returns it holding exactly the copied records, which
+// stay valid until the arena's next use.
 func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, error) {
 	l.pages.Reset()
 	l.recs = l.recs[:0]
@@ -586,7 +589,7 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 				first = last
 			}
 			loc.off, loc.n = off, int32(n)
-			if lo == hi && off/int64(l.pageSize) == (end-1)/int64(l.pageSize) {
+			if lo == hi && off>>l.pageShift == (end-1)>>l.pageShift {
 				loc.page = int32(first)
 			} else {
 				copied += n
@@ -594,18 +597,17 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 		}
 		l.recs = append(l.recs, loc)
 	}
-	if err := l.pages.Submit(l.pages.Unsent()); err != nil {
+	if err := l.pages.Submit(l.pages.Unsent(), AllMembers); err != nil {
 		return arena, fmt.Errorf("storage: value log read: %w", err)
 	}
-	arena = slices.Grow(arena, copied)
-	next := len(arena) // where the next copied record is carved
-	arena = arena[:next+copied]
+	arena = slices.Grow(arena[:0], copied)[:copied]
+	next := 0 // where the next copied record is carved
 	for i, loc := range l.recs {
 		off, n := loc.off, int64(loc.n)
 		switch {
 		case n == 0:
 		case loc.page >= 0:
-			lo := off % int64(l.pageSize)
+			lo := off & (1<<l.pageShift - 1)
 			reqs[i].Rec = l.pages.View(int(loc.page))[lo : lo+n : lo+n]
 		default:
 			rec := arena[next : next+int(n) : next+int(n)]
@@ -626,8 +628,7 @@ func (l *ValueLog) ReadRecordsBatch(reqs []ValueReadReq, arena []byte) ([]byte, 
 // returns the number of the first, or -1 for an empty range.
 func (l *ValueLog) addPages(off, end int64) int {
 	first := -1
-	ps := int64(l.pageSize)
-	for p := off / ps; off < end && p <= (end-1)/ps; p++ {
+	for p := off >> l.pageShift; off < end && p <= (end-1)>>l.pageShift; p++ {
 		if id := l.pages.Add(uint64(p)); first < 0 {
 			first = id
 		}
@@ -638,9 +639,8 @@ func (l *ValueLog) addPages(off, end int64) int {
 // copyPages fills p with the device bytes at off from the views of the
 // pages read.
 func (l *ValueLog) copyPages(p []byte, off int64) {
-	ps := int64(l.pageSize)
 	for len(p) > 0 {
-		k := copy(p, l.pages.View(l.pages.Add(uint64(off / ps)))[off%ps:])
+		k := copy(p, l.pages.View(l.pages.Add(uint64(off >> l.pageShift)))[off&(1<<l.pageShift-1):])
 		p, off = p[k:], off+int64(k)
 	}
 }

@@ -123,23 +123,22 @@ func TestValueLogBatchedReads(t *testing.T) {
 			// a pointer past the capacity and an untagged inline word.
 			reqs = append(reqs, storage.ValueReadReq{Ptr: mustPtr(t, l.Stats().Capacity-4, 64, l.Cycle())},
 				storage.ValueReadReq{Ptr: 1 << 40})
-			// Two calls share one arena, as a lookup's probing rounds do:
-			// both outgrow it, and the first call's copies must survive
-			// the second.
+			// Two calls reuse one arena, as a shard's get chunks do: both
+			// outgrow it, and each call's records must verify until the
+			// arena's next use.
 			arena := make([]byte, 0, 64)
-			if arena, err = l.ReadRecordsBatch(reqs[:100], arena); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := l.ReadRecordsBatch(reqs[100:], arena); err != nil {
-				t.Fatal(err)
-			}
-			for i := range keys {
-				if reqs[i].Rec == nil {
-					t.Fatalf("request %d unresolved", i)
+			for _, half := range [][2]int{{0, 100}, {100, len(keys)}} {
+				if arena, err = l.ReadRecordsBatch(reqs[half[0]:], arena); err != nil {
+					t.Fatal(err)
 				}
-				val, ok := storage.VerifyRecord(reqs[i].Rec, keys[i])
-				if !ok || !bytes.Equal(val, vals[i]) {
-					t.Fatalf("request %d verification failed", i)
+				for i := half[0]; i < half[1]; i++ {
+					if reqs[i].Rec == nil {
+						t.Fatalf("request %d unresolved", i)
+					}
+					val, ok := storage.VerifyRecord(reqs[i].Rec, keys[i])
+					if !ok || !bytes.Equal(val, vals[i]) {
+						t.Fatalf("request %d verification failed", i)
+					}
 				}
 			}
 			if reqs[200].Rec != nil || reqs[201].Rec != nil {
@@ -340,6 +339,32 @@ func TestValueLogRejectsOversizeRecord(t *testing.T) {
 	}
 }
 
+// pageSizeDevice reports its device's geometry with another page size.
+type pageSizeDevice struct {
+	storage.Device
+	pageSize int
+}
+
+func (d pageSizeDevice) Geometry() storage.Geometry {
+	g := d.Device.Geometry()
+	g.PageSize = d.pageSize
+	return g
+}
+
+// TestValueLogRejectsOddPageSize checks that a log addresses pages by a
+// shift: a device whose page size is no power of two is rejected.
+func TestValueLogRejectsOddPageSize(t *testing.T) {
+	dev := ssd.New(ssd.IntelX18M(), 1<<20, vclock.New())
+	for _, ps := range []int{0, 3000, 4096 + 512} {
+		if _, err := storage.NewValueLog(pageSizeDevice{dev, ps}); err == nil {
+			t.Errorf("a device of %d-byte pages accepted", ps)
+		}
+	}
+	if _, err := storage.NewValueLog(pageSizeDevice{dev, 2048}); err != nil {
+		t.Errorf("a device of 2048-byte pages rejected: %v", err)
+	}
+}
+
 func TestValueLogUnwrittenRegionReadsAsMiss(t *testing.T) {
 	dev := ssd.New(ssd.IntelX18M(), 1<<20, vclock.New())
 	l, err := storage.NewValueLog(dev)
@@ -527,7 +552,7 @@ func TestValueLogReadAllocs(t *testing.T) {
 			var arena []byte
 			read := func() {
 				var err error
-				if arena, err = l.ReadRecordsBatch(perm, arena[:0]); err != nil {
+				if arena, err = l.ReadRecordsBatch(perm, arena); err != nil {
 					t.Fatal(err)
 				}
 			}
