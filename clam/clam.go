@@ -121,8 +121,16 @@
 // apart and hands an SSD its lanes' worth as soon as it holds them while
 // idle, with the probes gathered so far of the other SSD if that one is
 // idle too, so a busy SSD never holds back the idle one (see
-// core.Config.DeviceClock). A byte get chunk reads its hits' records
-// from the value log in one submission after its lookup, and joins it. The
+// core.Config.DeviceClock); on Transcend-class SSDs, of one lane each, it
+// hands over nothing. A byte get chunk reads its hits' records
+// from the value log in one submission after its lookup, and joins it.
+// An index or record read of more pages than the SSDs have lanes also
+// reads through every hole of at most a few pages between two of its
+// pages on one SSD (storage.Geometry.ReadGap: 3 on the Intel-class SSD,
+// 10 on the Transcend-class), so the page after the hole continues a
+// sequential run instead of paying a run's fixed cost; no answer comes
+// from those pages, and Stats.Device and ValueDevice count them in
+// ReadThrough as well as in Reads. The
 // value log
 // writes a whole erase block on each SSD at once, the moment its tail
 // fills one on each, and a put chunk that succeeds acknowledges

@@ -940,6 +940,8 @@ func FuzzFaultedOps(f *testing.F) {
 	// Found by a randomized search over op sequences and fault bitmaps
 	// while failed flush writes still left their images' incarnations
 	// readable: both served values older than the latest acknowledged one.
+	// They were found on an earlier rig (4 KB images on a 256 KB index,
+	// 256 keys of each family) and now drive other paths.
 	f.Add([]byte{
 		0x9, 0x40, 0x30, 0x0, 0xa, 0x6d, 0x0, 0xa1, 0x6, 0x0, 0x4a, 0x2c,
 		0xc, 0xb8, 0x5c, 0x5, 0x11, 0x33, 0x8, 0xa7, 0xa7, 0x8, 0xac, 0xd6,
@@ -982,15 +984,19 @@ func FuzzFaultedOps(f *testing.F) {
 }
 
 // openFuzzRig opens FuzzFaultedOps' store and its driver: one CLAM on
-// small Intel SSDs, 256 keys of each family, and byte values padded to
-// 3,000 bytes. The index is two erase blocks, one on each SSD, in two
-// super tables of up to 32 incarnations, so that its 128-entry buffers
-// flush often. The value log is four, striped over SSD B's partition and
-// SSD A's, so puts write it a block on each SSD at a time and wrap it
-// often, and a wrap's padding write spans both SSDs.
+// small Intel SSDs, 700 keys of each family (a window reaches key 696),
+// and byte values padded to 3,000 bytes. The index is eight erase blocks,
+// four on each SSD, of 16 KB images, four pages each, in super tables of
+// up to 32 incarnations, and its 40 KB of memory leaves few Bloom filter
+// bits, so lookups probe many pages: random op sequences hand phase-A
+// probes to an idle SSD and submit more pages than the SSDs' lanes, which
+// read through small holes (TestFuzzRigReachesHandOversAndReadThrough).
+// The value log is four blocks, striped over SSD B's partition and SSD
+// A's, so puts write it a block on each SSD at a time and wrap it often,
+// and a wrap's padding write spans both SSDs.
 func openFuzzRig(t testing.TB) (*faultRig, *faultDriver) {
-	r := openFaultCLAM(t, 256<<10, 512<<10, WithMemory(16<<10), WithBufferKB(4), WithMaxIncarnations(32), WithSeed(9))
-	return r, newFaultDriver(t, r, 256, 3000, 64)
+	r := openFaultCLAM(t, 1<<20, 512<<10, WithMemory(40<<10), WithBufferKB(16), WithMaxIncarnations(32), WithSeed(9))
+	return r, newFaultDriver(t, r, 700, 3000, 64)
 }
 
 // bitmapFaults fails request i of a rig's partitions of each role when bit

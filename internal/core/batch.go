@@ -57,7 +57,14 @@ import (
 //	             clock, see Config.DeviceClock, is idle at every CPU
 //	             instant and completes each read as it is issued). The
 //	             per-member counts gate the rule, so phase A reads no
-//	             timeline's clock until an SSD holds a group. On the
+//	             timeline's clock until an SSD holds a group. On timelines
+//	             of one lane each (a shard's Transcend pair) a group is one
+//	             page, which would go out alone, in a run of its own and
+//	             with no hole to read through, so phase A hands nothing
+//	             over there and phase B submits all of round 1: the
+//	             ssd-transcend rows of clam's TestSingleStorePinned read
+//	             clocks 0.67% to 0.99% lower so (7,033,389,258 ns on fifo
+//	             against 7,103,677,080 with one-page hand-overs). On the
 //	             get-batch-zipf benchmark (seeds 1 and 2, 3-second runs)
 //	             this rule reads 6,776,034 and 6,752,619 virtual ops/s and
 //	             dedup-ingest 842,661 and 844,182, against 6,499,640,
@@ -82,7 +89,13 @@ import (
 //	             joins the device: the clock waits for every read of the
 //	             round. The reads are view requests (storage.ReadReq.View):
 //	             the device hands back its stored page, so no page is
-//	             reserved or copied.
+//	             reserved or copied. A submission of more pages than the
+//	             device's lanes (phase B's, as a rule; a hand-over holds
+//	             at most a group per SSD) also reads through the holes of
+//	             at most Geometry.ReadGap pages between two of its pages
+//	             on one SSD, so the page after such a hole continues a
+//	             sequential run instead of paying a run's fixed cost (see
+//	             storage.PageReads); the pages read through answer no key.
 //	C (resolve): after the round's join every page is read, so one pass
 //	             resolves every pending key, in pending order: each
 //	             searches its page's view through resolveProbe —
@@ -231,7 +244,8 @@ func (b *BufferHash) submit(n int, members uint64) error {
 // the charges not yet landed) and holds at least b.lanes of them not yet
 // submitted: it lands the charges and submits up to b.lanes of the first
 // pages of every SSD then idle. Member m of the page-read set is SSD m, on
-// timeline Config.DeviceClock[m].
+// timeline Config.DeviceClock[m]. Phase A calls it only on timelines of
+// more than one lane.
 func (b *BufferHash) handOver() error {
 	pages := &b.batch.pages
 	now := b.cfg.Clock.Now() + b.cpuDebt
@@ -411,7 +425,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, run bool
 			}
 			b.retire(key, st, kh, results[i], run)
 		}
-		if batch && bs.pages.Unsent() >= b.lanes {
+		if batch && b.lanes > 1 && bs.pages.Unsent() >= b.lanes {
 			if err := b.handOver(); err != nil {
 				b.joinDevice()
 				return err

@@ -34,7 +34,9 @@
 // probing round reads its keys' pages through one page-read set
 // (storage.PageReads), each distinct page once: phase B submits those not
 // yet submitted as one address-sorted device ReadBatch, whose virtual
-// latency overlaps across the device's queue lanes, and phase C resolves
+// latency overlaps across the device's queue lanes (one of more pages than
+// the lanes also reads through small holes between them, see
+// storage.PageReads), and phase C resolves
 // the round's keys against their pages' views, newest-first, stopping at
 // the first hit. Lookup is a one-key LookupBatch; see batch.go.
 //
@@ -212,7 +214,8 @@ type Config struct {
 	// operation returns joined. Only LookupBatch's first probing round
 	// overlaps the device with CPU work: phase A hands each SSD, while it
 	// is idle, groups of its own pages of one timeline's share of Device's
-	// queue lanes (see batch.go). With several timelines, Device must be a
+	// queue lanes, when that share is more than one lane (see batch.go).
+	// With several timelines, Device must be a
 	// storage.MemberDevice of as many members, member m on DeviceClock[m].
 	// nil means Clock, the timeline on which the device is idle at every
 	// CPU instant and device time and CPU time add up.

@@ -85,7 +85,8 @@ func New(prof Profile, capacity int64, clock *vclock.Clock) *Disk {
 func (d *Disk) SetFault(f storage.FaultFunc) { d.q.Fault = f }
 
 // Geometry implements storage.Device. A disk has no erase unit, so its
-// EraseBlock is 0.
+// EraseBlock is 0, and its ReadGap is 0: what skipping sectors costs
+// depends on the seek distance, so reading through a hole never pays.
 func (d *Disk) Geometry() storage.Geometry {
 	return storage.Geometry{Capacity: d.capacity, PageSize: d.prof.SectorSize, Lanes: 1}
 }

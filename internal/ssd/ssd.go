@@ -245,7 +245,20 @@ func (s *SSD) Geometry() storage.Geometry {
 		PageSize:   s.prof.SectorSize,
 		Lanes:      max(s.prof.QueueDepth, 1),
 		EraseBlock: s.prof.BlockSize(),
+		ReadGap:    s.prof.readGap(),
 	}
+}
+
+// readGap returns the most whole sectors whose transfer costs less than
+// one sequential run's ReadFixed: (ReadFixed−1)/(ReadPerByte·SectorSize),
+// 3 on the Intel profile and 10 on the Transcend. A profile that prices
+// no transfer reports 0.
+func (p Profile) readGap() int {
+	sector := p.ReadPerByte * time.Duration(p.SectorSize)
+	if sector <= 0 {
+		return 0
+	}
+	return int(max(p.ReadFixed-1, 0) / sector)
 }
 
 // Counters implements storage.Device.

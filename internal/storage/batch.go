@@ -50,11 +50,19 @@ import (
 // caller must not write through it. A View request crossing a page
 // boundary fails the submission's checks. Every other request is a copy:
 // its length is len(P), and the device fills P.
+//
+// A request with Through set is a read-through request: the host asks for
+// its bytes only so that the request after it continues a sequential run
+// (see PageReads.Submit), and reads none of them. The device model serves
+// and prices it as any other request and counts it in Reads and
+// BytesRead, and in Counters.ReadThrough too. The overlap model above is
+// unchanged by it; reading through is the host's choice.
 type ReadReq struct {
-	P    []byte
-	Off  int64
-	N    int // a View request's length; copy requests use len(P)
-	View bool
+	P       []byte
+	Off     int64
+	N       int // a View request's length; copy requests use len(P)
+	View    bool
+	Through bool
 }
 
 // size returns the request's length in bytes.
@@ -181,6 +189,9 @@ func (q *Queue) Read(reqs []ReadReq, begin func(), cost CostFunc) (time.Duration
 		q.store.Read(&reqs[i])
 		q.Counters.Reads++
 		q.Counters.BytesRead += uint64(n)
+		if r.Through {
+			q.Counters.ReadThrough++
+		}
 	}
 	return q.finish(q.svc, &q.Counters.ReadBusy), nil
 }

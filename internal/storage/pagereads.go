@@ -19,6 +19,19 @@ import (
 // sequential run, and the requests overlap across the device's queue
 // lanes. View hands back a submitted page's view by its number.
 //
+// A submission of more pages than the device has lanes (Geometry.Lanes)
+// fills its lanes, so its time follows the summed lane time: it then also
+// reads through every hole of at most Geometry.ReadGap pages between two
+// of its pages that lie on one member, within one stripe unit on a stripe
+// of several: it requests the hole's pages as read-through views
+// (ReadReq.Through), whose bytes nobody reads, so the page after the hole
+// continues a sequential run and skips the run's fixed cost. A submission
+// at or under the lanes reads exactly its pages: each has a lane of its
+// own, so reading through would only add requests. Read-through pages are
+// requested whether or not the set holds them, and never become a page's
+// view; so every page of the set is read once between Resets, as a page
+// of its own, however many times it is also read through.
+//
 // The set indexes its pages in an open-addressed table with linear
 // probing, kept at most half full, whose 4-byte slots hold a page's
 // number plus one (0 when free). A page's first probe slot is the top
@@ -28,8 +41,12 @@ import (
 // gathers, not the batch's keys.
 type PageReads struct {
 	dev      Device
-	split    MemberDevice // dev, when the set splits its members; else nil
+	md       MemberDevice // dev, when it has members; else nil
 	pageSize int
+
+	// A submission of more than lanes pages reads through holes of at
+	// most gap pages (0 when the set's pages are not the device's).
+	lanes, gap int
 
 	pages   []uint64 // page numbers, by number in the set
 	views   [][]byte // each submitted page's view, by number
@@ -67,16 +84,22 @@ const placeBits = 32
 // holds more than 2^32 such pages, whose numbers would not fit the words
 // Submit sorts.
 func NewPageReads(dev Device, pageSize int, split bool) (PageReads, error) {
-	if c := dev.Geometry().Capacity; c/int64(pageSize) > 1<<(64-placeBits) {
+	g := dev.Geometry()
+	if c := g.Capacity; c/int64(pageSize) > 1<<(64-placeBits) {
 		return PageReads{}, fmt.Errorf("storage: device capacity %d holds more than 2^%d %d-byte pages", c, 64-placeBits, pageSize)
 	}
-	r := PageReads{dev: dev, pageSize: pageSize}
+	r := PageReads{dev: dev, pageSize: pageSize, lanes: max(g.Lanes, 1)}
+	if pageSize == g.PageSize {
+		r.gap = g.ReadGap
+	}
 	members := 1
-	if md, ok := dev.(MemberDevice); ok && split && md.Members() > 1 {
-		if members = md.Members(); members > 64 {
-			return PageReads{}, fmt.Errorf("storage: page reads split over %d members, at most 64", members)
+	if md, ok := dev.(MemberDevice); ok {
+		r.md = md
+		if split && md.Members() > 1 {
+			if members = md.Members(); members > 64 {
+				return PageReads{}, fmt.Errorf("storage: page reads split over %d members, at most 64", members)
+			}
 		}
-		r.split = md
 	}
 	r.next, r.unsentOn, r.upto = make([]int, members), make([]int, members), make([]int, members)
 	r.resize(minPageSlots)
@@ -166,8 +189,8 @@ func (r *PageReads) Add(page uint64) int {
 	r.pages = append(r.pages, page)
 	r.views = append(r.views, nil)
 	m := 0
-	if r.split != nil {
-		m = r.split.Member(int64(page) * int64(r.pageSize))
+	if len(r.next) > 1 {
+		m = r.md.Member(int64(page) * int64(r.pageSize))
 	}
 	r.members = append(r.members, uint8(m))
 	r.unsentOn[m]++
@@ -179,8 +202,10 @@ func (r *PageReads) Add(page uint64) int {
 // bit is set in members (all of a member's when it has fewer; bit m is
 // member m, AllMembers every member), in first-add order, as one ReadBatch
 // of whole-page view requests in ascending address order, and records
-// each page's view. A submission of no pages does nothing. On error the
-// pages stay unsubmitted.
+// each page's view. A submission of more pages than the device's lanes
+// also reads through the holes of at most the device's ReadGap pages
+// between them (see PageReads). A submission of no pages does nothing. On
+// error the pages stay unsubmitted.
 func (r *PageReads) Submit(n int, members uint64) error {
 	r.order = r.order[:0]
 	for m := range r.next {
@@ -200,15 +225,24 @@ func (r *PageReads) Submit(n int, members uint64) error {
 		return nil
 	}
 	slices.Sort(r.order)
+	through := r.gap > 0 && len(r.order) > r.lanes
 	r.reqs = r.reqs[:0]
-	for _, w := range r.order {
-		r.reqs = append(r.reqs, ReadReq{Off: int64(w>>placeBits) * int64(r.pageSize), N: r.pageSize, View: true})
+	for j, w := range r.order {
+		page := w >> placeBits
+		if through && j > 0 {
+			r.readThrough(r.order[j-1]>>placeBits, page)
+		}
+		r.reqs = append(r.reqs, ReadReq{Off: int64(page) * int64(r.pageSize), N: r.pageSize, View: true})
 	}
 	if _, err := r.dev.ReadBatch(r.reqs); err != nil {
 		return err
 	}
-	for j, w := range r.order {
-		r.views[w&(1<<placeBits-1)] = r.reqs[j].P
+	j := 0
+	for _, q := range r.reqs {
+		if !q.Through {
+			r.views[r.order[j]&(1<<placeBits-1)] = q.P
+			j++
+		}
 	}
 	for m := range r.next {
 		if members&(1<<m) != 0 {
@@ -218,6 +252,27 @@ func (r *PageReads) Submit(n int, members uint64) error {
 	}
 	r.unsent -= len(r.order)
 	return nil
+}
+
+// readThrough appends a read-through request for each page between pages
+// a and b, a submission's consecutive pages, when there are at most r.gap
+// of them and they all lie on the member holding a and b.
+func (r *PageReads) readThrough(a, b uint64) {
+	if hole := b - a - 1; hole == 0 || hole > uint64(r.gap) {
+		return
+	}
+	ps := int64(r.pageSize)
+	if r.md != nil {
+		m := r.md.Member(int64(a) * ps)
+		for p := a + 1; p <= b; p++ {
+			if r.md.Member(int64(p)*ps) != m {
+				return
+			}
+		}
+	}
+	for p := a + 1; p < b; p++ {
+		r.reqs = append(r.reqs, ReadReq{Off: int64(p) * ps, N: r.pageSize, View: true, Through: true})
+	}
 }
 
 // View returns the view of submitted page id: the device's stored page,

@@ -8,17 +8,24 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/disk"
+	"repro/internal/ssd"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // submissionRecorder records the page numbers of every read submission
-// its device served, in the order given. It fails the test on a request
-// that is no whole-page view.
+// its device served, in the order given: in subs the pages the caller
+// asked for, and in fills the read-through pages (ReadReq.Through). It
+// fails the test on a request that is no whole-page view, and on a
+// submission whose read-through pages are not exactly those its pages
+// read through on the device (see readThroughPages).
 type submissionRecorder struct {
 	storage.Device
-	t    testing.TB
-	ps   int64
-	subs [][]uint64
+	t     testing.TB
+	ps    int64
+	subs  [][]uint64
+	fills [][]uint64
 }
 
 func (d *submissionRecorder) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
@@ -26,26 +33,76 @@ func (d *submissionRecorder) ReadBatch(reqs []storage.ReadReq) (time.Duration, e
 	if err != nil {
 		return lat, err
 	}
-	var pages []uint64
+	var pages, fills []uint64
 	for _, r := range reqs {
 		if !r.View || r.Off%d.ps != 0 || int64(r.N) != d.ps {
 			d.t.Fatalf("request %+v is no whole-page view", r)
 		}
-		pages = append(pages, uint64(r.Off/d.ps))
+		if r.Through {
+			fills = append(fills, uint64(r.Off/d.ps))
+		} else {
+			pages = append(pages, uint64(r.Off/d.ps))
+		}
 	}
-	d.subs = append(d.subs, pages)
+	if want := readThroughPages(d.Device, pages); !slices.Equal(fills, want) {
+		d.t.Fatalf("submission of %v read through %v, want %v", pages, fills, want)
+	}
+	d.subs, d.fills = append(d.subs, pages), append(d.fills, fills)
 	return lat, nil
 }
 
-// memberRecorder is a submission recorder over a device with members,
-// which it reports as its own.
-type memberRecorder struct {
-	*submissionRecorder
+// readThroughPages returns the pages a page-read set's submission of
+// pages, ascending and distinct, reads through on dev (see
+// storage.PageReads): none when it holds at most dev's lanes, and else
+// every page of each hole of at most dev's ReadGap pages between two
+// consecutive ones, when both lie in one stripe unit of a device of
+// several members (every test stripe has stripeUnit units).
+func readThroughPages(dev storage.Device, pages []uint64) []uint64 {
+	g := dev.Geometry()
+	if len(pages) <= max(g.Lanes, 1) {
+		return nil
+	}
+	unit := func(uint64) int64 { return 0 }
+	if md, ok := dev.(storage.MemberDevice); ok && md.Members() > 1 {
+		unit = func(p uint64) int64 { return int64(p) * int64(g.PageSize) / stripeUnit }
+	}
+	var fills []uint64
+	for i := 1; i < len(pages); i++ {
+		a, b := pages[i-1], pages[i]
+		if b-a-1 > 0 && b-a-1 <= uint64(g.ReadGap) && unit(a) == unit(b) {
+			for p := a + 1; p < b; p++ {
+				fills = append(fills, p)
+			}
+		}
+	}
+	return fills
+}
+
+// readThroughSub returns the copying submission a page-read set's
+// submission of pages, ascending and distinct, makes on dev: a whole-page
+// request per page, and a read-through one per page it reads through.
+func readThroughSub(dev storage.Device, pages []uint64) []storage.ReadReq {
+	ps := int64(dev.Geometry().PageSize)
+	var sub []storage.ReadReq
+	for _, p := range pages {
+		sub = append(sub, storage.ReadReq{P: make([]byte, ps), Off: int64(p) * ps})
+	}
+	for _, p := range readThroughPages(dev, pages) {
+		sub = append(sub, storage.ReadReq{P: make([]byte, ps), Off: int64(p) * ps, Through: true})
+	}
+	sortReads(sub)
+	return sub
+}
+
+// withMembers is a device wrapping another device, such as a recorder,
+// over a device with members, md, which it reports as its own.
+type withMembers struct {
+	storage.Device
 	md storage.MemberDevice
 }
 
-func (d memberRecorder) Members() int         { return d.md.Members() }
-func (d memberRecorder) Member(off int64) int { return d.md.Member(off) }
+func (d withMembers) Members() int         { return d.md.Members() }
+func (d withMembers) Member(off int64) int { return d.md.Member(off) }
 
 // pagedModel is a device model filled with random bytes, whose image
 // holds what each of its pages stores, behind a submission recorder.
@@ -60,7 +117,7 @@ type pagedModel struct {
 // model's members, if it has any.
 func (m *pagedModel) reader() storage.Device {
 	if md, ok := m.dev.(storage.MemberDevice); ok {
-		return memberRecorder{m.rec, md}
+		return withMembers{m.rec, md}
 	}
 	return m.rec
 }
@@ -199,6 +256,16 @@ func TestPageReads(t *testing.T) {
 				t.Fatalf("view %d is not page %d's bytes", id, page)
 			}
 		}
+
+		// Read-through on the pair (16 lanes, a ReadGap of 3): holes of 3
+		// and 2 pages inside a unit are read through; one of 4 pages, and
+		// ones of 2 and 3 pages that cross a unit boundary, are not.
+		pages := []uint64{0, 4, 9, 10, 14, 17, 20, 24}
+		for p := uint64(25); p <= 35; p++ {
+			pages = append(pages, p)
+		}
+		checkReadThrough(t, &m, &pr, pages, []uint64{1, 2, 3, 11, 12, 13, 18, 19})
+		checkReadThrough(t, &m, &pr, pages[:16], nil) // at the lanes: exactly its pages
 	})
 
 	for _, m := range models(64 << 12) {
@@ -264,7 +331,88 @@ func TestPageReads(t *testing.T) {
 			}
 			m.dev.SetFault(nil)
 			submit(2, 7, 41)
+
+			// A hole of ReadGap pages is read through once the submission
+			// holds more pages than the device's lanes, one of ReadGap+1
+			// pages is not, and a submission at the lanes reads exactly
+			// its pages.
+			g := m.dev.Geometry()
+			gap := uint64(g.ReadGap)
+			pages := []uint64{0, gap + 1, 2*gap + 3}
+			for p := pages[2] + 1; len(pages) <= g.Lanes; p++ {
+				pages = append(pages, p)
+			}
+			var fills []uint64
+			for p := uint64(1); p <= gap; p++ {
+				fills = append(fills, p)
+			}
+			checkReadThrough(t, &m, &pr, pages, fills)
+			if g.Lanes >= 2 {
+				checkReadThrough(t, &m, &pr, pages[:2], nil)
+			}
 		})
+	}
+}
+
+// checkReadThrough resets pr, adds pages, ascending, and submits them all:
+// the submission must read exactly pages and read through exactly fills,
+// count those in Counters.ReadThrough and every request in Reads, and
+// hand back each page's view.
+func checkReadThrough(t *testing.T, m *pagedModel, pr *storage.PageReads, pages, fills []uint64) {
+	t.Helper()
+	pr.Reset()
+	for _, p := range pages {
+		pr.Add(p)
+	}
+	before, c0 := len(m.rec.subs), m.dev.Counters()
+	if err := pr.Submit(pr.Unsent(), storage.AllMembers); err != nil {
+		t.Fatal(err)
+	}
+	c := m.dev.Counters()
+	if len(m.rec.subs) != before+1 || !slices.Equal(m.rec.subs[before], pages) || !slices.Equal(m.rec.fills[before], fills) {
+		t.Fatalf("submitting %v read %v and read through %v, want one submission reading through %v",
+			pages, m.rec.subs[before:], m.rec.fills[before:], fills)
+	}
+	if through, reads := c.ReadThrough-c0.ReadThrough, c.Reads-c0.Reads; through != uint64(len(fills)) || reads != uint64(len(pages)+len(fills)) {
+		t.Fatalf("submitting %v counted %d reads, %d read through; want %d and %d", pages, reads, through, len(pages)+len(fills), len(fills))
+	}
+	for id, p := range pages {
+		if !bytes.Equal(pr.View(id), m.page(p)) {
+			t.Fatalf("view %d is not page %d's bytes", id, p)
+		}
+	}
+}
+
+// TestGeometryReadGap pins each device model's ReadGap: the most whole
+// pages whose transfer costs less than a run's ReadFixed on an SSD, 3 on
+// the Intel profile and 10 on the Transcend, 0 on the disk, and the least
+// of its members' on a stripe.
+func TestGeometryReadGap(t *testing.T) {
+	c := vclock.New()
+	intel := ssd.New(ssd.IntelX18M(), 1<<20, c)
+	transcend := ssd.New(ssd.TranscendTS32(), 1<<20, c)
+	hdd := disk.New(disk.Hitachi7K80(), 1<<20, c)
+	stripe := func(members ...storage.Device) storage.Device {
+		s, err := storage.NewStripe(128<<10, members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, row := range []struct {
+		name string
+		dev  storage.Device
+		want int
+	}{
+		{"ssd-intel", intel, 3},
+		{"ssd-transcend", transcend, 10},
+		{"disk", hdd, 0},
+		{"stripe of an intel and a transcend", stripe(transcend, intel), 3},
+		{"stripe of an intel and a disk", stripe(intel, hdd), 0},
+	} {
+		if got := row.dev.Geometry().ReadGap; got != row.want {
+			t.Errorf("%s: ReadGap %d, want %d", row.name, got, row.want)
+		}
 	}
 }
 
@@ -275,15 +423,20 @@ func TestPageReads(t *testing.T) {
 // is an op by its low two bits: 0 and 1 add the page the next byte names,
 // 2 submits as many of each chosen member's first unsubmitted pages as the
 // next byte names (modulo the set's unsubmitted pages plus one), failing
-// the submission when the op's top bit is set, and 3 resets the set. Bits
+// the submission when the op's top bit is set (only on its read-through
+// pages, if it has any, when bit 6 is set too), and 3 resets the set. Bits
 // 2 and 3 of a submission's op choose its members: 0 all, else a mask of
 // members 0 and 1. Every page must be numbered as the model numbers it,
 // every submission must read exactly its members' next pages of the
 // model, in ascending address order (so each member's share ascends too),
-// no page may be requested twice between Resets, every view must equal the
-// device's bytes, and a failed submission must return its error and
-// submit nothing.
-func checkPageReadsSet(t *testing.T, model int, data []byte) {
+// and read through exactly the holes the contract names (see
+// readThroughPages: none at or under the device's lanes), each counted in
+// Counters.ReadThrough; no page may be requested twice between Resets but
+// as a read-through page, every view must equal the device's bytes (so no
+// read-through page is handed out as one), and a failed submission must
+// return its error and submit nothing. It returns the pages read through
+// and the faulted submissions that had read-through pages.
+func checkPageReadsSet(t *testing.T, model int, data []byte) (fills, faultedFills int) {
 	t.Helper()
 	if len(data) == 0 {
 		data = []byte{0}
@@ -339,11 +492,21 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 					ids = append(ids, q[sentOn[mi]:sentOn[mi]+min(n, len(q)-sentOn[mi])]...)
 				}
 			}
+			var want []uint64
+			for _, id := range ids {
+				want = append(want, pages[id])
+			}
+			slices.Sort(want)
+			through := readThroughPages(m.dev, want)
 			faulted := op&0x80 != 0 && len(ids) > 0
-			if faulted {
+			switch {
+			case faulted && op&0x40 != 0 && len(through) > 0:
+				failPages(m.dev, m.ps, through, boom)
+				faultedFills++
+			case faulted:
 				m.dev.SetFault(func(storage.Op, int64, int) error { return boom })
 			}
-			before, unsent := len(m.rec.subs), pr.Unsent()
+			before, unsent, c0 := len(m.rec.subs), pr.Unsent(), m.dev.Counters()
 			err := pr.Submit(n, members)
 			m.dev.SetFault(nil)
 			if faulted {
@@ -355,18 +518,20 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 			if err != nil {
 				t.Fatalf("step %d: Submit(%d, %#x): %v", step, n, members, err)
 			}
-			var want []uint64
-			for _, id := range ids {
-				want = append(want, pages[id])
-			}
-			slices.Sort(want)
-			var got []uint64
+			var got, gotFills []uint64
 			if len(m.rec.subs) > before {
-				got = m.rec.subs[before]
+				got, gotFills = m.rec.subs[before], m.rec.fills[before]
 			}
-			if len(m.rec.subs) != before+min(len(ids), 1) || !slices.Equal(got, want) {
-				t.Fatalf("step %d: Submit(%d, %#x) read %v, want %v in one submission", step, n, members, m.rec.subs[before:], want)
+			if len(m.rec.subs) != before+min(len(ids), 1) || !slices.Equal(got, want) || !slices.Equal(gotFills, through) {
+				t.Fatalf("step %d: Submit(%d, %#x) read %v through %v, want %v through %v in one submission",
+					step, n, members, m.rec.subs[before:], m.rec.fills[before:], want, through)
 			}
+			c := m.dev.Counters()
+			if c.ReadThrough-c0.ReadThrough != uint64(len(through)) || c.Reads-c0.Reads != uint64(len(want)+len(through)) {
+				t.Fatalf("step %d: Submit(%d, %#x) counted %d reads, %d read through; want %d and %d",
+					step, n, members, c.Reads-c0.Reads, c.ReadThrough-c0.ReadThrough, len(want)+len(through), len(through))
+			}
+			fills += len(through)
 			for _, page := range got {
 				if requested[page] {
 					t.Fatalf("step %d: page %d requested twice between Resets", step, page)
@@ -404,11 +569,96 @@ func checkPageReadsSet(t *testing.T, model int, data []byte) {
 			clear(requested)
 		}
 	}
+	return fills, faultedFills
+}
+
+// failPages arms dev's fault hook to fail every read of a page of pages,
+// dev's pageSize-byte pages; on a test stripe, each member's hook maps its
+// offsets back to the stripe's.
+func failPages(dev faultable, pageSize int64, pages []uint64, err error) {
+	fail := map[int64]bool{}
+	for _, p := range pages {
+		fail[int64(p)] = true
+	}
+	s, ok := dev.(*faultStripe)
+	if !ok {
+		dev.SetFault(func(op storage.Op, off int64, _ int) error {
+			if op == storage.OpRead && fail[off/pageSize] {
+				return err
+			}
+			return nil
+		})
+		return
+	}
+	for i, mem := range s.members {
+		mem.SetFault(func(op storage.Op, moff int64, _ int) error {
+			off := (moff/stripeUnit*int64(len(s.members))+int64(i))*stripeUnit + moff%stripeUnit
+			if op == storage.OpRead && fail[off/pageSize] {
+				return err
+			}
+			return nil
+		})
+	}
 }
 
 // pageReadModels builds the devices FuzzPageReads runs on: every device
 // model and a two-member stripe of SSDs and of disks, 64 pages each.
 func pageReadModels() []model { return append(models(64<<12), stripeModels(64<<12)...) }
+
+// The models the read-through seeds of FuzzPageReads run on, by their
+// place in pageReadModels.
+const (
+	modelTranscend  = 1
+	modelStripePair = 4
+)
+
+// readThroughSeeds are FuzzPageReads inputs that read through on the
+// Transcend (one lane, a ReadGap of 10) and on a shard's pair of SSDs (16
+// lanes, a ReadGap of 3), each once fault-free and once with a fault on a
+// read-through page alone.
+func readThroughSeeds() (seeds []struct {
+	model int
+	data  []byte
+}) {
+	add := func(model int, pages []byte, submit byte) {
+		var data []byte
+		for _, p := range pages {
+			data = append(data, 0x00, p)
+		}
+		// Submit every page, then, after a fault, submit them again.
+		n := byte(len(pages))
+		data = append(data, submit, n, 0x02, n, 0x03)
+		seeds = append(seeds, struct {
+			model int
+			data  []byte
+		}{model, data})
+	}
+	// The Transcend: pages 2, 9 and 30 in one submission read through
+	// 3-8, but not 10-29.
+	transcend := []byte{9, 2, 30}
+	add(modelTranscend, transcend, 0x02)
+	add(modelTranscend, transcend, 0xc2)
+	// The pair: 19 pages on both members (16 lanes, 8-page units), with
+	// holes of 1, 2 and 3 pages inside units (1, 3-4, 11-13, 19-21, 25),
+	// ones of 1 to 3 pages that cross a unit boundary (6-8, 15-16, 23,
+	// 32) and one of 4 pages (35-38).
+	pair := []byte{0, 2, 5, 9, 10, 14, 17, 18, 22, 24, 26, 27, 28, 29, 30, 31, 33, 34, 39}
+	add(modelStripePair, pair, 0x02)
+	add(modelStripePair, pair, 0xc2)
+	return seeds
+}
+
+// TestPageReadsSeedsReadThrough requires FuzzPageReads' read-through seeds
+// to read through their models' pages, and every second one to fault a
+// submission on a read-through page first.
+func TestPageReadsSeedsReadThrough(t *testing.T) {
+	for i, seed := range readThroughSeeds() {
+		fills, faulted := checkPageReadsSet(t, seed.model, seed.data)
+		if fills == 0 || i%2 == 1 && faulted == 0 {
+			t.Errorf("seed %d on model %d: %d pages read through, %d submissions faulted on one", i, seed.model, fills, faulted)
+		}
+	}
+}
 
 // FuzzPageReads checks the page-read set against a naive model on every
 // device model and on two-member stripes, whose members it keeps apart
@@ -433,6 +683,9 @@ func FuzzPageReads(f *testing.F) {
 		for model := range pageReadModels() {
 			f.Add(uint8(model), data)
 		}
+	}
+	for _, seed := range readThroughSeeds() {
+		f.Add(uint8(seed.model), seed.data)
 	}
 	f.Fuzz(func(t *testing.T, model uint8, data []byte) {
 		checkPageReadsSet(t, int(model), data)

@@ -38,7 +38,14 @@
 // the caller reserves no buffer for it, and the device hands back a
 // read-only slice — a simulated device's SparseStore page. A view is valid
 // until the device's next write or trim and must never be written
-// through. Time and Counters do not depend on it.
+// through. Time and Counters do not depend on it. A PageReads submission
+// that holds more pages than the device has lanes also reads through
+// small holes: it fills each hole of at most Geometry.ReadGap pages
+// between two of its pages with read-through requests (ReadReq.Through)
+// whose bytes nobody reads, so the page after the hole continues a
+// sequential run instead of paying the fixed cost of a new one. The
+// device model prices them as any other request; Counters.ReadThrough
+// counts them.
 package storage
 
 import (
@@ -78,11 +85,25 @@ type Geometry struct {
 	// relocating live pages (§6.4 sizes the flush unit B′ to it for this
 	// reason); the value log writes in these units.
 	EraseBlock int
+	// ReadGap is the most whole pages a read may skip between two pages
+	// whose transfer still costs less than starting a new sequential run
+	// after them: a host that reads through a hole of at most ReadGap
+	// pages (see ReadReq.Through) turns the run after it into the
+	// continuation of the run before. An SSD derives it from its pricing,
+	// a Stripe reports the least of its members', and 0, a disk's (whose
+	// cost to skip depends on seek distance), means reading through never
+	// pays.
+	ReadGap int
 }
 
 // Counters accumulates I/O accounting for a device.
 type Counters struct {
+	// Reads and BytesRead count every read request served, read-through
+	// ones included; ReadThrough counts the read-through ones alone (see
+	// ReadReq.Through), so Reads − ReadThrough is the requests whose bytes
+	// a caller asked for.
 	Reads        uint64
+	ReadThrough  uint64
 	Writes       uint64
 	Erases       uint64
 	BytesRead    uint64
@@ -110,6 +131,7 @@ type Counters struct {
 // BusyTime together can.
 func (c *Counters) Add(o Counters) {
 	c.Reads += o.Reads
+	c.ReadThrough += o.ReadThrough
 	c.Writes += o.Writes
 	c.Erases += o.Erases
 	c.BytesRead += o.BytesRead

@@ -32,7 +32,8 @@ import (
 // member's failure fails the submission with that member's error, and
 // the shares of the members before it stay served and charged, as on a
 // real array. Counters are the sum of the members', Geometry's Capacity
-// the sum of theirs and its Lanes the sum of theirs.
+// the sum of theirs, its Lanes the sum of theirs and its ReadGap the least
+// of theirs.
 //
 // The stripe keeps per-member scratch, so a submission allocates nothing
 // once the scratch has grown. It is not safe for concurrent use.
@@ -90,6 +91,7 @@ func NewStripe(unit int, members ...Device) (*Stripe, error) {
 	}
 	ps := members[0].Geometry().PageSize
 	var units int64
+	s.geom.ReadGap = members[0].Geometry().ReadGap
 	for i, d := range members {
 		g := d.Geometry()
 		switch {
@@ -103,6 +105,7 @@ func NewStripe(unit int, members ...Device) (*Stripe, error) {
 		}
 		units += g.Capacity / s.unit
 		s.geom.Lanes += max(g.Lanes, 1)
+		s.geom.ReadGap = min(s.geom.ReadGap, g.ReadGap)
 	}
 	for i, d := range members {
 		if have, n := d.Geometry().Capacity/s.unit, StripeShare(units, len(members), i); have != n || n == 0 {
@@ -227,14 +230,14 @@ func (s *Stripe) ReadBatch(reqs []ReadReq) (time.Duration, error) {
 	for i, r := range reqs {
 		if r.View {
 			m, moff, _ := s.locate(r.Off)
-			s.reads[m] = append(s.reads[m], ReadReq{Off: moff, N: r.N, View: true})
+			s.reads[m] = append(s.reads[m], ReadReq{Off: moff, N: r.N, View: true, Through: r.Through})
 			s.readOf[m] = append(s.readOf[m], i)
 			continue
 		}
 		s.split(r.Off, int64(len(r.P)), func(m int, moff, at, k int64, cont bool) {
 			p, last := r.P[at:at+k], len(s.reads[m])-1
 			if !cont {
-				s.reads[m] = append(s.reads[m], ReadReq{P: p, Off: moff})
+				s.reads[m] = append(s.reads[m], ReadReq{P: p, Off: moff, Through: r.Through})
 				s.readOf[m] = append(s.readOf[m], i)
 				return
 			}

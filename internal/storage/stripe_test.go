@@ -158,8 +158,9 @@ func TestStripe(t *testing.T) {
 	t.Run("geometry", func(t *testing.T) {
 		s, recs, _, _, _ := open(t)
 		g := s.Geometry()
-		// The erase block is one round, a unit on each member.
-		want := storage.Geometry{Capacity: units * stripeUnit, PageSize: ps, Lanes: 16, EraseBlock: 2 * stripeUnit}
+		// The erase block is one round, a unit on each member, and the
+		// read gap the members' 3.
+		want := storage.Geometry{Capacity: units * stripeUnit, PageSize: ps, Lanes: 16, EraseBlock: 2 * stripeUnit, ReadGap: 3}
 		if g != want || g.Capacity != recs[0].Geometry().Capacity+recs[1].Geometry().Capacity {
 			t.Fatalf("geometry %+v, want %+v, the members' capacities summed", g, want)
 		}

@@ -148,10 +148,12 @@ type pageStep struct {
 // Each row reads some of them, one call per step. Every record must read
 // back byte for byte as the image holds it, the arena must hold exactly
 // the copied records' bytes, and each call must submit the row's number of
-// requests. A twin device, which saw the same writes, is read the way the
-// log must read: every device page the call's records touch, each once,
-// whole and in address order. The log's device must end each call with
-// the twin's Counters and clock.
+// requests, and each page its records touch once: Reads − ReadThrough
+// must grow by their number. A twin device, which saw the same writes, is
+// read the way the log must read: every device page the call's records
+// touch, each once, whole and in address order, plus the pages a page-read
+// submission of them reads through (see readThroughPages). The log's
+// device must end each call with the twin's Counters and clock.
 func TestValueLogPageReads(t *testing.T) {
 	rows := []struct {
 		name  string
@@ -232,17 +234,22 @@ func TestValueLogPageReads(t *testing.T) {
 							t.Errorf("step %d: arena holds %d bytes, want %d copied", si, len(arena), copied)
 						}
 						slices.Sort(fresh)
-						sub := make([]storage.ReadReq, len(fresh))
+						pages := make([]uint64, len(fresh))
 						for i, pg := range fresh {
-							sub[i] = storage.ReadReq{P: make([]byte, p.ps), Off: pg * p.ps}
+							pages[i] = uint64(pg)
 						}
-						if _, err := twin.ReadBatch(sub); err != nil {
+						if _, err := twin.ReadBatch(readThroughSub(twin, pages)); err != nil {
 							t.Fatal(err)
 						}
-						got := dev.Counters().Reads - c0.Reads
-						if dev.Counters() != twin.Counters() || clk.Now() != twinClk.Now() {
+						c := dev.Counters()
+						got := c.Reads - c0.Reads
+						if own := got - (c.ReadThrough - c0.ReadThrough); own != uint64(len(fresh)) {
+							t.Fatalf("step %d: %d requests, %d of them read through; want each of the %d pages once",
+								si, got, c.ReadThrough-c0.ReadThrough, len(fresh))
+						}
+						if c != twin.Counters() || clk.Now() != twinClk.Now() {
 							t.Fatalf("step %d: counters %+v and clock %v, reading %d whole pages %+v and %v",
-								si, dev.Counters(), clk.Now(), len(fresh), twin.Counters(), twinClk.Now())
+								si, c, clk.Now(), len(fresh), twin.Counters(), twinClk.Now())
 						}
 						if st.reqs >= 0 && got != uint64(st.reqs) {
 							t.Fatalf("step %d: %d requests, want %d", si, got, st.reqs)
@@ -343,7 +350,9 @@ func testWriteForgetsPages(t *testing.T, model func(*vclock.Clock) storage.Devic
 }
 
 // pageCountingDevice fails the test on a read request that is no whole
-// page view, or on a page requested twice in one submission.
+// page view, on a page requested twice in one submission, and on a
+// submission whose read-through requests are not exactly the pages its
+// other requests read through (see readThroughPages).
 type pageCountingDevice struct {
 	storage.Device
 	t  testing.TB
@@ -352,6 +361,7 @@ type pageCountingDevice struct {
 
 func (d *pageCountingDevice) ReadBatch(reqs []storage.ReadReq) (time.Duration, error) {
 	seen := map[int64]bool{}
+	var pages, fills []uint64
 	for _, r := range reqs {
 		if !r.View || r.Off%d.ps != 0 || int64(r.N) != d.ps {
 			d.t.Fatalf("request %+v is no whole-page view", r)
@@ -360,6 +370,14 @@ func (d *pageCountingDevice) ReadBatch(reqs []storage.ReadReq) (time.Duration, e
 			d.t.Fatalf("page at %d requested twice in one submission", r.Off)
 		}
 		seen[r.Off] = true
+		if r.Through {
+			fills = append(fills, uint64(r.Off/d.ps))
+		} else {
+			pages = append(pages, uint64(r.Off/d.ps))
+		}
+	}
+	if want := readThroughPages(d.Device, pages); !slices.Equal(fills, want) {
+		d.t.Fatalf("submission of pages %v read through %v, want %v", pages, fills, want)
 	}
 	return d.Device.ReadBatch(reqs)
 }
@@ -372,8 +390,10 @@ func (d *pageCountingDevice) ReadBatch(reqs []storage.ReadReq) (time.Duration, e
 // picked by the next bytes from every record appended, stale ones
 // included, and sometimes a made-up location across the head. Every
 // record the skip rule reads must come back byte for byte as the flat
-// image holds it, every other must come back nil, and no device page may
-// be requested twice in one call.
+// image holds it, every other must come back nil, no device page may be
+// requested twice in one call, and each call must read through exactly
+// the holes its pages leave under the page-read contract (see
+// pageCountingDevice), which the records' bytes must not come from.
 func checkPageReads(t *testing.T, model int, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -383,7 +403,11 @@ func checkPageReads(t *testing.T, model int, data []byte) {
 	base := m.dev(vclock.New())
 	ps := int64(base.Geometry().PageSize)
 	dev := &pageCountingDevice{Device: base, t: t, ps: ps}
-	p := newPageLog(t, dev)
+	var logDev storage.Device = dev
+	if md, ok := base.(storage.MemberDevice); ok {
+		logDev = withMembers{dev, md}
+	}
+	p := newPageLog(t, logDev)
 	rng := rand.New(rand.NewSource(int64(len(data))))
 	pos := 0
 	next := func() byte {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func (d *ownedViewDevice) ReadBatch(reqs []storage.ReadReq) (time.Duration, erro
 			d.arena = make([]byte, 0, max(2*cap(d.arena), r.N))
 		}
 		end := len(d.arena) + r.N
-		d.sub[i] = storage.ReadReq{P: d.arena[len(d.arena):end:end], Off: r.Off}
+		d.sub[i] = storage.ReadReq{P: d.arena[len(d.arena):end:end], Off: r.Off, Through: r.Through}
 		d.arena = d.arena[:end]
 	}
 	lat, err := d.Device.ReadBatch(d.sub)
@@ -103,12 +104,14 @@ var classNames = [numClasses]string{"one-page", "cross-page", "tail", "straddle"
 // through a device that serves views from buffers it owns. For the third
 // the test builds a page-granular copying read itself: every device page
 // the batch's records touch, deduped and read by copy in address order,
-// each record's device bytes taken from those pages and its tail-buffer
-// bytes from an image of the appends.
+// with the pages a page-read submission of them reads through (see
+// readThroughPages), each record's device bytes taken from those pages
+// and its tail-buffer bytes from an image of the appends.
 //
 // Both logs' Rec bytes must equal the built read's, every one-page device
-// record must come back as a view, and all three devices must end every
-// round with equal Counters and clocks.
+// record must come back as a view, the views' device must read each
+// distinct page once (Reads − ReadThrough grows by their number), and all
+// three devices must end every round with equal Counters and clocks.
 func TestValueLogViewReads(t *testing.T) {
 	models := map[string]func(*vclock.Clock) storage.Device{
 		"ssd":  func(c *vclock.Clock) storage.Device { return ssd.New(ssd.IntelX18M(), 256<<10, c) },
@@ -237,6 +240,8 @@ func TestValueLogViewReads(t *testing.T) {
 						add(ptrs[len(ptrs)-1])
 					}
 				}
+				c0 := devs[0].Counters()
+				reads0 := c0.Reads - c0.ReadThrough
 				vreqs := append([]storage.ValueReadReq(nil), reqs...)
 				creqs := append([]storage.ValueReadReq(nil), reqs...)
 				if _, err := vl.ReadRecordsBatch(vreqs, nil); err != nil {
@@ -277,17 +282,24 @@ func TestValueLogViewReads(t *testing.T) {
 					}
 				}
 				if len(pages) > 0 {
-					var sub []storage.ReadReq
+					var sorted []uint64
 					for pg := range pages {
-						sub = append(sub, storage.ReadReq{P: make([]byte, ps), Off: pg * ps})
+						sorted = append(sorted, uint64(pg))
 					}
-					sortReads(sub)
+					slices.Sort(sorted)
+					sub := readThroughSub(devs[2], sorted)
 					if _, err := devs[2].ReadBatch(sub); err != nil {
 						t.Fatal(err)
 					}
 					for _, r := range sub {
-						pages[r.Off/ps] = r.P
+						if !r.Through {
+							pages[r.Off/ps] = r.P
+						}
 					}
+				}
+				if c := devs[0].Counters(); c.Reads-c.ReadThrough-reads0 != uint64(len(pages)) {
+					t.Fatalf("round %d: %d requests, %d read through, for %d distinct pages",
+						round, c.Reads-c0.Reads, c.ReadThrough-c0.ReadThrough, len(pages))
 				}
 				for i, r := range locs {
 					if !inRange(r) {
