@@ -244,6 +244,10 @@ type shard struct {
 	// idx is the index device and logs the value log's, each with the
 	// timelines it runs on.
 	idx, logs striped
+	// logDue is the instant at which the value-log submissions the shard
+	// has not waited for yet end on the timelines they reached (see
+	// issueLog and join), guarded by mu.
+	logDue time.Duration
 
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
@@ -581,8 +585,9 @@ func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	w := s.begin()
 	s.join()
-	s.issueLog()
+	issued := s.issueLog()
 	ptrs, err := s.appendRecords(keys, values)
+	s.logReached(&issued)
 	if ptrs != nil {
 		displaced := s.displacedWords(len(fps))
 		insertErr := s.bh.InsertBatch(fps, ptrs, displaced)
@@ -604,17 +609,26 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 // each SSD's clock moves up to the shard clock, as the core's issue of an
 // index submission moves them. Each partition then advances its SSD's
 // clock by its share, queued behind whatever that SSD still serves, the
-// index's probes and flushes too, and the shard runs on without waiting.
-func (s *shard) issueLog() { vclock.AdvanceAll(s.logs.clocks, s.clock.Now()) }
+// index's probes and flushes too, and the shard runs on without waiting;
+// logReached records where the submission ended.
+func (s *shard) issueLog() vclock.Issued { return vclock.Issue(s.logs.clocks, s.clock.Now()) }
 
-// join makes the shard wait for the value-log device: the shard clock
-// moves up to the later SSD's clock. A get chunk joins after its last
-// lookup round, and a put chunk before its append and when it fails, so
-// between chunks each SSD's clock is ahead of the shard clock by at most
-// its share of the last put chunk's append. The core joins both SSDs after
-// its own writes and probing rounds, so a put chunk that flushes waits for
-// its append's shares too.
-func (s *shard) join() { s.clock.AdvanceTo(vclock.Latest(s.logs.clocks)) }
+// logReached records the end of the value-log submission issued at issued
+// on the SSDs it reached, for the shard's next join.
+func (s *shard) logReached(issued *vclock.Issued) { s.logDue = max(s.logDue, issued.End()) }
+
+// join makes the shard wait for the value-log submissions it made since it
+// last joined, through the core's one wait (core.BufferHash.Wait): the
+// shard clock moves up to the latest end among the SSDs they reached. A
+// get chunk joins after its record read, and a put chunk before its append
+// and when it fails, so between chunks each SSD's clock is ahead of the
+// shard clock by at most its share of the last put chunk's append. The
+// core waits only for its own submissions, so a put chunk that flushes
+// waits for its append only where its flush write queues behind it.
+func (s *shard) join() {
+	s.bh.Wait(s.logDue)
+	s.logDue = 0
+}
 
 // expiryMark pairs a flush sequence with the value-log position after it:
 // every incarnation at or below seq holds only pointers to records
@@ -757,9 +771,11 @@ func (s *shard) readHits() error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	s.issueLog()
+	issued := s.issueLog()
 	var err error
-	if s.recArena, err = s.vlog.ReadRecordsBatch(reqs, s.recArena); err != nil {
+	s.recArena, err = s.vlog.ReadRecordsBatch(reqs, s.recArena)
+	s.logReached(&issued)
+	if err != nil {
 		return err
 	}
 	for j, req := range reqs {

@@ -232,8 +232,10 @@ func (b *BufferHash) submit(n int, members uint64) error {
 	if b.batch.pages.Unsent() == 0 {
 		return nil
 	}
-	b.issueDevice()
-	if err := b.batch.pages.Submit(n, members); err != nil {
+	issued := b.issueDevice()
+	err := b.batch.pages.Submit(n, members)
+	b.reached(&issued)
+	if err != nil {
 		return fmt.Errorf("core: batched incarnation read: %w", err)
 	}
 	return nil

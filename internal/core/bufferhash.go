@@ -68,6 +68,11 @@ type BufferHash struct {
 	// them on the clock in one advance.
 	cpuDebt time.Duration
 
+	// due is the instant at which the device submissions the operation
+	// made and has not waited for yet end: the latest end among the
+	// timelines each of them reached (see issueDevice and joinDevice).
+	due time.Duration
+
 	// Lent dedupe (see Lend): the charge not landed yet, whether one is
 	// pending, and the clock instant the last landed one ended.
 	lent      time.Duration
@@ -211,8 +216,9 @@ func (b *BufferHash) flushStaged() error {
 	for _, s := range b.staged {
 		is.reqs = append(is.reqs, storage.WriteReq{P: s.buf, Off: s.addr})
 	}
-	b.issueDevice()
+	issued := b.issueDevice()
 	_, err := b.cfg.Device.WriteBatch(is.reqs)
+	b.reached(&issued)
 	b.joinDevice()
 	for _, s := range b.staged {
 		if err != nil {
@@ -241,13 +247,29 @@ func (b *BufferHash) settleCPUDebt() {
 
 // issueDevice readies the device's timelines for a submission issued now:
 // it cannot start before it is issued, so every timeline moves up to the
-// clock. Each then advances by its own share (see Config.DeviceClock).
-func (b *BufferHash) issueDevice() { vclock.AdvanceAll(b.cfg.DeviceClock, b.cfg.Clock.Now()) }
+// clock. Each then advances by its own share (see Config.DeviceClock),
+// and reached records where the submission ended.
+func (b *BufferHash) issueDevice() vclock.Issued { return vclock.Issue(b.cfg.DeviceClock, b.cfg.Clock.Now()) }
 
-// joinDevice makes the operation wait for the device: the clock moves up
-// to the latest timeline. For a device on Clock itself both calls do
-// nothing.
-func (b *BufferHash) joinDevice() { b.cfg.Clock.AdvanceTo(vclock.Latest(b.cfg.DeviceClock)) }
+// reached records the end of the submission issued at issued on the
+// timelines it reached, for the operation's next joinDevice.
+func (b *BufferHash) reached(issued *vclock.Issued) { b.due = max(b.due, issued.End()) }
+
+// joinDevice makes the operation wait for the submissions it made since
+// it last joined: the clock moves up to the latest end among the timelines
+// they reached, and no further. A timeline the operation did not reach,
+// busy with work another operation issued, holds it back only where one of
+// its submissions queued behind that work. For a device on Clock itself
+// the submission already moved the clock, and the join does nothing.
+func (b *BufferHash) joinDevice() {
+	b.Wait(b.due)
+	b.due = 0
+}
+
+// Wait makes the shard wait until t, the instant at which submissions its
+// caller made end: the clock moves up to t. The clam facade waits for its
+// value-log submissions through it, as the core waits for its own.
+func (b *BufferHash) Wait(t time.Duration) { b.cfg.Clock.AdvanceTo(t) }
 
 // route hashes a user key to (super table, in-partition key). The first
 // k1 bits of the hash select the partition; the rest form the in-partition
@@ -320,8 +342,9 @@ func (b *BufferHash) readImage(addr int64) ([]byte, error) {
 			return img, nil
 		}
 	}
-	b.issueDevice()
+	issued := b.issueDevice()
 	_, err := b.cfg.Device.ReadAt(img, addr)
+	b.reached(&issued)
 	b.joinDevice()
 	if err != nil {
 		b.releaseImage(img)

@@ -210,8 +210,9 @@ type Config struct {
 	// over several (storage.Stripe), each of which serves its own share of
 	// a submission. Each submission first moves every timeline up to
 	// Clock, since it cannot start before it is issued, and Clock moves up
-	// to the latest of them (a join) before the result is used, so every
-	// operation returns joined. Only LookupBatch's first probing round
+	// to the latest end among the timelines it reached (a join) before the
+	// result is used, so every operation returns joined to its own
+	// submissions. Only LookupBatch's first probing round
 	// overlaps the device with CPU work: phase A hands each SSD, while it
 	// is idle, groups of its own pages of one timeline's share of Device's
 	// queue lanes, when that share is more than one lane (see batch.go).
@@ -329,6 +330,9 @@ func (c *Config) validate() error {
 	}
 	if len(c.DeviceClock) == 0 {
 		c.DeviceClock = []*vclock.Clock{c.Clock}
+	}
+	if len(c.DeviceClock) > vclock.MaxTimelines {
+		return fmt.Errorf("core: %d device timelines, more than %d", len(c.DeviceClock), vclock.MaxTimelines)
 	}
 	return nil
 }

@@ -73,21 +73,39 @@ func (s Stopwatch) Elapsed() time.Duration {
 	return s.clock.Now() - s.start
 }
 
-// AdvanceAll moves each of cs forward to t, as AdvanceTo does: a
-// submission issued at t to a device spanning several timelines cannot
-// start on any of them before t.
-func AdvanceAll(cs []*Clock, t time.Duration) {
-	for _, c := range cs {
-		c.AdvanceTo(t)
-	}
+// MaxTimelines is the most timelines an Issued holds.
+const MaxTimelines = 8
+
+// Issued is the readings of a device's timelines when a submission was
+// issued to it, from which End tells where the submission ended.
+type Issued struct {
+	cs []*Clock
+	at [MaxTimelines]time.Duration
 }
 
-// Latest returns the latest time among cs, 0 for none: the instant at
-// which every timeline has finished what it was given.
-func Latest(cs []*Clock) time.Duration {
+// Issue readies cs, the timelines of a device, for a submission issued at
+// t: the submission cannot start on any of them before t, so each moves
+// forward to t, as AdvanceTo does. It returns their readings then. cs
+// holds at most MaxTimelines clocks.
+func Issue(cs []*Clock, t time.Duration) Issued {
+	is := Issued{cs: cs}
+	for i, c := range cs {
+		c.AdvanceTo(t)
+		is.at[i] = c.Now()
+	}
+	return is
+}
+
+// End returns the latest time among the timelines that moved since is
+// was taken, 0 for none: the instant at which the submission issued then
+// has ended on every timeline it reached. A timeline that was busy with
+// earlier work and took no part of the submission does not count.
+func (is *Issued) End() time.Duration {
 	var t time.Duration
-	for _, c := range cs {
-		t = max(t, c.Now())
+	for i, c := range is.cs {
+		if now := c.Now(); now > is.at[i] {
+			t = max(t, now)
+		}
 	}
 	return t
 }

@@ -105,3 +105,27 @@ func TestConcurrentAdvanceToMonotonic(t *testing.T) {
 		t.Fatalf("Now() = %v, want 100ms", got)
 	}
 }
+
+// TestIssueEnd checks that Issue moves every timeline up to the issue
+// instant and that End counts only the timelines a submission moved: a
+// timeline still busy with earlier work that the submission did not reach
+// holds nothing back, however far ahead it is.
+func TestIssueEnd(t *testing.T) {
+	a, b := New(), New()
+	b.Advance(9 * time.Millisecond) // busy with earlier work
+	is := Issue([]*Clock{a, b}, 2*time.Millisecond)
+	if a.Now() != 2*time.Millisecond || b.Now() != 9*time.Millisecond {
+		t.Fatalf("after Issue at 2ms: a %v, b %v; want 2ms and 9ms", a.Now(), b.Now())
+	}
+	if end := is.End(); end != 0 {
+		t.Fatalf("End before any timeline moved = %v, want 0", end)
+	}
+	a.Advance(3 * time.Millisecond)
+	if end := is.End(); end != 5*time.Millisecond {
+		t.Fatalf("End with a alone reached = %v, want 5ms", end)
+	}
+	b.Advance(time.Millisecond)
+	if end := is.End(); end != 10*time.Millisecond {
+		t.Fatalf("End with both reached = %v, want 10ms", end)
+	}
+}
