@@ -69,9 +69,10 @@
 // PutBatch/PutBatchU64 are the write-side mirror: a chunk's records land
 // in the value log as one multi-record append, which runs on the
 // value-log device while the chunk inserts their pointers, and every
-// buffer flush the chunk triggers is issued as one address-sorted device
-// WriteBatch submission, while counters and state match per-key calls
-// exactly.
+// buffer flush the chunk triggers is held in DRAM and written behind a
+// later call as one address-sorted device WriteBatch submission (one
+// submitted at once on a WithCustomDevice store), while counters and
+// state match per-key calls exactly.
 //
 // # Worker model: one worker per shard, affinity and stealing
 //
@@ -111,43 +112,61 @@
 // dealt over both SSDs, RAID-0 style: the index's every second unit lies
 // on B, the log's every second on A, so an index image lands whole on one
 // SSD, and a value-log write unit is a whole block on each SSD, both
-// written in one submission. A submission first moves both
-// clocks up to the shard clock, since it cannot start before it is
-// issued, each SSD serves its share on its own clock, and the shard clock
-// moves up to the later SSD's clock (a join) only where the shard needs
-// the result. The core joins the index after every write, image read and
-// probing round; only a lookup batch's first round runs while its
-// in-memory phase still does: the core keeps each SSD's gathered probes
-// apart and hands an SSD its lanes' worth as soon as it holds them while
-// idle, with the probes gathered so far of the other SSD if that one is
-// idle too, so a busy SSD never holds back the idle one (see
-// core.Config.DeviceClock); on Transcend-class SSDs, of one lane each, it
-// hands over nothing. A byte get chunk reads its hits' records
-// from the value log in one submission after its lookup, and joins it.
-// An index or record read of more pages than the SSDs have lanes also
-// reads through every hole of at most a few pages between two of its
-// pages on one SSD (storage.Geometry.ReadGap: 3 on the Intel-class SSD,
-// 10 on the Transcend-class), so the page after the hole continues a
-// sequential run instead of paying a run's fixed cost; no answer comes
-// from those pages, and Stats.Device and ValueDevice count them in
-// ReadThrough as well as in Reads. The
-// value log
-// writes a whole erase block on each SSD at once, the moment its tail
-// fills one on each, and a put chunk that succeeds acknowledges
-// without waiting for its write: it joins the log only before its own
-// append, when an earlier chunk's write still runs, and when it fails.
-// So every chunk call returns joined to both SSDs but for one put chunk's
-// write in flight, which the next submission to its SSD, index or log,
-// queues behind. A one-key call has nothing to overlap and costs the
-// serial sum of its device time and whatever remains of an earlier put's
-// write. Each partition's idle time, and so its background
-// garbage-collection credit, is measured on its SSD's clock. A
-// WithCustomDevice store runs its index device on the shard clock, where
+// written in one submission. A submission first moves both clocks up to
+// the shard clock, since it cannot start before it is issued, and each
+// SSD serves its share on its own clock. The shard waits (a join) only for
+// the submissions it made, and only where it needs their results: the
+// shard clock moves up to the latest end among the SSDs they reached, and
+// an SSD they did not reach holds it back only where one of them queued
+// behind that SSD's earlier work. The core joins each probing round's
+// reads; a lookup batch's first round runs while its in-memory phase
+// still does: the core keeps each SSD's gathered probes apart and hands an
+// SSD its lanes' worth as soon as it holds them while idle, with the
+// probes gathered so far of the other SSD if that one is idle too, so a
+// busy SSD never holds back the idle one (see core.Config.DeviceClock);
+// on Transcend-class SSDs, of one lane each, it hands over nothing. A
+// byte get chunk reads its hits' records from the value log in one
+// submission after its lookup, and joins it. An index or record read of
+// more pages than the SSDs have lanes also reads through every hole of at
+// most a few pages between two of its pages on one SSD
+// (storage.Geometry.ReadGap: 3 on the Intel-class SSD, 10 on the
+// Transcend-class), so the page after the hole continues a sequential run
+// instead of paying a run's fixed cost; no answer comes from those pages,
+// and Stats.Device and ValueDevice count them in ReadThrough as well as
+// in Reads.
+//
+// No chunk call waits for a write. The value log writes a whole erase
+// block on each SSD at once, the moment its tail fills one on each, and a
+// put chunk that succeeds acknowledges without waiting for it: it joins
+// the log only before its own append, when an earlier chunk's write still
+// runs, and when it fails. A put chunk whose insert fills an index buffer
+// writes nothing to the index either: the core holds the full buffer's
+// image in DRAM (Stats.Memory.PendingBytes), where lookups read its pages
+// (Stats.Core.PendingProbes), and the image's serialization, the flush's
+// CPU.FlushSerialize, is work the shard does while it waits for its SSDs,
+// at any later join, index or log, of any call, in time its CPU would
+// otherwise idle (Stats.Core.FlushCPUHidden). The call whose waits finish
+// that work issues the held images' write as it returns, as one
+// address-sorted submission, and does not wait for it. A put chunk that
+// fills a buffer while images are still held lands their remaining work
+// as a plain advance (Stats.Core.FlushCPULanded) and issues their write
+// first, so a shard holds at most one set. A held write that fails fails
+// the call that issued it, though its puts were acknowledged, and its
+// keys then miss, never answering with an older version. So a chunk call
+// returns joined to every read it made, with at most a put chunk's append
+// and a held set's write running behind it, which the next submission to
+// their SSDs, index or log, queues behind. A one-key call has nothing to
+// overlap and costs the serial sum of its reads and whatever remains of
+// those writes. Each partition's idle time, and so its background
+// garbage-collection credit, is measured on its SSD's clock.
+//
+// A WithCustomDevice store runs its index device on the shard clock, where
 // device and CPU time add up, through the same lookup path: such a device
-// is idle at every CPU instant and completes each read as it is issued.
-// Its value log is kind-made on one SSD on a private clock. A log too
-// small to give each SSD an erase block lies on B alone, and such an
-// index on A alone.
+// is idle at every CPU instant and completes each read as it is issued,
+// and an insert that fills a buffer pays its flush's serialization and
+// write in its own call, as the paper's blocking CLAM does. Its value log
+// is kind-made on one SSD on a private clock. A log too small to give each
+// SSD an erase block lies on B alone, and such an index on A alone.
 //
 // Shard clocks run free between calls: a call advances each shard it
 // reaches from wherever that shard's clock stands, so a shard that ended
@@ -228,8 +247,9 @@ func (c *CLAM) Core() *core.BufferHash { return c.shards[0].bh }
 // timelines, and each SSD serves one submission at a time, whichever
 // structure it is for. The core issues and joins the index on both (its
 // Config.DeviceClock), and the shard the log (see issueLog and join);
-// every chunk call returns joined to both, but for a put chunk's
-// value-log write. The router reaches a shard only through the locked
+// every chunk call returns joined to the reads it made, with only writes
+// running on behind it: a put chunk's value-log append and the core's
+// held index images (see end). The router reaches a shard only through the locked
 // methods below: the chunk helpers, each one call into the core pipeline
 // (a per-key op is a one-key chunk), and the maintenance calls.
 type shard struct {
@@ -499,9 +519,15 @@ func (s *shard) begin() vclock.Stopwatch {
 	return s.clock.StartWatch()
 }
 
-// end closes a chunk call of n keys opened by begin: on success it records
-// the chunk's virtual elapsed time into h, then it unlocks and returns err.
+// end closes a chunk call of n keys opened by begin: it issues the write
+// of the index images the core holds once the call's device waits have
+// done their serialization (see core.BufferHash.WriteBehind), which fails
+// the call if it fails; on success it records the chunk's virtual elapsed
+// time into h, then it unlocks and returns err.
 func (s *shard) end(h *metrics.Histogram, w vclock.Stopwatch, n int, err error) error {
+	if werr := s.bh.WriteBehind(); err == nil {
+		err = werr
+	}
 	if err == nil {
 		observeSpread(h, w.Elapsed(), n)
 	}
@@ -510,8 +536,9 @@ func (s *shard) end(h *metrics.Histogram, w vclock.Stopwatch, n int, err error) 
 }
 
 // putBatchU64Chunk is one batched insert: in-order buffer application with
-// deferred CPU charges, then every triggered flush issued as one
-// address-sorted overlapped write submission.
+// deferred CPU charges, then every triggered flush held for a later call
+// to write behind (or, on a WithCustomDevice index, issued as one
+// address-sorted overlapped write submission).
 func (s *shard) putBatchU64Chunk(keys, values []uint64) error {
 	w := s.begin()
 	s.inline, s.marks = true, nil
@@ -538,7 +565,11 @@ func (s *shard) lendU64(piece []uint64, via []int32, keys []uint64, results []co
 	s.lentDedupes += uint64(len(piece))
 	fwd = s.bh.Lend(piece, via)
 	if len(keys) > 0 {
-		if err = s.bh.LookupBatch(keys, results); err == nil {
+		err = s.bh.LookupBatch(keys, results)
+		if werr := s.bh.WriteBehind(); err == nil {
+			err = werr
+		}
+		if err == nil {
 			observeSpread(&s.lookup, w.Elapsed(), len(keys))
 		}
 	}
@@ -574,7 +605,8 @@ func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 //
 // A chunk that succeeds acknowledges without joining the log: its write
 // runs on behind it, and a get's record reads queue behind the write,
-// since issueLog only moves the log clock forward. The records already sat
+// since issueLog only moves the log clock forward. An index buffer the
+// chunk fills is held, not written (see core.BufferHash.WriteBehind). The records already sat
 // in DRAM until a write unit filled; a simulated write fails when it is
 // submitted, so its error still reaches the chunk that caused it. A put
 // chunk first waits for an earlier chunk's write still running, so at most
@@ -618,13 +650,13 @@ func (s *shard) issueLog() vclock.Issued { return vclock.Issue(s.logs.clocks, s.
 func (s *shard) logReached(issued *vclock.Issued) { s.logDue = max(s.logDue, issued.End()) }
 
 // join makes the shard wait for the value-log submissions it made since it
-// last joined, through the core's one wait (core.BufferHash.Wait): the
-// shard clock moves up to the latest end among the SSDs they reached. A
-// get chunk joins after its record read, and a put chunk before its append
-// and when it fails, so between chunks each SSD's clock is ahead of the
-// shard clock by at most its share of the last put chunk's append. The
-// core waits only for its own submissions, so a put chunk that flushes
-// waits for its append only where its flush write queues behind it.
+// last joined, through the core's one wait (core.BufferHash.Wait), which
+// does held flush work in the gap: the shard clock moves up to the latest
+// end among the SSDs they reached. A get chunk joins after its record
+// read, and a put chunk before its append and when it fails, so between
+// chunks the log leaves at most the last put chunk's append running. The
+// core waits only for its own submissions, so no put chunk waits for its
+// append.
 func (s *shard) join() {
 	s.bh.Wait(s.logDue)
 	s.logDue = 0

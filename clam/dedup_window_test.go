@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/storage"
@@ -196,6 +197,53 @@ func testDedupWindowAllocs(t *testing.T, vlogBytes int64) {
 	if bound := float64(chunks + constant); allocs > bound {
 		t.Errorf("GetBatch allocates %.1f per warmed call; want at most %.0f (one arena per chunk plus %d)",
 			allocs, bound, constant)
+	}
+}
+
+// TestDedupPutWindowAllocs is the allocation guard of byte puts on the
+// dedup store shape with the index in flash: a warm PutBatch of a window's
+// misses allocates the router's constant and nothing per chunk, record or
+// flush. Its windows flush index buffers and leave their images held
+// across calls (Stats().Memory.PendingBytes), each in a pooled image
+// buffer.
+func TestDedupPutWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a fraction of sync.Pool puts, so exact allocation counts are meaningless; CI runs this guard in a non-race step")
+	}
+	w := newDedupWindow(t, flashIndexLogs)
+	for range 3 { // warm the pool and the shards' scratch
+		w.step(t)
+	}
+	// As testing.AllocsPerRun counts, on one P; the lookups between the
+	// measured puts are not counted.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	const windows, constant = 40, 4 // the router's closures and the second worker's goroutine
+	var before, after runtime.MemStats
+	var most, flushes uint64
+	var held int64
+	for range windows {
+		w.lookup(t)
+		f := w.s.Stats().Core.Flushes
+		runtime.ReadMemStats(&before)
+		if err := w.s.PutBatch(ctx, w.putKeys, w.putVals); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		most = max(most, after.Mallocs-before.Mallocs)
+		st := w.s.Stats()
+		if st.Core.Flushes > f {
+			flushes += st.Core.Flushes - f
+			held = max(held, st.Memory.PendingBytes)
+		}
+	}
+	t.Logf("PutBatch of a window's misses: at most %d allocs per call over %d windows, %d flushes, up to %d bytes held after a flushing call",
+		most, windows, flushes, held)
+	if flushes == 0 || held == 0 {
+		t.Fatalf("%d flushes and %d bytes held over %d windows; retune the store", flushes, held, windows)
+	}
+	if most > constant {
+		t.Errorf("PutBatch allocates up to %d per warmed call; want at most %d", most, constant)
 	}
 }
 

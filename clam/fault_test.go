@@ -970,6 +970,12 @@ func FuzzFaultedOps(f *testing.F) {
 		0xc, 0x3d, 0x8e, 0xb, 0x23, 0x9f, 0x1, 0x27, 0xbe, 0xb, 0x1, 0x0,
 		0x8, 0x41, 0x9a,
 	}, []byte{0x8}, []byte{0x8}, []byte{0x8}, []byte(nil))
+	// A put-heavy sequence, two thirds of its ops PutBatchU64 and PutBatch
+	// windows, fails one request in 32 of every partition: it flushes
+	// index buffers, holds their images and writes them behind later
+	// calls (TestPutHeavySeedFlushes), which uniform random sequences
+	// seldom do.
+	f.Add(putHeavyOps(), []byte{0x10, 0, 0, 0}, []byte{0x10, 0, 0, 0}, []byte{0x10, 0, 0, 0}, []byte{0x10, 0, 0, 0})
 	// Each targeted seed fails one request on a path of its own (see
 	// targetedFaultSeeds).
 	for _, seed := range targetedFaultSeeds {
@@ -981,6 +987,21 @@ func FuzzFaultedOps(f *testing.F) {
 		r.arm(bitmapFaults(indexA, indexB, logB, logA))
 		fuzzOps(ops, d.apply)
 	})
+}
+
+// putHeavyOps returns a FuzzFaultedOps op sequence of 400 ops, each
+// PutBatchU64 or PutBatch with probability two thirds and a random op
+// otherwise, over random keys and windows.
+func putHeavyOps() []byte {
+	rng := rand.New(rand.NewSource(27))
+	ops := make([]byte, 3*400)
+	rng.Read(ops)
+	for i := 0; i < len(ops); i += 3 {
+		if rng.Intn(3) < 2 {
+			ops[i] = []byte{fopPutBatchU64, fopPutBatch}[rng.Intn(2)]
+		}
+	}
+	return ops
 }
 
 // openFuzzRig opens FuzzFaultedOps' store and its driver: one CLAM on

@@ -61,33 +61,20 @@ import (
 //	             of one lane each (a shard's Transcend pair) a group is one
 //	             page, which would go out alone, in a run of its own and
 //	             with no hole to read through, so phase A hands nothing
-//	             over there and phase B submits all of round 1: the
-//	             ssd-transcend rows of clam's TestSingleStorePinned read
-//	             clocks 0.67% to 0.99% lower so (7,033,389,258 ns on fifo
-//	             against 7,103,677,080 with one-page hand-overs). On the
-//	             get-batch-zipf benchmark (seeds 1 and 2, 3-second runs)
-//	             this rule reads 6,776,034 and 6,752,619 virtual ops/s and
-//	             dedup-ingest 842,661 and 844,182, against 6,499,640,
-//	             6,456,575, 837,914 and 839,703 when phase A handed the
-//	             pair one SSD's 8 lanes of pages, earliest gathered first,
-//	             only while both SSDs were idle. Submitting the first 16
-//	             gathered pages when one SSD's group triggers read
-//	             6,761,031 and 6,736,357, and 827,234 and 829,407;
-//	             handing the triggering SSD its group alone, 6,630,276 and
-//	             6,623,399, and 843,175 and 844,774; adding the old
-//	             both-idle trigger to this rule, 6,521,368 and 6,482,569,
-//	             and 841,331 and 842,760. Groups of the pair's 16 pages
-//	             read 5,893,388 on get-batch-zipf (seed 1), of 4 5,986,793
-//	             and of 2 5,659,521, all handed while both SSDs were idle.
+//	             over there and phase B submits all of round 1.
 //	B (gather):  each probing round adds every unresolved key's single
 //	             newest-candidate page to one page-read set
 //	             (storage.PageReads), so keys on the same flash page share
-//	             its one read. Phase A submits round 1 in the lane
-//	             groups above; phase B submits the round's pages not yet
+//	             its one read; a page of an image the instance still holds
+//	             in DRAM (see WriteBehind) is read there instead, with no
+//	             device read. Phase A submits round 1 in the lane groups
+//	             above; phase B submits the round's pages not yet
 //	             submitted as one address-sorted device ReadBatch, whose
 //	             latency overlaps across the device's queue lanes, and
-//	             joins the device: the clock waits for every read of the
-//	             round. The reads are view requests (storage.ReadReq.View):
+//	             joins the device: the clock waits for every read the
+//	             round submitted, on the timelines they reached, and the
+//	             CPU does held flush work in that wait (see Wait). The
+//	             reads are view requests (storage.ReadReq.View):
 //	             the device hands back its stored page, so no page is
 //	             reserved or copied. A submission of more pages than the
 //	             device's lanes (phase B's, as a rule; a hand-over holds
@@ -98,7 +85,8 @@ import (
 //	             storage.PageReads); the pages read through answer no key.
 //	C (resolve): after the round's join every page is read, so one pass
 //	             resolves every pending key, in pending order: each
-//	             searches its page's view through resolveProbe —
+//	             searches its page's view, or its held image's page,
+//	             through resolveProbe —
 //	             newest-first, stop on hit, one probe counted per page read
 //	             on its behalf. A second pass retires each finished key
 //	             through the step phase A's in-memory results take, and
@@ -110,7 +98,8 @@ import (
 // per-key probe sequence — and therefore FlashProbes, SpuriousProbes,
 // Lookups, Hits and LookupIOHist — does not depend on how keys are grouped
 // into batches or submissions; only the device time model (and the
-// physical read count, via page dedupe) does. The exception is a store
+// physical read count, via page dedupe and held images) does. The
+// exception is a store
 // with a hot-entry cache: inside a read run, which keys the cache answers
 // depends on which calls filled it, so CacheHits and the probe counters
 // do depend on how the run's keys are grouped into calls.
@@ -214,14 +203,40 @@ func (t *keyTable) grow(keys []uint64, i int) {
 	}
 }
 
+// heldPID is the page number gather gives a probe whose page lies in a
+// held image (see heldPage): it reads nothing from the device.
+const heldPID = -1
+
 // gather adds pending key pi's newest remaining candidate page to the
 // round's page reads: its incarnation's first page plus the key's page in
 // the image. All partitions share one probe length, so a probe is fully
-// described by its page number.
+// described by its page number. A candidate whose image is held in DRAM
+// is probed there, in the same round, with no device read.
 func (b *BufferHash) gather(pi int) {
 	p := &b.batch.pending[pi]
 	j := bits.Len64(p.mask) - 1
-	p.pid = int32(b.batch.pages.Add(p.st.incs[j].page + uint64(p.st.buf.Placement().Page(p.kh))))
+	page := p.st.buf.Placement().Page(p.kh)
+	if b.heldPage(p.st, p.st.incs[j].seq, page) != nil {
+		p.pid = heldPID
+		return
+	}
+	p.pid = int32(b.batch.pages.Add(p.st.incs[j].page + uint64(page)))
+}
+
+// heldPage returns page page of the held image of st's incarnation seq,
+// nil when that incarnation's image is not held. Held images are the
+// newest incarnations of their super tables, so only a key's first
+// candidates can be held.
+func (b *BufferHash) heldPage(st *superTable, seq uint64, page int) []byte {
+	if !b.held {
+		return nil
+	}
+	for i := range b.staged {
+		if w := &b.staged[i]; w.st == st && w.seq == seq {
+			return w.buf[page*b.probeN:][:b.probeN]
+		}
+	}
+	return nil
 }
 
 // submit issues the round's first n unsubmitted pages of each member of
@@ -271,12 +286,20 @@ func (b *BufferHash) handOver() error {
 }
 
 // probe resolves pending key p against its page, which the device has
-// read (phase C), newest-first: it clears the probed candidate, and a key
-// that hits has no candidate left. A key that misses goes on to the next
-// round.
-func (bs *batchScratch) probe(p *batchKey, results []LookupResult) {
-	p.mask &^= 1 << (bits.Len64(p.mask) - 1)
-	if p.st.resolveProbe(&results[p.idx], bs.pages.View(int(p.pid)), p.kh) {
+// read or a held image holds (phase C), newest-first: it clears the
+// probed candidate, and a key that hits has no candidate left. A key that
+// misses goes on to the next round.
+func (b *BufferHash) probe(p *batchKey, results []LookupResult) {
+	j := bits.Len64(p.mask) - 1
+	p.mask &^= 1 << j
+	var view []byte
+	if p.pid == heldPID {
+		b.stats.PendingProbes++
+		view = b.heldPage(p.st, p.st.incs[j].seq, p.st.buf.Placement().Page(p.kh))
+	} else {
+		view = b.batch.pages.View(int(p.pid))
+	}
+	if p.st.resolveProbe(&results[p.idx], view, p.kh) {
 		p.mask = 0
 	}
 }
@@ -324,10 +347,15 @@ func (bs *batchScratch) probe(p *batchKey, results []LookupResult) {
 // its run (see clam.Sharded.GetBatchU64), so its counters stay those of
 // the whole run.
 //
+// A probe of an incarnation whose image is still held in DRAM (see
+// WriteBehind) reads the image's page there, with no device read: it
+// counts as a flash probe, and in Stats.PendingProbes.
+//
 // A batch holds at most MaxLookupBatch keys; a longer one, or one whose
 // results differ in length, fails before any state moves. On any other
 // error the contents of results are unspecified. Every call starts from
-// empty scratch and returns joined to the device, on error too.
+// empty scratch and returns joined to the submissions it made, on error
+// too; it issues no write.
 func (b *BufferHash) LookupBatch(keys []uint64, results []LookupResult) error {
 	if len(keys) != len(results) {
 		return fmt.Errorf("core: LookupBatch: %d keys, %d results", len(keys), len(results))
@@ -452,7 +480,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, run bool
 		// Phase C: every page is read, so every pending key resolves.
 		// Retire the resolved keys and keep the rest for the next round.
 		for pi := range bs.pending {
-			bs.probe(&bs.pending[pi], results)
+			b.probe(&bs.pending[pi], results)
 		}
 		live := bs.pending[:0]
 		for _, p := range bs.pending {

@@ -57,12 +57,24 @@ type BufferHash struct {
 	batch     batchScratch
 	insert    insertScratch
 
-	// staged holds the incarnation writes of the operation in progress;
-	// flushStaged issues them as one address-sorted, overlapped WriteBatch
-	// submission when the operation ends. While a write is staged,
-	// readImage serves its address from the staged buffer, so
-	// partial-discard scans see the bytes the device will eventually hold.
+	// staged holds the incarnation writes not issued yet: those of the
+	// operation in progress, or, between calls, the held set (see held).
+	// writeStaged issues them as one address-sorted, overlapped WriteBatch
+	// submission. While a write is staged, readImage serves its address
+	// from the staged buffer, so partial-discard scans see the bytes the
+	// device will eventually hold, and a lookup probes a held image's
+	// pages in DRAM (see gather).
 	staged []stagedWrite
+
+	// Write-behind (see insertbatch.go), on a device with timelines of its
+	// own (behind): held reports that staged is the held set, the images
+	// of the last InsertBatch call that flushed, whose write has not been
+	// issued yet, and flushDebt is the serialization work
+	// (CPU.FlushSerialize) of staged images that is not done yet. Wait
+	// does it while the shard waits for the device.
+	behind    bool
+	held      bool
+	flushDebt time.Duration
 
 	// cpuDebt accrues the operation's CPU charges; settleCPUDebt lands
 	// them on the clock in one advance.
@@ -109,6 +121,7 @@ func New(cfg Config) (*BufferHash, error) {
 		imageSize: cfg.BufferBytes,
 		routeSeed: hashutil.Mix64(cfg.Seed),
 		epoch:     1,
+		behind:    len(cfg.DeviceClock) > 1 || cfg.DeviceClock[0] != cfg.Clock,
 	}
 	if cfg.CacheEntries > 0 {
 		b.cache = newHotCache(cfg.CacheEntries)
@@ -197,16 +210,19 @@ func (b *BufferHash) stageWrite(w stagedWrite) {
 	b.staged = append(b.staged, w)
 }
 
-// flushStaged issues every staged incarnation write as one device
-// WriteBatch submission and recycles the image buffers. The images are
-// sorted by address first, as the device requires: shared-log slots wrap,
-// and partitioned regions flush in table order. Staged addresses are
-// unique (see stageWrite), so the order is total. A failed submission may
-// have written any subset of its images, so every staged image is dropped
-// as lost (see superTable.dropFailedImage): a lookup may then miss, but it
-// never reads a slot that still holds an older incarnation's bytes, and
-// never falls through to an older version of a key the lost image held.
-func (b *BufferHash) flushStaged() error {
+// writeStaged issues every staged incarnation write as one device
+// WriteBatch submission, waits for it when wait is set, and recycles the
+// image buffers. The images are sorted by address first, as the device
+// requires: shared-log slots wrap, and partitioned regions flush in table
+// order. Staged addresses are unique (see stageWrite), so the order is
+// total. A failed submission may have written any subset of its images,
+// so every staged image is dropped as lost (see
+// superTable.dropFailedImage): a lookup may then miss, but it never reads
+// a slot that still holds an older incarnation's bytes, and never falls
+// through to an older version of a key the lost image held. A write that
+// succeeds changes no answer, so it moves no write epoch.
+func (b *BufferHash) writeStaged(wait bool) error {
+	b.held = false
 	if len(b.staged) == 0 {
 		return nil
 	}
@@ -218,8 +234,10 @@ func (b *BufferHash) flushStaged() error {
 	}
 	issued := b.issueDevice()
 	_, err := b.cfg.Device.WriteBatch(is.reqs)
-	b.reached(&issued)
-	b.joinDevice()
+	if wait {
+		b.reached(&issued)
+		b.joinDevice()
+	}
 	for _, s := range b.staged {
 		if err != nil {
 			s.st.dropFailedImage(s.buf, s.seq)
@@ -233,8 +251,63 @@ func (b *BufferHash) flushStaged() error {
 	return nil
 }
 
+// writeHeld writes the held set now, if there is one: its serialization
+// work not done yet lands on the clock as a plain advance, after the
+// operation's CPU charges, then its write is issued, and waited for when
+// wait is set. A second flush, which may need a held image's slot, and
+// Flush write the held set first, so a shard holds at most one.
+func (b *BufferHash) writeHeld(wait bool) error {
+	if !b.held {
+		return nil
+	}
+	b.landFlushDebt()
+	return b.writeStaged(wait)
+}
+
+// WriteBehind closes a call on a device with timelines of its own: once
+// the shard's device waits have done all of the held set's serialization
+// work (see Wait), it issues the held set's write and returns without
+// waiting for it. Later submissions to the SSDs it reaches queue behind
+// it. A failed write drops its images as writeStaged does and fails the
+// call that issued it, though their puts were acknowledged. It does
+// nothing while work remains, and on a device on the CPU's own clock,
+// which holds nothing.
+func (b *BufferHash) WriteBehind() error {
+	if !b.held || b.flushDebt > 0 {
+		return nil
+	}
+	if err := b.writeStaged(false); err != nil {
+		return fmt.Errorf("core: write-behind: %w", err)
+	}
+	return nil
+}
+
 // chargeCPU accrues a CPU cost into the operation's deferred charge.
 func (b *BufferHash) chargeCPU(d time.Duration) { b.cpuDebt += d }
+
+// chargeFlush charges one flush's serialization, CPU.FlushSerialize: into
+// the operation's CPU debt on a device on the CPU's own clock, which has
+// no wait to do it in, and into the write-behind work otherwise.
+func (b *BufferHash) chargeFlush() {
+	c := b.cfg.CPU.FlushSerialize
+	if b.behind {
+		b.flushDebt += c
+		return
+	}
+	b.stats.FlushCPULanded += c
+	b.chargeCPU(c)
+}
+
+// landFlushDebt lands the operation's CPU charges, then the serialization
+// work not done yet, on the clock as plain advances.
+func (b *BufferHash) landFlushDebt() {
+	b.settleCPUDebt()
+	if d := b.flushDebt; d > 0 {
+		b.flushDebt = 0
+		b.stats.FlushCPULanded += d
+		b.cfg.Clock.Advance(d)
+	}
+}
 
 // settleCPUDebt lands the accumulated CPU charges on the clock in one
 // advance (every pipeline's closing step before its staged writes).
@@ -249,7 +322,9 @@ func (b *BufferHash) settleCPUDebt() {
 // it cannot start before it is issued, so every timeline moves up to the
 // clock. Each then advances by its own share (see Config.DeviceClock),
 // and reached records where the submission ended.
-func (b *BufferHash) issueDevice() vclock.Issued { return vclock.Issue(b.cfg.DeviceClock, b.cfg.Clock.Now()) }
+func (b *BufferHash) issueDevice() vclock.Issued {
+	return vclock.Issue(b.cfg.DeviceClock, b.cfg.Clock.Now())
+}
 
 // reached records the end of the submission issued at issued on the
 // timelines it reached, for the operation's next joinDevice.
@@ -267,9 +342,18 @@ func (b *BufferHash) joinDevice() {
 }
 
 // Wait makes the shard wait until t, the instant at which submissions its
-// caller made end: the clock moves up to t. The clam facade waits for its
-// value-log submissions through it, as the core waits for its own.
-func (b *BufferHash) Wait(t time.Duration) { b.cfg.Clock.AdvanceTo(t) }
+// caller made end: the clock moves up to t. The CPU would idle until then,
+// so it first does the write-behind work not done yet (see WriteBehind)
+// in the gap, as much as fits. The clam facade waits for its value-log
+// submissions through it, as the core waits for its own.
+func (b *BufferHash) Wait(t time.Duration) {
+	if gap := t - b.cfg.Clock.Now(); gap > 0 && b.flushDebt > 0 {
+		d := min(gap, b.flushDebt)
+		b.flushDebt -= d
+		b.stats.FlushCPUHidden += d
+	}
+	b.cfg.Clock.AdvanceTo(t)
+}
 
 // route hashes a user key to (super table, in-partition key). The first
 // k1 bits of the hash select the partition; the rest form the in-partition
@@ -305,19 +389,23 @@ func (b *BufferHash) Lookup(key uint64) (LookupResult, error) {
 }
 
 // Flush forces every super table with buffered entries to write its buffer
-// to flash. Each table's flush is its own operation — flush, settle the CPU
-// charges, issue the staged writes — so tables are written one after
-// another, as a sequence of per-key inserts would. Mainly useful in tests
-// and when quiescing.
+// to flash, after the held set, if any (see WriteBehind). Each write is its
+// own operation — flush, land the CPU charges and the serialization work,
+// issue the staged writes and wait for them — so tables are written one
+// after another, as a sequence of per-key inserts would, and Flush returns
+// with nothing held. Mainly useful in tests and when quiescing.
 func (b *BufferHash) Flush() error {
 	b.epoch++
+	if err := b.writeHeld(true); err != nil {
+		return err
+	}
 	for _, st := range b.parts {
 		if st.buf.Len() == 0 {
 			continue
 		}
 		err := st.flush()
-		b.settleCPUDebt()
-		if werr := b.flushStaged(); err == nil {
+		b.landFlushDebt()
+		if werr := b.writeStaged(true); err == nil {
 			err = werr
 		}
 		if err != nil {
@@ -411,6 +499,7 @@ type MemoryFootprint struct {
 	DeleteListBytes int64 // approximate
 	MetadataBytes   int64 // incarnation bookkeeping
 	CacheBytes      int64 // the hot-entry cache
+	PendingBytes    int64 // the held images, whose write has not been issued (see WriteBehind)
 }
 
 // Add accumulates another footprint into m (sharded aggregation).
@@ -420,11 +509,15 @@ func (m *MemoryFootprint) Add(o MemoryFootprint) {
 	m.DeleteListBytes += o.DeleteListBytes
 	m.MetadataBytes += o.MetadataBytes
 	m.CacheBytes += o.CacheBytes
+	m.PendingBytes += o.PendingBytes
 }
 
 // MemoryFootprint computes the current DRAM footprint.
 func (b *BufferHash) MemoryFootprint() MemoryFootprint {
-	m := MemoryFootprint{CacheBytes: int64(len(b.cache.sets)) * 2 * CacheEntryBytes}
+	m := MemoryFootprint{
+		CacheBytes:   int64(len(b.cache.sets)) * 2 * CacheEntryBytes,
+		PendingBytes: int64(len(b.staged)) * int64(b.imageSize),
+	}
 	for _, st := range b.parts {
 		m.BufferBytes += int64(b.cfg.BufferBytes)
 		if st.bank != nil {

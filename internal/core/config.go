@@ -9,14 +9,19 @@
 // reading the clock around calls (the clam package does exactly that).
 // The device keeps its own timelines (Config.DeviceClock), one per SSD it
 // spans: a submission starts on none of them earlier than the clock, and
-// every operation joins the latest before it uses a result, and so before
-// it returns.
+// an operation that uses a read's result first joins the timelines the
+// read reached (Wait).
 //
 // BufferHash is not safe for concurrent use; the clam facade serializes
-// access. This mirrors the paper's design point that flash I/Os are
-// blocking operations (§5.2): every write, image read and probing round
-// waits for the device. The one overlap is a lookup batch's first
-// probing round, whose reads may start while phase A runs.
+// access. On a device on the CPU's own clock this is the paper's design
+// point that flash I/Os are blocking operations (§5.2): every write,
+// image read and probing round waits for the device. On a device with
+// timelines of its own, a lookup batch's first probing round may start
+// while phase A runs, and flushes leave the call that fills the buffer:
+// their images are held in DRAM, their serialization is done while the
+// instance waits for its device, and their write runs behind a later call
+// (see WriteBehind), as an LSM store flushes an immutable memtable in the
+// background (O'Neil et al., "The Log-Structured Merge-Tree", 1996).
 //
 // Each operation kind has one pipeline, and the per-key calls are its
 // one-key case. A lookup (§5.1.1: buffer, Bloom filters, then newest-first
@@ -54,9 +59,10 @@
 // incarnation) runs through InsertBatch: keys apply in input order with
 // every flush's image staged in a pooled buffer (a repeated key still
 // buffered is overwritten in place), and the staged images are then
-// issued as one address-sorted device WriteBatch submission. Insert
-// is a one-key InsertBatch and Delete a one-key DeleteBatch; Flush stages
-// and writes one super table at a time. See insertbatch.go.
+// issued as one address-sorted device WriteBatch submission, or held for
+// a later call to write behind. Insert is a one-key InsertBatch and Delete
+// a one-key DeleteBatch; Flush stages and writes one super table at a
+// time. See insertbatch.go.
 //
 // Every operation accrues its CPU charges and lands them on the virtual
 // clock in one advance, before it issues its staged writes (a lookup
@@ -66,7 +72,7 @@
 // (a lookup batch, as n calls over distinct keys, on a store without a
 // hot-entry cache, whose hits depend on how a read run's keys are grouped
 // into calls); only virtual time and the physical I/O count (page dedupe,
-// same-slot write collapse) differ.
+// same-slot write collapse, probes of held images) differ.
 //
 // Two consequences of the single pipeline are part of the model:
 //
@@ -78,11 +84,12 @@
 //     and lookups are unchanged; the cascading insert finishes sooner in
 //     virtual time.
 //   - A failed write submission drops every image it carried (see
-//     flushStaged): their incarnations are never probed or scanned, and
+//     writeStaged): their incarnations are never probed or scanned, and
 //     their keys read as misses until written again or until every older
-//     incarnation has been evicted. A lookup may miss after a device write
-//     fault, but never returns a value older than the latest acknowledged
-//     one.
+//     incarnation has been evicted, even when the write ran behind a later
+//     call, after the inserts were acknowledged. A lookup may miss after a
+//     device write fault, but never returns a value older than the latest
+//     acknowledged one.
 package core
 
 import (
@@ -210,16 +217,20 @@ type Config struct {
 	// over several (storage.Stripe), each of which serves its own share of
 	// a submission. Each submission first moves every timeline up to
 	// Clock, since it cannot start before it is issued, and Clock moves up
-	// to the latest end among the timelines it reached (a join) before the
-	// result is used, so every operation returns joined to its own
-	// submissions. Only LookupBatch's first probing round
-	// overlaps the device with CPU work: phase A hands each SSD, while it
-	// is idle, groups of its own pages of one timeline's share of Device's
-	// queue lanes, when that share is more than one lane (see batch.go).
+	// to the latest end among the timelines it reached (a join) before a
+	// read's result is used. LookupBatch's first probing round overlaps
+	// the device with CPU work: phase A hands each SSD, while it is idle,
+	// groups of its own pages of one timeline's share of Device's queue
+	// lanes, when that share is more than one lane (see batch.go). And the
+	// flushes' work overlaps the device: their images are held, their
+	// serialization is done in the instance's device waits, and their
+	// write runs behind a later call (see WriteBehind).
 	// With several timelines, Device must be a
 	// storage.MemberDevice of as many members, member m on DeviceClock[m].
 	// nil means Clock, the timeline on which the device is idle at every
-	// CPU instant and device time and CPU time add up.
+	// CPU instant and device time and CPU time add up: a flush's
+	// serialization and write then land in the call that fills the
+	// buffer, with nothing held.
 	DeviceClock []*vclock.Clock
 
 	// PartitionBits is k1: the number of super tables is 2^k1 (§5.2).

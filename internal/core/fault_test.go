@@ -32,7 +32,25 @@ func failWrites(dev *ssd.SSD) (heal func()) {
 //     incarnations' bytes, which must not be probed.
 //   - buffered: the latest acknowledged values sit only in the buffers
 //     whose flush then fails, while older versions sit on flash.
+//
+// Each runs on an SSD on the CPU's clock, whose flushes write at once, and
+// on one with a timeline of its own, whose flushes hold their images until
+// a later flush writes them first: there the fault fails a held image
+// whose inserts returned.
 func TestFailedFlushNeverServesOlder(t *testing.T) {
+	timelines := []struct {
+		name string // the subtests' prefix
+		cfg  func(testing.TB) (Config, *ssd.SSD)
+	}{
+		{"", func(t testing.TB) (Config, *ssd.SSD) {
+			cfg, _ := testConfig(t)
+			return cfg, cfg.Device.(*ssd.SSD)
+		}},
+		{"own-timeline/", func(t testing.TB) (Config, *ssd.SSD) {
+			cfg, _, dev, _ := behindConfig(t)
+			return cfg, dev
+		}},
+	}
 	paths := []struct {
 		name   string
 		insert func(b *BufferHash, keys, vals []uint64) error
@@ -72,58 +90,65 @@ func TestFailedFlushNeverServesOlder(t *testing.T) {
 		}
 		return stale, misses
 	}
-	for _, p := range paths {
-		t.Run("rounds/"+p.name, func(t *testing.T) {
-			cfg, _ := testConfig(t)
-			b := mustNew(t, cfg)
-			const n = 9000
-			for round := uint64(1); round <= 5; round++ {
-				keys, vals := seq(1, n, round)
+	for _, tl := range timelines {
+		for _, p := range paths {
+			t.Run(tl.name+"rounds/"+p.name, func(t *testing.T) {
+				cfg, dev := tl.cfg(t)
+				b := mustNew(t, cfg)
+				const n = 9000
+				for round := uint64(1); round <= 5; round++ {
+					keys, vals := seq(1, n, round)
+					if err := p.insert(b, keys, vals); err != nil {
+						t.Fatal(err)
+					}
+				}
+				heal := failWrites(dev)
+				keys, vals := seq(1, n, 6)
+				if err := p.insert(b, keys, vals); !errors.Is(err, errInjected) {
+					t.Fatalf("faulted round: err = %v, want the injected fault", err)
+				}
+				heal()
+				// Round 5 is the latest acknowledged value; round 6 failed.
+				stale, misses := older(t, b, n, 5)
+				t.Logf("%d/%d older values, %d misses", stale, n, misses)
+				if stale != 0 {
+					t.Fatalf("%d/%d keys served a value older than the latest acknowledged one", stale, n)
+				}
+			})
+			t.Run(tl.name+"buffered/"+p.name, func(t *testing.T) {
+				cfg, dev := tl.cfg(t)
+				b := mustNew(t, cfg)
+				const n = 3000 // fits the four buffers without a flush
+				keys, vals := seq(1, n, 1)
 				if err := p.insert(b, keys, vals); err != nil {
 					t.Fatal(err)
 				}
-			}
-			heal := failWrites(cfg.Device.(*ssd.SSD))
-			keys, vals := seq(1, n, 6)
-			if err := p.insert(b, keys, vals); !errors.Is(err, errInjected) {
-				t.Fatalf("faulted round: err = %v, want the injected fault", err)
-			}
-			heal()
-			// Round 5 is the latest acknowledged value; round 6 failed.
-			stale, misses := older(t, b, n, 5)
-			t.Logf("%d/%d older values, %d misses", stale, n, misses)
-			if stale != 0 {
-				t.Fatalf("%d/%d keys served a value older than the latest acknowledged one", stale, n)
-			}
-		})
-		t.Run("buffered/"+p.name, func(t *testing.T) {
-			cfg, _ := testConfig(t)
-			b := mustNew(t, cfg)
-			const n = 3000 // fits the four buffers without a flush
-			keys, vals := seq(1, n, 1)
-			if err := p.insert(b, keys, vals); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			keys, vals = seq(1, n, 2)
-			if err := p.insert(b, keys, vals); err != nil {
-				t.Fatal(err)
-			}
-			heal := failWrites(cfg.Device.(*ssd.SSD))
-			// Fillers overflow every buffer, so each buffer holding a
-			// value-2 key tries to flush and fails.
-			keys, vals = seq(1<<40, 3*cfg.NumSuperTables()*cfg.EntriesPerBuffer(), 3)
-			if err := p.insert(b, keys, vals); !errors.Is(err, errInjected) {
-				t.Fatalf("filler inserts: err = %v, want the injected fault", err)
-			}
-			heal()
-			stale, misses := older(t, b, n, 2)
-			t.Logf("%d/%d older values, %d misses", stale, n, misses)
-			if stale != 0 {
-				t.Fatalf("%d/%d keys served a value older than the latest acknowledged one", stale, n)
-			}
-		})
+				if err := b.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				keys, vals = seq(1, n, 2)
+				if err := p.insert(b, keys, vals); err != nil {
+					t.Fatal(err)
+				}
+				heal := failWrites(dev)
+				// Fillers overflow every buffer, so each buffer holding a
+				// value-2 key tries to flush and fails; Flush then writes
+				// the images held since.
+				keys, vals = seq(1<<40, 3*cfg.NumSuperTables()*cfg.EntriesPerBuffer(), 3)
+				err := p.insert(b, keys, vals)
+				if ferr := b.Flush(); err == nil {
+					err = ferr
+				}
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("filler inserts and Flush: err = %v, want the injected fault", err)
+				}
+				heal()
+				stale, misses := older(t, b, n, 2)
+				t.Logf("%d/%d older values, %d misses", stale, n, misses)
+				if stale != 0 {
+					t.Fatalf("%d/%d keys served a value older than the latest acknowledged one", stale, n)
+				}
+			})
+		}
 	}
 }

@@ -18,7 +18,9 @@ import (
 //	             buffer reset, counters) run in input order, with CPU
 //	             charges accrued into one deferred clock advance. Only the
 //	             flush's device write is withheld: the image is serialized
-//	             into a pooled buffer and staged. A batch of more than one
+//	             into a pooled buffer and staged. A flush first writes the
+//	             images an earlier call left held (see B), so an instance
+//	             holds at most one set. A batch of more than one
 //	             key finds its repeated keys with the lookup pipeline's
 //	             batch-scoped key table, and a repeat whose super table
 //	             has not flushed since its key's latest full insert finds
@@ -26,12 +28,29 @@ import (
 //	             overwrite, skipping the delete-list delete and the
 //	             (idempotent) Bloom staging add while still charging a full
 //	             insert's CPU costs and counters.
-//	B (write):   the deferred CPU debt lands on the clock in one advance;
-//	             then the staged images — every flush the batch triggered —
-//	             are address-sorted and issued as one device WriteBatch
-//	             submission, overlapping their service across the device's
-//	             queue lanes (SSD NCQ channels, disk elevator), and
-//	             the image buffers return to the pool.
+//	B (write):   the deferred CPU debt lands on the clock in one advance.
+//	             On a device on the CPU's own clock (the default
+//	             Config.DeviceClock) the staged images — every flush the
+//	             batch triggered — are then address-sorted and issued as
+//	             one device WriteBatch submission, overlapping their
+//	             service across the device's queue lanes (SSD NCQ
+//	             channels, disk elevator); the call waits for it, and the
+//	             image buffers return to the pool. Each flush's
+//	             serialization, CPU.FlushSerialize, is in the call's debt.
+//	             On a device with timelines of its own the call writes
+//	             nothing: the staged images stay held in DRAM, the
+//	             incarnations they become are live at once (a lookup reads
+//	             their pages in the held buffers), and their serialization
+//	             is work the instance owes. Each later wait for the device
+//	             (Wait: a lookup's probing rounds, and the clam facade's
+//	             value-log reads and appends) does that work in the gap the
+//	             CPU would idle through, as much as fits, and the first
+//	             call to close (WriteBehind) once none is left issues the
+//	             held images as one address-sorted WriteBatch, without
+//	             waiting for it: later submissions to the SSDs it reaches
+//	             queue behind it. A second flush, and Flush, land the work
+//	             left as a plain advance and write the held set first, the
+//	             second flush without waiting for it, Flush waiting.
 //	             Shared-log layouts allocate consecutive slots, so a
 //	             batch's flushes form sequential runs that pay the fixed
 //	             write cost once.
@@ -52,7 +71,8 @@ import (
 // Partial-discard policies may need to scan an incarnation whose write is
 // still staged (a cascade, or a slot ring that wrapped within one batch);
 // readImage serves those addresses from the staged buffers, so the scan
-// sees exactly the bytes the device will eventually hold.
+// sees exactly the bytes the device will eventually hold. A held set is
+// written before any flush scans, so a scan never meets a held image.
 
 // insertScratch is reusable InsertBatch state, grown on demand and reused
 // across calls (BufferHash is single-caller by contract).
@@ -62,7 +82,7 @@ type insertScratch struct {
 	// insert.
 	distinct keyTable
 	gen      []uint64
-	reqs     []storage.WriteReq // flushStaged submission scratch
+	reqs     []storage.WriteReq // writeStaged submission scratch
 }
 
 // InsertBatch applies len(keys) inserts through the insert pipeline.
@@ -70,9 +90,11 @@ type insertScratch struct {
 // Insert calls over the same (key, value) sequence exactly; virtual time is
 // lower because the batch's flush writes are issued as one address-sorted
 // overlapped submission and its CPU charges land on the clock in one
-// advance. On error the batch may be partially applied; any writes already
-// staged are still issued so the device matches the structure's
-// bookkeeping, and a failed submission drops its images (see flushStaged).
+// advance. On a device with timelines of its own the flushes' images are
+// held instead, and written behind a later call (see WriteBehind). On error
+// the batch may be partially applied; any writes already staged are still
+// issued, or held, so the device matches the structure's bookkeeping, and
+// a failed submission drops its images (see writeStaged).
 //
 // displaced is nil or has len(keys): displaced[i] receives the value word
 // key i's insert overwrote in its DRAM buffer, 0 when the key was not
@@ -118,9 +140,15 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 	}
 
 	// Phase B: one clock advance for the whole batch's memory work, then
-	// every staged flush write, overlapped.
+	// every staged flush write, overlapped, or on a device with timelines
+	// of its own the staged images held for the write-behind.
 	b.settleCPUDebt()
-	writeErr := b.flushStaged()
+	var writeErr error
+	if b.behind {
+		b.held = len(b.staged) > 0
+	} else {
+		writeErr = b.writeStaged(true)
+	}
 	if applyErr != nil {
 		return applyErr
 	}

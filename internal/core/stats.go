@@ -1,5 +1,7 @@
 package core
 
+import "time"
+
 // Stats counts BufferHash events. Latency distributions are measured by the
 // caller (the clam facade) around the virtual clock; these counters capture
 // the structural quantities the paper reports: flash I/Os per lookup
@@ -21,9 +23,12 @@ type Stats struct {
 	ScreenedProbes uint64
 
 	// FlashProbes counts incarnation page reads; SpuriousProbes counts the
-	// subset that found nothing (Bloom false positives).
+	// subset that found nothing (Bloom false positives). PendingProbes
+	// counts the subset that read a held image's page in DRAM, with no
+	// device read (see BufferHash.WriteBehind).
 	FlashProbes    uint64
 	SpuriousProbes uint64
+	PendingProbes  uint64
 
 	// LookupIOHist[i] counts lookups that needed exactly i flash reads,
 	// with the last bucket collecting ≥ len-1 (Table 2's distribution).
@@ -38,6 +43,13 @@ type Stats struct {
 	Reinserted   uint64
 	LRUReinserts uint64
 	Cascades     uint64
+
+	// FlushCPUHidden is the flushes' serialization work
+	// (CPU.FlushSerialize) done while the shard waited for its device,
+	// and FlushCPULanded the work that landed on the clock as a plain
+	// advance: all of it on a device on the CPU's own clock.
+	FlushCPUHidden time.Duration
+	FlushCPULanded time.Duration
 
 	// CascadeHist[i] counts flushes that tried exactly i incarnations
 	// (Figure 8b); the last bucket collects ≥ len-1.
@@ -76,6 +88,7 @@ func (s *Stats) Merge(o Stats) {
 	s.ScreenedProbes += o.ScreenedProbes
 	s.FlashProbes += o.FlashProbes
 	s.SpuriousProbes += o.SpuriousProbes
+	s.PendingProbes += o.PendingProbes
 	for i := range s.LookupIOHist {
 		s.LookupIOHist[i] += o.LookupIOHist[i]
 	}
@@ -86,6 +99,8 @@ func (s *Stats) Merge(o Stats) {
 	s.Reinserted += o.Reinserted
 	s.LRUReinserts += o.LRUReinserts
 	s.Cascades += o.Cascades
+	s.FlushCPUHidden += o.FlushCPUHidden
+	s.FlushCPULanded += o.FlushCPULanded
 	for i := range s.CascadeHist {
 		s.CascadeHist[i] += o.CascadeHist[i]
 	}

@@ -190,6 +190,7 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 func (st *superTable) insert(kh, v uint64, buffered bool) (uint64, error) {
 	cfg := &st.owner.cfg
 	st.owner.chargeCPU(cfg.CPU.BufferInsert)
+	gen, deleted := st.deleteList[kh]
 	if !buffered {
 		delete(st.deleteList, kh) // a fresh insert revives a deleted key
 	}
@@ -197,6 +198,11 @@ func (st *superTable) insert(kh, v uint64, buffered bool) (uint64, error) {
 	old, err := st.buf.Insert(kh, v)
 	if err == cuckoo.ErrFull {
 		if err := st.flush(); err != nil {
+			// The key was not inserted, so its delete stands, unless the
+			// failed flush shadowed it at a later generation.
+			if cur, ok := st.deleteList[kh]; deleted && (!ok || cur < gen) {
+				st.deleteList[kh] = gen
+			}
 			return 0, err
 		}
 		old, err = st.buf.Insert(kh, v)
@@ -251,6 +257,9 @@ func (st *superTable) pruneDeletes() {
 // paper specifies.
 func (st *superTable) flush() error {
 	cfg := &st.owner.cfg
+	if err := st.owner.writeHeld(false); err != nil {
+		return err
+	}
 	var pending []entry
 	forceFull := false
 	tried := 0
@@ -366,10 +375,11 @@ func (st *superTable) evictOldest(forceFull bool) ([]entry, error) {
 
 // writeBufferAsIncarnation serializes the buffer into a pooled image
 // buffer, stages its write at a layout-chosen address for the operation's
-// closing WriteBatch, rotates the Bloom bank, and resets the buffer.
+// closing WriteBatch or the write-behind, rotates the Bloom bank, and
+// resets the buffer.
 func (st *superTable) writeBufferAsIncarnation() error {
 	cfg := &st.owner.cfg
-	st.owner.chargeCPU(cfg.CPU.FlushSerialize)
+	st.owner.chargeFlush()
 	addr, seq, err := st.owner.placeImage(st)
 	if err != nil {
 		return err

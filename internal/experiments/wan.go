@@ -27,7 +27,12 @@ func (c clamU64) Lookup(k uint64) (uint64, bool, error) { return c.st.GetU64(k) 
 // lookup cost is exactly what limits the optimizer's top speed (Fig 9's
 // right edge). To preserve that regime at reduced scale the index gets
 // deliberately small buffers (32 KB × 1 super table = 1 K entries) and is
-// pre-warmed past one eviction cycle so flushing is steady-state.
+// pre-warmed past one eviction cycle so flushing is steady-state. The
+// CLAM is the paper's blocking one (§5.2): its index is one Transcend SSD
+// on the CPU's clock (WithCustomDevice), so an insert that fills the
+// buffer pays for its flush and its write, where a kind-opened CLAM's
+// SSDs keep timelines of their own and its flushes' work runs behind its
+// calls (see core.BufferHash.WriteBehind).
 func wanIndex(sc Scale, useCLAM bool) (wanopt.Index, *vclock.Clock, error) {
 	const idxFlash = 2 << 20 // 64 K fingerprints on flash, 1 K buffered
 	clock := vclock.New()
@@ -35,6 +40,7 @@ func wanIndex(sc Scale, useCLAM bool) (wanopt.Index, *vclock.Clock, error) {
 	if useCLAM {
 		c, err := clam.Open(
 			clam.WithDevice(clam.TranscendSSD),
+			clam.WithCustomDevice(ssd.New(ssd.TranscendTS32(), idxFlash, clock)),
 			clam.WithFlash(idxFlash),
 			clam.WithBufferKB(32),
 			clam.WithMaxIncarnations(64),
