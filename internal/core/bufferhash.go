@@ -71,7 +71,7 @@ type BufferHash struct {
 	// of the last InsertBatch call that flushed, whose write has not been
 	// issued yet, and flushDebt is the serialization work
 	// (CPU.FlushSerialize) of staged images that is not done yet. Wait
-	// does it while the shard waits for the device.
+	// does it while the instance waits for the device.
 	behind    bool
 	held      bool
 	flushDebt time.Duration
@@ -255,7 +255,7 @@ func (b *BufferHash) writeStaged(wait bool) error {
 // work not done yet lands on the clock as a plain advance, after the
 // operation's CPU charges, then its write is issued, and waited for when
 // wait is set. A second flush, which may need a held image's slot, and
-// Flush write the held set first, so a shard holds at most one.
+// Flush write the held set first, so an instance holds at most one.
 func (b *BufferHash) writeHeld(wait bool) error {
 	if !b.held {
 		return nil
@@ -265,7 +265,7 @@ func (b *BufferHash) writeHeld(wait bool) error {
 }
 
 // WriteBehind closes a call on a device with timelines of its own: once
-// the shard's device waits have done all of the held set's serialization
+// the instance's device waits have done all of the held set's serialization
 // work (see Wait), it issues the held set's write and returns without
 // waiting for it. Later submissions to the SSDs it reaches queue behind
 // it. A failed write drops its images as writeStaged does and fails the
@@ -341,7 +341,7 @@ func (b *BufferHash) joinDevice() {
 	b.due = 0
 }
 
-// Wait makes the shard wait until t, the instant at which submissions its
+// Wait makes the instance wait until t, the instant at which submissions its
 // caller made end: the clock moves up to t. The CPU would idle until then,
 // so it first does the write-behind work not done yet (see WriteBehind)
 // in the gap, as much as fits. The clam facade waits for its value-log

@@ -45,7 +45,7 @@ type Stats struct {
 	Cascades     uint64
 
 	// FlushCPUHidden is the flushes' serialization work
-	// (CPU.FlushSerialize) done while the shard waited for its device,
+	// (CPU.FlushSerialize) done while the instance waited for its device,
 	// and FlushCPULanded the work that landed on the clock as a plain
 	// advance: all of it on a device on the CPU's own clock.
 	FlushCPUHidden time.Duration

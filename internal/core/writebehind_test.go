@@ -58,8 +58,9 @@ func flashKey(t *testing.T, b *BufferHash, next uint64) uint64 {
 // of a held image's page reads it in DRAM (PendingProbes), counted as a
 // flash probe. Wait does the work in the gap it waits through, as much as
 // fits, and WriteBehind issues the write only once no work is left,
-// without waiting for it: the clock stays, the device's runs on, and the
-// footprint falls back. A second flush lands the held set's remaining
+// without waiting for it: the clock stays, the device's runs on, the
+// footprint falls back, and the write epoch does not move, since no answer
+// changes (a read run and its hot-entry cache survive). A second flush lands the held set's remaining
 // work as a plain advance and writes it first, and Flush writes
 // everything and waits for it.
 func TestWriteBehind(t *testing.T) {
@@ -99,9 +100,12 @@ func TestWriteBehind(t *testing.T) {
 	if h := b.Stats().FlushCPUHidden; h != work {
 		t.Fatalf("after a wait longer than the work left: %v hidden, want %v", h, work)
 	}
-	now := clock.Now()
+	now, epoch := clock.Now(), b.epoch
 	if err := b.WriteBehind(); err != nil {
 		t.Fatal(err)
+	}
+	if b.epoch != epoch {
+		t.Fatalf("WriteBehind moved the write epoch %d → %d", epoch, b.epoch)
 	}
 	if w := dev.Counters().Writes; w != 1 || clock.Now() != now || devClock.Now() <= now {
 		t.Fatalf("WriteBehind: %d writes, clock %v → %v, device clock %v; want one write running behind an unmoved clock",
