@@ -579,13 +579,14 @@ func (s *shard) lendU64(piece []uint64, via []int32, keys []uint64, results []co
 }
 
 // getLentU64 is getBatchU64Into for the owner of a split run (see
-// router.lend), made by its last helper: its clock first moves up to
-// ready, the instant its helpers' dedupe ended, and keys, its head and the
-// keys forwarded for its tail, answer all positions of its run. It
-// returns the clock instant at which its lookup call began.
+// router.lend), made by its last helper: it first waits until ready, the
+// instant its helpers' dedupe ended, as it waits for its devices (see
+// core.BufferHash.Wait), and keys, its head and the keys forwarded for its
+// tail, answer all positions of its run. It returns the clock instant at
+// which its lookup call began.
 func (s *shard) getLentU64(keys []uint64, results []core.LookupResult, ready time.Duration, positions int) (start time.Duration, err error) {
 	w := s.begin()
-	s.clock.AdvanceTo(ready)
+	s.bh.Wait(ready)
 	start = s.clock.Now()
 	return start, s.end(&s.lookup, w, positions, s.bh.LookupBatch(keys, results))
 }

@@ -342,10 +342,11 @@ func (b *BufferHash) joinDevice() {
 }
 
 // Wait makes the instance wait until t, the instant at which submissions its
-// caller made end: the clock moves up to t. The CPU would idle until then,
-// so it first does the write-behind work not done yet (see WriteBehind)
-// in the gap, as much as fits. The clam facade waits for its value-log
-// submissions through it, as the core waits for its own.
+// caller made end, or another event it waits for: the clock moves up to t.
+// The CPU would idle until then, so it first does the write-behind work
+// not done yet (see WriteBehind) in the gap, as much as fits. The clam
+// facade waits for its value-log submissions and for a split read run's
+// helpers through it, as the core waits for its own submissions.
 func (b *BufferHash) Wait(t time.Duration) {
 	if gap := t - b.cfg.Clock.Now(); gap > 0 && b.flushDebt > 0 {
 		d := min(gap, b.flushDebt)
