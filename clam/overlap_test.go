@@ -183,24 +183,6 @@ func overlapStore(t *testing.T) *CLAM {
 
 func overlapKey(i int) []byte { return []byte(fmt.Sprintf("overlap-key-%05d", i)) }
 
-// side returns the SSD (0 for A, 1 for B) that alone was busy for a time
-// a on A and b on B, or -1 when neither or both were.
-func side(a, b time.Duration) int {
-	switch {
-	case a > 0 && b == 0:
-		return 0
-	case b > 0 && a == 0:
-		return 1
-	}
-	return -1
-}
-
-// sides returns the SSD that alone served a call's index I/O and the one
-// that alone served its value-log I/O (see side).
-func (a shardTimes) sides() (index, log int) {
-	return side(a.idx[0], a.idx[1]), side(a.log[1], a.log[0])
-}
-
 // putUntil issues 32-key PutBatch calls of fresh keys, from key *next on,
 // checking the timelines after each with jw, until one satisfies want,
 // given whether it flushed an index buffer and its shard times, and
