@@ -135,7 +135,8 @@
 // and Stats.Device and ValueDevice count them in ReadThrough as well as
 // in Reads.
 //
-// No chunk call waits for a write. The value log writes a whole erase
+// On a kind-opened shard no chunk call waits for its own writes. The
+// value log writes a whole erase
 // block on each SSD at once, the moment its tail fills one on each, and a
 // put chunk that succeeds acknowledges without waiting for it: it joins
 // the log only before its own append, when an earlier chunk's write still
