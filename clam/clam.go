@@ -269,6 +269,9 @@ type shard struct {
 	// has not waited for yet end on the timelines they reached (see
 	// issueLog and join), guarded by mu.
 	logDue time.Duration
+	// logAt is issueLog's scratch: the SSDs' readings when the last
+	// value-log submission was issued, guarded by mu.
+	logAt []time.Duration
 
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
@@ -329,6 +332,7 @@ func openShard(cfg config) (*shard, error) {
 	if s.logs, err = stripeOver(prof, vbytes, logClocks...); err != nil {
 		return nil, err
 	}
+	s.logAt = make([]time.Duration, len(s.logs.clocks))
 	if s.vlog, err = storage.NewValueLog(s.logs.Device); err != nil {
 		return nil, err
 	}
@@ -645,7 +649,9 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 // clock by its share, queued behind whatever that SSD still serves, the
 // index's probes and flushes too, and the shard runs on without waiting;
 // logReached records where the submission ended.
-func (s *shard) issueLog() vclock.Issued { return vclock.Issue(s.logs.clocks, s.clock.Now()) }
+func (s *shard) issueLog() vclock.Issued {
+	return vclock.Issue(s.logs.clocks, s.clock.Now(), s.logAt)
+}
 
 // logReached records the end of the value-log submission issued at issued
 // on the SSDs it reached, for the shard's next join.

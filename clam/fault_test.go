@@ -668,7 +668,7 @@ func testPartWriteFault(t *testing.T) {
 		if d.o.errs == errs {
 			t.Fatal("PutBatch acknowledged a chunk whose append to SSD A failed")
 		}
-		if l, c := latest(sh.logs.clocks), sh.clock.Now(); l > c {
+		if l, c := vclock.Latest(sh.logs.clocks), sh.clock.Now(); l > c {
 			t.Fatalf("the failed PutBatch left an SSD clock %v ahead of its clock %v", l, c)
 		}
 		r.arm(nil)
@@ -755,7 +755,7 @@ func testAppendBehindFault(t *testing.T) {
 		if d.o.errs == errs {
 			t.Fatal("PutBatch acknowledged a chunk whose value-log write failed")
 		}
-		if l, c := latest(sh.logs.clocks), sh.clock.Now(); l > c {
+		if l, c := vclock.Latest(sh.logs.clocks), sh.clock.Now(); l > c {
 			t.Fatalf("the failed PutBatch left an SSD clock %v ahead of its clock %v", l, c)
 		}
 		r.arm(nil)
@@ -1040,14 +1040,4 @@ func fuzzOps(ops []byte, apply func(kind, ki, win int)) {
 	for i := 0; i+2 < min(len(ops), 3*400); i += 3 {
 		apply(int(ops[i])%numFaultOps, int(ops[i+1]), 1+int(ops[i+2])%64)
 	}
-}
-
-// latest returns the latest time among cs: the instant at which every
-// timeline has finished what it was given.
-func latest(cs []*vclock.Clock) time.Duration {
-	var t time.Duration
-	for _, c := range cs {
-		t = max(t, c.Now())
-	}
-	return t
 }

@@ -130,6 +130,25 @@ func (j *joinWatch) check(t *testing.T, after string) {
 	}
 }
 
+// settleHeld idles every shard after a warm-up: its core's device wait
+// does the held index images' serialization work, their write is issued
+// and waited for. Windows measured after it start with nothing held and
+// no write running, as they would after a pause.
+func settleHeld(t *testing.T, shards []*shard) {
+	t.Helper()
+	const idle = 100 * time.Millisecond // far more than one held set's work
+	for i, sh := range shards {
+		sh.mu.Lock()
+		sh.bh.Wait(sh.clock.Now() + idle)
+		err := sh.bh.WriteBehind()
+		sh.bh.Wait(vclock.Latest(sh.idx.clocks))
+		sh.mu.Unlock()
+		if err != nil {
+			t.Fatalf("shard %d: held write: %v", i, err)
+		}
+	}
+}
+
 // TestValueLogOverlapWindows runs dedup merge windows on wrapped logs and
 // checks, after every call, that each shard left only writes running on
 // its SSDs (see joinWatch), and that between the ends of two GetBatch
@@ -349,7 +368,7 @@ func openSharedIndexTwin(t testing.TB, opts ...Option) *Sharded {
 // TestIndexOverlapWindows runs GetBatchU64 windows of the get-batch-zipf
 // benchmark workload's shape (8 shards, 64 MB of Intel flash, 12 MB of
 // DRAM, 4096 Zipf(1.1) keys per batch, warmed with 1.25 times the flash's
-// entries) on the store and on a twin whose indexes are one SSD each on
+// entries, then idled: see settleHeld) on the store and on a twin whose indexes are one SSD each on
 // their shard clocks, and checks that the index timelines only move time:
 // the answers and every shard's core counters match the twin's. After
 // every call each shard must be joined, and over every window each
@@ -381,6 +400,7 @@ func TestIndexOverlapWindows(t *testing.T) {
 			}
 		}
 	}
+	settleHeld(t, s.shards)
 	jw := newJoinWatch(s.shards)
 	jw.check(t, "warm-up")
 	probe := workload.NewZipfStream(3, zipfS, keyRange)
@@ -444,7 +464,8 @@ func TestIndexOverlapWindows(t *testing.T) {
 // TestLentDedupeWindows runs GetBatchU64 windows of the get-batch-zipf
 // benchmark workload's shape scaled down to a quarter of its store (8
 // shards, 16 MB of Intel flash, 3 MB of DRAM, 4096 Zipf(1.1) keys per
-// batch, warmed with 1.25 times the flash's entries) on the store and on a twin that reads the same per-shard runs
+// batch, warmed with 1.25 times the flash's entries, then idled: see
+// settleHeld) on the store and on a twin that reads the same per-shard runs
 // through its Shard(i) views, one-shard stores that never split a run.
 // Lent dedupe moves only which shard's clock pays for a repeat, so the
 // answers, every shard's core counters and its LookupLatency.Count must
@@ -478,6 +499,8 @@ func TestLentDedupeWindows(t *testing.T) {
 			}
 		}
 	}
+	settleHeld(t, s.shards)
+	settleHeld(t, twin.shards)
 	clocks := func(st *Sharded) (ts []time.Duration, sum time.Duration) {
 		for i := range shards {
 			ts = append(ts, st.Shard(i).Clock().Now())

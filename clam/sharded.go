@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashutil"
 	"repro/internal/metrics"
+	"repro/internal/vclock"
 )
 
 // Sharded is a horizontally partitioned CLAM implementing Store: the
@@ -48,11 +49,18 @@ type router struct {
 	chunk   int       // a write batch's task granularity (keys per chunk)
 	fpSeed  uint64    // deployment-level byte-key fingerprint seed
 	groups  sync.Pool // *shardGroups, per-batch grouping and result slots
+
+	clocks []*vclock.Clock // each shard's clock, in shard order
 }
 
 func newRouter(shards []*shard, workers, chunk int, fpSeed uint64) *router {
+	clocks := make([]*vclock.Clock, len(shards))
+	for i, sh := range shards {
+		clocks[i] = sh.clock
+	}
 	return &router{
 		shards:  shards,
+		clocks:  clocks,
 		shift:   64 - uint(bits.Len(uint(len(shards)))-1),
 		workers: workers,
 		chunk:   chunk,
@@ -138,15 +146,7 @@ func (s *Sharded) Shard(i int) *CLAM { return s.views[i] }
 // Now returns the furthest-ahead shard clock: the virtual makespan of the
 // work performed so far, the number to report for end-to-end completion
 // time of a parallel workload.
-func (s *Sharded) Now() time.Duration {
-	var max time.Duration
-	for _, sh := range s.shards {
-		if t := sh.clock.Now(); t > max {
-			max = t
-		}
-	}
-	return max
-}
+func (s *Sharded) Now() time.Duration { return vclock.Latest(s.clocks) }
 
 // --- single-key operations: one-key chunk calls on stack arrays ---
 

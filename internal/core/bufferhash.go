@@ -84,6 +84,9 @@ type BufferHash struct {
 	// made and has not waited for yet end: the latest end among the
 	// timelines each of them reached (see issueDevice and joinDevice).
 	due time.Duration
+	// issuedAt is issueDevice's scratch: the timelines' readings when the
+	// last submission was issued.
+	issuedAt []time.Duration
 
 	// Lent dedupe (see Lend): the charge not landed yet, whether one is
 	// pending, and the clock instant the last landed one ended.
@@ -122,6 +125,7 @@ func New(cfg Config) (*BufferHash, error) {
 		routeSeed: hashutil.Mix64(cfg.Seed),
 		epoch:     1,
 		behind:    len(cfg.DeviceClock) > 1 || cfg.DeviceClock[0] != cfg.Clock,
+		issuedAt:  make([]time.Duration, len(cfg.DeviceClock)),
 	}
 	if cfg.CacheEntries > 0 {
 		b.cache = newHotCache(cfg.CacheEntries)
@@ -323,7 +327,7 @@ func (b *BufferHash) settleCPUDebt() {
 // clock. Each then advances by its own share (see Config.DeviceClock),
 // and reached records where the submission ended.
 func (b *BufferHash) issueDevice() vclock.Issued {
-	return vclock.Issue(b.cfg.DeviceClock, b.cfg.Clock.Now())
+	return vclock.Issue(b.cfg.DeviceClock, b.cfg.Clock.Now(), b.issuedAt)
 }
 
 // reached records the end of the submission issued at issued on the

@@ -342,9 +342,6 @@ func (c *Config) validate() error {
 	if len(c.DeviceClock) == 0 {
 		c.DeviceClock = []*vclock.Clock{c.Clock}
 	}
-	if len(c.DeviceClock) > vclock.MaxTimelines {
-		return fmt.Errorf("core: %d device timelines, more than %d", len(c.DeviceClock), vclock.MaxTimelines)
-	}
 	return nil
 }
 

@@ -433,7 +433,7 @@ func TestStripedIndexMovesOnlyTime(t *testing.T) {
 				if watch.busy > 1 {
 					t.Fatalf("step %d: %d of the call's %d read submissions reached a busy SSD", step, watch.busy, watch.subs)
 				}
-				if l := latest(watch.timelines); l > clock.Now() {
+				if l := vclock.Latest(watch.timelines); l > clock.Now() {
 					t.Fatalf("step %d: a timeline at %v is ahead of the clock %v after the call", step, l, clock.Now())
 				}
 				calls++
@@ -542,16 +542,6 @@ func TestPhaseAHandsEachSSDItsGroup(t *testing.T) {
 		t.Errorf("both idle: first submission of %d pages reached SSDs %b with %b busy; want all %d pages on both, neither busy",
 			first.pages, first.reached, first.busy, bh.lanes+len(onB))
 	}
-}
-
-// latest returns the latest time among cs: the instant at which every
-// timeline has finished what it was given.
-func latest(cs []*vclock.Clock) time.Duration {
-	var t time.Duration
-	for _, c := range cs {
-		t = max(t, c.Now())
-	}
-	return t
 }
 
 // untimed returns s without the counters that depend on where the device

@@ -20,6 +20,22 @@ type clamU64 struct{ st clam.Store }
 func (c clamU64) Insert(k, v uint64) error              { return c.st.PutU64(k, v) }
 func (c clamU64) Lookup(k uint64) (uint64, bool, error) { return c.st.GetU64(k) }
 
+// wanIndexKind selects the fingerprint index of a WAN optimizer run.
+type wanIndexKind int
+
+const (
+	// blockingCLAM is the paper's CLAM (§5.2): its index is one Transcend
+	// SSD on the CPU's clock (WithCustomDevice), so an insert that fills
+	// the buffer pays for its flush and its write.
+	blockingCLAM wanIndexKind = iota
+	// behindCLAM is a kind-opened Transcend CLAM: its index is striped
+	// over two SSDs with timelines of their own, and its flushes' work
+	// runs behind its calls (see core.BufferHash.WriteBehind).
+	behindCLAM
+	// bdbIndex is the BerkeleyDB-style hash table on the Transcend SSD.
+	bdbIndex
+)
+
 // wanIndex builds the fingerprint index for a WAN optimizer run.
 //
 // At the paper's scale the fingerprint table (32 GB) dwarfs the DRAM
@@ -27,24 +43,23 @@ func (c clamU64) Lookup(k uint64) (uint64, bool, error) { return c.st.GetU64(k) 
 // lookup cost is exactly what limits the optimizer's top speed (Fig 9's
 // right edge). To preserve that regime at reduced scale the index gets
 // deliberately small buffers (32 KB × 1 super table = 1 K entries) and is
-// pre-warmed past one eviction cycle so flushing is steady-state. The
-// CLAM is the paper's blocking one (§5.2): its index is one Transcend SSD
-// on the CPU's clock (WithCustomDevice), so an insert that fills the
-// buffer pays for its flush and its write, where a kind-opened CLAM's
-// SSDs keep timelines of their own and its flushes' work runs behind its
-// calls (see core.BufferHash.WriteBehind).
-func wanIndex(sc Scale, useCLAM bool) (wanopt.Index, *vclock.Clock, error) {
+// pre-warmed past one eviction cycle so flushing is steady-state.
+func wanIndex(sc Scale, kind wanIndexKind) (wanopt.Index, *vclock.Clock, error) {
 	const idxFlash = 2 << 20 // 64 K fingerprints on flash, 1 K buffered
 	clock := vclock.New()
 	var u64 wanopt.U64Index
-	if useCLAM {
-		c, err := clam.Open(
+	if kind != bdbIndex {
+		opts := []clam.Option{
 			clam.WithDevice(clam.TranscendSSD),
-			clam.WithCustomDevice(ssd.New(ssd.TranscendTS32(), idxFlash, clock)),
 			clam.WithFlash(idxFlash),
 			clam.WithBufferKB(32),
 			clam.WithMaxIncarnations(64),
-			clam.WithClock(clock))
+			clam.WithClock(clock),
+		}
+		if kind == blockingCLAM {
+			opts = append(opts, clam.WithCustomDevice(ssd.New(ssd.TranscendTS32(), idxFlash, clock)))
+		}
+		c, err := clam.Open(opts...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -62,7 +77,7 @@ func wanIndex(sc Scale, useCLAM bool) (wanopt.Index, *vclock.Clock, error) {
 	// eviction cycle; BDB (no eviction) warms to ~60% occupancy, leaving
 	// room for the trace's new fingerprints.
 	warm := int(idxFlash/32) * 5 / 4
-	if !useCLAM {
+	if kind == bdbIndex {
 		warm = int(idxFlash/32) * 6 / 10
 	}
 	for i := 0; i < warm; i++ {
@@ -76,7 +91,9 @@ func wanIndex(sc Scale, useCLAM bool) (wanopt.Index, *vclock.Clock, error) {
 
 // Fig9 regenerates Figure 9: effective bandwidth improvement versus link
 // speed for CLAM-backed and BDB-backed WAN optimizers (Transcend SSD), at
-// 50% and 15% trace redundancy.
+// 50% and 15% trace redundancy. The paper's blocking CLAM is the figure's
+// CLAM; a kind-opened CLAM, whose flushes run behind its calls, is
+// reported next to it.
 func Fig9(sc Scale) (Report, error) {
 	r := Report{
 		ID:    "fig9",
@@ -84,13 +101,14 @@ func Fig9(sc Scale) (Report, error) {
 		PaperClaim: "BDB ≈2x only up to ~10Mbps then collapses; CLAM ≈2x through " +
 			"~100Mbps, reasonable at 200Mbps, bottleneck by 400Mbps (50% redundancy trace)",
 	}
+	r.addRow("bufferhash: the paper's blocking CLAM; write-behind: a kind-opened CLAM whose flushes run behind its calls")
 	speeds := []int64{10, 20, 100, 200, 400}
 	for _, red := range []float64{0.5, 0.15} {
 		r.addRow("redundancy %.0f%%:", red*100)
-		r.addRow("%10s %14s %14s", "Mbps", "bufferhash", "berkeleydb")
+		r.addRow("%10s %14s %14s %14s", "Mbps", "bufferhash", "write-behind", "berkeleydb")
 		for _, mbps := range speeds {
-			var imps [2]float64
-			for i, useCLAM := range []bool{true, false} {
+			var imps [3]float64
+			for i, kind := range []wanIndexKind{blockingCLAM, behindCLAM, bdbIndex} {
 				// Objects are large (2 MB mean) so the trace carries far
 				// more distinct chunks than the index can buffer in DRAM.
 				tr := workload.GenerateTrace(workload.TraceConfig{
@@ -99,7 +117,7 @@ func Fig9(sc Scale) (Report, error) {
 					Redundancy:      red,
 					Seed:            97,
 				})
-				idx, clock, err := wanIndex(sc, useCLAM)
+				idx, clock, err := wanIndex(sc, kind)
 				if err != nil {
 					return r, err
 				}
@@ -117,16 +135,18 @@ func Fig9(sc Scale) (Report, error) {
 				}
 				imps[i] = res.Improvement()
 			}
-			r.addRow("%10d %14.2f %14.2f", mbps, imps[0], imps[1])
+			r.addRow("%10d %14.2f %14.2f %14.2f", mbps, imps[0], imps[1], imps[2])
 			r.metric(fmt.Sprintf("bh_red%.0f_%dmbps", red*100, mbps), imps[0])
-			r.metric(fmt.Sprintf("bdb_red%.0f_%dmbps", red*100, mbps), imps[1])
+			r.metric(fmt.Sprintf("wb_red%.0f_%dmbps", red*100, mbps), imps[1])
+			r.metric(fmt.Sprintf("bdb_red%.0f_%dmbps", red*100, mbps), imps[2])
 		}
 	}
 	return r, nil
 }
 
 // Fig10 regenerates Figure 10: per-object throughput improvement under
-// 100%-utilization load at 10 Mbps, 50% redundancy, for both indexes.
+// 100%-utilization load at 10 Mbps, 50% redundancy, for each index: the
+// paper's blocking CLAM, a kind-opened CLAM and BDB.
 func Fig10(sc Scale) (Report, error) {
 	r := Report{
 		ID:    "fig10",
@@ -134,14 +154,14 @@ func Fig10(sc Scale) (Report, error) {
 		PaperClaim: "BDB worsens many (especially small) objects by 2x or more; CLAM " +
 			"hurts far fewer objects; mean improvement 3.1 (CLAM) vs 1.9 (BDB), 65% better",
 	}
-	for _, useCLAM := range []bool{true, false} {
+	for _, kind := range []wanIndexKind{blockingCLAM, behindCLAM, bdbIndex} {
 		tr := workload.GenerateTrace(workload.TraceConfig{
 			Objects:         sc.TraceObjects,
 			MeanObjectBytes: 2 << 20,
 			Redundancy:      0.5,
 			Seed:            98,
 		})
-		idx, clock, err := wanIndex(sc, useCLAM)
+		idx, clock, err := wanIndex(sc, kind)
 		if err != nil {
 			return r, err
 		}
@@ -153,10 +173,7 @@ func Fig10(sc Scale) (Report, error) {
 		if err != nil {
 			return r, err
 		}
-		name := "berkeleydb"
-		if useCLAM {
-			name = "bufferhash"
-		}
+		name := [...]string{blockingCLAM: "bufferhash", behindCLAM: "write-behind", bdbIndex: "berkeleydb"}[kind]
 		worsened := 0
 		for _, p := range objs {
 			if p.Improvement() < 1.0 {

@@ -73,27 +73,23 @@ func (s Stopwatch) Elapsed() time.Duration {
 	return s.clock.Now() - s.start
 }
 
-// MaxTimelines is the most timelines an Issued holds.
-const MaxTimelines = 8
-
 // Issued is the readings of a device's timelines when a submission was
 // issued to it, from which End tells where the submission ended.
 type Issued struct {
 	cs []*Clock
-	at [MaxTimelines]time.Duration
+	at []time.Duration
 }
 
 // Issue readies cs, the timelines of a device, for a submission issued at
 // t: the submission cannot start on any of them before t, so each moves
-// forward to t, as AdvanceTo does. It returns their readings then. cs
-// holds at most MaxTimelines clocks.
-func Issue(cs []*Clock, t time.Duration) Issued {
-	is := Issued{cs: cs}
+// forward to t, as AdvanceTo does. It records their readings then in at,
+// a caller's scratch of len(cs) that the returned Issued keeps.
+func Issue(cs []*Clock, t time.Duration, at []time.Duration) Issued {
 	for i, c := range cs {
 		c.AdvanceTo(t)
-		is.at[i] = c.Now()
+		at[i] = c.Now()
 	}
-	return is
+	return Issued{cs: cs, at: at[:len(cs)]}
 }
 
 // End returns the latest time among the timelines that moved since is
@@ -106,6 +102,16 @@ func (is *Issued) End() time.Duration {
 		if now := c.Now(); now > is.at[i] {
 			t = max(t, now)
 		}
+	}
+	return t
+}
+
+// Latest returns the latest time among cs, 0 for none: the instant at
+// which every timeline has finished what it was given.
+func Latest(cs []*Clock) time.Duration {
+	var t time.Duration
+	for _, c := range cs {
+		t = max(t, c.Now())
 	}
 	return t
 }

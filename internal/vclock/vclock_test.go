@@ -113,7 +113,7 @@ func TestConcurrentAdvanceToMonotonic(t *testing.T) {
 func TestIssueEnd(t *testing.T) {
 	a, b := New(), New()
 	b.Advance(9 * time.Millisecond) // busy with earlier work
-	is := Issue([]*Clock{a, b}, 2*time.Millisecond)
+	is := Issue([]*Clock{a, b}, 2*time.Millisecond, make([]time.Duration, 2))
 	if a.Now() != 2*time.Millisecond || b.Now() != 9*time.Millisecond {
 		t.Fatalf("after Issue at 2ms: a %v, b %v; want 2ms and 9ms", a.Now(), b.Now())
 	}
