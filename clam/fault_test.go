@@ -8,12 +8,10 @@ import (
 	"slices"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/hashutil"
 	"repro/internal/ssd"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // The fault oracle drives both key families through per-key and batch
@@ -514,14 +512,7 @@ func TestFaultOracle(t *testing.T) {
 			}
 		})
 	}
-	t.Run("clam/vlog-read-late-round", testLateRoundReadFault)
-	t.Run("clam/vlog-append-flush", testFlushingAppendFault)
-	t.Run("clam/index-read-streamed", testStreamedIndexReadFault)
-	t.Run("clam/vlog-append-behind", testAppendBehindFault)
 	t.Run("clam/cached-key-writes", testCachedKeyWrites)
-	t.Run("clam/vlog-read-partition", testPartReadFault)
-	t.Run("clam/vlog-append-partition", testPartWriteFault)
-	t.Run("clam/vlog-wrap-across-ssds", testWrapAcrossSSDs)
 }
 
 // testCachedKeyWrites caches a U64 key and a byte key, each first put and
@@ -592,347 +583,16 @@ func testCachedKeyWrites(t *testing.T) {
 	}
 }
 
-// putTwice puts every key of d's universe twice in 300-key byte windows:
-// more keys than the buffers of a 144 KB store hold, so most lookups
-// probe flash, and with two Bloom filter bits per entry several
-// incarnations.
-func putTwice(d *faultDriver) {
-	for range 2 {
-		for base := 0; base < d.nKeys; base += 2100 {
-			for k := range 7 {
-				d.apply(fopPutBatch, base+k, 300)
-			}
-		}
-	}
-}
-
-// testPartReadFault fails the first value-log read on SSD A's log
-// partition, a record read that queues behind SSD A's index probes.
-// The GetBatch must fail, and every later answer keep the contract:
-// random fault-free ops follow. (The late-round row fails a read on SSD
-// B's log partition.)
-func testPartReadFault(t *testing.T) {
-	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(15))
-	d := newFaultDriver(t, r, 12000, 0, 300)
-	putTwice(d)
-	var fired bool
-	r.devs[roleLogA].SetFault(func(op storage.Op, _ int64, _ int) error {
-		if op == storage.OpRead && !fired {
-			fired = true
-			return errFault
-		}
-		return nil
-	})
-	for ki := 0; ki < d.nKeys && !fired; ki += 7 {
-		errs := d.o.errs
-		d.apply(fopGetBatch, ki, 300)
-		if fired && d.o.errs == errs {
-			t.Fatal("GetBatch succeeded past its failed record read on SSD A")
-		}
-	}
-	r.arm(nil)
-	if !fired {
-		t.Fatal("no GetBatch read SSD A's log partition; retune the row")
-	}
-	d.runRandom(704, 1500)
-}
-
-// testPartWriteFault fails the first value-log write on SSD A's log
-// partition, a whole-block append that a successful chunk would leave
-// running on SSD A's timeline. The put must fail and return joined to both
-// SSDs' timelines, and every later answer — first a GetBatch of the same
-// keys — keep the contract.
-func testPartWriteFault(t *testing.T) {
-	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(16))
-	d := newFaultDriver(t, r, 12000, 100, 64)
-	sh := r.st.(*CLAM).shards[0]
-	var fired bool
-	r.devs[roleLogA].SetFault(func(op storage.Op, _ int64, _ int) error {
-		if op == storage.OpWrite && !fired {
-			fired = true
-			return errFault
-		}
-		return nil
-	})
-	rng := rand.New(rand.NewSource(705))
-	for step := 0; !fired; step++ {
-		if step == 4000 {
-			t.Fatal("no PutBatch wrote SSD A's log partition; retune the row")
-		}
-		ki, win := rng.Intn(d.nKeys), 1+rng.Intn(d.maxWin)
-		errs := d.o.errs
-		d.apply(fopPutBatch, ki, win)
-		if !fired {
-			continue
-		}
-		if d.o.errs == errs {
-			t.Fatal("PutBatch acknowledged a chunk whose append to SSD A failed")
-		}
-		if l, c := vclock.Latest(sh.logs.clocks), sh.clock.Now(); l > c {
-			t.Fatalf("the failed PutBatch left an SSD clock %v ahead of its clock %v", l, c)
-		}
-		r.arm(nil)
-		d.apply(fopGetBatch, ki, win)
-	}
-	d.runRandom(706, 3000)
-}
-
-// testWrapAcrossSSDs fails SSD A's share of a wrap's padding write that
-// spans both SSDs. The log is four erase blocks, alternating between SSD
-// B's log partition and SSD A's, and its write unit is one block on each:
-// a wrap pads the log's last unit and writes it, SSD B's share first,
-// which stays served and charged, and then SSD A's, which fails. The put
-// must fail, and every later answer keep the contract: random fault-free
-// ops follow.
-func testWrapAcrossSSDs(t *testing.T) {
-	r := openFaultCLAM(t, 256<<10, 512<<10, WithMemory(16<<10), WithBufferKB(4), WithMaxIncarnations(32), WithSeed(17))
-	d := newFaultDriver(t, r, 256, 3000, 64)
-	logCap, partCap := r.devs[roleLogB].Geometry().Capacity, r.devs[roleLogA].Geometry().Capacity
-	var logTail, fired bool // logTail: the last request was SSD B's write of its log partition's last unit
-	var served uint64       // SSD B's log writes, when its share of the spanning wrap was served
-	for _, role := range []faultRole{roleIndexA, roleIndexB} {
-		r.devs[role].SetFault(func(storage.Op, int64, int) error { logTail = false; return nil })
-	}
-	r.devs[roleLogB].SetFault(func(op storage.Op, off int64, n int) error {
-		logTail = op == storage.OpWrite && off+int64(n) == logCap
-		return nil
-	})
-	r.devs[roleLogA].SetFault(func(op storage.Op, off int64, n int) error {
-		spans := logTail && op == storage.OpWrite && off+int64(n) == partCap
-		logTail = false
-		if spans && !fired {
-			fired, served = true, r.devs[roleLogB].Counters().Writes
-			return errFault
-		}
-		return nil
-	})
-	rng := rand.New(rand.NewSource(707))
-	for step := 0; !fired; step++ {
-		if step == 4000 {
-			t.Fatal("no wrap wrote both SSDs; retune the row")
-		}
-		errs := d.o.errs
-		d.apply(fopPutBatch, rng.Intn(d.nKeys), 32+rng.Intn(33))
-		if fired && d.o.errs == errs {
-			t.Fatal("PutBatch acknowledged a chunk whose wrap failed on SSD A")
-		}
-	}
-	if r.devs[roleLogB].Counters().Writes != served || served == 0 {
-		t.Fatal("SSD B's share of the failed wrap was not served")
-	}
-	r.arm(nil)
-	d.runRandom(708, 1500)
-}
-
-// testAppendBehindFault fails the first value-log write on SSD B, the
-// whole-block write of a PutBatch chunk that a successful chunk would
-// leave running behind its acknowledgement. The put must fail, and return
-// joined to both SSDs, and every later answer — first a GetBatch of the same keys — keep
-// the contract.
-func testAppendBehindFault(t *testing.T) {
-	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(13))
-	d := newFaultDriver(t, r, 12000, 100, 64)
-	sh := r.st.(*CLAM).shards[0]
-	var fired bool
-	r.devs[roleLogB].SetFault(func(op storage.Op, _ int64, _ int) error {
-		if op == storage.OpWrite && !fired {
-			fired = true
-			return errFault
-		}
-		return nil
-	})
-	rng := rand.New(rand.NewSource(700))
-	for step := 0; !fired; step++ {
-		if step == 2000 {
-			t.Fatal("no PutBatch wrote the value log; retune the row")
-		}
-		ki, win := rng.Intn(d.nKeys), 1+rng.Intn(d.maxWin)
-		errs := d.o.errs
-		d.apply(fopPutBatch, ki, win)
-		if !fired {
-			continue
-		}
-		if d.o.errs == errs {
-			t.Fatal("PutBatch acknowledged a chunk whose value-log write failed")
-		}
-		if l, c := vclock.Latest(sh.logs.clocks), sh.clock.Now(); l > c {
-			t.Fatalf("the failed PutBatch left an SSD clock %v ahead of its clock %v", l, c)
-		}
-		r.arm(nil)
-		d.apply(fopGetBatch, ki, win)
-	}
-	d.runRandom(702, 3000)
-}
-
-// testStreamedIndexReadFault fails the first index read on SSD A that a
-// GetBatch chunk, and then a GetBatchU64 chunk, submits during phase A,
-// while the chunk's in-memory phase still runs. Two Bloom filter bits per
-// entry and every key put twice make most lookups probe flash, so a
-// 300-key window gathers its first pages within a few keys. A read whose
-// hook sees the shard clock below the chunk's start plus the least
-// phase-A charge for each of its keys (see leastPhaseACharge) runs inside
-// phase A. Each call must fail, and every
-// later answer keep the contract: first a one-key GetU64, then random
-// fault-free ops.
-func testStreamedIndexReadFault(t *testing.T) {
-	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(11))
-	d := newFaultDriver(t, r, 12000, 0, 300)
-	for range 2 {
-		for base := 0; base < d.nKeys; base += 2100 {
-			for k := range 7 {
-				d.apply(fopPutBatch, base+k, 300)
-				d.apply(fopPutBatchU64, base+k, 300)
-			}
-		}
-	}
-	sh := r.st.(*CLAM).shards[0]
-	perKey := leastPhaseACharge(sh)
-	var phaseAEnd time.Duration // the least clock phase A can end at
-	var armed, fired bool
-	r.devs[roleIndexA].SetFault(func(op storage.Op, _ int64, _ int) error {
-		if armed && op == storage.OpRead && sh.clock.Now() < phaseAEnd {
-			armed, fired = false, true
-			return errFault
-		}
-		return nil
-	})
-	const win = 300
-	for _, kind := range []int{fopGetBatch, fopGetBatchU64} {
-		fired = false
-		for ki := 0; ki < d.nKeys && !fired; ki += 7 {
-			phaseAEnd = sh.clock.Now() + win*perKey
-			armed = true
-			errs := d.o.errs
-			d.apply(kind, ki, win)
-			armed = false
-			if fired && d.o.errs == errs {
-				t.Fatalf("op %d succeeded past its failed phase-A index read", kind)
-			}
-		}
-		if !fired {
-			t.Fatalf("no op %d read the index during phase A; retune the row", kind)
-		}
-		d.apply(fopGetU64, 0, 1)
-	}
-	r.arm(nil)
-	d.runRandom(601, 1500)
-}
-
-// leastPhaseACharge is the least CPU charge sh's phase A lands for a key:
-// a repeat's dedupe probe, a read run's hot-entry cache probe, a Bloom
-// query, or the buffer probe of a key whose super table has no filter to
-// ask. A chunk's phase A runs at least until the shard clock passes the
-// chunk's start plus this charge for each of its keys; a key the staging
-// filter screens is charged its query alone, so BufferLookup is no such
-// bound.
-func leastPhaseACharge(sh *shard) time.Duration {
-	c := sh.bh.Config().CPU
-	return min(c.BatchCoalesce, c.CacheProbe, c.BloomQuery, c.BloomQueryNaive, c.BufferLookup)
-}
-
-// testLateRoundReadFault fails the value-log record read on SSD B of a
-// GetBatch chunk whose lookup resolved a hit in its second or a later
-// probing round: a hit resolved in round r read r index pages, and the
-// chunk reads its hits' records in one submission after the lookup's last
-// round. Two Bloom filter bits per entry make lookups probe several
-// incarnations, so a 300-key window takes several rounds. The GetBatch
-// must fail, unacknowledged, and every later answer keep the contract.
-func testLateRoundReadFault(t *testing.T) {
-	r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(8))
-	d := newFaultDriver(t, r, 12000, 0, 300)
-	putTwice(d)
-	sh := r.st.(*CLAM).shards[0]
-	var fired bool
-	r.devs[roleLogB].SetFault(func(op storage.Op, _ int64, _ int) error {
-		if op != storage.OpRead || fired {
-			return nil
-		}
-		for _, res := range sh.batchRes {
-			if res.Found && res.FlashReads >= 2 {
-				fired = true
-				return errFault
-			}
-		}
-		return nil
-	})
-	for ki := 0; ki < d.nKeys && !fired; ki += 7 {
-		errs := d.o.errs
-		d.apply(fopGetBatch, ki, 300)
-		if fired && d.o.errs == errs {
-			t.Fatal("GetBatch succeeded past its failed record read")
-		}
-	}
-	r.arm(nil)
-	if !fired {
-		t.Fatal("no GetBatch read the value log for a hit of its second probing round; retune the row")
-	}
-	d.runRandom(401, 1500)
-}
-
-// testFlushingAppendFault fails the value-log append of a PutBatch chunk
-// that also flushes an index buffer: the append fails when it is
-// submitted, and the chunk still inserts its record pointers, flushing,
-// before it fails. A twin store fed the same ops finds the chunk, one
-// whose append does not wrap the log: a wrap's failed padding write would
-// fail the chunk before it inserts anything. Such chunks are rare (a
-// chunk writes the log about once in 70 steps), hence the bound. The put
-// must not be acknowledged, and every later answer — first a GetBatch of
-// the same keys — keep the contract.
-func testFlushingAppendFault(t *testing.T) {
-	open := func() *faultRig {
-		return openFaultCLAM(t, 2<<20, 4<<20, WithMemory(512<<10), WithBufferKB(16), WithSeed(10))
-	}
-	twin, r := open(), open()
-	dt, d := newFaultDriver(t, twin, 12000, 100, 64), newFaultDriver(t, r, 12000, 100, 64)
-	// index counts the index's writes on both SSDs, log SSD B's log writes,
-	// and wraps the log's wraps.
-	writes := func(r *faultRig) (index, log, wraps uint64) {
-		return r.devs[roleIndexA].Counters().Writes + r.devs[roleIndexB].Counters().Writes,
-			r.devs[roleLogB].Counters().Writes, r.st.Stats().ValueLog.Wraps
-	}
-	rng := rand.New(rand.NewSource(506))
-	for step := 0; ; step++ {
-		if step == 20000 {
-			t.Fatal("no PutBatch chunk both wrote the value log and flushed the index without a wrap; retune the row")
-		}
-		ki, win := rng.Intn(d.nKeys), 1+rng.Intn(d.maxWin)
-		i0, l0, w0 := writes(twin)
-		dt.apply(fopPutBatch, ki, win)
-		i1, l1, w1 := writes(twin)
-		both := i1 > i0 && l1 > l0 && w1 == w0
-		if both {
-			r.devs[roleLogB].SetFault(func(op storage.Op, _ int64, _ int) error {
-				if op == storage.OpWrite {
-					return errFault
-				}
-				return nil
-			})
-		}
-		errs, flushes := d.o.errs, r.st.Stats().Device.Writes
-		d.apply(fopPutBatch, ki, win)
-		if !both {
-			continue
-		}
-		r.arm(nil)
-		if d.o.errs == errs {
-			t.Fatal("PutBatch acknowledged a chunk whose value-log append failed")
-		}
-		if r.st.Stats().Device.Writes == flushes {
-			t.Fatal("the chunk whose append failed did not flush the index")
-		}
-		d.apply(fopGetBatch, ki, win)
-		break
-	}
-	d.runRandom(501, 3000)
-}
-
 // FuzzFaultedOps runs the oracle over an op sequence and a fault schedule
 // taken from the input: each 3-byte group of ops is (kind, key, window),
 // and the four fault inputs are bitmaps over the requests of the index's
 // partitions on SSDs A and B and the value log's on B and A (see
 // faultRole), each in issue order, each repeated. The rig's index and
 // value log are each striped over its two SSDs, so the oracle covers both
-// stripes.
+// stripes. Its seeds fail requests at fixed positions and name no path:
+// TestFaultEnumeration fails each class of request the rig's two fault
+// scripts reach, the uniform and the put-heavy seed's sequences, one
+// request at a time.
 func FuzzFaultedOps(f *testing.F) {
 	// These three seeds predate a bitmap per device and give every
 	// partition the one bitmap they had.
@@ -970,38 +630,20 @@ func FuzzFaultedOps(f *testing.F) {
 		0xc, 0x3d, 0x8e, 0xb, 0x23, 0x9f, 0x1, 0x27, 0xbe, 0xb, 0x1, 0x0,
 		0x8, 0x41, 0x9a,
 	}, []byte{0x8}, []byte{0x8}, []byte{0x8}, []byte(nil))
-	// A put-heavy sequence, two thirds of its ops PutBatchU64 and PutBatch
-	// windows, fails one request in 32 of every partition: it flushes
-	// index buffers, holds their images and writes them behind later
-	// calls (TestPutHeavySeedFlushes), which uniform random sequences
-	// seldom do.
-	f.Add(putHeavyOps(), []byte{0x10, 0, 0, 0}, []byte{0x10, 0, 0, 0}, []byte{0x10, 0, 0, 0}, []byte{0x10, 0, 0, 0})
-	// Each targeted seed fails one request on a path of its own (see
-	// targetedFaultSeeds).
-	for _, seed := range targetedFaultSeeds {
-		bm := seed.bitmaps()
-		f.Add(seed.ops, bm[roleIndexA], bm[roleIndexB], bm[roleLogB], bm[roleLogA])
+	// A uniform random sequence and a put-heavy one, two thirds of its ops
+	// PutBatchU64 and PutBatch windows, which flushes index buffers while it
+	// appends, holds their images and writes them behind later calls: each
+	// fails one request in 32 of every partition.
+	for _, ops := range [][]byte{putHeavyOps(), uniformOps()} {
+		f.Add(ops, []byte{0x10, 0, 0, 0}, []byte{0x10, 0, 0, 0}, []byte{0x10, 0, 0, 0}, []byte{0x10, 0, 0, 0})
 	}
 	f.Fuzz(func(t *testing.T, ops, indexA, indexB, logB, logA []byte) {
 		r, d := openFuzzRig(t)
 		r.arm(bitmapFaults(indexA, indexB, logB, logA))
-		fuzzOps(ops, d.apply)
-	})
-}
-
-// putHeavyOps returns a FuzzFaultedOps op sequence of 400 ops, each
-// PutBatchU64 or PutBatch with probability two thirds and a random op
-// otherwise, over random keys and windows.
-func putHeavyOps() []byte {
-	rng := rand.New(rand.NewSource(27))
-	ops := make([]byte, 3*400)
-	rng.Read(ops)
-	for i := 0; i < len(ops); i += 3 {
-		if rng.Intn(3) < 2 {
-			ops[i] = []byte{fopPutBatchU64, fopPutBatch}[rng.Intn(2)]
+		for _, op := range decodeOps(ops) {
+			d.apply(op.kind, op.ki, op.win)
 		}
-	}
-	return ops
+	})
 }
 
 // openFuzzRig opens FuzzFaultedOps' store and its driver: one CLAM on
@@ -1011,7 +653,7 @@ func putHeavyOps() []byte {
 // up to 32 incarnations, and its 40 KB of memory leaves few Bloom filter
 // bits, so lookups probe many pages: random op sequences hand phase-A
 // probes to an idle SSD and submit more pages than the SSDs' lanes, which
-// read through small holes (TestFuzzRigReachesHandOversAndReadThrough).
+// read through small holes (TestFaultEnumeration).
 // The value log is four blocks, striped over SSD B's partition and SSD
 // A's, so puts write it a block on each SSD at a time and wrap it often,
 // and a wrap's padding write spans both SSDs.
@@ -1034,10 +676,12 @@ func bitmapFaults(bitmaps ...[]byte) func(role faultRole, i int, _ storage.Op) b
 	}
 }
 
-// fuzzOps calls apply for each of the first 400 3-byte groups of ops:
-// (kind, key, window).
-func fuzzOps(ops []byte, apply func(kind, ki, win int)) {
+// decodeOps returns the ops of the first 400 3-byte groups of a
+// FuzzFaultedOps op sequence: (kind, key, window).
+func decodeOps(ops []byte) []scriptOp {
+	var s []scriptOp
 	for i := 0; i+2 < min(len(ops), 3*400); i += 3 {
-		apply(int(ops[i])%numFaultOps, int(ops[i+1]), 1+int(ops[i+2])%64)
+		s = append(s, scriptOp{int(ops[i]) % numFaultOps, int(ops[i+1]), 1 + int(ops[i+2])%64})
 	}
+	return s
 }

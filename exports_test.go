@@ -33,7 +33,6 @@ var testOnlyAllowed = map[string]string{
 	"repro/clam.router.DeleteU64":      "the paper's lazy delete (§5.1.1) on the U64 fast path, which the differential and fault oracles run against per-key twins",
 	"repro/clam.router.DeleteBatchU64": "the paper's lazy delete (§5.1.1) on the U64 fast path, batched; the differential and fault oracles run it",
 	"repro/clam.router.DeleteBatch":    "the depart operation of the planned churn workload (register, resolve, depart), which the differential and fault oracles run",
-	"repro/clam.router.Flush":          "the oracles' quiescing call, which forces buffered entries to flash before they compare",
 
 	"repro/internal/core.BufferHash.Delete": "the per-key delete beside Lookup and Insert, a one-key DeleteBatch; TestSerialOpsPinned and the core oracles drive per-key twins through it",
 	"repro/internal/bdb.HashIndex.Delete":   "the BDB baseline's in-place delete, the third operation of its hash-index interface, which the bdb tests check against a map",

@@ -48,6 +48,7 @@ func wanIndex(sc Scale, kind wanIndexKind) (wanopt.Index, *vclock.Clock, error) 
 	const idxFlash = 2 << 20 // 64 K fingerprints on flash, 1 K buffered
 	clock := vclock.New()
 	var u64 wanopt.U64Index
+	var behind clam.Store
 	if kind != bdbIndex {
 		opts := []clam.Option{
 			clam.WithDevice(clam.TranscendSSD),
@@ -64,6 +65,9 @@ func wanIndex(sc Scale, kind wanIndexKind) (wanopt.Index, *vclock.Clock, error) 
 			return nil, nil, err
 		}
 		u64 = clamU64{c}
+		if kind == behindCLAM {
+			behind = c
+		}
 	} else {
 		h, err := newBDB(onSSD(ssd.TranscendTS32()), idxFlash/32, clock, 1)
 		if err != nil {
@@ -83,6 +87,14 @@ func wanIndex(sc Scale, kind wanIndexKind) (wanopt.Index, *vclock.Clock, error) 
 	for i := 0; i < warm; i++ {
 		fp := uint64(i)*2654435761 + (1 << 62)
 		if err := u64.Insert(fp|1, 1); err != nil {
+			return nil, nil, err
+		}
+	}
+	// A kind-opened CLAM still holds the warm-up's last flush images and
+	// runs their writes behind it; Flush writes them and waits, so the
+	// first measured lookup does not queue behind warm-up work.
+	if behind != nil {
+		if err := behind.Flush(); err != nil {
 			return nil, nil, err
 		}
 	}
