@@ -349,7 +349,7 @@ func TestFaultEnumeration(t *testing.T) {
 	var runs int
 	var sum Stats
 	for _, s := range faultScripts() {
-		trace := runFaultScript(t, s, func(faultRole, int) bool { return false })
+		trace := runFaultScript(t, s, noFaults)
 		if len(trace.failedOps) != 0 {
 			t.Fatalf("%s: ops %v failed with no fault", s.name, trace.failedOps)
 		}
@@ -402,6 +402,129 @@ func TestFaultEnumeration(t *testing.T) {
 	if sum.Device.ReadThrough == 0 || sum.ValueDevice.ReadThrough == 0 || sum.Core.PendingProbes == 0 {
 		t.Errorf("the scripts read through %d index and %d log pages and probed held images %d times; want each above zero",
 			sum.Device.ReadThrough, sum.ValueDevice.ReadThrough, sum.Core.PendingProbes)
+	}
+}
+
+// noFaults fails no request.
+func noFaults(faultRole, int) bool { return false }
+
+// namedClass returns the predicate of the named class called name.
+func namedClass(t *testing.T, name string) func(faultClass) bool {
+	t.Helper()
+	for _, nc := range namedClasses {
+		if nc.name == name {
+			return nc.on
+		}
+	}
+	t.Fatalf("no named class %s", name)
+	return nil
+}
+
+// reachNamed traces the fault script called script fault-free and returns
+// how many of its requests lie in each named class of names, and the
+// store's final Stats.
+func reachNamed(t *testing.T, script string, names ...string) ([]int, Stats) {
+	t.Helper()
+	i := slices.IndexFunc(faultScripts(), func(s faultScript) bool { return s.name == script })
+	if i < 0 {
+		t.Fatalf("no fault script %s", script)
+	}
+	run := runFaultScript(t, faultScripts()[i], noFaults)
+	counts := make([]int, len(names))
+	for k, name := range names {
+		on := namedClass(t, name)
+		for _, q := range run.reqs {
+			if on(q.faultClass) {
+				counts[k]++
+			}
+		}
+	}
+	return counts, run.st
+}
+
+// failNamedClasses traces the fault scripts fault-free, in order, and for
+// each named class of names re-runs the first script that reaches it once
+// for each of the class's first m requests on it, with that request alone
+// failing (see failOne). Every class must be reached.
+func failNamedClasses(t *testing.T, names []string, m int) {
+	t.Helper()
+	left := map[string]func(faultClass) bool{}
+	for _, name := range names {
+		left[name] = namedClass(t, name)
+	}
+	for _, s := range faultScripts() {
+		if len(left) == 0 {
+			break
+		}
+		trace := runFaultScript(t, s, noFaults)
+		for _, name := range names {
+			on, ok := left[name]
+			if !ok {
+				continue
+			}
+			var picks []tracedReq
+			for _, q := range trace.reqs {
+				if on(q.faultClass) && len(picks) < m {
+					picks = append(picks, q)
+				}
+			}
+			if len(picks) == 0 {
+				continue
+			}
+			delete(left, name)
+			t.Logf("%s: failing %d of its requests on the %s script", name, len(picks), s.name)
+			for _, p := range picks {
+				failOne(t, s, p)
+			}
+		}
+	}
+	for _, name := range names {
+		if _, ok := left[name]; ok {
+			t.Errorf("no fault script reached class %s", name)
+		}
+	}
+}
+
+// TestFaultedOpsSeedPaths fails, for each named class, its first request
+// on the first fault script that reaches it, alone: the op the trace put
+// that request in must be the first and only op that fails, and every
+// answer must keep the oracle's contract. TestFaultEnumeration fails
+// every class, named or not, and TestFaultOracle's class rows fail the
+// first three requests of theirs.
+func TestFaultedOpsSeedPaths(t *testing.T) {
+	var names []string
+	for _, nc := range namedClasses {
+		names = append(names, nc.name)
+	}
+	failNamedClasses(t, names, 1)
+}
+
+// TestFuzzRigReachesHandOversAndReadThrough traces FuzzFaultedOps' uniform
+// seed sequence fault-free on its rig: phase A must hand an idle SSD index
+// pages (a streamed-index-read request), and submissions of more pages
+// than the SSDs' lanes must read through holes, on the index and on the
+// value log, so that the seed's faults reach those requests too.
+func TestFuzzRigReachesHandOversAndReadThrough(t *testing.T) {
+	n, st := reachNamed(t, "uniform", "streamed-index-read")
+	t.Logf("%d index reads handed over in phase A; %d index and %d log pages read through", n[0], st.Device.ReadThrough, st.ValueDevice.ReadThrough)
+	if n[0] == 0 || st.Device.ReadThrough == 0 || st.ValueDevice.ReadThrough == 0 {
+		t.Fatalf("the uniform sequence reached %d phase-A hand-over reads, %d index and %d log read-through pages; want each above zero",
+			n[0], st.Device.ReadThrough, st.ValueDevice.ReadThrough)
+	}
+}
+
+// TestPutHeavySeedFlushes traces FuzzFaultedOps' put-heavy seed sequence
+// fault-free on its rig: its PutBatch windows must flush index buffers
+// while they write the value log, some later call must write held index
+// images behind (flushing-append and write-behind requests), and lookups
+// must probe held images, so that the seed's faults reach all three.
+func TestPutHeavySeedFlushes(t *testing.T) {
+	n, st := reachNamed(t, "put-heavy", "flushing-append", "write-behind")
+	t.Logf("%d flushes; %d flushing appends, %d index writes behind; %d probes of held images",
+		st.Core.Flushes, n[0], n[1], st.Core.PendingProbes)
+	if n[0] == 0 || n[1] == 0 || st.Core.PendingProbes == 0 {
+		t.Fatalf("the put-heavy sequence reached %d flushing appends, %d writes behind and %d held-image probes; want each above zero",
+			n[0], n[1], st.Core.PendingProbes)
 	}
 }
 

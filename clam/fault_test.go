@@ -513,6 +513,22 @@ func TestFaultOracle(t *testing.T) {
 		})
 	}
 	t.Run("clam/cached-key-writes", testCachedKeyWrites)
+	// Each of these rows fails the first requests of its named request
+	// classes, picked from a fault-free trace (see failNamedClasses).
+	for _, row := range []struct {
+		name    string
+		classes []string
+	}{
+		{"clam/vlog-read-late-round", []string{"late-round-log-read"}},
+		{"clam/vlog-append-flush", []string{"flushing-append"}},
+		{"clam/index-read-streamed", []string{"streamed-index-read", "u64-streamed-index-read"}},
+		{"clam/vlog-append-behind", []string{"append-behind"}},
+		{"clam/vlog-read-partition", []string{"part-log-read"}},
+		{"clam/vlog-append-partition", []string{"part-log-write"}},
+		{"clam/vlog-wrap-across-ssds", []string{"wrap-across-members"}},
+	} {
+		t.Run(row.name, func(t *testing.T) { failNamedClasses(t, row.classes, 3) })
+	}
 }
 
 // testCachedKeyWrites caches a U64 key and a byte key, each first put and
