@@ -135,8 +135,20 @@
 // and Stats.Device and ValueDevice count them in ReadThrough as well as
 // in Reads.
 //
-// On a kind-opened shard no chunk call waits for its own writes. The
-// value log writes a whole erase
+// On a kind-opened shard no chunk call waits for its own writes, nor for
+// its keys' buffer inserts. A put chunk acknowledges once its keys are in
+// their super tables' staging Bloom filters: the call pays each key's
+// CPU.BloomAdd, and each key's cuckoo insert, CPU.BufferInsert, is work
+// the shard does while it waits for its SSDs, at any later join, index or
+// log, of any call, in time its CPU would otherwise idle
+// (Stats.Core.InsertCPUHidden). Until then the chunk's keys are a pending
+// set of 16 B each (Stats.Memory.PendingBytes). Every answer is already
+// the put's, and a lookup that probes a buffer while inserts are pending
+// also pays CPU.BatchCoalesce to check the pending set; a key the staging
+// filter rules out is no pending key and costs nothing more. The next put
+// or delete chunk, and Flush, first land the inserts left as a plain
+// advance (Stats.Core.InsertCPULanded), so a shard owes at most one
+// chunk's inserts. The value log writes a whole erase
 // block on each SSD at once, the moment its tail fills one on each, and a
 // put chunk that succeeds acknowledges without waiting for it: it joins
 // the log only before its own append, when an earlier chunk's write still
@@ -144,11 +156,12 @@
 // writes nothing to the index either: the core holds the full buffer's
 // image in DRAM (Stats.Memory.PendingBytes), where lookups read its pages
 // (Stats.Core.PendingProbes), and the image's serialization, the flush's
-// CPU.FlushSerialize, is work the shard does while it waits for its SSDs,
-// at any later join, index or log, of any call, in time its CPU would
-// otherwise idle (Stats.Core.FlushCPUHidden). The call whose waits finish
-// that work issues the held images' write as it returns, as one
-// address-sorted submission, and does not wait for it. A put chunk that
+// CPU.FlushSerialize, is work the shard's waits do too
+// (Stats.Core.FlushCPUHidden), after the chunk's inserts queued before
+// the flush and before those after it. The call whose waits finish the
+// inserts before the flush and the serialization issues the held images'
+// write as it returns, as one address-sorted submission, and does not
+// wait for it; the inserts after the flush never delay it. A put chunk that
 // fills a buffer while images are still held lands their remaining work
 // as a plain advance (Stats.Core.FlushCPULanded) and issues their write
 // first, so a shard holds at most one set. A held write that fails fails
@@ -164,8 +177,9 @@
 // A WithCustomDevice store runs its index device on the shard clock, where
 // device and CPU time add up, through the same lookup path: such a device
 // is idle at every CPU instant and completes each read as it is issued,
-// and an insert that fills a buffer pays its flush's serialization and
-// write in its own call, as the paper's blocking CLAM does. Its value log
+// and a put pays its keys' buffer inserts and, when it fills a buffer,
+// its flush's serialization and write in its own call, as the paper's
+// blocking CLAM does. Its value log
 // is kind-made on one SSD on a private clock. A log too small to give each
 // SSD an erase block lies on B alone, and such an index on A alone.
 //

@@ -421,9 +421,10 @@ func TestDifferentialBatchedEvictionRegime(t *testing.T) {
 // structural returns s without the counters that depend on how calls and
 // device time fell, not on what the store did: the probes a held index
 // image answered in DRAM (which images are held depends on which calls
-// flushed), and how much flush work device waits hid. A probe of a held
-// image still counts in FlashProbes and LookupIOHist.
+// flushed), and how much flush and insert work device waits hid. A probe
+// of a held image still counts in FlashProbes and LookupIOHist.
 func structural(s core.Stats) core.Stats {
 	s.PendingProbes, s.FlushCPUHidden, s.FlushCPULanded = 0, 0, 0
+	s.InsertCPUHidden, s.InsertCPULanded = 0, 0
 	return s
 }

@@ -145,8 +145,9 @@ func isLookup(k int) bool {
 	return false
 }
 
-// scriptOp is a fault op: its kind, its first key's index and its window.
-type scriptOp struct{ kind, ki, win int }
+// scriptOp is a fault op: its kind, its first key's index, its window
+// and the key-index step of its window (0 means the driver's 7).
+type scriptOp struct{ kind, ki, win, stride int }
 
 // faultScript is a fixed op sequence on the rig it runs on.
 type faultScript struct {
@@ -163,7 +164,11 @@ type faultScript struct {
 // writes held images behind later calls. The third puts 12,000 keys of
 // each family into a flash-heavy store in 300-key batches and then reads
 // two 300-key windows of each: a lookup call writes the puts' last held
-// images behind, which the fuzz rig's short windows do not reach.
+// images behind, which the fuzz rig's short windows do not reach. A put
+// window's records lie together in the value log, so its read windows
+// stride 1,777 keys (prime to 12,000) through the universe instead of 7:
+// each reads records of many put windows, on pages with small holes
+// between them, which its record reads read through.
 func faultScripts() []faultScript {
 	flash := faultScript{name: "flash-heavy", open: func(t testing.TB) (*faultRig, *faultDriver) {
 		r := openFaultCLAM(t, 2<<20, 4<<20, WithMemory(144<<10), WithBufferKB(16), WithSeed(11))
@@ -171,11 +176,11 @@ func faultScripts() []faultScript {
 	}}
 	for base := 0; base < 12000; base += 2100 {
 		for k := range 7 {
-			flash.ops = append(flash.ops, scriptOp{fopPutBatch, base + k, 300}, scriptOp{fopPutBatchU64, base + k, 300})
+			flash.ops = append(flash.ops, scriptOp{fopPutBatch, base + k, 300, 0}, scriptOp{fopPutBatchU64, base + k, 300, 0})
 		}
 	}
 	for ki := 0; ki < 14; ki += 7 {
-		flash.ops = append(flash.ops, scriptOp{fopGetBatch, ki, 300}, scriptOp{fopGetBatchU64, ki, 300})
+		flash.ops = append(flash.ops, scriptOp{fopGetBatch, ki, 300, 1777}, scriptOp{fopGetBatchU64, ki, 300, 1777})
 	}
 	return []faultScript{
 		{name: "uniform", open: openFuzzRig, ops: decodeOps(uniformOps()), exhaustive: true},
@@ -282,6 +287,7 @@ func runFaultScript(t *testing.T, s faultScript, fail func(role faultRole, i int
 	// apply runs op as script op n and reports whether it failed.
 	apply := func(n int, op scriptOp) bool {
 		cur = tracedReq{opNum: n, faultClass: faultClass{kind: op.kind}}
+		d.stride = op.stride
 		phaseAEnd = sh.clock.Now() + time.Duration(op.win)*perKey
 		from, flushes, errs := len(run.reqs), sh.bh.Stats().Flushes, d.o.errs
 		ahead0, wrote0 := lead()
@@ -340,8 +346,8 @@ func readBack(op scriptOp) scriptOp {
 // fails, every answer must keep the oracle's contract, and SSD A's share
 // of a write that spans both SSDs must fail after SSD B's share was
 // served (see runFaultScript for the clock check). Every named class must
-// be reached, and the scripts must read through holes on the index and
-// the log and probe held images.
+// be reached, and the scripts must read through at least minReadThrough
+// pages of holes on the index and on the log, and probe held images.
 func TestFaultEnumeration(t *testing.T) {
 	const m = 3 // requests failed per class
 	seen := map[faultClass]bool{}
@@ -399,11 +405,18 @@ func TestFaultEnumeration(t *testing.T) {
 			t.Errorf("no script reached class %s", nc.name)
 		}
 	}
-	if sum.Device.ReadThrough == 0 || sum.ValueDevice.ReadThrough == 0 || sum.Core.PendingProbes == 0 {
-		t.Errorf("the scripts read through %d index and %d log pages and probed held images %d times; want each above zero",
-			sum.Device.ReadThrough, sum.ValueDevice.ReadThrough, sum.Core.PendingProbes)
+	t.Logf("the scripts read through %d index and %d log pages and probed held images %d times",
+		sum.Device.ReadThrough, sum.ValueDevice.ReadThrough, sum.Core.PendingProbes)
+	if sum.Device.ReadThrough < minReadThrough || sum.ValueDevice.ReadThrough < minReadThrough || sum.Core.PendingProbes == 0 {
+		t.Errorf("the scripts read through %d index and %d log pages and probed held images %d times; want at least %d pages on each and a probe",
+			sum.Device.ReadThrough, sum.ValueDevice.ReadThrough, sum.Core.PendingProbes, minReadThrough)
 	}
 }
+
+// minReadThrough is the fewest index pages, and the fewest log pages, the
+// fault scripts must read through: a margin, so that a change that moves
+// a few pages does not fail the reach check with no fault.
+const minReadThrough = 10
 
 // noFaults fails no request.
 func noFaults(faultRole, int) bool { return false }

@@ -1,6 +1,7 @@
 package clam
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -223,6 +224,8 @@ type faultDriver struct {
 	valPad  int // byte values are "#<seq>" padded to at least this length
 	maxWin  int
 	byteKey [][]byte
+	// stride is the key-index step of the next batch window; 0 means 7.
+	stride int
 }
 
 func newFaultDriver(t testing.TB, r *faultRig, nKeys, valPad, maxWin int) *faultDriver {
@@ -273,14 +276,15 @@ func (d *faultDriver) failed(err error) {
 }
 
 // apply runs one op on key index ki (the first key of a batch window of
-// win keys, wrapping around the universe).
+// win keys, d.stride apart, wrapping around the universe).
 func (d *faultDriver) apply(kind, ki, win int) {
 	t, st, o := d.o.t, d.r.st, d.o
 	ctx := context.Background()
 	window := func() []int {
+		stride := cmp.Or(d.stride, 7)
 		idx := make([]int, win)
 		for j := range idx {
-			idx[j] = (ki + j*7) % d.nKeys // duplicates appear once win > nKeys/7
+			idx[j] = (ki + j*stride) % d.nKeys // duplicates appear once win > nKeys/stride
 		}
 		return idx
 	}
@@ -697,7 +701,7 @@ func bitmapFaults(bitmaps ...[]byte) func(role faultRole, i int, _ storage.Op) b
 func decodeOps(ops []byte) []scriptOp {
 	var s []scriptOp
 	for i := 0; i+2 < min(len(ops), 3*400); i += 3 {
-		s = append(s, scriptOp{int(ops[i]) % numFaultOps, int(ops[i+1]), 1 + int(ops[i+2])%64})
+		s = append(s, scriptOp{int(ops[i]) % numFaultOps, int(ops[i+1]), 1 + int(ops[i+2])%64, 0})
 	}
 	return s
 }

@@ -73,7 +73,7 @@ import (
 //	             latency overlaps across the device's queue lanes, and
 //	             joins the device: the clock waits for every read the
 //	             round submitted, on the timelines they reached, and the
-//	             CPU does held flush work in that wait (see Wait). The
+//	             CPU does pending put work in that wait (see Wait). The
 //	             reads are view requests (storage.ReadReq.View):
 //	             the device hands back its stored page, so no page is
 //	             reserved or copied. A submission of more pages than the

@@ -69,12 +69,11 @@ type BufferHash struct {
 	// Write-behind (see insertbatch.go), on a device with timelines of its
 	// own (behind): held reports that staged is the held set, the images
 	// of the last InsertBatch call that flushed, whose write has not been
-	// issued yet, and flushDebt is the serialization work
-	// (CPU.FlushSerialize) of staged images that is not done yet. Wait
-	// does it while the instance waits for the device.
-	behind    bool
-	held      bool
-	flushDebt time.Duration
+	// issued yet, and work is the CPU work put calls left that is not done
+	// yet. Wait does it while the instance waits for the device.
+	behind bool
+	held   bool
+	work   pendingWork
 
 	// cpuDebt accrues the operation's CPU charges; settleCPUDebt lands
 	// them on the clock in one advance.
@@ -102,6 +101,29 @@ type BufferHash struct {
 	epoch    uint64
 	runEpoch uint64
 }
+
+// pendingWork is the CPU work an instance on a device with timelines of
+// its own owes, in the order its CPU does it. The owed part comes first
+// and must be done before the held set's write is issued: the buffer
+// inserts (CPU.BufferInsert each) queued up to the held set's last
+// serialization, then the serializations (CPU.FlushSerialize each). The
+// inserts queued after that serialization follow, and delay no write.
+// Wait does the work in this order; a write call first lands every
+// insert, owed or not (see landInserts). The host applies every insert and serializes every image at once, so
+// only where the charges land moves: the pending inserts model a put
+// call's keys waiting in DRAM for the CPU to apply them, which its
+// staging filters already cover (see superTable.probeBuffer).
+type pendingWork struct {
+	owedInserts time.Duration
+	serialize   time.Duration
+	inserts     time.Duration
+}
+
+// owed is the work to do before the held set's write is issued.
+func (w *pendingWork) owed() time.Duration { return w.owedInserts + w.serialize }
+
+// insertWork is the buffer-insert work not done yet, owed or not.
+func (w *pendingWork) insertWork() time.Duration { return w.owedInserts + w.inserts }
 
 // stagedWrite is one deferred incarnation write: the image, its address,
 // and the incarnation it becomes (owning table and sequence number).
@@ -255,29 +277,29 @@ func (b *BufferHash) writeStaged(wait bool) error {
 	return nil
 }
 
-// writeHeld writes the held set now, if there is one: its serialization
-// work not done yet lands on the clock as a plain advance, after the
-// operation's CPU charges, then its write is issued, and waited for when
-// wait is set. A second flush, which may need a held image's slot, and
-// Flush write the held set first, so an instance holds at most one.
+// writeHeld writes the held set now, if there is one: the work owed before
+// its write (see pendingWork) lands on the clock as a plain advance, after
+// the operation's CPU charges, then its write is issued, and waited for
+// when wait is set. A second flush, which may need a held image's slot,
+// and Flush write the held set first, so an instance holds at most one.
 func (b *BufferHash) writeHeld(wait bool) error {
 	if !b.held {
 		return nil
 	}
-	b.landFlushDebt()
+	b.landOwed()
 	return b.writeStaged(wait)
 }
 
 // WriteBehind closes a call on a device with timelines of its own: once
-// the instance's device waits have done all of the held set's serialization
-// work (see Wait), it issues the held set's write and returns without
+// the instance's device waits have done all the work owed before the held
+// set's write (see Wait), it issues that write and returns without
 // waiting for it. Later submissions to the SSDs it reaches queue behind
 // it. A failed write drops its images as writeStaged does and fails the
 // call that issued it, though their puts were acknowledged. It does
-// nothing while work remains, and on a device on the CPU's own clock,
-// which holds nothing.
+// nothing while owed work remains, and on a device on the CPU's own
+// clock, which holds nothing.
 func (b *BufferHash) WriteBehind() error {
-	if !b.held || b.flushDebt > 0 {
+	if !b.held || b.work.owed() > 0 {
 		return nil
 	}
 	if err := b.writeStaged(false); err != nil {
@@ -289,28 +311,71 @@ func (b *BufferHash) WriteBehind() error {
 // chargeCPU accrues a CPU cost into the operation's deferred charge.
 func (b *BufferHash) chargeCPU(d time.Duration) { b.cpuDebt += d }
 
+// chargeInsert charges one buffer insert, CPU.BufferInsert: into the
+// operation's CPU debt on a device on the CPU's own clock, which has no
+// wait to do it in, and into the pending work otherwise.
+func (b *BufferHash) chargeInsert() {
+	c := b.cfg.CPU.BufferInsert
+	if b.behind {
+		b.work.inserts += c
+		return
+	}
+	b.stats.InsertCPULanded += c
+	b.chargeCPU(c)
+}
+
 // chargeFlush charges one flush's serialization, CPU.FlushSerialize: into
-// the operation's CPU debt on a device on the CPU's own clock, which has
-// no wait to do it in, and into the write-behind work otherwise.
+// the operation's CPU debt on a device on the CPU's own clock, and into
+// the owed work otherwise, behind every insert queued before it.
 func (b *BufferHash) chargeFlush() {
 	c := b.cfg.CPU.FlushSerialize
 	if b.behind {
-		b.flushDebt += c
+		w := &b.work
+		w.owedInserts += w.inserts
+		w.inserts = 0
+		w.serialize += c
 		return
 	}
 	b.stats.FlushCPULanded += c
 	b.chargeCPU(c)
 }
 
-// landFlushDebt lands the operation's CPU charges, then the serialization
-// work not done yet, on the clock as plain advances.
-func (b *BufferHash) landFlushDebt() {
+// landOwed lands the operation's CPU charges, then the work owed before
+// the held set's write, on the clock as plain advances.
+func (b *BufferHash) landOwed() {
 	b.settleCPUDebt()
-	if d := b.flushDebt; d > 0 {
-		b.flushDebt = 0
-		b.stats.FlushCPULanded += d
-		b.cfg.Clock.Advance(d)
+	b.land(&b.work.owedInserts, &b.stats.InsertCPULanded)
+	b.land(&b.work.serialize, &b.stats.FlushCPULanded)
+}
+
+// landInserts opens a write call (InsertBatch, DeleteBatch, Flush): every
+// pending insert, owed or not, lands on the clock as a plain advance, so
+// the call's writes apply after every earlier put's keys and an instance
+// owes at most one call's inserts. A held set's serialization stays owed
+// for later waits: it reads a buffer the inserts after it do not touch,
+// and only its own write waits for it.
+func (b *BufferHash) landInserts() {
+	b.land(&b.work.owedInserts, &b.stats.InsertCPULanded)
+	b.land(&b.work.inserts, &b.stats.InsertCPULanded)
+}
+
+// land advances the clock by the pending work *d, counts it in *landed,
+// and clears it.
+func (b *BufferHash) land(d, landed *time.Duration) {
+	if *d > 0 {
+		*landed += *d
+		b.cfg.Clock.Advance(*d)
+		*d = 0
 	}
+}
+
+// hide does as much of the pending work *d as fits in a wait's gap, counts
+// it in *hidden and returns the gap left.
+func hide(d, hidden *time.Duration, gap time.Duration) time.Duration {
+	n := min(*d, gap)
+	*d -= n
+	*hidden += n
+	return gap - n
 }
 
 // settleCPUDebt lands the accumulated CPU charges on the clock in one
@@ -347,15 +412,17 @@ func (b *BufferHash) joinDevice() {
 
 // Wait makes the instance wait until t, the instant at which submissions its
 // caller made end, or another event it waits for: the clock moves up to t.
-// The CPU would idle until then, so it first does the write-behind work
-// not done yet (see WriteBehind) in the gap, as much as fits. The clam
+// The CPU would idle until then, so it first does the pending work (see
+// pendingWork) in the gap, as much as fits and in order: the work owed
+// before the held set's write, then the inserts after it. The clam
 // facade waits for its value-log submissions and for a split read run's
 // helpers through it, as the core waits for its own submissions.
 func (b *BufferHash) Wait(t time.Duration) {
-	if gap := t - b.cfg.Clock.Now(); gap > 0 && b.flushDebt > 0 {
-		d := min(gap, b.flushDebt)
-		b.flushDebt -= d
-		b.stats.FlushCPUHidden += d
+	if gap := t - b.cfg.Clock.Now(); gap > 0 {
+		w := &b.work
+		gap = hide(&w.owedInserts, &b.stats.InsertCPUHidden, gap)
+		gap = hide(&w.serialize, &b.stats.FlushCPUHidden, gap)
+		hide(&w.inserts, &b.stats.InsertCPUHidden, gap)
 	}
 	b.cfg.Clock.AdvanceTo(t)
 }
@@ -394,13 +461,15 @@ func (b *BufferHash) Lookup(key uint64) (LookupResult, error) {
 }
 
 // Flush forces every super table with buffered entries to write its buffer
-// to flash, after the held set, if any (see WriteBehind). Each write is its
-// own operation — flush, land the CPU charges and the serialization work,
-// issue the staged writes and wait for them — so tables are written one
-// after another, as a sequence of per-key inserts would, and Flush returns
-// with nothing held. Mainly useful in tests and when quiescing.
+// to flash, after the pending inserts and the held set, if any (see
+// WriteBehind). Each write is its own operation — flush, land the CPU
+// charges and the serialization work, issue the staged writes and wait
+// for them — so tables are written one after another, as a sequence of
+// per-key inserts would, and Flush returns with nothing held or pending.
+// Mainly useful in tests and when quiescing.
 func (b *BufferHash) Flush() error {
 	b.epoch++
+	b.landInserts()
 	if err := b.writeHeld(true); err != nil {
 		return err
 	}
@@ -409,7 +478,7 @@ func (b *BufferHash) Flush() error {
 			continue
 		}
 		err := st.flush()
-		b.landFlushDebt()
+		b.landOwed()
 		if werr := b.writeStaged(true); err == nil {
 			err = werr
 		}
@@ -504,7 +573,10 @@ type MemoryFootprint struct {
 	DeleteListBytes int64 // approximate
 	MetadataBytes   int64 // incarnation bookkeeping
 	CacheBytes      int64 // the hot-entry cache
-	PendingBytes    int64 // the held images, whose write has not been issued (see WriteBehind)
+	// PendingBytes is the held images, whose write has not been issued
+	// (see WriteBehind), and 16 B for each key whose insert work is
+	// pending (see pendingWork): its (key, value) pair.
+	PendingBytes int64
 }
 
 // Add accumulates another footprint into m (sharded aggregation).
@@ -521,7 +593,7 @@ func (m *MemoryFootprint) Add(o MemoryFootprint) {
 func (b *BufferHash) MemoryFootprint() MemoryFootprint {
 	m := MemoryFootprint{
 		CacheBytes:   int64(len(b.cache.sets)) * 2 * CacheEntryBytes,
-		PendingBytes: int64(len(b.staged)) * int64(b.imageSize),
+		PendingBytes: int64(len(b.staged))*int64(b.imageSize) + 16*b.pendingKeys(),
 	}
 	for _, st := range b.parts {
 		m.BufferBytes += int64(b.cfg.BufferBytes)
@@ -532,6 +604,16 @@ func (b *BufferHash) MemoryFootprint() MemoryFootprint {
 		m.MetadataBytes += int64(len(st.incs)) * 16
 	}
 	return m
+}
+
+// pendingKeys is the number of inserts whose work is not done yet, one
+// partly done included.
+func (b *BufferHash) pendingKeys() int64 {
+	c := b.cfg.CPU.BufferInsert
+	if c <= 0 {
+		return 0
+	}
+	return int64((b.work.insertWork() + c - 1) / c)
 }
 
 // Stats returns a snapshot of operation counters.

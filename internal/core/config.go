@@ -17,11 +17,24 @@
 // point that flash I/Os are blocking operations (§5.2): every write,
 // image read and probing round waits for the device. On a device with
 // timelines of its own, a lookup batch's first probing round may start
-// while phase A runs, and flushes leave the call that fills the buffer:
-// their images are held in DRAM, their serialization is done while the
-// instance waits for its device, and their write runs behind a later call
-// (see WriteBehind), as an LSM store flushes an immutable memtable in the
-// background (O'Neil et al., "The Log-Structured Merge-Tree", 1996).
+// while phase A runs, and a put's work leaves its call. An InsertBatch
+// acknowledges once its keys are in their staging Bloom filters (it pays
+// CPU.BloomAdd per key): the (key, value) pairs wait in DRAM, 16 B each
+// in MemoryFootprint.PendingBytes, for the CPU to apply them, and each
+// key's CPU.BufferInsert is pending work the instance does while it waits
+// for its device (Wait, Stats.InsertCPUHidden). A lookup that probes a
+// buffer meanwhile pays CPU.BatchCoalesce to check that pending set as
+// well; a key its staging filter rules out cannot be in it. The next
+// InsertBatch, DeleteBatch or Flush first lands the inserts left as a
+// plain advance (Stats.InsertCPULanded). The host applies every insert at
+// once, so answers, counters and device requests are those of the
+// blocking model, and only where the charges land moves. Flushes leave
+// the call too: their images are held in DRAM, their serialization is
+// done in the same waits, after the inserts queued before it and before
+// those after it, and their write runs behind a later call once that
+// owed work is done (see WriteBehind), as an LSM store applies a
+// memtable's updates and flushes an immutable memtable in the background
+// (O'Neil et al., "The Log-Structured Merge-Tree", 1996).
 //
 // Each operation kind has one pipeline, and the per-key calls are its
 // one-key case. A lookup (§5.1.1: buffer, Bloom filters, then newest-first
@@ -221,16 +234,17 @@ type Config struct {
 	// read's result is used. LookupBatch's first probing round overlaps
 	// the device with CPU work: phase A hands each SSD, while it is idle,
 	// groups of its own pages of one timeline's share of Device's queue
-	// lanes, when that share is more than one lane (see batch.go). And the
-	// flushes' work overlaps the device: their images are held, their
-	// serialization is done in the instance's device waits, and their
-	// write runs behind a later call (see WriteBehind).
+	// lanes, when that share is more than one lane (see batch.go). And a
+	// put's work overlaps the device: its keys' buffer inserts and its
+	// flushes' serialization are done in the instance's device waits, and
+	// the flushes' images are held and written behind a later call (see
+	// WriteBehind).
 	// With several timelines, Device must be a
 	// storage.MemberDevice of as many members, member m on DeviceClock[m].
 	// nil means Clock, the timeline on which the device is idle at every
-	// CPU instant and device time and CPU time add up: a flush's
-	// serialization and write then land in the call that fills the
-	// buffer, with nothing held.
+	// CPU instant and device time and CPU time add up: a put's buffer
+	// inserts, and a flush's serialization and write, then land in the
+	// call that makes them, with nothing held or pending.
 	DeviceClock []*vclock.Clock
 
 	// PartitionBits is k1: the number of super tables is 2^k1 (§5.2).

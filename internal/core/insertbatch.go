@@ -35,22 +35,33 @@ import (
 //	             one device WriteBatch submission, overlapping their
 //	             service across the device's queue lanes (SSD NCQ
 //	             channels, disk elevator); the call waits for it, and the
-//	             image buffers return to the pool. Each flush's
-//	             serialization, CPU.FlushSerialize, is in the call's debt.
-//	             On a device with timelines of its own the call writes
-//	             nothing: the staged images stay held in DRAM, the
+//	             image buffers return to the pool. Each key's cuckoo
+//	             insert, CPU.BufferInsert, and each flush's serialization,
+//	             CPU.FlushSerialize, are in the call's debt.
+//	             On a device with timelines of its own the debt holds
+//	             only the Bloom staging adds and the rest of phase A's
+//	             bookkeeping, and the call acknowledges once it lands:
+//	             every key is in its staging filter, and its
+//	             CPU.BufferInsert is pending work the instance owes (see
+//	             pendingWork), a pending set a lookup that probes the
+//	             buffer pays CPU.BatchCoalesce to check. The call writes
+//	             nothing either: the staged images stay held in DRAM, the
 //	             incarnations they become are live at once (a lookup reads
 //	             their pages in the held buffers), and their serialization
-//	             is work the instance owes. Each later wait for the device
-//	             (Wait: a lookup's probing rounds, and the clam facade's
-//	             value-log reads and appends) does that work in the gap the
-//	             CPU would idle through, as much as fits, and the first
-//	             call to close (WriteBehind) once none is left issues the
-//	             held images as one address-sorted WriteBatch, without
-//	             waiting for it: later submissions to the SSDs it reaches
-//	             queue behind it. A second flush, and Flush, land the work
-//	             left as a plain advance and write the held set first, the
-//	             second flush without waiting for it, Flush waiting.
+//	             is owed work, queued after the inserts before the flush
+//	             and ahead of those after it. Each later wait for the
+//	             device (Wait: a lookup's probing rounds, and the clam
+//	             facade's value-log reads and appends) does the work in
+//	             that order in the gap the CPU would idle through, as much
+//	             as fits, and the first call to close (WriteBehind) once
+//	             none is owed issues the held images as one address-sorted
+//	             WriteBatch, without waiting for it: later submissions to
+//	             the SSDs it reaches queue behind it. The next InsertBatch,
+//	             DeleteBatch and Flush first land the inserts left as a
+//	             plain advance. A second flush, and Flush, land the owed
+//	             work left as a plain advance and write the held set
+//	             first, the second flush without waiting for it, Flush
+//	             waiting.
 //	             Shared-log layouts allocate consecutive slots, so a
 //	             batch's flushes form sequential runs that pay the fixed
 //	             write cost once.
@@ -90,8 +101,10 @@ type insertScratch struct {
 // Insert calls over the same (key, value) sequence exactly; virtual time is
 // lower because the batch's flush writes are issued as one address-sorted
 // overlapped submission and its CPU charges land on the clock in one
-// advance. On a device with timelines of its own the flushes' images are
-// held instead, and written behind a later call (see WriteBehind). On error
+// advance. On a device with timelines of its own the keys' buffer inserts
+// are pending work and the flushes' images are held instead, done in
+// later device waits and written behind a later call (see pendingWork
+// and WriteBehind). On error
 // the batch may be partially applied; any writes already staged are still
 // issued, or held, so the device matches the structure's bookkeeping, and
 // a failed submission drops its images (see writeStaged).
@@ -106,6 +119,7 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 		return fmt.Errorf("core: InsertBatch: %d keys, %d values, %d displaced", len(keys), len(values), len(displaced))
 	}
 	b.epoch++
+	b.landInserts()
 	is := &b.insert
 	batch := len(keys) > 1
 	if batch {
@@ -157,7 +171,8 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 
 // DeleteBatch applies len(keys) lazy deletes (§5.1.1). Deletes perform no
 // I/O, so batching only amortizes the CPU clock charges into one advance;
-// counters and state match one-key Delete calls exactly. displaced is nil
+// counters and state match one-key Delete calls exactly. The pending
+// inserts land first (see pendingWork), so a delete applies after them. displaced is nil
 // or has len(keys), and receives each key's removed buffer word as in
 // InsertBatch.
 func (b *BufferHash) DeleteBatch(keys, displaced []uint64) error {
@@ -165,6 +180,7 @@ func (b *BufferHash) DeleteBatch(keys, displaced []uint64) error {
 		return fmt.Errorf("core: DeleteBatch: %d keys, %d displaced", len(keys), len(displaced))
 	}
 	b.epoch++
+	b.landInserts()
 	for i, key := range keys {
 		st, kh := b.route(key)
 		b.stats.Deletes++

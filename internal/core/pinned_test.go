@@ -92,12 +92,17 @@ func TestSerialOpsPinned(t *testing.T) {
 	// " PendingProbes:0" after SpuriousProbes and " FlushCPUHidden:0s
 	// FlushCPULanded:…" after Cascades (1.2675s on fifo and lru, 1.755s on
 	// update, 1.272s on priority: 1.5 ms per flush, all of it landed on a
-	// device on the CPU's clock), and is otherwise unchanged.
+	// device on the CPU's clock), and is otherwise unchanged. They were
+	// re-derived again when Stats gained InsertCPUHidden and
+	// InsertCPULanded: each %+v string gained " InsertCPUHidden:0s
+	// InsertCPULanded:247.539ms" after FlushCPULanded (3 µs for each of
+	// the 82,513 inserts, all of it landed on a device on the CPU's
+	// clock), and is otherwise unchanged.
 	pins := map[string]want{
-		"ssd/fifo":     {2901147520, 0xa38c8b2d72a75e65, 0xa230165b4a46cb69},
-		"ssd/lru":      {2902386164, 0xe7893c687b262013, 0x5c19ea68cd55d4a6},
-		"ssd/update":   {8352853186, 0xea505a03edc74c98, 0xe48c6c53f97c235},
-		"ssd/priority": {3930770332, 0x8f849b42b622b221, 0x40f17a6019ca5689},
+		"ssd/fifo":     {2901147520, 0x8e59783694e1bf06, 0xa230165b4a46cb69},
+		"ssd/lru":      {2902386164, 0x2c52b5d3724d6918, 0x5c19ea68cd55d4a6},
+		"ssd/update":   {8352853186, 0x977a509402308f8d, 0xe48c6c53f97c235},
+		"ssd/priority": {3930770332, 0xd5175b998d8be53c, 0x40f17a6019ca5689},
 	}
 	for _, policy := range []EvictionPolicy{FIFO, LRU, UpdateBased, PriorityBased} {
 		name := "ssd/" + policy.String()

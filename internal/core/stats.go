@@ -50,6 +50,12 @@ type Stats struct {
 	// advance: all of it on a device on the CPU's own clock.
 	FlushCPUHidden time.Duration
 	FlushCPULanded time.Duration
+	// InsertCPUHidden is the buffer inserts' work (CPU.BufferInsert) done
+	// while the instance waited for its device, and InsertCPULanded the
+	// work that landed on the clock as a plain advance: all of it on a
+	// device on the CPU's own clock (see pendingWork).
+	InsertCPUHidden time.Duration
+	InsertCPULanded time.Duration
 
 	// CascadeHist[i] counts flushes that tried exactly i incarnations
 	// (Figure 8b); the last bucket collects ≥ len-1.
@@ -101,6 +107,8 @@ func (s *Stats) Merge(o Stats) {
 	s.Cascades += o.Cascades
 	s.FlushCPUHidden += o.FlushCPUHidden
 	s.FlushCPULanded += o.FlushCPULanded
+	s.InsertCPUHidden += o.InsertCPUHidden
+	s.InsertCPULanded += o.InsertCPULanded
 	for i := range s.CascadeHist {
 		s.CascadeHist[i] += o.CascadeHist[i]
 	}

@@ -107,9 +107,17 @@ func (st *superTable) evictOldestExternal(seq uint64) {
 
 // probeBuffer charges CPU.BufferLookup and consults the delete list and
 // the buffer. done reports that the key resolved there: a deleted key is
-// a miss, a buffered one a hit.
+// a miss, a buffered one a hit. While insert work is pending (see
+// pendingWork), the key may be one of a put's keys the CPU has not applied
+// yet, so the probe also checks that pending set, charged as the key-table
+// probe it is, CPU.BatchCoalesce. Every pending key is in its staging
+// filter already, so a lookup the filter screens has nothing to check.
 func (st *superTable) probeBuffer(kh uint64) (res LookupResult, done bool) {
-	st.owner.chargeCPU(st.owner.cfg.CPU.BufferLookup)
+	b := st.owner
+	b.chargeCPU(b.cfg.CPU.BufferLookup)
+	if b.work.insertWork() > 0 {
+		b.chargeCPU(b.cfg.CPU.BatchCoalesce)
+	}
 	if _, deleted := st.deleteList[kh]; deleted {
 		return res, true
 	}
@@ -189,7 +197,7 @@ func (st *superTable) reinsertLRU(kh, v uint64) {
 // staging add, and charges what any insert charges.
 func (st *superTable) insert(kh, v uint64, buffered bool) (uint64, error) {
 	cfg := &st.owner.cfg
-	st.owner.chargeCPU(cfg.CPU.BufferInsert)
+	st.owner.chargeInsert()
 	gen, deleted := st.deleteList[kh]
 	if !buffered {
 		delete(st.deleteList, kh) // a fresh insert revives a deleted key

@@ -545,9 +545,10 @@ func TestPhaseAHandsEachSSDItsGroup(t *testing.T) {
 }
 
 // untimed returns s without the counters that depend on where the device
-// timelines stood: how much flush work the device waits hid, and so how
-// much landed as a plain advance.
+// timelines stood: how much flush and insert work the device waits hid,
+// and so how much landed as a plain advance.
 func untimed(s Stats) Stats {
 	s.FlushCPUHidden, s.FlushCPULanded = 0, 0
+	s.InsertCPUHidden, s.InsertCPULanded = 0, 0
 	return s
 }
