@@ -90,6 +90,12 @@
 // read batch's repeats left out (the differential oracles pin this); only
 // wall-clock and virtual time change.
 //
+// # Time model
+//
+// This section states the facade's timing rules once; the core's own
+// (issue and join, put work done in device waits, held flushes) are
+// stated once in internal/core's package doc, and the facade keeps them.
+//
 // Each shard is opened over simulated storage devices, the paper's
 // Intel-class or Transcend-class SSD. Simulation keeps the paper's
 // behaviour because each model prices I/O as the paper does: a fixed cost
@@ -112,75 +118,53 @@
 // dealt over both SSDs, RAID-0 style: the index's every second unit lies
 // on B, the log's every second on A, so an index image lands whole on one
 // SSD, and a value-log write unit is a whole block on each SSD, both
-// written in one submission. A submission first moves both clocks up to
-// the shard clock, since it cannot start before it is issued, and each
-// SSD serves its share on its own clock. The shard waits (a join) only for
-// the submissions it made, and only where it needs their results: the
-// shard clock moves up to the latest end among the SSDs they reached, and
-// an SSD they did not reach holds it back only where one of them queued
-// behind that SSD's earlier work. The core joins each probing round's
-// reads; a lookup batch's first round runs while its in-memory phase
-// still does: the core keeps each SSD's gathered probes apart and hands an
-// SSD its lanes' worth as soon as it holds them while idle, with the
-// probes gathered so far of the other SSD if that one is idle too, so a
-// busy SSD never holds back the idle one (see core.Config.DeviceClock);
-// on Transcend-class SSDs, of one lane each, it hands over nothing. A
-// byte get chunk reads its hits' records from the value log in one
-// submission after its lookup, and joins it. An index or record read of
-// more pages than the SSDs have lanes also reads through every hole of at
-// most a few pages between two of its pages on one SSD
+// written in one submission. Each partition's idle time, and so its
+// background garbage-collection credit, is measured on its SSD's clock.
+//
+// The core issues and joins the index on both SSDs (its
+// Config.DeviceClock), and the shard issues and joins the value log on
+// them by the same rules, through a vclock.Timelines of its own: a
+// submission cannot start before the shard clock, and a join waits only
+// for the SSDs the shard's submissions reached. The shard joins the log
+// through the core's one wait (core.BufferHash.Wait), so the put work the
+// core owes is done in the log's waits too. A byte get chunk reads its
+// hits' records in one value-log submission after its lookup, and joins
+// it. A put chunk joins the log before its own append and when it fails,
+// so a chunk that succeeds acknowledges without waiting for its append,
+// and between chunks the log leaves at most the last put chunk's append
+// running. The value log writes a whole erase block on each SSD at once,
+// the moment its tail fills one on each. An index or record read of more
+// pages than the SSDs have lanes also reads through every hole of at most
+// a few pages between two of its pages on one SSD
 // (storage.Geometry.ReadGap: 3 on the Intel-class SSD, 10 on the
 // Transcend-class), so the page after the hole continues a sequential run
 // instead of paying a run's fixed cost; no answer comes from those pages,
 // and Stats.Device and ValueDevice count them in ReadThrough as well as
 // in Reads.
 //
-// On a kind-opened shard no chunk call waits for its own writes, nor for
-// its keys' buffer inserts. A put chunk acknowledges once its keys are in
-// their super tables' staging Bloom filters: the call pays each key's
-// CPU.BloomAdd, and each key's cuckoo insert, CPU.BufferInsert, is work
-// the shard does while it waits for its SSDs, at any later join, index or
-// log, of any call, in time its CPU would otherwise idle
-// (Stats.Core.InsertCPUHidden). Until then the chunk's keys are a pending
-// set of 16 B each (Stats.Memory.PendingBytes). Every answer is already
-// the put's, and a lookup that probes a buffer while inserts are pending
-// also pays CPU.BatchCoalesce to check the pending set; a key the staging
-// filter rules out is no pending key and costs nothing more. The next put
-// or delete chunk, and Flush, first land the inserts left as a plain
-// advance (Stats.Core.InsertCPULanded), so a shard owes at most one
-// chunk's inserts. The value log writes a whole erase
-// block on each SSD at once, the moment its tail fills one on each, and a
-// put chunk that succeeds acknowledges without waiting for it: it joins
-// the log only before its own append, when an earlier chunk's write still
-// runs, and when it fails. A put chunk whose insert fills an index buffer
-// writes nothing to the index either: the core holds the full buffer's
-// image in DRAM (Stats.Memory.PendingBytes), where lookups read its pages
-// (Stats.Core.PendingProbes), and the image's serialization, the flush's
-// CPU.FlushSerialize, is work the shard's waits do too
-// (Stats.Core.FlushCPUHidden), after the chunk's inserts queued before
-// the flush and before those after it. The call whose waits finish the
-// inserts before the flush and the serialization issues the held images'
-// write as it returns, as one address-sorted submission, and does not
-// wait for it; the inserts after the flush never delay it. A put chunk that
-// fills a buffer while images are still held lands their remaining work
-// as a plain advance (Stats.Core.FlushCPULanded) and issues their write
-// first, so a shard holds at most one set. A held write that fails fails
-// the call that issued it, though its puts were acknowledged, and its
-// keys then miss, never answering with an older version. So a chunk call
-// returns joined to every read it made, with at most a put chunk's append
-// and a held set's write running behind it, which the next submission to
-// their SSDs, index or log, queues behind. A one-key call has nothing to
-// overlap and costs the serial sum of its reads and whatever remains of
-// those writes. Each partition's idle time, and so its background
-// garbage-collection credit, is measured on its SSD's clock.
+// So on a kind-opened shard no chunk call waits for its own writes, nor
+// for its keys' buffer inserts. A put chunk acknowledges once its keys
+// are in their super tables' staging Bloom filters: each key's cuckoo
+// insert is work the shard does in a later device wait, index or log, of
+// any call (Stats.Core.InsertCPUHidden), or lands at the next put or
+// delete chunk or Flush (InsertCPULanded). An index buffer the chunk
+// fills is held in DRAM (Stats.Memory.PendingBytes), read there by
+// lookups (Stats.Core.PendingProbes), serialized in later waits
+// (FlushCPUHidden), and written as the first call to close once that work
+// is done returns (see shard.end), without waiting for it. A held write
+// that fails fails the call that issued it, though its puts were
+// acknowledged, and its keys then miss, never answering with an older
+// version. A chunk call returns joined to every read it made, with at
+// most a put chunk's append and a held set's write running behind it,
+// which the next submission to their SSDs, index or log, queues behind. A
+// one-key call has nothing to overlap and costs the serial sum of its
+// reads and whatever remains of those writes.
 //
-// A WithCustomDevice store runs its index device on the shard clock, where
-// device and CPU time add up, through the same lookup path: such a device
-// is idle at every CPU instant and completes each read as it is issued,
-// and a put pays its keys' buffer inserts and, when it fills a buffer,
-// its flush's serialization and write in its own call, as the paper's
-// blocking CLAM does. Its value log
-// is kind-made on one SSD on a private clock. A log too small to give each
+// A WithCustomDevice store runs its index device on the shard clock, the
+// core's device on the CPU's own clock: the paper's blocking CLAM, whose
+// put pays its keys' buffer inserts and, when it fills a buffer, its
+// flush's serialization and write in its own call. Its value log is
+// kind-made on one SSD on a private clock. A log too small to give each
 // SSD an erase block lies on B alone, and such an index on A alone.
 //
 // Shard clocks run free between calls: a call advances each shard it
@@ -255,18 +239,11 @@ func (c *CLAM) Core() *core.BufferHash { return c.shards[0].bh }
 
 // shard is one BufferHash with its own index device, value log, virtual
 // clock and latency histograms, serialized behind one mutex. The clock
-// times the shard's CPU charges. A kind-opened shard's two SSDs, A and B,
-// are a symmetric pair: each keeps a timeline of its own and holds half
-// the index and half the value log (see openShard), so the index's probes
-// and flushes and the log's record reads and appends all run on both
-// timelines, and each SSD serves one submission at a time, whichever
-// structure it is for. The core issues and joins the index on both (its
-// Config.DeviceClock), and the shard the log (see issueLog and join);
-// every chunk call returns joined to the reads it made, with only writes
-// running on behind it: a put chunk's value-log append and the core's
-// held index images (see end). The router reaches a shard only through the locked
-// methods below: the chunk helpers, each one call into the core pipeline
-// (a per-key op is a one-key chunk), and the maintenance calls.
+// times the shard's CPU charges; a kind-opened shard's two SSDs each keep
+// a timeline of their own (see openShard and the package doc's time
+// model). The router reaches a shard only through the locked methods
+// below: the chunk helpers, each one call into the core pipeline (a
+// per-key op is a one-key chunk), and the maintenance calls.
 type shard struct {
 	mu     sync.Mutex
 	bh     *core.BufferHash
@@ -277,15 +254,10 @@ type shard struct {
 	del    metrics.Histogram
 
 	// idx is the index device and logs the value log's, each with the
-	// timelines it runs on.
+	// timelines it runs on; log is the value log's timelines with the
+	// shard's issue and join bookkeeping, guarded by mu.
 	idx, logs striped
-	// logDue is the instant at which the value-log submissions the shard
-	// has not waited for yet end on the timelines they reached (see
-	// issueLog and join), guarded by mu.
-	logDue time.Duration
-	// logAt is issueLog's scratch: the SSDs' readings when the last
-	// value-log submission was issued, guarded by mu.
-	logAt []time.Duration
+	log       *vclock.Timelines
 
 	batchRes []core.LookupResult    // GetBatch scratch, guarded by mu
 	batchReq []storage.ValueReadReq // GetBatch value-log scratch, guarded by mu
@@ -346,7 +318,7 @@ func openShard(cfg config) (*shard, error) {
 	if s.logs, err = stripeOver(prof, vbytes, logClocks...); err != nil {
 		return nil, err
 	}
-	s.logAt = make([]time.Duration, len(s.logs.clocks))
+	s.log = vclock.NewTimelines(s.logs.clocks...)
 	if s.vlog, err = storage.NewValueLog(s.logs.Device); err != nil {
 		return nil, err
 	}
@@ -538,16 +510,16 @@ func (s *shard) begin() vclock.Stopwatch {
 	return s.clock.StartWatch()
 }
 
-// end closes a chunk call of n keys opened by begin: it issues the write
-// of the index images the core holds once the call's device waits have
-// done their serialization (see core.BufferHash.WriteBehind), which fails
-// the call if it fails; on success it records the chunk's virtual elapsed
-// time into h, then it unlocks and returns err.
+// end closes a call of n keys opened by begin: it issues the write of the
+// index images the core holds once the call's device waits have done
+// their owed work (see core.BufferHash.WriteBehind), which fails the call
+// if it fails; on success it records the call's virtual elapsed time into
+// h when n > 0, then it unlocks and returns err.
 func (s *shard) end(h *metrics.Histogram, w vclock.Stopwatch, n int, err error) error {
 	if werr := s.bh.WriteBehind(); err == nil {
 		err = werr
 	}
-	if err == nil {
+	if err == nil && n > 0 {
 		observeSpread(h, w.Elapsed(), n)
 	}
 	s.mu.Unlock()
@@ -585,16 +557,9 @@ func (s *shard) lendU64(piece []uint64, via []int32, keys []uint64, results []co
 	fwd = s.bh.Lend(piece, via)
 	if len(keys) > 0 {
 		err = s.bh.LookupBatch(keys, results)
-		if werr := s.bh.WriteBehind(); err == nil {
-			err = werr
-		}
-		if err == nil {
-			observeSpread(&s.lookup, w.Elapsed(), len(keys))
-		}
 	}
 	ready = s.bh.LentReady()
-	s.mu.Unlock()
-	return fwd, ready, err
+	return fwd, ready, s.end(&s.lookup, w, len(keys), err)
 }
 
 // getLentU64 is getBatchU64Into for the owner of a split run (see
@@ -623,23 +588,20 @@ func (s *shard) deleteBatchU64Chunk(keys []uint64) error {
 // without waiting for the append, dead-record accounting of the pointers
 // it displaced, and last the expiry of incarnations the log has lapped.
 //
-// A chunk that succeeds acknowledges without joining the log: its write
-// runs on behind it, and a get's record reads queue behind the write,
-// since issueLog only moves the log clock forward. An index buffer the
-// chunk fills is held, not written (see core.BufferHash.WriteBehind). The records already sat
-// in DRAM until a write unit filled; a simulated write fails when it is
-// submitted, so its error still reaches the chunk that caused it. A put
-// chunk first waits for an earlier chunk's write still running, so at most
-// one chunk's append is in flight. An append whose pages fail to write
-// still hands back its pointers, so the chunk inserts them, joins the log
-// and fails, unacknowledged. Record offsets depend only on append order,
-// so the final state matches one Put per key exactly.
+// The chunk joins the log before its append and when it fails, and
+// otherwise acknowledges without joining it (see the package doc's time
+// model). The records already sat in DRAM until a write unit filled; a
+// simulated write fails when it is submitted, so its error still reaches
+// the chunk that caused it. An append whose pages fail to write still
+// hands back its pointers, so the chunk inserts them, joins the log and
+// fails, unacknowledged. Record offsets depend only on append order, so
+// the final state matches one Put per key exactly.
 func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 	w := s.begin()
-	s.join()
-	issued := s.issueLog()
+	s.bh.Wait(s.log.Due())
+	s.log.Issue(s.clock.Now())
 	ptrs, err := s.appendRecords(keys, values)
-	s.logReached(&issued)
+	s.log.Reached()
 	if ptrs != nil {
 		displaced := s.displacedWords(len(fps))
 		insertErr := s.bh.InsertBatch(fps, ptrs, displaced)
@@ -649,39 +611,11 @@ func (s *shard) putBatchRecords(fps []uint64, keys, values [][]byte) error {
 		}
 	}
 	if err != nil {
-		s.join()
+		s.bh.Wait(s.log.Due())
 	} else {
 		s.expireLapped()
 	}
 	return s.end(&s.insert, w, len(fps), err)
-}
-
-// issueLog readies the value-log device's timelines for a submission the
-// shard issues now: the submission cannot start before it is issued, so
-// each SSD's clock moves up to the shard clock, as the core's issue of an
-// index submission moves them. Each partition then advances its SSD's
-// clock by its share, queued behind whatever that SSD still serves, the
-// index's probes and flushes too, and the shard runs on without waiting;
-// logReached records where the submission ended.
-func (s *shard) issueLog() vclock.Issued {
-	return vclock.Issue(s.logs.clocks, s.clock.Now(), s.logAt)
-}
-
-// logReached records the end of the value-log submission issued at issued
-// on the SSDs it reached, for the shard's next join.
-func (s *shard) logReached(issued *vclock.Issued) { s.logDue = max(s.logDue, issued.End()) }
-
-// join makes the shard wait for the value-log submissions it made since it
-// last joined, through the core's one wait (core.BufferHash.Wait), which
-// does held flush work in the gap: the shard clock moves up to the latest
-// end among the SSDs they reached. A get chunk joins after its record
-// read, and a put chunk before its append and when it fails, so between
-// chunks the log leaves at most the last put chunk's append running. The
-// core waits only for its own submissions, so no put chunk waits for its
-// append.
-func (s *shard) join() {
-	s.bh.Wait(s.logDue)
-	s.logDue = 0
 }
 
 // expiryMark pairs a flush sequence with the value-log position after it:
@@ -791,7 +725,7 @@ func (s *shard) getBatchRecords(fps []uint64, keys [][]byte, values [][]byte, fo
 	if err == nil {
 		err = s.readHits()
 	}
-	s.join()
+	s.bh.Wait(s.log.Due())
 	if err == nil {
 		s.verifyRecords(keys, values, found)
 	}
@@ -825,10 +759,10 @@ func (s *shard) readHits() error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	issued := s.issueLog()
+	s.log.Issue(s.clock.Now())
 	var err error
 	s.recArena, err = s.vlog.ReadRecordsBatch(reqs, s.recArena)
-	s.logReached(&issued)
+	s.log.Reached()
 	if err != nil {
 		return err
 	}

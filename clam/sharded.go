@@ -446,12 +446,10 @@ func (r *router) putGroups(g *shardGroups) {
 // piece makes its call (see lookupRun), so no worker waits for another.
 // The helpers are queued first, a helper with no run of its own as one
 // empty chunk, then the other shards, each group in index order, so an
-// owner's call starts while other shards still run rather than last. On
-// a two-worker get-batch-zipf probe (6,000 batches in one process, the
-// two orders alternating, 2 CPUs) index order cost 85.5 to 98.9 ns per
-// key and helpers first 80.4 to 93.0, 5 to 7% less in each of 7 runs:
-// every batch lent, and in 99% of them the last shard in index order was
-// a helper, whose owner's call then ran alone at the batch's end.
+// owner's call starts while other shards still run rather than last: in
+// index order the last shard is nearly always a helper, whose owner's
+// call would then run alone at the batch's end (CHANGES.md has the
+// probe's figures).
 //
 // At most min(workers, queued shards) worker goroutines run a batch
 // while the caller waits. Chunks of at most chunk slots are the unit of
@@ -530,18 +528,14 @@ func (g *shardGroups) live(ctx context.Context) bool {
 // Lent dedupe: under a Zipf-skewed read batch every copy of a hot key
 // routes to one shard, whose phase A pays CPU.BatchCoalesce per copy,
 // while the light shards' CPUs sit idle in their device waits, so the
-// slowest shard sets the makespan. On get-batch-zipf (seed 1, 3 s, before
-// lending) shard 2 received 1,973,667 positions and shard 3 713,579, with
-// nearly the same distinct keys (554,704 and 536,801) and index busy time
-// (1.112 s and 1.104 s), but their clocks advanced 1.797 s and 1.370 s:
-// the mean shard was 0.851 of the makespan. Skew-aware splitting (DeWitt,
+// slowest shard sets the makespan, though the shards hold nearly the same
+// distinct keys and index busy time. Skew-aware splitting (DeWitt,
 // Naughton, Schneider and Seshadri, VLDB 1992) lets the shards behind
-// dedupe part of the hot run. With the thresholds below the makespan fell
-// to 1.566 s (seed 1) and 1.563 s (seed 2), the mean shard 0.952 and 0.954
-// of it. Keeping a quarter-mean head, with helpers that take two mean runs
-// each, measured 1.561 s and 1.560 s, within 0.3%; charging the lent work
-// ahead of the helper's own call, instead of at its first device wait,
-// measured 1.832 s and 1.836 s, slower than not lending.
+// dedupe part of the hot run. The thresholds below were measured against
+// a quarter-mean head with helpers that take two mean runs each, which
+// reads the same; the lent work lands at the helper's first device wait,
+// since charging it ahead of the helper's own call was slower than not
+// lending (CHANGES.md has the makespans).
 const (
 	// A run splits when it holds at least lendSplitQuarters quarters of
 	// the mean run and its shard's clock is at or above the mean shard

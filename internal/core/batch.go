@@ -247,9 +247,9 @@ func (b *BufferHash) submit(n int, members uint64) error {
 	if b.batch.pages.Unsent() == 0 {
 		return nil
 	}
-	issued := b.issueDevice()
+	b.issueDevice()
 	err := b.batch.pages.Submit(n, members)
-	b.reached(&issued)
+	b.dev.Reached()
 	if err != nil {
 		return fmt.Errorf("core: batched incarnation read: %w", err)
 	}
@@ -259,8 +259,8 @@ func (b *BufferHash) submit(n int, members uint64) error {
 // handOver submits round 1's gathered pages during phase A when one of
 // the device's SSDs is idle at the current CPU instant (the clock plus
 // the charges not yet landed) and holds at least b.lanes of them not yet
-// submitted: it lands the charges and submits up to b.lanes of the first
-// pages of every SSD then idle. Member m of the page-read set is SSD m, on
+// submitted: it submits up to b.lanes of the first pages of every SSD then
+// idle, and the issue lands the charges first. Member m of the page-read set is SSD m, on
 // timeline Config.DeviceClock[m]. Phase A calls it only on timelines of
 // more than one lane.
 func (b *BufferHash) handOver() error {
@@ -281,7 +281,6 @@ func (b *BufferHash) handOver() error {
 			idle |= 1 << m
 		}
 	}
-	b.settleCPUDebt()
 	return b.submit(b.lanes, idle)
 }
 
@@ -457,7 +456,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, run bool
 		}
 		if batch && b.lanes > 1 && bs.pages.Unsent() >= b.lanes {
 			if err := b.handOver(); err != nil {
-				b.joinDevice()
+				b.Wait(b.dev.Due())
 				return err
 			}
 		}
@@ -472,7 +471,7 @@ func (b *BufferHash) lookupBatch(keys []uint64, results []LookupResult, run bool
 		// for the whole round.
 		err := b.submit(bs.pages.Unsent(), storage.AllMembers)
 		b.landLent()
-		b.joinDevice()
+		b.Wait(b.dev.Due())
 		if err != nil {
 			return err
 		}

@@ -66,26 +66,19 @@ type BufferHash struct {
 	// pages in DRAM (see gather).
 	staged []stagedWrite
 
-	// Write-behind (see insertbatch.go), on a device with timelines of its
-	// own (behind): held reports that staged is the held set, the images
-	// of the last InsertBatch call that flushed, whose write has not been
-	// issued yet, and work is the CPU work put calls left that is not done
-	// yet. Wait does it while the instance waits for the device.
-	behind bool
-	held   bool
-	work   pendingWork
-
-	// cpuDebt accrues the operation's CPU charges; settleCPUDebt lands
-	// them on the clock in one advance.
+	// The time model's state (see the package doc): behind reports a
+	// device with timelines of its own, on which InsertBatch holds its
+	// staged images; held that staged is the held set, the images of the
+	// last InsertBatch call that flushed, whose write has not been issued
+	// yet; work the put work not done yet; cpuDebt the operation's CPU
+	// charges not landed yet (see settleCPUDebt); and dev the device's
+	// timelines, Config.DeviceClock, with their issue and join
+	// bookkeeping.
+	behind  bool
+	held    bool
+	work    pendingWork
 	cpuDebt time.Duration
-
-	// due is the instant at which the device submissions the operation
-	// made and has not waited for yet end: the latest end among the
-	// timelines each of them reached (see issueDevice and joinDevice).
-	due time.Duration
-	// issuedAt is issueDevice's scratch: the timelines' readings when the
-	// last submission was issued.
-	issuedAt []time.Duration
+	dev     *vclock.Timelines
 
 	// Lent dedupe (see Lend): the charge not landed yet, whether one is
 	// pending, and the clock instant the last landed one ended.
@@ -102,17 +95,12 @@ type BufferHash struct {
 	runEpoch uint64
 }
 
-// pendingWork is the CPU work an instance on a device with timelines of
-// its own owes, in the order its CPU does it. The owed part comes first
-// and must be done before the held set's write is issued: the buffer
-// inserts (CPU.BufferInsert each) queued up to the held set's last
-// serialization, then the serializations (CPU.FlushSerialize each). The
-// inserts queued after that serialization follow, and delay no write.
-// Wait does the work in this order; a write call first lands every
-// insert, owed or not (see landInserts). The host applies every insert and serializes every image at once, so
-// only where the charges land moves: the pending inserts model a put
-// call's keys waiting in DRAM for the CPU to apply them, which its
-// staging filters already cover (see superTable.probeBuffer).
+// pendingWork is the put work an instance has queued and not done yet, in
+// the order its CPU does it (see the package doc's time model). The owed
+// part comes first and must be done before the held set's write is
+// issued: the buffer inserts (CPU.BufferInsert each) queued up to the
+// last serialization, then the serializations (CPU.FlushSerialize each).
+// The inserts queued after that serialization follow, and delay no write.
 type pendingWork struct {
 	owedInserts time.Duration
 	serialize   time.Duration
@@ -147,7 +135,7 @@ func New(cfg Config) (*BufferHash, error) {
 		routeSeed: hashutil.Mix64(cfg.Seed),
 		epoch:     1,
 		behind:    len(cfg.DeviceClock) > 1 || cfg.DeviceClock[0] != cfg.Clock,
-		issuedAt:  make([]time.Duration, len(cfg.DeviceClock)),
+		dev:       vclock.NewTimelines(cfg.DeviceClock...),
 	}
 	if cfg.CacheEntries > 0 {
 		b.cache = newHotCache(cfg.CacheEntries)
@@ -258,11 +246,11 @@ func (b *BufferHash) writeStaged(wait bool) error {
 	for _, s := range b.staged {
 		is.reqs = append(is.reqs, storage.WriteReq{P: s.buf, Off: s.addr})
 	}
-	issued := b.issueDevice()
+	b.issueDevice()
 	_, err := b.cfg.Device.WriteBatch(is.reqs)
 	if wait {
-		b.reached(&issued)
-		b.joinDevice()
+		b.dev.Reached()
+		b.Wait(b.dev.Due())
 	}
 	for _, s := range b.staged {
 		if err != nil {
@@ -278,10 +266,8 @@ func (b *BufferHash) writeStaged(wait bool) error {
 }
 
 // writeHeld writes the held set now, if there is one: the work owed before
-// its write (see pendingWork) lands on the clock as a plain advance, after
-// the operation's CPU charges, then its write is issued, and waited for
-// when wait is set. A second flush, which may need a held image's slot,
-// and Flush write the held set first, so an instance holds at most one.
+// its write lands on the clock as a plain advance, after the operation's
+// CPU charges, then its write is issued, and waited for when wait is set.
 func (b *BufferHash) writeHeld(wait bool) error {
 	if !b.held {
 		return nil
@@ -290,14 +276,13 @@ func (b *BufferHash) writeHeld(wait bool) error {
 	return b.writeStaged(wait)
 }
 
-// WriteBehind closes a call on a device with timelines of its own: once
-// the instance's device waits have done all the work owed before the held
-// set's write (see Wait), it issues that write and returns without
-// waiting for it. Later submissions to the SSDs it reaches queue behind
-// it. A failed write drops its images as writeStaged does and fails the
-// call that issued it, though their puts were acknowledged. It does
-// nothing while owed work remains, and on a device on the CPU's own
-// clock, which holds nothing.
+// WriteBehind closes a call: once the instance's device waits have done
+// all the work owed before the held set's write, it issues that write and
+// returns without waiting for it (see the package doc's time model). A
+// failed write drops its images as writeStaged does and fails the call
+// that issued it, though their puts were acknowledged. It does nothing
+// while owed work remains, and when nothing is held, as on a device on
+// the CPU's own clock.
 func (b *BufferHash) WriteBehind() error {
 	if !b.held || b.work.owed() > 0 {
 		return nil
@@ -311,33 +296,17 @@ func (b *BufferHash) WriteBehind() error {
 // chargeCPU accrues a CPU cost into the operation's deferred charge.
 func (b *BufferHash) chargeCPU(d time.Duration) { b.cpuDebt += d }
 
-// chargeInsert charges one buffer insert, CPU.BufferInsert: into the
-// operation's CPU debt on a device on the CPU's own clock, which has no
-// wait to do it in, and into the pending work otherwise.
-func (b *BufferHash) chargeInsert() {
-	c := b.cfg.CPU.BufferInsert
-	if b.behind {
-		b.work.inserts += c
-		return
-	}
-	b.stats.InsertCPULanded += c
-	b.chargeCPU(c)
-}
+// chargeInsert queues one buffer insert, CPU.BufferInsert, as pending
+// work.
+func (b *BufferHash) chargeInsert() { b.work.inserts += b.cfg.CPU.BufferInsert }
 
-// chargeFlush charges one flush's serialization, CPU.FlushSerialize: into
-// the operation's CPU debt on a device on the CPU's own clock, and into
-// the owed work otherwise, behind every insert queued before it.
+// chargeFlush queues one flush's serialization, CPU.FlushSerialize, as
+// owed work, behind every insert queued before it.
 func (b *BufferHash) chargeFlush() {
-	c := b.cfg.CPU.FlushSerialize
-	if b.behind {
-		w := &b.work
-		w.owedInserts += w.inserts
-		w.inserts = 0
-		w.serialize += c
-		return
-	}
-	b.stats.FlushCPULanded += c
-	b.chargeCPU(c)
+	w := &b.work
+	w.owedInserts += w.inserts
+	w.inserts = 0
+	w.serialize += b.cfg.CPU.FlushSerialize
 }
 
 // landOwed lands the operation's CPU charges, then the work owed before
@@ -349,11 +318,9 @@ func (b *BufferHash) landOwed() {
 }
 
 // landInserts opens a write call (InsertBatch, DeleteBatch, Flush): every
-// pending insert, owed or not, lands on the clock as a plain advance, so
-// the call's writes apply after every earlier put's keys and an instance
-// owes at most one call's inserts. A held set's serialization stays owed
-// for later waits: it reads a buffer the inserts after it do not touch,
-// and only its own write waits for it.
+// pending insert, owed or not, lands on the clock as a plain advance. A
+// held set's serialization stays owed for later waits: it reads a buffer
+// the inserts after it do not touch, and only its own write waits for it.
 func (b *BufferHash) landInserts() {
 	b.land(&b.work.owedInserts, &b.stats.InsertCPULanded)
 	b.land(&b.work.inserts, &b.stats.InsertCPULanded)
@@ -379,7 +346,7 @@ func hide(d, hidden *time.Duration, gap time.Duration) time.Duration {
 }
 
 // settleCPUDebt lands the accumulated CPU charges on the clock in one
-// advance (every pipeline's closing step before its staged writes).
+// advance: at every issue (see issueDevice) and at each pipeline's end.
 func (b *BufferHash) settleCPUDebt() {
 	if d := b.cpuDebt; d > 0 {
 		b.cpuDebt = 0
@@ -388,35 +355,21 @@ func (b *BufferHash) settleCPUDebt() {
 }
 
 // issueDevice readies the device's timelines for a submission issued now:
-// it cannot start before it is issued, so every timeline moves up to the
-// clock. Each then advances by its own share (see Config.DeviceClock),
-// and reached records where the submission ended.
-func (b *BufferHash) issueDevice() vclock.Issued {
-	return vclock.Issue(b.cfg.DeviceClock, b.cfg.Clock.Now(), b.issuedAt)
-}
-
-// reached records the end of the submission issued at issued on the
-// timelines it reached, for the operation's next joinDevice.
-func (b *BufferHash) reached(issued *vclock.Issued) { b.due = max(b.due, issued.End()) }
-
-// joinDevice makes the operation wait for the submissions it made since
-// it last joined: the clock moves up to the latest end among the timelines
-// they reached, and no further. A timeline the operation did not reach,
-// busy with work another operation issued, holds it back only where one of
-// its submissions queued behind that work. For a device on Clock itself
-// the submission already moved the clock, and the join does nothing.
-func (b *BufferHash) joinDevice() {
-	b.Wait(b.due)
-	b.due = 0
+// the operation's CPU debt lands first, then every timeline moves up to
+// the clock (see the package doc's time model). The caller records where
+// the submission ended with b.dev.Reached, and joins it with
+// b.Wait(b.dev.Due()).
+func (b *BufferHash) issueDevice() {
+	b.settleCPUDebt()
+	b.dev.Issue(b.cfg.Clock.Now())
 }
 
 // Wait makes the instance wait until t, the instant at which submissions its
-// caller made end, or another event it waits for: the clock moves up to t.
-// The CPU would idle until then, so it first does the pending work (see
-// pendingWork) in the gap, as much as fits and in order: the work owed
-// before the held set's write, then the inserts after it. The clam
-// facade waits for its value-log submissions and for a split read run's
-// helpers through it, as the core waits for its own submissions.
+// caller made end, or another event it waits for: the clock moves up to t,
+// and the pending put work is done first in the gap, as much as fits and
+// in order (see the package doc's time model). The clam facade waits for
+// its value-log submissions and for a split read run's helpers through
+// it, as the core waits for its own submissions.
 func (b *BufferHash) Wait(t time.Duration) {
 	if gap := t - b.cfg.Clock.Now(); gap > 0 {
 		w := &b.work
@@ -504,10 +457,10 @@ func (b *BufferHash) readImage(addr int64) ([]byte, error) {
 			return img, nil
 		}
 	}
-	issued := b.issueDevice()
+	b.issueDevice()
 	_, err := b.cfg.Device.ReadAt(img, addr)
-	b.reached(&issued)
-	b.joinDevice()
+	b.dev.Reached()
+	b.Wait(b.dev.Due())
 	if err != nil {
 		b.releaseImage(img)
 		return nil, fmt.Errorf("core: image read: %w", err)

@@ -4,37 +4,82 @@
 // incarnations, and per-incarnation Bloom filters organized bit-sliced with
 // a sliding window.
 //
-// The package operates in virtual time: CPU costs and device I/O advance
-// the configured vclock.Clock, so callers measure operation latencies by
-// reading the clock around calls (the clam package does exactly that).
-// The device keeps its own timelines (Config.DeviceClock), one per SSD it
-// spans: a submission starts on none of them earlier than the clock, and
-// an operation that uses a read's result first joins the timelines the
-// read reached (Wait).
-//
 // BufferHash is not safe for concurrent use; the clam facade serializes
-// access. On a device on the CPU's own clock this is the paper's design
-// point that flash I/Os are blocking operations (§5.2): every write,
-// image read and probing round waits for the device. On a device with
-// timelines of its own, a lookup batch's first probing round may start
-// while phase A runs, and a put's work leaves its call. An InsertBatch
-// acknowledges once its keys are in their staging Bloom filters (it pays
-// CPU.BloomAdd per key): the (key, value) pairs wait in DRAM, 16 B each
-// in MemoryFootprint.PendingBytes, for the CPU to apply them, and each
-// key's CPU.BufferInsert is pending work the instance does while it waits
-// for its device (Wait, Stats.InsertCPUHidden). A lookup that probes a
-// buffer meanwhile pays CPU.BatchCoalesce to check that pending set as
-// well; a key its staging filter rules out cannot be in it. The next
-// InsertBatch, DeleteBatch or Flush first lands the inserts left as a
-// plain advance (Stats.InsertCPULanded). The host applies every insert at
-// once, so answers, counters and device requests are those of the
-// blocking model, and only where the charges land moves. Flushes leave
-// the call too: their images are held in DRAM, their serialization is
-// done in the same waits, after the inserts queued before it and before
-// those after it, and their write runs behind a later call once that
-// owed work is done (see WriteBehind), as an LSM store applies a
-// memtable's updates and flushes an immutable memtable in the background
-// (O'Neil et al., "The Log-Structured Merge-Tree", 1996).
+// access.
+//
+// # Time model
+//
+// The package operates in virtual time, and this section is the one
+// statement of its rules; the pipelines, fields and functions follow it.
+// Every operation accrues its CPU charges (Config.CPU) into a CPU debt,
+// which lands on the configured vclock.Clock in one advance before the
+// operation's next device submission or at its end, so callers measure an
+// operation by reading the clock around the call (the clam package does
+// exactly that). The device runs on timelines of its own,
+// Config.DeviceClock, one per SSD it spans, each serving its share of a
+// submission; the instance keeps them, with its issue and join
+// bookkeeping, as one vclock.Timelines.
+//
+//   - Issue lands the debt. A submission cannot start before the CPU work
+//     that issued it: every issue first lands the operation's CPU debt on
+//     the clock, then moves every timeline up to the clock
+//     (vclock.Timelines.Issue), and records where the submission ended on
+//     the timelines it reached (Timelines.Reached).
+//   - Join. An operation that uses a submission's result waits for it
+//     (Wait, until Timelines.Due): the clock moves up to the latest end
+//     among the timelines its submissions since the last join reached, and
+//     no further. A timeline busy with work the operation did not reach
+//     holds it back only where one of its submissions queued behind it.
+//   - Put work runs in waits. Each buffer insert's CPU.BufferInsert and
+//     each flush's CPU.FlushSerialize is queued as pending work, in the
+//     order the CPU does it (see pendingWork). A wait does as much of it as
+//     fits in the gap the CPU would idle through, in that order
+//     (Stats.InsertCPUHidden, FlushCPUHidden): first the work owed before
+//     the held set's write (the inserts queued before its flush, then its
+//     serialization), then the inserts after it. The next
+//     InsertBatch, DeleteBatch or Flush first lands every pending insert
+//     as a plain advance (Stats.InsertCPULanded), so deletes apply after
+//     inserts and an instance owes at most one call's inserts; a held set's
+//     serialization stays owed until its write.
+//   - Only where the charges land moves. The host applies every insert and
+//     serializes every image at once, so answers, counters and device
+//     requests are those of the blocking model below.
+//
+// On a device on the CPU's own clock (Config.DeviceClock nil) device time
+// and CPU time add up: the device is idle at every CPU instant and
+// completes each submission as it is issued, so a join is immediate and a
+// wait has no gap to fill. This is the paper's design point that flash
+// I/Os are blocking operations (§5.2): every write, image read and probing
+// round waits for the device, and InsertBatch lands its queued put work,
+// then writes its flushes' images and waits for them, in its own call,
+// with nothing held or pending afterwards.
+//
+// On a device with timelines of its own the CPU and the device overlap:
+//
+//   - A lookup batch's first probing round may start while phase A runs:
+//     phase A hands each idle SSD its pages a lane group at a time (see
+//     batch.go).
+//   - InsertBatch acknowledges once its keys are in their staging Bloom
+//     filters (it pays CPU.BloomAdd per key): the (key, value) pairs wait
+//     in DRAM for the CPU to apply them, 16 B each in
+//     MemoryFootprint.PendingBytes. A lookup that probes a buffer while
+//     inserts are pending also pays CPU.BatchCoalesce to check that pending
+//     set; a key its staging filter rules out cannot be in it.
+//   - Flushes leave the call: their images are the held set, kept in DRAM
+//     (MemoryFootprint.PendingBytes), where lookups read their pages
+//     (Stats.PendingProbes). The first call to close once the work owed
+//     before the write is done issues it as one address-sorted WriteBatch
+//     and does not wait for it (WriteBehind); later submissions to the
+//     SSDs it reaches queue behind it. A second flush, which may need a
+//     held image's slot, and Flush land the owed work left as a plain
+//     advance (Stats.FlushCPULanded) and write the held set first, so an
+//     instance holds at most one, and Flush waits for every write.
+//
+// This is how an LSM store applies a memtable's updates and flushes an
+// immutable memtable in the background (O'Neil et al., "The
+// Log-Structured Merge-Tree", 1996).
+//
+// # Pipelines
 //
 // Each operation kind has one pipeline, and the per-key calls are its
 // one-key case. A lookup (§5.1.1: buffer, Bloom filters, then newest-first
@@ -77,15 +122,11 @@
 // a one-key DeleteBatch; Flush stages and writes one super table at a
 // time. See insertbatch.go.
 //
-// Every operation accrues its CPU charges and lands them on the virtual
-// clock in one advance, before it issues its staged writes (a lookup
-// batch may land them earlier, in several advances, when it submits
-// reads during phase A). A batch of n
-// keys leaves the same state, counters and results as n one-key calls
-// (a lookup batch, as n calls over distinct keys, on a store without a
-// hot-entry cache, whose hits depend on how a read run's keys are grouped
-// into calls); only virtual time and the physical I/O count (page dedupe,
-// same-slot write collapse, probes of held images) differ.
+// A batch of n keys leaves the same state, counters and results as n
+// one-key calls (a lookup batch, as n calls over distinct keys, on a store
+// without a hot-entry cache, whose hits depend on how a read run's keys
+// are grouped into calls); only virtual time and the physical I/O count
+// (page dedupe, same-slot write collapse, probes of held images) differ.
 //
 // Two consequences of the single pipeline are part of the model:
 //
@@ -228,23 +269,11 @@ type Config struct {
 	// DeviceClock is the set of clocks Device was built on, the device's
 	// timelines: one for a single SSD, one per member SSD for a stripe
 	// over several (storage.Stripe), each of which serves its own share of
-	// a submission. Each submission first moves every timeline up to
-	// Clock, since it cannot start before it is issued, and Clock moves up
-	// to the latest end among the timelines it reached (a join) before a
-	// read's result is used. LookupBatch's first probing round overlaps
-	// the device with CPU work: phase A hands each SSD, while it is idle,
-	// groups of its own pages of one timeline's share of Device's queue
-	// lanes, when that share is more than one lane (see batch.go). And a
-	// put's work overlaps the device: its keys' buffer inserts and its
-	// flushes' serialization are done in the instance's device waits, and
-	// the flushes' images are held and written behind a later call (see
-	// WriteBehind).
-	// With several timelines, Device must be a
+	// a submission. With several timelines, Device must be a
 	// storage.MemberDevice of as many members, member m on DeviceClock[m].
-	// nil means Clock, the timeline on which the device is idle at every
-	// CPU instant and device time and CPU time add up: a put's buffer
-	// inserts, and a flush's serialization and write, then land in the
-	// call that makes them, with nothing held or pending.
+	// nil means Clock, a device on the CPU's own clock. The package doc's
+	// time model says how submissions are issued and joined on them, and
+	// what the instance does while it waits.
 	DeviceClock []*vclock.Clock
 
 	// PartitionBits is k1: the number of super tables is 2^k1 (§5.2).

@@ -28,40 +28,17 @@ import (
 //	             overwrite, skipping the delete-list delete and the
 //	             (idempotent) Bloom staging add while still charging a full
 //	             insert's CPU costs and counters.
-//	B (write):   the deferred CPU debt lands on the clock in one advance.
-//	             On a device on the CPU's own clock (the default
-//	             Config.DeviceClock) the staged images — every flush the
-//	             batch triggered — are then address-sorted and issued as
-//	             one device WriteBatch submission, overlapping their
-//	             service across the device's queue lanes (SSD NCQ
+//	B (write):   on a device on the CPU's own clock the queued put
+//	             work and the CPU debt land, then the staged images —
+//	             every flush the batch triggered — are address-sorted and
+//	             issued as one device WriteBatch submission, overlapping
+//	             their service across the device's queue lanes (SSD NCQ
 //	             channels, disk elevator); the call waits for it, and the
-//	             image buffers return to the pool. Each key's cuckoo
-//	             insert, CPU.BufferInsert, and each flush's serialization,
-//	             CPU.FlushSerialize, are in the call's debt.
-//	             On a device with timelines of its own the debt holds
-//	             only the Bloom staging adds and the rest of phase A's
-//	             bookkeeping, and the call acknowledges once it lands:
-//	             every key is in its staging filter, and its
-//	             CPU.BufferInsert is pending work the instance owes (see
-//	             pendingWork), a pending set a lookup that probes the
-//	             buffer pays CPU.BatchCoalesce to check. The call writes
-//	             nothing either: the staged images stay held in DRAM, the
-//	             incarnations they become are live at once (a lookup reads
-//	             their pages in the held buffers), and their serialization
-//	             is owed work, queued after the inserts before the flush
-//	             and ahead of those after it. Each later wait for the
-//	             device (Wait: a lookup's probing rounds, and the clam
-//	             facade's value-log reads and appends) does the work in
-//	             that order in the gap the CPU would idle through, as much
-//	             as fits, and the first call to close (WriteBehind) once
-//	             none is owed issues the held images as one address-sorted
-//	             WriteBatch, without waiting for it: later submissions to
-//	             the SSDs it reaches queue behind it. The next InsertBatch,
-//	             DeleteBatch and Flush first land the inserts left as a
-//	             plain advance. A second flush, and Flush, land the owed
-//	             work left as a plain advance and write the held set
-//	             first, the second flush without waiting for it, Flush
-//	             waiting.
+//	             image buffers return to the pool. On a device with
+//	             timelines of its own the CPU debt lands and the staged
+//	             images stay held for a later call to write behind, while
+//	             the put work stays pending (see the package doc's time
+//	             model).
 //	             Shared-log layouts allocate consecutive slots, so a
 //	             batch's flushes form sequential runs that pay the fixed
 //	             write cost once.
@@ -102,12 +79,11 @@ type insertScratch struct {
 // lower because the batch's flush writes are issued as one address-sorted
 // overlapped submission and its CPU charges land on the clock in one
 // advance. On a device with timelines of its own the keys' buffer inserts
-// are pending work and the flushes' images are held instead, done in
-// later device waits and written behind a later call (see pendingWork
-// and WriteBehind). On error
-// the batch may be partially applied; any writes already staged are still
-// issued, or held, so the device matches the structure's bookkeeping, and
-// a failed submission drops its images (see writeStaged).
+// stay pending and the flushes' images are held instead (see the package
+// doc's time model). On error the batch may be partially applied; any
+// writes already staged are still issued, or held, so the device matches
+// the structure's bookkeeping, and a failed submission drops its images
+// (see writeStaged).
 //
 // displaced is nil or has len(keys): displaced[i] receives the value word
 // key i's insert overwrote in its DRAM buffer, 0 when the key was not
@@ -153,14 +129,16 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 		}
 	}
 
-	// Phase B: one clock advance for the whole batch's memory work, then
-	// every staged flush write, overlapped, or on a device with timelines
-	// of its own the staged images held for the write-behind.
-	b.settleCPUDebt()
+	// Phase B: on the CPU's own clock, land the batch's put work and CPU
+	// debt and write every staged image, overlapped; on timelines of its
+	// own, land the debt and hold the staged images for the write-behind.
 	var writeErr error
 	if b.behind {
+		b.settleCPUDebt()
 		b.held = len(b.staged) > 0
 	} else {
+		b.landInserts()
+		b.landOwed()
 		writeErr = b.writeStaged(true)
 	}
 	if applyErr != nil {
@@ -172,9 +150,9 @@ func (b *BufferHash) InsertBatch(keys, values, displaced []uint64) error {
 // DeleteBatch applies len(keys) lazy deletes (§5.1.1). Deletes perform no
 // I/O, so batching only amortizes the CPU clock charges into one advance;
 // counters and state match one-key Delete calls exactly. The pending
-// inserts land first (see pendingWork), so a delete applies after them. displaced is nil
-// or has len(keys), and receives each key's removed buffer word as in
-// InsertBatch.
+// inserts land first (see the package doc's time model), so a delete
+// applies after them. displaced is nil or has len(keys), and receives each
+// key's removed buffer word as in InsertBatch.
 func (b *BufferHash) DeleteBatch(keys, displaced []uint64) error {
 	if displaced != nil && len(displaced) != len(keys) {
 		return fmt.Errorf("core: DeleteBatch: %d keys, %d displaced", len(keys), len(displaced))

@@ -73,36 +73,51 @@ func (s Stopwatch) Elapsed() time.Duration {
 	return s.clock.Now() - s.start
 }
 
-// Issued is the readings of a device's timelines when a submission was
-// issued to it, from which End tells where the submission ended.
-type Issued struct {
-	cs []*Clock
-	at []time.Duration
+// Timelines is the set of clocks a device runs on, its timelines, one
+// per member that serves its own share of a submission, with the
+// bookkeeping of an issuer that waits only for the timelines its
+// submissions reached: their readings at the last issue, and the due
+// instant, the latest end among the timelines reached since it was last
+// read. Not safe for concurrent use; its issuer serializes.
+type Timelines struct {
+	cs  []*Clock
+	at  []time.Duration
+	due time.Duration
 }
 
-// Issue readies cs, the timelines of a device, for a submission issued at
-// t: the submission cannot start on any of them before t, so each moves
-// forward to t, as AdvanceTo does. It records their readings then in at,
-// a caller's scratch of len(cs) that the returned Issued keeps.
-func Issue(cs []*Clock, t time.Duration, at []time.Duration) Issued {
-	for i, c := range cs {
+// NewTimelines returns the timelines cs, with nothing due.
+func NewTimelines(cs ...*Clock) *Timelines {
+	return &Timelines{cs: cs, at: make([]time.Duration, len(cs))}
+}
+
+// Issue readies the timelines for a submission issued at t: it cannot
+// start on any of them before t, so each moves forward to t, as AdvanceTo
+// does, and its reading then is kept for Reached.
+func (tl *Timelines) Issue(t time.Duration) {
+	for i, c := range tl.cs {
 		c.AdvanceTo(t)
-		at[i] = c.Now()
+		tl.at[i] = c.Now()
 	}
-	return Issued{cs: cs, at: at[:len(cs)]}
 }
 
-// End returns the latest time among the timelines that moved since is
-// was taken, 0 for none: the instant at which the submission issued then
-// has ended on every timeline it reached. A timeline that was busy with
-// earlier work and took no part of the submission does not count.
-func (is *Issued) End() time.Duration {
-	var t time.Duration
-	for i, c := range is.cs {
-		if now := c.Now(); now > is.at[i] {
-			t = max(t, now)
+// Reached records where the submission issued last ended: the latest time
+// among the timelines that moved since its Issue. A timeline that was busy
+// with earlier work and took no part of the submission does not count,
+// however far ahead it is.
+func (tl *Timelines) Reached() {
+	for i, c := range tl.cs {
+		if now := c.Now(); now > tl.at[i] {
+			tl.due = max(tl.due, now)
 		}
 	}
+}
+
+// Due returns the instant at which every submission recorded by Reached
+// since the last Due ends, 0 for none, and clears it: the instant an
+// issuer that waits for them waits until.
+func (tl *Timelines) Due() time.Duration {
+	t := tl.due
+	tl.due = 0
 	return t
 }
 

@@ -106,26 +106,39 @@ func TestConcurrentAdvanceToMonotonic(t *testing.T) {
 	}
 }
 
-// TestIssueEnd checks that Issue moves every timeline up to the issue
-// instant and that End counts only the timelines a submission moved: a
+// TestTimelines checks that Issue moves every timeline up to the issue
+// instant, that Reached counts only the timelines a submission moved (a
 // timeline still busy with earlier work that the submission did not reach
-// holds nothing back, however far ahead it is.
-func TestIssueEnd(t *testing.T) {
+// holds nothing back, however far ahead it is), and that Due returns the
+// latest end recorded since it was last read and clears it.
+func TestTimelines(t *testing.T) {
 	a, b := New(), New()
 	b.Advance(9 * time.Millisecond) // busy with earlier work
-	is := Issue([]*Clock{a, b}, 2*time.Millisecond, make([]time.Duration, 2))
+	tl := NewTimelines(a, b)
+	tl.Issue(2 * time.Millisecond)
 	if a.Now() != 2*time.Millisecond || b.Now() != 9*time.Millisecond {
 		t.Fatalf("after Issue at 2ms: a %v, b %v; want 2ms and 9ms", a.Now(), b.Now())
 	}
-	if end := is.End(); end != 0 {
-		t.Fatalf("End before any timeline moved = %v, want 0", end)
+	tl.Reached()
+	if due := tl.Due(); due != 0 {
+		t.Fatalf("Due before any timeline moved = %v, want 0", due)
 	}
+	tl.Issue(2 * time.Millisecond)
 	a.Advance(3 * time.Millisecond)
-	if end := is.End(); end != 5*time.Millisecond {
-		t.Fatalf("End with a alone reached = %v, want 5ms", end)
+	tl.Reached()
+	if due := tl.Due(); due != 5*time.Millisecond {
+		t.Fatalf("Due with a alone reached = %v, want 5ms", due)
 	}
+	if due := tl.Due(); due != 0 {
+		t.Fatalf("Due read twice = %v, want 0", due)
+	}
+	tl.Issue(0)
 	b.Advance(time.Millisecond)
-	if end := is.End(); end != 10*time.Millisecond {
-		t.Fatalf("End with both reached = %v, want 10ms", end)
+	tl.Reached()
+	tl.Issue(0)
+	a.Advance(time.Millisecond)
+	tl.Reached()
+	if due := tl.Due(); due != 10*time.Millisecond {
+		t.Fatalf("Due after two submissions = %v, want 10ms, the later end", due)
 	}
 }
